@@ -3,7 +3,7 @@
 //! One benchmark per evaluation figure family, each measuring the simulated
 //! experiment that regenerates it (with a shortened horizon so Criterion's
 //! repeated sampling stays fast). The full series are produced by the
-//! `fig*` binaries in `src/bin/`.
+//! `figures` binary (`src/bin/figures.rs`).
 
 use cckvs::{PerfConfig, SystemKind};
 use cckvs_bench::system;

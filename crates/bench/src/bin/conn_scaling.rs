@@ -179,30 +179,20 @@ fn run_point(connections: usize, total_ops: u64) -> Point {
                                 max_ops: BATCH_OPS,
                                 ..BatchConfig::default()
                             })
+                            .history(Arc::clone(&history))
+                            .metrics(Arc::clone(&metrics))
                             .connect()
                             .expect("connect")
                     })
                     .collect();
-                // Warm every connection before the clock starts (and
-                // before metrics/history attach, so warmup ops are not
-                // measured): the first op on a connection pays allocation
-                // and TCP ramp-up costs that would otherwise charge the
-                // large points 64x more warmup than the small ones.
-                for (i, client) in clients.iter_mut().enumerate() {
-                    client.get(i as u64 % DATASET_KEYS).expect("warmup get");
+                // Warm every connection before the clock starts with a
+                // ping (a round trip neither metrics nor history record):
+                // the first exchange on a connection pays allocation and
+                // TCP ramp-up costs that would otherwise charge the large
+                // points 64x more warmup than the small ones.
+                for client in &mut clients {
+                    assert_eq!(client.ping_all(), 1, "warmup ping");
                 }
-                // History/metrics attach only after warmup, so warmup ops
-                // are not measured — the one post-connect reconfiguration
-                // the builder intentionally does not cover.
-                #[allow(deprecated)]
-                let mut clients: Vec<Client> = clients
-                    .into_iter()
-                    .map(|client| {
-                        client
-                            .with_history(Arc::clone(&history))
-                            .with_metrics(Arc::clone(&metrics))
-                    })
-                    .collect();
                 barrier.wait();
                 for n in 0..ops_per_driver {
                     let op = gen.next_op();

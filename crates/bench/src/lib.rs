@@ -1,9 +1,9 @@
 //! Shared helpers for the figure-regeneration harness.
 //!
-//! Every figure of the paper's evaluation has a binary in `src/bin/` named
-//! `fig..._*` that sweeps the relevant parameter, prints the series the
-//! paper plots, and appends a machine-readable CSV to `results/`. The
-//! binaries share the experiment construction and reporting code below.
+//! The `figures` binary (`figures <name>|all`) has one function per figure
+//! of the paper's evaluation: it sweeps the relevant parameter, prints the
+//! series the paper plots, and writes a machine-readable CSV to
+//! `results/`. The experiment construction and reporting code lives here.
 
 use cckvs::{run_experiment, ExperimentResult, PerfConfig, SystemConfig, SystemKind};
 use consistency::messages::ConsistencyModel;

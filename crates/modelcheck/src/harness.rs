@@ -18,19 +18,18 @@
 //!   every key is present at the key's final location — in every replica's
 //!   cache if the key ended hot, in the home shard if it ended cold.
 //!
-//! ## The link model
+//! ## The link
 //!
-//! Each directed node pair is one replay-protected link, mirroring the
-//! production peer mesh (PR 5/8): datagrams carry a link sequence number,
-//! the sender retains every frame until a cumulative credit confirmation
-//! ([`Action`]`::Confirm`), and the receiver processes strictly in
-//! sequence — duplicates are dropped by sequence comparison, gaps are held
-//! in a reorder buffer. Loss is repaired by scheduler-chosen retransmits
-//! of retained frames. Across a crash, the restarted side's links restart
-//! at sequence zero (a new process generation) while survivors re-ship
-//! their retained tail from the last confirmed sequence and reissue
-//! invalidations for uncounted acks — the `PeerHello`/`PeerResume` replay
-//! contract, driven here one datagram at a time.
+//! Each directed node pair is one [`cckvs_net::link`] — the very
+//! [`SendHalf`]/[`RecvHalf`] state machines the production peer mesh and
+//! UDP transport run, not a model of them. The harness only *drives* it:
+//! the scheduler decides when a retained frame is retransmitted, when the
+//! receiver's delivered count is confirmed back ([`Action`]`::Confirm`),
+//! and — across a crash — runs the `PeerHello`/`PeerResume` contract: the
+//! restarted side's halves start fresh (a new process generation), each
+//! survivor `reconcile`s at its confirmed count, the fresh receiver
+//! `resume`s there, the tail re-ships under its original numbers, and
+//! invalidations with uncounted acks are reissued.
 //!
 //! ## Crash gating
 //!
@@ -48,6 +47,7 @@ use std::io::{ErrorKind, Read};
 use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CachePut, CcNode, EvictHot, NodeConfig, Outgoing};
+use cckvs_net::link::{Accept, RecvHalf, SendHalf};
 use cckvs_net::sim::{SimConnection, SimNet};
 use cckvs_net::transport::Connection;
 use cckvs_net::wire::{encode_frame_into, Frame};
@@ -154,30 +154,12 @@ pub fn fingerprint(events: &[String]) -> u64 {
     h
 }
 
-/// A frame retained at the sender until its sequence is credit-confirmed.
-struct Retained {
-    seq: u64,
+/// What the scheduler tracks about one frame its link retains.
+struct SentFrame {
     datagram: Vec<u8>,
     inflight: u32,
     is_update: bool,
     class: TrafficClass,
-}
-
-/// Sender half of a directed link.
-#[derive(Default)]
-struct SendLink {
-    next_seq: u64,
-    confirmed: u64,
-    retained: VecDeque<Retained>,
-}
-
-/// Receiver half of a directed link: in-sequence processing with a
-/// reorder buffer, duplicate suppression by sequence comparison.
-#[derive(Default)]
-struct RecvLink {
-    recv_next: u64,
-    reorder: BTreeMap<u64, Vec<u8>>,
-    buf: Vec<u8>,
 }
 
 /// Why a client operation has not completed yet.
@@ -249,8 +231,8 @@ pub struct RackModel {
     /// `conns[(a, b)]` is node `a`'s half of the `a↔b` pair: `a` sends to
     /// `b` by writing it and receives `b`'s frames by reading it.
     conns: BTreeMap<(usize, usize), SimConnection>,
-    send: BTreeMap<(usize, usize), SendLink>,
-    recv: BTreeMap<(usize, usize), RecvLink>,
+    send: BTreeMap<(usize, usize), SendHalf<SentFrame>>,
+    recv: BTreeMap<(usize, usize), RecvHalf<Vec<u8>>>,
     /// Live flight → (from, to, link sequence).
     flight_meta: BTreeMap<u64, (usize, usize, u64)>,
     rpc_table: BTreeMap<u64, RpcState>,
@@ -363,10 +345,10 @@ impl RackModel {
         cb.set_nonblocking(true).expect("sim conn");
         self.conns.insert((a, b), ca);
         self.conns.insert((b, a), cb);
-        self.send.insert((a, b), SendLink::default());
-        self.send.insert((b, a), SendLink::default());
-        self.recv.insert((a, b), RecvLink::default());
-        self.recv.insert((b, a), RecvLink::default());
+        self.send.insert((a, b), SendHalf::default());
+        self.send.insert((b, a), SendHalf::default());
+        self.recv.insert((a, b), RecvHalf::default());
+        self.recv.insert((b, a), RecvHalf::default());
     }
 
     fn log(&mut self, e: String) {
@@ -418,7 +400,7 @@ impl RackModel {
             }
         }
         for (&(i, j), sl) in &self.send {
-            if self.nodes[i].up && sl.confirmed < self.recv[&(i, j)].recv_next {
+            if self.nodes[i].up && sl.confirmed() < self.recv[&(i, j)].delivered() {
                 out.push(Action::Confirm(i, j));
             }
         }
@@ -456,11 +438,15 @@ impl RackModel {
         if !self.nodes[i].up || !self.nodes[j].up {
             return false;
         }
-        let recv_next = self.recv[&(i, j)].recv_next;
+        self.undelivered(i, j).any(|(_, r)| r.inflight == 0)
+    }
+
+    /// Link `i → j`'s retained frames the receiver has not yet delivered.
+    fn undelivered(&self, i: usize, j: usize) -> impl Iterator<Item = (u64, &SentFrame)> {
+        let delivered = self.recv[&(i, j)].delivered();
         self.send[&(i, j)]
-            .retained
             .iter()
-            .any(|r| r.seq >= recv_next && r.inflight == 0)
+            .filter(move |(seq, _)| *seq >= delivered)
     }
 
     /// Crash gating. Ungated when the scenario sets `unsafe_crashes`;
@@ -489,13 +475,9 @@ impl RackModel {
                 ..
             })
         );
-        let undelivered_update = (0..self.nodes.len()).filter(|&j| j != n).any(|j| {
-            let recv_next = self.recv[&(n, j)].recv_next;
-            self.send[&(n, j)]
-                .retained
-                .iter()
-                .any(|r| r.is_update && r.seq >= recv_next)
-        });
+        let undelivered_update = (0..self.nodes.len())
+            .filter(|&j| j != n)
+            .any(|j| self.undelivered(n, j).any(|(_, r)| r.is_update));
         if self.spec.unsafe_crashes {
             // The negative scenario crashes only *inside* the windows that
             // lose acknowledged data — a committed-but-unpropagated update
@@ -593,12 +575,9 @@ impl RackModel {
             }
             Action::Retransmit(i, j) => self.retransmit(i, j),
             Action::Confirm(i, j) => {
-                let processed = self.recv[&(i, j)].recv_next;
+                let processed = self.recv[&(i, j)].delivered();
                 let sl = self.send.get_mut(&(i, j)).expect("link");
-                sl.confirmed = processed;
-                while sl.retained.front().is_some_and(|r| r.seq < processed) {
-                    sl.retained.pop_front();
-                }
+                sl.confirm(processed).expect("delivered implies sent");
                 self.log(format!("confirm {i}->{j} cum{processed}"));
             }
             Action::Crash(n) => self.crash(n),
@@ -609,21 +588,13 @@ impl RackModel {
     }
 
     fn dec_inflight(&mut self, i: usize, j: usize, seq: u64) {
-        if let Some(r) = self
-            .send
-            .get_mut(&(i, j))
-            .and_then(|sl| sl.retained.iter_mut().find(|r| r.seq == seq))
-        {
+        if let Some(r) = self.send.get_mut(&(i, j)).and_then(|sl| sl.get_mut(seq)) {
             r.inflight = r.inflight.saturating_sub(1);
         }
     }
 
     fn inc_inflight(&mut self, i: usize, j: usize, seq: u64) {
-        if let Some(r) = self
-            .send
-            .get_mut(&(i, j))
-            .and_then(|sl| sl.retained.iter_mut().find(|r| r.seq == seq))
-        {
+        if let Some(r) = self.send.get_mut(&(i, j)).and_then(|sl| sl.get_mut(seq)) {
             r.inflight += 1;
         }
     }
@@ -829,9 +800,7 @@ impl RackModel {
     /// sent toward a down peer stays retained only; the restart replay
     /// re-ships it.
     fn send_frame(&mut self, i: usize, j: usize, frame: &Frame, class: TrafficClass) {
-        let sl = self.send.get_mut(&(i, j)).expect("link");
-        let seq = sl.next_seq;
-        sl.next_seq += 1;
+        let seq = self.send[&(i, j)].next_seq();
         let mut datagram = Vec::with_capacity(64);
         datagram.extend_from_slice(&seq.to_le_bytes());
         encode_frame_into(&mut datagram, frame);
@@ -851,26 +820,19 @@ impl RackModel {
             self.flight_meta.insert(id, (i, j, seq));
             inflight = 1;
         }
-        self.send
-            .get_mut(&(i, j))
-            .expect("link")
-            .retained
-            .push_back(Retained {
-                seq,
-                datagram,
-                inflight,
-                is_update,
-                class,
-            });
+        self.send.get_mut(&(i, j)).expect("link").push(SentFrame {
+            datagram,
+            inflight,
+            is_update,
+            class,
+        });
     }
 
     fn retransmit(&mut self, i: usize, j: usize) {
-        let recv_next = self.recv[&(i, j)].recv_next;
-        let Some((seq, datagram, class)) = self.send[&(i, j)]
-            .retained
-            .iter()
-            .find(|r| r.seq >= recv_next && r.inflight == 0)
-            .map(|r| (r.seq, r.datagram.clone(), r.class))
+        let Some((seq, datagram, class)) = self
+            .undelivered(i, j)
+            .find(|(_, r)| r.inflight == 0)
+            .map(|(seq, r)| (seq, r.datagram.clone(), r.class))
         else {
             return;
         };
@@ -893,9 +855,8 @@ impl RackModel {
         self.pump_link(i, j);
     }
 
-    /// Drains the receiving connection of link `i → j` and processes every
-    /// datagram that is next-in-sequence (holding gaps in the reorder
-    /// buffer, dropping duplicate sequences).
+    /// Drains the receiving connection of link `i → j` into the link's
+    /// receive half and processes every frame that became deliverable.
     fn pump_link(&mut self, i: usize, j: usize) {
         let mut fresh = Vec::new();
         {
@@ -911,37 +872,25 @@ impl RackModel {
                 }
             }
         }
-        let rl = self.recv.get_mut(&(i, j)).expect("link");
-        rl.buf.extend_from_slice(&fresh);
-        // Split the buffered bytes into [seq u64][len u32][frame payload]
-        // datagrams (deposits are atomic per flight, so a prefix is only
-        // ever a harness bug).
-        let mut held = Vec::new();
-        while rl.buf.len() >= 12 {
-            let seq = u64::from_le_bytes(rl.buf[0..8].try_into().expect("8 bytes"));
-            let flen = u32::from_le_bytes(rl.buf[8..12].try_into().expect("4 bytes")) as usize;
-            assert!(rl.buf.len() >= 12 + flen, "datagram deposits are atomic");
-            let payload = rl.buf[12..12 + flen].to_vec();
-            rl.buf.drain(..12 + flen);
-            if seq < rl.recv_next {
-                held.push(format!("dedup {i}->{j} #{seq}"));
-            } else {
-                if seq > rl.recv_next {
-                    held.push(format!("hold {i}->{j} #{seq} (awaiting #{})", rl.recv_next));
-                }
-                rl.reorder.insert(seq, payload);
+        // Split the bytes into [seq u64][len u32][frame payload] datagrams
+        // (deposits are atomic per flight, so a partial one is only ever a
+        // harness bug).
+        let mut rest = fresh.as_slice();
+        while !rest.is_empty() {
+            let seq = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
+            let flen = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")) as usize;
+            let (payload, tail) = rest[12..].split_at(flen);
+            rest = tail;
+            let rl = self.recv.get_mut(&(i, j)).expect("link");
+            let next = rl.delivered();
+            match rl.accept(seq, payload.to_vec()) {
+                Accept::Ready => {}
+                Accept::Duplicate => self.log(format!("dedup {i}->{j} #{seq}")),
+                Accept::Held => self.log(format!("hold {i}->{j} #{seq} (awaiting #{next})")),
+                Accept::Refused => self.log(format!("refuse {i}->{j} #{seq}")),
             }
         }
-        for e in held {
-            self.log(e);
-        }
-        loop {
-            let rl = self.recv.get_mut(&(i, j)).expect("link");
-            let next = rl.recv_next;
-            let Some(payload) = rl.reorder.remove(&next) else {
-                break;
-            };
-            rl.recv_next += 1;
+        while let Some(payload) = self.recv.get_mut(&(i, j)).expect("link").pop_ready() {
             self.nodes[j].deliveries += 1;
             let frame = Frame::decode(&payload).expect("peer frames decode");
             self.process_frame(i, j, frame);
@@ -1238,45 +1187,31 @@ impl RackModel {
             self.conns.insert((n, j), cn);
             self.conns.insert((j, n), cj);
             // Outbound links of the new process start a fresh numbering.
-            self.send.insert((n, j), SendLink::default());
-            self.recv.insert((n, j), RecvLink::default());
-            // Survivor → restarted: the receiver resumes at the survivor's
-            // last confirmed sequence (PeerResume); frames the dead
-            // process handled beyond it are replayed and re-handled
-            // vacuously by the fresh cache.
-            let confirmed = self.send[&(j, n)].confirmed;
-            self.recv.insert(
-                (j, n),
-                RecvLink {
-                    recv_next: confirmed,
-                    ..RecvLink::default()
-                },
-            );
-            let tail: Vec<(u64, Vec<u8>, TrafficClass)> = self
-                .send
-                .get_mut(&(j, n))
-                .expect("link")
-                .retained
-                .iter_mut()
-                .map(|r| {
-                    r.inflight = 0;
-                    (r.seq, r.datagram.clone(), r.class)
-                })
-                .collect();
+            self.send.insert((n, j), SendHalf::default());
+            self.recv.insert((n, j), RecvHalf::default());
+            // Survivor → restarted: the fresh process reports nothing
+            // processed, so the survivor replays from its last confirmed
+            // count and the receiver resumes there (PeerResume); frames
+            // the dead process handled beyond it are re-handled vacuously
+            // by the fresh cache.
+            let sl = self.send.get_mut(&(j, n)).expect("link");
+            let tail = sl.reconcile(0).expect("zero is never beyond sent");
+            let confirmed = sl.confirmed();
+            self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
             if !tail.is_empty() {
                 self.log(format!(
-                    "replay {j}->{n} #{}..#{}",
-                    tail[0].0,
-                    tail[tail.len() - 1].0
+                    "replay {j}->{n} #{confirmed}..#{}",
+                    confirmed + tail.len() as u64 - 1
                 ));
             }
-            for (seq, datagram, class) in tail {
+            for mut frame in tail {
                 let id = self.conns[&(j, n)]
-                    .write_datagram(&datagram, class)
+                    .write_datagram(&frame.datagram, frame.class)
                     .expect("sim send")
                     .expect("peer links are never loopback");
+                frame.inflight = 1;
+                let seq = self.send.get_mut(&(j, n)).expect("link").push(frame);
                 self.flight_meta.insert(id, (j, n, seq));
-                self.inc_inflight(j, n, seq);
             }
             // Invalidations whose acks were never counted: reissued toward
             // the fresh process, which acknowledges vacuously.
@@ -1447,11 +1382,10 @@ impl RackModel {
             && !self.heal_needed
             && self.admin_cursor >= self.spec.admin_script.len()
             && self.flight_meta.is_empty()
-            && self.send.iter().all(|(&(i, j), sl)| {
-                sl.retained
-                    .iter()
-                    .all(|r| r.seq < self.recv[&(i, j)].recv_next)
-            })
+            && self
+                .send
+                .iter()
+                .all(|(link, sl)| sl.next_seq() <= self.recv[link].delivered())
     }
 
     /// The deterministic completion phase: no faults, fixed priorities —

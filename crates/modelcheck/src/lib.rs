@@ -29,13 +29,13 @@
 //! few deliberate simplifications, each on the *stronger-adversary* or
 //! *documented-assumption* side:
 //!
-//! * **In-order per-link processing.** Datagrams carry link sequence
-//!   numbers; the receiver processes strictly in order with duplicate
-//!   suppression and a reorder buffer, as the production replay-numbered
-//!   peer links do. UDP-level reorder/dup/loss still happens *under* that
-//!   layer (the scheduler delivers flights in any order, drops and
-//!   duplicates them) — exactly the adversary the replay protocol exists
-//!   to tame.
+//! * **In-order per-link processing.** Every directed node pair is a
+//!   production [`cckvs_net::link`] (not a model of one): datagrams carry
+//!   its numbers, the sender retains until confirmed, the receiver hands
+//!   frames up exactly once in order. UDP-level reorder/dup/loss still
+//!   happens *under* that layer (the scheduler delivers flights in any
+//!   order, drops and duplicates them) — exactly the adversary the link
+//!   exists to tame.
 //! * **Versioned cold reads.** Miss-path GETs return the home shard's
 //!   `(value, version)` rather than the production unversioned fast-path
 //!   read. This is *stronger* instrumentation (the checker can attribute

@@ -73,8 +73,7 @@ fn usage() -> ! {
          --shards sizes the epoll reactor (shard event-loop threads; every\n\
          frame — including Lin commits and miss-path RPCs — is handled\n\
          on-shard, so thread count is O(shards), independent of connection\n\
-         count). --workers N is accepted for compatibility but ignored: the\n\
-         blocking worker pool was replaced by on-shard continuations.\n\
+         count).\n\
          --epoch-hot-set makes this node the deployment's epoch coordinator:\n\
          it tracks popularity over the requests it serves and churns a hot\n\
          set of N keys across all nodes at every epoch (set it on exactly\n\
@@ -169,16 +168,6 @@ fn parse_args() -> Args {
                     eprintln!("{e}");
                     usage()
                 })
-            }
-            "--workers" => {
-                // Deprecated: the blocking worker pool is gone — every frame
-                // is handled on-shard. Parse (so old supervisor command
-                // lines keep working) and ignore.
-                let n: usize = value("--workers").parse().unwrap_or_else(|_| usage());
-                eprintln!(
-                    "cckvs-node: --workers {n} is deprecated and ignored: \
-                     frames are handled on-shard (no worker pool)"
-                );
             }
             "--ready-fd" => {
                 args.ready_fd = Some(value("--ready-fd").parse().unwrap_or_else(|_| usage()))

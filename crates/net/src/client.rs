@@ -473,16 +473,6 @@ impl Client {
             .connect()
     }
 
-    /// Samples one in every `every` operations into the rack-wide tracing
-    /// subsystem: the sampled op's frame travels inside a trace envelope
-    /// whose id every node stamps its span events with. 0 disables
-    /// tracing (the default).
-    #[deprecated(note = "use Client::builder(..).trace_sampling(every)")]
-    pub fn with_trace_sampling(mut self, every: u64) -> Self {
-        self.trace_every = every;
-        self
-    }
-
     /// Forces the *next* operation to be traced (regardless of the
     /// sampling rate) and returns the trace id it will carry — the handle
     /// a driver passes to `cckvs-trace` to assemble the op's cross-node
@@ -567,42 +557,6 @@ impl Client {
     fn call_node(&mut self, node: usize, frame: &Frame) -> io::Result<Frame> {
         let result = self.conn(node).and_then(|conn| conn.call(frame));
         self.classify_result(node, result)
-    }
-
-    /// Sets the request-coalescing knobs used by [`Client::queue_get`] /
-    /// [`Client::queue_put`] (the plain [`Client::get`] / [`Client::put`]
-    /// calls stay one-frame-per-op).
-    #[deprecated(note = "use Client::builder(..).batching(config)")]
-    pub fn with_batching(mut self, batching: BatchConfig) -> Self {
-        assert!(batching.max_ops >= 1, "batches need at least one op");
-        // The doorbell fires *at* the bound, so a batch can exceed
-        // max_bytes by one op's payload; half the frame limit leaves that
-        // overshoot no way to assemble a frame the server would reject.
-        assert!(
-            batching.max_bytes <= crate::wire::MAX_FRAME_BYTES / 2,
-            "max_bytes must stay below half the wire frame limit"
-        );
-        self.batching = batching;
-        self.doorbell_target = if batching.max_delay.is_some() {
-            batching.max_ops.min(WARMUP_DOORBELL)
-        } else {
-            batching.max_ops
-        };
-        self
-    }
-
-    /// Records cached-key operations into `history` (for the checkers).
-    #[deprecated(note = "use Client::builder(..).history(history)")]
-    pub fn with_history(mut self, history: Arc<SharedHistory>) -> Self {
-        self.history = Some(history);
-        self
-    }
-
-    /// Records per-operation latency and hit/miss counters into `metrics`.
-    #[deprecated(note = "use Client::builder(..).metrics(metrics)")]
-    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// The session id.

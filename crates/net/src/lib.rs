@@ -50,6 +50,7 @@
 //! ```
 
 pub mod client;
+pub mod link;
 pub mod metrics;
 pub mod rack;
 pub mod server;

@@ -292,11 +292,6 @@ pub struct MetricsSnapshot {
     pub conns_open: u64,
     /// Reactor shard threads serving this node.
     pub reactor_shards: u64,
-    /// Worker threads executing blocking request handlers. Always zero
-    /// since the continuation refactor removed the worker pool — kept on
-    /// the scrape surface so deployments (and CI) can assert the
-    /// zero-worker steady state.
-    pub reactor_workers: u64,
     /// Client GETs answered inline on a reactor shard (cache hit without a
     /// worker-pool hop).
     pub inline_gets: u64,
@@ -418,7 +413,6 @@ pub struct Metrics {
     conns_accepted: AtomicU64,
     conns_open: AtomicU64,
     reactor_shards: AtomicU64,
-    reactor_workers: AtomicU64,
     inline_gets: AtomicU64,
     credit_stalls: AtomicU64,
     credit_stall_ns: AtomicU64,
@@ -530,13 +524,9 @@ impl Metrics {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Sets the reactor topology gauge. The worker-thread gauge it used
-    /// to pair with is pinned at zero: every frame is handled on-shard,
-    /// and `cckvs_reactor_workers` stays on the scrape surface so that
-    /// invariant is assertable from outside the process.
+    /// Sets the reactor topology gauge.
     pub fn set_reactor_shards(&self, shards: u64) {
         self.reactor_shards.store(shards, Ordering::Relaxed);
-        self.reactor_workers.store(0, Ordering::Relaxed);
     }
 
     /// Records one client GET answered inline on a reactor shard.
@@ -707,7 +697,6 @@ impl Metrics {
             conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
             conns_open: self.conns_open.load(Ordering::Relaxed),
             reactor_shards: self.reactor_shards.load(Ordering::Relaxed),
-            reactor_workers: self.reactor_workers.load(Ordering::Relaxed),
             inline_gets: self.inline_gets.load(Ordering::Relaxed),
             batch_ops_p50,
             batch_ops_p99,
@@ -897,7 +886,6 @@ impl Metrics {
             ("cork_wait_p99_ns", snap.cork_wait_p99_ns),
             ("conns_open", snap.conns_open),
             ("reactor_shards", snap.reactor_shards),
-            ("reactor_workers", snap.reactor_workers),
             ("parked_messages", snap.parked_messages),
             ("lin_ack_wait_count", snap.lin_ack_wait_count),
             ("lin_ack_wait_p50_ns", snap.lin_ack_wait_p50_ns),

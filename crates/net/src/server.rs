@@ -69,6 +69,7 @@
 //! every key the dead peer does not home.
 
 use crate::client::Conn;
+use crate::link::SendHalf;
 use crate::metrics::{Metrics, MetricsServer};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{write_frame, BatchBuilder, Frame, FrameDecoder};
@@ -428,11 +429,12 @@ struct RpcPending {
     /// again under the same correlation id.
     request: Frame,
     waiter: RpcWaiter,
-    /// The peer-link sequence number the request was packed at (`None`
-    /// until the pump packs it, and again after a restart reissue). Used
-    /// on peer restart to tell "still in the replay tail" (replays
-    /// automatically) from "confirmed processed by the dead process"
-    /// (must be reissued — the confirmation trimmed it from the tail).
+    /// The peer-link item number ([`crate::link`]) the request was packed
+    /// at (`None` until the pump packs it, and again after a restart
+    /// reissue). Used on peer restart to tell "still in the replay tail"
+    /// (replays automatically) from "confirmed processed by the dead
+    /// process" (must be reissued — the confirmation trimmed it from the
+    /// tail).
     seq: Option<u64>,
     /// Transport deadline: past this the RPC fails with a timeout (the
     /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]).
@@ -691,16 +693,14 @@ impl LinkQueues {
 /// sent-but-unconfirmed tail, and the sequence counters that make replay
 /// exact — persists across reconnects.
 ///
-/// Sequencing: flow-controlled messages toward the peer are numbered
-/// 1, 2, 3, … for the life of this process. `unacked` holds messages
-/// `acked_seq + 1 ..= sent_seq` in order; the peer's cumulative
-/// [`Frame::Credit`] confirmations advance `acked_seq` and trim it. On
-/// redial the handshake learns how far the peer really processed, drops
-/// the confirmed prefix, and requeues the rest in front of `queue` — the
-/// repack assigns them the same sequence numbers, so the peer (aligned by
-/// [`Frame::PeerResume`]) sees every message exactly once, in order.
-/// `unacked.len() == sent_seq - acked_seq` always; the credit window
-/// bounds that difference.
+/// Sequencing is [`crate::link`]'s: `send` numbers every flow-controlled
+/// message for the life of this process and retains it until the peer's
+/// cumulative [`Frame::Credit`] confirmations cover it. On redial the
+/// handshake learns how far the peer really processed,
+/// [`SendHalf::reconcile`]s, and requeues the unconfirmed tail in front of
+/// the lanes — the repack assigns the same numbers, so the peer (aligned
+/// by [`Frame::PeerResume`]) sees every message exactly once, in order.
+/// The credit window bounds `send.outstanding()`.
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`,
     /// the same shard the incoming link from that peer is pinned to — so
@@ -713,12 +713,9 @@ struct PeerLink {
     /// owning pump samples it to estimate the bulk arrival rate that
     /// drives the adaptive cork target.
     bulk_arrivals: AtomicU64,
-    /// Sent items awaiting cumulative confirmation (front = oldest).
-    unacked: Mutex<VecDeque<LinkItem>>,
-    /// Highest sequence number handed to the socket.
-    sent_seq: AtomicU64,
-    /// Highest sequence number the peer confirmed processing.
-    acked_seq: AtomicU64,
+    /// Items handed to the socket, retained until the peer confirms
+    /// processing them. Lock order: `queues`, then `send`.
+    send: Mutex<SendHalf<LinkItem>>,
     /// The peer's process generation as of the last completed handshake
     /// (0 = never connected).
     peer_gen: AtomicU64,
@@ -734,9 +731,7 @@ impl PeerLink {
             shard,
             queues: Mutex::new(LinkQueues::default()),
             bulk_arrivals: AtomicU64::new(0),
-            unacked: Mutex::new(VecDeque::new()),
-            sent_seq: AtomicU64::new(0),
-            acked_seq: AtomicU64::new(0),
+            send: Mutex::new(SendHalf::default()),
             peer_gen: AtomicU64::new(0),
             up: AtomicBool::new(false),
             redialing: AtomicBool::new(false),
@@ -1138,20 +1133,19 @@ impl ServerInner {
             self.ship(reissue);
         }
         // In-doubt miss-path RPCs: the dead process confirmed receiving
-        // the request (seq <= acked) but its answer died with it. Requeue
+        // the request (seq < confirmed) but its answer died with it. Requeue
         // a fresh copy of the request frame under the SAME correlation id
         // — if the old answer somehow raced out first, the entry is
         // already gone and the duplicate response hits an unknown corr
-        // and is dropped. Entries still in the replay window (seq >
-        // acked, or not yet packed) ride the link's own replay and must
-        // not be duplicated here.
+        // and is dropped. Entries still in the replay window (seq >=
+        // confirmed, or not yet packed) ride the link's own replay and
+        // must not be duplicated here.
         let in_doubt: Vec<(u64, Frame)> = {
-            let link = self.link(peer);
-            let acked = link.acked_seq.load(Ordering::Acquire);
+            let confirmed = self.link(peer).send.lock().confirmed();
             let mut table = self.rpc_pending.lock();
             table
                 .iter_mut()
-                .filter(|(_, e)| e.peer == peer && e.seq.is_some_and(|s| s <= acked))
+                .filter(|(_, e)| e.peer == peer && e.seq.is_some_and(|s| s < confirmed))
                 .map(|(&corr, e)| {
                     e.seq = None; // consumed: a second restart must not reissue again
                     (corr, e.request.clone())
@@ -1257,30 +1251,17 @@ impl ServerInner {
         // rest for replay with their original sequence numbers.
         let start_seq = {
             let mut queues = link.queues.lock();
-            let mut unacked = link.unacked.lock();
-            let acked = link.acked_seq.load(Ordering::Acquire);
-            let sent = link.sent_seq.load(Ordering::Acquire);
-            if processed > sent {
-                return Err(io::Error::new(
+            let mut send = link.send.lock();
+            let tail = send.reconcile(processed).map_err(|e| {
+                io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!(
-                        "peer {peer} claims {processed} processed of {sent} sent \
-                         (confirmation from a different generation?)"
-                    ),
-                ));
+                    format!("peer {peer} claims {e} (confirmation from a different generation?)"),
+                )
+            })?;
+            if !tail.is_empty() {
+                self.metrics.record_peer_replayed(tail.len() as u64);
             }
-            if processed > acked {
-                let drop_n = (processed - acked).min(unacked.len() as u64);
-                for _ in 0..drop_n {
-                    unacked.pop_front();
-                }
-                link.acked_seq.store(processed, Ordering::Release);
-            }
-            let replayed = unacked.len() as u64;
-            if replayed > 0 {
-                self.metrics.record_peer_replayed(replayed);
-            }
-            while let Some(item) = unacked.pop_back() {
+            for item in tail.into_iter().rev() {
                 // A sampled op's message keeps its original trace id
                 // across the replay (exactly once — the requeued item
                 // IS the retained original); the Replay event marks the
@@ -1299,9 +1280,8 @@ impl ServerInner {
                 );
                 queues.replay.push_front(item);
             }
-            let acked_now = link.acked_seq.load(Ordering::Acquire);
-            link.sent_seq.store(acked_now, Ordering::Release);
-            acked_now + 1
+            // The wire numbers items from 1.
+            send.confirmed() + 1
         };
         let mut resume = Vec::new();
         write_frame(&mut resume, &Frame::PeerResume { start_seq }).expect("vec write");
@@ -2303,20 +2283,9 @@ fn deliver_peer_frame(
             if gen != inner.gen {
                 return Ok(0);
             }
-            let link = inner.link(from);
-            let mut unacked = link.unacked.lock();
-            let sent = link.sent_seq.load(Ordering::Acquire);
-            let acked = link.acked_seq.load(Ordering::Acquire);
-            if cum > sent {
-                // Provably impossible confirmation: stale or corrupt.
-                return Ok(0);
-            }
-            if cum > acked {
-                for _ in 0..(cum - acked).min(unacked.len() as u64) {
-                    unacked.pop_front();
-                }
-                link.acked_seq.store(cum, Ordering::Release);
-            }
+            // A confirmation beyond what was sent is stale or corrupt:
+            // rejected without effect.
+            let _ = inner.link(from).send.lock().confirm(cum);
             Ok(0)
         }
         Frame::RpcReq { corr, inner: req } => {
@@ -3902,7 +3871,7 @@ impl Shard {
     /// time ([`LinkQueues::push`]'s downgrade), not here.
     ///
     /// Every flow-controlled message moves from the link's queues into its
-    /// `unacked` tail as it is packed: the socket may lose it (severed
+    /// retained `send` tail as it is packed: the socket may lose it (severed
     /// link, crashed peer), the link does not — the redial handshake
     /// replays whatever the peer did not confirm processing.
     ///
@@ -3966,6 +3935,7 @@ impl Shard {
             }
             cork_deadline = None;
             let mut queues = link.queues.lock();
+            let mut send = link.send.lock();
             // Adaptive bulk decision: how the corked bulk lane flushes (or
             // keeps waiting) this round.
             let target = cork.target(
@@ -3997,9 +3967,7 @@ impl Shard {
                 // carrying confirmations may already be gone.
                 want
             } else {
-                let outstanding =
-                    link.sent_seq.load(Ordering::Acquire) - link.acked_seq.load(Ordering::Acquire);
-                let take = want.min(window.saturating_sub(outstanding));
+                let take = want.min(window.saturating_sub(send.outstanding()));
                 if want > 0 && take == 0 {
                     // Window exhausted: note when the stall began; a wheel
                     // tick re-pumps (and keeps credit-only batches
@@ -4089,18 +4057,17 @@ impl Shard {
                     None => {}
                 }
                 if running {
-                    // Retain until the peer confirms processing: this is
-                    // what the redial handshake replays.
-                    let seq = link.sent_seq.fetch_add(1, Ordering::AcqRel) + 1;
                     // Pack-time seq recording: a restarted peer that
-                    // confirmed processing up to this seq owes the answer
+                    // confirmed processing past this seq owes the answer
                     // — `peer_restarted` reissues exactly those entries.
                     if let LinkItem::Rpc(Frame::RpcReq { corr, .. }) = &item {
                         if let Some(entry) = inner.rpc_pending.lock().get_mut(corr) {
-                            entry.seq = Some(seq);
+                            entry.seq = Some(send.next_seq());
                         }
                     }
-                    link.unacked.lock().push_back(item);
+                    // Retain until the peer confirms processing: this is
+                    // what the redial handshake replays.
+                    send.push(item);
                 }
                 packed += 1;
             }
@@ -4143,6 +4110,7 @@ impl Shard {
             let nothing_left = queues.replay.is_empty()
                 && queues.latency.is_empty()
                 && (bulk_release == 0 || queues.bulk.is_empty());
+            drop(send);
             drop(queues);
             if builder.count() > 0 {
                 // Singleton messages leave the builder as bare frames (see

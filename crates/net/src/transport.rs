@@ -18,11 +18,11 @@
 //! * [`UdpTransport`] — the paper-shaped fabric: every connection is a
 //!   connected UDP socket pair carrying sequence-numbered datagrams with
 //!   cumulative acks, retransmission, reorder buffering and duplicate
-//!   suppression — the same discipline the `PeerLink` replay layer
-//!   applies at frame granularity, here applied at datagram granularity
-//!   so *every* connection (client, peer, RPC) survives loss. A
-//!   [`FaultPlan`] injects deterministic drop/duplicate/reorder faults
-//!   for the lossy-rack e2es.
+//!   suppression — the same [`crate::link`] state machine the `PeerLink`
+//!   replay layer drives at frame granularity, here driven at datagram
+//!   granularity so *every* connection (client, peer, RPC) survives
+//!   loss. A [`FaultPlan`] injects deterministic drop/duplicate/reorder
+//!   faults for the lossy-rack e2es.
 //!
 //! # UDP framing and recovery
 //!
@@ -47,15 +47,17 @@
 //! like TCP fds), and the `SYN-ACK` is sent *from* that socket so the
 //! dialer learns the connection address from its source.
 
+use crate::link::{RecvHalf, SendHalf};
 use crate::wire::MAX_DATAGRAM_BYTES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -384,9 +386,6 @@ pub const UDP_DEAD_AFTER: Duration = Duration::from_secs(10);
 const UDP_LINGER: Duration = Duration::from_secs(2);
 /// Dialer SYN retry cadence.
 const UDP_DIAL_RETRY: Duration = Duration::from_millis(100);
-/// Out-of-order datagrams parked per connection before further
-/// out-of-window arrivals are dropped (retransmission recovers them).
-const UDP_REORDER_CAP: usize = 4096;
 /// Retransmissions per connection per pacer tick (burst cap).
 const UDP_RETX_BURST: usize = 64;
 /// How long the listener remembers a handshake so duplicate `SYN`s get
@@ -558,9 +557,8 @@ impl Faults {
     }
 }
 
-/// One retained (unacknowledged) outbound datagram.
+/// One retained (unacknowledged) outbound datagram's retransmit state.
 struct Retained {
-    seq: u64,
     bytes: Vec<u8>,
     sent_at: Instant,
     tries: u32,
@@ -568,16 +566,10 @@ struct Retained {
 
 /// Mutable reliability state of one UDP connection.
 struct UdpState {
-    /// Next outbound `DATA`/`FIN` sequence number.
-    next_seq: u64,
-    /// Outbound datagrams retained until covered by a cumulative ack.
-    unacked: VecDeque<Retained>,
-    /// Highest cumulative ack received (all seqs below it confirmed).
-    peer_acked: u64,
-    /// Next inbound sequence number to deliver.
-    recv_next: u64,
-    /// Out-of-order inbound datagrams: seq → (is_fin, payload).
-    reorder: BTreeMap<u64, (bool, Vec<u8>)>,
+    /// Outbound `DATA`/`FIN` numbering, retained until cumulatively acked.
+    send: SendHalf<Retained>,
+    /// Inbound in-order delivery of `(is_fin, payload)`.
+    recv: RecvHalf<(bool, Vec<u8>)>,
     /// In-order payloads ready for `read` (front chunk partially
     /// consumed up to `delivery_off`).
     delivery: VecDeque<Vec<u8>>,
@@ -605,6 +597,10 @@ struct UdpState {
 struct UdpIo {
     sock: UdpSocket,
     state: Mutex<UdpState>,
+    /// Live [`UdpConnection`] handles. Not `Arc::strong_count`: the pacer
+    /// upgrades its weak refs for the length of a tick, and a handle
+    /// dropped meanwhile must still see itself as the last one.
+    handles: AtomicUsize,
 }
 
 impl fmt::Debug for UdpIo {
@@ -664,16 +660,9 @@ impl UdpIo {
                 if payload.len() > MAX_DATAGRAM_BYTES {
                     return; // oversized: not ours, drop
                 }
-                if seq >= st.recv_next
-                    && st.reorder.len() < UDP_REORDER_CAP
-                    && !st.reorder.contains_key(&seq)
-                {
-                    st.reorder
-                        .insert(seq, (bytes[0] == DG_FIN, payload.to_vec()));
-                }
+                st.recv.accept(seq, (bytes[0] == DG_FIN, payload.to_vec()));
                 // Deliver the newly contiguous prefix.
-                while let Some((is_fin, payload)) = st.reorder.remove(&st.recv_next) {
-                    st.recv_next += 1;
+                while let Some((is_fin, payload)) = st.recv.pop_ready() {
                     if is_fin {
                         st.eof = true;
                     } else if !payload.is_empty() {
@@ -683,12 +672,8 @@ impl UdpIo {
             }
             DG_ACK if bytes.len() >= DG_HDR => {
                 let cum = u64::from_le_bytes(bytes[1..DG_HDR].try_into().expect("header length"));
-                if cum > st.peer_acked {
-                    st.peer_acked = cum;
+                if st.send.confirm(cum).is_ok_and(|newly| newly > 0) {
                     st.last_progress = Instant::now();
-                    while st.unacked.front().is_some_and(|r| r.seq < cum) {
-                        st.unacked.pop_front();
-                    }
                 }
             }
             // Duplicate handshake datagrams straggling in: ignore.
@@ -704,7 +689,7 @@ impl UdpIo {
         st.ack_needed = false;
         let mut ack = [0u8; DG_HDR];
         ack[0] = DG_ACK;
-        ack[1..DG_HDR].copy_from_slice(&st.recv_next.to_le_bytes());
+        ack[1..DG_HDR].copy_from_slice(&st.recv.delivered().to_le_bytes());
         send_datagram(&self.sock, st, &ack);
     }
 
@@ -736,7 +721,7 @@ impl UdpIo {
         }
         self.flush_ack(&mut st);
         self.pacer_tick_locked(&mut st, now);
-        st.unacked.is_empty()
+        st.send.outstanding() == 0
     }
 
     /// Like [`UdpIo::pacer_tick`] with the state already locked.
@@ -744,7 +729,7 @@ impl UdpIo {
         if let Some(held) = st.holdback.take() {
             send_raw(&self.sock, &held);
         }
-        if st.unacked.is_empty() {
+        if st.send.outstanding() == 0 {
             st.last_progress = now;
             return;
         }
@@ -753,18 +738,17 @@ impl UdpIo {
             return;
         }
         let mut resend = Vec::new();
-        for (i, r) in st.unacked.iter_mut().enumerate() {
+        for (_, r) in st.send.iter_mut() {
             if resend.len() >= UDP_RETX_BURST {
                 break;
             }
             if now.duration_since(r.sent_at) >= rto(r.tries) {
                 r.sent_at = now;
                 r.tries += 1;
-                resend.push(i);
+                resend.push(r.bytes.clone());
             }
         }
-        for i in resend {
-            let bytes = st.unacked[i].bytes.clone();
+        for bytes in resend {
             send_datagram(&self.sock, st, &bytes);
         }
     }
@@ -780,9 +764,9 @@ impl UdpIo {
         if st.holdback.is_some() {
             return Some(Duration::ZERO);
         }
-        st.unacked
+        st.send
             .iter()
-            .map(|r| (r.sent_at + rto(r.tries)).saturating_duration_since(now))
+            .map(|(_, r)| (r.sent_at + rto(r.tries)).saturating_duration_since(now))
             .min()
     }
 }
@@ -869,11 +853,8 @@ impl UdpConnection {
         let io = Arc::new(UdpIo {
             sock,
             state: Mutex::new(UdpState {
-                next_seq: 0,
-                unacked: VecDeque::new(),
-                peer_acked: 0,
-                recv_next: 0,
-                reorder: BTreeMap::new(),
+                send: SendHalf::default(),
+                recv: RecvHalf::default(),
                 delivery: VecDeque::new(),
                 delivery_off: 0,
                 eof: false,
@@ -884,6 +865,7 @@ impl UdpConnection {
                 holdback: None,
                 last_progress: Instant::now(),
             }),
+            handles: AtomicUsize::new(1),
         });
         pacer()
             .conns
@@ -996,15 +978,12 @@ impl Write for UdpConnection {
         // pacing); a datagram socket is "always writable", so refusing
         // bytes here would only buy an EPOLLOUT busy-spin.
         for chunk in buf.chunks(MAX_DATAGRAM_BYTES) {
-            let seq = st.next_seq;
-            st.next_seq += 1;
             let mut dgram = Vec::with_capacity(DG_HDR + chunk.len());
             dgram.push(DG_DATA);
-            dgram.extend_from_slice(&seq.to_le_bytes());
+            dgram.extend_from_slice(&st.send.next_seq().to_le_bytes());
             dgram.extend_from_slice(chunk);
             send_datagram(&self.io.sock, &mut st, &dgram);
-            st.unacked.push_back(Retained {
-                seq,
+            st.send.push(Retained {
                 bytes: dgram,
                 sent_at: Instant::now(),
                 tries: 0,
@@ -1036,6 +1015,7 @@ impl Connection for UdpConnection {
     }
 
     fn try_clone(&self) -> io::Result<Box<dyn Connection>> {
+        self.io.handles.fetch_add(1, Ordering::AcqRel);
         Ok(Box::new(UdpConnection {
             io: Arc::clone(&self.io),
             scratch: vec![0u8; MAX_DATAGRAM_BYTES + DG_HDR],
@@ -1050,8 +1030,8 @@ impl Connection for UdpConnection {
 impl Drop for UdpConnection {
     fn drop(&mut self) {
         // Only the last handle closes the connection (reader/writer
-        // splits share the core; the pacer holds only weak refs).
-        if Arc::strong_count(&self.io) != 1 {
+        // splits share the core).
+        if self.io.handles.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
         let mut st = self.io.state.lock().expect("udp state");
@@ -1059,14 +1039,11 @@ impl Drop for UdpConnection {
             return;
         }
         st.fin_sent = true;
-        let seq = st.next_seq;
-        st.next_seq += 1;
         let mut fin = [0u8; DG_HDR];
         fin[0] = DG_FIN;
-        fin[1..DG_HDR].copy_from_slice(&seq.to_le_bytes());
+        fin[1..DG_HDR].copy_from_slice(&st.send.next_seq().to_le_bytes());
         send_datagram(&self.io.sock, &mut st, &fin);
-        st.unacked.push_back(Retained {
-            seq,
+        st.send.push(Retained {
             bytes: fin.to_vec(),
             sent_at: Instant::now(),
             tries: 0,
@@ -1190,6 +1167,79 @@ mod tests {
         let mut buf = [0u8; 8];
         let n = server.read(&mut buf).expect("read EOF");
         assert_eq!(n, 0, "peer close must read as EOF");
+    }
+
+    /// Senders retain without bound, so a receiver can hold a full reorder
+    /// buffer behind one lost head; the head's retransmit must still be
+    /// accepted or the connection can never drain.
+    #[test]
+    fn udp_lost_head_is_accepted_behind_a_full_reorder_buffer() {
+        let cap = crate::link::REORDER_CAP as u64;
+        let mut listener = UdpTransport::default()
+            .listen("127.0.0.1:0".parse().expect("static addr"))
+            .expect("listen");
+        // A hand-driven peer: raw datagrams, no recovery of its own.
+        let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut syn = [0u8; DG_HDR];
+        syn[0] = DG_SYN;
+        peer.send_to(&syn, listener.local_addr().expect("local addr"))
+            .expect("syn");
+        let mut server = loop {
+            if let Some(conn) = listener.accept().expect("accept") {
+                break conn;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let (_, conn_addr) = peer.recv_from(&mut [0u8; 64]).expect("syn-ack");
+        peer.connect(conn_addr).expect("connect");
+        let data = |seq: u64| {
+            let mut dgram = vec![DG_DATA];
+            dgram.extend_from_slice(&seq.to_le_bytes());
+            dgram.push(seq as u8);
+            dgram
+        };
+        let mut got = Vec::new();
+        let mut drain = |server: &mut Box<dyn Connection>| {
+            let mut buf = [0u8; 512];
+            loop {
+                match server.read(&mut buf) {
+                    Ok(n) => got.extend_from_slice(&buf[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break got.len(),
+                    Err(e) => panic!("read failed: {e}"),
+                }
+            }
+        };
+        for seq in 1..=cap {
+            peer.send(&data(seq)).expect("send");
+            if seq % 32 == 0 {
+                // Keep the socket buffer shallow; nothing is deliverable.
+                assert_eq!(drain(&mut server), 0);
+            }
+        }
+        peer.send(&data(0)).expect("send head");
+        assert_eq!(drain(&mut server) as u64, cap + 1, "head drains the buffer");
+        assert!(got.iter().copied().eq((0..=cap).map(|seq| seq as u8)));
+    }
+
+    /// The pacer holds a strong ref to every live connection while it
+    /// ticks; a handle dropped during a tick must still send its FIN.
+    #[test]
+    fn udp_close_during_a_pacer_tick_still_sends_fin() {
+        let ours = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+        ours.connect(peer.local_addr().expect("addr"))
+            .expect("connect");
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let conn = UdpConnection::establish(ours, None);
+        let mid_tick = Arc::clone(&conn.io);
+        drop(conn);
+        let mut buf = [0u8; 64];
+        let n = peer.recv(&mut buf).expect("fin arrives");
+        assert_eq!((n, buf[0]), (DG_HDR, DG_FIN));
+        drop(mid_tick);
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub struct RackSpec {
     pub peer_timeout_secs: Option<u64>,
     /// Reactor shard threads per node.
     pub shards: Option<usize>,
-    /// Reactor worker threads per node.
-    pub workers: Option<usize>,
     /// The fabric the whole rack runs on (`cckvs-node --transport`);
     /// `None` means TCP. The supervisor's probes dial it too.
     pub transport: Option<TransportKind>,
@@ -68,7 +66,6 @@ impl Default for RackSpec {
             value_capacity: None,
             peer_timeout_secs: None,
             shards: None,
-            workers: None,
             transport: None,
         }
     }
@@ -199,7 +196,6 @@ impl Topology {
                         rack.peer_timeout_secs = Some(parse_num(lineno, key, value)?)
                     }
                     "shards" => rack.shards = Some(parse_num(lineno, key, value)?),
-                    "workers" => rack.workers = Some(parse_num(lineno, key, value)?),
                     "transport" => match value.parse() {
                         Ok(kind) => rack.transport = Some(kind),
                         Err(_) => {
@@ -363,7 +359,6 @@ impl Topology {
             self.rack.peer_timeout_secs.map(|n| n.to_string()),
         );
         push_opt("--shards", self.rack.shards.map(|n| n.to_string()));
-        push_opt("--workers", self.rack.workers.map(|n| n.to_string()));
         push_opt(
             "--transport",
             self.rack.transport.map(|t| t.label().to_string()),

@@ -53,7 +53,6 @@ fn test_topology(ports: &[u16], metrics_ports: &[u16]) -> Topology {
             value_capacity: Some(48),
             peer_timeout_secs: Some(20),
             shards: None,
-            workers: None,
             transport: None,
         },
         nodes: ports
@@ -440,17 +439,10 @@ fn pending_lin_writer_resumes_via_vacuous_acks_after_peer_sigkill() {
 
     // The resume path demonstrably ran: a survivor reissued invalidations
     // for writes that were pending when the replacement process redialed,
-    // and the parked continuations fired on-shard — with the worker pool
-    // gone for good.
+    // and the parked continuations fired on-shard.
     let mut reissued = 0;
     for &metrics in &metrics_addrs[1..] {
         reissued += scrape_counter(metrics, "reissued_invalidations_total").unwrap_or(0);
-        let workers = scrape_counter(metrics, "reactor_workers");
-        assert_eq!(
-            workers,
-            Some(0),
-            "survivor at {metrics} reports worker threads in the zero-worker model"
-        );
         let fired = scrape_counter(metrics, "continuation_fire_count").unwrap_or(0);
         assert!(
             fired > 0,

@@ -46,7 +46,6 @@ fn main() {
             value_capacity: Some(48),
             peer_timeout_secs: Some(20),
             shards: None,
-            workers: None,
             transport: None,
         },
         nodes: ports
