@@ -371,6 +371,8 @@ pub struct MetricsSnapshot {
     pub fanout_p50_ns: u64,
     /// 99th-percentile fan-out time (ns).
     pub fanout_p99_ns: u64,
+    /// Reactor shard loop laps run (one per return from the poll).
+    pub loop_lap_count: u64,
     /// Median reactor shard loop lap (one poll + dispatch round, ns).
     pub loop_lap_p50_ns: u64,
     /// 99th-percentile reactor shard loop lap (ns).
@@ -678,7 +680,8 @@ impl Metrics {
         let (continuation_fire_p50_ns, continuation_fire_p99_ns) = quantiles(&continuation_fire);
         let fanout = self.fanout.snapshot();
         let (fanout_p50_ns, fanout_p99_ns) = quantiles(&fanout);
-        let (loop_lap_p50_ns, loop_lap_p99_ns) = quantiles(&self.loop_lap.snapshot());
+        let loop_lap = self.loop_lap.snapshot();
+        let (loop_lap_p50_ns, loop_lap_p99_ns) = quantiles(&loop_lap);
         MetricsSnapshot {
             gets: self.gets.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),
@@ -731,6 +734,7 @@ impl Metrics {
             fanout_count: fanout.count,
             fanout_p50_ns,
             fanout_p99_ns,
+            loop_lap_count: loop_lap.count,
             loop_lap_p50_ns,
             loop_lap_p99_ns,
             pending_rpcs: self.pending_rpcs.load(Ordering::Relaxed),
@@ -875,6 +879,17 @@ impl Metrics {
             "Trace events dropped because a sink ring lane was full.",
             snap.trace_dropped,
         );
+        // Process-wide: every UDP connection of this process counts here
+        // (an in-process rack's nodes all report the same four rows).
+        out.push_str(
+            "# HELP cckvs_udp_datagrams_total UDP fabric datagrams sent by this process, by kind.\n\
+             # TYPE cckvs_udp_datagrams_total counter\n",
+        );
+        for (kind, value) in crate::transport::UDP_STATS.snapshot() {
+            out.push_str(&format!(
+                "cckvs_udp_datagrams_total{{node=\"{node_label}\",kind=\"{kind}\"}} {value}\n"
+            ));
+        }
         for (suffix, value) in [
             ("batch_ops_p50", snap.batch_ops_p50),
             ("batch_ops_p99", snap.batch_ops_p99),
@@ -896,6 +911,7 @@ impl Metrics {
             ("fanout_count", snap.fanout_count),
             ("fanout_p50_ns", snap.fanout_p50_ns),
             ("fanout_p99_ns", snap.fanout_p99_ns),
+            ("loop_lap_count", snap.loop_lap_count),
             ("loop_lap_p50_ns", snap.loop_lap_p50_ns),
             ("loop_lap_p99_ns", snap.loop_lap_p99_ns),
             ("pending_rpcs", snap.pending_rpcs),
@@ -1342,6 +1358,7 @@ mod tests {
         assert_close(snap.continuation_fire_p50_ns, 3_000);
         assert_eq!(snap.fanout_count, 1);
         assert_close(snap.fanout_p99_ns, 900);
+        assert_eq!(snap.loop_lap_count, 1);
         assert_close(snap.loop_lap_p99_ns, 40_000);
         assert_eq!(snap.pending_rpcs, 5);
         assert_eq!(snap.trace_events, 17);
@@ -1351,6 +1368,8 @@ mod tests {
         assert!(text.contains("cckvs_continuation_fire_p50_ns{node=\"n7\"}"));
         assert!(text.contains("cckvs_fanout_p99_ns{node=\"n7\"}"));
         assert!(text.contains("cckvs_loop_lap_p99_ns{node=\"n7\"}"));
+        assert!(text.contains("cckvs_loop_lap_count{node=\"n7\"} 1"));
+        assert!(text.contains("cckvs_udp_datagrams_total{node=\"n7\",kind=\"retransmit\"}"));
         assert!(text.contains("cckvs_pending_rpcs{node=\"n7\"} 5"));
         assert!(text.contains("cckvs_trace_events_total{node=\"n7\"} 17"));
         assert!(text.contains("cckvs_latency_ns_bucket{node=\"n7\",le=\"+Inf\"} 0"));

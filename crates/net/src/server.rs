@@ -2802,25 +2802,41 @@ impl Shard {
         }
     }
 
+    /// One lap: handle I/O → { drain the inbox, advance every touched
+    /// connection but the peer-out links } until the inbox stays empty →
+    /// pump the peer-out links → block. Whatever a lap produces for this
+    /// shard — a `Resume` continuation in the inbox, an invalidation, ack,
+    /// miss RPC or credit return in a link queue — therefore leaves in
+    /// that lap; this thread's own `wake()` calls are no-ops
+    /// ([`Waker::claim`]) and only other threads pay the eventfd.
     fn run(mut self) {
+        self.shared.waker.claim();
         let mut events = Events::with_capacity(1024);
+        let mut dirty: Vec<u64> = Vec::new();
         while self.inner.running.load(Ordering::SeqCst) {
-            let timeout = self.wheel.next_timeout();
+            // A peer-out pump can still post to this shard's own inbox (a
+            // dying link fails its RPCs' waiters); such a lap must not
+            // block on it.
+            let timeout = if self.shared.inbox.lock().is_empty() {
+                self.wheel.next_timeout()
+            } else {
+                Some(Duration::ZERO)
+            };
             if self.poller.wait(&mut events, timeout).is_err() {
                 continue;
             }
-            self.shared.waker.drain();
             if !self.inner.running.load(Ordering::SeqCst) {
                 break;
             }
             // Loop-lap: time spent processing one wakeup's worth of work
             // (poll wait excluded) — the reactor's headroom gauge.
             let lap_started = Instant::now();
-            let mut dirty: Vec<u64> = Vec::new();
             let mut accept = false;
             for event in events.iter() {
                 match event.token.0 {
-                    TOKEN_WAKER => {}
+                    // Drained before the inbox sweep below, as
+                    // `Waker::drain` requires.
+                    TOKEN_WAKER => self.shared.waker.drain(),
                     TOKEN_LISTENER => accept = true,
                     token => {
                         self.handle_io(token, event.readable, event.writable, event.closed);
@@ -2831,20 +2847,29 @@ impl Shard {
             if accept {
                 self.accept_burst(&mut dirty);
             }
-            self.drain_inbox(&mut dirty);
             for token in self.wheel.expired() {
                 if let Some(conn) = self.conns.get_mut(&token.0) {
                     conn.tick_armed = false;
                     dirty.push(token.0);
                 }
             }
-            // Peer-out links are few and cheap to pump; doing it every
-            // iteration means a wake for "some protocol traffic shipped"
-            // needs no per-outbox bookkeeping.
-            dirty.extend(self.peer_out_tokens.iter().copied());
-            dirty.sort_unstable();
-            dirty.dedup();
-            for token in dirty {
+            loop {
+                self.drain_inbox(&mut dirty);
+                dirty.retain(|token| !self.peer_out_tokens.contains(token));
+                if dirty.is_empty() {
+                    break;
+                }
+                dirty.sort_unstable();
+                dirty.dedup();
+                for token in dirty.drain(..) {
+                    self.advance(token);
+                }
+            }
+            // Peer-out links are few and cheap to pump; doing it every lap,
+            // last, means "some protocol traffic shipped" needs no
+            // per-outbox bookkeeping and nothing waits for another lap.
+            dirty.extend_from_slice(&self.peer_out_tokens);
+            for token in dirty.drain(..) {
                 self.advance(token);
             }
             self.inner

@@ -27,19 +27,31 @@
 //! # UDP framing and recovery
 //!
 //! Datagrams are typed: `SYN`/`SYN-ACK` (connection handshake, nonce
-//! matched), `DATA {seq, payload}`, `ACK {cum}`, `FIN {seq}`. Payloads
+//! matched), `DATA {seq, cum, payload}`, `ACK {cum}`, `FIN {seq, cum}`
+//! (byte layouts: `docs/WIRE.md`, "UDP datagram envelope"). Payloads
 //! are capped at [`MAX_DATAGRAM_BYTES`]; the serving layer's peer pump
 //! reads [`Connection::datagram_cap`] and sizes coherence sub-batches to
 //! fit, so one batch normally rides one datagram. Sequence numbers count
 //! datagrams; the receiver delivers the contiguous prefix, parks
-//! out-of-order arrivals in a bounded reorder buffer, drops duplicates
-//! and re-acks them. Senders retain every datagram until its sequence
-//! number is covered by a cumulative ack — retained traffic is
-//! retransmitted on an exponential timer by one process-wide pacer
-//! thread (spawned lazily on first UDP use: the TCP path keeps its exact
-//! thread census). A connection with no ack progress for
-//! [`UDP_DEAD_AFTER`] is marked broken and surfaces an error on its next
-//! use, which feeds the existing redial/generation machinery unchanged.
+//! out-of-order arrivals in a bounded reorder buffer and drops
+//! duplicates. Senders retain every datagram until its sequence number
+//! is covered by a cumulative ack — retained traffic is retransmitted on
+//! an exponential timer by one process-wide pacer thread (spawned lazily
+//! on first UDP use: the TCP path keeps its exact thread census). A
+//! connection with no ack progress for [`UDP_DEAD_AFTER`] is marked
+//! broken and surfaces an error on its next use, which feeds the
+//! existing redial/generation machinery unchanged.
+//!
+//! Acks are bookkeeping (the paper's fabric has no per-message transport
+//! ack at all, §6.4): every `DATA`/`FIN` carries the cumulative ack of the
+//! reverse direction, and a stand-alone `ACK` leaves only when nothing
+//! else will carry it — at once on a gap, a duplicate or a `FIN` (the
+//! sender's timer is waiting on exactly that answer), otherwise after
+//! [`UDP_ACK_EVERY`] unacknowledged in-order datagrams or with the
+//! pacer's next pass (`UDP_PACER_TICK` = 5 ms, far inside `UDP_RTO_MIN` =
+//! 20 ms: a clean link never retransmits). Request/response connections
+//! send none in steady state, a one-way peer link about one per
+//! [`UDP_ACK_EVERY`] datagrams. [`UDP_STATS`] counts all of it.
 //!
 //! Accepting is connection-per-socket: the listener socket only ever
 //! sees `SYN`s; each accepted connection gets a fresh connected socket
@@ -47,7 +59,7 @@
 //! like TCP fds), and the `SYN-ACK` is sent *from* that socket so the
 //! dialer learns the connection address from its source.
 
-use crate::link::{RecvHalf, SendHalf};
+use crate::link::{Accept, RecvHalf, SendHalf};
 use crate::wire::MAX_DATAGRAM_BYTES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,7 +69,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -358,25 +370,37 @@ impl Connection for TcpConnection {
 // UDP: sequence numbers + cumulative acks + retransmission over datagrams.
 // ---------------------------------------------------------------------------
 
-/// Datagram type tags.
-const DG_SYN: u8 = 1;
-const DG_SYNACK: u8 = 2;
-const DG_DATA: u8 = 3;
-const DG_ACK: u8 = 4;
-const DG_FIN: u8 = 5;
+/// Datagram type tags (first byte of every datagram).
+pub const DG_SYN: u8 = 1;
+/// Handshake answer, sent from the accepted connection's own socket.
+pub const DG_SYNACK: u8 = 2;
+/// One sequence-numbered chunk of the byte stream.
+pub const DG_DATA: u8 = 3;
+/// Stand-alone cumulative ack.
+pub const DG_ACK: u8 = 4;
+/// Sequence-numbered end of stream.
+pub const DG_FIN: u8 = 5;
 
-/// `DATA`/`FIN` header: type byte + u64 sequence number.
-const DG_HDR: usize = 1 + 8;
+/// Size of a `SYN`/`SYN-ACK`/`ACK`: type byte + u64 (nonce or cumulative
+/// ack).
+pub const DG_CTRL_LEN: usize = 1 + 8;
+/// `DATA`/`FIN` header: type byte + u64 sequence number + u64 cumulative
+/// ack of the reverse direction.
+pub const DG_DATA_HDR: usize = 1 + 8 + 8;
 
 /// Initial retransmission timeout (doubles per retry, capped).
 const UDP_RTO_MIN: Duration = Duration::from_millis(20);
+/// In-order datagrams a receiver lets pile up unacknowledged before it
+/// sends a stand-alone `ACK` (reverse `DATA` or the pacer may get there first).
+pub const UDP_ACK_EVERY: u32 = 16;
+/// Longest the pacer thread sleeps between passes, and so the longest an
+/// owed ack waits for one. The actual sleep is deadline-driven — it
+/// wakes at the nearest retained datagram's RTO, floored at the
+/// reactor's fine timer resolution — so an idle fabric ticks at this
+/// cadence while a loss burst retransmits on time.
+const UDP_PACER_TICK: Duration = Duration::from_millis(5);
 /// Retransmission timeout cap.
 const UDP_RTO_MAX: Duration = Duration::from_millis(500);
-/// Longest the pacer thread sleeps between passes. The actual sleep is
-/// deadline-driven — it wakes at the nearest retained datagram's RTO,
-/// floored at the reactor's fine timer resolution — so an idle fabric
-/// ticks at this cadence while a loss burst retransmits on time.
-const UDP_PACER_TICK: Duration = Duration::from_millis(5);
 /// A connection with retained traffic and no cumulative-ack progress for
 /// this long is broken: the peer is gone. Mirrors a TCP RST feeding the
 /// redial machinery.
@@ -391,6 +415,42 @@ const UDP_RETX_BURST: usize = 64;
 /// How long the listener remembers a handshake so duplicate `SYN`s get
 /// the same `SYN-ACK` instead of a second connection.
 const UDP_HANDSHAKE_MEMORY: Duration = Duration::from_secs(10);
+
+/// Process-wide datagram census of the UDP fabric, counted where a
+/// datagram is handed to the socket (before any injected fault).
+#[derive(Debug)]
+pub struct UdpStats {
+    /// `DATA`/`FIN` datagrams sent for the first time.
+    pub data_sent: AtomicU64,
+    /// Stand-alone `ACK` datagrams sent.
+    pub acks_sent: AtomicU64,
+    /// Owed acks that rode a `DATA`/`FIN` header instead.
+    pub acks_piggybacked: AtomicU64,
+    /// `DATA`/`FIN` datagrams sent again after their RTO expired.
+    pub retransmits: AtomicU64,
+}
+
+impl UdpStats {
+    /// Every counter's value under its `/metrics` `kind` label, in field order.
+    pub fn snapshot(&self) -> [(&'static str, u64); 4] {
+        [
+            ("data", &self.data_sent),
+            ("ack", &self.acks_sent),
+            ("ack_piggybacked", &self.acks_piggybacked),
+            ("retransmit", &self.retransmits),
+        ]
+        .map(|(kind, counter)| (kind, counter.load(Ordering::Relaxed)))
+    }
+}
+
+/// The process's [`UdpStats`]: every node of an in-process rack and its
+/// clients share them.
+pub static UDP_STATS: UdpStats = UdpStats {
+    data_sent: AtomicU64::new(0),
+    acks_sent: AtomicU64::new(0),
+    acks_piggybacked: AtomicU64::new(0),
+    retransmits: AtomicU64::new(0),
+};
 
 /// Unreliable datagrams with userspace loss/reorder recovery.
 #[derive(Debug, Clone, Copy, Default)]
@@ -425,9 +485,9 @@ impl Transport for UdpTransport {
         let sock = UdpSocket::bind(bind_addr)?;
         sock.set_read_timeout(Some(UDP_DIAL_RETRY))?;
         let nonce: u64 = rand::thread_rng().gen();
-        let mut syn = [0u8; DG_HDR];
+        let mut syn = [0u8; DG_CTRL_LEN];
         syn[0] = DG_SYN;
-        syn[1..DG_HDR].copy_from_slice(&nonce.to_le_bytes());
+        syn[1..].copy_from_slice(&nonce.to_le_bytes());
         let deadline = Instant::now() + timeout;
         let mut buf = [0u8; 64];
         // SYN → SYN-ACK, retrying on silence. The SYN-ACK's *source*
@@ -438,9 +498,9 @@ impl Transport for UdpTransport {
         loop {
             match sock.recv_from(&mut buf) {
                 Ok((n, from))
-                    if n >= DG_HDR
+                    if n >= DG_CTRL_LEN
                         && buf[0] == DG_SYNACK
-                        && buf[1..DG_HDR] == nonce.to_le_bytes() =>
+                        && buf[1..DG_CTRL_LEN] == nonce.to_le_bytes() =>
                 {
                     sock.connect(from)?;
                     sock.set_read_timeout(None)?;
@@ -502,14 +562,13 @@ impl TransportListener for UdpListener {
         loop {
             match self.sock.recv_from(&mut buf) {
                 Ok((n, from)) => {
-                    if n < DG_HDR || buf[0] != DG_SYN {
+                    if n < DG_CTRL_LEN || buf[0] != DG_SYN {
                         continue; // the listener socket only speaks SYN
                     }
-                    let nonce =
-                        u64::from_le_bytes(buf[1..DG_HDR].try_into().expect("header length"));
-                    let mut synack = [0u8; DG_HDR];
+                    let nonce = le_u64(&buf[1..]);
+                    let mut synack = [0u8; DG_CTRL_LEN];
                     synack[0] = DG_SYNACK;
-                    synack[1..DG_HDR].copy_from_slice(&nonce.to_le_bytes());
+                    synack[1..].copy_from_slice(&nonce.to_le_bytes());
                     if let Some((conn_sock, _)) = self.pending.get(&(from, nonce)) {
                         let _ = conn_sock.send(&synack);
                         continue;
@@ -581,8 +640,10 @@ struct UdpState {
     /// Terminal failure (`TimedOut` for retransmit exhaustion,
     /// `ConnectionRefused`/`ConnectionReset` for ICMP errors).
     broken: Option<io::ErrorKind>,
-    /// Inbound `DATA`/`FIN` arrived since the last ack we sent.
-    ack_needed: bool,
+    /// In-order `DATA` accepted since an ack last left (stand-alone or
+    /// riding a `DATA`/`FIN`); a gap, a duplicate or a `FIN` jumps it
+    /// straight to [`UDP_ACK_EVERY`], the stand-alone threshold.
+    ack_owed: u32,
     faults: Option<Faults>,
     /// Reorder-fault holdback slot: one datagram waiting to be released
     /// after the next send (or by the pacer when idle).
@@ -639,6 +700,11 @@ fn send_datagram(sock: &UdpSocket, st: &mut UdpState, bytes: &[u8]) {
     }
 }
 
+/// The little-endian u64 at the front of `bytes`.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("caller checked the length"))
+}
+
 /// Retransmission timeout for the `tries`-th retry.
 fn rto(tries: u32) -> Duration {
     UDP_RTO_MIN
@@ -652,49 +718,79 @@ impl UdpIo {
         if bytes.is_empty() {
             return;
         }
+        let confirm = |st: &mut UdpState, cum: u64| {
+            if st.send.confirm(cum).is_ok_and(|newly| newly > 0) {
+                st.last_progress = Instant::now();
+            }
+        };
         match bytes[0] {
-            DG_DATA | DG_FIN if bytes.len() >= DG_HDR => {
-                let seq = u64::from_le_bytes(bytes[1..DG_HDR].try_into().expect("header length"));
-                let payload = &bytes[DG_HDR..];
-                st.ack_needed = true;
+            DG_DATA | DG_FIN if bytes.len() >= DG_DATA_HDR => {
+                let payload = &bytes[DG_DATA_HDR..];
                 if payload.len() > MAX_DATAGRAM_BYTES {
                     return; // oversized: not ours, drop
                 }
-                st.recv.accept(seq, (bytes[0] == DG_FIN, payload.to_vec()));
+                confirm(st, le_u64(&bytes[1 + 8..]));
+                let is_fin = bytes[0] == DG_FIN;
+                let accept = st
+                    .recv
+                    .accept(le_u64(&bytes[1..]), (is_fin, payload.to_vec()));
                 // Deliver the newly contiguous prefix.
+                let mut delivered = 0;
                 while let Some((is_fin, payload)) = st.recv.pop_ready() {
+                    delivered += 1;
                     if is_fin {
                         st.eof = true;
                     } else if !payload.is_empty() {
                         st.delivery.push_back(payload);
                     }
                 }
+                // Plain in-order data may wait for a free ride; a duplicate,
+                // a gap opened or filled, or a FIN is answered at once.
+                st.ack_owed = if accept == Accept::Ready && delivered == 1 && !is_fin {
+                    st.ack_owed + 1
+                } else {
+                    UDP_ACK_EVERY
+                };
             }
-            DG_ACK if bytes.len() >= DG_HDR => {
-                let cum = u64::from_le_bytes(bytes[1..DG_HDR].try_into().expect("header length"));
-                if st.send.confirm(cum).is_ok_and(|newly| newly > 0) {
-                    st.last_progress = Instant::now();
-                }
-            }
-            // Duplicate handshake datagrams straggling in: ignore.
+            DG_ACK if bytes.len() >= DG_CTRL_LEN => confirm(st, le_u64(&bytes[1..])),
+            // Duplicate handshake datagrams straggling in, and `DATA`/`FIN`
+            // too short for their header: ignore.
             _ => {}
         }
     }
 
-    /// Sends the cumulative ack if inbound traffic warranted one.
-    fn flush_ack(&self, st: &mut UdpState) {
-        if !st.ack_needed {
-            return;
-        }
-        st.ack_needed = false;
-        let mut ack = [0u8; DG_HDR];
+    /// Sends the stand-alone cumulative ack.
+    fn send_ack(&self, st: &mut UdpState) {
+        st.ack_owed = 0;
+        let mut ack = [0u8; DG_CTRL_LEN];
         ack[0] = DG_ACK;
-        ack[1..DG_HDR].copy_from_slice(&st.recv.delivered().to_le_bytes());
+        ack[1..].copy_from_slice(&st.recv.delivered().to_le_bytes());
+        UDP_STATS.acks_sent.fetch_add(1, Ordering::Relaxed);
         send_datagram(&self.sock, st, &ack);
     }
 
-    /// One pacer pass: release a stale holdback, retransmit overdue
-    /// retained datagrams, detect a dead peer.
+    /// Numbers, sends and retains one `DATA`/`FIN` datagram; its header
+    /// carries whatever ack is owed.
+    fn send_numbered(&self, st: &mut UdpState, tag: u8, payload: &[u8]) {
+        let mut dgram = Vec::with_capacity(DG_DATA_HDR + payload.len());
+        dgram.push(tag);
+        dgram.extend_from_slice(&st.send.next_seq().to_le_bytes());
+        dgram.extend_from_slice(&st.recv.delivered().to_le_bytes());
+        dgram.extend_from_slice(payload);
+        if std::mem::take(&mut st.ack_owed) > 0 {
+            UDP_STATS.acks_piggybacked.fetch_add(1, Ordering::Relaxed);
+        }
+        UDP_STATS.data_sent.fetch_add(1, Ordering::Relaxed);
+        send_datagram(&self.sock, st, &dgram);
+        st.send.push(Retained {
+            bytes: dgram,
+            sent_at: Instant::now(),
+            tries: 0,
+        });
+    }
+
+    /// One pacer pass: release a stale holdback, send an owed ack nothing
+    /// carried, retransmit overdue retained datagrams, detect a dead peer.
     fn pacer_tick(&self, now: Instant) {
         let Ok(mut st) = self.state.lock() else {
             return;
@@ -714,12 +810,10 @@ impl UdpIo {
         if st.broken.is_some() {
             return true;
         }
-        let mut buf = vec![0u8; MAX_DATAGRAM_BYTES + DG_HDR];
+        let mut buf = vec![0u8; MAX_DATAGRAM_BYTES + DG_DATA_HDR];
         while let Ok(n) = self.sock.recv(&mut buf) {
-            let bytes = buf[..n].to_vec();
-            self.process_datagram(&mut st, &bytes);
+            self.process_datagram(&mut st, &buf[..n]);
         }
-        self.flush_ack(&mut st);
         self.pacer_tick_locked(&mut st, now);
         st.send.outstanding() == 0
     }
@@ -728,6 +822,9 @@ impl UdpIo {
     fn pacer_tick_locked(&self, st: &mut UdpState, now: Instant) {
         if let Some(held) = st.holdback.take() {
             send_raw(&self.sock, &held);
+        }
+        if st.ack_owed > 0 {
+            self.send_ack(st);
         }
         if st.send.outstanding() == 0 {
             st.last_progress = now;
@@ -748,6 +845,9 @@ impl UdpIo {
                 resend.push(r.bytes.clone());
             }
         }
+        UDP_STATS
+            .retransmits
+            .fetch_add(resend.len() as u64, Ordering::Relaxed);
         for bytes in resend {
             send_datagram(&self.sock, st, &bytes);
         }
@@ -860,7 +960,7 @@ impl UdpConnection {
                 eof: false,
                 fin_sent: false,
                 broken: None,
-                ack_needed: false,
+                ack_owed: 0,
                 faults,
                 holdback: None,
                 last_progress: Instant::now(),
@@ -874,7 +974,7 @@ impl UdpConnection {
             .push(Arc::downgrade(&io));
         UdpConnection {
             io,
-            scratch: vec![0u8; MAX_DATAGRAM_BYTES + DG_HDR],
+            scratch: vec![0u8; MAX_DATAGRAM_BYTES + DG_DATA_HDR],
         }
     }
 
@@ -912,11 +1012,9 @@ impl Read for UdpConnection {
                     return Err(io::Error::new(kind, "udp connection broken"));
                 }
                 if let Some(n) = Self::take_delivered(&mut st, buf) {
-                    self.io.flush_ack(&mut st);
                     return Ok(n);
                 }
                 if st.eof {
-                    self.io.flush_ack(&mut st);
                     return Ok(0);
                 }
             }
@@ -930,10 +1028,9 @@ impl Read for UdpConnection {
                     let bytes = std::mem::take(&mut self.scratch);
                     self.io.process_datagram(&mut st, &bytes[..n]);
                     self.scratch = bytes;
-                    // Ack opportunistically even when the datagram was
-                    // out of order: the sender prunes and the e2e's
-                    // duplicate storm stays bounded.
-                    self.io.flush_ack(&mut st);
+                    if st.ack_owed >= UDP_ACK_EVERY {
+                        self.io.send_ack(&mut st);
+                    }
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -978,16 +1075,7 @@ impl Write for UdpConnection {
         // pacing); a datagram socket is "always writable", so refusing
         // bytes here would only buy an EPOLLOUT busy-spin.
         for chunk in buf.chunks(MAX_DATAGRAM_BYTES) {
-            let mut dgram = Vec::with_capacity(DG_HDR + chunk.len());
-            dgram.push(DG_DATA);
-            dgram.extend_from_slice(&st.send.next_seq().to_le_bytes());
-            dgram.extend_from_slice(chunk);
-            send_datagram(&self.io.sock, &mut st, &dgram);
-            st.send.push(Retained {
-                bytes: dgram,
-                sent_at: Instant::now(),
-                tries: 0,
-            });
+            self.io.send_numbered(&mut st, DG_DATA, chunk);
         }
         Ok(buf.len())
     }
@@ -1018,7 +1106,7 @@ impl Connection for UdpConnection {
         self.io.handles.fetch_add(1, Ordering::AcqRel);
         Ok(Box::new(UdpConnection {
             io: Arc::clone(&self.io),
-            scratch: vec![0u8; MAX_DATAGRAM_BYTES + DG_HDR],
+            scratch: vec![0u8; MAX_DATAGRAM_BYTES + DG_DATA_HDR],
         }))
     }
 
@@ -1039,16 +1127,7 @@ impl Drop for UdpConnection {
             return;
         }
         st.fin_sent = true;
-        let mut fin = [0u8; DG_HDR];
-        fin[0] = DG_FIN;
-        fin[1..DG_HDR].copy_from_slice(&st.send.next_seq().to_le_bytes());
-        send_datagram(&self.io.sock, &mut st, &fin);
-        st.send.push(Retained {
-            bytes: fin.to_vec(),
-            sent_at: Instant::now(),
-            tries: 0,
-        });
-        self.io.flush_ack(&mut st);
+        self.io.send_numbered(&mut st, DG_FIN, &[]);
         drop(st);
         // Linger nonblocking so the pacer can retransmit the FIN and ack
         // the peer's without ever blocking its tick.
@@ -1064,6 +1143,143 @@ impl Drop for UdpConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// [`UDP_STATS`] and the pacer's cadence are shared by every UDP
+    /// connection in the process, so every test that opens one holds this
+    /// lock, and starts only once the previous test's closed connections
+    /// have finished lingering.
+    fn quiet_fabric() -> MutexGuard<'static, ()> {
+        static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+        let guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+        // The pacer empties the list for the length of a pass: only
+        // several empty sightings in a row mean nothing lingers.
+        let mut empty_in_a_row = 0;
+        while empty_in_a_row < 3 {
+            std::thread::sleep(Duration::from_millis(2));
+            if pacer().closing.lock().expect("pacer closing").is_empty() {
+                empty_in_a_row += 1;
+            } else {
+                empty_in_a_row = 0;
+            }
+        }
+        guard
+    }
+
+    /// `[data_sent, acks_sent, acks_piggybacked, retransmits]` since `base`.
+    fn stats_since(base: [u64; 4]) -> [u64; 4] {
+        let now = UDP_STATS.snapshot();
+        std::array::from_fn(|i| now[i].1 - base[i])
+    }
+
+    /// Two established connections over a connected socket pair, no
+    /// handshake datagrams in the counts.
+    fn established_pair() -> (UdpConnection, UdpConnection) {
+        let a = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let b = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        a.connect(b.local_addr().expect("addr")).expect("connect");
+        b.connect(a.local_addr().expect("addr")).expect("connect");
+        for sock in [&a, &b] {
+            sock.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+        }
+        (
+            UdpConnection::establish(a, None),
+            UdpConnection::establish(b, None),
+        )
+    }
+
+    fn outstanding(conn: &UdpConnection) -> u64 {
+        conn.io.state.lock().expect("udp state").send.outstanding()
+    }
+
+    /// Reads whatever `conn`'s socket holds (processing acks on the way).
+    fn drain_nonblocking(conn: &mut UdpConnection) -> usize {
+        let mut buf = [0u8; 256];
+        let mut total = 0;
+        loop {
+            match conn.read(&mut buf) {
+                Ok(n) => total += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return total,
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
+    }
+
+    /// Pacer passes that can have happened since `started`, at most.
+    fn pacer_passes_since(started: Instant) -> u64 {
+        (started.elapsed().as_micros() / UDP_PACER_TICK.as_micros()) as u64 + 1
+    }
+
+    /// Polls `sender` until everything it sent is acknowledged.
+    fn await_all_acked(sender: &mut UdpConnection) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while outstanding(sender) > 0 {
+            assert!(Instant::now() < deadline, "tail was never acknowledged");
+            drain_nonblocking(sender);
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn request_response_acks_ride_the_data() {
+        let _quiet = quiet_fabric();
+        let (mut client, mut server) = established_pair();
+        let (base, started) = (stats_since([0; 4]), Instant::now());
+        let mut buf = [0u8; 4];
+        for _ in 0..1_000 {
+            client.write_all(b"ping").expect("write");
+            server.read_exact(&mut buf).expect("read");
+            server.write_all(b"pong").expect("write");
+            client.read_exact(&mut buf).expect("read");
+        }
+        let [data, acks, piggybacked, retransmits] = stats_since(base);
+        assert_eq!((data, retransmits), (2_000, 0));
+        // Only a pacer pass landing between a read and the write that
+        // answers it finds an ack owed: at most one per side per pass.
+        let per_side = pacer_passes_since(started).max(4);
+        assert!(acks <= 2 * per_side, "{acks} stand-alone acks");
+        assert!(piggybacked + acks >= 1_999, "{piggybacked} + {acks}");
+    }
+
+    #[test]
+    fn one_way_stream_is_acked_every_sixteenth_datagram() {
+        const N: u64 = 10_000;
+        let _quiet = quiet_fabric();
+        let (mut tx, mut rx) = established_pair();
+        tx.set_nonblocking(true).expect("nonblocking");
+        rx.set_nonblocking(true).expect("nonblocking");
+        let (base, started) = (stats_since([0; 4]), Instant::now());
+        for _ in 0..N {
+            // Lock step keeps the socket buffers shallow: nothing is lost,
+            // so any retransmission would be a spurious one.
+            tx.write_all(b"x").expect("write");
+            assert_eq!(drain_nonblocking(&mut rx), 1);
+            drain_nonblocking(&mut tx);
+        }
+        await_all_acked(&mut tx);
+        let [data, acks, piggybacked, retransmits] = stats_since(base);
+        assert_eq!((data, piggybacked, retransmits), (N, 0, 0));
+        let bound = N / u64::from(UDP_ACK_EVERY) + pacer_passes_since(started);
+        assert!(
+            acks <= bound,
+            "{acks} acks for {N} datagrams, bound {bound}"
+        );
+    }
+
+    #[test]
+    fn idle_tail_is_acked_by_the_pacer_before_its_first_rto() {
+        let _quiet = quiet_fabric();
+        let (mut tx, mut rx) = established_pair();
+        tx.set_nonblocking(true).expect("nonblocking");
+        rx.set_nonblocking(true).expect("nonblocking");
+        let base = stats_since([0; 4]);
+        tx.write_all(b"tail").expect("write");
+        assert_eq!(drain_nonblocking(&mut rx), 4);
+        // Then silence: no reverse data, no sixteenth datagram.
+        await_all_acked(&mut tx);
+        assert_eq!(stats_since(base), [1, 1, 0, 0], "one ack, no retransmit");
+    }
 
     fn pair(transport: &dyn Transport) -> (Box<dyn Connection>, Box<dyn Connection>) {
         let mut listener = transport
@@ -1111,6 +1327,7 @@ mod tests {
 
     #[test]
     fn udp_roundtrip_through_the_trait() {
+        let _quiet = quiet_fabric();
         let (mut client, mut server) = pair(&UdpTransport::default());
         server.set_nonblocking(false).expect("blocking");
         server
@@ -1133,6 +1350,7 @@ mod tests {
 
     #[test]
     fn udp_delivers_large_transfers_in_order_under_faults() {
+        let _quiet = quiet_fabric();
         let transport = UdpTransport {
             faults: Some(FaultPlan::uniform(10, 42)),
         };
@@ -1158,6 +1376,7 @@ mod tests {
 
     #[test]
     fn udp_fin_surfaces_as_eof() {
+        let _quiet = quiet_fabric();
         let (client, mut server) = pair(&UdpTransport::default());
         server.set_nonblocking(false).expect("blocking");
         server
@@ -1174,6 +1393,7 @@ mod tests {
     /// accepted or the connection can never drain.
     #[test]
     fn udp_lost_head_is_accepted_behind_a_full_reorder_buffer() {
+        let _quiet = quiet_fabric();
         let cap = crate::link::REORDER_CAP as u64;
         let mut listener = UdpTransport::default()
             .listen("127.0.0.1:0".parse().expect("static addr"))
@@ -1182,7 +1402,7 @@ mod tests {
         let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
         peer.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        let mut syn = [0u8; DG_HDR];
+        let mut syn = [0u8; DG_CTRL_LEN];
         syn[0] = DG_SYN;
         peer.send_to(&syn, listener.local_addr().expect("local addr"))
             .expect("syn");
@@ -1197,6 +1417,7 @@ mod tests {
         let data = |seq: u64| {
             let mut dgram = vec![DG_DATA];
             dgram.extend_from_slice(&seq.to_le_bytes());
+            dgram.extend_from_slice(&0u64.to_le_bytes()); // cum: nothing to ack
             dgram.push(seq as u8);
             dgram
         };
@@ -1227,6 +1448,7 @@ mod tests {
     /// ticks; a handle dropped during a tick must still send its FIN.
     #[test]
     fn udp_close_during_a_pacer_tick_still_sends_fin() {
+        let _quiet = quiet_fabric();
         let ours = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
         ours.connect(peer.local_addr().expect("addr"))
@@ -1238,12 +1460,13 @@ mod tests {
         drop(conn);
         let mut buf = [0u8; 64];
         let n = peer.recv(&mut buf).expect("fin arrives");
-        assert_eq!((n, buf[0]), (DG_HDR, DG_FIN));
+        assert_eq!((n, buf[0]), (DG_DATA_HDR, DG_FIN));
         drop(mid_tick);
     }
 
     #[test]
     fn udp_nonblocking_read_starves_cleanly() {
+        let _quiet = quiet_fabric();
         let (_client, mut server) = pair(&UdpTransport::default());
         // Accepted conns are nonblocking already; a read with nothing
         // pending must report WouldBlock, never spin or panic.

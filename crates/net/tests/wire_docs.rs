@@ -1,8 +1,12 @@
 //! Keeps `docs/WIRE.md` honest: the opcode table in the document must
 //! match `wire::opcode_table()` exactly — same names, same values, no
 //! frame missing from either side. Renumbering, adding, or removing an
-//! opcode without updating the doc fails here.
+//! opcode without updating the doc fails here. Likewise the "UDP datagram
+//! envelope" table against `transport.rs`'s tag and header-size constants.
 
+use cckvs_net::transport::{
+    DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_FIN, DG_SYN, DG_SYNACK, UDP_ACK_EVERY,
+};
 use cckvs_net::wire::opcode_table;
 use std::path::Path;
 
@@ -29,11 +33,15 @@ fn doc_opcodes(markdown: &str) -> Vec<(String, u8)> {
     out
 }
 
+fn wire_doc() -> String {
+    let doc_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/WIRE.md");
+    std::fs::read_to_string(&doc_path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", doc_path.display()))
+}
+
 #[test]
 fn wire_doc_opcode_table_matches_the_code() {
-    let doc_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/WIRE.md");
-    let markdown = std::fs::read_to_string(&doc_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", doc_path.display()));
+    let markdown = wire_doc();
     let documented = doc_opcodes(&markdown);
     let actual: Vec<(String, u8)> = opcode_table()
         .into_iter()
@@ -72,5 +80,43 @@ fn wire_doc_opcode_table_matches_the_code() {
     assert_eq!(
         documented, sorted,
         "docs/WIRE.md opcode rows are not in ascending opcode order"
+    );
+}
+
+#[test]
+fn wire_doc_datagram_envelope_matches_the_code() {
+    let markdown = wire_doc();
+    let envelope = markdown
+        .split("## UDP datagram envelope")
+        .nth(1)
+        .expect("docs/WIRE.md has a `UDP datagram envelope` section");
+    // Rows of the form `| \`NAME\` | tag | header bytes | layout |`.
+    let documented: Vec<(String, u8, usize)> = envelope
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix("| `")?.split('|').map(str::trim);
+            let name = cells.next()?.trim_end_matches('`').to_string();
+            Some((
+                name,
+                cells.next()?.parse().ok()?,
+                cells.next()?.parse().ok()?,
+            ))
+        })
+        .collect();
+    let actual = [
+        ("SYN", DG_SYN, DG_CTRL_LEN),
+        ("SYN-ACK", DG_SYNACK, DG_CTRL_LEN),
+        ("DATA", DG_DATA, DG_DATA_HDR),
+        ("ACK", DG_ACK, DG_CTRL_LEN),
+        ("FIN", DG_FIN, DG_DATA_HDR),
+    ]
+    .map(|(name, tag, header)| (name.to_string(), tag, header));
+    assert_eq!(
+        documented, actual,
+        "docs/WIRE.md's datagram table and transport.rs's DG_* constants disagree"
+    );
+    assert!(
+        envelope.contains(&format!("`UDP_ACK_EVERY` = {UDP_ACK_EVERY} in-order")),
+        "docs/WIRE.md's ack policy does not state UDP_ACK_EVERY = {UDP_ACK_EVERY}"
     );
 }

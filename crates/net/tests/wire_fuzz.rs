@@ -6,15 +6,18 @@
 //! a panic.
 //!
 //! The datagram block at the bottom pushes the same hostility one layer
-//! down: raw UDP garbage against a live listener, and duplicate/reorder
-//! fault plans against an established connection — frames must come out
-//! exactly once, in order, or not at all.
+//! down: raw UDP garbage against a live listener, forged cumulative acks
+//! and short headers against an established connection, and
+//! duplicate/reorder fault plans — frames must come out exactly once, in
+//! order, or not at all.
 
-use cckvs_net::transport::{Connection, FaultPlan, TransportConfig};
+use cckvs_net::transport::{
+    Connection, FaultPlan, TransportConfig, DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_SYN,
+};
 use cckvs_net::wire::{read_frame, write_frame, Frame, WireError, MAX_DATAGRAM_BYTES};
 use consistency::lamport::{NodeId, Timestamp};
 use proptest::prelude::*;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::time::{Duration, Instant};
 
 fn ts_of(clock: u32, writer: u8) -> Timestamp {
@@ -226,6 +229,78 @@ proptest! {
         writer.flush().expect("flush");
         let mut reader = BufReader::new(server);
         prop_assert_eq!(read_frame(&mut reader).expect("read"), Some(Frame::Ping));
+    }
+
+    /// A cumulative ack claiming more datagrams than were ever sent —
+    /// piggybacked on `DATA` or stand-alone — is corrupt or addressed to
+    /// another incarnation of the connection, and must leave the send half
+    /// as it was (`SendHalf::confirm`'s `BeyondSent` contract): the one
+    /// datagram it pretends to cover stays retained, so it is
+    /// retransmitted. `DATA` too short for its header is dropped, not
+    /// mis-parsed as a 9-byte-header datagram.
+    #[test]
+    fn forged_cumulative_acks_release_nothing(
+        beyond in 2u64..u64::MAX,
+        piggybacked in any::<bool>(),
+    ) {
+        let mut listener = TransportConfig::udp()
+            .build()
+            .listen("127.0.0.1:0".parse().expect("static addr"))
+            .expect("listen");
+        // A hand-driven peer: raw datagrams, no recovery of its own.
+        let peer = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+        peer.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut syn = [0u8; DG_CTRL_LEN];
+        syn[0] = DG_SYN;
+        peer.send_to(&syn, listener.local_addr().expect("local addr")).expect("syn");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut server = loop {
+            if let Some(conn) = listener.accept().expect("accept") {
+                break conn;
+            }
+            prop_assert!(Instant::now() < deadline, "accept timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let mut buf = [0u8; 64];
+        let (_, conn_addr) = peer.recv_from(&mut buf).expect("syn-ack");
+        peer.connect(conn_addr).expect("connect");
+
+        // The server's one and only datagram: seq 0, so only cum 0 and 1
+        // are honest.
+        server.write_all(b"x").expect("write");
+        let n = peer.recv(&mut buf).expect("data");
+        let sent = buf[..n].to_vec();
+        prop_assert_eq!((n, sent[0], &sent[1..9]), (DG_DATA_HDR + 1, DG_DATA, &[0u8; 8][..]));
+
+        let mut forged = vec![if piggybacked { DG_DATA } else { DG_ACK }];
+        if piggybacked {
+            forged.extend_from_slice(&0u64.to_le_bytes());
+        }
+        forged.extend_from_slice(&beyond.to_le_bytes());
+        peer.send(&forged).expect("send forged ack");
+        // Old-header-sized DATA: seq 1, no room for the ack field.
+        let mut short = vec![DG_DATA];
+        short.extend_from_slice(&1u64.to_le_bytes());
+        peer.send(&short).expect("send short data");
+        // One nonblocking read takes in everything queued; neither datagram
+        // carried payload, so it ends starved.
+        let starved = server
+            .read(&mut [0u8; 8])
+            .expect_err("no payload to read");
+        prop_assert_eq!(starved.kind(), std::io::ErrorKind::WouldBlock);
+
+        // Still retained, so its RTO resends it. Only the forged DATA's
+        // own seq 0 earns an ack on the way; the short one was never
+        // accepted, or its gap would have been acked at once.
+        loop {
+            let n = peer.recv(&mut buf).expect("retransmission");
+            if buf[0] == DG_DATA {
+                prop_assert_eq!(&buf[..n], &sent[..], "seq 0 again, byte for byte");
+                break;
+            }
+            prop_assert!(piggybacked && buf[0] == DG_ACK, "short DATA was parsed");
+            prop_assert_eq!(&buf[1..n], &1u64.to_le_bytes()[..]);
+        }
     }
 
     /// Duplicated, reordered, and dropped datagrams: every frame written

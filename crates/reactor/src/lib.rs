@@ -135,6 +135,42 @@ mod tests {
     }
 
     #[test]
+    fn owner_thread_wake_is_free_while_foreign_wakes_still_interrupt() {
+        let poller = Poller::new().unwrap();
+        let waker = std::sync::Arc::new(Waker::new(&poller, Token(99)).unwrap());
+        waker.claim();
+        let mut events = Events::with_capacity(8);
+        // The loop thread waking itself writes nothing to the eventfd: the
+        // next wait times out empty instead of returning the waker token.
+        waker.wake();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "owner wake reached the eventfd");
+        // A foreign thread's wakes still interrupt, and still coalesce —
+        // also behind an owner wake, which must not have set the pending
+        // flag.
+        let remote = std::sync::Arc::clone(&waker);
+        std::thread::spawn(move || {
+            remote.wake();
+            remote.wake();
+            remote.wake();
+        })
+        .join()
+        .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events.iter().next().unwrap().token, Token(99));
+        waker.drain();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty());
+    }
+
+    #[test]
     fn timer_wheel_fires_in_deadline_order() {
         let mut wheel = TimerWheel::new();
         assert_eq!(wheel.next_timeout(), None);

@@ -5,8 +5,10 @@ use crate::sys::{sys_close, sys_eventfd, sys_eventfd_drain, sys_eventfd_signal};
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::thread::ThreadId;
 
-/// Wakes a [`Poller`] blocked in [`Poller::wait`] from any thread.
+/// Wakes a [`Poller`] blocked in [`Poller::wait`] from any *other* thread.
 ///
 /// Backed by an `eventfd` registered with the poller: [`Waker::wake`]
 /// makes the fd readable, delivering an event carrying the waker's token.
@@ -14,10 +16,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// the level-triggered registration fires forever.
 ///
 /// A pending-flag keeps redundant wakes cheap: a thousand `wake()` calls
-/// between two loop iterations cost one syscall.
+/// between two loop iterations cost one syscall. A `wake()` from the loop
+/// thread itself (once it called [`Waker::claim`]) costs nothing at all:
+/// that thread is by definition not blocked in `wait`, so it only has to
+/// look at its own queues again before it next blocks.
 pub struct Waker {
     fd: RawFd,
     pending: AtomicBool,
+    owner: OnceLock<ThreadId>,
 }
 
 impl Waker {
@@ -28,11 +34,23 @@ impl Waker {
         Ok(Waker {
             fd,
             pending: AtomicBool::new(false),
+            owner: OnceLock::new(),
         })
+    }
+
+    /// Declares the calling thread the one that waits on the poller. From
+    /// then on its own `wake()` calls are no-ops, so the loop must sweep
+    /// whatever a wake announces (inboxes, outboxes) after the last code
+    /// that can produce such work and before it blocks.
+    pub fn claim(&self) {
+        let _ = self.owner.set(std::thread::current().id());
     }
 
     /// Makes the poller return (idempotent until the next [`Waker::drain`]).
     pub fn wake(&self) {
+        if self.owner.get() == Some(&std::thread::current().id()) {
+            return;
+        }
         if !self.pending.swap(true, Ordering::AcqRel) {
             sys_eventfd_signal(self.fd);
         }

@@ -123,6 +123,22 @@ fn main() {
         snap.latency_mean_ns / 1_000.0
     );
 
+    // No fault plan, no loss: acks must beat their datagrams' retransmission
+    // timers (all zeros on TCP). Zero is the normal reading; a host that
+    // freezes the process past the 20 ms timer shows one burst of a few
+    // dozen, while an ack policy that starved senders would show one
+    // retransmission per handful of datagrams.
+    let [data, acks, piggybacked, retransmits] = cckvs_net::transport::UDP_STATS
+        .snapshot()
+        .map(|(_, count)| count);
+    println!(
+        "  udp datagrams: {data} data | {acks} stand-alone acks | {piggybacked} acks piggybacked | {retransmits} retransmits"
+    );
+    assert!(
+        retransmits * 1_000 <= data,
+        "UDP senders retransmit on a clean link: acks are arriving late"
+    );
+
     // Scrape one node's metrics endpoint, as a Prometheus scraper would.
     if let Some(addr) = rack.metrics_addrs()[0] {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics");
