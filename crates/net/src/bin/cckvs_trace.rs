@@ -15,11 +15,15 @@
 //! cckvs-trace dump --servers 127.0.0.1:7000,127.0.0.1:7001 [--trace ID]
 //! ```
 //!
+//! `--transport tcp|udp` names the fabric the deployment listens on
+//! (`cckvs-node --transport`; default tcp).
+//!
 //! Timelines are printed with per-phase durations: decode → invalidation
 //! fan-out → per-peer ack wait → commit fire (the queued response
 //! resuming on-shard) → respond.
 
-use cckvs_net::client::{collect_traces, Client};
+use cckvs_net::client::{collect_traces_via, Client};
+use cckvs_net::transport::{TransportConfig, TransportKind};
 use cckvs_net::LoadBalancePolicy;
 use cckvs_trace::{assemble, Event, EventKind, NO_PEER};
 use std::collections::BTreeSet;
@@ -28,9 +32,11 @@ use std::net::SocketAddr;
 fn usage() -> ! {
     eprintln!(
         "usage:\n\
-         cckvs-trace put  --servers A,B,... [--key K] [--value S]\n\
-         cckvs-trace dump --servers A,B,... [--trace ID]\n\
+         cckvs-trace put  --servers A,B,... [--transport tcp|udp] [--key K] [--value S]\n\
+         cckvs-trace dump --servers A,B,... [--transport tcp|udp] [--trace ID]\n\
          \n\
+         --transport must match the deployment's fabric (cckvs-node\n\
+         --transport; default tcp).\n\
          put:  drives one traced PUT through the deployment, then fetches\n\
          every node's trace buffer and prints the op's assembled cross-node\n\
          timeline with per-phase durations.\n\
@@ -43,6 +49,7 @@ fn usage() -> ! {
 struct Args {
     mode: String,
     servers: Vec<SocketAddr>,
+    transport: TransportKind,
     key: u64,
     value: Vec<u8>,
     trace: Option<u64>,
@@ -57,6 +64,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         mode,
         servers: Vec::new(),
+        transport: TransportKind::Tcp,
         key: 7,
         value: b"traced".to_vec(),
         trace: None,
@@ -74,6 +82,12 @@ fn parse_args() -> Args {
                     .split(',')
                     .map(|a| a.parse().unwrap_or_else(|_| usage()))
                     .collect()
+            }
+            "--transport" => {
+                args.transport = value("--transport").parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                })
             }
             "--key" => args.key = value("--key").parse().unwrap_or_else(|_| usage()),
             "--value" => args.value = value("--value").into_bytes(),
@@ -97,8 +111,16 @@ fn main() {
     // pipe instead of panicking on the first print.
     reactor::reset_sigpipe();
     let args = parse_args();
+    let transport = TransportConfig {
+        kind: args.transport,
+        faults: None,
+    };
     let traced_id = if args.mode == "put" {
-        let mut client = Client::connect(&args.servers, u32::MAX - 1, LoadBalancePolicy::Pinned(0))
+        let mut client = Client::builder(&args.servers)
+            .session(u32::MAX - 1)
+            .policy(LoadBalancePolicy::Pinned(0))
+            .transport(transport)
+            .connect()
             .unwrap_or_else(|e| {
                 eprintln!("cckvs-trace: cannot reach the deployment: {e}");
                 std::process::exit(1);
@@ -118,7 +140,7 @@ fn main() {
         args.trace
     };
 
-    let dumps = match collect_traces(&args.servers) {
+    let dumps = match collect_traces_via(&*transport.build(), &args.servers) {
         Ok(dumps) => dumps,
         Err(e) => {
             eprintln!("cckvs-trace: trace dump failed: {e}");

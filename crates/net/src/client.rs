@@ -14,7 +14,7 @@
 //! sessions may spread freely.
 
 use crate::metrics::Metrics;
-use crate::transport::{Connection, TcpTransport, Transport, TransportConfig};
+use crate::transport::{Connection, Transport, TransportConfig};
 use crate::wire::{read_frame, write_frame, Frame};
 use cckvs::cluster::value_tag_of;
 use consistency::history::{History, OpRecord, RecordKind};
@@ -75,9 +75,9 @@ pub(crate) const CLIENT_DIAL_TIMEOUT: Duration = Duration::from_secs(5);
 /// Connection buffer capacity. Frames on the request/response paths are
 /// ~100 bytes; `BufReader`/`BufWriter` bypass their buffer for larger
 /// transfers, so small buffers lose nothing — while keeping a process
-/// that opens thousands of connections (`cckvs-loadgen --connections`,
-/// the conn-scaling bench) cache-resident instead of spending 16 KB of
-/// cold buffer per connection per op.
+/// that opens thousands of connections (`cckvs-loadgen --connections`)
+/// cache-resident instead of spending 16 KB of cold buffer per connection
+/// per op.
 const CONN_BUF_BYTES: usize = 1024;
 
 /// Kernel socket-buffer cap for request/response connections (each
@@ -958,16 +958,11 @@ impl Client {
 }
 
 /// Installs a hot set into every node of a deployment over the wire (what
-/// the epoch coordinator of §4 does at epoch start). Keys install at
+/// the epoch coordinator of §4 does at epoch start), dialing `transport` —
+/// admin traffic rides the fabric the nodes listen on. Keys install at
 /// timestamp zero — right for a fresh dataset; re-installs of previously
-/// written keys should go through [`install_hot_set_versioned`] with their
-/// home shards' stored versions.
-pub fn install_hot_set(addrs: &[SocketAddr], entries: &[(u64, Vec<u8>)]) -> io::Result<()> {
-    install_hot_set_via(&TcpTransport, addrs, entries)
-}
-
-/// [`install_hot_set`] over an explicit [`Transport`] (a UDP deployment's
-/// admin traffic must ride the same fabric its nodes listen on).
+/// written keys should go through [`install_hot_set_versioned_via`] with
+/// their home shards' stored versions.
 pub fn install_hot_set_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
@@ -989,14 +984,6 @@ pub fn install_hot_set_via(
 /// a home shard between the caller's version fetch and the cache fills
 /// would be shadowed by the caches. Use it only when writes to the
 /// installed keys are quiescent; live churn belongs to the coordinator.
-pub fn install_hot_set_versioned(
-    addrs: &[SocketAddr],
-    entries: &[(u64, Vec<u8>, Timestamp)],
-) -> io::Result<()> {
-    install_hot_set_versioned_via(&TcpTransport, addrs, entries)
-}
-
-/// [`install_hot_set_versioned`] over an explicit [`Transport`].
 pub fn install_hot_set_versioned_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
@@ -1049,11 +1036,6 @@ pub fn install_hot_set_versioned_via(
 /// the epoch coordinator does when the hot set churns). Each node writes a
 /// dirty copy back to the key's home shard before answering, so when this
 /// returns every evicted key's last write is durable at its home.
-pub fn evict_hot_set(addrs: &[SocketAddr], keys: &[u64]) -> io::Result<()> {
-    evict_hot_set_via(&TcpTransport, addrs, keys)
-}
-
-/// [`evict_hot_set`] over an explicit [`Transport`].
 pub fn evict_hot_set_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
@@ -1093,11 +1075,6 @@ pub struct EpochFlip {
 /// Asks the deployment's epoch coordinator to close the current popularity
 /// epoch and reconfigure the hot set now (the epoch otherwise closes by
 /// itself after `EpochConfig::epoch_length` sampled requests).
-pub fn flip_epoch(coordinator: SocketAddr) -> io::Result<EpochFlip> {
-    flip_epoch_via(&TcpTransport, coordinator)
-}
-
-/// [`flip_epoch`] over an explicit [`Transport`].
 pub fn flip_epoch_via(transport: &dyn Transport, coordinator: SocketAddr) -> io::Result<EpochFlip> {
     let mut conn = Conn::open(transport, coordinator, &Frame::ClientHello)?;
     match conn.call(&Frame::FlipEpoch)? {
@@ -1121,11 +1098,6 @@ pub fn flip_epoch_via(transport: &dyn Transport, coordinator: SocketAddr) -> io:
 /// of span events dropped at ring overflow and the events currently
 /// retained. Feed the per-node event dumps to [`cckvs_trace::assemble`] to
 /// build one operation's cross-node timeline.
-pub fn collect_traces(addrs: &[SocketAddr]) -> io::Result<Vec<(u64, Vec<cckvs_trace::Event>)>> {
-    collect_traces_via(&TcpTransport, addrs)
-}
-
-/// [`collect_traces`] over an explicit [`Transport`].
 pub fn collect_traces_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],

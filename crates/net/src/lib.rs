@@ -59,13 +59,12 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{
-    collect_traces, collect_traces_via, evict_hot_set, evict_hot_set_via, flip_epoch,
-    flip_epoch_via, install_hot_set, install_hot_set_versioned, install_hot_set_versioned_via,
+    collect_traces_via, evict_hot_set_via, flip_epoch_via, install_hot_set_versioned_via,
     install_hot_set_via, BatchConfig, BatchOutcome, Client, ClientBuilder, EpochFlip,
     LoadBalancePolicy, SharedHistory,
 };
 pub use metrics::{
-    serve_http, serve_http_traced, AtomicHistogram, HistogramSnapshot, Metrics, MetricsSnapshot,
+    serve_http_traced, AtomicHistogram, HistogramSnapshot, Metrics, MetricsSnapshot,
     ShardedHistogram,
 };
 pub use rack::{Rack, RackConfig, COORDINATOR_NODE};
@@ -79,8 +78,7 @@ pub use wire::{Frame, WireError};
 /// One-stop imports for examples and applications.
 pub mod prelude {
     pub use crate::client::{
-        collect_traces, collect_traces_via, evict_hot_set, evict_hot_set_via, flip_epoch,
-        flip_epoch_via, install_hot_set, install_hot_set_versioned, install_hot_set_versioned_via,
+        collect_traces_via, evict_hot_set_via, flip_epoch_via, install_hot_set_versioned_via,
         install_hot_set_via, BatchConfig, BatchOutcome, Client, ClientBuilder, EpochFlip,
         LoadBalancePolicy, SharedHistory,
     };

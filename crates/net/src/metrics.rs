@@ -7,7 +7,7 @@
 //! end-to-end one and per-phase ones (Lin ack wait, continuation fire,
 //! invalidation fan-out) that attribute where a slow write spends its
 //! time. The registry renders in the Prometheus text exposition format
-//! and can be served over a minimal HTTP/1.0 endpoint ([`serve_http`])
+//! and can be served over a minimal HTTP/1.0 endpoint ([`serve_http_traced`])
 //! so a rack can be scraped with `curl` while a workload runs.
 //!
 //! Histograms are fixed-bucket log-linear ([`AtomicHistogram`]): 16
@@ -20,13 +20,14 @@
 //! never contend on a cache line — the previous
 //! mutex-guarded histogram serialized every operation on one lock.
 
+use crate::transport::UdpStats;
 use reactor::{Events, Interest, Poller, Token, Waker, WriteBuf};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Exact single-value buckets at the head of the layout (values `0..16`).
 const LINEAR_BUCKETS: usize = 16;
@@ -381,6 +382,9 @@ pub struct MetricsSnapshot {
     pub trace_events: u64,
     /// Trace events dropped because a sink ring lane was full.
     pub trace_dropped: u64,
+    /// Datagrams the node's own transport sent, by `/metrics` `kind`
+    /// label (all zero on a stream fabric).
+    pub udp_datagrams: [(&'static str, u64); 4],
 }
 
 impl MetricsSnapshot {
@@ -439,6 +443,8 @@ pub struct Metrics {
     continuation_fire: ShardedHistogram,
     fanout: ShardedHistogram,
     loop_lap: ShardedHistogram,
+    /// The census of the transport this registry's node serves on.
+    udp: OnceLock<Arc<UdpStats>>,
 }
 
 impl Metrics {
@@ -656,6 +662,12 @@ impl Metrics {
         self.latency.snapshot()
     }
 
+    /// Exports `stats` — the datagram census of the node's transport —
+    /// with this registry (first call wins).
+    pub fn attach_udp_stats(&self, stats: Arc<UdpStats>) {
+        let _ = self.udp.set(stats);
+    }
+
     /// Takes a consistent snapshot (percentiles computed here).
     pub fn snapshot(&self) -> MetricsSnapshot {
         fn quantiles(snap: &HistogramSnapshot) -> (u64, u64) {
@@ -740,6 +752,10 @@ impl Metrics {
             pending_rpcs: self.pending_rpcs.load(Ordering::Relaxed),
             trace_events: self.trace_events.load(Ordering::Relaxed),
             trace_dropped: self.trace_dropped.load(Ordering::Relaxed),
+            udp_datagrams: self
+                .udp
+                .get()
+                .map_or_else(|| UdpStats::default().snapshot(), |stats| stats.snapshot()),
         }
     }
 
@@ -879,13 +895,11 @@ impl Metrics {
             "Trace events dropped because a sink ring lane was full.",
             snap.trace_dropped,
         );
-        // Process-wide: every UDP connection of this process counts here
-        // (an in-process rack's nodes all report the same four rows).
         out.push_str(
-            "# HELP cckvs_udp_datagrams_total UDP fabric datagrams sent by this process, by kind.\n\
+            "# HELP cckvs_udp_datagrams_total UDP fabric datagrams sent by this node's transport, by kind.\n\
              # TYPE cckvs_udp_datagrams_total counter\n",
         );
-        for (kind, value) in crate::transport::UDP_STATS.snapshot() {
+        for (kind, value) in snap.udp_datagrams {
             out.push_str(&format!(
                 "cckvs_udp_datagrams_total{{node=\"{node_label}\",kind=\"{kind}\"}} {value}\n"
             ));
@@ -1018,18 +1032,9 @@ struct ScrapeConn {
 /// from a single-thread reactor loop with a bounded connection set.
 ///
 /// The endpoint answers every request path with the full registry — it is a
-/// scrape target, not a router.
-pub fn serve_http(
-    addr: SocketAddr,
-    node_label: String,
-    metrics: Arc<Metrics>,
-) -> std::io::Result<MetricsServer> {
-    serve_http_traced(addr, node_label, metrics, None)
-}
-
-/// Like [`serve_http`], additionally adopting drain duty for a node's
-/// trace sink: the scrape thread periodically moves events out of the
-/// lock-free rings into the sink's bounded store (and mirrors the
+/// scrape target, not a router. Given a node's trace `sink` it also adopts
+/// drain duty for it: the scrape thread periodically moves events out of
+/// the lock-free rings into the sink's bounded store (and mirrors the
 /// recorded/dropped totals into the registry), so ring lanes stay empty
 /// even when nobody scrapes or dumps.
 pub fn serve_http_traced(
@@ -1434,10 +1439,11 @@ mod tests {
     fn scrape_storm_is_served_without_extra_threads() {
         let metrics = Arc::new(Metrics::new());
         metrics.record_get();
-        let server = serve_http(
+        let server = serve_http_traced(
             "127.0.0.1:0".parse().unwrap(),
             "storm".to_string(),
             Arc::clone(&metrics),
+            None,
         )
         .unwrap();
         let addr = server.addr();
@@ -1468,10 +1474,11 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         metrics.record_get();
         metrics.record_cache(true);
-        let server = serve_http(
+        let server = serve_http_traced(
             "127.0.0.1:0".parse().unwrap(),
             "n9".to_string(),
             Arc::clone(&metrics),
+            None,
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();

@@ -1,12 +1,11 @@
 //! The networked ccKVS node: a [`CcNode`] behind a TCP endpoint, served by
 //! an epoll reactor.
 //!
-//! A [`NodeServer`] binds one listener and serves three kinds of
+//! A [`NodeServer`] binds one listener and serves two kinds of
 //! connections, distinguished by their hello frame (see [`crate::wire`]):
-//! client request/response sessions, incoming one-way peer protocol links,
-//! and incoming miss-path RPC links. Outgoing protocol traffic to each peer
-//! flows through a per-peer outbox drained by the reactor under
-//! credit-based flow control.
+//! client request/response sessions and incoming one-way peer protocol
+//! links. Outgoing protocol traffic to each peer flows through a per-peer
+//! outbox drained by the reactor under credit-based flow control.
 //!
 //! Concurrency model (PR 7 — every frame handled on-shard, no worker
 //! pool):
@@ -1835,6 +1834,9 @@ impl NodeServer {
         let nodes = cfg.node.nodes;
         let metrics = Arc::new(Metrics::new());
         metrics.set_reactor_shards(cfg.reactor.shards as u64);
+        if let Some(stats) = transport.udp_stats() {
+            metrics.attach_udp_stats(stats);
+        }
         let (churn, flip_rx) = match cfg.epochs {
             Some(epochs) => {
                 let (flip_tx, flip_rx) = unbounded();
@@ -2176,11 +2178,13 @@ fn rewrap_trace(trace: Option<u64>, frame: Frame) -> Frame {
     }
 }
 
-/// Serves one *never-blocking* client frame: liveness, diagnostics and
-/// the lock-protected cache-fill admin. Get/Put and the reconfiguration
-/// admin frames (Evict, FlipEpoch) have continuation-based paths in
-/// [`Shard::step_client`] — nothing here may wait on another message.
-fn serve_inline_frame(inner: &ServerInner, frame: Frame) -> io::Result<ClientAction> {
+/// Serves one *never-blocking* client frame: liveness, diagnostics, the
+/// lock-protected cache-fill admin, and the home-shard frames an admin
+/// caller (the supervisor's heal) sends without being a peer. Get/Put and
+/// the reconfiguration admin frames (Evict, FlipEpoch) have
+/// continuation-based paths in [`Shard::step_client`] — nothing here may
+/// wait on another message.
+fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<ClientAction> {
     let response = match frame {
         Frame::TraceDump => Frame::TraceDumpResp {
             dropped: inner.sink.dropped(),
@@ -2219,12 +2223,7 @@ fn serve_inline_frame(inner: &ServerInner, frame: Frame) -> io::Result<ClientAct
             inner.initiate_shutdown();
             return Ok(ClientAction::Shutdown);
         }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected client frame {other:?}"),
-            ))
-        }
+        other => serve_rpc_frame(inner, lane, other)?,
     };
     Ok(ClientAction::Respond(response))
 }
@@ -2320,9 +2319,11 @@ fn deliver_peer_frame(
     }
 }
 
-/// Serves one miss-path RPC frame. Every arm is a lock-protected state
-/// update that never waits on another message, which is what allows RPC
-/// links to be served inline on a reactor shard.
+/// Serves one home-shard frame — the inner frame of a peer's
+/// [`Frame::RpcReq`], or the same frame sent bare on a client connection
+/// by an admin caller. Every arm is a lock-protected state update that
+/// never waits on another message, which is what allows it to be served
+/// inline on a reactor shard.
 fn serve_rpc_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<Frame> {
     let (trace, frame) = peel_trace(frame);
     if trace.is_some() {
@@ -2630,8 +2631,6 @@ enum Role {
     PeerInResume { from: usize },
     /// An incoming one-way protocol link from peer `from`.
     PeerIn { from: usize },
-    /// An incoming miss-path RPC link.
-    Rpc,
     /// The outgoing protocol link to `peer`.
     PeerOut {
         peer: usize,
@@ -3099,7 +3098,6 @@ impl Shard {
                         return StepOutcome::Close;
                     }
                 }
-                Ok(Some(Frame::RpcHello { .. })) => conn.role = Role::Rpc,
                 Ok(Some(_)) | Err(_) => return StepOutcome::Close,
                 Ok(None) => {
                     return if conn.eof {
@@ -3129,8 +3127,6 @@ impl Shard {
             self.step_peer_resume(conn)
         } else if matches!(conn.role, Role::PeerIn { .. }) {
             self.step_peer_in(conn)
-        } else if matches!(conn.role, Role::Rpc) {
-            self.step_rpc(conn)
         } else {
             self.pump_peer_out(token, conn)
         };
@@ -3712,7 +3708,7 @@ impl Shard {
             },
             PendingOp::Other(frame) => {
                 let frame = std::mem::replace(frame, Frame::Ping);
-                match serve_inline_frame(inner, frame) {
+                match serve_inline_frame(inner, self.id as u8, frame) {
                     Ok(ClientAction::Respond(response)) => Attempt::Respond(response),
                     Ok(ClientAction::Shutdown) | Err(_) => Attempt::Fail,
                 }
@@ -3854,26 +3850,6 @@ impl Shard {
             }
         }
         conn.eof
-    }
-
-    fn step_rpc(&mut self, conn: &mut ConnState) -> bool {
-        loop {
-            match conn.decoder.next_frame() {
-                Ok(Some(frame)) => match serve_rpc_frame(&self.inner, self.id as u8, frame) {
-                    Ok(response) => {
-                        write_frame(conn.writebuf.writer(), &response).expect("vec write");
-                    }
-                    Err(_) => return true,
-                },
-                Ok(None) => break,
-                Err(_) => return true,
-            }
-        }
-        if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
-            return true;
-        }
-        // As for clients: serve the response tail before honouring EOF.
-        conn.eof && conn.writebuf.is_empty()
     }
 
     /// The outbound half of one peer link: coalesces bursts of protocol

@@ -51,7 +51,7 @@
 //! pacer's next pass (`UDP_PACER_TICK` = 5 ms, far inside `UDP_RTO_MIN` =
 //! 20 ms: a clean link never retransmits). Request/response connections
 //! send none in steady state, a one-way peer link about one per
-//! [`UDP_ACK_EVERY`] datagrams. [`UDP_STATS`] counts all of it.
+//! [`UDP_ACK_EVERY`] datagrams. Each transport's [`UdpStats`] counts all of it.
 //!
 //! Accepting is connection-per-socket: the listener socket only ever
 //! sees `SYN`s; each accepted connection gets a fresh connected socket
@@ -195,6 +195,7 @@ impl TransportConfig {
             TransportKind::Tcp => Arc::new(TcpTransport),
             TransportKind::Udp => Arc::new(UdpTransport {
                 faults: self.faults.filter(|f| !f.is_noop()),
+                stats: Arc::default(),
             }),
             TransportKind::Sim => panic!(
                 "sim transport endpoints are relative to an in-process hub; \
@@ -263,6 +264,12 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// is *blocking* (handshakes run on it directly); callers switch it
     /// to nonblocking before handing it to an event loop.
     fn dial(&self, addr: SocketAddr, timeout: Duration) -> io::Result<Box<dyn Connection>>;
+
+    /// The datagram census of this transport instance; `None` on fabrics
+    /// that send no datagrams of their own.
+    fn udp_stats(&self) -> Option<Arc<UdpStats>> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -416,9 +423,10 @@ const UDP_RETX_BURST: usize = 64;
 /// the same `SYN-ACK` instead of a second connection.
 const UDP_HANDSHAKE_MEMORY: Duration = Duration::from_secs(10);
 
-/// Process-wide datagram census of the UDP fabric, counted where a
-/// datagram is handed to the socket (before any injected fault).
-#[derive(Debug)]
+/// Datagram census of one [`UdpTransport`] instance — every listener and
+/// connection it mints shares it — counted where a datagram is handed to
+/// the socket (before any injected fault).
+#[derive(Debug, Default)]
 pub struct UdpStats {
     /// `DATA`/`FIN` datagrams sent for the first time.
     pub data_sent: AtomicU64,
@@ -443,22 +451,14 @@ impl UdpStats {
     }
 }
 
-/// The process's [`UdpStats`]: every node of an in-process rack and its
-/// clients share them.
-pub static UDP_STATS: UdpStats = UdpStats {
-    data_sent: AtomicU64::new(0),
-    acks_sent: AtomicU64::new(0),
-    acks_piggybacked: AtomicU64::new(0),
-    retransmits: AtomicU64::new(0),
-};
-
 /// Unreliable datagrams with userspace loss/reorder recovery.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct UdpTransport {
     /// Injected datagram faults, applied to every connection this
     /// transport creates (both sides of loopback tests usually share one
     /// plan; each connection derives an independent RNG stream).
     pub faults: Option<FaultPlan>,
+    stats: Arc<UdpStats>,
 }
 
 impl Transport for UdpTransport {
@@ -472,8 +472,13 @@ impl Transport for UdpTransport {
         Ok(Box::new(UdpListener {
             sock,
             faults: self.faults,
+            stats: Arc::clone(&self.stats),
             pending: HashMap::new(),
         }))
+    }
+
+    fn udp_stats(&self) -> Option<Arc<UdpStats>> {
+        Some(Arc::clone(&self.stats))
     }
 
     fn dial(&self, addr: SocketAddr, timeout: Duration) -> io::Result<Box<dyn Connection>> {
@@ -507,6 +512,7 @@ impl Transport for UdpTransport {
                     return Ok(Box::new(UdpConnection::establish(
                         sock,
                         conn_faults(self.faults, nonce),
+                        Arc::clone(&self.stats),
                     )));
                 }
                 Ok(_) => {} // stray datagram; keep waiting
@@ -549,6 +555,7 @@ fn conn_faults(plan: Option<FaultPlan>, nonce: u64) -> Option<Faults> {
 struct UdpListener {
     sock: UdpSocket,
     faults: Option<FaultPlan>,
+    stats: Arc<UdpStats>,
     /// Recently answered handshakes: a duplicate `SYN` (ours got a lost
     /// `SYN-ACK`, or the dialer retried early) re-sends the same
     /// `SYN-ACK` from the same connection socket instead of minting a
@@ -587,6 +594,7 @@ impl TransportListener for UdpListener {
                     return Ok(Some(Box::new(UdpConnection::establish(
                         conn_sock,
                         conn_faults(self.faults, nonce),
+                        Arc::clone(&self.stats),
                     ))));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
@@ -658,6 +666,8 @@ struct UdpState {
 struct UdpIo {
     sock: UdpSocket,
     state: Mutex<UdpState>,
+    /// The minting transport's census.
+    stats: Arc<UdpStats>,
     /// Live [`UdpConnection`] handles. Not `Arc::strong_count`: the pacer
     /// upgrades its weak refs for the length of a tick, and a handle
     /// dropped meanwhile must still see itself as the last one.
@@ -765,7 +775,7 @@ impl UdpIo {
         let mut ack = [0u8; DG_CTRL_LEN];
         ack[0] = DG_ACK;
         ack[1..].copy_from_slice(&st.recv.delivered().to_le_bytes());
-        UDP_STATS.acks_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
         send_datagram(&self.sock, st, &ack);
     }
 
@@ -778,9 +788,9 @@ impl UdpIo {
         dgram.extend_from_slice(&st.recv.delivered().to_le_bytes());
         dgram.extend_from_slice(payload);
         if std::mem::take(&mut st.ack_owed) > 0 {
-            UDP_STATS.acks_piggybacked.fetch_add(1, Ordering::Relaxed);
+            self.stats.acks_piggybacked.fetch_add(1, Ordering::Relaxed);
         }
-        UDP_STATS.data_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats.data_sent.fetch_add(1, Ordering::Relaxed);
         send_datagram(&self.sock, st, &dgram);
         st.send.push(Retained {
             bytes: dgram,
@@ -845,7 +855,7 @@ impl UdpIo {
                 resend.push(r.bytes.clone());
             }
         }
-        UDP_STATS
+        self.stats
             .retransmits
             .fetch_add(resend.len() as u64, Ordering::Relaxed);
         for bytes in resend {
@@ -949,9 +959,10 @@ impl fmt::Debug for UdpConnection {
 }
 
 impl UdpConnection {
-    fn establish(sock: UdpSocket, faults: Option<Faults>) -> UdpConnection {
+    fn establish(sock: UdpSocket, faults: Option<Faults>, stats: Arc<UdpStats>) -> UdpConnection {
         let io = Arc::new(UdpIo {
             sock,
+            stats,
             state: Mutex::new(UdpState {
                 send: SendHalf::default(),
                 recv: RecvHalf::default(),
@@ -1143,38 +1154,11 @@ impl Drop for UdpConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
 
-    /// [`UDP_STATS`] and the pacer's cadence are shared by every UDP
-    /// connection in the process, so every test that opens one holds this
-    /// lock, and starts only once the previous test's closed connections
-    /// have finished lingering.
-    fn quiet_fabric() -> MutexGuard<'static, ()> {
-        static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-        let guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-        // The pacer empties the list for the length of a pass: only
-        // several empty sightings in a row mean nothing lingers.
-        let mut empty_in_a_row = 0;
-        while empty_in_a_row < 3 {
-            std::thread::sleep(Duration::from_millis(2));
-            if pacer().closing.lock().expect("pacer closing").is_empty() {
-                empty_in_a_row += 1;
-            } else {
-                empty_in_a_row = 0;
-            }
-        }
-        guard
-    }
-
-    /// `[data_sent, acks_sent, acks_piggybacked, retransmits]` since `base`.
-    fn stats_since(base: [u64; 4]) -> [u64; 4] {
-        let now = UDP_STATS.snapshot();
-        std::array::from_fn(|i| now[i].1 - base[i])
-    }
-
-    /// Two established connections over a connected socket pair, no
-    /// handshake datagrams in the counts.
-    fn established_pair() -> (UdpConnection, UdpConnection) {
+    /// Two established connections over a connected socket pair and the
+    /// census they share: no handshake datagrams in its counts, and no
+    /// other test's traffic either.
+    fn established_pair() -> (UdpConnection, UdpConnection, Arc<UdpStats>) {
         let a = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let b = UdpSocket::bind("127.0.0.1:0").expect("bind");
         a.connect(b.local_addr().expect("addr")).expect("connect");
@@ -1183,10 +1167,17 @@ mod tests {
             sock.set_read_timeout(Some(Duration::from_secs(5)))
                 .expect("timeout");
         }
+        let stats = Arc::new(UdpStats::default());
         (
-            UdpConnection::establish(a, None),
-            UdpConnection::establish(b, None),
+            UdpConnection::establish(a, None, Arc::clone(&stats)),
+            UdpConnection::establish(b, None, Arc::clone(&stats)),
+            stats,
         )
+    }
+
+    /// `[data_sent, acks_sent, acks_piggybacked, retransmits]`.
+    fn counts(stats: &UdpStats) -> [u64; 4] {
+        stats.snapshot().map(|(_, n)| n)
     }
 
     fn outstanding(conn: &UdpConnection) -> u64 {
@@ -1223,9 +1214,8 @@ mod tests {
 
     #[test]
     fn request_response_acks_ride_the_data() {
-        let _quiet = quiet_fabric();
-        let (mut client, mut server) = established_pair();
-        let (base, started) = (stats_since([0; 4]), Instant::now());
+        let (mut client, mut server, stats) = established_pair();
+        let started = Instant::now();
         let mut buf = [0u8; 4];
         for _ in 0..1_000 {
             client.write_all(b"ping").expect("write");
@@ -1233,7 +1223,7 @@ mod tests {
             server.write_all(b"pong").expect("write");
             client.read_exact(&mut buf).expect("read");
         }
-        let [data, acks, piggybacked, retransmits] = stats_since(base);
+        let [data, acks, piggybacked, retransmits] = counts(&stats);
         assert_eq!((data, retransmits), (2_000, 0));
         // Only a pacer pass landing between a read and the write that
         // answers it finds an ack owed: at most one per side per pass.
@@ -1245,11 +1235,10 @@ mod tests {
     #[test]
     fn one_way_stream_is_acked_every_sixteenth_datagram() {
         const N: u64 = 10_000;
-        let _quiet = quiet_fabric();
-        let (mut tx, mut rx) = established_pair();
+        let (mut tx, mut rx, stats) = established_pair();
         tx.set_nonblocking(true).expect("nonblocking");
         rx.set_nonblocking(true).expect("nonblocking");
-        let (base, started) = (stats_since([0; 4]), Instant::now());
+        let started = Instant::now();
         for _ in 0..N {
             // Lock step keeps the socket buffers shallow: nothing is lost,
             // so any retransmission would be a spurious one.
@@ -1258,7 +1247,7 @@ mod tests {
             drain_nonblocking(&mut tx);
         }
         await_all_acked(&mut tx);
-        let [data, acks, piggybacked, retransmits] = stats_since(base);
+        let [data, acks, piggybacked, retransmits] = counts(&stats);
         assert_eq!((data, piggybacked, retransmits), (N, 0, 0));
         let bound = N / u64::from(UDP_ACK_EVERY) + pacer_passes_since(started);
         assert!(
@@ -1269,16 +1258,14 @@ mod tests {
 
     #[test]
     fn idle_tail_is_acked_by_the_pacer_before_its_first_rto() {
-        let _quiet = quiet_fabric();
-        let (mut tx, mut rx) = established_pair();
+        let (mut tx, mut rx, stats) = established_pair();
         tx.set_nonblocking(true).expect("nonblocking");
         rx.set_nonblocking(true).expect("nonblocking");
-        let base = stats_since([0; 4]);
         tx.write_all(b"tail").expect("write");
         assert_eq!(drain_nonblocking(&mut rx), 4);
         // Then silence: no reverse data, no sixteenth datagram.
         await_all_acked(&mut tx);
-        assert_eq!(stats_since(base), [1, 1, 0, 0], "one ack, no retransmit");
+        assert_eq!(counts(&stats), [1, 1, 0, 0], "one ack, no retransmit");
     }
 
     fn pair(transport: &dyn Transport) -> (Box<dyn Connection>, Box<dyn Connection>) {
@@ -1327,7 +1314,6 @@ mod tests {
 
     #[test]
     fn udp_roundtrip_through_the_trait() {
-        let _quiet = quiet_fabric();
         let (mut client, mut server) = pair(&UdpTransport::default());
         server.set_nonblocking(false).expect("blocking");
         server
@@ -1350,9 +1336,9 @@ mod tests {
 
     #[test]
     fn udp_delivers_large_transfers_in_order_under_faults() {
-        let _quiet = quiet_fabric();
         let transport = UdpTransport {
             faults: Some(FaultPlan::uniform(10, 42)),
+            ..UdpTransport::default()
         };
         let (mut client, mut server) = pair(&transport);
         server.set_nonblocking(false).expect("blocking");
@@ -1376,7 +1362,6 @@ mod tests {
 
     #[test]
     fn udp_fin_surfaces_as_eof() {
-        let _quiet = quiet_fabric();
         let (client, mut server) = pair(&UdpTransport::default());
         server.set_nonblocking(false).expect("blocking");
         server
@@ -1393,7 +1378,6 @@ mod tests {
     /// accepted or the connection can never drain.
     #[test]
     fn udp_lost_head_is_accepted_behind_a_full_reorder_buffer() {
-        let _quiet = quiet_fabric();
         let cap = crate::link::REORDER_CAP as u64;
         let mut listener = UdpTransport::default()
             .listen("127.0.0.1:0".parse().expect("static addr"))
@@ -1448,14 +1432,13 @@ mod tests {
     /// ticks; a handle dropped during a tick must still send its FIN.
     #[test]
     fn udp_close_during_a_pacer_tick_still_sends_fin() {
-        let _quiet = quiet_fabric();
         let ours = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
         ours.connect(peer.local_addr().expect("addr"))
             .expect("connect");
         peer.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        let conn = UdpConnection::establish(ours, None);
+        let conn = UdpConnection::establish(ours, None, Arc::default());
         let mid_tick = Arc::clone(&conn.io);
         drop(conn);
         let mut buf = [0u8; 64];
@@ -1466,7 +1449,6 @@ mod tests {
 
     #[test]
     fn udp_nonblocking_read_starves_cleanly() {
-        let _quiet = quiet_fabric();
         let (_client, mut server) = pair(&UdpTransport::default());
         // Accepted conns are nonblocking already; a read with nothing
         // pending must report WouldBlock, never spin or panic.

@@ -6,19 +6,19 @@
 //! [u32 LE payload length][u8 opcode][opcode-specific payload]
 //! ```
 //!
-//! Three connection roles share the same framing, distinguished by the
+//! Two connection roles share the same framing, distinguished by the
 //! hello frame sent immediately after connect:
 //!
 //! * **client** connections ([`Frame::ClientHello`]) carry GET/PUT requests
 //!   and their responses, plus admin frames (hot-set install, ping,
-//!   shutdown);
+//!   shutdown, and the home-shard fence/miss frames a supervisor's heal
+//!   sends);
 //! * **peer** connections ([`Frame::PeerHello`]) are one-way links carrying
 //!   the consistency-protocol messages ([`consistency::messages::ProtocolMsg`]
 //!   re-encoded as [`Frame::Protocol`] with the update's value bytes
-//!   attached);
-//! * **rpc** connections ([`Frame::RpcHello`]) are request/response links
-//!   between nodes for the cache-miss path (remote reads and forwarded
-//!   writes to the key's home shard).
+//!   attached) and the correlated cache-miss RPCs ([`Frame::RpcReq`] /
+//!   [`Frame::RpcResp`]: remote reads and forwarded writes to the key's
+//!   home shard).
 //!
 //! Integers are little-endian throughout; [`Timestamp`]s travel as the
 //! 5-byte `(clock: u32, writer: u8)` pair the paper packs into its object
@@ -111,7 +111,6 @@ impl From<WireError> for io::Error {
 mod opcode {
     pub const CLIENT_HELLO: u8 = 0x01;
     pub const PEER_HELLO: u8 = 0x02;
-    pub const RPC_HELLO: u8 = 0x03;
     pub const PEER_HELLO_ACK: u8 = 0x04;
     pub const PEER_RESUME: u8 = 0x05;
     pub const GET: u8 = 0x10;
@@ -163,7 +162,6 @@ pub fn opcode_table() -> Vec<(&'static str, u8)> {
     let mut table = vec![
         ("ClientHello", opcode::CLIENT_HELLO),
         ("PeerHello", opcode::PEER_HELLO),
-        ("RpcHello", opcode::RPC_HELLO),
         ("PeerHelloAck", opcode::PEER_HELLO_ACK),
         ("PeerResume", opcode::PEER_RESUME),
         ("Get", opcode::GET),
@@ -250,11 +248,6 @@ pub enum Frame {
     PeerResume {
         /// Sequence number of the next message on this link.
         start_seq: u64,
-    },
-    /// Opens a request/response miss-path link from peer node `from`.
-    RpcHello {
-        /// Sender node id.
-        from: u8,
     },
     /// Client read request.
     Get {
@@ -675,10 +668,6 @@ impl Frame {
                 buf.push(opcode::PEER_RESUME);
                 buf.extend_from_slice(&start_seq.to_le_bytes());
             }
-            Frame::RpcHello { from } => {
-                buf.push(opcode::RPC_HELLO);
-                buf.push(*from);
-            }
             Frame::Get { key } => {
                 buf.push(opcode::GET);
                 buf.extend_from_slice(&key.to_le_bytes());
@@ -894,7 +883,6 @@ impl Frame {
             opcode::PEER_RESUME => Frame::PeerResume {
                 start_seq: cur.u64()?,
             },
-            opcode::RPC_HELLO => Frame::RpcHello { from: cur.u8()? },
             opcode::GET => Frame::Get { key: cur.u64()? },
             opcode::PUT => Frame::Put {
                 key: cur.u64()?,
@@ -1337,7 +1325,6 @@ mod tests {
                 gen: u64::MAX,
             },
             Frame::PeerResume { start_seq: 78 },
-            Frame::RpcHello { from: 5 },
             Frame::Get { key: 42 },
             Frame::Put {
                 key: 42,
@@ -1783,6 +1770,8 @@ mod tests {
     fn truncated_and_unknown_frames_are_rejected() {
         assert_eq!(Frame::decode(&[]), Err(WireError::Truncated));
         assert_eq!(Frame::decode(&[0xFF]), Err(WireError::BadOpcode(0xFF)));
+        // The retired rpc-role hello (`0x03`, `from: u8`) is unassigned.
+        assert_eq!(Frame::decode(&[0x03, 9]), Err(WireError::BadOpcode(0x03)));
         let mut encoded = Frame::Get { key: 7 }.encode();
         encoded.pop();
         assert_eq!(Frame::decode(&encoded), Err(WireError::Truncated));

@@ -327,8 +327,9 @@ fn hot_transition_fence_bounces_cold_ops_at_the_home_shard() {
         .expect("connect");
     client.put(key, b"cold-value").expect("put");
 
-    // Speak the rpc role directly to the key's home shard, as a peer
-    // would — over whatever fabric the rack runs on.
+    // Send the home-shard frames bare on a client connection to the
+    // key's home, as the supervisor's heal does — over whatever fabric
+    // the rack runs on.
     let home = rack.server(0).node().home_node(key);
     let stream = rack
         .transport()
@@ -337,8 +338,8 @@ fn hot_transition_fence_bounces_cold_ops_at_the_home_shard() {
         .expect("connect home");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = BufWriter::new(stream);
-    // The hello opens the rpc role and gets no response of its own.
-    write_frame(&mut writer, &Frame::RpcHello { from: 9 }).expect("hello");
+    // The hello gets no response of its own.
+    write_frame(&mut writer, &Frame::ClientHello).expect("hello");
     writer.flush().expect("flush");
     let mut call = |frame: &Frame| -> Frame {
         write_frame(&mut writer, frame).expect("write");

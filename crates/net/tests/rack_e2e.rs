@@ -328,6 +328,170 @@ fn deadline_flushes_a_singleton_without_the_doorbell() {
     rack.shutdown();
 }
 
+/// Reactor laps the whole rack has run so far.
+fn rack_laps(rack: &Rack) -> u64 {
+    (0..rack.nodes())
+        .map(|n| rack.server(n).metrics().snapshot().loop_lap_count)
+        .sum()
+}
+
+/// What wire batching is for, in counts instead of a throughput ratio:
+/// the same seeded 6 400-op Zipf-0.99 5 %-write stream, once one frame
+/// per op and once through 32-op batches, on one Lin rack. Batching must
+/// cut the request frames the client sends to at most 1/8 per op, and
+/// the reactor laps the rack runs to at most 0.75 of the unbatched figure
+/// per op. Measured at the parent commit (d60caf1, four runs; this
+/// change leaves the path alone and reads the same): 1/32 of the frames;
+/// 2.60 → 0.53 laps per op on TCP (ratio 0.20–0.21), 2.77 → 0.58 on UDP
+/// (0.21). With the doorbell forced to one op the batched pass *is* the
+/// unbatched one: a frame per op.
+#[test]
+fn batching_cuts_frames_and_laps_per_op() {
+    const OPS: u64 = 6_400;
+    let rack =
+        Rack::launch(RackConfig::small_from_env(ConsistencyModel::Lin, 3)).expect("launch rack");
+    let dataset = Dataset::new(10_000, 40);
+    rack.install_hot_set(&dataset.hot_entries(HOT_KEYS as usize))
+        .expect("install hot set");
+    let stream = WorkloadGen::new(
+        &dataset,
+        AccessDistribution::Zipfian { exponent: 0.99 },
+        Mix::with_write_ratio(0.05),
+        0xBA7C,
+    );
+    let history = Arc::new(SharedHistory::new());
+
+    // One pass of the stream through a fresh session; returns the request
+    // frames the client sent and the laps the rack ran, both per op.
+    let pass = |session: u32, max_ops: usize| -> (f64, f64) {
+        let metrics = Arc::new(Metrics::new());
+        let mut client = rack
+            .client()
+            .session(session)
+            .policy(LoadBalancePolicy::RoundRobin)
+            .history(Arc::clone(&history))
+            .metrics(Arc::clone(&metrics))
+            .batching(BatchConfig {
+                max_ops,
+                ..BatchConfig::default()
+            })
+            .connect()
+            .expect("connect");
+        let mut gen = stream.clone();
+        let laps_before = rack_laps(&rack);
+        for _ in 0..OPS {
+            let op = gen.next_op();
+            match op.kind {
+                OpKind::Get => client.queue_get(op.key.0).expect("queue get"),
+                OpKind::Put => client
+                    .queue_put(op.key.0, &op.value_bytes(session, 40))
+                    .expect("queue put"),
+            }
+            if client.queued() == 0 {
+                client.flush().expect("drain outcomes");
+            }
+        }
+        client.flush().expect("final flush");
+        let laps = rack_laps(&rack) - laps_before;
+        let snap = metrics.snapshot();
+        assert_eq!(snap.gets + snap.puts, OPS);
+        // A multi-op flush is one frame; every other op travelled bare.
+        let frames = snap.batches + (OPS - snap.batched_ops);
+        (frames as f64 / OPS as f64, laps as f64 / OPS as f64)
+    };
+    let (frames_unbatched, laps_unbatched) = pass(0, 1);
+    let (frames_batched, laps_batched) = pass(1, 32);
+    rack.shutdown();
+
+    assert_eq!(frames_unbatched, 1.0, "unbatched is one frame per op");
+    assert!(
+        frames_batched <= frames_unbatched / 8.0,
+        "{frames_batched:.3} request frames per op batched"
+    );
+    assert!(
+        laps_batched <= 0.75 * laps_unbatched,
+        "{laps_batched:.2} laps per op batched, {laps_unbatched:.2} unbatched"
+    );
+    let history = history.snapshot();
+    history
+        .check_per_key_sc()
+        .unwrap_or_else(|v| panic!("per-key SC violated: {v}"));
+    history
+        .check_per_key_lin()
+        .unwrap_or_else(|v| panic!("per-key Lin violated: {v}"));
+}
+
+/// Deadline mode treats a write as a synchronisation point: the reads
+/// queued ahead of it leave as their own batch and the write follows as a
+/// bare frame, so no read ever waits out a write's acks. Counted on the
+/// serving side. Every key is cold and homed on the entry node, which
+/// keeps the peer mesh silent — its coalesced frames count into the same
+/// `batches` counters.
+#[test]
+fn deadline_mode_sends_writes_alone() {
+    const ROUNDS: u64 = 50;
+    let rack =
+        Rack::launch(RackConfig::small_from_env(ConsistencyModel::Lin, 3)).expect("launch rack");
+    let node0 = rack.server(0).node();
+    let keys: Vec<u64> = (0..1_000u64)
+        .filter(|&k| node0.home_node(k) == 0)
+        .take(4)
+        .collect();
+    let mut client = rack
+        .client()
+        .policy(LoadBalancePolicy::Pinned(0))
+        .batching(BatchConfig {
+            max_ops: 32,
+            max_delay: Some(Duration::from_secs(1)),
+            ..BatchConfig::default()
+        })
+        .connect()
+        .expect("connect");
+    // Rack-summed `[batches, batched_ops, gets, puts]`.
+    let served = |rack: &Rack| -> [u64; 4] {
+        (0..rack.nodes())
+            .map(|n| rack.server(n).metrics().snapshot())
+            .fold([0; 4], |t, s| {
+                [
+                    t[0] + s.batches,
+                    t[1] + s.batched_ops,
+                    t[2] + s.gets,
+                    t[3] + s.puts,
+                ]
+            })
+    };
+    let before = served(&rack);
+    for round in 0..ROUNDS {
+        for &key in &keys[..3] {
+            client.queue_get(key).expect("queue get");
+        }
+        client
+            .queue_put(keys[3], &round.to_le_bytes())
+            .expect("queue put");
+        assert_eq!(client.queued(), 0, "the write shipped at once");
+    }
+    let outcomes = client.flush().expect("outcomes");
+    let after = served(&rack);
+    let delta: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+    assert_eq!(
+        delta,
+        [ROUNDS, 3 * ROUNDS, 3 * ROUNDS, ROUNDS],
+        "[batches, batched ops, gets, puts]: each round is one 3-read batch and one bare PUT"
+    );
+    assert_eq!(outcomes.len() as u64, 4 * ROUNDS);
+    for round in outcomes.chunks(4) {
+        assert!(round[..3]
+            .iter()
+            .all(|o| matches!(o, BatchOutcome::Get { .. })));
+        assert!(matches!(round[3], BatchOutcome::Put { .. }));
+    }
+    assert_eq!(
+        client.get(keys[3]).expect("get"),
+        (ROUNDS - 1).to_le_bytes()
+    );
+    rack.shutdown();
+}
+
 #[test]
 fn tiny_credit_window_stalls_writers_but_loses_nothing() {
     // Squeeze the peer-mesh credit window down to 2 messages so a Lin

@@ -2,8 +2,9 @@
 //! rack must serve thousands of concurrent client connections per node
 //! with a thread count that depends on the reactor topology, never on the
 //! connection count — while the per-key Lin guarantee holds and teardown
-//! stays clean. The last two tests pin the lap itself: work a shard
-//! produces for itself leaves in the lap that produced it.
+//! stays clean. The last three tests pin the lap itself: work a shard
+//! produces for itself leaves in the lap that produced it, and a
+//! connection that says nothing costs no laps.
 //!
 //! Both ends of every connection live in this test process, so the
 //! 5k-connections-per-node target costs ~10k fds here (the soft limit is
@@ -16,8 +17,13 @@ use cckvs_net::rack::{Rack, RackConfig};
 use cckvs_net::server::ReactorConfig;
 use cckvs_net::LoadBalancePolicy;
 use consistency::messages::ConsistencyModel;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use workload::{AccessDistribution, Dataset, Mix, OpKind, WorkloadGen};
+
+/// The process's thread count is shared by every test of this binary, and
+/// every one of them starts a rack: the tests that assert on the count
+/// hold this exclusively, the others share it.
+static THREAD_CENSUS: RwLock<()> = RwLock::new(());
 
 /// Threads currently in this process, from /proc/self/status.
 fn process_threads() -> u64 {
@@ -40,6 +46,7 @@ fn process_threads() -> u64 {
 /// from a handful to thousands.
 #[test]
 fn five_thousand_connections_per_node_serve_lin_checked_workload() {
+    let _alone = THREAD_CENSUS.write().unwrap_or_else(|e| e.into_inner());
     const TARGET_CONNS: usize = 5_000;
     const DRIVERS: usize = 8;
     const OPS_PER_CONN: u64 = 4;
@@ -166,6 +173,7 @@ fn five_thousand_connections_per_node_serve_lin_checked_workload() {
 /// workload around 2k of them, and closes them all on teardown.
 #[test]
 fn idle_and_mute_connections_do_not_starve_serving() {
+    let _shared = THREAD_CENSUS.read().unwrap_or_else(|e| e.into_inner());
     let wanted = 2 * 2_000 + 1024;
     let _ = reactor::raise_nofile_limit(wanted);
     let mut cfg = RackConfig::small(ConsistencyModel::Lin, 3);
@@ -226,11 +234,19 @@ fn idle_and_mute_connections_do_not_starve_serving() {
     rack.shutdown();
 }
 
+/// Reactor laps the whole rack has run so far.
+fn rack_laps(rack: &Rack) -> u64 {
+    (0..rack.nodes())
+        .map(|n| rack.server(n).metrics().snapshot().loop_lap_count)
+        .sum()
+}
+
 /// 1 000 Lin PUTs on hot keys, then 1 000 GETs of cold keys homed on
 /// another node, from one session pinned to node 0 of a 3-node TCP rack.
 /// Returns the reactor laps the whole rack ran per op; the history must
 /// be Lin-clean.
 fn laps_per_op_of_lin_puts_and_remote_misses(shards: usize) -> f64 {
+    let _shared = THREAD_CENSUS.read().unwrap_or_else(|e| e.into_inner());
     const OPS_PER_KIND: u64 = 1_000;
     let mut cfg = RackConfig::small(ConsistencyModel::Lin, 3);
     cfg.metrics = false;
@@ -255,12 +271,7 @@ fn laps_per_op_of_lin_puts_and_remote_misses(shards: usize) -> f64 {
         client.put(key, &[7u8; 40]).expect("preload cold key");
     }
 
-    let laps = |rack: &Rack| -> u64 {
-        (0..rack.nodes())
-            .map(|n| rack.server(n).metrics().snapshot().loop_lap_count)
-            .sum()
-    };
-    let before = laps(&rack);
+    let before = rack_laps(&rack);
     for i in 0..OPS_PER_KIND {
         let (key, _) = hot[i as usize % hot.len()];
         client.put(key, &i.to_le_bytes()).expect("lin put");
@@ -269,7 +280,7 @@ fn laps_per_op_of_lin_puts_and_remote_misses(shards: usize) -> f64 {
         let got = client.get(cold[i as usize % cold.len()]).expect("miss get");
         assert_eq!(got, [7u8; 40]);
     }
-    let per_op = (laps(&rack) - before) as f64 / (2 * OPS_PER_KIND) as f64;
+    let per_op = (rack_laps(&rack) - before) as f64 / (2 * OPS_PER_KIND) as f64;
     history
         .snapshot()
         .check_per_key_lin()
@@ -300,4 +311,113 @@ fn frames_a_lap_produces_leave_in_that_lap() {
 #[test]
 fn cross_shard_wakes_still_fire() {
     laps_per_op_of_lin_puts_and_remote_misses(2);
+}
+
+/// Holding connections open costs the reactor neither threads nor laps:
+/// the same 2 000-op stream through one session runs the same number of
+/// laps per op whether 64 or 4 096 other sessions sit connected and
+/// silent on the rack, on the same threads. (The throughput ratio this
+/// replaces compared wall clocks; a lap only happens when something woke
+/// the shard, so counting them asks the question directly.)
+#[test]
+fn idle_connections_cost_no_laps() {
+    const OPS: u64 = 2_000;
+    const FEW: usize = 64;
+    const MANY: usize = 4_096;
+    let _alone = THREAD_CENSUS.write().unwrap_or_else(|e| e.into_inner());
+    let wanted = 2 * MANY as u64 + 1024;
+    let limit = reactor::raise_nofile_limit(wanted).expect("query fd limit");
+    // A hard-capped environment holds what physically fits.
+    let many = if limit >= wanted {
+        MANY
+    } else {
+        ((limit.saturating_sub(1024)) / 2) as usize
+    };
+    assert!(many >= 8 * FEW, "fd limit {limit} leaves no contrast");
+
+    let mut cfg = RackConfig::small(ConsistencyModel::Lin, 3);
+    cfg.metrics = false;
+    cfg.reactor = ReactorConfig { shards: 2 };
+    let rack = Rack::launch(cfg).expect("launch rack");
+    let dataset = Dataset::new(1_000, 40);
+    rack.install_hot_set(&dataset.hot_entries(64))
+        .expect("install hot set");
+    let addrs = rack.client_addrs();
+    let stream = WorkloadGen::new(
+        &dataset,
+        AccessDistribution::Zipfian { exponent: 0.99 },
+        Mix::with_write_ratio(0.2),
+        0x1D7E,
+    );
+    let history = Arc::new(SharedHistory::new());
+    // The live session connects first and serves both passes: which shard
+    // a connection lands on decides how many of its wakes cross shards,
+    // and that must not differ between the passes.
+    let mut client = Client::builder(&addrs)
+        .session(1)
+        .policy(LoadBalancePolicy::RoundRobin)
+        .history(Arc::clone(&history))
+        .connect()
+        .expect("connect live");
+    let mut idle: Vec<Client> = Vec::new();
+
+    // Tops the idle pool up to `held` sessions (each answered one ping, so
+    // its hello is behind it), then runs the stream through the live
+    // session: laps the rack ran per op, and the process's threads.
+    // `pass` keeps the two passes' written values apart for the checker.
+    let mut measure = |held: usize, pass: u32| -> (f64, u64) {
+        while idle.len() < held {
+            let i = idle.len();
+            let mut client = Client::connect(
+                &[addrs[i % addrs.len()]],
+                10_000 + i as u32,
+                LoadBalancePolicy::Pinned(0),
+            )
+            .expect("connect idle");
+            assert_eq!(client.ping_all(), 1, "idle session's ping");
+            idle.push(client);
+        }
+        let mut gen = stream.clone();
+        let before = rack_laps(&rack);
+        for _ in 0..OPS {
+            let op = gen.next_op();
+            match op.kind {
+                OpKind::Get => {
+                    client.get(op.key.0).expect("get");
+                }
+                OpKind::Put => {
+                    client
+                        .put(op.key.0, &op.value_bytes(pass, 40))
+                        .expect("put");
+                }
+            }
+        }
+        let per_op = (rack_laps(&rack) - before) as f64 / OPS as f64;
+        (per_op, process_threads())
+    };
+    let (laps_few, threads_few) = measure(FEW, 1);
+    let (laps_many, threads_many) = measure(many, 2);
+    let open: u64 = (0..rack.nodes())
+        .map(|n| rack.server(n).metrics().snapshot().conns_open)
+        .sum();
+    assert!(open >= many as u64, "{open} connections open, held {many}");
+
+    assert_eq!(
+        threads_many, threads_few,
+        "thread count moved with {FEW} -> {many} held connections"
+    );
+    // The second pass runs about 3 % more laps whatever is held beside it
+    // (64 then 64 reads 3.20 then 3.30, as 64 then 4 096 does).
+    let (lo, hi) = (laps_few.min(laps_many), laps_few.max(laps_many));
+    assert!(
+        hi <= 1.1 * lo,
+        "{laps_few:.2} laps per op beside {FEW} idle connections, \
+         {laps_many:.2} beside {many}"
+    );
+    history
+        .snapshot()
+        .check_per_key_lin()
+        .expect("per-key Lin holds beside thousands of idle connections");
+    drop(idle);
+    rack.shutdown();
 }

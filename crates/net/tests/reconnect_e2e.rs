@@ -13,8 +13,9 @@
 //! reconnect/replay counters prove the machinery actually ran.
 
 use cckvs::node::NodeConfig;
-use cckvs_net::client::{install_hot_set, Client, SharedHistory};
+use cckvs_net::client::{install_hot_set_via, Client, SharedHistory};
 use cckvs_net::server::{FlowConfig, NodeServer, NodeServerConfig};
+use cckvs_net::transport::TcpTransport;
 use cckvs_net::LoadBalancePolicy;
 use consistency::messages::ConsistencyModel;
 use std::collections::HashMap;
@@ -157,7 +158,7 @@ fn severed_peer_link_replays_exactly_once_and_resets_the_window() {
 
     let addrs = vec![addr_a, addr_b];
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     let history = Arc::new(SharedHistory::new());
     let stop = Arc::new(AtomicBool::new(false));
@@ -315,7 +316,7 @@ fn correlated_miss_rpcs_survive_link_severs_exactly_once() {
 
     let addrs = vec![addr_a, addr_b];
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     // Cold keys homed at B, partitioned per writer session so "last
     // acknowledged write" is well defined per key.

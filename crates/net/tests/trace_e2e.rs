@@ -10,11 +10,10 @@
 //! with the original ids, exactly once).
 
 use cckvs::node::NodeConfig;
-use cckvs_net::client::{
-    collect_traces, collect_traces_via, install_hot_set, Client, SharedHistory,
-};
+use cckvs_net::client::{collect_traces_via, install_hot_set_via, Client, SharedHistory};
 use cckvs_net::metrics::Metrics;
 use cckvs_net::server::{FlowConfig, NodeServer, NodeServerConfig};
+use cckvs_net::transport::TcpTransport;
 use cckvs_net::{LoadBalancePolicy, Rack, RackConfig};
 use cckvs_trace::{assemble, EventKind};
 use consistency::messages::ConsistencyModel;
@@ -98,6 +97,58 @@ fn traced_lin_put_assembles_a_complete_cross_node_span_chain() {
             "ack from peer {peer} before its invalidation was sent"
         );
     }
+    rack.shutdown();
+}
+
+/// The `cckvs-trace` binary itself, against a rack on whichever fabric
+/// `CCKVS_TRANSPORT` picked: `put` drives one traced Lin PUT and prints its
+/// assembled timeline, `dump --trace` finds the same op again. Both used to
+/// dial TCP whatever the rack listened on.
+#[test]
+fn cckvs_trace_bin_reaches_the_rack_on_its_own_fabric() {
+    let rack = Rack::launch(RackConfig::small_from_env(ConsistencyModel::Lin, 3)).expect("launch");
+    rack.install_hot_set(&[(7, b"seed".to_vec())])
+        .expect("install hot set");
+    let servers = rack
+        .client_addrs()
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    let run = |args: &[&str]| -> String {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cckvs-trace"))
+            .args(args)
+            .args(["--servers", &servers])
+            .args(["--transport", rack.transport().kind.label()])
+            .output()
+            .expect("run cckvs-trace");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "cckvs-trace {args:?} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+
+    let put = run(&["put", "--key", "7", "--value", "from-the-bin"]);
+    for phase in [
+        "ack wait (peer n1)",
+        "ack wait (peer n2)",
+        "initiate -> commit",
+    ] {
+        assert!(put.contains(phase), "no `{phase}` phase in:\n{put}");
+    }
+    let id = put
+        .split_whitespace()
+        .find(|word| word.starts_with("0x"))
+        .expect("the put names its trace id");
+    let id = u64::from_str_radix(&id[2..], 16).expect("hex trace id");
+    let dump = run(&["dump", "--trace", &id.to_string()]);
+    assert!(
+        dump.contains("initiate -> commit"),
+        "dump lost the op:\n{dump}"
+    );
     rack.shutdown();
 }
 
@@ -294,7 +345,7 @@ fn replayed_frames_keep_their_original_trace_id_exactly_once() {
 
     let addrs = vec![addr_a, addr_b];
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     // These racks run without a metrics thread, so nothing drains the
     // per-lane rings while traffic flows; stand-in drainers keep the
@@ -365,7 +416,7 @@ fn replayed_frames_keep_their_original_trace_id_exactly_once() {
     }
     drop(proxy);
 
-    let dumps = collect_traces(&addrs).expect("trace dump");
+    let dumps = collect_traces_via(&TcpTransport, &addrs).expect("trace dump");
     for (node, (dropped, _)) in dumps.iter().enumerate() {
         assert_eq!(*dropped, 0, "node {node} dropped span events");
     }

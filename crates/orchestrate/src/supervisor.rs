@@ -286,7 +286,6 @@ impl Supervisor {
                 match admin_call(
                     &*self.shared.transport,
                     node.listen,
-                    &Frame::ClientHello,
                     &Frame::TraceDump,
                     Duration::from_secs(5),
                 ) {
@@ -405,44 +404,30 @@ fn spawn_into(shared: &Shared, id: usize, state: &mut NodeState) -> io::Result<(
 /// peer mesh is up (connections are parked until then, so a booting node
 /// simply never answers).
 fn probe_ready(transport: &dyn Transport, addr: SocketAddr) -> bool {
-    let Ok(mut stream) = transport.dial(addr, Duration::from_millis(250)) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut hello = Vec::new();
-    write_frame(&mut hello, &Frame::ClientHello).expect("vec write");
-    write_frame(&mut hello, &Frame::Ping).expect("vec write");
-    if stream.write_all(&hello).is_err() {
-        return false;
-    }
-    matches!(read_frame(&mut stream), Ok(Some(Frame::Pong)))
+    matches!(
+        admin_call(transport, addr, &Frame::Ping, Duration::from_millis(500)),
+        Some(Frame::Pong)
+    )
 }
 
-/// One admin request over a fresh connection whose role is set by `hello`
-/// (`ClientHello` for client-path frames like `CacheKeys`/`Evict`,
-/// `RpcHello` for home-shard frames like `HotMark`/`HotUnmark`).
-/// `read_timeout` is per-call: queries issued from the monitor thread
+/// One admin request over a fresh client connection. `read_timeout` is
+/// per-call: queries issued from the monitor thread
 /// (which holds a node's state lock) must stay short, while the heal
 /// thread's `Evict` calls legitimately wait out write-back redials.
 fn admin_call(
     transport: &dyn Transport,
     addr: SocketAddr,
-    hello: &Frame,
     request: &Frame,
     read_timeout: Duration,
 ) -> Option<Frame> {
     let mut stream = transport.dial(addr, Duration::from_millis(250)).ok()?;
     let _ = stream.set_read_timeout(Some(read_timeout));
     let mut bytes = Vec::new();
-    write_frame(&mut bytes, hello).expect("vec write");
+    write_frame(&mut bytes, &Frame::ClientHello).expect("vec write");
     write_frame(&mut bytes, request).expect("vec write");
     stream.write_all(&bytes).ok()?;
     read_frame(&mut stream).ok().flatten()
 }
-
-/// The rpc-role hello the supervisor's home-shard admin calls use. The
-/// sender id is informational; 255 marks an out-of-deployment caller.
-const SUPERVISOR_RPC_HELLO: Frame = Frame::RpcHello { from: 255 };
 
 /// The deployment's hot set, as witnessed by any live node other than
 /// `except` (symmetric caches hold identical key sets).
@@ -457,7 +442,6 @@ fn query_hot_set(shared: &Shared, except: usize) -> Option<Vec<u64>> {
         if let Some(Frame::CacheKeysResp { keys }) = admin_call(
             &*shared.transport,
             node.listen,
-            &Frame::ClientHello,
             &Frame::CacheKeys,
             Duration::from_secs(1),
         ) {
@@ -497,13 +481,7 @@ fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
     'keys: for &key in &keys {
         for &addr in &addrs {
             if !matches!(
-                admin_call(
-                    &*shared.transport,
-                    addr,
-                    &SUPERVISOR_RPC_HELLO,
-                    &Frame::HotMark { key },
-                    patient
-                ),
+                admin_call(&*shared.transport, addr, &Frame::HotMark { key }, patient),
                 Some(Frame::HotMarkResp { .. })
             ) {
                 eprintln!("cckvs-rack: heal: hot-mark of key {key} failed at {addr}");
@@ -511,13 +489,7 @@ fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
         }
         for &addr in &addrs {
             if !matches!(
-                admin_call(
-                    &*shared.transport,
-                    addr,
-                    &Frame::ClientHello,
-                    &Frame::Evict { key },
-                    patient
-                ),
+                admin_call(&*shared.transport, addr, &Frame::Evict { key }, patient),
                 Some(Frame::EvictResp { .. })
             ) {
                 eprintln!("cckvs-rack: heal: evict of key {key} failed at {addr}");
@@ -527,13 +499,7 @@ fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
             }
         }
         for &addr in &addrs {
-            let _ = admin_call(
-                &*shared.transport,
-                addr,
-                &SUPERVISOR_RPC_HELLO,
-                &Frame::HotUnmark { key },
-                patient,
-            );
+            let _ = admin_call(&*shared.transport, addr, &Frame::HotUnmark { key }, patient);
         }
         healed += 1;
     }
@@ -542,14 +508,13 @@ fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
 
 /// Polls a serving node's cold-version counter (the durable-floor memory).
 fn poll_version_floor(transport: &dyn Transport, addr: SocketAddr) -> Option<u32> {
-    let mut stream = transport.dial(addr, Duration::from_millis(250)).ok()?;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut hello = Vec::new();
-    write_frame(&mut hello, &Frame::ClientHello).expect("vec write");
-    write_frame(&mut hello, &Frame::VersionFloor).expect("vec write");
-    stream.write_all(&hello).ok()?;
-    match read_frame(&mut stream) {
-        Ok(Some(Frame::VersionFloorResp { clock })) => Some(clock),
+    match admin_call(
+        transport,
+        addr,
+        &Frame::VersionFloor,
+        Duration::from_millis(500),
+    ) {
+        Some(Frame::VersionFloorResp { clock }) => Some(clock),
         _ => None,
     }
 }

@@ -15,7 +15,8 @@
 //! their in-memory shard with it, so the workload writes only keys that
 //! are cached (surviving in every peer's cache) or homed at a survivor.
 
-use cckvs_net::client::{install_hot_set, Client, SharedHistory};
+use cckvs_net::client::{install_hot_set_via, Client, SharedHistory};
+use cckvs_net::transport::TcpTransport;
 use cckvs_net::LoadBalancePolicy;
 use cckvs_orchestrate::{
     sibling_binary, NodeSpec, NodeStatus, RackSpec, Supervisor, SupervisorConfig, Topology,
@@ -79,7 +80,7 @@ fn scrape_counter(metrics: SocketAddr, name: &str) -> Option<u64> {
         .and_then(|value| value.parse().ok())
 }
 
-/// The acceptance criterion: a 3-process rack under live zipf-flavoured
+/// The acceptance bar: a 3-process rack under live zipf-flavoured
 /// writes survives a SIGKILL of one node — the supervisor restarts it,
 /// peers reconnect within the backoff budget, and the recorded history
 /// passes the Lin checker with zero lost updates.
@@ -105,7 +106,7 @@ fn three_process_rack_survives_sigkill_under_write_traffic() {
     // Hot set installed over the wire: these keys are cached on every
     // node, so their values survive any single crash.
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     // Writers drive the two surviving nodes; keys homed at node 0 are
     // written only if hot (see module docs).
@@ -274,7 +275,7 @@ fn whole_rack_chaos_traffic_stays_checker_clean_across_a_crash() {
         .expect("rack ready");
     let addrs = supervisor.client_addrs();
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     let history = Arc::new(SharedHistory::new());
     let stop = Arc::new(AtomicBool::new(false));
@@ -376,7 +377,7 @@ fn pending_lin_writer_resumes_via_vacuous_acks_after_peer_sigkill() {
         .expect("rack ready");
     let addrs = supervisor.client_addrs();
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     // Writers pinned to the survivors hammer hot puts back to back: a hot
     // Lin put broadcasts an invalidation to every peer and its response
@@ -617,7 +618,6 @@ fn exit_codes_distinguish_bind_failure_from_peer_timeout() {
 /// datagram fabric.
 #[test]
 fn supervised_rack_serves_over_udp_transport() {
-    use cckvs_net::client::install_hot_set_via;
     use cckvs_net::transport::{TransportConfig, TransportKind};
 
     let node_bin = sibling_binary("cckvs-node").expect("cckvs-node built next to the tests");

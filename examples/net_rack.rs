@@ -128,11 +128,18 @@ fn main() {
     // freezes the process past the 20 ms timer shows one burst of a few
     // dozen, while an ack policy that starved senders would show one
     // retransmission per handful of datagrams.
-    let [data, acks, piggybacked, retransmits] = cckvs_net::transport::UDP_STATS
-        .snapshot()
-        .map(|(_, count)| count);
+    // Each node counts its own transport's datagrams; the rack's census
+    // is their sum (client-side datagrams are the sessions' own).
+    let mut census = [0u64; 4];
+    for node in 0..rack.nodes() {
+        let sent = rack.server(node).metrics().snapshot().udp_datagrams;
+        for (total, (_, count)) in census.iter_mut().zip(sent) {
+            *total += count;
+        }
+    }
+    let [data, acks, piggybacked, retransmits] = census;
     println!(
-        "  udp datagrams: {data} data | {acks} stand-alone acks | {piggybacked} acks piggybacked | {retransmits} retransmits"
+        "  udp datagrams (nodes): {data} data | {acks} stand-alone acks | {piggybacked} acks piggybacked | {retransmits} retransmits"
     );
     assert!(
         retransmits * 1_000 <= data,

@@ -11,7 +11,8 @@
 //! artifacts when the job fails). The example exits nonzero on any
 //! violated assertion.
 
-use cckvs_net::client::{install_hot_set, Client, SharedHistory};
+use cckvs_net::client::{install_hot_set_via, Client, SharedHistory};
+use cckvs_net::transport::TcpTransport;
 use cckvs_net::LoadBalancePolicy;
 use cckvs_orchestrate::{
     sibling_binary, NodeSpec, NodeStatus, RackSpec, Supervisor, SupervisorConfig, Topology,
@@ -69,7 +70,7 @@ fn main() {
     println!("orchestrated_rack: 3 cckvs-node processes serving on {addrs:?}");
 
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
-    install_hot_set(&addrs, &entries).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
     // Checker traffic drives the two surviving nodes (a write acknowledged
     // by the dying process in its final instant is unrecoverable with

@@ -12,7 +12,8 @@
 //! The dumped timeline is written to `./trace-dump/lin_put_timeline.txt`
 //! (uploaded as a CI artifact). Exits nonzero on any violated assertion.
 
-use cckvs_net::client::{install_hot_set, Client};
+use cckvs_net::client::{install_hot_set_via, Client};
+use cckvs_net::transport::TcpTransport;
 use cckvs_net::LoadBalancePolicy;
 use cckvs_orchestrate::{
     sibling_binary, NodeSpec, RackSpec, Supervisor, SupervisorConfig, Topology,
@@ -66,7 +67,8 @@ fn main() {
     let addrs = supervisor.client_addrs();
     println!("traced_rack: {NODES} cckvs-node processes serving on {addrs:?}");
 
-    install_hot_set(&addrs, &[(HOT_KEY, b"seed".to_vec())]).expect("install hot set");
+    install_hot_set_via(&TcpTransport, &addrs, &[(HOT_KEY, b"seed".to_vec())])
+        .expect("install hot set");
 
     // One traced Lin write: the trace id travels inside the frame, fans
     // out to every peer with the invalidations, and rides the acks back.
