@@ -11,7 +11,7 @@
 //! checkers validate (per-key SC / per-key Lin, §5.1).
 
 use crate::node::{
-    CacheGet, CachePut, CcNode, EvictHot, NodeConfig, Outgoing, DEFAULT_KVS_THREADS,
+    CacheGet, CachePut, CcNode, ColdPut, EvictHot, NodeConfig, Outgoing, DEFAULT_KVS_THREADS,
 };
 use consistency::engine::Destination;
 use consistency::history::{History, OpRecord, RecordKind};
@@ -230,12 +230,12 @@ impl Cluster {
 
     /// Installs a hot key into the symmetric cache of every node (what the
     /// cache coordinator does at the end of an epoch, §4). The key's home
-    /// shard is seeded with the value as the write-back target; a key the
-    /// home shard already stores is installed at its stored version so the
-    /// per-key clock stays monotone across install/evict cycles.
+    /// shard is fenced and seeded with the value as the write-back target; a
+    /// key the home shard already stores is installed at its stored version
+    /// so the per-key clock stays monotone across install/evict cycles.
     pub fn install_hot_key(&self, key: u64, value: &[u8]) {
         let home = self.inner.nodes[0].home_node(key);
-        let (_, ts) = self.inner.nodes[home].kvs_get_versioned(key);
+        let (_, ts) = self.inner.nodes[home].hot_mark(key);
         for node in &self.inner.nodes {
             assert!(node.install_hot(key, value, ts), "cache capacity exceeded");
         }
@@ -245,7 +245,8 @@ impl Cluster {
     /// values are written back to the key's home shard — directly here (the
     /// nodes share one address space), over the `WriteBack` RPC in the
     /// networked rack. Every replica's copy is offered to the home shard
-    /// with its version; `put_if_newer` keeps the newest.
+    /// with its version; `put_if_newer` keeps the newest. The home's fence
+    /// lifts once every copy has landed.
     pub fn evict_hot_key(&self, key: u64) {
         let home = self.inner.nodes[0].home_node(key);
         for node in &self.inner.nodes {
@@ -253,6 +254,7 @@ impl Cluster {
                 let _ = self.inner.nodes[home].write_back(key, &value, ts);
             }
         }
+        self.inner.nodes[home].hot_unmark(key);
     }
 
     /// Whether a key is currently cached (checked on node 0; by symmetry all
@@ -266,27 +268,34 @@ impl Cluster {
     pub fn get(&self, session: u32, node: usize, key: u64) -> OpResult {
         let inner = &self.inner;
         let invoked_at = inner.now();
-        match inner.nodes[node].cache_get(key) {
-            CacheGet::Hit { value, ts } => {
-                let completed_at = inner.now();
-                let seq = inner.next_session_seq(session);
-                inner.history.lock().record(OpRecord {
-                    session,
-                    key,
-                    kind: RecordKind::Get {
-                        value: value_tag_of(&value),
-                    },
-                    ts,
-                    invoked_at,
-                    completed_at,
-                    session_seq: seq,
-                });
-                OpResult::Value(value)
-            }
-            CacheGet::Miss => {
-                // Fall through to the (possibly remote) home shard.
-                let home = inner.nodes[node].home_node(key);
-                OpResult::Value(inner.nodes[home].kvs_get(key))
+        loop {
+            match inner.nodes[node].cache_get(key) {
+                CacheGet::Hit { value, ts } => {
+                    let completed_at = inner.now();
+                    let seq = inner.next_session_seq(session);
+                    inner.history.lock().record(OpRecord {
+                        session,
+                        key,
+                        kind: RecordKind::Get {
+                            value: value_tag_of(&value),
+                        },
+                        ts,
+                        invoked_at,
+                        completed_at,
+                        session_seq: seq,
+                    });
+                    return OpResult::Value(value);
+                }
+                CacheGet::Miss => {
+                    // Fall through to the (possibly remote) home shard; a
+                    // bounce means the key is changing sides of the hot
+                    // set, so re-run the whole op from the cache probe.
+                    let home = inner.nodes[node].home_node(key);
+                    match inner.nodes[home].cold_get(key) {
+                        Some(value) => return OpResult::Value(value),
+                        None => std::thread::yield_now(),
+                    }
+                }
             }
         }
     }
@@ -296,31 +305,37 @@ impl Cluster {
         let inner = &self.inner;
         let invoked_at = inner.now();
         let tag = inner.tags.fetch_add(1, Ordering::Relaxed);
-        match inner.nodes[node].cache_put(key, value, tag) {
-            CachePut::Done { ts, outgoing } => {
-                for out in outgoing {
-                    inner.send(node, out);
+        loop {
+            match inner.nodes[node].cache_put(key, value, tag) {
+                CachePut::Done { ts, outgoing } => {
+                    for out in outgoing {
+                        inner.send(node, out);
+                    }
+                    self.record_put(session, key, value, ts, invoked_at);
+                    return OpResult::Done;
                 }
-                self.record_put(session, key, value, ts, invoked_at);
-                OpResult::Done
-            }
-            CachePut::Pending { ts, outgoing } => {
-                for out in outgoing {
-                    inner.send(node, out);
+                CachePut::Pending { ts, outgoing } => {
+                    for out in outgoing {
+                        inner.send(node, out);
+                    }
+                    // Blocking write (Lin): wait until the commit is signalled
+                    // by the network thread that delivered the last ack.
+                    inner.nodes[node].wait_committed(key, ts);
+                    self.record_put(session, key, value, ts, invoked_at);
+                    return OpResult::Done;
                 }
-                // Blocking write (Lin): wait until the commit is signalled
-                // by the network thread that delivered the last ack.
-                inner.nodes[node].wait_committed(key, ts);
-                self.record_put(session, key, value, ts, invoked_at);
-                OpResult::Done
-            }
-            CachePut::Miss => {
-                // Forward to the home node, which performs the write.
-                let home = inner.nodes[node].home_node(key);
-                inner.nodes[home]
-                    .kvs_put(key, value, tag as u32, node as u8)
-                    .expect("miss-path write within KVS capacity");
-                OpResult::Done
+                CachePut::Miss => {
+                    // Forward to the home node, which versions and performs
+                    // the write — or bounces it, as for reads.
+                    let home = inner.nodes[node].home_node(key);
+                    match inner.nodes[home].cold_put(key, value, node as u8) {
+                        ColdPut::Applied(_) => return OpResult::Done,
+                        ColdPut::Busy => std::thread::yield_now(),
+                        ColdPut::Rejected(why) => {
+                            panic!("miss-path write within KVS capacity: {why}")
+                        }
+                    }
+                }
             }
         }
     }

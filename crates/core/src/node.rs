@@ -2,21 +2,24 @@
 //!
 //! A [`CcNode`] combines the pieces every deployment backend needs on each
 //! server — a [`SymmetricCache`] driven by the verified protocol state
-//! machines, a [`NodeKvs`] shard, and the bookkeeping for blocking Lin
-//! writes — while staying completely transport-agnostic: every operation
-//! that would put protocol messages on the wire instead *returns* them as
-//! [`Outgoing`] values for the caller to ship.
+//! machines, a [`NodeKvs`] shard with the home-shard rules of the miss
+//! path (fence set, cold-version counter), and the bookkeeping for
+//! blocking Lin writes — while staying completely transport-agnostic:
+//! every operation that would put protocol messages on the wire instead
+//! *returns* them as [`Outgoing`] values for the caller to ship.
 //!
-//! Two transports drive this type today:
+//! Three drivers run this type:
 //!
 //! * the in-process functional [`crate::cluster::Cluster`] (crossbeam
-//!   channels with delivery jitter), and
-//! * the real TCP serving layer in the `cckvs-net` crate (one OS process or
-//!   thread per node, length-prefixed frames on loopback/LAN sockets).
+//!   channels with delivery jitter),
+//! * the reactor serving layer in the `cckvs-net` crate (one OS process or
+//!   thread per node, framed TCP or UDP), and
+//! * the `cckvs-modelcheck` harness (a seeded scheduler owning every
+//!   delivery, loss, crash and restart).
 //!
-//! Keeping a single code path for both means the protocol behaviour the
-//! checkers validate in-process is byte-for-byte the behaviour a networked
-//! rack executes.
+//! Keeping a single code path for all of them means the protocol behaviour
+//! the checkers validate is byte-for-byte the behaviour a networked rack
+//! executes.
 
 use consistency::engine::Destination;
 use consistency::lamport::{NodeId, Timestamp};
@@ -24,6 +27,7 @@ use consistency::messages::{ConsistencyModel, ProtocolMsg};
 use kvstore::{ConcurrencyModel, KvError, NodeKvs};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use symcache::{EvictOutcome, ReadOutcome, SymmetricCache, WriteOutcome};
 use workload::{KeyId, ShardMap};
@@ -147,6 +151,19 @@ pub enum CachePut {
     Miss,
 }
 
+/// Outcome of [`CcNode::cold_put`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ColdPut {
+    /// Applied to the shard at this home-assigned version.
+    Applied(Timestamp),
+    /// Bounced — the key is fenced or cached at this home — and nothing
+    /// changed; the caller retries the whole operation from the cache probe.
+    Busy,
+    /// The shard rejected the write (value over capacity, shard full);
+    /// the message is for the client.
+    Rejected(String),
+}
+
 /// A continuation registered for a pending Lin write, run when the final
 /// acknowledgement commits it (see [`CcNode::on_committed`]).
 pub type CommitHook = Box<dyn FnOnce() + Send>;
@@ -174,6 +191,20 @@ pub struct CcNode {
     shards: ShardMap,
     committed: Mutex<CommitTable>,
     committed_cv: Condvar,
+    /// The fence set: keys homed here that are in, or moving into or out
+    /// of, the hot set. While a key is fenced its cold path is closed — the
+    /// transition fetches the value, fills every cache and lands every
+    /// write-back before [`CcNode::hot_unmark`] re-opens it, so no cold
+    /// write can land in the gap and be shadowed by the caches.
+    hot_marks: Mutex<HashSet<u64>>,
+    /// Highest version this home shard has assigned to a cold write or seen
+    /// pass through churn (a hot-key fetch, a landed write-back). The home
+    /// is the one serialisation point of an uncached key, so versioning
+    /// cold writes by *its* counter, not the sender's, makes arrival order
+    /// the write order; pushing the counter past every version churn
+    /// surfaces makes a cold write after an eviction supersede the
+    /// written-back value. Wraps after 4 billion cold writes per node.
+    cold_version: AtomicU64,
 }
 
 impl CcNode {
@@ -206,6 +237,8 @@ impl CcNode {
             shards: ShardMap::new(cfg.nodes, cfg.kvs_threads),
             committed: Mutex::new(CommitTable::default()),
             committed_cv: Condvar::new(),
+            hot_marks: Mutex::new(HashSet::new()),
+            cold_version: AtomicU64::new(0),
         }
     }
 
@@ -361,8 +394,83 @@ impl CcNode {
     /// shard (this node is the key's home). Versioned: an older write-back
     /// racing with a newer one (every replica of a churning hot set evicts
     /// its own copy) is discarded. Returns whether the value was applied.
+    /// Later cold writes are versioned above `ts` either way.
     pub fn write_back(&self, key: u64, value: &[u8], ts: Timestamp) -> Result<bool, KvError> {
+        self.raise_cold_version(ts.clock);
         self.kvs.put_if_newer(0, key, value, ts.clock, ts.writer.0)
+    }
+
+    /// Serves a cold (uncached-key) read from this node's shard — this node
+    /// is the key's home. `None` is a bounce: the key is fenced (during an
+    /// eviction the freshest value may still be in flight from a dirty
+    /// replica) or cached here (a cold op on a key its home caches only
+    /// arises from cache asymmetry — a crash-restarted replica serving it
+    /// through its miss path — and the shard's copy of a hot key is stale
+    /// relative to the caches). The caller retries from the cache probe.
+    pub fn cold_get(&self, key: u64) -> Option<Vec<u8>> {
+        let marks = self.hot_marks.lock();
+        if marks.contains(&key) || self.is_cached(key) {
+            return None;
+        }
+        Some(self.kvs_get(key))
+    }
+
+    /// Applies a cold (uncached-key) write from node `writer` to this
+    /// node's shard — this node is the key's home — at the next
+    /// home-assigned version. Bounces exactly when [`CcNode::cold_get`]
+    /// does; the check and the write share the fence lock, so a cold write
+    /// never interleaves with a hot-set fetch or landing write-backs (it
+    /// would be shadowed by the caches or clobbered by an older
+    /// write-back).
+    pub fn cold_put(&self, key: u64, value: &[u8], writer: u8) -> ColdPut {
+        let marks = self.hot_marks.lock();
+        if marks.contains(&key) || self.is_cached(key) {
+            return ColdPut::Busy;
+        }
+        let clock = self.cold_version.fetch_add(1, Ordering::Relaxed) as u32 + 1;
+        match self.kvs_put(key, value, clock, writer) {
+            Ok(()) => ColdPut::Applied(Timestamp::new(clock, NodeId(writer))),
+            Err(e) => {
+                ColdPut::Rejected(format!("write of key {key} rejected by home shard: {e:?}"))
+            }
+        }
+    }
+
+    /// Fences `key` at this home and returns the authoritative value and
+    /// version the caches are to be filled with, atomically with respect to
+    /// cold writes. Idempotent.
+    pub fn hot_mark(&self, key: u64) -> (Vec<u8>, Timestamp) {
+        let fetched = {
+            let mut marks = self.hot_marks.lock();
+            marks.insert(key);
+            self.kvs_get_versioned(key)
+        };
+        self.raise_cold_version(fetched.1.clock);
+        fetched
+    }
+
+    /// Lifts the fence on `key` (every replica dropped its copy and every
+    /// write-back landed, or an install was abandoned). A no-op for an
+    /// unfenced key.
+    pub fn hot_unmark(&self, key: u64) {
+        self.hot_marks.lock().remove(&key);
+    }
+
+    /// The cold-version counter: every later cold write at this home is
+    /// versioned above it. A supervisor polls it so a replacement process
+    /// can be started past it.
+    pub fn cold_version(&self) -> u32 {
+        self.cold_version.load(Ordering::Relaxed) as u32
+    }
+
+    /// Versions every later cold write at this home above `clock`. An
+    /// in-memory shard forgets its counter when the process dies; a
+    /// replacement starting from scratch would reuse `(clock, writer)`
+    /// pairs its predecessor assigned, making cross-crash histories
+    /// ambiguous.
+    pub fn raise_cold_version(&self, clock: u32) {
+        self.cold_version
+            .fetch_max(u64::from(clock), Ordering::Relaxed);
     }
 
     /// Whether `key` is cached (by symmetry, on every node).
@@ -839,6 +947,101 @@ mod tests {
             }
             other => panic!("dirty eviction lost the committed write: {other:?}"),
         }
+    }
+
+    /// A key homed at node 0 of a 2-node rack, and that node.
+    fn home_and_key(nodes: &[CcNode]) -> (&CcNode, u64) {
+        let key = (0..).find(|&k| nodes[0].is_home(k)).expect("some key");
+        (&nodes[0], key)
+    }
+
+    fn applied(put: ColdPut) -> Timestamp {
+        match put {
+            ColdPut::Applied(ts) => ts,
+            other => panic!("expected an applied cold write, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bounced_cold_op_changes_nothing() {
+        let nodes = rack(ConsistencyModel::Lin, 2);
+        let (home, key) = home_and_key(&nodes);
+        applied(home.cold_put(key, b"stored", 1));
+        let snapshot = |n: &CcNode| (n.cold_version(), n.kvs_get_versioned(key));
+        // Fenced: both cold ops bounce, and nothing moved.
+        let before = snapshot(home);
+        let fetched = home.hot_mark(key);
+        assert_eq!(fetched, before.1, "the mark fetches what the shard stores");
+        assert_eq!(home.cold_put(key, b"shadowed", 1), ColdPut::Busy);
+        assert_eq!(home.cold_get(key), None);
+        assert_eq!(snapshot(home), before);
+        // Cached at the home but not fenced (cache asymmetry): the same.
+        assert!(home.install_hot(key, &fetched.0, fetched.1));
+        home.hot_unmark(key);
+        assert_eq!(home.cold_put(key, b"shadowed", 1), ColdPut::Busy);
+        assert_eq!(home.cold_get(key), None);
+        assert_eq!(snapshot(home), before);
+        // Neither: the cold path is open again and moves both.
+        assert!(matches!(home.evict_hot(key), EvictHot::Clean));
+        assert_eq!(home.cold_get(key).as_deref(), Some(&b"stored"[..]));
+        let ts = applied(home.cold_put(key, b"next", 0));
+        assert_eq!(
+            snapshot(home),
+            (before.0 + 1, (b"next".to_vec(), ts)),
+            "an accepted write moves the counter and the shard"
+        );
+    }
+
+    #[test]
+    fn cold_writes_are_versioned_above_everything_churn_surfaced() {
+        let nodes = rack(ConsistencyModel::Sc, 2);
+        let (home, key) = home_and_key(&nodes);
+        // A version the counter has never seen sits in the shard (a hot
+        // epoch ended on another replica's write).
+        let hot = Timestamp::new(40, NodeId(1));
+        home.kvs_put(key, b"hot-era", hot.clock, hot.writer.0)
+            .unwrap();
+        assert_eq!(home.hot_mark(key), (b"hot-era".to_vec(), hot));
+        home.hot_unmark(key);
+        let after_mark = applied(home.cold_put(key, b"cold-1", 0));
+        assert!(
+            after_mark.clock > hot.clock,
+            "{after_mark} vs fetched {hot}"
+        );
+        assert_eq!(home.kvs_get(key), b"cold-1");
+        // A write-back far ahead of the counter, stale or not.
+        let wb = Timestamp::new(90, NodeId(1));
+        assert!(home.write_back(key, b"written-back", wb).unwrap());
+        assert!(!home
+            .write_back(key, b"stale", Timestamp::new(70, NodeId(0)))
+            .unwrap());
+        let after_wb = applied(home.cold_put(key, b"cold-2", 0));
+        assert!(after_wb.clock > wb.clock, "{after_wb} vs written back {wb}");
+        assert_eq!(home.kvs_get(key), b"cold-2");
+        // The home's own dirty eviction is a write-back too.
+        assert!(home.install_hot(key, b"cold-2", after_wb));
+        let hot_write = match home.cache_put(key, b"hot-again", 7) {
+            CachePut::Done { ts, .. } => ts,
+            other => panic!("expected immediate SC completion, got {other:?}"),
+        };
+        assert!(matches!(home.evict_hot(key), EvictHot::WrittenBack { ts } if ts == hot_write));
+        let after_evict = applied(home.cold_put(key, b"cold-3", 0));
+        assert!(after_evict.clock > hot_write.clock);
+        // The supervisor's floor.
+        home.raise_cold_version(1_000);
+        assert!(applied(home.cold_put(key, b"cold-4", 0)).clock > 1_000);
+    }
+
+    #[test]
+    fn unmarking_an_unmarked_key_is_a_no_op() {
+        let nodes = rack(ConsistencyModel::Sc, 2);
+        let (home, key) = home_and_key(&nodes);
+        let first = applied(home.cold_put(key, b"v", 0));
+        home.hot_unmark(key);
+        home.hot_unmark(key + 1);
+        assert_eq!(home.cold_version(), first.clock);
+        assert_eq!(home.kvs_get_versioned(key), (b"v".to_vec(), first));
+        assert_eq!(home.cold_get(key).as_deref(), Some(&b"v"[..]));
     }
 
     #[test]

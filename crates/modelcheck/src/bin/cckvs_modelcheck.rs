@@ -1,5 +1,5 @@
 //! `cckvs-modelcheck` — bounded deterministic model checking of the rack
-//! protocol over the simnet-backed transport.
+//! protocol over the simnet-backed fabric.
 //!
 //! ```text
 //! cckvs-modelcheck --list
@@ -8,9 +8,10 @@
 //! ```
 //!
 //! Exit status is fail-closed for CI: non-zero when any positive scenario
-//! finds a violation, when the negative scenario (`ack-then-die`, which
-//! disables the crash-safety gates) finds **no** violation, or when the
-//! total distinct-schedule count falls short of `--min-distinct`.
+//! finds a violation, when a negative scenario (`ack-then-die`, which
+//! disables the crash-safety gates; `miss-rpc-no-reissue`, which skips the
+//! in-doubt RPC reissue) finds **no** violation, or when the total
+//! distinct-schedule count falls short of `--min-distinct`.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -187,7 +188,7 @@ fn main() -> ExitCode {
                 failed = true;
                 "FAIL (negative scenario found no violation — the checker is blind)"
             } else {
-                "ok (checker caught the planted unsafe-crash hole)"
+                "ok (checker caught the planted hole)"
             }
         } else if report.violations.is_empty() {
             "ok"

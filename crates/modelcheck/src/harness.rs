@@ -1,5 +1,5 @@
 //! The rack-under-test: real [`CcNode`]s over the simnet-backed
-//! [`SimNet`] transport, with every source of nondeterminism owned by the
+//! [`SimNet`] fabric, with every source of nondeterminism owned by the
 //! schedule.
 //!
 //! One [`RackModel`] is one execution of a [`ScenarioSpec`]. All frames —
@@ -31,6 +31,21 @@
 //! `resume`s there, the tail re-ships under its original numbers, and
 //! invalidations with uncounted acks are reissued.
 //!
+//! ## The miss path
+//!
+//! Both ends are the production code ([`cckvs_net::rpc`]). A home answers
+//! `MissGet`/`MissPut`/`WriteBack` through [`serve_home_frame`] on its real
+//! `CcNode`, whose fence set and cold-version counter decide bounces and
+//! versions; hot-transition admin steps and restart fences are
+//! `hot_mark`/`hot_unmark` calls on that node. Each simulated process owns
+//! one [`RpcTable`]: it is replaced with the process, so an answer
+//! addressed to a dead generation finds no waiter, and on a peer's restart
+//! the survivors ask their `in_doubt` requests again. The only thing the
+//! harness keeps beside them is a god's-eye note of the version each
+//! request was served at — the history needs a timestamp for a cold read
+//! (`MissGetResp` carries none) and for a cold write whose origin died
+//! before the answer arrived.
+//!
 //! ## Crash gating
 //!
 //! Gated (default) crashes avoid the windows the production system is
@@ -46,10 +61,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::sync::{Arc, Mutex};
 
-use cckvs::node::{CacheGet, CachePut, CcNode, EvictHot, NodeConfig, Outgoing};
+use cckvs::node::{CacheGet, CachePut, CcNode, ColdPut, EvictHot, NodeConfig, Outgoing};
 use cckvs_net::link::{Accept, RecvHalf, SendHalf};
+use cckvs_net::rpc::{serve_home_frame, RpcTable};
 use cckvs_net::sim::{SimConnection, SimNet};
-use cckvs_net::transport::Connection;
 use cckvs_net::wire::{encode_frame_into, Frame};
 use consistency::engine::Destination;
 use consistency::history::{History, OpRecord, RecordKind};
@@ -180,47 +195,41 @@ struct InFlight {
     state: OpState,
 }
 
-/// One rack node: the real `CcNode` plus the per-process state the
-/// harness models around it (generation, fences, cold-version counter).
+/// One rack node: the process (`CcNode` + pending-RPC table, replaced
+/// together on restart) plus what the harness tracks around it.
 struct NodeSlot {
     cc: CcNode,
+    /// This process's miss-path RPCs in flight. The harness models no
+    /// timeouts, so its time is `()`.
+    rpcs: RpcTable<RpcWaiter, ()>,
     up: bool,
     gen: u64,
     session_seq: u64,
     /// Messages processed by this node — parked-op reprobe gating.
     deliveries: u64,
-    /// Hot keys homed here that this restarted process must not serve
-    /// cold (supervisor hot-fencing); cleared by [`Action::Heal`].
-    fenced: BTreeSet<u64>,
     /// Whether this node's in-memory shard holds data whose loss would be
     /// observable (executed cold writes / landed write-backs) — gated
     /// crashes refuse such nodes (ROADMAP: durable home shards).
     kvs_dirty: bool,
-    /// The home shard's cold-version counter. Survives restarts: the
-    /// harness models a perfectly-synchronised supervisor floor
-    /// (production: `VersionFloor` polling + `--cold-floor` slack).
-    cold_clock: u32,
     program: VecDeque<ProgOp>,
     current: Option<InFlight>,
 }
 
-/// What a pending miss-path RPC was for.
-enum RpcKind {
-    Get,
-    Put { value: u64 },
+/// Who a pending miss-path RPC resolves to at its origin.
+enum RpcWaiter {
+    /// The session's current operation ([`OpState::WaitingRpc`]).
+    Op,
+    /// A dirty eviction's write-back (admin script).
     WriteBack,
 }
 
-/// A pending RPC registered at its origin; removed exactly once (response
-/// accepted, retry bounce, or origin crash) — late responses for removed
-/// correlation ids are dropped, the exactly-once contract.
-struct RpcState {
-    origin: usize,
-    gen: u64,
-    kind: RpcKind,
-    /// For puts: the timestamp the home applied the write at (set at
-    /// execution, consulted if the origin dies before the response).
-    executed: Option<Timestamp>,
+/// A fresh process of node `n` in generation `gen`. Generations number
+/// their correlation ids apart, as the production generation stamp does.
+fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<RpcWaiter, ()>) {
+    (
+        CcNode::new(NodeConfig::small(spec.model, n, spec.nodes)),
+        RpcTable::new(gen * 1_000_000 + 1),
+    )
 }
 
 /// The rack under test. See the module docs for the model.
@@ -235,8 +244,10 @@ pub struct RackModel {
     recv: BTreeMap<(usize, usize), RecvHalf<Vec<u8>>>,
     /// Live flight → (from, to, link sequence).
     flight_meta: BTreeMap<u64, (usize, usize, u64)>,
-    rpc_table: BTreeMap<u64, RpcState>,
-    next_corr: u64,
+    /// `(origin, corr)` → the version the home served that request at (see
+    /// the module docs); cleared when the request resolves or its origin
+    /// dies.
+    served: BTreeMap<(usize, u64), Timestamp>,
     /// Lin commit continuations land here (pushed by `on_committed` hooks
     /// firing inline on the delivery path) and are drained after every
     /// delivery.
@@ -253,8 +264,6 @@ pub struct RackModel {
     heal_needed: bool,
     admin_cursor: usize,
     outstanding_writebacks: u32,
-    /// Keys under a hot-transition mark (cold ops bounce at their home).
-    marked: BTreeSet<u64>,
     /// Value+version snapshots taken by `MarkInstall`.
     install_snapshot: BTreeMap<u64, (Vec<u8>, Timestamp)>,
     /// Keys currently hot (installed and not yet evicted).
@@ -273,17 +282,19 @@ impl RackModel {
         assert_eq!(spec.programs.len(), spec.nodes);
         let net = SimNet::new(spec.nodes);
         let nodes: Vec<NodeSlot> = (0..spec.nodes)
-            .map(|n| NodeSlot {
-                cc: CcNode::new(NodeConfig::small(spec.model, n, spec.nodes)),
-                up: true,
-                gen: 0,
-                session_seq: 0,
-                deliveries: 0,
-                fenced: BTreeSet::new(),
-                kvs_dirty: false,
-                cold_clock: 0,
-                program: spec.programs[n].iter().copied().collect(),
-                current: None,
+            .map(|n| {
+                let (cc, rpcs) = spawn_process(&spec, n, 0);
+                NodeSlot {
+                    cc,
+                    rpcs,
+                    up: true,
+                    gen: 0,
+                    session_seq: 0,
+                    deliveries: 0,
+                    kvs_dirty: false,
+                    program: spec.programs[n].iter().copied().collect(),
+                    current: None,
+                }
             })
             .collect();
         let mut m = RackModel {
@@ -293,8 +304,7 @@ impl RackModel {
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
             flight_meta: BTreeMap::new(),
-            rpc_table: BTreeMap::new(),
-            next_corr: 1,
+            served: BTreeMap::new(),
             commits: Arc::new(Mutex::new(Vec::new())),
             history: History::new(),
             events: Vec::new(),
@@ -306,7 +316,6 @@ impl RackModel {
             heal_needed: false,
             admin_cursor: 0,
             outstanding_writebacks: 0,
-            marked: BTreeSet::new(),
             install_snapshot: BTreeMap::new(),
             hot_now: BTreeSet::new(),
             violation: None,
@@ -341,8 +350,6 @@ impl RackModel {
 
     fn open_link_pair(&mut self, a: usize, b: usize) {
         let (ca, cb) = self.net.pair(a, b);
-        ca.set_nonblocking(true).expect("sim conn");
-        cb.set_nonblocking(true).expect("sim conn");
         self.conns.insert((a, b), ca);
         self.conns.insert((b, a), cb);
         self.send.insert((a, b), SendHalf::default());
@@ -657,76 +664,49 @@ impl RackModel {
         let key = op.key();
         let home = self.home_of(key);
         if home == n {
-            if self.cold_bounced(home, key) {
-                self.park(n, op, invoked_at, "local cold op bounced");
-                return;
-            }
+            let cc = &self.nodes[n].cc;
             match op {
                 ProgOp::Get { .. } => {
-                    let (value, ts) = self.nodes[n].cc.kvs_get_versioned(key);
-                    self.log(format!("issue n{n} get k{key} cold local ts{ts}"));
-                    self.complete(n, op, invoked_at, decode_value(&value), ts);
+                    let (_, ts) = cc.kvs_get_versioned(key);
+                    match cc.cold_get(key) {
+                        Some(value) => {
+                            self.log(format!("issue n{n} get k{key} cold local ts{ts}"));
+                            self.complete(n, op, invoked_at, decode_value(&value), ts);
+                        }
+                        None => self.park(n, op, invoked_at, "local cold op bounced"),
+                    }
                 }
                 ProgOp::Put { value, .. } => {
-                    let ts = Timestamp::new(self.alloc_cold(n), NodeId(n as u8));
-                    self.nodes[n]
-                        .cc
-                        .kvs_put(key, &value.to_le_bytes(), ts.clock, n as u8)
-                        .expect("cold put fits");
-                    self.nodes[n].kvs_dirty = true;
-                    self.log(format!("issue n{n} put k{key}={value} cold local ts{ts}"));
-                    self.complete(n, op, invoked_at, value, ts);
+                    match cc.cold_put(key, &value.to_le_bytes(), n as u8) {
+                        ColdPut::Applied(ts) => {
+                            self.nodes[n].kvs_dirty = true;
+                            self.log(format!("issue n{n} put k{key}={value} cold local ts{ts}"));
+                            self.complete(n, op, invoked_at, value, ts);
+                        }
+                        ColdPut::Busy => self.park(n, op, invoked_at, "local cold op bounced"),
+                        ColdPut::Rejected(why) => panic!("cold put fits: {why}"),
+                    }
                 }
             }
         } else {
-            let corr = self.next_corr;
-            self.next_corr += 1;
-            let (inner, kind) = match op {
-                ProgOp::Get { .. } => (Frame::MissGet { key }, RpcKind::Get),
-                ProgOp::Put { value, .. } => (
-                    Frame::MissPut {
-                        key,
-                        tag: value as u32,
-                        writer: n as u8,
-                        value: value.to_le_bytes().to_vec(),
-                    },
-                    RpcKind::Put { value },
-                ),
+            let request = match op {
+                ProgOp::Get { .. } => Frame::MissGet { key },
+                ProgOp::Put { value, .. } => Frame::MissPut {
+                    key,
+                    tag: value as u32,
+                    writer: n as u8,
+                    value: value.to_le_bytes().to_vec(),
+                },
             };
-            self.rpc_table.insert(
-                corr,
-                RpcState {
-                    origin: n,
-                    gen: self.nodes[n].gen,
-                    kind,
-                    executed: None,
-                },
-            );
+            let (corr, frame) = self.nodes[n].rpcs.issue(home, request, RpcWaiter::Op, ());
             self.log(format!("issue n{n} rpc#{corr} k{key} -> home n{home}"));
-            self.send_frame(
-                n,
-                home,
-                &Frame::RpcReq {
-                    corr,
-                    inner: Box::new(inner),
-                },
-                TrafficClass::MissRequest,
-            );
+            self.send_rpc(n, home, corr, &frame);
             self.nodes[n].current = Some(InFlight {
                 op,
                 invoked_at,
                 state: OpState::WaitingRpc { corr },
             });
         }
-    }
-
-    /// Whether a cold op on `key` bounces at home `h` (`MissRetry`):
-    /// mid-transition mark, supervisor hot-fence, or hot asymmetry (the
-    /// home itself caches the key).
-    fn cold_bounced(&self, h: usize, key: u64) -> bool {
-        self.marked.contains(&key)
-            || self.nodes[h].fenced.contains(&key)
-            || self.nodes[h].cc.is_cached(key)
     }
 
     fn park(&mut self, n: usize, op: ProgOp, invoked_at: u64, why: &str) {
@@ -758,16 +738,6 @@ impl RackModel {
         self.nodes[n].current = None;
     }
 
-    fn alloc_cold(&mut self, n: usize) -> u32 {
-        self.nodes[n].cold_clock += 1;
-        self.nodes[n].cold_clock
-    }
-
-    fn bump_cold(&mut self, n: usize, clock: u32) {
-        let s = &mut self.nodes[n];
-        s.cold_clock = s.cold_clock.max(clock);
-    }
-
     // ----- frame transmission -----------------------------------------
 
     /// Ships protocol messages produced by a node: resolves destinations
@@ -796,10 +766,10 @@ impl RackModel {
 
     /// Sends one frame on the directed link `i → j`: assigns the link
     /// sequence, retains the datagram until confirmation, and — when both
-    /// ends are up — puts it in flight through the sim transport. A frame
+    /// ends are up — puts it in flight through the sim fabric. A frame
     /// sent toward a down peer stays retained only; the restart replay
     /// re-ships it.
-    fn send_frame(&mut self, i: usize, j: usize, frame: &Frame, class: TrafficClass) {
+    fn send_frame(&mut self, i: usize, j: usize, frame: &Frame, class: TrafficClass) -> u64 {
         let seq = self.send[&(i, j)].next_seq();
         let mut datagram = Vec::with_capacity(64);
         datagram.extend_from_slice(&seq.to_le_bytes());
@@ -825,7 +795,14 @@ impl RackModel {
             inflight,
             is_update,
             class,
-        });
+        })
+    }
+
+    /// Sends origin `o`'s request frame for `corr` toward `home` and tells
+    /// `o`'s table the link number it went out under.
+    fn send_rpc(&mut self, o: usize, home: usize, corr: u64, frame: &Frame) {
+        let seq = self.send_frame(o, home, frame, TrafficClass::MissRequest);
+        self.nodes[o].rpcs.packed(corr, seq);
     }
 
     fn retransmit(&mut self, i: usize, j: usize) {
@@ -901,7 +878,7 @@ impl RackModel {
     }
 
     /// Processes one in-sequence frame arriving at node `j` from node `i`.
-    fn process_frame(&mut self, _i: usize, j: usize, frame: Frame) {
+    fn process_frame(&mut self, i: usize, j: usize, frame: Frame) {
         match frame {
             Frame::Protocol { msg, bytes } => {
                 self.log(format!("n{j} <- {}", protocol_brief(&msg)));
@@ -910,14 +887,10 @@ impl RackModel {
                 self.drain_commits();
             }
             Frame::RpcReq { corr, inner } => {
-                let resp = self.serve_rpc(j, corr, *inner);
-                let Some(origin) = self.rpc_table.get(&corr).map(|e| e.origin) else {
-                    self.log(format!("n{j} rpc#{corr} served for a dead origin; dropped"));
-                    return;
-                };
+                let resp = self.serve_home(i, j, corr, *inner);
                 self.send_frame(
                     j,
-                    origin,
+                    i,
                     &Frame::RpcResp {
                         corr,
                         inner: Box::new(resp),
@@ -930,88 +903,59 @@ impl RackModel {
         }
     }
 
-    /// Serves a miss-path RPC at home node `h`, mirroring the production
-    /// `serve_rpc_frame`: cold reads/writes bounce with `MissRetry` while
-    /// the key is marked, fenced, or cached at the home; write-backs apply
-    /// versioned and push the cold counter past the written-back clock.
-    fn serve_rpc(&mut self, h: usize, corr: u64, req: Frame) -> Frame {
-        match req {
-            Frame::MissGet { key } => {
-                if self.cold_bounced(h, key) {
-                    self.log(format!("n{h} rpc#{corr} get k{key} bounced"));
-                    Frame::MissRetry
-                } else {
-                    let (value, ts) = self.nodes[h].cc.kvs_get_versioned(key);
-                    self.log(format!("n{h} rpc#{corr} get k{key} cold ts{ts}"));
-                    Frame::GetResp {
-                        cached: false,
-                        ts,
-                        value,
-                    }
-                }
-            }
-            Frame::MissPut {
-                key,
-                tag: _,
-                writer,
-                value,
-            } => {
-                if self.cold_bounced(h, key) {
-                    self.log(format!("n{h} rpc#{corr} put k{key} bounced"));
-                    Frame::MissRetry
-                } else {
-                    let ts = Timestamp::new(self.alloc_cold(h), NodeId(writer));
-                    self.nodes[h]
-                        .cc
-                        .kvs_put(key, &value, ts.clock, writer)
-                        .expect("cold put fits");
-                    self.nodes[h].kvs_dirty = true;
-                    if let Some(e) = self.rpc_table.get_mut(&corr) {
-                        e.executed = Some(ts);
-                    }
-                    self.log(format!("n{h} rpc#{corr} put k{key} cold ts{ts}"));
-                    Frame::MissPutResp { ts }
-                }
-            }
-            Frame::WriteBack { key, value, ts } => {
-                self.bump_cold(h, ts.clock);
-                let applied = self.nodes[h]
-                    .cc
-                    .write_back(key, &value, ts)
-                    .expect("write-back fits");
-                self.nodes[h].kvs_dirty = true;
-                self.log(format!(
-                    "n{h} rpc#{corr} writeback k{key} ts{ts} applied={applied}"
-                ));
-                Frame::WriteBackResp { applied }
-            }
+    /// Serves origin `o`'s miss-path request `corr` at home node `h`
+    /// through the production [`serve_home_frame`], noting what the
+    /// checker needs beside the answer: the version the request was served
+    /// at, and that the shard now holds observable data.
+    fn serve_home(&mut self, o: usize, h: usize, corr: u64, req: Frame) -> Frame {
+        let (key, what) = match &req {
+            Frame::MissGet { key } => (*key, format!("get k{key}")),
+            Frame::MissPut { key, .. } => (*key, format!("put k{key}")),
+            Frame::WriteBack { key, ts, .. } => (*key, format!("writeback k{key} ts{ts}")),
             other => {
                 self.fail(format!("unexpected rpc request {other:?}"));
-                Frame::MissRetry
+                return Frame::MissRetry;
             }
+        };
+        let home = &self.nodes[h].cc;
+        let (_, stored) = home.kvs_get_versioned(key);
+        let resp = serve_home_frame(home, req).expect("a home-shard frame");
+        match &resp {
+            Frame::MissRetry => self.log(format!("n{h} rpc#{corr} from n{o} {what} bounced")),
+            Frame::MissGetResp { .. } => {
+                self.served.insert((o, corr), stored);
+                self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{stored}"));
+            }
+            Frame::MissPutResp { ts } => {
+                self.nodes[h].kvs_dirty = true;
+                self.served.insert((o, corr), *ts);
+                self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{ts}"));
+            }
+            Frame::WriteBackResp { applied } => {
+                self.nodes[h].kvs_dirty = true;
+                self.log(format!(
+                    "n{h} rpc#{corr} from n{o} {what} applied={applied}"
+                ));
+            }
+            other => self.fail(format!("home n{h} answered rpc#{corr} with {other:?}")),
         }
+        resp
     }
 
-    /// Resolves an RPC response arriving back at origin node `o`. Unknown
-    /// or stale correlation ids are dropped — the exactly-once contract
-    /// for responses re-served across a restart replay.
+    /// Resolves an RPC response arriving back at origin node `o`. An id
+    /// the process's table does not hold — a duplicate, or an answer to a
+    /// dead generation — is dropped.
     fn resolve_rpc(&mut self, o: usize, corr: u64, resp: Frame) {
-        let Some(entry) = self.rpc_table.get(&corr) else {
+        let Some(waiter) = self.nodes[o].rpcs.resolve(corr) else {
             self.log(format!(
                 "n{o} rpc#{corr} response without a waiter; dropped"
             ));
             return;
         };
-        if entry.origin != o || entry.gen != self.nodes[o].gen {
-            self.log(format!(
-                "n{o} rpc#{corr} stale-generation response; dropped"
-            ));
-            return;
-        }
-        if matches!(entry.kind, RpcKind::WriteBack) {
+        let served = self.served.remove(&(o, corr));
+        if matches!(waiter, RpcWaiter::WriteBack) {
             match resp {
                 Frame::WriteBackResp { .. } => {
-                    self.rpc_table.remove(&corr);
                     self.outstanding_writebacks -= 1;
                     self.log(format!("n{o} rpc#{corr} writeback resolved"));
                 }
@@ -1019,7 +963,6 @@ impl RackModel {
             }
             return;
         }
-        let entry = self.rpc_table.remove(&corr).expect("entry present");
         let cur = self.nodes[o].current.take();
         let Some(InFlight {
             op,
@@ -1038,20 +981,20 @@ impl RackModel {
             ));
             return;
         }
-        match (entry.kind, resp) {
-            (_, Frame::MissRetry) => {
+        match (op, resp, served) {
+            (_, Frame::MissRetry, _) => {
                 self.log(format!("n{o} rpc#{corr} bounced; parking for retry"));
                 self.park(o, op, invoked_at, "miss rpc bounced");
             }
-            (RpcKind::Get, Frame::GetResp { ts, value, .. }) => {
+            (ProgOp::Get { .. }, Frame::MissGetResp { value }, Some(ts)) => {
                 self.log(format!("n{o} rpc#{corr} get resolved ts{ts}"));
                 self.complete(o, op, invoked_at, decode_value(&value), ts);
             }
-            (RpcKind::Put { value }, Frame::MissPutResp { ts }) => {
+            (ProgOp::Put { value, .. }, Frame::MissPutResp { ts }, _) => {
                 self.log(format!("n{o} rpc#{corr} put resolved ts{ts}"));
                 self.complete(o, op, invoked_at, value, ts);
             }
-            (_, other) => self.fail(format!("rpc#{corr} got mismatched response {other:?}")),
+            (_, other, _) => self.fail(format!("rpc#{corr} got mismatched response {other:?}")),
         }
     }
 
@@ -1111,25 +1054,21 @@ impl RackModel {
                 self.dec_inflight(i, j, seq);
             }
         }
-        // The dead process's pending RPCs: an executed put happened (the
-        // home applied it) even though no response will ever arrive —
-        // record it so the history owns every observable write. Unexecuted
-        // requests died with the process; the op retries after restart.
+        // The dead process's pending RPC (its table goes with it at the
+        // restart): an executed put happened (the home applied it) even
+        // though no response will ever arrive — record it so the history
+        // owns every observable write. Unexecuted requests died with the
+        // process; the op retries after restart.
         let cur = self.nodes[n].current.take();
         match cur {
             Some(InFlight {
                 op,
                 invoked_at,
                 state: OpState::WaitingRpc { corr },
-            }) => match self.rpc_table.remove(&corr) {
-                Some(RpcState {
-                    kind: RpcKind::Put { value },
-                    executed: Some(ts),
-                    ..
-                }) => {
+            }) => match (op, self.served.remove(&(n, corr))) {
+                (ProgOp::Put { value, .. }, Some(ts)) => {
                     self.log(format!("crash orphaned executed rpc#{corr}; recording put"));
                     self.complete(n, op, invoked_at, value, ts);
-                    self.nodes[n].current = None;
                 }
                 _ => {
                     self.log(format!("crash voided rpc#{corr}; op will retry"));
@@ -1153,26 +1092,31 @@ impl RackModel {
         }
     }
 
-    /// Restarts a crashed node: a fresh `CcNode` (empty cache, empty
-    /// in-memory shard) in a new generation, supervisor hot-fences on keys
-    /// it homes, fresh links outward, and — per survivor — the retained
-    /// replay (receiver resumes at the survivor's confirmed sequence) plus
-    /// reissued invalidations for acks the survivor never counted.
+    /// Restarts a crashed node: a fresh process (empty cache, empty
+    /// in-memory shard, empty RPC table) in a new generation, started the
+    /// way the supervisor starts one — cold-version counter raised to the
+    /// dead process's (a perfectly current `VersionFloor` poll; production
+    /// adds `--cold-floor` slack instead) and the hot keys it homes fenced
+    /// until [`Action::Heal`] — then fresh links outward, and — per
+    /// survivor — the retained replay (receiver resumes at the survivor's
+    /// confirmed sequence), reissued invalidations for acks the survivor
+    /// never counted, and the survivor's in-doubt miss RPCs asked again.
     fn restart(&mut self, n: usize) {
-        let spec_model = self.spec.model;
         let nodes = self.spec.nodes;
-        self.nodes[n].gen += 1;
-        self.nodes[n].up = true;
-        self.nodes[n].kvs_dirty = false;
-        self.nodes[n].cc = CcNode::new(NodeConfig::small(spec_model, n, nodes));
-        self.nodes[n].deliveries += 1;
-        let fences: BTreeSet<u64> = self
-            .hot_now
-            .iter()
-            .copied()
-            .filter(|k| self.home_of(*k) == n)
-            .collect();
-        self.nodes[n].fenced = fences;
+        let slot = &mut self.nodes[n];
+        slot.gen += 1;
+        let (cc, rpcs) = spawn_process(&self.spec, n, slot.gen);
+        cc.raise_cold_version(slot.cc.cold_version());
+        for &key in &self.hot_now {
+            if cc.is_home(key) {
+                cc.hot_mark(key);
+            }
+        }
+        slot.cc = cc;
+        slot.rpcs = rpcs;
+        slot.up = true;
+        slot.kvs_dirty = false;
+        slot.deliveries += 1;
         self.heal_needed = true;
         self.world_version += 1;
         self.log(format!("restart n{n} gen{}", self.nodes[n].gen));
@@ -1182,8 +1126,6 @@ impl RackModel {
             }
             // Fresh connection pair; the old halves (severed) drop here.
             let (cn, cj) = self.net.pair(n, j);
-            cn.set_nonblocking(true).expect("sim conn");
-            cj.set_nonblocking(true).expect("sim conn");
             self.conns.insert((n, j), cn);
             self.conns.insert((j, n), cj);
             // Outbound links of the new process start a fresh numbering.
@@ -1220,6 +1162,14 @@ impl RackModel {
                 self.log(format!("reissue n{j} -> n{n} x{}", reissued.len()));
                 self.ship(j, reissued);
             }
+            // Requests the dead process confirmed and never answered: the
+            // replay above cannot carry them (confirmation trimmed them).
+            if !self.spec.skip_rpc_reissue {
+                for (corr, frame) in self.nodes[j].rpcs.in_doubt(n, confirmed) {
+                    self.log(format!("in-doubt n{j} rpc#{corr} -> home n{n}"));
+                    self.send_rpc(j, n, corr, &frame);
+                }
+            }
         }
     }
 
@@ -1243,10 +1193,7 @@ impl RackModel {
                         return;
                     }
                     Some(EvictHot::NotCached) | Some(EvictHot::Clean) => {}
-                    Some(EvictHot::WrittenBack { ts }) => {
-                        self.bump_cold(i, ts.clock);
-                        self.nodes[i].kvs_dirty = true;
-                    }
+                    Some(EvictHot::WrittenBack { .. }) => self.nodes[i].kvs_dirty = true,
                     Some(EvictHot::WriteBackRemote { value, ts }) => {
                         if best.as_ref().is_none_or(|(_, b)| ts.is_newer_than(*b)) {
                             best = Some((value, ts));
@@ -1255,7 +1202,6 @@ impl RackModel {
                 }
             }
             if let Some((value, ts)) = best {
-                self.bump_cold(home, ts.clock);
                 self.nodes[home]
                     .cc
                     .write_back(key, &value, ts)
@@ -1269,9 +1215,7 @@ impl RackModel {
                     "heal reinstall fits"
                 );
             }
-        }
-        for s in &mut self.nodes {
-            s.fenced.clear();
+            self.nodes[home].cc.hot_unmark(key);
         }
         self.heal_needed = false;
         self.world_version += 1;
@@ -1286,14 +1230,11 @@ impl RackModel {
         self.admin_cursor += 1;
         match step {
             AdminStep::MarkEvict { key } => {
-                self.marked.insert(key);
+                self.nodes[self.home_of(key)].cc.hot_mark(key);
                 self.log(format!("admin mark-evict k{key}"));
             }
             AdminStep::MarkInstall { key } => {
-                let home = self.home_of(key);
-                self.marked.insert(key);
-                let (value, ts) = self.nodes[home].cc.kvs_get_versioned(key);
-                self.bump_cold(home, ts.clock);
+                let (value, ts) = self.nodes[self.home_of(key)].cc.hot_mark(key);
                 self.log(format!("admin mark-install k{key} snapshot ts{ts}"));
                 self.install_snapshot.insert(key, (value, ts));
             }
@@ -1309,41 +1250,27 @@ impl RackModel {
                         self.log(format!("admin evict n{node} k{key} clean"));
                     }
                     Some(EvictHot::WrittenBack { ts }) => {
-                        self.bump_cold(node, ts.clock);
                         self.nodes[node].kvs_dirty = true;
                         self.log(format!("admin evict n{node} k{key} wrote back ts{ts}"));
                     }
                     Some(EvictHot::WriteBackRemote { value, ts }) => {
                         let home = self.home_of(key);
-                        let corr = self.next_corr;
-                        self.next_corr += 1;
-                        self.rpc_table.insert(
-                            corr,
-                            RpcState {
-                                origin: node,
-                                gen: self.nodes[node].gen,
-                                kind: RpcKind::WriteBack,
-                                executed: None,
-                            },
+                        let (corr, frame) = self.nodes[node].rpcs.issue(
+                            home,
+                            Frame::WriteBack { key, value, ts },
+                            RpcWaiter::WriteBack,
+                            (),
                         );
                         self.outstanding_writebacks += 1;
                         self.log(format!(
                             "admin evict n{node} k{key} dirty ts{ts}; writeback rpc#{corr}"
                         ));
-                        self.send_frame(
-                            node,
-                            home,
-                            &Frame::RpcReq {
-                                corr,
-                                inner: Box::new(Frame::WriteBack { key, value, ts }),
-                            },
-                            TrafficClass::MissRequest,
-                        );
+                        self.send_rpc(node, home, corr, &frame);
                     }
                 }
             }
             AdminStep::UnmarkEvict { key } => {
-                self.marked.remove(&key);
+                self.nodes[self.home_of(key)].cc.hot_unmark(key);
                 self.hot_now.remove(&key);
                 self.world_version += 1;
                 self.log(format!("admin unmark-evict k{key}; key is cold"));
@@ -1361,7 +1288,7 @@ impl RackModel {
                 self.log(format!("admin activate n{node} k{key}"));
             }
             AdminStep::UnmarkInstall { key } => {
-                self.marked.remove(&key);
+                self.nodes[self.home_of(key)].cc.hot_unmark(key);
                 self.hot_now.insert(key);
                 self.world_version += 1;
                 self.log(format!("admin unmark-install k{key}; key is hot"));

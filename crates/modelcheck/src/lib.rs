@@ -1,10 +1,11 @@
 //! Deterministic protocol model checking for the scale-out ccNUMA rack.
 //!
 //! This crate drives **real** [`cckvs::node::CcNode`] instances — the same
-//! per-key SC/Lin coherence engine, symmetric cache, and home-shard logic
-//! the production server runs — over the deterministic in-process
-//! [`cckvs_net::sim`] transport, and hands every source of nondeterminism
-//! to a seeded scheduler:
+//! per-key SC/Lin coherence engine, symmetric cache, and home-shard rules
+//! the production server runs — plus the production reliable link
+//! ([`cckvs_net::link`]) and miss-path RPC table ([`cckvs_net::rpc`]) over
+//! the deterministic in-process [`cckvs_net::sim`] fabric, and hands every
+//! source of nondeterminism to a seeded scheduler:
 //!
 //! * which in-flight datagram (invalidation, ack, update broadcast, miss
 //!   RPC, write-back) is delivered next, dropped, or duplicated;
@@ -36,15 +37,15 @@
 //!   happens *under* that layer (the scheduler delivers flights in any
 //!   order, drops and duplicates them) — exactly the adversary the link
 //!   exists to tame.
-//! * **Versioned cold reads.** Miss-path GETs return the home shard's
-//!   `(value, version)` rather than the production unversioned fast-path
-//!   read. This is *stronger* instrumentation (the checker can attribute
-//!   every read), not weaker semantics.
-//! * **Supervisor floor assumed current.** A restarted home resumes its
-//!   cold-version counter from the harness's preserved floor, modeling a
-//!   perfectly synchronised supervisor `VersionFloor`. Production bounds
-//!   the gap with `--cold-floor` slack; schedules that would need a stale
-//!   floor to misbehave are out of this model's scope.
+//! * **Versioned cold reads.** A home answers a miss-path GET exactly as
+//!   in production (`MissGetResp`, value only); the harness notes the
+//!   shard version it was served at on the side, so the checker can
+//!   attribute every read. *Stronger* instrumentation, same semantics.
+//! * **Supervisor floor assumed current.** A restarted home's cold-version
+//!   counter is raised to its dead predecessor's, modeling a perfectly
+//!   synchronised supervisor `VersionFloor`. Production bounds the gap
+//!   with `--cold-floor` slack; schedules that would need a stale floor to
+//!   misbehave are out of this model's scope.
 //! * **Atomic heal.** Post-restart cache recovery (evict, write back the
 //!   newest dirty copy, reinstall everywhere) runs as one step — the
 //!   epoch coordinator's job. Step-wise transition interleavings are
@@ -57,6 +58,9 @@
 //!   not while a committed update sits undelivered in the dead node's
 //!   links. The `ack-then-die` scenario disables the gates and *expects*
 //!   the checker to object — keeping the exclusions honest.
+//! * **No RPC timeouts.** A miss-path RPC never expires; one that can
+//!   never be answered surfaces as a deadlock at the drain, which is what
+//!   the `miss-rpc-no-reissue` negative scenario is flagged by.
 //!
 //! # Entry points
 //!

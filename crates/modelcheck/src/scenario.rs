@@ -125,6 +125,11 @@ pub struct ScenarioSpec {
     /// cache, in-memory cold data). Used by the negative scenario to prove
     /// the checker detects the resulting violations.
     pub unsafe_crashes: bool,
+    /// Skips the survivors' in-doubt miss-RPC reissue on a peer's restart
+    /// (see `harness::RackModel::restart`). Test-only, like
+    /// `unsafe_crashes`: the negative twin of `miss-rpc-crash` sets it to
+    /// prove the checker sees the op that never completes.
+    pub skip_rpc_reissue: bool,
     /// Whether the scenario is *expected* to produce violations (negative
     /// scenarios assert the checker's discrimination; the CI gate inverts
     /// for them).
@@ -149,7 +154,9 @@ pub fn all() -> Vec<ScenarioSpec> {
         hot_transition_bounce(),
         crash_mid_commit(),
         udp_drop_dup_reorder(),
+        miss_rpc_crash(),
         ack_then_die(),
+        miss_rpc_no_reissue(),
     ]
 }
 
@@ -179,6 +186,7 @@ pub fn lin_commit() -> ScenarioSpec {
         dup_budget: 0,
         crash_budget: 0,
         unsafe_crashes: false,
+        skip_rpc_reissue: false,
         expect_violation: false,
     }
 }
@@ -210,6 +218,7 @@ pub fn dirty_evict_writeback() -> ScenarioSpec {
         dup_budget: 0,
         crash_budget: 0,
         unsafe_crashes: false,
+        skip_rpc_reissue: false,
         expect_violation: false,
     }
 }
@@ -241,6 +250,7 @@ pub fn hot_transition_bounce() -> ScenarioSpec {
         dup_budget: 0,
         crash_budget: 0,
         unsafe_crashes: false,
+        skip_rpc_reissue: false,
         expect_violation: false,
     }
 }
@@ -268,6 +278,7 @@ pub fn crash_mid_commit() -> ScenarioSpec {
         dup_budget: 0,
         crash_budget: 1,
         unsafe_crashes: false,
+        skip_rpc_reissue: false,
         expect_violation: false,
     }
 }
@@ -302,6 +313,7 @@ pub fn udp_drop_dup_reorder() -> ScenarioSpec {
         dup_budget: 1,
         crash_budget: 0,
         unsafe_crashes: false,
+        skip_rpc_reissue: false,
         expect_violation: false,
     }
 }
@@ -351,7 +363,55 @@ pub fn ack_then_die() -> ScenarioSpec {
         dup_budget: 0,
         crash_budget: 1,
         unsafe_crashes: true,
+        skip_rpc_reissue: false,
         expect_violation: true,
+    }
+}
+
+/// Every node reads cold keys homed at the other two, and one node
+/// crashes. Nothing is ever written, so every crash is survivable and no
+/// crash gate applies; the window of interest is a home that confirmed a
+/// `MissGet` on the link and died before its `RpcResp` was delivered. The
+/// link's replay cannot repair that (the confirmation trimmed the request
+/// from the retained tail): the origin's op completes only because its
+/// RPC table names the request in doubt and asks the replacement again.
+pub fn miss_rpc_crash() -> ScenarioSpec {
+    let keys: Vec<u64> = (0..3).map(|home| key_homed_at(3, home, 1300)).collect();
+    let reads = |a: usize, b: usize| {
+        vec![
+            ProgOp::Get { key: keys[a] },
+            ProgOp::Get { key: keys[b] },
+            ProgOp::Get { key: keys[a] },
+        ]
+    };
+    ScenarioSpec {
+        name: "miss-rpc-crash",
+        about: "home dies owing a confirmed MissGet its answer; in-doubt reissue must complete it",
+        model: ConsistencyModel::Lin,
+        nodes: 3,
+        hot_keys: vec![],
+        programs: vec![reads(1, 2), reads(2, 0), reads(0, 1)],
+        admin_script: vec![],
+        drop_budget: 0,
+        dup_budget: 0,
+        crash_budget: 1,
+        unsafe_crashes: false,
+        skip_rpc_reissue: false,
+        expect_violation: false,
+    }
+}
+
+/// Negative twin of [`miss_rpc_crash`]: the same rack with the in-doubt
+/// reissue skipped. Some schedule must strand an op forever (reported as a
+/// deadlock) — a clean pass would mean the positive scenario never reaches
+/// the window it is named for.
+pub fn miss_rpc_no_reissue() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "miss-rpc-no-reissue",
+        about: "in-doubt reissue skipped (negative): the checker must catch the stranded op",
+        skip_rpc_reissue: true,
+        expect_violation: true,
+        ..miss_rpc_crash()
     }
 }
 

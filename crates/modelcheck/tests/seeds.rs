@@ -7,6 +7,16 @@
 //! means the protocol, the harness, or the seeded scheduler changed
 //! behaviour on a schedule that was explicitly vetted — all three are
 //! regressions worth a human look.
+//!
+//! Re-vetted when the harness started driving the production miss path
+//! (`cckvs_net::rpc`): the two oldest seeds replay to the event logs they
+//! were pinned with except that (a) correlation ids are now numbered per
+//! origin process — the restarted node of `crash-mid-commit:…03` issues
+//! `rpc#1000001`, its generation's first, where the harness-global counter
+//! said `rpc#1` — and (b) a home's serve line names the origin
+//! (`n1 rpc#1 from n0 put k950 …`), because an id alone no longer does.
+//! All 1 200 schedules of the CI exploration were compared line by line
+//! against the previous harness and differ in nothing else.
 
 use cckvs_modelcheck::explore::{explore, replay};
 use cckvs_modelcheck::scenario::by_name;
@@ -52,6 +62,52 @@ fn udp_drop_dup_reorder_seed_replays_clean() {
     assert!(has("hold "), "a datagram arrives out of order and is held");
     assert!(has("dedup "), "a duplicate sequence is suppressed");
     assert!(has("retransmit "), "loss is repaired by retransmission");
+}
+
+/// The window `miss-rpc-crash` is named for: n1 serves n0's `MissGet`,
+/// dies with the answer undelivered, the link confirms the request, and
+/// the replacement process is asked again because n0's RPC table names the
+/// request in doubt — the link's replay alone would never carry it.
+#[test]
+fn miss_rpc_crash_seed_completes_via_in_doubt_reissue() {
+    let outcome = replay_seed("miss-rpc-crash:0000000000000014");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    let at = |m: &str| {
+        let found = outcome.events.iter().position(|e| e.starts_with(m));
+        found.unwrap_or_else(|| panic!("no {m:?} in {:#?}", outcome.events))
+    };
+    let served = at("n1 rpc#1 from n0 get");
+    let crash = at("crash n1");
+    let restart = at("restart n1");
+    let asked_again = at("in-doubt n0 rpc#1 -> home n1");
+    let resolved = at("n0 rpc#1 get resolved");
+    assert!(
+        served < crash && crash < restart,
+        "the home dies owing an answer"
+    );
+    assert!(restart < asked_again && asked_again < resolved);
+}
+
+/// The same schedule with the reissue skipped strands n0's read forever:
+/// the checker must say so, or the green run above proves nothing.
+#[test]
+fn skipped_in_doubt_reissue_seed_is_flagged() {
+    let spec = by_name("miss-rpc-no-reissue").expect("scenario exists");
+    assert!(spec.expect_violation && spec.skip_rpc_reissue);
+    let outcome = replay_seed("miss-rpc-no-reissue:0000000000000014");
+    let why = outcome.violation.expect("the stranded op is a violation");
+    assert!(
+        why.contains("deadlock") && why.contains("n0") && why.contains("awaiting rpc"),
+        "flagged as n0's op that never completes, got: {why}"
+    );
+    assert!(!outcome.events.iter().any(|e| e.starts_with("in-doubt ")));
+    // And exploration finds the window unaided (what CI's `--scenario all`
+    // relies on).
+    let report = explore(&spec, 1, 60, 400);
+    assert!(
+        !report.violations.is_empty(),
+        "60 schedules never stranded an op — the scenario misses its window"
+    );
 }
 
 /// The committed seeds pin exact event logs; this pins the broader

@@ -998,35 +998,33 @@ pub fn install_hot_set_versioned_via(
     // some nodes but not others would leave Lin writes waiting forever for
     // acks the missing replica never sends.
     for (key, value, ts) in entries {
-        for (node, conn) in conns.iter_mut().enumerate() {
-            let installed = match conn.call(&Frame::InstallHot {
+        for node in 0..conns.len() {
+            let failure = match conns[node].call(&Frame::InstallHot {
                 key: *key,
                 value: value.clone(),
                 ts: *ts,
                 warm: false,
             }) {
-                Ok(Frame::InstallHotResp { ok }) => ok,
-                Ok(other) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected response {other:?}"),
-                    ))
-                }
-                Err(e) => return Err(e),
-            };
-            if !installed {
-                // Roll the key back off the nodes that already took it.
-                for rollback in conns.iter_mut().take(node) {
-                    let _ = rollback.call(&Frame::Evict { key: *key });
-                }
-                return Err(io::Error::new(
+                Ok(Frame::InstallHotResp { ok: true }) => continue,
+                Ok(Frame::InstallHotResp { ok: false }) => io::Error::new(
                     io::ErrorKind::OutOfMemory,
                     format!(
                         "cache or home shard full installing key {key} on node {node} \
                          (rolled back; earlier keys remain installed symmetrically)"
                     ),
-                ));
+                ),
+                Ok(other) => io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected response {other:?}"),
+                ),
+                Err(e) => e,
+            };
+            // Whatever went wrong — full cache, dead node, protocol error —
+            // roll the key back off the nodes that already took it.
+            for rollback in conns.iter_mut().take(node) {
+                let _ = rollback.call(&Frame::Evict { key: *key });
             }
+            return Err(failure);
         }
     }
     Ok(())

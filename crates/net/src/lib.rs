@@ -3,7 +3,7 @@
 //! The rest of the workspace proves the paper's protocols correct inside
 //! one process (functional cluster, simulator, model checker). This crate
 //! runs the same node logic — the transport-agnostic [`cckvs::node::CcNode`]
-//! — behind real TCP endpoints on loopback or a LAN:
+//! — behind TCP or UDP endpoints on loopback or a LAN:
 //!
 //! * [`wire`] — the compact length-prefixed binary wire protocol: client
 //!   GET/PUT, the consistency-protocol messages (SC update broadcasts, Lin
@@ -11,12 +11,16 @@
 //!   RPCs.
 //! * [`server`] — [`server::NodeServer`]: one ccKVS node behind a socket,
 //!   served by an epoll reactor (`crates/reactor`): per-connection state
-//!   machines on a few shard threads, a bounded worker pool for blocking
-//!   handlers, credit-gated peer links driven by readiness events — and
-//!   crash-recovering: peer links retain traffic until cumulative credit
+//!   machines on a few shard threads, requests that must wait suspended as
+//!   continuations, credit-gated peer links driven by readiness events —
+//!   and crash-recovering: peer links retain traffic until cumulative credit
 //!   confirmations, redial dead peers with backoff, replay exactly the
 //!   unprocessed tail, and reissue invalidations a restarted peer's dead
 //!   predecessor never acknowledged.
+//! * [`link`] and [`rpc`] — the sans-IO cores the server, the UDP
+//!   transport and the model checker all drive: the reliable link, the
+//!   home shard's answers to miss-path frames, and the requester's
+//!   pending-RPC table.
 //! * [`rack`] — [`rack::Rack`]: boots an N-node deployment, wires the peer
 //!   mesh and installs the coordinator's hot set over the wire.
 //! * [`client`] — [`client::Client`]: a load-balancing client session that
@@ -53,6 +57,7 @@ pub mod client;
 pub mod link;
 pub mod metrics;
 pub mod rack;
+pub mod rpc;
 pub mod server;
 pub mod sim;
 pub mod transport;
@@ -68,8 +73,9 @@ pub use metrics::{
     ShardedHistogram,
 };
 pub use rack::{Rack, RackConfig, COORDINATOR_NODE};
+pub use rpc::{serve_home_frame, RpcTable};
 pub use server::{FlowConfig, NodeServer, NodeServerConfig, ReactorConfig, ShutdownHandle};
-pub use sim::{FlightInfo, SimConnection, SimListener, SimNet, SimTransport};
+pub use sim::{FlightInfo, SimConnection, SimNet};
 pub use transport::{
     FaultPlan, TcpTransport, Transport, TransportConfig, TransportKind, UdpTransport,
 };

@@ -286,15 +286,15 @@ pub struct MetricsSnapshot {
     pub batch_ops_p50: u64,
     /// 99th-percentile batch size in ops.
     pub batch_ops_p99: u64,
-    /// Connections accepted over the node's lifetime (client, peer and
-    /// rpc links alike).
+    /// Connections accepted over the node's lifetime (client sessions and
+    /// peer links alike).
     pub conns_accepted: u64,
     /// Connections currently registered with the reactor.
     pub conns_open: u64,
     /// Reactor shard threads serving this node.
     pub reactor_shards: u64,
-    /// Client GETs answered inline on a reactor shard (cache hit without a
-    /// worker-pool hop).
+    /// Client GETs answered inline on a reactor shard (cache hit, no
+    /// suspension).
     pub inline_gets: u64,
     /// Times a peer writer exhausted its credit window and had to wait for
     /// returns before sending.

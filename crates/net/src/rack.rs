@@ -1,12 +1,10 @@
 //! Rack launcher: boots an N-node networked ccKVS deployment.
 //!
-//! [`Rack::launch`] starts every node as a real TCP endpoint (one
+//! [`Rack::launch`] starts every node as a real TCP or UDP endpoint (one
 //! [`crate::server::NodeServer`] each, threads within this process), wires
 //! the full peer mesh, and installs the coordinator's hot set over the
-//! wire — the same admin frames a multi-process deployment driven by the
-//! `cckvs-node` binary uses. Per-process deployment is the recorded
-//! follow-on; the wire protocol already carries everything those processes
-//! need.
+//! wire — the same admin frames a multi-process deployment of `cckvs-node`
+//! binaries under the `cckvs-orchestrate` supervisor uses.
 
 use crate::client::{flip_epoch_via, install_hot_set_via, EpochFlip};
 use crate::server::{FlowConfig, NodeServer, NodeServerConfig, ReactorConfig};

@@ -70,9 +70,10 @@
 use crate::client::Conn;
 use crate::link::SendHalf;
 use crate::metrics::{Metrics, MetricsServer};
+use crate::rpc::{serve_home_frame, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{write_frame, BatchBuilder, Frame, FrameDecoder};
-use cckvs::node::{CachePut, CcNode, EvictHot, NodeConfig, Outgoing};
+use cckvs::node::{CachePut, CcNode, ColdPut, EvictHot, NodeConfig, Outgoing};
 use cckvs_trace::{Event as TraceEvent, EventKind, TraceSink, NO_PEER, SHARED_LANE};
 use consistency::engine::Destination;
 use consistency::lamport::{NodeId, Timestamp};
@@ -419,27 +420,6 @@ enum AdminJob {
     Stop,
 }
 
-/// One entry of the pending correlated-RPC table: a miss-path request in
-/// flight toward `peer`, awaiting its [`Frame::RpcResp`].
-struct RpcPending {
-    peer: usize,
-    /// The inner request frame, retained so a restarted peer that
-    /// confirmed processing the request (but never answered) can be asked
-    /// again under the same correlation id.
-    request: Frame,
-    waiter: RpcWaiter,
-    /// The peer-link item number ([`crate::link`]) the request was packed
-    /// at (`None` until the pump packs it, and again after a restart
-    /// reissue). Used on peer restart to tell "still in the replay tail"
-    /// (replays automatically) from "confirmed processed by the dead
-    /// process" (must be reissued — the confirmation trimmed it from the
-    /// tail).
-    seq: Option<u64>,
-    /// Transport deadline: past this the RPC fails with a timeout (the
-    /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]).
-    deadline: Instant,
-}
-
 /// Who is waiting for a correlated RPC response.
 enum RpcWaiter {
     /// A suspended client connection: resume it on its owning shard.
@@ -481,16 +461,6 @@ struct Churn {
     applied_epoch: AtomicU64,
     /// Feeds the applier thread when an epoch closes on the serving path.
     flip_tx: Sender<FlipJob>,
-}
-
-/// Outcome of applying a cold (uncached-key) write at the home shard.
-enum ColdPut {
-    /// Applied, versioned as `ts`.
-    Applied(Timestamp),
-    /// The key is mid-transition into or out of the hot set; retry.
-    Busy,
-    /// The shard rejected the write.
-    Rejected(String),
 }
 
 /// One flow-controlled item queued toward a peer. Protocol messages carry
@@ -811,21 +781,6 @@ struct ServerInner {
     stopped: Mutex<bool>,
     stopped_cv: Condvar,
     tags: AtomicU64,
-    /// Versions assigned to miss-path (cold-key) writes applied to this
-    /// node's KVS shard. The home shard is the single serialisation point
-    /// for uncached keys, so ordering cold writes by *its* counter (rather
-    /// than the sender's, whose counters advance independently) makes
-    /// arrival order the write order — no update is silently discarded.
-    /// Hot-set churn bumps the counter past every version it installs or
-    /// writes back, so a cold write after an eviction always supersedes
-    /// the written-back value.
-    cold_versions: AtomicU64,
-    /// Keys homed at this shard that are currently in (or transitioning
-    /// into/out of) the hot set. While marked, cold writes bounce with
-    /// `MissRetry`: the hot-set transition protocol fetches the value,
-    /// fills every cache, and only then re-opens (or closes) the cold
-    /// path — no write can land in the gap and be shadowed by the caches.
-    hot_marks: Mutex<HashSet<u64>>,
     /// Epoch-coordinator role, when this node carries it.
     churn: Option<Churn>,
     /// This process's generation: stamps peer-link handshakes and
@@ -848,14 +803,14 @@ struct ServerInner {
     credit_doorbell: Vec<AtomicU64>,
     /// Peer listen addresses (redials and the coordinator's admin conns).
     peer_addrs: Mutex<Vec<SocketAddr>>,
-    /// Pending correlated miss-path RPCs, keyed by correlation id. An
-    /// arriving [`Frame::RpcResp`] removes its entry and resumes the
-    /// waiter; a response whose id is absent (duplicate after a restart
-    /// reissue, or a late answer after the deadline sweep gave up) is
-    /// dropped — which is what makes RPC resolution exactly-once.
-    rpc_pending: Mutex<HashMap<u64, RpcPending>>,
-    /// Correlation id source (monotone, never reused).
-    rpc_corr: AtomicU64,
+    /// Pending correlated miss-path RPCs ([`crate::rpc`]). An arriving
+    /// [`Frame::RpcResp`] takes its entry out and resumes the waiter; a
+    /// response whose id is absent (duplicate after a restart reissue, a
+    /// late answer after the deadline sweep gave up, an answer addressed
+    /// to this node's dead predecessor) is dropped. Deadlines are
+    /// transport deadlines: past one the RPC fails with a timeout (the
+    /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]).
+    rpcs: Mutex<RpcTable<RpcWaiter>>,
     /// Batching / flow-control knobs.
     flow: FlowConfig,
     /// Event-loop topology.
@@ -1028,19 +983,26 @@ impl ServerInner {
         true
     }
 
-    /// Removes the pending-RPC entry `corr` and hands `result` to its
-    /// waiter. A missing entry means the RPC already resolved (or timed
-    /// out): late and duplicate responses are dropped here, which is the
-    /// exactly-once guarantee.
+    /// Runs `f` on the pending-RPC table and refreshes its gauge.
+    fn with_rpcs<R>(&self, f: impl FnOnce(&mut RpcTable<RpcWaiter>) -> R) -> R {
+        let mut table = self.rpcs.lock();
+        let out = f(&mut table);
+        self.metrics.set_pending_rpcs(table.len() as u64);
+        out
+    }
+
+    /// Takes `corr` out of the pending-RPC table and hands `result` to its
+    /// waiter; late and duplicate responses find nothing and are dropped.
     fn resolve_rpc(&self, corr: u64, result: io::Result<Frame>) {
-        let entry = {
-            let mut table = self.rpc_pending.lock();
-            let entry = table.remove(&corr);
-            self.metrics.set_pending_rpcs(table.len() as u64);
-            entry
-        };
-        let Some(entry) = entry else { return };
-        match entry.waiter {
+        if let Some(waiter) = self.with_rpcs(|table| table.resolve(corr)) {
+            self.wake_rpc(corr, waiter, result);
+        }
+    }
+
+    /// Hands the outcome of RPC `corr`, already out of the table, to its
+    /// waiter.
+    fn wake_rpc(&self, corr: u64, waiter: RpcWaiter, result: io::Result<Frame>) {
+        match waiter {
             RpcWaiter::Shard { shard, token } => {
                 let event = match result {
                     Ok(response) => ResumeEvent::Rpc { corr, response },
@@ -1066,16 +1028,10 @@ impl ServerInner {
     /// admin service thread between jobs.
     fn sweep_rpc_deadlines(&self) {
         let now = Instant::now();
-        let expired: Vec<u64> = self
-            .rpc_pending
-            .lock()
-            .iter()
-            .filter(|(_, e)| now >= e.deadline)
-            .map(|(&corr, _)| corr)
-            .collect();
-        for corr in expired {
-            self.resolve_rpc(
+        for (corr, waiter) in self.with_rpcs(|table| table.expired(now)) {
+            self.wake_rpc(
                 corr,
+                waiter,
                 Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "miss-path rpc exceeded its redial budget",
@@ -1131,31 +1087,13 @@ impl ServerInner {
             self.metrics.record_reissued(reissue.len() as u64);
             self.ship(reissue);
         }
-        // In-doubt miss-path RPCs: the dead process confirmed receiving
-        // the request (seq < confirmed) but its answer died with it. Requeue
-        // a fresh copy of the request frame under the SAME correlation id
-        // — if the old answer somehow raced out first, the entry is
-        // already gone and the duplicate response hits an unknown corr
-        // and is dropped. Entries still in the replay window (seq >=
-        // confirmed, or not yet packed) ride the link's own replay and
-        // must not be duplicated here.
-        let in_doubt: Vec<(u64, Frame)> = {
-            let confirmed = self.link(peer).send.lock().confirmed();
-            let mut table = self.rpc_pending.lock();
-            table
-                .iter_mut()
-                .filter(|(_, e)| e.peer == peer && e.seq.is_some_and(|s| s < confirmed))
-                .map(|(&corr, e)| {
-                    e.seq = None; // consumed: a second restart must not reissue again
-                    (corr, e.request.clone())
-                })
-                .collect()
-        };
-        for (corr, request) in in_doubt {
-            let frame = Frame::RpcReq {
-                corr,
-                inner: Box::new(request),
-            };
+        // In-doubt miss-path RPCs: the dead process confirmed the request
+        // but its answer died with it. Ask again under the SAME correlation
+        // id — if the old answer somehow raced out first, the entry is
+        // already gone and the duplicate response is dropped.
+        let confirmed = self.link(peer).send.lock().confirmed();
+        let in_doubt = self.rpcs.lock().in_doubt(peer, confirmed);
+        for (corr, frame) in in_doubt {
             if !self.ship_rpc(peer, frame) {
                 self.resolve_rpc(
                     corr,
@@ -1295,48 +1233,6 @@ impl ServerInner {
         Ok(stream)
     }
 
-    /// The version the home shard assigns to the next cold-key write.
-    fn next_cold_version(&self) -> u32 {
-        // u32 wrap after 4 billion cold writes per node; acceptable for the
-        // deployments this layer targets (the cache path is unaffected).
-        self.cold_versions.fetch_add(1, Ordering::Relaxed) as u32
-    }
-
-    /// Ensures every future cold-write version exceeds `clock` — called
-    /// whenever churn surfaces a version at this home shard (hot-key fetch,
-    /// write-back arrival), so a cold write issued after an eviction can
-    /// never be discarded as older than the written-back value.
-    fn bump_cold_versions(&self, clock: u32) {
-        self.cold_versions
-            .fetch_max(u64::from(clock) + 1, Ordering::Relaxed);
-    }
-
-    /// Applies a cold (uncached-key) write to this node's shard — this node
-    /// is the key's home. Checked against the hot-transition marks under
-    /// their lock, so no cold write ever interleaves with a hot-set fetch
-    /// or landing write-backs (it would be shadowed by the caches or
-    /// clobbered by an older write-back).
-    ///
-    /// A key this node *itself caches* also bounces: a cached-at-home key
-    /// is hot, and a cold op on a hot key only arises from cache asymmetry
-    /// (a crash-restarted replica serving it through its miss path). The
-    /// home is the serialisation point either way — through its cache for
-    /// hot keys, through its shard for cold ones — and a cold write landing
-    /// beside live cached copies would be shadowed by them forever.
-    fn cold_put(&self, key: u64, value: &[u8], writer: u8) -> ColdPut {
-        let marks = self.hot_marks.lock();
-        if marks.contains(&key) || self.node.is_cached(key) {
-            return ColdPut::Busy;
-        }
-        let ts = Timestamp::new(self.next_cold_version(), NodeId(writer));
-        match self.node.kvs_put(key, value, ts.clock, ts.writer.0) {
-            Ok(()) => ColdPut::Applied(ts),
-            Err(e) => {
-                ColdPut::Rejected(format!("write of key {key} rejected by home shard: {e:?}"))
-            }
-        }
-    }
-
     /// Evicts `key` from the local cache, shipping a dirty value back to
     /// its (possibly remote) home shard before returning — an `EvictResp`
     /// on the wire therefore means "this replica's copy is gone *and* its
@@ -1345,8 +1241,7 @@ impl ServerInner {
         let existed = match self.node.evict_hot(key) {
             EvictHot::NotCached => false,
             EvictHot::Clean => true,
-            EvictHot::WrittenBack { ts } => {
-                self.bump_cold_versions(ts.clock);
+            EvictHot::WrittenBack { .. } => {
                 self.metrics.record_writeback();
                 true
             }
@@ -1388,23 +1283,6 @@ impl ServerInner {
             churn.installed.lock().remove(&key);
         }
         Ok(existed)
-    }
-
-    /// Serves a cold (uncached-key) read from this node's shard — this node
-    /// is the key's home. Returns `None` while the key transitions into or
-    /// out of the hot set: during an eviction the freshest value may still
-    /// be in flight from a dirty replica, so serving the shard's copy now
-    /// could hand out an older value than cached reads already returned.
-    /// The caller retries; the transition fence clears within the round.
-    /// A key this node itself caches bounces for the same reason as in
-    /// [`ServerInner::cold_put`]: the shard's copy of a hot key is stale
-    /// relative to the caches.
-    fn cold_get(&self, key: u64) -> Option<Vec<u8>> {
-        let marks = self.hot_marks.lock();
-        if marks.contains(&key) || self.node.is_cached(key) {
-            return None;
-        }
-        Some(self.node.kvs_get(key))
     }
 
     /// Feeds one served client request into the popularity tracker (no-op
@@ -1568,14 +1446,14 @@ impl ServerInner {
         }
     }
 
-    /// Performs a synchronous miss-path RPC against peer `home`, dialing
-    /// (or re-dialing) the pooled link if needed. Slots rotate so up to
-    /// [`RPC_POOL_SIZE`] RPCs to one home shard proceed concurrently.
+    /// Performs a blocking miss-path RPC against peer `home` over its
+    /// crash-surviving peer link, for callers that are not a reactor shard
+    /// (admin service thread, epoch applier, shutdown drain).
     ///
-    /// Transport failures redial with backoff for up to
-    /// [`NodeServerConfig::rpc_retry`] before surfacing: a peer process
-    /// crashing under a supervisor comes back within the budget, so client
-    /// operations that raced the crash stall briefly instead of failing.
+    /// A dead peer is waited out for up to [`NodeServerConfig::rpc_retry`]
+    /// before the failure surfaces: a peer process crashing under a
+    /// supervisor comes back within the budget, so operations that raced
+    /// the crash stall briefly instead of failing.
     fn rpc(&self, home: usize, request: &Frame) -> io::Result<Frame> {
         self.rpc_until(home, request, Instant::now() + self.rpc_retry)
     }
@@ -1596,7 +1474,7 @@ impl ServerInner {
         let slot = Arc::new(BlockingSlot::default());
         let corr = {
             // Park overflow on a long-dead peer is the only issue-side
-            // failure; retry with backoff like the old pooled dialer did.
+            // failure; retry with backoff.
             let mut backoff = Duration::from_millis(10);
             loop {
                 match self.issue_rpc(
@@ -1622,8 +1500,7 @@ impl ServerInner {
         loop {
             if let Some(result) = guard.take() {
                 return match result? {
-                    // The peer's Frame::Error answer over a healthy link:
-                    // surfaced like the old Conn::call did.
+                    // The peer's Frame::Error answer over a healthy link.
                     Frame::Error { message } => {
                         Err(io::Error::new(io::ErrorKind::InvalidInput, message))
                     }
@@ -1637,12 +1514,7 @@ impl ServerInner {
                 // outcome: if the resolver got there first, its result is
                 // en route to the slot — wait it out instead of reporting
                 // a timeout for an RPC that actually resolved.
-                let removed = {
-                    let mut table = self.rpc_pending.lock();
-                    let removed = table.remove(&corr).is_some();
-                    self.metrics.set_pending_rpcs(table.len() as u64);
-                    removed
-                };
+                let removed = self.with_rpcs(|table| table.resolve(corr)).is_some();
                 guard = slot.result.lock();
                 if removed {
                     return Err(io::Error::new(
@@ -1678,29 +1550,9 @@ impl ServerInner {
         waiter: RpcWaiter,
         deadline: Instant,
     ) -> io::Result<u64> {
-        let corr = self.rpc_corr.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut table = self.rpc_pending.lock();
-            table.insert(
-                corr,
-                RpcPending {
-                    peer: home,
-                    request: request.clone(),
-                    waiter,
-                    seq: None,
-                    deadline,
-                },
-            );
-            self.metrics.set_pending_rpcs(table.len() as u64);
-        }
-        let frame = Frame::RpcReq {
-            corr,
-            inner: Box::new(request),
-        };
+        let (corr, frame) = self.with_rpcs(|table| table.issue(home, request, waiter, deadline));
         if !self.ship_rpc(home, frame) {
-            let mut table = self.rpc_pending.lock();
-            table.remove(&corr);
-            self.metrics.set_pending_rpcs(table.len() as u64);
+            self.with_rpcs(|table| table.resolve(corr));
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 format!("peer {home} link unavailable for rpc"),
@@ -1780,10 +1632,10 @@ impl ServerInner {
             // blocking caller) is stranded waiting on a response that
             // will never be read.
             let _ = self.admin_tx.send(AdminJob::Stop);
-            let pending: Vec<u64> = self.rpc_pending.lock().keys().copied().collect();
-            for corr in pending {
-                self.resolve_rpc(
+            for (corr, waiter) in self.with_rpcs(RpcTable::drain) {
+                self.wake_rpc(
                     corr,
+                    waiter,
                     Err(io::Error::new(
                         io::ErrorKind::Interrupted,
                         "node shutting down",
@@ -1860,12 +1712,12 @@ impl NodeServer {
         let shard_count = cfg.reactor.shards;
         let sink = Arc::new(TraceSink::new(shard_count));
         let node = CcNode::new(cfg.node);
-        let hot_fence_marks: HashSet<u64> = cfg
-            .hot_fence
-            .iter()
-            .copied()
-            .filter(|&key| node.is_home(key))
-            .collect();
+        node.raise_cold_version(cfg.cold_version_floor);
+        // The fence is a home-shard concept: only keys homed here matter.
+        for &key in cfg.hot_fence.iter().filter(|&&key| node.is_home(key)) {
+            node.hot_mark(key);
+        }
+        let gen = process_generation();
         let inner = Arc::new(ServerInner {
             node,
             metrics: Arc::clone(&metrics),
@@ -1876,12 +1728,8 @@ impl NodeServer {
             stopped: Mutex::new(false),
             stopped_cv: Condvar::new(),
             tags: AtomicU64::new(1),
-            cold_versions: AtomicU64::new(u64::from(cfg.cold_version_floor).max(1)),
-            // Fenced-from-boot keys (crash recovery): only keys homed
-            // here matter — the fence is a home-shard concept.
-            hot_marks: Mutex::new(hot_fence_marks),
             churn,
-            gen: process_generation(),
+            gen,
             peer_links: (0..nodes)
                 .map(|peer| (peer != me).then(|| Arc::new(PeerLink::new(peer % shard_count))))
                 .collect(),
@@ -1889,8 +1737,9 @@ impl NodeServer {
             peer_recv_count: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             credit_doorbell: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             peer_addrs: Mutex::new(vec![listen_addr; nodes]),
-            rpc_pending: Mutex::new(HashMap::new()),
-            rpc_corr: AtomicU64::new(1),
+            // Ids continue from the generation stamp (wall-clock
+            // nanoseconds), so they never meet the dead predecessor's.
+            rpcs: Mutex::new(RpcTable::new(gen)),
             flow: cfg.flow,
             reactor: cfg.reactor,
             rpc_retry: cfg.rpc_retry,
@@ -2214,7 +2063,7 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result
         },
         Frame::Ping => Frame::Pong,
         Frame::VersionFloor => Frame::VersionFloorResp {
-            clock: inner.cold_versions.load(Ordering::Relaxed) as u32,
+            clock: inner.node.cold_version(),
         },
         Frame::CacheKeys => Frame::CacheKeysResp {
             keys: inner.node.cache().keys(),
@@ -2337,63 +2186,7 @@ fn serve_rpc_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<Fr
         };
         inner.trace_event(trace, lane, EventKind::ProtocolRecv, key_hint, NO_PEER);
     }
-    Ok(match frame {
-        Frame::MissGet { key } => match inner.cold_get(key) {
-            Some(value) => Frame::MissGetResp { value },
-            // Key mid-transition: during an eviction the freshest value
-            // may still be in flight from a dirty replica.
-            None => Frame::MissRetry,
-        },
-        Frame::MissPut {
-            key,
-            tag: _,
-            writer: writer_id,
-            value,
-        } => {
-            // Home-assigned version: arrival order at the single home
-            // shard is the write order for cold keys (the sender's tag
-            // is ignored — see `serve_put`).
-            match inner.cold_put(key, &value, writer_id) {
-                ColdPut::Applied(ts) => Frame::MissPutResp { ts },
-                ColdPut::Busy => Frame::MissRetry,
-                ColdPut::Rejected(message) => Frame::Error { message },
-            }
-        }
-        Frame::WriteBack { key, value, ts } => {
-            // A peer evicted its dirty copy of a key homed here. Apply
-            // versioned (every replica offers its copy; the newest
-            // wins) and push the cold counter past it so later cold
-            // writes supersede the written-back value.
-            inner.bump_cold_versions(ts.clock);
-            match inner.node.write_back(key, &value, ts) {
-                Ok(applied) => Frame::WriteBackResp { applied },
-                Err(e) => Frame::Error {
-                    message: format!("write-back of key {key} rejected by home shard: {e:?}"),
-                },
-            }
-        }
-        Frame::HotMark { key } => {
-            // Atomically close the cold write path for this key and
-            // read the authoritative value+version the caches will be
-            // filled with.
-            let mut marks = inner.hot_marks.lock();
-            marks.insert(key);
-            let (value, ts) = inner.node.kvs_get_versioned(key);
-            drop(marks);
-            inner.bump_cold_versions(ts.clock);
-            Frame::HotMarkResp { value, ts }
-        }
-        Frame::HotUnmark { key } => {
-            inner.hot_marks.lock().remove(&key);
-            Frame::HotUnmarkResp
-        }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected rpc frame {other:?}"),
-            ))
-        }
-    })
+    serve_home_frame(&inner.node, frame)
 }
 
 /// The admin service thread: serves the rare blocking admin jobs (an
@@ -3466,8 +3259,7 @@ impl Shard {
 
     /// One probe of the current op. Probes are idempotent: a bounced op
     /// re-runs the whole probe on its next tick (the key may have changed
-    /// sides of the hot set in between), exactly like the worker-pool
-    /// retry loops used to.
+    /// sides of the hot set in between).
     fn attempt_op(&self, token: u64, s: &mut Suspended) -> Attempt {
         let inner = &self.inner;
         match &mut s.op {
@@ -3499,7 +3291,7 @@ impl Shard {
                         // still be in flight from a dirty replica.
                         let home = inner.node.home_node(key);
                         if home == inner.node.node() {
-                            match inner.cold_get(key) {
+                            match inner.node.cold_get(key) {
                                 Some(value) => {
                                     inner.metrics.record_cache(false);
                                     Attempt::Respond(Frame::GetResp {
@@ -3625,12 +3417,12 @@ impl Shard {
                     None => Attempt::Bounce,
                     Some(CachePut::Miss) => {
                         // Cold path: versions are assigned by the *home*
-                        // shard on arrival (see `next_cold_version`); the
-                        // tag on the wire is only a diagnostic hint.
+                        // shard on arrival ([`CcNode::cold_put`]); the tag
+                        // on the wire is only a diagnostic hint.
                         let home = inner.node.home_node(key);
                         let me = inner.node.node() as u8;
                         if home == inner.node.node() {
-                            match inner.cold_put(key, value, me) {
+                            match inner.node.cold_put(key, value, me) {
                                 ColdPut::Applied(ts) => {
                                     inner.metrics.record_cache(false);
                                     Attempt::Respond(Frame::PutResp { cached: false, ts })
@@ -3785,8 +3577,7 @@ impl Shard {
                         }
                         Frame::MissRetry => Attempt::Bounce,
                         // The home shard rejected the write: relay the
-                        // reason to the client, as the old blocking RPC
-                        // path did.
+                        // reason to the client.
                         Frame::Error { message } => Attempt::Respond(Frame::Error { message }),
                         _ => Attempt::Fail,
                     },
@@ -3797,7 +3588,7 @@ impl Shard {
                 if corr == *expected =>
             {
                 // Transport failure past the redial budget: surfaced to the
-                // client as a protocol error, as the old pooled dialer did.
+                // client as a protocol error.
                 Attempt::Respond(Frame::Error { message })
             }
             (ResumeEvent::Admin { result }, Wait::Admin) => match result {
@@ -4058,13 +3849,10 @@ impl Shard {
                     None => {}
                 }
                 if running {
-                    // Pack-time seq recording: a restarted peer that
-                    // confirmed processing past this seq owes the answer
-                    // — `peer_restarted` reissues exactly those entries.
+                    // A restarted peer that confirmed past this number
+                    // owes the answer: `peer_restarted` asks those again.
                     if let LinkItem::Rpc(Frame::RpcReq { corr, .. }) = &item {
-                        if let Some(entry) = inner.rpc_pending.lock().get_mut(corr) {
-                            entry.seq = Some(send.next_seq());
-                        }
+                        inner.rpcs.lock().packed(*corr, send.next_seq());
                     }
                     // Retain until the peer confirms processing: this is
                     // what the redial handshake replays.

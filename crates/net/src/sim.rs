@@ -12,33 +12,26 @@
 //! is the point — the interleavings a kernel TCP stack picks for you are
 //! exactly the choices a model checker needs to own.
 //!
-//! The types implement the PR 8 transport seam
-//! ([`Connection`]/[`TransportListener`]/[`Transport`]), so code written
-//! against `Box<dyn Connection>` runs over the simulated fabric unchanged:
-//! `read` returns `WouldBlock` when starved (nonblocking) or parks on a
-//! condvar (blocking), `Ok(0)` after a clean peer close, `ConnectionReset`
-//! after a [severed](SimNet::sever_node) peer; [`Connection::raw_fd`] is a
-//! real eventfd kept readable exactly while the inbox is non-empty, so the
-//! reactor's poller could drive a sim connection too.
+//! A [`SimConnection`] is not a [`crate::transport::Connection`]: its
+//! drivers are sans-IO cores stepped by a scheduler, never a reactor, so
+//! there is no fd to poll and nothing to block on. `read` drains the
+//! endpoint's inbox — `WouldBlock` when starved, `Ok(0)` after a clean peer
+//! close, `ConnectionReset` after a [severed](SimNet::sever_node) peer —
+//! and [`SimConnection::write_datagram`] is the only way to send.
 //!
 //! Determinism: the hub makes no scheduling choices, takes no wall-clock
 //! readings and holds no randomness. Two drivers making the same choice
 //! sequence observe byte-identical delivery orders and simulated times.
 
-use crate::transport::{Connection, Transport, TransportKind, TransportListener};
-use parking_lot::{Condvar, Mutex};
-use reactor::{close_raw_fd, sys_eventfd, sys_eventfd_drain, sys_eventfd_signal};
+use parking_lot::Mutex;
 use simnet::{
     Emit, Engine, EngineStepper, FabricConfig, NodeBehavior, Packet, SimStats, SimTime,
     TrafficClass,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::SocketAddr;
-use std::os::fd::RawFd;
+use std::io::{self, Read};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Flat per-datagram overhead charged to the fabric on top of the payload
 /// (rough UDP/IP/Ethernet framing; the fabric only needs sizes that scale
@@ -67,25 +60,16 @@ impl NodeBehavior for Mailbox {
     }
 }
 
-/// One half of an established sim connection.
+/// One half of an established sim connection; it lives in the hub exactly
+/// as long as its [`SimConnection`] handle (or until its node is severed).
 struct Endpoint {
     node: usize,
     peer_ep: u64,
     inbox: VecDeque<u8>,
-    /// This side still has live handles.
-    local_open: bool,
     /// The peer side is still open (false ⇒ EOF or reset after drain).
     peer_open: bool,
     /// The peer went away abruptly (sever/crash) rather than closing.
     reset: bool,
-    nonblocking: bool,
-    read_timeout: Option<Duration>,
-    efd: RawFd,
-    local_addr: SocketAddr,
-    peer_addr: SocketAddr,
-    /// Live `SimConnection` handles (clones share the endpoint, like
-    /// `TcpStream::try_clone`); the endpoint closes when this hits zero.
-    handles: usize,
 }
 
 /// An undelivered datagram.
@@ -115,78 +99,33 @@ pub struct FlightInfo {
     pub time: SimTime,
 }
 
-struct PendingAccept {
-    ep: u64,
-}
-
-struct ListenerState {
-    node: usize,
-    queue: VecDeque<PendingAccept>,
-    efd: RawFd,
-    open: bool,
-}
-
 struct Hub {
     stepper: EngineStepper<Mailbox>,
     endpoints: BTreeMap<u64, Endpoint>,
-    listeners: BTreeMap<SocketAddr, ListenerState>,
     flights: BTreeMap<u64, Flight>,
     next_ep: u64,
     next_flight: u64,
-    next_port: u16,
     nodes: usize,
 }
 
 impl Hub {
-    fn alloc_addr(&mut self) -> SocketAddr {
-        let port = self.next_port;
-        self.next_port = self.next_port.wrapping_add(1).max(40_000);
-        format!("127.0.0.1:{port}")
-            .parse()
-            .expect("synthesized addr")
-    }
-
     /// Creates an endpoint pair between two nodes and returns their ids.
-    fn make_pair(
-        &mut self,
-        a_node: usize,
-        b_node: usize,
-        a_addr: SocketAddr,
-        b_addr: SocketAddr,
-    ) -> (u64, u64) {
+    fn make_pair(&mut self, a_node: usize, b_node: usize) -> (u64, u64) {
         let a_id = self.next_ep;
         let b_id = self.next_ep + 1;
         self.next_ep += 2;
-        let a = Endpoint {
-            node: a_node,
-            peer_ep: b_id,
-            inbox: VecDeque::new(),
-            local_open: true,
-            peer_open: true,
-            reset: false,
-            nonblocking: false,
-            read_timeout: None,
-            efd: sys_eventfd().expect("eventfd"),
-            local_addr: a_addr,
-            peer_addr: b_addr,
-            handles: 1,
-        };
-        let b = Endpoint {
-            node: b_node,
-            peer_ep: a_id,
-            inbox: VecDeque::new(),
-            local_open: true,
-            peer_open: true,
-            reset: false,
-            nonblocking: false,
-            read_timeout: None,
-            efd: sys_eventfd().expect("eventfd"),
-            local_addr: b_addr,
-            peer_addr: a_addr,
-            handles: 1,
-        };
-        self.endpoints.insert(a_id, a);
-        self.endpoints.insert(b_id, b);
+        for (id, node, peer_ep) in [(a_id, a_node, b_id), (b_id, b_node, a_id)] {
+            self.endpoints.insert(
+                id,
+                Endpoint {
+                    node,
+                    peer_ep,
+                    inbox: VecDeque::new(),
+                    peer_open: true,
+                    reset: false,
+                },
+            );
+        }
         (a_id, b_id)
     }
 
@@ -207,8 +146,8 @@ impl Hub {
             (e.node, e.peer_ep)
         };
         let dst = match self.endpoints.get(&peer_ep) {
-            Some(p) if p.local_open => p.node,
-            _ => return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sim peer closed")),
+            Some(p) => p.node,
+            None => return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sim peer closed")),
         };
         if src == dst {
             self.deposit(peer_ep, bytes);
@@ -241,13 +180,7 @@ impl Hub {
 
     fn deposit(&mut self, ep: u64, bytes: &[u8]) {
         if let Some(e) = self.endpoints.get_mut(&ep) {
-            if e.local_open {
-                let was_empty = e.inbox.is_empty();
-                e.inbox.extend(bytes);
-                if was_empty && !e.inbox.is_empty() {
-                    sys_eventfd_signal(e.efd);
-                }
-            }
+            e.inbox.extend(bytes);
         }
     }
 
@@ -273,26 +206,14 @@ impl Hub {
             .find(|ev| !ev.timer && ev.token == id)
     }
 
-    fn release_handle(&mut self, ep: u64) {
-        let (close, efd, peer_ep) = match self.endpoints.get_mut(&ep) {
-            Some(e) => {
-                e.handles = e.handles.saturating_sub(1);
-                (e.handles == 0, e.efd, e.peer_ep)
-            }
-            None => return,
-        };
-        if !close {
+    /// Closes endpoint `ep` (its handle dropped): the peer reads EOF once
+    /// drained.
+    fn close(&mut self, ep: u64) {
+        let Some(e) = self.endpoints.remove(&ep) else {
             return;
-        }
-        if let Some(e) = self.endpoints.get_mut(&ep) {
-            e.local_open = false;
-        }
-        close_raw_fd(efd);
-        self.endpoints.remove(&ep);
-        if let Some(p) = self.endpoints.get_mut(&peer_ep) {
+        };
+        if let Some(p) = self.endpoints.get_mut(&e.peer_ep) {
             p.peer_open = false;
-            // Wake blocked readers and poller watchers: EOF is readable.
-            sys_eventfd_signal(p.efd);
         }
         // Data still in flight toward the closed endpoint can never land.
         let dead: Vec<u64> = self
@@ -315,7 +236,6 @@ impl Hub {
 #[derive(Clone)]
 pub struct SimNet {
     hub: Arc<Mutex<Hub>>,
-    cv: Arc<Condvar>,
 }
 
 impl fmt::Debug for SimNet {
@@ -339,39 +259,20 @@ impl SimNet {
             hub: Arc::new(Mutex::new(Hub {
                 stepper,
                 endpoints: BTreeMap::new(),
-                listeners: BTreeMap::new(),
                 flights: BTreeMap::new(),
                 next_ep: 1,
                 next_flight: 1,
-                next_port: 40_000,
                 nodes,
             })),
-            cv: Arc::new(Condvar::new()),
         }
     }
 
-    /// The [`Transport`] handle for fabric node `node` (listeners and
-    /// dialed connections made through it belong to that node).
-    pub fn transport(&self, node: usize) -> SimTransport {
-        let nodes = self.hub.lock().nodes;
-        assert!(node < nodes, "node {node} out of range ({nodes} nodes)");
-        SimTransport {
-            net: self.clone(),
-            node,
-        }
-    }
-
-    /// Directly connects two nodes and returns the two connection halves
-    /// (first belongs to `a`, second to `b`) — the convenience the model
-    /// checker uses for its peer mesh, skipping listener plumbing. The
-    /// trait path ([`Transport::listen`]/[`Transport::dial`]) is
-    /// equivalent.
+    /// Connects two nodes and returns the two connection halves (first
+    /// belongs to `a`, second to `b`).
     pub fn pair(&self, a: usize, b: usize) -> (SimConnection, SimConnection) {
         let mut hub = self.hub.lock();
         assert!(a < hub.nodes && b < hub.nodes);
-        let a_addr = hub.alloc_addr();
-        let b_addr = hub.alloc_addr();
-        let (ea, eb) = hub.make_pair(a, b, a_addr, b_addr);
+        let (ea, eb) = hub.make_pair(a, b);
         drop(hub);
         (
             SimConnection {
@@ -417,8 +318,6 @@ impl SimNet {
         };
         hub.stepper.step(ev.id);
         hub.drain_mailboxes();
-        drop(hub);
-        self.cv.notify_all();
         true
     }
 
@@ -471,9 +370,9 @@ impl SimNet {
 
     /// Abruptly kills fabric node `node` (a crash): every connection
     /// endpoint on it dies, peers observe `ConnectionReset` (after
-    /// draining already-delivered bytes), every flight to or from the node
-    /// evaporates, and its listeners stop accepting. The node index stays
-    /// valid — a "restarted" process simply opens new connections.
+    /// draining already-delivered bytes) and every flight to or from the
+    /// node evaporates. The node index stays valid — a "restarted" process
+    /// simply opens new connections.
     pub fn sever_node(&self, node: usize) {
         let mut hub = self.hub.lock();
         let dead_eps: Vec<u64> = hub
@@ -482,17 +381,11 @@ impl SimNet {
             .filter(|(_, e)| e.node == node)
             .map(|(id, _)| *id)
             .collect();
-        for ep in &dead_eps {
-            let (efd, peer_ep) = {
-                let e = &hub.endpoints[ep];
-                (e.efd, e.peer_ep)
-            };
-            close_raw_fd(efd);
-            hub.endpoints.remove(ep);
+        for ep in dead_eps {
+            let peer_ep = hub.endpoints.remove(&ep).expect("listed above").peer_ep;
             if let Some(p) = hub.endpoints.get_mut(&peer_ep) {
                 p.peer_open = false;
                 p.reset = true;
-                sys_eventfd_signal(p.efd);
             }
         }
         let dead_flights: Vec<u64> = hub
@@ -507,19 +400,6 @@ impl SimNet {
             }
             hub.flights.remove(&id);
         }
-        let dead_listeners: Vec<SocketAddr> = hub
-            .listeners
-            .iter()
-            .filter(|(_, l)| l.node == node)
-            .map(|(addr, _)| *addr)
-            .collect();
-        for addr in dead_listeners {
-            if let Some(l) = hub.listeners.get_mut(&addr) {
-                l.open = false;
-            }
-        }
-        drop(hub);
-        self.cv.notify_all();
     }
 
     /// Current simulated time (nanoseconds).
@@ -548,20 +428,9 @@ impl SimConnection {
         self.ep
     }
 
-    /// This endpoint's synthesized local address (the peer's
-    /// [`Connection::peer_addr`] view of it).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        let hub = self.net.hub.lock();
-        hub.endpoints
-            .get(&self.ep)
-            .map(|e| e.local_addr)
-            .ok_or_else(|| io::ErrorKind::NotConnected.into())
-    }
-
-    /// Like [`Write::write`], but tags the datagram with an explicit
-    /// simnet traffic class so the fabric accounting mirrors the paper's
-    /// traffic breakdown. Returns the flight id (`None` for loopback
-    /// delivery, which bypasses the fabric).
+    /// Sends one datagram, tagged with a simnet traffic class so the
+    /// fabric accounting mirrors the paper's traffic breakdown. Returns the
+    /// flight id (`None` for loopback delivery, which bypasses the fabric).
     pub fn write_datagram(&self, bytes: &[u8], class: TrafficClass) -> io::Result<Option<u64>> {
         let mut hub = self.net.hub.lock();
         hub.send(self.ep, bytes, class)
@@ -582,238 +451,29 @@ impl Read for SimConnection {
             return Ok(0);
         }
         let mut hub = self.net.hub.lock();
-        loop {
-            let (nonblocking, timeout) = match hub.endpoints.get(&self.ep) {
-                Some(e) => (e.nonblocking, e.read_timeout),
-                None => return Err(io::ErrorKind::NotConnected.into()),
-            };
-            {
-                let e = hub.endpoints.get_mut(&self.ep).expect("checked above");
-                if !e.inbox.is_empty() {
-                    let n = buf.len().min(e.inbox.len());
-                    for slot in buf.iter_mut().take(n) {
-                        *slot = e.inbox.pop_front().expect("len checked");
-                    }
-                    if e.inbox.is_empty() && e.peer_open {
-                        sys_eventfd_drain(e.efd);
-                    }
-                    return Ok(n);
-                }
-                if !e.peer_open {
-                    return if e.reset {
-                        Err(io::ErrorKind::ConnectionReset.into())
-                    } else {
-                        Ok(0)
-                    };
-                }
+        let Some(e) = hub.endpoints.get_mut(&self.ep) else {
+            return Err(io::ErrorKind::NotConnected.into());
+        };
+        if !e.inbox.is_empty() {
+            let n = buf.len().min(e.inbox.len());
+            for (slot, byte) in buf.iter_mut().zip(e.inbox.drain(..n)) {
+                *slot = byte;
             }
-            if nonblocking {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            match timeout {
-                Some(t) => {
-                    if self.net.cv.wait_for(&mut hub, t) {
-                        return Err(io::ErrorKind::WouldBlock.into());
-                    }
-                }
-                None => self.net.cv.wait(&mut hub),
-            }
+            return Ok(n);
         }
-    }
-}
-
-impl Write for SimConnection {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut hub = self.net.hub.lock();
-        hub.send(self.ep, buf, TrafficClass::Update)?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Connection for SimConnection {
-    fn raw_fd(&self) -> RawFd {
-        let hub = self.net.hub.lock();
-        hub.endpoints.get(&self.ep).map(|e| e.efd).unwrap_or(-1)
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        let mut hub = self.net.hub.lock();
-        match hub.endpoints.get_mut(&self.ep) {
-            Some(e) => {
-                e.nonblocking = nonblocking;
-                Ok(())
-            }
-            None => Err(io::ErrorKind::NotConnected.into()),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        let mut hub = self.net.hub.lock();
-        match hub.endpoints.get_mut(&self.ep) {
-            Some(e) => {
-                e.read_timeout = timeout;
-                Ok(())
-            }
-            None => Err(io::ErrorKind::NotConnected.into()),
-        }
-    }
-
-    fn peer_addr(&self) -> io::Result<SocketAddr> {
-        let hub = self.net.hub.lock();
-        hub.endpoints
-            .get(&self.ep)
-            .map(|e| e.peer_addr)
-            .ok_or_else(|| io::ErrorKind::NotConnected.into())
-    }
-
-    fn try_clone(&self) -> io::Result<Box<dyn Connection>> {
-        let mut hub = self.net.hub.lock();
-        match hub.endpoints.get_mut(&self.ep) {
-            Some(e) => {
-                e.handles += 1;
-                Ok(Box::new(SimConnection {
-                    net: self.net.clone(),
-                    ep: self.ep,
-                }))
-            }
-            None => Err(io::ErrorKind::NotConnected.into()),
+        if e.peer_open {
+            Err(io::ErrorKind::WouldBlock.into())
+        } else if e.reset {
+            Err(io::ErrorKind::ConnectionReset.into())
+        } else {
+            Ok(0)
         }
     }
 }
 
 impl Drop for SimConnection {
     fn drop(&mut self) {
-        let mut hub = self.net.hub.lock();
-        hub.release_handle(self.ep);
-        drop(hub);
-        self.net.cv.notify_all();
-    }
-}
-
-/// A bound sim listener; see [`SimNet`].
-pub struct SimListener {
-    net: SimNet,
-    addr: SocketAddr,
-}
-
-impl TransportListener for SimListener {
-    fn accept(&mut self) -> io::Result<Option<Box<dyn Connection>>> {
-        let mut hub = self.net.hub.lock();
-        let (ep, drained) = match hub.listeners.get_mut(&self.addr) {
-            Some(l) => match l.queue.pop_front() {
-                Some(pending) => {
-                    let drained = l.queue.is_empty();
-                    (pending.ep, drained)
-                }
-                None => {
-                    return if l.open {
-                        Ok(None)
-                    } else {
-                        Err(io::ErrorKind::NotConnected.into())
-                    }
-                }
-            },
-            None => return Err(io::ErrorKind::NotConnected.into()),
-        };
-        if drained {
-            let efd = hub.listeners[&self.addr].efd;
-            sys_eventfd_drain(efd);
-        }
-        Ok(Some(Box::new(SimConnection {
-            net: self.net.clone(),
-            ep,
-        })))
-    }
-
-    fn local_addr(&self) -> io::Result<SocketAddr> {
-        Ok(self.addr)
-    }
-
-    fn raw_fd(&self) -> RawFd {
-        let hub = self.net.hub.lock();
-        hub.listeners.get(&self.addr).map(|l| l.efd).unwrap_or(-1)
-    }
-}
-
-impl Drop for SimListener {
-    fn drop(&mut self) {
-        let mut hub = self.net.hub.lock();
-        if let Some(l) = hub.listeners.remove(&self.addr) {
-            close_raw_fd(l.efd);
-            // Connections queued but never accepted close like a refused
-            // dial: the dialer observes EOF.
-            for pending in l.queue {
-                hub.release_handle(pending.ep);
-            }
-        }
-    }
-}
-
-/// The per-node [`Transport`] handle of a [`SimNet`].
-#[derive(Clone)]
-pub struct SimTransport {
-    net: SimNet,
-    node: usize,
-}
-
-impl fmt::Debug for SimTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimTransport")
-            .field("node", &self.node)
-            .finish()
-    }
-}
-
-impl Transport for SimTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Sim
-    }
-
-    fn listen(&self, addr: SocketAddr) -> io::Result<Box<dyn TransportListener>> {
-        let mut hub = self.net.hub.lock();
-        if hub.listeners.contains_key(&addr) {
-            return Err(io::ErrorKind::AddrInUse.into());
-        }
-        hub.listeners.insert(
-            addr,
-            ListenerState {
-                node: self.node,
-                queue: VecDeque::new(),
-                efd: sys_eventfd().expect("eventfd"),
-                open: true,
-            },
-        );
-        Ok(Box::new(SimListener {
-            net: self.net.clone(),
-            addr,
-        }))
-    }
-
-    fn dial(&self, addr: SocketAddr, _timeout: Duration) -> io::Result<Box<dyn Connection>> {
-        let mut hub = self.net.hub.lock();
-        let acceptor_node = match hub.listeners.get(&addr) {
-            Some(l) if l.open => l.node,
-            _ => return Err(io::ErrorKind::ConnectionRefused.into()),
-        };
-        let dialer_addr = hub.alloc_addr();
-        let (dial_ep, accept_ep) = hub.make_pair(self.node, acceptor_node, dialer_addr, addr);
-        let listener = hub.listeners.get_mut(&addr).expect("checked above");
-        let was_empty = listener.queue.is_empty();
-        listener.queue.push_back(PendingAccept { ep: accept_ep });
-        if was_empty {
-            sys_eventfd_signal(listener.efd);
-        }
-        Ok(Box::new(SimConnection {
-            net: self.net.clone(),
-            ep: dial_ep,
-        }))
+        self.net.hub.lock().close(self.ep);
     }
 }
 
@@ -835,46 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn dial_accept_and_round_trip_through_the_trait() {
-        let net = SimNet::new(2);
-        let t0 = net.transport(0);
-        let t1 = net.transport(1);
-        let addr: SocketAddr = "127.0.0.1:9000".parse().unwrap();
-        let mut listener = t1.listen(addr).unwrap();
-        assert_eq!(t0.kind(), TransportKind::Sim);
-        assert!(listener.accept().unwrap().is_none(), "no dial yet");
-
-        let mut dialed = t0.dial(addr, Duration::from_secs(1)).unwrap();
-        let mut accepted = listener.accept().unwrap().expect("queued dial");
-        assert_eq!(dialed.peer_addr().unwrap(), addr);
-        dialed.set_nonblocking(true).unwrap();
-        accepted.set_nonblocking(true).unwrap();
-
-        dialed.write_all(b"ping").unwrap();
-        let mut buf = [0u8; 16];
-        assert_eq!(
-            accepted.read(&mut buf).unwrap_err().kind(),
-            io::ErrorKind::WouldBlock,
-            "nothing moves until the scheduler delivers"
-        );
-        assert_eq!(net.flights().len(), 1);
-        pump(&net);
-        assert_eq!(accepted.read(&mut buf).unwrap(), 4);
-        assert_eq!(&buf[..4], b"ping");
-
-        accepted.write_all(b"pong!").unwrap();
-        pump(&net);
-        assert_eq!(dialed.read(&mut buf).unwrap(), 5);
-        assert_eq!(&buf[..5], b"pong!");
-        assert!(net.now() > 0, "fabric time advanced");
-        assert!(dialed.raw_fd() >= 0);
-    }
-
-    #[test]
     fn scheduler_owns_drop_duplicate_and_order() {
         let net = SimNet::new(2);
         let (a, mut b) = net.pair(0, 1);
-        b.set_nonblocking(true).unwrap();
         let f1 = a
             .write_datagram(b"first", TrafficClass::Invalidation)
             .unwrap()
@@ -887,10 +510,15 @@ mod tests {
         // original: the receiver sees "second" twice and "first" never.
         assert!(net.drop_flight(f1));
         let copy = net.duplicate(f2).unwrap();
+        let mut buf = [0u8; 32];
+        assert_eq!(
+            b.read(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "nothing moves until the scheduler delivers"
+        );
         assert!(net.deliver(copy));
         assert!(net.deliver(f2));
         assert!(!net.deliver(f2), "already delivered");
-        let mut buf = [0u8; 32];
         let n = b.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"secondsecond");
         // The fabric accounting saw the invalidation and both ack copies.
@@ -908,8 +536,6 @@ mod tests {
         let net = SimNet::new(3);
         let (a, mut b) = net.pair(0, 1);
         let (c, mut d) = net.pair(2, 1);
-        b.set_nonblocking(true).unwrap();
-        d.set_nonblocking(true).unwrap();
         // Clean close: drain, then EOF.
         a.write_datagram(b"bye", TrafficClass::Update).unwrap();
         drop(a);
@@ -917,6 +543,7 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(b.read(&mut buf).unwrap(), 3);
         assert_eq!(b.read(&mut buf).unwrap(), 0, "EOF after clean close");
+        assert!(net.now() > 0, "fabric time advanced");
         // Sever: in-flight data evaporates, reads fail with reset.
         c.write_datagram(b"lost", TrafficClass::Update).unwrap();
         net.sever_node(2);
@@ -926,7 +553,7 @@ mod tests {
             io::ErrorKind::ConnectionReset
         );
         // Writing toward the dead peer fails.
-        assert!(d.write(b"x").is_err());
+        assert!(d.write_datagram(b"x", TrafficClass::Update).is_err());
     }
 
     #[test]
@@ -937,8 +564,6 @@ mod tests {
             let net = SimNet::new(3);
             let (a, mut b) = net.pair(0, 1);
             let (c, mut d) = net.pair(1, 2);
-            b.set_nonblocking(true).unwrap();
-            d.set_nonblocking(true).unwrap();
             let mut log = Vec::new();
             let f1 = a
                 .write_datagram(b"one", TrafficClass::Invalidation)

@@ -82,21 +82,15 @@ pub enum TransportKind {
     /// Unreliable datagrams with userspace recovery (the paper's fabric
     /// shape).
     Udp,
-    /// The deterministic in-process fabric ([`crate::sim::SimNet`]) the
-    /// model checker schedules explicitly. Not constructible from CLI
-    /// flags or topology files: a sim connection only means something
-    /// relative to the hub that owns its event queue.
-    Sim,
 }
 
 impl TransportKind {
-    /// Stable label (`"tcp"` / `"udp"` / `"sim"`); the first two are the
-    /// tokens the CLI flags and topology files use.
+    /// Stable label (`"tcp"` / `"udp"`): the tokens the CLI flags and
+    /// topology files use.
     pub fn label(self) -> &'static str {
         match self {
             TransportKind::Tcp => "tcp",
             TransportKind::Udp => "udp",
-            TransportKind::Sim => "sim",
         }
     }
 }
@@ -108,11 +102,6 @@ impl FromStr for TransportKind {
         match s {
             "tcp" => Ok(TransportKind::Tcp),
             "udp" => Ok(TransportKind::Udp),
-            "sim" => Err(
-                "the sim transport is in-process only (tests and the model checker \
-                 build it from cckvs_net::sim::SimNet); deployments use tcp or udp"
-                    .to_string(),
-            ),
             other => Err(format!("unknown transport `{other}` (tcp|udp)")),
         }
     }
@@ -197,10 +186,6 @@ impl TransportConfig {
                 faults: self.faults.filter(|f| !f.is_noop()),
                 stats: Arc::default(),
             }),
-            TransportKind::Sim => panic!(
-                "sim transport endpoints are relative to an in-process hub; \
-                 build them via cckvs_net::sim::SimNet, not TransportConfig"
-            ),
         }
     }
 }
@@ -1277,7 +1262,6 @@ mod tests {
             let transport: TransportConfig = match transport.kind() {
                 TransportKind::Tcp => TransportConfig::tcp(),
                 TransportKind::Udp => TransportConfig::udp(),
-                TransportKind::Sim => unreachable!("sim transports are not under test here"),
             };
             move || transport.build().dial(addr, Duration::from_secs(5))
         });

@@ -1640,9 +1640,12 @@ mod tests {
         };
         let mut encoded = good.encode();
         // The kind byte is the second-to-last byte of the single event.
+        // 0xEE was never assigned; 2 no longer is.
         let kind_at = encoded.len() - 2;
-        encoded[kind_at] = 0xEE;
-        assert_eq!(Frame::decode(&encoded), Err(WireError::BadOpcode(0xEE)));
+        for unknown in [0xEE, 2] {
+            encoded[kind_at] = unknown;
+            assert_eq!(Frame::decode(&encoded), Err(WireError::BadOpcode(unknown)));
+        }
     }
 
     #[test]

@@ -631,6 +631,65 @@ fn cold_key_overwrites_win_regardless_of_entry_node() {
 }
 
 #[test]
+fn install_that_dies_midway_leaves_no_node_holding_the_key() {
+    // Regression: only a *refused* install rolled the key back off the
+    // nodes that had already taken it; a node that died (or answered
+    // garbage) midway returned early and left the key cached on the nodes
+    // before it — asymmetric caches, the one state the admin path must
+    // never leave behind.
+    use cckvs_net::wire::{read_frame, Frame};
+    let rack =
+        Rack::launch(RackConfig::small_from_env(ConsistencyModel::Lin, 2)).expect("launch rack");
+    let transport = rack.transport().build();
+    // A third "node" that takes the hello, reads its first InstallHot and
+    // hangs up without answering.
+    let mut listener = transport
+        .listen("127.0.0.1:0".parse().expect("static addr"))
+        .expect("listen");
+    let stub_addr = listener.local_addr().expect("stub addr");
+    let stub = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut conn = loop {
+            if let Some(conn) = listener.accept().expect("accept") {
+                break conn;
+            }
+            assert!(Instant::now() < deadline, "nobody dialed the stub");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        conn.set_nonblocking(false).expect("blocking stub");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let hello = read_frame(&mut conn).expect("hello");
+        assert_eq!(hello, Some(Frame::ClientHello));
+        let first = read_frame(&mut conn).expect("first request");
+        assert!(matches!(first, Some(Frame::InstallHot { key: 7, .. })));
+    });
+    let mut addrs = rack.client_addrs();
+    addrs.push(stub_addr);
+    let result = cckvs_net::install_hot_set_via(&*transport, &addrs, &[(7, b"hot".to_vec())]);
+    stub.join().expect("stub thread");
+    assert!(result.is_err(), "the dead third node must fail the install");
+    for n in 0..rack.nodes() {
+        assert!(
+            !rack.server(n).node().cache().keys().contains(&7),
+            "node {n} still caches key 7 after the failed install"
+        );
+    }
+    // The key is plain cold again: a Lin put completes through its home.
+    let mut client = rack
+        .client()
+        .policy(LoadBalancePolicy::RoundRobin)
+        .connect()
+        .expect("connect");
+    assert!(
+        client.put(7, b"cold").expect("put").is_none(),
+        "served cold"
+    );
+    assert_eq!(client.get(7).expect("get"), b"cold");
+    rack.shutdown();
+}
+
+#[test]
 fn metrics_endpoints_are_scrapable_while_serving() {
     use std::io::{Read, Write};
     let rack =

@@ -39,19 +39,13 @@ pub const SHARED_LANE: u8 = 0xFF;
 
 /// What happened at one point of a traced operation's life.
 ///
-/// The discriminants are the wire encoding (one byte) — append-only.
+/// The discriminants are the wire encoding (one byte) — append-only;
+/// 1 and 2 are unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
     /// A traced client frame was decoded off a client socket.
     Decode = 0,
-    /// The op could not be served inline and was queued for a worker.
-    /// Retired with the worker pool (every frame is handled on-shard
-    /// now); kept decodable so archived dumps still assemble.
-    HandoffEnqueue = 1,
-    /// A worker picked the op up from the job queue. Retired alongside
-    /// [`EventKind::HandoffEnqueue`].
-    HandoffDequeue = 2,
     /// A Lin write hit the cache and started its invalidation round.
     LinInitiate = 3,
     /// One invalidation was queued for one peer (`peer` = destination).
@@ -76,8 +70,7 @@ pub enum EventKind {
     Respond = 12,
     /// A suspended op's continuation resumed on its owning shard (the
     /// commit, RPC response, or retry tick that un-suspended it arrived;
-    /// `peer` = the peer whose message fired it, if any). Replaces the
-    /// retired worker handoff pair in timelines.
+    /// `peer` = the peer whose message fired it, if any).
     ContinuationFire = 13,
     /// The op's bulk peer traffic sat corked in the adaptive batcher
     /// before flushing (`key` holds the cork wait in ns, `peer` = the
@@ -90,8 +83,6 @@ impl EventKind {
     pub fn from_u8(v: u8) -> Option<EventKind> {
         Some(match v {
             0 => EventKind::Decode,
-            1 => EventKind::HandoffEnqueue,
-            2 => EventKind::HandoffDequeue,
             3 => EventKind::LinInitiate,
             4 => EventKind::InvSend,
             5 => EventKind::ProtocolRecv,
@@ -112,8 +103,6 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Decode => "decode",
-            EventKind::HandoffEnqueue => "handoff_enqueue",
-            EventKind::HandoffDequeue => "handoff_dequeue",
             EventKind::LinInitiate => "lin_initiate",
             EventKind::InvSend => "inv_send",
             EventKind::ProtocolRecv => "protocol_recv",
@@ -485,11 +474,13 @@ mod tests {
 
     #[test]
     fn event_kind_roundtrips() {
-        for v in 0..=14u8 {
+        for v in (0..=14u8).filter(|v| ![1, 2].contains(v)) {
             let kind = EventKind::from_u8(v).expect("kind");
             assert_eq!(kind as u8, v);
             assert!(!kind.name().is_empty());
         }
+        assert_eq!(EventKind::from_u8(1), None);
+        assert_eq!(EventKind::from_u8(2), None);
         assert_eq!(EventKind::from_u8(15), None);
         assert_eq!(EventKind::from_u8(255), None);
     }
