@@ -124,6 +124,14 @@ impl StoredObject {
         }
     }
 
+    /// Lock-free read of the value's first bytes into `buf`, as many as
+    /// both hold, without allocating; returns the value's whole length.
+    pub fn read_value_prefix(&self, buf: &mut [u8]) -> usize {
+        self.lock
+            .read_into(HEADER_BYTES, buf)
+            .saturating_sub(HEADER_BYTES)
+    }
+
     /// Read-modify-write of header + value in one critical section.
     ///
     /// The closure receives the current header and value and returns the new

@@ -113,6 +113,14 @@ impl Partition {
         Some(self.slab[slot].read())
     }
 
+    /// Lock-free read of the first bytes of `key`'s value into `buf`,
+    /// without allocating; the value's whole length, or `None` when the
+    /// key is absent. See [`StoredObject::read_value_prefix`].
+    pub fn read_value_prefix(&self, key: u64, buf: &mut [u8]) -> Option<usize> {
+        let slot = self.index.lookup(key)?;
+        Some(self.slab[slot].read_value_prefix(buf))
+    }
+
     /// Inserts or overwrites `key` with the given header and value.
     ///
     /// Returns the key/slot of a victim evicted by a lossy index, if any.

@@ -154,6 +154,29 @@ impl SeqLock {
         }
     }
 
+    /// Lock-free read of the payload bytes from `offset` on into `buf`, as
+    /// many as both hold, without allocating; returns the payload's whole
+    /// length. For callers that decide on a fixed-size prefix and have no
+    /// use for a copy of the rest.
+    pub fn read_into(&self, offset: usize, buf: &mut [u8]) -> usize {
+        loop {
+            let v1 = self.version.load(Ordering::Acquire);
+            if v1 % 2 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let len = self.len.load(Ordering::Relaxed);
+            let end = len.min(offset + buf.len());
+            for at in offset..end {
+                let word = self.words[at / 8].load(Ordering::Relaxed);
+                buf[at - offset] = word.to_le_bytes()[at % 8];
+            }
+            if self.version.load(Ordering::Acquire) == v1 {
+                return len;
+            }
+        }
+    }
+
     /// Raw payload read without version validation. Only meaningful when the
     /// caller already holds the writer lock or validates the version itself.
     fn read_unlocked(&self) -> Vec<u8> {
@@ -185,6 +208,21 @@ mod tests {
         assert_eq!(bytes, b"hello world");
         assert_eq!(version, 2);
         assert_eq!(lock.write_count(), 1);
+    }
+
+    #[test]
+    fn read_into_copies_the_asked_window_and_reports_the_whole_length() {
+        let lock = SeqLock::with_capacity(64);
+        lock.write(b"hello wide world");
+        let mut buf = [b'.'; 4];
+        assert_eq!(lock.read_into(6, &mut buf), 16);
+        assert_eq!(&buf, b"wide");
+        // A window past the payload's end fills what exists.
+        let mut buf = [b'.'; 8];
+        assert_eq!(lock.read_into(11, &mut buf), 16);
+        assert_eq!(&buf, b"world...");
+        assert_eq!(lock.read_into(40, &mut buf), 16);
+        assert_eq!(&buf, b"world...");
     }
 
     #[test]

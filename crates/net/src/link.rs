@@ -9,7 +9,8 @@
 //! * `server.rs`'s `PeerLink` holds a [`SendHalf`] of coherence items;
 //!   [`Frame::Credit`](crate::wire::Frame::Credit) confirms, the redial
 //!   handshake [`SendHalf::reconcile`]s. (Its receive side rides a kernel
-//!   byte stream, which is already ordered: a counter suffices.)
+//!   byte stream, which is already ordered: a counter suffices — and a
+//!   [`CreditReturn`] per connection says when that counter goes back.)
 //! * `transport.rs`'s UDP connection holds both halves at datagram
 //!   granularity and adds timers, pacing, faults and FIN.
 //! * `cckvs-modelcheck`'s `RackModel` holds both halves per directed node
@@ -206,6 +207,82 @@ impl<T> RecvHalf<T> {
     }
 }
 
+/// A receiver returns credits stand-alone once it has processed
+/// `window / CREDIT_RETURN_DIVISOR` items (at least one) it has not yet
+/// announced — the paper's "one explicit credit per several messages"
+/// (§6.4). A sender bounded by the same window therefore always has
+/// three quarters of it open while the receiver keeps up.
+pub const CREDIT_RETURN_DIVISOR: u64 = 4;
+
+/// When the receiving side of a link announces its cumulative processed
+/// count back to the sender. An announcement is free on a message that is
+/// leaving toward the sender anyway, and bookkeeping otherwise, so:
+///
+/// 1. every outgoing batch carries it ([`CreditReturn::take`]);
+/// 2. it leaves alone only when the unannounced debt reaches the
+///    threshold ([`CreditReturn::due`]), or
+/// 3. when a debt sat unannounced for one whole driver tick
+///    ([`CreditReturn::arm`] / [`CreditReturn::tick`]) — the idle tail.
+///
+/// The processed count itself belongs to the driver (it outlives the
+/// connection this policy is attached to) and is passed in.
+#[derive(Debug)]
+pub struct CreditReturn {
+    threshold: u64,
+    announced: u64,
+    /// `Some(announced)` as of arming, while the driver's tick is armed.
+    armed: Option<u64>,
+    /// A tick fired and nothing had been announced since it was armed.
+    overdue: bool,
+}
+
+impl CreditReturn {
+    /// The policy for a link whose sender is bounded by `window`.
+    pub fn new(window: u64) -> Self {
+        CreditReturn {
+            threshold: (window / CREDIT_RETURN_DIVISOR).max(1),
+            announced: 0,
+            armed: None,
+            overdue: false,
+        }
+    }
+
+    /// Whether the debt must leave now, with or without company.
+    pub fn due(&self, processed: u64) -> bool {
+        let owed = processed.saturating_sub(self.announced);
+        owed >= self.threshold || (self.overdue && owed > 0)
+    }
+
+    /// Announces everything processed: the count to put on the wire, or
+    /// `None` when nothing is owed.
+    pub fn take(&mut self, processed: u64) -> Option<u64> {
+        self.overdue = false;
+        if processed <= self.announced {
+            return None;
+        }
+        self.announced = processed;
+        Some(processed)
+    }
+
+    /// Whether the driver must arm its tick: a debt is left behind and no
+    /// tick is watching it yet.
+    pub fn arm(&mut self, processed: u64) -> bool {
+        let arm = processed > self.announced && self.armed.is_none();
+        if arm {
+            self.armed = Some(self.announced);
+        }
+        arm
+    }
+
+    /// The armed tick fired. A debt nothing announced in the meantime is
+    /// now [`CreditReturn::due`]; a younger one gets a tick of its own.
+    pub fn tick(&mut self) {
+        if let Some(at_arming) = self.armed.take() {
+            self.overdue = at_arming == self.announced;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +401,83 @@ mod tests {
             }
             delivered.extend(std::iter::from_fn(|| recv.pop_ready()));
             prop_assert_eq!(delivered.len() as u64, produced);
+        }
+
+        /// A window-bounded sender, an ordered wire, and a receiver that
+        /// runs laps the way the reactor does (process some arrivals, then
+        /// pump — with or without traffic of its own to ride), under any
+        /// interleaving of sends, laps, ticks and credit deliveries.
+        #[test]
+        fn credit_returns_never_pin_the_sender(
+            window in 1u64..200,
+            steps in prop::collection::vec((0u8..8, any::<u8>()), 1..600),
+        ) {
+            let threshold = (window / CREDIT_RETURN_DIVISOR).max(1);
+            let mut send = SendHalf::<()>::default();
+            let mut policy = CreditReturn::new(window);
+            // Items on the wire; announcements on the reverse wire.
+            let (mut in_flight, mut processed) = (0u64, 0u64);
+            let mut credits: VecDeque<u64> = VecDeque::new();
+            let (mut tick_armed, mut last_announced) = (false, 0u64);
+            // Ticks an unannounced debt has watched go by.
+            let mut ticks_in_debt = 0u32;
+            for (op, r) in steps {
+                let mut pump: Option<bool> = None;
+                match op {
+                    0..=2 => {
+                        for _ in 0..=r % 8 {
+                            if send.outstanding() < window {
+                                send.push(());
+                                in_flight += 1;
+                            }
+                        }
+                    }
+                    3 | 4 => {
+                        let n = in_flight.min(1 + u64::from(r) % 64);
+                        in_flight -= n;
+                        processed += n;
+                        pump = Some(op == 4 && r % 2 == 0);
+                    }
+                    5 if tick_armed => {
+                        tick_armed = false;
+                        policy.tick();
+                        pump = Some(false);
+                        if processed > last_announced {
+                            ticks_in_debt += 1;
+                        }
+                    }
+                    6 => {
+                        if let Some(cum) = credits.pop_front() {
+                            send.confirm(cum).expect("never beyond sent");
+                        }
+                    }
+                    _ => {}
+                }
+                if let Some(packed) = pump {
+                    if packed || policy.due(processed) {
+                        if let Some(cum) = policy.take(processed) {
+                            prop_assert!(cum > last_announced, "announcements are monotone");
+                            last_announced = cum;
+                            ticks_in_debt = 0;
+                            credits.push_back(cum);
+                        }
+                    }
+                    tick_armed |= policy.arm(processed);
+                    let owed = processed - last_announced;
+                    prop_assert!(owed < threshold, "{owed} owed after a pump");
+                    prop_assert!(owed == 0 || tick_armed, "a debt nothing watches");
+                    prop_assert!(ticks_in_debt < 2, "a debt outlived two ticks");
+                    if window < 2 * CREDIT_RETURN_DIVISOR {
+                        prop_assert_eq!(owed, 0, "small windows announce every time");
+                    }
+                }
+                if in_flight == 0 && credits.is_empty() {
+                    prop_assert!(
+                        send.outstanding() < window,
+                        "pinned at the window with everything processed"
+                    );
+                }
+            }
         }
     }
 }

@@ -306,6 +306,11 @@ pub struct MetricsSnapshot {
     /// Latency-class frames (invalidations, Lin acks, RPC traffic) sent
     /// through the peer mesh's priority lane.
     pub priority_lane_frames: u64,
+    /// `Credit` frames that rode a peer-mesh batch leaving anyway.
+    pub credit_frames_piggybacked: u64,
+    /// `Credit` frames that were a peer message of their own (return
+    /// threshold reached, or the idle-tail tick).
+    pub credit_frames_standalone: u64,
     /// Bulk corks flushed because the adaptive target size (or byte
     /// budget) was reached.
     pub cork_flush_full: u64,
@@ -431,6 +436,8 @@ pub struct Metrics {
     trace_events: AtomicU64,
     trace_dropped: AtomicU64,
     priority_lane_frames: AtomicU64,
+    credit_frames_piggybacked: AtomicU64,
+    credit_frames_standalone: AtomicU64,
     cork_flush_full: AtomicU64,
     cork_flush_deadline: AtomicU64,
     cork_flush_idle: AtomicU64,
@@ -554,6 +561,17 @@ impl Metrics {
     /// traffic) packed through a peer link's priority lane.
     pub fn record_priority_lane(&self, n: u64) {
         self.priority_lane_frames.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records one `Credit` frame sent on a peer link: riding a batch
+    /// (`piggybacked`) or as a message of its own.
+    pub fn record_credit_frame(&self, piggybacked: bool) {
+        let counter = if piggybacked {
+            &self.credit_frames_piggybacked
+        } else {
+            &self.credit_frames_standalone
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one bulk cork flushed at its adaptive target size.
@@ -719,6 +737,8 @@ impl Metrics {
             credit_stall_ns: self.credit_stall_ns.load(Ordering::Relaxed),
             credit_stall_p99_ns,
             priority_lane_frames: self.priority_lane_frames.load(Ordering::Relaxed),
+            credit_frames_piggybacked: self.credit_frames_piggybacked.load(Ordering::Relaxed),
+            credit_frames_standalone: self.credit_frames_standalone.load(Ordering::Relaxed),
             cork_flush_full: self.cork_flush_full.load(Ordering::Relaxed),
             cork_flush_deadline: self.cork_flush_deadline.load(Ordering::Relaxed),
             cork_flush_idle: self.cork_flush_idle.load(Ordering::Relaxed),
@@ -895,14 +915,30 @@ impl Metrics {
             "Trace events dropped because a sink ring lane was full.",
             snap.trace_dropped,
         );
-        out.push_str(
-            "# HELP cckvs_udp_datagrams_total UDP fabric datagrams sent by this node's transport, by kind.\n\
-             # TYPE cckvs_udp_datagrams_total counter\n",
-        );
-        for (kind, value) in snap.udp_datagrams {
+        let credit_frames = [
+            ("piggybacked", snap.credit_frames_piggybacked),
+            ("standalone", snap.credit_frames_standalone),
+        ];
+        for (name, help, kinds) in [
+            (
+                "udp_datagrams_total",
+                "UDP fabric datagrams sent by this node's transport, by kind.",
+                &snap.udp_datagrams[..],
+            ),
+            (
+                "credit_frames_total",
+                "Credit frames sent on peer links: riding a batch, or alone.",
+                &credit_frames[..],
+            ),
+        ] {
             out.push_str(&format!(
-                "cckvs_udp_datagrams_total{{node=\"{node_label}\",kind=\"{kind}\"}} {value}\n"
+                "# HELP cckvs_{name} {help}\n# TYPE cckvs_{name} counter\n"
             ));
+            for (kind, value) in kinds {
+                out.push_str(&format!(
+                    "cckvs_{name}{{node=\"{node_label}\",kind=\"{kind}\"}} {value}\n"
+                ));
+            }
         }
         for (suffix, value) in [
             ("batch_ops_p50", snap.batch_ops_p50),

@@ -68,7 +68,7 @@
 //! every key the dead peer does not home.
 
 use crate::client::Conn;
-use crate::link::SendHalf;
+use crate::link::{CreditReturn, SendHalf};
 use crate::metrics::{Metrics, MetricsServer};
 use crate::rpc::{serve_home_frame, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
@@ -88,7 +88,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use symcache::popularity::{CacheCoordinator, EpochConfig, HotSet};
-use symcache::ReadOutcome;
+use symcache::{ReadOutcome, ReadProbe};
 
 /// Peer-mesh batching and credit-based flow-control knobs (§6.3/§6.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,20 +326,37 @@ impl NodeServerBuilder {
     }
 }
 
-/// How long a credit-stalled peer writer waits before re-checking for
-/// piggyback credit returns it owes in the other direction. This tick is
-/// what makes symmetric saturation deadlock-free: even with every writer
-/// stalled, each wakes up, sends a credit-only batch (credits consume no
-/// credits), and unblocks its peer.
+/// How long a credit-stalled peer writer waits before re-pumping (the
+/// arriving credit is the primary wake; this tick is the backstop).
+/// Symmetric saturation is deadlock-free because credits consume no
+/// credits: each side returns them — stand-alone, the debt being a whole
+/// window — in the lap that processes the other's burst, stalled or not.
 const CREDIT_STALL_TICK: Duration = Duration::from_millis(1);
 
 /// Stall re-check tick while *latency-class* frames (invalidations, Lin
 /// acks, RPC responses) are blocked on the credit window: a blocked Lin
 /// writer is waiting on exactly these frames, so the priority lane
 /// re-pumps at fine-timer granularity instead of the 1 ms bulk tick.
-/// (The credit-return doorbell remains the primary wake; this tick is
-/// the deadlock-free backstop.)
+/// (The arriving credit is the primary wake; this tick is the
+/// deadlock-free backstop.)
 const PRIORITY_STALL_TICK: Duration = Duration::from_micros(100);
+
+/// The [`CreditReturn`] tick: a processed count that found nothing to ride
+/// for this long goes back stand-alone, so an idle tail still releases the
+/// sender's retained copies and a sender with a window smaller than this
+/// node's return threshold stays live. Nothing waits on it while windows
+/// match, and it is long on purpose: a busy link keeps it armed, an armed
+/// tick puts a timeout on every blocking poll, and a timeout nearer than
+/// the kernel's own next tick reprograms the clock-event device on arm and
+/// again on cancel — at 5 ms that cost `cold_uniform` more than the
+/// stand-alone credits it replaced.
+pub const CREDIT_RETURN_TICK: Duration = Duration::from_millis(200);
+
+/// Marks a wheel token as a peer-out connection's [`CREDIT_RETURN_TICK`].
+/// It is armed beside the connection's `tick_armed` tick, not through it:
+/// that flag dedupes arming, and a tick of milliseconds holding it would
+/// put off the sub-millisecond cork and stall deadlines.
+const TOKEN_CREDIT_TICK: u64 = 1 << 63;
 
 /// Time constant of the per-link bulk arrival-rate EWMA driving the
 /// adaptive cork target: samples taken `dt` apart blend with weight
@@ -799,8 +816,6 @@ struct ServerInner {
     /// [`Frame::PeerResume`]). Echoed back as [`Frame::Credit`]
     /// confirmations.
     peer_recv_count: Vec<AtomicU64>,
-    /// `peer_recv_count` value at the last credit doorbell per peer.
-    credit_doorbell: Vec<AtomicU64>,
     /// Peer listen addresses (redials and the coordinator's admin conns).
     peer_addrs: Mutex<Vec<SocketAddr>>,
     /// Pending correlated miss-path RPCs ([`crate::rpc`]). An arriving
@@ -1051,26 +1066,6 @@ impl ServerInner {
             .map(|link| link.queues.lock().len() as u64)
             .sum();
         self.metrics.set_parked(total);
-    }
-
-    /// Books `n` processed protocol messages from peer `from`, and — once
-    /// a quarter window accumulates since the last doorbell — rings the
-    /// shard owning the link toward that peer so the cumulative credit
-    /// confirmation flows back even when no protocol traffic happens to be
-    /// going that way (an SC update stream is one-directional; without the
-    /// doorbell the sender would stall out).
-    fn note_processed(&self, from: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let count = self.peer_recv_count[from].fetch_add(n, Ordering::AcqRel) + n;
-        let since = count.saturating_sub(self.credit_doorbell[from].load(Ordering::Acquire));
-        if since >= (self.flow.credit_window / 4).max(1) {
-            self.credit_doorbell[from].store(count, Ordering::Release);
-            if let Some(link) = self.peer_links.get(from).and_then(Option::as_ref) {
-                self.shard(link.shard).waker.wake();
-            }
-        }
     }
 
     /// A peer's process died and a new one took its place (detected by a
@@ -1735,7 +1730,6 @@ impl NodeServer {
                 .collect(),
             peer_in_gen: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             peer_recv_count: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            credit_doorbell: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             peer_addrs: Mutex::new(vec![listen_addr; nodes]),
             // Ids continue from the generation stamp (wall-clock
             // nanoseconds), so they never meet the dead predecessor's.
@@ -2431,10 +2425,10 @@ enum Role {
         builder: BatchBuilder,
         /// When the current credit stall began (metrics).
         stall_started: Option<Instant>,
-        /// The cumulative processed count last confirmed toward the peer
-        /// (dedupes piggybacked [`Frame::Credit`] frames; re-announcing is
-        /// harmless, cumulative confirmations are idempotent).
-        last_cum: u64,
+        /// When the cumulative processed count goes back to the peer as a
+        /// [`Frame::Credit`]. Fresh per connection, so a reconnect
+        /// re-announces at once (cumulative confirmations are idempotent).
+        credit: CreditReturn,
         /// Adaptive bulk-batch controller for this link.
         cork: AdaptiveCork,
     },
@@ -2639,11 +2633,17 @@ impl Shard {
             if accept {
                 self.accept_burst(&mut dirty);
             }
-            for token in self.wheel.expired() {
-                if let Some(conn) = self.conns.get_mut(&token.0) {
+            for Token(fired) in self.wheel.expired() {
+                let token = fired & !TOKEN_CREDIT_TICK;
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    continue;
+                };
+                if fired == token {
                     conn.tick_armed = false;
-                    dirty.push(token.0);
+                } else if let Role::PeerOut { credit, .. } = &mut conn.role {
+                    credit.tick();
                 }
+                dirty.push(token);
             }
             loop {
                 self.drain_inbox(&mut dirty);
@@ -2749,7 +2749,7 @@ impl Shard {
                             link: Arc::clone(&link),
                             builder: BatchBuilder::new(),
                             stall_started: None,
-                            last_cum: 0,
+                            credit: CreditReturn::new(self.inner.flow.credit_window),
                             cork: AdaptiveCork::new(),
                         },
                     ) {
@@ -2953,7 +2953,6 @@ impl Shard {
         if gen > cur {
             inner.peer_in_gen[from].store(gen, Ordering::Release);
             inner.peer_recv_count[from].store(0, Ordering::Release);
-            inner.credit_doorbell[from].store(0, Ordering::Release);
             if cur != 0 {
                 // A new process took the peer's place mid-flight: writes
                 // pending on the dead process's acks must reissue.
@@ -2989,7 +2988,6 @@ impl Shard {
                     return true;
                 }
                 self.inner.peer_recv_count[from].store(start_seq - 1, Ordering::Release);
-                self.inner.credit_doorbell[from].store(start_seq - 1, Ordering::Release);
                 conn.role = Role::PeerIn { from };
                 self.step_peer_in(conn)
             }
@@ -3206,8 +3204,7 @@ impl Shard {
                         continue;
                     }
                     let home = inner.node.home_node(key);
-                    if home == inner.node.node()
-                        || !matches!(inner.node.cache().read(key), ReadOutcome::Miss)
+                    if home == inner.node.node() || inner.node.cache().probe(key) != ReadProbe::Miss
                     {
                         continue;
                     }
@@ -3631,10 +3628,12 @@ impl Shard {
                             Err(_) => return true,
                         },
                     };
-                    // Book the processing: the cumulative count is echoed
-                    // back as the credit confirmation that refills the
-                    // sender's window (and releases its retained copies).
-                    self.inner.note_processed(from, processed);
+                    // Book the processing. The link toward `from` lives on
+                    // this shard and is pumped last in this very lap: its
+                    // `CreditReturn` decides when the count goes back to
+                    // refill the sender's window and release its retained
+                    // copies.
+                    self.inner.peer_recv_count[from].fetch_add(processed, Ordering::AcqRel);
                 }
                 Ok(None) => break,
                 Err(_) => return true,
@@ -3647,8 +3646,9 @@ impl Shard {
     /// traffic into [`Frame::Batch`] messages (§6.3's software-multicast
     /// amortisation) under credit-based flow control (§6.4), with the
     /// cumulative processed confirmation toward the peer piggybacked on
-    /// every batch. Driven by readiness; a credit stall or a pending cork
-    /// deadline arms a wheel tick instead of parking a thread.
+    /// every batch and sent alone only when the link's [`CreditReturn`]
+    /// says it is due. Driven by readiness; a credit stall or a pending
+    /// cork deadline arms a wheel tick instead of parking a thread.
     ///
     /// Lanes ([`LinkItem::lane`]): the replay queue drains strictly first
     /// (seq exactness), then the **latency lane** — invalidations, Lin
@@ -3682,7 +3682,7 @@ impl Shard {
             link,
             builder,
             stall_started,
-            last_cum,
+            credit,
             cork,
         } = &mut conn.role
         else {
@@ -3699,6 +3699,9 @@ impl Shard {
         let max_ops = inner.flow.peer_batch_ops.max(1) as u64;
         let max_delay = inner.flow.max_delay;
         let running = inner.running.load(Ordering::SeqCst);
+        // Messages from `peer` processed so far: its link in lives on this
+        // shard, so the count stands still while this pump runs.
+        let processed = inner.peer_recv_count[peer].load(Ordering::Acquire);
         let mut stalled = false;
         // Whether replay/latency frames were among the stalled work: they
         // re-check at fine-timer granularity, not the 1 ms bulk tick.
@@ -3711,19 +3714,6 @@ impl Shard {
             // writability event resumes the pump.
             if conn.writebuf.pending() > HIGH_WATER {
                 break;
-            }
-            // Piggyback the cumulative processed confirmation first: it is
-            // exempt from flow control and must go out even while this
-            // link is stalled. Cumulative confirmations are idempotent, so
-            // re-announcing after a reconnect costs nothing.
-            let cum_now = inner.peer_recv_count[peer].load(Ordering::Acquire);
-            let announced = cum_now > *last_cum;
-            if announced {
-                builder.push(&Frame::Credit {
-                    cum: cum_now,
-                    gen: inner.peer_in_gen[peer].load(Ordering::Acquire),
-                });
-                *last_cum = cum_now;
             }
             cork_deadline = None;
             let mut queues = link.queues.lock();
@@ -3901,6 +3891,23 @@ impl Shard {
                 && (bulk_release == 0 || queues.bulk.is_empty());
             drop(send);
             drop(queues);
+            // The cumulative processed confirmation rides whatever was
+            // just packed; with nothing to ride it leaves only once the
+            // policy says it must. It is exempt from flow control, so it
+            // goes out even while this link is stalled.
+            if packed > 0 || credit.due(processed) {
+                if let Some(cum) = credit.take(processed) {
+                    // A message over the byte budget travels alone.
+                    if builder.bytes() > batch_max {
+                        write_frame_builder(builder, &mut conn.writebuf);
+                    }
+                    builder.push(&Frame::Credit {
+                        cum,
+                        gen: inner.peer_in_gen[peer].load(Ordering::Acquire),
+                    });
+                    inner.metrics.record_credit_frame(packed > 0);
+                }
+            }
             if builder.count() > 0 {
                 // Singleton messages leave the builder as bare frames (see
                 // `BatchBuilder::write_to`) — only count what actually
@@ -3911,17 +3918,10 @@ impl Shard {
                 }
                 write_frame_builder(builder, &mut conn.writebuf);
             }
-            // No progress AND no confirmation went out: nothing more can
-            // happen this pump (the queues are empty, the bulk lane is
-            // corked, or the window is closed — ticks handle the latter
-            // two). A round that wrote only a confirmation must loop once
-            // more: a pending credit frame in the builder can push the
-            // head message past the batch byte budget (packed == 0), and
-            // breaking there would strand the message with no timer armed
-            // and no writability event coming on a one-way link. The
-            // retry starts with an empty builder, where an oversized
-            // message travels alone.
-            if packed == 0 && !announced {
+            // No progress: nothing more can happen this pump (the queues
+            // are empty, the bulk lane is corked, or the window is closed
+            // — ticks handle the latter two).
+            if packed == 0 {
                 break;
             }
             if nothing_left {
@@ -3954,6 +3954,10 @@ impl Shard {
                 self.wheel.schedule(Token(token), t);
                 conn.tick_armed = true;
             }
+        }
+        if credit.arm(processed) {
+            self.wheel
+                .schedule(Token(token | TOKEN_CREDIT_TICK), CREDIT_RETURN_TICK);
         }
         false
     }

@@ -2,8 +2,11 @@
 //! match `wire::opcode_table()` exactly — same names, same values, no
 //! frame missing from either side. Renumbering, adding, or removing an
 //! opcode without updating the doc fails here. Likewise the "UDP datagram
-//! envelope" table against `transport.rs`'s tag and header-size constants.
+//! envelope" table against `transport.rs`'s tag and header-size constants,
+//! and the credit-return policy's two constants.
 
+use cckvs_net::link::CREDIT_RETURN_DIVISOR;
+use cckvs_net::server::CREDIT_RETURN_TICK;
 use cckvs_net::transport::{
     DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_FIN, DG_SYN, DG_SYNACK, UDP_ACK_EVERY,
 };
@@ -119,4 +122,21 @@ fn wire_doc_datagram_envelope_matches_the_code() {
         envelope.contains(&format!("`UDP_ACK_EVERY` = {UDP_ACK_EVERY} in-order")),
         "docs/WIRE.md's ack policy does not state UDP_ACK_EVERY = {UDP_ACK_EVERY}"
     );
+}
+
+#[test]
+fn wire_doc_credit_return_policy_matches_the_code() {
+    let markdown = wire_doc();
+    for stated in [
+        format!("`CREDIT_RETURN_DIVISOR` = {CREDIT_RETURN_DIVISOR}"),
+        format!(
+            "`CREDIT_RETURN_TICK` = {} ms",
+            CREDIT_RETURN_TICK.as_millis()
+        ),
+    ] {
+        assert!(
+            markdown.contains(&stated),
+            "docs/WIRE.md's credit flow control does not state {stated}"
+        );
+    }
 }

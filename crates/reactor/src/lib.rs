@@ -174,8 +174,11 @@ mod tests {
     fn timer_wheel_fires_in_deadline_order() {
         let mut wheel = TimerWheel::new();
         assert_eq!(wheel.next_timeout(), None);
-        wheel.schedule(Token(1), Duration::from_millis(5));
+        // Armed later-deadline first: the timeout follows the nearest one.
         wheel.schedule(Token(2), Duration::from_millis(40));
+        let timeout = wheel.next_timeout().expect("armed");
+        assert!(timeout > Duration::from_millis(30), "{timeout:?}");
+        wheel.schedule(Token(1), Duration::from_millis(5));
         assert!(wheel.armed() == 2);
         let timeout = wheel.next_timeout().expect("armed");
         assert!(timeout <= Duration::from_millis(6), "{timeout:?}");
@@ -183,6 +186,12 @@ mod tests {
         let due = wheel.expired();
         assert_eq!(due, vec![Token(1)]);
         assert_eq!(wheel.armed(), 1);
+        // ... and falls back to the one still armed.
+        let timeout = wheel.next_timeout().expect("armed");
+        assert!(
+            timeout > Duration::from_millis(15) && timeout <= Duration::from_millis(31),
+            "{timeout:?}"
+        );
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(wheel.expired(), vec![Token(2)]);
         assert_eq!(wheel.armed(), 0);

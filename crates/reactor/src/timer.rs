@@ -57,6 +57,10 @@ pub struct TimerWheel {
     coarse_cursor: u64,
     coarse: Vec<Vec<Entry>>,
     armed: usize,
+    /// The nearest armed deadline (µs since `base`) while `armed > 0`:
+    /// lowered by `schedule`, recomputed by `expired` when timers fired —
+    /// so `next_timeout`, which runs every reactor lap, scans nothing.
+    earliest_us: u64,
 }
 
 impl TimerWheel {
@@ -69,6 +73,7 @@ impl TimerWheel {
             coarse_cursor: 0,
             coarse: (0..COARSE_SLOTS).map(|_| Vec::new()).collect(),
             armed: 0,
+            earliest_us: u64::MAX,
         }
     }
 
@@ -85,21 +90,19 @@ impl TimerWheel {
     pub fn schedule(&mut self, token: Token, delay: Duration) {
         let now_us = self.now_us();
         let delay_us = (delay.as_micros() as u64).max(1);
-        let entry = |deadline_us| Entry { deadline_us, token };
-        if delay_us < FINE_HORIZON_US {
-            // Round up to the next fine slot boundary; `max(1)` slot keeps
-            // the deadline strictly in the future.
-            let ticks = delay_us.div_ceil(FINE_SLOT_US).max(1);
-            let deadline_tick = now_us / FINE_SLOT_US + ticks;
-            debug_assert!(deadline_tick * FINE_SLOT_US > now_us);
-            self.fine[(deadline_tick % FINE_SLOTS as u64) as usize]
-                .push(entry(deadline_tick * FINE_SLOT_US));
+        // Round up to the wheel's next slot boundary; `max(1)` slot keeps
+        // the deadline strictly in the future.
+        let (wheel, slot_us) = if delay_us < FINE_HORIZON_US {
+            (&mut self.fine, FINE_SLOT_US)
         } else {
-            let ticks = delay_us.div_ceil(COARSE_SLOT_US).max(1);
-            let deadline_tick = now_us / COARSE_SLOT_US + ticks;
-            self.coarse[(deadline_tick % COARSE_SLOTS as u64) as usize]
-                .push(entry(deadline_tick * COARSE_SLOT_US));
-        }
+            (&mut self.coarse, COARSE_SLOT_US)
+        };
+        let deadline_tick = now_us / slot_us + delay_us.div_ceil(slot_us).max(1);
+        let deadline_us = deadline_tick * slot_us;
+        debug_assert!(deadline_us > now_us);
+        let slot = (deadline_tick % wheel.len() as u64) as usize;
+        wheel[slot].push(Entry { deadline_us, token });
+        self.earliest_us = self.earliest_us.min(deadline_us);
         self.armed += 1;
     }
 
@@ -116,16 +119,7 @@ impl TimerWheel {
         if self.armed == 0 {
             return None;
         }
-        // Scan every armed entry; cheap at reactor scale (a handful).
-        let mut best: Option<u64> = None;
-        for slot in self.fine.iter().chain(self.coarse.iter()) {
-            for entry in slot {
-                if best.is_none_or(|b| entry.deadline_us < b) {
-                    best = Some(entry.deadline_us);
-                }
-            }
-        }
-        let deadline = best?;
+        let deadline = self.earliest_us;
         let now_us = self.now_us();
         Some(Duration::from_micros(
             deadline.saturating_sub(now_us).max(FINE_SLOT_US),
@@ -150,7 +144,13 @@ impl TimerWheel {
             now_us,
             &mut due,
         );
-        self.armed -= due.len();
+        if !due.is_empty() {
+            self.armed -= due.len();
+            self.earliest_us = (self.fine.iter().chain(&self.coarse).flatten())
+                .map(|entry| entry.deadline_us)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
         due.sort_by_key(|e| e.deadline_us);
         due.into_iter().map(|e| e.token).collect()
     }

@@ -46,6 +46,18 @@ pub enum ReadOutcome {
     Miss,
 }
 
+/// [`ReadOutcome`] without the value: what [`SymmetricCache::probe`]
+/// reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadProbe {
+    /// A read would hit.
+    Hit,
+    /// A read would stall (see [`ReadOutcome::Stall`]).
+    Stall,
+    /// A read would miss.
+    Miss,
+}
+
 /// Result of evicting a key from the cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvictOutcome {
@@ -432,6 +444,30 @@ impl SymmetricCache {
         out
     }
 
+    /// The read rules over an entry's stored metadata: what a read finds,
+    /// and the timestamp a hit carries.
+    fn read_rules(&self, meta: &[u8]) -> (ReadProbe, Timestamp) {
+        let meta = Meta::decode(meta);
+        let probe = if meta.frozen {
+            ReadProbe::Miss
+        } else if self.model == ConsistencyModel::Sc || meta.lin.readable() {
+            ReadProbe::Hit
+        } else {
+            ReadProbe::Stall
+        };
+        (probe, meta.lin.ts)
+    }
+
+    /// What [`SymmetricCache::read`] would find, without copying the value
+    /// out (or allocating at all): for callers that only route on it.
+    pub fn probe(&self, key: u64) -> ReadProbe {
+        let mut meta = [0u8; META_BYTES];
+        match self.store.read_value_prefix(key, &mut meta) {
+            Some(len) if len >= META_BYTES => self.read_rules(&meta).0,
+            _ => ReadProbe::Miss,
+        }
+    }
+
     /// Probes the cache for a read.
     pub fn read(&self, key: u64) -> ReadOutcome {
         let Some(snap) = self.store.get(key) else {
@@ -440,21 +476,13 @@ impl SymmetricCache {
         if snap.value.len() < META_BYTES {
             return ReadOutcome::Miss;
         }
-        let meta = Meta::decode(&snap.value);
-        if meta.frozen {
-            return ReadOutcome::Miss;
-        }
-        let readable = match self.model {
-            ConsistencyModel::Sc => true,
-            ConsistencyModel::Lin => meta.lin.readable(),
-        };
-        if readable {
-            ReadOutcome::Hit {
+        match self.read_rules(&snap.value) {
+            (ReadProbe::Hit, ts) => ReadOutcome::Hit {
                 value: snap.value[META_BYTES..].to_vec(),
-                ts: meta.lin.ts,
-            }
-        } else {
-            ReadOutcome::Stall
+                ts,
+            },
+            (ReadProbe::Stall, _) => ReadOutcome::Stall,
+            (ReadProbe::Miss, _) => ReadOutcome::Miss,
         }
     }
 
@@ -929,6 +957,66 @@ mod tests {
             matches!(c.read(5), ReadOutcome::Hit { value, ts: t } if value == b"committed" && t == ts)
         );
         assert!(!c.activate(99), "activation of an absent key reports it");
+    }
+
+    /// `probe` is `read` without the value: walks one key through absent,
+    /// warming (frozen), invalid, valid and locally pending, under both
+    /// models, and compares the two at every step.
+    #[test]
+    fn probe_agrees_with_read_in_every_entry_state() {
+        fn agreed(c: &SymmetricCache, key: u64) -> ReadProbe {
+            let probe = c.probe(key);
+            let read = match c.read(key) {
+                ReadOutcome::Hit { .. } => ReadProbe::Hit,
+                ReadOutcome::Stall => ReadProbe::Stall,
+                ReadOutcome::Miss => ReadProbe::Miss,
+            };
+            assert_eq!(probe, read, "probe and read disagree");
+            probe
+        }
+        for model in [ConsistencyModel::Sc, ConsistencyModel::Lin] {
+            let lin = model == ConsistencyModel::Lin;
+            let c = cache(model, 2);
+            // Only Lin invalidates; SC entries are never unreadable.
+            let invalidate = |clock| {
+                let ts = Timestamp::new(clock, NodeId(0));
+                let from = NodeId(0);
+                if lin {
+                    c.deliver(&ProtocolMsg::Invalidation { key: 5, ts, from }, None);
+                }
+                ts
+            };
+            let update = |ts| {
+                let (value, from) = (9, NodeId(0));
+                let msg = ProtocolMsg::Update {
+                    key: 5,
+                    value,
+                    ts,
+                    from,
+                };
+                c.deliver(&msg, Some(b"fresh"));
+            };
+            let unreadable = if lin {
+                ReadProbe::Stall
+            } else {
+                ReadProbe::Hit
+            };
+            assert_eq!(agreed(&c, 5), ReadProbe::Miss, "absent");
+            assert!(c.fill_warm(5, b"fetched", 0, Timestamp::ZERO));
+            assert_eq!(agreed(&c, 5), ReadProbe::Miss, "warming");
+            let ts = invalidate(1);
+            assert_eq!(agreed(&c, 5), ReadProbe::Miss, "warming and invalid");
+            update(ts);
+            assert!(c.activate(5));
+            assert_eq!(agreed(&c, 5), ReadProbe::Hit, "valid");
+            let ts = invalidate(2);
+            assert_eq!(agreed(&c, 5), unreadable, "invalid");
+            update(ts);
+            assert_eq!(agreed(&c, 5), ReadProbe::Hit, "valid again");
+            c.write(5, b"mine", 1);
+            assert_eq!(agreed(&c, 5), unreadable, "local write pending");
+            assert_eq!(agreed(&c, 6), ReadProbe::Miss, "another key");
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@ pub mod hitrate;
 pub mod popularity;
 pub mod topk;
 
-pub use cache::{DeliverOutcome, EvictOutcome, ReadOutcome, SymmetricCache, WriteOutcome};
+pub use cache::{
+    DeliverOutcome, EvictOutcome, ReadOutcome, ReadProbe, SymmetricCache, WriteOutcome,
+};
 pub use hitrate::{expected_hit_rate, hit_rate_curve};
 pub use popularity::{CacheCoordinator, EpochConfig, HotSet};
 pub use topk::SpaceSaving;

@@ -129,14 +129,20 @@ fn main() {
     // dozen, while an ack policy that starved senders would show one
     // retransmission per handful of datagrams.
     // Each node counts its own transport's datagrams; the rack's census
-    // is their sum (client-side datagrams are the sessions' own).
+    // is their sum (client-side datagrams are the sessions' own). One
+    // layer up the same bookkeeping question has the same answer: peer-link
+    // credits ride batches that were leaving anyway.
     let mut census = [0u64; 4];
+    let (mut credits_rode, mut credits_alone) = (0u64, 0u64);
     for node in 0..rack.nodes() {
-        let sent = rack.server(node).metrics().snapshot().udp_datagrams;
-        for (total, (_, count)) in census.iter_mut().zip(sent) {
+        let snap = rack.server(node).metrics().snapshot();
+        for (total, (_, count)) in census.iter_mut().zip(snap.udp_datagrams) {
             *total += count;
         }
+        credits_rode += snap.credit_frames_piggybacked;
+        credits_alone += snap.credit_frames_standalone;
     }
+    println!("  peer credits (nodes): {credits_rode} piggybacked | {credits_alone} stand-alone");
     let [data, acks, piggybacked, retransmits] = census;
     println!(
         "  udp datagrams (nodes): {data} data | {acks} stand-alone acks | {piggybacked} acks piggybacked | {retransmits} retransmits"
