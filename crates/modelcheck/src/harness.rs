@@ -46,6 +46,14 @@
 //! (`MissGetResp` carries none) and for a cold write whose origin died
 //! before the answer arrived.
 //!
+//! ## The sessions
+//!
+//! Each node serves one client session through the production op machine
+//! ([`cckvs_net::ops::ConnOps`]): the request queue, the one suspended
+//! request, batch prefetch, the bounce policy and the request-order rule are
+//! the code the reactor runs per connection. How the harness drives it is
+//! [`session`]'s.
+//!
 //! ## Crash gating
 //!
 //! Gated (default) crashes avoid the windows the production system is
@@ -61,18 +69,22 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::sync::{Arc, Mutex};
 
-use cckvs::node::{CacheGet, CachePut, CcNode, ColdPut, EvictHot, NodeConfig, Outgoing};
+use cckvs::node::{CacheGet, CcNode, EvictHot, NodeConfig, Outgoing};
 use cckvs_net::link::{Accept, RecvHalf, SendHalf};
+use cckvs_net::ops::{ConnOps, Wait};
 use cckvs_net::rpc::{serve_home_frame, RpcTable};
 use cckvs_net::sim::{SimConnection, SimNet};
 use cckvs_net::wire::{encode_frame_into, Frame};
 use consistency::engine::Destination;
-use consistency::history::{History, OpRecord, RecordKind};
+use consistency::history::{History, RecordKind};
 use consistency::{NodeId, ProtocolMsg, Timestamp};
 use simnet::TrafficClass;
 
-use crate::scenario::{AdminStep, ProgOp, ScenarioSpec};
+use crate::scenario::{AdminStep, ProgStep, ScenarioSpec};
 use crate::sched::SplitMix64;
+use session::Request;
+
+mod session;
 
 /// Iteration cap of the post-exploration drain; hitting it is reported as
 /// a deadlock (healthy schedules quiesce orders of magnitude earlier).
@@ -177,24 +189,6 @@ struct SentFrame {
     class: TrafficClass,
 }
 
-/// Why a client operation has not completed yet.
-enum OpState {
-    /// Bounced or stalled; retried when the node observes progress
-    /// (deliveries or a world-version bump since the stored snapshot).
-    Parked { snapshot: (u64, u64) },
-    /// A pending Lin write awaiting its commit continuation.
-    WaitingCommit { ts: Timestamp },
-    /// A miss-path RPC awaiting its response.
-    WaitingRpc { corr: u64 },
-}
-
-/// An invoked-but-incomplete client operation.
-struct InFlight {
-    op: ProgOp,
-    invoked_at: u64,
-    state: OpState,
-}
-
 /// One rack node: the process (`CcNode` + pending-RPC table, replaced
 /// together on restart) plus what the harness tracks around it.
 struct NodeSlot {
@@ -211,13 +205,26 @@ struct NodeSlot {
     /// observable (executed cold writes / landed write-backs) — gated
     /// crashes refuse such nodes (ROADMAP: durable home shards).
     kvs_dirty: bool,
-    program: VecDeque<ProgOp>,
-    current: Option<InFlight>,
+    program: VecDeque<ProgStep>,
+    /// The session's connection into this process — the production op
+    /// machine. It dies with the process.
+    ops: ConnOps<()>,
+    /// Requests sent and not yet answered, oldest first.
+    inflight: VecDeque<Request>,
+    /// `(deliveries, world_version)` when the request in progress last
+    /// bounced, or lost its connection to a crash: [`Action::Reprobe`] is
+    /// offered once either has moved.
+    parked: Option<(u64, u64)>,
+    /// Per key, the shard version behind the newest `MissGetResp`
+    /// delivered to this session.
+    cold_reads: BTreeMap<u64, Timestamp>,
+    /// The miss RPC answered to this session last (names it in the log).
+    resolved: u64,
 }
 
 /// Who a pending miss-path RPC resolves to at its origin.
 enum RpcWaiter {
-    /// The session's current operation ([`OpState::WaitingRpc`]).
+    /// The session's op machine (`Wait::Rpc`, or a prefetch slot).
     Op,
     /// A dirty eviction's write-back (admin script).
     WriteBack,
@@ -244,14 +251,13 @@ pub struct RackModel {
     recv: BTreeMap<(usize, usize), RecvHalf<Vec<u8>>>,
     /// Live flight → (from, to, link sequence).
     flight_meta: BTreeMap<u64, (usize, usize, u64)>,
-    /// `(origin, corr)` → the version the home served that request at (see
-    /// the module docs); cleared when the request resolves or its origin
-    /// dies.
-    served: BTreeMap<(usize, u64), Timestamp>,
-    /// Lin commit continuations land here (pushed by `on_committed` hooks
-    /// firing inline on the delivery path) and are drained after every
-    /// delivery.
-    commits: Arc<Mutex<Vec<(usize, u64, Timestamp)>>>,
+    /// `(origin, corr)` → the key and version the home served that request
+    /// at (see the module docs); cleared when the request resolves or its
+    /// origin dies.
+    served: BTreeMap<(usize, u64), (u64, Timestamp)>,
+    /// Sessions whose Lin commit hook fired (pushed by `on_committed` hooks
+    /// running inline on the delivery path), resumed after every delivery.
+    commits: Arc<Mutex<Vec<usize>>>,
     history: History,
     events: Vec<String>,
     clock: u64,
@@ -280,6 +286,11 @@ impl RackModel {
             "scenarios are small racks (2..=8 nodes)"
         );
         assert_eq!(spec.programs.len(), spec.nodes);
+        let bare = |step: &ProgStep| matches!(step, ProgStep::Op(_));
+        assert!(
+            spec.crash_budget == 0 || spec.programs.iter().flatten().all(bare),
+            "a crash's effect on a half-served batch or pipeline is not modelled"
+        );
         let net = SimNet::new(spec.nodes);
         let nodes: Vec<NodeSlot> = (0..spec.nodes)
             .map(|n| {
@@ -292,8 +303,12 @@ impl RackModel {
                     session_seq: 0,
                     deliveries: 0,
                     kvs_dirty: false,
-                    program: spec.programs[n].iter().copied().collect(),
-                    current: None,
+                    program: spec.programs[n].iter().cloned().collect(),
+                    ops: ConnOps::default(),
+                    inflight: VecDeque::new(),
+                    parked: None,
+                    cold_reads: BTreeMap::new(),
+                    resolved: 0,
                 }
             })
             .collect();
@@ -376,8 +391,7 @@ impl RackModel {
     pub fn enabled_actions(&self) -> Vec<Action> {
         let mut out = Vec::new();
         for n in 0..self.nodes.len() {
-            let s = &self.nodes[n];
-            if s.up && s.current.is_none() && !s.program.is_empty() {
+            if self.issue_enabled(n) {
                 out.push(Action::Issue(n));
             }
         }
@@ -430,17 +444,6 @@ impl RackModel {
         out
     }
 
-    fn reprobe_enabled(&self, n: usize) -> bool {
-        let s = &self.nodes[n];
-        s.up && matches!(
-            &s.current,
-            Some(InFlight {
-                state: OpState::Parked { snapshot },
-                ..
-            }) if *snapshot != (s.deliveries, self.world_version)
-        )
-    }
-
     fn retransmit_enabled(&self, i: usize, j: usize) -> bool {
         if !self.nodes[i].up || !self.nodes[j].up {
             return false;
@@ -475,13 +478,7 @@ impl RackModel {
             return false;
         }
         let dirty_shard = self.nodes[n].kvs_dirty;
-        let pending_commit = matches!(
-            &self.nodes[n].current,
-            Some(InFlight {
-                state: OpState::WaitingCommit { .. },
-                ..
-            })
-        );
+        let pending_commit = self.awaits_commit(n);
         let undelivered_update = (0..self.nodes.len())
             .filter(|&j| j != n)
             .any(|j| self.undelivered(n, j).any(|(_, r)| r.is_update));
@@ -491,7 +488,7 @@ impl RackModel {
             // (ack-then-die) or an in-memory shard holding acked cold
             // writes (cold amnesia). Otherwise the single crash budget is
             // almost always spent at a survivable moment and the scenario
-            // proves nothing. (A crash during WaitingCommit is *survivable*
+            // proves nothing. (A crash awaiting a commit is *survivable*
             // — the write was never acked, and restart reissue + heal
             // repair the wedged peers — so it is not targeted.)
             return dirty_shard || undelivered_update;
@@ -506,15 +503,7 @@ impl RackModel {
         self.heal_needed
             && self.admin_cursor >= self.spec.admin_script.len()
             && self.nodes.iter().all(|s| s.up)
-            && !self.nodes.iter().any(|s| {
-                matches!(
-                    &s.current,
-                    Some(InFlight {
-                        state: OpState::WaitingCommit { .. },
-                        ..
-                    })
-                )
-            })
+            && !(0..self.nodes.len()).any(|n| self.awaits_commit(n))
     }
 
     fn admin_enabled(&self) -> bool {
@@ -527,14 +516,8 @@ impl RackModel {
             }
             AdminStep::EvictAt { node, key } => {
                 self.nodes[node].up
-                    && !matches!(
-                        &self.nodes[node].current,
-                        Some(InFlight {
-                            op,
-                            state: OpState::WaitingCommit { .. },
-                            ..
-                        }) if op.key() == key
-                    )
+                    && !(self.awaits_commit(node)
+                        && self.current_op(node).is_some_and(|op| op.key() == key))
             }
             AdminStep::UnmarkEvict { .. } => self.outstanding_writebacks == 0,
             AdminStep::WarmAt { node, .. } | AdminStep::ActivateAt { node, .. } => {
@@ -554,16 +537,8 @@ impl RackModel {
     pub fn apply(&mut self, action: Action) {
         self.clock += 1;
         match action {
-            Action::Issue(n) => {
-                let op = self.nodes[n].program.pop_front().expect("issue has an op");
-                let invoked_at = self.clock;
-                self.attempt_op(n, op, invoked_at);
-            }
-            Action::Reprobe(n) => {
-                let cur = self.nodes[n].current.take().expect("reprobe has an op");
-                self.log(format!("reprobe n{n}"));
-                self.attempt_op(n, cur.op, cur.invoked_at);
-            }
+            Action::Issue(n) => self.issue(n),
+            Action::Reprobe(n) => self.reprobe(n),
             Action::Deliver(f) => self.deliver_flight(f),
             Action::Drop(f) => {
                 self.drops_left -= 1;
@@ -604,138 +579,6 @@ impl RackModel {
         if let Some(r) = self.send.get_mut(&(i, j)).and_then(|sl| sl.get_mut(seq)) {
             r.inflight += 1;
         }
-    }
-
-    // ----- client operations ------------------------------------------
-
-    fn attempt_op(&mut self, n: usize, op: ProgOp, invoked_at: u64) {
-        match op {
-            ProgOp::Get { key } => match self.nodes[n].cc.try_cache_get(key) {
-                None => {
-                    self.park(n, op, invoked_at, "hot get stalled");
-                }
-                Some(CacheGet::Hit { value, ts }) => {
-                    self.log(format!("issue n{n} get k{key} hot hit ts{ts} ",));
-                    self.complete(n, op, invoked_at, decode_value(&value), ts);
-                }
-                Some(CacheGet::Miss) => self.cold_op(n, op, invoked_at),
-            },
-            ProgOp::Put { key, value } => {
-                match self.nodes[n]
-                    .cc
-                    .try_cache_put(key, &value.to_le_bytes(), value)
-                {
-                    None => {
-                        self.park(n, op, invoked_at, "hot put stalled");
-                    }
-                    Some(CachePut::Done { ts, outgoing }) => {
-                        self.log(format!("issue n{n} put k{key}={value} done ts{ts}"));
-                        self.ship(n, outgoing);
-                        self.complete(n, op, invoked_at, value, ts);
-                        self.drain_commits();
-                    }
-                    Some(CachePut::Pending { ts, outgoing }) => {
-                        self.log(format!("issue n{n} put k{key}={value} pending ts{ts}"));
-                        let commits = Arc::clone(&self.commits);
-                        self.nodes[n].cc.on_committed(
-                            key,
-                            ts,
-                            Box::new(move || {
-                                commits.lock().expect("commit queue").push((n, key, ts));
-                            }),
-                        );
-                        self.nodes[n].current = Some(InFlight {
-                            op,
-                            invoked_at,
-                            state: OpState::WaitingCommit { ts },
-                        });
-                        self.ship(n, outgoing);
-                        self.drain_commits();
-                    }
-                    Some(CachePut::Miss) => self.cold_op(n, op, invoked_at),
-                }
-            }
-        }
-    }
-
-    /// The miss path: serve at the local shard when this node is the home,
-    /// otherwise suspend the op on a correlated RPC over the peer link.
-    fn cold_op(&mut self, n: usize, op: ProgOp, invoked_at: u64) {
-        let key = op.key();
-        let home = self.home_of(key);
-        if home == n {
-            let cc = &self.nodes[n].cc;
-            match op {
-                ProgOp::Get { .. } => {
-                    let (_, ts) = cc.kvs_get_versioned(key);
-                    match cc.cold_get(key) {
-                        Some(value) => {
-                            self.log(format!("issue n{n} get k{key} cold local ts{ts}"));
-                            self.complete(n, op, invoked_at, decode_value(&value), ts);
-                        }
-                        None => self.park(n, op, invoked_at, "local cold op bounced"),
-                    }
-                }
-                ProgOp::Put { value, .. } => {
-                    match cc.cold_put(key, &value.to_le_bytes(), n as u8) {
-                        ColdPut::Applied(ts) => {
-                            self.nodes[n].kvs_dirty = true;
-                            self.log(format!("issue n{n} put k{key}={value} cold local ts{ts}"));
-                            self.complete(n, op, invoked_at, value, ts);
-                        }
-                        ColdPut::Busy => self.park(n, op, invoked_at, "local cold op bounced"),
-                        ColdPut::Rejected(why) => panic!("cold put fits: {why}"),
-                    }
-                }
-            }
-        } else {
-            let request = match op {
-                ProgOp::Get { .. } => Frame::MissGet { key },
-                ProgOp::Put { value, .. } => Frame::MissPut {
-                    key,
-                    tag: value as u32,
-                    writer: n as u8,
-                    value: value.to_le_bytes().to_vec(),
-                },
-            };
-            let (corr, frame) = self.nodes[n].rpcs.issue(home, request, RpcWaiter::Op, ());
-            self.log(format!("issue n{n} rpc#{corr} k{key} -> home n{home}"));
-            self.send_rpc(n, home, corr, &frame);
-            self.nodes[n].current = Some(InFlight {
-                op,
-                invoked_at,
-                state: OpState::WaitingRpc { corr },
-            });
-        }
-    }
-
-    fn park(&mut self, n: usize, op: ProgOp, invoked_at: u64, why: &str) {
-        let snapshot = (self.nodes[n].deliveries, self.world_version);
-        self.log(format!("park n{n} k{} ({why})", op.key()));
-        self.nodes[n].current = Some(InFlight {
-            op,
-            invoked_at,
-            state: OpState::Parked { snapshot },
-        });
-    }
-
-    fn complete(&mut self, n: usize, op: ProgOp, invoked_at: u64, value: u64, ts: Timestamp) {
-        let kind = match op {
-            ProgOp::Get { .. } => RecordKind::Get { value },
-            ProgOp::Put { .. } => RecordKind::Put { value },
-        };
-        let seq = self.nodes[n].session_seq;
-        self.nodes[n].session_seq += 1;
-        self.history.record(OpRecord {
-            session: n as u32,
-            key: op.key(),
-            kind,
-            ts,
-            invoked_at,
-            completed_at: self.clock,
-            session_seq: seq,
-        });
-        self.nodes[n].current = None;
     }
 
     // ----- frame transmission -----------------------------------------
@@ -923,12 +766,12 @@ impl RackModel {
         match &resp {
             Frame::MissRetry => self.log(format!("n{h} rpc#{corr} from n{o} {what} bounced")),
             Frame::MissGetResp { .. } => {
-                self.served.insert((o, corr), stored);
+                self.served.insert((o, corr), (key, stored));
                 self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{stored}"));
             }
             Frame::MissPutResp { ts } => {
                 self.nodes[h].kvs_dirty = true;
-                self.served.insert((o, corr), *ts);
+                self.served.insert((o, corr), (key, *ts));
                 self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{ts}"));
             }
             Frame::WriteBackResp { applied } => {
@@ -963,73 +806,7 @@ impl RackModel {
             }
             return;
         }
-        let cur = self.nodes[o].current.take();
-        let Some(InFlight {
-            op,
-            invoked_at,
-            state: OpState::WaitingRpc { corr: waiting },
-        }) = cur
-        else {
-            self.fail(format!(
-                "rpc#{corr} resolved but n{o} was not waiting on it"
-            ));
-            return;
-        };
-        if waiting != corr {
-            self.fail(format!(
-                "rpc#{corr} resolved but n{o} waits on rpc#{waiting}"
-            ));
-            return;
-        }
-        match (op, resp, served) {
-            (_, Frame::MissRetry, _) => {
-                self.log(format!("n{o} rpc#{corr} bounced; parking for retry"));
-                self.park(o, op, invoked_at, "miss rpc bounced");
-            }
-            (ProgOp::Get { .. }, Frame::MissGetResp { value }, Some(ts)) => {
-                self.log(format!("n{o} rpc#{corr} get resolved ts{ts}"));
-                self.complete(o, op, invoked_at, decode_value(&value), ts);
-            }
-            (ProgOp::Put { value, .. }, Frame::MissPutResp { ts }, _) => {
-                self.log(format!("n{o} rpc#{corr} put resolved ts{ts}"));
-                self.complete(o, op, invoked_at, value, ts);
-            }
-            (_, other, _) => self.fail(format!("rpc#{corr} got mismatched response {other:?}")),
-        }
-    }
-
-    /// Completes writer operations whose Lin commit continuations fired
-    /// during a delivery (the hooks push onto the queue inline; this runs
-    /// after every `deliver`/`ship`).
-    fn drain_commits(&mut self) {
-        loop {
-            let fired: Vec<(usize, u64, Timestamp)> = {
-                let mut q = self.commits.lock().expect("commit queue");
-                if q.is_empty() {
-                    break;
-                }
-                q.drain(..).collect()
-            };
-            for (n, key, ts) in fired {
-                let cur = self.nodes[n].current.take();
-                match cur {
-                    Some(InFlight {
-                        op: op @ ProgOp::Put { value, .. },
-                        invoked_at,
-                        state: OpState::WaitingCommit { ts: wts },
-                    }) if wts == ts => {
-                        self.log(format!("commit n{n} put k{key}={value} ts{ts}"));
-                        self.complete(n, op, invoked_at, value, ts);
-                    }
-                    other => {
-                        self.nodes[n].current = other;
-                        self.fail(format!(
-                            "commit continuation fired for n{n} k{key} ts{ts} with no matching writer"
-                        ));
-                    }
-                }
-            }
-        }
+        self.rpc_answered(o, corr, resp, served);
     }
 
     // ----- crash, restart, heal ---------------------------------------
@@ -1054,42 +831,7 @@ impl RackModel {
                 self.dec_inflight(i, j, seq);
             }
         }
-        // The dead process's pending RPC (its table goes with it at the
-        // restart): an executed put happened (the home applied it) even
-        // though no response will ever arrive — record it so the history
-        // owns every observable write. Unexecuted requests died with the
-        // process; the op retries after restart.
-        let cur = self.nodes[n].current.take();
-        match cur {
-            Some(InFlight {
-                op,
-                invoked_at,
-                state: OpState::WaitingRpc { corr },
-            }) => match (op, self.served.remove(&(n, corr))) {
-                (ProgOp::Put { value, .. }, Some(ts)) => {
-                    self.log(format!("crash orphaned executed rpc#{corr}; recording put"));
-                    self.complete(n, op, invoked_at, value, ts);
-                }
-                _ => {
-                    self.log(format!("crash voided rpc#{corr}; op will retry"));
-                    self.park(n, op, invoked_at, "rpc voided by crash");
-                }
-            },
-            Some(InFlight {
-                op,
-                state: OpState::WaitingCommit { ts },
-                ..
-            }) => {
-                // Unacknowledged pending write: the client never got an
-                // answer, so the history records nothing. Gated crashes
-                // never allow this window (peers would wedge).
-                self.log(format!(
-                    "crash voided pending put k{}:{ts} (never acked)",
-                    op.key()
-                ));
-            }
-            other => self.nodes[n].current = other,
-        }
+        self.session_lost(n);
     }
 
     /// Restarts a crashed node: a fresh process (empty cache, empty
@@ -1305,7 +1047,7 @@ impl RackModel {
     fn done(&self) -> bool {
         self.nodes
             .iter()
-            .all(|s| s.up && s.program.is_empty() && s.current.is_none())
+            .all(|s| s.up && s.program.is_empty() && s.inflight.is_empty())
             && !self.heal_needed
             && self.admin_cursor >= self.spec.admin_script.len()
             && self.flight_meta.is_empty()
@@ -1328,20 +1070,20 @@ impl RackModel {
                     .nodes
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.current.is_some() || !s.program.is_empty())
+                    .filter(|(_, s)| !s.inflight.is_empty() || !s.program.is_empty())
                     .map(|(n, s)| {
                         format!(
                             "n{n}: {} queued, current {}",
                             s.program.len(),
-                            match &s.current {
+                            match self.current_op(n) {
                                 None => "none".to_string(),
-                                Some(InFlight { op, state, .. }) => format!(
+                                Some(op) => format!(
                                     "k{} ({})",
                                     op.key(),
-                                    match state {
-                                        OpState::Parked { .. } => "parked",
-                                        OpState::WaitingCommit { .. } => "awaiting commit",
-                                        OpState::WaitingRpc { .. } => "awaiting rpc",
+                                    match s.ops.wait() {
+                                        Some(Wait::LinCommit { .. }) => "awaiting commit",
+                                        Some(Wait::Rpc { .. }) => "awaiting rpc",
+                                        _ => "parked",
                                     }
                                 ),
                             }
@@ -1382,27 +1124,13 @@ impl RackModel {
         // Unconditional parked-op retry: the production client's retry
         // timer. (Exploration gates reprobes on observed progress to keep
         // schedules distinct; the drain just needs liveness.)
-        for n in 0..self.nodes.len() {
-            let s = &self.nodes[n];
-            if s.up
-                && matches!(
-                    &s.current,
-                    Some(InFlight {
-                        state: OpState::Parked { .. },
-                        ..
-                    })
-                )
-            {
-                return Some(Action::Reprobe(n));
-            }
+        let parked = |n: &usize| self.nodes[*n].up && self.nodes[*n].parked.is_some();
+        if let Some(n) = (0..self.nodes.len()).find(parked) {
+            return Some(Action::Reprobe(n));
         }
-        for n in 0..self.nodes.len() {
-            let s = &self.nodes[n];
-            if s.up && s.current.is_none() && !s.program.is_empty() {
-                return Some(Action::Issue(n));
-            }
-        }
-        None
+        (0..self.nodes.len())
+            .find(|&n| self.issue_enabled(n))
+            .map(Action::Issue)
     }
 
     /// Checks the quiesced rack: the recorded history against the

@@ -3,9 +3,10 @@
 //! This crate drives **real** [`cckvs::node::CcNode`] instances — the same
 //! per-key SC/Lin coherence engine, symmetric cache, and home-shard rules
 //! the production server runs — plus the production reliable link
-//! ([`cckvs_net::link`]) and miss-path RPC table ([`cckvs_net::rpc`]) over
-//! the deterministic in-process [`cckvs_net::sim`] fabric, and hands every
-//! source of nondeterminism to a seeded scheduler:
+//! ([`cckvs_net::link`]), miss-path RPC table ([`cckvs_net::rpc`]) and
+//! per-connection op machine ([`cckvs_net::ops`]) over the deterministic
+//! in-process [`cckvs_net::sim`] fabric, and hands every source of
+//! nondeterminism to a seeded scheduler:
 //!
 //! * which in-flight datagram (invalidation, ack, update broadcast, miss
 //!   RPC, write-back) is delivered next, dropped, or duplicated;
@@ -58,9 +59,12 @@
 //!   not while a committed update sits undelivered in the dead node's
 //!   links. The `ack-then-die` scenario disables the gates and *expects*
 //!   the checker to object — keeping the exclusions honest.
-//! * **No RPC timeouts.** A miss-path RPC never expires; one that can
-//!   never be answered surfaces as a deadlock at the drain, which is what
-//!   the `miss-rpc-no-reissue` negative scenario is flagged by.
+//! * **No time.** A miss-path RPC never expires, and a session's op
+//!   machine runs on `()` for a clock, so a bounced op never gives up; one
+//!   that can never be answered surfaces as a deadlock at the drain, which
+//!   is what the `miss-rpc-no-reissue` negative scenario is flagged by.
+//!   The retry tick is a scheduler choice, offered once the node has seen
+//!   progress since the bounce.
 //!
 //! # Entry points
 //!
@@ -75,5 +79,5 @@ pub mod sched;
 
 pub use explore::{explore, replay, ExploreReport};
 pub use harness::{run_schedule, Action, RackModel, RunOutcome};
-pub use scenario::{AdminStep, ProgOp, ScenarioSpec};
+pub use scenario::{AdminStep, ProgOp, ProgStep, ScenarioSpec};
 pub use sched::{Seed, SplitMix64};

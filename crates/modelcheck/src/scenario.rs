@@ -11,7 +11,7 @@
 //! all depend on where a key's home is relative to its writers.
 
 use cckvs::{CcNode, NodeConfig};
-use consistency::ConsistencyModel;
+use consistency::ConsistencyModel::{self, Lin, Sc};
 
 /// One client operation in a node's program. Values are globally unique
 /// `u64`s so a history ties every read to exactly one write.
@@ -38,6 +38,33 @@ impl ProgOp {
             ProgOp::Put { key, .. } | ProgOp::Get { key } => *key,
         }
     }
+}
+
+/// One step of a session's program: one request frame on its connection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProgStep {
+    /// One operation, sent once everything before it has been answered.
+    Op(ProgOp),
+    /// Several operations coalesced into one `Frame::Batch`, sent once
+    /// everything before it has been answered.
+    Batch(Vec<ProgOp>),
+    /// One operation sent without waiting for the answers still owed.
+    Pipelined(ProgOp),
+}
+
+impl ProgStep {
+    /// The operations the step carries.
+    pub fn ops(&self) -> &[ProgOp] {
+        match self {
+            ProgStep::Op(op) | ProgStep::Pipelined(op) => std::slice::from_ref(op),
+            ProgStep::Batch(ops) => ops,
+        }
+    }
+}
+
+/// A program of bare operations, each waiting for the one before it.
+fn each(ops: impl IntoIterator<Item = ProgOp>) -> Vec<ProgStep> {
+    ops.into_iter().map(ProgStep::Op).collect()
 }
 
 /// One step of a scenario's admin script — the epoch coordinator's actions
@@ -110,7 +137,7 @@ pub struct ScenarioSpec {
     /// Keys installed hot (at every node) before the first step.
     pub hot_keys: Vec<u64>,
     /// Per-node client programs (`programs[n]` runs as session `n`).
-    pub programs: Vec<Vec<ProgOp>>,
+    pub programs: Vec<Vec<ProgStep>>,
     /// The admin script, executed in order as `Admin` actions fire.
     pub admin_script: Vec<AdminStep>,
     /// How many datagrams the scheduler may drop.
@@ -155,6 +182,8 @@ pub fn all() -> Vec<ScenarioSpec> {
         crash_mid_commit(),
         udp_drop_dup_reorder(),
         miss_rpc_crash(),
+        batch_prefetch(),
+        conn_order(),
         ack_then_die(),
         miss_rpc_no_reissue(),
     ]
@@ -165,29 +194,50 @@ pub fn by_name(name: &str) -> Option<ScenarioSpec> {
     all().into_iter().find(|s| s.name == name)
 }
 
+fn put(key: u64, value: u64) -> ProgOp {
+    ProgOp::Put { key, value }
+}
+
+fn get(key: u64) -> ProgOp {
+    ProgOp::Get { key }
+}
+
+impl ScenarioSpec {
+    /// A fault-free rack of idle sessions with nothing cached: each
+    /// scenario names what it adds.
+    fn new(name: &'static str, about: &'static str, model: ConsistencyModel, nodes: usize) -> Self {
+        ScenarioSpec {
+            name,
+            about,
+            model,
+            nodes,
+            hot_keys: vec![],
+            programs: vec![vec![]; nodes],
+            admin_script: vec![],
+            drop_budget: 0,
+            dup_budget: 0,
+            crash_budget: 0,
+            unsafe_crashes: false,
+            skip_rpc_reissue: false,
+            expect_violation: false,
+        }
+    }
+}
+
 /// Concurrent Lin writers on one hot key: every interleaving of the
 /// invalidation/ack/update rounds must commit in a per-key-linearizable
 /// order.
 pub fn lin_commit() -> ScenarioSpec {
     let h = key_homed_at(3, 0, 100);
+    let about = "two Lin writers and a reader race on one hot key; no faults";
     ScenarioSpec {
-        name: "lin-commit",
-        about: "two Lin writers and a reader race on one hot key; no faults",
-        model: ConsistencyModel::Lin,
-        nodes: 3,
         hot_keys: vec![h],
         programs: vec![
-            vec![ProgOp::Put { key: h, value: 101 }, ProgOp::Get { key: h }],
-            vec![ProgOp::Put { key: h, value: 201 }, ProgOp::Get { key: h }],
-            vec![ProgOp::Get { key: h }, ProgOp::Get { key: h }],
+            each([put(h, 101), get(h)]),
+            each([put(h, 201), get(h)]),
+            each([get(h), get(h)]),
         ],
-        admin_script: vec![],
-        drop_budget: 0,
-        dup_budget: 0,
-        crash_budget: 0,
-        unsafe_crashes: false,
-        skip_rpc_reissue: false,
-        expect_violation: false,
+        ..ScenarioSpec::new("lin-commit", about, Lin, 3)
     }
 }
 
@@ -196,16 +246,13 @@ pub fn lin_commit() -> ScenarioSpec {
 /// acknowledged write may be lost across the transition.
 pub fn dirty_evict_writeback() -> ScenarioSpec {
     let h = key_homed_at(3, 0, 300);
+    let about = "hot key evicted to cold mid-traffic; dirty write-backs race client ops";
     ScenarioSpec {
-        name: "dirty-evict-writeback",
-        about: "hot key evicted to cold mid-traffic; dirty write-backs race client ops",
-        model: ConsistencyModel::Lin,
-        nodes: 3,
         hot_keys: vec![h],
         programs: vec![
-            vec![ProgOp::Get { key: h }],
-            vec![ProgOp::Put { key: h, value: 311 }, ProgOp::Get { key: h }],
-            vec![ProgOp::Put { key: h, value: 321 }, ProgOp::Get { key: h }],
+            each([get(h)]),
+            each([put(h, 311), get(h)]),
+            each([put(h, 321), get(h)]),
         ],
         admin_script: vec![
             AdminStep::MarkEvict { key: h },
@@ -214,13 +261,21 @@ pub fn dirty_evict_writeback() -> ScenarioSpec {
             AdminStep::EvictAt { node: 2, key: h },
             AdminStep::UnmarkEvict { key: h },
         ],
-        drop_budget: 0,
-        dup_budget: 0,
-        crash_budget: 0,
-        unsafe_crashes: false,
-        skip_rpc_reissue: false,
-        expect_violation: false,
+        ..ScenarioSpec::new("dirty-evict-writeback", about, Lin, 3)
     }
+}
+
+/// The admin script that turns cold `key` hot on a two-node rack: fence,
+/// warm both replicas, activate both, lift the fence.
+fn install_on_two(key: u64) -> Vec<AdminStep> {
+    vec![
+        AdminStep::MarkInstall { key },
+        AdminStep::WarmAt { node: 0, key },
+        AdminStep::WarmAt { node: 1, key },
+        AdminStep::ActivateAt { node: 0, key },
+        AdminStep::ActivateAt { node: 1, key },
+        AdminStep::UnmarkInstall { key },
+    ]
 }
 
 /// A cold key turns hot mid-traffic under SC: miss RPCs bounce off the
@@ -228,30 +283,11 @@ pub fn dirty_evict_writeback() -> ScenarioSpec {
 /// cold-assigned versions must thread monotonically into the hot epoch.
 pub fn hot_transition_bounce() -> ScenarioSpec {
     let c = key_homed_at(2, 0, 500);
+    let about = "cold key turns hot mid-traffic (SC); miss RPCs bounce off the mark";
     ScenarioSpec {
-        name: "hot-transition-bounce",
-        about: "cold key turns hot mid-traffic (SC); miss RPCs bounce off the mark",
-        model: ConsistencyModel::Sc,
-        nodes: 2,
-        hot_keys: vec![],
-        programs: vec![
-            vec![ProgOp::Put { key: c, value: 511 }, ProgOp::Get { key: c }],
-            vec![ProgOp::Put { key: c, value: 521 }, ProgOp::Get { key: c }],
-        ],
-        admin_script: vec![
-            AdminStep::MarkInstall { key: c },
-            AdminStep::WarmAt { node: 0, key: c },
-            AdminStep::WarmAt { node: 1, key: c },
-            AdminStep::ActivateAt { node: 0, key: c },
-            AdminStep::ActivateAt { node: 1, key: c },
-            AdminStep::UnmarkInstall { key: c },
-        ],
-        drop_budget: 0,
-        dup_budget: 0,
-        crash_budget: 0,
-        unsafe_crashes: false,
-        skip_rpc_reissue: false,
-        expect_violation: false,
+        programs: vec![each([put(c, 511), get(c)]), each([put(c, 521), get(c)])],
+        admin_script: install_on_two(c),
+        ..ScenarioSpec::new("hot-transition-bounce", about, Sc, 2)
     }
 }
 
@@ -262,24 +298,16 @@ pub fn hot_transition_bounce() -> ScenarioSpec {
 /// every schedule must still be linearizable with no lost acked write.
 pub fn crash_mid_commit() -> ScenarioSpec {
     let h = key_homed_at(3, 0, 700);
+    let about = "replica crashes mid Lin round; restart + replay + vacuous acks must heal";
     ScenarioSpec {
-        name: "crash-mid-commit",
-        about: "replica crashes mid Lin round; restart + replay + vacuous acks must heal",
-        model: ConsistencyModel::Lin,
-        nodes: 3,
         hot_keys: vec![h],
         programs: vec![
-            vec![ProgOp::Put { key: h, value: 701 }, ProgOp::Get { key: h }],
-            vec![ProgOp::Put { key: h, value: 711 }, ProgOp::Get { key: h }],
-            vec![ProgOp::Get { key: h }],
+            each([put(h, 701), get(h)]),
+            each([put(h, 711), get(h)]),
+            each([get(h)]),
         ],
-        admin_script: vec![],
-        drop_budget: 0,
-        dup_budget: 0,
         crash_budget: 1,
-        unsafe_crashes: false,
-        skip_rpc_reissue: false,
-        expect_violation: false,
+        ..ScenarioSpec::new("crash-mid-commit", about, Lin, 3)
     }
 }
 
@@ -290,31 +318,16 @@ pub fn crash_mid_commit() -> ScenarioSpec {
 pub fn udp_drop_dup_reorder() -> ScenarioSpec {
     let h = key_homed_at(2, 0, 900);
     let c = key_homed_at(2, 1, 950);
+    let about = "datagram drop/dup/reorder on coherence + miss lanes; replay must repair";
     ScenarioSpec {
-        name: "udp-drop-dup-reorder",
-        about: "datagram drop/dup/reorder on coherence + miss lanes; replay must repair",
-        model: ConsistencyModel::Lin,
-        nodes: 2,
         hot_keys: vec![h],
         programs: vec![
-            vec![
-                ProgOp::Put { key: h, value: 901 },
-                ProgOp::Put { key: c, value: 902 },
-                ProgOp::Get { key: h },
-            ],
-            vec![
-                ProgOp::Put { key: c, value: 911 },
-                ProgOp::Get { key: c },
-                ProgOp::Get { key: h },
-            ],
+            each([put(h, 901), put(c, 902), get(h)]),
+            each([put(c, 911), get(c), get(h)]),
         ],
-        admin_script: vec![],
         drop_budget: 2,
         dup_budget: 1,
-        crash_budget: 0,
-        unsafe_crashes: false,
-        skip_rpc_reissue: false,
-        expect_violation: false,
+        ..ScenarioSpec::new("udp-drop-dup-reorder", about, Lin, 2)
     }
 }
 
@@ -326,45 +339,18 @@ pub fn udp_drop_dup_reorder() -> ScenarioSpec {
 /// see the very bugs it exists to catch.
 pub fn ack_then_die() -> ScenarioSpec {
     let h = key_homed_at(3, 0, 1100);
+    let about = "ungated crashes (negative): the checker must catch lost writes / wedges";
     ScenarioSpec {
-        name: "ack-then-die",
-        about: "ungated crashes (negative): the checker must catch lost writes / wedges",
-        model: ConsistencyModel::Lin,
-        nodes: 3,
         hot_keys: vec![h],
         programs: vec![
-            vec![
-                ProgOp::Put {
-                    key: h,
-                    value: 1101,
-                },
-                ProgOp::Put {
-                    key: h,
-                    value: 1102,
-                },
-            ],
-            vec![
-                ProgOp::Put {
-                    key: h,
-                    value: 1111,
-                },
-                ProgOp::Get { key: h },
-            ],
-            vec![
-                ProgOp::Get { key: h },
-                ProgOp::Put {
-                    key: h,
-                    value: 1121,
-                },
-            ],
+            each([put(h, 1101), put(h, 1102)]),
+            each([put(h, 1111), get(h)]),
+            each([get(h), put(h, 1121)]),
         ],
-        admin_script: vec![],
-        drop_budget: 0,
-        dup_budget: 0,
         crash_budget: 1,
         unsafe_crashes: true,
-        skip_rpc_reissue: false,
         expect_violation: true,
+        ..ScenarioSpec::new("ack-then-die", about, Lin, 3)
     }
 }
 
@@ -377,27 +363,12 @@ pub fn ack_then_die() -> ScenarioSpec {
 /// RPC table names the request in doubt and asks the replacement again.
 pub fn miss_rpc_crash() -> ScenarioSpec {
     let keys: Vec<u64> = (0..3).map(|home| key_homed_at(3, home, 1300)).collect();
-    let reads = |a: usize, b: usize| {
-        vec![
-            ProgOp::Get { key: keys[a] },
-            ProgOp::Get { key: keys[b] },
-            ProgOp::Get { key: keys[a] },
-        ]
-    };
+    let reads = |a: usize, b: usize| each([get(keys[a]), get(keys[b]), get(keys[a])]);
+    let about = "home dies owing a confirmed MissGet its answer; in-doubt reissue must complete it";
     ScenarioSpec {
-        name: "miss-rpc-crash",
-        about: "home dies owing a confirmed MissGet its answer; in-doubt reissue must complete it",
-        model: ConsistencyModel::Lin,
-        nodes: 3,
-        hot_keys: vec![],
         programs: vec![reads(1, 2), reads(2, 0), reads(0, 1)],
-        admin_script: vec![],
-        drop_budget: 0,
-        dup_budget: 0,
         crash_budget: 1,
-        unsafe_crashes: false,
-        skip_rpc_reissue: false,
-        expect_violation: false,
+        ..ScenarioSpec::new("miss-rpc-crash", about, Lin, 3)
     }
 }
 
@@ -415,6 +386,48 @@ pub fn miss_rpc_no_reissue() -> ScenarioSpec {
     }
 }
 
+/// One session sends `Batch[Get i, Put k, Get k, Get j, Get i]` — all
+/// three keys cold and homed at the other node — while that node writes
+/// `j` and an install of `j` starts mid-batch. Batch prefetch issues the
+/// reads of `j` and `i` at decode and must skip `k` (the batch writes it
+/// first); the first `Get i` parks on the slot prefetched for the last;
+/// `j`'s answer arrives ahead of its turn as a value, as a bounce off the
+/// install fence, or is passed over because `j` turned hot meanwhile.
+pub fn batch_prefetch() -> ScenarioSpec {
+    let [i, j, k] = [1500, 1530, 1560].map(|salt| key_homed_at(2, 1, salt));
+    let about = "a batch's prefetched cold reads race its own write, a remote writer, an install";
+    let batch = vec![get(i), put(k, 1501), get(k), get(j), get(i)];
+    ScenarioSpec {
+        programs: vec![vec![ProgStep::Batch(batch)], each([put(j, 1511), get(j)])],
+        admin_script: install_on_two(j),
+        ..ScenarioSpec::new("batch-prefetch", about, Lin, 2)
+    }
+}
+
+/// One session pipelines `Put h` (hot, Lin), `Get h` and `Get c` (cold,
+/// homed where it is asked) without waiting for answers, against a second
+/// writer of `h`. The put suspends on its acknowledgements; the reads
+/// behind it must wait their turn — answers leave in request order, and
+/// the `Get h` sees that put or a newer one.
+pub fn conn_order() -> ScenarioSpec {
+    let h = key_homed_at(3, 1, 1700);
+    let c = key_homed_at(3, 0, 1750);
+    let about = "pipelined requests behind a suspended Lin put are answered in request order";
+    ScenarioSpec {
+        hot_keys: vec![h],
+        programs: vec![
+            vec![
+                ProgStep::Op(put(h, 1701)),
+                ProgStep::Pipelined(get(h)),
+                ProgStep::Pipelined(get(c)),
+            ],
+            each([put(h, 1711), get(h)]),
+            each([put(c, 1721), get(h)]),
+        ],
+        ..ScenarioSpec::new("conn-order", about, Lin, 3)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,10 +436,8 @@ mod tests {
     fn scenario_keys_are_homed_where_the_specs_assume() {
         for spec in all() {
             let probe = CcNode::new(NodeConfig::small(spec.model, 0, spec.nodes));
-            for prog in &spec.programs {
-                for op in prog {
-                    assert!(probe.home_node(op.key()) < spec.nodes);
-                }
+            for op in spec.programs.iter().flatten().flat_map(ProgStep::ops) {
+                assert!(probe.home_node(op.key()) < spec.nodes);
             }
         }
         assert_eq!(

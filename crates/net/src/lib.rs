@@ -17,10 +17,11 @@
 //!   confirmations, redial dead peers with backoff, replay exactly the
 //!   unprocessed tail, and reissue invalidations a restarted peer's dead
 //!   predecessor never acknowledged.
-//! * [`link`] and [`rpc`] — the sans-IO cores the server, the UDP
-//!   transport and the model checker all drive: the reliable link, the
-//!   home shard's answers to miss-path frames, and the requester's
-//!   pending-RPC table.
+//! * [`link`], [`rpc`] and [`ops`] — the sans-IO cores the server, the
+//!   UDP transport and the model checker all drive: the reliable link, the
+//!   home shard's answers to miss-path frames, the requester's pending-RPC
+//!   table, and one client connection's op machine (request queue,
+//!   suspended request, batch prefetch, bounce policy).
 //! * [`rack`] — [`rack::Rack`]: boots an N-node deployment, wires the peer
 //!   mesh and installs the coordinator's hot set over the wire.
 //! * [`client`] — [`client::Client`]: a load-balancing client session that
@@ -56,6 +57,7 @@
 pub mod client;
 pub mod link;
 pub mod metrics;
+pub mod ops;
 pub mod rack;
 pub mod rpc;
 pub mod server;

@@ -20,19 +20,16 @@
 //!   shard** — they are lock-protected state updates that never wait on
 //!   other messages, so a shard can never deadlock against itself.
 //! * **Requests that must wait suspend as continuations** instead of
-//!   parking a thread. A Lin write registers a commit hook
-//!   ([`CcNode::on_committed`]) keyed off the per-node ack bitmasks; the
-//!   shard that delivers the final acknowledgement fires the hook, which
-//!   resumes the suspended connection (via [`ShardMsg::Resume`]) on its
-//!   owning shard. Miss-path operations to a remote home shard travel as
-//!   correlated [`Frame::RpcReq`]/[`Frame::RpcResp`] pairs multiplexed
-//!   over the crash-surviving peer links; the pending-RPC table maps each
-//!   correlation id back to its suspended connection. Hot-transition
-//!   bounces (`MissRetry`, stalled cache entries) re-arm a timer-wheel
-//!   tick and re-run the whole operation from the cache probe. A
-//!   connection has at most one suspended operation and its queued frames
-//!   wait, so responses stay in request order and session program order
-//!   is preserved.
+//!   parking a thread. The suspended-request state machine — what a
+//!   `Get`, a `Put` or a batch does next, what it parks on, how it
+//!   bounces and retries, one request in flight per connection — is
+//!   [`crate::ops`]; a shard drives one per client connection through
+//!   [`ShardHost`]. What this file adds is how the wake events travel: the
+//!   shard that delivers a Lin write's final acknowledgement fires the
+//!   commit hook ([`CcNode::on_committed`]), an arriving
+//!   [`Frame::RpcResp`] finds its waiter in the pending-RPC table, and
+//!   both reach the suspended connection on its owning shard as a
+//!   [`ShardMsg::Resume`]; a bounce arms a timer-wheel tick.
 //! * **Admin reconfiguration frames** run on two persistent service
 //!   threads instead of ephemeral spawns: `Evict` on the admin service
 //!   thread (eviction may wait for a pending Lin write to commit, which
@@ -70,10 +67,11 @@
 use crate::client::Conn;
 use crate::link::{CreditReturn, SendHalf};
 use crate::metrics::{Metrics, MetricsServer};
+use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
 use crate::rpc::{serve_home_frame, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{write_frame, BatchBuilder, Frame, FrameDecoder};
-use cckvs::node::{CachePut, CcNode, ColdPut, EvictHot, NodeConfig, Outgoing};
+use cckvs::node::{CcNode, EvictHot, NodeConfig, Outgoing};
 use cckvs_trace::{Event as TraceEvent, EventKind, TraceSink, NO_PEER, SHARED_LANE};
 use consistency::engine::Destination;
 use consistency::lamport::{NodeId, Timestamp};
@@ -88,7 +86,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use symcache::popularity::{CacheCoordinator, EpochConfig, HotSet};
-use symcache::{ReadOutcome, ReadProbe};
 
 /// Peer-mesh batching and credit-based flow-control knobs (§6.3/§6.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -756,20 +753,6 @@ enum ShardMsg {
         sent_at: Instant,
         event: ResumeEvent,
     },
-}
-
-/// What woke a suspended client operation.
-enum ResumeEvent {
-    /// The pending Lin write committed: the shard that delivered the
-    /// final acknowledgement fired the registered commit hook.
-    Committed,
-    /// The correlated miss-path RPC `corr` resolved with this response.
-    Rpc { corr: u64, response: Frame },
-    /// The correlated miss-path RPC `corr` failed (peer dead past the
-    /// transport deadline, or server shutdown).
-    RpcFailed { corr: u64, message: String },
-    /// The admin service thread finished the suspended admin frame.
-    Admin { result: io::Result<Frame> },
 }
 
 /// The cross-thread face of one reactor shard.
@@ -1985,50 +1968,15 @@ fn process_generation() -> u64 {
         .max(1)
 }
 
-/// What serving one client frame asks of the connection state machine.
-enum ClientAction {
-    /// Send this response.
-    Respond(Frame),
-    /// The client asked the node to shut down; end the connection.
-    Shutdown,
-}
-
-/// Splits a trace envelope off a frame (identity for untraced frames).
-fn peel_trace(frame: Frame) -> (Option<u64>, Frame) {
-    match frame {
-        Frame::Traced { id, inner } => (Some(id), *inner),
-        frame => (None, frame),
-    }
-}
-
-/// The key a client frame refers to, for trace event annotation.
-fn frame_key(frame: &Frame) -> u64 {
-    match frame {
-        Frame::Get { key } | Frame::Put { key, .. } => *key,
-        _ => 0,
-    }
-}
-
-/// Re-wraps a peeled frame in its trace envelope for a path that carries
-/// frames, not `(trace, frame)` pairs.
-fn rewrap_trace(trace: Option<u64>, frame: Frame) -> Frame {
-    match trace {
-        Some(id) => Frame::Traced {
-            id,
-            inner: Box::new(frame),
-        },
-        None => frame,
-    }
-}
-
 /// Serves one *never-blocking* client frame: liveness, diagnostics, the
 /// lock-protected cache-fill admin, and the home-shard frames an admin
 /// caller (the supervisor's heal) sends without being a peer. Get/Put and
 /// the reconfiguration admin frames (Evict, FlipEpoch) have
-/// continuation-based paths in [`Shard::step_client`] — nothing here may
-/// wait on another message.
-fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<ClientAction> {
-    let response = match frame {
+/// continuation-based paths in [`crate::ops`] — nothing here may wait on
+/// another message. `None` ends the connection: the client asked the node
+/// to shut down, or sent a frame no client may send.
+fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Frame> {
+    Some(match frame {
         Frame::TraceDump => Frame::TraceDumpResp {
             dropped: inner.sink.dropped(),
             events: inner.sink.dump(),
@@ -2064,28 +2012,11 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result
         },
         Frame::Shutdown => {
             inner.initiate_shutdown();
-            return Ok(ClientAction::Shutdown);
+            return None;
         }
-        other => serve_rpc_frame(inner, lane, other)?,
-    };
-    Ok(ClientAction::Respond(response))
+        other => serve_rpc_frame(inner, lane, other).ok()?,
+    })
 }
-
-/// How long an operation keeps retrying while its key transitions into or
-/// out of the hot set before giving up (transitions take milliseconds;
-/// this bound only matters if the coordinator dies mid-reconfiguration).
-const HOT_TRANSITION_RETRY: Duration = Duration::from_secs(5);
-
-/// First bounce-retry delay for an op whose key is mid-transition
-/// (stalled cache entry, `MissRetry` answer); doubles up to
-/// [`RETRY_BACKOFF_MAX`] per attempt. Stalls are usually just a Lin
-/// write's invalidation window (~100µs of ack wait), so the first
-/// retries ride the timer wheel's 50µs fine slots — a read that lands
-/// mid-write resumes with the update instead of idling a full coarse
-/// tick (1 ms, the old floor, which put a millisecond into the batched
-/// read tail every time one op of a batch grazed a write).
-const RETRY_BACKOFF_START: Duration = Duration::from_micros(50);
-const RETRY_BACKOFF_MAX: Duration = Duration::from_millis(2);
 
 /// Handles one non-batch frame arriving on a peer link. Returns how many
 /// flow-controlled messages it consumed (credit confirmations themselves
@@ -2195,13 +2126,14 @@ fn admin_loop(inner: Arc<ServerInner>, rx: Receiver<AdminJob>) {
         match rx.recv_timeout(RPC_SWEEP_TICK) {
             Ok(AdminJob::Stop) => return,
             Ok(AdminJob::Evict { shard, token, key }) => {
-                let result = inner
+                let response = inner
                     .evict_key(key)
-                    .map(|existed| Frame::EvictResp { existed });
+                    .map(|existed| Frame::EvictResp { existed })
+                    .ok();
                 inner.shard(shard).send(ShardMsg::Resume {
                     token,
                     sent_at: Instant::now(),
-                    event: ResumeEvent::Admin { result },
+                    event: ResumeEvent::Admin { response },
                 });
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => inner.sweep_rpc_deadlines(),
@@ -2245,7 +2177,7 @@ fn epoch_applier_loop(inner: Arc<ServerInner>, rx: Receiver<FlipJob>) {
                     token,
                     sent_at: Instant::now(),
                     event: ResumeEvent::Admin {
-                        result: Ok(response),
+                        response: Some(response),
                     },
                 });
             }
@@ -2281,137 +2213,13 @@ const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 16;
 
-/// A client request parked mid-execution on its owning shard. This is
-/// the continuation that replaced the worker-pool handoff: instead of a
-/// parked thread, the suspended state is a few dozen bytes on the
-/// connection, and the event that ends the wait (the final Lin ack, the
-/// RPC response frame, a wheel tick, the admin job's result) finds the
-/// connection through its token and resumes it in place.
-struct Suspended {
-    /// Responses produced so far (request *k*'s response sits at
-    /// position *k*; empty for a non-batch request).
-    done: Vec<Frame>,
-    /// Sub-frames not yet started.
-    rest: VecDeque<Frame>,
-    /// The request arrived as a [`Frame::Batch`] (decides the response
-    /// shape — one coalesced batch vs. a bare frame).
-    batch: bool,
-    /// Trace id of the sub-request currently in flight.
-    trace: Option<u64>,
-    /// The sub-request currently being served.
-    op: PendingOp,
-    /// What it is waiting for.
-    wait: Wait,
-    /// Give-up deadline for hot-transition bounces of the current op.
-    deadline: Instant,
-    /// Next bounce-retry delay (doubles per bounce).
-    backoff: Duration,
-    /// The current op's one-per-logical-op metrics (op count, popularity
-    /// observation) have been recorded, however many retries follow.
-    counted: bool,
-    /// Miss-path reads of this batch whose [`Frame::MissGet`] RPCs were
-    /// issued ahead of their turn, so cold reads overlap instead of
-    /// paying one serialized peer round-trip each. Responses that arrive
-    /// before their sub-request runs park here; the sub-request consumes
-    /// them inline.
-    prefetch: Vec<PrefetchSlot>,
-}
-
-/// One prefetched miss-path read of a batched request.
-struct PrefetchSlot {
-    key: u64,
-    corr: u64,
-    state: PrefetchState,
-}
-
-enum PrefetchState {
-    /// The RPC is in flight; the sub-request parks on `corr` when it
-    /// runs (no second RPC is issued).
-    InFlight,
-    /// The response landed before the sub-request ran.
-    Arrived(Frame),
-    /// The RPC failed past the redial budget; surfaced to the client as
-    /// a protocol error exactly like the non-prefetched path.
-    Failed(String),
-}
-
-/// The operation a [`Suspended`] request is executing.
-enum PendingOp {
-    Get {
-        key: u64,
-    },
-    Put {
-        key: u64,
-        value: Vec<u8>,
-    },
-    /// Evict: dispatched to the admin service thread (it awaits the
-    /// pending write of the evicted key); the resume event carries the
-    /// complete response.
-    Evict {
-        key: u64,
-    },
-    /// FlipEpoch: the epoch is closed on-shard, the evict/install sweep
-    /// runs on the epoch applier thread.
-    Flip,
-    /// A never-blocking frame ([`serve_inline_frame`]'s class), served on
-    /// the spot at first attempt.
-    Other(Frame),
-}
-
-impl PendingOp {
-    /// The key the op refers to, for trace annotation and error text.
-    fn key(&self) -> u64 {
-        match self {
-            PendingOp::Get { key } | PendingOp::Put { key, .. } | PendingOp::Evict { key } => *key,
-            PendingOp::Flip | PendingOp::Other(_) => 0,
-        }
-    }
-}
-
-/// What a [`Suspended`] request is waiting for.
-enum Wait {
-    /// Nothing — attempt (or re-attempt) the op on the next step.
-    Runnable,
-    /// The Lin write `(key, ts)` is collecting acks; the shard that
-    /// delivers the final one fires [`ResumeEvent::Committed`] through
-    /// the registered commit hook.
-    LinCommit { ts: Timestamp, started: Instant },
-    /// A correlated miss-path RPC is in flight toward the key's home.
-    Rpc { corr: u64 },
-    /// A hot-transition bounce armed a wheel tick; re-attempt when it
-    /// fires.
-    Retry,
-    /// An admin job (Evict on the service thread, a forced epoch flip on
-    /// the applier) is running off-shard.
-    Admin,
-}
-
-/// One attempt at a [`PendingOp`]: what the op did this probe.
-enum Attempt {
-    /// Finished with this response.
-    Respond(Frame),
-    /// Parked; the wait's wake event re-enters the state machine.
-    Park(Wait),
-    /// The key is mid-transition (stalled entry, busy home shard):
-    /// bounce — retry after a wheel tick, or give up past the deadline.
-    Bounce,
-    /// Protocol violation or unrecoverable failure: close the connection.
-    Fail,
-}
-
 /// What a connection is for, decided by its hello frame.
 enum Role {
     /// Hello not yet received.
     Handshake,
-    /// A client request/response session.
-    Client {
-        /// Decoded requests waiting their turn (one request in flight at
-        /// a time keeps responses in request order).
-        pending: VecDeque<Frame>,
-        /// The request currently parked mid-execution, if any. Boxed:
-        /// most connections are between requests most of the time.
-        suspended: Option<Box<Suspended>>,
-    },
+    /// A client request/response session: its decoded requests and the
+    /// one suspended mid-execution.
+    Client(ConnOps),
     /// An incoming protocol link from peer `from` whose hello was answered;
     /// the peer's [`Frame::PeerResume`] (aligning the processed counter)
     /// has not arrived yet.
@@ -2524,10 +2332,6 @@ struct ConnState {
     /// A timer-wheel tick is armed for this connection (credit stall,
     /// parked-for-ready re-check or a bounce retry); dedupes arming.
     tick_armed: bool,
-    /// Wake events delivered for this connection's suspended request
-    /// (commit fired, RPC resolved, admin job done), drained by
-    /// [`Shard::step_client`].
-    resumes: VecDeque<ResumeEvent>,
 }
 
 impl ConnState {
@@ -2541,8 +2345,122 @@ impl ConnState {
             eof: false,
             dead: false,
             tick_armed: false,
-            resumes: VecDeque::new(),
         }
+    }
+}
+
+/// [`OpsHost`] for one client connection on a reactor shard: what its op
+/// machine reaches beyond the node goes through `inner`, and the wake
+/// events it asks for find their way back by `(shard, token)`.
+struct ShardHost<'a> {
+    inner: &'a ServerInner,
+    shard: usize,
+    token: u64,
+    /// The clock reading of the [`Shard::step_client`] pass under way.
+    now: Instant,
+}
+
+impl OpsHost for ShardHost<'_> {
+    fn node(&self) -> &CcNode {
+        &self.inner.node
+    }
+
+    fn write_tag(&mut self, _value: &[u8]) -> u64 {
+        self.inner.tags.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn issue_rpc(&mut self, home: usize, request: Frame) -> Option<u64> {
+        let waiter = RpcWaiter::Shard {
+            shard: self.shard,
+            token: self.token,
+        };
+        let deadline = self.now + self.inner.rpc_retry;
+        self.inner.issue_rpc(home, request, waiter, deadline).ok()
+    }
+
+    fn ship(&mut self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
+        let fanout = Instant::now();
+        self.inner.ship_traced(outgoing, trace);
+        self.inner
+            .metrics
+            .record_fanout_ns(fanout.elapsed().as_nanos() as u64);
+    }
+
+    fn on_commit(&mut self, key: u64, ts: Timestamp) {
+        let owner = self.inner.shard_arc(self.shard);
+        let token = self.token;
+        self.inner.node.on_committed(
+            key,
+            ts,
+            Box::new(move || {
+                owner.send(ShardMsg::Resume {
+                    token,
+                    sent_at: Instant::now(),
+                    event: ResumeEvent::Committed,
+                });
+            }),
+        );
+    }
+
+    fn serve(&mut self, frame: Frame) -> Served {
+        let (shard, token) = (self.shard, self.token);
+        match frame {
+            // Evicting a key with a pending Lin write blocks until the
+            // write commits: the admin service thread's job.
+            Frame::Evict { key } => {
+                match self
+                    .inner
+                    .admin_tx
+                    .send(AdminJob::Evict { shard, token, key })
+                {
+                    Ok(()) => Served::Later,
+                    Err(_) => Served::Close,
+                }
+            }
+            Frame::FlipEpoch => {
+                let error = |message: &str| Frame::Error {
+                    message: message.to_string(),
+                };
+                let Some(churn) = &self.inner.churn else {
+                    return Served::Now(error("this node does not run the epoch coordinator"));
+                };
+                // Close the epoch on-shard (a cheap swap under the
+                // coordinator lock); the multi-node evict/install sweep
+                // runs on the epoch applier thread.
+                let hot = churn.coord.lock().close_epoch();
+                match churn.flip_tx.send(FlipJob::Forced { hot, shard, token }) {
+                    Ok(()) => Served::Later,
+                    Err(_) => Served::Now(error("epoch applier is not running")),
+                }
+            }
+            frame => serve_inline_frame(self.inner, shard as u8, frame)
+                .map_or(Served::Close, Served::Now),
+        }
+    }
+
+    fn note(&mut self, note: Note) {
+        let metrics = &self.inner.metrics;
+        match note {
+            Note::Batch(ops) => metrics.record_batch(ops as u64),
+            Note::Get(key) => {
+                metrics.record_get();
+                self.inner.observe(key);
+            }
+            Note::Put(key) => {
+                metrics.record_put();
+                self.inner.observe(key);
+            }
+            Note::Cache(hit) => metrics.record_cache(hit),
+            Note::InlineGet => metrics.record_inline_get(),
+            Note::RemoteRead => metrics.record_remote_read(),
+            Note::RemoteWrite => metrics.record_remote_write(),
+            Note::LinAckWait(waited) => metrics.record_lin_ack_wait_ns(waited.as_nanos() as u64),
+        }
+    }
+
+    fn trace(&mut self, trace: Option<u64>, kind: EventKind, key: u64, peer: u8) {
+        self.inner
+            .trace_event(trace, self.shard as u8, kind, key, peer);
     }
 }
 
@@ -2563,6 +2481,10 @@ struct Shard {
     /// Shared read scratch: one hot buffer for every connection's socket
     /// reads, instead of a cold 64 KB tail per connection per read.
     scratch: Vec<u8>,
+    /// Shared response scratch: what one client connection's op machine
+    /// answered in one pass, on its way into that connection's write
+    /// buffer.
+    responses: Vec<Frame>,
 }
 
 impl Shard {
@@ -2585,6 +2507,7 @@ impl Shard {
             next_shard: 0,
             wheel: reactor::TimerWheel::new(),
             scratch: vec![0u8; reactor::READ_CHUNK],
+            responses: Vec::new(),
         }
     }
 
@@ -2787,11 +2710,13 @@ impl Shard {
                     // The connection may be gone (client hung up mid-wait):
                     // the event is dropped, exactly as a response write to
                     // a dead socket would have been.
-                    if let Some(conn) = self.conns.get_mut(&token) {
+                    if let Some(Role::Client(ops)) =
+                        self.conns.get_mut(&token).map(|conn| &mut conn.role)
+                    {
                         self.inner
                             .metrics
                             .record_continuation_fire_ns(sent_at.elapsed().as_nanos() as u64);
-                        conn.resumes.push_back(event);
+                        ops.resume(event);
                         dirty.push(token);
                     }
                 }
@@ -2863,10 +2788,7 @@ impl Shard {
                         conn.stream.raw_fd(),
                         crate::client::CONN_KERNEL_BUF_BYTES,
                     );
-                    conn.role = Role::Client {
-                        pending: VecDeque::new(),
-                        suspended: None,
-                    };
+                    conn.role = Role::Client(ConnOps::default());
                 }
                 Ok(Some(Frame::PeerHello { from, gen })) => {
                     let from = usize::from(from);
@@ -2914,7 +2836,7 @@ impl Shard {
             }
             return StepOutcome::Keep;
         }
-        let close = if matches!(conn.role, Role::Client { .. }) {
+        let close = if matches!(conn.role, Role::Client(_)) {
             self.step_client(token, conn)
         } else if matches!(conn.role, Role::PeerInResume { .. }) {
             self.step_peer_resume(conn)
@@ -2996,140 +2918,39 @@ impl Shard {
         }
     }
 
-    /// Serves a client connection: decodes requests, applies wake events
-    /// to the suspended request if any, and runs requests through the
-    /// continuation state machine — every frame handled right here, on
-    /// this shard. One request in flight per connection keeps responses
-    /// in request order.
+    /// Serves a client connection: hands decoded requests to its op
+    /// machine ([`crate::ops`]; wake events were queued on it as they
+    /// arrived), runs it against one reading of the clock, and writes out
+    /// what it answered — every frame handled right here, on this shard.
     fn step_client(&mut self, token: u64, conn: &mut ConnState) -> bool {
-        {
-            let Role::Client { pending, .. } = &mut conn.role else {
-                unreachable!("checked by caller");
-            };
-            loop {
-                match conn.decoder.next_frame() {
-                    Ok(Some(frame)) => pending.push_back(frame),
-                    Ok(None) => break,
-                    Err(_) => return true,
-                }
-            }
-        }
-        let mut resumes = std::mem::take(&mut conn.resumes);
-        let Role::Client { pending, suspended } = &mut conn.role else {
+        let Role::Client(ops) = &mut conn.role else {
             unreachable!("checked by caller");
         };
-        let mut sus = suspended.take();
-        let mut close = false;
-        'serve: loop {
-            match sus.as_deref_mut() {
-                None => {
-                    // Between requests: any event left over belongs to a
-                    // request that already ended (they resolve exactly
-                    // once, so nothing can still be waiting on one).
-                    resumes.clear();
-                    let Some(frame) = pending.pop_front() else {
-                        break 'serve;
-                    };
-                    let (trace, frame) = peel_trace(frame);
-                    self.inner.trace_event(
-                        trace,
-                        self.id as u8,
-                        EventKind::Decode,
-                        frame_key(&frame),
-                        NO_PEER,
-                    );
-                    let (batch, rest) = match frame {
-                        Frame::Batch { frames } => {
-                            self.inner.metrics.record_batch(frames.len() as u64);
-                            (true, VecDeque::from(frames))
-                        }
-                        // A single frame runs through the same machinery
-                        // as a batch of one; re-wrap so `start_sub` peels
-                        // the same trace id back out (it emits no second
-                        // Decode event for non-batch requests).
-                        frame => (false, VecDeque::from(vec![rewrap_trace(trace, frame)])),
-                    };
-                    let mut s = Box::new(Suspended {
-                        done: Vec::with_capacity(rest.len()),
-                        rest,
-                        batch,
-                        trace: None,
-                        op: PendingOp::Flip,
-                        wait: Wait::Runnable,
-                        deadline: Instant::now() + HOT_TRANSITION_RETRY,
-                        backoff: RETRY_BACKOFF_START,
-                        counted: false,
-                        prefetch: Vec::new(),
-                    });
-                    if self.start_sub(&mut s) {
-                        self.prefetch_batch_reads(token, &mut s);
-                        sus = Some(s);
-                    } else {
-                        // An empty batch: answer in kind.
-                        write_frame(conn.writebuf.writer(), &Frame::Batch { frames: Vec::new() })
-                            .expect("vec write");
-                    }
-                }
-                Some(s) => {
-                    let step = if let Some(event) = resumes.pop_front() {
-                        match self.apply_resume(token, s, event) {
-                            Some(step) => step,
-                            // A stale event for a wait that already moved
-                            // on: drop it.
-                            None => continue 'serve,
-                        }
-                    } else if matches!(s.wait, Wait::Runnable | Wait::Retry) {
-                        self.attempt_op(token, s)
-                    } else {
-                        // Parked on an external event that has not
-                        // arrived yet.
-                        break 'serve;
-                    };
-                    match step {
-                        Attempt::Respond(response) => {
-                            if self.finish_sub(s, response, &mut conn.writebuf) {
-                                sus = None;
-                            }
-                        }
-                        Attempt::Park(wait) => {
-                            s.wait = wait;
-                            if resumes.is_empty() {
-                                break 'serve;
-                            }
-                        }
-                        Attempt::Bounce => {
-                            if Instant::now() >= s.deadline {
-                                let key = s.op.key();
-                                let giveup = Frame::Error {
-                                    message: format!(
-                                        "hot-set transition of key {key} did not complete"
-                                    ),
-                                };
-                                if self.finish_sub(s, giveup, &mut conn.writebuf) {
-                                    sus = None;
-                                }
-                            } else {
-                                let delay = s.backoff;
-                                s.backoff = (s.backoff * 2).min(RETRY_BACKOFF_MAX);
-                                s.wait = Wait::Retry;
-                                if !conn.tick_armed {
-                                    self.wheel.schedule(Token(token), delay);
-                                    conn.tick_armed = true;
-                                }
-                                break 'serve;
-                            }
-                        }
-                        Attempt::Fail => {
-                            close = true;
-                            break 'serve;
-                        }
-                    }
-                }
+        loop {
+            match conn.decoder.next_frame() {
+                Ok(Some(frame)) => ops.push(frame),
+                Ok(None) => break,
+                Err(_) => return true,
             }
         }
-        *suspended = sus;
-        if close {
-            return true;
+        let now = Instant::now();
+        let mut host = ShardHost {
+            inner: &self.inner,
+            shard: self.id,
+            token,
+            now,
+        };
+        let step = ops.run(&mut host, now, &mut self.responses);
+        for response in self.responses.drain(..) {
+            write_frame(conn.writebuf.writer(), &response).expect("vec write");
+        }
+        match step {
+            Step::Close => return true,
+            Step::Retry(delay) if !conn.tick_armed => {
+                self.wheel.schedule(Token(token), delay);
+                conn.tick_armed = true;
+            }
+            Step::Retry(_) | Step::Wait => {}
         }
         // Push what accumulated; the remainder drains on writability.
         if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
@@ -3140,468 +2961,7 @@ impl Shard {
         // then read the tail) must still receive every response, as the
         // blocking server guaranteed. A fully-closed peer errors the next
         // writability flush, so nothing lingers.
-        conn.eof && pending.is_empty() && suspended.is_none() && conn.writebuf.is_empty()
-    }
-
-    /// Pops the next sub-frame into the current-op slot, resetting the
-    /// per-op bookkeeping. Returns `false` when no sub-frames remain.
-    fn start_sub(&self, s: &mut Suspended) -> bool {
-        let Some(sub) = s.rest.pop_front() else {
-            return false;
-        };
-        let (trace, sub) = peel_trace(sub);
-        if s.batch {
-            // Sub-frames carry their own trace envelopes: a sampled op
-            // stays causally linked through the client-side coalescing.
-            self.inner.trace_event(
-                trace,
-                self.id as u8,
-                EventKind::Decode,
-                frame_key(&sub),
-                NO_PEER,
-            );
-        }
-        s.trace = trace;
-        s.wait = Wait::Runnable;
-        s.deadline = Instant::now() + HOT_TRANSITION_RETRY;
-        s.backoff = RETRY_BACKOFF_START;
-        s.counted = false;
-        s.op = match sub {
-            Frame::Get { key } => PendingOp::Get { key },
-            Frame::Put { key, value } => PendingOp::Put { key, value },
-            Frame::Evict { key } => PendingOp::Evict { key },
-            Frame::FlipEpoch => PendingOp::Flip,
-            other => PendingOp::Other(other),
-        };
-        true
-    }
-
-    /// Issues the miss-path [`Frame::MissGet`] RPCs for every cold read
-    /// still queued in a freshly decoded batch, so their peer round-trips
-    /// overlap instead of serializing one per sub-request. Only plain
-    /// reads are pipelined, and only while batch order cannot observe the
-    /// reordering: a read of a key the batch wrote earlier is skipped
-    /// (it must see that write), and the scan stops at the first admin
-    /// frame (hot-set transitions change where a key is served from).
-    fn prefetch_batch_reads(&self, token: u64, s: &mut Suspended) {
-        if !s.batch {
-            return;
-        }
-        let inner = &self.inner;
-        let mut written: Vec<u64> = Vec::new();
-        if let PendingOp::Put { key, .. } = &s.op {
-            written.push(*key);
-        }
-        for sub in &s.rest {
-            let (trace, frame) = match sub {
-                Frame::Traced { id, inner } => (Some(*id), inner.as_ref()),
-                other => (None, other),
-            };
-            match frame {
-                Frame::Get { key } => {
-                    let key = *key;
-                    if written.contains(&key) || s.prefetch.iter().any(|p| p.key == key) {
-                        continue;
-                    }
-                    let home = inner.node.home_node(key);
-                    if home == inner.node.node() || inner.node.cache().probe(key) != ReadProbe::Miss
-                    {
-                        continue;
-                    }
-                    inner.trace_event(trace, self.id as u8, EventKind::MissRpc, key, home as u8);
-                    let request = rewrap_trace(trace, Frame::MissGet { key });
-                    let waiter = RpcWaiter::Shard {
-                        shard: self.id,
-                        token,
-                    };
-                    if let Ok(corr) =
-                        inner.issue_rpc(home, request, waiter, Instant::now() + inner.rpc_retry)
-                    {
-                        s.prefetch.push(PrefetchSlot {
-                            key,
-                            corr,
-                            state: PrefetchState::InFlight,
-                        });
-                    }
-                }
-                Frame::Put { key, .. } => written.push(*key),
-                _ => break,
-            }
-        }
-    }
-
-    /// Records the finished sub-request's response and starts the next
-    /// one. Returns `true` when the whole request completed (its response
-    /// bytes are in the write buffer).
-    fn finish_sub(&self, s: &mut Suspended, response: Frame, writebuf: &mut WriteBuf) -> bool {
-        self.inner.trace_event(
-            s.trace,
-            self.id as u8,
-            EventKind::Respond,
-            s.op.key(),
-            NO_PEER,
-        );
-        if s.batch {
-            s.done.push(response);
-            if self.start_sub(s) {
-                return false;
-            }
-            let frames = std::mem::take(&mut s.done);
-            write_frame(writebuf.writer(), &Frame::Batch { frames }).expect("vec write");
-        } else {
-            write_frame(writebuf.writer(), &response).expect("vec write");
-        }
-        true
-    }
-
-    /// One probe of the current op. Probes are idempotent: a bounced op
-    /// re-runs the whole probe on its next tick (the key may have changed
-    /// sides of the hot set in between).
-    fn attempt_op(&self, token: u64, s: &mut Suspended) -> Attempt {
-        let inner = &self.inner;
-        match &mut s.op {
-            PendingOp::Get { key } => {
-                let key = *key;
-                if !s.counted {
-                    s.counted = true;
-                    inner.metrics.record_get();
-                    inner.observe(key);
-                }
-                match inner.node.cache().read(key) {
-                    ReadOutcome::Hit { value, ts } => {
-                        inner.metrics.record_cache(true);
-                        inner.metrics.record_inline_get();
-                        Attempt::Respond(Frame::GetResp {
-                            cached: true,
-                            ts,
-                            value,
-                        })
-                    }
-                    // A stalled entry (invalidated under Lin) must not be
-                    // awaited here — the update that resolves it arrives
-                    // through this very shard. Bounce.
-                    ReadOutcome::Stall => Attempt::Bounce,
-                    ReadOutcome::Miss => {
-                        // Cold path. Like cold writes, cold reads bounce
-                        // while the key transitions into or out of the hot
-                        // set: during an eviction the freshest value may
-                        // still be in flight from a dirty replica.
-                        let home = inner.node.home_node(key);
-                        if home == inner.node.node() {
-                            match inner.node.cold_get(key) {
-                                Some(value) => {
-                                    inner.metrics.record_cache(false);
-                                    Attempt::Respond(Frame::GetResp {
-                                        cached: false,
-                                        ts: Timestamp::ZERO,
-                                        value,
-                                    })
-                                }
-                                None => Attempt::Bounce,
-                            }
-                        } else {
-                            // A batch prefetch may already have this key's
-                            // MissGet in flight (park on it — no second
-                            // RPC) or answered (consume it inline).
-                            if let Some(i) = s.prefetch.iter().position(|p| p.key == key) {
-                                let slot = s.prefetch.swap_remove(i);
-                                return match slot.state {
-                                    PrefetchState::InFlight => {
-                                        Attempt::Park(Wait::Rpc { corr: slot.corr })
-                                    }
-                                    PrefetchState::Arrived(Frame::MissGetResp { value }) => {
-                                        inner.metrics.record_cache(false);
-                                        inner.metrics.record_remote_read();
-                                        inner.trace_event(
-                                            s.trace,
-                                            self.id as u8,
-                                            EventKind::ContinuationFire,
-                                            key,
-                                            NO_PEER,
-                                        );
-                                        Attempt::Respond(Frame::GetResp {
-                                            cached: false,
-                                            ts: Timestamp::ZERO,
-                                            value,
-                                        })
-                                    }
-                                    PrefetchState::Arrived(Frame::MissRetry) => Attempt::Bounce,
-                                    PrefetchState::Arrived(_) => Attempt::Fail,
-                                    PrefetchState::Failed(message) => {
-                                        Attempt::Respond(Frame::Error { message })
-                                    }
-                                };
-                            }
-                            inner.trace_event(
-                                s.trace,
-                                self.id as u8,
-                                EventKind::MissRpc,
-                                key,
-                                home as u8,
-                            );
-                            let request = rewrap_trace(s.trace, Frame::MissGet { key });
-                            match inner.issue_rpc(
-                                home,
-                                request,
-                                RpcWaiter::Shard {
-                                    shard: self.id,
-                                    token,
-                                },
-                                Instant::now() + inner.rpc_retry,
-                            ) {
-                                Ok(corr) => Attempt::Park(Wait::Rpc { corr }),
-                                Err(_) => Attempt::Fail,
-                            }
-                        }
-                    }
-                }
-            }
-            PendingOp::Put { key, value } => {
-                let key = *key;
-                if !s.counted {
-                    s.counted = true;
-                    inner.metrics.record_put();
-                    inner.observe(key);
-                }
-                let tag = inner.tags.fetch_add(1, Ordering::Relaxed);
-                match inner.node.try_cache_put(key, value, tag) {
-                    Some(CachePut::Done { ts, outgoing }) => {
-                        let fanout = Instant::now();
-                        inner.ship_traced(outgoing, s.trace);
-                        inner
-                            .metrics
-                            .record_fanout_ns(fanout.elapsed().as_nanos() as u64);
-                        inner.metrics.record_cache(true);
-                        Attempt::Respond(Frame::PutResp { cached: true, ts })
-                    }
-                    Some(CachePut::Pending { ts, outgoing }) => {
-                        inner.trace_event(
-                            s.trace,
-                            self.id as u8,
-                            EventKind::LinInitiate,
-                            key,
-                            NO_PEER,
-                        );
-                        // Register the commit continuation BEFORE the
-                        // invalidations leave: the final ack can race back
-                        // through another shard the moment they ship (and
-                        // `on_committed` fires the hook immediately if the
-                        // commit somehow already landed).
-                        let owner = inner.shard_arc(self.id);
-                        inner.node.on_committed(
-                            key,
-                            ts,
-                            Box::new(move || {
-                                owner.send(ShardMsg::Resume {
-                                    token,
-                                    sent_at: Instant::now(),
-                                    event: ResumeEvent::Committed,
-                                });
-                            }),
-                        );
-                        let fanout = Instant::now();
-                        inner.ship_traced(outgoing, s.trace);
-                        inner
-                            .metrics
-                            .record_fanout_ns(fanout.elapsed().as_nanos() as u64);
-                        inner.metrics.record_cache(true);
-                        Attempt::Park(Wait::LinCommit {
-                            ts,
-                            started: Instant::now(),
-                        })
-                    }
-                    // A stalled entry: bounce, exactly as for reads.
-                    None => Attempt::Bounce,
-                    Some(CachePut::Miss) => {
-                        // Cold path: versions are assigned by the *home*
-                        // shard on arrival ([`CcNode::cold_put`]); the tag
-                        // on the wire is only a diagnostic hint.
-                        let home = inner.node.home_node(key);
-                        let me = inner.node.node() as u8;
-                        if home == inner.node.node() {
-                            match inner.node.cold_put(key, value, me) {
-                                ColdPut::Applied(ts) => {
-                                    inner.metrics.record_cache(false);
-                                    Attempt::Respond(Frame::PutResp { cached: false, ts })
-                                }
-                                ColdPut::Busy => Attempt::Bounce,
-                                ColdPut::Rejected(message) => {
-                                    Attempt::Respond(Frame::Error { message })
-                                }
-                            }
-                        } else {
-                            inner.trace_event(
-                                s.trace,
-                                self.id as u8,
-                                EventKind::MissRpc,
-                                key,
-                                home as u8,
-                            );
-                            let request = rewrap_trace(
-                                s.trace,
-                                Frame::MissPut {
-                                    key,
-                                    tag: tag as u32,
-                                    writer: me,
-                                    value: value.clone(),
-                                },
-                            );
-                            match inner.issue_rpc(
-                                home,
-                                request,
-                                RpcWaiter::Shard {
-                                    shard: self.id,
-                                    token,
-                                },
-                                Instant::now() + inner.rpc_retry,
-                            ) {
-                                Ok(corr) => Attempt::Park(Wait::Rpc { corr }),
-                                Err(_) => Attempt::Fail,
-                            }
-                        }
-                    }
-                }
-            }
-            PendingOp::Evict { key } => {
-                let key = *key;
-                match inner.admin_tx.send(AdminJob::Evict {
-                    shard: self.id,
-                    token,
-                    key,
-                }) {
-                    Ok(()) => Attempt::Park(Wait::Admin),
-                    Err(_) => Attempt::Fail,
-                }
-            }
-            PendingOp::Flip => match &inner.churn {
-                None => Attempt::Respond(Frame::Error {
-                    message: "this node does not run the epoch coordinator".to_string(),
-                }),
-                Some(churn) => {
-                    // Close the epoch on-shard (a cheap swap under the
-                    // coordinator lock); the multi-node evict/install
-                    // sweep runs on the epoch applier thread, which
-                    // resumes this connection when done.
-                    let hot = churn.coord.lock().close_epoch();
-                    match churn.flip_tx.send(FlipJob::Forced {
-                        hot,
-                        shard: self.id,
-                        token,
-                    }) {
-                        Ok(()) => Attempt::Park(Wait::Admin),
-                        Err(_) => Attempt::Respond(Frame::Error {
-                            message: "epoch applier is not running".to_string(),
-                        }),
-                    }
-                }
-            },
-            PendingOp::Other(frame) => {
-                let frame = std::mem::replace(frame, Frame::Ping);
-                match serve_inline_frame(inner, self.id as u8, frame) {
-                    Ok(ClientAction::Respond(response)) => Attempt::Respond(response),
-                    Ok(ClientAction::Shutdown) | Err(_) => Attempt::Fail,
-                }
-            }
-        }
-    }
-
-    /// Applies one wake event to the suspended request. Returns `None`
-    /// for an event that no longer matches the current wait (each wait
-    /// resolves exactly once, so a leftover is stale by construction).
-    fn apply_resume(&self, token: u64, s: &mut Suspended, event: ResumeEvent) -> Option<Attempt> {
-        let _ = token;
-        let inner = &self.inner;
-        // A response for a prefetched batch read whose sub-request has not
-        // run yet: park it in the slot for inline consumption. (If the
-        // sub-request is already waiting on this corr, the normal resume
-        // arms below handle it.)
-        if let ResumeEvent::Rpc { corr, .. } | ResumeEvent::RpcFailed { corr, .. } = &event {
-            let corr = *corr;
-            let waiting_on = matches!(s.wait, Wait::Rpc { corr: expected } if expected == corr);
-            if !waiting_on {
-                if let Some(slot) = s
-                    .prefetch
-                    .iter_mut()
-                    .find(|p| p.corr == corr && matches!(p.state, PrefetchState::InFlight))
-                {
-                    slot.state = match event {
-                        ResumeEvent::Rpc { response, .. } => PrefetchState::Arrived(response),
-                        ResumeEvent::RpcFailed { message, .. } => PrefetchState::Failed(message),
-                        _ => unreachable!("matched above"),
-                    };
-                    return None;
-                }
-            }
-        }
-        let step = match (event, &s.wait) {
-            (ResumeEvent::Committed, Wait::LinCommit { ts, started }) => {
-                inner
-                    .metrics
-                    .record_lin_ack_wait_ns(started.elapsed().as_nanos() as u64);
-                let ts = *ts;
-                inner.trace_event(
-                    s.trace,
-                    self.id as u8,
-                    EventKind::CommitFire,
-                    s.op.key(),
-                    NO_PEER,
-                );
-                Attempt::Respond(Frame::PutResp { cached: true, ts })
-            }
-            (ResumeEvent::Rpc { corr, response }, Wait::Rpc { corr: expected })
-                if corr == *expected =>
-            {
-                match &s.op {
-                    PendingOp::Get { .. } => match response {
-                        Frame::MissGetResp { value } => {
-                            // One logical miss, however many bounces.
-                            inner.metrics.record_cache(false);
-                            inner.metrics.record_remote_read();
-                            Attempt::Respond(Frame::GetResp {
-                                cached: false,
-                                ts: Timestamp::ZERO,
-                                value,
-                            })
-                        }
-                        Frame::MissRetry => Attempt::Bounce,
-                        _ => Attempt::Fail,
-                    },
-                    PendingOp::Put { .. } => match response {
-                        Frame::MissPutResp { ts } => {
-                            inner.metrics.record_cache(false);
-                            inner.metrics.record_remote_write();
-                            Attempt::Respond(Frame::PutResp { cached: false, ts })
-                        }
-                        Frame::MissRetry => Attempt::Bounce,
-                        // The home shard rejected the write: relay the
-                        // reason to the client.
-                        Frame::Error { message } => Attempt::Respond(Frame::Error { message }),
-                        _ => Attempt::Fail,
-                    },
-                    _ => Attempt::Fail,
-                }
-            }
-            (ResumeEvent::RpcFailed { corr, message }, Wait::Rpc { corr: expected })
-                if corr == *expected =>
-            {
-                // Transport failure past the redial budget: surfaced to the
-                // client as a protocol error.
-                Attempt::Respond(Frame::Error { message })
-            }
-            (ResumeEvent::Admin { result }, Wait::Admin) => match result {
-                Ok(response) => Attempt::Respond(response),
-                Err(_) => Attempt::Fail,
-            },
-            _ => return None,
-        };
-        inner.trace_event(
-            s.trace,
-            self.id as u8,
-            EventKind::ContinuationFire,
-            s.op.key(),
-            NO_PEER,
-        );
-        Some(step)
+        conn.eof && ops.is_idle() && conn.writebuf.is_empty()
     }
 
     fn step_peer_in(&mut self, conn: &mut ConnState) -> bool {
@@ -3967,14 +3327,14 @@ impl Shard {
     /// unless backpressure says stop.
     fn refresh_interest(&mut self, token: u64, conn: &mut ConnState) {
         let throttled = match &conn.role {
-            Role::Client { pending, suspended } => {
+            Role::Client(ops) => {
                 // A pipelining client stops being read once enough frames
                 // are queued or its responses back up; TCP pushes back to
                 // the sender instead of the server buffering without
                 // bound.
-                pending.len() >= MAX_PENDING_FRAMES
+                ops.queued() >= MAX_PENDING_FRAMES
                     || conn.writebuf.pending() >= HIGH_WATER
-                    || (suspended.is_some() && pending.len() >= MAX_PENDING_FRAMES / 2)
+                    || (ops.wait().is_some() && ops.queued() >= MAX_PENDING_FRAMES / 2)
             }
             _ => conn.writebuf.pending() >= HIGH_WATER,
         };
