@@ -106,30 +106,32 @@ impl StoredObject {
         self.lock.write(&payload);
     }
 
-    /// Lock-free consistent read of header + value.
+    /// Lock-free consistent read of header + value: one validated copy,
+    /// the header onto the stack and the value into the `Vec` returned.
     pub fn read(&self) -> ObjectSnapshot {
-        let (payload, seq_version) = self.lock.read();
-        if payload.len() < HEADER_BYTES {
-            // Never written yet: report a default header and empty value.
-            return ObjectSnapshot {
-                header: ObjectHeader::default(),
-                value: Vec::new(),
-                seq_version,
-            };
-        }
+        let mut header = [0u8; HEADER_BYTES];
+        let mut value = Vec::new();
+        let (len, seq_version) = self.lock.read_parts(0, &mut header, Some(&mut value));
         ObjectSnapshot {
-            header: ObjectHeader::decode(&payload),
-            value: payload[HEADER_BYTES..].to_vec(),
+            // Never written yet: a default header (and the empty value).
+            header: if len < HEADER_BYTES {
+                ObjectHeader::default()
+            } else {
+                ObjectHeader::decode(&header)
+            },
+            value,
             seq_version,
         }
     }
 
-    /// Lock-free read of the value's first bytes into `buf`, as many as
-    /// both hold, without allocating; returns the value's whole length.
-    pub fn read_value_prefix(&self, buf: &mut [u8]) -> usize {
-        self.lock
-            .read_into(HEADER_BYTES, buf)
-            .saturating_sub(HEADER_BYTES)
+    /// Lock-free read of the value in two parts, in the same validated
+    /// copy: its first bytes into `prefix`, as many as both hold, and —
+    /// when `rest` is given — the bytes past those appended to it.
+    /// Allocates only what `rest` grows by; returns the value's whole
+    /// length.
+    pub fn read_value_parts(&self, prefix: &mut [u8], rest: Option<&mut Vec<u8>>) -> usize {
+        let (len, _) = self.lock.read_parts(HEADER_BYTES, prefix, rest);
+        len.saturating_sub(HEADER_BYTES)
     }
 
     /// Read-modify-write of header + value in one critical section.

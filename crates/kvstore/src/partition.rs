@@ -107,18 +107,14 @@ impl Partition {
         self.index.lookup(key).is_some()
     }
 
-    /// Lock-free read of `key`.
-    pub fn get(&self, key: u64) -> Option<ObjectSnapshot> {
-        let slot = self.index.lookup(key)?;
-        Some(self.slab[slot].read())
+    /// The stored object of `key`, if present.
+    pub fn object(&self, key: u64) -> Option<&StoredObject> {
+        Some(&self.slab[self.index.lookup(key)?])
     }
 
-    /// Lock-free read of the first bytes of `key`'s value into `buf`,
-    /// without allocating; the value's whole length, or `None` when the
-    /// key is absent. See [`StoredObject::read_value_prefix`].
-    pub fn read_value_prefix(&self, key: u64, buf: &mut [u8]) -> Option<usize> {
-        let slot = self.index.lookup(key)?;
-        Some(self.slab[slot].read_value_prefix(buf))
+    /// Lock-free read of `key`.
+    pub fn get(&self, key: u64) -> Option<ObjectSnapshot> {
+        self.object(key).map(StoredObject::read)
     }
 
     /// Inserts or overwrites `key` with the given header and value.
@@ -173,8 +169,7 @@ impl Partition {
         key: u64,
         f: impl FnOnce(ObjectHeader, &[u8]) -> (ObjectHeader, Option<Vec<u8>>, T),
     ) -> Option<T> {
-        let slot = self.index.lookup(key)?;
-        Some(self.slab[slot].modify(f))
+        self.object(key).map(|object| object.modify(f))
     }
 
     /// Removes `key`, returning its last snapshot if it was present.

@@ -15,13 +15,13 @@
 
 use crate::metrics::Metrics;
 use crate::transport::{Connection, Transport, TransportConfig};
-use crate::wire::{read_frame, write_frame, Frame};
+use crate::wire::{encode_frame_into, read_frame_via, Frame};
 use cckvs::cluster::value_tag_of;
 use consistency::history::{History, OpRecord, RecordKind};
 use consistency::lamport::Timestamp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +64,11 @@ impl SharedHistory {
 /// [`Transport`] dials.
 pub(crate) struct Conn {
     reader: BufReader<Box<dyn Connection>>,
-    writer: BufWriter<Box<dyn Connection>>,
+    writer: Box<dyn Connection>,
+    /// The frame being sent, encoded in place; leaves in one write.
+    encoded: Vec<u8>,
+    /// The payload of the frame being received.
+    payload: Vec<u8>,
 }
 
 /// How long a client-side dial may take before it fails. Blocking clients
@@ -72,9 +76,9 @@ pub(crate) struct Conn {
 /// keeps dead-node redials from stalling a whole session.
 pub(crate) const CLIENT_DIAL_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Connection buffer capacity. Frames on the request/response paths are
-/// ~100 bytes; `BufReader`/`BufWriter` bypass their buffer for larger
-/// transfers, so small buffers lose nothing — while keeping a process
+/// Connection read-buffer capacity. Frames on the request/response paths
+/// are ~100 bytes; `BufReader` bypasses its buffer for larger
+/// transfers, so a small buffer loses nothing — while keeping a process
 /// that opens thousands of connections (`cckvs-loadgen --connections`)
 /// cache-resident instead of spending 16 KB of cold buffer per connection
 /// per op.
@@ -105,22 +109,20 @@ impl Conn {
         if stream.datagram_cap().is_none() {
             let _ = reactor::set_socket_buffers(stream.raw_fd(), CONN_KERNEL_BUF_BYTES);
         }
-        let mut writer = BufWriter::with_capacity(CONN_BUF_BYTES, stream.try_clone()?);
-        write_frame(&mut writer, hello)?;
-        writer.flush()?;
-        Ok(Conn {
+        let mut conn = Conn {
+            writer: stream.try_clone()?,
             reader: BufReader::with_capacity(CONN_BUF_BYTES, stream),
-            writer,
-        })
+            encoded: Vec::new(),
+            payload: Vec::new(),
+        };
+        conn.send(hello)?;
+        Ok(conn)
     }
 
-    /// Sends `request` and awaits the response. A [`Frame::Error`] reply is
-    /// surfaced as an `io::Error` so every caller handles server-side
-    /// failures uniformly.
-    pub(crate) fn call(&mut self, request: &Frame) -> io::Result<Frame> {
-        write_frame(&mut self.writer, request)?;
-        self.writer.flush()?;
-        match read_frame(&mut self.reader)? {
+    /// Awaits the next frame. A [`Frame::Error`] reply is surfaced as an
+    /// `io::Error` so every caller handles server-side failures uniformly.
+    fn receive(&mut self) -> io::Result<Frame> {
+        match read_frame_via(&mut self.reader, &mut self.payload)? {
             Some(Frame::Error { message }) => {
                 Err(io::Error::new(io::ErrorKind::InvalidInput, message))
             }
@@ -132,8 +134,16 @@ impl Conn {
         }
     }
 
+    /// Sends `request` and awaits the response.
+    pub(crate) fn call(&mut self, request: &Frame) -> io::Result<Frame> {
+        self.send(request)?;
+        self.receive()
+    }
+
     pub(crate) fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        write_frame(&mut self.writer, frame)?;
+        self.encoded.clear();
+        encode_frame_into(&mut self.encoded, frame);
+        self.writer.write_all(&self.encoded)?;
         self.writer.flush()
     }
 
@@ -142,24 +152,15 @@ impl Conn {
     /// [`Frame::Error`] (or a count mismatch) is a connection-level fault.
     fn call_batch(&mut self, frames: Vec<Frame>) -> io::Result<Vec<Frame>> {
         let sent = frames.len();
-        write_frame(&mut self.writer, &Frame::Batch { frames })?;
-        self.writer.flush()?;
-        match read_frame(&mut self.reader)? {
-            Some(Frame::Batch { frames }) if frames.len() == sent => Ok(frames),
-            Some(Frame::Batch { frames }) => Err(io::Error::new(
+        match self.call(&Frame::Batch { frames })? {
+            Frame::Batch { frames } if frames.len() == sent => Ok(frames),
+            Frame::Batch { frames } => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("batch of {sent} answered with {} responses", frames.len()),
             )),
-            Some(Frame::Error { message }) => {
-                Err(io::Error::new(io::ErrorKind::InvalidInput, message))
-            }
-            Some(other) => Err(io::Error::new(
+            other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected response to batch: {other:?}"),
-            )),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed",
             )),
         }
     }

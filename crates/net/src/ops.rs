@@ -184,7 +184,7 @@ struct Suspended<T> {
     /// Responses produced so far (request *k*'s response sits at
     /// position *k*; empty for a non-batch request).
     done: Vec<Frame>,
-    /// Sub-frames not yet started.
+    /// A batch's sub-frames not yet started.
     rest: VecDeque<Frame>,
     /// The request arrived as a [`Frame::Batch`] (decides the response
     /// shape — one coalesced batch vs. a bare frame).
@@ -316,16 +316,20 @@ fn rewrap_trace(trace: Option<u64>, frame: Frame) -> Frame {
 }
 
 /// One client connection's op machine; see the module docs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct ConnOps<T = Instant> {
     /// Decoded requests waiting their turn (one request in flight at a
     /// time keeps responses in request order).
     pending: VecDeque<Frame>,
     /// Wake events not yet applied, in arrival order.
     resumes: VecDeque<ResumeEvent>,
-    /// The request currently parked mid-execution, if any. Boxed: most
-    /// connections are between requests most of the time.
-    suspended: Option<Box<Suspended<T>>>,
+    /// The connection's one request slot: allocated by its first request
+    /// and kept for its lifetime, so its queues keep their capacity and
+    /// answering a request builds nothing.
+    slot: Option<Box<Suspended<T>>>,
+    /// Whether `slot` holds a request in flight; between requests what it
+    /// holds is stale and no observer sees it.
+    in_flight: bool,
 }
 
 impl<T> Default for ConnOps<T> {
@@ -333,12 +337,31 @@ impl<T> Default for ConnOps<T> {
         ConnOps {
             pending: VecDeque::new(),
             resumes: VecDeque::new(),
-            suspended: None,
+            slot: None,
+            in_flight: false,
         }
     }
 }
 
+impl<T: Time> PartialEq for ConnOps<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.pending, &self.resumes, self.suspended())
+            == (&other.pending, &other.resumes, other.suspended())
+    }
+}
+
+impl<T: Time> fmt::Debug for ConnOps<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (&self.pending, &self.resumes, self.suspended()).fmt(f)
+    }
+}
+
 impl<T: Time> ConnOps<T> {
+    /// The request parked mid-execution, if any.
+    fn suspended(&self) -> Option<&Suspended<T>> {
+        self.slot.as_deref().filter(|_| self.in_flight)
+    }
+
     /// Queues one decoded client frame behind those already waiting.
     pub fn push(&mut self, frame: Frame) {
         self.pending.push_back(frame);
@@ -360,12 +383,12 @@ impl<T: Time> ConnOps<T> {
 
     /// What the request in flight is parked on; `None` between requests.
     pub fn wait(&self) -> Option<&Wait<T>> {
-        self.suspended.as_deref().map(|s| &s.wait)
+        self.suspended().map(|s| &s.wait)
     }
 
     /// Whether every request pushed so far has been answered.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.suspended.is_none()
+        self.pending.is_empty() && !self.in_flight
     }
 
     /// Serves as far as possible at time `now`: applies queued wake
@@ -377,10 +400,11 @@ impl<T: Time> ConnOps<T> {
         let ConnOps {
             pending,
             resumes,
-            suspended,
+            slot,
+            in_flight,
         } = self;
         loop {
-            let Some(s) = suspended.as_deref_mut() else {
+            if !*in_flight {
                 // Between requests: any event left over belongs to a
                 // request that already ended (they resolve exactly
                 // once, so nothing can still be waiting on one).
@@ -390,38 +414,44 @@ impl<T: Time> ConnOps<T> {
                 };
                 let (trace, frame) = peel_trace(frame);
                 host.trace(trace, EventKind::Decode, frame_key(&frame), NO_PEER);
-                let (batch, rest) = match frame {
+                let s = slot.get_or_insert_with(|| {
+                    Box::new(Suspended {
+                        done: Vec::new(),
+                        rest: VecDeque::new(),
+                        batch: false,
+                        trace: None,
+                        op: PendingOp::Other(Frame::Ping),
+                        wait: Wait::Runnable,
+                        deadline: now,
+                        backoff: RETRY_BACKOFF_START,
+                        counted: false,
+                        prefetch: Vec::new(),
+                    })
+                });
+                s.prefetch.clear();
+                match frame {
                     Frame::Batch { frames } => {
                         host.note(Note::Batch(frames.len()));
-                        (true, VecDeque::from(frames))
+                        s.batch = true;
+                        s.done.reserve(frames.len());
+                        s.rest = VecDeque::from(frames);
+                        if s.start_sub(host, now) {
+                            s.prefetch_batch_reads(host);
+                            *in_flight = true;
+                        } else {
+                            // An empty batch: answer in kind.
+                            out.push(Frame::Batch { frames: Vec::new() });
+                        }
                     }
-                    // A single frame runs through the same machinery
-                    // as a batch of one; re-wrap so `start_sub` peels
-                    // the same trace id back out (it emits no second
-                    // Decode event for non-batch requests).
-                    frame => (false, VecDeque::from(vec![rewrap_trace(trace, frame)])),
-                };
-                let mut s = Box::new(Suspended {
-                    done: Vec::with_capacity(rest.len()),
-                    rest,
-                    batch,
-                    trace: None,
-                    op: PendingOp::Other(Frame::Ping),
-                    wait: Wait::Runnable,
-                    deadline: now,
-                    backoff: RETRY_BACKOFF_START,
-                    counted: false,
-                    prefetch: Vec::new(),
-                });
-                if s.start_sub(host, now) {
-                    s.prefetch_batch_reads(host);
-                    *suspended = Some(s);
-                } else {
-                    // An empty batch: answer in kind.
-                    out.push(Frame::Batch { frames: Vec::new() });
+                    frame => {
+                        s.batch = false;
+                        s.start_op(now, trace, frame);
+                        *in_flight = true;
+                    }
                 }
                 continue;
-            };
+            }
+            let s = slot.as_deref_mut().expect("a request in flight has a slot");
             let step = if let Some(event) = resumes.pop_front() {
                 match s.apply_resume(host, now, event) {
                     Some(step) => step,
@@ -438,7 +468,7 @@ impl<T: Time> ConnOps<T> {
             match step {
                 Attempt::Respond(response) => {
                     if s.finish_sub(host, now, response, out) {
-                        *suspended = None;
+                        *in_flight = false;
                     }
                 }
                 Attempt::Park(wait) => {
@@ -454,7 +484,7 @@ impl<T: Time> ConnOps<T> {
                             message: format!("hot-set transition of key {key} did not complete"),
                         };
                         if s.finish_sub(host, now, giveup, out) {
-                            *suspended = None;
+                            *in_flight = false;
                         }
                     } else {
                         let delay = s.backoff;
@@ -470,29 +500,32 @@ impl<T: Time> ConnOps<T> {
 }
 
 impl<T: Time> Suspended<T> {
-    /// Pops the next sub-frame into the current-op slot, resetting the
-    /// per-op bookkeeping. Returns `false` when no sub-frames remain.
+    /// Pops a batch's next sub-frame into the current-op slot. Returns
+    /// `false` when no sub-frames remain.
     fn start_sub<H: OpsHost>(&mut self, host: &mut H, now: T) -> bool {
         let Some(sub) = self.rest.pop_front() else {
             return false;
         };
+        // Sub-frames carry their own trace envelopes: a sampled op stays
+        // causally linked through the client-side coalescing.
         let (trace, sub) = peel_trace(sub);
-        if self.batch {
-            // Sub-frames carry their own trace envelopes: a sampled op
-            // stays causally linked through the client-side coalescing.
-            host.trace(trace, EventKind::Decode, frame_key(&sub), NO_PEER);
-        }
+        host.trace(trace, EventKind::Decode, frame_key(&sub), NO_PEER);
+        self.start_op(now, trace, sub);
+        true
+    }
+
+    /// Makes `frame` the current op, resetting the per-op bookkeeping.
+    fn start_op(&mut self, now: T, trace: Option<u64>, frame: Frame) {
         self.trace = trace;
         self.wait = Wait::Runnable;
         self.deadline = now.plus(HOT_TRANSITION_RETRY);
         self.backoff = RETRY_BACKOFF_START;
         self.counted = false;
-        self.op = match sub {
+        self.op = match frame {
             Frame::Get { key } => PendingOp::Get { key },
             Frame::Put { key, value } => PendingOp::Put { key, value },
             other => PendingOp::Other(other),
         };
-        true
     }
 
     /// Issues the miss-path [`Frame::MissGet`] RPCs for every cold read
@@ -503,9 +536,6 @@ impl<T: Time> Suspended<T> {
     /// (it must see that write), and the scan stops at the first admin
     /// frame (hot-set transitions change where a key is served from).
     fn prefetch_batch_reads<H: OpsHost>(&mut self, host: &mut H) {
-        if !self.batch {
-            return;
-        }
         let mut written: Vec<u64> = Vec::new();
         if let PendingOp::Put { key, .. } = &self.op {
             written.push(*key);

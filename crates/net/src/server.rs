@@ -70,7 +70,7 @@ use crate::metrics::{Metrics, MetricsServer};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
 use crate::rpc::{serve_home_frame, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
-use crate::wire::{write_frame, BatchBuilder, Frame, FrameDecoder};
+use crate::wire::{encode_frame_into, write_frame, BatchBuilder, Frame, FrameDecoder};
 use cckvs::node::{CcNode, EvictHot, NodeConfig, Outgoing};
 use cckvs_trace::{Event as TraceEvent, EventKind, TraceSink, NO_PEER, SHARED_LANE};
 use consistency::engine::Destination;
@@ -80,6 +80,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use reactor::{Events, Interest, Poller, Token, Waker, WriteBuf};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1139,16 +1140,13 @@ impl ServerInner {
         let mut stream = self.transport.dial(addr, HANDSHAKE_TIMEOUT)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let me = self.node.node();
-        let mut hello = Vec::new();
         write_frame(
-            &mut hello,
+            &mut stream,
             &Frame::PeerHello {
                 from: me as u8,
                 gen: self.gen,
             },
-        )
-        .expect("vec write");
-        stream.write_all(&hello)?;
+        )?;
         let ack = match crate::wire::read_frame(&mut stream)? {
             Some(Frame::PeerHelloAck { processed, gen }) => (processed, gen),
             Some(other) => return Err(unexpected_frame("peer-hello", &other)),
@@ -1198,9 +1196,7 @@ impl ServerInner {
             // The wire numbers items from 1.
             send.confirmed() + 1
         };
-        let mut resume = Vec::new();
-        write_frame(&mut resume, &Frame::PeerResume { start_seq }).expect("vec write");
-        stream.write_all(&resume)?;
+        write_frame(&mut stream, &Frame::PeerResume { start_seq })?;
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
         // A different generation than last time means the old peer process
@@ -2284,10 +2280,11 @@ impl AdaptiveCork {
         }
     }
 
-    /// Folds the arrival counter into the rate EWMA and returns the
-    /// current target bulk-batch size in `[1, max_ops]`.
-    fn target(&mut self, arrivals: u64, max_ops: u64, max_delay: Duration) -> u64 {
-        let dt = self.last_sample.elapsed();
+    /// Folds the arrival counter into the rate EWMA as of `now` (the
+    /// lap's clock reading) and returns the current target bulk-batch
+    /// size in `[1, max_ops]`.
+    fn target(&mut self, now: Instant, arrivals: u64, max_ops: u64, max_delay: Duration) -> u64 {
+        let dt = now.saturating_duration_since(self.last_sample);
         // Sample no finer than the fine-timer slot: the pump runs every
         // loop lap, and instantaneous rates over sub-µs windows are noise.
         if dt >= reactor::FINE_RESOLUTION {
@@ -2296,7 +2293,7 @@ impl AdaptiveCork {
             let alpha = dt.as_secs_f64() / (dt + CORK_RATE_TAU).as_secs_f64();
             self.rate += alpha * (inst - self.rate);
             self.last_arrivals = arrivals;
-            self.last_sample = Instant::now();
+            self.last_sample = now;
         }
         ((self.rate * max_delay.as_secs_f64()).round() as u64).clamp(1, max_ops.max(1))
     }
@@ -2470,7 +2467,7 @@ struct Shard {
     poller: Poller,
     shared: Arc<ShardShared>,
     listener: Option<Box<dyn TransportListener>>,
-    conns: HashMap<u64, Box<ConnState>>,
+    conns: HashMap<u64, Box<ConnState>, BuildHasherDefault<TokenHasher>>,
     /// Tokens of peer-out connections on this shard (pumped every
     /// iteration; there are at most `nodes - 1` across all shards).
     peer_out_tokens: Vec<u64>,
@@ -2485,6 +2482,29 @@ struct Shard {
     /// answered in one pass, on its way into that connection's write
     /// buffer.
     responses: Vec<Frame>,
+    /// The inbox's other buffer: [`Shard::drain_inbox`] swaps the two, so
+    /// both keep their capacity and a `send` never regrows from nothing.
+    inbox_spare: Vec<ShardMsg>,
+    /// The clock reading of the lap under way, taken once when the poller
+    /// returns: what every connection stepped this lap calls "now".
+    now: Instant,
+}
+
+/// Hasher of the connection map. Tokens are the shard's own sequential
+/// counter, never outside input, so one multiply spreads them well enough.
+#[derive(Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("tokens hash through write_u64");
+    }
+    fn write_u64(&mut self, token: u64) {
+        self.0 = token.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 impl Shard {
@@ -2501,13 +2521,15 @@ impl Shard {
             poller,
             shared,
             listener,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             peer_out_tokens: Vec::new(),
             next_token: TOKEN_FIRST_CONN,
             next_shard: 0,
             wheel: reactor::TimerWheel::new(),
             scratch: vec![0u8; reactor::READ_CHUNK],
             responses: Vec::new(),
+            inbox_spare: Vec::new(),
+            now: Instant::now(),
         }
     }
 
@@ -2537,9 +2559,9 @@ impl Shard {
             if !self.inner.running.load(Ordering::SeqCst) {
                 break;
             }
-            // Loop-lap: time spent processing one wakeup's worth of work
-            // (poll wait excluded) — the reactor's headroom gauge.
-            let lap_started = Instant::now();
+            // The lap's one clock reading; it opens the loop-lap span (one
+            // wakeup's worth of work, poll wait excluded: the headroom gauge).
+            self.now = Instant::now();
             let mut accept = false;
             for event in events.iter() {
                 match event.token.0 {
@@ -2589,7 +2611,7 @@ impl Shard {
             }
             self.inner
                 .metrics
-                .record_loop_lap_ns(lap_started.elapsed().as_nanos() as u64);
+                .record_loop_lap_ns(self.now.elapsed().as_nanos() as u64);
         }
         self.teardown();
     }
@@ -2655,8 +2677,9 @@ impl Shard {
     }
 
     fn drain_inbox(&mut self, dirty: &mut Vec<u64>) {
-        let msgs = std::mem::take(&mut *self.shared.inbox.lock());
-        for msg in msgs {
+        let mut msgs = std::mem::take(&mut self.inbox_spare);
+        std::mem::swap(&mut msgs, &mut *self.shared.inbox.lock());
+        for msg in msgs.drain(..) {
             match msg {
                 ShardMsg::NewConn(stream) => {
                     if let Some(token) = self.register(stream, Role::Handshake) {
@@ -2722,6 +2745,7 @@ impl Shard {
                 }
             }
         }
+        self.inbox_spare = msgs;
     }
 
     fn register(&mut self, stream: Box<dyn Connection>, role: Role) -> Option<u64> {
@@ -2882,14 +2906,13 @@ impl Shard {
             }
         }
         let processed = inner.peer_recv_count[from].load(Ordering::Acquire);
-        write_frame(
+        encode_frame_into(
             conn.writebuf.writer(),
             &Frame::PeerHelloAck {
                 processed,
                 gen: inner.gen,
             },
-        )
-        .expect("vec write");
+        );
         if conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return false;
         }
@@ -2933,7 +2956,7 @@ impl Shard {
                 Err(_) => return true,
             }
         }
-        let now = Instant::now();
+        let now = self.now;
         let mut host = ShardHost {
             inner: &self.inner,
             shard: self.id,
@@ -2942,7 +2965,7 @@ impl Shard {
         };
         let step = ops.run(&mut host, now, &mut self.responses);
         for response in self.responses.drain(..) {
-            write_frame(conn.writebuf.writer(), &response).expect("vec write");
+            encode_frame_into(conn.writebuf.writer(), &response);
         }
         match step {
             Step::Close => return true,
@@ -3081,6 +3104,7 @@ impl Shard {
             // Adaptive bulk decision: how the corked bulk lane flushes (or
             // keeps waiting) this round.
             let target = cork.target(
+                self.now,
                 link.bulk_arrivals.load(Ordering::Relaxed),
                 max_ops,
                 max_delay,
@@ -3259,7 +3283,7 @@ impl Shard {
                 if let Some(cum) = credit.take(processed) {
                     // A message over the byte budget travels alone.
                     if builder.bytes() > batch_max {
-                        write_frame_builder(builder, &mut conn.writebuf);
+                        builder.append_to(conn.writebuf.writer());
                     }
                     builder.push(&Frame::Credit {
                         cum,
@@ -3270,13 +3294,13 @@ impl Shard {
             }
             if builder.count() > 0 {
                 // Singleton messages leave the builder as bare frames (see
-                // `BatchBuilder::write_to`) — only count what actually
+                // `BatchBuilder::append_to`) — only count what actually
                 // travels as a coalesced batch, or the batch-size
                 // percentiles drown in ones that were never batched.
                 if builder.count() > 1 && packed > 0 {
                     inner.metrics.record_batch(packed);
                 }
-                write_frame_builder(builder, &mut conn.writebuf);
+                builder.append_to(conn.writebuf.writer());
             }
             // No progress: nothing more can happen this pump (the queues
             // are empty, the bulk lane is corked, or the window is closed
@@ -3377,6 +3401,7 @@ impl Shard {
     /// Shutdown path: drain every peer link without credits (blocking
     /// writes — the event loop is over), then drop all sockets.
     fn teardown(&mut self) {
+        self.now = Instant::now();
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             let Some(mut conn) = self.conns.remove(&token) else {
@@ -3408,13 +3433,6 @@ impl Shard {
             self.close(token, *conn);
         }
     }
-}
-
-/// Writes the builder's assembled message into the write buffer.
-fn write_frame_builder(builder: &mut BatchBuilder, writebuf: &mut WriteBuf) {
-    builder
-        .write_to(writebuf.writer())
-        .expect("vec write cannot fail");
 }
 
 #[cfg(test)]

@@ -44,14 +44,23 @@ pub const MAX_DATAGRAM_BYTES: usize = 16 * 1024;
 
 /// The single encode entrypoint shared by the stream and datagram paths:
 /// appends `frame` in wire form — 4-byte little-endian length prefix,
-/// then the payload — to `buf`. [`write_frame`], [`BatchBuilder::push`]
-/// and the datagram packers all funnel through this, so the two fabrics
-/// can never drift apart in framing.
+/// then the payload — to `buf`, encoding in place. [`write_frame`],
+/// [`BatchBuilder::push`], the reactor's write buffers and the datagram
+/// packers all funnel through this, so the two fabrics can never drift
+/// apart in framing.
 pub fn encode_frame_into(buf: &mut Vec<u8>, frame: &Frame) {
-    let payload = frame.encode();
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    put_prefixed(buf, |buf| frame.encode_into(buf));
+}
+
+/// Appends what `body` writes behind its 4-byte length prefix, reserved
+/// first and patched once the length is known: the body is written once.
+fn put_prefixed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    body(buf);
+    let len = buf.len() - at - 4;
+    debug_assert!(len <= MAX_FRAME_BYTES);
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Error produced while decoding a frame.
@@ -631,12 +640,17 @@ impl<'a> Cursor<'a> {
         Ok(Timestamp::new(clock, NodeId(writer)))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// A length-prefixed run of bytes, borrowed from the payload.
+    fn slice(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
         if len > MAX_FRAME_BYTES {
             return Err(WireError::Oversized(len));
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        Ok(self.slice()?.to_vec())
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -649,9 +663,17 @@ impl<'a> Cursor<'a> {
 }
 
 impl Frame {
-    /// Encodes the frame payload (opcode byte included, length prefix not).
+    /// [`Frame::encode_into`] a fresh buffer (tests; serving code appends).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the frame payload (opcode byte included, length prefix not)
+    /// to `buf`; nested frames and batch sub-frames encode straight into
+    /// the same buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Frame::ClientHello => buf.push(opcode::CLIENT_HELLO),
             Frame::PeerHello { from, gen } => {
@@ -675,27 +697,27 @@ impl Frame {
             Frame::Put { key, value } => {
                 buf.push(opcode::PUT);
                 buf.extend_from_slice(&key.to_le_bytes());
-                put_bytes(&mut buf, value);
+                put_bytes(buf, value);
             }
             Frame::GetResp { cached, ts, value } => {
                 buf.push(opcode::GET_RESP);
                 buf.push(u8::from(*cached));
-                put_ts(&mut buf, *ts);
-                put_bytes(&mut buf, value);
+                put_ts(buf, *ts);
+                put_bytes(buf, value);
             }
             Frame::PutResp { cached, ts } => {
                 buf.push(opcode::PUT_RESP);
                 buf.push(u8::from(*cached));
-                put_ts(&mut buf, *ts);
+                put_ts(buf, *ts);
             }
-            Frame::Protocol { msg, bytes } => put_protocol(&mut buf, msg, bytes.as_deref()),
+            Frame::Protocol { msg, bytes } => put_protocol(buf, msg, bytes.as_deref()),
             Frame::MissGet { key } => {
                 buf.push(opcode::MISS_GET);
                 buf.extend_from_slice(&key.to_le_bytes());
             }
             Frame::MissGetResp { value } => {
                 buf.push(opcode::MISS_GET_RESP);
-                put_bytes(&mut buf, value);
+                put_bytes(buf, value);
             }
             Frame::MissPut {
                 key,
@@ -707,18 +729,18 @@ impl Frame {
                 buf.extend_from_slice(&key.to_le_bytes());
                 buf.extend_from_slice(&tag.to_le_bytes());
                 buf.push(*writer);
-                put_bytes(&mut buf, value);
+                put_bytes(buf, value);
             }
             Frame::MissPutResp { ts } => {
                 buf.push(opcode::MISS_PUT_RESP);
-                put_ts(&mut buf, *ts);
+                put_ts(buf, *ts);
             }
             Frame::MissRetry => buf.push(opcode::MISS_RETRY),
             Frame::WriteBack { key, value, ts } => {
                 buf.push(opcode::WRITE_BACK);
                 buf.extend_from_slice(&key.to_le_bytes());
-                put_ts(&mut buf, *ts);
-                put_bytes(&mut buf, value);
+                put_ts(buf, *ts);
+                put_bytes(buf, value);
             }
             Frame::WriteBackResp { applied } => {
                 buf.push(opcode::WRITE_BACK_RESP);
@@ -730,8 +752,8 @@ impl Frame {
             }
             Frame::HotMarkResp { value, ts } => {
                 buf.push(opcode::HOT_MARK_RESP);
-                put_ts(&mut buf, *ts);
-                put_bytes(&mut buf, value);
+                put_ts(buf, *ts);
+                put_bytes(buf, value);
             }
             Frame::HotUnmark { key } => {
                 buf.push(opcode::HOT_UNMARK);
@@ -746,9 +768,9 @@ impl Frame {
             } => {
                 buf.push(opcode::INSTALL_HOT);
                 buf.extend_from_slice(&key.to_le_bytes());
-                put_ts(&mut buf, *ts);
+                put_ts(buf, *ts);
                 buf.push(u8::from(*warm));
-                put_bytes(&mut buf, value);
+                put_bytes(buf, value);
             }
             Frame::InstallHotResp { ok } => {
                 buf.push(opcode::INSTALL_HOT_RESP);
@@ -786,7 +808,7 @@ impl Frame {
                 buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
                 for frame in frames {
                     debug_assert!(!matches!(frame, Frame::Batch { .. }), "batches cannot nest");
-                    put_bytes(&mut buf, &frame.encode());
+                    encode_frame_into(buf, frame);
                 }
             }
             Frame::Credit { cum, gen } => {
@@ -804,7 +826,7 @@ impl Frame {
                 );
                 buf.push(opcode::RPC_REQ);
                 buf.extend_from_slice(&corr.to_le_bytes());
-                buf.extend_from_slice(&inner.encode());
+                inner.encode_into(buf);
             }
             Frame::RpcResp { corr, inner } => {
                 debug_assert!(
@@ -816,11 +838,11 @@ impl Frame {
                 );
                 buf.push(opcode::RPC_RESP);
                 buf.extend_from_slice(&corr.to_le_bytes());
-                buf.extend_from_slice(&inner.encode());
+                inner.encode_into(buf);
             }
             Frame::Error { message } => {
                 buf.push(opcode::ERROR);
-                put_bytes(&mut buf, message.as_bytes());
+                put_bytes(buf, message.as_bytes());
             }
             Frame::VersionFloor => buf.push(opcode::VERSION_FLOOR),
             Frame::VersionFloorResp { clock } => {
@@ -842,7 +864,7 @@ impl Frame {
                 );
                 buf.push(opcode::TRACED);
                 buf.extend_from_slice(&id.to_le_bytes());
-                buf.extend_from_slice(&inner.encode());
+                inner.encode_into(buf);
             }
             Frame::TraceDump => buf.push(opcode::TRACE_DUMP),
             Frame::TraceDumpResp { dropped, events } => {
@@ -863,7 +885,6 @@ impl Frame {
             Frame::Pong => buf.push(opcode::PONG),
             Frame::Shutdown => buf.push(opcode::SHUTDOWN),
         }
-        buf
     }
 
     /// Decodes a frame payload produced by [`Frame::encode`].
@@ -967,15 +988,16 @@ impl Frame {
             },
             opcode::BATCH => {
                 let count = cur.u32()? as usize;
-                // No `with_capacity(count)`: the count is attacker-chosen;
-                // growth stays proportional to bytes actually present.
-                let mut frames = Vec::new();
+                // Sized once, by what the bytes present could hold (a
+                // sub-frame is at least its prefix and an opcode) — never
+                // by the count alone, which is attacker-chosen.
+                let mut frames = Vec::with_capacity(count.min((payload.len() - cur.pos) / 5));
                 for _ in 0..count {
-                    let sub = cur.bytes()?;
+                    let sub = cur.slice()?;
                     if sub.first() == Some(&opcode::BATCH) {
                         return Err(WireError::NestedBatch);
                     }
-                    frames.push(Frame::decode(&sub)?);
+                    frames.push(Frame::decode(sub)?);
                 }
                 Frame::Batch { frames }
             }
@@ -984,7 +1006,7 @@ impl Frame {
                 gen: cur.u64()?,
             },
             opcode::ERROR => Frame::Error {
-                message: String::from_utf8_lossy(&cur.bytes()?).into_owned(),
+                message: String::from_utf8_lossy(cur.slice()?).into_owned(),
             },
             opcode::VERSION_FLOOR => Frame::VersionFloor,
             opcode::VERSION_FLOOR_RESP => Frame::VersionFloorResp { clock: cur.u32()? },
@@ -1082,27 +1104,12 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&buf)
 }
 
-/// Writes a [`Frame::Protocol`] whose value bytes are held externally (an
-/// `Arc<[u8]>` shared across a broadcast): the value is serialised straight
-/// into the frame buffer, so fanning an update out to N-1 peers never clones
-/// the value into per-peer `Frame`s. Does not flush.
-pub fn write_protocol_frame<W: Write>(
-    w: &mut W,
-    msg: &ProtocolMsg,
-    bytes: Option<&[u8]>,
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(32 + bytes.map_or(0, <[u8]>::len));
-    put_protocol(&mut payload, msg, bytes);
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)
-}
-
 /// Incrementally assembles one coalesced wire message out of pre-encoded
 /// sub-frames, so a writer thread batching a burst never materialises
 /// intermediate [`Frame`] values. Value bytes passed to
-/// [`BatchBuilder::push_protocol`] are serialised straight from the caller's
-/// buffer (the broadcast-shared `Arc<[u8]>`), like [`write_protocol_frame`].
+/// [`BatchBuilder::push_protocol_traced`] are serialised straight from the
+/// caller's buffer (the broadcast-shared `Arc<[u8]>`), so fanning an update
+/// out to N-1 peers never clones the value into per-peer `Frame`s.
 ///
 /// A builder holding exactly one sub-frame writes it *unwrapped* — the
 /// receiver sees an ordinary frame, so singleton bursts pay no batch
@@ -1142,53 +1149,43 @@ impl BatchBuilder {
         self.count += 1;
     }
 
-    /// Appends a protocol message whose value bytes are held externally.
-    pub fn push_protocol(&mut self, msg: &ProtocolMsg, bytes: Option<&[u8]>) {
-        self.push_protocol_traced(None, msg, bytes);
-    }
-
-    /// Appends a protocol message, wrapped in a [`Frame::Traced`]
-    /// envelope when the message belongs to a sampled operation — still
-    /// without materialising intermediate [`Frame`] values.
+    /// Appends a protocol message whose value bytes are held externally,
+    /// wrapped in a [`Frame::Traced`] envelope when the message belongs to
+    /// a sampled operation — without materialising intermediate [`Frame`]
+    /// values.
     pub fn push_protocol_traced(
         &mut self,
         trace: Option<u64>,
         msg: &ProtocolMsg,
         bytes: Option<&[u8]>,
     ) {
-        let mut encoded = Vec::with_capacity(41 + bytes.map_or(0, <[u8]>::len));
-        if let Some(id) = trace {
-            encoded.push(opcode::TRACED);
-            encoded.extend_from_slice(&id.to_le_bytes());
-        }
-        put_protocol(&mut encoded, msg, bytes);
-        self.buf
-            .extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&encoded);
+        put_prefixed(&mut self.buf, |buf| {
+            if let Some(id) = trace {
+                buf.push(opcode::TRACED);
+                buf.extend_from_slice(&id.to_le_bytes());
+            }
+            put_protocol(buf, msg, bytes);
+        });
         self.count += 1;
     }
 
-    /// Writes the assembled message to `w` and resets the builder: a
+    /// Appends the assembled message to `out` and resets the builder: a
     /// [`Frame::Batch`] when more than one sub-frame was pushed, the bare
-    /// sub-frame when exactly one, nothing when empty. Does not flush.
-    pub fn write_to<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
+    /// sub-frame when exactly one, nothing when empty.
+    pub fn append_to(&mut self, out: &mut Vec<u8>) {
         match self.count {
             0 => {}
             // One sub-frame: `buf` is already exactly the stream encoding
             // of that single frame (length prefix + payload).
-            1 => w.write_all(&self.buf)?,
-            count => {
-                let payload_len = 1 + 4 + self.buf.len();
-                debug_assert!(payload_len <= MAX_FRAME_BYTES);
-                w.write_all(&(payload_len as u32).to_le_bytes())?;
-                w.write_all(&[opcode::BATCH])?;
-                w.write_all(&count.to_le_bytes())?;
-                w.write_all(&self.buf)?;
-            }
+            1 => out.extend_from_slice(&self.buf),
+            count => put_prefixed(out, |out| {
+                out.push(opcode::BATCH);
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&self.buf);
+            }),
         }
         self.buf.clear();
         self.count = 0;
-        Ok(())
     }
 }
 
@@ -1222,15 +1219,10 @@ impl FrameDecoder {
         self.buf.extend(bytes);
     }
 
-    /// Reads once from `r` into the decode buffer (nonblocking sources
-    /// surface `WouldBlock` as `Ok(None)`; `Ok(Some(0))` is EOF).
-    pub fn fill_from<R: Read>(&mut self, r: &mut R) -> io::Result<Option<usize>> {
-        self.buf.fill_from(r)
-    }
-
-    /// Like [`FrameDecoder::fill_from`], reading through a caller-owned
+    /// Reads once from `r` into the decode buffer, through a caller-owned
     /// scratch buffer shared across many connections (see
-    /// [`reactor::ReadBuf::fill_via`]).
+    /// [`reactor::ReadBuf::fill_via`]): nonblocking sources surface
+    /// `WouldBlock` as `Ok(None)`; `Ok(Some(0))` is EOF.
     pub fn fill_via<R: Read>(
         &mut self,
         r: &mut R,
@@ -1277,6 +1269,12 @@ impl FrameDecoder {
 /// dying mid-frame is diagnosable rather than indistinguishable from an
 /// orderly close.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
+    read_frame_via(r, &mut Vec::new())
+}
+
+/// [`read_frame`], reading the payload through a caller-owned scratch
+/// buffer that a long-lived connection reuses from frame to frame.
+pub fn read_frame_via<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<Option<Frame>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < len_bytes.len() {
@@ -1297,257 +1295,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(len).into());
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Frame::decode(&payload)?))
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(Some(Frame::decode(payload)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip(frame: Frame) {
-        let encoded = frame.encode();
-        assert_eq!(Frame::decode(&encoded), Ok(frame));
-    }
-
-    #[test]
-    fn all_frames_roundtrip() {
-        let ts = Timestamp::new(77, NodeId(3));
-        for frame in [
-            Frame::ClientHello,
-            Frame::PeerHello {
-                from: 2,
-                gen: 0xFEED_5EED_0042,
-            },
-            Frame::PeerHelloAck {
-                processed: 123_456,
-                gen: u64::MAX,
-            },
-            Frame::PeerResume { start_seq: 78 },
-            Frame::Get { key: 42 },
-            Frame::Put {
-                key: 42,
-                value: b"hello".to_vec(),
-            },
-            Frame::GetResp {
-                cached: true,
-                ts,
-                value: b"world".to_vec(),
-            },
-            Frame::GetResp {
-                cached: false,
-                ts: Timestamp::ZERO,
-                value: Vec::new(),
-            },
-            Frame::PutResp { cached: true, ts },
-            Frame::Protocol {
-                msg: ProtocolMsg::Invalidation {
-                    key: 9,
-                    ts,
-                    from: NodeId(1),
-                },
-                bytes: None,
-            },
-            Frame::Protocol {
-                msg: ProtocolMsg::Ack {
-                    key: 9,
-                    ts,
-                    from: NodeId(2),
-                },
-                bytes: None,
-            },
-            Frame::Protocol {
-                msg: ProtocolMsg::Update {
-                    key: 9,
-                    value: 0xDEAD_BEEF,
-                    ts,
-                    from: NodeId(1),
-                },
-                bytes: Some(b"payload".to_vec()),
-            },
-            Frame::MissGet { key: 1 },
-            Frame::MissGetResp {
-                value: b"cold".to_vec(),
-            },
-            Frame::MissPut {
-                key: 1,
-                tag: 9,
-                writer: 2,
-                value: b"v".to_vec(),
-            },
-            Frame::MissPutResp { ts },
-            Frame::MissPutResp {
-                ts: Timestamp::ZERO,
-            },
-            Frame::MissRetry,
-            Frame::WriteBack {
-                key: 11,
-                value: b"dirty".to_vec(),
-                ts,
-            },
-            Frame::WriteBackResp { applied: true },
-            Frame::WriteBackResp { applied: false },
-            Frame::HotMark { key: 12 },
-            Frame::HotMarkResp {
-                value: b"fetched".to_vec(),
-                ts,
-            },
-            Frame::HotMarkResp {
-                value: Vec::new(),
-                ts: Timestamp::ZERO,
-            },
-            Frame::HotUnmark { key: 12 },
-            Frame::HotUnmarkResp,
-            Frame::InstallHot {
-                key: 3,
-                value: b"hot".to_vec(),
-                ts,
-                warm: false,
-            },
-            Frame::InstallHot {
-                key: 4,
-                value: Vec::new(),
-                ts: Timestamp::ZERO,
-                warm: true,
-            },
-            Frame::InstallHotResp { ok: true },
-            Frame::ActivateHot { key: 4 },
-            Frame::ActivateHotResp { ok: false },
-            Frame::Evict { key: 3 },
-            Frame::EvictResp { existed: false },
-            Frame::FlipEpoch,
-            Frame::FlipEpochResp {
-                epoch: u64::MAX,
-                installed: 17,
-                evicted: 3,
-            },
-            Frame::Error {
-                message: "value exceeds shard capacity".to_string(),
-            },
-            Frame::Batch { frames: Vec::new() },
-            Frame::Batch {
-                frames: vec![
-                    Frame::Get { key: 1 },
-                    Frame::Put {
-                        key: 2,
-                        value: b"batched".to_vec(),
-                    },
-                    Frame::Credit { cum: 3, gen: 9 },
-                ],
-            },
-            Frame::Credit { cum: 0, gen: 0 },
-            Frame::Credit {
-                cum: u64::MAX,
-                gen: u64::MAX,
-            },
-            Frame::VersionFloor,
-            Frame::VersionFloorResp { clock: u32::MAX },
-            Frame::CacheKeys,
-            Frame::CacheKeysResp { keys: Vec::new() },
-            Frame::CacheKeysResp {
-                keys: vec![0, 7, u64::MAX],
-            },
-            Frame::Traced {
-                id: 0xDEAD_BEEF_CAFE,
-                inner: Box::new(Frame::Put {
-                    key: 42,
-                    value: b"sampled".to_vec(),
-                }),
-            },
-            Frame::RpcReq {
-                corr: 7,
-                inner: Box::new(Frame::MissGet { key: 3 }),
-            },
-            Frame::RpcReq {
-                corr: u64::MAX,
-                inner: Box::new(Frame::Traced {
-                    id: 0xAB,
-                    inner: Box::new(Frame::MissPut {
-                        key: 3,
-                        tag: 11,
-                        writer: 2,
-                        value: b"cold".to_vec(),
-                    }),
-                }),
-            },
-            Frame::RpcResp {
-                corr: 7,
-                inner: Box::new(Frame::MissGetResp {
-                    value: b"v".to_vec(),
-                }),
-            },
-            Frame::RpcResp {
-                corr: 9,
-                inner: Box::new(Frame::MissRetry),
-            },
-            Frame::Batch {
-                frames: vec![
-                    Frame::RpcReq {
-                        corr: 1,
-                        inner: Box::new(Frame::MissGet { key: 3 }),
-                    },
-                    Frame::RpcResp {
-                        corr: 2,
-                        inner: Box::new(Frame::MissGetResp { value: Vec::new() }),
-                    },
-                ],
-            },
-            Frame::Traced {
-                id: 1,
-                inner: Box::new(Frame::Protocol {
-                    msg: ProtocolMsg::Ack {
-                        key: 9,
-                        ts,
-                        from: NodeId(2),
-                    },
-                    bytes: None,
-                }),
-            },
-            Frame::Batch {
-                frames: vec![
-                    Frame::Traced {
-                        id: 7,
-                        inner: Box::new(Frame::Get { key: 1 }),
-                    },
-                    Frame::Get { key: 2 },
-                ],
-            },
-            Frame::TraceDump,
-            Frame::TraceDumpResp {
-                dropped: 0,
-                events: Vec::new(),
-            },
-            Frame::TraceDumpResp {
-                dropped: 3,
-                events: vec![
-                    Event {
-                        trace_id: u64::MAX,
-                        t_ns: 1_700_000_000_000_000_000,
-                        key: 42,
-                        node: 2,
-                        shard: 0,
-                        kind: EventKind::LinInitiate,
-                        peer: cckvs_trace::NO_PEER,
-                    },
-                    Event {
-                        trace_id: 5,
-                        t_ns: 0,
-                        key: 0,
-                        node: 0,
-                        shard: cckvs_trace::SHARED_LANE,
-                        kind: EventKind::AckRecv,
-                        peer: 1,
-                    },
-                ],
-            },
-            Frame::Ping,
-            Frame::Pong,
-            Frame::Shutdown,
-        ] {
-            roundtrip(frame);
-        }
-    }
 
     #[test]
     fn nested_trace_envelopes_are_rejected() {
@@ -1687,7 +1443,7 @@ mod tests {
         }
         assert_eq!(builder.count(), 3);
         let mut via_builder = Vec::new();
-        builder.write_to(&mut via_builder).unwrap();
+        builder.append_to(&mut via_builder);
         let mut via_frame = Vec::new();
         write_frame(&mut via_frame, &Frame::Batch { frames }).unwrap();
         assert_eq!(via_builder, via_frame);
@@ -1708,7 +1464,7 @@ mod tests {
         builder.push_protocol_traced(Some(0xAB), &msg, None);
         builder.push_protocol_traced(None, &msg, None);
         let mut via_builder = Vec::new();
-        builder.write_to(&mut via_builder).unwrap();
+        builder.append_to(&mut via_builder);
         let mut via_frame = Vec::new();
         write_frame(
             &mut via_frame,
@@ -1724,28 +1480,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(via_builder, via_frame);
-    }
-
-    #[test]
-    fn batch_builder_singleton_writes_bare_frame() {
-        let ts = Timestamp::new(4, NodeId(2));
-        let msg = ProtocolMsg::Update {
-            key: 3,
-            value: 11,
-            ts,
-            from: NodeId(2),
-        };
-        let mut builder = BatchBuilder::new();
-        builder.push_protocol(&msg, Some(b"payload"));
-        let mut via_builder = Vec::new();
-        builder.write_to(&mut via_builder).unwrap();
-        let mut via_helper = Vec::new();
-        write_protocol_frame(&mut via_helper, &msg, Some(b"payload")).unwrap();
-        assert_eq!(via_builder, via_helper);
-        // An empty builder writes nothing.
-        let mut empty = Vec::new();
-        BatchBuilder::new().write_to(&mut empty).unwrap();
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -1782,31 +1516,6 @@ mod tests {
         let mut padded = Frame::Ping.encode();
         padded.push(0);
         assert_eq!(Frame::decode(&padded), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn write_protocol_frame_matches_frame_encoding() {
-        let ts = Timestamp::new(8, NodeId(1));
-        let msg = ProtocolMsg::Update {
-            key: 5,
-            value: 99,
-            ts,
-            from: NodeId(1),
-        };
-        for bytes in [None, Some(b"shared-payload".to_vec())] {
-            let mut via_frame = Vec::new();
-            write_frame(
-                &mut via_frame,
-                &Frame::Protocol {
-                    msg,
-                    bytes: bytes.clone(),
-                },
-            )
-            .unwrap();
-            let mut via_helper = Vec::new();
-            write_protocol_frame(&mut via_helper, &msg, bytes.as_deref()).unwrap();
-            assert_eq!(via_frame, via_helper);
-        }
     }
 
     #[test]

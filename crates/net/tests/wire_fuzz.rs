@@ -14,11 +14,16 @@
 use cckvs_net::transport::{
     Connection, FaultPlan, TransportConfig, DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_SYN,
 };
-use cckvs_net::wire::{read_frame, write_frame, Frame, WireError, MAX_DATAGRAM_BYTES};
+use cckvs_net::wire::{
+    encode_frame_into, read_frame, write_frame, BatchBuilder, Frame, WireError, MAX_DATAGRAM_BYTES,
+};
 use consistency::lamport::{NodeId, Timestamp};
+use consistency::messages::ProtocolMsg;
 use proptest::prelude::*;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::time::{Duration, Instant};
+
+mod common;
 
 fn ts_of(clock: u32, writer: u8) -> Timestamp {
     Timestamp::new(clock, NodeId(writer))
@@ -43,7 +48,209 @@ fn assert_prefixes_rejected(frame: &Frame) {
     }
 }
 
+#[test]
+fn all_frames_roundtrip() {
+    for frame in common::all_frames() {
+        assert_roundtrip(frame);
+    }
+}
+
+fn pick(picks: &mut impl Iterator<Item = u64>) -> u64 {
+    picks.next().unwrap_or(0)
+}
+
+fn bytes_of(picks: &mut impl Iterator<Item = u64>) -> Vec<u8> {
+    let r = pick(picks);
+    (0..r % 50).map(|i| (r >> (i % 8)) as u8).collect()
+}
+
+/// A frame that carries no other frame, fields drawn from `picks`.
+fn leaf_of(picks: &mut impl Iterator<Item = u64>) -> Frame {
+    let r = pick(picks);
+    let key = pick(picks);
+    let ts = ts_of(r as u32, (r >> 32) as u8);
+    let from = NodeId((r >> 40) as u8);
+    match (r >> 48) % 18 {
+        0 => Frame::Get { key },
+        1 => Frame::Put {
+            key,
+            value: bytes_of(picks),
+        },
+        2 => Frame::GetResp {
+            cached: r & 1 == 1,
+            ts,
+            value: bytes_of(picks),
+        },
+        3 => Frame::PutResp {
+            cached: r & 1 == 1,
+            ts,
+        },
+        4 => Frame::Protocol {
+            msg: ProtocolMsg::Invalidation { key, ts, from },
+            bytes: None,
+        },
+        5 => Frame::Protocol {
+            msg: ProtocolMsg::Ack { key, ts, from },
+            bytes: None,
+        },
+        6 => Frame::Protocol {
+            msg: ProtocolMsg::Update {
+                key,
+                value: pick(picks),
+                ts,
+                from,
+            },
+            bytes: (r & 1 == 1).then(|| bytes_of(picks)),
+        },
+        7 => Frame::MissGet { key },
+        8 => Frame::MissGetResp {
+            value: bytes_of(picks),
+        },
+        9 => Frame::MissPut {
+            key,
+            tag: r as u32,
+            writer: from.0,
+            value: bytes_of(picks),
+        },
+        10 => Frame::MissPutResp { ts },
+        11 => Frame::MissRetry,
+        12 => Frame::WriteBack {
+            key,
+            value: bytes_of(picks),
+            ts,
+        },
+        13 => Frame::HotMarkResp {
+            value: bytes_of(picks),
+            ts,
+        },
+        14 => Frame::InstallHot {
+            key,
+            value: bytes_of(picks),
+            ts,
+            warm: r & 1 == 1,
+        },
+        15 => Frame::Credit { cum: key, gen: r },
+        16 => Frame::CacheKeysResp {
+            keys: (0..r % 5).map(|i| key ^ i).collect(),
+        },
+        _ => Frame::Error {
+            message: format!("failed {key}"),
+        },
+    }
+}
+
+/// The wire-fuzz frame generator: any leaf, inside whichever envelopes
+/// `level` still allows — 3 a batch, 2 a correlated RPC, 1 a trace
+/// envelope — which is every nesting the decoder accepts.
+fn frame_of(picks: &mut impl Iterator<Item = u64>, level: u8) -> Frame {
+    let r = pick(picks);
+    match r % 4 {
+        0 if level >= 3 => Frame::Batch {
+            frames: (0..(r >> 2) % 5).map(|_| frame_of(picks, 2)).collect(),
+        },
+        1 if level >= 2 => {
+            let inner = Box::new(frame_of(picks, 1));
+            match r & 4 {
+                0 => Frame::RpcReq { corr: r, inner },
+                _ => Frame::RpcResp { corr: r, inner },
+            }
+        }
+        2 if level >= 1 => Frame::Traced {
+            id: r,
+            inner: Box::new(leaf_of(picks)),
+        },
+        _ => leaf_of(picks),
+    }
+}
+
+/// The encoder as it was before frames encoded in place, kept as the
+/// reference: every nested frame and batch sub-frame is encoded into a
+/// buffer of its own and copied behind its header.
+fn reference_encode(frame: &Frame) -> Vec<u8> {
+    let envelope = |opcode: u8, id: u64, inner: &Frame| {
+        let mut buf = vec![opcode];
+        buf.extend_from_slice(&id.to_le_bytes());
+        buf.extend_from_slice(&reference_encode(inner));
+        buf
+    };
+    match frame {
+        Frame::Batch { frames } => {
+            let mut buf = vec![0x60];
+            buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
+            for sub in frames {
+                buf.extend_from_slice(&reference_framed(sub));
+            }
+            buf
+        }
+        Frame::RpcReq { corr, inner } => envelope(0x62, *corr, inner),
+        Frame::RpcResp { corr, inner } => envelope(0x63, *corr, inner),
+        Frame::Traced { id, inner } => envelope(0x7F, *id, inner),
+        leaf => leaf.encode(),
+    }
+}
+
+/// [`reference_encode`] behind its stream length prefix.
+fn reference_framed(frame: &Frame) -> Vec<u8> {
+    let payload = reference_encode(frame);
+    let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+    buf.extend_from_slice(&payload);
+    buf
+}
+
 proptest! {
+    /// Encoding appends and nothing else: whatever the buffer already
+    /// holds stays, and what lands behind it is byte for byte what the
+    /// copying encoder produced — for `encode_into`, for the stream
+    /// framing, and for a `BatchBuilder` fed the same frames (none, one
+    /// bare, several as a batch; protocol messages through the
+    /// value-borrowing entry point).
+    #[test]
+    fn encoding_appends_the_reference_bytes_behind_any_prefix(
+        picks in prop::collection::vec(any::<u64>(), 1..64),
+        prefix in prop::collection::vec(any::<u8>(), 1..24),
+    ) {
+        let frame = frame_of(&mut picks.into_iter(), 3);
+        let behind_prefix = |tail: &[u8]| [&prefix[..], tail].concat();
+
+        let mut buf = prefix.clone();
+        frame.encode_into(&mut buf);
+        prop_assert_eq!(&buf, &behind_prefix(&frame.encode()));
+        prop_assert_eq!(frame.encode(), reference_encode(&frame));
+        prop_assert_eq!(Frame::decode(&frame.encode()), Ok(frame.clone()));
+
+        let mut buf = prefix.clone();
+        encode_frame_into(&mut buf, &frame);
+        prop_assert_eq!(&buf, &behind_prefix(&reference_framed(&frame)));
+
+        let subs = match frame {
+            Frame::Batch { frames } => frames,
+            single => vec![single],
+        };
+        let mut builder = BatchBuilder::new();
+        for sub in &subs {
+            match sub {
+                Frame::Protocol { msg, bytes } => {
+                    builder.push_protocol_traced(None, msg, bytes.as_deref());
+                }
+                Frame::Traced { id, inner } if matches!(**inner, Frame::Protocol { .. }) => {
+                    let Frame::Protocol { msg, bytes } = &**inner else { unreachable!() };
+                    builder.push_protocol_traced(Some(*id), msg, bytes.as_deref());
+                }
+                other => builder.push(other),
+            }
+        }
+        prop_assert_eq!(builder.count() as usize, subs.len());
+        let mut buf = prefix.clone();
+        builder.append_to(&mut buf);
+        let expected = match subs.len() {
+            0 => Vec::new(),
+            1 => reference_framed(&subs[0]),
+            _ => reference_framed(&Frame::Batch { frames: subs }),
+        };
+        prop_assert_eq!(&buf, &behind_prefix(&expected));
+        prop_assert_eq!((builder.count(), builder.bytes()), (0, 0));
+    }
+
     #[test]
     fn decoding_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..192)) {
         // Any result is fine; reaching it without a panic is the property.

@@ -131,7 +131,9 @@ impl WriteBuf {
     }
 
     /// A sink implementing [`Write`] that appends to this buffer (frame
-    /// encoders write straight in, no intermediate allocation).
+    /// encoders write straight in, no intermediate allocation: the
+    /// server's are `cckvs_net::wire::encode_frame_into`, which takes
+    /// exactly this `&mut Vec<u8>`, and `BatchBuilder::append_to`).
     pub fn writer(&mut self) -> &mut Vec<u8> {
         // Compaction first so the Vec hand-out cannot interleave with a
         // stale head offset.

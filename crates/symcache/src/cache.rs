@@ -444,10 +444,22 @@ impl SymmetricCache {
         out
     }
 
-    /// The read rules over an entry's stored metadata: what a read finds,
-    /// and the timestamp a hit carries.
-    fn read_rules(&self, meta: &[u8]) -> (ReadProbe, Timestamp) {
-        let meta = Meta::decode(meta);
+    /// The read rules, for [`SymmetricCache::probe`] and
+    /// [`SymmetricCache::read`] alike: what a read of `key` finds and the
+    /// timestamp a hit carries, decided on the entry's metadata (copied
+    /// onto the stack) — with its value appended to `value`, when one is
+    /// asked for, by the same validated copy.
+    fn read_rules(&self, key: u64, value: Option<&mut Vec<u8>>) -> (ReadProbe, Timestamp) {
+        let mut meta = [0u8; META_BYTES];
+        match self
+            .store
+            .object(key)
+            .map(|entry| entry.read_value_parts(&mut meta, value))
+        {
+            Some(len) if len >= META_BYTES => {}
+            _ => return (ReadProbe::Miss, Timestamp::ZERO),
+        }
+        let meta = Meta::decode(&meta);
         let probe = if meta.frozen {
             ReadProbe::Miss
         } else if self.model == ConsistencyModel::Sc || meta.lin.readable() {
@@ -461,26 +473,15 @@ impl SymmetricCache {
     /// What [`SymmetricCache::read`] would find, without copying the value
     /// out (or allocating at all): for callers that only route on it.
     pub fn probe(&self, key: u64) -> ReadProbe {
-        let mut meta = [0u8; META_BYTES];
-        match self.store.read_value_prefix(key, &mut meta) {
-            Some(len) if len >= META_BYTES => self.read_rules(&meta).0,
-            _ => ReadProbe::Miss,
-        }
+        self.read_rules(key, None).0
     }
 
-    /// Probes the cache for a read.
+    /// Probes the cache for a read: one index lookup, one validated copy,
+    /// one allocation — the value handed out.
     pub fn read(&self, key: u64) -> ReadOutcome {
-        let Some(snap) = self.store.get(key) else {
-            return ReadOutcome::Miss;
-        };
-        if snap.value.len() < META_BYTES {
-            return ReadOutcome::Miss;
-        }
-        match self.read_rules(&snap.value) {
-            (ReadProbe::Hit, ts) => ReadOutcome::Hit {
-                value: snap.value[META_BYTES..].to_vec(),
-                ts,
-            },
+        let mut value = Vec::new();
+        match self.read_rules(key, Some(&mut value)) {
+            (ReadProbe::Hit, ts) => ReadOutcome::Hit { value, ts },
             (ReadProbe::Stall, _) => ReadOutcome::Stall,
             (ReadProbe::Miss, _) => ReadOutcome::Miss,
         }
@@ -1145,5 +1146,41 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// A writer thread alternates two values of different lengths, each
+    /// filled with its own byte, for 200 ms: every read is a hit carrying
+    /// one of them whole, and `probe` sees the same entry state.
+    #[test]
+    fn reads_raced_by_a_writer_return_one_whole_value() {
+        use std::sync::{Arc, Barrier};
+        use std::time::{Duration, Instant};
+        let c = Arc::new(cache(ConsistencyModel::Sc, 0));
+        let values = [vec![0xAAu8; 40], vec![0x55u8; 13]];
+        c.fill(5, &values[0], 0);
+        let start = Arc::new(Barrier::new(2));
+        let deadline = Instant::now() + Duration::from_millis(200);
+        let writer = {
+            let (c, start, values) = (Arc::clone(&c), Arc::clone(&start), values.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut tag = 0u64;
+                while Instant::now() < deadline {
+                    tag += 1;
+                    let _ = c.write(5, &values[tag as usize % 2], tag);
+                }
+            })
+        };
+        start.wait();
+        while Instant::now() < deadline {
+            match c.read(5) {
+                ReadOutcome::Hit { value, .. } => {
+                    assert!(values.contains(&value), "torn value {value:?}");
+                }
+                other => panic!("an SC entry always reads: {other:?}"),
+            }
+            assert_eq!(c.probe(5), ReadProbe::Hit);
+        }
+        writer.join().expect("writer thread");
     }
 }
