@@ -22,7 +22,7 @@
 
 use crate::transport::UdpStats;
 use reactor::{Events, Interest, Poller, Token, Waker, WriteBuf};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -330,7 +330,8 @@ pub struct MetricsSnapshot {
     pub cork_wait_p50_ns: u64,
     /// 99th-percentile cork wait (ns).
     pub cork_wait_p99_ns: u64,
-    /// Successful peer-link reconnects (redial handshakes completed).
+    /// Peer-link handshakes completed, dialed or accepted, with a peer this
+    /// node had been connected to before.
     pub peer_reconnects: u64,
     /// Retained protocol messages replayed to peers after reconnects.
     pub peer_replayed: u64,
@@ -390,6 +391,9 @@ pub struct MetricsSnapshot {
     /// Datagrams the node's own transport sent, by `/metrics` `kind`
     /// label (all zero on a stream fabric).
     pub udp_datagrams: [(&'static str, u64); 4],
+    /// Per peer link that has been up, `peer → (data, ack)`: TCP segments
+    /// the kernel sent on it carrying data, and pure ACKs (zero on UDP).
+    pub peer_tcp_segments: BTreeMap<usize, (u64, u64)>,
 }
 
 impl MetricsSnapshot {
@@ -452,6 +456,7 @@ pub struct Metrics {
     loop_lap: ShardedHistogram,
     /// The census of the transport this registry's node serves on.
     udp: OnceLock<Arc<UdpStats>>,
+    peer_tcp_segments: parking_lot::Mutex<BTreeMap<usize, (u64, u64)>>,
 }
 
 impl Metrics {
@@ -600,7 +605,7 @@ impl Metrics {
         self.cork_wait.record(nanos);
     }
 
-    /// Records one successful peer-link reconnect (redial handshake
+    /// Records one peer-link reconnect (a dialed or accepted handshake
     /// completed after the previous connection died).
     pub fn record_peer_reconnect(&self) {
         self.peer_reconnects.fetch_add(1, Ordering::Relaxed);
@@ -684,6 +689,14 @@ impl Metrics {
     /// with this registry (first call wins).
     pub fn attach_udp_stats(&self, stats: Arc<UdpStats>) {
         let _ = self.udp.set(stats);
+    }
+
+    /// Books TCP segments the kernel sent on the link to `peer` since the
+    /// owning shard last looked: `data` carrying payload, `ack` pure ACKs.
+    pub fn record_peer_tcp_segments(&self, peer: usize, data: u64, ack: u64) {
+        let mut links = self.peer_tcp_segments.lock();
+        let link = links.entry(peer).or_default();
+        *link = (link.0 + data, link.1 + ack);
     }
 
     /// Takes a consistent snapshot (percentiles computed here).
@@ -776,6 +789,7 @@ impl Metrics {
                 .udp
                 .get()
                 .map_or_else(|| UdpStats::default().snapshot(), |stats| stats.snapshot()),
+            peer_tcp_segments: self.peer_tcp_segments.lock().clone(),
         }
     }
 
@@ -887,7 +901,7 @@ impl Metrics {
         );
         counter(
             "peer_reconnects_total",
-            "Peer-link redial handshakes completed after a connection died.",
+            "Peer-link handshakes completed with a peer connected to before.",
             snap.peer_reconnects,
         );
         counter(
@@ -937,6 +951,17 @@ impl Metrics {
             for (kind, value) in kinds {
                 out.push_str(&format!(
                     "cckvs_{name}{{node=\"{node_label}\",kind=\"{kind}\"}} {value}\n"
+                ));
+            }
+        }
+        out.push_str(
+            "# HELP cckvs_peer_link_tcp_segments_total TCP segments the kernel sent per peer link: carrying data, or pure ACKs.\n\
+             # TYPE cckvs_peer_link_tcp_segments_total counter\n",
+        );
+        for (peer, (data, ack)) in &snap.peer_tcp_segments {
+            for (kind, value) in [("data", data), ("ack", ack)] {
+                out.push_str(&format!(
+                    "cckvs_peer_link_tcp_segments_total{{node=\"{node_label}\",peer=\"{peer}\",kind=\"{kind}\"}} {value}\n"
                 ));
             }
         }

@@ -3,9 +3,11 @@
 //!
 //! A [`NodeServer`] binds one listener and serves two kinds of
 //! connections, distinguished by their hello frame (see [`crate::wire`]):
-//! client request/response sessions and incoming one-way peer protocol
-//! links. Outgoing protocol traffic to each peer flows through a per-peer
-//! outbox drained by the reactor under credit-based flow control.
+//! client request/response sessions and peer protocol links — one duplex
+//! connection per node pair, dialed by the lower node id, so that a reply
+//! leaves on the connection its request came in on and carries the
+//! transport's acknowledgement. Outgoing protocol traffic flows through a
+//! per-peer outbox drained by the reactor under credit-based flow control.
 //!
 //! Concurrency model (PR 7 — every frame handled on-shard, no worker
 //! pool):
@@ -39,28 +41,31 @@
 //!   resume the requesting connection like any other continuation.
 //!
 //! The per-peer credit window (§6.4) is driven by readiness events: a
-//! stalled peer writer re-arms a 1 ms timer-wheel tick instead of parking a
-//! thread, and credit returns owed to the peer still go out while stalled —
-//! which keeps symmetric saturation deadlock-free exactly as the
+//! stalled peer writer resumes in the lap that reads the peer's credit off
+//! the same connection — which is always read, however far its own writes
+//! are backed up — and credit returns owed to the peer still go out while
+//! stalled, which keeps symmetric saturation deadlock-free exactly as the
 //! thread-per-peer implementation did. Teardown drains stalled peers
 //! without credits.
 //!
 //! Crash recovery (PR 5 — peers are now separate OS processes that die and
-//! come back): every outgoing peer link is a [`PeerLink`] that survives its
-//! TCP connection. Messages are retained until the peer confirms
+//! come back): every peer link is a [`PeerLink`] that survives its
+//! connection. Messages are retained until the peer confirms
 //! *processing* them through cumulative [`Frame::Credit`] acknowledgements
 //! (TCP-ack style: idempotent, loss-proof), so when a link dies the
 //! unconfirmed tail is replayed after the redial handshake — exactly once,
 //! in order. The handshake ([`Frame::PeerHello`] →
 //! [`Frame::PeerHelloAck`] → [`Frame::PeerResume`]) carries *process
-//! generations*: a restarted peer is detected on either side of either
-//! link direction, its stale connections and confirmations are rejected,
+//! generations* and reconciles both directions: a restarted peer is
+//! detected on either side, its stale connections and confirmations are
+//! rejected,
 //! and every local pending Lin write reissues its invalidation toward the
 //! restarted (now empty, vacuously acknowledging) peer — per-node ack
 //! bitmasks in the protocol engine make duplicate acknowledgements
 //! harmless. While a peer is down, outbound coherence traffic parks in the
-//! link's queue (bounded by [`PARK_MAX`]) and a redial thread retries with
-//! exponential backoff; miss-path RPCs redial transparently within
+//! link's queue (bounded by [`PARK_MAX`]) and, on the lower-id side of
+//! the pair, a redial thread retries with exponential backoff (the higher
+//! side waits to be dialed); miss-path RPCs ride it out within
 //! [`NodeServerConfig::rpc_retry`]. The serving node keeps answering for
 //! every key the dead peer does not home.
 
@@ -324,21 +329,6 @@ impl NodeServerBuilder {
     }
 }
 
-/// How long a credit-stalled peer writer waits before re-pumping (the
-/// arriving credit is the primary wake; this tick is the backstop).
-/// Symmetric saturation is deadlock-free because credits consume no
-/// credits: each side returns them — stand-alone, the debt being a whole
-/// window — in the lap that processes the other's burst, stalled or not.
-const CREDIT_STALL_TICK: Duration = Duration::from_millis(1);
-
-/// Stall re-check tick while *latency-class* frames (invalidations, Lin
-/// acks, RPC responses) are blocked on the credit window: a blocked Lin
-/// writer is waiting on exactly these frames, so the priority lane
-/// re-pumps at fine-timer granularity instead of the 1 ms bulk tick.
-/// (The arriving credit is the primary wake; this tick is the
-/// deadlock-free backstop.)
-const PRIORITY_STALL_TICK: Duration = Duration::from_micros(100);
-
 /// The [`CreditReturn`] tick: a processed count that found nothing to ride
 /// for this long goes back stand-alone, so an idle tail still releases the
 /// sender's retained copies and a sender with a window smaller than this
@@ -350,10 +340,14 @@ const PRIORITY_STALL_TICK: Duration = Duration::from_micros(100);
 /// stand-alone credits it replaced.
 pub const CREDIT_RETURN_TICK: Duration = Duration::from_millis(200);
 
-/// Marks a wheel token as a peer-out connection's [`CREDIT_RETURN_TICK`].
+/// How often a shard books its live peer links' kernel segment counts
+/// ([`Connection::tcp_segments`]); a closing connection books its last.
+const TCP_CENSUS_EVERY: Duration = Duration::from_secs(1);
+
+/// Marks a wheel token as a peer connection's [`CREDIT_RETURN_TICK`].
 /// It is armed beside the connection's `tick_armed` tick, not through it:
 /// that flag dedupes arming, and a tick of milliseconds holding it would
-/// put off the sub-millisecond cork and stall deadlines.
+/// put off the sub-millisecond cork deadline.
 const TOKEN_CREDIT_TICK: u64 = 1 << 63;
 
 /// Time constant of the per-link bulk arrival-rate EWMA driving the
@@ -395,10 +389,10 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// First redial delay after a peer link dies; doubles up to
 /// [`REDIAL_BACKOFF_MAX`].
-const REDIAL_BACKOFF_START: Duration = Duration::from_millis(50);
+pub const REDIAL_BACKOFF_START: Duration = Duration::from_millis(50);
 
 /// Redial backoff cap.
-const REDIAL_BACKOFF_MAX: Duration = Duration::from_secs(1);
+pub const REDIAL_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// How often the admin service thread, between jobs, sweeps the
 /// pending-RPC table for entries past their transport deadline.
@@ -671,24 +665,25 @@ impl LinkQueues {
     }
 }
 
-/// The crash-surviving state of one outgoing peer link. The TCP connection
-/// comes and goes (adopted by the owning shard while up, redialed by a
-/// background thread while down); the link — queued traffic, the
-/// sent-but-unconfirmed tail, and the sequence counters that make replay
-/// exact — persists across reconnects.
+/// The crash-surviving state of the duplex link to one peer. The
+/// connection comes and goes (adopted by the owning shard while up; while
+/// down the lower node id redials from a background thread, the higher
+/// waits); the link — queued traffic, the sent-but-unconfirmed tail, and
+/// both directions' sequence counters — persists across reconnects.
 ///
 /// Sequencing is [`crate::link`]'s: `send` numbers every flow-controlled
 /// message for the life of this process and retains it until the peer's
 /// cumulative [`Frame::Credit`] confirmations cover it. On redial the
-/// handshake learns how far the peer really processed,
-/// [`SendHalf::reconcile`]s, and requeues the unconfirmed tail in front of
+/// handshake tells each side how far the other really processed; each
+/// [`SendHalf::reconcile`]s and requeues its unconfirmed tail in front of
 /// the lanes — the repack assigns the same numbers, so the peer (aligned
-/// by [`Frame::PeerResume`]) sees every message exactly once, in order.
+/// by the resume sequence) sees every message exactly once, in order.
 /// The credit window bounds `send.outstanding()`.
+#[derive(Default)]
 struct PeerLink {
-    /// Which reactor shard owns the link's socket (fixed: `peer % shards`,
-    /// the same shard the incoming link from that peer is pinned to — so
-    /// credit processing, replay and pumping never race across threads).
+    /// Which reactor shard owns the link's socket (fixed: `peer % shards`
+    /// — so frame processing, credit returns, replay and pumping never race
+    /// across threads).
     shard: usize,
     /// Items not yet handed to the socket, split by lane (replay /
     /// latency / bulk). Parked here while the link is down.
@@ -700,49 +695,25 @@ struct PeerLink {
     /// Items handed to the socket, retained until the peer confirms
     /// processing them. Lock order: `queues`, then `send`.
     send: Mutex<SendHalf<LinkItem>>,
-    /// The peer's process generation as of the last completed handshake
-    /// (0 = never connected).
+    /// Flow-controlled messages from the peer processed so far, in the
+    /// *peer's* sequence numbering (aligned by the handshake). Echoed back
+    /// as [`Frame::Credit`] confirmations.
+    processed: AtomicU64,
+    /// The highest peer process generation a handshake has shown (0 =
+    /// never connected).
     peer_gen: AtomicU64,
-    /// A connection for this link is adopted by the owning shard.
+    /// A handshaken connection for this link is adopted by the owning
+    /// shard.
     up: AtomicBool,
-    /// A redial thread is currently working this link.
-    redialing: AtomicBool,
-}
-
-impl PeerLink {
-    fn new(shard: usize) -> Self {
-        Self {
-            shard,
-            queues: Mutex::new(LinkQueues::default()),
-            bulk_arrivals: AtomicU64::new(0),
-            send: Mutex::new(SendHalf::default()),
-            peer_gen: AtomicU64::new(0),
-            up: AtomicBool::new(false),
-            redialing: AtomicBool::new(false),
-        }
-    }
 }
 
 /// A message into a reactor shard from another thread.
 enum ShardMsg {
-    /// Adopt a freshly accepted connection (role decided by its hello).
-    NewConn(Box<dyn Connection>),
-    /// Adopt the outgoing protocol link to `peer` (initial connect or a
-    /// completed redial handshake).
-    AdoptPeerOut {
-        peer: usize,
-        stream: Box<dyn Connection>,
-    },
-    /// Adopt an incoming peer-link connection migrated from another shard:
-    /// its [`Frame::PeerHello`] was decoded there, but hello processing
-    /// must happen on the shard that owns every connection of that peer so
-    /// stale-connection teardown and the processed-count report are
-    /// ordered with frame processing.
-    AdoptPeerIn {
-        conn: Box<ConnState>,
-        from: usize,
-        gen: u64,
-    },
+    /// Adopt a connection: freshly accepted; a peer link this node dialed
+    /// and handshook ([`Role::Peer`]); or one another shard accepted, its
+    /// decoded [`Frame::PeerHello`] in its [`Role::Handshake`] for the shard
+    /// that owns the peer to process (see [`Shard::accept_peer_hello`]).
+    Adopt(Box<ConnState>),
     /// An off-shard event that resumes connection `token`'s suspended
     /// operation: a Lin commit hook fired, a correlated RPC resolved, or
     /// an admin service job finished. `sent_at` is when the wake-up event
@@ -774,9 +745,10 @@ struct ServerInner {
     metrics: Arc<Metrics>,
     listen_addr: SocketAddr,
     running: AtomicBool,
-    /// Set once `connect_peers` has wired the outbound mesh; shards park
-    /// incoming traffic until then (frames wait in decode buffers), so no
-    /// protocol message is ever dropped or misrouted during boot.
+    /// Latched by [`ServerInner::link_came_up`] once every peer link has
+    /// been up; shards park client traffic until then (frames wait in
+    /// decode buffers), so no operation is served against a half-wired
+    /// mesh during boot.
     ready: AtomicBool,
     /// Signals [`NodeServer::wait`] once shutdown was initiated.
     stopped: Mutex<bool>,
@@ -789,18 +761,12 @@ struct ServerInner {
     /// node's own restarted predecessor) is detected and its stale frames
     /// rejected.
     gen: u64,
-    /// Outgoing one-way protocol links, indexed by peer node id (the self
-    /// entry is `None`). The links exist for the server's whole life;
-    /// their TCP connections come and go.
+    /// The duplex protocol links, indexed by peer node id (the self entry
+    /// is `None`). The links exist for the server's whole life; their
+    /// connections come and go.
     peer_links: Vec<Option<Arc<PeerLink>>>,
-    /// Highest process generation seen per peer on *incoming* links.
-    peer_in_gen: Vec<AtomicU64>,
-    /// Cumulative flow-controlled messages processed per peer (incoming
-    /// direction), in the *peer's* sequence numbering (aligned by
-    /// [`Frame::PeerResume`]). Echoed back as [`Frame::Credit`]
-    /// confirmations.
-    peer_recv_count: Vec<AtomicU64>,
-    /// Peer listen addresses (redials and the coordinator's admin conns).
+    /// Peer listen addresses (redials and the coordinator's admin conns);
+    /// empty until [`NodeServer::connect_peers`] supplies them.
     peer_addrs: Mutex<Vec<SocketAddr>>,
     /// Pending correlated miss-path RPCs ([`crate::rpc`]). An arriving
     /// [`Frame::RpcResp`] takes its entry out and resumes the waiter; a
@@ -1085,18 +1051,37 @@ impl ServerInner {
         }
     }
 
-    /// Marks the outgoing link to `peer` down and spawns (at most one)
-    /// redial thread that retries with exponential backoff until the link
-    /// is back or the server shuts down.
-    fn peer_link_down(self: &Arc<Self>, peer: usize) {
-        let link = Arc::clone(self.link(peer));
-        link.up.store(false, Ordering::Release);
+    /// The owning shard pumps a handshaken connection of the link to
+    /// `peer`: it is up (and from now on has its row of segment counts).
+    fn link_came_up(&self, peer: usize) {
+        self.link(peer).up.store(true, Ordering::Release);
+        self.metrics.record_peer_tcp_segments(peer, 0, 0);
         self.refresh_parked();
-        if link.redialing.swap(true, Ordering::AcqRel) {
-            return; // A redial thread is already on it.
+        self.mesh_may_be_complete();
+    }
+
+    /// A peer link came up, or `connect_peers` supplied the addresses:
+    /// latches `ready` the first time the whole mesh is up and wakes every
+    /// shard to release the client connections it parked.
+    fn mesh_may_be_complete(&self) {
+        let complete = !self.peer_addrs.lock().is_empty()
+            && (self.peer_links.iter().flatten()).all(|link| link.up.load(Ordering::Acquire));
+        if complete && !self.ready.swap(true, Ordering::AcqRel) {
+            for shard in self.shards.get().expect("shards wired at startup") {
+                shard.waker.wake();
+            }
         }
-        if !self.running.load(Ordering::SeqCst) {
-            link.redialing.store(false, Ordering::Release);
+    }
+
+    /// Marks the link to `peer` down and, on the lower node id of the pair
+    /// (the higher waits to be dialed), spawns a thread that redials with
+    /// backoff until the link is back or the server shuts down. One link has
+    /// one connection, and only its death (or failed adoption) leads here:
+    /// no second thread can be at work.
+    fn peer_link_down(self: &Arc<Self>, peer: usize) {
+        self.link(peer).up.store(false, Ordering::Release);
+        self.refresh_parked();
+        if self.node.node() > peer || !self.running.load(Ordering::SeqCst) {
             return;
         }
         let inner = Arc::clone(self);
@@ -1106,49 +1091,80 @@ impl ServerInner {
                 let mut backoff = REDIAL_BACKOFF_START;
                 while inner.running.load(Ordering::SeqCst) {
                     let addr = inner.peer_addrs.lock()[peer];
-                    match inner.dial_peer_handshake(peer, addr) {
-                        Ok(stream) => {
-                            inner.metrics.record_peer_reconnect();
-                            link.redialing.store(false, Ordering::Release);
-                            inner
-                                .shard(link.shard)
-                                .send(ShardMsg::AdoptPeerOut { peer, stream });
-                            return;
-                        }
-                        Err(_) => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(REDIAL_BACKOFF_MAX);
-                        }
+                    if inner.dial_peer(peer, addr).is_ok() {
+                        return;
                     }
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(REDIAL_BACKOFF_MAX);
                 }
-                link.redialing.store(false, Ordering::Release);
             });
     }
 
-    /// Dials the outgoing protocol link to `peer` and runs the blocking
-    /// reconnect handshake: hello (stamped with this process's
-    /// generation), the peer's processed-count report, replay
-    /// reconciliation, and the resume announcement. On success the stream
-    /// is nonblocking, role-tagged, and the link's queue front holds
-    /// exactly the messages the peer has not processed; the caller hands
-    /// the stream to the owning shard and marks the link up.
-    fn dial_peer_handshake(
-        &self,
-        peer: usize,
-        addr: SocketAddr,
-    ) -> io::Result<Box<dyn Connection>> {
+    /// One direction of the reconnect handshake: `peer` has processed the
+    /// first `processed` messages of this node's stream. Drops that prefix,
+    /// requeues the rest for replay under their original numbers and returns
+    /// the (1-based) wire sequence the replay starts at. A count beyond what
+    /// was sent is rejected and changes nothing.
+    fn requeue_unprocessed(&self, peer: usize, processed: u64) -> io::Result<u64> {
+        let link = self.link(peer);
+        let mut queues = link.queues.lock();
+        let mut send = link.send.lock();
+        let tail = send.reconcile(processed).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("peer {peer} claims {e} (confirmation from a different generation?)"),
+            )
+        })?;
+        if !tail.is_empty() {
+            self.metrics.record_peer_replayed(tail.len() as u64);
+        }
+        for item in tail.into_iter().rev() {
+            // A sampled op's message keeps its original trace id across
+            // the replay (exactly once — the requeued item IS the retained
+            // original); the Replay event marks the detour on the
+            // timeline. Replayed items go to the dedicated replay queue,
+            // NOT their lane: the repack must hand each one its original
+            // sequence number, so they drain strictly FIFO ahead of both
+            // lanes regardless of class (a replayed bulk update must not
+            // be overtaken by a replayed — or fresh — invalidation).
+            self.trace_event(
+                item.trace(),
+                SHARED_LANE,
+                EventKind::Replay,
+                item.key(),
+                peer as u8,
+            );
+            queues.replay.push_front(item);
+        }
+        Ok(send.confirmed() + 1)
+    }
+
+    /// Dials the link to `peer` (a higher node id) and runs the blocking
+    /// reconnect handshake over both directions: the hello reports what this
+    /// node processed of the peer's stream, the ack what the peer processed
+    /// of this node's and where its replay resumes, the resume where this
+    /// node's does. On success the link's queue front holds exactly what the
+    /// peer has not processed and the connection is on its way to its shard.
+    fn dial_peer(&self, peer: usize, addr: SocketAddr) -> io::Result<()> {
         let mut stream = self.transport.dial(addr, HANDSHAKE_TIMEOUT)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let me = self.node.node();
+        let link = self.link(peer);
+        let prev_gen = link.peer_gen.load(Ordering::Acquire);
         write_frame(
             &mut stream,
             &Frame::PeerHello {
-                from: me as u8,
+                from: self.node.node() as u8,
                 gen: self.gen,
+                processed: link.processed.load(Ordering::Acquire),
+                peer_gen: prev_gen,
             },
         )?;
-        let ack = match crate::wire::read_frame(&mut stream)? {
-            Some(Frame::PeerHelloAck { processed, gen }) => (processed, gen),
+        let (processed, peer_gen, peer_start) = match crate::wire::read_frame(&mut stream)? {
+            Some(Frame::PeerHelloAck {
+                processed,
+                gen,
+                start_seq,
+            }) if gen >= prev_gen.max(1) && start_seq > 0 => (processed, gen, start_seq),
             Some(other) => return Err(unexpected_frame("peer-hello", &other)),
             None => {
                 return Err(io::Error::new(
@@ -1157,54 +1173,27 @@ impl ServerInner {
                 ))
             }
         };
-        let (processed, peer_gen) = ack;
-        let link = self.link(peer);
-        let prev_gen = link.peer_gen.swap(peer_gen, Ordering::AcqRel);
-        // Reconcile: drop what the peer provably processed, requeue the
-        // rest for replay with their original sequence numbers.
-        let start_seq = {
-            let mut queues = link.queues.lock();
-            let mut send = link.send.lock();
-            let tail = send.reconcile(processed).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("peer {peer} claims {e} (confirmation from a different generation?)"),
-                )
-            })?;
-            if !tail.is_empty() {
-                self.metrics.record_peer_replayed(tail.len() as u64);
-            }
-            for item in tail.into_iter().rev() {
-                // A sampled op's message keeps its original trace id
-                // across the replay (exactly once — the requeued item
-                // IS the retained original); the Replay event marks the
-                // detour on the timeline. Replayed items go to the
-                // dedicated replay queue, NOT their lane: the repack must
-                // hand each one its original sequence number, so they
-                // drain strictly FIFO ahead of both lanes regardless of
-                // class (a replayed bulk update must not be overtaken by
-                // a replayed — or fresh — invalidation).
-                self.trace_event(
-                    item.trace(),
-                    SHARED_LANE,
-                    EventKind::Replay,
-                    item.key(),
-                    peer as u8,
-                );
-                queues.replay.push_front(item);
-            }
-            // The wire numbers items from 1.
-            send.confirmed() + 1
-        };
+        // Reconcile before anything else is touched: an ack claiming more
+        // than was sent fails here and has changed nothing.
+        let start_seq = self.requeue_unprocessed(peer, processed)?;
+        link.peer_gen.store(peer_gen, Ordering::Release);
+        link.processed.store(peer_start - 1, Ordering::Release);
         write_frame(&mut stream, &Frame::PeerResume { start_seq })?;
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
-        // A different generation than last time means the old peer process
-        // is gone: reissue invalidations its death may have stranded.
-        if prev_gen != 0 && prev_gen != peer_gen {
-            self.peer_restarted(peer);
+        if prev_gen != 0 {
+            self.metrics.record_peer_reconnect();
+            // A different generation than last time means the old peer
+            // process is gone: reissue invalidations its death may have
+            // stranded.
+            if prev_gen != peer_gen {
+                self.peer_restarted(peer);
+            }
         }
-        Ok(stream)
+        let role = Role::peer(peer, link, &self.flow, true);
+        self.shard(link.shard)
+            .send(ShardMsg::Adopt(Box::new(ConnState::new(stream, role))));
+        Ok(())
     }
 
     /// Evicts `key` from the local cache, shipping a dirty value back to
@@ -1705,11 +1694,17 @@ impl NodeServer {
             churn,
             gen,
             peer_links: (0..nodes)
-                .map(|peer| (peer != me).then(|| Arc::new(PeerLink::new(peer % shard_count))))
+                .map(|peer| {
+                    let shard = peer % shard_count;
+                    (peer != me).then(|| {
+                        Arc::new(PeerLink {
+                            shard,
+                            ..PeerLink::default()
+                        })
+                    })
+                })
                 .collect(),
-            peer_in_gen: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            peer_recv_count: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            peer_addrs: Mutex::new(vec![listen_addr; nodes]),
+            peer_addrs: Mutex::new(Vec::new()),
             // Ids continue from the generation stamp (wall-clock
             // nanoseconds), so they never meet the dead predecessor's.
             rpcs: Mutex::new(RpcTable::new(gen)),
@@ -1821,9 +1816,11 @@ impl NodeServer {
         &self.inner.node
     }
 
-    /// Dials the one-way protocol link to every peer, retrying for up to
-    /// `timeout` per peer (nodes of a rack boot concurrently). `addrs` is
-    /// indexed by node id and must include this node's own entry.
+    /// Dials the protocol link to every peer with a *higher* node id (lower
+    /// ids dial this node), retrying for up to `timeout` per peer (nodes of
+    /// a rack boot concurrently). `addrs` is indexed by node id and includes
+    /// this node's own entry. Clients are served, and `Ping` answered, once
+    /// every link — dialed or accepted — has been up, which may be later.
     pub fn connect_peers(&mut self, addrs: &[SocketAddr], timeout: Duration) -> io::Result<()> {
         assert_eq!(
             addrs.len(),
@@ -1832,32 +1829,20 @@ impl NodeServer {
         );
         *self.inner.peer_addrs.lock() = addrs.to_vec();
         let me = self.inner.node.node();
-        for (peer, &addr) in addrs.iter().enumerate() {
-            if peer == me {
-                continue;
-            }
+        for (peer, &addr) in addrs.iter().enumerate().skip(me + 1) {
             // Full reconnect handshake, retried until the peer is up (the
             // nodes of a rack boot concurrently) or the timeout runs out.
             let deadline = Instant::now() + timeout;
-            let stream = loop {
-                match self.inner.dial_peer_handshake(peer, addr) {
-                    Ok(stream) => break stream,
-                    Err(e) if Instant::now() >= deadline => return Err(e),
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            while let Err(e) = self.inner.dial_peer(peer, addr) {
+                if Instant::now() >= deadline {
+                    return Err(e);
                 }
-            };
-            let link = self.inner.link(peer);
-            self.inner
-                .shard(link.shard)
-                .send(ShardMsg::AdoptPeerOut { peer, stream });
+                std::thread::sleep(Duration::from_millis(10));
+            }
         }
-        // Release the parked connections: incoming traffic accepted during
-        // boot has been waiting in decode buffers (and TCP), never dropped
-        // or served against a half-wired mesh.
-        self.inner.ready.store(true, Ordering::Release);
-        for shard in self.inner.shards.get().expect("shards wired") {
-            shard.waker.wake();
-        }
+        // Every link may have been accepted before the addresses were known
+        // (the highest node id dials nobody).
+        self.inner.mesh_may_be_complete();
         Ok(())
     }
 
@@ -2060,7 +2045,7 @@ fn deliver_peer_frame(
         Frame::RpcReq { corr, inner: req } => {
             // A correlated miss-path request multiplexed over the peer
             // link: serve it right here (every handler is a lock-protected
-            // state update) and queue the answer on our own outgoing link.
+            // state update) and queue the answer on the link it came in on.
             // A malformed inner frame answers Error instead of erroring
             // the whole link — the link carries unrelated traffic.
             let response = match serve_rpc_frame(inner, shard as u8, *req) {
@@ -2211,21 +2196,21 @@ const TOKEN_FIRST_CONN: u64 = 16;
 
 /// What a connection is for, decided by its hello frame.
 enum Role {
-    /// Hello not yet received.
-    Handshake,
+    /// Hello not yet served: still to arrive, or — on a connection migrated
+    /// to the shard that owns its peer — the decoded [`Frame::PeerHello`].
+    Handshake(Option<Frame>),
     /// A client request/response session: its decoded requests and the
     /// one suspended mid-execution.
     Client(ConnOps),
-    /// An incoming protocol link from peer `from` whose hello was answered;
-    /// the peer's [`Frame::PeerResume`] (aligning the processed counter)
-    /// has not arrived yet.
-    PeerInResume { from: usize },
-    /// An incoming one-way protocol link from peer `from`.
-    PeerIn { from: usize },
-    /// The outgoing protocol link to `peer`.
-    PeerOut {
+    /// The duplex protocol link to `peer`: what the peer sent is delivered
+    /// in the lap's inner loop ([`Shard::read_peer`]), the outbox is pumped
+    /// last ([`Shard::pump_peer`]).
+    Peer {
         peer: usize,
         link: Arc<PeerLink>,
+        /// The handshake is complete: false while an accepted connection
+        /// awaits the dialer's [`Frame::PeerResume`], and nothing is pumped.
+        resumed: bool,
         builder: BatchBuilder,
         /// When the current credit stall began (metrics).
         stall_started: Option<Instant>,
@@ -2235,7 +2220,24 @@ enum Role {
         credit: CreditReturn,
         /// Adaptive bulk-batch controller for this link.
         cork: AdaptiveCork,
+        /// [`Connection::tcp_segments`] `(data, pure ACK)` as last booked.
+        segments: (u64, u64),
     },
+}
+
+impl Role {
+    fn peer(peer: usize, link: &Arc<PeerLink>, flow: &FlowConfig, resumed: bool) -> Role {
+        Role::Peer {
+            peer,
+            link: Arc::clone(link),
+            resumed,
+            builder: BatchBuilder::new(),
+            stall_started: None,
+            credit: CreditReturn::new(flow.credit_window),
+            cork: AdaptiveCork::new(),
+            segments: (0, 0),
+        }
+    }
 }
 
 /// Per-link adaptive batching state: widens bulk batches under load and
@@ -2246,7 +2248,7 @@ enum Role {
 /// within the deadline anyway, while an idle link's target decays to 1
 /// and every bulk message flushes immediately (`idle`). A partially
 /// filled cork whose oldest message has waited `max_delay` flushes on the
-/// fine-timer `deadline` path. Owned by the link's `Role::PeerOut`, so no
+/// fine-timer `deadline` path. Owned by the link's `Role::Peer`, so no
 /// locking: only the owning shard's pump touches it.
 struct AdaptiveCork {
     /// When the oldest currently corked bulk item began waiting.
@@ -2305,14 +2307,10 @@ enum StepOutcome {
     Keep,
     /// Close the connection.
     Close,
-    /// An incoming peer link that must live on `target` (see
-    /// [`Shard::accept_peer_hello`]): move the connection there with its
-    /// decoded hello.
-    Migrate {
-        target: usize,
-        from: usize,
-        gen: u64,
-    },
+    /// An accepted peer link that must live on `target` (see
+    /// [`Shard::accept_peer_hello`]): move the connection there, its
+    /// decoded hello in its role.
+    Migrate { target: usize },
 }
 
 /// One nonblocking connection owned by a shard.
@@ -2461,6 +2459,18 @@ impl OpsHost for ShardHost<'_> {
     }
 }
 
+/// Books the TCP segments the kernel sent on a peer connection since the
+/// owning shard last looked; a no-op on a fabric without such a count.
+fn book_tcp_segments(metrics: &Metrics, conn: &mut ConnState) {
+    if let Role::Peer { peer, segments, .. } = &mut conn.role {
+        if let Some((all, data)) = conn.stream.tcp_segments() {
+            let now = (data, all.saturating_sub(data));
+            metrics.record_peer_tcp_segments(*peer, now.0 - segments.0, now.1 - segments.1);
+            *segments = now;
+        }
+    }
+}
+
 struct Shard {
     inner: Arc<ServerInner>,
     id: usize,
@@ -2468,9 +2478,14 @@ struct Shard {
     shared: Arc<ShardShared>,
     listener: Option<Box<dyn TransportListener>>,
     conns: HashMap<u64, Box<ConnState>, BuildHasherDefault<TokenHasher>>,
-    /// Tokens of peer-out connections on this shard (pumped every
-    /// iteration; there are at most `nodes - 1` across all shards).
-    peer_out_tokens: Vec<u64>,
+    /// Tokens of peer connections on this shard (pumped every iteration;
+    /// there are at most `nodes - 1` across all shards).
+    peer_tokens: Vec<u64>,
+    /// This shard has seen [`ServerInner::ready`] and released the client
+    /// connections it had parked.
+    ready: bool,
+    /// When the peer links' TCP segment counts were last booked.
+    census_at: Instant,
     next_token: u64,
     /// Round-robin accept target across shards (shard 0 only).
     next_shard: usize,
@@ -2522,7 +2537,9 @@ impl Shard {
             shared,
             listener,
             conns: HashMap::default(),
-            peer_out_tokens: Vec::new(),
+            peer_tokens: Vec::new(),
+            ready: false,
+            census_at: Instant::now(),
             next_token: TOKEN_FIRST_CONN,
             next_shard: 0,
             wheel: reactor::TimerWheel::new(),
@@ -2534,21 +2551,24 @@ impl Shard {
     }
 
     /// One lap: handle I/O → { drain the inbox, advance every touched
-    /// connection but the peer-out links } until the inbox stays empty →
-    /// pump the peer-out links → block. Whatever a lap produces for this
-    /// shard — a `Resume` continuation in the inbox, an invalidation, ack,
-    /// miss RPC or credit return in a link queue — therefore leaves in
-    /// that lap; this thread's own `wake()` calls are no-ops
+    /// connection — a peer link delivers what it read } until the inbox
+    /// stays empty → pump the peer links → block. Whatever a lap produces
+    /// for this shard — a `Resume` continuation in the inbox, an
+    /// invalidation, ack, miss RPC or credit return in a link queue —
+    /// therefore leaves in that lap, a reply on the connection its request
+    /// came in on; this thread's own `wake()` calls are no-ops
     /// ([`Waker::claim`]) and only other threads pay the eventfd.
     fn run(mut self) {
         self.shared.waker.claim();
         let mut events = Events::with_capacity(1024);
         let mut dirty: Vec<u64> = Vec::new();
         while self.inner.running.load(Ordering::SeqCst) {
-            // A peer-out pump can still post to this shard's own inbox (a
-            // dying link fails its RPCs' waiters); such a lap must not
-            // block on it.
-            let timeout = if self.shared.inbox.lock().is_empty() {
+            // A peer pump can still post to this shard's own inbox (a dying
+            // link fails its RPCs' waiters) or complete the mesh (its own
+            // wake is a no-op); such a lap must not block on either.
+            let idle = self.shared.inbox.lock().is_empty()
+                && (self.ready || !self.inner.ready.load(Ordering::Acquire));
+            let timeout = if idle {
                 self.wheel.next_timeout()
             } else {
                 Some(Duration::ZERO)
@@ -2585,29 +2605,40 @@ impl Shard {
                 };
                 if fired == token {
                     conn.tick_armed = false;
-                } else if let Role::PeerOut { credit, .. } = &mut conn.role {
+                } else if let Role::Peer { credit, .. } = &mut conn.role {
                     credit.tick();
                 }
                 dirty.push(token);
             }
             loop {
                 self.drain_inbox(&mut dirty);
-                dirty.retain(|token| !self.peer_out_tokens.contains(token));
+                // The mesh came up (the last link possibly on this very
+                // shard, whose own wake is a no-op): release what parked.
+                if !self.ready && self.inner.ready.load(Ordering::Acquire) {
+                    self.ready = true;
+                    dirty.extend(self.conns.keys());
+                }
                 if dirty.is_empty() {
                     break;
                 }
                 dirty.sort_unstable();
                 dirty.dedup();
                 for token in dirty.drain(..) {
-                    self.advance(token);
+                    self.advance(token, false);
                 }
             }
-            // Peer-out links are few and cheap to pump; doing it every lap,
+            // Peer links are few and cheap to pump; doing it every lap,
             // last, means "some protocol traffic shipped" needs no
             // per-outbox bookkeeping and nothing waits for another lap.
-            dirty.extend_from_slice(&self.peer_out_tokens);
+            dirty.extend_from_slice(&self.peer_tokens);
             for token in dirty.drain(..) {
-                self.advance(token);
+                self.advance(token, true);
+            }
+            if self.now.duration_since(self.census_at) >= TCP_CENSUS_EVERY {
+                self.census_at = self.now;
+                for conn in self.conns.values_mut() {
+                    book_tcp_segments(&self.inner.metrics, conn);
+                }
             }
             self.inner
                 .metrics
@@ -2659,12 +2690,11 @@ impl Shard {
                     }
                     let target = self.next_shard % shard_count;
                     self.next_shard = self.next_shard.wrapping_add(1);
-                    if target == self.id {
-                        if let Some(token) = self.register(stream, Role::Handshake) {
-                            dirty.push(token);
-                        }
-                    } else {
-                        self.inner.shard(target).send(ShardMsg::NewConn(stream));
+                    let conn = Box::new(ConnState::new(stream, Role::Handshake(None)));
+                    if target != self.id {
+                        self.inner.shard(target).send(ShardMsg::Adopt(conn));
+                    } else if let Some(token) = self.adopt(conn) {
+                        dirty.push(token);
                     }
                 }
                 Ok(None) => return,
@@ -2681,48 +2711,20 @@ impl Shard {
         std::mem::swap(&mut msgs, &mut *self.shared.inbox.lock());
         for msg in msgs.drain(..) {
             match msg {
-                ShardMsg::NewConn(stream) => {
-                    if let Some(token) = self.register(stream, Role::Handshake) {
-                        dirty.push(token);
-                    }
-                }
-                ShardMsg::AdoptPeerOut { peer, stream } => {
-                    let link = Arc::clone(self.inner.link(peer));
-                    if let Some(token) = self.register(
-                        stream,
-                        Role::PeerOut {
-                            peer,
-                            link: Arc::clone(&link),
-                            builder: BatchBuilder::new(),
-                            stall_started: None,
-                            credit: CreditReturn::new(self.inner.flow.credit_window),
-                            cork: AdaptiveCork::new(),
-                        },
-                    ) {
-                        link.up.store(true, Ordering::Release);
-                        self.inner.refresh_parked();
-                        self.peer_out_tokens.push(token);
-                        dirty.push(token);
-                    } else {
+                ShardMsg::Adopt(mut conn) => {
+                    // A tick armed on the shard it came from no longer
+                    // applies.
+                    conn.tick_armed = false;
+                    let dialed = match conn.role {
+                        Role::Peer { peer, .. } => Some(peer),
+                        _ => None,
+                    };
+                    match (self.adopt(conn), dialed) {
+                        (Some(token), _) => dirty.push(token),
                         // Registration failed: the link stays down and the
                         // redial thread tries again.
-                        self.inner.peer_link_down(peer);
-                    }
-                }
-                ShardMsg::AdoptPeerIn {
-                    mut conn,
-                    from,
-                    gen,
-                } => {
-                    // Migrated from the accepting shard: run the hello
-                    // processing here, where it is ordered with every
-                    // other connection of this peer. Any tick armed on the
-                    // old shard's wheel no longer applies.
-                    conn.tick_armed = false;
-                    if self.accept_peer_hello(&mut conn, from, gen) {
-                        if let Some(token) = self.adopt(conn) {
-                            dirty.push(token);
-                        }
+                        (None, Some(peer)) => self.inner.peer_link_down(peer),
+                        (None, None) => {}
                     }
                 }
                 ShardMsg::Resume {
@@ -2748,13 +2750,8 @@ impl Shard {
         self.inbox_spare = msgs;
     }
 
-    fn register(&mut self, stream: Box<dyn Connection>, role: Role) -> Option<u64> {
-        self.adopt(Box::new(ConnState::new(stream, role)))
-    }
-
-    /// Registers an already-built connection state (fresh, or migrated
-    /// from another shard with decode-buffer residue) with this shard's
-    /// poller.
+    /// Registers a connection state (fresh, dialed, or migrated from another
+    /// shard with decode-buffer residue) with this shard's poller.
     fn adopt(&mut self, conn: Box<ConnState>) -> Option<u64> {
         let token = self.next_token;
         self.next_token += 1;
@@ -2766,25 +2763,28 @@ impl Shard {
             return None;
         }
         self.inner.metrics.record_conn_opened();
+        if matches!(conn.role, Role::Peer { .. }) {
+            self.peer_tokens.push(token);
+        }
         self.conns.insert(token, conn);
         Some(token)
     }
 
-    /// Drives one connection's state machine as far as it can go.
-    fn advance(&mut self, token: u64) {
+    /// Drives one connection's state machine as far as it can go. A peer
+    /// link delivers what it read, or — with `pump`, at the end of the lap
+    /// — sends what the lap queued.
+    fn advance(&mut self, token: u64, pump: bool) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        match self.step(token, &mut conn) {
-            StepOutcome::Migrate { target, from, gen } => {
+        match self.step(token, &mut conn, pump) {
+            StepOutcome::Migrate { target } => {
                 // Hand the connection (with its decode-buffer residue) to
                 // the shard that owns every connection of this peer. The
                 // open-connection gauge transfers with it.
                 self.poller.deregister(conn.stream.raw_fd());
                 self.inner.metrics.record_conn_closed();
-                self.inner
-                    .shard(target)
-                    .send(ShardMsg::AdoptPeerIn { conn, from, gen });
+                self.inner.shard(target).send(ShardMsg::Adopt(conn));
             }
             StepOutcome::Close => self.close(token, *conn),
             StepOutcome::Keep if conn.dead => self.close(token, *conn),
@@ -2795,13 +2795,17 @@ impl Shard {
         }
     }
 
-    fn step(&mut self, token: u64, conn: &mut ConnState) -> StepOutcome {
+    fn step(&mut self, token: u64, conn: &mut ConnState, pump: bool) -> StepOutcome {
         if conn.dead {
             return StepOutcome::Close;
         }
         // Hello first: the first complete frame decides the role.
-        if matches!(conn.role, Role::Handshake) {
-            match conn.decoder.next_frame() {
+        if let Role::Handshake(migrated) = &mut conn.role {
+            let hello = match migrated.take() {
+                Some(hello) => Ok(Some(hello)),
+                None => conn.decoder.next_frame(),
+            };
+            match hello {
                 Ok(Some(Frame::ClientHello)) => {
                     // Client sessions move ~100-byte frames and modest
                     // request batches: cap the kernel socket buffers so
@@ -2814,26 +2818,23 @@ impl Shard {
                     );
                     conn.role = Role::Client(ConnOps::default());
                 }
-                Ok(Some(Frame::PeerHello { from, gen })) => {
+                Ok(Some(hello @ Frame::PeerHello { from, gen, .. })) => {
+                    // The lower node id of a pair dials, never the higher.
                     let from = usize::from(from);
-                    if from >= self.inner.node.config().nodes || gen == 0 {
+                    if from >= self.inner.node.node() || gen == 0 {
                         return StepOutcome::Close;
                     }
-                    // Hello processing must run on the shard that owns
-                    // every connection of this peer (`from % shards`, the
-                    // same shard as the outgoing link): processed-count
+                    // Hello processing must run on the shard that owns the
+                    // link to this peer (`from % shards`): processed-count
                     // reporting and stale-connection teardown are then
                     // serialised with frame processing, which is what
                     // makes replay exactly-once.
                     let owner = from % self.inner.reactor.shards;
                     if owner != self.id {
-                        return StepOutcome::Migrate {
-                            target: owner,
-                            from,
-                            gen,
-                        };
+                        conn.role = Role::Handshake(Some(hello));
+                        return StepOutcome::Migrate { target: owner };
                     }
-                    if !self.accept_peer_hello(conn, from, gen) {
+                    if !self.accept_peer_hello(token, conn, hello) {
                         return StepOutcome::Close;
                     }
                 }
@@ -2847,27 +2848,16 @@ impl Shard {
                 }
             }
         }
-        // Park every serving role until the outbound peer mesh is wired:
-        // serving a Lin put earlier would drop its invalidations (the
-        // peer links don't exist yet) and hang the client forever, and a
-        // miss-path RPC would dial a placeholder peer address. (The peer
-        // handshake above is exempt — it IS how the mesh gets wired.)
-        let ready = self.inner.ready.load(Ordering::Acquire);
-        if !ready && !matches!(conn.role, Role::PeerOut { .. }) {
-            if !conn.tick_armed {
-                self.wheel.schedule(Token(token), CREDIT_STALL_TICK);
-                conn.tick_armed = true;
-            }
-            return StepOutcome::Keep;
-        }
-        let close = if matches!(conn.role, Role::Client(_)) {
-            self.step_client(token, conn)
-        } else if matches!(conn.role, Role::PeerInResume { .. }) {
-            self.step_peer_resume(conn)
-        } else if matches!(conn.role, Role::PeerIn { .. }) {
-            self.step_peer_in(conn)
-        } else {
-            self.pump_peer_out(token, conn)
+        let close = match conn.role {
+            // Client sessions park until the peer mesh is wired (`Pong`
+            // means "fully serving"; a Lin put would hang on a link that
+            // never existed); the lap that sees `ready` re-advances them.
+            // Peer links never park: they ARE how the mesh gets wired.
+            Role::Client(_) if !self.ready => false,
+            Role::Client(_) => self.step_client(token, conn),
+            Role::Peer { .. } if pump => self.pump_peer(token, conn),
+            Role::Peer { .. } => self.read_peer(conn),
+            Role::Handshake(_) => unreachable!("the hello decided the role"),
         };
         if close {
             StepOutcome::Close
@@ -2876,69 +2866,67 @@ impl Shard {
         }
     }
 
-    /// Serves a [`Frame::PeerHello`] on the shard that owns the peer's
-    /// connections: rejects stale generations, tears down this peer's
-    /// older incoming connections (their buffered frames must not advance
-    /// the processed counter after it is reported), detects a restarted
-    /// peer, and answers with the processed-count report the dialer
-    /// reconciles its replay against.
-    fn accept_peer_hello(&mut self, conn: &mut ConnState, from: usize, gen: u64) -> bool {
-        let inner = &self.inner;
-        let cur = inner.peer_in_gen[from].load(Ordering::Acquire);
+    /// Serves a [`Frame::PeerHello`] on the shard that owns the link to
+    /// its sender: rejects stale generations and impossible counts without
+    /// touching anything, closes the link's older connection (its buffered
+    /// frames must not advance the processed counter after it is
+    /// reported), detects a restarted peer, reconciles this node's stream
+    /// against the dialer's report and answers with its own.
+    fn accept_peer_hello(&mut self, token: u64, conn: &mut ConnState, hello: Frame) -> bool {
+        let Frame::PeerHello {
+            from,
+            gen,
+            processed,
+            peer_gen,
+        } = hello
+        else {
+            unreachable!("checked by caller");
+        };
+        let from = usize::from(from);
+        let inner = Arc::clone(&self.inner);
+        let link = inner.link(from);
+        let cur = link.peer_gen.load(Ordering::Acquire);
         if gen < cur {
             return false; // A connection from the peer's dead predecessor.
         }
-        for other in self.conns.values_mut() {
-            if matches!(
-                &other.role,
-                Role::PeerIn { from: f } | Role::PeerInResume { from: f } if *f == from
-            ) {
-                other.dead = true;
-            }
+        // A count in another generation's numbering says nothing about
+        // this process's stream: the peer has seen none of it.
+        let processed = if peer_gen == inner.gen { processed } else { 0 };
+        let Ok(start_seq) = inner.requeue_unprocessed(from, processed) else {
+            return false;
+        };
+        let stale = (self.conns.iter())
+            .find(|(_, c)| matches!(c.role, Role::Peer { peer, .. } if peer == from))
+            .map(|(stale, _)| *stale);
+        if let Some((stale, old)) = stale.and_then(|stale| self.conns.remove_entry(&stale)) {
+            self.close(stale, *old);
+        }
+        if cur != 0 {
+            inner.metrics.record_peer_reconnect();
         }
         if gen > cur {
-            inner.peer_in_gen[from].store(gen, Ordering::Release);
-            inner.peer_recv_count[from].store(0, Ordering::Release);
+            link.peer_gen.store(gen, Ordering::Release);
+            link.processed.store(0, Ordering::Release);
             if cur != 0 {
                 // A new process took the peer's place mid-flight: writes
                 // pending on the dead process's acks must reissue.
                 inner.peer_restarted(from);
             }
         }
-        let processed = inner.peer_recv_count[from].load(Ordering::Acquire);
         encode_frame_into(
             conn.writebuf.writer(),
             &Frame::PeerHelloAck {
-                processed,
+                processed: link.processed.load(Ordering::Acquire),
                 gen: inner.gen,
+                start_seq,
             },
         );
         if conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return false;
         }
-        conn.role = Role::PeerInResume { from };
+        conn.role = Role::peer(from, link, &inner.flow, false);
+        self.peer_tokens.push(token);
         true
-    }
-
-    /// Awaits the [`Frame::PeerResume`] that aligns the processed counter
-    /// to the dialer's numbering, then serves any frames buffered behind
-    /// it.
-    fn step_peer_resume(&mut self, conn: &mut ConnState) -> bool {
-        let Role::PeerInResume { from } = conn.role else {
-            unreachable!("checked by caller");
-        };
-        match conn.decoder.next_frame() {
-            Ok(Some(Frame::PeerResume { start_seq })) => {
-                if start_seq == 0 {
-                    return true;
-                }
-                self.inner.peer_recv_count[from].store(start_seq - 1, Ordering::Release);
-                conn.role = Role::PeerIn { from };
-                self.step_peer_in(conn)
-            }
-            Ok(Some(_)) | Err(_) => true,
-            Ok(None) => conn.eof,
-        }
     }
 
     /// Serves a client connection: hands decoded requests to its op
@@ -2987,40 +2975,48 @@ impl Shard {
         conn.eof && ops.is_idle() && conn.writebuf.is_empty()
     }
 
-    fn step_peer_in(&mut self, conn: &mut ConnState) -> bool {
-        let Role::PeerIn { from } = &conn.role else {
+    /// The inbound half of one peer link: delivers what the peer sent —
+    /// first, on an accepted connection, the [`Frame::PeerResume`] that
+    /// aligns the processed counter and completes the handshake.
+    fn read_peer(&mut self, conn: &mut ConnState) -> bool {
+        let Role::Peer {
+            peer,
+            link,
+            resumed,
+            ..
+        } = &mut conn.role
+        else {
             unreachable!("checked by caller");
         };
-        let from = *from;
+        let from = *peer;
         loop {
-            match conn.decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    let processed = match frame {
-                        Frame::Batch { frames } => {
-                            let mut processed = 0;
-                            for sub in frames {
-                                match deliver_peer_frame(&self.inner, self.id, from, sub) {
-                                    Ok(n) => processed += n,
-                                    Err(_) => return true,
-                                }
-                            }
-                            processed
-                        }
-                        other => match deliver_peer_frame(&self.inner, self.id, from, other) {
-                            Ok(n) => n,
-                            Err(_) => return true,
-                        },
-                    };
-                    // Book the processing. The link toward `from` lives on
-                    // this shard and is pumped last in this very lap: its
-                    // `CreditReturn` decides when the count goes back to
-                    // refill the sender's window and release its retained
-                    // copies.
-                    self.inner.peer_recv_count[from].fetch_add(processed, Ordering::AcqRel);
-                }
+            let frame = match conn.decoder.next_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(_) => return true,
+            };
+            if !*resumed {
+                match frame {
+                    Frame::PeerResume { start_seq } if start_seq > 0 => {
+                        link.processed.store(start_seq - 1, Ordering::Release);
+                        *resumed = true;
+                        continue;
+                    }
+                    _ => return true,
+                }
             }
+            let deliver = |sub| deliver_peer_frame(&self.inner, self.id, from, sub);
+            let processed = match frame {
+                Frame::Batch { frames } => frames.into_iter().map(deliver).sum(),
+                other => deliver(other),
+            };
+            let Ok(processed) = processed else {
+                return true;
+            };
+            // Book the processing. This link is pumped last in this very
+            // lap: its `CreditReturn` decides when the count goes back to
+            // refill the sender's window and release its retained copies.
+            link.processed.fetch_add(processed, Ordering::AcqRel);
         }
         conn.eof
     }
@@ -3052,7 +3048,7 @@ impl Shard {
     ///
     /// Value bytes stay behind the broadcast-shared `Arc` all the way to
     /// serialisation: no per-peer copy is ever materialised.
-    fn pump_peer_out(&mut self, token: u64, conn: &mut ConnState) -> bool {
+    fn pump_peer(&mut self, token: u64, conn: &mut ConnState) -> bool {
         // On a datagram fabric one coalesced batch should ride one
         // datagram: cap the byte budget at the transport's datagram
         // payload size (streams keep the full budget).
@@ -3060,35 +3056,34 @@ impl Shard {
             .stream
             .datagram_cap()
             .map_or(PEER_BATCH_MAX_BYTES, |cap| cap.min(PEER_BATCH_MAX_BYTES));
-        let Role::PeerOut {
+        let Role::Peer {
             peer,
             link,
+            resumed,
             builder,
             stall_started,
             credit,
             cork,
+            ..
         } = &mut conn.role
         else {
             unreachable!("checked by caller");
         };
         let peer = *peer;
-        // A peer link is one-way past the handshake: bytes arriving here
-        // are a protocol violation, EOF means the peer is gone.
-        if conn.decoder.buffered() > 0 || conn.eof {
-            return true;
+        if !*resumed {
+            return false;
+        }
+        if !link.up.load(Ordering::Relaxed) {
+            self.inner.link_came_up(peer);
         }
         let inner = &self.inner;
         let window = inner.flow.credit_window;
         let max_ops = inner.flow.peer_batch_ops.max(1) as u64;
         let max_delay = inner.flow.max_delay;
         let running = inner.running.load(Ordering::SeqCst);
-        // Messages from `peer` processed so far: its link in lives on this
-        // shard, so the count stands still while this pump runs.
-        let processed = inner.peer_recv_count[peer].load(Ordering::Acquire);
-        let mut stalled = false;
-        // Whether replay/latency frames were among the stalled work: they
-        // re-check at fine-timer granularity, not the 1 ms bulk tick.
-        let mut priority_stalled = false;
+        // Messages from `peer` processed so far: only this shard delivers
+        // them, so the count stands still while this pump runs.
+        let processed = link.processed.load(Ordering::Acquire);
         // Remaining time until the current cork's deadline, when bulk was
         // left corked this pump.
         let mut cork_deadline: Option<Duration> = None;
@@ -3129,19 +3124,14 @@ impl Shard {
             let want =
                 ((queues.replay.len() + queues.latency.len()) as u64 + bulk_release).min(max_ops);
             let granted = if !running {
-                // Teardown drains without credits — the reverse link
-                // carrying confirmations may already be gone.
+                // Teardown drains without credits — nothing reads the
+                // peer's confirmations any more.
                 want
             } else {
                 let take = want.min(window.saturating_sub(send.outstanding()));
                 if want > 0 && take == 0 {
-                    // Window exhausted: note when the stall began; a wheel
-                    // tick re-pumps (and keeps credit-only batches
-                    // flowing, which makes symmetric saturation
-                    // deadlock-free).
+                    // Window exhausted: note when the stall began.
                     stall_started.get_or_insert_with(Instant::now);
-                    stalled = true;
-                    priority_stalled |= !queues.replay.is_empty() || !queues.latency.is_empty();
                 } else if take > 0 {
                     if let Some(started) = stall_started.take() {
                         let stalled_ns = started.elapsed().as_nanos() as u64;
@@ -3287,7 +3277,7 @@ impl Shard {
                     }
                     builder.push(&Frame::Credit {
                         cum,
-                        gen: inner.peer_in_gen[peer].load(Ordering::Acquire),
+                        gen: link.peer_gen.load(Ordering::Acquire),
                     });
                     inner.metrics.record_credit_frame(packed > 0);
                 }
@@ -3315,29 +3305,12 @@ impl Shard {
         if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return true;
         }
-        // Arm the nearest wheel tick this link needs: the credit-stall
-        // re-check (fine-grained when priority frames are blocked — a Lin
-        // writer is waiting on exactly those — 1 ms for bulk-only stalls)
-        // and/or the pending cork deadline.
-        let mut tick: Option<Duration> = None;
-        if stalled && running && !link.queues.lock().is_empty() {
-            tick = Some(if priority_stalled {
-                PRIORITY_STALL_TICK
-            } else {
-                CREDIT_STALL_TICK
-            });
-        }
-        if running {
-            if let Some(remaining) = cork_deadline {
-                let t = remaining.max(reactor::FINE_RESOLUTION);
-                tick = Some(tick.map_or(t, |cur| cur.min(t)));
-            }
-        }
-        if let Some(t) = tick {
-            if !conn.tick_armed {
-                self.wheel.schedule(Token(token), t);
-                conn.tick_armed = true;
-            }
+        // A credit stall arms no tick: only the peer's `Credit` reopens the
+        // window, and the lap that reads it pumps this link.
+        if let Some(remaining) = cork_deadline.filter(|_| running && !conn.tick_armed) {
+            self.wheel
+                .schedule(Token(token), remaining.max(reactor::FINE_RESOLUTION));
+            conn.tick_armed = true;
         }
         if credit.arm(processed) {
             self.wheel
@@ -3360,7 +3333,10 @@ impl Shard {
                     || conn.writebuf.pending() >= HIGH_WATER
                     || (ops.wait().is_some() && ops.queued() >= MAX_PENDING_FRAMES / 2)
             }
-            _ => conn.writebuf.pending() >= HIGH_WATER,
+            // A peer link always reads: two ends that stopped because their
+            // writes were backed up would never drain each other, and the
+            // credit window already bounds what the peer has in flight.
+            _ => false,
         };
         let unthrottle = conn.writebuf.pending() <= LOW_WATER;
         let readable = if conn.interest.readable {
@@ -3383,16 +3359,18 @@ impl Shard {
         }
     }
 
-    fn close(&mut self, token: u64, conn: ConnState) {
+    fn close(&mut self, token: u64, mut conn: ConnState) {
         self.poller.deregister(conn.stream.raw_fd());
-        self.peer_out_tokens.retain(|&t| t != token);
         self.inner.metrics.record_conn_closed();
-        // A dead outgoing peer link is a recoverable event, not an
-        // amputation: mark the link down and let the redial thread bring
-        // it back (unless the server is shutting down).
-        if let Role::PeerOut { peer, .. } = &conn.role {
+        // A dead peer link is a recoverable event, not an amputation: mark
+        // the link down and let the dialing side bring it back (unless the
+        // server is shutting down).
+        if let Role::Peer { peer, .. } = conn.role {
+            self.peer_tokens.retain(|&t| t != token);
+            // The kernel's counts die with the socket.
+            book_tcp_segments(&self.inner.metrics, &mut conn);
             if self.inner.running.load(Ordering::SeqCst) {
-                self.inner.peer_link_down(*peer);
+                self.inner.peer_link_down(peer);
             }
         }
         // The stream drops here, closing the socket.
@@ -3407,19 +3385,19 @@ impl Shard {
             let Some(mut conn) = self.conns.remove(&token) else {
                 continue;
             };
-            if matches!(conn.role, Role::PeerOut { .. }) {
+            if matches!(conn.role, Role::Peer { .. }) {
                 let _ = conn.stream.set_nonblocking(false);
                 // `running` is false, so the pump packs without credits;
                 // loop until the queue is empty (a burst can arrive
                 // between pumps from a shard finishing up).
                 loop {
-                    if self.pump_peer_out(token, &mut conn) {
+                    if self.pump_peer(token, &mut conn) {
                         break; // link died mid-drain; nothing more to do
                     }
-                    let Role::PeerOut { link, .. } = &conn.role else {
+                    let Role::Peer { link, resumed, .. } = &conn.role else {
                         unreachable!("role checked above");
                     };
-                    if link.queues.lock().is_empty() {
+                    if !*resumed || link.queues.lock().is_empty() {
                         break;
                     }
                 }

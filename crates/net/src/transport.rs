@@ -50,8 +50,8 @@
 //! [`UDP_ACK_EVERY`] unacknowledged in-order datagrams or with the
 //! pacer's next pass (`UDP_PACER_TICK` = 5 ms, far inside `UDP_RTO_MIN` =
 //! 20 ms: a clean link never retransmits). Request/response connections
-//! send none in steady state, a one-way peer link about one per
-//! [`UDP_ACK_EVERY`] datagrams. Each transport's [`UdpStats`] counts all of it.
+//! (client sessions, peer links) send none in steady state, a stream
+//! nobody answers one per [`UDP_ACK_EVERY`] datagrams. [`UdpStats`] counts all of it.
 //!
 //! Accepting is connection-per-socket: the listener socket only ever
 //! sees `SYN`s; each accepted connection gets a fresh connected socket
@@ -222,6 +222,12 @@ pub trait Connection: Read + Write + Send + fmt::Debug {
     fn datagram_cap(&self) -> Option<usize> {
         None
     }
+
+    /// The kernel's count of TCP segments sent on this connection, `(all,
+    /// carrying data)`; `None` on other fabrics. Ask from the owning thread.
+    fn tcp_segments(&self) -> Option<(u64, u64)> {
+        None
+    }
 }
 
 /// A bound, nonblocking listener producing [`Connection`]s.
@@ -355,6 +361,10 @@ impl Connection for TcpConnection {
         Ok(Box::new(TcpConnection {
             stream: self.stream.try_clone()?,
         }))
+    }
+
+    fn tcp_segments(&self) -> Option<(u64, u64)> {
+        reactor::tcp_segments_out(self.stream.as_raw_fd()).ok()
     }
 }
 

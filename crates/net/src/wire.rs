@@ -13,7 +13,7 @@
 //!   and their responses, plus admin frames (hot-set install, ping,
 //!   shutdown, and the home-shard fence/miss frames a supervisor's heal
 //!   sends);
-//! * **peer** connections ([`Frame::PeerHello`]) are one-way links carrying
+//! * **peer** connections ([`Frame::PeerHello`]) are duplex links carrying
 //!   the consistency-protocol messages ([`consistency::messages::ProtocolMsg`]
 //!   re-encoded as [`Frame::Protocol`] with the update's value bytes
 //!   attached) and the correlated cache-miss RPCs ([`Frame::RpcReq`] /
@@ -222,7 +222,8 @@ pub fn opcode_table() -> Vec<(&'static str, u8)> {
 pub enum Frame {
     /// Opens a client connection.
     ClientHello,
-    /// Opens (or re-opens) the one-way protocol link from peer node `from`.
+    /// Opens (or re-opens) the duplex protocol link from peer node `from`,
+    /// the lower node id of the pair.
     ///
     /// `gen` stamps the sender's *process generation* — a value unique to
     /// one life of the sending process. The receiver tracks the highest
@@ -235,19 +236,27 @@ pub enum Frame {
         from: u8,
         /// Sender process generation.
         gen: u64,
+        /// Messages of the *receiver's* stream the sender has processed:
+        /// the receiver drops that prefix of what it retains and replays
+        /// the rest.
+        processed: u64,
+        /// The receiver generation whose numbering `processed` is in (0:
+        /// none yet); a receiver of any other ignores the count.
+        peer_gen: u64,
     },
-    /// The receiver's reply to [`Frame::PeerHello`] on a protocol link:
-    /// how many flow-controlled messages from this `(peer, generation)` it
-    /// has processed over the link's lifetime (0 if the receiver restarted
-    /// or never heard from this generation). The dialing side drops every
-    /// retained message up to `processed` and replays the rest — exactly
-    /// once, in order.
+    /// The receiver's reply to [`Frame::PeerHello`].
     PeerHelloAck {
-        /// Cumulative messages processed from the dialing peer.
+        /// Messages processed from the dialing `(peer, generation)` (0 if
+        /// the receiver restarted or never heard from this generation).
+        /// The dialer drops every retained message up to `processed` and
+        /// replays the rest — exactly once, in order.
         processed: u64,
         /// The *receiver's* process generation (lets the dialer detect
         /// that the peer it reconnected to is a restarted process).
         gen: u64,
+        /// Sequence number of the first message the receiver will send;
+        /// the dialer aligns its processed counter to `start_seq - 1`.
+        start_seq: u64,
     },
     /// Sent by the dialing side after [`Frame::PeerHelloAck`]: the sequence
     /// number of the first flow-controlled message that will follow on this
@@ -471,7 +480,7 @@ pub enum Frame {
     /// crash-surviving peer mesh instead of pooled blocking connections:
     /// the sender registers `corr` in its pending-RPC table and resumes
     /// the suspended client op when the matching [`Frame::RpcResp`]
-    /// arrives on the reverse link. Retained-until-confirmed delivery
+    /// arrives back on the same link. Retained-until-confirmed delivery
     /// (the PR 5 replay machinery) carries these across link severs and
     /// peer restarts like any protocol message.
     RpcReq {
@@ -676,15 +685,27 @@ impl Frame {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Frame::ClientHello => buf.push(opcode::CLIENT_HELLO),
-            Frame::PeerHello { from, gen } => {
+            Frame::PeerHello {
+                from,
+                gen,
+                processed,
+                peer_gen,
+            } => {
                 buf.push(opcode::PEER_HELLO);
                 buf.push(*from);
-                buf.extend_from_slice(&gen.to_le_bytes());
+                for field in [gen, processed, peer_gen] {
+                    buf.extend_from_slice(&field.to_le_bytes());
+                }
             }
-            Frame::PeerHelloAck { processed, gen } => {
+            Frame::PeerHelloAck {
+                processed,
+                gen,
+                start_seq,
+            } => {
                 buf.push(opcode::PEER_HELLO_ACK);
-                buf.extend_from_slice(&processed.to_le_bytes());
-                buf.extend_from_slice(&gen.to_le_bytes());
+                for field in [processed, gen, start_seq] {
+                    buf.extend_from_slice(&field.to_le_bytes());
+                }
             }
             Frame::PeerResume { start_seq } => {
                 buf.push(opcode::PEER_RESUME);
@@ -896,10 +917,13 @@ impl Frame {
             opcode::PEER_HELLO => Frame::PeerHello {
                 from: cur.u8()?,
                 gen: cur.u64()?,
+                processed: cur.u64()?,
+                peer_gen: cur.u64()?,
             },
             opcode::PEER_HELLO_ACK => Frame::PeerHelloAck {
                 processed: cur.u64()?,
                 gen: cur.u64()?,
+                start_seq: cur.u64()?,
             },
             opcode::PEER_RESUME => Frame::PeerResume {
                 start_seq: cur.u64()?,

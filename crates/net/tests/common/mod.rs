@@ -15,10 +15,13 @@ pub fn all_frames() -> Vec<Frame> {
         Frame::PeerHello {
             from: 2,
             gen: 0xFEED_5EED_0042,
+            processed: 77,
+            peer_gen: 0xFEED_5EED_0007,
         },
         Frame::PeerHelloAck {
             processed: 123_456,
             gen: u64::MAX,
+            start_seq: 78,
         },
         Frame::PeerResume { start_seq: 78 },
         Frame::Get { key: 42 },

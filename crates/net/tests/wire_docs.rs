@@ -3,10 +3,10 @@
 //! frame missing from either side. Renumbering, adding, or removing an
 //! opcode without updating the doc fails here. Likewise the "UDP datagram
 //! envelope" table against `transport.rs`'s tag and header-size constants,
-//! and the credit-return policy's two constants.
+//! the credit-return policy's two constants and the redial backoff's.
 
 use cckvs_net::link::CREDIT_RETURN_DIVISOR;
-use cckvs_net::server::CREDIT_RETURN_TICK;
+use cckvs_net::server::{CREDIT_RETURN_TICK, REDIAL_BACKOFF_MAX, REDIAL_BACKOFF_START};
 use cckvs_net::transport::{
     DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_FIN, DG_SYN, DG_SYNACK, UDP_ACK_EVERY,
 };
@@ -125,18 +125,19 @@ fn wire_doc_datagram_envelope_matches_the_code() {
 }
 
 #[test]
-fn wire_doc_credit_return_policy_matches_the_code() {
-    let markdown = wire_doc();
+fn wire_doc_credit_return_and_redial_policies_match_the_code() {
+    // Line breaks may fall anywhere in the prose.
+    let markdown = wire_doc().split_whitespace().collect::<Vec<_>>().join(" ");
+    let millis = |name: &str, d: std::time::Duration| format!("`{name}` = {} ms", d.as_millis());
     for stated in [
         format!("`CREDIT_RETURN_DIVISOR` = {CREDIT_RETURN_DIVISOR}"),
-        format!(
-            "`CREDIT_RETURN_TICK` = {} ms",
-            CREDIT_RETURN_TICK.as_millis()
-        ),
+        millis("CREDIT_RETURN_TICK", CREDIT_RETURN_TICK),
+        millis("REDIAL_BACKOFF_START", REDIAL_BACKOFF_START),
+        millis("REDIAL_BACKOFF_MAX", REDIAL_BACKOFF_MAX),
     ] {
         assert!(
             markdown.contains(&stated),
-            "docs/WIRE.md's credit flow control does not state {stated}"
+            "docs/WIRE.md's reliability stack does not state {stated}"
         );
     }
 }

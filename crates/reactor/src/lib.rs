@@ -34,7 +34,7 @@ pub use poller::{Event, Events, Interest, Poller, Token};
 pub use sys::{
     close_raw_fd, inheritable_pipe, listen_reuseaddr, raise_nofile_limit, reset_sigpipe,
     send_signal, set_socket_buffers, signal_pipe, sys_eventfd, sys_eventfd_drain,
-    sys_eventfd_signal, write_raw_fd, SIGINT, SIGKILL, SIGPIPE, SIGTERM,
+    sys_eventfd_signal, tcp_segments_out, write_raw_fd, SIGINT, SIGKILL, SIGPIPE, SIGTERM,
 };
 pub use timer::{TimerWheel, FINE_RESOLUTION};
 pub use waker::Waker;
@@ -52,6 +52,24 @@ mod tests {
         let a = TcpStream::connect(addr).unwrap();
         let (b, _) = listener.accept().unwrap();
         (a, b)
+    }
+
+    #[test]
+    fn tcp_segment_counts_separate_data_from_pure_acks() {
+        use std::os::fd::AsRawFd;
+        let (mut a, mut b) = pair();
+        a.set_nodelay(true).unwrap();
+        let mut byte = [0u8; 1];
+        for _ in 0..10 {
+            a.write_all(b"x").unwrap();
+            b.read_exact(&mut byte).unwrap();
+        }
+        let (a_all, a_data) = tcp_segments_out(a.as_raw_fd()).unwrap();
+        let (b_all, b_data) = tcp_segments_out(b.as_raw_fd()).unwrap();
+        assert_eq!(a_data, 10, "one data segment per nodelay write");
+        assert!(a_all >= a_data);
+        assert_eq!(b_data, 0, "the reader sent no data");
+        assert!(b_all >= 1, "the reader's segments are all pure ACKs");
     }
 
     #[test]

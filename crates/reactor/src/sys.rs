@@ -82,6 +82,13 @@ extern "C" {
         optval: *const c_void,
         optlen: u32,
     ) -> c_int;
+    fn getsockopt(
+        fd: c_int,
+        level: c_int,
+        optname: c_int,
+        optval: *mut c_void,
+        optlen: *mut u32,
+    ) -> c_int;
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
@@ -249,6 +256,41 @@ pub fn set_socket_buffers(fd: std::os::fd::RawFd, bytes: usize) -> io::Result<()
         }
     }
     Ok(())
+}
+
+const IPPROTO_TCP: c_int = 6;
+const TCP_INFO: c_int = 11;
+/// Byte offsets of `tcpi_segs_out` / `tcpi_data_segs_out` in the kernel's
+/// `struct tcp_info` (Linux ≥ 4.6; the struct only ever grows at its end).
+const TCPI_SEGS_OUT: usize = 136;
+const TCPI_DATA_SEGS_OUT: usize = 156;
+
+/// The kernel's own count of TCP segments sent on connected socket `fd`:
+/// `(all segments, segments carrying data)`. The difference is what no
+/// `send` asked for — pure ACKs, window updates, the handshake's — and no
+/// syscall census shows it. Call it on the thread that owns `fd`.
+pub fn tcp_segments_out(fd: std::os::fd::RawFd) -> io::Result<(u64, u64)> {
+    let mut info = [0u32; 64];
+    let mut len = std::mem::size_of_val(&info) as u32;
+    cvt(unsafe {
+        getsockopt(
+            fd,
+            IPPROTO_TCP,
+            TCP_INFO,
+            info.as_mut_ptr().cast(),
+            &mut len,
+        )
+    })?;
+    if (len as usize) < TCPI_DATA_SEGS_OUT + 4 {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "kernel's tcp_info predates segment counts",
+        ));
+    }
+    Ok((
+        u64::from(info[TCPI_SEGS_OUT / 4]),
+        u64::from(info[TCPI_DATA_SEGS_OUT / 4]),
+    ))
 }
 
 /// Binds a TCP listener with `SO_REUSEADDR` set *before* the bind.

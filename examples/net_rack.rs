@@ -134,6 +134,10 @@ fn main() {
     // credits ride batches that were leaving anyway.
     let mut census = [0u64; 4];
     let (mut credits_rode, mut credits_alone) = (0u64, 0u64);
+    // And one layer down, on TCP: a reply leaves on the connection its
+    // request came in on, so the kernel's ACK rides it too (counts as of
+    // each shard's last look, at most a second old; zeros on UDP).
+    let (mut segments, mut pure_acks) = (0u64, 0u64);
     for node in 0..rack.nodes() {
         let snap = rack.server(node).metrics().snapshot();
         for (total, (_, count)) in census.iter_mut().zip(snap.udp_datagrams) {
@@ -141,8 +145,13 @@ fn main() {
         }
         credits_rode += snap.credit_frames_piggybacked;
         credits_alone += snap.credit_frames_standalone;
+        for (data, ack) in snap.peer_tcp_segments.values() {
+            segments += data;
+            pure_acks += ack;
+        }
     }
     println!("  peer credits (nodes): {credits_rode} piggybacked | {credits_alone} stand-alone");
+    println!("  peer tcp segments (nodes): {segments} data | {pure_acks} pure ACKs");
     let [data, acks, piggybacked, retransmits] = census;
     println!(
         "  udp datagrams (nodes): {data} data | {acks} stand-alone acks | {piggybacked} acks piggybacked | {retransmits} retransmits"
