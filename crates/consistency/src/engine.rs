@@ -3,9 +3,8 @@
 //! A [`NodeEngine`] owns the per-key protocol state of one cache replica and
 //! translates between the client-facing API (`get` / `put`), incoming
 //! [`ProtocolMsg`]s and the outgoing messages produced by the per-key state
-//! machines. It is transport-agnostic: the functional cluster sends the
-//! returned messages over channels, the simulator over the modeled fabric,
-//! and tests deliver them by hand.
+//! machines. It is transport-agnostic: the simulator sends the returned
+//! messages over the modeled fabric, and tests deliver them by hand.
 
 use crate::lamport::{NodeId, Timestamp};
 use crate::lin::LinKeyState;
@@ -56,7 +55,7 @@ impl StepOutput {
     }
 }
 
-/// Common interface of protocol engines (used by the cluster and simulator).
+/// Common interface of protocol engines (used by the simulator).
 pub trait ProtocolEngine {
     /// The consistency model this engine enforces.
     fn model(&self) -> ConsistencyModel;

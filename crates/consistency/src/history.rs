@@ -38,6 +38,19 @@ pub enum RecordKind {
     },
 }
 
+/// The [`Value`] a history records for value bytes: a writer records the
+/// tag of what it wrote and a reader the tag of what it got, so the
+/// checkers can match reads to writes. Values of eight bytes or more carry
+/// their tag in the first eight; shorter ones are hashed.
+pub fn value_tag_of(value: &[u8]) -> Value {
+    match value.get(..8) {
+        Some(tag) => u64::from_le_bytes(tag.try_into().expect("8 bytes")),
+        None => value.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        }),
+    }
+}
+
 /// One completed operation in a history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpRecord {

@@ -19,7 +19,8 @@
 //! ([`sc`], [`lin`]) that map an input event to a new state plus a list of
 //! output actions, with no I/O. The same transition functions are driven by
 //!
-//! * the multi-threaded functional cluster in the `cckvs` crate,
+//! * the symmetric cache of every `CcNode` (`cckvs` crate), behind the
+//!   networked rack and the rack model checker alike,
 //! * the discrete-event performance simulator,
 //! * the recorded-history checkers in [`history`], and
 //! * the explicit-state model checker in [`checker`], which reproduces the

@@ -1,10 +1,10 @@
 //! Protocol events, actions and wire messages shared by both protocols.
 //!
 //! The per-key state machines in [`crate::sc`] and [`crate::lin`] consume
-//! [`Event`]s and emit [`Action`]s; the transport layer (in-process channels
-//! for the functional cluster, the discrete-event fabric for the performance
-//! simulator) turns `Send*` actions into [`ProtocolMsg`]s on the wire and
-//! incoming messages back into `Recv*` events.
+//! [`Event`]s and emit [`Action`]s; the transport layer (sockets for the
+//! networked rack, the discrete-event fabric for the model checker and the
+//! performance simulator) turns `Send*` actions into [`ProtocolMsg`]s on
+//! the wire and incoming messages back into `Recv*` events.
 
 use crate::lamport::{NodeId, Timestamp};
 

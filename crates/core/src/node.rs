@@ -8,16 +8,15 @@
 //! every operation that would put protocol messages on the wire instead
 //! *returns* them as [`Outgoing`] values for the caller to ship.
 //!
-//! Three drivers run this type:
+//! Two drivers run this type:
 //!
-//! * the in-process functional [`crate::cluster::Cluster`] (crossbeam
-//!   channels with delivery jitter),
 //! * the reactor serving layer in the `cckvs-net` crate (one OS process or
-//!   thread per node, framed TCP or UDP), and
+//!   thread per node, framed TCP or UDP; with more than one reactor shard,
+//!   several threads on one `CcNode`), and
 //! * the `cckvs-modelcheck` harness (a seeded scheduler owning every
 //!   delivery, loss, crash and restart).
 //!
-//! Keeping a single code path for all of them means the protocol behaviour
+//! Keeping a single code path for both means the protocol behaviour
 //! the checkers validate is byte-for-byte the behaviour a networked rack
 //! executes.
 
@@ -33,8 +32,8 @@ use symcache::{EvictOutcome, ReadOutcome, SymmetricCache, WriteOutcome};
 use workload::{KeyId, ShardMap};
 
 /// Default number of KVS worker threads per node (the per-node shard
-/// grain). Every deployment backend — functional cluster, networked rack,
-/// standalone `cckvs-node` — derives its [`NodeConfig`] from this one
+/// grain). Every deployment backend — networked rack, standalone
+/// `cckvs-node`, model checker — derives its [`NodeConfig`] from this one
 /// constant so the checkers validate the same grain the rack runs.
 pub const DEFAULT_KVS_THREADS: usize = 4;
 
@@ -100,8 +99,7 @@ pub enum EvictHot {
         ts: Timestamp,
     },
     /// Evicted; this node is *not* the key's home, so the caller must ship
-    /// the dirty value to the home shard (`WriteBack` RPC on the networked
-    /// backend, direct shard access in the in-process cluster). Dropping it
+    /// the dirty value to the home shard (the `WriteBack` RPC). Dropping it
     /// loses the last acknowledged write to the key.
     WriteBackRemote {
         /// The dirty value.

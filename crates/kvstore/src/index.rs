@@ -1,10 +1,11 @@
-//! Bucketized set-associative hash index in the spirit of MICA's lossy index.
+//! Bucketized set-associative hash index in the spirit of MICA's index.
 //!
 //! MICA maps each key hash to a bucket with a small fixed number of slots.
-//! In *cache mode* a bucket overflow evicts the oldest entry (lossy); in
-//! *store mode* the index must not lose keys, so an overflow chain absorbs
-//! the spill. ccKVS uses the store flavour for the back-end KVS and the lossy
-//! flavour is what the symmetric cache layer builds on.
+//! Its *cache mode* evicts the oldest entry on a bucket overflow (lossy);
+//! this index is MICA's *store mode* only — it must not lose keys, so an
+//! overflow chain absorbs the spill. The back-end KVS and the symmetric
+//! cache both sit on it: a hot key dropped by the index would break the
+//! caches' symmetry.
 
 use parking_lot::RwLock;
 
@@ -13,31 +14,18 @@ use parking_lot::RwLock;
 pub struct IndexConfig {
     /// Number of buckets (rounded up to a power of two).
     pub buckets: usize,
-    /// Number of direct slots per bucket (MICA uses 8 or 15).
+    /// Number of direct slots per bucket (MICA uses 8 or 15); a full
+    /// bucket spills into its overflow chain.
     pub slots_per_bucket: usize,
-    /// Whether buckets may spill into an overflow chain (store mode) or must
-    /// evict the oldest entry on overflow (lossy cache mode).
-    pub allow_overflow: bool,
 }
 
 impl IndexConfig {
-    /// Store-mode configuration sized for roughly `capacity` keys.
+    /// Configuration sized for roughly `capacity` keys.
     pub fn store_for_capacity(capacity: usize) -> Self {
         let buckets = (capacity / 4).max(1).next_power_of_two();
         Self {
             buckets,
             slots_per_bucket: 8,
-            allow_overflow: true,
-        }
-    }
-
-    /// Lossy cache-mode configuration sized for roughly `capacity` keys.
-    pub fn lossy_for_capacity(capacity: usize) -> Self {
-        let buckets = (capacity / 4).max(1).next_power_of_two();
-        Self {
-            buckets,
-            slots_per_bucket: 8,
-            allow_overflow: false,
         }
     }
 }
@@ -53,7 +41,7 @@ struct Entry {
 struct Bucket {
     /// Direct slots, in insertion order (front = oldest).
     entries: Vec<Entry>,
-    /// Overflow chain (store mode only).
+    /// Overflow chain.
     overflow: Vec<Entry>,
 }
 
@@ -66,14 +54,6 @@ pub enum InsertOutcome {
     Updated {
         /// The slot previously associated with the key.
         previous_slot: usize,
-    },
-    /// The key was inserted and, the bucket being full in lossy mode, the
-    /// returned victim was evicted.
-    InsertedWithEviction {
-        /// Key of the evicted entry.
-        victim_key: u64,
-        /// Slab slot of the evicted entry, to be recycled by the caller.
-        victim_slot: usize,
     },
 }
 
@@ -142,19 +122,10 @@ impl BucketIndex {
         }
         if bucket.entries.len() < self.config.slots_per_bucket {
             bucket.entries.push(Entry { key, slot });
-            return InsertOutcome::Inserted;
-        }
-        if self.config.allow_overflow {
+        } else {
             bucket.overflow.push(Entry { key, slot });
-            return InsertOutcome::Inserted;
         }
-        // Lossy mode: evict the oldest direct entry.
-        let victim = bucket.entries.remove(0);
-        bucket.entries.push(Entry { key, slot });
-        InsertOutcome::InsertedWithEviction {
-            victim_key: victim.key,
-            victim_slot: victim.slot,
-        }
+        InsertOutcome::Inserted
     }
 
     /// Removes the mapping for `key`, returning its slot if present.
@@ -243,7 +214,6 @@ mod tests {
             BucketIndex::new(IndexConfig {
                 buckets: 2,
                 slots_per_bucket: 2,
-                allow_overflow: true,
             })
             .config(),
         );
@@ -254,31 +224,6 @@ mod tests {
         for k in 0..200u64 {
             assert_eq!(idx.lookup(k), Some(k as usize), "key {k} lost");
         }
-    }
-
-    #[test]
-    fn lossy_mode_evicts_oldest() {
-        let idx = BucketIndex::new(IndexConfig {
-            buckets: 1,
-            slots_per_bucket: 4,
-            allow_overflow: false,
-        });
-        for k in 0..4u64 {
-            assert_eq!(idx.insert(k, k as usize), InsertOutcome::Inserted);
-        }
-        match idx.insert(100, 100) {
-            InsertOutcome::InsertedWithEviction {
-                victim_key,
-                victim_slot,
-            } => {
-                assert_eq!(victim_key, 0);
-                assert_eq!(victim_slot, 0);
-            }
-            other => panic!("expected eviction, got {other:?}"),
-        }
-        assert_eq!(idx.len(), 4);
-        assert_eq!(idx.lookup(0), None);
-        assert_eq!(idx.lookup(100), Some(100));
     }
 
     #[test]

@@ -54,25 +54,12 @@ pub struct Partition {
 
 impl Partition {
     /// Creates a partition with room for `capacity` objects of up to
-    /// `value_capacity` bytes each, using a non-lossy (store-mode) index.
+    /// `value_capacity` bytes each. The back-end shards and the symmetric
+    /// cache are both built this way: the index never drops a key.
     pub fn new(capacity: usize, value_capacity: usize) -> Self {
-        Self::with_index_config(
-            capacity,
-            value_capacity,
-            IndexConfig::store_for_capacity(capacity),
-        )
-    }
-
-    /// Creates a partition with an explicit index configuration (the
-    /// symmetric cache uses a lossy index).
-    pub fn with_index_config(
-        capacity: usize,
-        value_capacity: usize,
-        index_config: IndexConfig,
-    ) -> Self {
         assert!(capacity > 0, "partition must hold at least one object");
         Self {
-            index: BucketIndex::new(index_config),
+            index: BucketIndex::new(IndexConfig::store_for_capacity(capacity)),
             slab: (0..capacity)
                 .map(|_| StoredObject::with_value_capacity(value_capacity))
                 .collect(),
@@ -118,14 +105,7 @@ impl Partition {
     }
 
     /// Inserts or overwrites `key` with the given header and value.
-    ///
-    /// Returns the key/slot of a victim evicted by a lossy index, if any.
-    pub fn put(
-        &self,
-        key: u64,
-        header: ObjectHeader,
-        value: &[u8],
-    ) -> Result<Option<u64>, PartitionError> {
+    pub fn put(&self, key: u64, header: ObjectHeader, value: &[u8]) -> Result<(), PartitionError> {
         if value.len() > self.value_capacity {
             return Err(PartitionError::ValueTooLarge {
                 capacity: self.value_capacity,
@@ -134,7 +114,7 @@ impl Partition {
         }
         if let Some(slot) = self.index.lookup(key) {
             self.slab[slot].write(header, value);
-            return Ok(None);
+            return Ok(());
         }
         let slot = {
             let mut free = self.free.lock();
@@ -144,23 +124,15 @@ impl Partition {
         match self.index.insert(key, slot) {
             InsertOutcome::Inserted => {
                 self.len.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
             }
             InsertOutcome::Updated { previous_slot } => {
                 // A concurrent insert of the same key won the race; recycle
                 // our slot and keep theirs... except insert() replaced their
                 // slot with ours, so recycle the previous one instead.
                 self.free.lock().push(previous_slot);
-                Ok(None)
-            }
-            InsertOutcome::InsertedWithEviction {
-                victim_key,
-                victim_slot,
-            } => {
-                self.free.lock().push(victim_slot);
-                Ok(Some(victim_key))
             }
         }
+        Ok(())
     }
 
     /// Read-modify-write on an existing key. Returns `None` if absent.

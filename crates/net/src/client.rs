@@ -7,17 +7,15 @@
 //! cached keys can be recorded into a process-wide [`SharedHistory`] whose
 //! logical clock gives the real-time order the per-key Lin checker needs.
 //!
-//! Note the model-dependent load-balancing caveat validated by the cluster
-//! tests: per-key SC is a per-session guarantee through the replica the
-//! session talks to, so SC sessions should stay sticky
-//! ([`LoadBalancePolicy::Pinned`]); Lin is a real-time guarantee, so Lin
-//! sessions may spread freely.
+//! Note the model-dependent load-balancing caveat: per-key SC is a
+//! per-session guarantee through the replica the session talks to, so SC
+//! sessions should stay sticky ([`LoadBalancePolicy::Pinned`]); Lin is a
+//! real-time guarantee, so Lin sessions may spread freely.
 
 use crate::metrics::Metrics;
 use crate::transport::{Connection, Transport, TransportConfig};
 use crate::wire::{encode_frame_into, read_frame_via, Frame};
-use cckvs::cluster::value_tag_of;
-use consistency::history::{History, OpRecord, RecordKind};
+use consistency::history::{value_tag_of, History, OpRecord, RecordKind};
 use consistency::lamport::Timestamp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,9 +1,9 @@
 //! `cckvs-net` — the networked ccKVS serving layer.
 //!
 //! The rest of the workspace proves the paper's protocols correct inside
-//! one process (functional cluster, simulator, model checker). This crate
-//! runs the same node logic — the transport-agnostic [`cckvs::node::CcNode`]
-//! — behind TCP or UDP endpoints on loopback or a LAN:
+//! one process (simulator, model checker). This crate runs the same node
+//! logic — the transport-agnostic [`cckvs::node::CcNode`] — behind TCP or
+//! UDP endpoints on loopback or a LAN:
 //!
 //! * [`wire`] — the compact length-prefixed binary wire protocol: client
 //!   GET/PUT, the consistency-protocol messages (SC update broadcasts, Lin

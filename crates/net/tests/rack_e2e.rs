@@ -6,7 +6,7 @@
 //! through the load-balanced [`Client`], and feeds the observed operation
 //! history to the consistency checkers: per-key SC must hold under both
 //! models, per-key Lin additionally under Lin — exactly the guarantees the
-//! in-process cluster validates, now across sockets.
+//! model checker validates in-process, now across sockets.
 
 use cckvs_net::client::{BatchConfig, BatchOutcome, SharedHistory};
 use cckvs_net::metrics::Metrics;

@@ -19,6 +19,7 @@ use cckvs_net::rack::{Rack, RackConfig};
 use cckvs_net::server::{FlowConfig, ReactorConfig, CREDIT_RETURN_TICK};
 use cckvs_net::LoadBalancePolicy;
 use consistency::messages::ConsistencyModel;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use workload::{AccessDistribution, Dataset, Mix, OpKind, WorkloadGen};
 
@@ -256,7 +257,11 @@ struct PinnedRack {
 
 impl PinnedRack {
     fn launch(shards: usize) -> PinnedRack {
-        let mut cfg = RackConfig::small(ConsistencyModel::Lin, 3);
+        Self::launch_on(RackConfig::small(ConsistencyModel::Lin, 3), shards)
+    }
+
+    /// The same rack on `cfg`'s fabric.
+    fn launch_on(mut cfg: RackConfig, shards: usize) -> PinnedRack {
         cfg.metrics = false;
         cfg.reactor = ReactorConfig { shards };
         let rack = Rack::launch(cfg).expect("launch rack");
@@ -269,7 +274,8 @@ impl PinnedRack {
             .take(50)
             .collect();
         let history = Arc::new(SharedHistory::new());
-        let mut client = Client::builder(&rack.client_addrs())
+        let mut client = rack
+            .client()
             .session(1)
             .policy(LoadBalancePolicy::Pinned(0))
             .history(Arc::clone(&history))
@@ -303,12 +309,23 @@ impl PinnedRack {
         }
     }
 
-    /// Checks the session's history and stops the rack.
+    /// One more session recording into the rack's history, pinned to
+    /// `node`.
+    fn session(&self, session: u32, node: usize) -> Client {
+        self.rack
+            .client()
+            .session(session)
+            .policy(LoadBalancePolicy::Pinned(node))
+            .history(Arc::clone(&self.history))
+            .connect()
+            .expect("connect")
+    }
+
+    /// Checks the recorded history and stops the rack.
     fn finish(self) {
-        self.history
-            .snapshot()
-            .check_per_key_lin()
-            .expect("per-key Lin holds");
+        let history = self.history.snapshot();
+        history.check_per_key_sc().expect("per-key SC holds");
+        history.check_per_key_lin().expect("per-key Lin holds");
         self.rack.shutdown();
     }
 }
@@ -360,6 +377,68 @@ fn frames_a_lap_produces_leave_in_that_lap() {
 #[test]
 fn cross_shard_wakes_still_fire() {
     laps_per_lin_put_and_per_remote_miss(2);
+}
+
+/// What `cckvs-node --shards 2` runs: two threads on one `CcNode` (§6.2,
+/// CRCW). Two sessions whose connections sit on the two shards of node 0
+/// write the same four hot keys under Lin — each PUT that finds the
+/// other's pending bounces and retries on its own shard while a third
+/// party, the shard holding the peer link, delivers the acks — and two
+/// more sessions read those keys through nodes 1 and 2. The merged history
+/// is per-key SC and per-key Lin: every update left node 0 with its own
+/// write's bytes. Fabric from `CCKVS_TRANSPORT`.
+#[test]
+fn two_shards_of_one_node_write_the_same_hot_key() {
+    let _shared = THREAD_CENSUS.read().unwrap_or_else(|e| e.into_inner());
+    const PUTS: u64 = 2_000;
+    let cfg = RackConfig::small_from_env(ConsistencyModel::Lin, 3);
+    let pinned = PinnedRack::launch_on(cfg, 2);
+    let keys = <[u64; 4]>::try_from(&pinned.hot[..4]).expect("four hot keys");
+
+    // Accepts go round the shards in turn, so two consecutive ones on a
+    // two-shard node land on different shards: nothing else may connect
+    // to node 0 between the writers.
+    let node0 = pinned.rack.server(0).metrics();
+    let before = node0.snapshot();
+    assert_eq!(before.reactor_shards, 2);
+    let mut writers = Vec::new();
+    for session in [2u32, 3] {
+        let mut writer = pinned.session(session, 0);
+        // Answered, so accepted and counted.
+        writer.get(keys[0]).expect("get");
+        writers.push(writer);
+        let accepted = node0.snapshot().conns_accepted - before.conns_accepted;
+        assert_eq!(accepted, writers.len() as u64, "consecutive accepts");
+    }
+
+    let writing = Arc::new(AtomicUsize::new(writers.len()));
+    let mut threads = Vec::new();
+    for mut writer in writers {
+        let writing = Arc::clone(&writing);
+        threads.push(std::thread::spawn(move || {
+            for i in 0..PUTS {
+                let value = u64::from(writer.session()) << 32 | i;
+                let key = keys[i as usize % keys.len()];
+                writer.put(key, &value.to_le_bytes()).expect("lin put");
+            }
+            writing.fetch_sub(1, Ordering::SeqCst);
+        }));
+    }
+    for (session, node) in [(4u32, 1), (5, 2)] {
+        let mut reader = pinned.session(session, node);
+        let writing = Arc::clone(&writing);
+        threads.push(std::thread::spawn(move || {
+            let mut i = 0;
+            while writing.load(Ordering::SeqCst) != 0 {
+                reader.get(keys[i % keys.len()]).expect("get");
+                i += 1;
+            }
+        }));
+    }
+    for thread in threads {
+        thread.join().expect("session thread");
+    }
+    pinned.finish();
 }
 
 /// `Credit` frames each node has sent so far: (stand-alone, piggybacked).

@@ -18,7 +18,6 @@ use consistency::lamport::{NodeId, Timestamp};
 use consistency::lin::{LinKeyState, LinStatus, PendingWrite};
 use consistency::messages::{Action, ConsistencyModel, Event, ProtocolMsg};
 use consistency::sc::ScKeyState;
-use kvstore::index::IndexConfig;
 use kvstore::object::ObjectHeader;
 use kvstore::partition::Partition;
 use parking_lot::Mutex;
@@ -249,8 +248,11 @@ pub struct SymmetricCache {
     me: NodeId,
     replicas: usize,
     store: Partition,
-    /// Bytes of local writes awaiting commitment (Lin), keyed by key.
-    pending_bytes: Mutex<HashMap<u64, Vec<u8>>>,
+    /// Bytes of local writes awaiting commitment (Lin). Touched outside
+    /// the entry's `modify` section, so an entry is named by the write it
+    /// belongs to: by the time one cache thread fetches a committed
+    /// write's bytes, another may have started the key's next write.
+    pending_bytes: Mutex<HashMap<(u64, Timestamp), Vec<u8>>>,
 }
 
 impl SymmetricCache {
@@ -272,11 +274,7 @@ impl SymmetricCache {
             model,
             me,
             replicas,
-            store: Partition::with_index_config(
-                capacity,
-                META_BYTES + value_capacity,
-                IndexConfig::store_for_capacity(capacity),
-            ),
+            store: Partition::new(capacity, META_BYTES + value_capacity),
             pending_bytes: Mutex::new(HashMap::new()),
         }
     }
@@ -393,12 +391,13 @@ impl SymmetricCache {
             );
             (hdr, Some(new_payload), Some(snapshot))
         });
+        #[cfg(test)]
+        section_left();
         match frozen {
             None => EvictOutcome::NotCached,
             Some(None) => EvictOutcome::Pending,
             Some(Some((value, ts, dirty))) => {
                 self.store.remove(key);
-                self.pending_bytes.lock().remove(&key);
                 EvictOutcome::Evicted { value, ts, dirty }
             }
         }
@@ -509,6 +508,8 @@ impl SymmetricCache {
             new_payload.extend_from_slice(value);
             (hdr, Some(new_payload), (actions, meta))
         });
+        #[cfg(test)]
+        section_left();
         let Some((actions, meta)) = result else {
             return WriteOutcome::Miss;
         };
@@ -531,7 +532,7 @@ impl SymmetricCache {
         match (completed, pending_ts) {
             (Some(ts), _) => WriteOutcome::Completed { ts, outgoing },
             (None, Some(ts)) => {
-                self.pending_bytes.lock().insert(key, value.to_vec());
+                self.pending_bytes.lock().insert((key, ts), value.to_vec());
                 WriteOutcome::Pending { ts, outgoing }
             }
             (None, None) => WriteOutcome::Stall,
@@ -581,6 +582,8 @@ impl SymmetricCache {
             new_payload.extend_from_slice(new_value.unwrap_or(&old_value));
             (hdr, Some(new_payload), (actions, applied))
         });
+        #[cfg(test)]
+        section_left();
         let Some((actions, applied_update)) = result else {
             return self.deliver_uncached(msg);
         };
@@ -589,11 +592,7 @@ impl SymmetricCache {
             Action::PutComplete { ts } => Some(*ts),
             _ => None,
         });
-        let commit_value = if committed.is_some() {
-            self.pending_bytes.lock().remove(&key)
-        } else {
-            None
-        };
+        let commit_value = committed.and_then(|ts| self.pending_bytes.lock().remove(&(key, ts)));
         DeliverOutcome {
             outgoing,
             committed,
@@ -658,6 +657,23 @@ impl SymmetricCache {
         }
         out
     }
+}
+
+/// Test hook: `write`, `deliver` and `evict` call this each time they have
+/// left their `store.modify` section, so that another cache thread's
+/// operation can be run at exactly that point on one thread. The closure
+/// set in [`SECTION_LEFT`] runs once, at the next such point.
+#[cfg(test)]
+fn section_left() {
+    if let Some(hook) = SECTION_LEFT.with(|cell| cell.borrow_mut().take()) {
+        hook();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static SECTION_LEFT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 #[cfg(test)]
@@ -760,6 +776,50 @@ mod tests {
         ));
         // Now readable with the new value.
         assert!(matches!(c.read(5), ReadOutcome::Hit { value, .. } if value == b"new"));
+    }
+
+    /// Two cache threads of one node (§6.2, CRCW) write the same key: the
+    /// second was stalled behind the first and gets in the moment the
+    /// last ack has stepped the entry to committed — before the
+    /// delivering thread has fetched the bytes its update broadcast
+    /// carries. Each commit must leave with its own write's bytes.
+    #[test]
+    fn a_second_local_write_cannot_steal_a_committing_writes_bytes() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let c = Rc::new(cache(ConsistencyModel::Lin, 0));
+        c.fill(5, b"old", 0);
+        let WriteOutcome::Pending { ts: first, .. } = c.write(5, b"W1", 1) else {
+            panic!("expected a pending Lin write");
+        };
+        let ack = |ts, from| {
+            let (key, from) = (5, NodeId(from));
+            c.deliver(&ProtocolMsg::Ack { key, ts, from }, None)
+        };
+        assert!(ack(first, 1).committed.is_none());
+        let raced = Rc::new(RefCell::new(None));
+        let (writer, result) = (Rc::clone(&c), Rc::clone(&raced));
+        SECTION_LEFT.with(|cell| {
+            *cell.borrow_mut() = Some(Box::new(move || {
+                *result.borrow_mut() = Some(writer.write(5, b"W2", 2));
+            }));
+        });
+        let commit = ack(first, 2);
+        let second = match raced.borrow_mut().take() {
+            Some(WriteOutcome::Pending { ts, .. }) => ts,
+            other => panic!("the stalled writer must get in at the commit, got {other:?}"),
+        };
+        assert_eq!(second, Timestamp::new(first.clock + 1, NodeId(0)));
+        assert!(ack(second, 1).committed.is_none());
+        let next_commit = ack(second, 2);
+        assert_eq!(
+            (commit.committed, next_commit.committed),
+            (Some(first), Some(second))
+        );
+        assert_eq!(
+            (commit.commit_value, next_commit.commit_value),
+            (Some(b"W1".to_vec()), Some(b"W2".to_vec()))
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Demonstrates the semantic difference the paper's §5.1 illustrates with
 //! Figures 5 and 6, exercises the verified protocol state machines through
-//! the explicit-state model checker, and shows the functional cluster
-//! enforcing each model under concurrent writers.
+//! the explicit-state model checker, and shows a loopback rack enforcing
+//! each model under concurrent writers.
 //!
 //! Run with `cargo run --release --example consistency_models`.
 
@@ -25,20 +25,28 @@ fn main() {
         }
     }
 
-    // 2. Concurrent writers on a live cluster: both models serialise writes,
-    //    and Lin additionally guarantees that a completed write is visible
-    //    to every subsequent read, anywhere.
+    // 2. Concurrent writers on a live loopback rack: both models serialise
+    //    writes, and Lin additionally guarantees that a completed write is
+    //    visible to every subsequent read, anywhere.
     for model in [ConsistencyModel::Sc, ConsistencyModel::Lin] {
-        let cluster = Arc::new(Cluster::start(ClusterConfig::small(model)));
-        cluster.install_hot_key(7, b"seed\0\0\0\0");
+        let rack = Rack::launch(RackConfig::small(model, 3)).expect("launch rack");
+        rack.install_hot_set(&[(7, b"seed\0\0\0\0".to_vec())])
+            .expect("install hot set");
+        let history = Arc::new(SharedHistory::new());
         let writers: Vec<_> = (0..3u32)
             .map(|session| {
-                let cluster = Arc::clone(&cluster);
+                let mut client = rack
+                    .client()
+                    .session(session)
+                    .policy(LoadBalancePolicy::Pinned(session as usize % rack.nodes()))
+                    .history(Arc::clone(&history))
+                    .connect()
+                    .expect("connect");
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
                         let mut value = [0u8; 16];
                         value[..8].copy_from_slice(&(u64::from(session) << 32 | i).to_le_bytes());
-                        cluster.put(session, session as usize % cluster.nodes(), 7, &value);
+                        client.put(7, &value).expect("put");
                     }
                 })
             })
@@ -46,8 +54,7 @@ fn main() {
         for w in writers {
             w.join().unwrap();
         }
-        cluster.quiesce();
-        let history = cluster.history();
+        let history = history.snapshot();
         history.check_per_key_sc().expect("per-key SC holds");
         if model == ConsistencyModel::Lin {
             history
@@ -59,6 +66,7 @@ fn main() {
             model,
             history.len()
         );
+        rack.shutdown();
     }
 
     // 3. The performance cost of the stronger model on the simulated rack.

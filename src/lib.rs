@@ -15,7 +15,7 @@
 //!   checkers and the explicit-state model checker.
 //! * [`simnet`] — the discrete-event simulated RDMA rack fabric.
 //! * [`analytical`] — the §8.7 throughput model and break-even solver.
-//! * [`cckvs`] — the ccKVS system itself: functional multi-threaded cluster
+//! * [`cckvs`] — the ccKVS system itself: the transport-agnostic `CcNode`
 //!   and the calibrated performance simulator with all baselines.
 //! * [`cckvs_net`] — the networked serving layer: TCP node servers speaking
 //!   a compact binary wire protocol, a rack launcher, a load-balancing
@@ -26,14 +26,13 @@
 //! ```
 //! use scale_out_ccnuma::prelude::*;
 //!
-//! // A small functional cluster with per-key linearizable symmetric caches.
-//! let cluster = Cluster::start(ClusterConfig::small(ConsistencyModel::Lin));
-//! cluster.install_hot_key(42, b"initial");
-//! cluster.put(0, 1, 42, b"hello ccNUMA");
-//! match cluster.get(1, 2, 42) {
-//!     OpResult::Value(v) => assert_eq!(v, b"hello ccNUMA"),
-//!     _ => unreachable!(),
-//! }
+//! // A 3-node loopback rack with per-key linearizable symmetric caches.
+//! let rack = Rack::launch(RackConfig::small(ConsistencyModel::Lin, 3)).unwrap();
+//! rack.install_hot_set(&[(42, b"initial".to_vec())]).unwrap();
+//! let via = |node| rack.client().policy(LoadBalancePolicy::Pinned(node)).connect();
+//! via(1).unwrap().put(42, b"hello ccNUMA").unwrap();
+//! assert_eq!(via(2).unwrap().get(42).unwrap(), b"hello ccNUMA");
+//! rack.shutdown();
 //! ```
 
 pub use analytical;
