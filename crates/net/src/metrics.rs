@@ -250,150 +250,309 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time copy of every counter plus latency percentiles (ns).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Client GET requests served.
-    pub gets: u64,
-    /// Client PUT requests served.
-    pub puts: u64,
-    /// Operations served by the symmetric cache.
-    pub cache_hits: u64,
-    /// Operations that missed the cache.
-    pub cache_misses: u64,
-    /// Miss-path reads forwarded to a remote home shard.
-    pub remote_reads: u64,
-    /// Miss-path writes forwarded to a remote home shard.
-    pub remote_writes: u64,
-    /// Consistency-protocol messages received from peers.
-    pub protocol_in: u64,
-    /// Consistency-protocol messages sent to peers.
-    pub protocol_out: u64,
-    /// Highest hot-set epoch applied (coordinator node only).
-    pub epoch: u64,
-    /// Keys installed into the symmetric cache by hot-set reconfigurations.
-    pub installs: u64,
-    /// Keys evicted from the symmetric cache by hot-set reconfigurations.
-    pub evictions: u64,
-    /// Dirty evicted values written back to their home shards.
-    pub writebacks: u64,
-    /// Coalesced wire batches handled (client request batches served, or
-    /// peer-mesh batches written, depending on which side records).
-    pub batches: u64,
-    /// Total operations carried inside those batches.
-    pub batched_ops: u64,
-    /// Median batch size in ops.
-    pub batch_ops_p50: u64,
-    /// 99th-percentile batch size in ops.
-    pub batch_ops_p99: u64,
-    /// Connections accepted over the node's lifetime (client sessions and
-    /// peer links alike).
-    pub conns_accepted: u64,
-    /// Connections currently registered with the reactor.
-    pub conns_open: u64,
-    /// Reactor shard threads serving this node.
-    pub reactor_shards: u64,
-    /// Client GETs answered inline on a reactor shard (cache hit, no
-    /// suspension).
-    pub inline_gets: u64,
-    /// Times a peer writer exhausted its credit window and had to wait for
-    /// returns before sending.
-    pub credit_stalls: u64,
-    /// Total nanoseconds spent stalled on exhausted credit windows.
-    pub credit_stall_ns: u64,
-    /// 99th-percentile single credit stall in nanoseconds.
-    pub credit_stall_p99_ns: u64,
-    /// Latency-class frames (invalidations, Lin acks, RPC traffic) sent
-    /// through the peer mesh's priority lane.
-    pub priority_lane_frames: u64,
-    /// `Credit` frames that rode a peer-mesh batch leaving anyway.
-    pub credit_frames_piggybacked: u64,
-    /// `Credit` frames that were a peer message of their own (return
-    /// threshold reached, or the idle-tail tick).
-    pub credit_frames_standalone: u64,
-    /// Bulk corks flushed because the adaptive target size (or byte
-    /// budget) was reached.
-    pub cork_flush_full: u64,
-    /// Bulk corks flushed because the oldest message waited out the
-    /// `max_delay` deadline.
-    pub cork_flush_deadline: u64,
-    /// Bulk messages flushed immediately because the link was idle (the
-    /// adaptive target had decayed to 1).
-    pub cork_flush_idle: u64,
-    /// Median flushed bulk-batch size chosen by the adaptive controller.
-    pub adaptive_batch_p50: u64,
-    /// 99th-percentile flushed bulk-batch size.
-    pub adaptive_batch_p99: u64,
-    /// Bulk flushes that served a nonzero cork wait.
-    pub cork_wait_count: u64,
-    /// Median time a corked bulk batch waited before flushing (ns).
-    pub cork_wait_p50_ns: u64,
-    /// 99th-percentile cork wait (ns).
-    pub cork_wait_p99_ns: u64,
-    /// Peer-link handshakes completed, dialed or accepted, with a peer this
-    /// node had been connected to before.
-    pub peer_reconnects: u64,
-    /// Retained protocol messages replayed to peers after reconnects.
-    pub peer_replayed: u64,
-    /// Invalidations reissued toward restarted peers for pending writes.
-    pub reissued_invalidations: u64,
-    /// Protocol messages currently parked behind down peer links (gauge).
-    pub parked_messages: u64,
-    /// Messages dropped because a dead peer's park overflowed.
-    pub parked_dropped: u64,
-    /// Number of recorded latency samples.
-    pub latency_count: usize,
-    /// Mean operation latency in nanoseconds.
-    pub latency_mean_ns: f64,
-    /// Median operation latency in nanoseconds.
-    pub latency_p50_ns: u64,
-    /// 99th-percentile operation latency in nanoseconds.
-    pub latency_p99_ns: u64,
-    /// The full end-to-end latency distribution as
-    /// `(inclusive upper edge ns, count)` bucket pairs.
-    pub latency_buckets: Vec<(u64, u64)>,
-    /// Lin writes that waited for invalidation acks.
-    pub lin_ack_wait_count: u64,
-    /// Median time a Lin write spent waiting for its ack round (ns).
-    pub lin_ack_wait_p50_ns: u64,
-    /// 99th-percentile Lin ack wait (ns).
-    pub lin_ack_wait_p99_ns: u64,
-    /// Suspended ops whose continuation resume was timed (replaces the
-    /// retired worker-handoff phase: the continuation fire is the only
-    /// hop left between an op's wake-up event and its response).
-    pub continuation_fire_count: u64,
-    /// Median time from a suspended op's wake-up event (final ack, RPC
-    /// response, admin completion) to its continuation running on the
-    /// owning shard (ns).
-    pub continuation_fire_p50_ns: u64,
-    /// 99th-percentile continuation fire (ns).
-    pub continuation_fire_p99_ns: u64,
-    /// Correlated RPCs awaiting a response right now (gauge). Leaked
-    /// entries here mean a suspended op will hang until its deadline.
-    pub pending_rpcs: u64,
-    /// Writes whose coherence fan-out (enqueue toward every peer) was
-    /// timed.
-    pub fanout_count: u64,
-    /// Median fan-out time (ns).
-    pub fanout_p50_ns: u64,
-    /// 99th-percentile fan-out time (ns).
-    pub fanout_p99_ns: u64,
-    /// Reactor shard loop laps run (one per return from the poll).
-    pub loop_lap_count: u64,
-    /// Median reactor shard loop lap (one poll + dispatch round, ns).
-    pub loop_lap_p50_ns: u64,
-    /// 99th-percentile reactor shard loop lap (ns).
-    pub loop_lap_p99_ns: u64,
-    /// Trace events recorded into this node's sink.
-    pub trace_events: u64,
-    /// Trace events dropped because a sink ring lane was full.
-    pub trace_dropped: u64,
-    /// Datagrams the node's own transport sent, by `/metrics` `kind`
-    /// label (all zero on a stream fabric).
-    pub udp_datagrams: [(&'static str, u64); 4],
-    /// Per peer link that has been up, `peer → (data, ack)`: TCP segments
-    /// the kernel sent on it carrying data, and pure ACKs (zero on UDP).
-    pub peer_tcp_segments: BTreeMap<usize, (u64, u64)>,
+/// One metric family on `/metrics`: a row of [`Metrics::families`].
+#[derive(Debug, Clone, Copy)]
+pub struct Family {
+    /// The family's full name (`cckvs_…`).
+    pub name: &'static str,
+    /// Its `# TYPE`: `counter`, `gauge` or `histogram`.
+    pub kind: &'static str,
+    /// Its `# HELP` — for a plain family also the rustdoc of the
+    /// [`MetricsSnapshot`] field it exports.
+    pub help: &'static str,
+    /// The snapshot field a plain family's one sample carries (`None`:
+    /// labelled or derived, [`Metrics::render`] writes its samples out).
+    pub value: Option<fn(&MetricsSnapshot) -> u64>,
+}
+
+/// A counter is `cckvs_<field>_total`, anything else `cckvs_<field>`.
+macro_rules! family_name {
+    (counter $field:ident) => {
+        concat!("cckvs_", stringify!($field), "_total")
+    };
+    ($kind:ident $field:ident) => {
+        concat!("cckvs_", stringify!($field))
+    };
+}
+
+/// The recorder a counter or gauge row names: one relaxed atomic
+/// operation, on the constant 1 or on the caller's `n`.
+macro_rules! recorder {
+    ($field:ident $rec:ident $op:ident(1)) => {
+        #[doc = concat!("Relaxed `", stringify!($op), "(1)` on `", stringify!($field), "`.")]
+        pub fn $rec(&self) {
+            self.$field.$op(1, Ordering::Relaxed);
+        }
+    };
+    ($field:ident $rec:ident $op:ident(n)) => {
+        #[doc = concat!("Relaxed `", stringify!($op), "(n)` on `", stringify!($field), "`.")]
+        pub fn $rec(&self, n: u64) {
+            self.$field.$op(n, Ordering::Relaxed);
+        }
+    };
+}
+
+/// The registry's vocabulary, each family stated once: the macro expands
+/// the rows to [`MetricsSnapshot`], [`Metrics`], the single-atomic
+/// recorders, [`Metrics::snapshot`] and [`Metrics::families`], which
+/// [`Metrics::render`] walks — `/metrics` serves the rows in this order.
+///
+/// * `atomics`: `counter|gauge <field>[: <recorder> = <atomic op>(1|n)],
+///   "<help>";` — one `AtomicU64`, the same-named snapshot field (its
+///   rustdoc is the help string) and the family [`family_name`] derives.
+///   A row without a recorder is fed by a compound recorder written out
+///   below the table.
+/// * `histograms`: `<field>: <histogram type>[, <recorder>] { <count |
+///   percentile(p)> <snapshot field>, "<help>"; … }` — one histogram, and
+///   one gauge per [`HistogramSnapshot`] statistic it exports.
+/// * `special`: `<kind> <name>, "<help>";` — a family whose storage, snapshot
+///   fields and samples are written out by hand (labelled, derived, or the
+///   latency distribution); the row is its place and its `# HELP`.
+///
+/// Adding a family is one row here and its name in `docs/METRICS.md`.
+/// rustfmt leaves the invocation alone (brace-delimited macro body).
+macro_rules! metric_families {
+    (
+        atomics {$(
+            $kind:ident $afield:ident $(: $arec:ident = $op:ident($arg:tt))?, $ahelp:literal;
+        )*}
+        histograms {$(
+            $hfield:ident: $hty:ident $(, $hrec:ident)? {$(
+                $stat:ident$(($pct:literal))? $sfield:ident, $shelp:literal;
+            )*}
+        )*}
+        special {$(
+            $skind:ident $sname:ident, $sphelp:literal;
+        )*}
+    ) => {
+        /// A point-in-time copy of every counter plus latency percentiles (ns).
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $ahelp] pub $afield: u64,)*
+            $($(#[doc = $shelp] pub $sfield: u64,)*)*
+            /// `Credit` frames that rode a peer-mesh batch leaving anyway.
+            pub credit_frames_piggybacked: u64,
+            /// `Credit` frames that were a peer message of their own (return
+            /// threshold reached, or the idle-tail tick).
+            pub credit_frames_standalone: u64,
+            /// Number of recorded latency samples.
+            pub latency_count: usize,
+            /// Mean operation latency in nanoseconds.
+            pub latency_mean_ns: f64,
+            /// The full end-to-end latency distribution as
+            /// `(inclusive upper edge ns, count)` bucket pairs.
+            pub latency_buckets: Vec<(u64, u64)>,
+            /// Datagrams the node's own transport sent, by `/metrics` `kind`
+            /// label (all zero on a stream fabric).
+            pub udp_datagrams: [(&'static str, u64); 4],
+            /// Per peer link that has been up, `peer → (data, ack)`: TCP segments
+            /// the kernel sent on it carrying data, and pure ACKs (zero on UDP).
+            pub peer_tcp_segments: BTreeMap<usize, (u64, u64)>,
+        }
+
+        /// The metrics registry.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($afield: AtomicU64,)*
+            $($hfield: $hty,)*
+            credit_frames_piggybacked: AtomicU64,
+            credit_frames_standalone: AtomicU64,
+            /// The census of the transport this registry's node serves on.
+            udp: OnceLock<Arc<UdpStats>>,
+            peer_tcp_segments: parking_lot::Mutex<BTreeMap<usize, (u64, u64)>>,
+        }
+
+        const FAMILIES: &[Family] = &[
+            $(Family {
+                name: family_name!($kind $afield),
+                kind: stringify!($kind),
+                help: $ahelp,
+                value: Some(|snap| snap.$afield),
+            },)*
+            $($(Family {
+                name: family_name!(gauge $sfield),
+                kind: "gauge",
+                help: $shelp,
+                value: Some(|snap| snap.$sfield),
+            },)*)*
+            $(Family {
+                name: family_name!($skind $sname),
+                kind: stringify!($skind),
+                help: $sphelp,
+                value: None,
+            },)*
+        ];
+
+        impl Metrics {
+            $($(recorder!($afield $arec $op($arg));)?)*
+            $($(
+                #[doc = concat!("Records one sample into `", stringify!($hfield), "`.")]
+                pub fn $hrec(&self, sample: u64) {
+                    self.$hfield.record(sample);
+                }
+            )?)*
+
+            /// Takes a consistent snapshot (percentiles computed here).
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                struct Copies {$($hfield: HistogramSnapshot,)*}
+                let hist = Copies {$($hfield: self.$hfield.snapshot(),)*};
+                let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+                MetricsSnapshot {
+                    $($afield: load(&self.$afield),)*
+                    $($($sfield: hist.$hfield.$stat$(($pct))?,)*)*
+                    credit_frames_piggybacked: load(&self.credit_frames_piggybacked),
+                    credit_frames_standalone: load(&self.credit_frames_standalone),
+                    latency_count: hist.latency.count as usize,
+                    latency_mean_ns: hist.latency.mean(),
+                    latency_buckets: hist.latency.nonzero_buckets(),
+                    udp_datagrams: self
+                        .udp
+                        .get()
+                        .map_or_else(|| UdpStats::default().snapshot(), |stats| stats.snapshot()),
+                    peer_tcp_segments: self.peer_tcp_segments.lock().clone(),
+                }
+            }
+
+            /// Every family `/metrics` serves, in the order it serves them.
+            pub fn families() -> &'static [Family] {
+                FAMILIES
+            }
+        }
+    };
+}
+
+metric_families! {
+    atomics {
+        counter gets: record_get = fetch_add(1), "Client GET requests served.";
+        counter puts: record_put = fetch_add(1), "Client PUT requests served.";
+        counter cache_hits, "Operations served by the symmetric cache.";
+        counter cache_misses, "Operations that missed the cache.";
+        counter remote_reads: record_remote_read = fetch_add(1),
+            "Miss-path reads forwarded to a remote home shard.";
+        counter remote_writes: record_remote_write = fetch_add(1),
+            "Miss-path writes forwarded to a remote home shard.";
+        counter protocol_in: record_protocol_in = fetch_add(n),
+            "Consistency-protocol messages received from peers.";
+        counter protocol_out: record_protocol_out = fetch_add(n),
+            "Consistency-protocol messages sent to peers.";
+        counter installs: record_installs = fetch_add(n),
+            "Keys installed into the symmetric cache by hot-set reconfigurations.";
+        counter evictions: record_evictions = fetch_add(n),
+            "Keys evicted from the symmetric cache by hot-set reconfigurations.";
+        counter writebacks: record_writeback = fetch_add(1),
+            "Dirty evicted values written back to their home shards.";
+        counter batches,
+            "Coalesced wire batches handled (client request batches served, or peer-mesh batches \
+             written, depending on which side records).";
+        counter batched_ops, "Total operations carried inside those batches.";
+        counter conns_accepted,
+            "Connections accepted over the node's lifetime (client sessions and peer links alike).";
+        counter inline_gets: record_inline_get = fetch_add(1),
+            "Client GETs answered inline on a reactor shard (cache hit, no suspension).";
+        counter credit_stalls,
+            "Times a peer writer exhausted its credit window and had to wait for returns before \
+             sending.";
+        counter credit_stall_ns, "Total nanoseconds spent stalled on exhausted credit windows.";
+        counter priority_lane_frames: record_priority_lane = fetch_add(n),
+            "Latency-class frames (invalidations, Lin acks, RPC traffic) sent through the peer \
+             mesh's priority lane.";
+        counter cork_flush_full: record_cork_flush_full = fetch_add(1),
+            "Bulk corks flushed because the adaptive target size (or byte budget) was reached.";
+        counter cork_flush_deadline: record_cork_flush_deadline = fetch_add(1),
+            "Bulk corks flushed because the oldest message waited out the `max_delay` deadline.";
+        counter cork_flush_idle: record_cork_flush_idle = fetch_add(1),
+            "Bulk messages flushed immediately because the link was idle (the adaptive target had \
+             decayed to 1).";
+        counter peer_reconnects: record_peer_reconnect = fetch_add(1),
+            "Peer-link handshakes completed, dialed or accepted, with a peer this node had been \
+             connected to before.";
+        counter peer_replayed: record_peer_replayed = fetch_add(n),
+            "Retained protocol messages replayed to peers after reconnects.";
+        counter reissued_invalidations: record_reissued = fetch_add(n),
+            "Invalidations reissued toward restarted peers for pending writes.";
+        counter parked_dropped: record_parked_drop = fetch_add(1),
+            "Messages dropped because a dead peer's park overflowed.";
+        counter trace_events: record_trace_events = fetch_add(n),
+            "Trace events recorded into this node's sink.";
+        counter trace_dropped: set_trace_dropped = store(n),
+            "Trace events dropped because a sink ring lane was full.";
+        gauge conns_open, "Connections currently registered with the reactor.";
+        gauge reactor_shards: set_reactor_shards = store(n),
+            "Reactor shard threads serving this node.";
+        gauge parked_messages: set_parked = store(n),
+            "Protocol messages currently parked behind down peer links (gauge).";
+        gauge pending_rpcs: set_pending_rpcs = store(n),
+            "Correlated RPCs awaiting a response right now (gauge). Leaked entries here mean a \
+             suspended op will hang until its deadline.";
+        gauge epoch: record_epoch = fetch_max(n),
+            "Highest hot-set epoch applied (coordinator node only).";
+    }
+    histograms {
+        batch_sizes: AtomicHistogram {
+            percentile(50.0) batch_ops_p50, "Median batch size in ops.";
+            percentile(99.0) batch_ops_p99, "99th-percentile batch size in ops.";
+        }
+        credit_stall_hist: AtomicHistogram {
+            percentile(99.0) credit_stall_p99_ns,
+                "99th-percentile single credit stall in nanoseconds.";
+        }
+        adaptive_batch: AtomicHistogram, record_adaptive_batch {
+            percentile(50.0) adaptive_batch_p50,
+                "Median flushed bulk-batch size chosen by the adaptive controller.";
+            percentile(99.0) adaptive_batch_p99, "99th-percentile flushed bulk-batch size.";
+        }
+        cork_wait: AtomicHistogram, record_cork_wait_ns {
+            count cork_wait_count, "Bulk flushes that served a nonzero cork wait.";
+            percentile(50.0) cork_wait_p50_ns,
+                "Median time a corked bulk batch waited before flushing (ns).";
+            percentile(99.0) cork_wait_p99_ns, "99th-percentile cork wait (ns).";
+        }
+        lin_ack_wait: ShardedHistogram, record_lin_ack_wait_ns {
+            count lin_ack_wait_count, "Lin writes that waited for invalidation acks.";
+            percentile(50.0) lin_ack_wait_p50_ns,
+                "Median time a Lin write spent waiting for its ack round (ns).";
+            percentile(99.0) lin_ack_wait_p99_ns, "99th-percentile Lin ack wait (ns).";
+        }
+        continuation_fire: ShardedHistogram, record_continuation_fire_ns {
+            count continuation_fire_count,
+                "Suspended ops whose continuation resume was timed (replaces the retired \
+                 worker-handoff phase: the continuation fire is the only hop left between an op's \
+                 wake-up event and its response).";
+            percentile(50.0) continuation_fire_p50_ns,
+                "Median time from a suspended op's wake-up event (final ack, RPC response, admin \
+                 completion) to its continuation running on the owning shard (ns).";
+            percentile(99.0) continuation_fire_p99_ns, "99th-percentile continuation fire (ns).";
+        }
+        fanout: ShardedHistogram, record_fanout_ns {
+            count fanout_count,
+                "Writes whose coherence fan-out (enqueue toward every peer) was timed.";
+            percentile(50.0) fanout_p50_ns, "Median fan-out time (ns).";
+            percentile(99.0) fanout_p99_ns, "99th-percentile fan-out time (ns).";
+        }
+        loop_lap: ShardedHistogram, record_loop_lap_ns {
+            count loop_lap_count, "Reactor shard loop laps run (one per return from the poll).";
+            percentile(50.0) loop_lap_p50_ns,
+                "Median reactor shard loop lap (one poll + dispatch round, ns).";
+            percentile(99.0) loop_lap_p99_ns, "99th-percentile reactor shard loop lap (ns).";
+        }
+        latency: ShardedHistogram, record_latency_ns {
+            percentile(50.0) latency_p50_ns, "Median operation latency in nanoseconds.";
+            percentile(99.0) latency_p99_ns, "99th-percentile operation latency in nanoseconds.";
+        }
+    }
+    special {
+        counter udp_datagrams, "UDP fabric datagrams sent by this node's transport, by kind.";
+        counter credit_frames,
+            "`Credit` frames sent on peer links: riding a batch that was leaving anyway, or as a \
+             peer message of their own.";
+        counter peer_link_tcp_segments,
+            "TCP segments the kernel sent per peer link: carrying data, or pure ACKs.";
+        gauge hit_rate, "Fraction of operations served by the symmetric cache.";
+        gauge latency_count, "Number of recorded latency samples.";
+        histogram latency_ns,
+            "The full end-to-end latency distribution: cumulative counts per inclusive upper edge \
+             (ns), their sum and count.";
+    }
 }
 
 impl MetricsSnapshot {
@@ -408,122 +567,20 @@ impl MetricsSnapshot {
     }
 }
 
-/// The metrics registry.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    gets: AtomicU64,
-    puts: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    remote_reads: AtomicU64,
-    remote_writes: AtomicU64,
-    protocol_in: AtomicU64,
-    protocol_out: AtomicU64,
-    epoch: AtomicU64,
-    installs: AtomicU64,
-    evictions: AtomicU64,
-    writebacks: AtomicU64,
-    batches: AtomicU64,
-    batched_ops: AtomicU64,
-    conns_accepted: AtomicU64,
-    conns_open: AtomicU64,
-    reactor_shards: AtomicU64,
-    inline_gets: AtomicU64,
-    credit_stalls: AtomicU64,
-    credit_stall_ns: AtomicU64,
-    peer_reconnects: AtomicU64,
-    peer_replayed: AtomicU64,
-    reissued_invalidations: AtomicU64,
-    parked_messages: AtomicU64,
-    parked_dropped: AtomicU64,
-    pending_rpcs: AtomicU64,
-    trace_events: AtomicU64,
-    trace_dropped: AtomicU64,
-    priority_lane_frames: AtomicU64,
-    credit_frames_piggybacked: AtomicU64,
-    credit_frames_standalone: AtomicU64,
-    cork_flush_full: AtomicU64,
-    cork_flush_deadline: AtomicU64,
-    cork_flush_idle: AtomicU64,
-    batch_sizes: AtomicHistogram,
-    adaptive_batch: AtomicHistogram,
-    credit_stall_hist: AtomicHistogram,
-    cork_wait: AtomicHistogram,
-    latency: ShardedHistogram,
-    lin_ack_wait: ShardedHistogram,
-    continuation_fire: ShardedHistogram,
-    fanout: ShardedHistogram,
-    loop_lap: ShardedHistogram,
-    /// The census of the transport this registry's node serves on.
-    udp: OnceLock<Arc<UdpStats>>,
-    peer_tcp_segments: parking_lot::Mutex<BTreeMap<usize, (u64, u64)>>,
-}
-
 impl Metrics {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records a client GET.
-    pub fn record_get(&self) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a client PUT.
-    pub fn record_put(&self) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records whether an operation hit the symmetric cache.
     pub fn record_cache(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let counter = if hit {
+            &self.cache_hits
         } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a miss-path read forwarded to a remote home shard.
-    pub fn record_remote_read(&self) {
-        self.remote_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a miss-path write forwarded to a remote home shard.
-    pub fn record_remote_write(&self) {
-        self.remote_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` protocol messages received from peers.
-    pub fn record_protocol_in(&self, n: u64) {
-        self.protocol_in.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` protocol messages sent to peers.
-    pub fn record_protocol_out(&self, n: u64) {
-        self.protocol_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records that hot-set epoch `epoch` was applied (gauge; flips may be
-    /// applied out of order when forced and automatic flips race, so the
-    /// highest epoch wins).
-    pub fn record_epoch(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::Relaxed);
-    }
-
-    /// Records `n` keys installed by a hot-set reconfiguration.
-    pub fn record_installs(&self, n: u64) {
-        self.installs.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` keys evicted by a hot-set reconfiguration.
-    pub fn record_evictions(&self, n: u64) {
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a dirty evicted value written back to its home shard.
-    pub fn record_writeback(&self) {
-        self.writebacks.fetch_add(1, Ordering::Relaxed);
+            &self.cache_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one coalesced wire batch carrying `ops` operations.
@@ -544,28 +601,12 @@ impl Metrics {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Sets the reactor topology gauge.
-    pub fn set_reactor_shards(&self, shards: u64) {
-        self.reactor_shards.store(shards, Ordering::Relaxed);
-    }
-
-    /// Records one client GET answered inline on a reactor shard.
-    pub fn record_inline_get(&self) {
-        self.inline_gets.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one credit-window stall of `nanos` nanoseconds on a peer
     /// writer (the writer had traffic to send but no credits left).
     pub fn record_credit_stall_ns(&self, nanos: u64) {
         self.credit_stalls.fetch_add(1, Ordering::Relaxed);
         self.credit_stall_ns.fetch_add(nanos, Ordering::Relaxed);
         self.credit_stall_hist.record(nanos);
-    }
-
-    /// Records `n` latency-class frames (invalidations, Lin acks, RPC
-    /// traffic) packed through a peer link's priority lane.
-    pub fn record_priority_lane(&self, n: u64) {
-        self.priority_lane_frames.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one `Credit` frame sent on a peer link: riding a batch
@@ -577,107 +618,6 @@ impl Metrics {
             &self.credit_frames_standalone
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one bulk cork flushed at its adaptive target size.
-    pub fn record_cork_flush_full(&self) {
-        self.cork_flush_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one bulk cork flushed by its `max_delay` deadline.
-    pub fn record_cork_flush_deadline(&self) {
-        self.cork_flush_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one bulk flush taken immediately on an idle link.
-    pub fn record_cork_flush_idle(&self) {
-        self.cork_flush_idle.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the size of one bulk batch the adaptive controller
-    /// released (whatever the flush reason).
-    pub fn record_adaptive_batch(&self, ops: u64) {
-        self.adaptive_batch.record(ops);
-    }
-
-    /// Records the time a corked bulk batch waited before flushing.
-    pub fn record_cork_wait_ns(&self, nanos: u64) {
-        self.cork_wait.record(nanos);
-    }
-
-    /// Records one peer-link reconnect (a dialed or accepted handshake
-    /// completed after the previous connection died).
-    pub fn record_peer_reconnect(&self) {
-        self.peer_reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` retained protocol messages replayed to a peer after a
-    /// reconnect (the peer had not confirmed processing them).
-    pub fn record_peer_replayed(&self, n: u64) {
-        self.peer_replayed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` invalidations reissued toward a restarted peer on
-    /// behalf of pending Lin writes it never acknowledged.
-    pub fn record_reissued(&self, n: u64) {
-        self.reissued_invalidations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sets the parked-messages gauge: protocol traffic queued behind
-    /// down peer links, waiting for a redial.
-    pub fn set_parked(&self, n: u64) {
-        self.parked_messages.store(n, Ordering::Relaxed);
-    }
-
-    /// Records one message dropped because a dead peer's park overflowed.
-    pub fn record_parked_drop(&self) {
-        self.parked_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one end-to-end operation latency in nanoseconds
-    /// (lock-free: one atomic add into the calling thread's lane).
-    pub fn record_latency_ns(&self, nanos: u64) {
-        self.latency.record(nanos);
-    }
-
-    /// Records the time a Lin write spent blocked on its invalidation
-    /// ack round (initiate → last ack).
-    pub fn record_lin_ack_wait_ns(&self, nanos: u64) {
-        self.lin_ack_wait.record(nanos);
-    }
-
-    /// Records the time from a suspended op's wake-up event (final ack
-    /// delivered, RPC response arrived, admin job finished) to its
-    /// continuation actually resuming on the owning shard.
-    pub fn record_continuation_fire_ns(&self, nanos: u64) {
-        self.continuation_fire.record(nanos);
-    }
-
-    /// Sets the pending correlated-RPC gauge (entries in the pending-RPC
-    /// table awaiting a response).
-    pub fn set_pending_rpcs(&self, n: u64) {
-        self.pending_rpcs.store(n, Ordering::Relaxed);
-    }
-
-    /// Records the time a write spent enqueueing its coherence fan-out
-    /// toward every peer link.
-    pub fn record_fanout_ns(&self, nanos: u64) {
-        self.fanout.record(nanos);
-    }
-
-    /// Records one reactor shard loop lap (poll + dispatch round).
-    pub fn record_loop_lap_ns(&self, nanos: u64) {
-        self.loop_lap.record(nanos);
-    }
-
-    /// Records `n` trace events captured into this node's sink.
-    pub fn record_trace_events(&self, n: u64) {
-        self.trace_events.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sets the cumulative count of trace events dropped by full rings.
-    pub fn set_trace_dropped(&self, n: u64) {
-        self.trace_dropped.store(n, Ordering::Relaxed);
     }
 
     /// The merged end-to-end latency distribution.
@@ -699,335 +639,55 @@ impl Metrics {
         *link = (link.0 + data, link.1 + ack);
     }
 
-    /// Takes a consistent snapshot (percentiles computed here).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        fn quantiles(snap: &HistogramSnapshot) -> (u64, u64) {
-            if snap.count == 0 {
-                (0, 0)
-            } else {
-                (snap.percentile(50.0), snap.percentile(99.0))
-            }
-        }
-        let latency = self.latency.snapshot();
-        let latency_count = latency.count as usize;
-        let (p50, p99) = quantiles(&latency);
-        let mean = latency.mean();
-        let (batch_ops_p50, batch_ops_p99) = quantiles(&self.batch_sizes.snapshot());
-        let (adaptive_batch_p50, adaptive_batch_p99) = quantiles(&self.adaptive_batch.snapshot());
-        let (_, credit_stall_p99_ns) = quantiles(&self.credit_stall_hist.snapshot());
-        let cork_wait = self.cork_wait.snapshot();
-        let (cork_wait_p50_ns, cork_wait_p99_ns) = quantiles(&cork_wait);
-        let lin_ack_wait = self.lin_ack_wait.snapshot();
-        let (lin_ack_wait_p50_ns, lin_ack_wait_p99_ns) = quantiles(&lin_ack_wait);
-        let continuation_fire = self.continuation_fire.snapshot();
-        let (continuation_fire_p50_ns, continuation_fire_p99_ns) = quantiles(&continuation_fire);
-        let fanout = self.fanout.snapshot();
-        let (fanout_p50_ns, fanout_p99_ns) = quantiles(&fanout);
-        let loop_lap = self.loop_lap.snapshot();
-        let (loop_lap_p50_ns, loop_lap_p99_ns) = quantiles(&loop_lap);
-        MetricsSnapshot {
-            gets: self.gets.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            remote_reads: self.remote_reads.load(Ordering::Relaxed),
-            remote_writes: self.remote_writes.load(Ordering::Relaxed),
-            protocol_in: self.protocol_in.load(Ordering::Relaxed),
-            protocol_out: self.protocol_out.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Relaxed),
-            installs: self.installs.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            reactor_shards: self.reactor_shards.load(Ordering::Relaxed),
-            inline_gets: self.inline_gets.load(Ordering::Relaxed),
-            batch_ops_p50,
-            batch_ops_p99,
-            credit_stalls: self.credit_stalls.load(Ordering::Relaxed),
-            credit_stall_ns: self.credit_stall_ns.load(Ordering::Relaxed),
-            credit_stall_p99_ns,
-            priority_lane_frames: self.priority_lane_frames.load(Ordering::Relaxed),
-            credit_frames_piggybacked: self.credit_frames_piggybacked.load(Ordering::Relaxed),
-            credit_frames_standalone: self.credit_frames_standalone.load(Ordering::Relaxed),
-            cork_flush_full: self.cork_flush_full.load(Ordering::Relaxed),
-            cork_flush_deadline: self.cork_flush_deadline.load(Ordering::Relaxed),
-            cork_flush_idle: self.cork_flush_idle.load(Ordering::Relaxed),
-            adaptive_batch_p50,
-            adaptive_batch_p99,
-            cork_wait_count: cork_wait.count,
-            cork_wait_p50_ns,
-            cork_wait_p99_ns,
-            peer_reconnects: self.peer_reconnects.load(Ordering::Relaxed),
-            peer_replayed: self.peer_replayed.load(Ordering::Relaxed),
-            reissued_invalidations: self.reissued_invalidations.load(Ordering::Relaxed),
-            parked_messages: self.parked_messages.load(Ordering::Relaxed),
-            parked_dropped: self.parked_dropped.load(Ordering::Relaxed),
-            latency_count,
-            latency_mean_ns: mean,
-            latency_p50_ns: p50,
-            latency_p99_ns: p99,
-            latency_buckets: latency.nonzero_buckets(),
-            lin_ack_wait_count: lin_ack_wait.count,
-            lin_ack_wait_p50_ns,
-            lin_ack_wait_p99_ns,
-            continuation_fire_count: continuation_fire.count,
-            continuation_fire_p50_ns,
-            continuation_fire_p99_ns,
-            fanout_count: fanout.count,
-            fanout_p50_ns,
-            fanout_p99_ns,
-            loop_lap_count: loop_lap.count,
-            loop_lap_p50_ns,
-            loop_lap_p99_ns,
-            pending_rpcs: self.pending_rpcs.load(Ordering::Relaxed),
-            trace_events: self.trace_events.load(Ordering::Relaxed),
-            trace_dropped: self.trace_dropped.load(Ordering::Relaxed),
-            udp_datagrams: self
-                .udp
-                .get()
-                .map_or_else(|| UdpStats::default().snapshot(), |stats| stats.snapshot()),
-            peer_tcp_segments: self.peer_tcp_segments.lock().clone(),
-        }
-    }
-
-    /// Renders the registry in the Prometheus text exposition format.
+    /// Renders the registry in the Prometheus text exposition format: the
+    /// rows of [`Metrics::families`] in order, each with its `# HELP`, its
+    /// `# TYPE` and its samples.
     pub fn render(&self, node_label: &str) -> String {
         let snap = self.snapshot();
-        let mut out = String::with_capacity(1024);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP cckvs_{name} {help}\n# TYPE cckvs_{name} counter\ncckvs_{name}{{node=\"{node_label}\"}} {value}\n"
-            ));
-        };
-        counter("gets_total", "Client GET requests served.", snap.gets);
-        counter("puts_total", "Client PUT requests served.", snap.puts);
-        counter(
-            "cache_hits_total",
-            "Operations served by the symmetric cache.",
-            snap.cache_hits,
-        );
-        counter(
-            "cache_misses_total",
-            "Operations that missed the symmetric cache.",
-            snap.cache_misses,
-        );
-        counter(
-            "remote_reads_total",
-            "Miss-path reads forwarded to a remote home shard.",
-            snap.remote_reads,
-        );
-        counter(
-            "remote_writes_total",
-            "Miss-path writes forwarded to a remote home shard.",
-            snap.remote_writes,
-        );
-        counter(
-            "protocol_in_total",
-            "Consistency-protocol messages received.",
-            snap.protocol_in,
-        );
-        counter(
-            "protocol_out_total",
-            "Consistency-protocol messages sent.",
-            snap.protocol_out,
-        );
-        counter(
-            "installs_total",
-            "Keys installed into the symmetric cache by hot-set churn.",
-            snap.installs,
-        );
-        counter(
-            "evictions_total",
-            "Keys evicted from the symmetric cache by hot-set churn.",
-            snap.evictions,
-        );
-        counter(
-            "writebacks_total",
-            "Dirty evicted values written back to their home shards.",
-            snap.writebacks,
-        );
-        counter(
-            "batches_total",
-            "Coalesced wire batches handled.",
-            snap.batches,
-        );
-        counter(
-            "batched_ops_total",
-            "Operations carried inside coalesced wire batches.",
-            snap.batched_ops,
-        );
-        counter(
-            "conns_accepted_total",
-            "Connections accepted over the node's lifetime.",
-            snap.conns_accepted,
-        );
-        counter(
-            "inline_gets_total",
-            "Client GETs answered inline on a reactor shard.",
-            snap.inline_gets,
-        );
-        counter(
-            "credit_stalls_total",
-            "Peer-writer stalls on an exhausted credit window.",
-            snap.credit_stalls,
-        );
-        counter(
-            "credit_stall_ns_total",
-            "Nanoseconds spent stalled on exhausted credit windows.",
-            snap.credit_stall_ns,
-        );
-        counter(
-            "priority_lane_frames_total",
-            "Latency-class frames sent through the peer mesh priority lane.",
-            snap.priority_lane_frames,
-        );
-        counter(
-            "cork_flush_full_total",
-            "Bulk corks flushed at their adaptive target size.",
-            snap.cork_flush_full,
-        );
-        counter(
-            "cork_flush_deadline_total",
-            "Bulk corks flushed by the max_delay deadline.",
-            snap.cork_flush_deadline,
-        );
-        counter(
-            "cork_flush_idle_total",
-            "Bulk flushes taken immediately on an idle link.",
-            snap.cork_flush_idle,
-        );
-        counter(
-            "peer_reconnects_total",
-            "Peer-link handshakes completed with a peer connected to before.",
-            snap.peer_reconnects,
-        );
-        counter(
-            "peer_replayed_total",
-            "Retained protocol messages replayed to peers after reconnects.",
-            snap.peer_replayed,
-        );
-        counter(
-            "reissued_invalidations_total",
-            "Invalidations reissued toward restarted peers for pending writes.",
-            snap.reissued_invalidations,
-        );
-        counter(
-            "parked_dropped_total",
-            "Messages dropped because a dead peer's park overflowed.",
-            snap.parked_dropped,
-        );
-        counter(
-            "trace_events_total",
-            "Trace events recorded into the node's sink.",
-            snap.trace_events,
-        );
-        counter(
-            "trace_dropped_total",
-            "Trace events dropped because a sink ring lane was full.",
-            snap.trace_dropped,
-        );
-        let credit_frames = [
-            ("piggybacked", snap.credit_frames_piggybacked),
-            ("standalone", snap.credit_frames_standalone),
-        ];
-        for (name, help, kinds) in [
-            (
-                "udp_datagrams_total",
-                "UDP fabric datagrams sent by this node's transport, by kind.",
-                &snap.udp_datagrams[..],
-            ),
-            (
-                "credit_frames_total",
-                "Credit frames sent on peer links: riding a batch, or alone.",
-                &credit_frames[..],
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP cckvs_{name} {help}\n# TYPE cckvs_{name} counter\n"
-            ));
-            for (kind, value) in kinds {
+        let latency = self.latency.snapshot();
+        let mut out = String::with_capacity(8 * 1024);
+        for family in Self::families() {
+            let (name, help, kind) = (family.name, family.help, family.kind);
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            let mut sample = |series: &str, labels: &str, value: &dyn std::fmt::Display| {
                 out.push_str(&format!(
-                    "cckvs_{name}{{node=\"{node_label}\",kind=\"{kind}\"}} {value}\n"
+                    "{name}{series}{{node=\"{node_label}\"{labels}}} {value}\n"
                 ));
+            };
+            match (family.value, name) {
+                (Some(value), _) => sample("", "", &value(&snap)),
+                (None, "cckvs_udp_datagrams_total") => {
+                    for (kind, value) in &snap.udp_datagrams {
+                        sample("", &format!(",kind=\"{kind}\""), value);
+                    }
+                }
+                (None, "cckvs_credit_frames_total") => {
+                    sample("", ",kind=\"piggybacked\"", &snap.credit_frames_piggybacked);
+                    sample("", ",kind=\"standalone\"", &snap.credit_frames_standalone);
+                }
+                (None, "cckvs_peer_link_tcp_segments_total") => {
+                    for (peer, (data, ack)) in &snap.peer_tcp_segments {
+                        sample("", &format!(",peer=\"{peer}\",kind=\"data\""), data);
+                        sample("", &format!(",peer=\"{peer}\",kind=\"ack\""), ack);
+                    }
+                }
+                (None, "cckvs_hit_rate") => sample("", "", &format_args!("{:.6}", snap.hit_rate())),
+                (None, "cckvs_latency_count") => sample("", "", &snap.latency_count),
+                // Prometheus histogram style: cumulative counts per
+                // inclusive upper edge, then the sum and the count.
+                (None, "cckvs_latency_ns") => {
+                    let mut cumulative = 0u64;
+                    for (edge, count) in latency.nonzero_buckets() {
+                        cumulative += count;
+                        sample("_bucket", &format!(",le=\"{edge}\""), &cumulative);
+                    }
+                    sample("_bucket", ",le=\"+Inf\"", &latency.count);
+                    sample("_sum", "", &latency.sum);
+                    sample("_count", "", &latency.count);
+                }
+                (None, other) => unreachable!("special family {other} has no samples"),
             }
         }
-        out.push_str(
-            "# HELP cckvs_peer_link_tcp_segments_total TCP segments the kernel sent per peer link: carrying data, or pure ACKs.\n\
-             # TYPE cckvs_peer_link_tcp_segments_total counter\n",
-        );
-        for (peer, (data, ack)) in &snap.peer_tcp_segments {
-            for (kind, value) in [("data", data), ("ack", ack)] {
-                out.push_str(&format!(
-                    "cckvs_peer_link_tcp_segments_total{{node=\"{node_label}\",peer=\"{peer}\",kind=\"{kind}\"}} {value}\n"
-                ));
-            }
-        }
-        for (suffix, value) in [
-            ("batch_ops_p50", snap.batch_ops_p50),
-            ("batch_ops_p99", snap.batch_ops_p99),
-            ("credit_stall_p99_ns", snap.credit_stall_p99_ns),
-            ("adaptive_batch_p50", snap.adaptive_batch_p50),
-            ("adaptive_batch_p99", snap.adaptive_batch_p99),
-            ("cork_wait_count", snap.cork_wait_count),
-            ("cork_wait_p50_ns", snap.cork_wait_p50_ns),
-            ("cork_wait_p99_ns", snap.cork_wait_p99_ns),
-            ("conns_open", snap.conns_open),
-            ("reactor_shards", snap.reactor_shards),
-            ("parked_messages", snap.parked_messages),
-            ("lin_ack_wait_count", snap.lin_ack_wait_count),
-            ("lin_ack_wait_p50_ns", snap.lin_ack_wait_p50_ns),
-            ("lin_ack_wait_p99_ns", snap.lin_ack_wait_p99_ns),
-            ("continuation_fire_count", snap.continuation_fire_count),
-            ("continuation_fire_p50_ns", snap.continuation_fire_p50_ns),
-            ("continuation_fire_p99_ns", snap.continuation_fire_p99_ns),
-            ("fanout_count", snap.fanout_count),
-            ("fanout_p50_ns", snap.fanout_p50_ns),
-            ("fanout_p99_ns", snap.fanout_p99_ns),
-            ("loop_lap_count", snap.loop_lap_count),
-            ("loop_lap_p50_ns", snap.loop_lap_p50_ns),
-            ("loop_lap_p99_ns", snap.loop_lap_p99_ns),
-            ("pending_rpcs", snap.pending_rpcs),
-        ] {
-            out.push_str(&format!(
-                "# TYPE cckvs_{suffix} gauge\ncckvs_{suffix}{{node=\"{node_label}\"}} {value}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "# HELP cckvs_epoch Highest hot-set epoch applied on this node.\n\
-             # TYPE cckvs_epoch gauge\ncckvs_epoch{{node=\"{node_label}\"}} {}\n",
-            snap.epoch
-        ));
-        out.push_str(&format!(
-            "# HELP cckvs_hit_rate Fraction of operations served by the symmetric cache.\n\
-             # TYPE cckvs_hit_rate gauge\ncckvs_hit_rate{{node=\"{node_label}\"}} {:.6}\n",
-            snap.hit_rate()
-        ));
-        for (suffix, value) in [
-            ("count", snap.latency_count as u64),
-            ("p50_ns", snap.latency_p50_ns),
-            ("p99_ns", snap.latency_p99_ns),
-        ] {
-            out.push_str(&format!(
-                "# TYPE cckvs_latency_{suffix} gauge\ncckvs_latency_{suffix}{{node=\"{node_label}\"}} {value}\n"
-            ));
-        }
-        // The full end-to-end distribution, Prometheus histogram style
-        // (cumulative counts per inclusive upper edge).
-        out.push_str("# TYPE cckvs_latency_ns histogram\n");
-        let mut cumulative = 0u64;
-        for (edge, count) in &snap.latency_buckets {
-            cumulative += count;
-            out.push_str(&format!(
-                "cckvs_latency_ns_bucket{{node=\"{node_label}\",le=\"{edge}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "cckvs_latency_ns_bucket{{node=\"{node_label}\",le=\"+Inf\"}} {}\n",
-            snap.latency_count
-        ));
         out
     }
 }
@@ -1407,6 +1067,105 @@ mod tests {
         assert_eq!(m.snapshot().latency_count, 10_000_000);
     }
 
+    /// Every recorder driven once, each family left with a value of its
+    /// own: the sample line `/metrics` serves for a family carries exactly
+    /// what the snapshot field of the same row holds.
+    #[test]
+    fn every_family_sample_carries_its_snapshot_field() {
+        let m = Metrics::new();
+        let times = |n: u64, record: &dyn Fn()| (0..n).for_each(|_| record());
+        times(31, &|| m.record_get());
+        times(32, &|| m.record_put());
+        times(33, &|| m.record_cache(true));
+        times(34, &|| m.record_cache(false));
+        times(35, &|| m.record_remote_read());
+        times(36, &|| m.record_remote_write());
+        times(37, &|| m.record_writeback());
+        times(38, &|| m.record_inline_get());
+        times(39, &|| m.record_cork_flush_full());
+        times(40, &|| m.record_cork_flush_deadline());
+        times(41, &|| m.record_cork_flush_idle());
+        times(42, &|| m.record_peer_reconnect());
+        times(43, &|| m.record_parked_drop());
+        times(45, &|| m.record_conn_opened());
+        m.record_conn_closed();
+        times(46, &|| m.record_credit_frame(true));
+        times(47, &|| m.record_credit_frame(false));
+        m.record_protocol_in(101);
+        m.record_protocol_out(102);
+        m.record_installs(103);
+        m.record_evictions(104);
+        m.record_priority_lane(105);
+        m.record_peer_replayed(106);
+        m.record_reissued(107);
+        m.record_trace_events(108);
+        m.set_trace_dropped(109);
+        m.set_reactor_shards(110);
+        m.set_parked(111);
+        m.set_pending_rpcs(112);
+        m.record_epoch(113);
+        // Histograms: a different number of samples each, a decade apart.
+        let samples =
+            |n: u64, unit: u64, record: &dyn Fn(u64)| (1..=n).for_each(|i| record(i * unit));
+        samples(2, 1_000, &|v| m.record_cork_wait_ns(v));
+        samples(3, 10_000, &|v| m.record_lin_ack_wait_ns(v));
+        samples(4, 100_000, &|v| m.record_continuation_fire_ns(v));
+        samples(5, 1_000_000, &|v| m.record_fanout_ns(v));
+        samples(6, 10_000_000, &|v| m.record_loop_lap_ns(v));
+        samples(7, 100_000_000, &|v| m.record_credit_stall_ns(v));
+        samples(8, 200, &|v| m.record_batch(v));
+        samples(9, 3_000, &|v| m.record_adaptive_batch(v));
+        samples(10, 1_000_000_000, &|v| m.record_latency_ns(v));
+        m.record_peer_tcp_segments(2, 120, 7);
+
+        let snap = m.snapshot();
+        let text = m.render("n3");
+        let mut values = std::collections::BTreeSet::new();
+        for family in Metrics::families() {
+            let Family {
+                name, kind, help, ..
+            } = family;
+            assert!(
+                text.contains(&format!(
+                    "# HELP {name} {help}\n# TYPE {name} {kind}\n{name}"
+                )),
+                "{name} is not served under its own head"
+            );
+            let Some(value) = family.value.map(|field| field(&snap)) else {
+                continue;
+            };
+            let line = format!("\n{name}{{node=\"n3\"}} {value}\n");
+            assert!(text.contains(&line), "/metrics does not serve {line:?}");
+            assert!(
+                values.insert(value) && value != 0,
+                "{name} = {value} proves nothing: zero, or another family's value"
+            );
+        }
+        // The families `render` writes out by hand.
+        for line in [
+            "cckvs_credit_frames_total{node=\"n3\",kind=\"piggybacked\"} 46\n",
+            "cckvs_credit_frames_total{node=\"n3\",kind=\"standalone\"} 47\n",
+            "cckvs_peer_link_tcp_segments_total{node=\"n3\",peer=\"2\",kind=\"data\"} 120\n",
+            "cckvs_peer_link_tcp_segments_total{node=\"n3\",peer=\"2\",kind=\"ack\"} 7\n",
+            "cckvs_udp_datagrams_total{node=\"n3\",kind=\"retransmit\"} 0\n",
+            "cckvs_hit_rate{node=\"n3\"} 0.492537\n",
+            "cckvs_latency_count{node=\"n3\"} 10\n",
+            "cckvs_latency_ns_bucket{node=\"n3\",le=\"+Inf\"} 10\n",
+            "cckvs_latency_ns_sum{node=\"n3\"} 55000000000\n",
+            "cckvs_latency_ns_count{node=\"n3\"} 10\n",
+        ] {
+            assert!(text.contains(line), "/metrics does not serve {line:?}");
+        }
+        assert_eq!(snap.latency_count, 10);
+        assert_eq!(
+            (
+                snap.credit_frames_piggybacked,
+                snap.credit_frames_standalone
+            ),
+            (46, 47)
+        );
+    }
+
     #[test]
     fn per_phase_histograms_surface_in_snapshot_and_render() {
         let m = Metrics::new();
@@ -1430,14 +1189,7 @@ mod tests {
         assert_eq!(snap.trace_events, 17);
         assert_eq!(snap.trace_dropped, 2);
         let text = m.render("n7");
-        assert!(text.contains("cckvs_lin_ack_wait_p99_ns{node=\"n7\"}"));
-        assert!(text.contains("cckvs_continuation_fire_p50_ns{node=\"n7\"}"));
-        assert!(text.contains("cckvs_fanout_p99_ns{node=\"n7\"}"));
-        assert!(text.contains("cckvs_loop_lap_p99_ns{node=\"n7\"}"));
-        assert!(text.contains("cckvs_loop_lap_count{node=\"n7\"} 1"));
         assert!(text.contains("cckvs_udp_datagrams_total{node=\"n7\",kind=\"retransmit\"}"));
-        assert!(text.contains("cckvs_pending_rpcs{node=\"n7\"} 5"));
-        assert!(text.contains("cckvs_trace_events_total{node=\"n7\"} 17"));
         assert!(text.contains("cckvs_latency_ns_bucket{node=\"n7\",le=\"+Inf\"} 0"));
     }
 
@@ -1466,11 +1218,8 @@ mod tests {
         assert_eq!(snap.installs, 5);
         assert_eq!(snap.evictions, 4);
         assert_eq!(snap.writebacks, 2);
-        let text = m.render("n1");
-        assert!(text.contains("cckvs_epoch{node=\"n1\"} 3"));
-        assert!(text.contains("cckvs_installs_total{node=\"n1\"} 5"));
-        assert!(text.contains("cckvs_evictions_total{node=\"n1\"} 4"));
-        assert!(text.contains("cckvs_writebacks_total{node=\"n1\"} 2"));
+        // The scrape shows the same maximum, not the last epoch recorded.
+        assert!(m.render("n1").contains("cckvs_epoch{node=\"n1\"} 3\n"));
     }
 
     #[test]

@@ -117,495 +117,14 @@ impl From<WireError> for io::Error {
     }
 }
 
-mod opcode {
-    pub const CLIENT_HELLO: u8 = 0x01;
-    pub const PEER_HELLO: u8 = 0x02;
-    pub const PEER_HELLO_ACK: u8 = 0x04;
-    pub const PEER_RESUME: u8 = 0x05;
-    pub const GET: u8 = 0x10;
-    pub const PUT: u8 = 0x11;
-    pub const GET_RESP: u8 = 0x12;
-    pub const PUT_RESP: u8 = 0x13;
-    pub const PROTOCOL: u8 = 0x20;
-    pub const MISS_GET: u8 = 0x30;
-    pub const MISS_GET_RESP: u8 = 0x31;
-    pub const MISS_PUT: u8 = 0x32;
-    pub const MISS_PUT_RESP: u8 = 0x33;
-    pub const WRITE_BACK: u8 = 0x34;
-    pub const WRITE_BACK_RESP: u8 = 0x35;
-    pub const HOT_MARK: u8 = 0x36;
-    pub const HOT_MARK_RESP: u8 = 0x37;
-    pub const HOT_UNMARK: u8 = 0x38;
-    pub const HOT_UNMARK_RESP: u8 = 0x39;
-    pub const MISS_RETRY: u8 = 0x3A;
-    pub const INSTALL_HOT: u8 = 0x40;
-    pub const INSTALL_HOT_RESP: u8 = 0x41;
-    pub const EVICT: u8 = 0x42;
-    pub const EVICT_RESP: u8 = 0x43;
-    pub const FLIP_EPOCH: u8 = 0x44;
-    pub const FLIP_EPOCH_RESP: u8 = 0x45;
-    pub const ACTIVATE_HOT: u8 = 0x46;
-    pub const ACTIVATE_HOT_RESP: u8 = 0x47;
-    pub const PING: u8 = 0x50;
-    pub const PONG: u8 = 0x51;
-    pub const SHUTDOWN: u8 = 0x52;
-    pub const VERSION_FLOOR: u8 = 0x54;
-    pub const VERSION_FLOOR_RESP: u8 = 0x55;
-    pub const CACHE_KEYS: u8 = 0x56;
-    pub const CACHE_KEYS_RESP: u8 = 0x57;
-    pub const TRACE_DUMP: u8 = 0x58;
-    pub const TRACE_DUMP_RESP: u8 = 0x59;
-    pub const BATCH: u8 = 0x60;
-    pub const TRACED: u8 = 0x7F;
-    pub const CREDIT: u8 = 0x61;
-    pub const RPC_REQ: u8 = 0x62;
-    pub const RPC_RESP: u8 = 0x63;
-    pub const ERROR: u8 = 0x7E;
-}
-
-/// The full opcode assignment, as `(frame name, opcode byte)` pairs in
-/// ascending opcode order. This is the machine-readable form of the table
-/// in `docs/WIRE.md`; a unit test diffs the two so the document cannot
-/// drift from the protocol (`tests/wire_docs.rs`).
-pub fn opcode_table() -> Vec<(&'static str, u8)> {
-    let mut table = vec![
-        ("ClientHello", opcode::CLIENT_HELLO),
-        ("PeerHello", opcode::PEER_HELLO),
-        ("PeerHelloAck", opcode::PEER_HELLO_ACK),
-        ("PeerResume", opcode::PEER_RESUME),
-        ("Get", opcode::GET),
-        ("Put", opcode::PUT),
-        ("GetResp", opcode::GET_RESP),
-        ("PutResp", opcode::PUT_RESP),
-        ("Protocol", opcode::PROTOCOL),
-        ("MissGet", opcode::MISS_GET),
-        ("MissGetResp", opcode::MISS_GET_RESP),
-        ("MissPut", opcode::MISS_PUT),
-        ("MissPutResp", opcode::MISS_PUT_RESP),
-        ("WriteBack", opcode::WRITE_BACK),
-        ("WriteBackResp", opcode::WRITE_BACK_RESP),
-        ("HotMark", opcode::HOT_MARK),
-        ("HotMarkResp", opcode::HOT_MARK_RESP),
-        ("HotUnmark", opcode::HOT_UNMARK),
-        ("HotUnmarkResp", opcode::HOT_UNMARK_RESP),
-        ("MissRetry", opcode::MISS_RETRY),
-        ("InstallHot", opcode::INSTALL_HOT),
-        ("InstallHotResp", opcode::INSTALL_HOT_RESP),
-        ("Evict", opcode::EVICT),
-        ("EvictResp", opcode::EVICT_RESP),
-        ("FlipEpoch", opcode::FLIP_EPOCH),
-        ("FlipEpochResp", opcode::FLIP_EPOCH_RESP),
-        ("ActivateHot", opcode::ACTIVATE_HOT),
-        ("ActivateHotResp", opcode::ACTIVATE_HOT_RESP),
-        ("Ping", opcode::PING),
-        ("Pong", opcode::PONG),
-        ("Shutdown", opcode::SHUTDOWN),
-        ("VersionFloor", opcode::VERSION_FLOOR),
-        ("VersionFloorResp", opcode::VERSION_FLOOR_RESP),
-        ("CacheKeys", opcode::CACHE_KEYS),
-        ("CacheKeysResp", opcode::CACHE_KEYS_RESP),
-        ("TraceDump", opcode::TRACE_DUMP),
-        ("TraceDumpResp", opcode::TRACE_DUMP_RESP),
-        ("Batch", opcode::BATCH),
-        ("Credit", opcode::CREDIT),
-        ("RpcReq", opcode::RPC_REQ),
-        ("RpcResp", opcode::RPC_RESP),
-        ("Error", opcode::ERROR),
-        ("Traced", opcode::TRACED),
-    ];
-    table.sort_by_key(|&(_, op)| op);
-    table
-}
-
-/// One wire message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// Opens a client connection.
-    ClientHello,
-    /// Opens (or re-opens) the duplex protocol link from peer node `from`,
-    /// the lower node id of the pair.
-    ///
-    /// `gen` stamps the sender's *process generation* — a value unique to
-    /// one life of the sending process. The receiver tracks the highest
-    /// generation seen per peer: a hello carrying a lower generation is a
-    /// stale process (its connections are refused), a higher one means the
-    /// peer crashed and restarted (triggering recovery), an equal one is
-    /// the same process redialing after a transient link failure.
-    PeerHello {
-        /// Sender node id.
-        from: u8,
-        /// Sender process generation.
-        gen: u64,
-        /// Messages of the *receiver's* stream the sender has processed:
-        /// the receiver drops that prefix of what it retains and replays
-        /// the rest.
-        processed: u64,
-        /// The receiver generation whose numbering `processed` is in (0:
-        /// none yet); a receiver of any other ignores the count.
-        peer_gen: u64,
-    },
-    /// The receiver's reply to [`Frame::PeerHello`].
-    PeerHelloAck {
-        /// Messages processed from the dialing `(peer, generation)` (0 if
-        /// the receiver restarted or never heard from this generation).
-        /// The dialer drops every retained message up to `processed` and
-        /// replays the rest — exactly once, in order.
-        processed: u64,
-        /// The *receiver's* process generation (lets the dialer detect
-        /// that the peer it reconnected to is a restarted process).
-        gen: u64,
-        /// Sequence number of the first message the receiver will send;
-        /// the dialer aligns its processed counter to `start_seq - 1`.
-        start_seq: u64,
-    },
-    /// Sent by the dialing side after [`Frame::PeerHelloAck`]: the sequence
-    /// number of the first flow-controlled message that will follow on this
-    /// connection. The receiver aligns its processed counter to
-    /// `start_seq - 1` (a restarted receiver adopts the dialer's numbering;
-    /// an intact one sees its own count echoed back).
-    PeerResume {
-        /// Sequence number of the next message on this link.
-        start_seq: u64,
-    },
-    /// Client read request.
-    Get {
-        /// Key to read.
-        key: u64,
-    },
-    /// Client write request.
-    Put {
-        /// Key to write.
-        key: u64,
-        /// Value bytes.
-        value: Vec<u8>,
-    },
-    /// Response to [`Frame::Get`].
-    GetResp {
-        /// Whether the read was served by the symmetric cache (and thus
-        /// carries a protocol timestamp and belongs in checked histories).
-        cached: bool,
-        /// Timestamp of the value read (zero on the miss path).
-        ts: Timestamp,
-        /// The value (empty if never written).
-        value: Vec<u8>,
-    },
-    /// Response to [`Frame::Put`].
-    PutResp {
-        /// Whether the write went through the symmetric cache.
-        cached: bool,
-        /// Timestamp assigned by the protocol (zero on the miss path).
-        ts: Timestamp,
-    },
-    /// A consistency-protocol message, with the update's value bytes
-    /// attached when present.
-    Protocol {
-        /// The protocol message.
-        msg: ProtocolMsg,
-        /// Value bytes accompanying `Update` messages.
-        bytes: Option<Vec<u8>>,
-    },
-    /// Remote read of a cache-missing key, sent to the key's home node.
-    MissGet {
-        /// Key to read.
-        key: u64,
-    },
-    /// Response to [`Frame::MissGet`].
-    MissGetResp {
-        /// The value (empty if never written).
-        value: Vec<u8>,
-    },
-    /// Forwarded write of a cache-missing key, sent to the key's home node.
-    MissPut {
-        /// Key to write.
-        key: u64,
-        /// The sender's tag (diagnostics only: the home shard assigns the
-        /// authoritative version on arrival, since sender-side counters
-        /// advance independently).
-        tag: u32,
-        /// Writer id breaking clock ties.
-        writer: u8,
-        /// Value bytes.
-        value: Vec<u8>,
-    },
-    /// Response to [`Frame::MissPut`], carrying the version the home shard
-    /// assigned to the write (clients record it so histories include cold
-    /// writes — the versions re-surface as install timestamps when a cold
-    /// key later turns hot).
-    MissPutResp {
-        /// Home-assigned version of the write.
-        ts: Timestamp,
-    },
-    /// Answer to a miss-path request for a key that is mid-transition into
-    /// or out of the hot set: the sender retries (by then the key is either
-    /// cached at the serving node or cold at the home shard).
-    MissRetry,
-    /// Write-back of a dirty evicted cache value to the key's home shard
-    /// (rpc path). Versioned: every replica evicts its own copy, the home
-    /// keeps the newest.
-    WriteBack {
-        /// Key being written back.
-        key: u64,
-        /// The evicted dirty value.
-        value: Vec<u8>,
-        /// Protocol timestamp of the value.
-        ts: Timestamp,
-    },
-    /// Response to [`Frame::WriteBack`].
-    WriteBackResp {
-        /// Whether the value was applied (false: a newer version was
-        /// already stored).
-        applied: bool,
-    },
-    /// Marks a key as transitioning into the hot set at its home shard and
-    /// fetches its current value and version (rpc path; epoch admin). While
-    /// marked, the home bounces cold writes with [`Frame::MissRetry`] so no
-    /// write lands between the fetch and the cache fills.
-    HotMark {
-        /// Key entering the hot set.
-        key: u64,
-    },
-    /// Response to [`Frame::HotMark`].
-    HotMarkResp {
-        /// The shard's current value (empty if never written).
-        value: Vec<u8>,
-        /// The shard's stored version of the value.
-        ts: Timestamp,
-    },
-    /// Clears a key's hot-transition mark at its home shard (rpc path;
-    /// epoch admin) — sent after every replica dropped the key and all
-    /// dirty write-backs landed, re-opening the cold write path.
-    HotUnmark {
-        /// Key leaving the hot set.
-        key: u64,
-    },
-    /// Response to [`Frame::HotUnmark`].
-    HotUnmarkResp,
-    /// Installs a hot key into the node's symmetric cache (coordinator /
-    /// rack-launcher admin path) at the version its home shard stored it
-    /// at, so the per-key Lamport clock continues across epochs. A `warm`
-    /// install stays invisible to client reads/writes (while participating
-    /// in the coherence protocol) until [`Frame::ActivateHot`] — the
-    /// coordinator warms every replica before activating any, so no write
-    /// ever commits against a half-installed hot set.
-    InstallHot {
-        /// Key to install.
-        key: u64,
-        /// Initial value.
-        value: Vec<u8>,
-        /// Home-shard version of the value (`Timestamp::ZERO` for a fresh
-        /// dataset).
-        ts: Timestamp,
-        /// Whether to install in the warming state.
-        warm: bool,
-    },
-    /// Response to [`Frame::InstallHot`].
-    InstallHotResp {
-        /// Whether the key was installed (false: cache full).
-        ok: bool,
-    },
-    /// Activates a warming hot key (epoch admin path; second phase of a
-    /// live install).
-    ActivateHot {
-        /// Key to activate.
-        key: u64,
-    },
-    /// Response to [`Frame::ActivateHot`].
-    ActivateHotResp {
-        /// Whether the key was present.
-        ok: bool,
-    },
-    /// Evicts a key from the node's symmetric cache (epoch change /
-    /// failed-install rollback; admin path). A dirty value is written back
-    /// to the key's home shard before the response is sent.
-    Evict {
-        /// Key to evict.
-        key: u64,
-    },
-    /// Response to [`Frame::Evict`].
-    EvictResp {
-        /// Whether the key was cached.
-        existed: bool,
-    },
-    /// Asks the epoch coordinator to close the current popularity epoch and
-    /// reconfigure the deployment's hot set now (admin path).
-    FlipEpoch,
-    /// Response to [`Frame::FlipEpoch`].
-    FlipEpochResp {
-        /// The epoch that was closed.
-        epoch: u64,
-        /// Keys installed into the hot set by this flip.
-        installed: u32,
-        /// Keys evicted from the hot set by this flip.
-        evicted: u32,
-    },
-    /// The request failed server-side (e.g. a value over the shard's
-    /// capacity); carries a human-readable reason. Sent in place of the
-    /// normal response so client-controlled input never kills a server
-    /// thread.
-    Error {
-        /// Why the request failed.
-        message: String,
-    },
-    /// A coalesced run of frames travelling as one wire message (§6.3/§6.4:
-    /// requests and coherence traffic are batched to amortise per-message
-    /// network cost). Sub-frames are individually length-prefixed and
-    /// decoded with the ordinary [`Frame::decode`]; batches never nest. On
-    /// client connections a batch of requests is answered by one batch of
-    /// responses in the same order; on peer links batches carry protocol
-    /// messages and piggybacked [`Frame::Credit`] returns.
-    Batch {
-        /// The coalesced frames, in send order.
-        frames: Vec<Frame>,
-    },
-    /// Cumulative flow-control acknowledgement for a peer link. Each
-    /// protocol message sent to a peer consumes one credit; the peer
-    /// confirms *processing* by echoing its cumulative processed count,
-    /// piggybacked on batches flowing in the reverse direction — so a fast
-    /// writer (a Lin ack round fanning out) can never overrun a slow
-    /// receiver by more than the credit window. Cumulative (TCP-ack style)
-    /// rather than incremental: a credit frame lost with a severed link is
-    /// subsumed by the next one, so reconnects never leak window.
-    Credit {
-        /// Cumulative messages processed from the receiving node, in the
-        /// receiving node's sequence numbering.
-        cum: u64,
-        /// The process generation whose numbering `cum` refers to (the
-        /// confirmed direction's sender generation). A receiver whose own
-        /// generation differs ignores the frame — a restarted sender must
-        /// not interpret confirmations addressed to its predecessor.
-        gen: u64,
-    },
-    /// A correlated request multiplexed over a peer link. Miss-path RPCs
-    /// (and admin write-backs) travel as flow-controlled items on the
-    /// crash-surviving peer mesh instead of pooled blocking connections:
-    /// the sender registers `corr` in its pending-RPC table and resumes
-    /// the suspended client op when the matching [`Frame::RpcResp`]
-    /// arrives back on the same link. Retained-until-confirmed delivery
-    /// (the PR 5 replay machinery) carries these across link severs and
-    /// peer restarts like any protocol message.
-    RpcReq {
-        /// Correlation id, unique per sending process lifetime.
-        corr: u64,
-        /// The request (a `MissGet`/`MissPut`/`WriteBack`/… frame,
-        /// optionally wrapped in [`Frame::Traced`]).
-        inner: Box<Frame>,
-    },
-    /// The response to the [`Frame::RpcReq`] carrying the same `corr`.
-    /// A response whose correlation id is unknown at the requester (the
-    /// request was already answered once — e.g. re-served after a peer
-    /// restart replay) is dropped, which is what makes RPC resolution
-    /// exactly-once from the suspended op's point of view.
-    RpcResp {
-        /// Correlation id echoed from the request.
-        corr: u64,
-        /// The response frame (optionally wrapped in [`Frame::Traced`]).
-        inner: Box<Frame>,
-    },
-    /// Asks the node for its current cold-version counter (admin path). A
-    /// supervisor polls this while the node serves and passes the last
-    /// observed value (plus slack) to a restarted replacement via
-    /// `--cold-floor`, so home-assigned versions stay monotone across the
-    /// crash — an in-memory shard cannot remember them itself, and a
-    /// restarted home reusing `(clock, writer)` pairs would make
-    /// cross-crash histories ambiguous.
-    VersionFloor,
-    /// Response to [`Frame::VersionFloor`].
-    VersionFloorResp {
-        /// The node's current cold-version counter.
-        clock: u32,
-    },
-    /// Asks the node for the keys its symmetric cache currently holds
-    /// (admin path). By symmetry this is the deployment's hot set; a
-    /// supervisor queries a survivor when restarting a crashed node — the
-    /// replacement boots with those of the keys it homes *fenced*
-    /// (`--hot-fence`), and cache symmetry is then healed by evicting the
-    /// hot set rack-wide.
-    CacheKeys,
-    /// Response to [`Frame::CacheKeys`].
-    CacheKeysResp {
-        /// The cached keys, in no particular order.
-        keys: Vec<u64>,
-    },
-    /// Trace-context envelope: annotates one ordinary frame with the
-    /// rack-wide trace id of the sampled client operation it belongs to.
-    /// Receivers that trace record span events against `id` and then
-    /// process `inner` exactly as if it had arrived bare; responses
-    /// travel unwrapped (the sampler already knows the id). Envelopes
-    /// wrap single frames only — a batch's sub-frames carry their own —
-    /// and an envelope on a peer link consumes the flow-control credit
-    /// of its inner frame.
-    Traced {
-        /// The operation's rack-wide trace id (nonzero by convention).
-        id: u64,
-        /// The annotated frame.
-        inner: Box<Frame>,
-    },
-    /// Asks the node for its retained trace events (admin path). The
-    /// node drains its per-shard rings and returns the bounded store;
-    /// `cckvs-trace` merges dumps from every node into per-op timelines.
-    TraceDump,
-    /// Response to [`Frame::TraceDump`].
-    TraceDumpResp {
-        /// Events dropped node-side because a ring lane was full (a
-        /// nonzero value means dumped timelines may have holes).
-        dropped: u64,
-        /// The retained events, oldest first.
-        events: Vec<Event>,
-    },
-    /// Liveness probe.
-    Ping,
-    /// Response to [`Frame::Ping`].
-    Pong,
-    /// Asks the node to shut down (admin path; used by launchers and
-    /// tests to stop remote `cckvs-node` processes).
-    Shutdown,
-}
-
-fn put_ts(buf: &mut Vec<u8>, ts: Timestamp) {
-    buf.extend_from_slice(&ts.clock.to_le_bytes());
-    buf.push(ts.writer.0);
-}
-
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(bytes);
-}
-
-fn put_protocol(buf: &mut Vec<u8>, msg: &ProtocolMsg, bytes: Option<&[u8]>) {
-    buf.push(opcode::PROTOCOL);
-    match msg {
-        ProtocolMsg::Invalidation { key, ts, from } => {
-            buf.push(0);
-            buf.extend_from_slice(&key.to_le_bytes());
-            put_ts(buf, *ts);
-            buf.push(from.0);
-        }
-        ProtocolMsg::Ack { key, ts, from } => {
-            buf.push(1);
-            buf.extend_from_slice(&key.to_le_bytes());
-            put_ts(buf, *ts);
-            buf.push(from.0);
-        }
-        ProtocolMsg::Update {
-            key,
-            value,
-            ts,
-            from,
-        } => {
-            buf.push(2);
-            buf.extend_from_slice(&key.to_le_bytes());
-            put_ts(buf, *ts);
-            buf.push(from.0);
-            buf.extend_from_slice(&value.to_le_bytes());
-        }
-    }
-    match bytes {
-        None => buf.push(0),
-        Some(b) => {
-            buf.push(1);
-            put_bytes(buf, b);
-        }
-    }
+/// One wire type: how a field of a table-written frame is appended and
+/// read back. The only codec a plain frame has is its fields', in the
+/// order its row declares them.
+trait Field: Sized {
+    /// The type's name in [`opcode_table`] and `docs/WIRE.md`.
+    const WIRE: &'static str;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError>;
 }
 
 struct Cursor<'a> {
@@ -614,10 +133,6 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.data.len() {
             return Err(WireError::Truncated);
@@ -627,39 +142,20 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn ts(&mut self) -> Result<Timestamp, WireError> {
-        let clock = self.u32()?;
-        let writer = self.u8()?;
-        Ok(Timestamp::new(clock, NodeId(writer)))
+    /// Everything not yet read: the frame an envelope wraps.
+    fn rest(&mut self) -> &'a [u8] {
+        let out = &self.data[self.pos..];
+        self.pos = self.data.len();
+        out
     }
 
     /// A length-prefixed run of bytes, borrowed from the payload.
     fn slice(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()? as usize;
+        let len = u32::get(self)? as usize;
         if len > MAX_FRAME_BYTES {
             return Err(WireError::Oversized(len));
         }
         self.take(len)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        Ok(self.slice()?.to_vec())
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -671,454 +167,706 @@ impl<'a> Cursor<'a> {
     }
 }
 
-impl Frame {
-    /// [`Frame::encode_into`] a fresh buffer (tests; serving code appends).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        buf
-    }
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    (bytes.len() as u32).put(buf);
+    buf.extend_from_slice(bytes);
+}
 
-    /// Appends the frame payload (opcode byte included, length prefix not)
-    /// to `buf`; nested frames and batch sub-frames encode straight into
-    /// the same buffer.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        match self {
-            Frame::ClientHello => buf.push(opcode::CLIENT_HELLO),
-            Frame::PeerHello {
-                from,
-                gen,
-                processed,
-                peer_gen,
-            } => {
-                buf.push(opcode::PEER_HELLO);
-                buf.push(*from);
-                for field in [gen, processed, peer_gen] {
-                    buf.extend_from_slice(&field.to_le_bytes());
-                }
+/// Little-endian integers.
+macro_rules! int_fields {
+    ($($int:ident)*) => {$(
+        impl Field for $int {
+            const WIRE: &'static str = stringify!($int);
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
             }
-            Frame::PeerHelloAck {
-                processed,
-                gen,
-                start_seq,
-            } => {
-                buf.push(opcode::PEER_HELLO_ACK);
-                for field in [processed, gen, start_seq] {
-                    buf.extend_from_slice(&field.to_le_bytes());
-                }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                let bytes = cur.take(std::mem::size_of::<$int>())?;
+                Ok($int::from_le_bytes(bytes.try_into().expect("sized by take")))
             }
-            Frame::PeerResume { start_seq } => {
-                buf.push(opcode::PEER_RESUME);
-                buf.extend_from_slice(&start_seq.to_le_bytes());
-            }
-            Frame::Get { key } => {
-                buf.push(opcode::GET);
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::Put { key, value } => {
-                buf.push(opcode::PUT);
-                buf.extend_from_slice(&key.to_le_bytes());
-                put_bytes(buf, value);
-            }
-            Frame::GetResp { cached, ts, value } => {
-                buf.push(opcode::GET_RESP);
-                buf.push(u8::from(*cached));
-                put_ts(buf, *ts);
-                put_bytes(buf, value);
-            }
-            Frame::PutResp { cached, ts } => {
-                buf.push(opcode::PUT_RESP);
-                buf.push(u8::from(*cached));
-                put_ts(buf, *ts);
-            }
-            Frame::Protocol { msg, bytes } => put_protocol(buf, msg, bytes.as_deref()),
-            Frame::MissGet { key } => {
-                buf.push(opcode::MISS_GET);
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::MissGetResp { value } => {
-                buf.push(opcode::MISS_GET_RESP);
-                put_bytes(buf, value);
-            }
-            Frame::MissPut {
-                key,
-                tag,
-                writer,
-                value,
-            } => {
-                buf.push(opcode::MISS_PUT);
-                buf.extend_from_slice(&key.to_le_bytes());
-                buf.extend_from_slice(&tag.to_le_bytes());
-                buf.push(*writer);
-                put_bytes(buf, value);
-            }
-            Frame::MissPutResp { ts } => {
-                buf.push(opcode::MISS_PUT_RESP);
-                put_ts(buf, *ts);
-            }
-            Frame::MissRetry => buf.push(opcode::MISS_RETRY),
-            Frame::WriteBack { key, value, ts } => {
-                buf.push(opcode::WRITE_BACK);
-                buf.extend_from_slice(&key.to_le_bytes());
-                put_ts(buf, *ts);
-                put_bytes(buf, value);
-            }
-            Frame::WriteBackResp { applied } => {
-                buf.push(opcode::WRITE_BACK_RESP);
-                buf.push(u8::from(*applied));
-            }
-            Frame::HotMark { key } => {
-                buf.push(opcode::HOT_MARK);
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::HotMarkResp { value, ts } => {
-                buf.push(opcode::HOT_MARK_RESP);
-                put_ts(buf, *ts);
-                put_bytes(buf, value);
-            }
-            Frame::HotUnmark { key } => {
-                buf.push(opcode::HOT_UNMARK);
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::HotUnmarkResp => buf.push(opcode::HOT_UNMARK_RESP),
-            Frame::InstallHot {
-                key,
-                value,
-                ts,
-                warm,
-            } => {
-                buf.push(opcode::INSTALL_HOT);
-                buf.extend_from_slice(&key.to_le_bytes());
-                put_ts(buf, *ts);
-                buf.push(u8::from(*warm));
-                put_bytes(buf, value);
-            }
-            Frame::InstallHotResp { ok } => {
-                buf.push(opcode::INSTALL_HOT_RESP);
-                buf.push(u8::from(*ok));
-            }
-            Frame::ActivateHot { key } => {
-                buf.push(opcode::ACTIVATE_HOT);
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::ActivateHotResp { ok } => {
-                buf.push(opcode::ACTIVATE_HOT_RESP);
-                buf.push(u8::from(*ok));
-            }
-            Frame::Evict { key } => {
-                buf.push(opcode::EVICT);
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::EvictResp { existed } => {
-                buf.push(opcode::EVICT_RESP);
-                buf.push(u8::from(*existed));
-            }
-            Frame::FlipEpoch => buf.push(opcode::FLIP_EPOCH),
-            Frame::FlipEpochResp {
-                epoch,
-                installed,
-                evicted,
-            } => {
-                buf.push(opcode::FLIP_EPOCH_RESP);
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&installed.to_le_bytes());
-                buf.extend_from_slice(&evicted.to_le_bytes());
-            }
-            Frame::Batch { frames } => {
-                buf.push(opcode::BATCH);
-                buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-                for frame in frames {
-                    debug_assert!(!matches!(frame, Frame::Batch { .. }), "batches cannot nest");
-                    encode_frame_into(buf, frame);
-                }
-            }
-            Frame::Credit { cum, gen } => {
-                buf.push(opcode::CREDIT);
-                buf.extend_from_slice(&cum.to_le_bytes());
-                buf.extend_from_slice(&gen.to_le_bytes());
-            }
-            Frame::RpcReq { corr, inner } => {
-                debug_assert!(
-                    !matches!(
-                        **inner,
-                        Frame::RpcReq { .. } | Frame::RpcResp { .. } | Frame::Batch { .. }
-                    ),
-                    "rpc envelopes wrap a single plain frame"
-                );
-                buf.push(opcode::RPC_REQ);
-                buf.extend_from_slice(&corr.to_le_bytes());
-                inner.encode_into(buf);
-            }
-            Frame::RpcResp { corr, inner } => {
-                debug_assert!(
-                    !matches!(
-                        **inner,
-                        Frame::RpcReq { .. } | Frame::RpcResp { .. } | Frame::Batch { .. }
-                    ),
-                    "rpc envelopes wrap a single plain frame"
-                );
-                buf.push(opcode::RPC_RESP);
-                buf.extend_from_slice(&corr.to_le_bytes());
-                inner.encode_into(buf);
-            }
-            Frame::Error { message } => {
-                buf.push(opcode::ERROR);
-                put_bytes(buf, message.as_bytes());
-            }
-            Frame::VersionFloor => buf.push(opcode::VERSION_FLOOR),
-            Frame::VersionFloorResp { clock } => {
-                buf.push(opcode::VERSION_FLOOR_RESP);
-                buf.extend_from_slice(&clock.to_le_bytes());
-            }
-            Frame::CacheKeys => buf.push(opcode::CACHE_KEYS),
-            Frame::CacheKeysResp { keys } => {
-                buf.push(opcode::CACHE_KEYS_RESP);
-                buf.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for key in keys {
-                    buf.extend_from_slice(&key.to_le_bytes());
-                }
-            }
-            Frame::Traced { id, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Frame::Traced { .. } | Frame::Batch { .. }),
-                    "trace envelopes wrap a single non-batch frame"
-                );
-                buf.push(opcode::TRACED);
-                buf.extend_from_slice(&id.to_le_bytes());
-                inner.encode_into(buf);
-            }
-            Frame::TraceDump => buf.push(opcode::TRACE_DUMP),
-            Frame::TraceDumpResp { dropped, events } => {
-                buf.push(opcode::TRACE_DUMP_RESP);
-                buf.extend_from_slice(&dropped.to_le_bytes());
-                buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
-                for ev in events {
-                    buf.extend_from_slice(&ev.trace_id.to_le_bytes());
-                    buf.extend_from_slice(&ev.t_ns.to_le_bytes());
-                    buf.extend_from_slice(&ev.key.to_le_bytes());
-                    buf.push(ev.node);
-                    buf.push(ev.shard);
-                    buf.push(ev.kind as u8);
-                    buf.push(ev.peer);
-                }
-            }
-            Frame::Ping => buf.push(opcode::PING),
-            Frame::Pong => buf.push(opcode::PONG),
-            Frame::Shutdown => buf.push(opcode::SHUTDOWN),
         }
-    }
+    )*};
+}
+int_fields!(u8 u32 u64);
 
-    /// Decodes a frame payload produced by [`Frame::encode`].
-    pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
-        let mut cur = Cursor::new(payload);
-        let op = cur.u8()?;
-        let frame = match op {
-            opcode::CLIENT_HELLO => Frame::ClientHello,
-            opcode::PEER_HELLO => Frame::PeerHello {
-                from: cur.u8()?,
-                gen: cur.u64()?,
-                processed: cur.u64()?,
-                peer_gen: cur.u64()?,
-            },
-            opcode::PEER_HELLO_ACK => Frame::PeerHelloAck {
-                processed: cur.u64()?,
-                gen: cur.u64()?,
-                start_seq: cur.u64()?,
-            },
-            opcode::PEER_RESUME => Frame::PeerResume {
-                start_seq: cur.u64()?,
-            },
-            opcode::GET => Frame::Get { key: cur.u64()? },
-            opcode::PUT => Frame::Put {
-                key: cur.u64()?,
-                value: cur.bytes()?,
-            },
-            opcode::GET_RESP => Frame::GetResp {
-                cached: cur.u8()? != 0,
-                ts: cur.ts()?,
-                value: cur.bytes()?,
-            },
-            opcode::PUT_RESP => Frame::PutResp {
-                cached: cur.u8()? != 0,
-                ts: cur.ts()?,
-            },
-            opcode::PROTOCOL => {
-                let kind = cur.u8()?;
-                let key = cur.u64()?;
-                let ts = cur.ts()?;
-                let from = NodeId(cur.u8()?);
-                let msg = match kind {
-                    0 => ProtocolMsg::Invalidation { key, ts, from },
-                    1 => ProtocolMsg::Ack { key, ts, from },
-                    2 => ProtocolMsg::Update {
-                        key,
-                        value: cur.u64()?,
-                        ts,
-                        from,
-                    },
+/// One byte; any nonzero value reads as `true`.
+impl Field for bool {
+    const WIRE: &'static str = "bool";
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(u8::get(cur)? != 0)
+    }
+}
+
+/// The 5-byte `(clock: u32, writer: u8)` pair.
+impl Field for Timestamp {
+    const WIRE: &'static str = "Timestamp";
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.clock.put(buf);
+        self.writer.0.put(buf);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(Timestamp::new(u32::get(cur)?, NodeId(u8::get(cur)?)))
+    }
+}
+
+/// A `u32` length, then the bytes.
+impl Field for Vec<u8> {
+    const WIRE: &'static str = "bytes";
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(cur.slice()?.to_vec())
+    }
+}
+
+/// `bytes` holding UTF-8 (read lossily: the text is for people).
+impl Field for String {
+    const WIRE: &'static str = "bytes";
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(String::from_utf8_lossy(cur.slice()?).into_owned())
+    }
+}
+
+/// One retained trace event, 28 bytes.
+impl Field for Event {
+    const WIRE: &'static str = "Event";
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.trace_id.put(buf);
+        self.t_ns.put(buf);
+        self.key.put(buf);
+        buf.extend_from_slice(&[self.node, self.shard, self.kind as u8, self.peer]);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(Event {
+            trace_id: u64::get(cur)?,
+            t_ns: u64::get(cur)?,
+            key: u64::get(cur)?,
+            node: u8::get(cur)?,
+            shard: u8::get(cur)?,
+            kind: u8::get(cur)
+                .and_then(|kind| EventKind::from_u8(kind).ok_or(WireError::BadOpcode(kind)))?,
+            peer: u8::get(cur)?,
+        })
+    }
+}
+
+/// Count-prefixed lists: a `u32` count, then that many items.
+macro_rules! list_fields {
+    ($($item:ident)*) => {$(
+        impl Field for Vec<$item> {
+            const WIRE: &'static str = concat!("[", stringify!($item), "]");
+            fn put(&self, buf: &mut Vec<u8>) {
+                (self.len() as u32).put(buf);
+                for item in self {
+                    item.put(buf);
+                }
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                let count = u32::get(cur)?;
+                // Growth proportional to bytes present, not the claimed
+                // count (same discipline as batch decoding).
+                let mut items = Vec::new();
+                for _ in 0..count {
+                    items.push($item::get(cur)?);
+                }
+                Ok(items)
+            }
+        }
+    )*};
+}
+list_fields!(u64 Event);
+
+/// One row of [`opcode_table`]: frame name, opcode byte, and — for a frame
+/// the table writes — its `(field, wire type)` list in wire order (`None`:
+/// the payload is hand-written, see the `custom` section of `wire.rs`).
+pub type OpcodeRow = (
+    &'static str,
+    u8,
+    Option<&'static [(&'static str, &'static str)]>,
+);
+
+/// The protocol's vocabulary, each frame stated once. A row is the
+/// variant's rustdoc, its opcode byte, its name and its fields; the macro
+/// expands the rows to [`Frame`], [`opcode_table`], [`Frame::encode_into`]
+/// and [`Frame::decode`].
+///
+/// * `plain` rows list their fields **in wire order** with their types:
+///   the payload is the opcode byte, then each field's [`Field`] encoding.
+///   Adding a frame is one row here, one row of `docs/WIRE.md` and one
+///   entry (plus its golden bytes) in `tests/common::all_frames()`.
+/// * `custom` rows — frames that carry other frames, and `Protocol`, whose
+///   layout depends on the message kind — also name their opcode constant
+///   and give the two hand-written halves of their codec as
+///   `|buf| <append payload, opcode included>` and `|cur| <read what
+///   follows the opcode>`.
+///
+/// rustfmt leaves the invocation alone (brace-delimited macro body); keep
+/// rows in ascending opcode order and formatted like an enum.
+macro_rules! frames {
+    (
+        plain {$(
+            $(#[$doc:meta])*
+            $op:literal $name:ident $({$(
+                $(#[$fdoc:meta])*
+                $field:ident: $ty:ty
+            ),* $(,)?})?
+        ),* $(,)?}
+        custom {$(
+            $(#[$cdoc:meta])*
+            $cop:literal $cconst:ident $cname:ident {$(
+                $(#[$cfdoc:meta])*
+                $cfield:ident: $cty:ty
+            ),* $(,)?} => |$buf:ident| $encode:expr, |$cur:ident| $decode:expr
+        ),* $(,)?}
+    ) => {
+        /// The opcodes hand-written code names; a plain frame's is its row's.
+        mod opcode {$(
+            pub const $cconst: u8 = $cop;
+        )*}
+
+        /// One wire message.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Frame {
+            $($(#[$doc])* $name $({$($(#[$fdoc])* $field: $ty),*})?,)*
+            $($(#[$cdoc])* $cname {$($(#[$cfdoc])* $cfield: $cty),*},)*
+        }
+
+        /// The full opcode assignment in ascending opcode order, with the
+        /// field list of every frame the table writes. This is the
+        /// machine-readable form of the table in `docs/WIRE.md`; a test
+        /// diffs the two so the document cannot drift from the protocol
+        /// (`tests/wire_docs.rs`).
+        pub fn opcode_table() -> Vec<OpcodeRow> {
+            let mut table: Vec<OpcodeRow> = vec![
+                $((stringify!($name), $op, Some(&[$($((stringify!($field), <$ty>::WIRE)),*)?])),)*
+                $((stringify!($cname), $cop, None),)*
+            ];
+            table.sort_by_key(|row| row.1);
+            table
+        }
+
+        impl Frame {
+            /// [`Frame::encode_into`] a fresh buffer (tests; serving code appends).
+            pub fn encode(&self) -> Vec<u8> {
+                let mut buf = Vec::new();
+                self.encode_into(&mut buf);
+                buf
+            }
+
+            /// Appends the frame payload (opcode byte included, length
+            /// prefix not) to `buf`; nested frames and batch sub-frames
+            /// encode straight into the same buffer.
+            pub fn encode_into(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Frame::$name $({$($field),*})? => {
+                        buf.push($op);
+                        $($($field.put(buf);)*)?
+                    })*
+                    $(Frame::$cname {$($cfield),*} => {
+                        let $buf = buf;
+                        $encode
+                    })*
+                }
+            }
+
+            /// Decodes a frame payload produced by [`Frame::encode`].
+            pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
+                let mut cur = Cursor { data: payload, pos: 0 };
+                let frame = match u8::get(&mut cur)? {
+                    $($op => Frame::$name $({$($field: <$ty>::get(&mut cur)?),*})?,)*
+                    $($cop => {
+                        let $cur = &mut cur;
+                        $decode
+                    })*
                     other => return Err(WireError::BadOpcode(other)),
                 };
-                let bytes = match cur.u8()? {
-                    0 => None,
-                    _ => Some(cur.bytes()?),
-                };
-                Frame::Protocol { msg, bytes }
+                cur.finish()?;
+                Ok(frame)
             }
-            opcode::MISS_GET => Frame::MissGet { key: cur.u64()? },
-            opcode::MISS_GET_RESP => Frame::MissGetResp {
-                value: cur.bytes()?,
-            },
-            opcode::MISS_PUT => Frame::MissPut {
-                key: cur.u64()?,
-                tag: cur.u32()?,
-                writer: cur.u8()?,
-                value: cur.bytes()?,
-            },
-            opcode::MISS_PUT_RESP => Frame::MissPutResp { ts: cur.ts()? },
-            opcode::MISS_RETRY => Frame::MissRetry,
-            opcode::WRITE_BACK => Frame::WriteBack {
-                key: cur.u64()?,
-                ts: cur.ts()?,
-                value: cur.bytes()?,
-            },
-            opcode::WRITE_BACK_RESP => Frame::WriteBackResp {
-                applied: cur.u8()? != 0,
-            },
-            opcode::HOT_MARK => Frame::HotMark { key: cur.u64()? },
-            opcode::HOT_MARK_RESP => Frame::HotMarkResp {
-                ts: cur.ts()?,
-                value: cur.bytes()?,
-            },
-            opcode::HOT_UNMARK => Frame::HotUnmark { key: cur.u64()? },
-            opcode::HOT_UNMARK_RESP => Frame::HotUnmarkResp,
-            opcode::INSTALL_HOT => Frame::InstallHot {
-                key: cur.u64()?,
-                ts: cur.ts()?,
-                warm: cur.u8()? != 0,
-                value: cur.bytes()?,
-            },
-            opcode::INSTALL_HOT_RESP => Frame::InstallHotResp { ok: cur.u8()? != 0 },
-            opcode::ACTIVATE_HOT => Frame::ActivateHot { key: cur.u64()? },
-            opcode::ACTIVATE_HOT_RESP => Frame::ActivateHotResp { ok: cur.u8()? != 0 },
-            opcode::EVICT => Frame::Evict { key: cur.u64()? },
-            opcode::EVICT_RESP => Frame::EvictResp {
-                existed: cur.u8()? != 0,
-            },
-            opcode::FLIP_EPOCH => Frame::FlipEpoch,
-            opcode::FLIP_EPOCH_RESP => Frame::FlipEpochResp {
-                epoch: cur.u64()?,
-                installed: cur.u32()?,
-                evicted: cur.u32()?,
-            },
-            opcode::BATCH => {
-                let count = cur.u32()? as usize;
-                // Sized once, by what the bytes present could hold (a
-                // sub-frame is at least its prefix and an opcode) — never
-                // by the count alone, which is attacker-chosen.
-                let mut frames = Vec::with_capacity(count.min((payload.len() - cur.pos) / 5));
-                for _ in 0..count {
-                    let sub = cur.slice()?;
-                    if sub.first() == Some(&opcode::BATCH) {
-                        return Err(WireError::NestedBatch);
-                    }
-                    frames.push(Frame::decode(sub)?);
-                }
-                Frame::Batch { frames }
-            }
-            opcode::CREDIT => Frame::Credit {
-                cum: cur.u64()?,
-                gen: cur.u64()?,
-            },
-            opcode::ERROR => Frame::Error {
-                message: String::from_utf8_lossy(cur.slice()?).into_owned(),
-            },
-            opcode::VERSION_FLOOR => Frame::VersionFloor,
-            opcode::VERSION_FLOOR_RESP => Frame::VersionFloorResp { clock: cur.u32()? },
-            opcode::CACHE_KEYS => Frame::CacheKeys,
-            opcode::CACHE_KEYS_RESP => {
-                let count = cur.u32()? as usize;
-                // Growth proportional to bytes present, not the claimed
-                // count (same discipline as batch decoding).
-                let mut keys = Vec::new();
-                for _ in 0..count {
-                    keys.push(cur.u64()?);
-                }
-                Frame::CacheKeysResp { keys }
-            }
-            opcode::TRACED => {
-                let id = cur.u64()?;
-                let rest = cur.take(payload.len() - 9)?;
-                match rest.first() {
-                    Some(&opcode::TRACED) | Some(&opcode::BATCH) => {
-                        return Err(WireError::NestedTrace)
-                    }
-                    // Trace context goes inside the correlation envelope
-                    // (RpcReq{Traced{..}}), never around it — allowing
-                    // both would nest traced → rpc → traced without
-                    // bound.
-                    Some(&opcode::RPC_REQ) | Some(&opcode::RPC_RESP) => {
-                        return Err(WireError::NestedTrace)
-                    }
-                    _ => {}
-                }
-                Frame::Traced {
-                    id,
-                    inner: Box::new(Frame::decode(rest)?),
-                }
-            }
-            op @ (opcode::RPC_REQ | opcode::RPC_RESP) => {
-                let corr = cur.u64()?;
-                let rest = cur.take(payload.len() - 9)?;
-                match rest.first() {
-                    Some(&opcode::RPC_REQ) | Some(&opcode::RPC_RESP) | Some(&opcode::BATCH) => {
-                        return Err(WireError::NestedRpc)
-                    }
-                    _ => {}
-                }
-                let inner = Box::new(Frame::decode(rest)?);
-                if op == opcode::RPC_REQ {
-                    Frame::RpcReq { corr, inner }
-                } else {
-                    Frame::RpcResp { corr, inner }
-                }
-            }
-            opcode::TRACE_DUMP => Frame::TraceDump,
-            opcode::TRACE_DUMP_RESP => {
-                let dropped = cur.u64()?;
-                let count = cur.u32()? as usize;
-                // Growth proportional to bytes present, not the claimed
-                // count (same discipline as batch decoding).
-                let mut events = Vec::new();
-                for _ in 0..count {
-                    let trace_id = cur.u64()?;
-                    let t_ns = cur.u64()?;
-                    let key = cur.u64()?;
-                    let node = cur.u8()?;
-                    let shard = cur.u8()?;
-                    let kind_byte = cur.u8()?;
-                    let kind =
-                        EventKind::from_u8(kind_byte).ok_or(WireError::BadOpcode(kind_byte))?;
-                    let peer = cur.u8()?;
-                    events.push(Event {
-                        trace_id,
-                        t_ns,
-                        key,
-                        node,
-                        shard,
-                        kind,
-                        peer,
-                    });
-                }
-                Frame::TraceDumpResp { dropped, events }
-            }
-            opcode::PING => Frame::Ping,
-            opcode::PONG => Frame::Pong,
-            opcode::SHUTDOWN => Frame::Shutdown,
-            other => return Err(WireError::BadOpcode(other)),
-        };
-        cur.finish()?;
-        Ok(frame)
+        }
+    };
+}
+
+frames! {
+    plain {
+        /// Opens a client connection.
+        0x01 ClientHello,
+        /// Opens (or re-opens) the duplex protocol link from peer node `from`,
+        /// the lower node id of the pair.
+        ///
+        /// `gen` stamps the sender's *process generation* — a value unique to
+        /// one life of the sending process. The receiver tracks the highest
+        /// generation seen per peer: a hello carrying a lower generation is a
+        /// stale process (its connections are refused), a higher one means the
+        /// peer crashed and restarted (triggering recovery), an equal one is
+        /// the same process redialing after a transient link failure.
+        0x02 PeerHello {
+            /// Sender node id.
+            from: u8,
+            /// Sender process generation.
+            gen: u64,
+            /// Messages of the *receiver's* stream the sender has processed:
+            /// the receiver drops that prefix of what it retains and replays
+            /// the rest.
+            processed: u64,
+            /// The receiver generation whose numbering `processed` is in (0:
+            /// none yet); a receiver of any other ignores the count.
+            peer_gen: u64,
+        },
+        /// The receiver's reply to [`Frame::PeerHello`].
+        0x04 PeerHelloAck {
+            /// Messages processed from the dialing `(peer, generation)` (0 if
+            /// the receiver restarted or never heard from this generation).
+            /// The dialer drops every retained message up to `processed` and
+            /// replays the rest — exactly once, in order.
+            processed: u64,
+            /// The *receiver's* process generation (lets the dialer detect
+            /// that the peer it reconnected to is a restarted process).
+            gen: u64,
+            /// Sequence number of the first message the receiver will send;
+            /// the dialer aligns its processed counter to `start_seq - 1`.
+            start_seq: u64,
+        },
+        /// Sent by the dialing side after [`Frame::PeerHelloAck`]: the sequence
+        /// number of the first flow-controlled message that will follow on this
+        /// connection. The receiver aligns its processed counter to
+        /// `start_seq - 1` (a restarted receiver adopts the dialer's numbering;
+        /// an intact one sees its own count echoed back).
+        0x05 PeerResume {
+            /// Sequence number of the next message on this link.
+            start_seq: u64,
+        },
+        /// Client read request.
+        0x10 Get {
+            /// Key to read.
+            key: u64,
+        },
+        /// Client write request.
+        0x11 Put {
+            /// Key to write.
+            key: u64,
+            /// Value bytes.
+            value: Vec<u8>,
+        },
+        /// Response to [`Frame::Get`].
+        0x12 GetResp {
+            /// Whether the read was served by the symmetric cache (and thus
+            /// carries a protocol timestamp and belongs in checked histories).
+            cached: bool,
+            /// Timestamp of the value read (zero on the miss path).
+            ts: Timestamp,
+            /// The value (empty if never written).
+            value: Vec<u8>,
+        },
+        /// Response to [`Frame::Put`].
+        0x13 PutResp {
+            /// Whether the write went through the symmetric cache.
+            cached: bool,
+            /// Timestamp assigned by the protocol (zero on the miss path).
+            ts: Timestamp,
+        },
+        /// Remote read of a cache-missing key, sent to the key's home node.
+        0x30 MissGet {
+            /// Key to read.
+            key: u64,
+        },
+        /// Response to [`Frame::MissGet`].
+        0x31 MissGetResp {
+            /// The value (empty if never written).
+            value: Vec<u8>,
+        },
+        /// Forwarded write of a cache-missing key, sent to the key's home node.
+        0x32 MissPut {
+            /// Key to write.
+            key: u64,
+            /// The sender's tag (diagnostics only: the home shard assigns the
+            /// authoritative version on arrival, since sender-side counters
+            /// advance independently).
+            tag: u32,
+            /// Writer id breaking clock ties.
+            writer: u8,
+            /// Value bytes.
+            value: Vec<u8>,
+        },
+        /// Response to [`Frame::MissPut`], carrying the version the home shard
+        /// assigned to the write (clients record it so histories include cold
+        /// writes — the versions re-surface as install timestamps when a cold
+        /// key later turns hot).
+        0x33 MissPutResp {
+            /// Home-assigned version of the write.
+            ts: Timestamp,
+        },
+        /// Write-back of a dirty evicted cache value to the key's home shard
+        /// (rpc path). Versioned: every replica evicts its own copy, the home
+        /// keeps the newest.
+        0x34 WriteBack {
+            /// Key being written back.
+            key: u64,
+            /// Protocol timestamp of the value.
+            ts: Timestamp,
+            /// The evicted dirty value.
+            value: Vec<u8>,
+        },
+        /// Response to [`Frame::WriteBack`].
+        0x35 WriteBackResp {
+            /// Whether the value was applied (false: a newer version was
+            /// already stored).
+            applied: bool,
+        },
+        /// Marks a key as transitioning into the hot set at its home shard and
+        /// fetches its current value and version (rpc path; epoch admin). While
+        /// marked, the home bounces cold writes with [`Frame::MissRetry`] so no
+        /// write lands between the fetch and the cache fills.
+        0x36 HotMark {
+            /// Key entering the hot set.
+            key: u64,
+        },
+        /// Response to [`Frame::HotMark`].
+        0x37 HotMarkResp {
+            /// The shard's stored version of the value.
+            ts: Timestamp,
+            /// The shard's current value (empty if never written).
+            value: Vec<u8>,
+        },
+        /// Clears a key's hot-transition mark at its home shard (rpc path;
+        /// epoch admin) — sent after every replica dropped the key and all
+        /// dirty write-backs landed, re-opening the cold write path.
+        0x38 HotUnmark {
+            /// Key leaving the hot set.
+            key: u64,
+        },
+        /// Response to [`Frame::HotUnmark`].
+        0x39 HotUnmarkResp,
+        /// Answer to a miss-path request for a key that is mid-transition into
+        /// or out of the hot set: the sender retries (by then the key is either
+        /// cached at the serving node or cold at the home shard).
+        0x3A MissRetry,
+        /// Installs a hot key into the node's symmetric cache (coordinator /
+        /// rack-launcher admin path) at the version its home shard stored it
+        /// at, so the per-key Lamport clock continues across epochs. A `warm`
+        /// install stays invisible to client reads/writes (while participating
+        /// in the coherence protocol) until [`Frame::ActivateHot`] — the
+        /// coordinator warms every replica before activating any, so no write
+        /// ever commits against a half-installed hot set.
+        0x40 InstallHot {
+            /// Key to install.
+            key: u64,
+            /// Home-shard version of the value (`Timestamp::ZERO` for a fresh
+            /// dataset).
+            ts: Timestamp,
+            /// Whether to install in the warming state.
+            warm: bool,
+            /// Initial value.
+            value: Vec<u8>,
+        },
+        /// Response to [`Frame::InstallHot`].
+        0x41 InstallHotResp {
+            /// Whether the key was installed (false: cache full).
+            ok: bool,
+        },
+        /// Evicts a key from the node's symmetric cache (epoch change /
+        /// failed-install rollback; admin path). A dirty value is written back
+        /// to the key's home shard before the response is sent.
+        0x42 Evict {
+            /// Key to evict.
+            key: u64,
+        },
+        /// Response to [`Frame::Evict`].
+        0x43 EvictResp {
+            /// Whether the key was cached.
+            existed: bool,
+        },
+        /// Asks the epoch coordinator to close the current popularity epoch and
+        /// reconfigure the deployment's hot set now (admin path).
+        0x44 FlipEpoch,
+        /// Response to [`Frame::FlipEpoch`].
+        0x45 FlipEpochResp {
+            /// The epoch that was closed.
+            epoch: u64,
+            /// Keys installed into the hot set by this flip.
+            installed: u32,
+            /// Keys evicted from the hot set by this flip.
+            evicted: u32,
+        },
+        /// Activates a warming hot key (epoch admin path; second phase of a
+        /// live install).
+        0x46 ActivateHot {
+            /// Key to activate.
+            key: u64,
+        },
+        /// Response to [`Frame::ActivateHot`].
+        0x47 ActivateHotResp {
+            /// Whether the key was present.
+            ok: bool,
+        },
+        /// Liveness probe.
+        0x50 Ping,
+        /// Response to [`Frame::Ping`].
+        0x51 Pong,
+        /// Asks the node to shut down (admin path; used by launchers and
+        /// tests to stop remote `cckvs-node` processes).
+        0x52 Shutdown,
+        /// Asks the node for its current cold-version counter (admin path). A
+        /// supervisor polls this while the node serves and passes the last
+        /// observed value (plus slack) to a restarted replacement via
+        /// `--cold-floor`, so home-assigned versions stay monotone across the
+        /// crash — an in-memory shard cannot remember them itself, and a
+        /// restarted home reusing `(clock, writer)` pairs would make
+        /// cross-crash histories ambiguous.
+        0x54 VersionFloor,
+        /// Response to [`Frame::VersionFloor`].
+        0x55 VersionFloorResp {
+            /// The node's current cold-version counter.
+            clock: u32,
+        },
+        /// Asks the node for the keys its symmetric cache currently holds
+        /// (admin path). By symmetry this is the deployment's hot set; a
+        /// supervisor queries a survivor when restarting a crashed node — the
+        /// replacement boots with those of the keys it homes *fenced*
+        /// (`--hot-fence`), and cache symmetry is then healed by evicting the
+        /// hot set rack-wide.
+        0x56 CacheKeys,
+        /// Response to [`Frame::CacheKeys`].
+        0x57 CacheKeysResp {
+            /// The cached keys, in no particular order.
+            keys: Vec<u64>,
+        },
+        /// Asks the node for its retained trace events (admin path). The
+        /// node drains its per-shard rings and returns the bounded store;
+        /// `cckvs-trace` merges dumps from every node into per-op timelines.
+        0x58 TraceDump,
+        /// Response to [`Frame::TraceDump`].
+        0x59 TraceDumpResp {
+            /// Events dropped node-side because a ring lane was full (a
+            /// nonzero value means dumped timelines may have holes).
+            dropped: u64,
+            /// The retained events, oldest first.
+            events: Vec<Event>,
+        },
+        /// Cumulative flow-control acknowledgement for a peer link. Each
+        /// protocol message sent to a peer consumes one credit; the peer
+        /// confirms *processing* by echoing its cumulative processed count,
+        /// piggybacked on batches flowing in the reverse direction — so a fast
+        /// writer (a Lin ack round fanning out) can never overrun a slow
+        /// receiver by more than the credit window. Cumulative (TCP-ack style)
+        /// rather than incremental: a credit frame lost with a severed link is
+        /// subsumed by the next one, so reconnects never leak window.
+        0x61 Credit {
+            /// Cumulative messages processed from the receiving node, in the
+            /// receiving node's sequence numbering.
+            cum: u64,
+            /// The process generation whose numbering `cum` refers to (the
+            /// confirmed direction's sender generation). A receiver whose own
+            /// generation differs ignores the frame — a restarted sender must
+            /// not interpret confirmations addressed to its predecessor.
+            gen: u64,
+        },
+        /// The request failed server-side (e.g. a value over the shard's
+        /// capacity); carries a human-readable reason. Sent in place of the
+        /// normal response so client-controlled input never kills a server
+        /// thread.
+        0x7E Error {
+            /// Why the request failed.
+            message: String,
+        },
     }
+    custom {
+        /// A consistency-protocol message, with the update's value bytes
+        /// attached when present.
+        0x20 PROTOCOL Protocol {
+            /// The protocol message.
+            msg: ProtocolMsg,
+            /// Value bytes accompanying `Update` messages.
+            bytes: Option<Vec<u8>>,
+        } => |buf| put_protocol(buf, msg, bytes.as_deref()), |cur| get_protocol(cur)?,
+        /// A coalesced run of frames travelling as one wire message (§6.3/§6.4:
+        /// requests and coherence traffic are batched to amortise per-message
+        /// network cost). Sub-frames are individually length-prefixed and
+        /// decoded with the ordinary [`Frame::decode`]; batches never nest. On
+        /// client connections a batch of requests is answered by one batch of
+        /// responses in the same order; on peer links batches carry protocol
+        /// messages and piggybacked [`Frame::Credit`] returns.
+        0x60 BATCH Batch {
+            /// The coalesced frames, in send order.
+            frames: Vec<Frame>,
+        } => |buf| put_batch(buf, frames), |cur| get_batch(cur)?,
+        /// A correlated request multiplexed over a peer link. Miss-path RPCs
+        /// (and admin write-backs) travel as flow-controlled items on the
+        /// crash-surviving peer mesh instead of pooled blocking connections:
+        /// the sender registers `corr` in its pending-RPC table and resumes
+        /// the suspended client op when the matching [`Frame::RpcResp`]
+        /// arrives back on the same link. Retained-until-confirmed delivery
+        /// (the PR 5 replay machinery) carries these across link severs and
+        /// peer restarts like any protocol message.
+        0x62 RPC_REQ RpcReq {
+            /// Correlation id, unique per sending process lifetime.
+            corr: u64,
+            /// The request (a `MissGet`/`MissPut`/`WriteBack`/… frame,
+            /// optionally wrapped in [`Frame::Traced`]).
+            inner: Box<Frame>,
+        } => |buf| put_envelope(buf, opcode::RPC_REQ, *corr, inner, &RPC_WRAPS_NO),
+            |cur| Frame::RpcReq {
+                corr: u64::get(cur)?,
+                inner: get_inner(cur, &RPC_WRAPS_NO, WireError::NestedRpc)?,
+            },
+        /// The response to the [`Frame::RpcReq`] carrying the same `corr`.
+        /// A response whose correlation id is unknown at the requester (the
+        /// request was already answered once — e.g. re-served after a peer
+        /// restart replay) is dropped, which is what makes RPC resolution
+        /// exactly-once from the suspended op's point of view.
+        0x63 RPC_RESP RpcResp {
+            /// Correlation id echoed from the request.
+            corr: u64,
+            /// The response frame (optionally wrapped in [`Frame::Traced`]).
+            inner: Box<Frame>,
+        } => |buf| put_envelope(buf, opcode::RPC_RESP, *corr, inner, &RPC_WRAPS_NO),
+            |cur| Frame::RpcResp {
+                corr: u64::get(cur)?,
+                inner: get_inner(cur, &RPC_WRAPS_NO, WireError::NestedRpc)?,
+            },
+        /// Trace-context envelope: annotates one ordinary frame with the
+        /// rack-wide trace id of the sampled client operation it belongs to.
+        /// Receivers that trace record span events against `id` and then
+        /// process `inner` exactly as if it had arrived bare; responses
+        /// travel unwrapped (the sampler already knows the id). Envelopes
+        /// wrap single frames only — a batch's sub-frames carry their own —
+        /// and an envelope on a peer link consumes the flow-control credit
+        /// of its inner frame.
+        0x7F TRACED Traced {
+            /// The operation's rack-wide trace id (nonzero by convention).
+            id: u64,
+            /// The annotated frame.
+            inner: Box<Frame>,
+        } => |buf| put_envelope(buf, opcode::TRACED, *id, inner, &TRACED_WRAPS_NO),
+            |cur| Frame::Traced {
+                id: u64::get(cur)?,
+                inner: get_inner(cur, &TRACED_WRAPS_NO, WireError::NestedTrace)?,
+            },
+    }
+}
+
+// ---- custom: the hand-written halves the `custom` rows above name ----
+
+fn put_protocol(buf: &mut Vec<u8>, msg: &ProtocolMsg, bytes: Option<&[u8]>) {
+    buf.push(opcode::PROTOCOL);
+    let (kind, key, ts, from) = match msg {
+        ProtocolMsg::Invalidation { key, ts, from } => (0u8, key, ts, from),
+        ProtocolMsg::Ack { key, ts, from } => (1, key, ts, from),
+        ProtocolMsg::Update { key, ts, from, .. } => (2, key, ts, from),
+    };
+    kind.put(buf);
+    key.put(buf);
+    ts.put(buf);
+    from.0.put(buf);
+    if let ProtocolMsg::Update { value, .. } = msg {
+        value.put(buf);
+    }
+    match bytes {
+        None => buf.push(0),
+        Some(b) => {
+            buf.push(1);
+            put_bytes(buf, b);
+        }
+    }
+}
+
+// An arm of `decode`, like `get_batch`: inlined, the cursor stays in registers.
+#[inline(always)]
+fn get_protocol(cur: &mut Cursor<'_>) -> Result<Frame, WireError> {
+    let kind = u8::get(cur)?;
+    let key = u64::get(cur)?;
+    let ts = Timestamp::get(cur)?;
+    let from = NodeId(u8::get(cur)?);
+    let msg = match kind {
+        0 => ProtocolMsg::Invalidation { key, ts, from },
+        1 => ProtocolMsg::Ack { key, ts, from },
+        2 => ProtocolMsg::Update {
+            key,
+            value: u64::get(cur)?,
+            ts,
+            from,
+        },
+        other => return Err(WireError::BadOpcode(other)),
+    };
+    let bytes = match u8::get(cur)? {
+        0 => None,
+        _ => Some(Vec::get(cur)?),
+    };
+    Ok(Frame::Protocol { msg, bytes })
+}
+
+fn put_batch(buf: &mut Vec<u8>, frames: &[Frame]) {
+    buf.push(opcode::BATCH);
+    (frames.len() as u32).put(buf);
+    for frame in frames {
+        debug_assert!(!matches!(frame, Frame::Batch { .. }), "batches cannot nest");
+        encode_frame_into(buf, frame);
+    }
+}
+
+#[inline(always)]
+fn get_batch(cur: &mut Cursor<'_>) -> Result<Frame, WireError> {
+    let count = u32::get(cur)? as usize;
+    // Sized once, by what the bytes present could hold (a sub-frame is at
+    // least its prefix and an opcode) — never by the count alone, which is
+    // attacker-chosen.
+    let mut frames = Vec::with_capacity(count.min((cur.data.len() - cur.pos) / 5));
+    for _ in 0..count {
+        let sub = cur.slice()?;
+        if sub.first() == Some(&opcode::BATCH) {
+            return Err(WireError::NestedBatch);
+        }
+        frames.push(Frame::decode(sub)?);
+    }
+    Ok(Frame::Batch { frames })
+}
+
+/// What a correlation envelope cannot wrap ([`WireError::NestedRpc`]).
+const RPC_WRAPS_NO: [u8; 3] = [opcode::RPC_REQ, opcode::RPC_RESP, opcode::BATCH];
+
+/// What a trace envelope cannot wrap ([`WireError::NestedTrace`]). Trace
+/// context goes inside the correlation envelope (`RpcReq{Traced{..}}`),
+/// never around it — allowing both would nest traced → rpc → traced
+/// without bound.
+const TRACED_WRAPS_NO: [u8; 4] = [
+    opcode::TRACED,
+    opcode::BATCH,
+    opcode::RPC_REQ,
+    opcode::RPC_RESP,
+];
+
+/// An envelope: its opcode, its id, then the wrapped frame's payload.
+fn put_envelope(buf: &mut Vec<u8>, opcode: u8, id: u64, inner: &Frame, wraps_no: &[u8]) {
+    buf.push(opcode);
+    id.put(buf);
+    let at = buf.len();
+    inner.encode_into(buf);
+    debug_assert!(
+        !wraps_no.contains(&buf[at]),
+        "envelope {opcode:#x} cannot wrap a frame of opcode {:#x}",
+        buf[at]
+    );
+}
+
+/// The frame an envelope wraps: what is left of the payload, unless its
+/// opcode is one of `wraps_no`, which is `refused`.
+fn get_inner(
+    cur: &mut Cursor<'_>,
+    wraps_no: &[u8],
+    refused: WireError,
+) -> Result<Box<Frame>, WireError> {
+    let rest = cur.rest();
+    if rest.first().is_some_and(|op| wraps_no.contains(op)) {
+        return Err(refused);
+    }
+    Ok(Box::new(Frame::decode(rest)?))
 }
 
 /// Writes one frame to `w` (length prefix + payload). Does not flush.
@@ -1186,7 +934,7 @@ impl BatchBuilder {
         put_prefixed(&mut self.buf, |buf| {
             if let Some(id) = trace {
                 buf.push(opcode::TRACED);
-                buf.extend_from_slice(&id.to_le_bytes());
+                id.put(buf);
             }
             put_protocol(buf, msg, bytes);
         });
@@ -1204,7 +952,7 @@ impl BatchBuilder {
             1 => out.extend_from_slice(&self.buf),
             count => put_prefixed(out, |out| {
                 out.push(opcode::BATCH);
-                out.extend_from_slice(&count.to_le_bytes());
+                count.put(out);
                 out.extend_from_slice(&self.buf);
             }),
         }

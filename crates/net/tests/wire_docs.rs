@@ -1,7 +1,9 @@
 //! Keeps `docs/WIRE.md` honest: the opcode table in the document must
 //! match `wire::opcode_table()` exactly — same names, same values, no
-//! frame missing from either side. Renumbering, adding, or removing an
-//! opcode without updating the doc fails here. Likewise the "UDP datagram
+//! frame missing from either side, and for every frame `wire.rs` writes
+//! from its table the same `name: type` fields in the same (wire) order.
+//! Renumbering, adding, or removing an opcode, or reordering a frame's
+//! fields, without updating the doc fails here. Likewise the "UDP datagram
 //! envelope" table against `transport.rs`'s tag and header-size constants,
 //! the credit-return policy's two constants and the redial backoff's.
 
@@ -48,7 +50,7 @@ fn wire_doc_opcode_table_matches_the_code() {
     let documented = doc_opcodes(&markdown);
     let actual: Vec<(String, u8)> = opcode_table()
         .into_iter()
-        .map(|(name, op)| (name.to_string(), op))
+        .map(|(name, op, _)| (name.to_string(), op))
         .collect();
 
     assert!(
@@ -83,6 +85,51 @@ fn wire_doc_opcode_table_matches_the_code() {
     assert_eq!(
         documented, sorted,
         "docs/WIRE.md opcode rows are not in ascending opcode order"
+    );
+}
+
+/// The leading `` `name: type` `` items of an opcode row's Payload column
+/// (whatever prose follows them is the document's own).
+fn doc_payload_fields(row: &str) -> Vec<(String, String)> {
+    let payload = row.split(" | ").nth(3).expect("four columns");
+    let mut fields = Vec::new();
+    let mut rest = payload;
+    while let Some((item, after)) = rest.strip_prefix('`').and_then(|open| open.split_once('`')) {
+        let Some((name, ty)) = item.split_once(": ") else {
+            break;
+        };
+        fields.push((name.to_string(), ty.to_string()));
+        rest = after.strip_prefix(", ").unwrap_or("");
+    }
+    fields
+}
+
+#[test]
+fn wire_doc_payloads_match_the_frame_table() {
+    let markdown = wire_doc();
+    let mut wrong = Vec::new();
+    for (name, op, fields) in opcode_table() {
+        // A custom frame's payload is prose, and its codec hand-written.
+        let Some(fields) = fields else { continue };
+        let row = markdown
+            .lines()
+            .find(|line| line.starts_with(&format!("| `{op:#04X}` | `{name}` |")))
+            .unwrap_or_else(|| panic!("docs/WIRE.md has no row `{op:#04X}` `{name}`"));
+        let documented = doc_payload_fields(row);
+        if !documented
+            .iter()
+            .map(|(field, ty)| (field.as_str(), ty.as_str()))
+            .eq(fields.iter().copied())
+        {
+            wrong.push(format!(
+                "{name}: documented {documented:?}, written {fields:?}"
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "docs/WIRE.md states other payloads than wire.rs writes:\n{}",
+        wrong.join("\n")
     );
 }
 
