@@ -328,46 +328,17 @@ impl CcNode {
         self.cache.activate(key)
     }
 
-    /// Evicts a key from the cache (epoch change / failed-install rollback).
+    /// Evicts a key from the cache (epoch change / failed-install rollback),
+    /// or returns `None` while a local write to it is still collecting
+    /// acknowledgements: the caller probes again once that write has
+    /// committed (peers that already dropped the key keep acknowledging
+    /// invalidations, so it does). A driver must not wait here for progress
+    /// only it can deliver.
     ///
     /// A value written while cached is *always* preserved: written back to
     /// the local KVS if this node is the key's home, returned as
-    /// [`EvictHot::WriteBackRemote`] for the transport to ship to the home
-    /// shard otherwise. (Earlier revisions silently discarded dirty values
-    /// of non-home keys — the coherence-downgrade hazard of decoupling
-    /// eviction from ownership.) If a local write is still collecting
-    /// acknowledgements the eviction waits for it to commit first; peers
-    /// that already dropped the key keep acknowledging invalidations, so
-    /// the wait always resolves.
-    pub fn evict_hot(&self, key: u64) -> EvictHot {
-        let mut backoff = StallBackoff::new();
-        loop {
-            match self.cache.evict(key) {
-                EvictOutcome::NotCached => return EvictHot::NotCached,
-                EvictOutcome::Pending => backoff.wait(),
-                EvictOutcome::Evicted { dirty: false, .. } => return EvictHot::Clean,
-                EvictOutcome::Evicted {
-                    value,
-                    ts,
-                    dirty: true,
-                } => {
-                    if self.is_home(key) {
-                        let _ = self.write_back(key, &value, ts);
-                        return EvictHot::WrittenBack { ts };
-                    }
-                    return EvictHot::WriteBackRemote { value, ts };
-                }
-            }
-        }
-    }
-
-    /// Single-shot eviction probe for deterministic drivers: like
-    /// [`CcNode::evict_hot`] but returns `None` instead of spinning in the
-    /// internal backoff while a local write is still collecting
-    /// acknowledgements. A single-threaded scheduler (the model checker)
-    /// owns message delivery itself, so blocking here would wait on
-    /// progress only the caller can make; it re-probes once the pending
-    /// write has committed.
+    /// [`EvictHot::WriteBackRemote`] for the caller to ship to the home
+    /// shard otherwise.
     pub fn try_evict_hot(&self, key: u64) -> Option<EvictHot> {
         match self.cache.evict(key) {
             EvictOutcome::NotCached => Some(EvictHot::NotCached),
@@ -872,7 +843,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_of_a_non_home_key_reaches_the_home_shard() {
-        // Regression: evict_hot used to write back only when the evicting
+        // Regression: eviction used to write back only when the evicting
         // node happened to be the key's home — a dirty value evicted
         // anywhere else was silently discarded.
         let nodes = rack(ConsistencyModel::Sc, 3);
@@ -888,16 +859,16 @@ mod tests {
         }
         // Evict on the non-home node: the dirty value must come back for
         // the transport to ship home.
-        let (value, ts) = match nodes[non_home].evict_hot(key) {
-            EvictHot::WriteBackRemote { value, ts } => (value, ts),
+        let (value, ts) = match nodes[non_home].try_evict_hot(key) {
+            Some(EvictHot::WriteBackRemote { value, ts }) => (value, ts),
             other => panic!("expected remote write-back, got {other:?}"),
         };
         assert_eq!(value, b"final-value");
         assert!(nodes[home].write_back(key, &value, ts).expect("capacity"));
         assert_eq!(nodes[home].kvs_get(key), b"final-value");
         // The home node's own eviction writes back locally.
-        match nodes[home].evict_hot(key) {
-            EvictHot::WrittenBack { ts: t } => assert_eq!(t, ts),
+        match nodes[home].try_evict_hot(key) {
+            Some(EvictHot::WrittenBack { ts: t }) => assert_eq!(t, ts),
             other => panic!("expected local write-back, got {other:?}"),
         }
         assert_eq!(nodes[home].kvs_get(key), b"final-value");
@@ -926,8 +897,8 @@ mod tests {
         for node in &nodes {
             node.install_hot(7, b"old", Timestamp::ZERO);
         }
-        assert!(matches!(nodes[1].evict_hot(7), EvictHot::Clean));
-        assert!(matches!(nodes[2].evict_hot(7), EvictHot::Clean));
+        assert_eq!(nodes[1].try_evict_hot(7), Some(EvictHot::Clean));
+        assert_eq!(nodes[2].try_evict_hot(7), Some(EvictHot::Clean));
         let (ts, outgoing) = match nodes[0].cache_put(7, b"new", 5) {
             CachePut::Pending { ts, outgoing } => (ts, outgoing),
             other => panic!("expected pending Lin write, got {other:?}"),
@@ -936,11 +907,11 @@ mod tests {
         // caching the key any more, so the write commits.
         pump(&nodes, 0, outgoing);
         nodes[0].wait_committed(7, ts);
-        match nodes[0].evict_hot(7) {
-            EvictHot::WriteBackRemote { value, .. } if !nodes[0].is_home(7) => {
+        match nodes[0].try_evict_hot(7) {
+            Some(EvictHot::WriteBackRemote { value, .. }) if !nodes[0].is_home(7) => {
                 assert_eq!(value, b"new")
             }
-            EvictHot::WrittenBack { .. } if nodes[0].is_home(7) => {
+            Some(EvictHot::WrittenBack { .. }) if nodes[0].is_home(7) => {
                 assert_eq!(nodes[0].kvs_get(7), b"new")
             }
             other => panic!("dirty eviction lost the committed write: {other:?}"),
@@ -980,7 +951,7 @@ mod tests {
         assert_eq!(home.cold_get(key), None);
         assert_eq!(snapshot(home), before);
         // Neither: the cold path is open again and moves both.
-        assert!(matches!(home.evict_hot(key), EvictHot::Clean));
+        assert_eq!(home.try_evict_hot(key), Some(EvictHot::Clean));
         assert_eq!(home.cold_get(key).as_deref(), Some(&b"stored"[..]));
         let ts = applied(home.cold_put(key, b"next", 0));
         assert_eq!(
@@ -1022,7 +993,8 @@ mod tests {
             CachePut::Done { ts, .. } => ts,
             other => panic!("expected immediate SC completion, got {other:?}"),
         };
-        assert!(matches!(home.evict_hot(key), EvictHot::WrittenBack { ts } if ts == hot_write));
+        let evicted = home.try_evict_hot(key);
+        assert_eq!(evicted, Some(EvictHot::WrittenBack { ts: hot_write }));
         let after_evict = applied(home.cold_put(key, b"cold-3", 0));
         assert!(after_evict.clock > hot_write.clock);
         // The supervisor's floor.

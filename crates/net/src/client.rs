@@ -132,6 +132,11 @@ impl Conn {
         }
     }
 
+    /// Bounds how long [`Conn::call`] waits for an answer (`None`: for ever).
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
     /// Sends `request` and awaits the response.
     pub(crate) fn call(&mut self, request: &Frame) -> io::Result<Frame> {
         self.send(request)?;

@@ -1,8 +1,9 @@
 //! One client connection's op machine: the decoded-request queue and the
 //! single request suspended mid-execution, with everything that decides
-//! what a `Get`, a `Put`, a batch or an admin frame does next — probe the
-//! cache, fall to the home shard, park on a commit or a miss-path RPC,
-//! bounce off a hot-set transition and retry, give up.
+//! what a `Get`, a `Put`, an `Evict`, a batch or an admin frame does next —
+//! probe the cache, fall to the home shard, park on a commit or a
+//! miss-path RPC, bounce off a hot-set transition or a pending write and
+//! retry, give up.
 //!
 //! Like [`crate::link`] and [`crate::rpc`], nothing here owns a socket, a
 //! thread, a lock, a timer or a clock. Inputs are [`ConnOps::push`] (a
@@ -21,7 +22,7 @@
 //! program order is what the node executes.
 
 use crate::wire::Frame;
-use cckvs::node::{CachePut, CcNode, ColdPut, Outgoing};
+use cckvs::node::{CachePut, CcNode, ColdPut, EvictHot, Outgoing};
 pub use cckvs_trace::EventKind;
 use cckvs_trace::NO_PEER;
 use consistency::lamport::Timestamp;
@@ -46,6 +47,10 @@ pub const HOT_TRANSITION_RETRY: Duration = Duration::from_secs(5);
 pub const RETRY_BACKOFF_START: Duration = Duration::from_micros(50);
 /// Bounce-retry backoff cap.
 pub const RETRY_BACKOFF_MAX: Duration = Duration::from_millis(2);
+
+/// How many times an eviction sends its dirty value home over a failing
+/// link before it answers the failure: the op holds the only copy.
+const WRITE_BACK_TRIES: u8 = 3;
 
 /// A driver's notion of time. The reactor passes [`Instant`]s; a driver
 /// that models no time passes `()`, whose deadlines never come.
@@ -101,6 +106,10 @@ pub enum Note {
     RemoteWrite,
     /// A Lin write waited this long for its last acknowledgement.
     LinAckWait(Duration),
+    /// A dirty value an eviction took out of the cache landed at its home.
+    WriteBack,
+    /// An `Evict` of this key was answered: it is not cached here now.
+    Evicted(u64),
 }
 
 /// What a [`ConnOps`] needs from the process around it. Statically
@@ -122,9 +131,9 @@ pub trait OpsHost {
     /// Arranges for a [`ResumeEvent::Committed`] once the pending Lin
     /// write `(key, ts)` commits. Called before its invalidations ship.
     fn on_commit(&mut self, key: u64, ts: Timestamp);
-    /// Serves a frame that is neither a `Get` nor a `Put`: liveness,
-    /// diagnostics, cache-fill and home-shard admin on the spot, an
-    /// `Evict` or `FlipEpoch` through a lane that may block on it.
+    /// Serves a frame that is neither a `Get`, a `Put` nor an `Evict`:
+    /// liveness, diagnostics, cache-fill and home-shard admin on the spot,
+    /// a `FlipEpoch` through the coordinator's epoch applier.
     fn serve(&mut self, frame: Frame) -> Served;
     /// Books a count or duration.
     fn note(&mut self, note: Note);
@@ -138,8 +147,8 @@ pub trait OpsHost {
 pub enum Served {
     /// Answered it.
     Now(Frame),
-    /// Handed it to another thread; [`ResumeEvent::Admin`] brings the
-    /// answer.
+    /// Handed a `FlipEpoch` to the epoch applier; [`ResumeEvent::Admin`]
+    /// brings the answer.
     Later,
     /// The connection ends: a `Shutdown`, a frame no client may send, or
     /// nobody left to hand it to.
@@ -157,9 +166,8 @@ pub enum ResumeEvent {
     /// The correlated miss-path RPC `corr` failed (peer dead past the
     /// transport deadline, or server shutdown).
     RpcFailed { corr: u64, message: String },
-    /// The off-shard admin lane finished the suspended admin frame;
-    /// `None` if it failed.
-    Admin { response: Option<Frame> },
+    /// The epoch applier finished the suspended `FlipEpoch`.
+    Admin { response: Frame },
 }
 
 /// What [`ConnOps::run`] asks of the driver beyond writing the responses.
@@ -178,7 +186,7 @@ pub enum Step {
 /// replaced the worker-pool handoff: instead of a parked thread, the
 /// suspended state is a few dozen bytes on the connection, and the event
 /// that ends the wait (the final Lin ack, the RPC response frame, a retry
-/// tick, the admin job's result) resumes it in place.
+/// tick, the epoch applier's result) resumes it in place.
 #[derive(Debug, Clone, PartialEq)]
 struct Suspended<T> {
     /// Responses produced so far (request *k*'s response sits at
@@ -240,6 +248,14 @@ enum PendingOp {
         key: u64,
         value: Vec<u8>,
     },
+    /// Takes `key` out of the cache (§4's epoch change). A dirty value
+    /// homed elsewhere waits in `dirty`, the only copy, until its home has it.
+    Evict {
+        key: u64,
+        dirty: Option<(Vec<u8>, Timestamp)>,
+        /// Write-backs of `dirty` sent so far.
+        tries: u8,
+    },
     /// Any other frame: [`OpsHost::serve`]'s, handed over at first
     /// attempt.
     Other(Frame),
@@ -249,7 +265,9 @@ impl PendingOp {
     /// The key the op refers to, for trace annotation and error text.
     fn key(&self) -> u64 {
         match self {
-            PendingOp::Get { key } | PendingOp::Put { key, .. } => *key,
+            PendingOp::Get { key } | PendingOp::Put { key, .. } | PendingOp::Evict { key, .. } => {
+                *key
+            }
             PendingOp::Other(_) => 0,
         }
     }
@@ -269,8 +287,7 @@ pub enum Wait<T = Instant> {
     /// A hot-transition bounce asked for a retry tick; re-attempt when it
     /// fires.
     Retry,
-    /// An admin job (an `Evict`, a forced epoch flip) is running
-    /// off-shard.
+    /// A `FlipEpoch` is running on the coordinator's epoch applier.
     Admin,
 }
 
@@ -278,7 +295,8 @@ pub enum Wait<T = Instant> {
 enum Attempt<T> {
     /// Finished with this response.
     Respond(Frame),
-    /// Parked; the wait's wake event re-enters the state machine.
+    /// Parked; the wait's wake event re-enters the state machine
+    /// ([`Wait::Runnable`]: at once).
     Park(Wait<T>),
     /// The key is mid-transition (stalled entry, busy home shard):
     /// bounce — retry after a tick, or give up past the deadline.
@@ -473,7 +491,7 @@ impl<T: Time> ConnOps<T> {
                 }
                 Attempt::Park(wait) => {
                     s.wait = wait;
-                    if resumes.is_empty() {
+                    if resumes.is_empty() && wait != Wait::Runnable {
                         return Step::Wait;
                     }
                 }
@@ -524,6 +542,11 @@ impl<T: Time> Suspended<T> {
         self.op = match frame {
             Frame::Get { key } => PendingOp::Get { key },
             Frame::Put { key, value } => PendingOp::Put { key, value },
+            Frame::Evict { key } => PendingOp::Evict {
+                key,
+                dirty: None,
+                tries: 0,
+            },
             other => PendingOp::Other(other),
         };
     }
@@ -621,6 +644,12 @@ impl<T: Time> Suspended<T> {
             ts: Timestamp::ZERO,
             value,
         })
+    }
+
+    /// Answers an `Evict` whose key is out of the cache now.
+    fn evicted<H: OpsHost>(host: &mut H, key: u64, existed: bool) -> Attempt<T> {
+        host.note(Note::Evicted(key));
+        Attempt::Respond(Frame::EvictResp { existed })
     }
 
     /// One probe of the current op. Probes are idempotent: a bounced op
@@ -750,6 +779,27 @@ impl<T: Time> Suspended<T> {
                     }
                 }
             }
+            PendingOp::Evict { key, dirty, tries } => {
+                let key = *key;
+                if dirty.is_none() {
+                    match host.node().try_evict_hot(key) {
+                        // A local write is still collecting acks: wait for
+                        // its commit the way a write stalled behind it does.
+                        None => return Attempt::Bounce,
+                        Some(EvictHot::WriteBackRemote { value, ts }) => *dirty = Some((value, ts)),
+                        Some(EvictHot::WrittenBack { .. }) => {
+                            host.note(Note::WriteBack);
+                            return Self::evicted(host, key, true);
+                        }
+                        Some(other) => return Self::evicted(host, key, other == EvictHot::Clean),
+                    }
+                }
+                let (value, ts) = dirty.clone().expect("taken out of the cache");
+                *tries += 1;
+                let home = host.node().home_node(key);
+                let request = Frame::WriteBack { key, value, ts };
+                Self::miss_rpc(host, self.trace, key, home, request)
+            }
             PendingOp::Other(frame) => match host.serve(std::mem::replace(frame, Frame::Ping)) {
                 Served::Now(response) => Attempt::Respond(response),
                 Served::Later => Attempt::Park(Wait::Admin),
@@ -809,12 +859,17 @@ impl<T: Time> Suspended<T> {
                         host.note(Note::RemoteWrite);
                         Attempt::Respond(Frame::PutResp { cached: false, ts })
                     }
-                    (PendingOp::Get { .. } | PendingOp::Put { .. }, Frame::MissRetry) => {
-                        Attempt::Bounce
+                    (PendingOp::Evict { key, .. }, Frame::WriteBackResp { .. }) => {
+                        host.note(Note::WriteBack);
+                        Self::evicted(host, *key, true)
                     }
+                    (
+                        PendingOp::Get { .. } | PendingOp::Put { .. } | PendingOp::Evict { .. },
+                        Frame::MissRetry,
+                    ) => Attempt::Bounce,
                     // The home shard rejected the write: relay the
                     // reason to the client.
-                    (PendingOp::Put { .. }, Frame::Error { message }) => {
+                    (PendingOp::Put { .. } | PendingOp::Evict { .. }, Frame::Error { message }) => {
                         Attempt::Respond(Frame::Error { message })
                     }
                     _ => Attempt::Fail,
@@ -823,14 +878,17 @@ impl<T: Time> Suspended<T> {
             (ResumeEvent::RpcFailed { corr, message }, Wait::Rpc { corr: expected })
                 if corr == *expected =>
             {
-                // Transport failure past the redial budget: surfaced to the
-                // client as a protocol error.
-                Attempt::Respond(Frame::Error { message })
+                match self.op {
+                    // The op holds the only copy: send it again.
+                    PendingOp::Evict { tries, .. } if tries < WRITE_BACK_TRIES => {
+                        Attempt::Park(Wait::Runnable)
+                    }
+                    // Transport failure past the redial budget: surfaced
+                    // to the client as a protocol error.
+                    _ => Attempt::Respond(Frame::Error { message }),
+                }
             }
-            (ResumeEvent::Admin { response }, Wait::Admin) => match response {
-                Some(response) => Attempt::Respond(response),
-                None => Attempt::Fail,
-            },
+            (ResumeEvent::Admin { response }, Wait::Admin) => Attempt::Respond(response),
             _ => return None,
         };
         host.trace(
@@ -866,7 +924,7 @@ mod tests {
 
     /// A scripted host: node 0 of a two-node Lin deployment with no rack
     /// around it. What the machine asks for is written down; the test
-    /// plays the peer, the home shard and the admin lane.
+    /// plays the peer and the home shard.
     struct FakeHost {
         node: CcNode,
         next_corr: u64,
@@ -875,8 +933,6 @@ mod tests {
         rpcs: Vec<(u64, Frame)>,
         /// Lin writes whose commit wake-up was asked for.
         commits: Vec<(u64, Timestamp)>,
-        /// Evictions handed to the admin lane and not yet answered.
-        evictions: usize,
         /// Every call that reached the host, in order.
         log: Vec<String>,
     }
@@ -911,7 +967,6 @@ mod tests {
                 tags: 0,
                 rpcs: Vec::new(),
                 commits: Vec::new(),
-                evictions: 0,
                 log: Vec::new(),
             };
             (host, keys)
@@ -944,10 +999,6 @@ mod tests {
             self.log.push(format!("serve {frame:?}"));
             match frame {
                 Frame::Ping => Served::Now(Frame::Pong),
-                Frame::Evict { .. } => {
-                    self.evictions += 1;
-                    Served::Later
-                }
                 _ => Served::Close,
             }
         }
@@ -1022,9 +1073,23 @@ mod tests {
                 Frame::MissPut { .. } => Frame::MissPutResp {
                     ts: Timestamp::new(corr as u32, NodeId(1)),
                 },
+                Frame::WriteBack { .. } => Frame::WriteBackResp { applied: true },
                 other => panic!("not a miss-path request: {other:?}"),
             };
             self.ops.resume(ResumeEvent::Rpc { corr, response });
+        }
+
+        /// Fails outstanding miss RPC number `pick` (if any), as the
+        /// deadline sweep does past the redial budget.
+        fn fail_rpc(&mut self, pick: usize) {
+            if self.host.rpcs.is_empty() {
+                return;
+            }
+            let at = pick % self.host.rpcs.len();
+            let (corr, _) = self.host.rpcs.remove(at);
+            let message = "budget spent".to_string();
+            self.ops.resume(ResumeEvent::RpcFailed { corr, message });
+            self.run();
         }
 
         /// The peer acknowledges the oldest pending Lin write (if any).
@@ -1040,17 +1105,6 @@ mod tests {
             self.run();
         }
 
-        /// The admin lane finishes the eviction handed to it (if any).
-        fn finish_eviction(&mut self) {
-            if self.host.evictions == 0 {
-                return;
-            }
-            self.host.evictions -= 1;
-            let response = Some(Frame::EvictResp { existed: false });
-            self.ops.resume(ResumeEvent::Admin { response });
-            self.run();
-        }
-
         /// An event that matches nothing the machine can be waiting for
         /// (correlation ids this high are never issued), or `None` if
         /// `pick` names one it is waiting for right now.
@@ -1058,9 +1112,12 @@ mod tests {
             let corr = (1 << 40) + pick;
             let event = match pick % 5 {
                 0 => ResumeEvent::Committed,
-                1 => ResumeEvent::Admin { response: None },
-                2 => ResumeEvent::Admin {
-                    response: Some(Frame::Pong),
+                1 => ResumeEvent::Admin {
+                    response: Frame::Pong,
+                },
+                2 => ResumeEvent::Rpc {
+                    corr,
+                    response: Frame::WriteBackResp { applied: true },
                 },
                 3 => ResumeEvent::Rpc {
                     corr,
@@ -1127,7 +1184,7 @@ mod tests {
                     }
                 }
                 4 => self.commit(),
-                5 => self.finish_eviction(),
+                5 => self.fail_rpc(r as usize),
                 _ => {
                     if let Some(event) = self.stale_event(r) {
                         self.ops.resume(event);
@@ -1145,7 +1202,6 @@ mod tests {
                 }
                 self.commit();
                 self.answer_rpc(0, false);
-                self.finish_eviction();
                 self.tick(RETRY_BACKOFF_MAX);
             }
             panic!("the machine never settled: {:?}", self.ops);
@@ -1160,7 +1216,7 @@ mod tests {
             }
             (Frame::Get { .. }, Frame::GetResp { .. } | Frame::Error { .. }) => true,
             (Frame::Put { .. }, Frame::PutResp { .. } | Frame::Error { .. }) => true,
-            (Frame::Evict { .. }, Frame::EvictResp { .. }) => true,
+            (Frame::Evict { .. }, Frame::EvictResp { .. } | Frame::Error { .. }) => true,
             (Frame::Ping, Frame::Pong) => true,
             _ => false,
         }
@@ -1234,6 +1290,41 @@ mod tests {
         assert_eq!(value(&frames[0]), 3u64.to_le_bytes());
         assert_eq!(value(&frames[1]), [1]);
         assert!(w.host.rpcs.is_empty(), "no second request for `b`");
+    }
+
+    #[test]
+    fn an_eviction_waits_out_a_pending_write_then_ships_what_it_committed() {
+        let mut w = World::new();
+        let key = w.keys.hot;
+        // A write that reached the node some other way, left pending.
+        let Some(CachePut::Pending { ts, .. }) = w.host.node.try_cache_put(key, b"late", 9) else {
+            panic!("a Lin write to a cached key waits for its ack");
+        };
+        assert_eq!(
+            w.send(Frame::Evict { key }),
+            Step::Retry(RETRY_BACKOFF_START)
+        );
+        assert!(matches!(w.tick(RETRY_BACKOFF_START), Step::Retry(_)));
+        assert!(w.host.rpcs.is_empty(), "nothing leaves while it is pending");
+        let ack = ProtocolMsg::Ack {
+            key,
+            ts,
+            from: NodeId(1),
+        };
+        w.host.node.deliver(&ack, None);
+        assert_eq!(w.tick(RETRY_BACKOFF_MAX), Step::Wait);
+        let shipped = |corr| {
+            let value = b"late".to_vec();
+            vec![(corr, Frame::WriteBack { key, value, ts })]
+        };
+        assert_eq!(w.host.rpcs, shipped(1));
+        assert!(!w.host.node.is_cached(key), "the op holds the only copy");
+        // A failed write-back is sent again, not dropped.
+        w.fail_rpc(0);
+        assert_eq!(w.host.rpcs, shipped(2));
+        w.answer_rpc(0, false);
+        w.run();
+        assert_eq!(w.out, [Frame::EvictResp { existed: true }]);
     }
 
     proptest! {

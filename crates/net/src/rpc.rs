@@ -180,6 +180,11 @@ impl<W, T: Copy + Ord> RpcTable<W, T> {
             .collect()
     }
 
+    /// The nearest deadline of a request in flight.
+    pub(crate) fn next_deadline(&self) -> Option<T> {
+        self.pending.values().map(|e| e.deadline).min()
+    }
+
     /// Removes and returns every request (shutdown).
     pub fn drain(&mut self) -> Vec<(u64, W)> {
         std::mem::take(&mut self.pending)
@@ -221,7 +226,7 @@ mod tests {
         /// id leaves through exactly one of {resolve, expired, drain};
         /// in_doubt names only confirmed-and-unanswered requests toward
         /// that peer, never twice for one packing; an unknown id changes
-        /// nothing.
+        /// nothing; next_deadline is the nearest live one.
         #[test]
         fn every_id_leaves_exactly_once(
             steps in prop::collection::vec((0u8..7, any::<u64>()), 1..300),
@@ -309,6 +314,7 @@ mod tests {
                     _ => unreachable!(),
                 }
                 prop_assert_eq!(table.len(), live.len());
+                prop_assert_eq!(table.next_deadline(), live.values().map(|s| s.deadline).min());
             }
             for (corr, waiter) in table.drain() {
                 prop_assert_eq!(waiter, corr - 1);

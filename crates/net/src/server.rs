@@ -31,14 +31,15 @@
 //!   commit hook ([`CcNode::on_committed`]), an arriving
 //!   [`Frame::RpcResp`] finds its waiter in the pending-RPC table, and
 //!   both reach the suspended connection on its owning shard as a
-//!   [`ShardMsg::Resume`]; a bounce arms a timer-wheel tick.
-//! * **Admin reconfiguration frames** run on two persistent service
-//!   threads instead of ephemeral spawns: `Evict` on the admin service
-//!   thread (eviction may wait for a pending Lin write to commit, which
-//!   only the shards can deliver), `FlipEpoch` on the coordinator's epoch
-//!   applier (whose nested evict-everywhere sweep calls back into the
-//!   admin thread — two lanes, so the nesting cannot deadlock). Both
-//!   resume the requesting connection like any other continuation.
+//!   [`ShardMsg::Resume`]; a bounce arms a timer-wheel tick, and so does
+//!   the first RPC a shard issues: past its deadline the sweep fails it.
+//!   An `Evict` is such a request too — it bounces while the key's own
+//!   write is pending and parks on the `WriteBack` RPC of a dirty value.
+//! * **`FlipEpoch`** runs on the coordinator's epoch applier, the one
+//!   thread a node starts besides its shards and the metrics endpoint. Its
+//!   evict/install sweep talks to every node, this one included, over
+//!   plain client connections, and its answer resumes the requesting
+//!   connection like any other continuation.
 //!
 //! The per-peer credit window (§6.4) is driven by readiness events: a
 //! stalled peer writer resumes in the lap that reads the peer's credit off
@@ -76,12 +77,11 @@ use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
 use crate::rpc::{serve_home_frame, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{encode_frame_into, write_frame, BatchBuilder, Frame, FrameDecoder};
-use cckvs::node::{CcNode, EvictHot, NodeConfig, Outgoing};
+use cckvs::node::{CcNode, NodeConfig, Outgoing};
 use cckvs_trace::{Event as TraceEvent, EventKind, TraceSink, NO_PEER, SHARED_LANE};
 use consistency::engine::Destination;
 use consistency::lamport::{NodeId, Timestamp};
 use consistency::messages::ProtocolMsg;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use reactor::{Events, Interest, Poller, Token, Waker, WriteBuf};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -89,6 +89,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use symcache::popularity::{CacheCoordinator, EpochConfig, HotSet};
@@ -394,10 +395,6 @@ pub const REDIAL_BACKOFF_START: Duration = Duration::from_millis(50);
 /// Redial backoff cap.
 pub const REDIAL_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// How often the admin service thread, between jobs, sweeps the
-/// pending-RPC table for entries past their transport deadline.
-const RPC_SWEEP_TICK: Duration = Duration::from_millis(100);
-
 /// A hot-set reconfiguration job for the coordinator's applier thread.
 enum FlipJob {
     /// Apply this published hot set to the deployment.
@@ -414,35 +411,11 @@ enum FlipJob {
     Shutdown,
 }
 
-/// A blocking request handed to the admin service thread. `Evict` is the
-/// one client frame that may genuinely wait on protocol progress
-/// (evicting a key with a pending Lin write blocks until the write
-/// commits), so it cannot run on a shard; everything else is served
-/// inline or as a continuation.
-enum AdminJob {
-    Evict {
-        shard: usize,
-        token: u64,
-        key: u64,
-    },
-    /// Teardown poison: the service thread exits.
-    Stop,
-}
-
-/// Who is waiting for a correlated RPC response.
-enum RpcWaiter {
-    /// A suspended client connection: resume it on its owning shard.
-    Shard { shard: usize, token: u64 },
-    /// A blocking off-shard caller (admin service thread, shutdown
-    /// drain), parked on the slot's condvar.
-    Blocking(Arc<BlockingSlot>),
-}
-
-/// Rendezvous for a blocking RPC caller.
-#[derive(Default)]
-struct BlockingSlot {
-    result: Mutex<Option<io::Result<Frame>>>,
-    cv: Condvar,
+/// Who is waiting for a correlated RPC response: a suspended client
+/// connection, resumed on its owning shard.
+struct RpcWaiter {
+    shard: usize,
+    token: u64,
 }
 
 /// Per-node state of the epoch-coordinator role (present on exactly one
@@ -456,10 +429,10 @@ struct Churn {
     /// Copy of the tracker's sampling factor (hot-path use).
     sampling: u64,
     /// Keys this coordinator believes are currently installed. Maintained
-    /// by the `InstallHot`/`Evict` admin handlers (reconfigurations are
-    /// driven over the wire and pass through this node's own handlers, so
-    /// the books stay right no matter who drives — the applier thread, a
-    /// forced `FlipEpoch`, or an external admin client).
+    /// by the `InstallHot` handler and the `Evict` op (reconfigurations
+    /// are driven over the wire and pass through this node's own
+    /// connections, so the books stay right no matter who drives — the
+    /// applier thread, a forced `FlipEpoch`, or an external admin client).
     installed: Mutex<HashSet<u64>>,
     /// Serialises whole reconfigurations (the applier thread and forced
     /// flips may race).
@@ -716,7 +689,7 @@ enum ShardMsg {
     Adopt(Box<ConnState>),
     /// An off-shard event that resumes connection `token`'s suspended
     /// operation: a Lin commit hook fired, a correlated RPC resolved, or
-    /// an admin service job finished. `sent_at` is when the wake-up event
+    /// the epoch applier finished a flip. `sent_at` is when the wake-up event
     /// happened — the gap to the continuation actually running on this
     /// shard is the `continuation_fire` phase metric (the successor of
     /// the retired worker-handoff queue wait).
@@ -774,7 +747,8 @@ struct ServerInner {
     /// late answer after the deadline sweep gave up, an answer addressed
     /// to this node's dead predecessor) is dropped. Deadlines are
     /// transport deadlines: past one the RPC fails with a timeout (the
-    /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]).
+    /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]), on
+    /// the sweep tick of the shard that issued it ([`Shard::sweep_rpcs`]).
     rpcs: Mutex<RpcTable<RpcWaiter>>,
     /// Batching / flow-control knobs.
     flow: FlowConfig,
@@ -784,11 +758,8 @@ struct ServerInner {
     rpc_retry: Duration,
     /// The reactor shards (set once at startup, before any I/O happens).
     shards: OnceLock<Vec<Arc<ShardShared>>>,
-    /// Feeds the admin service thread (blocking `Evict` handling and the
-    /// pending-RPC deadline sweep).
-    admin_tx: Sender<AdminJob>,
     /// Per-node trace event collector: one lock-free ring lane per
-    /// reactor shard plus a shared lane for admin and blocking paths.
+    /// reactor shard plus a shared lane for every other thread.
     /// Drained by the metrics scraper (when enabled) and on demand by
     /// [`Frame::TraceDump`].
     sink: Arc<TraceSink>,
@@ -967,42 +938,18 @@ impl ServerInner {
     /// Hands the outcome of RPC `corr`, already out of the table, to its
     /// waiter.
     fn wake_rpc(&self, corr: u64, waiter: RpcWaiter, result: io::Result<Frame>) {
-        match waiter {
-            RpcWaiter::Shard { shard, token } => {
-                let event = match result {
-                    Ok(response) => ResumeEvent::Rpc { corr, response },
-                    Err(e) => ResumeEvent::RpcFailed {
-                        corr,
-                        message: e.to_string(),
-                    },
-                };
-                self.shard(shard).send(ShardMsg::Resume {
-                    token,
-                    sent_at: Instant::now(),
-                    event,
-                });
-            }
-            RpcWaiter::Blocking(slot) => {
-                *slot.result.lock() = Some(result);
-                slot.cv.notify_all();
-            }
-        }
-    }
-
-    /// Fails every pending RPC past its transport deadline. Run by the
-    /// admin service thread between jobs.
-    fn sweep_rpc_deadlines(&self) {
-        let now = Instant::now();
-        for (corr, waiter) in self.with_rpcs(|table| table.expired(now)) {
-            self.wake_rpc(
+        let event = match result {
+            Ok(response) => ResumeEvent::Rpc { corr, response },
+            Err(e) => ResumeEvent::RpcFailed {
                 corr,
-                waiter,
-                Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "miss-path rpc exceeded its redial budget",
-                )),
-            );
-        }
+                message: e.to_string(),
+            },
+        };
+        self.shard(waiter.shard).send(ShardMsg::Resume {
+            token: waiter.token,
+            sent_at: Instant::now(),
+            event,
+        });
     }
 
     /// Recomputes the parked-messages gauge: traffic queued behind down
@@ -1196,58 +1143,6 @@ impl ServerInner {
         Ok(())
     }
 
-    /// Evicts `key` from the local cache, shipping a dirty value back to
-    /// its (possibly remote) home shard before returning — an `EvictResp`
-    /// on the wire therefore means "this replica's copy is gone *and* its
-    /// last write is durable at the home".
-    fn evict_key(&self, key: u64) -> io::Result<bool> {
-        let existed = match self.node.evict_hot(key) {
-            EvictHot::NotCached => false,
-            EvictHot::Clean => true,
-            EvictHot::WrittenBack { .. } => {
-                self.metrics.record_writeback();
-                true
-            }
-            EvictHot::WriteBackRemote { value, ts } => {
-                // The cache entry is already gone; this RPC is the only
-                // copy of the dirty value, so a transient failure must not
-                // drop it — retry with fresh links before giving up.
-                let home = self.node.home_node(key);
-                let mut attempt = 0;
-                loop {
-                    attempt += 1;
-                    match self.rpc(
-                        home,
-                        &Frame::WriteBack {
-                            key,
-                            value: value.clone(),
-                            ts,
-                        },
-                    ) {
-                        Ok(Frame::WriteBackResp { .. }) => break,
-                        Ok(other) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("unexpected write-back response {other:?}"),
-                            ))
-                        }
-                        Err(_) if attempt < 3 => {
-                            std::thread::sleep(Duration::from_millis(10 * attempt))
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                self.metrics.record_writeback();
-                true
-            }
-        };
-        // Coordinator bookkeeping: the key left the hot set.
-        if let Some(churn) = &self.churn {
-            churn.installed.lock().remove(&key);
-        }
-        Ok(existed)
-    }
-
     /// Feeds one served client request into the popularity tracker (no-op
     /// unless this node is the coordinator); a closed epoch is handed to
     /// the applier thread. The sampling filter runs on a lock-free counter
@@ -1267,10 +1162,11 @@ impl ServerInner {
     /// Reconfigures the deployment's symmetric caches to hold `hot`: evicts
     /// departing keys from every node (write-backs land before the cold
     /// path re-opens), then installs arriving keys on every node at the
-    /// value and version their home shards store. Admin frames go over the
-    /// wire to *all* nodes including this one — the same path an external
-    /// driver would use, which also keeps the coordinator's bookkeeping in
-    /// its own handlers.
+    /// value and version their home shards store. Admin frames go over one
+    /// client connection per node, this one included — the path an
+    /// external driver would use, which also keeps the coordinator's
+    /// bookkeeping in its own handlers. The home's fence (`HotMark` /
+    /// `HotUnmark`) goes over the home's connection.
     ///
     /// Returns `(installed, evicted)` key counts.
     fn apply_hot_set(&self, hot: &HotSet) -> io::Result<(u64, u64)> {
@@ -1339,7 +1235,7 @@ impl ServerInner {
                 other => return Err(unexpected_frame("evict", &other)),
             }
         }
-        match self.rpc(self.node.home_node(key), &Frame::HotUnmark { key })? {
+        match conns[self.node.home_node(key)].call(&Frame::HotUnmark { key })? {
             Frame::HotUnmarkResp => Ok(()),
             other => Err(unexpected_frame("hot-unmark", &other)),
         }
@@ -1353,7 +1249,7 @@ impl ServerInner {
         // Mark the key hot at its home and fetch the authoritative
         // (value, version): cold writes bounce from here on, so the
         // caches cannot shadow a write accepted after the fetch.
-        let (value, ts) = match self.rpc(home, &Frame::HotMark { key })? {
+        let (value, ts) = match conns[home].call(&Frame::HotMark { key })? {
             Frame::HotMarkResp { value, ts } => (value, ts),
             other => return Err(unexpected_frame("hot-mark", &other)),
         };
@@ -1377,7 +1273,7 @@ impl ServerInner {
                 for rollback in conns.iter_mut().take(n) {
                     let _ = rollback.call(&Frame::Evict { key });
                 }
-                let _ = self.rpc(home, &Frame::HotUnmark { key });
+                let _ = conns[home].call(&Frame::HotUnmark { key });
                 return Ok(false);
             }
         }
@@ -1403,183 +1299,51 @@ impl ServerInner {
         for conn in conns.iter_mut() {
             let _ = conn.call(&Frame::Evict { key });
         }
-        let _ = self.rpc(self.node.home_node(key), &Frame::HotUnmark { key });
+        let _ = conns[self.node.home_node(key)].call(&Frame::HotUnmark { key });
         if let Some(churn) = &self.churn {
             churn.installed.lock().remove(&key);
         }
     }
 
-    /// Performs a blocking miss-path RPC against peer `home` over its
-    /// crash-surviving peer link, for callers that are not a reactor shard
-    /// (admin service thread, epoch applier, shutdown drain).
-    ///
-    /// A dead peer is waited out for up to [`NodeServerConfig::rpc_retry`]
-    /// before the failure surfaces: a peer process crashing under a
-    /// supervisor comes back within the budget, so operations that raced
-    /// the crash stall briefly instead of failing.
-    fn rpc(&self, home: usize, request: &Frame) -> io::Result<Frame> {
-        self.rpc_until(home, request, Instant::now() + self.rpc_retry)
-    }
-
-    fn rpc_until(&self, home: usize, request: &Frame, deadline: Instant) -> io::Result<Frame> {
-        if home == self.node.node() {
-            // No link to self: `apply_hot_set` drives its own home keys
-            // through the same RPC surface. The mark/unmark/write-back
-            // handlers never block on shard-delivered protocol traffic,
-            // so serving inline is safe from any thread.
-            return match serve_rpc_frame(self, SHARED_LANE, request.clone())? {
-                Frame::Error { message } => {
-                    Err(io::Error::new(io::ErrorKind::InvalidInput, message))
-                }
-                frame => Ok(frame),
-            };
-        }
-        let slot = Arc::new(BlockingSlot::default());
-        let corr = {
-            // Park overflow on a long-dead peer is the only issue-side
-            // failure; retry with backoff.
-            let mut backoff = Duration::from_millis(10);
-            loop {
-                match self.issue_rpc(
-                    home,
-                    request.clone(),
-                    RpcWaiter::Blocking(Arc::clone(&slot)),
-                    deadline,
-                ) {
-                    Ok(corr) => break corr,
-                    Err(e)
-                        if Instant::now() >= deadline || !self.running.load(Ordering::SeqCst) =>
-                    {
-                        return Err(e)
-                    }
-                    Err(_) => {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(Duration::from_millis(250));
-                    }
-                }
-            }
-        };
-        let mut guard = slot.result.lock();
-        loop {
-            if let Some(result) = guard.take() {
-                return match result? {
-                    // The peer's Frame::Error answer over a healthy link.
-                    Frame::Error { message } => {
-                        Err(io::Error::new(io::ErrorKind::InvalidInput, message))
-                    }
-                    frame => Ok(frame),
-                };
-            }
-            let now = Instant::now();
-            if now >= deadline || !self.running.load(Ordering::SeqCst) {
-                drop(guard);
-                // Only the side that removes the table entry owns the
-                // outcome: if the resolver got there first, its result is
-                // en route to the slot — wait it out instead of reporting
-                // a timeout for an RPC that actually resolved.
-                let removed = self.with_rpcs(|table| table.resolve(corr)).is_some();
-                guard = slot.result.lock();
-                if removed {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "miss-path rpc exceeded its redial budget",
-                    ));
-                }
-                loop {
-                    if let Some(result) = guard.take() {
-                        return match result? {
-                            Frame::Error { message } => {
-                                Err(io::Error::new(io::ErrorKind::InvalidInput, message))
-                            }
-                            frame => Ok(frame),
-                        };
-                    }
-                    slot.cv.wait_for(&mut guard, Duration::from_millis(10));
-                }
-            }
-            slot.cv.wait_for(&mut guard, deadline - now);
-        }
-    }
-
-    /// Registers a pending-RPC continuation and queues the correlated
-    /// request toward `home`'s crash-surviving peer link. The returned
-    /// correlation id resolves exactly once: via [`ServerInner::resolve_rpc`]
-    /// when the response frame (or a failure) arrives, or via the deadline
-    /// sweep.
-    fn issue_rpc(
-        &self,
-        home: usize,
-        request: Frame,
-        waiter: RpcWaiter,
-        deadline: Instant,
-    ) -> io::Result<u64> {
-        let (corr, frame) = self.with_rpcs(|table| table.issue(home, request, waiter, deadline));
-        if !self.ship_rpc(home, frame) {
-            self.with_rpcs(|table| table.resolve(corr));
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                format!("peer {home} link unavailable for rpc"),
-            ));
-        }
-        Ok(corr)
-    }
-
     /// Evicts every *remote-homed* cached key, shipping dirty values back
-    /// to their home shards over the `WriteBack` RPC, so the last
-    /// committed write of each hot key is durable at a surviving process
-    /// before this one exits. Bounded by `budget` — a key whose pending
-    /// write cannot resolve (e.g. a peer down mid-drain) is skipped rather
-    /// than hanging the shutdown. Returns the number of dirty values
-    /// shipped.
+    /// to their home shards, so the last committed write of each hot key
+    /// is durable at a surviving process before this one exits: one
+    /// `Evict` per key, asked of this node over one client connection.
+    /// Bounded by `budget` — a key whose pending write cannot resolve
+    /// (e.g. a peer down mid-drain) fails or outlives it rather than
+    /// hanging the shutdown. Returns the number of dirty values shipped.
     ///
     /// Locally-homed keys are left alone: their write-back target dies
     /// with this process either way (the KVS shard is in-memory), and the
     /// surviving replicas still cache their latest values.
     fn drain_dirty_writebacks(&self, budget: Duration) -> u64 {
-        use symcache::EvictOutcome;
         let deadline = Instant::now() + budget;
         let node = &self.node;
-        let mut retry: VecDeque<u64> = node
-            .cache()
-            .keys()
-            .into_iter()
-            .filter(|&key| !node.is_home(key))
-            .collect();
-        let mut drained = 0u64;
-        while let Some(key) = retry.pop_front() {
-            if Instant::now() >= deadline {
-                break;
-            }
-            match node.cache().evict(key) {
-                EvictOutcome::NotCached => {}
-                EvictOutcome::Pending => {
-                    // A local write is still collecting acks; give it a
-                    // moment and come back.
-                    std::thread::sleep(Duration::from_millis(1));
-                    retry.push_back(key);
+        let mut keys = node.cache().keys();
+        keys.retain(|&key| !node.is_home(key));
+        if keys.is_empty() {
+            return 0;
+        }
+        let written_back = || self.metrics.snapshot().writebacks;
+        let before = written_back();
+        let addr = self.peer_addrs.lock().get(node.node()).copied();
+        let addr = addr.unwrap_or(self.listen_addr);
+        if let Ok(mut conn) = Conn::open(&*self.transport, addr, &Frame::ClientHello) {
+            for key in keys {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+                    break;
                 }
-                EvictOutcome::Evicted { dirty: false, .. } => {}
-                EvictOutcome::Evicted {
-                    value,
-                    ts,
-                    dirty: true,
-                } => {
-                    let home = node.home_node(key);
-                    // The drain deadline caps each RPC's redial budget
-                    // too: a dead home peer must not stretch one
-                    // write-back to the full rpc_retry and blow the whole
-                    // drain past the supervisor's SIGKILL patience.
-                    if matches!(
-                        self.rpc_until(home, &Frame::WriteBack { key, value, ts }, deadline),
-                        Ok(Frame::WriteBackResp { .. })
-                    ) {
-                        self.metrics.record_writeback();
-                        drained += 1;
-                    }
+                match conn.call(&Frame::Evict { key }) {
+                    // An `Error` answer gave up on this key only.
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::InvalidInput => {}
+                    // Out of budget mid-answer, or the node is gone.
+                    Err(_) => break,
                 }
             }
         }
-        drained
+        written_back() - before
     }
 
     fn initiate_shutdown(&self) {
@@ -1590,11 +1354,8 @@ impl ServerInner {
                     shard.waker.wake();
                 }
             }
-            // Stop the admin service thread, queued behind outstanding
-            // jobs, and fail every pending RPC so no continuation (or
-            // blocking caller) is stranded waiting on a response that
-            // will never be read.
-            let _ = self.admin_tx.send(AdminJob::Stop);
+            // Fail every pending RPC so no continuation is stranded
+            // waiting on a response that will never be read.
             for (corr, waiter) in self.with_rpcs(RpcTable::drain) {
                 self.wake_rpc(
                     corr,
@@ -1654,7 +1415,7 @@ impl NodeServer {
         }
         let (churn, flip_rx) = match cfg.epochs {
             Some(epochs) => {
-                let (flip_tx, flip_rx) = unbounded();
+                let (flip_tx, flip_rx) = channel();
                 (
                     Some(Churn {
                         coord: Mutex::new(CacheCoordinator::new(epochs)),
@@ -1670,7 +1431,6 @@ impl NodeServer {
             }
             None => (None, None),
         };
-        let (admin_tx, admin_rx) = unbounded();
         let me = cfg.node.node;
         let shard_count = cfg.reactor.shards;
         let sink = Arc::new(TraceSink::new(shard_count));
@@ -1712,7 +1472,6 @@ impl NodeServer {
             reactor: cfg.reactor,
             rpc_retry: cfg.rpc_retry,
             shards: OnceLock::new(),
-            admin_tx,
             sink: Arc::clone(&sink),
             transport,
         });
@@ -1736,17 +1495,6 @@ impl NodeServer {
             }
             None => None,
         };
-        // The admin service thread: one detached thread serving the rare
-        // blocking admin paths (Evict awaits a pending write's commit)
-        // and sweeping pending-RPC deadlines. Detached so a job parked on
-        // a commit that never resolves cannot hang teardown — it exits on
-        // Stop poison.
-        {
-            let admin_inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("cckvs-admin-n{}", cfg.node.node))
-                .spawn(move || admin_loop(admin_inner, admin_rx))?;
-        }
         // Build every shard's poller+waker before spawning any shard, so
         // the shard list is complete (and published) before the first
         // event fires.
@@ -1951,11 +1699,11 @@ fn process_generation() -> u64 {
 
 /// Serves one *never-blocking* client frame: liveness, diagnostics, the
 /// lock-protected cache-fill admin, and the home-shard frames an admin
-/// caller (the supervisor's heal) sends without being a peer. Get/Put and
-/// the reconfiguration admin frames (Evict, FlipEpoch) have
-/// continuation-based paths in [`crate::ops`] — nothing here may wait on
-/// another message. `None` ends the connection: the client asked the node
-/// to shut down, or sent a frame no client may send.
+/// caller (the supervisor's heal, the epoch applier) sends without being a
+/// peer. Get, Put and Evict are [`crate::ops`]'s and FlipEpoch the epoch
+/// applier's — nothing here may wait on another message. `None` ends the
+/// connection: the client asked the node to shut down, or sent a frame no
+/// client may send.
 fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Frame> {
     Some(match frame {
         Frame::TraceDump => Frame::TraceDumpResp {
@@ -2095,40 +1843,12 @@ fn serve_rpc_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<Fr
     serve_home_frame(&inner.node, frame)
 }
 
-/// The admin service thread: serves the rare blocking admin jobs (an
-/// Evict awaits the evicted key's pending write, then write-back RPCs
-/// toward the home shard) and sweeps the pending-RPC table for entries
-/// past their transport deadline. One detached thread — admin traffic is
-/// reconfiguration-rate, not request-rate — and a lane of its own, so an
-/// epoch flip on the applier thread can nest Evict RPCs back into this
-/// node without deadlocking.
-fn admin_loop(inner: Arc<ServerInner>, rx: Receiver<AdminJob>) {
-    loop {
-        match rx.recv_timeout(RPC_SWEEP_TICK) {
-            Ok(AdminJob::Stop) => return,
-            Ok(AdminJob::Evict { shard, token, key }) => {
-                let response = inner
-                    .evict_key(key)
-                    .map(|existed| Frame::EvictResp { existed })
-                    .ok();
-                inner.shard(shard).send(ShardMsg::Resume {
-                    token,
-                    sent_at: Instant::now(),
-                    event: ResumeEvent::Admin { response },
-                });
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => inner.sweep_rpc_deadlines(),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
 /// The coordinator's reconfiguration thread: applies hot sets published by
 /// the popularity tracker, coalescing a backlog of timer-driven flips to
 /// the newest set. A client-forced flip ([`FlipJob::Forced`]) is never
 /// coalesced — each one answers exactly one suspended client connection.
 /// Errors on the timer path are swallowed deliberately — the
-/// installed-set bookkeeping lives in the admin handlers, so a partially
+/// installed-set bookkeeping lives in the node's own handlers, so a partially
 /// applied epoch simply leaves a smaller delta for the next one (the
 /// system converges instead of wedging).
 fn epoch_applier_loop(inner: Arc<ServerInner>, rx: Receiver<FlipJob>) {
@@ -2157,9 +1877,7 @@ fn epoch_applier_loop(inner: Arc<ServerInner>, rx: Receiver<FlipJob>) {
                 inner.shard(shard).send(ShardMsg::Resume {
                     token,
                     sent_at: Instant::now(),
-                    event: ResumeEvent::Admin {
-                        response: Some(response),
-                    },
+                    event: ResumeEvent::Admin { response },
                 });
             }
             FlipJob::Apply(hot) => {
@@ -2192,6 +1910,8 @@ fn unexpected_frame(what: &str, frame: &Frame) -> io::Error {
 
 const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
+/// The wheel token of a shard's pending-RPC deadline tick.
+const TOKEN_RPC_SWEEP: u64 = 2;
 const TOKEN_FIRST_CONN: u64 = 16;
 
 /// What a connection is for, decided by its hello frame.
@@ -2353,6 +2073,8 @@ struct ShardHost<'a> {
     token: u64,
     /// The clock reading of the [`Shard::step_client`] pass under way.
     now: Instant,
+    /// An RPC was issued: its deadline needs the shard's sweep tick.
+    issued: bool,
 }
 
 impl OpsHost for ShardHost<'_> {
@@ -2364,13 +2086,23 @@ impl OpsHost for ShardHost<'_> {
         self.inner.tags.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Registers the RPC in the pending table and queues it on `home`'s
+    /// crash-surviving link; it resolves exactly once — its response, a
+    /// failure, or the issuing shard's deadline sweep.
     fn issue_rpc(&mut self, home: usize, request: Frame) -> Option<u64> {
-        let waiter = RpcWaiter::Shard {
+        let waiter = RpcWaiter {
             shard: self.shard,
             token: self.token,
         };
         let deadline = self.now + self.inner.rpc_retry;
-        self.inner.issue_rpc(home, request, waiter, deadline).ok()
+        let inner = self.inner;
+        let (corr, frame) = inner.with_rpcs(|table| table.issue(home, request, waiter, deadline));
+        if !inner.ship_rpc(home, frame) {
+            inner.with_rpcs(|table| table.resolve(corr));
+            return None;
+        }
+        self.issued = true;
+        Some(corr)
     }
 
     fn ship(&mut self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
@@ -2400,18 +2132,6 @@ impl OpsHost for ShardHost<'_> {
     fn serve(&mut self, frame: Frame) -> Served {
         let (shard, token) = (self.shard, self.token);
         match frame {
-            // Evicting a key with a pending Lin write blocks until the
-            // write commits: the admin service thread's job.
-            Frame::Evict { key } => {
-                match self
-                    .inner
-                    .admin_tx
-                    .send(AdminJob::Evict { shard, token, key })
-                {
-                    Ok(()) => Served::Later,
-                    Err(_) => Served::Close,
-                }
-            }
             Frame::FlipEpoch => {
                 let error = |message: &str| Frame::Error {
                     message: message.to_string(),
@@ -2450,6 +2170,12 @@ impl OpsHost for ShardHost<'_> {
             Note::RemoteRead => metrics.record_remote_read(),
             Note::RemoteWrite => metrics.record_remote_write(),
             Note::LinAckWait(waited) => metrics.record_lin_ack_wait_ns(waited.as_nanos() as u64),
+            Note::WriteBack => metrics.record_writeback(),
+            Note::Evicted(key) => {
+                if let Some(churn) = &self.inner.churn {
+                    churn.installed.lock().remove(&key);
+                }
+            }
         }
     }
 
@@ -2490,6 +2216,8 @@ struct Shard {
     /// Round-robin accept target across shards (shard 0 only).
     next_shard: usize,
     wheel: reactor::TimerWheel,
+    /// The pending-RPC deadline tick ([`TOKEN_RPC_SWEEP`]) is armed.
+    rpc_sweep_armed: bool,
     /// Shared read scratch: one hot buffer for every connection's socket
     /// reads, instead of a cold 64 KB tail per connection per read.
     scratch: Vec<u8>,
@@ -2543,6 +2271,7 @@ impl Shard {
             next_token: TOKEN_FIRST_CONN,
             next_shard: 0,
             wheel: reactor::TimerWheel::new(),
+            rpc_sweep_armed: false,
             scratch: vec![0u8; reactor::READ_CHUNK],
             responses: Vec::new(),
             inbox_spare: Vec::new(),
@@ -2599,6 +2328,10 @@ impl Shard {
                 self.accept_burst(&mut dirty);
             }
             for Token(fired) in self.wheel.expired() {
+                if fired == TOKEN_RPC_SWEEP {
+                    self.sweep_rpcs();
+                    continue;
+                }
                 let token = fired & !TOKEN_CREDIT_TICK;
                 let Some(conn) = self.conns.get_mut(&token) else {
                     continue;
@@ -2645,6 +2378,37 @@ impl Shard {
                 .record_loop_lap_ns(self.now.elapsed().as_nanos() as u64);
         }
         self.teardown();
+    }
+
+    /// Arms the pending-RPC deadline tick `after` from now, unless it is
+    /// armed already — at a deadline no later than any this shard issued
+    /// since (every RPC waits the same budget).
+    fn arm_rpc_sweep(&mut self, after: Duration) {
+        if !self.rpc_sweep_armed {
+            self.rpc_sweep_armed = true;
+            self.wheel.schedule(Token(TOKEN_RPC_SWEEP), after);
+        }
+    }
+
+    /// The deadline tick fired: fails every pending RPC past its deadline
+    /// (whichever shard issued it) and, while any is left, arms again at
+    /// the nearest. An empty table arms nothing.
+    fn sweep_rpcs(&mut self) {
+        self.rpc_sweep_armed = false;
+        let now = Instant::now();
+        let (expired, next) = self
+            .inner
+            .with_rpcs(|table| (table.expired(now), table.next_deadline()));
+        for (corr, waiter) in expired {
+            let budget = io::Error::new(
+                io::ErrorKind::TimedOut,
+                "miss-path rpc exceeded its redial budget",
+            );
+            self.inner.wake_rpc(corr, waiter, Err(budget));
+        }
+        if let Some(next) = next {
+            self.arm_rpc_sweep(next.saturating_duration_since(now));
+        }
     }
 
     /// Reads/writes as much as the socket allows right now; protocol
@@ -2950,8 +2714,12 @@ impl Shard {
             shard: self.id,
             token,
             now,
+            issued: false,
         };
         let step = ops.run(&mut host, now, &mut self.responses);
+        if host.issued {
+            self.arm_rpc_sweep(self.inner.rpc_retry);
+        }
         for response in self.responses.drain(..) {
             encode_frame_into(conn.writebuf.writer(), &response);
         }
@@ -3321,7 +3089,9 @@ impl Shard {
 
     /// Keeps epoll interest in sync with what the connection can usefully
     /// be told about: writable only while output is pending, readable
-    /// unless backpressure says stop.
+    /// until end of file and unless backpressure says stop. A socket at end
+    /// of file stays readable for good; a shard that kept asking would be
+    /// woken by it every lap while the connection waits for anything else.
     fn refresh_interest(&mut self, token: u64, conn: &mut ConnState) {
         let throttled = match &conn.role {
             Role::Client(ops) => {
@@ -3346,7 +3116,7 @@ impl Shard {
             !throttled && unthrottle
         };
         let desired = Interest {
-            readable,
+            readable: readable && !conn.eof,
             writable: !conn.writebuf.is_empty(),
         };
         if desired != conn.interest

@@ -307,6 +307,34 @@ fn admin_eviction_of_dirty_non_home_keys_keeps_the_write() {
     rack.shutdown();
 }
 
+/// The SIGTERM drain ships home what only this node holds: a cached write
+/// made through a node that is not the key's home reaches the home shard at
+/// the write's version once that node drains, and the drain counts it.
+#[test]
+fn the_shutdown_drain_writes_a_dirty_non_home_value_back() {
+    let rack =
+        Rack::launch(RackConfig::small_from_env(ConsistencyModel::Lin, 3)).expect("launch rack");
+    let key = 11u64;
+    let home = rack.server(0).node().home_node(key);
+    let writer = (home + 1) % rack.nodes();
+    rack.install_hot_set(&[(key, vec![0u8; 16])])
+        .expect("install");
+    let mut client = rack
+        .client()
+        .policy(LoadBalancePolicy::Pinned(writer))
+        .connect()
+        .expect("connect");
+    let ts = client.put(key, b"drained").expect("put").expect("cached");
+    let at_home = || rack.server(home).node().kvs_get_versioned(key);
+    assert_ne!(at_home().1, ts, "the write is only in the caches");
+    let drained = rack
+        .server(writer)
+        .drain_dirty_writebacks(Duration::from_secs(5));
+    assert_eq!(drained, 1);
+    assert_eq!(at_home(), (b"drained".to_vec(), ts));
+    rack.shutdown();
+}
+
 /// The home shard's hot-transition fence, observed at the wire level: while
 /// a key is marked (`HotMark`), cold reads and writes bounce with
 /// `MissRetry` — the freshest value may be in the caches or in a write-back

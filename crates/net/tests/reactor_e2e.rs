@@ -2,25 +2,31 @@
 //! rack must serve thousands of concurrent client connections per node
 //! with a thread count that depends on the reactor topology, never on the
 //! connection count — while the per-key Lin guarantee holds and teardown
-//! stays clean. The last four tests pin the lap itself: work a shard
+//! stays clean. The last five tests pin the lap itself: work a shard
 //! produces for itself leaves in the lap that produced it, a credit return
 //! costs no message while traffic flows, and a connection that says
-//! nothing costs no laps.
+//! nothing — or has said all it will — costs no laps.
 //!
 //! Both ends of every connection live in this test process, so the
 //! 5k-connections-per-node target costs ~10k fds here (the soft limit is
 //! raised toward what the run needs; the assertion scales down only if
 //! the hard limit genuinely cannot cover it).
 
+use cckvs::node::NodeConfig;
 use cckvs_net::client::{BatchConfig, Client, SharedHistory};
 use cckvs_net::link::CREDIT_RETURN_DIVISOR;
 use cckvs_net::metrics::Metrics;
 use cckvs_net::rack::{Rack, RackConfig};
-use cckvs_net::server::{FlowConfig, ReactorConfig, CREDIT_RETURN_TICK};
+use cckvs_net::server::{
+    FlowConfig, NodeServer, NodeServerConfig, ReactorConfig, CREDIT_RETURN_TICK,
+};
+use cckvs_net::wire::{read_frame, write_frame, Frame};
 use cckvs_net::LoadBalancePolicy;
 use consistency::messages::ConsistencyModel;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::Duration;
 use workload::{AccessDistribution, Dataset, Mix, OpKind, WorkloadGen};
 
 /// The process's thread count is shared by every test of this binary, and
@@ -39,6 +45,21 @@ fn process_threads() -> u64 {
                 .and_then(|n| n.parse().ok())
         })
         .expect("/proc/self/status has a Threads line on Linux")
+}
+
+/// The names of this process's node threads, sorted, from
+/// /proc/self/task/*/comm (the kernel keeps a name's first 15 bytes). A
+/// redial thread, which a lost peer link starts and outlives its server by
+/// up to one backoff, is not one.
+fn node_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task on Linux")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|name| name.starts_with("cckvs-") && !name.starts_with("cckvs-redial-"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// The acceptance workload: ≥5k concurrent connections held open against
@@ -74,6 +95,12 @@ fn five_thousand_connections_per_node_serve_lin_checked_workload() {
     rack.install_hot_set(&dataset.hot_entries(128))
         .expect("install hot set");
     let target = rack.client_addrs()[0];
+    // By name: a node's threads are its shards, plus an epoch applier on
+    // a coordinator (this rack has none) and nothing else.
+    let shards: Vec<String> = (0..3)
+        .flat_map(|node| vec![format!("cckvs-shard-n{node}-"); 2])
+        .collect();
+    assert_eq!(node_threads(), shards);
 
     let threads_before = process_threads();
     let history = Arc::new(SharedHistory::new());
@@ -622,4 +649,71 @@ fn idle_connections_cost_no_laps() {
         .expect("per-key Lin holds beside thousands of idle connections");
     drop(idle);
     rack.shutdown();
+}
+
+/// One node of a two-node Lin deployment, one shard, no metrics endpoint.
+fn lone_node(node: usize) -> NodeServerConfig {
+    let mut cfg = NodeServerConfig::builder(NodeConfig::small(ConsistencyModel::Lin, node, 2))
+        .metrics(None)
+        .shards(1)
+        .build();
+    cfg.rpc_retry = HALF_CLOSED_RPC_RETRY;
+    cfg
+}
+
+/// How long a miss RPC to a stopped home stays suspended below.
+const HALF_CLOSED_RPC_RETRY: Duration = Duration::from_millis(300);
+
+/// A connection the shard is not reading wakes nobody once its client
+/// half-closes. Two such connections: one parked on a node whose mesh never
+/// comes up, one suspended on a miss RPC to a home that stopped. Both
+/// clients send their request and shut their write side; from then until
+/// the suspended read is answered — one wheel fire, the pending-RPC
+/// deadline — the two shards run a handful of laps. A shard that kept read
+/// interest on a socket at end-of-file would be woken by it every lap for
+/// the whole budget.
+#[test]
+fn half_closed_connections_the_shard_is_not_reading_cost_no_laps() {
+    let _shared = THREAD_CENSUS.read().unwrap_or_else(|e| e.into_inner());
+    let unwired = NodeServer::start(lone_node(1)).expect("start unwired node");
+    let mut a = NodeServer::start(lone_node(0)).expect("start A");
+    let mut b = NodeServer::start(lone_node(1)).expect("start B");
+    let addrs = [a.addr(), b.addr()];
+    for server in [&mut a, &mut b] {
+        server
+            .connect_peers(&addrs, Duration::from_secs(5))
+            .expect("wire");
+    }
+    let key = (0u64..)
+        .find(|&k| a.node().home_node(k) == 1)
+        .expect("a key homed at B");
+    b.shutdown();
+
+    let laps = || {
+        [&unwired, &a]
+            .map(|server| server.metrics().snapshot().loop_lap_count)
+            .iter()
+            .sum::<u64>()
+    };
+    let half_closed = |addr, request: &Frame| {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut conn, &Frame::ClientHello).expect("hello");
+        write_frame(&mut conn, request).expect("request");
+        conn.shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        conn
+    };
+    let before = laps();
+    let _parked = half_closed(unwired.addr(), &Frame::Ping);
+    let mut suspended = half_closed(addrs[0], &Frame::Get { key });
+    suspended
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let answer = read_frame(&mut suspended).expect("answered");
+    assert!(matches!(answer, Some(Frame::Error { .. })), "{answer:?}");
+    let ran = laps() - before;
+    println!("half-closed: {ran} laps while one read was suspended for {HALF_CLOSED_RPC_RETRY:?}");
+    assert!(ran <= 20, "{ran} laps");
+    a.shutdown();
+    unwired.shutdown();
 }

@@ -389,13 +389,16 @@ fn correlated_miss_rpcs_survive_link_severs_exactly_once() {
     }
     assert!(!expected.is_empty(), "writers made no progress");
 
-    assert_both_directions_recovered(&server_a, &server_b);
     // Exactly-once resolution: every writer got exactly one response per
     // op (a duplicate response would desync the synchronous client and
-    // fail the asserts above), and nothing is left in flight.
+    // fail the asserts above), and nothing is left in flight. Whether a
+    // sever landed on a retained tail depends on where the cut fell, so
+    // the replay count is reported, not required.
     for server in [&server_a, &server_b] {
-        let pending = server.metrics().snapshot().pending_rpcs;
-        assert_eq!(pending, 0, "pending-RPC table did not drain");
+        let snap = server.metrics().snapshot();
+        assert!(snap.peer_reconnects >= 1, "the link was never redialed");
+        assert_eq!(snap.pending_rpcs, 0, "pending-RPC table did not drain");
+        println!("replayed {} items after severs", snap.peer_replayed);
     }
 
     // No acknowledged cold write was lost — sweep through the same
@@ -518,6 +521,38 @@ fn a_restarted_lower_node_dials_on_boot() {
 
     server_a.shutdown();
     server_b.shutdown();
+}
+
+/// A miss read suspended on a home that stopped answering is not suspended
+/// for good: once `rpc_retry` has passed, its pending RPC is failed and the
+/// client is answered with an error.
+#[test]
+fn a_miss_read_on_a_stopped_home_errors_once_rpc_retry_passes() {
+    const RPC_RETRY: Duration = Duration::from_millis(300);
+    let mut cfg_a = node_cfg(0, None, FlowConfig::default());
+    cfg_a.rpc_retry = RPC_RETRY;
+    let mut server_a = NodeServer::start(cfg_a).expect("start A");
+    let mut server_b =
+        NodeServer::start(node_cfg(1, None, FlowConfig::default())).expect("start B");
+    let addrs = [server_a.addr(), server_b.addr()];
+    for server in [&mut server_a, &mut server_b] {
+        server
+            .connect_peers(&addrs, Duration::from_secs(5))
+            .expect("wire");
+    }
+    let (key, _) = cold_keys(&server_a, 1)[0];
+    server_b.shutdown();
+
+    let mut conn = TcpStream::connect(addrs[0]).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let asked = Instant::now();
+    write_frame(&mut conn, &Frame::ClientHello).expect("hello");
+    write_frame(&mut conn, &Frame::Get { key }).expect("get");
+    let answer = read_frame(&mut conn).expect("answered, not hung");
+    assert!(matches!(answer, Some(Frame::Error { .. })), "{answer:?}");
+    assert!(asked.elapsed() >= RPC_RETRY, "failed before its budget");
+    server_a.shutdown();
 }
 
 fn refused(conn: &mut TcpStream) -> bool {

@@ -16,7 +16,7 @@ pub struct Token(pub u64);
 /// The readiness classes a registration subscribes to (level-triggered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
-    /// Wake when the source is readable (or the peer closed).
+    /// Wake when readable or the peer half-closed (errors and hangups always wake).
     pub readable: bool,
     /// Wake when the source is writable.
     pub writable: bool,
@@ -40,9 +40,9 @@ impl Interest {
     };
 
     fn mask(self) -> u32 {
-        let mut mask = EPOLLRDHUP;
+        let mut mask = 0;
         if self.readable {
-            mask |= EPOLLIN;
+            mask |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             mask |= EPOLLOUT;
