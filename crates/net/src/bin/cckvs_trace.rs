@@ -199,7 +199,6 @@ fn print_timeline(id: u64, timeline: &[Event]) {
     for ev in timeline {
         let detail = match ev.kind {
             EventKind::CreditStall => format!("stalled {}ns", ev.key),
-            EventKind::CorkWait => format!("corked {}ns", ev.key),
             _ if ev.peer != NO_PEER => format!("key={} peer=n{}", ev.key, ev.peer),
             _ => format!("key={}", ev.key),
         };
@@ -267,14 +266,5 @@ fn print_timeline(id: u64, timeline: &[Event]) {
             first(EventKind::ContinuationFire),
         ),
     );
-    // Adaptive-batch cork time: CorkWait events carry the wait in `key`.
-    let corked: u64 = timeline
-        .iter()
-        .filter(|ev| ev.kind == EventKind::CorkWait)
-        .map(|ev| ev.key)
-        .sum();
-    if corked > 0 {
-        phase("cork wait (sum)", Some(corked));
-    }
     phase("total (-> respond)", span(decode, last(EventKind::Respond)));
 }

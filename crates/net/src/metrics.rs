@@ -263,6 +263,8 @@ pub struct Family {
     /// The snapshot field a plain family's one sample carries (`None`:
     /// labelled or derived, [`Metrics::render`] writes its samples out).
     pub value: Option<fn(&MetricsSnapshot) -> u64>,
+    /// A row of the table's `retired` group: nothing records it, it reads 0.
+    pub retired: bool,
 }
 
 /// A counter is `cckvs_<field>_total`, anything else `cckvs_<field>`.
@@ -305,6 +307,9 @@ macro_rules! recorder {
 /// * `histograms`: `<field>: <histogram type>[, <recorder>] { <count |
 ///   percentile(p)> <snapshot field>, "<help>"; … }` — one histogram, and
 ///   one gauge per [`HistogramSnapshot`] statistic it exports.
+/// * `retired`: `counter|gauge <field>, "<help>";` — a snapshot field and a
+///   family that read 0 with no storage behind them, kept only while
+///   rackbench still reads the field.
 /// * `special`: `<kind> <name>, "<help>";` — a family whose storage, snapshot
 ///   fields and samples are written out by hand (labelled, derived, or the
 ///   latency distribution); the row is its place and its `# HELP`.
@@ -321,6 +326,9 @@ macro_rules! metric_families {
                 $stat:ident$(($pct:literal))? $sfield:ident, $shelp:literal;
             )*}
         )*}
+        retired {$(
+            $rkind:ident $rfield:ident, $rhelp:literal;
+        )*}
         special {$(
             $skind:ident $sname:ident, $sphelp:literal;
         )*}
@@ -330,6 +338,7 @@ macro_rules! metric_families {
         pub struct MetricsSnapshot {
             $(#[doc = $ahelp] pub $afield: u64,)*
             $($(#[doc = $shelp] pub $sfield: u64,)*)*
+            $(#[doc = $rhelp] pub $rfield: u64,)*
             /// `Credit` frames that rode a peer-mesh batch leaving anyway.
             pub credit_frames_piggybacked: u64,
             /// `Credit` frames that were a peer message of their own (return
@@ -368,18 +377,28 @@ macro_rules! metric_families {
                 kind: stringify!($kind),
                 help: $ahelp,
                 value: Some(|snap| snap.$afield),
+                retired: false,
             },)*
             $($(Family {
                 name: family_name!(gauge $sfield),
                 kind: "gauge",
                 help: $shelp,
                 value: Some(|snap| snap.$sfield),
+                retired: false,
             },)*)*
+            $(Family {
+                name: family_name!($rkind $rfield),
+                kind: stringify!($rkind),
+                help: $rhelp,
+                value: Some(|snap| snap.$rfield),
+                retired: true,
+            },)*
             $(Family {
                 name: family_name!($skind $sname),
                 kind: stringify!($skind),
                 help: $sphelp,
                 value: None,
+                retired: false,
             },)*
         ];
 
@@ -400,6 +419,7 @@ macro_rules! metric_families {
                 MetricsSnapshot {
                     $($afield: load(&self.$afield),)*
                     $($($sfield: hist.$hfield.$stat$(($pct))?,)*)*
+                    $($rfield: 0,)*
                     credit_frames_piggybacked: load(&self.credit_frames_piggybacked),
                     credit_frames_standalone: load(&self.credit_frames_standalone),
                     latency_count: hist.latency.count as usize,
@@ -453,16 +473,6 @@ metric_families! {
             "Times a peer writer exhausted its credit window and had to wait for returns before \
              sending.";
         counter credit_stall_ns, "Total nanoseconds spent stalled on exhausted credit windows.";
-        counter priority_lane_frames: record_priority_lane = fetch_add(n),
-            "Latency-class frames (invalidations, Lin acks, RPC traffic) sent through the peer \
-             mesh's priority lane.";
-        counter cork_flush_full: record_cork_flush_full = fetch_add(1),
-            "Bulk corks flushed because the adaptive target size (or byte budget) was reached.";
-        counter cork_flush_deadline: record_cork_flush_deadline = fetch_add(1),
-            "Bulk corks flushed because the oldest message waited out the `max_delay` deadline.";
-        counter cork_flush_idle: record_cork_flush_idle = fetch_add(1),
-            "Bulk messages flushed immediately because the link was idle (the adaptive target had \
-             decayed to 1).";
         counter peer_reconnects: record_peer_reconnect = fetch_add(1),
             "Peer-link handshakes completed, dialed or accepted, with a peer this node had been \
              connected to before.";
@@ -498,14 +508,9 @@ metric_families! {
         }
         adaptive_batch: AtomicHistogram, record_adaptive_batch {
             percentile(50.0) adaptive_batch_p50,
-                "Median flushed bulk-batch size chosen by the adaptive controller.";
-            percentile(99.0) adaptive_batch_p99, "99th-percentile flushed bulk-batch size.";
-        }
-        cork_wait: AtomicHistogram, record_cork_wait_ns {
-            count cork_wait_count, "Bulk flushes that served a nonzero cork wait.";
-            percentile(50.0) cork_wait_p50_ns,
-                "Median time a corked bulk batch waited before flushing (ns).";
-            percentile(99.0) cork_wait_p99_ns, "99th-percentile cork wait (ns).";
+                "Median protocol messages packed by one peer-mesh flush (flushes that packed any).";
+            percentile(99.0) adaptive_batch_p99,
+                "99th-percentile protocol messages packed by one peer-mesh flush.";
         }
         lin_ack_wait: ShardedHistogram, record_lin_ack_wait_ns {
             count lin_ack_wait_count, "Lin writes that waited for invalidation acks.";
@@ -539,6 +544,15 @@ metric_families! {
             percentile(50.0) latency_p50_ns, "Median operation latency in nanoseconds.";
             percentile(99.0) latency_p99_ns, "99th-percentile operation latency in nanoseconds.";
         }
+    }
+    retired {
+        counter priority_lane_frames, "The peer mesh's priority lane, now gone: reads 0.";
+        counter cork_flush_full, "The peer mesh's bulk cork, now gone: reads 0.";
+        counter cork_flush_deadline, "The peer mesh's bulk cork, now gone: reads 0.";
+        counter cork_flush_idle, "The peer mesh's bulk cork, now gone: reads 0.";
+        gauge cork_wait_count, "The peer mesh's bulk cork, now gone: reads 0.";
+        gauge cork_wait_p50_ns, "The peer mesh's bulk cork, now gone: reads 0.";
+        gauge cork_wait_p99_ns, "The peer mesh's bulk cork, now gone: reads 0.";
     }
     special {
         counter udp_datagrams, "UDP fabric datagrams sent by this node's transport, by kind.";
@@ -1082,9 +1096,6 @@ mod tests {
         times(36, &|| m.record_remote_write());
         times(37, &|| m.record_writeback());
         times(38, &|| m.record_inline_get());
-        times(39, &|| m.record_cork_flush_full());
-        times(40, &|| m.record_cork_flush_deadline());
-        times(41, &|| m.record_cork_flush_idle());
         times(42, &|| m.record_peer_reconnect());
         times(43, &|| m.record_parked_drop());
         times(45, &|| m.record_conn_opened());
@@ -1095,7 +1106,6 @@ mod tests {
         m.record_protocol_out(102);
         m.record_installs(103);
         m.record_evictions(104);
-        m.record_priority_lane(105);
         m.record_peer_replayed(106);
         m.record_reissued(107);
         m.record_trace_events(108);
@@ -1107,7 +1117,6 @@ mod tests {
         // Histograms: a different number of samples each, a decade apart.
         let samples =
             |n: u64, unit: u64, record: &dyn Fn(u64)| (1..=n).for_each(|i| record(i * unit));
-        samples(2, 1_000, &|v| m.record_cork_wait_ns(v));
         samples(3, 10_000, &|v| m.record_lin_ack_wait_ns(v));
         samples(4, 100_000, &|v| m.record_continuation_fire_ns(v));
         samples(5, 1_000_000, &|v| m.record_fanout_ns(v));
@@ -1136,6 +1145,10 @@ mod tests {
             };
             let line = format!("\n{name}{{node=\"n3\"}} {value}\n");
             assert!(text.contains(&line), "/metrics does not serve {line:?}");
+            if family.retired {
+                assert_eq!(value, 0, "{name} is retired: nothing records it");
+                continue;
+            }
             assert!(
                 values.insert(value) && value != 0,
                 "{name} = {value} proves nothing: zero, or another family's value"

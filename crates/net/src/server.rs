@@ -7,7 +7,8 @@
 //! connection per node pair, dialed by the lower node id, so that a reply
 //! leaves on the connection its request came in on and carries the
 //! transport's acknowledgement. Outgoing protocol traffic flows through a
-//! per-peer outbox drained by the reactor under credit-based flow control.
+//! per-peer FIFO drained by the reactor under credit-based flow control:
+//! wire order on a link is enqueue order.
 //!
 //! Concurrency model (PR 7 — every frame handled on-shard, no worker
 //! pool):
@@ -71,7 +72,7 @@
 //! every key the dead peer does not home.
 
 use crate::client::Conn;
-use crate::link::{CreditReturn, SendHalf};
+use crate::link::{BeyondSent, CreditReturn, SendHalf};
 use crate::metrics::{Metrics, MetricsServer};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
 use crate::rpc::{serve_home_frame, RpcTable};
@@ -94,7 +95,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use symcache::popularity::{CacheCoordinator, EpochConfig, HotSet};
 
-/// Peer-mesh batching and credit-based flow-control knobs (§6.3/§6.4).
+/// Peer-mesh credit-based flow control (§6.4). A pump batches whatever
+/// is queued when it runs (§6.3), up to 32 messages and a byte budget,
+/// and never waits for more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Send-credit window per peer: how many protocol messages may be in
@@ -102,25 +105,11 @@ pub struct FlowConfig {
     /// sender (a Lin ack round fanning out) stalls — instead of growing the
     /// receiver's backlog without bound — once the window is exhausted.
     pub credit_window: u64,
-    /// Maximum protocol messages coalesced into one peer-mesh batch.
-    pub peer_batch_ops: usize,
-    /// Corking deadline for *bulk-class* peer traffic (update broadcasts,
-    /// write-backs): a partially filled bulk batch flushes when the oldest
-    /// corked message has waited this long, even if the adaptive target
-    /// size was never reached. Latency-class traffic (invalidations, Lin
-    /// acks, RPC responses) never corks — it flushes eagerly on every
-    /// pump. Sub-50µs values round up to the reactor's fine timer
-    /// resolution ([`reactor::FINE_RESOLUTION`]).
-    pub max_delay: Duration,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
-        Self {
-            credit_window: 128,
-            peer_batch_ops: 32,
-            max_delay: Duration::from_micros(200),
-        }
+        Self { credit_window: 128 }
     }
 }
 
@@ -140,9 +129,8 @@ impl Default for ReactorConfig {
     /// default drops to one: every shard is a thread, and with more
     /// threads than cores an invalidation's delivery waits on a scheduler
     /// timeslice instead of an epoll wake — measured as 2-3x on the Lin
-    /// ack-wait p99 for a loopback rack, the latency the priority lane
-    /// exists to protect. Explicit [`ReactorConfig`] values are honored
-    /// as given.
+    /// ack-wait p99 for a loopback rack. Explicit [`ReactorConfig`] values
+    /// are honored as given.
     fn default() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -167,7 +155,7 @@ pub struct NodeServerConfig {
     /// and reconfigures the hot set of *every* node over the wire — exactly
     /// one node of a deployment should carry this.
     pub epochs: Option<EpochConfig>,
-    /// Peer-mesh batching and flow-control knobs.
+    /// Peer-mesh flow control.
     pub flow: FlowConfig,
     /// Event-loop topology knobs.
     pub reactor: ReactorConfig,
@@ -282,7 +270,7 @@ impl NodeServerBuilder {
         self
     }
 
-    /// Peer-mesh batching and credit flow-control knobs.
+    /// Peer-mesh credit flow control.
     pub fn flow(mut self, flow: FlowConfig) -> Self {
         self.cfg.flow = flow;
         self
@@ -345,17 +333,9 @@ pub const CREDIT_RETURN_TICK: Duration = Duration::from_millis(200);
 /// ([`Connection::tcp_segments`]); a closing connection books its last.
 const TCP_CENSUS_EVERY: Duration = Duration::from_secs(1);
 
-/// Marks a wheel token as a peer connection's [`CREDIT_RETURN_TICK`].
-/// It is armed beside the connection's `tick_armed` tick, not through it:
-/// that flag dedupes arming, and a tick of milliseconds holding it would
-/// put off the sub-millisecond cork deadline.
-const TOKEN_CREDIT_TICK: u64 = 1 << 63;
-
-/// Time constant of the per-link bulk arrival-rate EWMA driving the
-/// adaptive cork target: samples taken `dt` apart blend with weight
-/// `dt / (dt + CORK_RATE_TAU)`, so the estimate forgets a burst in a few
-/// milliseconds and an idle link decays toward immediate flush.
-const CORK_RATE_TAU: Duration = Duration::from_millis(2);
+/// Most protocol messages one peer-mesh batch carries. The credit window
+/// bounds a batch first whenever it is smaller.
+const PEER_BATCH_OPS: usize = 32;
 
 /// Byte budget for one coalesced peer-mesh batch: coalescing stops (and
 /// spills to the next batch) once a batch holds this much, keeping batches
@@ -501,141 +481,6 @@ impl LinkItem {
             LinkItem::Rpc(frame) => frame_payload(frame),
         }
     }
-
-    /// Which peer-mesh lane the item travels in. Latency class: frames a
-    /// blocked operation is waiting on right now — invalidations and acks
-    /// (a Lin writer stalls until the slowest sharer acknowledges),
-    /// miss-path requests and their responses (a client op is suspended on
-    /// each). Bulk class: frames that move data but block nobody —
-    /// update/commit broadcasts and write-backs — which keep the
-    /// throughput-oriented coalescing and may cork up to
-    /// [`FlowConfig::max_delay`].
-    fn lane(&self) -> Lane {
-        match self {
-            LinkItem::Protocol(msg, _, _) => match msg {
-                ProtocolMsg::Invalidation { .. } | ProtocolMsg::Ack { .. } => Lane::Latency,
-                ProtocolMsg::Update { .. } => Lane::Bulk,
-            },
-            LinkItem::Rpc(frame) => {
-                fn is_write_back(frame: &Frame) -> bool {
-                    match frame {
-                        Frame::Traced { inner, .. } => is_write_back(inner),
-                        Frame::WriteBack { .. } => true,
-                        _ => false,
-                    }
-                }
-                match frame {
-                    Frame::RpcReq { inner, .. } if is_write_back(inner) => Lane::Bulk,
-                    _ => Lane::Latency,
-                }
-            }
-        }
-    }
-
-    /// The key whose per-link FIFO order the item participates in, if any.
-    /// Two items with the same conflict key on the same link must reach
-    /// the peer in arrival order regardless of lane (the per-key protocol
-    /// state machines tolerate cross-*key* reordering, nothing more); the
-    /// enqueue path downgrades a latency item into the bulk lane when a
-    /// bulk item for its key is already corked there.
-    fn conflict_key(&self) -> Option<u64> {
-        fn frame_key(frame: &Frame) -> Option<u64> {
-            match frame {
-                Frame::RpcReq { inner, .. }
-                | Frame::RpcResp { inner, .. }
-                | Frame::Traced { inner, .. } => frame_key(inner),
-                Frame::MissGet { key }
-                | Frame::MissPut { key, .. }
-                | Frame::WriteBack { key, .. }
-                | Frame::HotMark { key }
-                | Frame::HotUnmark { key }
-                | Frame::InstallHot { key, .. }
-                | Frame::ActivateHot { key, .. }
-                | Frame::Evict { key, .. } => Some(*key),
-                _ => None,
-            }
-        }
-        match self {
-            LinkItem::Protocol(msg, _, _) => Some(msg.key()),
-            LinkItem::Rpc(frame) => frame_key(frame),
-        }
-    }
-}
-
-/// Peer-mesh traffic class of one [`LinkItem`]; see [`LinkItem::lane`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lane {
-    /// Drained first, flushed eagerly, never corked.
-    Latency,
-    /// Credit-paced coalescing with an adaptive cork.
-    Bulk,
-}
-
-/// The three send queues of one peer link, under one lock (lane routing
-/// and the per-key downgrade check must see a consistent snapshot).
-#[derive(Default)]
-struct LinkQueues {
-    /// Unconfirmed tail requeued by a redial handshake. Drains strictly
-    /// FIFO *before* either lane: the repack must assign each replayed
-    /// item its original sequence number, and wire order is seq order.
-    replay: VecDeque<LinkItem>,
-    /// Latency-class items ([`Lane::Latency`]).
-    latency: VecDeque<LinkItem>,
-    /// Bulk-class items ([`Lane::Bulk`]), plus latency items downgraded
-    /// behind a same-key bulk item to preserve per-key FIFO.
-    bulk: VecDeque<LinkItem>,
-    /// Conflict-key multiset of `bulk` (kept in sync by
-    /// [`LinkQueues::push`]/[`LinkQueues::pop_bulk`]): makes the per-key
-    /// downgrade check O(1) instead of a scan of a possibly PARK_MAX-deep
-    /// parked queue.
-    bulk_keys: HashMap<u64, u32>,
-}
-
-impl LinkQueues {
-    fn len(&self) -> usize {
-        self.replay.len() + self.latency.len() + self.bulk.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.replay.is_empty() && self.latency.is_empty() && self.bulk.is_empty()
-    }
-
-    /// Routes one freshly shipped item into its lane, downgrading a
-    /// latency item whose key already has bulk traffic queued (per-key
-    /// FIFO across lanes). Returns the lane it landed in.
-    fn push(&mut self, item: LinkItem) -> Lane {
-        let lane = match item.lane() {
-            Lane::Bulk => Lane::Bulk,
-            Lane::Latency => match item.conflict_key() {
-                Some(key) if self.bulk_keys.contains_key(&key) => Lane::Bulk,
-                _ => Lane::Latency,
-            },
-        };
-        match lane {
-            Lane::Latency => self.latency.push_back(item),
-            Lane::Bulk => {
-                if let Some(key) = item.conflict_key() {
-                    *self.bulk_keys.entry(key).or_insert(0) += 1;
-                }
-                self.bulk.push_back(item);
-            }
-        }
-        lane
-    }
-
-    /// Pops the bulk front, maintaining the conflict-key multiset.
-    fn pop_bulk(&mut self) -> Option<LinkItem> {
-        let item = self.bulk.pop_front()?;
-        if let Some(key) = item.conflict_key() {
-            if let Some(n) = self.bulk_keys.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.bulk_keys.remove(&key);
-                }
-            }
-        }
-        Some(item)
-    }
 }
 
 /// The crash-surviving state of the duplex link to one peer. The
@@ -648,25 +493,22 @@ impl LinkQueues {
 /// message for the life of this process and retains it until the peer's
 /// cumulative [`Frame::Credit`] confirmations cover it. On redial the
 /// handshake tells each side how far the other really processed; each
-/// [`SendHalf::reconcile`]s and requeues its unconfirmed tail in front of
-/// the lanes — the repack assigns the same numbers, so the peer (aligned
-/// by the resume sequence) sees every message exactly once, in order.
-/// The credit window bounds `send.outstanding()`.
+/// [`SendHalf::reconcile`]s and requeues its unconfirmed tail at the front
+/// of the queue — the repack assigns the same numbers, so the peer
+/// (aligned by the resume sequence) sees every message exactly once, in
+/// order. The credit window bounds `send.outstanding()`.
 #[derive(Default)]
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`
     /// — so frame processing, credit returns, replay and pumping never race
     /// across threads).
     shard: usize,
-    /// Items not yet handed to the socket, split by lane (replay /
-    /// latency / bulk). Parked here while the link is down.
-    queues: Mutex<LinkQueues>,
-    /// Lifetime count of bulk-class items enqueued on this link; the
-    /// owning pump samples it to estimate the bulk arrival rate that
-    /// drives the adaptive cork target.
-    bulk_arrivals: AtomicU64,
+    /// Items not yet handed to the socket, in the order they leave: one
+    /// FIFO, so wire order is enqueue order and one key's messages keep
+    /// theirs. Parked here while the link is down.
+    queue: Mutex<VecDeque<LinkItem>>,
     /// Items handed to the socket, retained until the peer confirms
-    /// processing them. Lock order: `queues`, then `send`.
+    /// processing them. Lock order: `queue`, then `send`.
     send: Mutex<SendHalf<LinkItem>>,
     /// Flow-controlled messages from the peer processed so far, in the
     /// *peer's* sequence numbering (aligned by the handshake). Echoed back
@@ -678,6 +520,28 @@ struct PeerLink {
     /// A handshaken connection for this link is adopted by the owning
     /// shard.
     up: AtomicBool,
+}
+
+impl PeerLink {
+    /// The peer processed the first `processed` items of this stream:
+    /// confirms them and puts the rest back at the front of the queue,
+    /// oldest first — ahead of everything queued since, so the repack hands
+    /// each its original number. `replayed` sees every requeued item.
+    /// Returns the confirmed count; a count beyond what was sent is
+    /// rejected and changes nothing.
+    fn requeue_unprocessed(
+        &self,
+        processed: u64,
+        mut replayed: impl FnMut(&LinkItem),
+    ) -> Result<u64, BeyondSent> {
+        let mut queue = self.queue.lock();
+        let mut send = self.send.lock();
+        for item in send.reconcile(processed)?.into_iter().rev() {
+            replayed(&item);
+            queue.push_front(item);
+        }
+        Ok(send.confirmed())
+    }
 }
 
 /// A message into a reactor shard from another thread.
@@ -828,17 +692,15 @@ impl ServerInner {
                 };
                 let up = link.up.load(Ordering::Acquire);
                 {
-                    let mut queues = link.queues.lock();
-                    if !up && queues.len() >= PARK_MAX {
+                    let mut queue = link.queue.lock();
+                    if !up && queue.len() >= PARK_MAX {
                         // The peer has been dead long past the restart
                         // budget; see PARK_MAX for why dropping is safe
                         // for a *restarted* (state-fresh) peer.
                         self.metrics.record_parked_drop();
                         return;
                     }
-                    if queues.push(LinkItem::Protocol(msg, bytes, trace)) == Lane::Bulk {
-                        link.bulk_arrivals.fetch_add(1, Ordering::Relaxed);
-                    }
+                    queue.push_back(LinkItem::Protocol(msg, bytes, trace));
                 }
                 self.metrics.record_protocol_out(1);
                 if trace.is_some() {
@@ -900,14 +762,12 @@ impl ServerInner {
         };
         let up = link.up.load(Ordering::Acquire);
         {
-            let mut queues = link.queues.lock();
-            if !up && queues.len() >= PARK_MAX {
+            let mut queue = link.queue.lock();
+            if !up && queue.len() >= PARK_MAX {
                 self.metrics.record_parked_drop();
                 return false;
             }
-            if queues.push(LinkItem::Rpc(frame)) == Lane::Bulk {
-                link.bulk_arrivals.fetch_add(1, Ordering::Relaxed);
-            }
+            queue.push_back(LinkItem::Rpc(frame));
         }
         // Same post-enqueue re-check as `ship_traced`: a link coming up
         // between the load and the push must not strand the frame.
@@ -960,7 +820,7 @@ impl ServerInner {
             .iter()
             .flatten()
             .filter(|link| !link.up.load(Ordering::Acquire))
-            .map(|link| link.queues.lock().len() as u64)
+            .map(|link| link.queue.lock().len() as u64)
             .sum();
         self.metrics.set_parked(total);
     }
@@ -1048,42 +908,34 @@ impl ServerInner {
     }
 
     /// One direction of the reconnect handshake: `peer` has processed the
-    /// first `processed` messages of this node's stream. Drops that prefix,
-    /// requeues the rest for replay under their original numbers and returns
-    /// the (1-based) wire sequence the replay starts at. A count beyond what
-    /// was sent is rejected and changes nothing.
+    /// first `processed` messages of this node's stream. Requeues the rest
+    /// for replay under their original numbers
+    /// ([`PeerLink::requeue_unprocessed`]) and returns the (1-based) wire
+    /// sequence the replay starts at. A count beyond what was sent is
+    /// rejected and changes nothing.
     fn requeue_unprocessed(&self, peer: usize, processed: u64) -> io::Result<u64> {
-        let link = self.link(peer);
-        let mut queues = link.queues.lock();
-        let mut send = link.send.lock();
-        let tail = send.reconcile(processed).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("peer {peer} claims {e} (confirmation from a different generation?)"),
-            )
-        })?;
-        if !tail.is_empty() {
-            self.metrics.record_peer_replayed(tail.len() as u64);
+        let mut replayed = 0;
+        let confirmed = self
+            .link(peer)
+            .requeue_unprocessed(processed, |item| {
+                replayed += 1;
+                // A sampled op's message keeps its original trace id across
+                // the replay (exactly once — the requeued item IS the
+                // retained original); the Replay event marks the detour on
+                // the timeline.
+                let (trace, key) = (item.trace(), item.key());
+                self.trace_event(trace, SHARED_LANE, EventKind::Replay, key, peer as u8);
+            })
+            .map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("peer {peer} claims {e} (confirmation from a different generation?)"),
+                )
+            })?;
+        if replayed > 0 {
+            self.metrics.record_peer_replayed(replayed);
         }
-        for item in tail.into_iter().rev() {
-            // A sampled op's message keeps its original trace id across
-            // the replay (exactly once — the requeued item IS the retained
-            // original); the Replay event marks the detour on the
-            // timeline. Replayed items go to the dedicated replay queue,
-            // NOT their lane: the repack must hand each one its original
-            // sequence number, so they drain strictly FIFO ahead of both
-            // lanes regardless of class (a replayed bulk update must not
-            // be overtaken by a replayed — or fresh — invalidation).
-            self.trace_event(
-                item.trace(),
-                SHARED_LANE,
-                EventKind::Replay,
-                item.key(),
-                peer as u8,
-            );
-            queues.replay.push_front(item);
-        }
-        Ok(send.confirmed() + 1)
+        Ok(confirmed + 1)
     }
 
     /// Dials the link to `peer` (a higher node id) and runs the blocking
@@ -1938,8 +1790,6 @@ enum Role {
         /// [`Frame::Credit`]. Fresh per connection, so a reconnect
         /// re-announces at once (cumulative confirmations are idempotent).
         credit: CreditReturn,
-        /// Adaptive bulk-batch controller for this link.
-        cork: AdaptiveCork,
         /// [`Connection::tcp_segments`] `(data, pure ACK)` as last booked.
         segments: (u64, u64),
     },
@@ -1954,70 +1804,8 @@ impl Role {
             builder: BatchBuilder::new(),
             stall_started: None,
             credit: CreditReturn::new(flow.credit_window),
-            cork: AdaptiveCork::new(),
             segments: (0, 0),
         }
-    }
-}
-
-/// Per-link adaptive batching state: widens bulk batches under load and
-/// shrinks toward immediate flush when idle. The controller estimates the
-/// link's bulk arrival rate with an EWMA (time constant [`CORK_RATE_TAU`])
-/// and targets the batch one [`FlowConfig::max_delay`] of arrivals would
-/// fill — so under load a cork fills to the target and flushes `full`
-/// within the deadline anyway, while an idle link's target decays to 1
-/// and every bulk message flushes immediately (`idle`). A partially
-/// filled cork whose oldest message has waited `max_delay` flushes on the
-/// fine-timer `deadline` path. Owned by the link's `Role::Peer`, so no
-/// locking: only the owning shard's pump touches it.
-struct AdaptiveCork {
-    /// When the oldest currently corked bulk item began waiting.
-    since: Option<Instant>,
-    /// EWMA of bulk arrivals per second on this link.
-    rate: f64,
-    /// `PeerLink::bulk_arrivals` as of the last rate sample.
-    last_arrivals: u64,
-    /// When the last rate sample was taken.
-    last_sample: Instant,
-}
-
-/// Why a bulk cork flushed (the `cork_flush_total` metric labels).
-#[derive(Clone, Copy)]
-enum CorkFlush {
-    /// The adaptive target size (or the batch byte budget) was reached.
-    Full,
-    /// The oldest corked message waited out `max_delay`.
-    Deadline,
-    /// The link is idle (target decayed to 1): immediate flush.
-    Idle,
-}
-
-impl AdaptiveCork {
-    fn new() -> Self {
-        Self {
-            since: None,
-            rate: 0.0,
-            last_arrivals: 0,
-            last_sample: Instant::now(),
-        }
-    }
-
-    /// Folds the arrival counter into the rate EWMA as of `now` (the
-    /// lap's clock reading) and returns the current target bulk-batch
-    /// size in `[1, max_ops]`.
-    fn target(&mut self, now: Instant, arrivals: u64, max_ops: u64, max_delay: Duration) -> u64 {
-        let dt = now.saturating_duration_since(self.last_sample);
-        // Sample no finer than the fine-timer slot: the pump runs every
-        // loop lap, and instantaneous rates over sub-µs windows are noise.
-        if dt >= reactor::FINE_RESOLUTION {
-            let n = arrivals.saturating_sub(self.last_arrivals);
-            let inst = n as f64 / dt.as_secs_f64();
-            let alpha = dt.as_secs_f64() / (dt + CORK_RATE_TAU).as_secs_f64();
-            self.rate += alpha * (inst - self.rate);
-            self.last_arrivals = arrivals;
-            self.last_sample = now;
-        }
-        ((self.rate * max_delay.as_secs_f64()).round() as u64).clamp(1, max_ops.max(1))
     }
 }
 
@@ -2044,8 +1832,9 @@ struct ConnState {
     eof: bool,
     /// A fatal I/O or protocol error occurred; close on next advance.
     dead: bool,
-    /// A timer-wheel tick is armed for this connection (credit stall,
-    /// parked-for-ready re-check or a bounce retry); dedupes arming.
+    /// A client connection's bounce-retry tick is armed; dedupes arming.
+    /// (A peer connection's one wheel entry, the [`CREDIT_RETURN_TICK`],
+    /// is deduped by its [`CreditReturn`].)
     tick_armed: bool,
 }
 
@@ -2327,19 +2116,17 @@ impl Shard {
             if accept {
                 self.accept_burst(&mut dirty);
             }
-            for Token(fired) in self.wheel.expired() {
-                if fired == TOKEN_RPC_SWEEP {
+            for Token(token) in self.wheel.expired() {
+                if token == TOKEN_RPC_SWEEP {
                     self.sweep_rpcs();
                     continue;
                 }
-                let token = fired & !TOKEN_CREDIT_TICK;
                 let Some(conn) = self.conns.get_mut(&token) else {
                     continue;
                 };
-                if fired == token {
-                    conn.tick_armed = false;
-                } else if let Role::Peer { credit, .. } = &mut conn.role {
-                    credit.tick();
+                match &mut conn.role {
+                    Role::Peer { credit, .. } => credit.tick(),
+                    _ => conn.tick_armed = false,
                 }
                 dirty.push(token);
             }
@@ -2475,10 +2262,7 @@ impl Shard {
         std::mem::swap(&mut msgs, &mut *self.shared.inbox.lock());
         for msg in msgs.drain(..) {
             match msg {
-                ShardMsg::Adopt(mut conn) => {
-                    // A tick armed on the shard it came from no longer
-                    // applies.
-                    conn.tick_armed = false;
+                ShardMsg::Adopt(conn) => {
                     let dialed = match conn.role {
                         Role::Peer { peer, .. } => Some(peer),
                         _ => None,
@@ -2789,27 +2573,19 @@ impl Shard {
         conn.eof
     }
 
-    /// The outbound half of one peer link: coalesces bursts of protocol
-    /// traffic into [`Frame::Batch`] messages (§6.3's software-multicast
+    /// The outbound half of one peer link: packs what is queued, front to
+    /// back, into [`Frame::Batch`] messages (§6.3's software-multicast
     /// amortisation) under credit-based flow control (§6.4), with the
     /// cumulative processed confirmation toward the peer piggybacked on
     /// every batch and sent alone only when the link's [`CreditReturn`]
-    /// says it is due. Driven by readiness; a credit stall or a pending
-    /// cork deadline arms a wheel tick instead of parking a thread.
+    /// says it is due. A batch is whatever is queued when the pump runs,
+    /// bounded by the credit window, [`PEER_BATCH_OPS`] and the byte budget
+    /// — nothing waits for company. Wire order is queue order, so a
+    /// requeued replay tail leaves first and one key's messages keep their
+    /// order. Driven by readiness: a credit stall arms nothing, the lap
+    /// that reads the peer's `Credit` pumps the link again.
     ///
-    /// Lanes ([`LinkItem::lane`]): the replay queue drains strictly first
-    /// (seq exactness), then the **latency lane** — invalidations, Lin
-    /// acks, RPC traffic — which flushes eagerly on every pump and never
-    /// waits on bulk coalescing or the 1 ms stall tick, then the **bulk
-    /// lane** (update broadcasts, write-backs), whose flush is decided by
-    /// the link's [`AdaptiveCork`]: flush when the adaptive target size is
-    /// reached (`full`), when the oldest corked message has waited
-    /// [`FlowConfig::max_delay`] (`deadline`), or immediately while the
-    /// link is idle (`idle`). Wire order is pack order is seq order, so
-    /// the per-key FIFO the protocol engines need is enforced at enqueue
-    /// time ([`LinkQueues::push`]'s downgrade), not here.
-    ///
-    /// Every flow-controlled message moves from the link's queues into its
+    /// Every flow-controlled message moves from the link's queue into its
     /// retained `send` tail as it is packed: the socket may lose it (severed
     /// link, crashed peer), the link does not — the redial handshake
     /// replays whatever the peer did not confirm processing.
@@ -2831,7 +2607,6 @@ impl Shard {
             builder,
             stall_started,
             credit,
-            cork,
             ..
         } = &mut conn.role
         else {
@@ -2846,51 +2621,19 @@ impl Shard {
         }
         let inner = &self.inner;
         let window = inner.flow.credit_window;
-        let max_ops = inner.flow.peer_batch_ops.max(1) as u64;
-        let max_delay = inner.flow.max_delay;
         let running = inner.running.load(Ordering::SeqCst);
         // Messages from `peer` processed so far: only this shard delivers
         // them, so the count stands still while this pump runs.
         let processed = link.processed.load(Ordering::Acquire);
-        // Remaining time until the current cork's deadline, when bulk was
-        // left corked this pump.
-        let mut cork_deadline: Option<Duration> = None;
         loop {
             // Backpressure: stop packing while the socket is behind; the
             // writability event resumes the pump.
             if conn.writebuf.pending() > HIGH_WATER {
                 break;
             }
-            cork_deadline = None;
-            let mut queues = link.queues.lock();
+            let mut queue = link.queue.lock();
             let mut send = link.send.lock();
-            // Adaptive bulk decision: how the corked bulk lane flushes (or
-            // keeps waiting) this round.
-            let target = cork.target(
-                self.now,
-                link.bulk_arrivals.load(Ordering::Relaxed),
-                max_ops,
-                max_delay,
-            );
-            let bulk_len = queues.bulk.len() as u64;
-            let deadline_hit = cork.since.is_some_and(|since| since.elapsed() >= max_delay);
-            let flush_reason = if bulk_len == 0 {
-                None
-            } else if !running {
-                // Teardown drains everything; the label is moot.
-                Some(CorkFlush::Full)
-            } else if target > 1 && bulk_len >= target {
-                Some(CorkFlush::Full)
-            } else if deadline_hit {
-                Some(CorkFlush::Deadline)
-            } else if target <= 1 {
-                Some(CorkFlush::Idle)
-            } else {
-                None
-            };
-            let bulk_release = if flush_reason.is_some() { bulk_len } else { 0 };
-            let want =
-                ((queues.replay.len() + queues.latency.len()) as u64 + bulk_release).min(max_ops);
+            let want = queue.len().min(PEER_BATCH_OPS) as u64;
             let granted = if !running {
                 // Teardown drains without credits — nothing reads the
                 // peer's confirmations any more.
@@ -2907,14 +2650,8 @@ impl Shard {
                         // If the message that waited out the stall at the
                         // queue front is traced, pin the stall onto its
                         // timeline (the `key` field carries the ns).
-                        let front_trace = queues
-                            .replay
-                            .front()
-                            .or_else(|| queues.latency.front())
-                            .or_else(|| queues.bulk.front())
-                            .and_then(LinkItem::trace);
                         inner.trace_event(
-                            front_trace,
+                            queue.front().and_then(LinkItem::trace),
                             self.id as u8,
                             EventKind::CreditStall,
                             stalled_ns,
@@ -2925,30 +2662,8 @@ impl Shard {
                 take
             };
             let mut packed = 0u64;
-            let mut latency_packed = 0u64;
-            let mut bulk_packed = 0u64;
-            // Trace id of the first corked bulk item flushed this batch:
-            // its timeline carries the CorkWait span.
-            let mut corked_trace: Option<u64> = None;
             while packed < granted {
-                // Strict priority: replay (seq exactness), then the
-                // latency lane, then released bulk. One wire batch may mix
-                // classes — order within it is still queue order.
-                let lane = if !queues.replay.is_empty() {
-                    None
-                } else if !queues.latency.is_empty() {
-                    Some(Lane::Latency)
-                } else if bulk_release > 0 && !queues.bulk.is_empty() {
-                    Some(Lane::Bulk)
-                } else {
-                    break;
-                };
-                let head = match lane {
-                    None => queues.replay.front(),
-                    Some(Lane::Latency) => queues.latency.front(),
-                    Some(Lane::Bulk) => queues.bulk.front(),
-                }
-                .expect("chosen queue nonempty");
+                let head = queue.front().expect("granted no more than queued");
                 // Byte bound: op count alone would let a burst of large
                 // values coalesce past MAX_FRAME_BYTES, and the receiver
                 // drops an oversized frame together with the whole peer
@@ -2964,22 +2679,7 @@ impl Shard {
                     }
                     LinkItem::Rpc(frame) => builder.push(frame),
                 }
-                let item = match lane {
-                    None => queues.replay.pop_front(),
-                    Some(Lane::Latency) => queues.latency.pop_front(),
-                    Some(Lane::Bulk) => queues.pop_bulk(),
-                }
-                .expect("head exists");
-                match lane {
-                    Some(Lane::Latency) => latency_packed += 1,
-                    Some(Lane::Bulk) => {
-                        if bulk_packed == 0 {
-                            corked_trace = item.trace();
-                        }
-                        bulk_packed += 1;
-                    }
-                    None => {}
-                }
+                let item = queue.pop_front().expect("head exists");
                 if running {
                     // A restarted peer that confirmed past this number
                     // owes the answer: `peer_restarted` asks those again.
@@ -2992,47 +2692,12 @@ impl Shard {
                 }
                 packed += 1;
             }
-            // Cork bookkeeping. A bulk flush books its size, its reason
-            // and — when a cork was actually open — the wait it served,
-            // pinned to the first corked item's trace timeline. Fully
-            // drained bulk closes the cork; bulk left waiting (no flush
-            // reason, or a flush truncated by the window or byte budget)
-            // keeps or starts it, and its deadline arms the fine timer.
-            if bulk_packed > 0 {
-                inner.metrics.record_adaptive_batch(bulk_packed);
-                if let Some(reason) = flush_reason {
-                    match reason {
-                        CorkFlush::Full => inner.metrics.record_cork_flush_full(),
-                        CorkFlush::Deadline => inner.metrics.record_cork_flush_deadline(),
-                        CorkFlush::Idle => inner.metrics.record_cork_flush_idle(),
-                    }
-                }
-                if let Some(since) = cork.since {
-                    let waited_ns = since.elapsed().as_nanos() as u64;
-                    inner.metrics.record_cork_wait_ns(waited_ns);
-                    inner.trace_event(
-                        corked_trace,
-                        self.id as u8,
-                        EventKind::CorkWait,
-                        waited_ns,
-                        peer as u8,
-                    );
-                }
+            if packed > 0 {
+                inner.metrics.record_adaptive_batch(packed);
             }
-            if queues.bulk.is_empty() {
-                cork.since = None;
-            } else {
-                let since = *cork.since.get_or_insert_with(Instant::now);
-                cork_deadline = Some(max_delay.saturating_sub(since.elapsed()));
-            }
-            if latency_packed > 0 {
-                inner.metrics.record_priority_lane(latency_packed);
-            }
-            let nothing_left = queues.replay.is_empty()
-                && queues.latency.is_empty()
-                && (bulk_release == 0 || queues.bulk.is_empty());
+            let nothing_left = queue.is_empty();
             drop(send);
-            drop(queues);
+            drop(queue);
             // The cumulative processed confirmation rides whatever was
             // just packed; with nothing to ride it leaves only once the
             // policy says it must. It is exempt from flow control, so it
@@ -3060,29 +2725,17 @@ impl Shard {
                 }
                 builder.append_to(conn.writebuf.writer());
             }
-            // No progress: nothing more can happen this pump (the queues
-            // are empty, the bulk lane is corked, or the window is closed
-            // — ticks handle the latter two).
-            if packed == 0 {
-                break;
-            }
-            if nothing_left {
+            // Nothing more can happen this pump: the queue is empty or the
+            // window is closed.
+            if packed == 0 || nothing_left {
                 break;
             }
         }
         if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return true;
         }
-        // A credit stall arms no tick: only the peer's `Credit` reopens the
-        // window, and the lap that reads it pumps this link.
-        if let Some(remaining) = cork_deadline.filter(|_| running && !conn.tick_armed) {
-            self.wheel
-                .schedule(Token(token), remaining.max(reactor::FINE_RESOLUTION));
-            conn.tick_armed = true;
-        }
         if credit.arm(processed) {
-            self.wheel
-                .schedule(Token(token | TOKEN_CREDIT_TICK), CREDIT_RETURN_TICK);
+            self.wheel.schedule(Token(token), CREDIT_RETURN_TICK);
         }
         false
     }
@@ -3167,7 +2820,7 @@ impl Shard {
                     let Role::Peer { link, resumed, .. } = &conn.role else {
                         unreachable!("role checked above");
                     };
-                    if !*resumed || link.queues.lock().is_empty() {
+                    if !*resumed || link.queue.lock().is_empty() {
                         break;
                     }
                 }
@@ -3184,7 +2837,7 @@ impl Shard {
 }
 
 #[cfg(test)]
-mod lane_tests {
+mod tests {
     use super::*;
 
     fn ts() -> Timestamp {
@@ -3194,18 +2847,6 @@ mod lane_tests {
     fn inv(key: u64) -> LinkItem {
         LinkItem::Protocol(
             ProtocolMsg::Invalidation {
-                key,
-                ts: ts(),
-                from: NodeId(0),
-            },
-            None,
-            None,
-        )
-    }
-
-    fn ack(key: u64) -> LinkItem {
-        LinkItem::Protocol(
-            ProtocolMsg::Ack {
                 key,
                 ts: ts(),
                 from: NodeId(0),
@@ -3228,146 +2869,59 @@ mod lane_tests {
         )
     }
 
-    fn write_back(key: u64) -> LinkItem {
-        LinkItem::Rpc(Frame::RpcReq {
-            corr: 1,
-            inner: Box::new(Frame::WriteBack {
-                key,
-                value: vec![1],
-                ts: ts(),
-            }),
-        })
-    }
-
-    fn miss_get(key: u64) -> LinkItem {
-        LinkItem::Rpc(Frame::RpcReq {
-            corr: 2,
-            inner: Box::new(Frame::MissGet { key }),
-        })
-    }
-
     /// (kind, key) fingerprint for order assertions.
     fn tag(item: &LinkItem) -> (&'static str, u64) {
         match item {
             LinkItem::Protocol(ProtocolMsg::Invalidation { key, .. }, _, _) => ("inv", *key),
-            LinkItem::Protocol(ProtocolMsg::Ack { key, .. }, _, _) => ("ack", *key),
             LinkItem::Protocol(ProtocolMsg::Update { key, .. }, _, _) => ("update", *key),
-            LinkItem::Rpc(frame) => ("rpc", frame_tag_key(frame)),
+            other => unreachable!("no {:?} in these tests", other.key()),
         }
     }
 
-    fn frame_tag_key(frame: &Frame) -> u64 {
-        match frame {
-            Frame::RpcReq { inner, .. } | Frame::RpcResp { inner, .. } => frame_tag_key(inner),
-            Frame::WriteBack { key, .. } | Frame::MissGet { key } => *key,
-            _ => 0,
-        }
-    }
-
-    /// Drains the queues in exactly the pump's lane-selection order:
-    /// replay strictly first, then the latency lane, then bulk.
-    fn drain(queues: &mut LinkQueues) -> Vec<(&'static str, u64)> {
-        let mut out = Vec::new();
-        loop {
-            let item = if let Some(item) = queues.replay.pop_front() {
-                item
-            } else if let Some(item) = queues.latency.pop_front() {
-                item
-            } else if let Some(item) = queues.pop_bulk() {
-                item
-            } else {
-                break;
-            };
-            out.push(tag(&item));
-        }
-        assert!(queues.is_empty());
-        out
-    }
-
-    #[test]
-    fn latency_frames_overtake_unrelated_bulk() {
-        let mut queues = LinkQueues::default();
-        assert_eq!(queues.push(update(1)), Lane::Bulk);
-        assert_eq!(queues.push(inv(2)), Lane::Latency);
-        assert_eq!(queues.push(ack(3)), Lane::Latency);
-        assert_eq!(
-            drain(&mut queues),
-            vec![("inv", 2), ("ack", 3), ("update", 1)],
-            "latency-class frames must jump the bulk cork, FIFO within their lane"
-        );
-    }
-
-    #[test]
-    fn same_key_inv_never_overtakes_its_update() {
-        // An SC update broadcast for key 7 is corked; a later Lin
-        // invalidation of key 7 must not pass it on the wire — the push
-        // path downgrades it into the bulk lane behind the update.
-        let mut queues = LinkQueues::default();
-        assert_eq!(queues.push(update(7)), Lane::Bulk);
-        assert_eq!(
-            queues.push(inv(7)),
-            Lane::Bulk,
-            "same-key inv must downgrade"
-        );
-        assert_eq!(
-            queues.push(inv(8)),
-            Lane::Latency,
-            "other keys keep the fast lane"
-        );
-        assert_eq!(
-            drain(&mut queues),
-            vec![("inv", 8), ("update", 7), ("inv", 7)],
-            "per-key FIFO must hold across lanes"
-        );
-    }
-
-    #[test]
-    fn same_key_rpc_follows_corked_write_back() {
-        // A miss read racing a corked write-back of the same key must
-        // arrive after it (the home must see the written-back value).
-        let mut queues = LinkQueues::default();
-        assert_eq!(queues.push(write_back(9)), Lane::Bulk);
-        assert_eq!(
-            queues.push(miss_get(9)),
-            Lane::Bulk,
-            "same-key rpc must downgrade"
-        );
-        assert_eq!(queues.push(miss_get(10)), Lane::Latency);
-        assert_eq!(
-            drain(&mut queues),
-            vec![("rpc", 10), ("rpc", 9), ("rpc", 9)],
-            "write-back then its follower, in push order"
-        );
+    /// Packs `n` items off the queue front the way `pump_peer` does: into
+    /// the retained tail, each under the number `send` hands it.
+    fn pack(link: &PeerLink, n: usize) -> Vec<(u64, (&'static str, u64))> {
+        let mut queue = link.queue.lock();
+        let mut send = link.send.lock();
+        (0..n)
+            .map(|_| {
+                let item = queue.pop_front().expect("queued");
+                let tag = tag(&item);
+                (send.push(item), tag)
+            })
+            .collect()
     }
 
     #[test]
     fn replay_drains_first_and_in_fifo_order() {
-        // Requeued unconfirmed tail (redial handshake) must be repacked
-        // before anything else, in original order — replay frames reuse
-        // their original sequence numbers and wire order is seq order.
-        let mut queues = LinkQueues::default();
-        queues.replay.push_back(update(1));
-        queues.replay.push_back(inv(1));
-        assert_eq!(queues.push(inv(2)), Lane::Latency);
-        assert_eq!(queues.push(update(3)), Lane::Bulk);
+        // A reconciled tail leaves ahead of the items queued before the
+        // redial, oldest first, under its original numbers.
+        let link = PeerLink::default();
+        link.queue.lock().extend([update(1), inv(1), inv(2)]);
         assert_eq!(
-            drain(&mut queues),
-            vec![("update", 1), ("inv", 1), ("inv", 2), ("update", 3)],
-            "replay is strictly first, itself FIFO"
+            pack(&link, 3),
+            vec![(0, ("update", 1)), (1, ("inv", 1)), (2, ("inv", 2))]
         );
-    }
-
-    #[test]
-    fn downgrade_check_clears_when_bulk_drains() {
-        let mut queues = LinkQueues::default();
-        assert_eq!(queues.push(update(5)), Lane::Bulk);
-        assert_eq!(queues.push(update(5)), Lane::Bulk);
-        queues.pop_bulk();
-        // One bulk item for key 5 still queued: the downgrade must hold.
-        assert_eq!(queues.push(inv(5)), Lane::Bulk);
-        queues.pop_bulk();
-        queues.pop_bulk();
-        // Bulk fully drained: key 5 latency traffic is fast again.
-        assert_eq!(queues.push(inv(5)), Lane::Latency);
+        // Queued while the link was down.
+        link.queue.lock().extend([inv(3), update(4)]);
+        // The peer processed only the first: the other two replay.
+        let mut replayed = Vec::new();
+        let confirmed = link.requeue_unprocessed(1, |item| replayed.push(tag(item)));
+        assert_eq!(confirmed, Ok(1));
+        assert_eq!(replayed, [("inv", 2), ("inv", 1)], "newest first");
+        assert_eq!(
+            pack(&link, 4),
+            vec![
+                (1, ("inv", 1)),
+                (2, ("inv", 2)),
+                (3, ("inv", 3)),
+                (4, ("update", 4))
+            ],
+            "the replay tail is strictly first, itself FIFO, under its old numbers"
+        );
+        // A count beyond what was sent is rejected and changes nothing.
+        assert!(link.requeue_unprocessed(9, |_| unreachable!()).is_err());
+        assert!(link.queue.lock().is_empty());
+        assert_eq!(link.send.lock().outstanding(), 4);
     }
 }

@@ -28,6 +28,18 @@ const OPS: u64 = 1_000;
 /// this commit's.
 const PARENT_UDP_ACKS_PER_PEER_DATAGRAM: [f64; 2] = [0.086, 0.084];
 
+/// Pure ACKs per peer message for Lin PUTs on TCP while the outbox had a
+/// bulk cork, which mostly held each update for the next PUT's, so the
+/// pair rode a segment the next invalidation's ack acknowledged. Median of
+/// seven debug-build runs (they spread over 0.017 – 0.163), printed beside
+/// this commit's.
+const PARENT_TCP_LIN_PURE_ACKS_PER_PEER_MSG: f64 = 0.032;
+
+/// What the same Lin PUTs cost with one FIFO per link and no cork: the
+/// update leaves at once and is acknowledged alone (1/3), plus the
+/// handshake and close segments.
+const TCP_LIN_PURE_ACKS_PER_PEER_MSG: f64 = 0.34;
+
 fn report(name: &str, value: f64) {
     println!("ack_budget {name} {value:.3}");
 }
@@ -118,11 +130,17 @@ fn a_reply_carries_the_acknowledgement() {
         assert!(lin < one_way_floor && miss < one_way_floor);
     } else {
         report("lin_put_pure_acks_per_peer_msg", lin);
+        report(
+            "lin_put_pure_acks_per_peer_msg_parent",
+            PARENT_TCP_LIN_PURE_ACKS_PER_PEER_MSG,
+        );
         report("remote_miss_pure_acks_per_peer_msg", miss);
         assert!(lin_msgs >= 4 * OPS && miss_msgs >= 2 * OPS);
+        // Of inv → ack → update only the update, which nobody answers, is
+        // acknowledged alone: one pure ACK per three peer messages.
         assert!(
-            lin <= 0.5,
-            "of inv → ack → update only the update may be acknowledged alone"
+            lin <= TCP_LIN_PURE_ACKS_PER_PEER_MSG,
+            "more than the update is acknowledged alone"
         );
         assert!(
             miss <= 0.1,

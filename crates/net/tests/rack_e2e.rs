@@ -501,11 +501,7 @@ fn tiny_credit_window_stalls_writers_but_loses_nothing() {
     // visible in the metrics — proof the flow control engages rather than
     // sitting dormant at its default window.
     let mut cfg = RackConfig::small_from_env(ConsistencyModel::Lin, 3);
-    cfg.flow = FlowConfig {
-        credit_window: 2,
-        peer_batch_ops: 4,
-        ..FlowConfig::default()
-    };
+    cfg.flow = FlowConfig { credit_window: 2 };
     let rack = Rack::launch(cfg).expect("launch rack");
     let dataset = Dataset::new(10_000, 40);
     rack.install_hot_set(&dataset.hot_entries(HOT_KEYS as usize))

@@ -15,12 +15,12 @@ use cckvs_net::metrics::Metrics;
 use cckvs_net::server::{FlowConfig, NodeServer, NodeServerConfig};
 use cckvs_net::transport::TcpTransport;
 use cckvs_net::{LoadBalancePolicy, Rack, RackConfig};
-use cckvs_trace::{assemble, EventKind};
+use cckvs_trace::{assemble, EventKind, DEFAULT_STORE_CAPACITY};
 use consistency::messages::ConsistencyModel;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -320,11 +320,7 @@ fn replayed_frames_keep_their_original_trace_id_exactly_once() {
         kvs_threads: cckvs::node::DEFAULT_KVS_THREADS,
     };
     // Tiny credit window so severs land with traffic in flight.
-    let flow = FlowConfig {
-        credit_window: 4,
-        peer_batch_ops: 4,
-        ..FlowConfig::default()
-    };
+    let flow = FlowConfig { credit_window: 4 };
     let mut cfg_a = NodeServerConfig::loopback(node_cfg(0));
     cfg_a.flow = flow;
     cfg_a.metrics_listen = None;
@@ -347,29 +343,21 @@ fn replayed_frames_keep_their_original_trace_id_exactly_once() {
     let entries: Vec<(u64, Vec<u8>)> = (0..HOT_KEYS).map(|k| (k, vec![0u8; 16])).collect();
     install_hot_set_via(&TcpTransport, &addrs, &entries).expect("install hot set");
 
-    // These racks run without a metrics thread, so nothing drains the
-    // per-lane rings while traffic flows; stand-in drainers keep the
-    // sustained all-ops-traced write load from overflowing them (the
-    // overflow counter would void the exactly-once accounting below).
-    let stop = Arc::new(AtomicBool::new(false));
-    let drainers: Vec<_> = [server_a.trace_sink(), server_b.trace_sink()]
-        .into_iter()
-        .map(|sink| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    sink.drain();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        })
-        .collect();
-
-    // One writer pinned to A, every op traced with a known id; the main
-    // thread cuts the A→B link repeatedly while writes are in flight, so
-    // some traced invalidations land in the replayed unconfirmed tail.
+    // One writer pinned to A, every op traced with a known id, PUTS per
+    // round; the main thread cuts the A→B link halfway through each round,
+    // so some traced invalidations land in the replayed unconfirmed tail.
+    // These nodes run without a metrics thread, so nothing drains their
+    // trace rings but this test: it does so between rounds, and a round's
+    // events (about ten per put across both nodes) stay far below one
+    // ring's capacity — an overflow would void the exactly-once accounting.
+    const PUTS: usize = 64;
+    const MAX_ROUNDS: usize = 60;
+    let sinks = [server_a.trace_sink(), server_b.trace_sink()];
+    let (go, go_rx) = std::sync::mpsc::channel::<()>();
+    let (done_tx, done) = std::sync::mpsc::channel::<()>();
+    let issued = Arc::new(AtomicUsize::new(0));
     let history = Arc::new(SharedHistory::new());
-    let writer_stop = Arc::clone(&stop);
+    let writer_issued = Arc::clone(&issued);
     let writer_history = Arc::clone(&history);
     let writer_addrs = addrs.clone();
     let writer = std::thread::spawn(move || {
@@ -380,12 +368,16 @@ fn replayed_frames_keep_their_original_trace_id_exactly_once() {
             .expect("connect");
         let mut minted: BTreeSet<u64> = BTreeSet::new();
         let mut seq = 0u64;
-        while !writer_stop.load(Ordering::Relaxed) {
-            seq += 1;
-            minted.insert(client.trace_next());
-            client
-                .put(seq % HOT_KEYS, &seq.to_le_bytes())
-                .expect("put under link chaos");
+        while go_rx.recv().is_ok() {
+            for _ in 0..PUTS {
+                seq += 1;
+                minted.insert(client.trace_next());
+                client
+                    .put(seq % HOT_KEYS, &seq.to_le_bytes())
+                    .expect("put under link chaos");
+                writer_issued.fetch_add(1, Ordering::Relaxed);
+            }
+            done_tx.send(()).expect("main thread waits for the round");
         }
         minted
     });
@@ -396,25 +388,37 @@ fn replayed_frames_keep_their_original_trace_id_exactly_once() {
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        std::thread::sleep(Duration::from_millis(60));
+        let halfway = rounds * PUTS - PUTS / 2;
+        go.send(()).expect("writer alive");
+        while issued.load(Ordering::Relaxed) < halfway && !writer.is_finished() {
+            std::thread::sleep(Duration::from_micros(200));
+        }
         severed += proxy.sever_all();
+        done.recv().expect("writer finished its round");
+        for sink in &sinks {
+            sink.drain();
+        }
         if rounds >= 8 && server_a.metrics().snapshot().peer_replayed > 0 {
             break;
         }
         assert!(
-            rounds < 100,
+            rounds < MAX_ROUNDS,
             "no replay after {rounds} sever rounds ({severed} severed)"
         );
     }
     assert!(severed > 0, "the proxy never had a link to sever");
-    // Let the last reconnect settle under traffic, then stop.
-    std::thread::sleep(Duration::from_millis(300));
-    stop.store(true, Ordering::Relaxed);
+    drop(go);
     let minted = writer.join().expect("writer survived link chaos");
-    for drainer in drainers {
-        drainer.join().expect("drainer");
-    }
     drop(proxy);
+    // The store evicts its oldest events without counting them, which
+    // would hide a double delivery as surely as a ring overflow.
+    for sink in &sinks {
+        sink.drain();
+        assert!(
+            sink.stored() < DEFAULT_STORE_CAPACITY,
+            "trace store wrapped"
+        );
+    }
 
     let dumps = collect_traces_via(&TcpTransport, &addrs).expect("trace dump");
     for (node, (dropped, _)) in dumps.iter().enumerate() {

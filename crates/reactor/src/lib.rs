@@ -10,8 +10,8 @@
 //! * [`Waker`] — an `eventfd`-backed wake token so other threads (protocol
 //!   shippers, worker-pool completions) can interrupt a blocked poll;
 //! * [`TimerWheel`] — two-level (50 µs fine + 1 ms coarse) timers for
-//!   cork deadlines, the credit-stall tick and parked-connection
-//!   re-checks;
+//!   bounce retries, the pending-RPC deadline sweep and the peer links'
+//!   idle credit return;
 //! * [`ReadBuf`] / [`WriteBuf`] — growable buffers for incremental frame
 //!   decode and write-buffer backpressure, so a slow peer accumulates
 //!   bytes instead of blocking a thread;

@@ -162,8 +162,8 @@ pub fn sys_epoll_wait(
 }
 
 /// Nanosecond-precision epoll wait. Uses `epoll_pwait2` (Linux ≥ 5.11)
-/// so sub-millisecond timer deadlines — cork expiries, priority-lane
-/// stall ticks — are honoured at their actual resolution; on kernels
+/// so sub-millisecond timer deadlines — a bounced op's first retry — are
+/// honoured at their actual resolution; on kernels
 /// without it, falls back to `epoll_wait` with the timeout rounded *up*
 /// to the next millisecond (never down to zero, which would spin).
 pub fn sys_epoll_wait_ns(

@@ -1,11 +1,10 @@
 //! A two-level hashed timer wheel: 50 µs fine slots + 1 ms coarse slots.
 //!
-//! The reactor's timers used to be few and coarse — credit-stall ticks,
-//! parked connection re-checks — so a single-level wheel of millisecond
-//! slots was enough. Latency-aware batching changed that: cork deadlines
-//! and priority-lane stall ticks are in the tens-of-microseconds range,
-//! and rounding them up to 1 ms would defeat the whole point. The wheel
-//! is therefore split in two:
+//! The reactor's timers span two scales: a bounced client op retries
+//! after 50 µs at first, while the pending-RPC sweep and a peer link's
+//! idle credit return wait milliseconds to hundreds of them. Rounding the
+//! short ones up to 1 ms would cost a bounced op most of its latency. The
+//! wheel is therefore split in two:
 //!
 //! * a **fine wheel** of [`FINE_SLOTS`] × [`FINE_RESOLUTION`] (50 µs)
 //!   slots covering the next ~6.4 ms — sub-millisecond deadlines land

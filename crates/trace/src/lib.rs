@@ -40,7 +40,7 @@ pub const SHARED_LANE: u8 = 0xFF;
 /// What happened at one point of a traced operation's life.
 ///
 /// The discriminants are the wire encoding (one byte) — append-only;
-/// 1 and 2 are unassigned.
+/// 1, 2 and 14 are unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -72,10 +72,6 @@ pub enum EventKind {
     /// commit, RPC response, or retry tick that un-suspended it arrived;
     /// `peer` = the peer whose message fired it, if any).
     ContinuationFire = 13,
-    /// The op's bulk peer traffic sat corked in the adaptive batcher
-    /// before flushing (`key` holds the cork wait in ns, `peer` = the
-    /// destination link).
-    CorkWait = 14,
 }
 
 impl EventKind {
@@ -94,7 +90,6 @@ impl EventKind {
             11 => EventKind::MissRpc,
             12 => EventKind::Respond,
             13 => EventKind::ContinuationFire,
-            14 => EventKind::CorkWait,
             _ => return None,
         })
     }
@@ -114,7 +109,6 @@ impl EventKind {
             EventKind::MissRpc => "miss_rpc",
             EventKind::Respond => "respond",
             EventKind::ContinuationFire => "continuation_fire",
-            EventKind::CorkWait => "cork_wait",
         }
     }
 }
@@ -474,13 +468,14 @@ mod tests {
 
     #[test]
     fn event_kind_roundtrips() {
-        for v in (0..=14u8).filter(|v| ![1, 2].contains(v)) {
+        for v in (0..=13u8).filter(|v| ![1, 2].contains(v)) {
             let kind = EventKind::from_u8(v).expect("kind");
             assert_eq!(kind as u8, v);
             assert!(!kind.name().is_empty());
         }
         assert_eq!(EventKind::from_u8(1), None);
         assert_eq!(EventKind::from_u8(2), None);
+        assert_eq!(EventKind::from_u8(14), None);
         assert_eq!(EventKind::from_u8(15), None);
         assert_eq!(EventKind::from_u8(255), None);
     }
