@@ -89,6 +89,8 @@ impl std::error::Error for Violation {}
 #[derive(Debug, Clone, Default)]
 pub struct History {
     ops: Vec<OpRecord>,
+    /// Puts whose call failed, as `(key, value, invoked_at)`.
+    indeterminate: Vec<(u64, Value, u64)>,
 }
 
 impl History {
@@ -100,6 +102,15 @@ impl History {
     /// Appends a completed operation.
     pub fn record(&mut self, op: OpRecord) {
         self.ops.push(op);
+    }
+
+    /// Appends a put of `value` to `key`, invoked at `invoked_at`, whose
+    /// call failed: it may or may not have taken effect (a crash can apply
+    /// a write and lose its answer). It never completed and its timestamp
+    /// is unknown, so it binds no timestamp until a read returns its value
+    /// ([`History::check_reads_return_written_values`]).
+    pub fn record_indeterminate_put(&mut self, key: u64, value: Value, invoked_at: u64) {
+        self.indeterminate.push((key, value, invoked_at));
     }
 
     /// The recorded operations.
@@ -150,7 +161,10 @@ impl History {
     /// Checks that every read returns a value actually written (or the
     /// initial value at timestamp zero) and that the value↔timestamp binding
     /// is consistent across the history — i.e. no "mishmash" values (§5.1:
-    /// updates happen atomically).
+    /// updates happen atomically). A read at a timestamp no completed put
+    /// produced may return the value of an indeterminate put of the key
+    /// invoked before the read completed: that put took effect, at that
+    /// timestamp, which binds it like a completed put's.
     pub fn check_reads_return_written_values(&self) -> Result<(), Violation> {
         let mut written: HashMap<(u64, Timestamp), Value> = HashMap::new();
         for op in &self.ops {
@@ -163,7 +177,13 @@ impl History {
                 if op.ts == Timestamp::ZERO {
                     continue; // Initial value; nothing to cross-check.
                 }
+                let witnessed = |&(key, v, invoked_at): &(u64, Value, u64)| {
+                    key == op.key && v == value && invoked_at < op.completed_at
+                };
                 match written.get(&(op.key, op.ts)) {
+                    None if self.indeterminate.iter().any(witnessed) => {
+                        written.insert((op.key, op.ts), value);
+                    }
                     Some(w) if *w == value => {}
                     Some(w) => {
                         return Err(Violation {
@@ -383,6 +403,31 @@ mod tests {
         h.record(put(0, 1, 1, ts(1, 0), 0, 1, 0));
         h.record(get(1, 1, 7, ts(9, 9), 2, 3, 0));
         assert!(h.check_reads_return_written_values().is_err());
+    }
+
+    #[test]
+    fn a_read_may_witness_an_indeterminate_put() {
+        // Session 0's put of 5 failed (its node died with the answer); a
+        // read at a timestamp no completed put produced returns 5.
+        let mut h = History::new();
+        h.record(put(1, 1, 4, ts(1, 1), 0, 1, 0));
+        h.record_indeterminate_put(1, 5, 2);
+        h.record(get(2, 1, 5, ts(2, 0), 3, 4, 0));
+        assert!(h.check_per_key_lin().is_ok());
+        // That timestamp is now 5's: a second read of it with another
+        // value is a mishmash.
+        let mut twice = h.clone();
+        twice.record(get(2, 1, 4, ts(2, 0), 5, 6, 1));
+        assert!(twice.check_reads_return_written_values().is_err());
+        // A value no put wrote, determinate or not, is still flagged, and
+        // so is a read completed before the put was invoked.
+        let mut never = h.clone();
+        never.record(get(3, 1, 6, ts(3, 0), 5, 6, 0));
+        assert!(never.check_reads_return_written_values().is_err());
+        let mut early = History::new();
+        early.record_indeterminate_put(1, 5, 9);
+        early.record(get(2, 1, 5, ts(2, 0), 3, 4, 0));
+        assert!(early.check_reads_return_written_values().is_err());
     }
 
     #[test]

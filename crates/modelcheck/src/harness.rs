@@ -20,16 +20,22 @@
 //!
 //! ## The link
 //!
-//! Each directed node pair is one [`cckvs_net::link`] — the very
-//! [`SendHalf`]/[`RecvHalf`] state machines the production peer mesh and
-//! UDP transport run, not a model of them. The harness only *drives* it:
-//! the scheduler decides when a retained frame is retransmitted, when the
-//! receiver's delivered count is confirmed back ([`Action`]`::Confirm`),
-//! and — across a crash — runs the `PeerHello`/`PeerResume` contract: the
-//! restarted side's halves start fresh (a new process generation), each
-//! survivor `reconcile`s at its confirmed count, the fresh receiver
-//! `resume`s there, the tail re-ships under its original numbers, and
-//! invalidations with uncounted acks are reissued.
+//! Each directed node pair is one [`cckvs_net::link`] — the very [`Outbox`]
+//! the production peer mesh queues, numbers, retains and replays through,
+//! and the [`RecvHalf`] the UDP transport receives with, not a model of
+//! them. The harness drives the outbox as the reactor's peer pump does: a
+//! frame is pushed and, while both ends are up, the link is pumped at
+//! once, one datagram per item, as far as the scenario's credit window
+//! admits (what it holds back logs a `stall`). The scheduler decides when a
+//! retained frame is retransmitted and when the receiver's delivered count
+//! is confirmed back ([`Action`]`::Confirm`, which pumps again), and —
+//! across a crash — runs the `PeerHello`/`PeerResume` contract: the
+//! restarted side's links start fresh (a new process generation), each
+//! survivor requeues its unprocessed tail ahead of what it queued meanwhile
+//! and pumps, the fresh receiver `resume`s at the survivor's confirmed
+//! count, and invalidations with uncounted acks are reissued. Every link
+//! must process frames in the order they were pushed — wire order is
+//! enqueue order — which a god's-eye ordinal per frame checks.
 //!
 //! ## The miss path
 //!
@@ -70,7 +76,7 @@ use std::io::{ErrorKind, Read};
 use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, EvictHot, NodeConfig, Outgoing};
-use cckvs_net::link::{Accept, RecvHalf, SendHalf};
+use cckvs_net::link::{Accept, Outbox, RecvHalf};
 use cckvs_net::ops::{ConnOps, Wait};
 use cckvs_net::rpc::{serve_home_frame, RpcTable};
 use cckvs_net::sim::{SimConnection, SimNet};
@@ -108,7 +114,8 @@ pub enum Action {
     /// to)` (the sender's loss-repair timer, fired by the scheduler).
     Retransmit(usize, usize),
     /// Advance link `(from, to)`'s cumulative credit confirmation to the
-    /// receiver's current processed sequence, pruning retained frames.
+    /// receiver's current processed sequence, pruning retained frames, and
+    /// pump what the window now admits.
     Confirm(usize, usize),
     /// Crash `node` (spends the crash budget; gated unless the scenario
     /// sets `unsafe_crashes`).
@@ -181,12 +188,23 @@ pub fn fingerprint(events: &[String]) -> u64 {
     h
 }
 
-/// What the scheduler tracks about one frame its link retains.
-struct SentFrame {
-    datagram: Vec<u8>,
+/// One frame on a directed link's [`Outbox`], and what the scheduler
+/// tracks about it.
+struct LinkFrame {
+    /// The encoded frame; its datagram is the link number, then these.
+    encoded: Vec<u8>,
     inflight: u32,
-    is_update: bool,
     class: TrafficClass,
+    /// An `RpcReq`'s id, for the origin's table when the frame is numbered.
+    corr: Option<u64>,
+    /// God's-eye enqueue order (see "The link").
+    ordinal: u64,
+}
+
+impl LinkFrame {
+    fn datagram(&self, seq: u64) -> Vec<u8> {
+        [&seq.to_le_bytes()[..], &self.encoded].concat()
+    }
 }
 
 /// One rack node: the process (`CcNode` + pending-RPC table, replaced
@@ -247,8 +265,13 @@ pub struct RackModel {
     /// `conns[(a, b)]` is node `a`'s half of the `a↔b` pair: `a` sends to
     /// `b` by writing it and receives `b`'s frames by reading it.
     conns: BTreeMap<(usize, usize), SimConnection>,
-    send: BTreeMap<(usize, usize), SendHalf<SentFrame>>,
+    outbox: BTreeMap<(usize, usize), Outbox<LinkFrame>>,
     recv: BTreeMap<(usize, usize), RecvHalf<Vec<u8>>>,
+    /// Frames pushed so far, on any link: the next frame's ordinal.
+    enqueued: u64,
+    /// Per link, the ordinal of the frame its receiver processed last
+    /// (forgotten when either end restarts).
+    processed_ordinal: BTreeMap<(usize, usize), u64>,
     /// Live flight → (from, to, link sequence).
     flight_meta: BTreeMap<u64, (usize, usize, u64)>,
     /// `(origin, corr)` → the key and version the home served that request
@@ -316,8 +339,10 @@ impl RackModel {
             net,
             nodes,
             conns: BTreeMap::new(),
-            send: BTreeMap::new(),
+            outbox: BTreeMap::new(),
             recv: BTreeMap::new(),
+            enqueued: 0,
+            processed_ordinal: BTreeMap::new(),
             flight_meta: BTreeMap::new(),
             served: BTreeMap::new(),
             commits: Arc::new(Mutex::new(Vec::new())),
@@ -367,8 +392,8 @@ impl RackModel {
         let (ca, cb) = self.net.pair(a, b);
         self.conns.insert((a, b), ca);
         self.conns.insert((b, a), cb);
-        self.send.insert((a, b), SendHalf::default());
-        self.send.insert((b, a), SendHalf::default());
+        self.outbox.insert((a, b), Outbox::default());
+        self.outbox.insert((b, a), Outbox::default());
         self.recv.insert((a, b), RecvHalf::default());
         self.recv.insert((b, a), RecvHalf::default());
     }
@@ -415,13 +440,13 @@ impl RackModel {
                 out.push(Action::Dup(f));
             }
         }
-        for &(i, j) in self.send.keys() {
+        for &(i, j) in self.outbox.keys() {
             if self.retransmit_enabled(i, j) {
                 out.push(Action::Retransmit(i, j));
             }
         }
-        for (&(i, j), sl) in &self.send {
-            if self.nodes[i].up && sl.confirmed() < self.recv[&(i, j)].delivered() {
+        for (&(i, j), ob) in &self.outbox {
+            if self.nodes[i].up && ob.confirmed() < self.recv[&(i, j)].delivered() {
                 out.push(Action::Confirm(i, j));
             }
         }
@@ -452,10 +477,10 @@ impl RackModel {
     }
 
     /// Link `i → j`'s retained frames the receiver has not yet delivered.
-    fn undelivered(&self, i: usize, j: usize) -> impl Iterator<Item = (u64, &SentFrame)> {
+    fn undelivered(&self, i: usize, j: usize) -> impl Iterator<Item = (u64, &LinkFrame)> {
         let delivered = self.recv[&(i, j)].delivered();
-        self.send[&(i, j)]
-            .iter()
+        self.outbox[&(i, j)]
+            .retained()
             .filter(move |(seq, _)| *seq >= delivered)
     }
 
@@ -468,7 +493,8 @@ impl RackModel {
     /// * not while the node has a pending uncommitted Lin write (its death
     ///   would leave peers wedged-invalid with no writer to commit);
     /// * not while a committed update from this node is still undelivered
-    ///   somewhere (the acked value would exist only in the dead cache);
+    ///   or queued somewhere (the acked value would exist only in the dead
+    ///   cache);
     /// * not during admin transitions, and one node down at a time.
     fn can_crash(&self, n: usize) -> bool {
         if self.crashes_left == 0 || !self.nodes[n].up {
@@ -479,9 +505,11 @@ impl RackModel {
         }
         let dirty_shard = self.nodes[n].kvs_dirty;
         let pending_commit = self.awaits_commit(n);
-        let undelivered_update = (0..self.nodes.len())
-            .filter(|&j| j != n)
-            .any(|j| self.undelivered(n, j).any(|(_, r)| r.is_update));
+        let update = |r: &LinkFrame| r.class == TrafficClass::Update;
+        let undelivered_update = (0..self.nodes.len()).filter(|&j| j != n).any(|j| {
+            self.undelivered(n, j).any(|(_, r)| update(r))
+                || self.outbox[&(n, j)].queued().any(update)
+        });
         if self.spec.unsafe_crashes {
             // The negative scenario crashes only *inside* the windows that
             // lose acknowledged data — a committed-but-unpropagated update
@@ -558,9 +586,10 @@ impl RackModel {
             Action::Retransmit(i, j) => self.retransmit(i, j),
             Action::Confirm(i, j) => {
                 let processed = self.recv[&(i, j)].delivered();
-                let sl = self.send.get_mut(&(i, j)).expect("link");
-                sl.confirm(processed).expect("delivered implies sent");
+                let ob = self.outbox.get_mut(&(i, j)).expect("link");
+                ob.confirm(processed).expect("delivered implies sent");
                 self.log(format!("confirm {i}->{j} cum{processed}"));
+                self.pump(i, j);
             }
             Action::Crash(n) => self.crash(n),
             Action::Restart(n) => self.restart(n),
@@ -570,13 +599,13 @@ impl RackModel {
     }
 
     fn dec_inflight(&mut self, i: usize, j: usize, seq: u64) {
-        if let Some(r) = self.send.get_mut(&(i, j)).and_then(|sl| sl.get_mut(seq)) {
+        if let Some(r) = self.outbox.get_mut(&(i, j)).and_then(|ob| ob.get_mut(seq)) {
             r.inflight = r.inflight.saturating_sub(1);
         }
     }
 
     fn inc_inflight(&mut self, i: usize, j: usize, seq: u64) {
-        if let Some(r) = self.send.get_mut(&(i, j)).and_then(|sl| sl.get_mut(seq)) {
+        if let Some(r) = self.outbox.get_mut(&(i, j)).and_then(|ob| ob.get_mut(seq)) {
             r.inflight += 1;
         }
     }
@@ -584,75 +613,81 @@ impl RackModel {
     // ----- frame transmission -----------------------------------------
 
     /// Ships protocol messages produced by a node: resolves destinations
-    /// (broadcast = every other replica) and sends each as a sequenced,
-    /// retained wire frame on the corresponding directed link.
+    /// (broadcast = every other replica) and queues each on the
+    /// corresponding directed link.
     fn ship(&mut self, n: usize, outgoing: Vec<Outgoing>) {
         for out in outgoing {
             let targets: Vec<usize> = match out.dest {
                 Destination::To(id) => vec![id.0 as usize],
                 Destination::Broadcast => (0..self.nodes.len()).filter(|&t| t != n).collect(),
             };
-            let class = match out.msg {
-                ProtocolMsg::Invalidation { .. } => TrafficClass::Invalidation,
-                ProtocolMsg::Ack { .. } => TrafficClass::Ack,
-                ProtocolMsg::Update { .. } => TrafficClass::Update,
-            };
             let frame = Frame::Protocol {
                 msg: out.msg,
                 bytes: out.bytes.as_ref().map(|b| b.to_vec()),
             };
             for t in targets {
-                self.send_frame(n, t, &frame, class);
+                self.send_frame(n, t, &frame);
             }
         }
     }
 
-    /// Sends one frame on the directed link `i → j`: assigns the link
-    /// sequence, retains the datagram until confirmation, and — when both
-    /// ends are up — puts it in flight through the sim fabric. A frame
-    /// sent toward a down peer stays retained only; the restart replay
-    /// re-ships it.
-    fn send_frame(&mut self, i: usize, j: usize, frame: &Frame, class: TrafficClass) -> u64 {
-        let seq = self.send[&(i, j)].next_seq();
-        let mut datagram = Vec::with_capacity(64);
-        datagram.extend_from_slice(&seq.to_le_bytes());
-        encode_frame_into(&mut datagram, frame);
-        let is_update = matches!(
-            frame,
-            Frame::Protocol {
-                msg: ProtocolMsg::Update { .. },
-                ..
-            }
-        );
-        let mut inflight = 0;
-        if self.nodes[i].up && self.nodes[j].up {
+    /// Queues one frame on the directed link `i → j` and pumps the link. A
+    /// frame for a down peer stays queued; the restart pumps it.
+    fn send_frame(&mut self, i: usize, j: usize, frame: &Frame) {
+        let (class, corr) = match frame {
+            Frame::Protocol { msg, .. } => match msg {
+                ProtocolMsg::Invalidation { .. } => (TrafficClass::Invalidation, None),
+                ProtocolMsg::Ack { .. } => (TrafficClass::Ack, None),
+                ProtocolMsg::Update { .. } => (TrafficClass::Update, None),
+            },
+            Frame::RpcReq { corr, .. } => (TrafficClass::MissRequest, Some(*corr)),
+            _ => (TrafficClass::MissResponse, None),
+        };
+        let mut encoded = Vec::with_capacity(56);
+        encode_frame_into(&mut encoded, frame);
+        self.enqueued += 1;
+        self.outbox.get_mut(&(i, j)).expect("link").push(LinkFrame {
+            encoded,
+            inflight: 0,
+            class,
+            corr,
+            ordinal: self.enqueued,
+        });
+        self.pump(i, j);
+    }
+
+    /// The reactor's peer pump over link `i → j`, one datagram per item:
+    /// while both ends are up, puts on the wire what the window admits,
+    /// front first, and logs a `stall` if the window holds anything back.
+    fn pump(&mut self, i: usize, j: usize) {
+        if !(self.nodes[i].up && self.nodes[j].up) {
+            return;
+        }
+        let ob = self.outbox.get_mut(&(i, j)).expect("link");
+        while ob.sendable(self.spec.credit_window).is_some() {
+            let seq = ob.pack_front();
+            let frame = ob.get_mut(seq).expect("just packed");
+            frame.inflight = 1;
             let id = self.conns[&(i, j)]
-                .write_datagram(&datagram, class)
+                .write_datagram(&frame.datagram(seq), frame.class)
                 .expect("sim send")
                 .expect("peer links are never loopback");
             self.flight_meta.insert(id, (i, j, seq));
-            inflight = 1;
+            if let Some(corr) = frame.corr {
+                self.nodes[i].rpcs.packed(corr, seq);
+            }
         }
-        self.send.get_mut(&(i, j)).expect("link").push(SentFrame {
-            datagram,
-            inflight,
-            is_update,
-            class,
-        })
-    }
-
-    /// Sends origin `o`'s request frame for `corr` toward `home` and tells
-    /// `o`'s table the link number it went out under.
-    fn send_rpc(&mut self, o: usize, home: usize, corr: u64, frame: &Frame) {
-        let seq = self.send_frame(o, home, frame, TrafficClass::MissRequest);
-        self.nodes[o].rpcs.packed(corr, seq);
+        let queued = ob.queued().len();
+        if queued > 0 {
+            self.log(format!("stall {i}->{j} x{queued}"));
+        }
     }
 
     fn retransmit(&mut self, i: usize, j: usize) {
         let Some((seq, datagram, class)) = self
             .undelivered(i, j)
             .find(|(_, r)| r.inflight == 0)
-            .map(|(seq, r)| (seq, r.datagram.clone(), r.class))
+            .map(|(seq, r)| (seq, r.datagram(seq), r.class))
         else {
             return;
         };
@@ -711,6 +746,17 @@ impl RackModel {
             }
         }
         while let Some(payload) = self.recv.get_mut(&(i, j)).expect("link").pop_ready() {
+            let seq = self.recv[&(i, j)].delivered() - 1;
+            let ordinal = (self.outbox[&(i, j)].retained())
+                .find_map(|(s, f)| (s == seq).then_some(f.ordinal))
+                .expect("retained until confirmed");
+            let last = self.processed_ordinal.insert((i, j), ordinal);
+            if let Some(last) = last.filter(|&last| last >= ordinal) {
+                return self.fail(format!(
+                    "link {i}->{j} processed #{seq} (enqueued {ordinal}) after one \
+                     enqueued later ({last}): wire order is not enqueue order"
+                ));
+            }
             self.nodes[j].deliveries += 1;
             let frame = Frame::decode(&payload).expect("peer frames decode");
             self.process_frame(i, j, frame);
@@ -731,15 +777,11 @@ impl RackModel {
             }
             Frame::RpcReq { corr, inner } => {
                 let resp = self.serve_home(i, j, corr, *inner);
-                self.send_frame(
-                    j,
-                    i,
-                    &Frame::RpcResp {
-                        corr,
-                        inner: Box::new(resp),
-                    },
-                    TrafficClass::MissResponse,
-                );
+                let resp = Frame::RpcResp {
+                    corr,
+                    inner: Box::new(resp),
+                };
+                self.send_frame(j, i, &resp);
             }
             Frame::RpcResp { corr, inner } => self.resolve_rpc(j, corr, *inner),
             other => self.fail(format!("unexpected peer frame {other:?}")),
@@ -871,32 +913,26 @@ impl RackModel {
             self.conns.insert((n, j), cn);
             self.conns.insert((j, n), cj);
             // Outbound links of the new process start a fresh numbering.
-            self.send.insert((n, j), SendHalf::default());
+            self.outbox.insert((n, j), Outbox::default());
             self.recv.insert((n, j), RecvHalf::default());
+            self.processed_ordinal.remove(&(n, j));
+            self.processed_ordinal.remove(&(j, n));
             // Survivor → restarted: the fresh process reports nothing
-            // processed, so the survivor replays from its last confirmed
-            // count and the receiver resumes there (PeerResume); frames
+            // processed, so the survivor requeues its tail from its last
+            // confirmed count, ahead of what it queued while the peer was
+            // down, and the receiver resumes there (PeerResume); frames
             // the dead process handled beyond it are re-handled vacuously
             // by the fresh cache.
-            let sl = self.send.get_mut(&(j, n)).expect("link");
-            let tail = sl.reconcile(0).expect("zero is never beyond sent");
-            let confirmed = sl.confirmed();
+            let ob = self.outbox.get_mut(&(j, n)).expect("link");
+            let confirmed = ob.requeue_unprocessed(0, |_| {});
+            let confirmed = confirmed.expect("zero is never beyond sent");
+            let replayed = (ob.queued().len() as u64).min(self.spec.credit_window);
             self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
-            if !tail.is_empty() {
-                self.log(format!(
-                    "replay {j}->{n} #{confirmed}..#{}",
-                    confirmed + tail.len() as u64 - 1
-                ));
+            if replayed > 0 {
+                let last = confirmed + replayed - 1;
+                self.log(format!("replay {j}->{n} #{confirmed}..#{last}"));
             }
-            for mut frame in tail {
-                let id = self.conns[&(j, n)]
-                    .write_datagram(&frame.datagram, frame.class)
-                    .expect("sim send")
-                    .expect("peer links are never loopback");
-                frame.inflight = 1;
-                let seq = self.send.get_mut(&(j, n)).expect("link").push(frame);
-                self.flight_meta.insert(id, (j, n, seq));
-            }
+            self.pump(j, n);
             // Invalidations whose acks were never counted: reissued toward
             // the fresh process, which acknowledges vacuously.
             let reissued = self.nodes[j].cc.reissue_invalidations(NodeId(n as u8));
@@ -909,7 +945,7 @@ impl RackModel {
             if !self.spec.skip_rpc_reissue {
                 for (corr, frame) in self.nodes[j].rpcs.in_doubt(n, confirmed) {
                     self.log(format!("in-doubt n{j} rpc#{corr} -> home n{n}"));
-                    self.send_rpc(j, n, corr, &frame);
+                    self.send_frame(j, n, &frame);
                 }
             }
         }
@@ -1007,7 +1043,7 @@ impl RackModel {
                         self.log(format!(
                             "admin evict n{node} k{key} dirty ts{ts}; writeback rpc#{corr}"
                         ));
-                        self.send_rpc(node, home, corr, &frame);
+                        self.send_frame(node, home, &frame);
                     }
                 }
             }
@@ -1051,10 +1087,10 @@ impl RackModel {
             && !self.heal_needed
             && self.admin_cursor >= self.spec.admin_script.len()
             && self.flight_meta.is_empty()
-            && self
-                .send
-                .iter()
-                .all(|(link, sl)| sl.next_seq() <= self.recv[link].delivered())
+            && self.outbox.iter().all(|(link, ob)| {
+                let sent = ob.confirmed() + ob.outstanding();
+                ob.queued().len() == 0 && sent <= self.recv[link].delivered()
+            })
     }
 
     /// The deterministic completion phase: no faults, fixed priorities —
@@ -1110,9 +1146,17 @@ impl RackModel {
         if let Some(&f) = self.flight_meta.keys().next() {
             return Some(Action::Deliver(f));
         }
-        for &(i, j) in self.send.keys() {
+        for &(i, j) in self.outbox.keys() {
             if self.retransmit_enabled(i, j) {
                 return Some(Action::Retransmit(i, j));
+            }
+        }
+        // A credit return, for a link whose window holds frames back (every
+        // node is up by now).
+        for (&(i, j), ob) in &self.outbox {
+            let held_back = ob.queued().len() > 0 && ob.sendable(self.spec.credit_window).is_none();
+            if held_back && ob.confirmed() < self.recv[&(i, j)].delivered() {
+                return Some(Action::Confirm(i, j));
             }
         }
         if self.admin_enabled() {

@@ -335,7 +335,7 @@ impl OpsHost for SimHost<'_> {
         let (corr, frame) = self.m.nodes[n].rpcs.issue(home, request, RpcWaiter::Op, ());
         self.m
             .log(format!("issue n{n} rpc#{corr} k{key} -> home n{home}"));
-        self.m.send_rpc(n, home, corr, &frame);
+        self.m.send_frame(n, home, &frame);
         Some(corr)
     }
 

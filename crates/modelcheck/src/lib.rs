@@ -32,9 +32,13 @@
 //! *documented-assumption* side:
 //!
 //! * **In-order per-link processing.** Every directed node pair is a
-//!   production [`cckvs_net::link`] (not a model of one): datagrams carry
-//!   its numbers, the sender retains until confirmed, the receiver hands
-//!   frames up exactly once in order. UDP-level reorder/dup/loss still
+//!   production [`cckvs_net::link`] (not a model of one): frames queue in
+//!   its outbox and leave in that order under the scenario's credit
+//!   window, datagrams carry its numbers, the sender retains until
+//!   confirmed, the receiver hands frames up exactly once in order. A
+//!   datagram carries one frame where the reactor packs a batch; a batch
+//!   on a byte stream is its frames in order, so no order the checker can
+//!   see changes. UDP-level reorder/dup/loss still
 //!   happens *under* that layer (the scheduler delivers flights in any
 //!   order, drops and duplicates them) — exactly the adversary the link
 //!   exists to tame.

@@ -11,6 +11,7 @@
 //! all depend on where a key's home is relative to its writers.
 
 use cckvs::{CcNode, NodeConfig};
+use cckvs_net::server::FlowConfig;
 use consistency::ConsistencyModel::{self, Lin, Sc};
 
 /// One client operation in a node's program. Values are globally unique
@@ -146,6 +147,9 @@ pub struct ScenarioSpec {
     pub dup_budget: u32,
     /// How many node crashes the scheduler may inject.
     pub crash_budget: u32,
+    /// How many frames each directed link may have on the wire
+    /// unconfirmed: the production default unless the scenario narrows it.
+    pub credit_window: u64,
     /// Disables the crash-safety gates (see `harness::RackModel::can_crash`)
     /// so crashes may land inside the protocol windows the production
     /// system does **not** survive (ack-then-die, committed-value-only-in-
@@ -184,6 +188,7 @@ pub fn all() -> Vec<ScenarioSpec> {
         miss_rpc_crash(),
         batch_prefetch(),
         conn_order(),
+        credit_window_crash(),
         ack_then_die(),
         miss_rpc_no_reissue(),
     ]
@@ -217,6 +222,7 @@ impl ScenarioSpec {
             drop_budget: 0,
             dup_budget: 0,
             crash_budget: 0,
+            credit_window: FlowConfig::default().credit_window,
             unsafe_crashes: false,
             skip_rpc_reissue: false,
             expect_violation: false,
@@ -328,6 +334,20 @@ pub fn udp_drop_dup_reorder() -> ScenarioSpec {
         drop_budget: 2,
         dup_budget: 1,
         ..ScenarioSpec::new("udp-drop-dup-reorder", about, Lin, 2)
+    }
+}
+
+/// [`crash_mid_commit`] with one frame per link on the wire: frames queue
+/// behind an unconfirmed one, a crash can land while a survivor retains
+/// one with more queued behind it, and the restart must replay it first.
+/// Two crashes, because the first lands before any traffic in most walks.
+pub fn credit_window_crash() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "credit-window-crash",
+        about: "window of 1: frames queue behind a retained tail; the restart replays it first",
+        credit_window: 1,
+        crash_budget: 2,
+        ..crash_mid_commit()
     }
 }
 

@@ -88,6 +88,42 @@ fn miss_rpc_crash_seed_completes_via_in_doubt_reissue() {
     assert!(restart < asked_again && asked_again < resolved);
 }
 
+/// The window `credit-window-crash` is named for (one frame per link on
+/// the wire): n1's reissued invalidation to n2 is out and unconfirmed when
+/// n1's commit queues its update behind it; n2 crashes in that state, and
+/// the restart replays the invalidation under its old number ahead of the
+/// update — the order n1 queued them in. An outbox that requeued the tail
+/// behind the queue fails this seed's enqueue-order check.
+#[test]
+fn credit_window_crash_seed_replays_the_retained_tail_first() {
+    let outcome = replay_seed("credit-window-crash:0000000000000063");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    let events = &outcome.events;
+    let at = |m: &str, from: usize| {
+        let found = events[from..].iter().position(|e| e.starts_with(m));
+        from + found.unwrap_or_else(|| panic!("no {m:?} after #{from} in {events:#?}"))
+    };
+    let crash = at("crash n2", at("crash n2", 0) + 1);
+    let before = &events[..crash];
+    let confirmed = before.iter().rposition(|e| e.starts_with("confirm 1->2"));
+    let since = &before[confirmed.expect("the link confirmed something")..];
+    assert!(
+        since.iter().any(|e| e == "deliver 1->2 #1"),
+        "#1 is on the wire, unconfirmed, when n2 crashes"
+    );
+    assert!(
+        since.iter().any(|e| e.starts_with("stall 1->2")),
+        "and the window holds the update back behind it"
+    );
+    let replay = at("replay 1->2 #1..#1", crash);
+    let held = at("stall 1->2 x1", replay);
+    let inv = at("deliver 1->2 #1", replay);
+    let upd = at("deliver 1->2 #2", replay);
+    assert!(replay < held && held < inv && inv < upd);
+    assert!(events[inv + 1].starts_with("n2 <- inv k708 ts(1, n1)"));
+    assert!(events[upd + 1].starts_with("n2 <- upd k708=711 ts(1, n1)"));
+}
+
 /// The same schedule with the reissue skipped strands n0's read forever:
 /// the checker must say so, or the green run above proves nothing.
 #[test]

@@ -50,6 +50,14 @@ impl SharedHistory {
         self.history.lock().record(op);
     }
 
+    /// Appends a put whose call failed; see
+    /// [`History::record_indeterminate_put`].
+    pub fn record_indeterminate_put(&self, key: u64, value: u64, invoked_at: u64) {
+        self.history
+            .lock()
+            .record_indeterminate_put(key, value, invoked_at);
+    }
+
     /// A snapshot of the recorded history.
     pub fn snapshot(&self) -> History {
         self.history.lock().clone()
@@ -254,8 +262,10 @@ struct QueuedOp {
 /// session's next use of that node, with the redials counted in
 /// [`Client::reconnects`] and the failures in [`Client::node_errors`] —
 /// the quantitative recovery evidence orchestration harnesses assert on.
-/// A failed operation is never recorded into the checked history (no
-/// response means no acknowledgement), so crash-era histories stay sound.
+/// A failed operation is never recorded into the checked history as
+/// completed (no response means no acknowledgement); a failed put is
+/// recorded as indeterminate — it may have taken effect — so crash-era
+/// histories stay sound.
 pub struct Client {
     session: u32,
     addrs: Vec<SocketAddr>,
@@ -648,13 +658,14 @@ impl Client {
         let started = Instant::now();
         // No failover for writes: a transport error mid-put is ambiguous
         // (the write may or may not have applied), so retrying elsewhere
-        // is the caller's decision. The error never enters the history —
-        // an unacknowledged write carries no checker obligation.
+        // is the caller's decision. The history records it as such.
         let request = self.maybe_trace(Frame::Put {
             key,
             value: value.to_vec(),
         });
-        let response = self.call_node(node, &request)?;
+        let put = (key, Some(value_tag_of(value)), invoked_at, started);
+        let response = self.call_node(node, &request);
+        let response = response.map_err(|e| self.indeterminate(&[put], e))?;
         let Frame::PutResp { cached, ts } = response else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -821,14 +832,16 @@ impl Client {
         // the unbatched wire protocol (and not counted as a wire batch).
         let flush_started = Instant::now();
         let responses = if requests.len() == 1 {
-            vec![self.call_node(node, &requests[0])?]
+            self.call_node(node, &requests[0])
+                .map(|response| vec![response])
         } else {
             if let Some(metrics) = &self.metrics {
                 metrics.record_batch(requests.len() as u64);
             }
             let result = self.conn(node).and_then(|conn| conn.call_batch(requests));
-            self.classify_result(node, result)?
+            self.classify_result(node, result)
         };
+        let responses = responses.map_err(|e| self.indeterminate(&metas, e))?;
         // Latency-feedback doorbell: widen while whole flushes round-trip
         // inside the delay budget (the server pipelines a batch's misses,
         // so width is nearly free until it isn't), shrink in proportion
@@ -854,11 +867,33 @@ impl Client {
             };
             self.doorbell_target = target.clamp(1, self.batching.max_ops);
         }
-        for ((key, put_tag, invoked_at, started), response) in metas.into_iter().zip(responses) {
-            let outcome = self.complete(key, put_tag, invoked_at, started, response)?;
-            self.outcomes.push(outcome);
+        for (i, response) in responses.into_iter().enumerate() {
+            let (key, put_tag, invoked_at, started) = metas[i];
+            match self.complete(key, put_tag, invoked_at, started, response) {
+                Ok(outcome) => self.outcomes.push(outcome),
+                Err(e) => return Err(self.indeterminate(&metas[i..], e)),
+            }
         }
         Ok(())
+    }
+
+    /// The puts among `ops` (`(key, put tag, invoked_at, started)`) failed
+    /// with `e` and may or may not have taken effect: the history records
+    /// them as indeterminate. Returns `e`.
+    fn indeterminate(
+        &self,
+        ops: &[(u64, Option<u64>, Option<u64>, Instant)],
+        e: io::Error,
+    ) -> io::Error {
+        if let Some(history) = &self.history {
+            for &(key, put_tag, invoked_at, _) in ops {
+                if let Some(tag) = put_tag {
+                    let invoked_at = invoked_at.expect("taken when the op was queued");
+                    history.record_indeterminate_put(key, tag, invoked_at);
+                }
+            }
+        }
+        e
     }
 
     /// Processes one response out of a flushed batch: metrics, history

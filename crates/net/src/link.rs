@@ -6,15 +6,18 @@
 //! Pure state machines — no socket, no clock, no lock, no metrics. Three
 //! drivers own everything else:
 //!
-//! * `server.rs`'s `PeerLink` holds a [`SendHalf`] of coherence items;
+//! * the server's `PeerLink` holds an [`Outbox`] of coherence items: any
+//!   thread pushes, the owning shard's pump packs under the credit window,
 //!   [`Frame::Credit`](crate::wire::Frame::Credit) confirms, the redial
-//!   handshake [`SendHalf::reconcile`]s. (Its receive side rides a kernel
-//!   byte stream, which is already ordered: a counter suffices — and a
-//!   [`CreditReturn`] per connection says when that counter goes back.)
+//!   handshake [`Outbox::requeue_unprocessed`]s. (Its receive side rides a
+//!   kernel byte stream, which is already ordered: a counter suffices —
+//!   and a [`CreditReturn`] per connection says when that counter goes
+//!   back.)
 //! * `transport.rs`'s UDP connection holds both halves at datagram
 //!   granularity and adds timers, pacing, faults and FIN.
-//! * `cckvs-modelcheck`'s `RackModel` holds both halves per directed node
-//!   pair and lets its scheduler pick every delivery, loss and confirm.
+//! * `cckvs-modelcheck`'s `RackModel` holds an [`Outbox`] and a
+//!   [`RecvHalf`] per directed node pair, pumps the outbox as the server
+//!   does, and lets its scheduler pick every delivery, loss and confirm.
 //!
 //! One numbering convention: items are numbered 0, 1, 2, … in send order,
 //! and every cumulative value — a confirmation, a processed report, a
@@ -104,17 +107,6 @@ impl<T> SendHalf<T> {
         Ok(newly)
     }
 
-    /// Reconnect: the peer reports having processed the first `processed`
-    /// items. Confirms that prefix and hands back the rest, oldest first,
-    /// rewinding the numbering to the confirmed count — re-[`push`]ing the
-    /// tail in order gives every item its original number.
-    ///
-    /// [`push`]: SendHalf::push
-    pub fn reconcile(&mut self, processed: u64) -> Result<VecDeque<T>, BeyondSent> {
-        self.confirm(processed)?;
-        Ok(std::mem::take(&mut self.retained))
-    }
-
     /// The retained items with their numbers, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         (self.confirmed..).zip(&self.retained)
@@ -129,6 +121,96 @@ impl<T> SendHalf<T> {
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
         let at = seq.checked_sub(self.confirmed)?;
         self.retained.get_mut(usize::try_from(at).ok()?)
+    }
+}
+
+/// The outgoing side of one link: a FIFO of items not yet on the wire in
+/// front of the [`SendHalf`] that numbers and retains what is. Wire order
+/// is push order, a replay included: a reconnect's unprocessed tail goes
+/// back to the front of the queue, ahead of everything pushed since. A
+/// credit window bounds what may be on the wire unconfirmed
+/// ([`Outbox::sendable`]).
+#[derive(Debug)]
+pub struct Outbox<T> {
+    queue: VecDeque<T>,
+    send: SendHalf<T>,
+}
+
+impl<T> Default for Outbox<T> {
+    fn default() -> Self {
+        Outbox {
+            queue: VecDeque::new(),
+            send: SendHalf::default(),
+        }
+    }
+}
+
+impl<T> Outbox<T> {
+    /// Queues `item` behind everything not yet on the wire.
+    pub fn push(&mut self, item: T) {
+        self.queue.push_back(item);
+    }
+
+    /// The items not yet on the wire, oldest first.
+    pub fn queued(&self) -> impl ExactSizeIterator<Item = &T> {
+        self.queue.iter()
+    }
+
+    /// The front item, if it may go on the wire under `window`: fewer than
+    /// `window` items are out unconfirmed.
+    pub fn sendable(&self, window: u64) -> Option<&T> {
+        self.queue.front().filter(|_| self.outstanding() < window)
+    }
+
+    /// Moves the front item onto the wire — into retention until confirmed
+    /// — and returns its number. Panics if nothing is queued.
+    pub fn pack_front(&mut self) -> u64 {
+        let item = self.queue.pop_front().expect("an item is queued");
+        self.send.push(item)
+    }
+
+    /// Applies a cumulative confirmation; see [`SendHalf::confirm`].
+    pub fn confirm(&mut self, cum: u64) -> Result<u64, BeyondSent> {
+        self.send.confirm(cum)
+    }
+
+    /// Items the peer has confirmed.
+    pub fn confirmed(&self) -> u64 {
+        self.send.confirmed()
+    }
+
+    /// Items on the wire and not yet confirmed — what a window bounds.
+    pub fn outstanding(&self) -> u64 {
+        self.send.outstanding()
+    }
+
+    /// Reconnect: the peer processed the first `processed` items. Confirms
+    /// them and puts the rest back at the front of the queue, oldest first,
+    /// rewinding the numbering, so that packing them again hands each its
+    /// original number. `replayed` sees every requeued item, newest first.
+    /// Returns the confirmed count; a count beyond what was sent is
+    /// rejected and changes nothing.
+    pub fn requeue_unprocessed(
+        &mut self,
+        processed: u64,
+        mut replayed: impl FnMut(&T),
+    ) -> Result<u64, BeyondSent> {
+        self.send.confirm(processed)?;
+        while let Some(item) = self.send.retained.pop_back() {
+            replayed(&item);
+            self.queue.push_front(item);
+        }
+        Ok(self.send.confirmed)
+    }
+
+    /// The retained items with their numbers, oldest first.
+    pub fn retained(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.send.iter()
+    }
+
+    /// The retained item numbered `seq`, if it is still unconfirmed.
+    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+        self.send.get_mut(seq)
     }
 }
 
@@ -305,19 +387,75 @@ mod tests {
         assert_eq!(drained, (0..=REORDER_CAP as u64).collect::<Vec<_>>());
     }
 
+    type Tagged = (&'static str, u64);
+
+    /// Packs `n` items off the front, each with the number it gets.
+    fn pack(outbox: &mut Outbox<Tagged>, n: usize) -> Vec<(u64, Tagged)> {
+        (0..n)
+            .map(|_| {
+                let item = *outbox.sendable(u64::MAX).expect("queued");
+                (outbox.pack_front(), item)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replay_drains_first_and_in_fifo_order() {
+        // A reconciled tail leaves ahead of the items queued before the
+        // redial, oldest first, under its original numbers.
+        let mut outbox = Outbox::default();
+        for item in [("update", 1), ("inv", 1), ("inv", 2)] {
+            outbox.push(item);
+        }
+        assert_eq!(
+            pack(&mut outbox, 3),
+            vec![(0, ("update", 1)), (1, ("inv", 1)), (2, ("inv", 2))]
+        );
+        // Queued while the link was down.
+        outbox.push(("inv", 3));
+        outbox.push(("update", 4));
+        // The peer processed only the first: the other two replay.
+        let mut replayed = Vec::new();
+        let confirmed = outbox.requeue_unprocessed(1, |item| replayed.push(*item));
+        assert_eq!(confirmed, Ok(1));
+        assert_eq!(replayed, [("inv", 2), ("inv", 1)], "newest first");
+        assert_eq!(
+            pack(&mut outbox, 4),
+            vec![
+                (1, ("inv", 1)),
+                (2, ("inv", 2)),
+                (3, ("inv", 3)),
+                (4, ("update", 4))
+            ],
+            "the replay tail is strictly first, itself FIFO, under its old numbers"
+        );
+        // A count beyond what was sent is rejected and changes nothing.
+        assert!(outbox.requeue_unprocessed(9, |_| unreachable!()).is_err());
+        assert_eq!(outbox.queued().len(), 0);
+        assert_eq!(outbox.outstanding(), 4);
+    }
+
+    /// Everything an [`Outbox`] exposes: the queue, the retained items with
+    /// their numbers, and the numbering.
+    fn observe(outbox: &Outbox<u64>) -> (Vec<u64>, Vec<(u64, u64)>, u64, u64) {
+        let queued = outbox.queued().copied().collect();
+        let retained = outbox.retained().map(|(seq, &p)| (seq, p)).collect();
+        (queued, retained, outbox.confirmed(), outbox.outstanding())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// A sender/receiver pair under a random schedule of sends, lossy
+        /// An outbox/receiver pair under a random schedule of sends, lossy
         /// duplicating reordering deliveries, partial confirms, bogus
-        /// confirms and disconnect → reconcile → resume → replay cycles:
+        /// confirms and disconnect → requeue → resume → replay cycles:
         /// delivery is exactly-once in order, retention is exactly the
         /// unconfirmed items, and a rejected call changes nothing.
         #[test]
         fn random_schedules_deliver_exactly_once_in_order(
             steps in prop::collection::vec((0u8..8, any::<u64>()), 1..400),
         ) {
-            let mut send = SendHalf::<u64>::default();
+            let mut send = Outbox::<u64>::default();
             let mut recv = RecvHalf::<u64>::default();
             // The wire: (seq, payload) copies in flight, any order.
             let mut wire: Vec<(u64, u64)> = Vec::new();
@@ -328,7 +466,8 @@ mod tests {
             for (op, r) in steps {
                 match op {
                     0 | 1 => {
-                        let seq = send.push(produced);
+                        send.push(produced);
+                        let seq = send.pack_front();
                         prop_assert_eq!(seq, sent);
                         wire.push((seq, produced));
                         produced += 1;
@@ -350,7 +489,7 @@ mod tests {
                     }
                     5 => {
                         // Retransmit every retained item.
-                        wire.extend(send.iter().map(|(seq, p)| (seq, *p)));
+                        wire.extend(send.retained().map(|(seq, p)| (seq, *p)));
                     }
                     6 => {
                         // A (possibly partial, possibly stale) confirm, or
@@ -361,7 +500,7 @@ mod tests {
                                 send.confirm(bogus),
                                 Err(BeyondSent { claimed: bogus, sent })
                             );
-                            prop_assert!(send.reconcile(bogus).is_err());
+                            prop_assert!(send.requeue_unprocessed(bogus, |_| {}).is_err());
                         } else {
                             let cum = r % (recv.delivered() + 1);
                             let newly = send.confirm(cum).expect("receiver never over-reports");
@@ -375,45 +514,87 @@ mod tests {
                         // original numbers.
                         wire.clear();
                         let processed = recv.delivered();
-                        let tail = send.reconcile(processed).expect("honest report");
+                        send.requeue_unprocessed(processed, |_| {}).expect("honest report");
                         confirmed = processed;
-                        prop_assert_eq!(send.next_seq(), processed);
+                        prop_assert_eq!(send.outstanding(), 0);
                         recv.resume(send.confirmed());
-                        for payload in tail {
-                            let seq = send.push(payload);
+                        while let Some(&payload) = send.sendable(u64::MAX) {
+                            let seq = send.pack_front();
                             prop_assert_eq!(seq, payload, "replay keeps its number");
                             wire.push((seq, payload));
                         }
                     }
                     _ => {}
                 }
-                prop_assert_eq!(send.next_seq(), sent);
                 prop_assert_eq!(send.confirmed(), confirmed);
                 prop_assert_eq!(send.outstanding(), sent - confirmed);
-                prop_assert_eq!(send.iter().count() as u64, sent - confirmed);
-                prop_assert!(send.iter().all(|(seq, p)| seq == *p));
+                prop_assert_eq!(send.retained().count() as u64, sent - confirmed);
+                prop_assert!(send.retained().all(|(seq, p)| seq == *p));
                 prop_assert!(delivered.iter().copied().eq(0..delivered.len() as u64));
                 prop_assert_eq!(recv.delivered(), delivered.len() as u64);
             }
             // Liveness: with a lossless tail every produced item arrives.
-            for (seq, p) in send.iter() {
+            for (seq, p) in send.retained() {
                 recv.accept(seq, *p);
             }
             delivered.extend(std::iter::from_fn(|| recv.pop_ready()));
             prop_assert_eq!(delivered.len() as u64, produced);
         }
 
-        /// A window-bounded sender, an ordered wire, and a receiver that
+        /// An outbox under any history of pushes, packs under a window,
+        /// honest confirms and honest reconnects rejects a count beyond
+        /// what it sent — as a confirm or as a reconnect — and the call
+        /// leaves the queue, the retained items and the numbering as they
+        /// were, and hands nothing to `replayed`.
+        #[test]
+        fn a_rejected_count_changes_nothing(
+            steps in prop::collection::vec((0u8..4, any::<u64>()), 0..120),
+            beyond in 1u64..6,
+        ) {
+            let mut outbox = Outbox::default();
+            for (produced, (op, r)) in (0u64..).zip(steps) {
+                let honest = outbox.confirmed() + r % (outbox.outstanding() + 1);
+                match op {
+                    0 => outbox.push(produced),
+                    1 => {
+                        while outbox.sendable(1 + r % 8).is_some() {
+                            outbox.pack_front();
+                        }
+                    }
+                    2 => {
+                        outbox.confirm(honest).expect("at most what was sent");
+                    }
+                    _ => {
+                        outbox.requeue_unprocessed(honest, |_| {}).expect("honest");
+                    }
+                }
+            }
+            let before = observe(&outbox);
+            let sent = outbox.confirmed() + outbox.outstanding();
+            let claimed = sent + beyond;
+            let rejected = BeyondSent { claimed, sent };
+            prop_assert_eq!(outbox.confirm(claimed), Err(rejected));
+            prop_assert_eq!(observe(&outbox), before.clone());
+            let mut replayed = 0;
+            let requeued = outbox.requeue_unprocessed(claimed, |_| replayed += 1);
+            prop_assert_eq!(requeued, Err(rejected));
+            prop_assert_eq!(replayed, 0);
+            prop_assert_eq!(observe(&outbox), before);
+        }
+
+        /// A window-bounded outbox, an ordered wire, and a receiver that
         /// runs laps the way the reactor does (process some arrivals, then
         /// pump — with or without traffic of its own to ride), under any
-        /// interleaving of sends, laps, ticks and credit deliveries.
+        /// interleaving of pushes, laps, ticks and credit deliveries. The
+        /// sender packs what its window admits after every step, as its
+        /// reactor pump does at the end of a lap.
         #[test]
         fn credit_returns_never_pin_the_sender(
             window in 1u64..200,
             steps in prop::collection::vec((0u8..8, any::<u8>()), 1..600),
         ) {
             let threshold = (window / CREDIT_RETURN_DIVISOR).max(1);
-            let mut send = SendHalf::<()>::default();
+            let mut outbox = Outbox::<()>::default();
             let mut policy = CreditReturn::new(window);
             // Items on the wire; announcements on the reverse wire.
             let (mut in_flight, mut processed) = (0u64, 0u64);
@@ -426,10 +607,7 @@ mod tests {
                 match op {
                     0..=2 => {
                         for _ in 0..=r % 8 {
-                            if send.outstanding() < window {
-                                send.push(());
-                                in_flight += 1;
-                            }
+                            outbox.push(());
                         }
                     }
                     3 | 4 => {
@@ -448,11 +626,16 @@ mod tests {
                     }
                     6 => {
                         if let Some(cum) = credits.pop_front() {
-                            send.confirm(cum).expect("never beyond sent");
+                            outbox.confirm(cum).expect("never beyond sent");
                         }
                     }
                     _ => {}
                 }
+                while outbox.sendable(window).is_some() {
+                    outbox.pack_front();
+                    in_flight += 1;
+                }
+                prop_assert!(outbox.queued().len() == 0 || outbox.outstanding() == window);
                 if let Some(packed) = pump {
                     if packed || policy.due(processed) {
                         if let Some(cum) = policy.take(processed) {
@@ -473,7 +656,7 @@ mod tests {
                 }
                 if in_flight == 0 && credits.is_empty() {
                     prop_assert!(
-                        send.outstanding() < window,
+                        outbox.outstanding() < window,
                         "pinned at the window with everything processed"
                     );
                 }

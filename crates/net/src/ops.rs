@@ -13,7 +13,7 @@
 //! [`Step`] naming the retry delay to arm, if any. The machine calls the
 //! connection's [`CcNode`] directly; whatever else an operation touches
 //! crosses the [`OpsHost`] trait. Two drivers implement it: the reactor
-//! shard (`server.rs`, one `ConnOps` per client connection, wake events
+//! shard (`server/shard.rs`, one `ConnOps` per client connection, wake events
 //! routed by token) and `cckvs-modelcheck`'s `RackModel` (one per simulated
 //! session, every event a scheduler choice).
 //!

@@ -6,12 +6,17 @@
 //! client request/response sessions and peer protocol links — one duplex
 //! connection per node pair, dialed by the lower node id, so that a reply
 //! leaves on the connection its request came in on and carries the
-//! transport's acknowledgement. Outgoing protocol traffic flows through a
-//! per-peer FIFO drained by the reactor under credit-based flow control:
-//! wire order on a link is enqueue order.
+//! transport's acknowledgement. Outgoing protocol traffic queues in each
+//! peer link's [`Outbox`] — one FIFO per link, packed by the reactor under
+//! credit-based flow control: wire order on a link is enqueue order.
 //!
-//! Concurrency model (PR 7 — every frame handled on-shard, no worker
-//! pool):
+//! This file holds the node and its links: [`NodeServer`], the shared
+//! server state, shipping, the redial handshake and peer-frame delivery.
+//! `config.rs` holds the configuration types, `shard.rs` the reactor shard
+//! that owns the sockets, and `admin.rs` the epoch coordinator's hot-set
+//! reconfiguration and the shutdown write-back drain.
+//!
+//! Concurrency model (every frame handled on-shard, no worker pool):
 //!
 //! * **Reactor shards** ([`ReactorConfig::shards`] threads) own every
 //!   socket. Each connection is a nonblocking state machine: a streaming
@@ -27,11 +32,11 @@
 //!   `Get`, a `Put` or a batch does next, what it parks on, how it
 //!   bounces and retries, one request in flight per connection — is
 //!   [`crate::ops`]; a shard drives one per client connection through
-//!   [`ShardHost`](shard::ShardHost). What this file adds is how the wake events travel: the
-//!   shard that delivers a Lin write's final acknowledgement fires the
-//!   commit hook ([`CcNode::on_committed`]), an arriving
-//!   [`Frame::RpcResp`] finds its waiter in the pending-RPC table, and
-//!   both reach the suspended connection on its owning shard as a
+//!   [`ShardHost`](shard::ShardHost). What this module adds is how the
+//!   wake events travel: the shard that delivers a Lin write's final
+//!   acknowledgement fires the commit hook ([`CcNode::on_committed`]), an
+//!   arriving [`Frame::RpcResp`] finds its waiter in the pending-RPC
+//!   table, and both reach the suspended connection on its owning shard as a
 //!   [`ShardMsg::Resume`]; a bounce arms a timer-wheel tick, and so does
 //!   the first RPC a shard issues: past its deadline the sweep fails it.
 //!   An `Evict` is such a request too — it bounces while the key's own
@@ -47,11 +52,11 @@
 //! the same connection — which is always read, however far its own writes
 //! are backed up — and credit returns owed to the peer still go out while
 //! stalled, which keeps symmetric saturation deadlock-free exactly as the
-//! thread-per-peer implementation did. Teardown drains stalled peers
-//! without credits.
+//! thread-per-peer implementation did. Teardown drains every peer link
+//! with the window wide open: nothing reads the peer's credits any more.
 //!
-//! Crash recovery (PR 5 — peers are now separate OS processes that die and
-//! come back): every peer link is a [`PeerLink`] that survives its
+//! Crash recovery (peers are separate OS processes that die and come
+//! back): every peer link is a [`PeerLink`] that survives its
 //! connection. Messages are retained until the peer confirms
 //! *processing* them through cumulative [`Frame::Credit`] acknowledgements
 //! (TCP-ack style: idempotent, loss-proof), so when a link dies the
@@ -65,14 +70,14 @@
 //! restarted (now empty, vacuously acknowledging) peer — per-node ack
 //! bitmasks in the protocol engine make duplicate acknowledgements
 //! harmless. While a peer is down, outbound coherence traffic parks in the
-//! link's queue (bounded by [`PARK_MAX`]) and, on the lower-id side of
+//! link's outbox (bounded by [`PARK_MAX`]) and, on the lower-id side of
 //! the pair, a redial thread retries with exponential backoff (the higher
 //! side waits to be dialed); miss-path RPCs ride it out within
 //! [`NodeServerConfig::rpc_retry`]. The serving node keeps answering for
 //! every key the dead peer does not home.
 
 use crate::client::Conn;
-use crate::link::{BeyondSent, CreditReturn, SendHalf};
+use crate::link::{CreditReturn, Outbox};
 use crate::metrics::{Metrics, MetricsServer};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
 use crate::rpc::{serve_home_frame, RpcTable};
@@ -85,7 +90,7 @@ use consistency::lamport::{NodeId, Timestamp};
 use consistency::messages::ProtocolMsg;
 use parking_lot::{Condvar, Mutex};
 use reactor::{Events, Interest, Poller, Token, Waker, WriteBuf};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write};
 use std::net::SocketAddr;
@@ -127,8 +132,8 @@ struct RpcWaiter {
 
 /// One flow-controlled item queued toward a peer. Protocol messages carry
 /// their value bytes broadcast-shared plus the trace id they travel under
-/// when the originating client op was sampled — the id rides the link
-/// queue, the unacked replay tail and the wire envelope, so causality
+/// when the originating client op was sampled — the id rides the link's
+/// outbox, the unacked replay tail and the wire envelope, so causality
 /// survives batching, credit stalls and reconnect replays. Correlated
 /// miss-path RPC frames ([`Frame::RpcReq`]/[`Frame::RpcResp`]) share the
 /// same queue, window, retained tail and replay machinery: a severed link
@@ -189,27 +194,24 @@ impl LinkItem {
 /// waits); the link — queued traffic, the sent-but-unconfirmed tail, and
 /// both directions' sequence counters — persists across reconnects.
 ///
-/// Sequencing is [`crate::link`]'s: `send` numbers every flow-controlled
-/// message for the life of this process and retains it until the peer's
-/// cumulative [`Frame::Credit`] confirmations cover it. On redial the
-/// handshake tells each side how far the other really processed; each
-/// [`SendHalf::reconcile`]s and requeues its unconfirmed tail at the front
-/// of the queue — the repack assigns the same numbers, so the peer
-/// (aligned by the resume sequence) sees every message exactly once, in
-/// order. The credit window bounds `send.outstanding()`.
+/// Queueing and sequencing are [`crate::link`]'s [`Outbox`]: items leave
+/// in the order they were queued, so one key's messages keep theirs, and
+/// each is numbered for the life of this process and retained until the
+/// peer's cumulative [`Frame::Credit`] confirmations cover it. On redial
+/// the handshake tells each side how far the other really processed; each
+/// requeues its unprocessed tail at the front
+/// ([`Outbox::requeue_unprocessed`]) — the repack assigns the same
+/// numbers, so the peer (aligned by the resume sequence) sees every
+/// message exactly once, in order.
 #[derive(Default)]
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`
     /// — so frame processing, credit returns, replay and pumping never race
     /// across threads).
     shard: usize,
-    /// Items not yet handed to the socket, in the order they leave: one
-    /// FIFO, so wire order is enqueue order and one key's messages keep
-    /// theirs. Parked here while the link is down.
-    queue: Mutex<VecDeque<LinkItem>>,
-    /// Items handed to the socket, retained until the peer confirms
-    /// processing them. Lock order: `queue`, then `send`.
-    send: Mutex<SendHalf<LinkItem>>,
+    /// Items not yet on the wire, and those on it until the peer confirms
+    /// processing them. Traffic for a down peer parks here.
+    outbox: Mutex<Outbox<LinkItem>>,
     /// Flow-controlled messages from the peer processed so far, in the
     /// *peer's* sequence numbering (aligned by the handshake). Echoed back
     /// as [`Frame::Credit`] confirmations.
@@ -220,28 +222,6 @@ struct PeerLink {
     /// A handshaken connection for this link is adopted by the owning
     /// shard.
     up: AtomicBool,
-}
-
-impl PeerLink {
-    /// The peer processed the first `processed` items of this stream:
-    /// confirms them and puts the rest back at the front of the queue,
-    /// oldest first — ahead of everything queued since, so the repack hands
-    /// each its original number. `replayed` sees every requeued item.
-    /// Returns the confirmed count; a count beyond what was sent is
-    /// rejected and changes nothing.
-    fn requeue_unprocessed(
-        &self,
-        processed: u64,
-        mut replayed: impl FnMut(&LinkItem),
-    ) -> Result<u64, BeyondSent> {
-        let mut queue = self.queue.lock();
-        let mut send = self.send.lock();
-        for item in send.reconcile(processed)?.into_iter().rev() {
-            replayed(&item);
-            queue.push_front(item);
-        }
-        Ok(send.confirmed())
-    }
 }
 
 /// A message into a reactor shard from another thread.
@@ -366,111 +346,70 @@ impl ServerInner {
         }
     }
 
-    /// Ships protocol messages produced by the local node to their peers:
-    /// push to the per-peer link queues, wake the owning shards. Messages
-    /// for a *down* peer park in its queue (bounded by [`PARK_MAX`]) until
-    /// the redial thread brings the link back.
-    fn ship(&self, outgoing: Vec<Outgoing>) {
-        self.ship_traced(outgoing, None);
-    }
-
-    /// [`ServerInner::ship`], stamping every queued message with the
-    /// sampled op's trace id so protocol traffic this op fans out (Lin
-    /// invalidations, acks, commit updates, SC broadcasts) stays causally
-    /// linked across nodes. Per-peer send events are recorded here — the
-    /// enqueue is the fan-out point.
-    fn ship_traced(&self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
-        if outgoing.is_empty() {
-            return;
-        }
-        let mut wake: Vec<usize> = Vec::new();
-        let mut parked = false;
-        {
-            let mut push = |peer: usize, msg: ProtocolMsg, bytes: Option<Arc<[u8]>>| {
-                let Some(link) = self.peer_links.get(peer).and_then(Option::as_ref) else {
-                    return;
-                };
-                let up = link.up.load(Ordering::Acquire);
-                {
-                    let mut queue = link.queue.lock();
-                    if !up && queue.len() >= PARK_MAX {
-                        // The peer has been dead long past the restart
-                        // budget; see PARK_MAX for why dropping is safe
-                        // for a *restarted* (state-fresh) peer.
-                        self.metrics.record_parked_drop();
-                        return;
-                    }
-                    queue.push_back(LinkItem::Protocol(msg, bytes, trace));
-                }
-                self.metrics.record_protocol_out(1);
-                if trace.is_some() {
-                    let kind = match msg {
-                        ProtocolMsg::Invalidation { .. } => Some(EventKind::InvSend),
-                        ProtocolMsg::Update { .. } => Some(EventKind::UpdateSend),
-                        // The ack's arrival at the writer is the traced
-                        // moment (AckRecv); its enqueue adds nothing.
-                        ProtocolMsg::Ack { .. } => None,
-                    };
-                    if let Some(kind) = kind {
-                        self.trace_event(trace, SHARED_LANE, kind, msg.key(), peer as u8);
-                    }
-                }
-                // Re-check `up` AFTER the enqueue: the link can come up
-                // between the load above and the push (the adoption pump
-                // would then have drained an empty queue), and a parked-
-                // without-wake message on an idle link would strand — a
-                // Lin invalidation stuck this way blocks its writer
-                // forever. Down both times → genuinely parked; the
-                // adoption pump after the redial picks it up.
-                if link.up.load(Ordering::Acquire) {
-                    if !wake.contains(&link.shard) {
-                        wake.push(link.shard);
-                    }
-                } else {
-                    parked = true;
-                }
+    /// Ships protocol messages produced by the local node to their peers
+    /// ([`ServerInner::enqueue`]), stamping every queued message with the
+    /// sampled op's trace id, if any, so protocol traffic this op fans out
+    /// (Lin invalidations, acks, commit updates, SC broadcasts) stays
+    /// causally linked across nodes. Per-peer send events are recorded
+    /// here — the enqueue is the fan-out point.
+    fn ship(&self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
+        let push = |peer: usize, msg: ProtocolMsg, bytes: Option<Arc<[u8]>>| {
+            let kind = match msg {
+                ProtocolMsg::Invalidation { .. } => Some(EventKind::InvSend),
+                ProtocolMsg::Update { .. } => Some(EventKind::UpdateSend),
+                // The ack's arrival at the writer is the traced moment
+                // (AckRecv); its enqueue adds nothing.
+                ProtocolMsg::Ack { .. } => None,
             };
-            for Outgoing { dest, msg, bytes } in outgoing {
-                match dest {
-                    Destination::Broadcast => {
-                        for peer in 0..self.node.config().nodes {
-                            if peer != self.node.node() {
-                                push(peer, msg, bytes.clone());
-                            }
+            // Before the enqueue: once queued, the owning shard may ship the
+            // message, and its answer arrive, before this thread runs again.
+            if let Some(kind) = kind {
+                self.trace_event(trace, SHARED_LANE, kind, msg.key(), peer as u8);
+            }
+            if self.enqueue(peer, LinkItem::Protocol(msg, bytes, trace)) {
+                self.metrics.record_protocol_out(1);
+            }
+        };
+        for Outgoing { dest, msg, bytes } in outgoing {
+            match dest {
+                Destination::Broadcast => {
+                    for peer in 0..self.node.config().nodes {
+                        if peer != self.node.node() {
+                            push(peer, msg, bytes.clone());
                         }
                     }
-                    Destination::To(node) => push(node.0 as usize, msg, bytes),
                 }
+                Destination::To(node) => push(node.0 as usize, msg, bytes),
             }
-        }
-        if parked {
-            self.refresh_parked();
-        }
-        for shard in wake {
-            self.shard(shard).waker.wake();
         }
     }
 
-    /// Queues one correlated RPC frame toward `peer` on its
-    /// crash-surviving link, waking the owning shard. Returns `false` if
-    /// the frame had to be dropped (the peer has been down long past the
-    /// restart budget and its park overflowed) — the caller fails the
-    /// pending entry instead of letting it dangle to the deadline.
-    fn ship_rpc(&self, peer: usize, frame: Frame) -> bool {
+    /// Queues `item` on the crash-surviving link to `peer` and wakes the
+    /// owning shard; while the link is down the item parks there instead,
+    /// until the redial brings the link back. Returns `false` if the item
+    /// was dropped: the peer has been down long past the restart budget and
+    /// its park is full ([`PARK_MAX`] says why that is safe for a
+    /// restarted, state-fresh peer). A dropped RPC request must be failed
+    /// by the caller rather than left to dangle until its deadline.
+    fn enqueue(&self, peer: usize, item: LinkItem) -> bool {
         let Some(link) = self.peer_links.get(peer).and_then(Option::as_ref) else {
             return false;
         };
         let up = link.up.load(Ordering::Acquire);
         {
-            let mut queue = link.queue.lock();
-            if !up && queue.len() >= PARK_MAX {
+            let mut outbox = link.outbox.lock();
+            if !up && outbox.queued().len() >= PARK_MAX {
                 self.metrics.record_parked_drop();
                 return false;
             }
-            queue.push_back(LinkItem::Rpc(frame));
+            outbox.push(item);
         }
-        // Same post-enqueue re-check as `ship_traced`: a link coming up
-        // between the load and the push must not strand the frame.
+        // Re-check `up` AFTER the enqueue: the link can come up between the
+        // load above and the push (the adoption pump would then have
+        // drained an empty queue), and a parked-without-wake message on an
+        // idle link would strand — a Lin invalidation stuck this way blocks
+        // its writer forever. Down both times → genuinely parked; the
+        // adoption pump after the redial picks it up.
         if link.up.load(Ordering::Acquire) {
             self.shard(link.shard).waker.wake();
         } else {
@@ -520,7 +459,7 @@ impl ServerInner {
             .iter()
             .flatten()
             .filter(|link| !link.up.load(Ordering::Acquire))
-            .map(|link| link.queue.lock().len() as u64)
+            .map(|link| link.outbox.lock().queued().len() as u64)
             .sum();
         self.metrics.set_parked(total);
     }
@@ -537,16 +476,16 @@ impl ServerInner {
         let reissue = self.node.reissue_invalidations(NodeId(peer as u8));
         if !reissue.is_empty() {
             self.metrics.record_reissued(reissue.len() as u64);
-            self.ship(reissue);
+            self.ship(reissue, None);
         }
         // In-doubt miss-path RPCs: the dead process confirmed the request
         // but its answer died with it. Ask again under the SAME correlation
         // id — if the old answer somehow raced out first, the entry is
         // already gone and the duplicate response is dropped.
-        let confirmed = self.link(peer).send.lock().confirmed();
+        let confirmed = self.link(peer).outbox.lock().confirmed();
         let in_doubt = self.rpcs.lock().in_doubt(peer, confirmed);
         for (corr, frame) in in_doubt {
-            if !self.ship_rpc(peer, frame) {
+            if !self.enqueue(peer, LinkItem::Rpc(frame)) {
                 self.resolve_rpc(
                     corr,
                     Err(io::Error::new(
@@ -610,13 +549,12 @@ impl ServerInner {
     /// One direction of the reconnect handshake: `peer` has processed the
     /// first `processed` messages of this node's stream. Requeues the rest
     /// for replay under their original numbers
-    /// ([`PeerLink::requeue_unprocessed`]) and returns the (1-based) wire
+    /// ([`Outbox::requeue_unprocessed`]) and returns the (1-based) wire
     /// sequence the replay starts at. A count beyond what was sent is
     /// rejected and changes nothing.
     fn requeue_unprocessed(&self, peer: usize, processed: u64) -> io::Result<u64> {
         let mut replayed = 0;
-        let confirmed = self
-            .link(peer)
+        let confirmed = (self.link(peer).outbox.lock())
             .requeue_unprocessed(processed, |item| {
                 replayed += 1;
                 // A sampled op's message keeps its original trace id across
@@ -642,8 +580,9 @@ impl ServerInner {
     /// reconnect handshake over both directions: the hello reports what this
     /// node processed of the peer's stream, the ack what the peer processed
     /// of this node's and where its replay resumes, the resume where this
-    /// node's does. On success the link's queue front holds exactly what the
-    /// peer has not processed and the connection is on its way to its shard.
+    /// node's does. On success the link's outbox queues, at its front,
+    /// exactly what the peer has not processed, and the connection is on
+    /// its way to its shard.
     fn dial_peer(&self, peer: usize, addr: SocketAddr) -> io::Result<()> {
         let mut stream = self.transport.dial(addr, HANDSHAKE_TIMEOUT)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
@@ -1139,7 +1078,7 @@ fn deliver_peer_frame(
             // invalidation, the commit update ending a round) inherits
             // the trace id — causality crosses the node boundary.
             let outgoing = inner.node.deliver(&msg, bytes.as_deref());
-            inner.ship_traced(outgoing, trace);
+            inner.ship(outgoing, trace);
             Ok(1)
         }
         Frame::Credit { cum, gen } => {
@@ -1152,7 +1091,7 @@ fn deliver_peer_frame(
             }
             // A confirmation beyond what was sent is stale or corrupt:
             // rejected without effect.
-            let _ = inner.link(from).send.lock().confirm(cum);
+            let _ = inner.link(from).outbox.lock().confirm(cum);
             Ok(0)
         }
         Frame::RpcReq { corr, inner: req } => {
@@ -1173,7 +1112,7 @@ fn deliver_peer_frame(
             };
             // A failed ship (link long-dead, park overflowed) drops the
             // answer; the requester's deadline sweep picks up the pieces.
-            let _ = inner.ship_rpc(from, resp);
+            let _ = inner.enqueue(from, LinkItem::Rpc(resp));
             Ok(1)
         }
         Frame::RpcResp { corr, inner: resp } => {
@@ -1213,94 +1152,4 @@ fn unexpected_frame(what: &str, frame: &Frame) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("unexpected {what} response {frame:?}"),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ts() -> Timestamp {
-        Timestamp::new(1, NodeId(0))
-    }
-
-    fn inv(key: u64) -> LinkItem {
-        LinkItem::Protocol(
-            ProtocolMsg::Invalidation {
-                key,
-                ts: ts(),
-                from: NodeId(0),
-            },
-            None,
-            None,
-        )
-    }
-
-    fn update(key: u64) -> LinkItem {
-        LinkItem::Protocol(
-            ProtocolMsg::Update {
-                key,
-                value: 7,
-                ts: ts(),
-                from: NodeId(0),
-            },
-            Some(Arc::from(vec![0u8; 8])),
-            None,
-        )
-    }
-
-    /// (kind, key) fingerprint for order assertions.
-    fn tag(item: &LinkItem) -> (&'static str, u64) {
-        match item {
-            LinkItem::Protocol(ProtocolMsg::Invalidation { key, .. }, _, _) => ("inv", *key),
-            LinkItem::Protocol(ProtocolMsg::Update { key, .. }, _, _) => ("update", *key),
-            other => unreachable!("no {:?} in these tests", other.key()),
-        }
-    }
-
-    /// Packs `n` items off the queue front the way `pump_peer` does: into
-    /// the retained tail, each under the number `send` hands it.
-    fn pack(link: &PeerLink, n: usize) -> Vec<(u64, (&'static str, u64))> {
-        let mut queue = link.queue.lock();
-        let mut send = link.send.lock();
-        (0..n)
-            .map(|_| {
-                let item = queue.pop_front().expect("queued");
-                let tag = tag(&item);
-                (send.push(item), tag)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn replay_drains_first_and_in_fifo_order() {
-        // A reconciled tail leaves ahead of the items queued before the
-        // redial, oldest first, under its original numbers.
-        let link = PeerLink::default();
-        link.queue.lock().extend([update(1), inv(1), inv(2)]);
-        assert_eq!(
-            pack(&link, 3),
-            vec![(0, ("update", 1)), (1, ("inv", 1)), (2, ("inv", 2))]
-        );
-        // Queued while the link was down.
-        link.queue.lock().extend([inv(3), update(4)]);
-        // The peer processed only the first: the other two replay.
-        let mut replayed = Vec::new();
-        let confirmed = link.requeue_unprocessed(1, |item| replayed.push(tag(item)));
-        assert_eq!(confirmed, Ok(1));
-        assert_eq!(replayed, [("inv", 2), ("inv", 1)], "newest first");
-        assert_eq!(
-            pack(&link, 4),
-            vec![
-                (1, ("inv", 1)),
-                (2, ("inv", 2)),
-                (3, ("inv", 3)),
-                (4, ("update", 4))
-            ],
-            "the replay tail is strictly first, itself FIFO, under its old numbers"
-        );
-        // A count beyond what was sent is rejected and changes nothing.
-        assert!(link.requeue_unprocessed(9, |_| unreachable!()).is_err());
-        assert!(link.queue.lock().is_empty());
-        assert_eq!(link.send.lock().outstanding(), 4);
-    }
 }

@@ -6,7 +6,7 @@ const TCP_CENSUS_EVERY: Duration = Duration::from_secs(1);
 
 /// Most protocol messages one peer-mesh batch carries. The credit window
 /// bounds a batch first whenever it is smaller.
-const PEER_BATCH_OPS: usize = 32;
+const PEER_BATCH_OPS: u64 = 32;
 
 /// Byte budget for one coalesced peer-mesh batch: coalescing stops (and
 /// spills to the next batch) once a batch holds this much, keeping batches
@@ -162,7 +162,7 @@ impl OpsHost for ShardHost<'_> {
         let deadline = self.now + self.inner.rpc_retry;
         let inner = self.inner;
         let (corr, frame) = inner.with_rpcs(|table| table.issue(home, request, waiter, deadline));
-        if !inner.ship_rpc(home, frame) {
+        if !inner.enqueue(home, LinkItem::Rpc(frame)) {
             inner.with_rpcs(|table| table.resolve(corr));
             return None;
         }
@@ -172,7 +172,7 @@ impl OpsHost for ShardHost<'_> {
 
     fn ship(&mut self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
         let fanout = Instant::now();
-        self.inner.ship_traced(outgoing, trace);
+        self.inner.ship(outgoing, trace);
         self.inner
             .metrics
             .record_fanout_ns(fanout.elapsed().as_nanos() as u64);
@@ -861,10 +861,11 @@ impl Shard {
     /// order. Driven by readiness: a credit stall arms nothing, the lap
     /// that reads the peer's `Credit` pumps the link again.
     ///
-    /// Every flow-controlled message moves from the link's queue into its
-    /// retained `send` tail as it is packed: the socket may lose it (severed
-    /// link, crashed peer), the link does not — the redial handshake
-    /// replays whatever the peer did not confirm processing.
+    /// Every flow-controlled message moves from the outbox's queue into its
+    /// retained tail as it is packed ([`Outbox::pack_front`]): the socket
+    /// may lose it (severed link, crashed peer), the link does not — the
+    /// redial handshake replays whatever the peer did not confirm
+    /// processing.
     ///
     /// Value bytes stay behind the broadcast-shared `Arc` all the way to
     /// serialisation: no per-peer copy is ever materialised.
@@ -896,8 +897,13 @@ impl Shard {
             self.inner.link_came_up(peer);
         }
         let inner = &self.inner;
-        let window = inner.flow.credit_window;
-        let running = inner.running.load(Ordering::SeqCst);
+        // Teardown drains with the window wide open: nothing reads the
+        // peer's confirmations any more.
+        let window = if inner.running.load(Ordering::SeqCst) {
+            inner.flow.credit_window
+        } else {
+            u64::MAX
+        };
         // Messages from `peer` processed so far: only this shard delivers
         // them, so the count stands still while this pump runs.
         let processed = link.processed.load(Ordering::Acquire);
@@ -907,39 +913,27 @@ impl Shard {
             if conn.writebuf.pending() > HIGH_WATER {
                 break;
             }
-            let mut queue = link.queue.lock();
-            let mut send = link.send.lock();
-            let want = queue.len().min(PEER_BATCH_OPS) as u64;
-            let granted = if !running {
-                // Teardown drains without credits — nothing reads the
-                // peer's confirmations any more.
-                want
-            } else {
-                let take = want.min(window.saturating_sub(send.outstanding()));
-                if want > 0 && take == 0 {
-                    // Window exhausted: note when the stall began.
-                    stall_started.get_or_insert_with(Instant::now);
-                } else if take > 0 {
-                    if let Some(started) = stall_started.take() {
-                        let stalled_ns = started.elapsed().as_nanos() as u64;
-                        inner.metrics.record_credit_stall_ns(stalled_ns);
-                        // If the message that waited out the stall at the
-                        // queue front is traced, pin the stall onto its
-                        // timeline (the `key` field carries the ns).
-                        inner.trace_event(
-                            queue.front().and_then(LinkItem::trace),
-                            self.id as u8,
-                            EventKind::CreditStall,
-                            stalled_ns,
-                            peer as u8,
-                        );
-                    }
+            let mut outbox = link.outbox.lock();
+            if let Some(head) = outbox.sendable(window) {
+                if let Some(started) = stall_started.take() {
+                    let stalled_ns = started.elapsed().as_nanos() as u64;
+                    inner.metrics.record_credit_stall_ns(stalled_ns);
+                    // If the message that waited out the stall at the
+                    // queue front is traced, pin the stall onto its
+                    // timeline (the `key` field carries the ns).
+                    let (trace, lane) = (head.trace(), self.id as u8);
+                    let kind = EventKind::CreditStall;
+                    inner.trace_event(trace, lane, kind, stalled_ns, peer as u8);
                 }
-                take
-            };
+            } else if outbox.queued().len() > 0 {
+                // Window exhausted: note when the stall began.
+                stall_started.get_or_insert_with(Instant::now);
+            }
             let mut packed = 0u64;
-            while packed < granted {
-                let head = queue.front().expect("granted no more than queued");
+            while packed < PEER_BATCH_OPS {
+                let Some(head) = outbox.sendable(window) else {
+                    break;
+                };
                 // Byte bound: op count alone would let a burst of large
                 // values coalesce past MAX_FRAME_BYTES, and the receiver
                 // drops an oversized frame together with the whole peer
@@ -955,25 +949,23 @@ impl Shard {
                     }
                     LinkItem::Rpc(frame) => builder.push(frame),
                 }
-                let item = queue.pop_front().expect("head exists");
-                if running {
-                    // A restarted peer that confirmed past this number
-                    // owes the answer: `peer_restarted` asks those again.
-                    if let LinkItem::Rpc(Frame::RpcReq { corr, .. }) = &item {
-                        inner.rpcs.lock().packed(*corr, send.next_seq());
-                    }
-                    // Retain until the peer confirms processing: this is
-                    // what the redial handshake replays.
-                    send.push(item);
+                let request = match head {
+                    LinkItem::Rpc(Frame::RpcReq { corr, .. }) => Some(*corr),
+                    _ => None,
+                };
+                let seq = outbox.pack_front();
+                // A restarted peer that confirmed past this number owes the
+                // answer: `peer_restarted` asks those again.
+                if let Some(corr) = request {
+                    inner.rpcs.lock().packed(corr, seq);
                 }
                 packed += 1;
             }
             if packed > 0 {
                 inner.metrics.record_adaptive_batch(packed);
             }
-            let nothing_left = queue.is_empty();
-            drop(send);
-            drop(queue);
+            let nothing_left = outbox.queued().len() == 0;
+            drop(outbox);
             // The cumulative processed confirmation rides whatever was
             // just packed; with nothing to ride it leaves only once the
             // policy says it must. It is exempt from flow control, so it
@@ -1075,8 +1067,8 @@ impl Shard {
         // The stream drops here, closing the socket.
     }
 
-    /// Shutdown path: drain every peer link without credits (blocking
-    /// writes — the event loop is over), then drop all sockets.
+    /// Shutdown path: drain every peer link with its window wide open
+    /// (blocking writes — the event loop is over), then drop all sockets.
     fn teardown(&mut self) {
         self.now = Instant::now();
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
@@ -1086,9 +1078,9 @@ impl Shard {
             };
             if matches!(conn.role, Role::Peer { .. }) {
                 let _ = conn.stream.set_nonblocking(false);
-                // `running` is false, so the pump packs without credits;
-                // loop until the queue is empty (a burst can arrive
-                // between pumps from a shard finishing up).
+                // `running` is false, so the pump ignores the window; loop
+                // until the queue is empty (a burst can arrive between
+                // pumps from a shard finishing up).
                 loop {
                     if self.pump_peer(token, &mut conn) {
                         break; // link died mid-drain; nothing more to do
@@ -1096,7 +1088,7 @@ impl Shard {
                     let Role::Peer { link, resumed, .. } = &conn.role else {
                         unreachable!("role checked above");
                     };
-                    if !*resumed || link.queue.lock().is_empty() {
+                    if !*resumed || link.outbox.lock().queued().len() == 0 {
                         break;
                     }
                 }

@@ -647,6 +647,10 @@ struct UdpState {
     /// riding a `DATA`/`FIN`); a gap, a duplicate or a `FIN` jumps it
     /// straight to [`UDP_ACK_EVERY`], the stand-alone threshold.
     ack_owed: u32,
+    /// A pacer pass found `ack_owed` above zero and left it for reverse
+    /// data to carry: the next pass acknowledges alone. Cleared wherever
+    /// `ack_owed` is zeroed.
+    ack_aged: bool,
     faults: Option<Faults>,
     /// Reorder-fault holdback slot: one datagram waiting to be released
     /// after the next send (or by the pacer when idle).
@@ -767,6 +771,7 @@ impl UdpIo {
     /// Sends the stand-alone cumulative ack.
     fn send_ack(&self, st: &mut UdpState) {
         st.ack_owed = 0;
+        st.ack_aged = false;
         let mut ack = [0u8; DG_CTRL_LEN];
         ack[0] = DG_ACK;
         ack[1..].copy_from_slice(&st.recv.delivered().to_le_bytes());
@@ -782,6 +787,7 @@ impl UdpIo {
         dgram.extend_from_slice(&st.send.next_seq().to_le_bytes());
         dgram.extend_from_slice(&st.recv.delivered().to_le_bytes());
         dgram.extend_from_slice(payload);
+        st.ack_aged = false;
         if std::mem::take(&mut st.ack_owed) > 0 {
             self.stats.acks_piggybacked.fetch_add(1, Ordering::Relaxed);
         }
@@ -795,7 +801,8 @@ impl UdpIo {
     }
 
     /// One pacer pass: release a stale holdback, send an owed ack nothing
-    /// carried, retransmit overdue retained datagrams, detect a dead peer.
+    /// carried since the previous pass, retransmit overdue retained
+    /// datagrams, detect a dead peer.
     fn pacer_tick(&self, now: Instant) {
         let Ok(mut st) = self.state.lock() else {
             return;
@@ -828,8 +835,14 @@ impl UdpIo {
         if let Some(held) = st.holdback.take() {
             send_raw(&self.sock, &held);
         }
-        if st.ack_owed > 0 {
+        // An ack owed since the previous pass found nothing to ride; a
+        // younger one waits a pass for the reply that is likely coming (the
+        // `CreditReturn` arm/tick rule). An idle tail is still acknowledged
+        // within two passes, well inside the sender's first RTO.
+        if st.ack_owed >= UDP_ACK_EVERY || st.ack_aged {
             self.send_ack(st);
+        } else {
+            st.ack_aged = st.ack_owed > 0;
         }
         if st.send.outstanding() == 0 {
             st.last_progress = now;
@@ -967,6 +980,7 @@ impl UdpConnection {
                 fin_sent: false,
                 broken: None,
                 ack_owed: 0,
+                ack_aged: false,
                 faults,
                 holdback: None,
                 last_progress: Instant::now(),

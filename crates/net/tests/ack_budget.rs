@@ -123,9 +123,11 @@ fn a_reply_carries_the_acknowledgement() {
             parent_miss,
         );
         assert!(lin_msgs >= 4 * OPS && miss_msgs >= 2 * OPS);
-        // What is left is what a 5 ms pacer pass catches between a message
-        // and its reply, so it moves with the host's speed: held below
-        // what `UDP_ACK_EVERY` alone costs a one-way link.
+        // A pacer pass acknowledges alone only what was already owed at the
+        // pass before, so a pass between a message and its reply just marks
+        // the debt and the reply carries it; what is left is traffic nobody
+        // answers within a pass. Held below what `UDP_ACK_EVERY` alone
+        // costs a one-way link.
         let one_way_floor = 1.0 / f64::from(UDP_ACK_EVERY);
         assert!(lin < one_way_floor && miss < one_way_floor);
     } else {
