@@ -2,8 +2,11 @@
 //!
 //! Each seed below was found by exploration and is pinned here verbatim:
 //! replaying it must deterministically reproduce the same event sequence
-//! (asserted run-against-run by [`cckvs_modelcheck::replay`]) and must
-//! keep passing the linearizability and lost-write checks. A failure here
+//! (asserted run-against-run by [`cckvs_modelcheck::replay`]), must keep
+//! the events its test names in the order it names them, and must keep
+//! passing the linearizability and lost-write checks. What pins exact
+//! event logs is `LOG_DIGESTS`: ten seeds of every scenario, fingerprinted
+//! and folded per scenario into one committed value. A failure here
 //! means the protocol, the harness, or the seeded scheduler changed
 //! behaviour on a schedule that was explicitly vetted — all three are
 //! regressions worth a human look.
@@ -146,10 +149,52 @@ fn skipped_in_doubt_reissue_seed_is_flagged() {
     );
 }
 
-/// The committed seeds pin exact event logs; this pins the broader
-/// determinism property across fresh seeds of every scenario (cheap
-/// smoke: two explorations from the same base must agree violation-wise
-/// and fingerprint-wise, run to run).
+/// Per scenario, the fingerprints of seeds 1..=10 at depth 400, folded in
+/// order into one value, taken from the harness that committed it. A
+/// change that moves any event line of those 110 schedules moves its
+/// scenario's digest: a change meant to leave the logs alone must leave
+/// this table alone, and one that moves them updates the table and says
+/// why each line moved.
+const LOG_DIGESTS: &[(&str, u64)] = &[
+    ("lin-commit", 0x6b8079fde0d4c0bc),
+    ("dirty-evict-writeback", 0xeadaa6b9129946f3),
+    ("hot-transition-bounce", 0x1bb4aa96959538a4),
+    ("crash-mid-commit", 0x7cb26076711d9d37),
+    ("udp-drop-dup-reorder", 0x6be2a069a9e36583),
+    ("miss-rpc-crash", 0xe0723dc90c47355a),
+    ("batch-prefetch", 0x886828f2e592e369),
+    ("conn-order", 0xfa5e06daa42ce071),
+    ("credit-window-crash", 0x0dde17a5c252e1ce),
+    ("ack-then-die", 0x7a0378045f2bd0b2),
+    ("miss-rpc-no-reissue", 0xe0723dc90c47355a),
+];
+
+#[test]
+fn event_logs_match_the_committed_digests() {
+    let digests: Vec<(&str, u64)> = cckvs_modelcheck::scenario::all()
+        .iter()
+        .map(|spec| {
+            let digest = (1..=10).fold(0u64, |h, seed| {
+                let fp = cckvs_modelcheck::run_schedule(spec, seed, DEPTH).fingerprint;
+                (h ^ fp).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            (spec.name, digest)
+        })
+        .collect();
+    let table: String = digests
+        .iter()
+        .map(|(name, d)| format!("    ({name:?}, 0x{d:016x}),\n"))
+        .collect();
+    assert_eq!(
+        digests, LOG_DIGESTS,
+        "event logs moved; today's table:\n{table}"
+    );
+}
+
+/// The committed seeds' logs are pinned by the digests above; this pins
+/// the broader determinism property across fresh seeds of every scenario
+/// (cheap smoke: two explorations from the same base must agree
+/// violation-wise and fingerprint-wise, run to run).
 #[test]
 fn exploration_is_deterministic_per_seed() {
     for spec in cckvs_modelcheck::scenario::all() {
