@@ -2,8 +2,8 @@
 //!
 //! The per-key state machines in [`crate::sc`] and [`crate::lin`] consume
 //! [`Event`]s and emit [`Action`]s; the transport layer (sockets for the
-//! networked rack, the discrete-event fabric for the model checker and the
-//! performance simulator) turns `Send*` actions into [`ProtocolMsg`]s on
+//! networked rack, the flight table of the model checker, the
+//! discrete-event fabric of the performance simulator) turns `Send*` actions into [`ProtocolMsg`]s on
 //! the wire and incoming messages back into `Recv*` events.
 
 use crate::lamport::{NodeId, Timestamp};

@@ -1,5 +1,5 @@
 //! `cckvs-modelcheck` — bounded deterministic model checking of the rack
-//! protocol over the simnet-backed fabric.
+//! protocol, with every datagram a choice of the scheduler.
 //!
 //! ```text
 //! cckvs-modelcheck --list
@@ -15,6 +15,7 @@
 
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::time::Instant;
 
 use cckvs_modelcheck::explore::{explore, replay};
 use cckvs_modelcheck::scenario::{all, by_name, ScenarioSpec};
@@ -177,6 +178,7 @@ fn main() -> ExitCode {
         }
     };
 
+    let started = Instant::now();
     let mut total_distinct = 0usize;
     let mut failing_seeds: Vec<String> = Vec::new();
     let mut failed = false;
@@ -211,7 +213,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    println!("total: {total_distinct} distinct schedules explored");
+    let secs = started.elapsed().as_secs_f64();
+    println!(
+        "total: {total_distinct} distinct schedules explored in {secs:.2} s ({:.0} per second)",
+        total_distinct as f64 / secs
+    );
 
     if args.min_distinct > 0 && total_distinct < args.min_distinct {
         eprintln!(

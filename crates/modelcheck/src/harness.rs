@@ -1,11 +1,11 @@
-//! The rack-under-test: real [`CcNode`]s over the simnet-backed
-//! [`SimNet`] fabric, with every source of nondeterminism owned by the
-//! schedule.
+//! The rack-under-test: real [`CcNode`]s over a network that is the
+//! harness's own flight table, with every source of nondeterminism owned
+//! by the schedule.
 //!
 //! One [`RackModel`] is one execution of a [`ScenarioSpec`]. All frames —
 //! invalidations, acks, update broadcasts, miss RPCs, write-backs — travel
-//! as real wire-encoded datagrams ([`Frame`]) through real [`SimNet`]
-//! connections; the scheduler picks which in-flight datagram is delivered,
+//! as real wire-encoded datagrams ([`Frame`]), each one entry of the flight
+//! table until it lands; the scheduler picks which datagram is delivered,
 //! dropped, or duplicated next, when retransmits and credit confirmations
 //! happen, when nodes crash and restart, and when each client session's
 //! next operation is issued. After the bounded exploration phase a
@@ -58,7 +58,7 @@
 //! ([`cckvs_net::ops::ConnOps`]): the request queue, the one suspended
 //! request, batch prefetch, the bounce policy and the request-order rule are
 //! the code the reactor runs per connection. How the harness drives it is
-//! [`session`]'s.
+//! the `session` module's.
 //!
 //! ## Crash gating
 //!
@@ -72,19 +72,16 @@
 //! resulting histories, so the exclusions stay honest.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{ErrorKind, Read};
 use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, EvictHot, NodeConfig, Outgoing};
 use cckvs_net::link::{Accept, Outbox, RecvHalf};
 use cckvs_net::ops::{ConnOps, Wait};
 use cckvs_net::rpc::{serve_home_frame, RpcTable};
-use cckvs_net::sim::{SimConnection, SimNet};
 use cckvs_net::wire::{encode_frame_into, Frame};
 use consistency::engine::Destination;
 use consistency::history::{History, RecordKind};
 use consistency::{NodeId, ProtocolMsg, Timestamp};
-use simnet::TrafficClass;
 
 use crate::scenario::{AdminStep, ProgStep, ScenarioSpec};
 use crate::sched::SplitMix64;
@@ -193,8 +190,8 @@ pub fn fingerprint(events: &[String]) -> u64 {
 struct LinkFrame {
     /// The encoded frame; its datagram is the link number, then these.
     encoded: Vec<u8>,
-    inflight: u32,
-    class: TrafficClass,
+    /// A committed value's `Update` (crash gating asks for these).
+    update: bool,
     /// An `RpcReq`'s id, for the origin's table when the frame is numbered.
     corr: Option<u64>,
     /// God's-eye enqueue order (see "The link").
@@ -205,6 +202,16 @@ impl LinkFrame {
     fn datagram(&self, seq: u64) -> Vec<u8> {
         [&seq.to_le_bytes()[..], &self.encoded].concat()
     }
+}
+
+/// One datagram on the wire: a copy of link `i → j`'s item `seq`, as
+/// [`LinkFrame::datagram`] encodes it.
+#[derive(Clone)]
+struct Flight {
+    i: usize,
+    j: usize,
+    seq: u64,
+    datagram: Vec<u8>,
 }
 
 /// One rack node: the process (`CcNode` + pending-RPC table, replaced
@@ -260,11 +267,11 @@ fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<R
 /// The rack under test. See the module docs for the model.
 pub struct RackModel {
     spec: ScenarioSpec,
-    net: SimNet,
     nodes: Vec<NodeSlot>,
-    /// `conns[(a, b)]` is node `a`'s half of the `a↔b` pair: `a` sends to
-    /// `b` by writing it and receives `b`'s frames by reading it.
-    conns: BTreeMap<(usize, usize), SimConnection>,
+    /// The network: every datagram on the wire, by flight id.
+    flights: BTreeMap<u64, Flight>,
+    /// Datagrams put on the wire so far: the last flight's id.
+    launched: u64,
     outbox: BTreeMap<(usize, usize), Outbox<LinkFrame>>,
     recv: BTreeMap<(usize, usize), RecvHalf<Vec<u8>>>,
     /// Frames pushed so far, on any link: the next frame's ordinal.
@@ -272,8 +279,6 @@ pub struct RackModel {
     /// Per link, the ordinal of the frame its receiver processed last
     /// (forgotten when either end restarts).
     processed_ordinal: BTreeMap<(usize, usize), u64>,
-    /// Live flight → (from, to, link sequence).
-    flight_meta: BTreeMap<u64, (usize, usize, u64)>,
     /// `(origin, corr)` → the key and version the home served that request
     /// at (see the module docs); cleared when the request resolves or its
     /// origin dies.
@@ -314,7 +319,10 @@ impl RackModel {
             spec.crash_budget == 0 || spec.programs.iter().flatten().all(bare),
             "a crash's effect on a half-served batch or pipeline is not modelled"
         );
-        let net = SimNet::new(spec.nodes);
+        let links = || {
+            let n = spec.nodes;
+            (0..n).flat_map(move |i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+        };
         let nodes: Vec<NodeSlot> = (0..spec.nodes)
             .map(|n| {
                 let (cc, rpcs) = spawn_process(&spec, n, 0);
@@ -336,14 +344,13 @@ impl RackModel {
             })
             .collect();
         let mut m = RackModel {
-            net,
             nodes,
-            conns: BTreeMap::new(),
-            outbox: BTreeMap::new(),
-            recv: BTreeMap::new(),
+            flights: BTreeMap::new(),
+            launched: 0,
+            outbox: links().map(|l| (l, Outbox::default())).collect(),
+            recv: links().map(|l| (l, RecvHalf::default())).collect(),
             enqueued: 0,
             processed_ordinal: BTreeMap::new(),
-            flight_meta: BTreeMap::new(),
             served: BTreeMap::new(),
             commits: Arc::new(Mutex::new(Vec::new())),
             history: History::new(),
@@ -361,11 +368,6 @@ impl RackModel {
             violation: None,
             spec,
         };
-        for a in 0..m.spec.nodes {
-            for b in (a + 1)..m.spec.nodes {
-                m.open_link_pair(a, b);
-            }
-        }
         for k in m.spec.hot_keys.clone() {
             for n in 0..m.spec.nodes {
                 assert!(
@@ -386,16 +388,6 @@ impl RackModel {
     /// The event log so far.
     pub fn events(&self) -> &[String] {
         &self.events
-    }
-
-    fn open_link_pair(&mut self, a: usize, b: usize) {
-        let (ca, cb) = self.net.pair(a, b);
-        self.conns.insert((a, b), ca);
-        self.conns.insert((b, a), cb);
-        self.outbox.insert((a, b), Outbox::default());
-        self.outbox.insert((b, a), Outbox::default());
-        self.recv.insert((a, b), RecvHalf::default());
-        self.recv.insert((b, a), RecvHalf::default());
     }
 
     fn log(&mut self, e: String) {
@@ -425,8 +417,7 @@ impl RackModel {
                 out.push(Action::Reprobe(n));
             }
         }
-        let mut flights: Vec<u64> = self.flight_meta.keys().copied().collect();
-        flights.sort_unstable();
+        let flights: Vec<u64> = self.flights.keys().copied().collect();
         for &f in &flights {
             out.push(Action::Deliver(f));
         }
@@ -473,7 +464,15 @@ impl RackModel {
         if !self.nodes[i].up || !self.nodes[j].up {
             return false;
         }
-        self.undelivered(i, j).any(|(_, r)| r.inflight == 0)
+        self.undelivered(i, j)
+            .any(|(seq, _)| !self.on_wire(i, j, seq))
+    }
+
+    /// Whether a copy of link `i → j`'s item `seq` is in flight.
+    fn on_wire(&self, i: usize, j: usize, seq: u64) -> bool {
+        self.flights
+            .values()
+            .any(|f| (f.i, f.j, f.seq) == (i, j, seq))
     }
 
     /// Link `i → j`'s retained frames the receiver has not yet delivered.
@@ -505,10 +504,9 @@ impl RackModel {
         }
         let dirty_shard = self.nodes[n].kvs_dirty;
         let pending_commit = self.awaits_commit(n);
-        let update = |r: &LinkFrame| r.class == TrafficClass::Update;
         let undelivered_update = (0..self.nodes.len()).filter(|&j| j != n).any(|j| {
-            self.undelivered(n, j).any(|(_, r)| update(r))
-                || self.outbox[&(n, j)].queued().any(update)
+            self.undelivered(n, j).any(|(_, r)| r.update)
+                || self.outbox[&(n, j)].queued().any(|r| r.update)
         });
         if self.spec.unsafe_crashes {
             // The negative scenario crashes only *inside* the windows that
@@ -570,18 +568,14 @@ impl RackModel {
             Action::Deliver(f) => self.deliver_flight(f),
             Action::Drop(f) => {
                 self.drops_left -= 1;
-                let (i, j, seq) = self.flight_meta.remove(&f).expect("live flight");
-                self.net.drop_flight(f);
-                self.dec_inflight(i, j, seq);
+                let Flight { i, j, seq, .. } = self.flights.remove(&f).expect("live flight");
                 self.log(format!("drop {i}->{j} #{seq}"));
             }
             Action::Dup(f) => {
                 self.dups_left -= 1;
-                let (i, j, seq) = *self.flight_meta.get(&f).expect("live flight");
-                let copy = self.net.duplicate(f).expect("live flight duplicates");
-                self.flight_meta.insert(copy, (i, j, seq));
-                self.inc_inflight(i, j, seq);
-                self.log(format!("dup {i}->{j} #{seq}"));
+                let copy = self.flights[&f].clone();
+                self.log(format!("dup {}->{} #{}", copy.i, copy.j, copy.seq));
+                self.launch(copy);
             }
             Action::Retransmit(i, j) => self.retransmit(i, j),
             Action::Confirm(i, j) => {
@@ -598,19 +592,13 @@ impl RackModel {
         }
     }
 
-    fn dec_inflight(&mut self, i: usize, j: usize, seq: u64) {
-        if let Some(r) = self.outbox.get_mut(&(i, j)).and_then(|ob| ob.get_mut(seq)) {
-            r.inflight = r.inflight.saturating_sub(1);
-        }
-    }
-
-    fn inc_inflight(&mut self, i: usize, j: usize, seq: u64) {
-        if let Some(r) = self.outbox.get_mut(&(i, j)).and_then(|ob| ob.get_mut(seq)) {
-            r.inflight += 1;
-        }
-    }
-
     // ----- frame transmission -----------------------------------------
+
+    /// Puts one datagram on the wire under the next flight id.
+    fn launch(&mut self, flight: Flight) {
+        self.launched += 1;
+        self.flights.insert(self.launched, flight);
+    }
 
     /// Ships protocol messages produced by a node: resolves destinations
     /// (broadcast = every other replica) and queues each on the
@@ -634,22 +622,23 @@ impl RackModel {
     /// Queues one frame on the directed link `i → j` and pumps the link. A
     /// frame for a down peer stays queued; the restart pumps it.
     fn send_frame(&mut self, i: usize, j: usize, frame: &Frame) {
-        let (class, corr) = match frame {
-            Frame::Protocol { msg, .. } => match msg {
-                ProtocolMsg::Invalidation { .. } => (TrafficClass::Invalidation, None),
-                ProtocolMsg::Ack { .. } => (TrafficClass::Ack, None),
-                ProtocolMsg::Update { .. } => (TrafficClass::Update, None),
-            },
-            Frame::RpcReq { corr, .. } => (TrafficClass::MissRequest, Some(*corr)),
-            _ => (TrafficClass::MissResponse, None),
+        let update = matches!(
+            frame,
+            Frame::Protocol {
+                msg: ProtocolMsg::Update { .. },
+                ..
+            }
+        );
+        let corr = match frame {
+            Frame::RpcReq { corr, .. } => Some(*corr),
+            _ => None,
         };
         let mut encoded = Vec::with_capacity(56);
         encode_frame_into(&mut encoded, frame);
         self.enqueued += 1;
         self.outbox.get_mut(&(i, j)).expect("link").push(LinkFrame {
             encoded,
-            inflight: 0,
-            class,
+            update,
             corr,
             ordinal: self.enqueued,
         });
@@ -663,87 +652,64 @@ impl RackModel {
         if !(self.nodes[i].up && self.nodes[j].up) {
             return;
         }
-        let ob = self.outbox.get_mut(&(i, j)).expect("link");
-        while ob.sendable(self.spec.credit_window).is_some() {
+        let window = self.spec.credit_window;
+        while self.outbox[&(i, j)].sendable(window).is_some() {
+            let ob = self.outbox.get_mut(&(i, j)).expect("link");
             let seq = ob.pack_front();
             let frame = ob.get_mut(seq).expect("just packed");
-            frame.inflight = 1;
-            let id = self.conns[&(i, j)]
-                .write_datagram(&frame.datagram(seq), frame.class)
-                .expect("sim send")
-                .expect("peer links are never loopback");
-            self.flight_meta.insert(id, (i, j, seq));
+            let datagram = frame.datagram(seq);
             if let Some(corr) = frame.corr {
                 self.nodes[i].rpcs.packed(corr, seq);
             }
+            self.launch(Flight {
+                i,
+                j,
+                seq,
+                datagram,
+            });
         }
-        let queued = ob.queued().len();
+        let queued = self.outbox[&(i, j)].queued().len();
         if queued > 0 {
             self.log(format!("stall {i}->{j} x{queued}"));
         }
     }
 
     fn retransmit(&mut self, i: usize, j: usize) {
-        let Some((seq, datagram, class)) = self
+        let Some((seq, datagram)) = self
             .undelivered(i, j)
-            .find(|(_, r)| r.inflight == 0)
-            .map(|(seq, r)| (seq, r.datagram(seq), r.class))
+            .find(|&(seq, _)| !self.on_wire(i, j, seq))
+            .map(|(seq, r)| (seq, r.datagram(seq)))
         else {
             return;
         };
-        let id = self.conns[&(i, j)]
-            .write_datagram(&datagram, class)
-            .expect("sim send")
-            .expect("peer links are never loopback");
-        self.flight_meta.insert(id, (i, j, seq));
-        self.inc_inflight(i, j, seq);
+        self.launch(Flight {
+            i,
+            j,
+            seq,
+            datagram,
+        });
         self.log(format!("retransmit {i}->{j} #{seq}"));
     }
 
     // ----- delivery and frame processing ------------------------------
 
+    /// Lands flight `f`: its `[seq u64][len u32][frame]` datagram goes
+    /// into link `i → j`'s receive half, and every frame that became
+    /// deliverable is processed.
     fn deliver_flight(&mut self, f: u64) {
-        let (i, j, seq) = self.flight_meta.remove(&f).expect("live flight");
-        assert!(self.net.deliver(f), "flight was live");
-        self.dec_inflight(i, j, seq);
+        let Flight { i, j, datagram, .. } = self.flights.remove(&f).expect("live flight");
+        let seq = u64::from_le_bytes(datagram[0..8].try_into().expect("8 bytes"));
         self.log(format!("deliver {i}->{j} #{seq}"));
-        self.pump_link(i, j);
-    }
-
-    /// Drains the receiving connection of link `i → j` into the link's
-    /// receive half and processes every frame that became deliverable.
-    fn pump_link(&mut self, i: usize, j: usize) {
-        let mut fresh = Vec::new();
-        {
-            let conn = self.conns.get_mut(&(j, i)).expect("link");
-            let mut tmp = [0u8; 4096];
-            loop {
-                match conn.read(&mut tmp) {
-                    Ok(0) => break,
-                    Ok(k) => fresh.extend_from_slice(&tmp[..k]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
-                    Err(e) => panic!("sim read failed: {e}"),
-                }
-            }
-        }
-        // Split the bytes into [seq u64][len u32][frame payload] datagrams
-        // (deposits are atomic per flight, so a partial one is only ever a
-        // harness bug).
-        let mut rest = fresh.as_slice();
-        while !rest.is_empty() {
-            let seq = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
-            let flen = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")) as usize;
-            let (payload, tail) = rest[12..].split_at(flen);
-            rest = tail;
-            let rl = self.recv.get_mut(&(i, j)).expect("link");
-            let next = rl.delivered();
-            match rl.accept(seq, payload.to_vec()) {
-                Accept::Ready => {}
-                Accept::Duplicate => self.log(format!("dedup {i}->{j} #{seq}")),
-                Accept::Held => self.log(format!("hold {i}->{j} #{seq} (awaiting #{next})")),
-                Accept::Refused => self.log(format!("refuse {i}->{j} #{seq}")),
-            }
+        let flen = u32::from_le_bytes(datagram[8..12].try_into().expect("4 bytes")) as usize;
+        let payload = &datagram[12..];
+        assert_eq!(payload.len(), flen, "one frame per datagram");
+        let rl = self.recv.get_mut(&(i, j)).expect("link");
+        let next = rl.delivered();
+        match rl.accept(seq, payload.to_vec()) {
+            Accept::Ready => {}
+            Accept::Duplicate => self.log(format!("dedup {i}->{j} #{seq}")),
+            Accept::Held => self.log(format!("hold {i}->{j} #{seq} (awaiting #{next})")),
+            Accept::Refused => self.log(format!("refuse {i}->{j} #{seq}")),
         }
         while let Some(payload) = self.recv.get_mut(&(i, j)).expect("link").pop_ready() {
             let seq = self.recv[&(i, j)].delivered() - 1;
@@ -856,23 +822,10 @@ impl RackModel {
     fn crash(&mut self, n: usize) {
         self.crashes_left -= 1;
         self.log(format!("crash n{n}"));
-        self.net.sever_node(n);
         self.nodes[n].up = false;
-        // Every flight to or from the node evaporated with it.
-        let dead: Vec<(u64, (usize, usize, u64))> = self
-            .flight_meta
-            .iter()
-            .filter(|(_, (i, j, _))| *i == n || *j == n)
-            .map(|(f, m)| (*f, *m))
-            .collect();
-        for (f, (i, j, seq)) in dead {
-            self.flight_meta.remove(&f);
-            if i != n {
-                // Survivor-retained frames lose their in-flight copies and
-                // become retransmit/replay candidates.
-                self.dec_inflight(i, j, seq);
-            }
-        }
+        // Every flight to or from the node evaporated with it; a survivor's
+        // frame that lost its copies is a retransmit/replay candidate.
+        self.flights.retain(|_, f| f.i != n && f.j != n);
         self.session_lost(n);
     }
 
@@ -908,10 +861,6 @@ impl RackModel {
             if j == n {
                 continue;
             }
-            // Fresh connection pair; the old halves (severed) drop here.
-            let (cn, cj) = self.net.pair(n, j);
-            self.conns.insert((n, j), cn);
-            self.conns.insert((j, n), cj);
             // Outbound links of the new process start a fresh numbering.
             self.outbox.insert((n, j), Outbox::default());
             self.recv.insert((n, j), RecvHalf::default());
@@ -1086,7 +1035,7 @@ impl RackModel {
             .all(|s| s.up && s.program.is_empty() && s.inflight.is_empty())
             && !self.heal_needed
             && self.admin_cursor >= self.spec.admin_script.len()
-            && self.flight_meta.is_empty()
+            && self.flights.is_empty()
             && self.outbox.iter().all(|(link, ob)| {
                 let sent = ob.confirmed() + ob.outstanding();
                 ob.queued().len() == 0 && sent <= self.recv[link].delivered()
@@ -1143,7 +1092,7 @@ impl RackModel {
                 return Some(Action::Restart(n));
             }
         }
-        if let Some(&f) = self.flight_meta.keys().next() {
+        if let Some(&f) = self.flights.keys().next() {
             return Some(Action::Deliver(f));
         }
         for &(i, j) in self.outbox.keys() {

@@ -4,9 +4,9 @@
 //! per-key SC/Lin coherence engine, symmetric cache, and home-shard rules
 //! the production server runs — plus the production reliable link
 //! ([`cckvs_net::link`]), miss-path RPC table ([`cckvs_net::rpc`]) and
-//! per-connection op machine ([`cckvs_net::ops`]) over the deterministic
-//! in-process [`cckvs_net::sim`] fabric, and hands every source of
-//! nondeterminism to a seeded scheduler:
+//! per-connection op machine ([`cckvs_net::ops`]), over a network that is
+//! the harness's own table of datagrams in flight, and hands every source
+//! of nondeterminism to a seeded scheduler:
 //!
 //! * which in-flight datagram (invalidation, ack, update broadcast, miss
 //!   RPC, write-back) is delivered next, dropped, or duplicated;

@@ -13,11 +13,10 @@
 //! ```
 
 use cckvs_net::client::{install_hot_set_via, BatchConfig, Client, SharedHistory};
-use cckvs_net::metrics::Metrics;
+use cckvs_net::metrics::{AtomicHistogram, Metrics};
 use cckvs_net::transport::{TransportConfig, TransportKind};
 use cckvs_net::LoadBalancePolicy;
 use consistency::messages::ConsistencyModel;
-use simnet::Histogram;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,6 +30,8 @@ struct ConnStats {
     node: usize,
     /// Operations driven through the connection.
     ops: u64,
+    /// Percentiles as bucket upper edges, at most 1/16 above the exact
+    /// sample (the rule `latency_hist` follows).
     p50_us: f64,
     p99_us: f64,
 }
@@ -310,7 +311,7 @@ fn main() {
                 // This session's connections: global indexes i with
                 // i % sessions == session. Each is one socket to one
                 // server (node i % servers), its own checker session.
-                let mut clients: Vec<(usize, Client, Histogram)> = if connections > 0 {
+                let mut clients: Vec<(usize, Client, AtomicHistogram)> = if connections > 0 {
                     (0..connections)
                         .filter(|i| i % sessions as usize == session as usize)
                         .map(|i| {
@@ -327,7 +328,7 @@ fn main() {
                                 builder = builder.history(Arc::clone(history));
                             }
                             let client = builder.connect().unwrap_or_else(|e| fail("connect", &e));
-                            (i, client, Histogram::new())
+                            (i, client, AtomicHistogram::new())
                         })
                         .collect()
                 } else {
@@ -352,7 +353,7 @@ fn main() {
                         builder = builder.history(Arc::clone(history));
                     }
                     let client = builder.connect().unwrap_or_else(|e| fail("connect", &e));
-                    vec![(usize::MAX, client, Histogram::new())]
+                    vec![(usize::MAX, client, AtomicHistogram::new())]
                 };
                 if clients.is_empty() {
                     return SessionOut {
@@ -428,7 +429,7 @@ fn main() {
                 let mut stats = Vec::new();
                 let mut reconnects = 0u64;
                 let mut node_errors = vec![0u64; servers.len()];
-                for (conn, mut client, mut latency) in clients {
+                for (conn, mut client, latency) in clients {
                     if let Err(e) = client.flush() {
                         if !tolerate {
                             fail("final flush", &e);
@@ -445,10 +446,11 @@ fn main() {
                     } else {
                         // Connection mode: one single-node client.
                         node_errors[conn % servers.len()] += client.node_errors()[0];
+                        let latency = latency.snapshot();
                         stats.push(ConnStats {
                             conn,
                             node: conn % servers.len(),
-                            ops: latency.count() as u64,
+                            ops: latency.count,
                             p50_us: latency.percentile(50.0) as f64 / 1_000.0,
                             p99_us: latency.percentile(99.0) as f64 / 1_000.0,
                         });

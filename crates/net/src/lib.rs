@@ -61,7 +61,6 @@ pub mod ops;
 pub mod rack;
 pub mod rpc;
 pub mod server;
-pub mod sim;
 pub mod transport;
 pub mod wire;
 
@@ -77,7 +76,6 @@ pub use metrics::{
 pub use rack::{Rack, RackConfig, COORDINATOR_NODE};
 pub use rpc::{serve_home_frame, RpcTable};
 pub use server::{FlowConfig, NodeServer, NodeServerConfig, ReactorConfig, ShutdownHandle};
-pub use sim::{FlightInfo, SimConnection, SimNet};
 pub use transport::{
     FaultPlan, TcpTransport, Transport, TransportConfig, TransportKind, UdpTransport,
 };

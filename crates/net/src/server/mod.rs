@@ -32,12 +32,12 @@
 //!   `Get`, a `Put` or a batch does next, what it parks on, how it
 //!   bounces and retries, one request in flight per connection — is
 //!   [`crate::ops`]; a shard drives one per client connection through
-//!   [`ShardHost`](shard::ShardHost). What this module adds is how the
+//!   `shard::ShardHost`. What this module adds is how the
 //!   wake events travel: the shard that delivers a Lin write's final
 //!   acknowledgement fires the commit hook ([`CcNode::on_committed`]), an
 //!   arriving [`Frame::RpcResp`] finds its waiter in the pending-RPC
 //!   table, and both reach the suspended connection on its owning shard as a
-//!   [`ShardMsg::Resume`]; a bounce arms a timer-wheel tick, and so does
+//!   `ShardMsg::Resume`; a bounce arms a timer-wheel tick, and so does
 //!   the first RPC a shard issues: past its deadline the sweep fails it.
 //!   An `Evict` is such a request too — it bounces while the key's own
 //!   write is pending and parks on the `WriteBack` RPC of a dirty value.
@@ -56,7 +56,7 @@
 //! with the window wide open: nothing reads the peer's credits any more.
 //!
 //! Crash recovery (peers are separate OS processes that die and come
-//! back): every peer link is a [`PeerLink`] that survives its
+//! back): every peer link is a `PeerLink` that survives its
 //! connection. Messages are retained until the peer confirms
 //! *processing* them through cumulative [`Frame::Credit`] acknowledgements
 //! (TCP-ack style: idempotent, loss-proof), so when a link dies the
@@ -70,7 +70,7 @@
 //! restarted (now empty, vacuously acknowledging) peer — per-node ack
 //! bitmasks in the protocol engine make duplicate acknowledgements
 //! harmless. While a peer is down, outbound coherence traffic parks in the
-//! link's outbox (bounded by [`PARK_MAX`]) and, on the lower-id side of
+//! link's outbox (bounded by `PARK_MAX`) and, on the lower-id side of
 //! the pair, a redial thread retries with exponential backoff (the higher
 //! side waits to be dialed); miss-path RPCs ride it out within
 //! [`NodeServerConfig::rpc_retry`]. The serving node keeps answering for

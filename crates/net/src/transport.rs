@@ -950,7 +950,7 @@ fn pacer() -> &'static Pacer {
 }
 
 /// One handle to a UDP connection. Cloned handles (reader/writer splits)
-/// share the same [`UdpIo`]; the last handle to drop sends the `FIN` and
+/// share the same `UdpIo`; the last handle to drop sends the `FIN` and
 /// parks the core with the pacer until it is acknowledged.
 pub struct UdpConnection {
     io: Arc<UdpIo>,

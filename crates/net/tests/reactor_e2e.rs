@@ -29,23 +29,10 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 use workload::{AccessDistribution, Dataset, Mix, OpKind, WorkloadGen};
 
-/// The process's thread count is shared by every test of this binary, and
-/// every one of them starts a rack: the tests that assert on the count
+/// The census of node threads is shared by every test of this binary, and
+/// every one of them starts a rack: the tests that assert on the census
 /// hold this exclusively, the others share it.
 static THREAD_CENSUS: RwLock<()> = RwLock::new(());
-
-/// Threads currently in this process, from /proc/self/status.
-fn process_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|n| n.parse().ok())
-        })
-        .expect("/proc/self/status has a Threads line on Linux")
-}
 
 /// The names of this process's node threads, sorted, from
 /// /proc/self/task/*/comm (the kernel keeps a name's first 15 bytes). A
@@ -102,7 +89,6 @@ fn five_thousand_connections_per_node_serve_lin_checked_workload() {
         .collect();
     assert_eq!(node_threads(), shards);
 
-    let threads_before = process_threads();
     let history = Arc::new(SharedHistory::new());
     let metrics = Arc::new(Metrics::new());
     let handles: Vec<_> = (0..DRIVERS)
@@ -150,7 +136,7 @@ fn five_thousand_connections_per_node_serve_lin_checked_workload() {
                         client.flush().expect("drain outcomes");
                     }
                 }
-                let threads_at_peak = process_threads();
+                let threads_at_peak = node_threads();
                 for client in &mut clients {
                     client.flush().expect("final flush");
                 }
@@ -158,10 +144,10 @@ fn five_thousand_connections_per_node_serve_lin_checked_workload() {
             })
         })
         .collect();
-    let mut threads_at_peak = 0u64;
-    for handle in handles {
-        threads_at_peak = threads_at_peak.max(handle.join().expect("driver thread"));
-    }
+    let censuses: Vec<Vec<String>> = handles
+        .into_iter()
+        .map(|handle| handle.join().expect("driver thread"))
+        .collect();
 
     assert!(
         conns >= 5_000 || reactor::raise_nofile_limit(wanted).unwrap_or(0) < wanted,
@@ -173,15 +159,14 @@ fn five_thousand_connections_per_node_serve_lin_checked_workload() {
         OPS_PER_CONN * conns as u64,
         "every connection served its ops"
     );
-    // O(reactor shards) threads, not O(connections): beyond the driver
-    // threads this test spawned itself, holding `conns` connections adds
-    // NO server threads over the rack's fixed topology.
-    let driver_threads = DRIVERS as u64;
-    assert!(
-        threads_at_peak <= threads_before + driver_threads,
-        "thread count grew with connections: {threads_before} before, \
-         {threads_at_peak} at peak with {conns} connections ({driver_threads} drivers)"
-    );
+    // O(reactor shards) threads, not O(connections): holding `conns`
+    // connections adds NO thread to the rack's fixed topology.
+    for threads_at_peak in censuses {
+        assert_eq!(
+            threads_at_peak, shards,
+            "the rack's threads moved with {conns} connections"
+        );
+    }
 
     let history = history.snapshot();
     assert!(
@@ -592,9 +577,9 @@ fn idle_connections_cost_no_laps() {
 
     // Tops the idle pool up to `held` sessions (each answered one ping, so
     // its hello is behind it), then runs the stream through the live
-    // session: laps the rack ran per op, and the process's threads.
+    // session: laps the rack ran per op, and the rack's threads by name.
     // `pass` keeps the two passes' written values apart for the checker.
-    let mut measure = |held: usize, pass: u32| -> (f64, u64) {
+    let mut measure = |held: usize, pass: u32| -> (f64, Vec<String>) {
         while idle.len() < held {
             let i = idle.len();
             let mut client = Client::connect(
@@ -622,7 +607,7 @@ fn idle_connections_cost_no_laps() {
             }
         }
         let per_op = (rack_laps(&rack) - before) as f64 / OPS as f64;
-        (per_op, process_threads())
+        (per_op, node_threads())
     };
     let (laps_few, threads_few) = measure(FEW, 1);
     let (laps_many, threads_many) = measure(many, 2);

@@ -171,227 +171,6 @@ impl<B: NodeBehavior> Engine<B> {
     }
 }
 
-/// One undelivered event inside an [`EngineStepper`], exposed so an external
-/// scheduler can choose which to process (or discard) next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingEvent {
-    /// Stable identifier for this queued event (unique per stepper).
-    pub id: u64,
-    /// Fabric delivery / fire time of the event.
-    pub time: SimTime,
-    /// Node the event is addressed to.
-    pub node: usize,
-    /// `true` for a timer event, `false` for a packet delivery.
-    pub timer: bool,
-    /// The behaviour token: `Packet::token` for deliveries, the timer token
-    /// for timers. Drivers use it to correlate events with their own state.
-    pub token: u64,
-    /// Source node of a delivery (equals `node` for timers).
-    pub src: usize,
-}
-
-/// An [`Engine`] whose event loop is driven from outside.
-///
-/// [`Engine::run`] owns the schedule: it always processes the earliest
-/// pending event. Deterministic model checking needs the opposite — an
-/// external scheduler that *sees* every undelivered event and decides which
-/// one happens next (or never, for fault injection). `EngineStepper` keeps
-/// the engine's fabric accounting and behaviour dispatch but exposes the
-/// queue: [`pending`](Self::pending) lists the choices,
-/// [`step`](Self::step) processes one, [`discard`](Self::discard) drops one
-/// (a lost packet), and [`inject`](Self::inject) feeds externally-generated
-/// emits in. Simulated time is max-monotone: stepping an event later than
-/// `now` advances the clock, stepping an earlier one (the scheduler may
-/// reorder freely) does not rewind it.
-pub struct EngineStepper<B: NodeBehavior> {
-    nodes: Vec<B>,
-    fabric: FabricState,
-    queue: Vec<QueuedEvent>,
-    stats: SimStats,
-    seq: u64,
-    now: SimTime,
-    started: bool,
-}
-
-impl<B: NodeBehavior> Engine<B> {
-    /// Converts the engine into an externally-scheduled stepper.
-    ///
-    /// Call before [`Engine::run`]; any events already queued are carried
-    /// over.
-    pub fn into_stepper(self) -> EngineStepper<B> {
-        let mut queue: Vec<QueuedEvent> = self.queue.into_vec();
-        queue.sort_by_key(|ev| (ev.time, ev.seq));
-        EngineStepper {
-            nodes: self.nodes,
-            fabric: self.fabric,
-            queue,
-            stats: self.stats,
-            seq: self.seq,
-            now: 0,
-            started: false,
-        }
-    }
-}
-
-impl<B: NodeBehavior> EngineStepper<B> {
-    /// Fires `on_start` on every behaviour (once; later calls are no-ops).
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for node in 0..self.nodes.len() {
-            let emits = self.nodes[node].on_start(0);
-            self.apply_emits(node, 0, emits);
-        }
-    }
-
-    fn apply_emits(&mut self, node: usize, now: SimTime, emits: Vec<Emit>) {
-        for emit in emits {
-            match emit {
-                Emit::Send(pkt) => {
-                    assert_eq!(
-                        pkt.src, node,
-                        "behaviours may only send from their own node"
-                    );
-                    self.stats.record_packet(pkt.class, pkt.bytes);
-                    let delivered = self.fabric.schedule(now, &pkt);
-                    self.seq += 1;
-                    self.queue.push(QueuedEvent {
-                        time: delivered,
-                        seq: self.seq,
-                        kind: EventKind::Deliver { node: pkt.dst, pkt },
-                    });
-                }
-                Emit::Timer { delay, token } => {
-                    self.seq += 1;
-                    self.queue.push(QueuedEvent {
-                        time: now + delay,
-                        seq: self.seq,
-                        kind: EventKind::Timer { node, token },
-                    });
-                }
-                Emit::Complete { kind, issued_at } => {
-                    self.stats
-                        .record_completion(kind, now.saturating_sub(issued_at));
-                }
-            }
-        }
-    }
-
-    /// Lists every undelivered event, in (time, insertion) order. The `id`
-    /// of an entry stays valid until that event is stepped or discarded.
-    pub fn pending(&self) -> Vec<PendingEvent> {
-        let mut view: Vec<PendingEvent> = self
-            .queue
-            .iter()
-            .map(|ev| match ev.kind {
-                EventKind::Deliver { node, pkt } => PendingEvent {
-                    id: ev.seq,
-                    time: ev.time,
-                    node,
-                    timer: false,
-                    token: pkt.token,
-                    src: pkt.src,
-                },
-                EventKind::Timer { node, token } => PendingEvent {
-                    id: ev.seq,
-                    time: ev.time,
-                    node,
-                    timer: true,
-                    token,
-                    src: node,
-                },
-            })
-            .collect();
-        view.sort_by_key(|ev| (ev.time, ev.id));
-        view
-    }
-
-    /// Processes the queued event with the given `id`: dispatches it to the
-    /// owning behaviour, applies the behaviour's emits, and advances the
-    /// clock (max-monotone). Returns the event as it was processed, or
-    /// `None` for an unknown id.
-    pub fn step(&mut self, id: u64) -> Option<PendingEvent> {
-        let pos = self.queue.iter().position(|ev| ev.seq == id)?;
-        let ev = self.queue.swap_remove(pos);
-        self.now = self.now.max(ev.time);
-        let now = self.now;
-        let view = match ev.kind {
-            EventKind::Deliver { node, pkt } => {
-                let emits = self.nodes[node].on_packet(now, &pkt);
-                self.apply_emits(node, now, emits);
-                PendingEvent {
-                    id,
-                    time: ev.time,
-                    node,
-                    timer: false,
-                    token: pkt.token,
-                    src: pkt.src,
-                }
-            }
-            EventKind::Timer { node, token } => {
-                let emits = self.nodes[node].on_timer(now, token);
-                self.apply_emits(node, now, emits);
-                PendingEvent {
-                    id,
-                    time: ev.time,
-                    node,
-                    timer: true,
-                    token,
-                    src: node,
-                }
-            }
-        };
-        Some(view)
-    }
-
-    /// Removes a queued event without delivering it (a dropped packet or a
-    /// cancelled timer). Returns `false` for an unknown id.
-    pub fn discard(&mut self, id: u64) -> bool {
-        match self.queue.iter().position(|ev| ev.seq == id) {
-            Some(pos) => {
-                self.queue.swap_remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Applies externally-generated emits on behalf of `node` at the
-    /// current simulated time (e.g. a transport handing a datagram to the
-    /// fabric). Sends are charged to the fabric exactly as behaviour sends.
-    pub fn inject(&mut self, node: usize, emits: Vec<Emit>) {
-        let now = self.now;
-        self.apply_emits(node, now, emits);
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of undelivered events.
-    pub fn pending_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The per-class byte/packet accounting collected so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Immutable access to the node behaviours.
-    pub fn behaviors(&self) -> &[B] {
-        &self.nodes
-    }
-
-    /// Mutable access to the node behaviours (drivers drain mailboxes).
-    pub fn behaviors_mut(&mut self) -> &mut [B] {
-        &mut self.nodes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,79 +287,6 @@ mod tests {
         let mut heavy_lat = stats.latency.clone();
         let mut light_lat = light.latency.clone();
         assert!(heavy_lat.percentile(95.0) > light_lat.percentile(95.0));
-    }
-
-    #[test]
-    fn stepper_exposes_choices_and_lets_the_driver_reorder() {
-        let mut stepper = ping_pong_engine(10 * MICROSECOND).into_stepper();
-        stepper.start();
-        // Node 0 scheduled its first arrival timer.
-        let pending = stepper.pending();
-        assert_eq!(pending.len(), 1);
-        assert!(pending[0].timer);
-        assert_eq!(pending[0].node, 0);
-        // Fire it: a request packet to node 1 plus the next arrival timer.
-        stepper.step(pending[0].id).unwrap();
-        let pending = stepper.pending();
-        assert_eq!(pending.len(), 2);
-        let delivery = pending.iter().find(|ev| !ev.timer).unwrap();
-        assert_eq!(delivery.node, 1);
-        assert_eq!(delivery.src, 0);
-        // The driver may step the *later* event first; time never rewinds.
-        let later = pending.iter().max_by_key(|ev| ev.time).unwrap();
-        let earlier = pending.iter().min_by_key(|ev| ev.time).unwrap();
-        let (later, earlier) = (*later, *earlier);
-        stepper.step(later.id).unwrap();
-        let t_after_later = stepper.now();
-        assert_eq!(t_after_later, later.time);
-        stepper.step(earlier.id).unwrap();
-        assert_eq!(stepper.now(), t_after_later, "clock is max-monotone");
-        // Unknown ids are rejected, not mis-dispatched.
-        assert!(stepper.step(earlier.id).is_none());
-        assert!(!stepper.discard(earlier.id));
-    }
-
-    #[test]
-    fn stepper_discard_models_a_lost_packet() {
-        let mut stepper = ping_pong_engine(10 * MICROSECOND).into_stepper();
-        stepper.start();
-        let timer = stepper.pending()[0];
-        stepper.step(timer.id).unwrap();
-        let delivery = *stepper.pending().iter().find(|ev| !ev.timer).unwrap();
-        assert!(stepper.discard(delivery.id));
-        // The request never arrives: only node 0's next arrival timer is left,
-        // and no completion was recorded.
-        let left = stepper.pending();
-        assert_eq!(left.len(), 1);
-        assert!(left[0].timer);
-        assert_eq!(stepper.stats().total_completions(), 0);
-        // Bytes were still charged when the packet entered the fabric.
-        assert!(stepper.stats().bytes_by_class[&TrafficClass::MissRequest] > 0);
-    }
-
-    #[test]
-    fn stepper_inject_charges_the_fabric_like_a_behaviour_send() {
-        let mut stepper = ping_pong_engine(10 * MICROSECOND).into_stepper();
-        stepper.start();
-        let sizes = MessageSizes::for_value_size(40);
-        stepper.inject(
-            1,
-            vec![Emit::Send(Packet::single(
-                1,
-                0,
-                sizes.miss_response,
-                TrafficClass::MissResponse,
-                99,
-            ))],
-        );
-        let pending = stepper.pending();
-        let inj = pending
-            .iter()
-            .find(|ev| !ev.timer && ev.token == 99)
-            .unwrap();
-        assert_eq!(inj.node, 0);
-        assert_eq!(inj.src, 1);
-        assert!(stepper.stats().bytes_by_class[&TrafficClass::MissResponse] > 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod packet;
 pub mod server;
 pub mod stats;
 
-pub use engine::{Emit, Engine, EngineStepper, NodeBehavior, PendingEvent};
+pub use engine::{Emit, Engine, NodeBehavior};
 pub use fabric::FabricConfig;
 pub use packet::{MessageSizes, Packet, TrafficClass};
 pub use server::ServerPool;
