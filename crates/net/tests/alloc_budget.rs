@@ -14,10 +14,12 @@
 use cckvs_net::wire::{encode_frame_into, read_frame, write_frame, Frame};
 use cckvs_net::{Rack, RackConfig};
 use consistency::messages::ConsistencyModel;
+use kvstore::Partition;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 mod common;
@@ -27,6 +29,8 @@ struct Counting;
 /// Whether allocations on `cckvs-shard` threads are being counted.
 static SHARDS_ON: AtomicBool = AtomicBool::new(false);
 static SHARD_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Held by a test while its rack runs: the shard count is process-wide.
+static ONE_RACK: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// This thread's own switch and count: `Some(n)` while counting.
@@ -136,10 +140,73 @@ fn the_codec_appends_and_borrows() {
     );
 }
 
+/// A blocking request-response client of node 0.
+fn client_of(rack: &Rack) -> impl FnMut(&Frame) -> Frame {
+    let stream = rack
+        .transport()
+        .build()
+        .dial(rack.client_addrs()[0], Duration::from_secs(5))
+        .expect("dial node 0");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    // The hello gets no response of its own.
+    write_frame(&mut writer, &Frame::ClientHello).expect("hello");
+    move |frame: &Frame| -> Frame {
+        write_frame(&mut writer, frame).expect("write");
+        writer.flush().expect("flush");
+        read_frame(&mut reader).expect("read").expect("open")
+    }
+}
+
+#[test]
+fn a_partition_is_built_in_a_few_allocations() {
+    let (allocs, partition) = allocations_of(|| Partition::new(100_000, 64));
+    assert_eq!(partition.capacity(), 100_000);
+    report("partition_new_allocs", allocs as f64);
+    assert!(
+        allocs <= 100_003,
+        "one allocation per object and three more"
+    );
+}
+
+/// A cached PUT on a 3-node rack, under each model: the shard threads of
+/// all three nodes are counted, since a Lin PUT is a round across them.
+#[test]
+fn what_a_cached_put_costs_the_shard_threads() {
+    const OPS: usize = 1_000;
+    let _one_rack = ONE_RACK.lock().unwrap_or_else(|poison| poison.into_inner());
+    for (model, name, budget) in [
+        (ConsistencyModel::Lin, "lin_put_shard_allocs_per_op", 49.05),
+        (ConsistencyModel::Sc, "sc_put_shard_allocs_per_op", 18.05),
+    ] {
+        let mut cfg = RackConfig::small(model, 3);
+        cfg.metrics = false;
+        let rack = Rack::launch(cfg).expect("launch rack");
+        let hot = 1u64;
+        rack.install_hot_set(&[(hot, vec![7; 40])])
+            .expect("install");
+        let mut call = client_of(&rack);
+        let put = Frame::Put {
+            key: hot,
+            value: vec![8; 40],
+        };
+        let mut cached_put = || assert!(matches!(call(&put), Frame::PutResp { cached: true, .. }));
+        for _ in 0..200 {
+            cached_put();
+        }
+        let allocs = shard_allocations_of(|| (0..OPS).for_each(|_| cached_put()));
+        rack.shutdown();
+        let per_op = allocs as f64 / OPS as f64;
+        report(name, per_op);
+        assert!(per_op <= budget, "{name}: {per_op} allocations per op");
+    }
+}
+
 #[test]
 fn what_one_op_costs_a_shard_thread() {
     const OPS: usize = 1_000;
     const BATCH: usize = 32;
+    let _one_rack = ONE_RACK.lock().unwrap_or_else(|poison| poison.into_inner());
     let mut cfg = RackConfig::small(ConsistencyModel::Lin, 3);
     cfg.metrics = false;
     let rack = Rack::launch(cfg).expect("launch rack");
@@ -151,20 +218,7 @@ fn what_one_op_costs_a_shard_thread() {
     rack.install_hot_set(&[(hot, vec![7; 40])])
         .expect("install");
 
-    let stream = rack
-        .transport()
-        .build()
-        .dial(rack.client_addrs()[0], Duration::from_secs(5))
-        .expect("dial node 0");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    // The hello gets no response of its own.
-    write_frame(&mut writer, &Frame::ClientHello).expect("hello");
-    let mut call = |frame: &Frame| -> Frame {
-        write_frame(&mut writer, frame).expect("write");
-        writer.flush().expect("flush");
-        read_frame(&mut reader).expect("read").expect("open")
-    };
+    let mut call = client_of(&rack);
     let put = Frame::Put {
         key: cold,
         value: vec![9; 40],
