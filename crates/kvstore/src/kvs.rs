@@ -11,6 +11,7 @@
 
 use crate::object::{ObjectHeader, ObjectSnapshot};
 use crate::partition::{Partition, PartitionError};
+use crate::seqlock::Payload;
 
 /// Concurrency model of a node's back-end KVS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,21 +222,16 @@ impl NodeKvs {
         writer: u8,
     ) -> Result<bool, KvError> {
         let partition = self.partition_for(thread, key)?;
-        if let Some(applied) = partition.modify(key, |hdr, _old| {
-            if (version, writer) > (hdr.clock, hdr.last_writer) {
-                (
-                    ObjectHeader {
-                        clock: version,
-                        last_writer: writer,
-                        ..hdr
-                    },
-                    Some(value.to_vec()),
-                    true,
-                )
-            } else {
-                (hdr, None, false)
+        let newer = |hdr: &mut ObjectHeader, old: &mut Payload<'_>| {
+            let newer = (version, writer) > (hdr.clock, hdr.last_writer);
+            if newer {
+                (hdr.clock, hdr.last_writer) = (version, writer);
+                old.truncate(0);
+                old.write(0, value);
             }
-        }) {
+            newer
+        };
+        if let Some(applied) = partition.modify(key, newer) {
             return Ok(applied);
         }
         // Key absent: plain insert.

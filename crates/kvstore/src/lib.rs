@@ -5,15 +5,15 @@
 //! concurrently by all KVS threads of a node (the *CRCW* model, §6.2). This
 //! crate re-implements that substrate from scratch:
 //!
-//! * [`seqlock`] — an OPTIK-style sequence lock: a spinlock serialises
-//!   writers while readers are lock-free and retry when they observe a
-//!   concurrent write. The version number doubles as the object's logical
-//!   (Lamport) clock, exactly as in §6.2 of the paper.
-//! * [`object`] — the stored object: 8-byte metadata header plus the value
-//!   bytes, protected by the seqlock.
-//! * [`index`] — a bucketized, set-associative hash index in the spirit of
-//!   MICA's lossy index, with an optional overflow chain so the back-end
-//!   store never silently drops keys.
+//! * [`seqlock`] — an OPTIK-style sequence lock: the version word doubles
+//!   as the writer's spinlock while readers are lock-free and retry when
+//!   they observe a concurrent write. The version number doubles as the
+//!   object's logical (Lamport) clock, exactly as in §6.2 of the paper.
+//! * [`object`] — the stored object: key, 8-byte metadata header and value
+//!   bytes inline under the seqlock; every read checks the key.
+//! * [`index`] — a bucketized hash index in MICA's layout: a bucket is one
+//!   64-byte line read with one version-validated copy, and a full bucket
+//!   spills into one ordered side map, so the store never drops a key.
 //! * [`partition`] — a single store partition (the unit of EREW ownership).
 //! * [`kvs`] — a node-level KVS combining partitions under either the
 //!   EREW (exclusive per-thread partitions) or CRCW (single concurrent
@@ -37,8 +37,8 @@ pub mod object;
 pub mod partition;
 pub mod seqlock;
 
-pub use index::{BucketIndex, IndexConfig};
+pub use index::BucketIndex;
 pub use kvs::{ConcurrencyModel, KvError, NodeKvs, VersionedValue};
 pub use object::{ObjectHeader, StoredObject};
 pub use partition::Partition;
-pub use seqlock::SeqLock;
+pub use seqlock::{Payload, SeqLock};

@@ -1,4 +1,5 @@
-//! Stored objects: the 8-byte metadata header plus the value bytes.
+//! Stored objects: the key, the 8-byte metadata header and the value, inline
+//! under one seqlock.
 //!
 //! §6.2: "Each key-value pair stored in the cache has an 8B header, where the
 //! necessary metadata for synchronization and consistency are efficiently
@@ -7,16 +8,21 @@
 //! (1B), a counter for the received acknowledgements (1B, only used in Lin)
 //! and the spinlock required to support the seqlock mechanism (1B)."
 //!
-//! We keep the header *inside* the seqlock-protected payload (the spinlock
-//! byte is subsumed by [`SeqLock`]'s writer lock), so a lock-free read always
-//! observes a header and value written by the same critical section — this is
-//! exactly the property the paper relies on when it treats consistency
-//! messages as writes.
+//! An object is a run of slab words: the seqlock's version (the spinlock
+//! byte's role) and length, the key, the header and the value. A lock-free
+//! read observes a header and value of one critical section — what the
+//! paper relies on when it treats consistency messages as writes — and
+//! their key: a slot recycled for another key between a reader's lookup and
+//! its read is a key mismatch in the validated copy, read as a miss.
 
-use crate::seqlock::SeqLock;
+use crate::seqlock::{Payload, SeqLock};
+use std::sync::atomic::AtomicU64;
 
 /// Size in bytes of the serialized object header.
 pub const HEADER_BYTES: usize = 8;
+
+/// Payload bytes before the value: the key, then the header.
+const PREFIX: usize = 8 + HEADER_BYTES;
 
 /// The 8-byte per-object metadata header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,95 +83,106 @@ pub struct ObjectSnapshot {
     pub seq_version: u64,
 }
 
-/// One stored object: header + value under a single seqlock.
+/// One stored object: key, header and value under a single seqlock, a view
+/// into its slab (`Box<StoredObject>` is the owned form).
 #[derive(Debug)]
-pub struct StoredObject {
-    lock: SeqLock,
-}
+#[repr(transparent)]
+pub struct StoredObject(SeqLock);
 
 impl StoredObject {
-    /// Creates an object able to hold values of up to `value_capacity` bytes.
-    pub fn with_value_capacity(value_capacity: usize) -> Self {
-        Self {
-            lock: SeqLock::with_capacity(HEADER_BYTES + value_capacity),
-        }
+    /// Words an object with values of up to `value_capacity` bytes takes.
+    pub(crate) fn words_for(value_capacity: usize) -> usize {
+        SeqLock::words_for(PREFIX + value_capacity)
     }
 
-    /// Creates an object and initialises it with the given header and value.
-    pub fn new(header: ObjectHeader, value: &[u8], value_capacity: usize) -> Self {
-        let obj = Self::with_value_capacity(value_capacity.max(value.len()));
-        obj.write(header, value);
-        obj
+    /// An owned object able to hold values of up to `value_capacity` bytes.
+    pub fn with_value_capacity(value_capacity: usize) -> Box<Self> {
+        let lock = SeqLock::with_capacity(PREFIX + value_capacity);
+        // SAFETY: `StoredObject` is `repr(transparent)` over `SeqLock`: same
+        // layout and slice-length metadata, so the box frees what it got.
+        unsafe { Box::from_raw(Box::into_raw(lock) as *mut Self) }
     }
 
-    /// Overwrites header and value in one critical section.
-    pub fn write(&self, header: ObjectHeader, value: &[u8]) {
-        let mut payload = Vec::with_capacity(HEADER_BYTES + value.len());
-        payload.extend_from_slice(&header.encode());
-        payload.extend_from_slice(value);
-        self.lock.write(&payload);
+    /// The object laid out in `words` (see [`StoredObject::words_for`]).
+    pub(crate) fn from_words(words: &[AtomicU64]) -> &Self {
+        // SAFETY: same layout as in `with_value_capacity`; `words`' lifetime.
+        unsafe { &*(SeqLock::from_words(words) as *const SeqLock as *const Self) }
     }
 
-    /// Lock-free consistent read of header + value: one validated copy,
-    /// the header onto the stack and the value into the `Vec` returned.
-    pub fn read(&self) -> ObjectSnapshot {
-        let mut header = [0u8; HEADER_BYTES];
-        let mut value = Vec::new();
-        let (len, seq_version) = self.lock.read_parts(0, &mut header, Some(&mut value));
-        ObjectSnapshot {
-            // Never written yet: a default header (and the empty value).
-            header: if len < HEADER_BYTES {
-                ObjectHeader::default()
-            } else {
-                ObjectHeader::decode(&header)
-            },
+    /// Makes this the object of `key`, with the given header and value, in
+    /// one critical section.
+    pub fn write(&self, key: u64, header: ObjectHeader, value: &[u8]) {
+        self.0.update(|payload| {
+            payload.truncate(0);
+            payload.write(0, &key.to_le_bytes());
+            payload.write(8, &header.encode());
+            payload.write(PREFIX, value);
+        });
+    }
+
+    /// Lock-free consistent read of `key`'s header and value; `None` if
+    /// the object holds another key (or none).
+    pub fn read(&self, key: u64) -> Option<ObjectSnapshot> {
+        let (parts, seq_version) = self.0.read_with(|payload| {
+            let (header, value) = Self::parts(key, payload)?;
+            Some((header, value.to_vec(0)))
+        });
+        let (header, value) = parts?;
+        Some(ObjectSnapshot {
+            header,
             value,
             seq_version,
-        }
+        })
     }
 
-    /// Lock-free read of the value in two parts, in the same validated
+    /// Lock-free read of `key`'s value in two parts, in one validated
     /// copy: its first bytes into `prefix`, as many as both hold, and —
-    /// when `rest` is given — the bytes past those appended to it.
-    /// Allocates only what `rest` grows by; returns the value's whole
-    /// length.
-    pub fn read_value_parts(&self, prefix: &mut [u8], rest: Option<&mut Vec<u8>>) -> usize {
-        let (len, _) = self.lock.read_parts(HEADER_BYTES, prefix, rest);
-        len.saturating_sub(HEADER_BYTES)
+    /// when `rest` is given — the bytes past those into it. Returns the
+    /// value's whole length; `None` if the object holds another key.
+    pub fn read_value_parts(
+        &self,
+        key: u64,
+        prefix: &mut [u8],
+        mut rest: Option<&mut Vec<u8>>,
+    ) -> Option<usize> {
+        self.0
+            .read_with(|payload| {
+                let (_, value) = Self::parts(key, payload)?;
+                value.read(0, prefix);
+                if let Some(rest) = rest.as_deref_mut() {
+                    *rest = value.to_vec(prefix.len());
+                }
+                Some(value.len())
+            })
+            .0
     }
 
-    /// Read-modify-write of header + value in one critical section.
-    ///
-    /// The closure receives the current header and value and returns the new
-    /// header and (optionally) a new value; returning `None` for the value
-    /// keeps the existing bytes. The closure's extra return value is passed
-    /// back to the caller (used by the cache layer to report protocol
-    /// decisions such as "update applied" vs "update stale").
+    /// Read-modify-write of `key`'s header and value, in place, in one
+    /// critical section: `f` edits both. `None` (and `f` not run) if the
+    /// object holds another key.
     pub fn modify<T>(
         &self,
-        f: impl FnOnce(ObjectHeader, &[u8]) -> (ObjectHeader, Option<Vec<u8>>, T),
-    ) -> T {
-        self.lock.update(|payload| {
-            let (header, value) = if payload.len() >= HEADER_BYTES {
-                (
-                    ObjectHeader::decode(payload),
-                    payload[HEADER_BYTES..].to_vec(),
-                )
-            } else {
-                (ObjectHeader::default(), Vec::new())
-            };
-            let (new_header, new_value, out) = f(header, &value);
-            let value = new_value.unwrap_or(value);
-            payload.clear();
-            payload.extend_from_slice(&new_header.encode());
-            payload.extend_from_slice(&value);
-            out
+        key: u64,
+        f: impl FnOnce(&mut ObjectHeader, &mut Payload<'_>) -> T,
+    ) -> Option<T> {
+        self.0.update(|payload| {
+            let (mut header, mut value) = Self::parts(key, payload)?;
+            let out = f(&mut header, &mut value);
+            payload.write(8, &header.encode());
+            Some(out)
         })
+    }
+
+    /// The header and the value of `payload` if it is `key`'s object.
+    fn parts<'a>(key: u64, payload: &'a Payload<'_>) -> Option<(ObjectHeader, Payload<'a>)> {
+        let mut prefix = [0u8; PREFIX];
+        let ours = payload.read(0, &mut prefix) == PREFIX && prefix[..8] == key.to_le_bytes();
+        ours.then(|| (ObjectHeader::decode(&prefix[8..]), payload.skip(PREFIX)))
     }
 
     /// Number of completed writes to this object.
     pub fn write_count(&self) -> u64 {
-        self.lock.write_count()
+        self.0.write_count()
     }
 }
 
@@ -195,61 +212,57 @@ mod tests {
             last_writer: 1,
             acks: 0,
         };
-        obj.write(h, b"value-bytes");
-        let snap = obj.read();
+        obj.write(9, h, b"value-bytes");
+        let snap = obj.read(9).expect("key 9's object");
         assert_eq!(snap.header, h);
         assert_eq!(snap.value, b"value-bytes");
         assert_eq!(obj.write_count(), 1);
     }
 
     #[test]
-    fn unwritten_object_reads_as_default() {
+    fn reads_of_another_key_miss() {
         let obj = StoredObject::with_value_capacity(16);
-        let snap = obj.read();
-        assert_eq!(snap.header, ObjectHeader::default());
-        assert!(snap.value.is_empty());
+        assert_eq!(obj.read(0), None, "never written");
+        obj.write(3, ObjectHeader::default(), b"three");
+        assert_eq!(obj.read(4), None);
+        assert_eq!(obj.read_value_parts(4, &mut [0; 2], None), None);
+        assert_eq!(obj.modify(4, |_, _| ()), None);
+        let mut prefix = [0; 2];
+        let mut rest = Vec::new();
+        assert_eq!(
+            obj.read_value_parts(3, &mut prefix, Some(&mut rest)),
+            Some(5)
+        );
+        assert_eq!((&prefix, rest.as_slice()), (b"th", b"ree".as_slice()));
     }
 
     #[test]
     fn modify_applies_conditionally() {
-        let obj = StoredObject::new(
-            ObjectHeader {
-                state: 0,
-                clock: 10,
-                last_writer: 2,
-                acks: 0,
-            },
-            b"old",
-            16,
-        );
+        let obj = StoredObject::with_value_capacity(16);
+        let old = ObjectHeader {
+            state: 0,
+            clock: 10,
+            last_writer: 2,
+            acks: 0,
+        };
+        obj.write(1, old, b"old");
         // An "update" with a smaller clock must be rejected by the closure.
-        let applied = obj.modify(|hdr, _val| {
-            if 8 > hdr.clock {
-                (
-                    ObjectHeader { clock: 8, ..hdr },
-                    Some(b"new".to_vec()),
-                    true,
-                )
-            } else {
-                (hdr, None, false)
+        let update = |clock, writer| {
+            move |hdr: &mut ObjectHeader, value: &mut Payload<'_>| {
+                let newer = clock > hdr.clock;
+                if newer {
+                    (hdr.clock, hdr.last_writer) = (clock, writer);
+                    value.truncate(0);
+                    value.write(0, b"new");
+                }
+                newer
             }
-        });
-        assert!(!applied);
-        assert_eq!(obj.read().value, b"old");
+        };
+        assert_eq!(obj.modify(1, update(8, 3)), Some(false));
+        assert_eq!(obj.read(1).unwrap().value, b"old");
         // A larger clock is applied.
-        let applied = obj.modify(|hdr, _val| {
-            (
-                ObjectHeader {
-                    clock: 42,
-                    last_writer: 3,
-                    ..hdr
-                },
-                Some(b"new".to_vec()),
-                true,
-            )
-        });
-        assert!(applied);
-        let snap = obj.read();
+        assert_eq!(obj.modify(1, update(42, 3)), Some(true));
+        let snap = obj.read(1).unwrap();
         assert_eq!(snap.value, b"new");
         assert_eq!(snap.header.clock, 42);
         assert_eq!(snap.header.last_writer, 3);
@@ -258,10 +271,10 @@ mod tests {
     #[test]
     fn value_can_shrink_and_grow_within_capacity() {
         let obj = StoredObject::with_value_capacity(32);
-        obj.write(ObjectHeader::default(), &[1u8; 32]);
-        obj.write(ObjectHeader::default(), &[2u8; 4]);
-        assert_eq!(obj.read().value, vec![2u8; 4]);
-        obj.write(ObjectHeader::default(), &[3u8; 20]);
-        assert_eq!(obj.read().value.len(), 20);
+        obj.write(1, ObjectHeader::default(), &[1u8; 32]);
+        obj.write(1, ObjectHeader::default(), &[2u8; 4]);
+        assert_eq!(obj.read(1).unwrap().value, vec![2u8; 4]);
+        obj.write(1, ObjectHeader::default(), &[3u8; 20]);
+        assert_eq!(obj.read(1).unwrap().value.len(), 20);
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! A partition is the unit of EREW ownership (one partition per KVS thread)
 //! and, in CRCW mode, the single structure shared by all threads of a node.
-//! Objects live in a pre-allocated slab (mirroring MICA's circular log /
-//! pre-registered memory; RDMA NICs need registered buffers) and are reached
-//! through the [`BucketIndex`].
+//! Objects live inline in one pre-allocated slab of words, a fixed stride
+//! apart (mirroring MICA's circular log / pre-registered memory; RDMA NICs
+//! need registered buffers), and are reached through the [`BucketIndex`].
 
-use crate::index::{BucketIndex, IndexConfig, InsertOutcome};
+use crate::index::{BucketIndex, InsertOutcome};
 use crate::object::{ObjectHeader, ObjectSnapshot, StoredObject};
+use crate::seqlock::{zeroed_words, Payload};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Errors returned by partition operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +47,13 @@ impl std::error::Error for PartitionError {}
 #[derive(Debug)]
 pub struct Partition {
     index: BucketIndex,
-    slab: Vec<StoredObject>,
-    free: Mutex<Vec<usize>>,
+    /// Every object, `stride` words each.
+    slab: Box<[AtomicU64]>,
+    stride: usize,
+    /// Free slots: those from `fresh` on, never handed out, and those
+    /// `remove` recycled.
+    fresh: AtomicUsize,
+    recycled: Mutex<Vec<usize>>,
     value_capacity: usize,
     len: AtomicUsize,
 }
@@ -58,12 +64,14 @@ impl Partition {
     /// cache are both built this way: the index never drops a key.
     pub fn new(capacity: usize, value_capacity: usize) -> Self {
         assert!(capacity > 0, "partition must hold at least one object");
+        let stride = StoredObject::words_for(value_capacity);
         Self {
-            index: BucketIndex::new(IndexConfig::store_for_capacity(capacity)),
-            slab: (0..capacity)
-                .map(|_| StoredObject::with_value_capacity(value_capacity))
-                .collect(),
-            free: Mutex::new((0..capacity).rev().collect()),
+            // Two keys a line on average when full: few buckets spill.
+            index: BucketIndex::new(capacity.div_ceil(2)),
+            slab: zeroed_words(capacity * stride),
+            stride,
+            fresh: AtomicUsize::new(0),
+            recycled: Mutex::new(Vec::new()),
             value_capacity,
             len: AtomicUsize::new(0),
         }
@@ -71,17 +79,12 @@ impl Partition {
 
     /// Maximum number of objects.
     pub fn capacity(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Maximum value size per object.
-    pub fn value_capacity(&self) -> usize {
-        self.value_capacity
+        self.slab.len() / self.stride
     }
 
     /// Number of objects currently stored.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.load(Relaxed)
     }
 
     /// Whether the partition is empty.
@@ -94,14 +97,22 @@ impl Partition {
         self.index.lookup(key).is_some()
     }
 
-    /// The stored object of `key`, if present.
+    fn slot(&self, slot: usize) -> &StoredObject {
+        StoredObject::from_words(&self.slab[slot * self.stride..][..self.stride])
+    }
+
+    /// The object the index maps `key` to. Its slot may be recycled for
+    /// another key before it is read, so every access passes the key.
     pub fn object(&self, key: u64) -> Option<&StoredObject> {
-        Some(&self.slab[self.index.lookup(key)?])
+        let object = self.slot(self.index.lookup(key)?);
+        #[cfg(test)]
+        looked_up();
+        Some(object)
     }
 
     /// Lock-free read of `key`.
     pub fn get(&self, key: u64) -> Option<ObjectSnapshot> {
-        self.object(key).map(StoredObject::read)
+        self.object(key)?.read(key)
     }
 
     /// Inserts or overwrites `key` with the given header and value.
@@ -112,51 +123,71 @@ impl Partition {
                 attempted: value.len(),
             });
         }
-        if let Some(slot) = self.index.lookup(key) {
-            self.slab[slot].write(header, value);
+        let overwrite = |stored: &mut ObjectHeader, bytes: &mut Payload<'_>| {
+            *stored = header;
+            bytes.truncate(0);
+            bytes.write(0, value);
+        };
+        if self.modify(key, overwrite).is_some() {
             return Ok(());
         }
-        let slot = {
-            let mut free = self.free.lock();
-            free.pop().ok_or(PartitionError::CapacityExceeded)?
-        };
-        self.slab[slot].write(header, value);
+        let fresh = |n| (n < self.capacity()).then_some(n + 1);
+        let slot = (self.recycled.lock().pop())
+            .or_else(|| self.fresh.fetch_update(Relaxed, Relaxed, fresh).ok())
+            .ok_or(PartitionError::CapacityExceeded)?;
+        self.slot(slot).write(key, header, value);
         match self.index.insert(key, slot) {
             InsertOutcome::Inserted => {
-                self.len.fetch_add(1, Ordering::Relaxed);
+                self.len.fetch_add(1, Relaxed);
             }
             InsertOutcome::Updated { previous_slot } => {
                 // A concurrent insert of the same key won the race; recycle
                 // our slot and keep theirs... except insert() replaced their
                 // slot with ours, so recycle the previous one instead.
-                self.free.lock().push(previous_slot);
+                self.recycled.lock().push(previous_slot);
             }
         }
         Ok(())
     }
 
-    /// Read-modify-write on an existing key. Returns `None` if absent.
+    /// Read-modify-write of an existing key, in place under the object's
+    /// writer lock: `f` edits its header and value. `None` if absent.
     pub fn modify<T>(
         &self,
         key: u64,
-        f: impl FnOnce(ObjectHeader, &[u8]) -> (ObjectHeader, Option<Vec<u8>>, T),
+        f: impl FnOnce(&mut ObjectHeader, &mut Payload<'_>) -> T,
     ) -> Option<T> {
-        self.object(key).map(|object| object.modify(f))
+        self.object(key)?.modify(key, f)
     }
 
     /// Removes `key`, returning its last snapshot if it was present.
     pub fn remove(&self, key: u64) -> Option<ObjectSnapshot> {
         let slot = self.index.remove(key)?;
-        let snap = self.slab[slot].read();
-        self.free.lock().push(slot);
-        self.len.fetch_sub(1, Ordering::Relaxed);
-        Some(snap)
+        let snap = self.slot(slot).read(key);
+        self.recycled.lock().push(slot);
+        self.len.fetch_sub(1, Relaxed);
+        snap
     }
 
     /// All keys currently stored (diagnostic helper).
     pub fn keys(&self) -> Vec<u64> {
         self.index.keys()
     }
+}
+
+/// Test hook: runs between a read's index lookup and its object read, so
+/// that the slot can be recycled at exactly that point on one thread.
+#[cfg(test)]
+fn looked_up() {
+    if let Some(hook) = LOOKED_UP.with(|cell| cell.borrow_mut().take()) {
+        hook();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static LOOKED_UP: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 #[cfg(test)]
@@ -227,7 +258,52 @@ mod tests {
     #[test]
     fn modify_absent_key_is_none() {
         let p = Partition::new(4, 8);
-        assert!(p.modify(7, |h, _| (h, None, ())).is_none());
+        assert!(p.modify(7, |_, _| ()).is_none());
+    }
+
+    /// Between a reader's index lookup and its read, the key is removed
+    /// and its slot refilled with another key: the read misses instead of
+    /// returning the other key's value.
+    #[test]
+    fn a_read_of_a_recycled_slot_misses() {
+        use std::rc::Rc;
+        let p = Rc::new(Partition::new(1, 8));
+        type Read = fn(&Partition) -> Option<Vec<u8>>;
+        let reads: [Read; 3] = [
+            |p| p.get(1).map(|snap| snap.value),
+            |p| {
+                p.object(1)?
+                    .read_value_parts(1, &mut [0; 2], None)
+                    .map(|_| vec![])
+            },
+            |p| p.modify(1, |_, value| value.to_vec(0)),
+        ];
+        for read in reads {
+            p.put(1, header(1), b"one").unwrap();
+            let recycler = Rc::clone(&p);
+            LOOKED_UP.with(|cell| {
+                *cell.borrow_mut() = Some(Box::new(move || {
+                    assert!(recycler.remove(1).is_some());
+                    recycler.put(2, header(2), b"two").unwrap();
+                }));
+            });
+            assert_eq!(read(&p), None);
+            assert_eq!(p.get(2).unwrap().value, b"two", "the slot is key 2's");
+            p.remove(2);
+        }
+    }
+
+    #[test]
+    fn slots_come_from_a_bump_counter_then_from_the_recycled_ones() {
+        let p = Partition::new(1000, 64);
+        assert_eq!(p.fresh.load(Relaxed), 0);
+        for k in 0..10u64 {
+            p.put(k, header(0), b"x").unwrap();
+        }
+        p.remove(3);
+        p.put(99, header(0), b"y").unwrap();
+        assert_eq!(p.fresh.load(Relaxed), 10, "the freed slot is reused");
+        assert!(p.recycled.lock().is_empty());
     }
 
     #[test]

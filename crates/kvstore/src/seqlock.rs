@@ -9,51 +9,55 @@
 //! has changed, then a write has happened concurrently with the read and thus
 //! the reader retries."
 //!
-//! The implementation here stores the protected payload as a sequence of
-//! relaxed atomic words so that concurrent readers never race with writers in
-//! the Rust memory model (no `unsafe` is required). Torn reads are detected —
-//! and retried — through the version check, exactly like the C original.
+//! Here the version word is the spinlock, taken by one compare-and-swap. A
+//! seqlock is a run of relaxed atomic words — version, length, payload —
+//! laid out inline in a slab (`Box<SeqLock>` is the owned form), fenced as
+//! in Boehm, "Can seqlocks get along with programming language memory
+//! models?" (MSPC 2012).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering::*};
 
-/// A sequence lock protecting a variable-length byte payload.
+const VERSION: usize = 0;
+const LEN: usize = 1;
+const PAYLOAD: usize = 2;
+
+/// A sequence lock over a variable-length byte payload, stored inline.
 ///
 /// The version starts at 0 and is odd exactly while a writer is inside the
-/// critical section. The version advances by 2 per completed write, so
-/// `version / 2` counts writes; ccKVS reuses this counter as the object's
-/// Lamport clock.
+/// critical section. It advances by 2 per completed write, so `version / 2`
+/// counts writes; ccKVS reuses this counter as the object's Lamport clock.
 #[derive(Debug)]
-pub struct SeqLock {
-    /// Spinlock serialising writers (the 1-byte spinlock of the paper).
-    writer_lock: AtomicBool,
-    /// Seqlock version; odd while a write is in progress.
-    version: AtomicU64,
-    /// Payload storage as 8-byte words; capacity fixed at construction.
-    words: Vec<AtomicU64>,
-    /// Current payload length in bytes.
-    len: AtomicUsize,
-}
+#[repr(transparent)]
+pub struct SeqLock([AtomicU64]);
 
 impl SeqLock {
-    /// Creates a seqlock able to hold payloads of up to `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let nwords = capacity.div_ceil(8).max(1);
-        Self {
-            writer_lock: AtomicBool::new(false),
-            version: AtomicU64::new(0),
-            words: (0..nwords).map(|_| AtomicU64::new(0)).collect(),
-            len: AtomicUsize::new(0),
-        }
+    /// Words a seqlock over up to `capacity` payload bytes takes.
+    pub(crate) fn words_for(capacity: usize) -> usize {
+        PAYLOAD + capacity.div_ceil(8).max(1)
+    }
+
+    /// An owned seqlock able to hold payloads of up to `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Box<Self> {
+        let words = zeroed_words(Self::words_for(capacity));
+        // SAFETY: `SeqLock` is `repr(transparent)` over `[AtomicU64]`: same
+        // layout and slice-length metadata, so the box frees what it got.
+        unsafe { Box::from_raw(Box::into_raw(words) as *mut Self) }
+    }
+
+    /// The seqlock laid out in `words` (see [`SeqLock::words_for`]).
+    pub(crate) fn from_words(words: &[AtomicU64]) -> &Self {
+        // SAFETY: same layout as in `with_capacity`; `words`' lifetime.
+        unsafe { &*(words as *const [AtomicU64] as *const Self) }
     }
 
     /// Maximum payload size in bytes.
     pub fn capacity(&self) -> usize {
-        self.words.len() * 8
+        (self.0.len() - PAYLOAD) * 8
     }
 
     /// Current (possibly in-flux) version. Even ⇒ no writer inside.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.0[VERSION].load(Acquire)
     }
 
     /// Number of completed writes (the version with the in-progress bit
@@ -68,120 +72,156 @@ impl SeqLock {
     ///
     /// Panics if `payload` exceeds the capacity chosen at construction.
     pub fn write(&self, payload: &[u8]) {
-        assert!(
-            payload.len() <= self.capacity(),
-            "payload of {} bytes exceeds seqlock capacity {}",
-            payload.len(),
-            self.capacity()
-        );
-        let v = self.enter();
-        self.store_and_leave(v, payload);
+        self.update(|bytes| {
+            bytes.truncate(0);
+            bytes.write(0, payload);
+        });
     }
 
-    /// Executes `mutate` on the current payload under the writer lock and
-    /// stores the result, all within a single critical section.
-    ///
-    /// Returns the value produced by `mutate`.
-    pub fn update<T>(&self, mutate: impl FnOnce(&mut Vec<u8>) -> T) -> T {
-        let v = self.enter();
-        // Under the writer lock nothing moves: the copy needs no check.
-        let mut current = vec![0; self.len.load(Ordering::Relaxed)];
-        self.copy_out(0, &mut current);
-        let out = mutate(&mut current);
-        assert!(current.len() <= self.capacity());
-        self.store_and_leave(v, &current);
+    /// Runs `mutate` on the payload, in place, in one critical section
+    /// under the writer lock; returns what `mutate` returns.
+    pub fn update<T>(&self, mutate: impl FnOnce(&mut Payload<'_>) -> T) -> T {
+        write_locked(&self.0[VERSION], || mutate(&mut Payload(self, 0)))
+    }
+
+    /// The lock-free read every reader sits on: runs `pass` over the
+    /// payload until one pass raced no writer, and returns that pass's
+    /// result with the even version it observed.
+    pub fn read_with<T>(&self, mut pass: impl FnMut(&Payload<'_>) -> T) -> (T, u64) {
+        read_validated(&self.0[VERSION], || pass(&Payload(self, 0)))
+    }
+
+    /// Lock-free read of the whole payload and the version it was read at.
+    pub fn read(&self) -> (Vec<u8>, u64) {
+        self.read_with(|payload| payload.to_vec(0))
+    }
+}
+
+/// A seqlock's payload from a byte offset on. Shared (`&`), it is a
+/// reader's view, meaningful only inside [`SeqLock::read_with`]'s
+/// validation; a writer holding the lock gets it `&mut` to edit in place.
+#[derive(Debug)]
+pub struct Payload<'a>(&'a SeqLock, usize);
+
+impl Payload<'_> {
+    /// The view from byte `at` of this one on.
+    pub(crate) fn skip(&self, at: usize) -> Payload<'_> {
+        Payload(self.0, self.1 + at)
+    }
+
+    /// Number of bytes in view.
+    pub fn len(&self) -> usize {
+        reader_step();
+        let len = self.0 .0[LEN].load(Relaxed) as usize;
+        len.min(self.0.capacity()).saturating_sub(self.1)
+    }
+
+    /// Whether no byte is in view.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Copies bytes `at..` into `dst`, as many as both hold; returns how
+    /// many. Bytes of `dst` past them are left as they were.
+    pub fn read(&self, at: usize, dst: &mut [u8]) -> usize {
+        let n = self.len().saturating_sub(at).min(dst.len());
+        let (mut from, mut dst) = (self.1 + at, &mut dst[..n]);
+        while !dst.is_empty() {
+            reader_step();
+            let word = self.0 .0[PAYLOAD + from / 8].load(Relaxed).to_le_bytes();
+            let chunk = &word[from % 8..];
+            let k = chunk.len().min(dst.len());
+            let (filled, rest) = dst.split_at_mut(k);
+            filled.copy_from_slice(&chunk[..k]);
+            dst = rest;
+            from += k;
+        }
+        n
+    }
+
+    /// Bytes `at..` as a new `Vec`.
+    pub fn to_vec(&self, at: usize) -> Vec<u8> {
+        let mut out = vec![0; self.len().saturating_sub(at)];
+        self.read(at, &mut out);
         out
     }
 
-    /// Acquires the writer spinlock and enters the critical section (bumps
-    /// the version to odd); returns the version found.
-    fn enter(&self) -> u64 {
-        while self
-            .writer_lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
+    /// Stores `src` at byte `at`; the view grows to cover it if needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the seqlock's capacity.
+    pub fn write(&mut self, at: usize, mut src: &[u8]) {
+        let (lock, grows) = (self.0, at + src.len() > self.len());
+        let (mut at, end) = (self.1 + at, self.1 + at + src.len());
+        assert!(end <= lock.capacity(), "payload past seqlock capacity");
+        while !src.is_empty() {
+            // A word at a time; a ragged end merges into its word.
+            let word = &lock.0[PAYLOAD + at / 8];
+            let k = (8 - at % 8).min(src.len());
+            let mut bytes = word.load(Relaxed).to_le_bytes();
+            bytes[at % 8..at % 8 + k].copy_from_slice(&src[..k]);
+            word.store(u64::from_le_bytes(bytes), Relaxed);
+            (at, src) = (at + k, &src[k..]);
+        }
+        if grows {
+            lock.0[LEN].store(end as u64, Relaxed);
+        }
+    }
+
+    /// Shortens the view to `len` bytes (no-op if it is not longer).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.0 .0[LEN].store((self.1 + len) as u64, Relaxed);
+        }
+    }
+}
+
+/// `n` zeroed words in one allocation: pages the caller never writes are
+/// never touched.
+pub(crate) fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    // SAFETY: all-zero bytes are a valid `AtomicU64`.
+    unsafe { Box::new_zeroed_slice(n).assume_init() }
+}
+
+/// Runs `section` as a writer of the seqlock whose version is `version`:
+/// takes it from even to odd (the compare-and-swap is the writer lock),
+/// then back to even, two higher.
+pub(crate) fn write_locked<T>(version: &AtomicU64, section: impl FnOnce() -> T) -> T {
+    let v = loop {
+        // Fails while the version is odd: another writer is inside.
+        let v = version.load(Relaxed) & !1;
+        if version
+            .compare_exchange_weak(v, v + 1, Acquire, Relaxed)
+            .is_ok()
         {
+            break v;
+        }
+        std::hint::spin_loop();
+    };
+    // The odd version stays ahead of every store the section makes.
+    fence(Release);
+    let out = section();
+    version.store(v + 2, Release);
+    out
+}
+
+/// Runs `pass` until it ran between two loads of `version` that saw the
+/// same even value; returns that pass's result and the version.
+pub(crate) fn read_validated<T>(version: &AtomicU64, mut pass: impl FnMut() -> T) -> (T, u64) {
+    loop {
+        reader_step();
+        let v1 = version.load(Acquire);
+        if v1 % 2 == 1 {
             std::hint::spin_loop();
+            continue;
         }
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v.wrapping_add(1), Ordering::Release);
-        v
-    }
-
-    /// Stores `payload` word by word, leaves the critical section entered
-    /// at version `v` (bumps the version back to even) and unlocks.
-    fn store_and_leave(&self, v: u64, payload: &[u8]) {
-        for (word, chunk) in self.words.iter().zip(payload.chunks(8)) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            word.store(u64::from_le_bytes(buf), Ordering::Relaxed);
-        }
-        self.len.store(payload.len(), Ordering::Relaxed);
-        self.version.store(v.wrapping_add(2), Ordering::Release);
-        self.writer_lock.store(false, Ordering::Release);
-    }
-
-    /// Lock-free read: returns a consistent snapshot of the payload together
-    /// with the even version observed (the write count at the time of the
-    /// snapshot is `version / 2`).
-    pub fn read(&self) -> (Vec<u8>, u64) {
-        let mut snapshot = Vec::new();
-        let (_, version) = self.read_parts(0, &mut [], Some(&mut snapshot));
-        (snapshot, version)
-    }
-
-    /// The lock-free read every reader sits on: one validated pass that
-    /// skips `skip` payload bytes, fills `head` (fixed-size, the caller's
-    /// stack) with the next ones and — when a `tail` is given — appends
-    /// everything past `head` to it. A pass that raced a writer is thrown
-    /// away and repeated. Returns the payload's whole length and the even
-    /// version the pass observed; `head` past the payload's end holds
-    /// nothing meaningful.
-    pub fn read_parts(
-        &self,
-        skip: usize,
-        head: &mut [u8],
-        mut tail: Option<&mut Vec<u8>>,
-    ) -> (usize, u64) {
-        let keep = tail.as_ref().map_or(0, |tail| tail.len());
-        let head_end = skip + head.len();
-        loop {
-            reader_step();
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            reader_step();
-            let len = self.len.load(Ordering::Relaxed);
-            let in_head = len.min(head_end).saturating_sub(skip);
-            self.copy_out(skip, &mut head[..in_head]);
-            if let Some(tail) = tail.as_deref_mut() {
-                // Sized for this pass: what a raced pass appended goes.
-                tail.resize(keep + len.saturating_sub(head_end), 0);
-                self.copy_out(head_end, &mut tail[keep..]);
-            }
-            reader_step();
-            if self.version.load(Ordering::Acquire) == v1 {
-                return (len, v1);
-            }
-        }
-    }
-
-    /// The one copy-out loop, a word per load: payload bytes
-    /// `from..from + dst.len()` into `dst`. No version check — meaningful
-    /// only under the writer lock or inside [`SeqLock::read_parts`]'
-    /// validation.
-    fn copy_out(&self, mut from: usize, mut dst: &mut [u8]) {
-        while !dst.is_empty() {
-            reader_step();
-            let word = self.words[from / 8].load(Ordering::Relaxed).to_le_bytes();
-            let chunk = &word[from % 8..];
-            let n = chunk.len().min(dst.len());
-            let (filled, rest) = dst.split_at_mut(n);
-            filled.copy_from_slice(&chunk[..n]);
-            dst = rest;
-            from += n;
+        let out = pass();
+        // The pass's loads stay behind the closing check.
+        fence(Acquire);
+        reader_step();
+        if version.load(Relaxed) == v1 {
+            return (out, v1);
         }
     }
 }
@@ -189,7 +229,7 @@ impl SeqLock {
 /// Test hook: runs before every atomic load of a reader, so that a scripted
 /// writer can be stepped between any two of them on one thread.
 #[inline]
-fn reader_step() {
+pub(crate) fn reader_step() {
     #[cfg(test)]
     if let Some(mut hook) = READER_STEP.with(|cell| cell.borrow_mut().take()) {
         hook();
@@ -199,7 +239,7 @@ fn reader_step() {
 
 #[cfg(test)]
 thread_local! {
-    static READER_STEP: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+    pub(crate) static READER_STEP: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -224,21 +264,24 @@ mod tests {
 
     impl ScriptedWriter {
         fn step(&mut self) {
-            let lock = &self.lock;
+            let words = &self.lock.0;
             let payload = &self.payloads[(self.writes + 1) % 2];
-            let words = payload.len().div_ceil(8);
-            let v = lock.version.load(Ordering::Relaxed);
+            let n = payload.len().div_ceil(8);
+            let v = words[VERSION].load(Relaxed);
             match self.stage {
-                0 => lock.version.store(v + 1, Ordering::Release),
-                s if s <= words => {
+                0 => {
+                    words[VERSION].store(v + 1, Relaxed);
+                    fence(Release);
+                }
+                s if s <= n => {
                     let mut buf = [0u8; 8];
                     let chunk = &payload[(s - 1) * 8..(s * 8).min(payload.len())];
                     buf[..chunk.len()].copy_from_slice(chunk);
-                    lock.words[s - 1].store(u64::from_le_bytes(buf), Ordering::Relaxed);
+                    words[PAYLOAD + s - 1].store(u64::from_le_bytes(buf), Relaxed);
                 }
-                s if s == words + 1 => lock.len.store(payload.len(), Ordering::Relaxed),
+                s if s == n + 1 => words[LEN].store(payload.len() as u64, Relaxed),
                 _ => {
-                    lock.version.store(v + 1, Ordering::Release);
+                    words[VERSION].store(v + 1, Release);
                     self.writes += 1;
                     self.stage = 0;
                     return;
@@ -246,6 +289,21 @@ mod tests {
             }
             self.stage += 1;
         }
+    }
+
+    /// The window a reader asks for: `head` bytes from `skip` on, then —
+    /// with a tail — every byte past them.
+    fn window(
+        payload: &Payload<'_>,
+        skip: usize,
+        head: &mut [u8],
+        tail: Option<&mut Vec<u8>>,
+    ) -> usize {
+        payload.read(skip, head);
+        if let Some(tail) = tail {
+            *tail = payload.to_vec(skip + head.len());
+        }
+        payload.len()
     }
 
     /// What a clean read of `payload` hands out for this window.
@@ -274,7 +332,7 @@ mod tests {
             head_len in 0usize..60,
             with_tail in any::<bool>(),
         ) {
-            let lock = Arc::new(SeqLock::with_capacity(96));
+            let lock: Arc<SeqLock> = SeqLock::with_capacity(96).into();
             lock.write(&a);
             let mut writer = ScriptedWriter {
                 lock: Arc::clone(&lock),
@@ -294,15 +352,17 @@ mod tests {
                 }));
             });
             let mut head = vec![0xEE; head_len];
-            let mut tail = vec![0xEE; 3];
-            let (len, version) = lock.read_parts(skip, &mut head, with_tail.then_some(&mut tail));
+            let mut tail = Vec::new();
+            let (len, version) = lock.read_with(|payload| {
+                head.fill(0xEE);
+                window(payload, skip, &mut head, with_tail.then_some(&mut tail))
+            });
             READER_STEP.with(|cell| *cell.borrow_mut() = None);
 
             prop_assert_eq!(version % 2, 0);
-            prop_assert_eq!(&tail[..3], &[0xEE; 3], "what the tail held is kept");
             let got = |payload: &[u8]| {
                 let (_, want_head, _) = parts_of(payload, skip, head_len, with_tail);
-                (len, head[..want_head.len().min(head.len())].to_vec(), tail[3..].to_vec())
+                (len, head[..want_head.len()].to_vec(), tail.clone())
             };
             prop_assert!(
                 got(&a) == parts_of(&a, skip, head_len, with_tail)
@@ -311,8 +371,8 @@ mod tests {
             );
         }
 
-        /// A tail-less `read_parts` window is the matching slice of
-        /// `read`, whatever the offset and the buffer's size.
+        /// A window is the matching slice of `read`, whatever the offset
+        /// and the buffer's size.
         #[test]
         fn a_window_is_the_matching_slice_of_read(
             payload in prop::collection::vec(any::<u8>(), 0..96),
@@ -324,19 +384,40 @@ mod tests {
             let (whole, _) = lock.read();
             prop_assert_eq!(&whole, &payload);
             let mut buf = vec![0xEE; size];
-            prop_assert_eq!(lock.read_parts(offset, &mut buf, None).0, payload.len());
+            prop_assert_eq!(lock.read_with(|p| window(p, offset, &mut buf, None)).0, payload.len());
             let window = &whole[offset.min(whole.len())..(offset + size).min(whole.len())];
             prop_assert_eq!(&buf[..window.len()], window);
             prop_assert!(buf[window.len()..].iter().all(|&byte| byte == 0xEE));
+        }
+
+        /// In-place writes at any offset, aligned or not, leave the bytes
+        /// around them alone and grow the length only past its end.
+        #[test]
+        fn in_place_writes_edit_only_their_bytes(
+            before in prop::collection::vec(any::<u8>(), 0..64),
+            src in prop::collection::vec(any::<u8>(), 0..32),
+            at in 0usize..64,
+        ) {
+            let lock = SeqLock::with_capacity(96);
+            lock.write(&before);
+            lock.update(|payload| payload.write(at, &src));
+            let mut want = before.clone();
+            want.resize(want.len().max(at + src.len()), 0);
+            want[at..at + src.len()].copy_from_slice(&src);
+            let (got, _) = lock.read();
+            // Bytes between the old end and `at` are whatever was there.
+            prop_assert_eq!(got.len(), want.len());
+            prop_assert_eq!(&got[..before.len().min(at)], &want[..before.len().min(at)]);
+            prop_assert_eq!(&got[at..], &want[at..]);
         }
     }
 
     /// A writer thread alternates two payloads of different lengths, each
     /// filled with its own byte, for 200 ms; every `read` and every
-    /// tail-less `read_parts` window must be wholly one of them.
+    /// window must be wholly one of them.
     #[test]
     fn two_thread_stress_never_yields_a_torn_read() {
-        let lock = Arc::new(SeqLock::with_capacity(128));
+        let lock: Arc<SeqLock> = SeqLock::with_capacity(128).into();
         let payloads = [vec![0xAAu8; 51], vec![0x55u8; 120]];
         lock.write(&payloads[0]);
         let start = Arc::new(Barrier::new(2));
@@ -369,7 +450,7 @@ mod tests {
             whole(&bytes, bytes.len(), 0);
             for offset in [0, 8, 43] {
                 let mut buf = [0u8; 43];
-                let (len, _) = lock.read_parts(offset, &mut buf, None);
+                let (len, _) = lock.read_with(|p| window(p, offset, &mut buf, None));
                 whole(&buf[..buf.len().min(len - offset)], len, offset);
             }
         }
@@ -391,13 +472,13 @@ mod tests {
         let lock = SeqLock::with_capacity(64);
         lock.write(b"hello wide world");
         let mut buf = [b'.'; 4];
-        assert_eq!(lock.read_parts(6, &mut buf, None).0, 16);
+        assert_eq!(lock.read_with(|p| window(p, 6, &mut buf, None)).0, 16);
         assert_eq!(&buf, b"wide");
         // A window past the payload's end fills what exists.
         let mut buf = [b'.'; 8];
-        assert_eq!(lock.read_parts(11, &mut buf, None).0, 16);
+        assert_eq!(lock.read_with(|p| window(p, 11, &mut buf, None)).0, 16);
         assert_eq!(&buf, b"world...");
-        assert_eq!(lock.read_parts(40, &mut buf, None).0, 16);
+        assert_eq!(lock.read_with(|p| window(p, 40, &mut buf, None)).0, 16);
         assert_eq!(&buf, b"world...");
     }
 
@@ -414,9 +495,11 @@ mod tests {
     fn update_sees_previous_value() {
         let lock = SeqLock::with_capacity(16);
         lock.write(&5u64.to_le_bytes());
-        let prev = lock.update(|bytes| {
-            let prev = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-            bytes.copy_from_slice(&(prev + 1).to_le_bytes());
+        let prev = lock.update(|payload| {
+            let mut bytes = [0u8; 8];
+            payload.read(0, &mut bytes);
+            let prev = u64::from_le_bytes(bytes);
+            payload.write(0, &(prev + 1).to_le_bytes());
             prev
         });
         assert_eq!(prev, 5);
@@ -444,7 +527,7 @@ mod tests {
     fn concurrent_readers_never_observe_torn_writes() {
         // Writers alternate between two patterns; readers must only ever see
         // one of the two complete patterns, never a mix.
-        let lock = Arc::new(SeqLock::with_capacity(64));
+        let lock: Arc<SeqLock> = SeqLock::with_capacity(64).into();
         let pattern_a = vec![0xAAu8; 48];
         let pattern_b = vec![0x55u8; 48];
         lock.write(&pattern_a);

@@ -164,20 +164,23 @@ fn a_partition_is_built_in_a_few_allocations() {
     assert_eq!(partition.capacity(), 100_000);
     report("partition_new_allocs", allocs as f64);
     assert!(
-        allocs <= 100_003,
-        "one allocation per object and three more"
+        allocs <= 4,
+        "the slab and the index, in one allocation each"
     );
 }
 
 /// A cached PUT on a 3-node rack, under each model: the shard threads of
 /// all three nodes are counted, since a Lin PUT is a round across them.
+/// An SC PUT answers before its updates land, so peers' queues and
+/// batches vary from run to run: its budget carries most of an allocation
+/// per op of slack, the Lin round's a tenth.
 #[test]
 fn what_a_cached_put_costs_the_shard_threads() {
     const OPS: usize = 1_000;
     let _one_rack = ONE_RACK.lock().unwrap_or_else(|poison| poison.into_inner());
     for (model, name, budget) in [
-        (ConsistencyModel::Lin, "lin_put_shard_allocs_per_op", 49.05),
-        (ConsistencyModel::Sc, "sc_put_shard_allocs_per_op", 18.05),
+        (ConsistencyModel::Lin, "lin_put_shard_allocs_per_op", 22.1),
+        (ConsistencyModel::Sc, "sc_put_shard_allocs_per_op", 8.0),
     ] {
         let mut cfg = RackConfig::small(model, 3);
         cfg.metrics = false;

@@ -20,6 +20,7 @@ use consistency::messages::{Action, ConsistencyModel, Event, ProtocolMsg};
 use consistency::sc::ScKeyState;
 use kvstore::object::ObjectHeader;
 use kvstore::partition::Partition;
+use kvstore::seqlock::Payload;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -171,6 +172,13 @@ impl Meta {
         out[34..42].copy_from_slice(&self.lin.value.to_le_bytes());
         out[42] = u8::from(self.frozen);
         out
+    }
+
+    /// The metadata at the front of an entry's value.
+    fn of(value: &Payload<'_>) -> Self {
+        let mut bytes = [0u8; META_BYTES];
+        value.read(0, &mut bytes);
+        Self::decode(&bytes)
     }
 
     fn decode(bytes: &[u8]) -> Self {
@@ -356,14 +364,12 @@ impl SymmetricCache {
     /// returning whether the key was present.
     pub fn activate(&self, key: u64) -> bool {
         self.store
-            .modify(key, |hdr, payload| {
-                let mut meta = Meta::decode(payload);
+            .modify(key, |_, payload| {
+                let mut meta = Meta::of(payload);
                 meta.frozen = false;
-                let mut new_payload = payload.to_vec();
-                new_payload[..META_BYTES].copy_from_slice(&meta.encode());
-                (hdr, Some(new_payload), true)
+                payload.write(0, &meta.encode());
             })
-            .unwrap_or(false)
+            .is_some()
     }
 
     /// Evicts `key` from the cache (epoch change, §4).
@@ -376,20 +382,15 @@ impl SymmetricCache {
     /// the caller retries once the acks arrive.
     pub fn evict(&self, key: u64) -> EvictOutcome {
         let frozen = self.store.modify(key, |hdr, payload| {
-            let mut meta = Meta::decode(payload);
+            let mut meta = Meta::of(payload);
             if meta.lin.pending.is_some() {
-                return (hdr, None, None);
+                return None;
             }
             meta.frozen = true;
-            let mut new_payload = payload.to_vec();
-            new_payload[..META_BYTES].copy_from_slice(&meta.encode());
+            payload.write(0, &meta.encode());
             let install_ts = Timestamp::new(hdr.clock, NodeId(hdr.last_writer));
-            let snapshot = (
-                payload[META_BYTES..].to_vec(),
-                meta.lin.ts,
-                meta.lin.ts != install_ts,
-            );
-            (hdr, Some(new_payload), Some(snapshot))
+            let dirty = meta.lin.ts != install_ts;
+            Some((payload.to_vec(META_BYTES), meta.lin.ts, dirty))
         });
         #[cfg(test)]
         section_left();
@@ -450,11 +451,8 @@ impl SymmetricCache {
     /// asked for, by the same validated copy.
     fn read_rules(&self, key: u64, value: Option<&mut Vec<u8>>) -> (ReadProbe, Timestamp) {
         let mut meta = [0u8; META_BYTES];
-        match self
-            .store
-            .object(key)
-            .map(|entry| entry.read_value_parts(&mut meta, value))
-        {
+        let entry = self.store.object(key);
+        match entry.and_then(|entry| entry.read_value_parts(key, &mut meta, value)) {
             Some(len) if len >= META_BYTES => {}
             _ => return (ReadProbe::Miss, Timestamp::ZERO),
         }
@@ -488,35 +486,28 @@ impl SymmetricCache {
 
     /// Probes the cache for a write of `value` (tagged `tag`).
     pub fn write(&self, key: u64, value: &[u8], tag: u64) -> WriteOutcome {
-        if !self.store.contains(key) {
-            return WriteOutcome::Miss;
-        }
         let model = self.model;
         let me = self.me;
         let replicas = self.replicas;
-        let result = self.store.modify(key, |hdr, payload| {
-            let mut meta = Meta::decode(payload);
+        let result = self.store.modify(key, |_, payload| {
+            let mut meta = Meta::of(payload);
             if meta.frozen {
-                return (hdr, None, (Vec::new(), meta));
+                // Mid-eviction: the key is logically uncached already.
+                return None;
             }
             let actions = meta.step(model, me, replicas, Event::ClientPut { value: tag });
-            if actions.contains(&Action::PutStall) {
-                return (hdr, None, (actions, meta));
+            if !actions.contains(&Action::PutStall) {
+                payload.write(0, &meta.encode());
+                payload.truncate(META_BYTES);
+                payload.write(META_BYTES, value);
             }
-            let mut new_payload = Vec::with_capacity(META_BYTES + value.len());
-            new_payload.extend_from_slice(&meta.encode());
-            new_payload.extend_from_slice(value);
-            (hdr, Some(new_payload), (actions, meta))
+            Some(actions)
         });
         #[cfg(test)]
         section_left();
-        let Some((actions, meta)) = result else {
+        let Some(Some(actions)) = result else {
             return WriteOutcome::Miss;
         };
-        if meta.frozen {
-            // Mid-eviction: the key is logically uncached already.
-            return WriteOutcome::Miss;
-        }
         if actions.contains(&Action::PutStall) {
             return WriteOutcome::Stall;
         }
@@ -543,13 +534,6 @@ impl SymmetricCache {
     /// value bytes) to the cache.
     pub fn deliver(&self, msg: &ProtocolMsg, update_bytes: Option<&[u8]>) -> DeliverOutcome {
         let key = msg.key();
-        if !self.store.contains(key) {
-            // Symmetric caches hold identical key sets, so this only happens
-            // transiently around epoch changes; the message is stale — but
-            // invalidations must still be acknowledged, or a writer whose
-            // peers evicted the key mid-round would block forever.
-            return self.deliver_uncached(msg);
-        }
         let model = self.model;
         let me = self.me;
         let replicas = self.replicas;
@@ -559,32 +543,31 @@ impl SymmetricCache {
         // land in the entry (a warming fill would otherwise go live stale),
         // and invalidations must keep being acknowledged. Only the
         // client-facing read/write paths treat frozen entries as missing.
-        let result = self.store.modify(key, |hdr, payload| {
-            let mut meta = Meta::decode(payload);
+        let result = self.store.modify(key, |_, payload| {
+            let mut meta = Meta::of(payload);
             let before_ts = meta.lin.ts;
             let actions = meta.step(model, me, replicas, event);
-            // Decide the new value bytes.
-            let new_value: Option<&[u8]> = match event {
-                Event::RecvUpdate { ts, .. } => {
-                    if meta.lin.ts == ts && before_ts != ts {
-                        // The update was applied; install its bytes.
-                        update_bytes
-                    } else {
-                        None
-                    }
+            payload.write(0, &meta.encode());
+            let applied = match (event, update_bytes) {
+                // The update was applied; install its bytes.
+                (Event::RecvUpdate { ts, .. }, Some(bytes))
+                    if meta.lin.ts == ts && before_ts != ts =>
+                {
+                    payload.truncate(META_BYTES);
+                    payload.write(META_BYTES, bytes);
+                    true
                 }
-                _ => None,
+                _ => false,
             };
-            let applied = new_value.is_some();
-            let old_value = payload[META_BYTES..].to_vec();
-            let mut new_payload = Vec::with_capacity(META_BYTES + old_value.len());
-            new_payload.extend_from_slice(&meta.encode());
-            new_payload.extend_from_slice(new_value.unwrap_or(&old_value));
-            (hdr, Some(new_payload), (actions, applied))
+            (actions, applied)
         });
         #[cfg(test)]
         section_left();
         let Some((actions, applied_update)) = result else {
+            // Symmetric caches hold identical key sets, so this only happens
+            // transiently around epoch changes; the message is stale — but
+            // invalidations must still be acknowledged, or a writer whose
+            // peers evicted the key mid-round would block forever.
             return self.deliver_uncached(msg);
         };
         let outgoing = self.actions_to_msgs(key, &actions);

@@ -36,8 +36,8 @@ proptest! {
         let object = StoredObject::with_value_capacity(32);
         for (i, value) in values.iter().enumerate() {
             let header = ObjectHeader { clock: i as u32 + 1, ..ObjectHeader::default() };
-            object.write(header, value);
-            let snap = object.read();
+            object.write(7, header, value);
+            let snap = object.read(7).expect("key 7's object");
             prop_assert_eq!(snap.header.clock, i as u32 + 1);
             prop_assert_eq!(&snap.value, value);
         }
