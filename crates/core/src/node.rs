@@ -189,11 +189,11 @@ pub struct CcNode {
     shards: ShardMap,
     committed: Mutex<CommitTable>,
     committed_cv: Condvar,
-    /// The fence set: keys homed here that are in, or moving into or out
-    /// of, the hot set. While a key is fenced its cold path is closed — the
-    /// transition fetches the value, fills every cache and lands every
-    /// write-back before [`CcNode::hot_unmark`] re-opens it, so no cold
-    /// write can land in the gap and be shadowed by the caches.
+    /// The fence set: keys homed here moving into or out of the hot set,
+    /// or booted fenced after a crash. While a key is fenced its cold path
+    /// is closed — the transition fetches the value, fills every cache and
+    /// lands every write-back before [`CcNode::hot_unmark`] re-opens it, so
+    /// no cold write can land in the gap and be shadowed by the caches.
     hot_marks: Mutex<HashSet<u64>>,
     /// Highest version this home shard has assigned to a cold write or seen
     /// pass through churn (a hot-key fetch, a landed write-back). The home
@@ -418,8 +418,8 @@ impl CcNode {
         fetched
     }
 
-    /// Lifts the fence on `key` (every replica dropped its copy and every
-    /// write-back landed, or an install was abandoned). A no-op for an
+    /// Lifts the fence on `key` (the last call of a hot-set transition:
+    /// every replica answered and every write-back landed). A no-op for an
     /// unfenced key.
     pub fn hot_unmark(&self, key: u64) {
         self.hot_marks.lock().remove(&key);

@@ -10,7 +10,8 @@
 //! Exit status is fail-closed for CI: non-zero when any positive scenario
 //! finds a violation, when a negative scenario (`ack-then-die`, which
 //! disables the crash-safety gates; `miss-rpc-no-reissue`, which skips the
-//! in-doubt RPC reissue) finds **no** violation, or when the total
+//! in-doubt RPC reissue; `install-unwarmed`, which skips an install's warm
+//! phase) finds **no** violation, or when the total
 //! distinct-schedule count falls short of `--min-distinct`.
 
 use std::process::ExitCode;

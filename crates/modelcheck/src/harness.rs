@@ -42,8 +42,8 @@
 //! Both ends are the production code ([`cckvs_net::rpc`]). A home answers
 //! `MissGet`/`MissPut`/`WriteBack` through [`serve_home_frame`] on its real
 //! `CcNode`, whose fence set and cold-version counter decide bounces and
-//! versions; hot-transition admin steps and restart fences are
-//! `hot_mark`/`hot_unmark` calls on that node. Each simulated process owns
+//! versions; a restart's fences are `hot_mark` calls on that node. Each
+//! simulated process owns
 //! one [`RpcTable`]: it is replaced with the process, so an answer
 //! addressed to a dead generation finds no waiter, and on a peer's restart
 //! the survivors ask their `in_doubt` requests again. The only thing the
@@ -60,6 +60,13 @@
 //! the code the reactor runs per connection. How the harness drives it is
 //! the `session` module's.
 //!
+//! ## Churn
+//!
+//! Each node also serves an admin connection, a second `ConnOps`, through
+//! which [`Transition`]s make their calls, one per [`Action::Admin`]: the
+//! admin script's, as the epoch coordinator runs them, and a heal's
+//! evictions, as the supervisor runs them.
+//!
 //! ## Crash gating
 //!
 //! Gated (default) crashes avoid the windows the production system is
@@ -74,9 +81,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use cckvs::node::{CacheGet, CcNode, EvictHot, NodeConfig, Outgoing};
+use cckvs::node::{CacheGet, CcNode, NodeConfig, Outgoing};
+use cckvs_net::churn::{Next, Outcome, Transition};
 use cckvs_net::link::{Accept, Outbox, RecvHalf};
-use cckvs_net::ops::{ConnOps, Wait};
+use cckvs_net::ops::{ConnOps, ResumeEvent, Wait};
 use cckvs_net::rpc::{serve_home_frame, RpcTable};
 use cckvs_net::wire::{encode_frame_into, Frame};
 use consistency::engine::Destination;
@@ -120,10 +128,11 @@ pub enum Action {
     /// Restart crashed `node`: fresh process, new generation, survivor
     /// replay + reissued invalidations.
     Restart(usize),
-    /// Re-establish symmetric caching after a restart: evict + write back
-    /// the hot set, reinstall from the home shards, clear fences.
+    /// Start re-establishing symmetric caching after a restart: one
+    /// eviction per hot key, stepped by [`Action::Admin`].
     Heal,
-    /// Execute the next step of the scenario's admin script.
+    /// Make the running transition's next call, or fire the retry tick of
+    /// one that bounced.
     Admin,
 }
 
@@ -220,7 +229,7 @@ struct NodeSlot {
     cc: CcNode,
     /// This process's miss-path RPCs in flight. The harness models no
     /// timeouts, so its time is `()`.
-    rpcs: RpcTable<RpcWaiter, ()>,
+    rpcs: RpcTable<(), ()>,
     up: bool,
     gen: u64,
     session_seq: u64,
@@ -234,6 +243,8 @@ struct NodeSlot {
     /// The session's connection into this process — the production op
     /// machine. It dies with the process.
     ops: ConnOps<()>,
+    /// The admin connection into this process (see "Churn").
+    admin: ConnOps<()>,
     /// Requests sent and not yet answered, oldest first.
     inflight: VecDeque<Request>,
     /// `(deliveries, world_version)` when the request in progress last
@@ -247,21 +258,14 @@ struct NodeSlot {
     resolved: u64,
 }
 
-/// Who a pending miss-path RPC resolves to at its origin.
-enum RpcWaiter {
-    /// The session's op machine (`Wait::Rpc`, or a prefetch slot).
-    Op,
-    /// A dirty eviction's write-back (admin script).
-    WriteBack,
-}
-
 /// A fresh process of node `n` in generation `gen`. Generations number
 /// their correlation ids apart, as the production generation stamp does.
-fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<RpcWaiter, ()>) {
-    (
-        CcNode::new(NodeConfig::small(spec.model, n, spec.nodes)),
-        RpcTable::new(gen * 1_000_000 + 1),
-    )
+fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<(), ()>) {
+    let mut cfg = NodeConfig::small(spec.model, n, spec.nodes);
+    if spec.tiny_cache == Some(n) {
+        cfg.cache_capacity = 1;
+    }
+    (CcNode::new(cfg), RpcTable::new(gen * 1_000_000 + 1))
 }
 
 /// The rack under test. See the module docs for the model.
@@ -296,10 +300,12 @@ pub struct RackModel {
     dups_left: u32,
     crashes_left: u32,
     heal_needed: bool,
-    admin_cursor: usize,
-    outstanding_writebacks: u32,
-    /// Value+version snapshots taken by `MarkInstall`.
-    install_snapshot: BTreeMap<u64, (Vec<u8>, Timestamp)>,
+    /// Transitions not yet ended, in order: the admin script's, then a
+    /// heal's. The front one runs; its call is in flight while its node's
+    /// admin connection is busy.
+    transitions: VecDeque<Transition>,
+    /// `(deliveries, world_version)` when that call last bounced.
+    admin_parked: Option<(u64, u64)>,
     /// Keys currently hot (installed and not yet evicted).
     hot_now: BTreeSet<u64>,
     violation: Option<String>,
@@ -336,6 +342,7 @@ impl RackModel {
                     kvs_dirty: false,
                     program: spec.programs[n].iter().cloned().collect(),
                     ops: ConnOps::default(),
+                    admin: ConnOps::default(),
                     inflight: VecDeque::new(),
                     parked: None,
                     cold_reads: BTreeMap::new(),
@@ -361,9 +368,13 @@ impl RackModel {
             dups_left: spec.dup_budget,
             crashes_left: spec.crash_budget,
             heal_needed: false,
-            admin_cursor: 0,
-            outstanding_writebacks: 0,
-            install_snapshot: BTreeMap::new(),
+            transitions: (spec.admin_script.iter())
+                .map(|step| match *step {
+                    AdminStep::Install(key) => Transition::install(key, spec.nodes),
+                    AdminStep::Evict(key) => Transition::evict(key, spec.nodes),
+                })
+                .collect(),
+            admin_parked: None,
             hot_now: BTreeSet::new(),
             violation: None,
             spec,
@@ -519,37 +530,23 @@ impl RackModel {
             // repair the wedged peers — so it is not targeted.)
             return dirty_shard || undelivered_update;
         }
-        self.admin_cursor >= self.spec.admin_script.len()
-            && !dirty_shard
-            && !pending_commit
-            && !undelivered_update
+        self.transitions.is_empty() && !dirty_shard && !pending_commit && !undelivered_update
     }
 
     fn heal_enabled(&self) -> bool {
-        self.heal_needed
-            && self.admin_cursor >= self.spec.admin_script.len()
-            && self.nodes.iter().all(|s| s.up)
-            && !(0..self.nodes.len()).any(|n| self.awaits_commit(n))
+        self.heal_needed && self.transitions.is_empty() && self.nodes.iter().all(|s| s.up)
     }
 
+    /// A call can be made (its node is up), or the one in flight bounced
+    /// and its node has seen progress since.
     fn admin_enabled(&self) -> bool {
-        let Some(step) = self.spec.admin_script.get(self.admin_cursor) else {
+        let Some(Next::Call(n, _)) = self.transitions.front().map(Transition::next) else {
             return false;
         };
-        match *step {
-            AdminStep::MarkEvict { key } | AdminStep::MarkInstall { key } => {
-                self.nodes[self.home_of(key)].up
-            }
-            AdminStep::EvictAt { node, key } => {
-                self.nodes[node].up
-                    && !(self.awaits_commit(node)
-                        && self.current_op(node).is_some_and(|op| op.key() == key))
-            }
-            AdminStep::UnmarkEvict { .. } => self.outstanding_writebacks == 0,
-            AdminStep::WarmAt { node, .. } | AdminStep::ActivateAt { node, .. } => {
-                self.nodes[node].up
-            }
-            AdminStep::UnmarkInstall { .. } => true,
+        let s = &self.nodes[n];
+        s.up && match self.admin_parked {
+            Some(at) => at != (s.deliveries, self.world_version),
+            None => s.admin.is_idle(),
         }
     }
 
@@ -796,25 +793,22 @@ impl RackModel {
     /// Resolves an RPC response arriving back at origin node `o`. An id
     /// the process's table does not hold — a duplicate, or an answer to a
     /// dead generation — is dropped.
-    fn resolve_rpc(&mut self, o: usize, corr: u64, resp: Frame) {
-        let Some(waiter) = self.nodes[o].rpcs.resolve(corr) else {
+    fn resolve_rpc(&mut self, o: usize, corr: u64, response: Frame) {
+        let Some(()) = self.nodes[o].rpcs.resolve(corr) else {
             self.log(format!(
                 "n{o} rpc#{corr} response without a waiter; dropped"
             ));
             return;
         };
         let served = self.served.remove(&(o, corr));
-        if matches!(waiter, RpcWaiter::WriteBack) {
-            match resp {
-                Frame::WriteBackResp { .. } => {
-                    self.outstanding_writebacks -= 1;
-                    self.log(format!("n{o} rpc#{corr} writeback resolved"));
-                }
-                other => self.fail(format!("write-back rpc got {other:?}")),
-            }
-            return;
+        // The admin connection's only RPC is an eviction's write-back.
+        if !matches!(self.nodes[o].admin.wait(), Some(Wait::Rpc { corr: c }) if *c == corr) {
+            return self.rpc_answered(o, corr, response, served);
         }
-        self.rpc_answered(o, corr, resp, served);
+        self.log(format!("n{o} rpc#{corr} writeback resolved"));
+        let admin = &mut self.nodes[o].admin;
+        admin.resume(ResumeEvent::Rpc { corr, response });
+        self.run_admin(o);
     }
 
     // ----- crash, restart, heal ---------------------------------------
@@ -823,6 +817,7 @@ impl RackModel {
         self.crashes_left -= 1;
         self.log(format!("crash n{n}"));
         self.nodes[n].up = false;
+        self.nodes[n].admin = ConnOps::default();
         // Every flight to or from the node evaporated with it; a survivor's
         // frame that lost its copies is a retransmit/replay candidate.
         self.flights.retain(|_, f| f.i != n && f.j != n);
@@ -900,127 +895,62 @@ impl RackModel {
         }
     }
 
-    /// Post-restart recovery of symmetric caching: evict the hot set
-    /// everywhere, write the newest dirty copy back to each key's home,
-    /// reinstall every replica from the home's value+version, and lift the
-    /// supervisor fences. Runs atomically (the production epoch
-    /// coordinator's job; its step-wise interleavings are exercised by the
-    /// transition scenarios' admin scripts instead).
+    /// Post-restart recovery of symmetric caching, as the supervisor runs
+    /// it: one [`Transition::evict`] per hot key, stepped like the admin
+    /// script's; the keys end cold, the replacement's boot fence lifted.
     fn heal(&mut self) {
         self.log("heal".to_string());
-        for key in self.hot_now.clone() {
-            let home = self.home_of(key);
-            let mut best: Option<(Vec<u8>, Timestamp)> = None;
-            for i in 0..self.nodes.len() {
-                match self.nodes[i].cc.try_evict_hot(key) {
-                    None => {
-                        self.fail(format!(
-                            "heal found a pending write on k{key} at n{i} despite gating"
-                        ));
-                        return;
-                    }
-                    Some(EvictHot::NotCached) | Some(EvictHot::Clean) => {}
-                    Some(EvictHot::WrittenBack { .. }) => self.nodes[i].kvs_dirty = true,
-                    Some(EvictHot::WriteBackRemote { value, ts }) => {
-                        if best.as_ref().is_none_or(|(_, b)| ts.is_newer_than(*b)) {
-                            best = Some((value, ts));
-                        }
-                    }
-                }
-            }
-            if let Some((value, ts)) = best {
-                self.nodes[home]
-                    .cc
-                    .write_back(key, &value, ts)
-                    .expect("write-back fits");
-                self.nodes[home].kvs_dirty = true;
-            }
-            let (value, ts) = self.nodes[home].cc.kvs_get_versioned(key);
-            for i in 0..self.nodes.len() {
-                assert!(
-                    self.nodes[i].cc.install_hot(key, &value, ts),
-                    "heal reinstall fits"
-                );
-            }
-            self.nodes[home].cc.hot_unmark(key);
+        for &key in &self.hot_now {
+            self.transitions
+                .push_back(Transition::evict(key, self.nodes.len()));
         }
         self.heal_needed = false;
         self.world_version += 1;
     }
 
-    // ----- admin script -----------------------------------------------
+    // ----- admin connections -------------------------------------------
 
-    /// Executes the admin step at the cursor (callers check
-    /// `admin_enabled` first, so the step's preconditions hold).
+    /// [`Action::Admin`]: the retry tick of the call that bounced, or the
+    /// running transition's next call pushed onto its node's admin
+    /// connection.
     fn admin_step(&mut self) {
-        let step = self.spec.admin_script[self.admin_cursor];
-        self.admin_cursor += 1;
-        match step {
-            AdminStep::MarkEvict { key } => {
-                self.nodes[self.home_of(key)].cc.hot_mark(key);
-                self.log(format!("admin mark-evict k{key}"));
-            }
-            AdminStep::MarkInstall { key } => {
-                let (value, ts) = self.nodes[self.home_of(key)].cc.hot_mark(key);
-                self.log(format!("admin mark-install k{key} snapshot ts{ts}"));
-                self.install_snapshot.insert(key, (value, ts));
-            }
-            AdminStep::EvictAt { node, key } => {
-                match self.nodes[node].cc.try_evict_hot(key) {
-                    None => {
-                        // Guarded against by admin_enabled; a race through
-                        // an unexpected pending write retries the step.
-                        self.admin_cursor -= 1;
-                        self.log(format!("admin evict n{node} k{key} blocked"));
-                    }
-                    Some(EvictHot::NotCached) | Some(EvictHot::Clean) => {
-                        self.log(format!("admin evict n{node} k{key} clean"));
-                    }
-                    Some(EvictHot::WrittenBack { ts }) => {
-                        self.nodes[node].kvs_dirty = true;
-                        self.log(format!("admin evict n{node} k{key} wrote back ts{ts}"));
-                    }
-                    Some(EvictHot::WriteBackRemote { value, ts }) => {
-                        let home = self.home_of(key);
-                        let (corr, frame) = self.nodes[node].rpcs.issue(
-                            home,
-                            Frame::WriteBack { key, value, ts },
-                            RpcWaiter::WriteBack,
-                            (),
-                        );
-                        self.outstanding_writebacks += 1;
-                        self.log(format!(
-                            "admin evict n{node} k{key} dirty ts{ts}; writeback rpc#{corr}"
-                        ));
-                        self.send_frame(node, home, &frame);
-                    }
-                }
-            }
-            AdminStep::UnmarkEvict { key } => {
-                self.nodes[self.home_of(key)].cc.hot_unmark(key);
-                self.hot_now.remove(&key);
-                self.world_version += 1;
-                self.log(format!("admin unmark-evict k{key}; key is cold"));
-            }
-            AdminStep::WarmAt { node, key } => {
-                let (value, ts) = self.install_snapshot[&key].clone();
-                assert!(
-                    self.nodes[node].cc.install_hot_warm(key, &value, ts),
-                    "warm install fits"
-                );
-                self.log(format!("admin warm n{node} k{key} ts{ts}"));
-            }
-            AdminStep::ActivateAt { node, key } => {
-                assert!(self.nodes[node].cc.activate_hot(key), "warming key present");
-                self.log(format!("admin activate n{node} k{key}"));
-            }
-            AdminStep::UnmarkInstall { key } => {
-                self.nodes[self.home_of(key)].cc.hot_unmark(key);
-                self.hot_now.insert(key);
-                self.world_version += 1;
-                self.log(format!("admin unmark-install k{key}; key is hot"));
-            }
+        let next = self.transitions.front().map(Transition::next);
+        let Some(Next::Call(n, mut frame)) = next else {
+            unreachable!("admin_enabled")
+        };
+        if !self.nodes[n].admin.is_idle() {
+            self.log(format!("admin reprobe n{n}"));
+            return self.run_admin(n);
         }
+        if let Frame::InstallHot { warm, .. } = &mut frame {
+            *warm &= !self.spec.unwarmed_install;
+        }
+        self.log(format!("admin n{n} <- {frame:?}"));
+        // A frame the node serves is progress its parked ops retry on.
+        self.nodes[n].deliveries += 1;
+        self.nodes[n].admin.push(frame);
+        self.run_admin(n);
+    }
+
+    /// The answer to the running call came out of node `n`'s admin
+    /// connection: the transition takes it, and may be over.
+    fn admin_answered(&mut self, n: usize, reply: Frame) {
+        self.log(format!("admin n{n} -> {reply:?}"));
+        let t = self.transitions.front_mut();
+        let t = t.expect("a call has a transition");
+        t.answer(Some(reply));
+        let (key, Next::Done(outcome)) = (t.key(), t.next()) else {
+            return;
+        };
+        self.transitions.pop_front();
+        match outcome {
+            Outcome::Installed => self.hot_now.insert(key),
+            Outcome::Evicted => self.hot_now.remove(&key),
+            Outcome::RolledBack => false,
+            Outcome::Abandoned => return self.fail(format!("the transition of k{key} failed")),
+        };
+        self.world_version += 1;
+        self.log(format!("admin k{key} {outcome:?}"));
     }
 
     // ----- drain and final checks -------------------------------------
@@ -1034,7 +964,7 @@ impl RackModel {
             .iter()
             .all(|s| s.up && s.program.is_empty() && s.inflight.is_empty())
             && !self.heal_needed
-            && self.admin_cursor >= self.spec.admin_script.len()
+            && self.transitions.is_empty()
             && self.flights.is_empty()
             && self.outbox.iter().all(|(link, ob)| {
                 let sent = ob.confirmed() + ob.outstanding();
@@ -1121,6 +1051,9 @@ impl RackModel {
         if let Some(n) = (0..self.nodes.len()).find(parked) {
             return Some(Action::Reprobe(n));
         }
+        if self.admin_parked.is_some() {
+            return Some(Action::Admin);
+        }
         (0..self.nodes.len())
             .find(|&n| self.issue_enabled(n))
             .map(Action::Issue)
@@ -1174,6 +1107,15 @@ impl RackModel {
                     ));
                     return;
                 }
+            }
+        }
+        // Symmetric caches: every node caches exactly the keys that ended hot.
+        let hot: Vec<u64> = self.hot_now.iter().copied().collect();
+        for n in 0..self.nodes.len() {
+            let mut keys = self.nodes[n].cc.cache().keys();
+            keys.sort_unstable();
+            if keys != hot {
+                return self.fail(format!("n{n} caches {keys:?}, the hot set is {hot:?}"));
             }
         }
     }

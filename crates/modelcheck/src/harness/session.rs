@@ -1,6 +1,6 @@
-//! The client sessions of the rack under test: [`RackModel`] as the second
-//! driver of the production op machine ([`cckvs_net::ops::ConnOps`]; the
-//! reactor shard is the first).
+//! The client sessions and admin connections of the rack under test:
+//! [`RackModel`] as the second driver of the production op machine
+//! ([`cckvs_net::ops::ConnOps`]; the reactor shard is the first).
 //!
 //! Each node serves one session. `Action::Issue` pushes the client frame
 //! a program step would be on the wire, `Action::Reprobe` is the retry
@@ -14,12 +14,14 @@
 use std::sync::Arc;
 
 use cckvs::node::{CacheGet, CcNode, Outgoing};
+use cckvs_net::churn::Transition;
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
+use cckvs_net::rpc::serve_home_frame;
 use cckvs_net::wire::Frame;
 use consistency::history::{OpRecord, RecordKind};
 use consistency::{ConsistencyModel, Timestamp};
 
-use super::{decode_value, RackModel, RpcWaiter};
+use super::{decode_value, RackModel};
 use crate::scenario::{ProgOp, ProgStep};
 
 /// One request a session sent that has not been answered yet.
@@ -120,7 +122,7 @@ impl RackModel {
         // A bounce that ends the wait for a miss RPC is that RPC's.
         let awaited_rpc = matches!(ops.wait(), Some(Wait::Rpc { .. }));
         let mut answers = Vec::new();
-        let step = ops.run(&mut SimHost { m: self, n }, (), &mut answers);
+        let step = ops.run(&mut self.host(n, false), (), &mut answers);
         self.nodes[n].ops = ops;
         for frame in answers {
             self.answer(n, frame);
@@ -147,6 +149,34 @@ impl RackModel {
             Step::Close => self.fail(format!("n{n} closed its session")),
         }
         self.drain_commits();
+    }
+
+    /// Runs node `n`'s admin connection — a churn call was pushed, its
+    /// write-back answered, or its retry tick fired — and hands what comes
+    /// out to the running transition.
+    pub(super) fn run_admin(&mut self, n: usize) {
+        let mut ops = std::mem::take(&mut self.nodes[n].admin);
+        let mut answers = Vec::new();
+        let step = ops.run(&mut self.host(n, true), (), &mut answers);
+        self.nodes[n].admin = ops;
+        self.admin_parked = None;
+        match step {
+            Step::Wait => {}
+            Step::Retry(_) => {
+                self.log(format!("park admin n{n} (a pending write)"));
+                self.admin_parked = Some((self.nodes[n].deliveries, self.world_version));
+            }
+            Step::Close => self.fail(format!("n{n} closed its admin connection")),
+        }
+        for frame in answers {
+            self.admin_answered(n, frame);
+        }
+        self.drain_commits();
+    }
+
+    /// The [`OpsHost`] of node `n`'s session or admin connection.
+    fn host(&mut self, n: usize, admin: bool) -> SimHost<'_> {
+        SimHost { m: self, n, admin }
     }
 
     /// Session `n`'s request in progress waits for its node to see
@@ -309,12 +339,13 @@ impl RackModel {
     }
 }
 
-/// [`OpsHost`] for session `n`: its op machine's miss RPCs, protocol
-/// messages and commit hooks go where the harness's own sends go — onto
-/// the scheduled links and the commit queue.
+/// [`OpsHost`] for node `n`'s session or admin connection: its op
+/// machine's miss RPCs, protocol messages and commit hooks go where the
+/// harness's own sends go — onto the scheduled links and the commit queue.
 struct SimHost<'a> {
     m: &'a mut RackModel,
     n: usize,
+    admin: bool,
 }
 
 impl OpsHost for SimHost<'_> {
@@ -329,12 +360,15 @@ impl OpsHost for SimHost<'_> {
 
     fn issue_rpc(&mut self, home: usize, request: Frame) -> Option<u64> {
         let n = self.n;
-        let (Frame::MissGet { key } | Frame::MissPut { key, .. }) = request else {
-            unreachable!("sessions issue only miss-path reads and writes");
+        let (Frame::MissGet { key } | Frame::MissPut { key, .. } | Frame::WriteBack { key, .. }) =
+            request
+        else {
+            unreachable!("ops issue only miss-path reads, writes and write-backs");
         };
-        let (corr, frame) = self.m.nodes[n].rpcs.issue(home, request, RpcWaiter::Op, ());
+        let who = if self.admin { "admin" } else { "issue" };
+        let (corr, frame) = self.m.nodes[n].rpcs.issue(home, request, (), ());
         self.m
-            .log(format!("issue n{n} rpc#{corr} k{key} -> home n{home}"));
+            .log(format!("{who} n{n} rpc#{corr} k{key} -> home n{home}"));
         self.m.send_frame(n, home, &frame);
         Some(corr)
     }
@@ -355,17 +389,50 @@ impl OpsHost for SimHost<'_> {
         self.m.nodes[n].cc.on_committed(key, ts, Box::new(hook));
     }
 
-    /// Sessions send reads and writes only.
-    fn serve(&mut self, _frame: Frame) -> Served {
-        Served::Close
+    /// Sessions send reads and writes only; an admin connection also
+    /// sends the churn frames, served as the reactor serves them.
+    fn serve(&mut self, frame: Frame) -> Served {
+        let node = &self.m.nodes[self.n].cc;
+        Served::Now(match frame {
+            _ if !self.admin => return Served::Close,
+            Frame::InstallHot {
+                key,
+                value,
+                ts,
+                warm,
+            } => {
+                let install = if warm {
+                    CcNode::install_hot_warm
+                } else {
+                    CcNode::install_hot
+                };
+                let ok = install(node, key, &value, ts);
+                Frame::InstallHotResp { ok }
+            }
+            Frame::ActivateHot { key } => {
+                let ok = node.activate_hot(key);
+                Frame::ActivateHotResp { ok }
+            }
+            frame => match serve_home_frame(node, frame) {
+                Ok(response) => response,
+                Err(_) => return Served::Close,
+            },
+        })
     }
 
-    fn note(&mut self, _note: Note) {}
+    /// A dirty copy an eviction wrote back into this home's own shard is
+    /// data its crash would lose (crash gating).
+    fn note(&mut self, note: Note) {
+        let evicting = self.m.transitions.front().map(Transition::key);
+        if note == Note::WriteBack && evicting.is_some_and(|key| self.node().is_home(key)) {
+            self.m.nodes[self.n].kvs_dirty = true;
+        }
+    }
 
     /// `Respond` marks a sub-request finishing: note the version a cold
     /// read was served at while nothing else can have moved it.
     fn trace(&mut self, _trace: Option<u64>, kind: EventKind, key: u64, _peer: u8) {
-        if kind != EventKind::Respond {
+        if kind != EventKind::Respond || self.admin {
             return;
         }
         let slot = &mut self.m.nodes[self.n];

@@ -15,8 +15,8 @@
 //!   replay, reissued invalidations — the PR 5 reconnect contract), and
 //!   when the post-restart heal runs;
 //! * when each client session issues or retries its next operation, and
-//!   when hot-transition admin steps (evict/install marks, warm, activate)
-//!   execute.
+//!   when each call of a hot-set transition ([`cckvs_net::churn`]: the
+//!   admin script's installs and evictions, the heal's evictions) is made.
 //!
 //! Every completed operation is recorded into a [`consistency::history`]
 //! and each fully-drained execution is checked for per-key
@@ -51,11 +51,9 @@
 //!   synchronised supervisor `VersionFloor`. Production bounds the gap
 //!   with `--cold-floor` slack; schedules that would need a stale floor to
 //!   misbehave are out of this model's scope.
-//! * **Atomic heal.** Post-restart cache recovery (evict, write back the
-//!   newest dirty copy, reinstall everywhere) runs as one step — the
-//!   epoch coordinator's job. Step-wise transition interleavings are
-//!   exercised separately by the admin scripts of the transition
-//!   scenarios.
+//! * **Churn calls never fail.** An admin connection's call is always
+//!   answered, so no schedule ends a transition `Abandoned`; that arm is
+//!   `churn.rs`'s property test's.
 //! * **Gated crashes.** Default scenarios only crash nodes where the
 //!   production system survives: not while a home shard holds observable
 //!   in-memory cold data (durable shards are an open ROADMAP item), not

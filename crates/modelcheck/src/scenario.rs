@@ -68,60 +68,16 @@ fn each(ops: impl IntoIterator<Item = ProgOp>) -> Vec<ProgStep> {
     ops.into_iter().map(ProgStep::Op).collect()
 }
 
-/// One step of a scenario's admin script — the epoch coordinator's actions
-/// (hot-set transitions), decomposed so the scheduler can interleave client
-/// and protocol traffic between them. Steps execute strictly in script
-/// order; a step whose preconditions are not yet met is a no-op when
-/// chosen (it retries on a later pick).
+/// One entry of a scenario's admin script: a [`cckvs_net::churn::Transition`]
+/// the epoch coordinator would run, one call per `Admin` action, so the
+/// scheduler interleaves client and protocol traffic between its calls.
+/// Entries run strictly in script order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminStep {
-    /// Begin evicting a hot key: set the hot-transition mark at its home
-    /// (cold ops bounce with `MissRetry` until the unmark).
-    MarkEvict {
-        /// Key leaving the hot set.
-        key: u64,
-    },
-    /// Evict the key from one node's cache; a dirty non-home copy ships a
-    /// `WriteBack` RPC to the home over the scheduled links.
-    EvictAt {
-        /// Node to evict at.
-        node: usize,
-        /// Key being evicted.
-        key: u64,
-    },
-    /// Finish the eviction: requires every replica evicted and every
-    /// write-back RPC resolved, then clears the mark (the key is cold).
-    UnmarkEvict {
-        /// Key that left the hot set.
-        key: u64,
-    },
-    /// Begin installing a cold key: mark its home and snapshot the
-    /// authoritative value+version the caches will be filled with.
-    MarkInstall {
-        /// Key entering the hot set.
-        key: u64,
-    },
-    /// Warm-install the snapshot into one node's cache (invisible to
-    /// client ops until activated, but participating in coherence).
-    WarmAt {
-        /// Node to warm at.
-        node: usize,
-        /// Key being installed.
-        key: u64,
-    },
-    /// Activate the warming entry at one node (requires every node warmed
-    /// first, mirroring the two-phase install of the live rack).
-    ActivateAt {
-        /// Node to activate at.
-        node: usize,
-        /// Key being installed.
-        key: u64,
-    },
-    /// Finish the install: clears the mark (the key is hot everywhere).
-    UnmarkInstall {
-        /// Key that entered the hot set.
-        key: u64,
-    },
+    /// Turn a cold key hot on every node.
+    Install(u64),
+    /// Turn a hot key cold on every node.
+    Evict(u64),
 }
 
 /// Everything about a model-checking run except the schedule.
@@ -161,6 +117,11 @@ pub struct ScenarioSpec {
     /// `unsafe_crashes`: the negative twin of `miss-rpc-crash` sets it to
     /// prove the checker sees the op that never completes.
     pub skip_rpc_reissue: bool,
+    /// A node whose cache holds one key: a second install there is full.
+    pub tiny_cache: Option<usize>,
+    /// Fills every install's replicas active, not warm. Test-only, like
+    /// `unsafe_crashes`: the `install-unwarmed` negative scenario sets it.
+    pub unwarmed_install: bool,
     /// Whether the scenario is *expected* to produce violations (negative
     /// scenarios assert the checker's discrimination; the CI gate inverts
     /// for them).
@@ -189,8 +150,10 @@ pub fn all() -> Vec<ScenarioSpec> {
         batch_prefetch(),
         conn_order(),
         credit_window_crash(),
+        install_rollback(),
         ack_then_die(),
         miss_rpc_no_reissue(),
+        install_unwarmed(),
     ]
 }
 
@@ -225,6 +188,8 @@ impl ScenarioSpec {
             credit_window: FlowConfig::default().credit_window,
             unsafe_crashes: false,
             skip_rpc_reissue: false,
+            tiny_cache: None,
+            unwarmed_install: false,
             expect_violation: false,
         }
     }
@@ -260,28 +225,9 @@ pub fn dirty_evict_writeback() -> ScenarioSpec {
             each([put(h, 311), get(h)]),
             each([put(h, 321), get(h)]),
         ],
-        admin_script: vec![
-            AdminStep::MarkEvict { key: h },
-            AdminStep::EvictAt { node: 0, key: h },
-            AdminStep::EvictAt { node: 1, key: h },
-            AdminStep::EvictAt { node: 2, key: h },
-            AdminStep::UnmarkEvict { key: h },
-        ],
+        admin_script: vec![AdminStep::Evict(h)],
         ..ScenarioSpec::new("dirty-evict-writeback", about, Lin, 3)
     }
-}
-
-/// The admin script that turns cold `key` hot on a two-node rack: fence,
-/// warm both replicas, activate both, lift the fence.
-fn install_on_two(key: u64) -> Vec<AdminStep> {
-    vec![
-        AdminStep::MarkInstall { key },
-        AdminStep::WarmAt { node: 0, key },
-        AdminStep::WarmAt { node: 1, key },
-        AdminStep::ActivateAt { node: 0, key },
-        AdminStep::ActivateAt { node: 1, key },
-        AdminStep::UnmarkInstall { key },
-    ]
 }
 
 /// A cold key turns hot mid-traffic under SC: miss RPCs bounce off the
@@ -292,8 +238,41 @@ pub fn hot_transition_bounce() -> ScenarioSpec {
     let about = "cold key turns hot mid-traffic (SC); miss RPCs bounce off the mark";
     ScenarioSpec {
         programs: vec![each([put(c, 511), get(c)]), each([put(c, 521), get(c)])],
-        admin_script: install_on_two(c),
+        admin_script: vec![AdminStep::Install(c)],
         ..ScenarioSpec::new("hot-transition-bounce", about, Sc, 2)
+    }
+}
+
+/// [`hot_transition_bounce`] with node 1's cache already full: the install
+/// rolls back off node 0, which took the key, and lifts the fence while
+/// both nodes write and read the key cold. The caches must end symmetric.
+pub fn install_rollback() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "install-rollback",
+        about: "an install meets a full cache on one node and rolls back; caches stay symmetric",
+        hot_keys: vec![key_homed_at(2, 1, 1900)],
+        tiny_cache: Some(1),
+        ..hot_transition_bounce()
+    }
+}
+
+/// Negative scenario for the warm phase: a Lin install that fills every
+/// replica active. A write that commits against the half-installed hot set
+/// collects a vacuous ack from a replica filled after it, whose stale fill
+/// then shadows it; the checker must flag it.
+pub fn install_unwarmed() -> ScenarioSpec {
+    let c = key_homed_at(3, 2, 2100);
+    let about = "installs skip the warm phase (negative): a write shadowed by a stale fill";
+    ScenarioSpec {
+        programs: vec![
+            each([put(c, 2101), put(c, 2102)]),
+            each([put(c, 2111), get(c)]),
+            each([get(c), get(c)]),
+        ],
+        admin_script: vec![AdminStep::Install(c)],
+        unwarmed_install: true,
+        expect_violation: true,
+        ..ScenarioSpec::new("install-unwarmed", about, Lin, 3)
     }
 }
 
@@ -419,7 +398,7 @@ pub fn batch_prefetch() -> ScenarioSpec {
     let batch = vec![get(i), put(k, 1501), get(k), get(j), get(i)];
     ScenarioSpec {
         programs: vec![vec![ProgStep::Batch(batch)], each([put(j, 1511), get(j)])],
-        admin_script: install_on_two(j),
+        admin_script: vec![AdminStep::Install(j)],
         ..ScenarioSpec::new("batch-prefetch", about, Lin, 2)
     }
 }

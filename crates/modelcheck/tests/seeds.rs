@@ -20,6 +20,14 @@
 //! (`n1 rpc#1 from n0 put k950 …`), because an id alone no longer does.
 //! All 1 200 schedules of the CI exploration were compared line by line
 //! against the previous harness and differ in nothing else.
+//!
+//! Re-vetted again when hot-set churn became one `churn::Transition` run
+//! through each node's admin connection: scenarios with no admin script
+//! and no heal of a hot key replay byte-identically; the others log each
+//! call and answer of the transition instead of the old admin steps, and
+//! a heal evicts instead of reinstalling. `credit-window-crash`'s pinned
+//! window moved to another seed (Heal is now offered while a Lin write
+//! awaits its commit, so the walks from a restart on are other walks).
 
 use cckvs_modelcheck::explore::{explore, replay};
 use cckvs_modelcheck::scenario::by_name;
@@ -99,7 +107,7 @@ fn miss_rpc_crash_seed_completes_via_in_doubt_reissue() {
 /// behind the queue fails this seed's enqueue-order check.
 #[test]
 fn credit_window_crash_seed_replays_the_retained_tail_first() {
-    let outcome = replay_seed("credit-window-crash:0000000000000063");
+    let outcome = replay_seed("credit-window-crash:0000000000000463");
     assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
     let events = &outcome.events;
     let at = |m: &str, from: usize| {
@@ -125,6 +133,76 @@ fn credit_window_crash_seed_replays_the_retained_tail_first() {
     assert!(replay < held && held < inv && inv < upd);
     assert!(events[inv + 1].starts_with("n2 <- inv k708 ts(1, n1)"));
     assert!(events[upd + 1].starts_with("n2 <- upd k708=711 ts(1, n1)"));
+}
+
+/// The coordinator's eviction as shipped: n1's `Evict` finds its own Lin
+/// write pending and parks, the write commits, the retry tick takes the
+/// dirty value out of the cache and ships it home as a `WriteBack` RPC, and
+/// only after every replica answered does the home's fence lift.
+#[test]
+fn dirty_evict_writeback_seed_parks_then_ships_the_write_back() {
+    let outcome = replay_seed("dirty-evict-writeback:0000000000000001");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    let at = |m: &str| {
+        let found = outcome.events.iter().position(|e| e.starts_with(m));
+        found.unwrap_or_else(|| panic!("no {m:?} in {:#?}", outcome.events))
+    };
+    let mark = at("admin n0 <- HotMark { key: 300 }");
+    let parked = at("park admin n1 (a pending write)");
+    let committed = at("commit n1 put k300=311");
+    let shipped = at("admin n1 rpc#1 k300 -> home n0");
+    let landed = at("n0 rpc#1 from n1 writeback k300 ts(2, n1) applied=true");
+    let unmark = at("admin n0 <- HotUnmark { key: 300 }");
+    assert!(mark < parked && parked < committed && committed < shipped);
+    assert!(shipped < landed && landed < unmark);
+    assert!(has(&outcome, "admin k300 Evicted"));
+}
+
+/// `install-rollback`'s window: node 1's cache is full, so the install
+/// evicts the key off node 0, which took it, before the fence lifts; the
+/// write that bounced off the fence then lands cold.
+#[test]
+fn install_rollback_seed_evicts_the_node_that_took_the_key() {
+    let outcome = replay_seed("install-rollback:0000000000000001");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    let events = &outcome.events;
+    let at = |m: &str| {
+        let found = events.iter().position(|e| e.starts_with(m));
+        found.unwrap_or_else(|| panic!("no {m:?} in {events:#?}"))
+    };
+    let full = at("admin n1 -> InstallHotResp { ok: false }");
+    let rollback = at("admin n0 <- Evict { key: 502 }");
+    let unmark = at("admin n0 <- HotUnmark { key: 502 }");
+    let cold = at("n0 rpc#2 from n1 put k502 cold");
+    assert!(at("park n1 k502 (miss rpc bounced)") < full);
+    assert!(full < rollback && rollback < unmark && unmark < cold);
+    let evicts = events.iter().filter(|e| e.contains("<- Evict")).count();
+    assert_eq!(evicts, 1, "only the node that took the key is evicted");
+    assert!(has(&outcome, "admin k502 RolledBack"));
+}
+
+/// Installs that skip the warm phase let a write commit against a
+/// half-installed hot set; exploration must find the stale fill that
+/// shadows it (what CI's `--scenario all` relies on).
+#[test]
+fn unwarmed_installs_are_caught_by_the_checker() {
+    let spec = by_name("install-unwarmed").expect("scenario exists");
+    assert!(spec.expect_violation && spec.unwarmed_install);
+    let report = explore(&spec, 1, 200, 400);
+    assert!(
+        !report.violations.is_empty(),
+        "200 schedules never shadowed a write — the scenario misses its window"
+    );
+    for (seed, why) in &report.violations {
+        assert!(
+            why.contains("history check failed") || why.contains("lost acked write"),
+            "violation of {seed} is a real safety violation, got: {why}"
+        );
+    }
+}
+
+fn has(outcome: &cckvs_modelcheck::RunOutcome, event: &str) -> bool {
+    outcome.events.iter().any(|e| e == event)
 }
 
 /// The same schedule with the reissue skipped strands n0's read forever:
@@ -157,16 +235,18 @@ fn skipped_in_doubt_reissue_seed_is_flagged() {
 /// why each line moved.
 const LOG_DIGESTS: &[(&str, u64)] = &[
     ("lin-commit", 0x6b8079fde0d4c0bc),
-    ("dirty-evict-writeback", 0xeadaa6b9129946f3),
-    ("hot-transition-bounce", 0x1bb4aa96959538a4),
-    ("crash-mid-commit", 0x7cb26076711d9d37),
+    ("dirty-evict-writeback", 0x89f74743920ce52d),
+    ("hot-transition-bounce", 0x6d701cd918248608),
+    ("crash-mid-commit", 0x7be388076e57ed57),
     ("udp-drop-dup-reorder", 0x6be2a069a9e36583),
     ("miss-rpc-crash", 0xe0723dc90c47355a),
-    ("batch-prefetch", 0x886828f2e592e369),
+    ("batch-prefetch", 0x6c40a7d030317e47),
     ("conn-order", 0xfa5e06daa42ce071),
-    ("credit-window-crash", 0x0dde17a5c252e1ce),
-    ("ack-then-die", 0x7a0378045f2bd0b2),
+    ("credit-window-crash", 0x9f226518a26c0d4b),
+    ("install-rollback", 0xe194775f23a23a7e),
+    ("ack-then-die", 0xa9c0fc2cdcb2e73f),
     ("miss-rpc-no-reissue", 0xe0723dc90c47355a),
+    ("install-unwarmed", 0xaf71a33636642fcd),
 ];
 
 #[test]

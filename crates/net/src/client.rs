@@ -12,6 +12,7 @@
 //! sessions should stay sticky ([`LoadBalancePolicy::Pinned`]); Lin is a
 //! real-time guarantee, so Lin sessions may spread freely.
 
+use crate::churn::{Outcome, Transition};
 use crate::metrics::Metrics;
 use crate::transport::{Connection, Transport, TransportConfig};
 use crate::wire::{encode_frame_into, read_frame_via, Frame};
@@ -996,52 +997,26 @@ impl Client {
     }
 }
 
-/// Installs a hot set into every node of a deployment over the wire (what
-/// the epoch coordinator of §4 does at epoch start), dialing `transport` —
-/// admin traffic rides the fabric the nodes listen on. Keys install at
-/// timestamp zero — right for a fresh dataset; re-installs of previously
-/// written keys should go through [`install_hot_set_versioned_via`] with
-/// their home shards' stored versions.
+/// Installs a hot set into every node over the wire (dialing `transport`,
+/// the nodes' fabric) at timestamp zero: the bootstrap install of a fresh
+/// dataset. It does **not** fence the cold path, so writes to the keys must
+/// be quiescent; live churn is [`Transition::install`]'s.
 pub fn install_hot_set_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
     entries: &[(u64, Vec<u8>)],
 ) -> io::Result<()> {
-    let versioned: Vec<(u64, Vec<u8>, Timestamp)> = entries
-        .iter()
-        .map(|(key, value)| (*key, value.clone(), Timestamp::ZERO))
-        .collect();
-    install_hot_set_versioned_via(transport, addrs, &versioned)
-}
-
-/// Installs a hot set into every node at explicit per-key versions (the
-/// stored version of each key's home shard), so per-key Lamport clocks stay
-/// monotone across install/evict cycles.
-///
-/// Unlike the epoch coordinator's reconfiguration path, this admin helper
-/// does **not** fence the cold write path (`HotMark`): a write accepted by
-/// a home shard between the caller's version fetch and the cache fills
-/// would be shadowed by the caches. Use it only when writes to the
-/// installed keys are quiescent; live churn belongs to the coordinator.
-pub fn install_hot_set_versioned_via(
-    transport: &dyn Transport,
-    addrs: &[SocketAddr],
-    entries: &[(u64, Vec<u8>, Timestamp)],
-) -> io::Result<()> {
-    let mut conns = addrs
-        .iter()
-        .map(|&addr| Conn::open(transport, addr, &Frame::ClientHello))
-        .collect::<io::Result<Vec<_>>>()?;
+    let mut conns = open_all(transport, addrs)?;
     // Key-major order so a failure affects exactly one key, which is then
     // rolled back everywhere: the caches stay *symmetric* — a key cached on
     // some nodes but not others would leave Lin writes waiting forever for
     // acks the missing replica never sends.
-    for (key, value, ts) in entries {
+    for (key, value) in entries {
         for node in 0..conns.len() {
             let failure = match conns[node].call(&Frame::InstallHot {
                 key: *key,
                 value: value.clone(),
-                ts: *ts,
+                ts: Timestamp::ZERO,
                 warm: false,
             }) {
                 Ok(Frame::InstallHotResp { ok: true }) => continue,
@@ -1069,30 +1044,27 @@ pub fn install_hot_set_versioned_via(
     Ok(())
 }
 
-/// Evicts keys from the symmetric cache of every node over the wire (what
-/// the epoch coordinator does when the hot set churns). Each node writes a
-/// dirty copy back to the key's home shard before answering, so when this
-/// returns every evicted key's last write is durable at its home.
+/// One client connection to each of `addrs`, in order.
+pub(crate) fn open_all(transport: &dyn Transport, addrs: &[SocketAddr]) -> io::Result<Vec<Conn>> {
+    addrs
+        .iter()
+        .map(|&addr| Conn::open(transport, addr, &Frame::ClientHello))
+        .collect()
+}
+
+/// Evicts keys from every node over the wire, one [`Transition::evict`] per
+/// key: when this returns, every evicted key's last write is at its home.
 pub fn evict_hot_set_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
     keys: &[u64],
 ) -> io::Result<()> {
-    let mut conns = addrs
-        .iter()
-        .map(|&addr| Conn::open(transport, addr, &Frame::ClientHello))
-        .collect::<io::Result<Vec<_>>>()?;
+    let mut conns = open_all(transport, addrs)?;
     for &key in keys {
-        for conn in conns.iter_mut() {
-            match conn.call(&Frame::Evict { key })? {
-                Frame::EvictResp { .. } => {}
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected response {other:?}"),
-                    ))
-                }
-            }
+        let evict = Transition::evict(key, addrs.len());
+        match evict.run(|node, frame| conns[node].call(frame).ok()) {
+            Outcome::Evicted => {}
+            outcome => return Err(io::Error::other(format!("evicting key {key}: {outcome:?}"))),
         }
     }
     Ok(())

@@ -17,11 +17,10 @@
 //!   confirmations, redial dead peers with backoff, replay exactly the
 //!   unprocessed tail, and reissue invalidations a restarted peer's dead
 //!   predecessor never acknowledged.
-//! * [`link`], [`rpc`] and [`ops`] — the sans-IO cores the server, the
-//!   UDP transport and the model checker all drive: the reliable link, the
-//!   home shard's answers to miss-path frames, the requester's pending-RPC
-//!   table, and one client connection's op machine (request queue,
-//!   suspended request, batch prefetch, bounce policy).
+//! * [`link`], [`rpc`], [`ops`] and [`churn`] — the sans-IO cores the
+//!   server, the model checker and the supervisor drive: the reliable link,
+//!   the home shard's answers to miss-path frames, the pending-RPC table,
+//!   one client connection's op machine, and one key's hot-set transition.
 //! * [`rack`] — [`rack::Rack`]: boots an N-node deployment, wires the peer
 //!   mesh and installs the coordinator's hot set over the wire.
 //! * [`client`] — [`client::Client`]: a load-balancing client session that
@@ -54,6 +53,7 @@
 //! rack.shutdown();
 //! ```
 
+pub mod churn;
 pub mod client;
 pub mod link;
 pub mod metrics;
@@ -65,9 +65,8 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{
-    collect_traces_via, evict_hot_set_via, flip_epoch_via, install_hot_set_versioned_via,
-    install_hot_set_via, BatchConfig, BatchOutcome, Client, ClientBuilder, EpochFlip,
-    LoadBalancePolicy, SharedHistory,
+    collect_traces_via, evict_hot_set_via, flip_epoch_via, install_hot_set_via, BatchConfig,
+    BatchOutcome, Client, ClientBuilder, EpochFlip, LoadBalancePolicy, SharedHistory,
 };
 pub use metrics::{
     serve_http_traced, AtomicHistogram, HistogramSnapshot, Metrics, MetricsSnapshot,
@@ -84,9 +83,8 @@ pub use wire::{Frame, WireError};
 /// One-stop imports for examples and applications.
 pub mod prelude {
     pub use crate::client::{
-        collect_traces_via, evict_hot_set_via, flip_epoch_via, install_hot_set_versioned_via,
-        install_hot_set_via, BatchConfig, BatchOutcome, Client, ClientBuilder, EpochFlip,
-        LoadBalancePolicy, SharedHistory,
+        collect_traces_via, evict_hot_set_via, flip_epoch_via, install_hot_set_via, BatchConfig,
+        BatchOutcome, Client, ClientBuilder, EpochFlip, LoadBalancePolicy, SharedHistory,
     };
     pub use crate::metrics::{Metrics, MetricsSnapshot};
     pub use crate::rack::{Rack, RackConfig, COORDINATOR_NODE};

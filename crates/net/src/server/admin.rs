@@ -1,4 +1,6 @@
 use super::*;
+use crate::churn::{Outcome, Transition};
+use crate::client::open_all;
 
 /// A hot-set reconfiguration job for the coordinator's applier thread.
 pub(super) enum FlipJob {
@@ -44,21 +46,15 @@ pub(super) struct Churn {
 }
 
 impl ServerInner {
-    /// Reconfigures the deployment's symmetric caches to hold `hot`: evicts
-    /// departing keys from every node (write-backs land before the cold
-    /// path re-opens), then installs arriving keys on every node at the
-    /// value and version their home shards store. Admin frames go over one
-    /// client connection per node, this one included — the path an
-    /// external driver would use, which also keeps the coordinator's
-    /// bookkeeping in its own handlers. The home's fence (`HotMark` /
-    /// `HotUnmark`) goes over the home's connection.
-    ///
+    /// Reconfigures the deployment's symmetric caches to hold `hot`: one
+    /// [`Transition::evict`] per departing key, then one
+    /// [`Transition::install`] per arriving key, hottest first, over one
+    /// client connection per node, this one included (so the coordinator's
+    /// own handlers keep its books). An [`Outcome::Abandoned`] key stays in
+    /// the books, fenced, for the next delta to evict; the flip fails.
     /// Returns `(installed, evicted)` key counts.
     fn apply_hot_set(&self, hot: &HotSet) -> io::Result<(u64, u64)> {
-        let churn = self
-            .churn
-            .as_ref()
-            .expect("apply_hot_set requires the coordinator role");
+        let churn = self.churn.as_ref().expect("the coordinator role");
         let _serial = churn.reconfig.lock();
         // A forced flip can overtake an auto-closed epoch still queued for
         // the applier; applying the stale set afterwards would revert the
@@ -69,37 +65,25 @@ impl ServerInner {
         }
         let target: HashSet<u64> = hot.keys.iter().copied().collect();
         let current = churn.installed.lock().clone();
-        let to_evict: Vec<u64> = current.difference(&target).copied().collect();
-        // Install in published (hottest-first) order.
-        let to_install: Vec<u64> = hot
-            .keys
-            .iter()
-            .copied()
-            .filter(|k| !current.contains(k))
-            .collect();
+        let nodes = self.node.config().nodes;
+        let gone = current.difference(&target);
+        let evicts = gone.map(|&key| Transition::evict(key, nodes));
+        let installs = hot.keys.iter().filter(|k| !current.contains(k));
+        let installs = installs.map(|&key| Transition::install(key, nodes));
         let addrs = self.peer_addrs.lock().clone();
-        let mut conns = addrs
-            .iter()
-            .map(|&addr| Conn::open(&*self.transport, addr, &Frame::ClientHello))
-            .collect::<io::Result<Vec<_>>>()?;
-        let mut evicted = 0u64;
-        for &key in &to_evict {
-            if let Err(e) = self.evict_everywhere(&mut conns, key) {
-                self.abandon_key(&mut conns, key);
-                return Err(e);
-            }
-            evicted += 1;
-        }
-        let mut installed = 0u64;
-        for &key in &to_install {
-            match self.install_everywhere(&mut conns, key) {
-                Ok(true) => installed += 1,
-                // A cache is full: later keys are colder and would fail
-                // the same way (the key was already rolled back).
-                Ok(false) => break,
-                Err(e) => {
-                    self.abandon_key(&mut conns, key);
-                    return Err(e);
+        let mut conns = open_all(&*self.transport, &addrs)?;
+        let (mut installed, mut evicted) = (0u64, 0u64);
+        for t in evicts.chain(installs) {
+            let key = t.key();
+            match t.run(|node, frame| conns[node].call(frame).ok()) {
+                Outcome::Evicted => evicted += 1,
+                Outcome::Installed => installed += 1,
+                // A full cache: the colder keys after it would fail too.
+                Outcome::RolledBack => break,
+                Outcome::Abandoned => {
+                    churn.installed.lock().insert(key);
+                    let message = format!("transition of key {key} abandoned, its home fenced");
+                    return Err(io::Error::other(message));
                 }
             }
         }
@@ -108,86 +92,6 @@ impl ServerInner {
         self.metrics.record_installs(installed);
         self.metrics.record_evictions(evicted);
         Ok((installed, evicted))
-    }
-
-    /// Evicts `key` from every node, then re-opens the cold path at its
-    /// home shard (every replica dropped its copy and all dirty
-    /// write-backs landed by then).
-    fn evict_everywhere(&self, conns: &mut [Conn], key: u64) -> io::Result<()> {
-        for conn in conns.iter_mut() {
-            match conn.call(&Frame::Evict { key })? {
-                Frame::EvictResp { .. } => {}
-                other => return Err(unexpected_frame("evict", &other)),
-            }
-        }
-        match conns[self.node.home_node(key)].call(&Frame::HotUnmark { key })? {
-            Frame::HotUnmarkResp => Ok(()),
-            other => Err(unexpected_frame("hot-unmark", &other)),
-        }
-    }
-
-    /// Installs `key` on every node: fence the home, warm every replica,
-    /// then activate. Returns `Ok(false)` (after rolling the key back) if
-    /// a cache was full.
-    fn install_everywhere(&self, conns: &mut [Conn], key: u64) -> io::Result<bool> {
-        let home = self.node.home_node(key);
-        // Mark the key hot at its home and fetch the authoritative
-        // (value, version): cold writes bounce from here on, so the
-        // caches cannot shadow a write accepted after the fetch.
-        let (value, ts) = match conns[home].call(&Frame::HotMark { key })? {
-            Frame::HotMarkResp { value, ts } => (value, ts),
-            other => return Err(unexpected_frame("hot-mark", &other)),
-        };
-        // Phase 1: warm every replica. Warming entries run the coherence
-        // protocol but refuse client writes, so no write can commit
-        // against a half-installed hot set (the unfilled replicas would
-        // ack it vacuously and then shadow it with their stale fills).
-        for n in 0..conns.len() {
-            let ok = match conns[n].call(&Frame::InstallHot {
-                key,
-                value: value.clone(),
-                ts,
-                warm: true,
-            })? {
-                Frame::InstallHotResp { ok } => ok,
-                other => return Err(unexpected_frame("install", &other)),
-            };
-            if !ok {
-                // Roll the key back off the nodes that took it (symmetry)
-                // and lift the fence.
-                for rollback in conns.iter_mut().take(n) {
-                    let _ = rollback.call(&Frame::Evict { key });
-                }
-                let _ = conns[home].call(&Frame::HotUnmark { key });
-                return Ok(false);
-            }
-        }
-        // Phase 2: activate everywhere — only now do client reads and
-        // writes start hitting, on a fully symmetric hot set.
-        for conn in conns.iter_mut() {
-            match conn.call(&Frame::ActivateHot { key })? {
-                Frame::ActivateHotResp { .. } => {}
-                other => return Err(unexpected_frame("activate", &other)),
-            }
-        }
-        Ok(true)
-    }
-
-    /// Best-effort recovery when a reconfiguration step for `key` failed
-    /// midway: restore the safe cold state — evict every replica (dirty
-    /// copies write back where reachable), lift the home's transition
-    /// fence, and drop the key from the coordinator's books so the next
-    /// epoch re-derives a correct delta. Without this, a partial failure
-    /// would leave the key fenced (cold writes bouncing forever) or cached
-    /// on a subset of replicas that no future delta ever touches.
-    fn abandon_key(&self, conns: &mut [Conn], key: u64) {
-        for conn in conns.iter_mut() {
-            let _ = conn.call(&Frame::Evict { key });
-        }
-        let _ = conns[self.node.home_node(key)].call(&Frame::HotUnmark { key });
-        if let Some(churn) = &self.churn {
-            churn.installed.lock().remove(&key);
-        }
     }
 
     /// Evicts every *remote-homed* cached key, shipping dirty values back

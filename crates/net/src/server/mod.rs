@@ -603,7 +603,10 @@ impl ServerInner {
                 gen,
                 start_seq,
             }) if gen >= prev_gen.max(1) && start_seq > 0 => (processed, gen, start_seq),
-            Some(other) => return Err(unexpected_frame("peer-hello", &other)),
+            Some(other) => {
+                let message = format!("unexpected peer-hello response {other:?}");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, message));
+            }
             None => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -1025,11 +1028,9 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Fra
             } else {
                 inner.node.install_hot(key, &value, ts)
             };
-            if ok {
-                // Coordinator bookkeeping: the key joined the hot set.
-                if let Some(churn) = &inner.churn {
-                    churn.installed.lock().insert(key);
-                }
+            // Coordinator bookkeeping: the key joined the hot set.
+            if let (true, Some(churn)) = (ok, &inner.churn) {
+                churn.installed.lock().insert(key);
             }
             Frame::InstallHotResp { ok }
         }
@@ -1145,11 +1146,4 @@ fn serve_rpc_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<Fr
         inner.trace_event(trace, lane, EventKind::ProtocolRecv, key_hint, NO_PEER);
     }
     serve_home_frame(&inner.node, frame)
-}
-
-fn unexpected_frame(what: &str, frame: &Frame) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("unexpected {what} response {frame:?}"),
-    )
 }

@@ -520,12 +520,11 @@ frames! {
             /// already stored).
             applied: bool,
         },
-        /// Marks a key as transitioning into the hot set at its home shard and
-        /// fetches its current value and version (rpc path; epoch admin). While
-        /// marked, the home bounces cold writes with [`Frame::MissRetry`] so no
-        /// write lands between the fetch and the cache fills.
+        /// Fences a key at its home shard for a hot-set transition and fetches
+        /// its value and version: until [`Frame::HotUnmark`], the home bounces
+        /// cold reads and writes of it with [`Frame::MissRetry`].
         0x36 HotMark {
-            /// Key entering the hot set.
+            /// Key in transition.
             key: u64,
         },
         /// Response to [`Frame::HotMark`].
@@ -535,11 +534,10 @@ frames! {
             /// The shard's current value (empty if never written).
             value: Vec<u8>,
         },
-        /// Clears a key's hot-transition mark at its home shard (rpc path;
-        /// epoch admin) — sent after every replica dropped the key and all
-        /// dirty write-backs landed, re-opening the cold write path.
+        /// Lifts a key's fence at its home shard: a transition's last call,
+        /// once every replica answered.
         0x38 HotUnmark {
-            /// Key leaving the hot set.
+            /// Key in transition.
             key: u64,
         },
         /// Response to [`Frame::HotUnmark`].

@@ -8,11 +8,14 @@
 //! checker across ≥ 3 epoch flips, and a final sweep finds no key whose
 //! last acknowledged write was lost.
 
+use cckvs_net::churn::{Outcome, Transition};
 use cckvs_net::client::SharedHistory;
 use cckvs_net::rack::{Rack, RackConfig};
+use cckvs_net::wire::{read_frame, write_frame, Frame};
 use cckvs_net::LoadBalancePolicy;
 use consistency::messages::ConsistencyModel;
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -287,19 +290,28 @@ fn admin_eviction_of_dirty_non_home_keys_keeps_the_write() {
         assert_eq!(client.get(key).expect("get"), expected);
     }
 
-    // Re-install from the home shards at their stored versions (writes are
-    // quiescent here): a fresh cached write must order after everything the
-    // shards accepted, then survive another eviction round.
-    let reinstall: Vec<(u64, Vec<u8>, consistency::lamport::Timestamp)> = keys
+    // Re-install through the coordinator's transition, driven here over
+    // plain admin connections: it fills the caches at the value and version
+    // each home shard stored, so a fresh cached write must order after
+    // everything the shards accepted, then survive another eviction round.
+    let transport = rack.transport().build();
+    let mut conns: Vec<_> = addrs
         .iter()
-        .map(|&k| {
-            let home = rack.server(0).node().home_node(k);
-            let (value, ts) = rack.server(home).node().kvs_get_versioned(k);
-            (k, value, ts)
+        .map(|&addr| {
+            let mut stream = transport.dial(addr, Duration::from_secs(5)).expect("dial");
+            write_frame(&mut stream, &Frame::ClientHello).expect("hello");
+            stream.flush().expect("hello");
+            stream
         })
         .collect();
-    cckvs_net::install_hot_set_versioned_via(&*rack.transport().build(), &addrs, &reinstall)
-        .expect("reinstall");
+    for &key in &keys {
+        let outcome = Transition::install(key, addrs.len()).run(|node, frame| {
+            write_frame(&mut conns[node], frame).ok()?;
+            conns[node].flush().ok()?;
+            read_frame(&mut conns[node]).ok().flatten()
+        });
+        assert_eq!(outcome, Outcome::Installed, "key {key}");
+    }
     let key = keys[5];
     client.put(key, b"post-reinstall").expect("put");
     rack.evict_hot_set(&[key]).expect("evict again");
@@ -341,8 +353,7 @@ fn the_shutdown_drain_writes_a_dirty_non_home_value_back() {
 /// still in flight — and `HotUnmark` re-opens the cold path.
 #[test]
 fn hot_transition_fence_bounces_cold_ops_at_the_home_shard() {
-    use cckvs_net::wire::{read_frame, write_frame, Frame};
-    use std::io::{BufReader, BufWriter, Write};
+    use std::io::{BufReader, BufWriter};
 
     let rack =
         Rack::launch(RackConfig::small_from_env(ConsistencyModel::Lin, 3)).expect("launch rack");

@@ -17,6 +17,7 @@
 //! never raises SIGPIPE — for supervisors that prefer fd signalling.
 
 use crate::topology::Topology;
+use cckvs_net::churn::{Outcome, Transition};
 use cckvs_net::transport::{Transport, TransportConfig};
 use cckvs_net::wire::{read_frame, write_frame, Frame};
 use std::fs::File;
@@ -452,14 +453,12 @@ fn query_hot_set(shared: &Shared, except: usize) -> Option<Vec<u64>> {
 }
 
 /// Restores the symmetric-cache invariant after a crash replacement came
-/// up empty: every hot key is moved to the *cold* state rack-wide with the
-/// same per-key discipline the epoch coordinator uses — fence the home
-/// (`HotMark`, sent to every node; only the home's mark matters), evict
-/// every replica (dirty copies write back to their home shards before each
-/// `EvictResp`), then lift the fences (`HotUnmark`, which also clears the
-/// replacement's boot fence). Live traffic rides it out: cached ops serve
-/// until their replica is evicted, cold ops bounce with `MissRetry` until
-/// the fences lift, and nothing is ever served from two places at once.
+/// up empty: every hot key moves *cold* rack-wide by the epoch
+/// coordinator's own [`Transition::evict`] — fence the home, evict every
+/// replica (dirty copies write back first), lift the fence (the
+/// replacement's boot fence with it). Live traffic rides it out: cached ops
+/// serve until their replica is evicted, cold ops bounce until the fence
+/// lifts. A key whose eviction fails keeps its fence for the next heal.
 fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
     let Some(keys) = query_hot_set(shared, restarted) else {
         eprintln!("cckvs-rack: heal after node {restarted} restart: no survivor answered");
@@ -478,30 +477,12 @@ fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
     // The heal runs on its own thread, so evictions may wait out
     // write-back redials and pending-write commits.
     let patient = Duration::from_secs(15);
-    'keys: for &key in &keys {
-        for &addr in &addrs {
-            if !matches!(
-                admin_call(&*shared.transport, addr, &Frame::HotMark { key }, patient),
-                Some(Frame::HotMarkResp { .. })
-            ) {
-                eprintln!("cckvs-rack: heal: hot-mark of key {key} failed at {addr}");
-            }
+    for &key in &keys {
+        let evict = Transition::evict(key, addrs.len());
+        match evict.run(|n, frame| admin_call(&*shared.transport, addrs[n], frame, patient)) {
+            Outcome::Evicted => healed += 1,
+            outcome => eprintln!("cckvs-rack: heal: eviction of key {key} ended {outcome:?}"),
         }
-        for &addr in &addrs {
-            if !matches!(
-                admin_call(&*shared.transport, addr, &Frame::Evict { key }, patient),
-                Some(Frame::EvictResp { .. })
-            ) {
-                eprintln!("cckvs-rack: heal: evict of key {key} failed at {addr}");
-                // Leave the fence up rather than expose a half-evicted
-                // key; the next heal (or epoch flip) converges it.
-                continue 'keys;
-            }
-        }
-        for &addr in &addrs {
-            let _ = admin_call(&*shared.transport, addr, &Frame::HotUnmark { key }, patient);
-        }
-        healed += 1;
     }
     eprintln!("cckvs-rack: heal complete ({healed}/{} keys)", keys.len());
 }
