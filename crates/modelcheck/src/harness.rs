@@ -6,8 +6,8 @@
 //! invalidations, acks, update broadcasts, miss RPCs, write-backs — travel
 //! as real wire-encoded datagrams ([`Frame`]), each one entry of the flight
 //! table until it lands; the scheduler picks which datagram is delivered,
-//! dropped, or duplicated next, when retransmits and credit confirmations
-//! happen, when nodes crash and restart, and when each client session's
+//! dropped, or duplicated next, when retransmits and credit ticks happen,
+//! when nodes crash and restart, and when each client session's
 //! next operation is issued. After the bounded exploration phase a
 //! deterministic drain completes every outstanding operation (or reports a
 //! deadlock), and the final state is checked:
@@ -20,22 +20,28 @@
 //!
 //! ## The link
 //!
-//! Each directed node pair is one [`cckvs_net::link`] — the very [`Outbox`]
-//! the production peer mesh queues, numbers, retains and replays through,
-//! and the [`RecvHalf`] the UDP transport receives with, not a model of
-//! them. The harness drives the outbox as the reactor's peer pump does: a
-//! frame is pushed and, while both ends are up, the link is pumped at
-//! once, one datagram per item, as far as the scenario's credit window
-//! admits (what it holds back logs a `stall`). The scheduler decides when a
-//! retained frame is retransmitted and when the receiver's delivered count
-//! is confirmed back ([`Action`]`::Confirm`, which pumps again), and —
-//! across a crash — runs the `PeerHello`/`PeerResume` contract: the
-//! restarted side's links start fresh (a new process generation), each
-//! survivor requeues its unprocessed tail ahead of what it queued meanwhile
-//! and pumps, the fresh receiver `resume`s at the survivor's confirmed
-//! count, and invalidations with uncounted acks are reissued. Every link
-//! must process frames in the order they were pushed — wire order is
-//! enqueue order — which a god's-eye ordinal per frame checks.
+//! Each node's end of each link is a [`cckvs_net::link::Peer`] — the very
+//! end the production peer mesh queues, packs, takes in, numbers, retains
+//! and replays through, not a model of it. The harness drives it as the
+//! reactor does: what a node sends is pushed, and every action that runs
+//! code at a node ends as a reactor lap does, by pumping each of the node's
+//! links ([`Peer::pack`], as far as the credit window admits; what it holds
+//! back logs a `stall`). A pack is one flight — the number of its first
+//! item, then the bytes `pack` emitted: a bare frame or a batch, items and
+//! the processed count the credit policy announced riding them, or a lone
+//! credit. The receiving side splits a flight into numbered items for the
+//! link's [`RecvHalf`], which dedups and reorders, and its end takes each
+//! in order ([`Peer::receive`]) for `rpc.rs`'s [`serve_peer`]. Credits are
+//! the only confirmation, and they travel as flights; the scheduler picks
+//! when an armed credit tick fires ([`Action`]`::CreditTick`) and when a
+//! lost flight is retransmitted, as the UDP envelope does. Across a crash
+//! it runs the `PeerHello`/`PeerResume` contract: the restarted side's
+//! links start fresh (a new process generation), each survivor requeues
+//! its unprocessed tail ahead of what it queued meanwhile, the fresh
+//! receiver resumes at the survivor's confirmed count, and invalidations
+//! with uncounted acks are reissued. Every link must process frames in the
+//! order they were pushed — wire order is enqueue order — which a god's-eye
+//! ordinal per frame checks.
 //!
 //! ## The miss path
 //!
@@ -83,10 +89,10 @@ use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, NodeConfig, Outgoing};
 use cckvs_net::churn::{Next, Outcome, Transition};
-use cckvs_net::link::{Accept, Outbox, RecvHalf};
+use cckvs_net::link::{Accept, Item, Pack, Peer, RecvHalf, PEER_BATCH_MAX_BYTES};
 use cckvs_net::ops::{ConnOps, ResumeEvent, Wait};
-use cckvs_net::rpc::{serve_home_frame, RpcTable};
-use cckvs_net::wire::{encode_frame_into, Frame};
+use cckvs_net::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
+use cckvs_net::wire::{BatchBuilder, Frame, FrameDecoder};
 use consistency::engine::Destination;
 use consistency::history::{History, RecordKind};
 use consistency::{NodeId, ProtocolMsg, Timestamp};
@@ -115,13 +121,13 @@ pub enum Action {
     Drop(u64),
     /// Duplicate in-flight datagram `flight` (spends the dup budget).
     Dup(u64),
-    /// Re-send the oldest retained-but-undelivered frame of link `(from,
-    /// to)` (the sender's loss-repair timer, fired by the scheduler).
+    /// Re-send the oldest lost flight of link `(from, to)` (the sender's
+    /// loss-repair timer, fired by the scheduler).
     Retransmit(usize, usize),
-    /// Advance link `(from, to)`'s cumulative credit confirmation to the
-    /// receiver's current processed sequence, pruning retained frames, and
-    /// pump what the window now admits.
-    Confirm(usize, usize),
+    /// Fire node `i`'s armed credit tick on its link to `j`: a processed
+    /// count nothing announced since it was armed is due, and the link is
+    /// pumped.
+    CreditTick(usize, usize),
     /// Crash `node` (spends the crash budget; gated unless the scenario
     /// sets `unsafe_crashes`).
     Crash(usize),
@@ -194,33 +200,51 @@ pub fn fingerprint(events: &[String]) -> u64 {
     h
 }
 
-/// One frame on a directed link's [`Outbox`], and what the scheduler
-/// tracks about it.
+/// One item on a node's end of a link, and its god's-eye enqueue order
+/// (see "The link").
 struct LinkFrame {
-    /// The encoded frame; its datagram is the link number, then these.
-    encoded: Vec<u8>,
-    /// A committed value's `Update` (crash gating asks for these).
-    update: bool,
-    /// An `RpcReq`'s id, for the origin's table when the frame is numbered.
-    corr: Option<u64>,
-    /// God's-eye enqueue order (see "The link").
+    frame: Frame,
     ordinal: u64,
 }
 
-impl LinkFrame {
-    fn datagram(&self, seq: u64) -> Vec<u8> {
-        [&seq.to_le_bytes()[..], &self.encoded].concat()
+impl Item for LinkFrame {
+    fn payload_len(&self) -> usize {
+        self.frame.payload_len()
+    }
+
+    fn push_to(&self, batch: &mut BatchBuilder) {
+        self.frame.push_to(batch);
     }
 }
 
-/// One datagram on the wire: a copy of link `i → j`'s item `seq`, as
-/// [`LinkFrame::datagram`] encodes it.
+/// A committed value's `Update` (crash gating asks for these).
+fn is_update(frame: &Frame) -> bool {
+    let update = |msg: &ProtocolMsg| matches!(msg, ProtocolMsg::Update { .. });
+    matches!(frame, Frame::Protocol { msg, .. } if update(msg))
+}
+
+/// One copy of one pack on the wire: link `i → j`'s [`Pack`], as the
+/// number of its first item, then the bytes [`Peer::pack`] emitted.
 #[derive(Clone)]
 struct Flight {
     i: usize,
     j: usize,
-    seq: u64,
+    pack: Pack,
     datagram: Vec<u8>,
+}
+
+impl Flight {
+    /// `i->j`, the items' numbers and the credit riding them.
+    fn brief(&self) -> String {
+        let Pack { first, items, .. } = self.pack;
+        let items = match items {
+            0 => String::new(),
+            1 => format!(" #{first}"),
+            _ => format!(" #{first}..#{}", first + items - 1),
+        };
+        let credit = (self.pack.credit).map_or(String::new(), |cum| format!(" cum{cum}"));
+        format!("{}->{}{items}{credit}", self.i, self.j)
+    }
 }
 
 /// One rack node: the process (`CcNode` + pending-RPC table, replaced
@@ -276,8 +300,14 @@ pub struct RackModel {
     flights: BTreeMap<u64, Flight>,
     /// Datagrams put on the wire so far: the last flight's id.
     launched: u64,
-    outbox: BTreeMap<(usize, usize), Outbox<LinkFrame>>,
-    recv: BTreeMap<(usize, usize), RecvHalf<Vec<u8>>>,
+    /// Dropped flights, oldest first, until retransmitted.
+    lost: Vec<Flight>,
+    /// `(i, j)`: node `i`'s end of its link with `j`.
+    peers: BTreeMap<(usize, usize), Peer<LinkFrame>>,
+    /// Link `i → j`'s items at `j`, put back in order.
+    recv: BTreeMap<(usize, usize), RecvHalf<Frame>>,
+    /// Ends whose credit tick is armed.
+    ticks: BTreeSet<(usize, usize)>,
     /// Frames pushed so far, on any link: the next frame's ordinal.
     enqueued: u64,
     /// Per link, the ordinal of the frame its receiver processed last
@@ -354,8 +384,12 @@ impl RackModel {
             nodes,
             flights: BTreeMap::new(),
             launched: 0,
-            outbox: links().map(|l| (l, Outbox::default())).collect(),
+            lost: Vec::new(),
+            peers: (links())
+                .map(|l| (l, Peer::new(0, spec.credit_window)))
+                .collect(),
             recv: links().map(|l| (l, RecvHalf::default())).collect(),
+            ticks: BTreeSet::new(),
             enqueued: 0,
             processed_ordinal: BTreeMap::new(),
             served: BTreeMap::new(),
@@ -442,16 +476,12 @@ impl RackModel {
                 out.push(Action::Dup(f));
             }
         }
-        for &(i, j) in self.outbox.keys() {
+        for &(i, j) in self.peers.keys() {
             if self.retransmit_enabled(i, j) {
                 out.push(Action::Retransmit(i, j));
             }
         }
-        for (&(i, j), ob) in &self.outbox {
-            if self.nodes[i].up && ob.confirmed() < self.recv[&(i, j)].delivered() {
-                out.push(Action::Confirm(i, j));
-            }
-        }
+        out.extend(self.ticks.iter().map(|&(i, j)| Action::CreditTick(i, j)));
         for n in 0..self.nodes.len() {
             if self.can_crash(n) {
                 out.push(Action::Crash(n));
@@ -472,26 +502,13 @@ impl RackModel {
     }
 
     fn retransmit_enabled(&self, i: usize, j: usize) -> bool {
-        if !self.nodes[i].up || !self.nodes[j].up {
-            return false;
-        }
-        self.undelivered(i, j)
-            .any(|(seq, _)| !self.on_wire(i, j, seq))
-    }
-
-    /// Whether a copy of link `i → j`'s item `seq` is in flight.
-    fn on_wire(&self, i: usize, j: usize, seq: u64) -> bool {
-        self.flights
-            .values()
-            .any(|f| (f.i, f.j, f.seq) == (i, j, seq))
+        self.lost.iter().any(|f| (f.i, f.j) == (i, j))
     }
 
     /// Link `i → j`'s retained frames the receiver has not yet delivered.
     fn undelivered(&self, i: usize, j: usize) -> impl Iterator<Item = (u64, &LinkFrame)> {
         let delivered = self.recv[&(i, j)].delivered();
-        self.outbox[&(i, j)]
-            .retained()
-            .filter(move |(seq, _)| *seq >= delivered)
+        (self.peers[&(i, j)].outbox.retained()).filter(move |(seq, _)| *seq >= delivered)
     }
 
     /// Crash gating. Ungated when the scenario sets `unsafe_crashes`;
@@ -516,8 +533,9 @@ impl RackModel {
         let dirty_shard = self.nodes[n].kvs_dirty;
         let pending_commit = self.awaits_commit(n);
         let undelivered_update = (0..self.nodes.len()).filter(|&j| j != n).any(|j| {
-            self.undelivered(n, j).any(|(_, r)| r.update)
-                || self.outbox[&(n, j)].queued().any(|r| r.update)
+            let mut unsent = self.peers[&(n, j)].outbox.queued();
+            self.undelivered(n, j).any(|(_, r)| is_update(&r.frame))
+                || unsent.any(|r| is_update(&r.frame))
         });
         if self.spec.unsafe_crashes {
             // The negative scenario crashes only *inside* the windows that
@@ -556,36 +574,53 @@ impl RackModel {
 
     // ----- action application -----------------------------------------
 
-    /// Applies one scheduler choice.
+    /// Applies one scheduler choice. One that runs code at a node ends
+    /// as a reactor lap does: the node pumps its links (`end_lap`).
     pub fn apply(&mut self, action: Action) {
         self.clock += 1;
+        let lap = match action {
+            Action::Issue(n) | Action::Reprobe(n) | Action::CreditTick(n, _) => Some(n),
+            Action::Deliver(f) => Some(self.flights[&f].j),
+            Action::Admin => match self.transitions.front().map(Transition::next) {
+                Some(Next::Call(n, _)) => Some(n),
+                _ => None,
+            },
+            _ => None,
+        };
         match action {
             Action::Issue(n) => self.issue(n),
             Action::Reprobe(n) => self.reprobe(n),
             Action::Deliver(f) => self.deliver_flight(f),
             Action::Drop(f) => {
                 self.drops_left -= 1;
-                let Flight { i, j, seq, .. } = self.flights.remove(&f).expect("live flight");
-                self.log(format!("drop {i}->{j} #{seq}"));
+                let flight = self.flights.remove(&f).expect("live flight");
+                self.log(format!("drop {}", flight.brief()));
+                self.lost.push(flight);
             }
             Action::Dup(f) => {
                 self.dups_left -= 1;
                 let copy = self.flights[&f].clone();
-                self.log(format!("dup {}->{} #{}", copy.i, copy.j, copy.seq));
+                self.log(format!("dup {}", copy.brief()));
                 self.launch(copy);
             }
-            Action::Retransmit(i, j) => self.retransmit(i, j),
-            Action::Confirm(i, j) => {
-                let processed = self.recv[&(i, j)].delivered();
-                let ob = self.outbox.get_mut(&(i, j)).expect("link");
-                ob.confirm(processed).expect("delivered implies sent");
-                self.log(format!("confirm {i}->{j} cum{processed}"));
-                self.pump(i, j);
+            Action::Retransmit(i, j) => {
+                let at = self.lost.iter().position(|f| (f.i, f.j) == (i, j));
+                let flight = self.lost.remove(at.expect("a lost flight"));
+                self.log(format!("retransmit {}", flight.brief()));
+                self.launch(flight);
+            }
+            Action::CreditTick(i, j) => {
+                self.ticks.remove(&(i, j));
+                self.log(format!("tick n{i} credit to n{j}"));
+                self.peers.get_mut(&(i, j)).expect("link").tick();
             }
             Action::Crash(n) => self.crash(n),
             Action::Restart(n) => self.restart(n),
             Action::Heal => self.heal(),
             Action::Admin => self.admin_step(),
+        }
+        if let Some(n) = lap {
+            self.end_lap(n);
         }
     }
 
@@ -599,7 +634,7 @@ impl RackModel {
 
     /// Ships protocol messages produced by a node: resolves destinations
     /// (broadcast = every other replica) and queues each on the
-    /// corresponding directed link.
+    /// corresponding link.
     fn ship(&mut self, n: usize, outgoing: Vec<Outgoing>) {
         for out in outgoing {
             let targets: Vec<usize> = match out.dest {
@@ -611,108 +646,110 @@ impl RackModel {
                 bytes: out.bytes.as_ref().map(|b| b.to_vec()),
             };
             for t in targets {
-                self.send_frame(n, t, &frame);
+                self.send_frame(n, t, frame.clone());
             }
         }
     }
 
-    /// Queues one frame on the directed link `i → j` and pumps the link. A
-    /// frame for a down peer stays queued; the restart pumps it.
-    fn send_frame(&mut self, i: usize, j: usize, frame: &Frame) {
-        let update = matches!(
-            frame,
-            Frame::Protocol {
-                msg: ProtocolMsg::Update { .. },
-                ..
-            }
-        );
-        let corr = match frame {
-            Frame::RpcReq { corr, .. } => Some(*corr),
-            _ => None,
-        };
-        let mut encoded = Vec::with_capacity(56);
-        encode_frame_into(&mut encoded, frame);
+    /// Queues one frame on node `i`'s end of its link with `j`; the lap
+    /// under way pumps it (a frame for a down peer stays queued, and the
+    /// restart pumps it).
+    fn send_frame(&mut self, i: usize, j: usize, frame: Frame) {
         self.enqueued += 1;
-        self.outbox.get_mut(&(i, j)).expect("link").push(LinkFrame {
-            encoded,
-            update,
-            corr,
-            ordinal: self.enqueued,
-        });
-        self.pump(i, j);
+        let ordinal = self.enqueued;
+        let end = self.peers.get_mut(&(i, j)).expect("link");
+        end.outbox.push(LinkFrame { frame, ordinal });
     }
 
-    /// The reactor's peer pump over link `i → j`, one datagram per item:
-    /// while both ends are up, puts on the wire what the window admits,
-    /// front first, and logs a `stall` if the window holds anything back.
-    fn pump(&mut self, i: usize, j: usize) {
-        if !(self.nodes[i].up && self.nodes[j].up) {
-            return;
-        }
-        let window = self.spec.credit_window;
-        while self.outbox[&(i, j)].sendable(window).is_some() {
-            let ob = self.outbox.get_mut(&(i, j)).expect("link");
-            let seq = ob.pack_front();
-            let frame = ob.get_mut(seq).expect("just packed");
-            let datagram = frame.datagram(seq);
-            if let Some(corr) = frame.corr {
-                self.nodes[i].rpcs.packed(corr, seq);
+    /// The end of a reactor lap at node `n`: each of its link ends whose
+    /// peer is up packs, one flight per pack, until its queue is empty or
+    /// its window closed; a credit debt left behind arms the end's tick,
+    /// and a window holding anything back logs a `stall`.
+    fn end_lap(&mut self, i: usize) {
+        let (window, cap) = (self.spec.credit_window, PEER_BATCH_MAX_BYTES);
+        for j in (0..self.nodes.len()).filter(|&j| j != i) {
+            if !(self.nodes[i].up && self.nodes[j].up) {
+                continue;
             }
-            self.launch(Flight {
-                i,
-                j,
-                seq,
-                datagram,
-            });
+            let (mut builder, mut packs) = (BatchBuilder::new(), Vec::new());
+            let end = self.peers.get_mut(&(i, j)).expect("link");
+            let rpcs = &mut self.nodes[i].rpcs;
+            let mut numbered = |seq, f: &LinkFrame| {
+                if let Frame::RpcReq { corr, .. } = f.frame {
+                    rpcs.packed(corr, seq);
+                }
+            };
+            loop {
+                let mut datagram = vec![0; 8];
+                let pack = end.pack(window, cap, &mut builder, &mut datagram, &mut numbered);
+                if datagram.len() > 8 {
+                    datagram[..8].copy_from_slice(&pack.first.to_le_bytes());
+                    packs.push(Flight {
+                        i,
+                        j,
+                        pack,
+                        datagram,
+                    });
+                }
+                if pack.items == 0 || end.outbox.queued().len() == 0 {
+                    break;
+                }
+            }
+            if end.arm() {
+                self.ticks.insert((i, j));
+            }
+            let queued = end.outbox.queued().len();
+            packs.into_iter().for_each(|flight| self.launch(flight));
+            if queued > 0 {
+                self.log(format!("stall {i}->{j} x{queued}"));
+            }
         }
-        let queued = self.outbox[&(i, j)].queued().len();
-        if queued > 0 {
-            self.log(format!("stall {i}->{j} x{queued}"));
-        }
-    }
-
-    fn retransmit(&mut self, i: usize, j: usize) {
-        let Some((seq, datagram)) = self
-            .undelivered(i, j)
-            .find(|&(seq, _)| !self.on_wire(i, j, seq))
-            .map(|(seq, r)| (seq, r.datagram(seq)))
-        else {
-            return;
-        };
-        self.launch(Flight {
-            i,
-            j,
-            seq,
-            datagram,
-        });
-        self.log(format!("retransmit {i}->{j} #{seq}"));
     }
 
     // ----- delivery and frame processing ------------------------------
 
-    /// Lands flight `f`: its `[seq u64][len u32][frame]` datagram goes
-    /// into link `i → j`'s receive half, and every frame that became
-    /// deliverable is processed.
+    /// Lands flight `f` at node `j`: its credits go straight to `j`'s end
+    /// of the link, its items, numbered from the header, into link
+    /// `i → j`'s receive half, and every item that became deliverable is
+    /// taken in and served.
     fn deliver_flight(&mut self, f: u64) {
-        let Flight { i, j, datagram, .. } = self.flights.remove(&f).expect("live flight");
-        let seq = u64::from_le_bytes(datagram[0..8].try_into().expect("8 bytes"));
-        self.log(format!("deliver {i}->{j} #{seq}"));
-        let flen = u32::from_le_bytes(datagram[8..12].try_into().expect("4 bytes")) as usize;
-        let payload = &datagram[12..];
-        assert_eq!(payload.len(), flen, "one frame per datagram");
-        let rl = self.recv.get_mut(&(i, j)).expect("link");
-        let next = rl.delivered();
-        match rl.accept(seq, payload.to_vec()) {
-            Accept::Ready => {}
-            Accept::Duplicate => self.log(format!("dedup {i}->{j} #{seq}")),
-            Accept::Held => self.log(format!("hold {i}->{j} #{seq} (awaiting #{next})")),
-            Accept::Refused => self.log(format!("refuse {i}->{j} #{seq}")),
+        let flight = self.flights.remove(&f).expect("live flight");
+        self.log(format!("deliver {}", flight.brief()));
+        let Flight { i, j, datagram, .. } = flight;
+        let mut seq = u64::from_le_bytes(datagram[..8].try_into().expect("8 bytes"));
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&datagram[8..]);
+        while let Some(message) = decoder.next_frame().expect("packs decode") {
+            let frames = match message {
+                Frame::Batch { frames } => frames,
+                frame => vec![frame],
+            };
+            for frame in frames {
+                if let Frame::Credit { .. } = frame {
+                    self.receive(i, j, frame);
+                    continue;
+                }
+                let rl = self.recv.get_mut(&(i, j)).expect("link");
+                let next = rl.delivered();
+                match rl.accept(seq, frame) {
+                    Accept::Ready => {}
+                    Accept::Duplicate => self.log(format!("dedup {i}->{j} #{seq}")),
+                    Accept::Held => self.log(format!("hold {i}->{j} #{seq} (awaiting #{next})")),
+                    Accept::Refused => self.log(format!("refuse {i}->{j} #{seq}")),
+                }
+                seq += 1;
+            }
         }
-        while let Some(payload) = self.recv.get_mut(&(i, j)).expect("link").pop_ready() {
+        while let Some(frame) = self.recv.get_mut(&(i, j)).expect("link").pop_ready() {
             let seq = self.recv[&(i, j)].delivered() - 1;
-            let ordinal = (self.outbox[&(i, j)].retained())
-                .find_map(|(s, f)| (s == seq).then_some(f.ordinal))
-                .expect("retained until confirmed");
+            let ordinal = (self.peers[&(i, j)].outbox.retained())
+                .find_map(|(s, f)| (s == seq).then_some(f.ordinal));
+            let Some(ordinal) = ordinal else {
+                return self.fail(format!(
+                    "link {i}->{j} processed #{seq} after a credit confirmed it: \
+                     a confirmation counted what its receiver had not processed"
+                ));
+            };
             let last = self.processed_ordinal.insert((i, j), ordinal);
             if let Some(last) = last.filter(|&last| last >= ordinal) {
                 return self.fail(format!(
@@ -721,33 +758,28 @@ impl RackModel {
                 ));
             }
             self.nodes[j].deliveries += 1;
-            let frame = Frame::decode(&payload).expect("peer frames decode");
-            self.process_frame(i, j, frame);
+            self.receive(i, j, frame);
             if self.violation.is_some() {
                 return;
             }
         }
     }
 
-    /// Processes one in-sequence frame arriving at node `j` from node `i`.
-    fn process_frame(&mut self, i: usize, j: usize, frame: Frame) {
-        match frame {
-            Frame::Protocol { msg, bytes } => {
-                self.log(format!("n{j} <- {}", protocol_brief(&msg)));
-                let out = self.nodes[j].cc.deliver(&msg, bytes.as_deref());
-                self.ship(j, out);
-                self.drain_commits();
-            }
-            Frame::RpcReq { corr, inner } => {
-                let resp = self.serve_home(i, j, corr, *inner);
-                let resp = Frame::RpcResp {
-                    corr,
-                    inner: Box::new(resp),
-                };
-                self.send_frame(j, i, &resp);
-            }
-            Frame::RpcResp { corr, inner } => self.resolve_rpc(j, corr, *inner),
-            other => self.fail(format!("unexpected peer frame {other:?}")),
+    /// Node `j`'s end of its link with `i` takes in one frame from `i`, and
+    /// the items it counted are served.
+    fn receive(&mut self, i: usize, j: usize, frame: Frame) {
+        let mut items = Vec::new();
+        let received = (self.peers.get_mut(&(j, i)).expect("link")).receive(frame, &mut items);
+        let mut host = LinkHost {
+            m: self,
+            from: i,
+            at: j,
+        };
+        items
+            .into_iter()
+            .for_each(|item| serve_peer(&mut host, item));
+        if let Err(frame) = received {
+            self.fail(format!("unexpected peer frame {frame:?}"));
         }
     }
 
@@ -818,9 +850,11 @@ impl RackModel {
         self.log(format!("crash n{n}"));
         self.nodes[n].up = false;
         self.nodes[n].admin = ConnOps::default();
-        // Every flight to or from the node evaporated with it; a survivor's
-        // frame that lost its copies is a retransmit/replay candidate.
+        // Every flight to or from the node evaporated with it, and its
+        // connections' ticks; what a survivor retained is the replay's.
         self.flights.retain(|_, f| f.i != n && f.j != n);
+        self.lost.retain(|f| f.i != n && f.j != n);
+        self.ticks.retain(|&(i, j)| i != n && j != n);
         self.session_lost(n);
     }
 
@@ -829,10 +863,11 @@ impl RackModel {
     /// way the supervisor starts one — cold-version counter raised to the
     /// dead process's (a perfectly current `VersionFloor` poll; production
     /// adds `--cold-floor` slack instead) and the hot keys it homes fenced
-    /// until [`Action::Heal`] — then fresh links outward, and — per
-    /// survivor — the retained replay (receiver resumes at the survivor's
-    /// confirmed sequence), reissued invalidations for acks the survivor
-    /// never counted, and the survivor's in-doubt miss RPCs asked again.
+    /// until [`Action::Heal`] — then fresh link ends, and — per survivor —
+    /// the retained replay (receiver resumes at the survivor's confirmed
+    /// sequence), reissued invalidations for acks the survivor never
+    /// counted, and the survivor's in-doubt miss RPCs asked again. Every
+    /// node then pumps its links.
     fn restart(&mut self, n: usize) {
         let nodes = self.spec.nodes;
         let slot = &mut self.nodes[n];
@@ -852,12 +887,11 @@ impl RackModel {
         self.heal_needed = true;
         self.world_version += 1;
         self.log(format!("restart n{n} gen{}", self.nodes[n].gen));
+        let gen = self.nodes[n].gen;
         for j in 0..nodes {
             if j == n {
                 continue;
             }
-            // Outbound links of the new process start a fresh numbering.
-            self.outbox.insert((n, j), Outbox::default());
             self.recv.insert((n, j), RecvHalf::default());
             self.processed_ordinal.remove(&(n, j));
             self.processed_ordinal.remove(&(j, n));
@@ -866,17 +900,22 @@ impl RackModel {
             // confirmed count, ahead of what it queued while the peer was
             // down, and the receiver resumes there (PeerResume); frames
             // the dead process handled beyond it are re-handled vacuously
-            // by the fresh cache.
-            let ob = self.outbox.get_mut(&(j, n)).expect("link");
-            let confirmed = ob.requeue_unprocessed(0, |_| {});
+            // by the fresh cache. The new process's stream starts a fresh
+            // numbering.
+            let survivor = self.peers.get_mut(&(j, n)).expect("link");
+            let confirmed = survivor.outbox.requeue_unprocessed(0, |_| {});
             let confirmed = confirmed.expect("zero is never beyond sent");
-            let replayed = (ob.queued().len() as u64).min(self.spec.credit_window);
+            survivor.resume(gen, 0);
+            let queued = survivor.outbox.queued().len() as u64;
+            let replayed = queued.min(self.spec.credit_window);
             self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
+            let mut fresh = Peer::new(gen, self.spec.credit_window);
+            fresh.resume(self.nodes[j].gen, confirmed);
+            self.peers.insert((n, j), fresh);
             if replayed > 0 {
                 let last = confirmed + replayed - 1;
                 self.log(format!("replay {j}->{n} #{confirmed}..#{last}"));
             }
-            self.pump(j, n);
             // Invalidations whose acks were never counted: reissued toward
             // the fresh process, which acknowledges vacuously.
             let reissued = self.nodes[j].cc.reissue_invalidations(NodeId(n as u8));
@@ -889,9 +928,12 @@ impl RackModel {
             if !self.spec.skip_rpc_reissue {
                 for (corr, frame) in self.nodes[j].rpcs.in_doubt(n, confirmed) {
                     self.log(format!("in-doubt n{j} rpc#{corr} -> home n{n}"));
-                    self.send_frame(j, n, &frame);
+                    self.send_frame(j, n, frame);
                 }
             }
+        }
+        for j in 0..nodes {
+            self.end_lap(j);
         }
     }
 
@@ -957,8 +999,9 @@ impl RackModel {
 
     /// Whether the run has fully quiesced: every op completed, every node
     /// up and healed, the admin script finished, no datagram in flight,
-    /// and every retained frame delivered (acknowledged writes are fully
-    /// propagated — SC's eventual-delivery obligation).
+    /// and every frame sent and confirmed — acknowledged writes are fully
+    /// propagated (SC's eventual-delivery obligation), and no credit debt
+    /// outlived a tick.
     fn done(&self) -> bool {
         self.nodes
             .iter()
@@ -966,15 +1009,15 @@ impl RackModel {
             && !self.heal_needed
             && self.transitions.is_empty()
             && self.flights.is_empty()
-            && self.outbox.iter().all(|(link, ob)| {
-                let sent = ob.confirmed() + ob.outstanding();
-                ob.queued().len() == 0 && sent <= self.recv[link].delivered()
+            && (self.peers.values()).all(|end| {
+                let outbox = &end.outbox;
+                outbox.queued().len() == 0 && outbox.outstanding() == 0
             })
     }
 
     /// The deterministic completion phase: no faults, fixed priorities —
-    /// restart, deliver (lowest flight), retransmit, admin, heal, reprobe,
-    /// issue. Reports a deadlock if the rack cannot quiesce.
+    /// restart, deliver (lowest flight), retransmit, credit tick, admin,
+    /// heal, reprobe, issue. Reports a deadlock if the rack cannot quiesce.
     fn drain(&mut self) {
         for _ in 0..DRAIN_CAP {
             if self.done() || self.violation.is_some() {
@@ -1005,9 +1048,14 @@ impl RackModel {
                         )
                     })
                     .collect();
+                let unconfirmed = (self.peers.iter())
+                    .filter(|(_, end)| end.outbox.outstanding() > 0)
+                    .map(|((i, j), end)| format!("{i}->{j} x{}", end.outbox.outstanding()));
+                let unconfirmed: Vec<String> = unconfirmed.collect();
                 self.fail(format!(
-                    "deadlock: rack cannot quiesce [{}]",
-                    stuck.join("; ")
+                    "deadlock: rack cannot quiesce [{}] unconfirmed [{}]",
+                    stuck.join("; "),
+                    unconfirmed.join(", ")
                 ));
                 return;
             };
@@ -1025,18 +1073,13 @@ impl RackModel {
         if let Some(&f) = self.flights.keys().next() {
             return Some(Action::Deliver(f));
         }
-        for &(i, j) in self.outbox.keys() {
+        for &(i, j) in self.peers.keys() {
             if self.retransmit_enabled(i, j) {
                 return Some(Action::Retransmit(i, j));
             }
         }
-        // A credit return, for a link whose window holds frames back (every
-        // node is up by now).
-        for (&(i, j), ob) in &self.outbox {
-            let held_back = ob.queued().len() > 0 && ob.sendable(self.spec.credit_window).is_none();
-            if held_back && ob.confirmed() < self.recv[&(i, j)].delivered() {
-                return Some(Action::Confirm(i, j));
-            }
+        if let Some(&(i, j)) = self.ticks.first() {
+            return Some(Action::CreditTick(i, j));
         }
         if self.admin_enabled() {
             return Some(Action::Admin);
@@ -1128,6 +1171,43 @@ fn decode_value(bytes: &[u8]) -> u64 {
         u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
     } else {
         0
+    }
+}
+
+/// [`PeerHost`] for node `at`'s end of its link with `from`: what its
+/// items reach beyond the node goes where the harness's own sends go, and
+/// the checker notes what it needs on the way.
+struct LinkHost<'a> {
+    m: &'a mut RackModel,
+    from: usize,
+    at: usize,
+}
+
+impl PeerHost for LinkHost<'_> {
+    fn node(&self) -> &CcNode {
+        &self.m.nodes[self.at].cc
+    }
+
+    fn received(&mut self, msg: &ProtocolMsg, _trace: Option<u64>) {
+        let at = self.at;
+        self.m.log(format!("n{at} <- {}", protocol_brief(msg)));
+    }
+
+    fn ship(&mut self, outgoing: Vec<Outgoing>, _trace: Option<u64>) {
+        self.m.ship(self.at, outgoing);
+        self.m.drain_commits();
+    }
+
+    fn serve_home(&mut self, corr: u64, request: Frame) -> Frame {
+        self.m.serve_home(self.from, self.at, corr, request)
+    }
+
+    fn answer(&mut self, response: Frame) {
+        self.m.send_frame(self.at, self.from, response);
+    }
+
+    fn resolve(&mut self, corr: u64, response: Frame) {
+        self.m.resolve_rpc(self.at, corr, response);
     }
 }
 

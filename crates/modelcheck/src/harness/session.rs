@@ -369,7 +369,7 @@ impl OpsHost for SimHost<'_> {
         let (corr, frame) = self.m.nodes[n].rpcs.issue(home, request, (), ());
         self.m
             .log(format!("{who} n{n} rpc#{corr} k{key} -> home n{home}"));
-        self.m.send_frame(n, home, &frame);
+        self.m.send_frame(n, home, frame);
         Some(corr)
     }
 

@@ -353,20 +353,26 @@ pub fn ack_then_die() -> ScenarioSpec {
     }
 }
 
-/// Every node reads cold keys homed at the other two, and one node
-/// crashes. Nothing is ever written, so every crash is survivable and no
-/// crash gate applies; the window of interest is a home that confirmed a
-/// `MissGet` on the link and died before its `RpcResp` was delivered. The
-/// link's replay cannot repair that (the confirmation trimmed the request
-/// from the retained tail): the origin's op completes only because its
-/// RPC table names the request in doubt and asks the replacement again.
+/// Every node reads cold keys homed at the other two, and nodes crash.
+/// Nothing is ever written, so every crash is survivable and no crash gate
+/// applies; the window of interest is a home that confirmed a `MissGet` on
+/// the link and died before its `RpcResp` was delivered. An answer leaves
+/// in the same pack as the credit confirming its request, so the window
+/// opens only while the home's own request to the origin fills a window of
+/// one and a lone credit goes ahead of the answer: node 1 reads node 0's
+/// key first, and a second crash budget outlives the first crash, which
+/// lands before any traffic in most walks. The link's replay cannot repair
+/// that window (the confirmation trimmed the request from the retained
+/// tail): the origin's op completes only because its RPC table names the
+/// request in doubt and asks the replacement again.
 pub fn miss_rpc_crash() -> ScenarioSpec {
     let keys: Vec<u64> = (0..3).map(|home| key_homed_at(3, home, 1300)).collect();
     let reads = |a: usize, b: usize| each([get(keys[a]), get(keys[b]), get(keys[a])]);
     let about = "home dies owing a confirmed MissGet its answer; in-doubt reissue must complete it";
     ScenarioSpec {
-        programs: vec![reads(1, 2), reads(2, 0), reads(0, 1)],
-        crash_budget: 1,
+        programs: vec![reads(1, 2), reads(0, 2), reads(0, 1)],
+        crash_budget: 2,
+        credit_window: 1,
         ..ScenarioSpec::new("miss-rpc-crash", about, Lin, 3)
     }
 }

@@ -1,23 +1,23 @@
 //! The reliable link: the one implementation of sequence numbering,
-//! sender retention, cumulative confirmation, replay and in-order
-//! duplicate-free receipt that the paper's credit-flow-controlled peer
-//! mesh (§6.3–6.4) rests on.
+//! sender retention, cumulative confirmation, replay, in-order
+//! duplicate-free receipt, batching (§6.3) and credits riding the reverse
+//! traffic (§6.4) that the paper's peer mesh rests on.
 //!
-//! Pure state machines — no socket, no clock, no lock, no metrics. Three
-//! drivers own everything else:
+//! Pure state machines — no socket, no clock, no lock, no metrics. A
+//! [`Peer`] is one node's end of a duplex peer link; it packs
+//! ([`Peer::pack`]) and takes in ([`Peer::receive`]), and `rpc.rs`'s
+//! `serve_peer` serves what it took in. Three drivers:
 //!
-//! * the server's `PeerLink` holds an [`Outbox`] of coherence items: any
-//!   thread pushes, the owning shard's pump packs under the credit window,
-//!   [`Frame::Credit`](crate::wire::Frame::Credit) confirms, the redial
-//!   handshake [`Outbox::requeue_unprocessed`]s. (Its receive side rides a
-//!   kernel byte stream, which is already ordered: a counter suffices —
-//!   and a [`CreditReturn`] per connection says when that counter goes
-//!   back.)
+//! * the server's `PeerLink` holds a [`Peer`] behind a lock: any thread
+//!   pushes, the owning shard reads the socket into it and pumps it last in
+//!   every lap, the redial handshake requeues and resumes it. (Its receive
+//!   side rides a kernel byte stream, which is already ordered.)
 //! * `transport.rs`'s UDP connection holds both halves at datagram
 //!   granularity and adds timers, pacing, faults and FIN.
-//! * `cckvs-modelcheck`'s `RackModel` holds an [`Outbox`] and a
-//!   [`RecvHalf`] per directed node pair, pumps the outbox as the server
-//!   does, and lets its scheduler pick every delivery, loss and confirm.
+//! * `cckvs-modelcheck`'s `RackModel` holds a [`Peer`] per node and peer,
+//!   puts each pack on its wire as one flight, splits what lands into
+//!   numbered items for a [`RecvHalf`], and lets its scheduler pick every
+//!   delivery, loss, credit tick and crash.
 //!
 //! One numbering convention: items are numbered 0, 1, 2, … in send order,
 //! and every cumulative value — a confirmation, a processed report, a
@@ -25,8 +25,20 @@
 //! **not** covered. Wire formats that number differently (`PeerResume`'s
 //! 1-based `start_seq`) adapt at their boundary.
 
+use crate::wire::{BatchBuilder, Frame};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+
+/// Most items one [`Peer::pack`] carries. The credit window bounds a pack
+/// first whenever it is smaller.
+pub const PEER_BATCH_OPS: u64 = 32;
+
+/// Byte budget for one pack: packing stops (and spills to the next pack)
+/// once a batch holds this much, keeping batches far below
+/// [`crate::wire::MAX_FRAME_BYTES`]. A datagram fabric caps it lower, at
+/// its payload size. A single item over the budget still travels — alone,
+/// as a bare frame.
+pub const PEER_BATCH_MAX_BYTES: usize = 1 << 20;
 
 /// Out-of-order items a [`RecvHalf`] parks before refusing further gaps
 /// (the sender's retransmission recovers refused items).
@@ -116,12 +128,6 @@ impl<T> SendHalf<T> {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         (self.confirmed..).zip(&mut self.retained)
     }
-
-    /// The retained item numbered `seq`, if it is still unconfirmed.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
-        let at = seq.checked_sub(self.confirmed)?;
-        self.retained.get_mut(usize::try_from(at).ok()?)
-    }
 }
 
 /// The outgoing side of one link: a FIFO of items not yet on the wire in
@@ -206,11 +212,6 @@ impl<T> Outbox<T> {
     /// The retained items with their numbers, oldest first.
     pub fn retained(&self) -> impl Iterator<Item = (u64, &T)> {
         self.send.iter()
-    }
-
-    /// The retained item numbered `seq`, if it is still unconfirmed.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
-        self.send.get_mut(seq)
     }
 }
 
@@ -308,7 +309,7 @@ pub const CREDIT_RETURN_DIVISOR: u64 = 4;
 ///
 /// The processed count itself belongs to the driver (it outlives the
 /// connection this policy is attached to) and is passed in.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditReturn {
     threshold: u64,
     announced: u64,
@@ -365,9 +366,214 @@ impl CreditReturn {
     }
 }
 
+/// What a [`Peer`] carries: an item that knows its frame.
+pub trait Item {
+    /// Bytes the item adds beyond a frame's fixed overhead: what the byte
+    /// budget counts.
+    fn payload_len(&self) -> usize;
+    /// Appends the item's frame to `batch`.
+    fn push_to(&self, batch: &mut BatchBuilder);
+}
+
+impl Item for Frame {
+    fn payload_len(&self) -> usize {
+        match self {
+            Frame::RpcReq { inner, .. }
+            | Frame::RpcResp { inner, .. }
+            | Frame::Traced { inner, .. } => inner.payload_len(),
+            Frame::MissPut { value, .. }
+            | Frame::MissGetResp { value }
+            | Frame::WriteBack { value, .. }
+            | Frame::HotMarkResp { value, .. } => value.len(),
+            Frame::Protocol { bytes, .. } => bytes.as_ref().map_or(0, Vec::len),
+            _ => 0,
+        }
+    }
+
+    fn push_to(&self, batch: &mut BatchBuilder) {
+        batch.push(self);
+    }
+}
+
+/// Whether a frame is a link item: flow-controlled, numbered, counted.
+fn is_item(frame: &Frame) -> bool {
+    match frame {
+        Frame::Protocol { .. } | Frame::RpcReq { .. } | Frame::RpcResp { .. } => true,
+        Frame::Traced { inner, .. } => matches!(**inner, Frame::Protocol { .. }),
+        _ => false,
+    }
+}
+
+/// What one [`Peer::pack`] put on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pack {
+    /// The number of the first item packed (the next number, if none was).
+    pub first: u64,
+    /// Items packed.
+    pub items: u64,
+    /// The cumulative processed count a [`Frame::Credit`] announced.
+    pub credit: Option<u64>,
+    /// The pack left as one [`Frame::Batch`] of items, not as bare frames.
+    pub batched: bool,
+}
+
+/// One node's end of a duplex peer link: the [`Outbox`] of what it sends,
+/// the count of the peer's items it processed, the [`CreditReturn`] that
+/// announces that count, and the generations that stamp it. Sans-IO both
+/// ways: [`Peer::pack`] is what the link puts on the wire, [`Peer::receive`]
+/// what it takes off.
+#[derive(Debug)]
+pub struct Peer<T> {
+    /// What this end sends: queued, then retained until confirmed.
+    pub outbox: Outbox<T>,
+    /// Items of the peer's stream processed so far, in its numbering.
+    processed: u64,
+    credit: CreditReturn,
+    /// This process's generation: a [`Frame::Credit`] stamped with another
+    /// was addressed to a predecessor and counts in its numbering.
+    gen: u64,
+    /// The peer process's generation, stamped on the credits going back.
+    peer_gen: u64,
+}
+
+impl<T: Item> Peer<T> {
+    /// A link end of process `gen` whose peer is bounded by `window`, not
+    /// yet connected (peer generation 0).
+    pub fn new(gen: u64, window: u64) -> Self {
+        Peer {
+            outbox: Outbox::default(),
+            processed: 0,
+            credit: CreditReturn::new(window),
+            gen,
+            peer_gen: 0,
+        }
+    }
+
+    /// Items of the peer's stream processed so far.
+    pub fn processed(&self) -> u64 {
+        self.processed
+    }
+
+    /// The peer process's generation as last resumed (0 = never).
+    pub fn peer_gen(&self) -> u64 {
+        self.peer_gen
+    }
+
+    /// Reconnect, the peer's stream: a connection to process `peer_gen`
+    /// resumes it after its first `processed` items. Announcements start
+    /// over, so the count goes back at once (cumulative confirmations are
+    /// idempotent).
+    pub fn resume(&mut self, peer_gen: u64, processed: u64) {
+        self.peer_gen = peer_gen;
+        self.processed = processed;
+        self.credit = CreditReturn {
+            threshold: self.credit.threshold,
+            ..CreditReturn::new(0)
+        };
+    }
+
+    /// Packs what is queued, front first, into one wire message appended
+    /// to `out`: up to [`PEER_BATCH_OPS`] items under the credit `window`
+    /// and `byte_cap` (the first item goes whatever its size), with the
+    /// processed count announced as a [`Frame::Credit`] on every non-empty
+    /// pack and alone only when the [`CreditReturn`] says it is due. One
+    /// frame leaves bare, more as a [`Frame::Batch`]; an item over the
+    /// budget leaves bare, and its credit as a second message. `numbered`
+    /// sees each item with the number it went out under. Nothing waits for
+    /// company: an empty queue and nothing due appends nothing.
+    pub fn pack(
+        &mut self,
+        window: u64,
+        byte_cap: usize,
+        builder: &mut BatchBuilder,
+        out: &mut Vec<u8>,
+        mut numbered: impl FnMut(u64, &T),
+    ) -> Pack {
+        let first = self.outbox.send.next_seq();
+        let mut items = 0;
+        while items < PEER_BATCH_OPS {
+            let Some(head) = self.outbox.sendable(window) else {
+                break;
+            };
+            // Byte bound: an item count alone would let a burst of large
+            // values coalesce past MAX_FRAME_BYTES, and the receiver drops
+            // an oversized frame together with the whole link.
+            if builder.count() > 0 && builder.bytes() + 64 + head.payload_len() > byte_cap {
+                break;
+            }
+            head.push_to(builder);
+            numbered(first + items, head);
+            self.outbox.pack_front();
+            items += 1;
+        }
+        let due = items > 0 || self.credit.due(self.processed);
+        let credit = due.then(|| self.credit.take(self.processed)).flatten();
+        if let Some(cum) = credit {
+            if builder.bytes() > byte_cap {
+                builder.append_to(out);
+            }
+            let gen = self.peer_gen;
+            builder.push(&Frame::Credit { cum, gen });
+        }
+        let batched = items > 0 && builder.count() > 1;
+        builder.append_to(out);
+        Pack {
+            first,
+            items,
+            credit,
+            batched,
+        }
+    }
+
+    /// Takes in one message from the peer, a [`Frame::Batch`] sub-frame by
+    /// sub-frame: a [`Frame::Credit`] of this generation confirms the
+    /// outbox (one of another generation, or beyond what was sent, changes
+    /// nothing); a link item — a protocol message, possibly traced, or a
+    /// miss-path request or response — is counted processed and pushed
+    /// onto `serve`, for `rpc.rs`'s `serve_peer` once the caller lets go
+    /// of this end (serving enqueues on links, this one included). Any
+    /// other frame ends the message as `Err`, the items before it counted
+    /// and pushed.
+    pub fn receive(&mut self, frame: Frame, serve: &mut Vec<Frame>) -> Result<(), Frame> {
+        let mut one = |frame: Frame| {
+            match frame {
+                Frame::Credit { cum, gen } => {
+                    if gen == self.gen {
+                        let _ = self.outbox.confirm(cum);
+                    }
+                }
+                frame if is_item(&frame) => {
+                    self.processed += 1;
+                    serve.push(frame);
+                }
+                other => return Err(other),
+            }
+            Ok(())
+        };
+        match frame {
+            Frame::Batch { frames } => frames.into_iter().try_for_each(one),
+            frame => one(frame),
+        }
+    }
+
+    /// Whether the driver must arm its credit tick; see
+    /// [`CreditReturn::arm`]. Asked after every pump.
+    pub fn arm(&mut self) -> bool {
+        self.credit.arm(self.processed)
+    }
+
+    /// The armed credit tick fired; see [`CreditReturn::tick`].
+    pub fn tick(&mut self) {
+        self.credit.tick();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::FrameDecoder;
+    use consistency::lamport::{NodeId, Timestamp};
+    use consistency::messages::ProtocolMsg;
     use proptest::prelude::*;
 
     #[test]
@@ -433,6 +639,158 @@ mod tests {
         assert!(outbox.requeue_unprocessed(9, |_| unreachable!()).is_err());
         assert_eq!(outbox.queued().len(), 0);
         assert_eq!(outbox.outstanding(), 4);
+    }
+
+    /// A miss-path answer carrying `value`: the plainest link item.
+    fn item(corr: u64, value: usize) -> Frame {
+        let value = vec![7; value];
+        let inner = Box::new(Frame::MissGetResp { value });
+        Frame::RpcResp { corr, inner }
+    }
+
+    /// The wire messages `bytes` hold.
+    fn messages(bytes: &[u8]) -> Vec<Frame> {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(bytes);
+        std::iter::from_fn(|| decoder.next_frame().expect("packs decode")).collect()
+    }
+
+    /// One [`Peer::pack`] and the wire messages it emitted.
+    fn pack_once(end: &mut Peer<Frame>, window: u64, cap: usize) -> (Pack, Vec<Frame>) {
+        let mut out = Vec::new();
+        let pack = end.pack(window, cap, &mut BatchBuilder::new(), &mut out, |_, _| {});
+        (pack, messages(&out))
+    }
+
+    /// Pumps `end` as a reactor lap's end does — packs until the queue is
+    /// empty or the window closed — onto `wire`, and returns the packs.
+    fn pump(end: &mut Peer<Frame>, window: u64, wire: &mut VecDeque<Frame>) -> Vec<Pack> {
+        let (mut builder, mut out, mut packs) = (BatchBuilder::new(), Vec::new(), Vec::new());
+        loop {
+            let pack = end.pack(
+                window,
+                PEER_BATCH_MAX_BYTES,
+                &mut builder,
+                &mut out,
+                |_, _| {},
+            );
+            packs.push(pack);
+            if pack.items == 0 || end.outbox.queued().len() == 0 {
+                break;
+            }
+        }
+        wire.extend(messages(&out));
+        packs
+    }
+
+    /// `end` takes in `n` items from its peer.
+    fn take_in(end: &mut Peer<Frame>, n: u64) {
+        let mut served = Vec::new();
+        for corr in 0..n {
+            end.receive(item(corr, 0), &mut served)
+                .expect("a link item");
+        }
+        assert_eq!(served.len() as u64, n);
+    }
+
+    #[test]
+    fn a_pack_stops_at_the_window_the_item_count_and_the_byte_cap() {
+        let mut end = Peer::new(1, 0);
+        (0..100).for_each(|corr| end.outbox.push(item(corr, 0)));
+        let (pack, sent) = pack_once(&mut end, 10, PEER_BATCH_MAX_BYTES);
+        assert_eq!((pack.first, pack.items, pack.credit), (0, 10, None));
+        let frames = (0..10).map(|corr| item(corr, 0)).collect();
+        assert_eq!(sent, vec![Frame::Batch { frames }]);
+        let (pack, sent) = pack_once(&mut end, 10, PEER_BATCH_MAX_BYTES);
+        assert_eq!(
+            (pack.first, pack.items, sent.len()),
+            (10, 0, 0),
+            "window closed"
+        );
+        let (pack, _) = pack_once(&mut end, u64::MAX, PEER_BATCH_MAX_BYTES);
+        assert_eq!((pack.first, pack.items), (10, PEER_BATCH_OPS));
+        // 1 000-byte values under a 2 500-byte cap: the second fits beside
+        // the first, a third would not.
+        let mut end = Peer::new(1, 0);
+        (0..5).for_each(|corr| end.outbox.push(item(corr, 1000)));
+        let (pack, sent) = pack_once(&mut end, u64::MAX, 2500);
+        assert_eq!((pack.items, pack.batched), (2, true));
+        let frames = vec![item(0, 1000), item(1, 1000)];
+        assert_eq!(sent, vec![Frame::Batch { frames }]);
+    }
+
+    #[test]
+    fn an_oversize_item_leaves_alone_and_a_singleton_bare() {
+        let mut end = Peer::new(1, 128);
+        end.outbox.push(item(0, 10));
+        let (pack, sent) = pack_once(&mut end, 128, 1000);
+        assert_eq!((pack.items, pack.credit, pack.batched), (1, None, false));
+        assert_eq!(sent, vec![item(0, 10)], "a singleton leaves bare");
+        // With a credit to ride, an item over the budget still travels —
+        // bare, its credit as a second message.
+        take_in(&mut end, 3);
+        end.outbox.push(item(1, 5000));
+        let (pack, sent) = pack_once(&mut end, 128, 1000);
+        assert_eq!((pack.items, pack.credit, pack.batched), (1, Some(3), false));
+        assert_eq!(sent, vec![item(1, 5000), Frame::Credit { cum: 3, gen: 0 }]);
+    }
+
+    #[test]
+    fn a_credit_rides_every_pack_and_leaves_alone_only_when_due_or_after_a_tick() {
+        // A window of 128 owes a lone credit from 32 unannounced items on.
+        let mut end = Peer::new(1, 128);
+        end.resume(5, 0);
+        take_in(&mut end, 3);
+        assert_eq!(pack_once(&mut end, 128, PEER_BATCH_MAX_BYTES).1, vec![]);
+        assert!(end.arm(), "a debt arms the tick");
+        assert!(!end.arm(), "once");
+        assert_eq!(pack_once(&mut end, 128, PEER_BATCH_MAX_BYTES).1, vec![]);
+        end.tick();
+        let (pack, sent) = pack_once(&mut end, 128, PEER_BATCH_MAX_BYTES);
+        assert_eq!((pack.items, pack.credit), (0, Some(3)));
+        assert_eq!(
+            sent,
+            vec![Frame::Credit { cum: 3, gen: 5 }],
+            "alone after a tick"
+        );
+        take_in(&mut end, 1);
+        end.outbox.push(item(9, 0));
+        let (pack, sent) = pack_once(&mut end, 128, PEER_BATCH_MAX_BYTES);
+        assert_eq!((pack.items, pack.credit, pack.batched), (1, Some(4), true));
+        let frames = vec![item(9, 0), Frame::Credit { cum: 4, gen: 5 }];
+        assert_eq!(sent, vec![Frame::Batch { frames }], "riding the item");
+        assert_eq!(pack_once(&mut end, 128, PEER_BATCH_MAX_BYTES).1, vec![]);
+        take_in(&mut end, 32);
+        let sent = pack_once(&mut end, 128, PEER_BATCH_MAX_BYTES).1;
+        assert_eq!(
+            sent,
+            vec![Frame::Credit { cum: 36, gen: 5 }],
+            "alone once due"
+        );
+    }
+
+    #[test]
+    fn a_refused_frame_keeps_the_items_before_it_counted() {
+        let mut end = Peer::<Frame>::new(1, 128);
+        let (key, ts, from) = (7, Timestamp::ZERO, NodeId(0));
+        let protocol = Frame::Protocol {
+            msg: ProtocolMsg::Ack { key, ts, from },
+            bytes: None,
+        };
+        let request = Frame::RpcReq {
+            corr: 1,
+            inner: Box::new(Frame::MissGet { key }),
+        };
+        let frames = vec![protocol.clone(), request.clone(), Frame::Ping, item(2, 0)];
+        let mut served = Vec::new();
+        let refused = end.receive(Frame::Batch { frames }, &mut served);
+        assert_eq!(refused, Err(Frame::Ping));
+        assert_eq!(end.processed(), 2, "each item is counted as it is taken in");
+        assert_eq!(
+            served,
+            vec![protocol, request],
+            "and handed on to be served"
+        );
     }
 
     /// Everything an [`Outbox`] exposes: the queue, the retained items with
@@ -582,71 +940,68 @@ mod tests {
             prop_assert_eq!(observe(&outbox), before);
         }
 
-        /// A window-bounded outbox, an ordered wire, and a receiver that
-        /// runs laps the way the reactor does (process some arrivals, then
-        /// pump — with or without traffic of its own to ride), under any
-        /// interleaving of pushes, laps, ticks and credit deliveries. The
-        /// sender packs what its window admits after every step, as its
-        /// reactor pump does at the end of a lap.
+        /// Two link ends over an ordered wire each way: `a` sends under a
+        /// window, `b` runs laps the way the reactor does (take in some
+        /// arrivals, then pump — with or without traffic of its own to
+        /// ride), under any interleaving of pushes, laps, ticks and
+        /// deliveries back to `a`. `a` pumps after every step, as its
+        /// reactor does at the end of a lap.
         #[test]
         fn credit_returns_never_pin_the_sender(
             window in 1u64..200,
             steps in prop::collection::vec((0u8..8, any::<u8>()), 1..600),
         ) {
             let threshold = (window / CREDIT_RETURN_DIVISOR).max(1);
-            let mut outbox = Outbox::<()>::default();
-            let mut policy = CreditReturn::new(window);
-            // Items on the wire; announcements on the reverse wire.
-            let (mut in_flight, mut processed) = (0u64, 0u64);
-            let mut credits: VecDeque<u64> = VecDeque::new();
+            let (mut a, mut b) = (Peer::new(0, window), Peer::new(0, window));
+            let (mut to_b, mut to_a) = (VecDeque::new(), VecDeque::new());
+            let mut served = Vec::new();
             let (mut tick_armed, mut last_announced) = (false, 0u64);
             // Ticks an unannounced debt has watched go by.
             let mut ticks_in_debt = 0u32;
             for (op, r) in steps {
-                let mut pump: Option<bool> = None;
+                let mut lap = false;
                 match op {
                     0..=2 => {
-                        for _ in 0..=r % 8 {
-                            outbox.push(());
+                        for corr in 0..=r % 8 {
+                            a.outbox.push(item(corr.into(), 0));
                         }
                     }
                     3 | 4 => {
-                        let n = in_flight.min(1 + u64::from(r) % 64);
-                        in_flight -= n;
-                        processed += n;
-                        pump = Some(op == 4 && r % 2 == 0);
+                        for message in to_b.drain(..to_b.len().min(1 + usize::from(r) % 4)) {
+                            b.receive(message, &mut served).expect("items and credits");
+                        }
+                        if op == 4 && r % 2 == 0 {
+                            b.outbox.push(item(0, 0));
+                        }
+                        lap = true;
                     }
                     5 if tick_armed => {
                         tick_armed = false;
-                        policy.tick();
-                        pump = Some(false);
-                        if processed > last_announced {
+                        b.tick();
+                        lap = true;
+                        if b.processed() > last_announced {
                             ticks_in_debt += 1;
                         }
                     }
                     6 => {
-                        if let Some(cum) = credits.pop_front() {
-                            outbox.confirm(cum).expect("never beyond sent");
+                        if let Some(message) = to_a.pop_front() {
+                            a.receive(message, &mut served).expect("items and credits");
                         }
                     }
                     _ => {}
                 }
-                while outbox.sendable(window).is_some() {
-                    outbox.pack_front();
-                    in_flight += 1;
-                }
+                served.clear();
+                pump(&mut a, window, &mut to_b);
+                let outbox = &a.outbox;
                 prop_assert!(outbox.queued().len() == 0 || outbox.outstanding() == window);
-                if let Some(packed) = pump {
-                    if packed || policy.due(processed) {
-                        if let Some(cum) = policy.take(processed) {
-                            prop_assert!(cum > last_announced, "announcements are monotone");
-                            last_announced = cum;
-                            ticks_in_debt = 0;
-                            credits.push_back(cum);
-                        }
+                if lap {
+                    for cum in pump(&mut b, window, &mut to_a).iter().filter_map(|p| p.credit) {
+                        prop_assert!(cum > last_announced, "announcements are monotone");
+                        last_announced = cum;
+                        ticks_in_debt = 0;
                     }
-                    tick_armed |= policy.arm(processed);
-                    let owed = processed - last_announced;
+                    tick_armed |= b.arm();
+                    let owed = b.processed() - last_announced;
                     prop_assert!(owed < threshold, "{owed} owed after a pump");
                     prop_assert!(owed == 0 || tick_armed, "a debt nothing watches");
                     prop_assert!(ticks_in_debt < 2, "a debt outlived two ticks");
@@ -654,12 +1009,63 @@ mod tests {
                         prop_assert_eq!(owed, 0, "small windows announce every time");
                     }
                 }
-                if in_flight == 0 && credits.is_empty() {
+                if to_b.is_empty() && to_a.is_empty() {
                     prop_assert!(
-                        outbox.outstanding() < window,
+                        a.outbox.outstanding() < window,
                         "pinned at the window with everything processed"
                     );
                 }
+            }
+        }
+
+        /// A link end under any history of pushes, packs, items taken in
+        /// and honest credits refuses a `Credit` from another generation or
+        /// beyond what it sent, and the refusal leaves its outbox, its
+        /// processed count and its credit policy exactly as they were
+        /// (SNIPPETS.md §2's P4).
+        #[test]
+        fn a_refused_credit_changes_nothing(
+            steps in prop::collection::vec((0u8..5, any::<u8>()), 0..120),
+            beyond in 1u64..6,
+        ) {
+            let gen = 3;
+            let mut end = Peer::new(gen, 8);
+            let mut wire = VecDeque::new();
+            let mut served = Vec::new();
+            for (op, r) in steps {
+                let honest = end.outbox.confirmed() + u64::from(r) % (end.outbox.outstanding() + 1);
+                match op {
+                    0 => end.outbox.push(item(r.into(), 0)),
+                    1 => {
+                        pump(&mut end, 1 + u64::from(r) % 8, &mut wire);
+                    }
+                    2 => take_in(&mut end, u64::from(r) % 5),
+                    3 => {
+                        let credit = Frame::Credit { cum: honest, gen };
+                        end.receive(credit, &mut served).expect("a credit");
+                    }
+                    _ => {
+                        end.arm();
+                        end.tick();
+                    }
+                }
+            }
+            let observe = |end: &Peer<Frame>| {
+                let outbox = &end.outbox;
+                let queued: Vec<Frame> = outbox.queued().cloned().collect();
+                let retained: Vec<(u64, Frame)> =
+                    outbox.retained().map(|(n, f)| (n, f.clone())).collect();
+                let numbering = (outbox.confirmed(), outbox.outstanding());
+                (queued, retained, numbering, end.processed(), end.credit.clone())
+            };
+            let before = observe(&end);
+            let sent = end.outbox.confirmed() + end.outbox.outstanding();
+            let other_gen = Frame::Credit { cum: sent, gen: gen + 1 };
+            let beyond_sent = Frame::Credit { cum: sent + beyond, gen };
+            for stale in [other_gen, beyond_sent] {
+                prop_assert_eq!(end.receive(stale, &mut served), Ok(()));
+                prop_assert!(served.is_empty());
+                prop_assert_eq!(observe(&end), before.clone());
             }
         }
     }

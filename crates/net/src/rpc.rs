@@ -1,14 +1,16 @@
-//! The miss path's two ends, each written once: what a home shard answers
-//! to a miss-path frame ([`serve_home_frame`]) and what a requester
-//! remembers about a correlated miss-path RPC until it resolves
+//! What a node does with what a peer sends, each written once: the link
+//! items a [`crate::link::Peer`] receives ([`serve_peer`]), what a home
+//! shard answers to a miss-path frame ([`serve_home_frame`]), and what a
+//! requester remembers about a correlated miss-path RPC until it resolves
 //! ([`RpcTable`]).
 //!
 //! Like [`crate::link`], nothing here owns a socket, a thread, a lock or a
-//! clock. The reactor server wraps one table in a mutex, feeds it
-//! [`std::time::Instant`]s and turns its outputs into link traffic and
-//! resumed connections; `cckvs-modelcheck`'s `RackModel` holds one table
-//! per simulated process and lets its scheduler pick every delivery, crash
-//! and restart.
+//! clock. The reactor server serves peer items through its [`PeerHost`],
+//! wraps one table in a mutex, feeds it [`std::time::Instant`]s and turns
+//! its outputs into link traffic and resumed connections;
+//! `cckvs-modelcheck`'s `RackModel` is the other [`PeerHost`], holds one
+//! table per simulated process and lets its scheduler pick every delivery,
+//! crash and restart.
 //!
 //! A request travels as [`Frame::RpcReq`] over the crash-surviving peer
 //! link and is answered by a [`Frame::RpcResp`] carrying the same
@@ -17,11 +19,61 @@
 //! *dead process* confirmed and never answered. [`RpcTable::in_doubt`]
 //! names exactly those.
 
+use crate::ops::peel_trace;
 use crate::wire::Frame;
-use cckvs::node::{CcNode, ColdPut};
+use cckvs::node::{CcNode, ColdPut, Outgoing};
+use consistency::messages::ProtocolMsg;
 use std::collections::BTreeMap;
 use std::io;
 use std::time::Instant;
+
+/// What serving one peer's link items reaches beyond the node: one link
+/// end of a driver. Statically dispatched; the reactor shard and the model
+/// checker implement it.
+pub trait PeerHost {
+    /// The node the items arrive at.
+    fn node(&self) -> &CcNode;
+    /// A protocol message from the peer, travelling under `trace`, is
+    /// about to be delivered.
+    fn received(&mut self, msg: &ProtocolMsg, trace: Option<u64>);
+    /// Ships what delivering it fanned out, under the same trace id.
+    fn ship(&mut self, outgoing: Vec<Outgoing>, trace: Option<u64>);
+    /// Answers the peer's miss-path request `corr`: the home-shard frame.
+    fn serve_home(&mut self, corr: u64, request: Frame) -> Frame;
+    /// Queues `response` toward the peer, on the link its request came in
+    /// on.
+    fn answer(&mut self, response: Frame);
+    /// The peer answered this node's request `corr`.
+    fn resolve(&mut self, corr: u64, response: Frame);
+}
+
+/// Serves one link item a [`crate::link::Peer`] received: a protocol
+/// message is delivered to the node and what it fans out shipped, a
+/// miss-path request answered on the link it came in on, a response handed
+/// to its requester. Called with no link end held: serving enqueues on
+/// links, the one the item came in on included.
+pub fn serve_peer(host: &mut impl PeerHost, frame: Frame) {
+    let (trace, frame) = peel_trace(frame);
+    match frame {
+        Frame::Protocol { msg, bytes } => {
+            host.received(&msg, trace);
+            // Anything this delivery fans out (the ack answering an
+            // invalidation, the commit update ending a round) inherits the
+            // trace id: causality crosses the node boundary.
+            let outgoing = host.node().deliver(&msg, bytes.as_deref());
+            host.ship(outgoing, trace);
+        }
+        Frame::RpcReq { corr, inner } => {
+            let response = host.serve_home(corr, *inner);
+            host.answer(Frame::RpcResp {
+                corr,
+                inner: Box::new(response),
+            });
+        }
+        Frame::RpcResp { corr, inner } => host.resolve(corr, *inner),
+        other => unreachable!("Peer::receive hands over link items only, not {other:?}"),
+    }
+}
 
 /// Serves one home-shard frame against `node`, the key's home: the only
 /// mapping from [`Frame::MissGet`], [`Frame::MissPut`], [`Frame::WriteBack`],

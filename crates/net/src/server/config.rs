@@ -223,15 +223,15 @@ impl NodeServerBuilder {
     }
 }
 
-/// The [`CreditReturn`] tick: a processed count that found nothing to ride
-/// for this long goes back stand-alone, so an idle tail still releases the
-/// sender's retained copies and a sender with a window smaller than this
-/// node's return threshold stays live. Nothing waits on it while windows
-/// match, and it is long on purpose: a busy link keeps it armed, an armed
-/// tick puts a timeout on every blocking poll, and a timeout nearer than
-/// the kernel's own next tick reprograms the clock-event device on arm and
-/// again on cancel — at 5 ms that cost `cold_uniform` more than the
-/// stand-alone credits it replaced.
+/// The [`CreditReturn`](crate::link::CreditReturn) tick: a processed count
+/// that found nothing to ride for this long goes back stand-alone, so an
+/// idle tail still releases the sender's retained copies and a sender with
+/// a window smaller than this node's return threshold stays live. Nothing
+/// waits on it while windows match, and it is long on purpose: a busy link
+/// keeps it armed, an armed tick puts a timeout on every blocking poll, and
+/// a timeout nearer than the kernel's own next tick reprograms the
+/// clock-event device on arm and again on cancel — at 5 ms that cost
+/// `cold_uniform` more than the stand-alone credits it replaced.
 pub const CREDIT_RETURN_TICK: Duration = Duration::from_millis(200);
 
 /// First redial delay after a peer link dies; doubles up to

@@ -6,12 +6,14 @@
 //! client request/response sessions and peer protocol links — one duplex
 //! connection per node pair, dialed by the lower node id, so that a reply
 //! leaves on the connection its request came in on and carries the
-//! transport's acknowledgement. Outgoing protocol traffic queues in each
-//! peer link's [`Outbox`] — one FIFO per link, packed by the reactor under
-//! credit-based flow control: wire order on a link is enqueue order.
+//! transport's acknowledgement. Each peer link's end is a sans-IO
+//! [`link::Peer`](crate::link::Peer): outgoing protocol traffic queues in
+//! its outbox — one FIFO per link, packed by the reactor under credit-based
+//! flow control: wire order on a link is enqueue order — and what the peer
+//! sends is taken in by it and served by [`crate::rpc::serve_peer`].
 //!
 //! This file holds the node and its links: [`NodeServer`], the shared
-//! server state, shipping, the redial handshake and peer-frame delivery.
+//! server state, shipping and the redial handshake.
 //! `config.rs` holds the configuration types, `shard.rs` the reactor shard
 //! that owns the sockets, and `admin.rs` the epoch coordinator's hot-set
 //! reconfiguration and the shutdown write-back drain.
@@ -77,10 +79,10 @@
 //! every key the dead peer does not home.
 
 use crate::client::Conn;
-use crate::link::{CreditReturn, Outbox};
+use crate::link::{Item, Peer, PEER_BATCH_MAX_BYTES};
 use crate::metrics::{Metrics, MetricsServer};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
-use crate::rpc::{serve_home_frame, RpcTable};
+use crate::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{encode_frame_into, write_frame, BatchBuilder, Frame, FrameDecoder};
 use cckvs::node::{CcNode, NodeConfig, Outgoing};
@@ -165,25 +167,24 @@ impl LinkItem {
             LinkItem::Rpc(_) => 0,
         }
     }
+}
 
-    /// Approximate payload bytes beyond the fixed frame overhead, for the
-    /// batch byte budget.
+impl Item for LinkItem {
     fn payload_len(&self) -> usize {
-        fn frame_payload(frame: &Frame) -> usize {
-            match frame {
-                Frame::RpcReq { inner, .. }
-                | Frame::RpcResp { inner, .. }
-                | Frame::Traced { inner, .. } => frame_payload(inner),
-                Frame::MissPut { value, .. }
-                | Frame::MissGetResp { value }
-                | Frame::WriteBack { value, .. }
-                | Frame::HotMarkResp { value, .. } => value.len(),
-                _ => 0,
-            }
-        }
         match self {
             LinkItem::Protocol(_, bytes, _) => bytes.as_deref().map_or(0, <[u8]>::len),
-            LinkItem::Rpc(frame) => frame_payload(frame),
+            LinkItem::Rpc(frame) => frame.payload_len(),
+        }
+    }
+
+    /// Value bytes stay behind the broadcast-shared `Arc` all the way to
+    /// serialisation: no per-peer copy is ever materialised.
+    fn push_to(&self, batch: &mut BatchBuilder) {
+        match self {
+            LinkItem::Protocol(msg, bytes, trace) => {
+                batch.push_protocol_traced(*trace, msg, bytes.as_deref());
+            }
+            LinkItem::Rpc(frame) => batch.push(frame),
         }
     }
 }
@@ -194,31 +195,26 @@ impl LinkItem {
 /// waits); the link — queued traffic, the sent-but-unconfirmed tail, and
 /// both directions' sequence counters — persists across reconnects.
 ///
-/// Queueing and sequencing are [`crate::link`]'s [`Outbox`]: items leave
-/// in the order they were queued, so one key's messages keep theirs, and
-/// each is numbered for the life of this process and retained until the
-/// peer's cumulative [`Frame::Credit`] confirmations cover it. On redial
-/// the handshake tells each side how far the other really processed; each
-/// requeues its unprocessed tail at the front
-/// ([`Outbox::requeue_unprocessed`]) — the repack assigns the same
-/// numbers, so the peer (aligned by the resume sequence) sees every
-/// message exactly once, in order.
-#[derive(Default)]
+/// Queueing, sequencing, packing and taking in are [`crate::link`]'s
+/// [`Peer`]: items leave in the order they were queued, so one key's
+/// messages keep theirs, and each is numbered for the life of this process
+/// and retained until the peer's cumulative [`Frame::Credit`]
+/// confirmations cover it. On redial the handshake tells each side how far
+/// the other really processed; each requeues its unprocessed tail at the
+/// front of its outbox — the repack assigns the same numbers, so the peer
+/// (aligned by the resume sequence, [`Peer::resume`]) sees every message
+/// exactly once, in order.
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`
     /// — so frame processing, credit returns, replay and pumping never race
     /// across threads).
     shard: usize,
-    /// Items not yet on the wire, and those on it until the peer confirms
-    /// processing them. Traffic for a down peer parks here.
-    outbox: Mutex<Outbox<LinkItem>>,
-    /// Flow-controlled messages from the peer processed so far, in the
-    /// *peer's* sequence numbering (aligned by the handshake). Echoed back
-    /// as [`Frame::Credit`] confirmations.
-    processed: AtomicU64,
-    /// The highest peer process generation a handshake has shown (0 =
-    /// never connected).
-    peer_gen: AtomicU64,
+    /// This node's end: items not yet on the wire, and those on it until
+    /// the peer confirms processing them (traffic for a down peer parks
+    /// here); the peer's messages processed so far, in the *peer's*
+    /// numbering; when that count goes back; the highest peer process
+    /// generation a handshake has shown (0 = never connected).
+    peer: Mutex<Peer<LinkItem>>,
     /// A handshaken connection for this link is adopted by the owning
     /// shard.
     up: AtomicBool,
@@ -397,12 +393,12 @@ impl ServerInner {
         };
         let up = link.up.load(Ordering::Acquire);
         {
-            let mut outbox = link.outbox.lock();
-            if !up && outbox.queued().len() >= PARK_MAX {
+            let mut end = link.peer.lock();
+            if !up && end.outbox.queued().len() >= PARK_MAX {
                 self.metrics.record_parked_drop();
                 return false;
             }
-            outbox.push(item);
+            end.outbox.push(item);
         }
         // Re-check `up` AFTER the enqueue: the link can come up between the
         // load above and the push (the adoption pump would then have
@@ -459,7 +455,7 @@ impl ServerInner {
             .iter()
             .flatten()
             .filter(|link| !link.up.load(Ordering::Acquire))
-            .map(|link| link.outbox.lock().queued().len() as u64)
+            .map(|link| link.peer.lock().outbox.queued().len() as u64)
             .sum();
         self.metrics.set_parked(total);
     }
@@ -482,7 +478,7 @@ impl ServerInner {
         // but its answer died with it. Ask again under the SAME correlation
         // id — if the old answer somehow raced out first, the entry is
         // already gone and the duplicate response is dropped.
-        let confirmed = self.link(peer).outbox.lock().confirmed();
+        let confirmed = self.link(peer).peer.lock().outbox.confirmed();
         let in_doubt = self.rpcs.lock().in_doubt(peer, confirmed);
         for (corr, frame) in in_doubt {
             if !self.enqueue(peer, LinkItem::Rpc(frame)) {
@@ -548,13 +544,13 @@ impl ServerInner {
 
     /// One direction of the reconnect handshake: `peer` has processed the
     /// first `processed` messages of this node's stream. Requeues the rest
-    /// for replay under their original numbers
-    /// ([`Outbox::requeue_unprocessed`]) and returns the (1-based) wire
-    /// sequence the replay starts at. A count beyond what was sent is
+    /// for replay under their original numbers and returns the (1-based)
+    /// wire sequence the replay starts at. A count beyond what was sent is
     /// rejected and changes nothing.
     fn requeue_unprocessed(&self, peer: usize, processed: u64) -> io::Result<u64> {
         let mut replayed = 0;
-        let confirmed = (self.link(peer).outbox.lock())
+        let confirmed = (self.link(peer).peer.lock())
+            .outbox
             .requeue_unprocessed(processed, |item| {
                 replayed += 1;
                 // A sampled op's message keeps its original trace id across
@@ -587,13 +583,16 @@ impl ServerInner {
         let mut stream = self.transport.dial(addr, HANDSHAKE_TIMEOUT)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let link = self.link(peer);
-        let prev_gen = link.peer_gen.load(Ordering::Acquire);
+        let (processed, prev_gen) = {
+            let end = link.peer.lock();
+            (end.processed(), end.peer_gen())
+        };
         write_frame(
             &mut stream,
             &Frame::PeerHello {
                 from: self.node.node() as u8,
                 gen: self.gen,
-                processed: link.processed.load(Ordering::Acquire),
+                processed,
                 peer_gen: prev_gen,
             },
         )?;
@@ -617,8 +616,7 @@ impl ServerInner {
         // Reconcile before anything else is touched: an ack claiming more
         // than was sent fails here and has changed nothing.
         let start_seq = self.requeue_unprocessed(peer, processed)?;
-        link.peer_gen.store(peer_gen, Ordering::Release);
-        link.processed.store(peer_start - 1, Ordering::Release);
+        link.peer.lock().resume(peer_gen, peer_start - 1);
         write_frame(&mut stream, &Frame::PeerResume { start_seq })?;
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
@@ -631,7 +629,7 @@ impl ServerInner {
                 self.peer_restarted(peer);
             }
         }
-        let role = Role::peer(peer, link, &self.flow, true);
+        let role = Role::peer(peer, link, true);
         self.shard(link.shard)
             .send(ShardMsg::Adopt(Box::new(ConnState::new(stream, role))));
         Ok(())
@@ -766,7 +764,8 @@ impl NodeServer {
                     (peer != me).then(|| {
                         Arc::new(PeerLink {
                             shard,
-                            ..PeerLink::default()
+                            peer: Mutex::new(Peer::new(gen, cfg.flow.credit_window)),
+                            up: AtomicBool::new(false),
                         })
                     })
                 })
@@ -1050,81 +1049,6 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Fra
         }
         other => serve_rpc_frame(inner, lane, other).ok()?,
     })
-}
-
-/// Handles one non-batch frame arriving on a peer link. Returns how many
-/// flow-controlled messages it consumed (credit confirmations themselves
-/// are free: they must flow even when the window is closed).
-fn deliver_peer_frame(
-    inner: &ServerInner,
-    shard: usize,
-    from: usize,
-    frame: Frame,
-) -> io::Result<u64> {
-    let (trace, frame) = peel_trace(frame);
-    match frame {
-        Frame::Protocol { msg, bytes } => {
-            inner.metrics.record_protocol_in(1);
-            if trace.is_some() {
-                let kind = match msg {
-                    // The ack landing at the blocked writer is its own
-                    // span point: the per-peer gap between the
-                    // invalidation send and this arrival is the ack wait.
-                    ProtocolMsg::Ack { .. } => EventKind::AckRecv,
-                    _ => EventKind::ProtocolRecv,
-                };
-                inner.trace_event(trace, shard as u8, kind, msg.key(), from as u8);
-            }
-            // Anything this delivery fans out (the ack answering an
-            // invalidation, the commit update ending a round) inherits
-            // the trace id — causality crosses the node boundary.
-            let outgoing = inner.node.deliver(&msg, bytes.as_deref());
-            inner.ship(outgoing, trace);
-            Ok(1)
-        }
-        Frame::Credit { cum, gen } => {
-            // A cumulative confirmation of our own sends toward `from`.
-            // Confirmations stamped with a different generation were
-            // addressed to this node's dead predecessor — their counts
-            // refer to its numbering and must not trim our retained tail.
-            if gen != inner.gen {
-                return Ok(0);
-            }
-            // A confirmation beyond what was sent is stale or corrupt:
-            // rejected without effect.
-            let _ = inner.link(from).outbox.lock().confirm(cum);
-            Ok(0)
-        }
-        Frame::RpcReq { corr, inner: req } => {
-            // A correlated miss-path request multiplexed over the peer
-            // link: serve it right here (every handler is a lock-protected
-            // state update) and queue the answer on the link it came in on.
-            // A malformed inner frame answers Error instead of erroring
-            // the whole link — the link carries unrelated traffic.
-            let response = match serve_rpc_frame(inner, shard as u8, *req) {
-                Ok(frame) => frame,
-                Err(e) => Frame::Error {
-                    message: e.to_string(),
-                },
-            };
-            let resp = Frame::RpcResp {
-                corr,
-                inner: Box::new(response),
-            };
-            // A failed ship (link long-dead, park overflowed) drops the
-            // answer; the requester's deadline sweep picks up the pieces.
-            let _ = inner.enqueue(from, LinkItem::Rpc(resp));
-            Ok(1)
-        }
-        Frame::RpcResp { corr, inner: resp } => {
-            inner.resolve_rpc(corr, Ok(*resp));
-            Ok(1)
-        }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected peer frame {other:?}"),
-        )),
-    }
 }
 
 /// Serves one home-shard frame — the inner frame of a peer's

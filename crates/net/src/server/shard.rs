@@ -4,16 +4,6 @@ use super::*;
 /// ([`Connection::tcp_segments`]); a closing connection books its last.
 const TCP_CENSUS_EVERY: Duration = Duration::from_secs(1);
 
-/// Most protocol messages one peer-mesh batch carries. The credit window
-/// bounds a batch first whenever it is smaller.
-const PEER_BATCH_OPS: u64 = 32;
-
-/// Byte budget for one coalesced peer-mesh batch: coalescing stops (and
-/// spills to the next batch) once a batch holds this much, keeping batches
-/// far below [`crate::wire::MAX_FRAME_BYTES`]. A single message exceeding
-/// the budget still travels — alone, as a bare frame.
-const PEER_BATCH_MAX_BYTES: usize = 1 << 20;
-
 /// Write-buffer high-water mark: once a connection has this much pending
 /// output, the shard stops reading from it (and a peer writer stops
 /// packing batches) until the socket drains below [`LOW_WATER`].
@@ -57,29 +47,19 @@ pub(super) enum Role {
         builder: BatchBuilder,
         /// When the current credit stall began (metrics).
         stall_started: Option<Instant>,
-        /// When the cumulative processed count goes back to the peer as a
-        /// [`Frame::Credit`]. Fresh per connection, so a reconnect
-        /// re-announces at once (cumulative confirmations are idempotent).
-        credit: CreditReturn,
         /// [`Connection::tcp_segments`] `(data, pure ACK)` as last booked.
         segments: (u64, u64),
     },
 }
 
 impl Role {
-    pub(super) fn peer(
-        peer: usize,
-        link: &Arc<PeerLink>,
-        flow: &FlowConfig,
-        resumed: bool,
-    ) -> Role {
+    pub(super) fn peer(peer: usize, link: &Arc<PeerLink>, resumed: bool) -> Role {
         Role::Peer {
             peer,
             link: Arc::clone(link),
             resumed,
             builder: BatchBuilder::new(),
             stall_started: None,
-            credit: CreditReturn::new(flow.credit_window),
             segments: (0, 0),
         }
     }
@@ -110,7 +90,7 @@ pub(super) struct ConnState {
     dead: bool,
     /// A client connection's bounce-retry tick is armed; dedupes arming.
     /// (A peer connection's one wheel entry, the [`CREDIT_RETURN_TICK`],
-    /// is deduped by its [`CreditReturn`].)
+    /// is deduped by its link's [`Peer::arm`].)
     tick_armed: bool,
 }
 
@@ -250,6 +230,56 @@ impl OpsHost for ShardHost<'_> {
     }
 }
 
+/// [`PeerHost`] for one peer link on a reactor shard: what its items reach
+/// beyond the node goes through `inner`, and trace events land in the
+/// shard's lane.
+struct PeerServe<'a> {
+    inner: &'a ServerInner,
+    lane: u8,
+    from: usize,
+}
+
+impl PeerHost for PeerServe<'_> {
+    fn node(&self) -> &CcNode {
+        &self.inner.node
+    }
+
+    fn received(&mut self, msg: &ProtocolMsg, trace: Option<u64>) {
+        self.inner.metrics.record_protocol_in(1);
+        let kind = match msg {
+            // The ack landing at the blocked writer is its own span point:
+            // the per-peer gap between the invalidation send and this
+            // arrival is the ack wait.
+            ProtocolMsg::Ack { .. } => EventKind::AckRecv,
+            _ => EventKind::ProtocolRecv,
+        };
+        (self.inner).trace_event(trace, self.lane, kind, msg.key(), self.from as u8);
+    }
+
+    fn ship(&mut self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
+        self.inner.ship(outgoing, trace);
+    }
+
+    /// Served right here (every handler is a lock-protected state update).
+    /// A malformed inner frame answers `Error` instead of erroring the
+    /// whole link: the link carries unrelated traffic.
+    fn serve_home(&mut self, _corr: u64, request: Frame) -> Frame {
+        serve_rpc_frame(self.inner, self.lane, request).unwrap_or_else(|e| Frame::Error {
+            message: e.to_string(),
+        })
+    }
+
+    /// A failed ship (link long-dead, park overflowed) drops the answer;
+    /// the requester's deadline sweep picks up the pieces.
+    fn answer(&mut self, response: Frame) {
+        let _ = self.inner.enqueue(self.from, LinkItem::Rpc(response));
+    }
+
+    fn resolve(&mut self, corr: u64, response: Frame) {
+        self.inner.resolve_rpc(corr, Ok(response));
+    }
+}
+
 /// Books the TCP segments the kernel sent on a peer connection since the
 /// owning shard last looked; a no-op on a fabric without such a count.
 fn book_tcp_segments(metrics: &Metrics, conn: &mut ConnState) {
@@ -290,6 +320,9 @@ pub(super) struct Shard {
     /// answered in one pass, on its way into that connection's write
     /// buffer.
     responses: Vec<Frame>,
+    /// Shared peer scratch: the items one peer message carried, taken in
+    /// by the link's end and on their way to [`serve_peer`].
+    items: Vec<Frame>,
     /// The inbox's other buffer: [`Shard::drain_inbox`] swaps the two, so
     /// both keep their capacity and a `send` never regrows from nothing.
     inbox_spare: Vec<ShardMsg>,
@@ -339,6 +372,7 @@ impl Shard {
             rpc_sweep_armed: false,
             scratch: vec![0u8; reactor::READ_CHUNK],
             responses: Vec::new(),
+            items: Vec::new(),
             inbox_spare: Vec::new(),
             now: Instant::now(),
         }
@@ -401,7 +435,7 @@ impl Shard {
                     continue;
                 };
                 match &mut conn.role {
-                    Role::Peer { credit, .. } => credit.tick(),
+                    Role::Peer { link, .. } => link.peer.lock().tick(),
                     _ => conn.tick_armed = false,
                 }
                 dirty.push(token);
@@ -709,7 +743,7 @@ impl Shard {
         let from = usize::from(from);
         let inner = Arc::clone(&self.inner);
         let link = inner.link(from);
-        let cur = link.peer_gen.load(Ordering::Acquire);
+        let cur = link.peer.lock().peer_gen();
         if gen < cur {
             return false; // A connection from the peer's dead predecessor.
         }
@@ -729,8 +763,7 @@ impl Shard {
             inner.metrics.record_peer_reconnect();
         }
         if gen > cur {
-            link.peer_gen.store(gen, Ordering::Release);
-            link.processed.store(0, Ordering::Release);
+            link.peer.lock().resume(gen, 0);
             if cur != 0 {
                 // A new process took the peer's place mid-flight: writes
                 // pending on the dead process's acks must reissue.
@@ -740,7 +773,7 @@ impl Shard {
         encode_frame_into(
             conn.writebuf.writer(),
             &Frame::PeerHelloAck {
-                processed: link.processed.load(Ordering::Acquire),
+                processed: link.peer.lock().processed(),
                 gen: inner.gen,
                 start_seq,
             },
@@ -748,7 +781,7 @@ impl Shard {
         if conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return false;
         }
-        conn.role = Role::peer(from, link, &inner.flow, false);
+        conn.role = Role::peer(from, link, false);
         self.peer_tokens.push(token);
         true
     }
@@ -803,9 +836,12 @@ impl Shard {
         conn.eof && ops.is_idle() && conn.writebuf.is_empty()
     }
 
-    /// The inbound half of one peer link: delivers what the peer sent —
-    /// first, on an accepted connection, the [`Frame::PeerResume`] that
-    /// aligns the processed counter and completes the handshake.
+    /// The inbound half of one peer link: the link's end takes in what
+    /// the peer sent, one lock per message, and [`serve_peer`] serves the
+    /// items it counted — first, on an accepted connection, the
+    /// [`Frame::PeerResume`] aligns the processed count and completes the
+    /// handshake. This link is pumped last in this very lap: its credit
+    /// policy decides when the count goes back.
     fn read_peer(&mut self, conn: &mut ConnState) -> bool {
         let Role::Peer {
             peer,
@@ -816,7 +852,7 @@ impl Shard {
         else {
             unreachable!("checked by caller");
         };
-        let from = *peer;
+        let (lane, from) = (self.id as u8, *peer);
         loop {
             let frame = match conn.decoder.next_frame() {
                 Ok(Some(frame)) => frame,
@@ -826,56 +862,45 @@ impl Shard {
             if !*resumed {
                 match frame {
                     Frame::PeerResume { start_seq } if start_seq > 0 => {
-                        link.processed.store(start_seq - 1, Ordering::Release);
+                        let mut end = link.peer.lock();
+                        let gen = end.peer_gen();
+                        end.resume(gen, start_seq - 1);
                         *resumed = true;
                         continue;
                     }
                     _ => return true,
                 }
             }
-            let deliver = |sub| deliver_peer_frame(&self.inner, self.id, from, sub);
-            let processed = match frame {
-                Frame::Batch { frames } => frames.into_iter().map(deliver).sum(),
-                other => deliver(other),
-            };
-            let Ok(processed) = processed else {
+            // Serving enqueues on links, this one included: the lock is
+            // let go first.
+            let received = link.peer.lock().receive(frame, &mut self.items);
+            let inner = &self.inner;
+            for item in self.items.drain(..) {
+                serve_peer(&mut PeerServe { inner, lane, from }, item);
+            }
+            if received.is_err() {
                 return true;
-            };
-            // Book the processing. This link is pumped last in this very
-            // lap: its `CreditReturn` decides when the count goes back to
-            // refill the sender's window and release its retained copies.
-            link.processed.fetch_add(processed, Ordering::AcqRel);
+            }
         }
         conn.eof
     }
 
-    /// The outbound half of one peer link: packs what is queued, front to
-    /// back, into [`Frame::Batch`] messages (§6.3's software-multicast
-    /// amortisation) under credit-based flow control (§6.4), with the
-    /// cumulative processed confirmation toward the peer piggybacked on
-    /// every batch and sent alone only when the link's [`CreditReturn`]
-    /// says it is due. A batch is whatever is queued when the pump runs,
-    /// bounded by the credit window, [`PEER_BATCH_OPS`] and the byte budget
-    /// — nothing waits for company. Wire order is queue order, so a
-    /// requeued replay tail leaves first and one key's messages keep their
-    /// order. Driven by readiness: a credit stall arms nothing, the lap
-    /// that reads the peer's `Credit` pumps the link again.
+    /// The outbound half of one peer link: its end packs what is queued
+    /// ([`Peer::pack`]: batches of §6.3's amortisation under §6.4's credit
+    /// window, the processed count riding them) until the queue is empty,
+    /// the window closes or the socket is behind. Driven by readiness: a
+    /// credit stall arms nothing, the lap that reads the peer's `Credit`
+    /// pumps the link again; a debt left unannounced arms the link's
+    /// [`CREDIT_RETURN_TICK`].
     ///
-    /// Every flow-controlled message moves from the outbox's queue into its
-    /// retained tail as it is packed ([`Outbox::pack_front`]): the socket
-    /// may lose it (severed link, crashed peer), the link does not — the
-    /// redial handshake replays whatever the peer did not confirm
-    /// processing.
-    ///
-    /// Value bytes stay behind the broadcast-shared `Arc` all the way to
-    /// serialisation: no per-peer copy is ever materialised.
+    /// Every item moves from the outbox's queue into its retained tail as
+    /// it is packed: the socket may lose it (severed link, crashed peer),
+    /// the link does not — the redial handshake replays whatever the peer
+    /// did not confirm processing.
     fn pump_peer(&mut self, token: u64, conn: &mut ConnState) -> bool {
-        // On a datagram fabric one coalesced batch should ride one
-        // datagram: cap the byte budget at the transport's datagram
-        // payload size (streams keep the full budget).
-        let batch_max = conn
-            .stream
-            .datagram_cap()
+        // On a datagram fabric one pack should ride one datagram: cap the
+        // byte budget at the transport's datagram payload size.
+        let byte_cap = (conn.stream.datagram_cap())
             .map_or(PEER_BATCH_MAX_BYTES, |cap| cap.min(PEER_BATCH_MAX_BYTES));
         let Role::Peer {
             peer,
@@ -883,7 +908,6 @@ impl Shard {
             resumed,
             builder,
             stall_started,
-            credit,
             ..
         } = &mut conn.role
         else {
@@ -904,105 +928,53 @@ impl Shard {
         } else {
             u64::MAX
         };
-        // Messages from `peer` processed so far: only this shard delivers
-        // them, so the count stands still while this pump runs.
-        let processed = link.processed.load(Ordering::Acquire);
-        loop {
-            // Backpressure: stop packing while the socket is behind; the
-            // writability event resumes the pump.
-            if conn.writebuf.pending() > HIGH_WATER {
-                break;
-            }
-            let mut outbox = link.outbox.lock();
-            if let Some(head) = outbox.sendable(window) {
+        // Backpressure: stop packing while the socket is behind; the
+        // writability event resumes the pump.
+        while conn.writebuf.pending() <= HIGH_WATER {
+            let mut end = link.peer.lock();
+            if let Some(head) = end.outbox.sendable(window) {
                 if let Some(started) = stall_started.take() {
                     let stalled_ns = started.elapsed().as_nanos() as u64;
                     inner.metrics.record_credit_stall_ns(stalled_ns);
-                    // If the message that waited out the stall at the
-                    // queue front is traced, pin the stall onto its
-                    // timeline (the `key` field carries the ns).
+                    // If the message that waited out the stall at the queue
+                    // front is traced, pin the stall onto its timeline (the
+                    // `key` field carries the ns).
                     let (trace, lane) = (head.trace(), self.id as u8);
                     let kind = EventKind::CreditStall;
                     inner.trace_event(trace, lane, kind, stalled_ns, peer as u8);
                 }
-            } else if outbox.queued().len() > 0 {
-                // Window exhausted: note when the stall began.
+            } else if end.outbox.queued().len() > 0 {
                 stall_started.get_or_insert_with(Instant::now);
             }
-            let mut packed = 0u64;
-            while packed < PEER_BATCH_OPS {
-                let Some(head) = outbox.sendable(window) else {
-                    break;
-                };
-                // Byte bound: op count alone would let a burst of large
-                // values coalesce past MAX_FRAME_BYTES, and the receiver
-                // drops an oversized frame together with the whole peer
-                // link. A message that is itself large still travels —
-                // alone, as a bare frame.
-                let projected = builder.bytes() + 64 + head.payload_len();
-                if builder.count() > 0 && projected > batch_max {
-                    break;
-                }
-                match head {
-                    LinkItem::Protocol(msg, bytes, trace) => {
-                        builder.push_protocol_traced(*trace, msg, bytes.as_deref());
-                    }
-                    LinkItem::Rpc(frame) => builder.push(frame),
-                }
-                let request = match head {
-                    LinkItem::Rpc(Frame::RpcReq { corr, .. }) => Some(*corr),
-                    _ => None,
-                };
-                let seq = outbox.pack_front();
+            let out = conn.writebuf.writer();
+            let pack = end.pack(window, byte_cap, builder, out, |seq, item| {
                 // A restarted peer that confirmed past this number owes the
                 // answer: `peer_restarted` asks those again.
-                if let Some(corr) = request {
-                    inner.rpcs.lock().packed(corr, seq);
+                if let LinkItem::Rpc(Frame::RpcReq { corr, .. }) = item {
+                    inner.rpcs.lock().packed(*corr, seq);
                 }
-                packed += 1;
+            });
+            let drained = end.outbox.queued().len() == 0;
+            drop(end);
+            if pack.items > 0 {
+                inner.metrics.record_adaptive_batch(pack.items);
             }
-            if packed > 0 {
-                inner.metrics.record_adaptive_batch(packed);
+            if pack.credit.is_some() {
+                inner.metrics.record_credit_frame(pack.items > 0);
             }
-            let nothing_left = outbox.queued().len() == 0;
-            drop(outbox);
-            // The cumulative processed confirmation rides whatever was
-            // just packed; with nothing to ride it leaves only once the
-            // policy says it must. It is exempt from flow control, so it
-            // goes out even while this link is stalled.
-            if packed > 0 || credit.due(processed) {
-                if let Some(cum) = credit.take(processed) {
-                    // A message over the byte budget travels alone.
-                    if builder.bytes() > batch_max {
-                        builder.append_to(conn.writebuf.writer());
-                    }
-                    builder.push(&Frame::Credit {
-                        cum,
-                        gen: link.peer_gen.load(Ordering::Acquire),
-                    });
-                    inner.metrics.record_credit_frame(packed > 0);
-                }
+            // Only what travels as a coalesced batch: the batch-size
+            // percentiles must not drown in ones that were never batched.
+            if pack.batched {
+                inner.metrics.record_batch(pack.items);
             }
-            if builder.count() > 0 {
-                // Singleton messages leave the builder as bare frames (see
-                // `BatchBuilder::append_to`) — only count what actually
-                // travels as a coalesced batch, or the batch-size
-                // percentiles drown in ones that were never batched.
-                if builder.count() > 1 && packed > 0 {
-                    inner.metrics.record_batch(packed);
-                }
-                builder.append_to(conn.writebuf.writer());
-            }
-            // Nothing more can happen this pump: the queue is empty or the
-            // window is closed.
-            if packed == 0 || nothing_left {
+            if pack.items == 0 || drained {
                 break;
             }
         }
         if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return true;
         }
-        if credit.arm(processed) {
+        if link.peer.lock().arm() {
             self.wheel.schedule(Token(token), CREDIT_RETURN_TICK);
         }
         false
@@ -1088,7 +1060,7 @@ impl Shard {
                     let Role::Peer { link, resumed, .. } = &conn.role else {
                         unreachable!("role checked above");
                     };
-                    if !*resumed || link.outbox.lock().queued().len() == 0 {
+                    if !*resumed || link.peer.lock().outbox.queued().len() == 0 {
                         break;
                     }
                 }

@@ -12,6 +12,10 @@
 //! per link as `cckvs_peer_link_tcp_segments_total` when a connection
 //! closes) and the UDP transport's datagram census.
 //!
+//! Beside them it prints what the link's own acknowledgement costs: the
+//! `Credit` frames (`cckvs_credit_frames_total{kind}`) per peer message,
+//! piggybacked on a pack and alone.
+//!
 //! Each count is printed as `ack_budget <name> <value>` before anything is
 //! asserted, so a run against another commit reports its numbers too.
 
@@ -44,13 +48,25 @@ fn report(name: &str, value: f64) {
     println!("ack_budget {name} {value:.3}");
 }
 
+/// What the peer mesh spent on a run, summed over the nodes.
+struct Spent {
+    /// Packets carrying peer messages.
+    msgs: u64,
+    /// Packets carrying only an acknowledgement.
+    acks: u64,
+    /// Peer messages: protocol messages, and a request and a response per
+    /// remote miss.
+    peer_msgs: u64,
+    /// `Credit` frames that rode a pack, and that left alone.
+    credits: (u64, u64),
+}
+
 /// Boots the rack `cfg` describes, runs `OPS` closed-loop ops through node 0 — Lin PUTs to one hot key
 /// (invalidation → ack → update with each of the two peers), or GETs of
 /// cold keys homed elsewhere (`RpcReq` → `RpcResp` with the home) — and
-/// returns what the peer mesh spent on them: `(packets carrying peer
-/// messages, packets carrying only an acknowledgement)`, summed over the
-/// three nodes after they shut down.
-fn peer_packets_of(cfg: RackConfig, remote_misses: bool) -> (u64, u64) {
+/// returns what the peer mesh spent on them, summed over the three nodes
+/// after they shut down.
+fn peer_packets_of(cfg: RackConfig, remote_misses: bool) -> Spent {
     let rack = Rack::launch(cfg).expect("launch rack");
     let hot = 1u64;
     rack.install_hot_set(&[(hot, vec![7; 40])])
@@ -78,7 +94,13 @@ fn peer_packets_of(cfg: RackConfig, remote_misses: bool) -> (u64, u64) {
         .collect();
     rack.shutdown();
     let snaps: Vec<_> = metrics.iter().map(|m| m.snapshot()).collect();
-    if cfg.transport.kind == TransportKind::Udp {
+    let sum = |field: fn(&cckvs_net::MetricsSnapshot) -> u64| snaps.iter().map(field).sum::<u64>();
+    let peer_msgs = sum(|s| s.protocol_out) + 2 * sum(|s| s.remote_reads);
+    let credits = (
+        sum(|s| s.credit_frames_piggybacked),
+        sum(|s| s.credit_frames_standalone),
+    );
+    let (msgs, acks) = if cfg.transport.kind == TransportKind::Udp {
         let kind = |kind: &str| -> u64 {
             (snaps.iter().flat_map(|snap| snap.udp_datagrams))
                 .filter(|(k, _)| *k == kind)
@@ -97,6 +119,12 @@ fn peer_packets_of(cfg: RackConfig, remote_misses: bool) -> (u64, u64) {
             links().map(|(data, _)| data).sum(),
             links().map(|(_, ack)| ack).sum(),
         )
+    };
+    Spent {
+        msgs,
+        acks,
+        peer_msgs,
+        credits,
     }
 }
 
@@ -106,10 +134,21 @@ fn a_reply_carries_the_acknowledgement() {
     let mut cfg = RackConfig::small_from_env(ConsistencyModel::Lin, 3);
     cfg.metrics = false;
     cfg.reactor = ReactorConfig { shards: 1 };
-    let (lin_msgs, lin_acks) = peer_packets_of(cfg, false);
-    let (miss_msgs, miss_acks) = peer_packets_of(cfg, true);
-    let lin = lin_acks as f64 / lin_msgs as f64;
-    let miss = miss_acks as f64 / miss_msgs as f64;
+    let (lin_run, miss_run) = (peer_packets_of(cfg, false), peer_packets_of(cfg, true));
+    for (name, run) in [("lin_put", &lin_run), ("remote_miss", &miss_run)] {
+        let per_msg = |n: u64| n as f64 / run.peer_msgs as f64;
+        report(
+            &format!("{name}_credits_piggybacked_per_peer_msg"),
+            per_msg(run.credits.0),
+        );
+        report(
+            &format!("{name}_credits_standalone_per_peer_msg"),
+            per_msg(run.credits.1),
+        );
+    }
+    let (lin_msgs, miss_msgs) = (lin_run.msgs, miss_run.msgs);
+    let lin = lin_run.acks as f64 / lin_msgs as f64;
+    let miss = miss_run.acks as f64 / miss_msgs as f64;
     if cfg.transport.kind == TransportKind::Udp {
         let [parent_lin, parent_miss] = PARENT_UDP_ACKS_PER_PEER_DATAGRAM;
         report("lin_put_standalone_acks_per_peer_datagram", lin);
