@@ -69,9 +69,9 @@
 //! ## Churn
 //!
 //! Each node also serves an admin connection, a second `ConnOps`, through
-//! which [`Transition`]s make their calls, one per [`Action::Admin`]: the
-//! admin script's, as the epoch coordinator runs them, and a heal's
-//! evictions, as the supervisor runs them.
+//! which [`Flip`]s make their calls, one per [`Action::Admin`]: the admin
+//! script's, as the epoch coordinator runs them, and a heal's evictions,
+//! as the supervisor runs them.
 //!
 //! ## Crash gating
 //!
@@ -88,7 +88,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, NodeConfig, Outgoing};
-use cckvs_net::churn::{Next, Outcome, Transition};
+use cckvs_net::churn::{Flip, Outcome, Transition};
 use cckvs_net::link::{Accept, Item, Pack, Peer, RecvHalf, PEER_BATCH_MAX_BYTES};
 use cckvs_net::ops::{ConnOps, ResumeEvent, Wait};
 use cckvs_net::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
@@ -330,10 +330,10 @@ pub struct RackModel {
     dups_left: u32,
     crashes_left: u32,
     heal_needed: bool,
-    /// Transitions not yet ended, in order: the admin script's, then a
-    /// heal's. The front one runs; its call is in flight while its node's
-    /// admin connection is busy.
-    transitions: VecDeque<Transition>,
+    /// Flips not yet ended, in order: the admin script's, then a heal's.
+    /// The front one runs; its call is in flight while its node's admin
+    /// connection is busy.
+    flips: VecDeque<Flip>,
     /// `(deliveries, world_version)` when that call last bounced.
     admin_parked: Option<(u64, u64)>,
     /// Keys currently hot (installed and not yet evicted).
@@ -402,10 +402,13 @@ impl RackModel {
             dups_left: spec.dup_budget,
             crashes_left: spec.crash_budget,
             heal_needed: false,
-            transitions: (spec.admin_script.iter())
-                .map(|step| match *step {
-                    AdminStep::Install(key) => Transition::install(key, spec.nodes),
-                    AdminStep::Evict(key) => Transition::evict(key, spec.nodes),
+            flips: (spec.admin_script.iter())
+                .map(|step| {
+                    let (keys, start): (_, fn(u64, usize) -> Transition) = match step {
+                        AdminStep::Install(keys) => (keys, Transition::install),
+                        AdminStep::Evict(keys) => (keys, Transition::evict),
+                    };
+                    Flip::new(keys.iter().map(|&key| start(key, spec.nodes)).collect())
                 })
                 .collect(),
             admin_parked: None,
@@ -548,17 +551,17 @@ impl RackModel {
             // repair the wedged peers — so it is not targeted.)
             return dirty_shard || undelivered_update;
         }
-        self.transitions.is_empty() && !dirty_shard && !pending_commit && !undelivered_update
+        self.flips.is_empty() && !dirty_shard && !pending_commit && !undelivered_update
     }
 
     fn heal_enabled(&self) -> bool {
-        self.heal_needed && self.transitions.is_empty() && self.nodes.iter().all(|s| s.up)
+        self.heal_needed && self.flips.is_empty() && self.nodes.iter().all(|s| s.up)
     }
 
     /// A call can be made (its node is up), or the one in flight bounced
     /// and its node has seen progress since.
     fn admin_enabled(&self) -> bool {
-        let Some(Next::Call(n, _)) = self.transitions.front().map(Transition::next) else {
+        let Some((n, _)) = self.flips.front().and_then(Flip::next) else {
             return false;
         };
         let s = &self.nodes[n];
@@ -581,10 +584,7 @@ impl RackModel {
         let lap = match action {
             Action::Issue(n) | Action::Reprobe(n) | Action::CreditTick(n, _) => Some(n),
             Action::Deliver(f) => Some(self.flights[&f].j),
-            Action::Admin => match self.transitions.front().map(Transition::next) {
-                Some(Next::Call(n, _)) => Some(n),
-                _ => None,
-            },
+            Action::Admin => self.flips.front().and_then(Flip::next).map(|(n, _)| n),
             _ => None,
         };
         match action {
@@ -938,13 +938,15 @@ impl RackModel {
     }
 
     /// Post-restart recovery of symmetric caching, as the supervisor runs
-    /// it: one [`Transition::evict`] per hot key, stepped like the admin
-    /// script's; the keys end cold, the replacement's boot fence lifted.
+    /// it: one [`Flip`] of a [`Transition::evict`] per hot key, stepped like
+    /// the admin script's; the keys end cold, the replacement's boot fence
+    /// lifted.
     fn heal(&mut self) {
         self.log("heal".to_string());
-        for &key in &self.hot_now {
-            self.transitions
-                .push_back(Transition::evict(key, self.nodes.len()));
+        let nodes = self.nodes.len();
+        if !self.hot_now.is_empty() {
+            let evicts = self.hot_now.iter().map(|&k| Transition::evict(k, nodes));
+            self.flips.push_back(Flip::new(evicts.collect()));
         }
         self.heal_needed = false;
         self.world_version += 1;
@@ -953,19 +955,24 @@ impl RackModel {
     // ----- admin connections -------------------------------------------
 
     /// [`Action::Admin`]: the retry tick of the call that bounced, or the
-    /// running transition's next call pushed onto its node's admin
-    /// connection.
+    /// running flip's next call pushed onto its node's admin connection.
     fn admin_step(&mut self) {
-        let next = self.transitions.front().map(Transition::next);
-        let Some(Next::Call(n, mut frame)) = next else {
+        let next = self.flips.front().and_then(Flip::next);
+        let Some((n, mut frame)) = next else {
             unreachable!("admin_enabled")
         };
         if !self.nodes[n].admin.is_idle() {
             self.log(format!("admin reprobe n{n}"));
             return self.run_admin(n);
         }
-        if let Frame::InstallHot { warm, .. } = &mut frame {
-            *warm &= !self.spec.unwarmed_install;
+        let calls = match &mut frame {
+            Frame::Batch { frames } => frames,
+            call => std::slice::from_mut(call),
+        };
+        for call in calls {
+            if let Frame::InstallHot { warm, .. } = call {
+                *warm &= !self.spec.unwarmed_install;
+            }
         }
         self.log(format!("admin n{n} <- {frame:?}"));
         // A frame the node serves is progress its parked ops retry on.
@@ -975,24 +982,24 @@ impl RackModel {
     }
 
     /// The answer to the running call came out of node `n`'s admin
-    /// connection: the transition takes it, and may be over.
+    /// connection: the flip takes it, and the transitions it ended are over.
     fn admin_answered(&mut self, n: usize, reply: Frame) {
         self.log(format!("admin n{n} -> {reply:?}"));
-        let t = self.transitions.front_mut();
-        let t = t.expect("a call has a transition");
-        t.answer(Some(reply));
-        let (key, Next::Done(outcome)) = (t.key(), t.next()) else {
-            return;
-        };
-        self.transitions.pop_front();
-        match outcome {
-            Outcome::Installed => self.hot_now.insert(key),
-            Outcome::Evicted => self.hot_now.remove(&key),
-            Outcome::RolledBack => false,
-            Outcome::Abandoned => return self.fail(format!("the transition of k{key} failed")),
-        };
-        self.world_version += 1;
-        self.log(format!("admin k{key} {outcome:?}"));
+        let flip = self.flips.front_mut().expect("a call has a flip");
+        let ended = flip.answer(Some(reply));
+        if flip.next().is_none() {
+            self.flips.pop_front();
+        }
+        for (key, outcome) in ended {
+            match outcome {
+                Outcome::Installed => self.hot_now.insert(key),
+                Outcome::Evicted => self.hot_now.remove(&key),
+                Outcome::RolledBack => false,
+                Outcome::Abandoned => return self.fail(format!("the transition of k{key} failed")),
+            };
+            self.world_version += 1;
+            self.log(format!("admin k{key} {outcome:?}"));
+        }
     }
 
     // ----- drain and final checks -------------------------------------
@@ -1007,7 +1014,7 @@ impl RackModel {
             .iter()
             .all(|s| s.up && s.program.is_empty() && s.inflight.is_empty())
             && !self.heal_needed
-            && self.transitions.is_empty()
+            && self.flips.is_empty()
             && self.flights.is_empty()
             && (self.peers.values()).all(|end| {
                 let outbox = &end.outbox;

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use cckvs::node::{CacheGet, CcNode, Outgoing};
-use cckvs_net::churn::Transition;
+use cckvs_net::churn::Flip;
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
 use cckvs_net::rpc::serve_home_frame;
 use cckvs_net::wire::Frame;
@@ -423,8 +423,8 @@ impl OpsHost for SimHost<'_> {
     /// A dirty copy an eviction wrote back into this home's own shard is
     /// data its crash would lose (crash gating).
     fn note(&mut self, note: Note) {
-        let evicting = self.m.transitions.front().map(Transition::key);
-        if note == Note::WriteBack && evicting.is_some_and(|key| self.node().is_home(key)) {
+        let mut moving = self.m.flips.front().into_iter().flat_map(Flip::keys);
+        if note == Note::WriteBack && moving.any(|key| self.node().is_home(key)) {
             self.m.nodes[self.n].kvs_dirty = true;
         }
     }

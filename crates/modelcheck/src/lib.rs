@@ -53,7 +53,7 @@
 //!   misbehave are out of this model's scope.
 //! * **Churn calls never fail.** An admin connection's call is always
 //!   answered, so no schedule ends a transition `Abandoned`; that arm is
-//!   `churn.rs`'s property test's.
+//!   `churn.rs`'s property tests'.
 //! * **Gated crashes.** Default scenarios only crash nodes where the
 //!   production system survives: not while a home shard holds observable
 //!   in-memory cold data (durable shards are an open ROADMAP item), not

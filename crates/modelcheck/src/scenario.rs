@@ -68,16 +68,17 @@ fn each(ops: impl IntoIterator<Item = ProgOp>) -> Vec<ProgStep> {
     ops.into_iter().map(ProgStep::Op).collect()
 }
 
-/// One entry of a scenario's admin script: a [`cckvs_net::churn::Transition`]
-/// the epoch coordinator would run, one call per `Admin` action, so the
-/// scheduler interleaves client and protocol traffic between its calls.
-/// Entries run strictly in script order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One entry of a scenario's admin script: a [`cckvs_net::churn::Flip`]
+/// of the keys' transitions, as the epoch coordinator would run it, one
+/// call per `Admin` action, so the scheduler interleaves client and
+/// protocol traffic between its calls. Entries run strictly in script
+/// order, each to its end.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminStep {
-    /// Turn a cold key hot on every node.
-    Install(u64),
-    /// Turn a hot key cold on every node.
-    Evict(u64),
+    /// Turn cold keys hot on every node.
+    Install(Vec<u64>),
+    /// Turn hot keys cold on every node.
+    Evict(Vec<u64>),
 }
 
 /// Everything about a model-checking run except the schedule.
@@ -151,6 +152,7 @@ pub fn all() -> Vec<ScenarioSpec> {
         conn_order(),
         credit_window_crash(),
         install_rollback(),
+        flip_two_keys(),
         ack_then_die(),
         miss_rpc_no_reissue(),
         install_unwarmed(),
@@ -225,7 +227,7 @@ pub fn dirty_evict_writeback() -> ScenarioSpec {
             each([put(h, 311), get(h)]),
             each([put(h, 321), get(h)]),
         ],
-        admin_script: vec![AdminStep::Evict(h)],
+        admin_script: vec![AdminStep::Evict(vec![h])],
         ..ScenarioSpec::new("dirty-evict-writeback", about, Lin, 3)
     }
 }
@@ -238,7 +240,7 @@ pub fn hot_transition_bounce() -> ScenarioSpec {
     let about = "cold key turns hot mid-traffic (SC); miss RPCs bounce off the mark";
     ScenarioSpec {
         programs: vec![each([put(c, 511), get(c)]), each([put(c, 521), get(c)])],
-        admin_script: vec![AdminStep::Install(c)],
+        admin_script: vec![AdminStep::Install(vec![c])],
         ..ScenarioSpec::new("hot-transition-bounce", about, Sc, 2)
     }
 }
@@ -256,6 +258,29 @@ pub fn install_rollback() -> ScenarioSpec {
     }
 }
 
+/// Two hot keys leave in one flip, then two cold keys arrive in one flip,
+/// each phase one batch per node, while Lin writers and readers work all
+/// four keys: the keys' fences, write-backs and warm fills overlap, and
+/// the evictions end before the installs start.
+pub fn flip_two_keys() -> ScenarioSpec {
+    let [h0, h1] = [0, 1].map(|home| key_homed_at(3, home, 2300));
+    let [c0, c1] = [1, 2].map(|home| key_homed_at(3, home, 2400));
+    let about = "two keys evicted in one flip, two installed in the next; Lin writers on all four";
+    ScenarioSpec {
+        hot_keys: vec![h0, h1],
+        programs: vec![
+            each([put(h0, 2301), get(h1), put(c0, 2302), get(h1)]),
+            each([put(h1, 2311), put(c1, 2312), get(h0)]),
+            each([get(c0), put(h1, 2321), get(c1)]),
+        ],
+        admin_script: vec![
+            AdminStep::Evict(vec![h0, h1]),
+            AdminStep::Install(vec![c0, c1]),
+        ],
+        ..ScenarioSpec::new("flip-two-keys", about, Lin, 3)
+    }
+}
+
 /// Negative scenario for the warm phase: a Lin install that fills every
 /// replica active. A write that commits against the half-installed hot set
 /// collects a vacuous ack from a replica filled after it, whose stale fill
@@ -269,7 +294,7 @@ pub fn install_unwarmed() -> ScenarioSpec {
             each([put(c, 2111), get(c)]),
             each([get(c), get(c)]),
         ],
-        admin_script: vec![AdminStep::Install(c)],
+        admin_script: vec![AdminStep::Install(vec![c])],
         unwarmed_install: true,
         expect_violation: true,
         ..ScenarioSpec::new("install-unwarmed", about, Lin, 3)
@@ -404,7 +429,7 @@ pub fn batch_prefetch() -> ScenarioSpec {
     let batch = vec![get(i), put(k, 1501), get(k), get(j), get(i)];
     ScenarioSpec {
         programs: vec![vec![ProgStep::Batch(batch)], each([put(j, 1511), get(j)])],
-        admin_script: vec![AdminStep::Install(j)],
+        admin_script: vec![AdminStep::Install(vec![j])],
         ..ScenarioSpec::new("batch-prefetch", about, Lin, 2)
     }
 }

@@ -267,6 +267,7 @@ const LOG_DIGESTS: &[(&str, u64)] = &[
     ("conn-order", 0x3bbf9cb84eca4dde),
     ("credit-window-crash", 0x8d4f1366e565a543),
     ("install-rollback", 0xd4bd23939005e129),
+    ("flip-two-keys", 0x0543e5830df25473),
     ("ack-then-die", 0xc345a86155c38186),
     ("miss-rpc-no-reissue", 0xa78452a8dbdc1f76),
     ("install-unwarmed", 0x470630172190d4c8),

@@ -1,16 +1,21 @@
-//! One key's move into or out of the symmetric caches (§4's epoch change),
-//! written once: the [`Transition`] the epoch coordinator, the supervisor's
-//! heal and `cckvs-modelcheck` run. Owning no socket, thread, lock or clock,
-//! it names the next `(node, frame)` call; the driver feeds the answer back.
+//! Moves of keys into or out of the symmetric caches (§4's epoch change),
+//! written once: one key's [`Transition`], and the [`Flip`] that steps the
+//! transitions of many keys together. The bootstrap install, the epoch
+//! coordinator, the supervisor's heal and `cckvs-modelcheck` run them.
+//! Owning no socket, thread, lock or clock, a flip names the next
+//! `(node, frame)` call; its caller feeds the answer back.
 //!
 //! `HotMark` at the key's home comes first and `HotUnmark` last: the fence
 //! lives as long as the transition. An install warms, then activates, every
 //! node; an eviction evicts every node. A failed step ends the transition
-//! at once with the fence up (`docs/ARCHITECTURE.md`, "Hot-set churn").
+//! at once with the fence up (`docs/ARCHITECTURE.md`, "Hot-set churn"). A
+//! seed fills a fresh dataset's caches with no fence and rolls back on any
+//! failed step.
 
+use crate::link::PEER_BATCH_OPS;
 use crate::wire::Frame;
 use consistency::lamport::Timestamp;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use workload::{KeyId, ShardMap};
 
 /// How a [`Transition`] ended.
@@ -48,36 +53,34 @@ pub struct Transition {
 impl Transition {
     /// Turns cold `key` hot on all `nodes`, at the home's value and version.
     pub fn install(key: u64, nodes: usize) -> Self {
-        let (value, ts) = (Vec::new(), Timestamp::ZERO);
-        let warm = Frame::InstallHot {
-            key,
-            value,
-            ts,
-            warm: true,
-        };
-        let rounds = [warm, Frame::ActivateHot { key }];
-        Self::new(key, nodes, Outcome::Installed, &rounds)
+        let rounds = [fill(key, Vec::new(), true), Frame::ActivateHot { key }];
+        Self::new(key, nodes, Outcome::Installed, &rounds, true)
     }
 
     /// Turns hot `key` cold on all `nodes` of the deployment.
     pub fn evict(key: u64, nodes: usize) -> Self {
-        Self::new(key, nodes, Outcome::Evicted, &[Frame::Evict { key }])
+        Self::new(key, nodes, Outcome::Evicted, &[Frame::Evict { key }], true)
     }
 
-    /// The home's mark, each round over every node in order, the unmark.
-    fn new(key: u64, nodes: usize, end: Outcome, rounds: &[Frame]) -> Self {
+    /// Fills every node's cache with `key` at `value`, active at version
+    /// zero: a fresh dataset's bootstrap, with no fence, so writes to the
+    /// key must be quiescent.
+    pub fn seed(key: u64, value: Vec<u8>, nodes: usize) -> Self {
+        let rounds = [fill(key, value, false)];
+        Self::new(key, nodes, Outcome::Installed, &rounds, false)
+    }
+
+    /// Each round over every node in order, between the home's mark and
+    /// unmark if `fenced`.
+    fn new(key: u64, nodes: usize, end: Outcome, rounds: &[Frame], fenced: bool) -> Self {
         let home = ShardMap::new(nodes, 1).home_node(KeyId(key));
-        let mut plan = VecDeque::from([(home, Frame::HotMark { key })]);
-        for frame in rounds {
-            plan.extend((0..nodes).map(|n| (n, frame.clone())));
-        }
-        plan.push_back((home, Frame::HotUnmark { key }));
+        let fence = |frame| fenced.then_some((home, frame));
+        let calls = rounds
+            .iter()
+            .flat_map(|f| (0..nodes).map(move |n| (n, f.clone())));
+        let plan = fence(Frame::HotMark { key }).into_iter().chain(calls);
+        let plan = plan.chain(fence(Frame::HotUnmark { key })).collect();
         Transition { key, plan, end }
-    }
-
-    /// The key in transition.
-    pub fn key(&self) -> u64 {
-        self.key
     }
 
     /// The call to make now (the same one until answered), or the outcome.
@@ -102,33 +105,171 @@ impl Transition {
                     }
                 }
             }
-            // The warm round goes in node order: the nodes before this one
-            // took the key, and only they drop it again.
-            (Frame::InstallHot { .. }, Some(Frame::InstallHotResp { ok: false })) => {
-                let (key, unmark) = (self.key, self.plan.pop_back());
-                let rollback = (0..node).map(|n| (n, Frame::Evict { key }));
-                self.plan = rollback.chain(unmark).collect();
-                self.end = Outcome::RolledBack;
-            }
             (Frame::InstallHot { .. }, Some(Frame::InstallHotResp { ok: true }))
             | (Frame::ActivateHot { .. }, Some(Frame::ActivateHotResp { ok: true }))
             | (Frame::Evict { .. }, Some(Frame::EvictResp { .. }))
             | (Frame::HotUnmark { .. }, Some(Frame::HotUnmarkResp)) => {}
+            // The fill round goes in node order: the nodes before this one
+            // took the key, and only they drop it again. A seed has no
+            // fence to keep up, so any failed fill rolls it back.
+            (Frame::InstallHot { warm: false, .. }, _)
+            | (Frame::InstallHot { .. }, Some(Frame::InstallHotResp { ok: false })) => {
+                let key = self.key;
+                let unmark = self.plan.pop_back();
+                let unmark = unmark.filter(|(_, f)| matches!(f, Frame::HotUnmark { .. }));
+                let rollback = (0..node).map(|n| (n, Frame::Evict { key }));
+                self.plan = rollback.chain(unmark).collect();
+                self.end = Outcome::RolledBack;
+            }
             _ => {
                 self.plan.clear();
                 self.end = Outcome::Abandoned;
             }
         }
     }
+}
 
-    /// Runs the transition to its end through `call`, which sends a frame
-    /// to a node and returns the answer (`None`: the call failed).
-    pub fn run(mut self, mut call: impl FnMut(usize, &Frame) -> Option<Frame>) -> Outcome {
-        while let Next::Call(node, frame) = self.next() {
-            let reply = call(node, &frame);
-            self.answer(reply);
+/// An `InstallHot` of `key`: a warm one to be activated, or an active one.
+fn fill(key: u64, value: Vec<u8>, warm: bool) -> Frame {
+    let ts = Timestamp::ZERO;
+    Frame::InstallHot {
+        key,
+        value,
+        ts,
+        warm,
+    }
+}
+
+/// Transitions of distinct keys stepped together, [`PEER_BATCH_OPS`] at a
+/// time, each group to its end before the next starts. A phase makes the
+/// next call of every unfinished transition of the group, one frame per
+/// node: a `Batch` of the calls it carries, or a lone call bare. A key's
+/// fence is up for as many phases as its transition has calls (2N + 2 at
+/// most).
+pub struct Flip {
+    /// Transitions of the groups not yet started, in order.
+    waiting: std::vec::IntoIter<Transition>,
+    /// The running group.
+    group: Vec<Transition>,
+    /// The running phase's calls still to make, by node: the node and the
+    /// members of `group` it is asked for.
+    phase: VecDeque<(usize, Vec<usize>)>,
+    /// Whether a group in which a transition failed is the flip's last.
+    until_failure: bool,
+}
+
+impl Flip {
+    /// Runs `transitions`, which must be of distinct keys, in order: every
+    /// group, whatever the groups before it ended in.
+    pub fn new(transitions: Vec<Transition>) -> Self {
+        let mut flip = Flip {
+            waiting: transitions.into_iter(),
+            group: Vec::new(),
+            phase: VecDeque::new(),
+            until_failure: false,
+        };
+        flip.plan();
+        flip
+    }
+
+    /// Makes a group in which a transition rolled back or was abandoned
+    /// the flip's last: a full cache or a failing node would fail the
+    /// (colder) keys after it too.
+    pub fn until_failure(mut self) -> Self {
+        self.until_failure = true;
+        self
+    }
+
+    /// The call to make now (the same one until answered), or `None` once
+    /// every transition ended.
+    pub fn next(&self) -> Option<(usize, Frame)> {
+        let (node, members) = self.phase.front()?;
+        let mut frames = members.iter().map(|&t| match self.group[t].next() {
+            Next::Call(_, frame) => frame,
+            Next::Done(_) => unreachable!("a phase calls for unfinished transitions"),
+        });
+        let frame = match members.len() {
+            1 => frames.next().expect("one call"),
+            _ => Frame::Batch {
+                frames: frames.collect(),
+            },
+        };
+        Some((*node, frame))
+    }
+
+    /// Takes the answer to the call [`Flip::next`] named (`None`: the call
+    /// failed), returning the keys whose transitions it ended, and how. A
+    /// batch's answer is a batch of as many answers; any other fails all
+    /// its calls.
+    pub fn answer(&mut self, reply: Option<Frame>) -> Vec<(u64, Outcome)> {
+        let Some((_, members)) = self.phase.pop_front() else {
+            return Vec::new();
+        };
+        let replies = match reply {
+            Some(Frame::Batch { frames }) if members.len() > 1 && frames.len() == members.len() => {
+                frames.into_iter().map(Some).collect()
+            }
+            reply if members.len() == 1 => vec![reply],
+            _ => vec![None; members.len()],
+        };
+        let mut ended = Vec::new();
+        for (&t, reply) in members.iter().zip(replies) {
+            let t = &mut self.group[t];
+            t.answer(reply);
+            if let Next::Done(outcome) = t.next() {
+                ended.push((t.key, outcome));
+            }
         }
-        self.end
+        if self.phase.is_empty() {
+            self.plan();
+        }
+        ended
+    }
+
+    /// The keys of the running group.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.group.iter().map(|t| t.key)
+    }
+
+    /// Runs the flip to its end through `call`, which sends a frame to a
+    /// node and returns the answer (`None`: the call failed), returning
+    /// every key's outcome in the order they ended.
+    pub fn run(
+        mut self,
+        mut call: impl FnMut(usize, &Frame) -> Option<Frame>,
+    ) -> Vec<(u64, Outcome)> {
+        let mut ended = Vec::new();
+        while let Some((node, frame)) = self.next() {
+            let reply = call(node, &frame);
+            ended.extend(self.answer(reply));
+        }
+        ended
+    }
+
+    /// Plans the running group's next phase, or the next group's first.
+    fn plan(&mut self) {
+        loop {
+            let mut by_node = BTreeMap::<usize, Vec<usize>>::new();
+            for (t, transition) in self.group.iter().enumerate() {
+                if let Next::Call(node, _) = transition.next() {
+                    by_node.entry(node).or_default().push(t);
+                }
+            }
+            if !by_node.is_empty() {
+                self.phase = by_node.into_iter().collect();
+                return;
+            }
+            let failed =
+                |t: &Transition| t.end == Outcome::RolledBack || t.end == Outcome::Abandoned;
+            if self.until_failure && self.group.iter().any(failed) {
+                self.waiting = Default::default();
+            }
+            let size = PEER_BATCH_OPS as usize;
+            self.group = self.waiting.by_ref().take(size).collect();
+            if self.group.is_empty() {
+                return;
+            }
+        }
     }
 }
 
@@ -162,34 +303,43 @@ mod tests {
         }
     }
 
-    /// Runs `t` against `replies` (then `Ok` for ever), returning every
-    /// call made, its answer, and the outcome.
-    fn drive(t: Transition, replies: &[Reply]) -> (Vec<(usize, Frame, Option<Frame>)>, Outcome) {
+    /// What a scripted node answers `frame` with.
+    fn respond(reply: Reply, frame: &Frame) -> Option<Frame> {
+        match (reply, frame) {
+            (Reply::Lost, _) => None,
+            (Reply::Error, _) => Some(Frame::Error {
+                message: "refused".to_string(),
+            }),
+            (Reply::Full, Frame::InstallHot { .. }) => Some(Frame::InstallHotResp { ok: false }),
+            (_, Frame::HotMark { .. }) => Some(Frame::HotMarkResp {
+                ts: Timestamp::ZERO,
+                value: b"v".to_vec(),
+            }),
+            (_, Frame::InstallHot { .. }) => Some(Frame::InstallHotResp { ok: true }),
+            (_, Frame::ActivateHot { .. }) => Some(Frame::ActivateHotResp { ok: true }),
+            (_, Frame::Evict { .. }) => Some(Frame::EvictResp { existed: true }),
+            (_, Frame::HotUnmark { .. }) => Some(Frame::HotUnmarkResp),
+            (_, other) => panic!("a transition never sends {other:?}"),
+        }
+    }
+
+    /// Every call a transition made, with its answer.
+    type Calls = Vec<(usize, Frame, Option<Frame>)>;
+
+    /// Runs `t` alone against `replies` (then `Ok` for ever), returning
+    /// every call made, its answer, and the outcome.
+    fn drive(mut t: Transition, replies: &[Reply]) -> (Calls, Outcome) {
         let mut calls = Vec::new();
         let mut replies = replies.iter().copied();
-        let outcome = t.run(|node, frame| {
-            let answer = match (replies.next().unwrap_or(Reply::Ok), frame) {
-                (Reply::Lost, _) => None,
-                (Reply::Error, _) => Some(Frame::Error {
-                    message: "refused".to_string(),
-                }),
-                (Reply::Full, Frame::InstallHot { .. }) => {
-                    Some(Frame::InstallHotResp { ok: false })
-                }
-                (_, Frame::HotMark { .. }) => Some(Frame::HotMarkResp {
-                    ts: Timestamp::ZERO,
-                    value: b"v".to_vec(),
-                }),
-                (_, Frame::InstallHot { .. }) => Some(Frame::InstallHotResp { ok: true }),
-                (_, Frame::ActivateHot { .. }) => Some(Frame::ActivateHotResp { ok: true }),
-                (_, Frame::Evict { .. }) => Some(Frame::EvictResp { existed: true }),
-                (_, Frame::HotUnmark { .. }) => Some(Frame::HotUnmarkResp),
-                (_, other) => panic!("a transition never sends {other:?}"),
-            };
-            calls.push((node, frame.clone(), answer.clone()));
+        while let Next::Call(node, frame) = t.next() {
+            let answer = respond(replies.next().unwrap_or(Reply::Ok), &frame);
+            calls.push((node, frame, answer.clone()));
             assert!(calls.len() <= 4 * 64 + 2, "a transition ends");
-            answer
-        });
+            t.answer(answer);
+        }
+        let Next::Done(outcome) = t.next() else {
+            unreachable!("the loop ran to the end")
+        };
         (calls, outcome)
     }
 
@@ -357,6 +507,200 @@ mod tests {
                     prop_assert_eq!(calls.len(), cache_steps + 2);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_rolled_back_seed_never_fills_after_its_first_evict() {
+        // Node 1 is full, then node 2 is lost: the nodes before each take
+        // the key back, and the fill round stops there.
+        let full = [Reply::Ok, Reply::Full, Reply::Ok];
+        let lost = [Reply::Ok, Reply::Ok, Reply::Lost];
+        for (replies, took) in [(full, 1), (lost, 2)] {
+            let (calls, outcome) = drive(Transition::seed(5, b"v".to_vec(), 3), &replies);
+            assert_eq!(outcome, Outcome::RolledBack);
+            let names: Vec<(usize, bool)> = (calls.iter())
+                .map(|(n, f, _)| (*n, matches!(f, Frame::Evict { .. })))
+                .collect();
+            let fills = (0..=took).map(|n| (n, false));
+            let expected: Vec<_> = fills.chain((0..took).map(|n| (n, true))).collect();
+            assert_eq!(names, expected);
+        }
+    }
+
+    #[test]
+    fn a_lone_call_travels_bare_and_a_group_sends_one_frame_per_node() {
+        let flip = Flip::new(vec![Transition::install(7, 3)]);
+        assert_eq!(
+            flip.next(),
+            Some((home(&Transition::install(7, 3)), Frame::HotMark { key: 7 }))
+        );
+        // 40 seeds on 3 nodes: a group of 32, then one of 8, each one
+        // batch per node.
+        let seeds = (0..40).map(|key| Transition::seed(key, b"v".to_vec(), 3));
+        let mut sizes = Vec::new();
+        let ended = Flip::new(seeds.collect()).run(|node, frame| {
+            let Frame::Batch { frames } = frame else {
+                panic!("a group of many sends batches, not {frame:?}")
+            };
+            sizes.push((node, frames.len()));
+            let answers = frames
+                .iter()
+                .map(|f| respond(Reply::Ok, f).expect("answered"));
+            Some(Frame::Batch {
+                frames: answers.collect(),
+            })
+        });
+        assert_eq!(sizes, [(0, 32), (1, 32), (2, 32), (0, 8), (1, 8), (2, 8)]);
+        assert_eq!(ended.len(), 40);
+        assert!(ended
+            .iter()
+            .all(|&(_, outcome)| outcome == Outcome::Installed));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any set of distinct-key installs, evictions and seeds, answered
+        /// per (key, call index) by a script of healthy answers, full
+        /// caches, `Error`s and lost calls: under a [`Flip`], each
+        /// transition makes the calls it makes alone, in the same order,
+        /// and ends the same; [`Flip::until_failure`] stops at the group
+        /// that fails, and no transition after it makes a call. A phase
+        /// asks each transition at most once and each node at most once, a
+        /// lone call bare.
+        #[test]
+        fn a_flip_changes_only_the_grouping(
+            until_failure in any::<bool>(),
+            nodes in 1usize..6,
+            faults in 0usize..4,
+            specs in prop::collection::vec((0u8..3, prop::collection::vec(any::<u8>(), 0..8)), 1..80),
+        ) {
+            let pct = [0, 1, 4, 30][faults];
+            let script = |r: &u8| match (u32::from(*r) * 100 / 256 < pct, r % 3) {
+                (false, _) => Reply::Ok,
+                (true, 0) => Reply::Full,
+                (true, 1) => Reply::Error,
+                (true, _) => Reply::Lost,
+            };
+            let scripts: Vec<Vec<Reply>> = specs.iter().map(|(_, s)| s.iter().map(script).collect()).collect();
+            let make = |t: usize| {
+                let key = 1000 + t as u64;
+                match specs[t].0 {
+                    0 => Transition::install(key, nodes),
+                    1 => Transition::evict(key, nodes),
+                    _ => Transition::seed(key, b"v".to_vec(), nodes),
+                }
+            };
+            let alone: Vec<(Calls, Outcome)> = (0..specs.len()).map(|t| drive(make(t), &scripts[t])).collect();
+            for (t, (calls, _)) in alone.iter().enumerate() {
+                // A seed's rollback never fills again.
+                let first_evict = calls.iter().position(|(_, f, _)| matches!(f, Frame::Evict { .. }));
+                let refill = first_evict.map(|at| calls[at..].iter().any(|(_, f, _)| matches!(f, Frame::InstallHot { .. })));
+                prop_assert!(specs[t].0 != 2 || refill != Some(true));
+            }
+
+            let transitions = (0..specs.len()).map(make).collect();
+            let mut flip = match until_failure {
+                true => Flip::new(transitions).until_failure(),
+                false => Flip::new(transitions),
+            };
+            let mut made: Vec<Calls> = vec![Vec::new(); specs.len()];
+            let mut ended = Vec::new();
+            let (mut left, mut asked, mut nodes_asked) = (0, Vec::new(), Vec::new());
+            while let Some((node, frame)) = flip.next() {
+                if left == 0 {
+                    (left, asked, nodes_asked) = (flip.phase.len(), Vec::new(), Vec::new());
+                }
+                left -= 1;
+                prop_assert!(!nodes_asked.contains(&node), "one frame per node per phase");
+                nodes_asked.push(node);
+                let subs = match &frame {
+                    Frame::Batch { frames } => {
+                        prop_assert!(frames.len() > 1, "a lone call travels bare");
+                        frames.clone()
+                    }
+                    bare => vec![bare.clone()],
+                };
+                let mut answers = Vec::new();
+                for sub in subs {
+                    let t = (frame_key(&sub) - 1000) as usize;
+                    prop_assert!(!asked.contains(&t), "one call per transition per phase");
+                    asked.push(t);
+                    let at = made[t].len();
+                    let answer = respond(scripts[t].get(at).copied().unwrap_or(Reply::Ok), &sub);
+                    made[t].push((node, sub, answer.clone()));
+                    answers.push(answer);
+                }
+                prop_assert!(asked.len() <= PEER_BATCH_OPS as usize);
+                let reply = match frame {
+                    // A call lost inside a batch: an answer that fits no call.
+                    Frame::Batch { .. } => Some(Frame::Batch {
+                        frames: answers.into_iter().map(|a| a.unwrap_or(Frame::Pong)).collect(),
+                    }),
+                    _ => answers.pop().expect("one answer"),
+                };
+                ended.extend(flip.answer(reply));
+            }
+
+            let failed = |o: &Outcome| matches!(o, Outcome::RolledBack | Outcome::Abandoned);
+            let group = PEER_BATCH_OPS as usize;
+            let last = alone.chunks(group).position(|g| g.iter().any(|(_, o)| failed(o)));
+            let last = last.filter(|_| until_failure);
+            let ran = last.map_or(specs.len(), |g| ((g + 1) * group).min(specs.len()));
+            for t in 0..specs.len() {
+                let key = 1000 + t as u64;
+                let outcome = ended.iter().find(|(k, _)| *k == key).map(|(_, o)| *o);
+                if t < ran {
+                    let alone_calls: Vec<(usize, &Frame)> = alone[t].0.iter().map(|(n, f, _)| (*n, f)).collect();
+                    let flip_calls: Vec<(usize, &Frame)> = made[t].iter().map(|(n, f, _)| (*n, f)).collect();
+                    prop_assert_eq!(flip_calls, alone_calls);
+                    prop_assert_eq!(outcome, Some(alone[t].1));
+                } else {
+                    prop_assert!(made[t].is_empty() && outcome.is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_eviction_flip_runs_past_a_failed_group_unless_told_to_stop() {
+        // 40 evictions on 3 nodes, the first group's first key lost at its
+        // mark: the other 39 move cold under `new`, none after the first
+        // group under `until_failure`.
+        let evicts = || (0..40).map(|key| Transition::evict(key, 3)).collect();
+        let answer = |_: usize, frame: &Frame| -> Option<Frame> {
+            let Frame::Batch { frames } = frame else {
+                return respond(Reply::Ok, frame);
+            };
+            let answers = frames.iter().map(|f| match f {
+                Frame::HotMark { key: 0 } => Frame::Pong,
+                f => respond(Reply::Ok, f).expect("answered"),
+            });
+            Some(Frame::Batch {
+                frames: answers.collect(),
+            })
+        };
+        let outcomes =
+            |flip: Flip| -> BTreeMap<u64, Outcome> { flip.run(answer).into_iter().collect() };
+        let all = outcomes(Flip::new(evicts()));
+        assert_eq!(all.len(), 40);
+        assert_eq!(all[&0], Outcome::Abandoned);
+        assert!((1..40).all(|key| all[&key] == Outcome::Evicted));
+        let first = outcomes(Flip::new(evicts()).until_failure());
+        assert_eq!(first.len(), PEER_BATCH_OPS as usize);
+        assert_eq!(first[&0], Outcome::Abandoned);
+    }
+
+    /// The key a transition's call is about.
+    fn frame_key(frame: &Frame) -> u64 {
+        match frame {
+            Frame::HotMark { key }
+            | Frame::HotUnmark { key }
+            | Frame::InstallHot { key, .. }
+            | Frame::ActivateHot { key }
+            | Frame::Evict { key } => *key,
+            other => panic!("a transition never sends {other:?}"),
         }
     }
 }

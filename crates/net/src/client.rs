@@ -12,7 +12,7 @@
 //! sessions should stay sticky ([`LoadBalancePolicy::Pinned`]); Lin is a
 //! real-time guarantee, so Lin sessions may spread freely.
 
-use crate::churn::{Outcome, Transition};
+use crate::churn::{Flip, Outcome, Transition};
 use crate::metrics::Metrics;
 use crate::transport::{Connection, Transport, TransportConfig};
 use crate::wire::{encode_frame_into, read_frame_via, Frame};
@@ -999,49 +999,22 @@ impl Client {
 
 /// Installs a hot set into every node over the wire (dialing `transport`,
 /// the nodes' fabric) at timestamp zero: the bootstrap install of a fresh
-/// dataset. It does **not** fence the cold path, so writes to the keys must
-/// be quiescent; live churn is [`Transition::install`]'s.
+/// dataset, one [`Transition::seed`] per key in one [`Flip`]. It does
+/// **not** fence the cold path, so writes to the keys must be quiescent;
+/// live churn is [`Transition::install`]'s. A key that fails is rolled back
+/// off the nodes that took it, so the caches stay *symmetric* — a key
+/// cached on some nodes but not others would leave Lin writes waiting
+/// forever for acks the missing replica never sends.
 pub fn install_hot_set_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
     entries: &[(u64, Vec<u8>)],
 ) -> io::Result<()> {
-    let mut conns = open_all(transport, addrs)?;
-    // Key-major order so a failure affects exactly one key, which is then
-    // rolled back everywhere: the caches stay *symmetric* — a key cached on
-    // some nodes but not others would leave Lin writes waiting forever for
-    // acks the missing replica never sends.
-    for (key, value) in entries {
-        for node in 0..conns.len() {
-            let failure = match conns[node].call(&Frame::InstallHot {
-                key: *key,
-                value: value.clone(),
-                ts: Timestamp::ZERO,
-                warm: false,
-            }) {
-                Ok(Frame::InstallHotResp { ok: true }) => continue,
-                Ok(Frame::InstallHotResp { ok: false }) => io::Error::new(
-                    io::ErrorKind::OutOfMemory,
-                    format!(
-                        "cache or home shard full installing key {key} on node {node} \
-                         (rolled back; earlier keys remain installed symmetrically)"
-                    ),
-                ),
-                Ok(other) => io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected response {other:?}"),
-                ),
-                Err(e) => e,
-            };
-            // Whatever went wrong — full cache, dead node, protocol error —
-            // roll the key back off the nodes that already took it.
-            for rollback in conns.iter_mut().take(node) {
-                let _ = rollback.call(&Frame::Evict { key: *key });
-            }
-            return Err(failure);
-        }
-    }
-    Ok(())
+    let nodes = addrs.len();
+    let seeds = entries
+        .iter()
+        .map(|(key, value)| Transition::seed(*key, value.clone(), nodes));
+    flip_via(transport, addrs, seeds.collect(), Outcome::Installed)
 }
 
 /// One client connection to each of `addrs`, in order.
@@ -1053,21 +1026,35 @@ pub(crate) fn open_all(transport: &dyn Transport, addrs: &[SocketAddr]) -> io::R
 }
 
 /// Evicts keys from every node over the wire, one [`Transition::evict`] per
-/// key: when this returns, every evicted key's last write is at its home.
+/// key in one [`Flip`]: when this returns, every evicted key's last write
+/// is at its home.
 pub fn evict_hot_set_via(
     transport: &dyn Transport,
     addrs: &[SocketAddr],
     keys: &[u64],
 ) -> io::Result<()> {
+    let evicts = keys.iter().map(|&key| Transition::evict(key, addrs.len()));
+    flip_via(transport, addrs, evicts.collect(), Outcome::Evicted)
+}
+
+/// Runs `transitions` as one [`Flip`] over one connection per node, to the
+/// first group that fails; it fails unless every key ends in `goal`.
+fn flip_via(
+    transport: &dyn Transport,
+    addrs: &[SocketAddr],
+    transitions: Vec<Transition>,
+    goal: Outcome,
+) -> io::Result<()> {
     let mut conns = open_all(transport, addrs)?;
-    for &key in keys {
-        let evict = Transition::evict(key, addrs.len());
-        match evict.run(|node, frame| conns[node].call(frame).ok()) {
-            Outcome::Evicted => {}
-            outcome => return Err(io::Error::other(format!("evicting key {key}: {outcome:?}"))),
-        }
+    let ended = Flip::new(transitions)
+        .until_failure()
+        .run(|node, frame| conns[node].call(frame).ok());
+    match ended.into_iter().find(|&(_, outcome)| outcome != goal) {
+        None => Ok(()),
+        Some((key, outcome)) => Err(io::Error::other(format!(
+            "key {key} ended {outcome:?}; no key after its group moved"
+        ))),
     }
-    Ok(())
 }
 
 /// Result of a forced epoch flip.

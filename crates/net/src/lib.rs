@@ -20,7 +20,8 @@
 //! * [`link`], [`rpc`], [`ops`] and [`churn`] — the sans-IO cores the
 //!   server, the model checker and the supervisor drive: the reliable link,
 //!   the home shard's answers to miss-path frames, the pending-RPC table,
-//!   one client connection's op machine, and one key's hot-set transition.
+//!   one client connection's op machine, and the hot-set transitions of
+//!   one key and of many keys in batches.
 //! * [`rack`] — [`rack::Rack`]: boots an N-node deployment, wires the peer
 //!   mesh and installs the coordinator's hot set over the wire.
 //! * [`client`] — [`client::Client`]: a load-balancing client session that

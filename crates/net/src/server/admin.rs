@@ -1,5 +1,5 @@
 use super::*;
-use crate::churn::{Outcome, Transition};
+use crate::churn::{Flip, Outcome, Transition};
 use crate::client::open_all;
 
 /// A hot-set reconfiguration job for the coordinator's applier thread.
@@ -46,12 +46,13 @@ pub(super) struct Churn {
 }
 
 impl ServerInner {
-    /// Reconfigures the deployment's symmetric caches to hold `hot`: one
-    /// [`Transition::evict`] per departing key, then one
-    /// [`Transition::install`] per arriving key, hottest first, over one
-    /// client connection per node, this one included (so the coordinator's
-    /// own handlers keep its books). An [`Outcome::Abandoned`] key stays in
-    /// the books, fenced, for the next delta to evict; the flip fails.
+    /// Reconfigures the deployment's symmetric caches to hold `hot`: a
+    /// [`Flip`] of one [`Transition::evict`] per departing key, run to its
+    /// end, then a flip of one [`Transition::install`] per arriving key,
+    /// hottest first, over one client connection per node, this one
+    /// included (so the coordinator's own handlers keep its books). An
+    /// [`Outcome::Abandoned`] key stays in the books, fenced, for the next
+    /// delta to evict; the flip fails.
     /// Returns `(installed, evicted)` key counts.
     fn apply_hot_set(&self, hot: &HotSet) -> io::Result<(u64, u64)> {
         let churn = self.churn.as_ref().expect("the coordinator role");
@@ -67,24 +68,30 @@ impl ServerInner {
         let current = churn.installed.lock().clone();
         let nodes = self.node.config().nodes;
         let gone = current.difference(&target);
-        let evicts = gone.map(|&key| Transition::evict(key, nodes));
-        let installs = hot.keys.iter().filter(|k| !current.contains(k));
-        let installs = installs.map(|&key| Transition::install(key, nodes));
+        let evicts = gone.map(|&key| Transition::evict(key, nodes)).collect();
+        let new = hot.keys.iter().filter(|k| !current.contains(k));
+        let installs = new.map(|&key| Transition::install(key, nodes)).collect();
         let addrs = self.peer_addrs.lock().clone();
         let mut conns = open_all(&*self.transport, &addrs)?;
         let (mut installed, mut evicted) = (0u64, 0u64);
-        for t in evicts.chain(installs) {
-            let key = t.key();
-            match t.run(|node, frame| conns[node].call(frame).ok()) {
-                Outcome::Evicted => evicted += 1,
-                Outcome::Installed => installed += 1,
-                // A full cache: the colder keys after it would fail too.
-                Outcome::RolledBack => break,
-                Outcome::Abandoned => {
-                    churn.installed.lock().insert(key);
-                    let message = format!("transition of key {key} abandoned, its home fenced");
-                    return Err(io::Error::other(message));
+        for transitions in [evicts, installs] {
+            let mut abandoned = None;
+            let flip = Flip::new(transitions).until_failure();
+            for (key, outcome) in flip.run(|n, f| conns[n].call(f).ok()) {
+                match outcome {
+                    Outcome::Evicted => evicted += 1,
+                    Outcome::Installed => installed += 1,
+                    // A full cache: the flip started no colder group.
+                    Outcome::RolledBack => {}
+                    Outcome::Abandoned => {
+                        churn.installed.lock().insert(key);
+                        abandoned = Some(key);
+                    }
                 }
+            }
+            if let Some(key) = abandoned {
+                let message = format!("transition of key {key} abandoned, its home fenced");
+                return Err(io::Error::other(message));
             }
         }
         churn.applied_epoch.fetch_max(hot.epoch, Ordering::Release);

@@ -8,7 +8,7 @@
 //! checker across ≥ 3 epoch flips, and a final sweep finds no key whose
 //! last acknowledged write was lost.
 
-use cckvs_net::churn::{Outcome, Transition};
+use cckvs_net::churn::{Flip, Outcome, Transition};
 use cckvs_net::client::SharedHistory;
 use cckvs_net::rack::{Rack, RackConfig};
 use cckvs_net::wire::{read_frame, write_frame, Frame};
@@ -304,12 +304,18 @@ fn admin_eviction_of_dirty_non_home_keys_keeps_the_write() {
             stream
         })
         .collect();
-    for &key in &keys {
-        let outcome = Transition::install(key, addrs.len()).run(|node, frame| {
+    let installs = keys
+        .iter()
+        .map(|&key| Transition::install(key, addrs.len()));
+    let ended = Flip::new(installs.collect())
+        .until_failure()
+        .run(|node, frame| {
             write_frame(&mut conns[node], frame).ok()?;
             conns[node].flush().ok()?;
             read_frame(&mut conns[node]).ok().flatten()
         });
+    assert_eq!(ended.len(), keys.len());
+    for (key, outcome) in ended {
         assert_eq!(outcome, Outcome::Installed, "key {key}");
     }
     let key = keys[5];

@@ -17,7 +17,7 @@
 //! never raises SIGPIPE — for supervisors that prefer fd signalling.
 
 use crate::topology::Topology;
-use cckvs_net::churn::{Outcome, Transition};
+use cckvs_net::churn::{Flip, Outcome, Transition};
 use cckvs_net::transport::{Transport, TransportConfig};
 use cckvs_net::wire::{read_frame, write_frame, Frame};
 use std::fs::File;
@@ -248,6 +248,33 @@ impl Supervisor {
         }
     }
 
+    /// Blocks until `node` has been restarted and is `Ready` again (or
+    /// `timeout` passes). A node the supervisor gave up on fails at once,
+    /// naming the address its restart could not bind.
+    pub fn wait_restarted(&self, node: usize, timeout: Duration) -> io::Result<()> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let (status, restarts) = (self.status(node), self.restarts(node));
+            let (kind, what) = match status {
+                NodeStatus::Ready if restarts >= 1 => return Ok(()),
+                NodeStatus::Failed => {
+                    let addr = self.shared.topology.nodes[node].listen;
+                    let what = format!("could not bind {addr} on restart, the port is taken");
+                    (io::ErrorKind::AddrInUse, what)
+                }
+                _ if Instant::now() >= deadline => {
+                    (io::ErrorKind::TimedOut, "not restarted in time".to_string())
+                }
+                _ => {
+                    std::thread::sleep(Duration::from_millis(25));
+                    continue;
+                }
+            };
+            let message = format!("node {node} {what}: status {status:?}, restarts {restarts}");
+            return Err(io::Error::new(kind, message));
+        }
+    }
+
     /// SIGKILLs `node`'s process (crash injection). The monitor observes
     /// the death and restarts the node with backoff.
     pub fn kill_node(&self, node: usize) -> io::Result<()> {
@@ -453,12 +480,13 @@ fn query_hot_set(shared: &Shared, except: usize) -> Option<Vec<u64>> {
 }
 
 /// Restores the symmetric-cache invariant after a crash replacement came
-/// up empty: every hot key moves *cold* rack-wide by the epoch
-/// coordinator's own [`Transition::evict`] — fence the home, evict every
-/// replica (dirty copies write back first), lift the fence (the
+/// up empty: every hot key moves *cold* rack-wide in one [`Flip`] of the
+/// epoch coordinator's own [`Transition::evict`]s — fence the home, evict
+/// every replica (dirty copies write back first), lift the fence (the
 /// replacement's boot fence with it). Live traffic rides it out: cached ops
 /// serve until their replica is evicted, cold ops bounce until the fence
-/// lifts. A key whose eviction fails keeps its fence for the next heal.
+/// lifts. A key whose eviction fails keeps its fence for the next heal;
+/// every other key still moves cold.
 fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
     let Some(keys) = query_hot_set(shared, restarted) else {
         eprintln!("cckvs-rack: heal after node {restarted} restart: no survivor answered");
@@ -473,17 +501,16 @@ fn heal_cache_symmetry(shared: &Shared, restarted: usize) {
         keys.len()
     );
     let addrs = shared.topology.client_addrs();
-    let mut healed = 0usize;
     // The heal runs on its own thread, so evictions may wait out
     // write-back redials and pending-write commits.
     let patient = Duration::from_secs(15);
-    for &key in &keys {
-        let evict = Transition::evict(key, addrs.len());
-        match evict.run(|n, frame| admin_call(&*shared.transport, addrs[n], frame, patient)) {
-            Outcome::Evicted => healed += 1,
-            outcome => eprintln!("cckvs-rack: heal: eviction of key {key} ended {outcome:?}"),
-        }
+    let nodes = addrs.len();
+    let evicts = keys.iter().map(|&k| Transition::evict(k, nodes)).collect();
+    let ended = Flip::new(evicts).run(|n, f| admin_call(&*shared.transport, addrs[n], f, patient));
+    for (key, outcome) in ended.iter().filter(|(_, o)| *o != Outcome::Evicted) {
+        eprintln!("cckvs-rack: heal: eviction of key {key} ended {outcome:?}");
     }
+    let healed = ended.iter().filter(|(_, o)| *o == Outcome::Evicted).count();
     eprintln!("cckvs-rack: heal complete ({healed}/{} keys)", keys.len());
 }
 

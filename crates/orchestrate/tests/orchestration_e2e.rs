@@ -163,19 +163,8 @@ fn three_process_rack_survives_sigkill_under_write_traffic() {
     supervisor.kill_node(0).expect("SIGKILL node 0");
 
     // The supervisor must bring it back within the backoff budget.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if supervisor.restarts(0) >= 1 && supervisor.status(0) == NodeStatus::Ready {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "node 0 not restarted+ready in time: status {:?}, restarts {}",
-            supervisor.status(0),
-            supervisor.restarts(0)
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let restart = supervisor.wait_restarted(0, Duration::from_secs(30));
+    restart.expect("node 0 restarted and ready");
     let new_pid = supervisor.pid(0).expect("node 0 restarted");
     assert_ne!(old_pid, new_pid, "a fresh process must have been spawned");
 
@@ -323,11 +312,8 @@ fn whole_rack_chaos_traffic_stays_checker_clean_across_a_crash() {
 
     std::thread::sleep(Duration::from_millis(400));
     supervisor.kill_node(0).expect("SIGKILL node 0");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !(supervisor.restarts(0) >= 1 && supervisor.status(0) == NodeStatus::Ready) {
-        assert!(Instant::now() < deadline, "node 0 not restarted in time");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let restart = supervisor.wait_restarted(0, Duration::from_secs(30));
+    restart.expect("node 0 restarted and ready");
     // Keep the chaos going while the supervisor heals, then wind down.
     std::thread::sleep(Duration::from_secs(2));
     stop.store(true, Ordering::Relaxed);
@@ -419,11 +405,8 @@ fn pending_lin_writer_resumes_via_vacuous_acks_after_peer_sigkill() {
 
     std::thread::sleep(Duration::from_millis(400));
     supervisor.kill_node(0).expect("SIGKILL node 0");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !(supervisor.restarts(0) >= 1 && supervisor.status(0) == NodeStatus::Ready) {
-        assert!(Instant::now() < deadline, "node 0 not restarted in time");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let restart = supervisor.wait_restarted(0, Duration::from_secs(30));
+    restart.expect("node 0 restarted and ready");
     // Let the reissue/vacuous-ack round complete under traffic.
     std::thread::sleep(Duration::from_secs(1));
     stop.store(true, Ordering::Relaxed);
@@ -503,11 +486,8 @@ fn cold_versions_stay_monotone_across_a_crash_restart() {
     // the home.
     std::thread::sleep(Duration::from_millis(700));
     supervisor.kill_node(0).expect("SIGKILL node 0");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !(supervisor.restarts(0) >= 1 && supervisor.status(0) == NodeStatus::Ready) {
-        assert!(Instant::now() < deadline, "node 0 not restarted in time");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let restart = supervisor.wait_restarted(0, Duration::from_secs(30));
+    restart.expect("node 0 restarted and ready");
     for seq in 50..100u64 {
         client.put(key, &seq.to_le_bytes()).expect("post-crash put");
     }

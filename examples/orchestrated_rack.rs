@@ -15,13 +15,13 @@ use cckvs_net::client::{install_hot_set_via, Client, SharedHistory};
 use cckvs_net::transport::TcpTransport;
 use cckvs_net::LoadBalancePolicy;
 use cckvs_orchestrate::{
-    sibling_binary, NodeSpec, NodeStatus, RackSpec, Supervisor, SupervisorConfig, Topology,
+    sibling_binary, NodeSpec, RackSpec, Supervisor, SupervisorConfig, Topology,
 };
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use workload::{KeyId, ShardMap};
 
 const HOT_KEYS: u64 = 64;
@@ -143,16 +143,8 @@ fn main() {
     println!("orchestrated_rack: SIGKILL node 0 (pid {old_pid}) under live traffic");
     supervisor.kill_node(0).expect("SIGKILL node 0");
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !(supervisor.restarts(0) >= 1 && supervisor.status(0) == NodeStatus::Ready) {
-        assert!(
-            Instant::now() < deadline,
-            "node 0 not restarted+ready in time: {:?}, restarts {}",
-            supervisor.status(0),
-            supervisor.restarts(0)
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let restart = supervisor.wait_restarted(0, Duration::from_secs(30));
+    restart.expect("node 0 restarted and ready");
     let new_pid = supervisor.pid(0).expect("node 0 restarted");
     assert_ne!(old_pid, new_pid, "a fresh process must have been spawned");
     println!(
