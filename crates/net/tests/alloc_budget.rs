@@ -5,7 +5,7 @@
 //! cached GET. The budget now is one — the value handed out — and this
 //! suite holds it there by counting, with no clock involved: a counting
 //! `#[global_allocator]` over `System`, a thread-local switch and count
-//! for the calling thread (the codec rows), and a count over every
+//! for the calling thread (the codec and client rows), and a count over every
 //! `cckvs-shard` thread of an in-process rack (the per-op rows).
 //!
 //! Each count is printed as `alloc_budget <name> <value>` before anything
@@ -281,4 +281,65 @@ fn what_one_op_costs_a_shard_thread() {
     );
     assert!(per_op(batched, OPS / BATCH) <= (BATCH + 4) as f64 + 0.01);
     assert!(per_op(cold_get, OPS) <= 2.01);
+}
+
+/// What the client thread allocates per op, through the blocking `Client`:
+/// a cached `get`, a cold `put` and one sub-op of a 32-GET `queue_get`
+/// batch (queued, flushed by the doorbell, collected by `flush`). The
+/// budgets are the counts this suite first measured, with a hundredth of
+/// an allocation per op of slack.
+#[test]
+fn what_one_op_costs_the_client_thread() {
+    const OPS: usize = 1_024;
+    const BATCH: usize = 32;
+    let _one_rack = ONE_RACK.lock().unwrap_or_else(|poison| poison.into_inner());
+    let mut cfg = RackConfig::small(ConsistencyModel::Lin, 3);
+    cfg.metrics = false;
+    let rack = Rack::launch(cfg).expect("launch rack");
+    let hot = 1u64;
+    let cold = 2u64;
+    rack.install_hot_set(&[(hot, vec![7; 40])])
+        .expect("install");
+    let mut client = rack
+        .client()
+        .metrics(std::sync::Arc::new(cckvs_net::Metrics::new()))
+        .batching(cckvs_net::BatchConfig {
+            max_ops: BATCH,
+            ..Default::default()
+        })
+        .connect()
+        .expect("connect");
+    let value = vec![9; 40];
+    // Warm every connection, buffer and queue these ops use.
+    for _ in 0..200 {
+        assert_eq!(client.get(hot).expect("get"), [7; 40]);
+        assert_eq!(client.put(cold, &value).expect("put"), None);
+        (0..BATCH).for_each(|_| client.queue_get(hot).expect("queue"));
+        assert_eq!(client.flush().expect("flush").len(), BATCH);
+    }
+
+    let per_op = |allocs: u64| allocs as f64 / OPS as f64;
+    let (get, ()) = allocations_of(|| {
+        (0..OPS).for_each(|_| assert_eq!(client.get(hot).expect("get").len(), 40));
+    });
+    report("cached_get_client_allocs_per_op", per_op(get));
+    let (put, ()) = allocations_of(|| {
+        (0..OPS).for_each(|_| assert_eq!(client.put(cold, &value).expect("put"), None));
+    });
+    report("cold_put_client_allocs_per_op", per_op(put));
+    let (batched, ()) = allocations_of(|| {
+        for _ in 0..OPS / BATCH {
+            (0..BATCH).for_each(|_| client.queue_get(hot).expect("queue"));
+            assert_eq!(client.flush().expect("flush").len(), BATCH);
+        }
+    });
+    report("batch32_cached_get_client_allocs_per_op", per_op(batched));
+    rack.shutdown();
+
+    assert!(per_op(get) <= 1.01, "a cached GET allocates the value read");
+    assert!(per_op(put) <= 1.01, "a cold PUT allocates the value sent");
+    assert!(
+        per_op(batched) <= 1.33,
+        "a batched GET allocates its value and its share of the batch"
+    );
 }
