@@ -53,18 +53,19 @@
 //! one [`RpcTable`]: it is replaced with the process, so an answer
 //! addressed to a dead generation finds no waiter, and on a peer's restart
 //! the survivors ask their `in_doubt` requests again. The only thing the
-//! harness keeps beside them is a god's-eye note of the version each
-//! request was served at — the history needs a timestamp for a cold read
-//! (`MissGetResp` carries none) and for a cold write whose origin died
-//! before the answer arrived.
+//! harness keeps beside them is a god's-eye note of the version each read
+//! was served at — the history needs a timestamp for a cold read, and
+//! `MissGetResp` carries none.
 //!
 //! ## The sessions
 //!
-//! Each node serves one client session through the production op machine
-//! ([`cckvs_net::ops::ConnOps`]): the request queue, the one suspended
-//! request, batch prefetch, the bounce policy and the request-order rule are
-//! the code the reactor runs per connection. How the harness drives it is
-//! the `session` module's.
+//! Each node serves one client session: the shipped client machine
+//! ([`cckvs_net::client_ops::ClientOps`]) sends it, and the production op
+//! machine ([`cckvs_net::ops::ConnOps`]) serves it — the request queue, the
+//! one suspended request, batch prefetch, the bounce policy and the
+//! request-order rule are the code the reactor runs per connection. A crash
+//! is the client's lost connection. How the harness drives both ends is the
+//! `session` module's.
 //!
 //! ## Churn
 //!
@@ -89,6 +90,8 @@ use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, NodeConfig, Outgoing};
 use cckvs_net::churn::{Flip, Outcome, Transition};
+use cckvs_net::client::LoadBalancePolicy;
+use cckvs_net::client_ops::{BatchConfig, ClientOps};
 use cckvs_net::link::{Accept, Item, Pack, Peer, RecvHalf, PEER_BATCH_MAX_BYTES};
 use cckvs_net::ops::{ConnOps, ResumeEvent, Wait};
 use cckvs_net::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
@@ -99,7 +102,6 @@ use consistency::{NodeId, ProtocolMsg, Timestamp};
 
 use crate::scenario::{AdminStep, ProgStep, ScenarioSpec};
 use crate::sched::SplitMix64;
-use session::Request;
 
 mod session;
 
@@ -256,7 +258,6 @@ struct NodeSlot {
     rpcs: RpcTable<(), ()>,
     up: bool,
     gen: u64,
-    session_seq: u64,
     /// Messages processed by this node — parked-op reprobe gating.
     deliveries: u64,
     /// Whether this node's in-memory shard holds data whose loss would be
@@ -264,16 +265,18 @@ struct NodeSlot {
     /// crashes refuse such nodes (ROADMAP: durable home shards).
     kvs_dirty: bool,
     program: VecDeque<ProgStep>,
+    /// The session's client end: the shipped client machine, pinned here.
+    client: ClientOps<()>,
     /// The session's connection into this process — the production op
     /// machine. It dies with the process.
     ops: ConnOps<()>,
     /// The admin connection into this process (see "Churn").
     admin: ConnOps<()>,
-    /// Requests sent and not yet answered, oldest first.
-    inflight: VecDeque<Request>,
+    /// The version each sub-request in progress was served at, noted as it
+    /// finished; its length is the index of the one in progress.
+    noted: VecDeque<Timestamp>,
     /// `(deliveries, world_version)` when the request in progress last
-    /// bounced, or lost its connection to a crash: [`Action::Reprobe`] is
-    /// offered once either has moved.
+    /// bounced: [`Action::Reprobe`] is offered once either has moved.
     parked: Option<(u64, u64)>,
     /// Per key, the shard version behind the newest `MissGetResp`
     /// delivered to this session.
@@ -313,9 +316,8 @@ pub struct RackModel {
     /// Per link, the ordinal of the frame its receiver processed last
     /// (forgotten when either end restarts).
     processed_ordinal: BTreeMap<(usize, usize), u64>,
-    /// `(origin, corr)` → the key and version the home served that request
-    /// at (see the module docs); cleared when the request resolves or its
-    /// origin dies.
+    /// `(origin, corr)` → the key and version the home served that read at
+    /// (see the module docs); cleared when the request resolves.
     served: BTreeMap<(usize, u64), (u64, Timestamp)>,
     /// Sessions whose Lin commit hook fired (pushed by `on_committed` hooks
     /// running inline on the delivery path), resumed after every delivery.
@@ -350,11 +352,6 @@ impl RackModel {
             "scenarios are small racks (2..=8 nodes)"
         );
         assert_eq!(spec.programs.len(), spec.nodes);
-        let bare = |step: &ProgStep| matches!(step, ProgStep::Op(_));
-        assert!(
-            spec.crash_budget == 0 || spec.programs.iter().flatten().all(bare),
-            "a crash's effect on a half-served batch or pipeline is not modelled"
-        );
         let links = || {
             let n = spec.nodes;
             (0..n).flat_map(move |i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
@@ -367,13 +364,18 @@ impl RackModel {
                     rpcs,
                     up: true,
                     gen: 0,
-                    session_seq: 0,
                     deliveries: 0,
                     kvs_dirty: false,
                     program: spec.programs[n].iter().cloned().collect(),
+                    client: ClientOps::new(
+                        spec.nodes,
+                        LoadBalancePolicy::Pinned(n),
+                        BatchConfig::default(),
+                        n as u32,
+                    ),
                     ops: ConnOps::default(),
                     admin: ConnOps::default(),
-                    inflight: VecDeque::new(),
+                    noted: VecDeque::new(),
                     parked: None,
                     cold_reads: BTreeMap::new(),
                     resolved: 0,
@@ -808,7 +810,6 @@ impl RackModel {
             }
             Frame::MissPutResp { ts } => {
                 self.nodes[h].kvs_dirty = true;
-                self.served.insert((o, corr), (key, *ts));
                 self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{ts}"));
             }
             Frame::WriteBackResp { applied } => {
@@ -1012,7 +1013,7 @@ impl RackModel {
     fn done(&self) -> bool {
         self.nodes
             .iter()
-            .all(|s| s.up && s.program.is_empty() && s.inflight.is_empty())
+            .all(|s| s.up && s.program.is_empty() && s.client.is_idle())
             && !self.heal_needed
             && self.flips.is_empty()
             && self.flights.is_empty()
@@ -1035,7 +1036,7 @@ impl RackModel {
                     .nodes
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| !s.inflight.is_empty() || !s.program.is_empty())
+                    .filter(|(_, s)| !s.client.is_idle() || !s.program.is_empty())
                     .map(|(n, s)| {
                         format!(
                             "n{n}: {} queued, current {}",

@@ -1,20 +1,27 @@
-//! The client sessions and admin connections of the rack under test:
-//! [`RackModel`] as the second driver of the production op machine
-//! ([`cckvs_net::ops::ConnOps`]; the reactor shard is the first).
+//! The client sessions and admin connections of the rack under test. Each
+//! node serves one session: the shipped client machine
+//! ([`cckvs_net::client_ops::ClientOps`], pinned to the node) on one end of
+//! its connection, the production op machine
+//! ([`cckvs_net::ops::ConnOps`]; the reactor shard is its first driver) on
+//! the other.
 //!
-//! Each node serves one session. `Action::Issue` pushes the client frame
-//! a program step would be on the wire, `Action::Reprobe` is the retry
-//! tick (offered once the node has seen progress since the bounce),
-//! `RpcResp` deliveries and commit hooks become `resume` calls, and the
-//! history is read off the `GetResp`/`PutResp` frames that come out. A cold
+//! `Action::Issue` queues a program step's ops and flushes them (a `Batch`
+//! is one frame; a `Pipelined` step goes out while earlier frames are
+//! unanswered), `Action::Reprobe` is the node's retry tick (offered once
+//! the node has seen progress since the bounce), `RpcResp` deliveries and
+//! commit hooks become `resume` calls, and the answers that come out settle
+//! the client's ops, which [`Settled`] writes into the history. A cold
 //! read's answer carries no version, so the harness notes one, god's-eye,
 //! as each sub-request finishes: the local shard's, or the one the remote
-//! home served the newest `MissGetResp` for that key at.
+//! home served the newest `MissGetResp` for that key at. A crash is the
+//! client's lost connection: its unanswered puts are indeterminate, its
+//! unanswered gets fail, and the program moves on.
 
 use std::sync::Arc;
 
 use cckvs::node::{CacheGet, CcNode, Outgoing};
 use cckvs_net::churn::Flip;
+use cckvs_net::client_ops::{BatchOutcome, ClientHost, Op};
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
 use cckvs_net::rpc::serve_home_frame;
 use cckvs_net::wire::Frame;
@@ -24,39 +31,37 @@ use consistency::{ConsistencyModel, Timestamp};
 use super::{decode_value, RackModel};
 use crate::scenario::{ProgOp, ProgStep};
 
-/// One request a session sent that has not been answered yet.
-pub(super) struct Request {
-    step: ProgStep,
-    invoked_at: u64,
-    /// The version noted as each sub-request finished; its length is the
-    /// index of the one in progress.
-    noted: Vec<Timestamp>,
+/// The program op a client op is (values are their own tags).
+fn prog_op(op: &Op<()>) -> ProgOp {
+    match op.put {
+        Some(value) => ProgOp::Put { key: op.key, value },
+        None => ProgOp::Get { key: op.key },
+    }
 }
 
-impl Request {
-    /// The request as the client puts it on the wire.
-    fn frame(&self) -> Frame {
-        let wire = |op: &ProgOp| match *op {
-            ProgOp::Get { key } => Frame::Get { key },
-            ProgOp::Put { key, value } => Frame::Put {
-                key,
-                value: value.to_le_bytes().to_vec(),
-            },
-        };
-        match &self.step {
-            ProgStep::Op(op) | ProgStep::Pipelined(op) => wire(op),
-            ProgStep::Batch(ops) => Frame::Batch {
-                frames: ops.iter().map(wire).collect(),
-            },
-        }
+/// What settled in one call of a session's client machine, in order: the
+/// ops answered, and the puts whose answer died with a crash.
+#[derive(Default)]
+struct Settled {
+    done: Vec<(Op<()>, BatchOutcome, Timestamp)>,
+    unsure: Vec<Op<()>>,
+}
+
+impl ClientHost<()> for Settled {
+    fn completed(&mut self, op: &Op<()>, outcome: &BatchOutcome, ts: Timestamp, _: ()) {
+        self.done.push((op.clone(), outcome.clone(), ts));
+    }
+
+    fn indeterminate(&mut self, op: &Op<()>) {
+        self.unsure.push(op.clone());
     }
 }
 
 impl RackModel {
-    /// The sub-request session `n`'s op machine is working on, if any.
+    /// The sub-request session `n`'s node is working on, if any.
     pub(super) fn current_op(&self, n: usize) -> Option<ProgOp> {
-        let mut unanswered = self.nodes[n].inflight.iter();
-        unanswered.find_map(|r| r.step.ops().get(r.noted.len()).copied())
+        let s = &self.nodes[n];
+        s.client.unanswered().nth(s.noted.len()).map(prog_op)
     }
 
     /// Whether session `n` has a Lin write collecting acknowledgements.
@@ -71,7 +76,7 @@ impl RackModel {
         s.up && match s.program.front() {
             None => false,
             Some(ProgStep::Pipelined(_)) => true,
-            Some(_) => s.inflight.is_empty(),
+            Some(_) => s.client.is_idle(),
         }
     }
 
@@ -82,36 +87,33 @@ impl RackModel {
             .is_some_and(|at| at != (s.deliveries, self.world_version))
     }
 
-    /// `Action::Issue`: the session's next step goes on the wire.
+    /// `Action::Issue`: the session queues its next step's ops and flushes
+    /// them onto its connection.
     pub(super) fn issue(&mut self, n: usize) {
         let step = self.nodes[n].program.pop_front();
         let step = step.expect("issue has a step");
         if let ProgStep::Batch(ops) = &step {
             self.log(format!("issue n{n} batch x{}", ops.len()));
         }
-        let request = Request {
-            step,
-            invoked_at: self.clock,
-            noted: Vec::new(),
-        };
-        let session = &mut self.nodes[n];
-        session.ops.push(request.frame());
-        session.inflight.push_back(request);
+        let s = &mut self.nodes[n];
+        for &op in step.ops() {
+            let value = match op {
+                ProgOp::Put { value, .. } => Some(value.to_le_bytes()),
+                ProgOp::Get { .. } => None,
+            };
+            let value = value.as_ref().map(<[u8; 8]>::as_slice);
+            s.client.queue(op.key(), value, None, self.clock, ());
+        }
+        s.client.flush();
+        while let Some((_, frame)) = s.client.poll_send(()) {
+            s.ops.push(frame);
+        }
         self.run_session(n);
     }
 
     /// `Action::Reprobe`: the retry tick of the request in progress.
     pub(super) fn reprobe(&mut self, n: usize) {
         self.log(format!("reprobe n{n}"));
-        let session = &mut self.nodes[n];
-        if session.ops.is_idle() {
-            // The connection died with the process: the client sends what
-            // was never answered again.
-            for request in &mut session.inflight {
-                request.noted.clear();
-                session.ops.push(request.frame());
-            }
-        }
         self.run_session(n);
     }
 
@@ -188,68 +190,67 @@ impl RackModel {
         self.nodes[n].parked = Some((self.nodes[n].deliveries, self.world_version));
     }
 
-    /// Takes in one response frame of session `n`: it answers the oldest
-    /// unanswered request, position by position.
+    /// Takes in one response frame of session `n`.
     fn answer(&mut self, n: usize, frame: Frame) {
-        let Some(req) = self.nodes[n].inflight.pop_front() else {
-            return self.fail(format!("n{n} answered {frame:?} to no request"));
-        };
-        let (ops, batch) = (req.step.ops(), matches!(req.step, ProgStep::Batch(_)));
-        let subs = match frame {
-            Frame::Batch { frames } if batch && frames.len() == ops.len() => frames,
-            frame if !batch => vec![frame],
-            other => return self.fail(format!("n{n} answered a batch with {other:?}")),
-        };
+        let mut settled = Settled::default();
+        let client = &mut self.nodes[n].client;
+        let answered = client.answer(&mut settled, n, frame, (), &mut Vec::new());
         let lin = self.spec.model == ConsistencyModel::Lin;
         let corr = self.nodes[n].resolved;
-        for (i, ((&op, sub), &noted)) in ops.iter().zip(subs).zip(&req.noted).enumerate() {
-            let key = op.key();
-            let local = self.home_of(key) == n;
-            let (what, value, cached, ts) = match (op, sub) {
-                (ProgOp::Get { .. }, Frame::GetResp { cached, ts, value }) => {
-                    let ts = if cached { ts } else { noted };
-                    (format!("get k{key}"), decode_value(&value), cached, ts)
+        for (op, outcome, ts) in settled.done {
+            let (key, local) = (op.key, self.home_of(op.key) == n);
+            let noted = self.nodes[n].noted.pop_front();
+            let noted = noted.expect("noted as its sub-request finished");
+            let (what, kind, cached, ts) = match outcome {
+                BatchOutcome::Get { value, cached } => {
+                    let kind = RecordKind::Get {
+                        value: decode_value(&value),
+                    };
+                    (
+                        format!("get k{key}"),
+                        kind,
+                        cached,
+                        if cached { ts } else { noted },
+                    )
                 }
-                (ProgOp::Put { value, .. }, Frame::PutResp { cached, ts }) => {
+                BatchOutcome::Put { cached, .. } => {
+                    let value = op.put.expect("a put settles as a put");
                     self.nodes[n].kvs_dirty |= !cached && local;
-                    (format!("put k{key}={value}"), value, cached, ts)
+                    (
+                        format!("put k{key}={value}"),
+                        RecordKind::Put { value },
+                        cached,
+                        ts,
+                    )
                 }
-                (_, other) => return self.fail(format!("n{n} k{key} answered with {other:?}")),
             };
             // A hot Lin put is answered by its commit, a cold op at a
             // remote home by the miss RPC answered last.
-            self.log(match (op, cached) {
-                _ if batch => {
+            self.log(match (op.slot, op.put, cached) {
+                (Some(i), ..) => {
                     let side = if cached { "hot" } else { "cold" };
                     format!("n{n} batch[{i}] {what} {side} ts{ts}")
                 }
-                (ProgOp::Get { .. }, true) => format!("issue n{n} {what} hot hit ts{ts} "),
-                (ProgOp::Put { .. }, true) if lin => format!("commit n{n} {what} ts{ts}"),
-                (ProgOp::Put { .. }, true) => format!("issue n{n} {what} done ts{ts}"),
+                (_, None, true) => format!("issue n{n} {what} hot hit ts{ts} "),
+                (_, Some(_), true) if lin => format!("commit n{n} {what} ts{ts}"),
+                (_, Some(_), true) => format!("issue n{n} {what} done ts{ts}"),
                 _ if local => format!("issue n{n} {what} cold local ts{ts}"),
-                (ProgOp::Get { .. }, false) => format!("n{n} rpc#{corr} get resolved ts{ts}"),
-                (ProgOp::Put { .. }, false) => format!("n{n} rpc#{corr} put resolved ts{ts}"),
+                (_, None, false) => format!("n{n} rpc#{corr} get resolved ts{ts}"),
+                (_, Some(_), false) => format!("n{n} rpc#{corr} put resolved ts{ts}"),
             });
-            self.record(n, op, req.invoked_at, value, ts);
+            self.history.record(OpRecord {
+                session: n as u32,
+                key,
+                kind,
+                ts,
+                invoked_at: op.invoked_at,
+                completed_at: self.clock,
+                session_seq: op.seq,
+            });
         }
-    }
-
-    fn record(&mut self, n: usize, op: ProgOp, invoked_at: u64, value: u64, ts: Timestamp) {
-        let kind = match op {
-            ProgOp::Get { .. } => RecordKind::Get { value },
-            ProgOp::Put { .. } => RecordKind::Put { value },
-        };
-        let session_seq = self.nodes[n].session_seq;
-        self.nodes[n].session_seq += 1;
-        self.history.record(OpRecord {
-            session: n as u32,
-            key: op.key(),
-            kind,
-            ts,
-            invoked_at,
-            completed_at: self.clock,
-            session_seq,
-        });
+        if let Err(refusal) = answered {
+            self.fail(format!("n{n}'s answer was refused: {refusal:?}"));
+        }
     }
 
     /// Miss RPC `corr` of session `o` was answered with `resp`, which the
@@ -299,42 +300,34 @@ impl RackModel {
         }
     }
 
-    /// Node `n` crashed: its session's connection dies with the process,
-    /// and with it the request in progress. A pending RPC goes with the
-    /// process's table: an executed put happened (the home applied it)
-    /// even though no response will ever arrive — record it so the history
-    /// owns every observable write. Unexecuted requests died with the
-    /// process; the client sends them again after the restart, as it does
-    /// one that was parked on a bounce.
+    /// Node `n` crashed: its session's connection died with the process,
+    /// and with it every request unanswered on it. The client reports the
+    /// puts among them indeterminate and fails the gets; the program moves
+    /// on. (A scenario that sets `resend_lost` instead sends them again
+    /// after the restart and records only the answers.)
     pub(super) fn session_lost(&mut self, n: usize) {
-        let ops = std::mem::take(&mut self.nodes[n].ops);
-        let Some(op) = self.current_op(n) else {
-            return;
-        };
-        match ops.wait() {
-            Some(Wait::Rpc { corr }) => match (op, self.served.remove(&(n, *corr))) {
-                (ProgOp::Put { value, .. }, Some((_, ts))) => {
-                    self.log(format!("crash orphaned executed rpc#{corr}; recording put"));
-                    let req = self.nodes[n].inflight.pop_front();
-                    let invoked_at = req.expect("op in progress").invoked_at;
-                    self.record(n, op, invoked_at, value, ts);
-                }
-                _ => {
-                    self.log(format!("crash voided rpc#{corr}; op will retry"));
-                    self.park(n, "rpc voided by crash");
-                }
-            },
-            Some(Wait::LinCommit { ts, .. }) => {
-                // Unacknowledged pending write: the client never got an
-                // answer, so the history records nothing. Gated crashes
-                // never allow this window (peers would wedge).
-                let key = op.key();
-                self.log(format!(
-                    "crash voided pending put k{key}:{ts} (never acked)"
-                ));
-                self.nodes[n].inflight.pop_front();
+        let s = &mut self.nodes[n];
+        s.ops = Default::default();
+        (s.parked, s.noted) = (None, Default::default());
+        let lost: Vec<ProgOp> = s.client.unanswered().map(prog_op).collect();
+        let mut settled = Settled::default();
+        s.client.lost(&mut settled, n, &mut Vec::new());
+        for op in &lost {
+            self.log(match op {
+                ProgOp::Put { key, value } => format!("n{n} lost put k{key}={value}"),
+                ProgOp::Get { key } => format!("n{n} lost get k{key}"),
+            });
+        }
+        if self.spec.resend_lost {
+            if !lost.is_empty() {
+                self.nodes[n].program.push_front(ProgStep::Batch(lost));
             }
-            _ => {}
+            return;
+        }
+        for op in settled.unsure {
+            let value = op.put.expect("only puts are indeterminate");
+            self.history
+                .record_indeterminate_put(op.key, value, op.invoked_at);
         }
     }
 }
@@ -440,8 +433,6 @@ impl OpsHost for SimHost<'_> {
             _ if slot.cc.is_home(key) => slot.cc.kvs_get_versioned(key).1,
             noted => noted.copied().unwrap_or(Timestamp::ZERO),
         };
-        let mut unanswered = slot.inflight.iter_mut();
-        let request = unanswered.find(|r| r.noted.len() < r.step.ops().len());
-        request.expect("a request in progress").noted.push(version);
+        slot.noted.push_back(version);
     }
 }

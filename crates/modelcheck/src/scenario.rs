@@ -118,6 +118,11 @@ pub struct ScenarioSpec {
     /// `unsafe_crashes`: the negative twin of `miss-rpc-crash` sets it to
     /// prove the checker sees the op that never completes.
     pub skip_rpc_reissue: bool,
+    /// Sends a crashed node's unanswered requests again after the restart
+    /// and records only their answers, instead of the client's rule (puts
+    /// indeterminate, never re-sent). Test-only, like `unsafe_crashes`: the
+    /// negative twin of `client-crash-mid-batch` sets it.
+    pub resend_lost: bool,
     /// A node whose cache holds one key: a second install there is full.
     pub tiny_cache: Option<usize>,
     /// Fills every install's replicas active, not warm. Test-only, like
@@ -153,9 +158,11 @@ pub fn all() -> Vec<ScenarioSpec> {
         credit_window_crash(),
         install_rollback(),
         flip_two_keys(),
+        client_crash_mid_batch(),
         ack_then_die(),
         miss_rpc_no_reissue(),
         install_unwarmed(),
+        client_resend_lost(),
     ]
 }
 
@@ -190,6 +197,7 @@ impl ScenarioSpec {
             credit_window: FlowConfig::default().credit_window,
             unsafe_crashes: false,
             skip_rpc_reissue: false,
+            resend_lost: false,
             tiny_cache: None,
             unwarmed_install: false,
             expect_violation: false,
@@ -455,6 +463,46 @@ pub fn conn_order() -> ScenarioSpec {
             each([put(c, 1721), get(h)]),
         ],
         ..ScenarioSpec::new("conn-order", about, Lin, 3)
+    }
+}
+
+/// Node 0's session sends one batch that writes a hot key, writes and
+/// reads a cold key homed at node 1, and writes the hot key again, while
+/// the other sessions read both keys. Node 0 may crash while the batch is
+/// half-served — after the first write committed and reached every
+/// replica, while the cold write's miss RPC is out: the client gets no
+/// answer, reports the batch's puts indeterminate and its gets failed, and
+/// moves on to its next step. Every read of a write that ran must still be
+/// explained.
+pub fn client_crash_mid_batch() -> ScenarioSpec {
+    let h = key_homed_at(3, 2, 2500);
+    let c = key_homed_at(3, 1, 2550);
+    let about = "a session's node dies mid-batch; its puts are indeterminate, never re-sent";
+    let batch = vec![put(c, 2501), put(h, 2502), get(c), put(c, 2503)];
+    ScenarioSpec {
+        hot_keys: vec![h],
+        programs: vec![
+            vec![ProgStep::Batch(batch), ProgStep::Op(get(h))],
+            each([get(h), get(c), get(h)]),
+            each([get(c), get(h), get(c)]),
+        ],
+        crash_budget: 2,
+        ..ScenarioSpec::new("client-crash-mid-batch", about, Lin, 3)
+    }
+}
+
+/// Negative twin of [`client_crash_mid_batch`]: after the restart the
+/// session sends its unanswered requests again and records only the
+/// answers. A write that ran before the crash runs twice, and a read of
+/// its first run matches no recorded write: the checker must flag it.
+pub fn client_resend_lost() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "client-resend-lost",
+        about:
+            "lost requests re-sent blindly (negative): the checker must catch the twice-run write",
+        resend_lost: true,
+        expect_violation: true,
+        ..client_crash_mid_batch()
     }
 }
 

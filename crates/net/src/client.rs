@@ -13,13 +13,14 @@
 //! real-time guarantee, so Lin sessions may spread freely.
 
 use crate::churn::{Flip, Outcome, Transition};
+pub use crate::client_ops::{BatchConfig, BatchOutcome};
+use crate::client_ops::{ClientHost, ClientOps, Op};
 use crate::metrics::Metrics;
+use crate::ops::Time;
 use crate::transport::{Connection, Transport, TransportConfig};
 use crate::wire::{encode_frame_into, read_frame_via, Frame};
 use consistency::history::{value_tag_of, History, OpRecord, RecordKind};
 use consistency::lamport::Timestamp;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::io::{self, BufReader, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,19 +127,11 @@ impl Conn {
         Ok(conn)
     }
 
-    /// Awaits the next frame. A [`Frame::Error`] reply is surfaced as an
-    /// `io::Error` so every caller handles server-side failures uniformly.
-    fn receive(&mut self) -> io::Result<Frame> {
-        match read_frame_via(&mut self.reader, &mut self.payload)? {
-            Some(Frame::Error { message }) => {
-                Err(io::Error::new(io::ErrorKind::InvalidInput, message))
-            }
-            Some(frame) => Ok(frame),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed",
-            )),
-        }
+    /// Sends `request` and awaits the response, whatever it is.
+    fn exchange(&mut self, request: &Frame) -> io::Result<Frame> {
+        self.send(request)?;
+        read_frame_via(&mut self.reader, &mut self.payload)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))
     }
 
     /// Bounds how long [`Conn::call`] waits for an answer (`None`: for ever).
@@ -146,10 +139,14 @@ impl Conn {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Sends `request` and awaits the response.
+    /// Sends `request` and awaits the response. A [`Frame::Error`] reply
+    /// is surfaced as an `io::Error` so every caller handles server-side
+    /// failures uniformly.
     pub(crate) fn call(&mut self, request: &Frame) -> io::Result<Frame> {
-        self.send(request)?;
-        self.receive()
+        match self.exchange(request)? {
+            Frame::Error { message } => Err(io::Error::new(io::ErrorKind::InvalidInput, message)),
+            frame => Ok(frame),
+        }
     }
 
     pub(crate) fn send(&mut self, frame: &Frame) -> io::Result<()> {
@@ -158,102 +155,6 @@ impl Conn {
         self.writer.write_all(&self.encoded)?;
         self.writer.flush()
     }
-
-    /// Sends a coalesced request batch and awaits the matching response
-    /// batch: the server answers request `k` at position `k`. A top-level
-    /// [`Frame::Error`] (or a count mismatch) is a connection-level fault.
-    fn call_batch(&mut self, frames: Vec<Frame>) -> io::Result<Vec<Frame>> {
-        let sent = frames.len();
-        match self.call(&Frame::Batch { frames })? {
-            Frame::Batch { frames } if frames.len() == sent => Ok(frames),
-            Frame::Batch { frames } => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("batch of {sent} answered with {} responses", frames.len()),
-            )),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected response to batch: {other:?}"),
-            )),
-        }
-    }
-}
-
-/// Client-side request-coalescing knobs (§6.3: requests travel the wire in
-/// MTU-sized batches). The queue flushes — the *doorbell* — as soon as
-/// either bound is reached, or when [`Client::flush`] is called.
-///
-/// With `max_delay` set the doorbell becomes latency-aware:
-///
-/// - No queued op waits past the deadline (checked on every `queue_*`
-///   call and by [`Client::pump`]).
-/// - The op-count doorbell adapts to the measured flush round-trip
-///   time: it widens additively while flushes keep round-tripping inside
-///   `max_delay`, and shrinks multiplicatively — in proportion to the
-///   overrun — when they stop (clamped to `[1, max_ops]`). Batches widen
-///   exactly as far as the server answers inside the delay budget and
-///   back off the moment it slows.
-/// - A queued *write* flushes immediately and travels alone: writes are
-///   synchronization points (a Lin put blocks on every sharer's ack), so
-///   coalescing reads behind one would tax the whole batch's tail with
-///   the ack wait. Queued reads ship first as their own batch, then the
-///   write as a bare frame — reads never inherit an ack wait, which is
-///   what keeps the batched p99 within sight of the unbatched one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Maximum operations per batch.
-    pub max_ops: usize,
-    /// Maximum payload bytes queued before the batch is forced out.
-    pub max_bytes: usize,
-    /// Longest a queued op may wait for batch-mates before the queue is
-    /// flushed anyway. `None` (the default) corks until a size bound or
-    /// an explicit [`Client::flush`] — the pre-deadline behaviour.
-    pub max_delay: Option<Duration>,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            max_ops: 16,
-            max_bytes: 16 * 1024,
-            max_delay: None,
-        }
-    }
-}
-
-/// Initial op-count doorbell in deadline mode, before the cost model has
-/// measured a single flush: small enough that the first batches never owe
-/// a full-width cycle of latency, large enough that coalescing starts
-/// immediately.
-const WARMUP_DOORBELL: usize = 8;
-
-/// The completion of one queued operation, in queue order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchOutcome {
-    /// A queued [`Client::queue_get`] completed.
-    Get {
-        /// The value read (empty if never written).
-        value: Vec<u8>,
-        /// Whether the symmetric cache served it.
-        cached: bool,
-    },
-    /// A queued [`Client::queue_put`] completed.
-    Put {
-        /// Whether the write went through the symmetric cache.
-        cached: bool,
-        /// Timestamp of the write ([`Timestamp::ZERO`] only for cold
-        /// writes against a node that predates versioned cold puts).
-        ts: Timestamp,
-    },
-}
-
-/// One operation waiting in the client's batch queue.
-struct QueuedOp {
-    request: Frame,
-    key: u64,
-    /// `Some(tag)` for puts (the tag of the value written), `None` for gets.
-    put_tag: Option<u64>,
-    invoked_at: Option<u64>,
-    started: Instant,
 }
 
 /// A client session talking to every node of a deployment.
@@ -268,28 +169,14 @@ struct QueuedOp {
 /// recorded as indeterminate — it may have taken effect — so crash-era
 /// histories stay sound.
 pub struct Client {
-    session: u32,
     addrs: Vec<SocketAddr>,
     conns: Vec<Option<Conn>>,
     transport: Arc<dyn Transport>,
-    policy: LoadBalancePolicy,
-    rr_next: usize,
-    rng: StdRng,
-    session_seq: u64,
-    history: Option<Arc<SharedHistory>>,
-    metrics: Option<Arc<Metrics>>,
-    batching: BatchConfig,
-    /// Adaptive op-count doorbell: how many ops a flush can carry and
-    /// still round-trip inside `batching.max_delay`. Pinned to
-    /// `batching.max_ops` when no deadline is configured.
-    doorbell_target: usize,
-    /// EWMA whole-flush round-trip time in ns (0 until the first
-    /// adaptive flush) — compared against `max_delay` to steer the
-    /// doorbell.
-    flush_rtt_ns: f64,
-    queue: Vec<QueuedOp>,
-    queue_bytes: usize,
-    outcomes: Vec<BatchOutcome>,
+    /// The queue, the batches and what settles them.
+    ops: ClientOps,
+    recorder: Recorder,
+    /// Outcomes settled since the last [`Client::flush`], in queue order.
+    outcomes: Vec<Option<BatchOutcome>>,
     reconnects: u64,
     node_errors: Vec<u64>,
     /// Trace one in every `trace_every` operations (0 = tracing off).
@@ -305,6 +192,62 @@ pub struct Client {
     trace_armed: bool,
     /// The most recently minted trace id.
     last_trace: Option<u64>,
+}
+
+/// Where the blocking client's ops are recorded: the metrics, and the
+/// checked history — every put the node versioned, and every read the cache
+/// served (a cold read's answer carries no version, so none is recorded).
+struct Recorder {
+    session: u32,
+    history: Option<Arc<SharedHistory>>,
+    metrics: Option<Arc<Metrics>>,
+}
+
+impl ClientHost<Instant> for Recorder {
+    fn completed(&mut self, op: &Op<Instant>, outcome: &BatchOutcome, ts: Timestamp, now: Instant) {
+        let (cached, kind) = match outcome {
+            BatchOutcome::Get { value, cached } => {
+                let value = value_tag_of(value);
+                (*cached, RecordKind::Get { value })
+            }
+            BatchOutcome::Put { cached, .. } => {
+                let value = op.put.expect("a put carries its tag");
+                (*cached, RecordKind::Put { value })
+            }
+        };
+        if let Some(metrics) = &self.metrics {
+            match kind {
+                RecordKind::Get { .. } => metrics.record_get(),
+                RecordKind::Put { .. } => metrics.record_put(),
+            }
+            metrics.record_cache(cached);
+            metrics.record_latency_ns(now.since(op.queued_at).as_nanos() as u64);
+        }
+        // Cold puts count: their versions resurface as install timestamps
+        // when a cold key turns hot, so a cached get may legitimately
+        // return a timestamp only a cold put produced.
+        let recorded = match kind {
+            RecordKind::Get { .. } => cached,
+            RecordKind::Put { .. } => ts != Timestamp::ZERO,
+        };
+        if let (Some(history), true) = (&self.history, recorded) {
+            history.record(OpRecord {
+                session: self.session,
+                key: op.key,
+                kind,
+                ts,
+                invoked_at: op.invoked_at,
+                completed_at: history.now(),
+                session_seq: op.seq,
+            });
+        }
+    }
+
+    fn indeterminate(&mut self, op: &Op<Instant>) {
+        if let (Some(history), Some(tag)) = (&self.history, op.put) {
+            history.record_indeterminate_put(op.key, tag, op.invoked_at);
+        }
+    }
 }
 
 /// Configures and connects a [`Client`]: the one place every session
@@ -403,44 +346,25 @@ impl ClientBuilder {
     /// Panics if the address list is empty or a pinned policy points
     /// outside it.
     pub fn connect(self) -> io::Result<Client> {
-        assert!(
-            !self.addrs.is_empty(),
-            "deployment must have at least one node"
-        );
-        if let LoadBalancePolicy::Pinned(n) = self.policy {
-            assert!(n < self.addrs.len(), "pinned node {n} outside deployment");
-        }
+        let session = self.session;
+        let ops = ClientOps::new(self.addrs.len(), self.policy, self.batching, session);
         let transport = self.transport.build();
         let conns = self
             .addrs
             .iter()
             .map(|&addr| Conn::open(&*transport, addr, &Frame::ClientHello).map(Some))
             .collect::<io::Result<Vec<_>>>()?;
-        let session = self.session;
         Ok(Client {
-            session,
-            rr_next: session as usize % conns.len(),
             addrs: self.addrs,
             node_errors: vec![0; conns.len()],
+            ops,
             conns,
             transport,
-            policy: self.policy,
-            rng: StdRng::seed_from_u64(0x5EED_C11E_0000_0000 ^ u64::from(session)),
-            session_seq: 0,
-            history: self.history,
-            metrics: self.metrics,
-            batching: self.batching,
-            // Deadline mode warms the doorbell up from below: the cost
-            // model widens it as flush round-trips prove cheap, so the
-            // first batches never owe a full-width cycle of latency.
-            doorbell_target: if self.batching.max_delay.is_some() {
-                self.batching.max_ops.min(WARMUP_DOORBELL)
-            } else {
-                self.batching.max_ops
+            recorder: Recorder {
+                session,
+                history: self.history,
+                metrics: self.metrics,
             },
-            flush_rtt_ns: 0.0,
-            queue: Vec::new(),
-            queue_bytes: 0,
             outcomes: Vec::new(),
             reconnects: 0,
             trace_every: self.trace_every,
@@ -523,17 +447,6 @@ impl Client {
         })
     }
 
-    /// Wraps `frame` in a trace envelope when this op is sampled.
-    fn maybe_trace(&mut self, frame: Frame) -> Frame {
-        match self.next_trace() {
-            Some(id) => Frame::Traced {
-                id,
-                inner: Box::new(frame),
-            },
-            None => frame,
-        }
-    }
-
     /// How many times a dead connection was successfully redialed.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
@@ -576,7 +489,7 @@ impl Client {
 
     /// The session id.
     pub fn session(&self) -> u32 {
-        self.session
+        self.recorder.session
     }
 
     /// Number of server nodes this client talks to.
@@ -584,169 +497,68 @@ impl Client {
         self.conns.len()
     }
 
-    fn pick(&mut self) -> usize {
-        match self.policy {
-            LoadBalancePolicy::Random => self.rng.gen_range(0..self.conns.len()),
-            LoadBalancePolicy::RoundRobin => {
-                let n = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.conns.len();
-                n
-            }
-            LoadBalancePolicy::Pinned(n) => n,
-        }
-    }
-
     /// Reads `key`, load-balancing across the deployment. A read that hits
     /// a dead connection fails over to the next node (reads are
     /// idempotent) unless the session is pinned — per-key SC stickiness
     /// must not silently migrate replicas.
     pub fn get(&mut self, key: u64) -> io::Result<Vec<u8>> {
-        // Drain any queued-but-unsent batch first: jumping past it would
-        // execute this op before earlier queued ones and silently invert
-        // session program order (which per-key SC relies on).
-        self.flush_queue()?;
-        let mut node = self.pick();
-        let invoked_at = self.history.as_ref().map(|h| h.now());
-        let started = Instant::now();
-        let request = self.maybe_trace(Frame::Get { key });
-        let failover = !matches!(self.policy, LoadBalancePolicy::Pinned(_));
-        let mut attempt = 0;
-        let response = loop {
-            attempt += 1;
-            match self.call_node(node, &request) {
-                Ok(response) => break response,
-                Err(e)
-                    if failover
-                        && e.kind() != io::ErrorKind::InvalidInput
-                        && attempt < self.conns.len() =>
-                {
-                    node = (node + 1) % self.conns.len();
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let Frame::GetResp { cached, ts, value } = response else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unexpected response to Get",
-            ));
-        };
-        if let Some(metrics) = &self.metrics {
-            metrics.record_get();
-            metrics.record_cache(cached);
-            metrics.record_latency_ns(started.elapsed().as_nanos() as u64);
+        match self.call(key, None)? {
+            BatchOutcome::Get { value, .. } => Ok(value),
+            BatchOutcome::Put { .. } => unreachable!("a get settles as a get"),
         }
-        if cached {
-            self.record_history(
-                key,
-                RecordKind::Get {
-                    value: value_tag_of(&value),
-                },
-                ts,
-                invoked_at,
-            );
-        }
-        Ok(value)
     }
 
     /// Writes `value` under `key`, load-balancing across the deployment.
-    /// Returns the protocol timestamp for cache-path writes.
+    /// Returns the protocol timestamp for cache-path writes. No failover:
+    /// a put that meets a dead connection may or may not have applied, so
+    /// retrying elsewhere is the caller's decision; the history records it
+    /// as such.
     pub fn put(&mut self, key: u64, value: &[u8]) -> io::Result<Option<Timestamp>> {
-        // Preserve session program order past any queued batch (see get).
+        match self.call(key, Some(value))? {
+            BatchOutcome::Put { cached, ts } => Ok(cached.then_some(ts)),
+            BatchOutcome::Get { .. } => unreachable!("a put settles as a put"),
+        }
+    }
+
+    /// One op on its own frame, after whatever is queued: jumping past the
+    /// queue would execute it before earlier queued ops and silently
+    /// invert session program order (which per-key SC relies on).
+    fn call(&mut self, key: u64, value: Option<&[u8]>) -> io::Result<BatchOutcome> {
         self.flush_queue()?;
-        let node = self.pick();
-        let invoked_at = self.history.as_ref().map(|h| h.now());
-        let started = Instant::now();
-        // No failover for writes: a transport error mid-put is ambiguous
-        // (the write may or may not have applied), so retrying elsewhere
-        // is the caller's decision. The history records it as such.
-        let request = self.maybe_trace(Frame::Put {
-            key,
-            value: value.to_vec(),
-        });
-        let put = (key, Some(value_tag_of(value)), invoked_at, started);
-        let response = self.call_node(node, &request);
-        let response = response.map_err(|e| self.indeterminate(&[put], e))?;
-        let Frame::PutResp { cached, ts } = response else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unexpected response to Put",
-            ));
-        };
-        if let Some(metrics) = &self.metrics {
-            metrics.record_put();
-            metrics.record_cache(cached);
-            metrics.record_latency_ns(started.elapsed().as_nanos() as u64);
-        }
-        // Every put is recorded: cache-path puts carry the protocol
-        // timestamp, cold puts the version the home shard assigned on
-        // arrival. Cold versions matter to the checkers because they
-        // resurface as install timestamps when a cold key turns hot — a
-        // cached get may then legitimately return a timestamp only a cold
-        // put produced.
-        if ts != Timestamp::ZERO {
-            self.record_history(
-                key,
-                RecordKind::Put {
-                    value: value_tag_of(value),
-                },
-                ts,
-                invoked_at,
-            );
-        }
-        Ok(cached.then_some(ts))
+        let now = self.enqueue(key, value);
+        self.ops.flush();
+        self.drive(now)?;
+        let settled = self.outcomes.pop().flatten();
+        Ok(settled.expect("a drive that succeeded settled the call"))
     }
 
     /// Queues a read for the next coalesced batch. The batch flushes by
     /// itself once a [`BatchConfig`] bound is reached; call
     /// [`Client::flush`] to force it out and collect outcomes.
     pub fn queue_get(&mut self, key: u64) -> io::Result<()> {
-        let invoked_at = self.history.as_ref().map(|h| h.now());
-        self.queue_bytes += 16;
-        let request = self.maybe_trace(Frame::Get { key });
-        self.queue.push(QueuedOp {
-            request,
-            key,
-            put_tag: None,
-            invoked_at,
-            started: Instant::now(),
-        });
-        self.maybe_flush()
+        let now = self.enqueue(key, None);
+        self.drive(now)
     }
 
     /// Queues a write for the next coalesced batch.
     pub fn queue_put(&mut self, key: u64, value: &[u8]) -> io::Result<()> {
-        // Deadline mode: a write is a synchronization point (see
-        // [`BatchConfig`]) — ship the queued reads as their own wire
-        // batch first, then the write alone. The reads never inherit the
-        // write's ack wait (the dominant batched-tail term), and the
-        // write pays one pipelined read flush, not the reverse.
-        if self.batching.max_delay.is_some() && !self.queue.is_empty() {
-            self.flush_queue()?;
-        }
-        let invoked_at = self.history.as_ref().map(|h| h.now());
-        self.queue_bytes += 16 + value.len();
-        let request = self.maybe_trace(Frame::Put {
-            key,
-            value: value.to_vec(),
-        });
-        self.queue.push(QueuedOp {
-            request,
-            key,
-            put_tag: Some(value_tag_of(value)),
-            invoked_at,
-            started: Instant::now(),
-        });
-        if self.batching.max_delay.is_some() {
-            self.flush_queue()
-        } else {
-            self.maybe_flush()
-        }
+        let now = self.enqueue(key, Some(value));
+        self.drive(now)
+    }
+
+    /// Hands one op to the machine, stamped and maybe traced; returns the
+    /// time it was queued at.
+    fn enqueue(&mut self, key: u64, value: Option<&[u8]>) -> Instant {
+        let invoked_at = self.recorder.history.as_ref().map_or(0, |h| h.now());
+        let trace = self.next_trace();
+        let now = Instant::now();
+        self.ops.queue(key, value, trace, invoked_at, now);
+        now
     }
 
     /// Number of operations currently queued and unflushed.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.ops.queued()
     }
 
     /// Flushes any queued operations and returns the outcome of every
@@ -759,7 +571,7 @@ impl Client {
     /// `flush` never returns outcomes that belong to a previous round.
     pub fn flush(&mut self) -> io::Result<Vec<BatchOutcome>> {
         self.flush_queue()?;
-        Ok(std::mem::take(&mut self.outcomes))
+        Ok(self.outcomes.drain(..).flatten().collect())
     }
 
     /// Time until the oldest queued op hits the [`BatchConfig::max_delay`]
@@ -767,9 +579,7 @@ impl Client {
     /// deadline is configured — drivers use this to size their next poll
     /// or sleep, then call [`Client::pump`].
     pub fn due_in(&self) -> Option<Duration> {
-        let deadline = self.batching.max_delay?;
-        let oldest = self.queue.first()?;
-        Some(deadline.saturating_sub(oldest.started.elapsed()))
+        Some(self.ops.due()?.since(Instant::now()))
     }
 
     /// Flushes the queue iff the [`BatchConfig::max_delay`] deadline has
@@ -777,197 +587,46 @@ impl Client {
     /// The synchronous client has no background thread, so a driver that
     /// goes quiet between `queue_*` calls pumps the deadline itself.
     pub fn pump(&mut self) -> io::Result<bool> {
-        match self.due_in() {
-            Some(d) if d.is_zero() => {
-                self.flush_queue()?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
+        let queued = self.ops.queued();
+        self.drive(Instant::now())?;
+        Ok(self.ops.queued() < queued)
     }
 
-    fn maybe_flush(&mut self) -> io::Result<()> {
-        let doorbell = self.doorbell_target.min(self.batching.max_ops);
-        let overdue = match (self.batching.max_delay, self.queue.first()) {
-            (Some(deadline), Some(oldest)) => oldest.started.elapsed() >= deadline,
-            _ => false,
-        };
-        if self.queue.len() >= doorbell || self.queue_bytes >= self.batching.max_bytes || overdue {
-            self.flush_queue()?;
-        }
-        Ok(())
-    }
-
-    /// Ships the queued batch to ONE node (picked by the balancing policy,
-    /// so a whole batch — not each op — is the balancing unit; program
-    /// order within the session is preserved, which the per-key SC
-    /// session-order guarantee relies on) and processes the responses.
     fn flush_queue(&mut self) -> io::Result<()> {
-        if self.queue.is_empty() {
+        self.ops.flush();
+        if self.ops.queued() == 0 {
             return Ok(());
         }
-        let result = self.flush_queue_inner();
-        if result.is_err() {
-            // The op↔outcome correspondence is broken (ops ahead of the
-            // failure completed, ops behind it were discarded): holding
-            // the stale outcomes would hand them to the NEXT flush, where
-            // positional matching misattributes them to fresh ops.
-            self.outcomes.clear();
-        }
-        result
+        self.drive(Instant::now())
     }
 
-    fn flush_queue_inner(&mut self) -> io::Result<()> {
-        let node = self.pick();
-        let ops = std::mem::take(&mut self.queue);
-        self.queue_bytes = 0;
-        let mut requests = Vec::with_capacity(ops.len());
-        let metas: Vec<(u64, Option<u64>, Option<u64>, Instant)> = ops
-            .into_iter()
-            .map(|op| {
-                requests.push(op.request);
-                (op.key, op.put_tag, op.invoked_at, op.started)
-            })
-            .collect();
-        // A singleton flush travels as a bare frame: batch=1 is exactly
-        // the unbatched wire protocol (and not counted as a wire batch).
-        let flush_started = Instant::now();
-        let responses = if requests.len() == 1 {
-            self.call_node(node, &requests[0])
-                .map(|response| vec![response])
-        } else {
-            if let Some(metrics) = &self.metrics {
-                metrics.record_batch(requests.len() as u64);
+    /// Sends what the machine has to send, one frame at a time, each
+    /// answered (or its connection lost) before the next. A failure
+    /// discards every outcome not yet collected: the op↔outcome
+    /// correspondence of the round is broken.
+    fn drive(&mut self, mut now: Instant) -> io::Result<()> {
+        while let Some((node, frame)) = self.ops.poll_send(now) {
+            if let (Frame::Batch { frames }, Some(metrics)) = (&frame, &self.recorder.metrics) {
+                metrics.record_batch(frames.len() as u64);
             }
-            let result = self.conn(node).and_then(|conn| conn.call_batch(requests));
-            self.classify_result(node, result)
-        };
-        let responses = responses.map_err(|e| self.indeterminate(&metas, e))?;
-        // Latency-feedback doorbell: widen while whole flushes round-trip
-        // inside the delay budget (the server pipelines a batch's misses,
-        // so width is nearly free until it isn't), shrink in proportion
-        // the moment the smoothed round-trip overruns — the overrun IS
-        // the congestion signal. Flushes carrying a write are not
-        // measurements: their round-trip is dominated by the Lin ack
-        // wait, an irreducible synchronization cost the batch width
-        // cannot amortize (pricing it in collapses the doorbell and
-        // forfeits the read-pipelining win).
-        let wrote = metas.iter().any(|(_, put_tag, _, _)| put_tag.is_some());
-        if let (Some(budget), false) = (self.batching.max_delay, wrote) {
-            let rtt = flush_started.elapsed().as_nanos() as f64;
-            self.flush_rtt_ns = if self.flush_rtt_ns > 0.0 {
-                0.7 * self.flush_rtt_ns + 0.3 * rtt
-            } else {
-                rtt
+            let answer = self.conn(node).and_then(|conn| conn.exchange(&frame));
+            now = Instant::now();
+            let (host, out) = (&mut self.recorder, &mut self.outcomes);
+            let settled = match answer {
+                Ok(response) => self.ops.answer(host, node, response, now, out),
+                Err(e) if self.ops.lost(host, node, out) => Err(e),
+                Err(e) => {
+                    // A lone GET failing over: `poll_send` has it again.
+                    let _ = self.classify_result::<()>(node, Err(e));
+                    continue;
+                }
             };
-            let budget_ns = budget.as_nanos() as f64;
-            let target = if self.flush_rtt_ns <= budget_ns {
-                self.doorbell_target + 2
-            } else {
-                (self.doorbell_target as f64 * budget_ns / self.flush_rtt_ns) as usize
-            };
-            self.doorbell_target = target.clamp(1, self.batching.max_ops);
-        }
-        for (i, response) in responses.into_iter().enumerate() {
-            let (key, put_tag, invoked_at, started) = metas[i];
-            match self.complete(key, put_tag, invoked_at, started, response) {
-                Ok(outcome) => self.outcomes.push(outcome),
-                Err(e) => return Err(self.indeterminate(&metas[i..], e)),
+            if let Err(e) = self.classify_result(node, settled) {
+                self.outcomes.clear();
+                return Err(e);
             }
         }
         Ok(())
-    }
-
-    /// The puts among `ops` (`(key, put tag, invoked_at, started)`) failed
-    /// with `e` and may or may not have taken effect: the history records
-    /// them as indeterminate. Returns `e`.
-    fn indeterminate(
-        &self,
-        ops: &[(u64, Option<u64>, Option<u64>, Instant)],
-        e: io::Error,
-    ) -> io::Error {
-        if let Some(history) = &self.history {
-            for &(key, put_tag, invoked_at, _) in ops {
-                if let Some(tag) = put_tag {
-                    let invoked_at = invoked_at.expect("taken when the op was queued");
-                    history.record_indeterminate_put(key, tag, invoked_at);
-                }
-            }
-        }
-        e
-    }
-
-    /// Processes one response out of a flushed batch: metrics, history
-    /// recording (identical to the unbatched paths) and the outcome.
-    fn complete(
-        &mut self,
-        key: u64,
-        put_tag: Option<u64>,
-        invoked_at: Option<u64>,
-        started: Instant,
-        response: Frame,
-    ) -> io::Result<BatchOutcome> {
-        match (put_tag, response) {
-            (None, Frame::GetResp { cached, ts, value }) => {
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_get();
-                    metrics.record_cache(cached);
-                    metrics.record_latency_ns(started.elapsed().as_nanos() as u64);
-                }
-                if cached {
-                    self.record_history(
-                        key,
-                        RecordKind::Get {
-                            value: value_tag_of(&value),
-                        },
-                        ts,
-                        invoked_at,
-                    );
-                }
-                Ok(BatchOutcome::Get { value, cached })
-            }
-            (Some(tag), Frame::PutResp { cached, ts }) => {
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_put();
-                    metrics.record_cache(cached);
-                    metrics.record_latency_ns(started.elapsed().as_nanos() as u64);
-                }
-                if ts != Timestamp::ZERO {
-                    self.record_history(key, RecordKind::Put { value: tag }, ts, invoked_at);
-                }
-                Ok(BatchOutcome::Put { cached, ts })
-            }
-            (_, Frame::Error { message }) => {
-                Err(io::Error::new(io::ErrorKind::InvalidInput, message))
-            }
-            (_, other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("mismatched batch response {other:?}"),
-            )),
-        }
-    }
-
-    fn record_history(
-        &mut self,
-        key: u64,
-        kind: RecordKind,
-        ts: Timestamp,
-        invoked_at: Option<u64>,
-    ) {
-        if let Some(history) = &self.history {
-            let completed_at = history.now();
-            let seq = self.session_seq;
-            self.session_seq += 1;
-            history.record(OpRecord {
-                session: self.session,
-                key,
-                kind,
-                ts,
-                invoked_at: invoked_at.expect("taken when the op was queued"),
-                completed_at,
-                session_seq: seq,
-            });
-        }
     }
 
     /// Pings every node (redialing dead connections), returning the number

@@ -56,6 +56,7 @@
 
 pub mod churn;
 pub mod client;
+pub mod client_ops;
 pub mod link;
 pub mod metrics;
 pub mod ops;

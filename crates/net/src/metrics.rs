@@ -348,6 +348,8 @@ macro_rules! metric_families {
             pub latency_count: usize,
             /// Mean operation latency in nanoseconds.
             pub latency_mean_ns: f64,
+            /// The sum of the recorded latency samples in nanoseconds.
+            pub latency_sum_ns: u64,
             /// The full end-to-end latency distribution as
             /// `(inclusive upper edge ns, count)` bucket pairs.
             pub latency_buckets: Vec<(u64, u64)>,
@@ -424,6 +426,7 @@ macro_rules! metric_families {
                     credit_frames_standalone: load(&self.credit_frames_standalone),
                     latency_count: hist.latency.count as usize,
                     latency_mean_ns: hist.latency.mean(),
+                    latency_sum_ns: hist.latency.sum,
                     latency_buckets: hist.latency.nonzero_buckets(),
                     udp_datagrams: self
                         .udp
@@ -655,10 +658,9 @@ impl Metrics {
 
     /// Renders the registry in the Prometheus text exposition format: the
     /// rows of [`Metrics::families`] in order, each with its `# HELP`, its
-    /// `# TYPE` and its samples.
+    /// `# TYPE` and its samples, all read off one snapshot.
     pub fn render(&self, node_label: &str) -> String {
         let snap = self.snapshot();
-        let latency = self.latency.snapshot();
         let mut out = String::with_capacity(8 * 1024);
         for family in Self::families() {
             let (name, help, kind) = (family.name, family.help, family.kind);
@@ -691,13 +693,13 @@ impl Metrics {
                 // inclusive upper edge, then the sum and the count.
                 (None, "cckvs_latency_ns") => {
                     let mut cumulative = 0u64;
-                    for (edge, count) in latency.nonzero_buckets() {
+                    for (edge, count) in &snap.latency_buckets {
                         cumulative += count;
                         sample("_bucket", &format!(",le=\"{edge}\""), &cumulative);
                     }
-                    sample("_bucket", ",le=\"+Inf\"", &latency.count);
-                    sample("_sum", "", &latency.sum);
-                    sample("_count", "", &latency.count);
+                    sample("_bucket", ",le=\"+Inf\"", &snap.latency_count);
+                    sample("_sum", "", &snap.latency_sum_ns);
+                    sample("_count", "", &snap.latency_count);
                 }
                 (None, other) => unreachable!("special family {other} has no samples"),
             }

@@ -323,7 +323,7 @@ fn frame_key(frame: &Frame) -> u64 {
 
 /// Re-wraps a peeled frame in its trace envelope for a path that carries
 /// frames, not `(trace, frame)` pairs.
-fn rewrap_trace(trace: Option<u64>, frame: Frame) -> Frame {
+pub(crate) fn rewrap_trace(trace: Option<u64>, frame: Frame) -> Frame {
     match trace {
         Some(id) => Frame::Traced {
             id,
