@@ -177,6 +177,10 @@ pub struct Client {
     recorder: Recorder,
     /// Outcomes settled since the last [`Client::flush`], in queue order.
     outcomes: Vec<Option<BatchOutcome>>,
+    /// Whether an answer's arrival time is read: for the deadline
+    /// doorbell's round trips and the latency metrics; otherwise the send
+    /// time stands in, unread.
+    timed: bool,
     reconnects: u64,
     node_errors: Vec<u64>,
     /// Trace one in every `trace_every` operations (0 = tracing off).
@@ -205,14 +209,17 @@ struct Recorder {
 
 impl ClientHost<Instant> for Recorder {
     fn completed(&mut self, op: &Op<Instant>, outcome: &BatchOutcome, ts: Timestamp, now: Instant) {
-        let (cached, kind) = match outcome {
-            BatchOutcome::Get { value, cached } => {
+        let (kind, cached, recorded) = match (outcome, op.put) {
+            (BatchOutcome::Get { value, cached }, _) => {
                 let value = value_tag_of(value);
-                (*cached, RecordKind::Get { value })
+                (RecordKind::Get { value }, *cached, *cached)
             }
-            BatchOutcome::Put { cached, .. } => {
-                let value = op.put.expect("a put carries its tag");
-                (*cached, RecordKind::Put { value })
+            // Cold puts count: their versions resurface as install
+            // timestamps when a cold key turns hot, so a cached get may
+            // legitimately return a timestamp only a cold put produced.
+            (BatchOutcome::Put { cached, .. }, value) => {
+                let value = value.expect("a put carries its tag");
+                (RecordKind::Put { value }, *cached, ts != Timestamp::ZERO)
             }
         };
         if let Some(metrics) = &self.metrics {
@@ -223,13 +230,6 @@ impl ClientHost<Instant> for Recorder {
             metrics.record_cache(cached);
             metrics.record_latency_ns(now.since(op.queued_at).as_nanos() as u64);
         }
-        // Cold puts count: their versions resurface as install timestamps
-        // when a cold key turns hot, so a cached get may legitimately
-        // return a timestamp only a cold put produced.
-        let recorded = match kind {
-            RecordKind::Get { .. } => cached,
-            RecordKind::Put { .. } => ts != Timestamp::ZERO,
-        };
         if let (Some(history), true) = (&self.history, recorded) {
             history.record(OpRecord {
                 session: self.session,
@@ -348,6 +348,7 @@ impl ClientBuilder {
     pub fn connect(self) -> io::Result<Client> {
         let session = self.session;
         let ops = ClientOps::new(self.addrs.len(), self.policy, self.batching, session);
+        let timed = self.batching.max_delay.is_some() || self.metrics.is_some();
         let transport = self.transport.build();
         let conns = self
             .addrs
@@ -366,6 +367,7 @@ impl ClientBuilder {
                 metrics: self.metrics,
             },
             outcomes: Vec::new(),
+            timed,
             reconnects: 0,
             trace_every: self.trace_every,
             trace_ops: 0,
@@ -610,7 +612,9 @@ impl Client {
                 metrics.record_batch(frames.len() as u64);
             }
             let answer = self.conn(node).and_then(|conn| conn.exchange(&frame));
-            now = Instant::now();
+            if self.timed {
+                now = Instant::now();
+            }
             let (host, out) = (&mut self.recorder, &mut self.outcomes);
             let settled = match answer {
                 Ok(response) => self.ops.answer(host, node, response, now, out),

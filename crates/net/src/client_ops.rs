@@ -277,8 +277,9 @@ impl<T: Time> ClientOps<T> {
     /// When the oldest op waiting for the doorbell leaves anyway (deadline
     /// mode only).
     pub fn due(&self) -> Option<T> {
+        let delay = self.batching.max_delay?;
         let oldest = self.ops.get(self.ops.len() - self.open)?;
-        Some(oldest.queued_at.plus(self.batching.max_delay?))
+        Some(oldest.queued_at.plus(delay))
     }
 
     /// The next frame to send at `now`, and its node: a lone GET failing
@@ -288,14 +289,11 @@ impl<T: Time> ClientOps<T> {
         if self.due().is_some_and(|due| now.reached(due)) {
             self.flush();
         }
-        let front = self.ops.front().map_or(0, |op| op.seq);
         if let Some(flight) = self.flights.iter_mut().find(|f| f.resend) {
             (flight.resend, flight.sent_at) = (false, now);
-            let op = &self.ops[(flight.first - front) as usize];
-            return Some((
-                flight.node,
-                rewrap_trace(op.trace, Frame::Get { key: op.key }),
-            ));
+            let op = &self.ops[(flight.first - self.ops[0].seq) as usize];
+            let get = rewrap_trace(op.trace, Frame::Get { key: op.key });
+            return Some((flight.node, get));
         }
         let len = self.sealed.pop_front()?;
         let at = self.ops.len() - self.unsent;
@@ -309,15 +307,13 @@ impl<T: Time> ClientOps<T> {
             }
             LoadBalancePolicy::Pinned(n) => n,
         };
-        let first = self.ops[at].seq;
-        let (tries, resend) = (1, false);
         self.flights.push_back(Flight {
             node,
-            first,
+            first: self.ops[at].seq,
             len,
             sent_at: now,
-            tries,
-            resend,
+            tries: 1,
+            resend: false,
         });
         let mut take = |slot| {
             let op = &mut self.ops[at + slot];
@@ -345,69 +341,83 @@ impl<T: Time> ClientOps<T> {
         now: T,
         out: &mut Vec<Option<BatchOutcome>>,
     ) -> io::Result<()> {
-        let unfit = |what: String| Err(io::Error::new(ErrorKind::InvalidData, what));
         let Some(at) = (self.flights.iter()).position(|f| f.node == node && !f.resend) else {
-            return unfit(format!("{response:?} answers nothing"));
+            return Err(unfit(format!("{response:?} answers nothing")));
         };
         let flight = self.flights.remove(at).expect("found above");
         let first = (flight.first - self.ops[0].seq) as usize;
-        let (single, many) = match response {
-            Frame::Error { message } => {
-                self.fail(host, first..first + flight.len, out);
-                return Err(io::Error::new(ErrorKind::InvalidInput, message));
+        let settled = match response {
+            Frame::Error { message } => Err((0, refused(message))),
+            response if flight.len == 1 => {
+                self.steer(&flight, now);
+                (self.settle(host, first, response, now)).map_err(|e| (0, e))
             }
-            frame if flight.len == 1 => (Some(frame), Vec::new()),
-            Frame::Batch { frames } if frames.len() == flight.len => (None, frames),
-            other => {
-                self.fail(host, first..first + flight.len, out);
-                return unfit(format!("a frame of {} ops answered {other:?}", flight.len));
+            Frame::Batch { frames } if frames.len() == flight.len => {
+                self.steer(&flight, now);
+                let mut answers = frames.into_iter().enumerate();
+                answers.try_for_each(|(i, response)| {
+                    (self.settle(host, first + i, response, now)).map_err(|e| (i, e))
+                })
             }
+            other => Err((0, unfit(format!("{} ops answered {other:?}", flight.len)))),
         };
-        // Latency-feedback doorbell: widen while whole flushes round-trip
-        // inside the delay budget (the server pipelines a batch's misses,
-        // so width is nearly free until it isn't), shrink in proportion
-        // the moment the smoothed round-trip overruns — the overrun IS
-        // the congestion signal. Flushes carrying a write are not
-        // measurements: their round-trip is dominated by the Lin ack
-        // wait, which the batch width cannot amortize.
-        let wrote = (self.ops.range(first..first + flight.len)).any(|op| op.put.is_some());
-        if let (Some(budget), false) = (self.batching.max_delay, wrote) {
-            let rtt = now.since(flight.sent_at).as_nanos() as f64;
-            self.flush_rtt_ns = if self.flush_rtt_ns > 0.0 {
-                0.7 * self.flush_rtt_ns + 0.3 * rtt
-            } else {
-                rtt
-            };
-            let budget_ns = budget.as_nanos() as f64;
-            let target = if self.flush_rtt_ns <= budget_ns {
-                self.doorbell + 2
-            } else {
-                (self.doorbell as f64 * budget_ns / self.flush_rtt_ns) as usize
-            };
-            self.doorbell = target.clamp(1, self.batching.max_ops);
-        }
-        for (i, response) in single.into_iter().chain(many).enumerate() {
-            let op = &mut self.ops[first + i];
-            let refused = match (op.put, response) {
-                (None, Frame::GetResp { cached, ts, value }) => {
-                    let outcome = BatchOutcome::Get { value, cached };
-                    host.completed(op, &outcome, ts, now);
-                    op.settled = Some(Some(outcome));
-                    continue;
-                }
-                (Some(_), Frame::PutResp { cached, ts }) => {
-                    let outcome = BatchOutcome::Put { cached, ts };
-                    host.completed(op, &outcome, ts, now);
-                    op.settled = Some(Some(outcome));
-                    continue;
-                }
-                (_, Frame::Error { message }) => io::Error::new(ErrorKind::InvalidInput, message),
-                (_, other) => io::Error::new(ErrorKind::InvalidData, format!("op {i}: {other:?}")),
-            };
+        if let Err((i, e)) = settled {
             self.fail(host, first + i..first + flight.len, out);
-            return Err(refused);
+            return Err(e);
         }
         self.release(out);
+        Ok(())
+    }
+
+    /// Latency-feedback doorbell: widen while whole flushes round-trip
+    /// inside the delay budget (the server pipelines a batch's misses, so
+    /// width is nearly free until it isn't), shrink in proportion the moment
+    /// the smoothed round-trip overruns — the overrun IS the congestion
+    /// signal. Flushes carrying a write are not measurements: their
+    /// round-trip is dominated by the Lin ack wait, which the batch width
+    /// cannot amortize.
+    fn steer(&mut self, flight: &Flight<T>, now: T) {
+        let Some(budget) = self.batching.max_delay else {
+            return;
+        };
+        let first = (flight.first - self.ops[0].seq) as usize;
+        if (self.ops.range(first..first + flight.len)).any(|op| op.put.is_some()) {
+            return;
+        }
+        let rtt = now.since(flight.sent_at).as_nanos() as f64;
+        self.flush_rtt_ns = if self.flush_rtt_ns > 0.0 {
+            0.7 * self.flush_rtt_ns + 0.3 * rtt
+        } else {
+            rtt
+        };
+        let budget_ns = budget.as_nanos() as f64;
+        let target = if self.flush_rtt_ns <= budget_ns {
+            self.doorbell + 2
+        } else {
+            (self.doorbell as f64 * budget_ns / self.flush_rtt_ns) as usize
+        };
+        self.doorbell = target.clamp(1, self.batching.max_ops);
+    }
+
+    /// Settles `self.ops[at]` with `response`, its answer.
+    fn settle<H: ClientHost<T>>(
+        &mut self,
+        host: &mut H,
+        at: usize,
+        response: Frame,
+        now: T,
+    ) -> io::Result<()> {
+        let op = &mut self.ops[at];
+        let (outcome, ts) = match (op.put, response) {
+            (None, Frame::GetResp { cached, ts, value }) => {
+                (BatchOutcome::Get { value, cached }, ts)
+            }
+            (Some(_), Frame::PutResp { cached, ts }) => (BatchOutcome::Put { cached, ts }, ts),
+            (_, Frame::Error { message }) => return Err(refused(message)),
+            (_, other) => return Err(unfit(format!("op {} answered {other:?}", op.seq))),
+        };
+        host.completed(op, &outcome, ts, now);
+        op.settled = Some(Some(outcome));
         Ok(())
     }
 
@@ -473,6 +483,17 @@ impl<T: Time> ClientOps<T> {
             self.ops.pop_front();
         }
     }
+}
+
+/// The node's own refusal: the connection is fine.
+fn refused(message: String) -> io::Error {
+    io::Error::new(ErrorKind::InvalidInput, message)
+}
+
+/// An answer that does not fit what was sent: the connection is out of
+/// step.
+fn unfit(what: String) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, what)
 }
 
 #[cfg(test)]
