@@ -177,10 +177,10 @@ pub struct Client {
     recorder: Recorder,
     /// Outcomes settled since the last [`Client::flush`], in queue order.
     outcomes: Vec<Option<BatchOutcome>>,
-    /// Whether an answer's arrival time is read: for the deadline
-    /// doorbell's round trips and the latency metrics; otherwise the send
-    /// time stands in, unread.
-    timed: bool,
+    /// `Some` when nothing reads the time — no deadline doorbell, no
+    /// latency metrics — and the machine is handed this one instant
+    /// instead of a clock read per op.
+    frozen: Option<Instant>,
     reconnects: u64,
     node_errors: Vec<u64>,
     /// Trace one in every `trace_every` operations (0 = tracing off).
@@ -349,6 +349,7 @@ impl ClientBuilder {
         let session = self.session;
         let ops = ClientOps::new(self.addrs.len(), self.policy, self.batching, session);
         let timed = self.batching.max_delay.is_some() || self.metrics.is_some();
+        let frozen = (!timed).then(Instant::now);
         let transport = self.transport.build();
         let conns = self
             .addrs
@@ -367,7 +368,7 @@ impl ClientBuilder {
                 metrics: self.metrics,
             },
             outcomes: Vec::new(),
-            timed,
+            frozen,
             reconnects: 0,
             trace_every: self.trace_every,
             trace_ops: 0,
@@ -553,7 +554,7 @@ impl Client {
     fn enqueue(&mut self, key: u64, value: Option<&[u8]>) -> Instant {
         let invoked_at = self.recorder.history.as_ref().map_or(0, |h| h.now());
         let trace = self.next_trace();
-        let now = Instant::now();
+        let now = self.now();
         self.ops.queue(key, value, trace, invoked_at, now);
         now
     }
@@ -590,7 +591,7 @@ impl Client {
     /// goes quiet between `queue_*` calls pumps the deadline itself.
     pub fn pump(&mut self) -> io::Result<bool> {
         let queued = self.ops.queued();
-        self.drive(Instant::now())?;
+        self.drive(self.now())?;
         Ok(self.ops.queued() < queued)
     }
 
@@ -599,7 +600,12 @@ impl Client {
         if self.ops.queued() == 0 {
             return Ok(());
         }
-        self.drive(Instant::now())
+        self.drive(self.now())
+    }
+
+    /// The time, for the machine (see `frozen`).
+    fn now(&self) -> Instant {
+        self.frozen.unwrap_or_else(Instant::now)
     }
 
     /// Sends what the machine has to send, one frame at a time, each
@@ -612,9 +618,7 @@ impl Client {
                 metrics.record_batch(frames.len() as u64);
             }
             let answer = self.conn(node).and_then(|conn| conn.exchange(&frame));
-            if self.timed {
-                now = Instant::now();
-            }
+            now = self.now();
             let (host, out) = (&mut self.recorder, &mut self.outcomes);
             let settled = match answer {
                 Ok(response) => self.ops.answer(host, node, response, now, out),
