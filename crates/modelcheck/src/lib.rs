@@ -3,10 +3,11 @@
 //! This crate drives **real** [`cckvs::node::CcNode`] instances — the same
 //! per-key SC/Lin coherence engine, symmetric cache, and home-shard rules
 //! the production server runs — plus the production reliable link
-//! ([`cckvs_net::link`]), miss-path RPC table ([`cckvs_net::rpc`]) and
-//! per-connection op machine ([`cckvs_net::ops`]), over a network that is
-//! the harness's own table of datagrams in flight, and hands every source
-//! of nondeterminism to a seeded scheduler:
+//! ([`cckvs_net::link`]), miss-path RPC table ([`cckvs_net::rpc`]),
+//! per-connection op machine ([`cckvs_net::ops`]) and client machine
+//! ([`cckvs_net::client_ops`]), over a network that is the harness's own
+//! table of datagrams in flight, and hands every source of nondeterminism
+//! to a seeded scheduler:
 //!
 //! * which in-flight datagram (invalidation, ack, update broadcast, miss
 //!   RPC, write-back) is delivered next, dropped, or duplicated;
@@ -62,7 +63,8 @@
 //!   links. The `ack-then-die` scenario disables the gates and *expects*
 //!   the checker to object — keeping the exclusions honest.
 //! * **No time.** A miss-path RPC never expires, and a session's op
-//!   machine runs on `()` for a clock, so a bounced op never gives up; one
+//!   machine and client machine run on `()` for a clock, so a bounced op
+//!   never gives up and no deadline doorbell rings; one
 //!   that can never be answered surfaces as a deadlock at the drain, which
 //!   is what the `miss-rpc-no-reissue` negative scenario is flagged by.
 //!   The retry tick is a scheduler choice, offered once the node has seen
