@@ -118,6 +118,11 @@ impl History {
         &self.ops
     }
 
+    /// The puts recorded indeterminate, as `(key, value, invoked_at)`.
+    pub fn indeterminate(&self) -> &[(u64, Value, u64)] {
+        &self.indeterminate
+    }
+
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
         self.ops.len()

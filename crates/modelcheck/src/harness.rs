@@ -1112,8 +1112,8 @@ impl RackModel {
 
     /// Checks the quiesced rack: the recorded history against the
     /// scenario's consistency model, then zero lost acknowledged writes —
-    /// the newest acked value of every key must be present at the key's
-    /// final location (every cache if hot, the home shard if cold).
+    /// a key's final copy (every cache if hot, the home shard if cold) is
+    /// its newest acked put, or a newer one among its indeterminate puts.
     fn check_final(&mut self) {
         let model_check = match self.spec.model {
             consistency::ConsistencyModel::Lin => self.history.check_per_key_lin(),
@@ -1132,31 +1132,34 @@ impl RackModel {
                 }
             }
         }
+        let unsure = self.history.indeterminate();
+        let holds = |key: u64, (value, ts): (u64, Timestamp), v: &[u8], t: Timestamp| {
+            let v = decode_value(v);
+            (t == ts && v == value)
+                || (t.is_newer_than(ts) && unsure.iter().any(|u| (u.0, u.1) == (key, v)))
+        };
         for (key, (value, ts)) in newest {
             if self.hot_now.contains(&key) {
                 for n in 0..self.nodes.len() {
                     match self.nodes[n].cc.try_cache_get(key) {
-                        Some(CacheGet::Hit { value: v, ts: t })
-                            if t == ts && decode_value(&v) == value => {}
+                        Some(CacheGet::Hit { value: v, ts: t }) if holds(key, (value, ts), &v, t) => {}
                         got => {
-                            self.fail(format!(
+                            return self.fail(format!(
                                 "lost acked write: k{key}={value} ts{ts} missing from \
                                  n{n}'s cache (found {got:?})"
                             ));
-                            return;
                         }
                     }
                 }
             } else {
                 let home = self.home_of(key);
                 let (v, t) = self.nodes[home].cc.kvs_get_versioned(key);
-                if t != ts || decode_value(&v) != value {
-                    self.fail(format!(
+                if !holds(key, (value, ts), &v, t) {
+                    return self.fail(format!(
                         "lost acked write: k{key}={value} ts{ts} not at home n{home} \
                          (shard holds value {} ts{t})",
                         decode_value(&v)
                     ));
-                    return;
                 }
             }
         }

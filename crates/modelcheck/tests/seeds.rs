@@ -170,6 +170,18 @@ fn credit_window_crash_seed_replays_the_retained_tail_first() {
     assert!(events[upd + 1].starts_with("n2 <- upd k708=711 ts(1, n1)"));
 }
 
+/// A put whose answer died with its writer may still have run: n1 dies
+/// owing the answer to its cold put of k708=711, which its home n0
+/// applied newer than n0's own acked put of 701. The key ends at 711, and
+/// that is no lost write; a final value older than the newest acked put,
+/// or one no put wrote, still is.
+#[test]
+fn a_key_may_end_at_a_newer_indeterminate_put() {
+    let outcome = replay_seed("credit-window-crash:0000000000000aa7");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    assert!(has(&outcome, "n1 lost put k708=711"));
+}
+
 /// The coordinator's eviction as shipped: n1's `Evict` finds its own Lin
 /// write pending and parks, the write commits, the retry tick takes the
 /// dirty value out of the cache and ships it home as a `WriteBack` RPC, and
