@@ -7,13 +7,19 @@
 //! cckvs-modelcheck --replay crash-mid-commit:000000000000002a
 //! ```
 //!
-//! Exit status is fail-closed for CI: non-zero when any positive scenario
-//! finds a violation, when a negative scenario (`ack-then-die`, which
-//! disables the crash-safety gates; `miss-rpc-no-reissue`, which skips the
-//! in-doubt RPC reissue; `install-unwarmed`, which skips an install's warm
-//! phase) finds **no** violation, or when the total
-//! distinct-schedule count falls short of `--min-distinct`.
+//! The positive scenarios run the shipped restart rule and RPC deadline
+//! sweep (`cckvs_net::node_ops`); `rpc-deadline-races-answer` fires the
+//! sweep while an answer is in flight. Exit status is fail-closed for CI:
+//! non-zero when any positive scenario finds a violation, when a negative
+//! scenario (`ack-then-die`, which disables the crash-safety gates;
+//! `miss-rpc-no-reissue`, whose shipped restart rule asks nothing again;
+//! `install-unwarmed`, which skips an install's warm phase;
+//! `client-resend-lost`, which re-sends lost requests;
+//! `rpc-deadline-recycles-id`, which reuses expired correlation ids) finds
+//! **no** violation, or when the total distinct-schedule count falls short
+//! of `--min-distinct`.
 
+use std::num::ParseIntError;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Instant;
@@ -47,32 +53,16 @@ impl Args {
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--scenario" => args.scenario = value("--scenario")?,
-                "--schedules" => {
-                    args.schedules = value("--schedules")?
-                        .parse()
-                        .map_err(|e| format!("--schedules: {e}"))?;
-                }
-                "--depth" => {
-                    args.depth = value("--depth")?
-                        .parse()
-                        .map_err(|e| format!("--depth: {e}"))?;
-                }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--replay" => args.replay = Some(Seed::from_str(&value("--replay")?)?),
+                "--scenario" => args.scenario = value()?,
+                "--schedules" => args.schedules = number(&flag, value()?)?,
+                "--depth" => args.depth = number(&flag, value()?)?,
+                "--seed" => args.seed = number(&flag, value()?)?,
+                "--replay" => args.replay = Some(Seed::from_str(&value()?)?),
                 "--list" => args.list = true,
-                "--min-distinct" => {
-                    args.min_distinct = value("--min-distinct")?
-                        .parse()
-                        .map_err(|e| format!("--min-distinct: {e}"))?;
-                }
-                "--fail-seed-file" => args.fail_seed_file = Some(value("--fail-seed-file")?),
+                "--min-distinct" => args.min_distinct = number(&flag, value()?)?,
+                "--fail-seed-file" => args.fail_seed_file = Some(value()?),
                 "--help" | "-h" => {
                     print_help();
                     std::process::exit(0);
@@ -82,6 +72,11 @@ impl Args {
         }
         Ok(args)
     }
+}
+
+/// `flag`'s value as a number.
+fn number<T: FromStr<Err = ParseIntError>>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn print_help() {
@@ -117,17 +112,14 @@ fn main() -> ExitCode {
 
     if args.list {
         for spec in all() {
+            let negative = match spec.expect_violation() {
+                true => " [negative: a violation is the pass condition]",
+                false => "",
+            };
+            let (name, nodes, model) = (spec.name, spec.nodes, spec.model);
             println!(
-                "{:<24} {} nodes, {:?}, {}{}",
-                spec.name,
-                spec.nodes,
-                spec.model,
-                spec.about,
-                if spec.expect_violation {
-                    " [negative: a violation is the pass condition]"
-                } else {
-                    ""
-                }
+                "{name:<24} {nodes} nodes, {model:?}, {}{negative}",
+                spec.about
             );
         }
         return ExitCode::SUCCESS;
@@ -149,7 +141,7 @@ fn main() -> ExitCode {
             outcome.fingerprint
         );
         return match outcome.violation {
-            Some(v) if spec.expect_violation => {
+            Some(v) if spec.expect_violation() => {
                 println!("violation (expected for this scenario): {v}");
                 ExitCode::SUCCESS
             }
@@ -186,7 +178,7 @@ fn main() -> ExitCode {
     for spec in &specs {
         let report = explore(spec, args.seed, args.schedules, args.depth);
         total_distinct += report.distinct;
-        let verdict = if spec.expect_violation {
+        let verdict = if spec.expect_violation() {
             if report.violations.is_empty() {
                 failed = true;
                 "FAIL (negative scenario found no violation — the checker is blind)"
@@ -207,7 +199,7 @@ fn main() -> ExitCode {
             report.violations.len(),
             verdict
         );
-        if !spec.expect_violation {
+        if !spec.expect_violation() {
             for (seed, why) in &report.violations {
                 println!("    failing seed {seed}: {why}");
                 failing_seeds.push(seed.to_string());

@@ -22,40 +22,36 @@
 //!
 //! Each node's end of each link is a [`cckvs_net::link::Peer`] — the very
 //! end the production peer mesh queues, packs, takes in, numbers, retains
-//! and replays through, not a model of it. The harness drives it as the
-//! reactor does: what a node sends is pushed, and every action that runs
-//! code at a node ends as a reactor lap does, by pumping each of the node's
-//! links ([`Peer::pack`], as far as the credit window admits; what it holds
-//! back logs a `stall`). A pack is one flight — the number of its first
-//! item, then the bytes `pack` emitted: a bare frame or a batch, items and
-//! the processed count the credit policy announced riding them, or a lone
+//! and replays through, not a model of it — and what a node does with it
+//! between frames is the shipped [`cckvs_net::node_ops`]. Every action that
+//! runs code at a node ends as a reactor lap does, with the shipped pump
+//! of each of the node's links ([`node_ops::pump`]; what the credit window
+//! holds back logs a `stall`). A pack is one flight: its items and the
+//! processed count the credit policy announced riding them, or a lone
 //! credit. The receiving side splits a flight into numbered items for the
 //! link's [`RecvHalf`], which dedups and reorders, and its end takes each
 //! in order ([`Peer::receive`]) for `rpc.rs`'s [`serve_peer`]. Credits are
-//! the only confirmation, and they travel as flights; the scheduler picks
-//! when an armed credit tick fires ([`Action`]`::CreditTick`) and when a
-//! lost flight is retransmitted, as the UDP envelope does. Across a crash
-//! it runs the `PeerHello`/`PeerResume` contract: the restarted side's
-//! links start fresh (a new process generation), each survivor requeues
-//! its unprocessed tail ahead of what it queued meanwhile, the fresh
-//! receiver resumes at the survivor's confirmed count, and invalidations
-//! with uncounted acks are reissued. Every link must process frames in the
-//! order they were pushed — wire order is enqueue order — which a god's-eye
-//! ordinal per frame checks.
+//! the only confirmation; the scheduler picks when an armed credit tick
+//! fires ([`Action`]`::CreditTick`) and when a lost flight is
+//! retransmitted, as the UDP envelope does. A restart runs each survivor's
+//! side of the shipped handshake ([`node_ops::handshake`]): the replay of
+//! its unprocessed tail ahead of what it queued meanwhile, and the restart
+//! rule. Every link must process frames in the order they were pushed —
+//! wire order is enqueue order — which a god's-eye ordinal per frame
+//! checks.
 //!
 //! ## The miss path
 //!
 //! Both ends are the production code ([`cckvs_net::rpc`]). A home answers
-//! `MissGet`/`MissPut`/`WriteBack` through [`serve_home_frame`] on its real
-//! `CcNode`, whose fence set and cold-version counter decide bounces and
-//! versions; a restart's fences are `hot_mark` calls on that node. Each
-//! simulated process owns
-//! one [`RpcTable`]: it is replaced with the process, so an answer
-//! addressed to a dead generation finds no waiter, and on a peer's restart
-//! the survivors ask their `in_doubt` requests again. The only thing the
-//! harness keeps beside them is a god's-eye note of the version each read
-//! was served at — the history needs a timestamp for a cold read, and
-//! `MissGetResp` carries none.
+//! through [`serve_home_frame`] on its real `CcNode`, whose fence set and
+//! cold-version counter decide bounces and versions. Each simulated process
+//! owns one [`RpcTable`], replaced with the process, so an answer addressed
+//! to a dead generation finds no waiter; the restart rule asks the
+//! survivors' `in_doubt` requests again, and [`Action::Expire`] runs the
+//! shipped deadline sweep ([`node_ops::expire`]) on a logical clock, so a
+//! late answer finds no waiter either. Beside them the harness keeps only a
+//! god's-eye note of the version each read was served at — the history
+//! needs a timestamp for a cold read, and `MissGetResp` carries none.
 //!
 //! ## The sessions
 //!
@@ -73,19 +69,9 @@
 //! which [`Flip`]s make their calls, one per [`Action::Admin`]: the admin
 //! script's, as the epoch coordinator runs them, and a heal's evictions,
 //! as the supervisor runs them.
-//!
-//! ## Crash gating
-//!
-//! Gated (default) crashes avoid the windows the production system is
-//! *known* not to survive — in-memory cold data dies with its home
-//! (ROADMAP: durable home shards), a committed value living only in the
-//! dead writer's cache and its in-flight updates, and a dead writer
-//! leaving peers wedged-invalid. [`RackModel`] blocks those crashes via
-//! `can_crash` and documents each exclusion; the `ack-then-die` negative
-//! scenario turns the gates off and asserts the checker *does* flag the
-//! resulting histories, so the exclusions stay honest.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, NodeConfig, Outgoing};
@@ -93,14 +79,14 @@ use cckvs_net::churn::{Flip, Outcome, Transition};
 use cckvs_net::client::LoadBalancePolicy;
 use cckvs_net::client_ops::{BatchConfig, ClientOps};
 use cckvs_net::link::{Accept, Item, Pack, Peer, RecvHalf, PEER_BATCH_MAX_BYTES};
+use cckvs_net::node_ops::{self, NodeItem};
 use cckvs_net::ops::{ConnOps, ResumeEvent, Wait};
 use cckvs_net::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
 use cckvs_net::wire::{BatchBuilder, Frame, FrameDecoder};
-use consistency::engine::Destination;
 use consistency::history::{History, RecordKind};
-use consistency::{NodeId, ProtocolMsg, Timestamp};
+use consistency::{ProtocolMsg, Timestamp};
 
-use crate::scenario::{AdminStep, ProgStep, ScenarioSpec};
+use crate::scenario::{AdminStep, Hole, ProgStep, ScenarioSpec};
 use crate::sched::SplitMix64;
 
 mod session;
@@ -130,11 +116,14 @@ pub enum Action {
     /// count nothing announced since it was armed is due, and the link is
     /// pumped.
     CreditTick(usize, usize),
+    /// Advance node `n`'s clock to its earliest miss-path RPC deadline and
+    /// run the shipped sweep (spends the expiry budget).
+    Expire(usize),
     /// Crash `node` (spends the crash budget; gated unless the scenario
-    /// sets `unsafe_crashes`).
+    /// plants [`Hole::UnsafeCrashes`]).
     Crash(usize),
-    /// Restart crashed `node`: fresh process, new generation, survivor
-    /// replay + reissued invalidations.
+    /// Restart crashed `node`: fresh process, new generation, the shipped
+    /// handshake at every survivor.
     Restart(usize),
     /// Start re-establishing symmetric caching after a restart: one
     /// eviction per hot key, stepped by [`Action::Admin`].
@@ -209,6 +198,23 @@ struct LinkFrame {
     ordinal: u64,
 }
 
+/// Frames made into link items so far, by any rack on any thread: one
+/// rack's are numbered in the order it pushed them.
+static ORDINALS: AtomicU64 = AtomicU64::new(0);
+
+impl From<Frame> for LinkFrame {
+    fn from(frame: Frame) -> Self {
+        let ordinal = ORDINALS.fetch_add(1, Ordering::Relaxed) + 1;
+        LinkFrame { frame, ordinal }
+    }
+}
+
+impl NodeItem for LinkFrame {
+    fn request(&self) -> Option<u64> {
+        self.frame.request()
+    }
+}
+
 impl Item for LinkFrame {
     fn payload_len(&self) -> usize {
         self.frame.payload_len()
@@ -225,14 +231,14 @@ fn is_update(frame: &Frame) -> bool {
     matches!(frame, Frame::Protocol { msg, .. } if update(msg))
 }
 
-/// One copy of one pack on the wire: link `i → j`'s [`Pack`], as the
-/// number of its first item, then the bytes [`Peer::pack`] emitted.
+/// One copy of one pack on the wire: link `i → j`'s [`Pack`] (the number
+/// of its first item, among others) and the bytes [`Peer::pack`] emitted.
 #[derive(Clone)]
 struct Flight {
     i: usize,
     j: usize,
     pack: Pack,
-    datagram: Vec<u8>,
+    bytes: Vec<u8>,
 }
 
 impl Flight {
@@ -253,9 +259,11 @@ impl Flight {
 /// together on restart) plus what the harness tracks around it.
 struct NodeSlot {
     cc: CcNode,
-    /// This process's miss-path RPCs in flight. The harness models no
-    /// timeouts, so its time is `()`.
-    rpcs: RpcTable<(), ()>,
+    /// This process's miss-path RPCs in flight, each waited on by the
+    /// session or (`true`) the admin connection, and due at the logical
+    /// time (the action count) it was issued: [`Action::Expire`] fires the
+    /// earliest.
+    rpcs: RpcTable<bool, u64>,
     up: bool,
     gen: u64,
     /// Messages processed by this node — parked-op reprobe gating.
@@ -286,13 +294,18 @@ struct NodeSlot {
 }
 
 /// A fresh process of node `n` in generation `gen`. Generations number
-/// their correlation ids apart, as the production generation stamp does.
-fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<(), ()>) {
+/// their correlation ids apart, as the production generation stamp does;
+/// its link ends are stamped `gen + 1` (0 is "never connected").
+fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<bool, u64>) {
     let mut cfg = NodeConfig::small(spec.model, n, spec.nodes);
     if spec.tiny_cache == Some(n) {
         cfg.cache_capacity = 1;
     }
-    (CcNode::new(cfg), RpcTable::new(gen * 1_000_000 + 1))
+    let mut rpcs = RpcTable::new(gen * 1_000_000 + 1);
+    if let Some(Hole::Mutant(mutant)) = spec.hole {
+        rpcs.mutant = Some(mutant);
+    }
+    (CcNode::new(cfg), rpcs)
 }
 
 /// The rack under test. See the module docs for the model.
@@ -311,8 +324,6 @@ pub struct RackModel {
     recv: BTreeMap<(usize, usize), RecvHalf<Frame>>,
     /// Ends whose credit tick is armed.
     ticks: BTreeSet<(usize, usize)>,
-    /// Frames pushed so far, on any link: the next frame's ordinal.
-    enqueued: u64,
     /// Per link, the ordinal of the frame its receiver processed last
     /// (forgotten when either end restarts).
     processed_ordinal: BTreeMap<(usize, usize), u64>,
@@ -330,6 +341,7 @@ pub struct RackModel {
     world_version: u64,
     drops_left: u32,
     dups_left: u32,
+    expires_left: u32,
     crashes_left: u32,
     heal_needed: bool,
     /// Flips not yet ended, in order: the admin script's, then a heal's.
@@ -388,11 +400,14 @@ impl RackModel {
             launched: 0,
             lost: Vec::new(),
             peers: (links())
-                .map(|l| (l, Peer::new(0, spec.credit_window)))
+                .map(|l| {
+                    let mut end = Peer::new(1, spec.credit_window);
+                    end.resume(1, 0);
+                    (l, end)
+                })
                 .collect(),
             recv: links().map(|l| (l, RecvHalf::default())).collect(),
             ticks: BTreeSet::new(),
-            enqueued: 0,
             processed_ordinal: BTreeMap::new(),
             served: BTreeMap::new(),
             commits: Arc::new(Mutex::new(Vec::new())),
@@ -402,6 +417,7 @@ impl RackModel {
             world_version: 0,
             drops_left: spec.drop_budget,
             dups_left: spec.dup_budget,
+            expires_left: spec.expire_budget,
             crashes_left: spec.crash_budget,
             heal_needed: false,
             flips: (spec.admin_script.iter())
@@ -430,16 +446,6 @@ impl RackModel {
         m
     }
 
-    /// The violation found so far, if any.
-    pub fn violation(&self) -> Option<&str> {
-        self.violation.as_deref()
-    }
-
-    /// The event log so far.
-    pub fn events(&self) -> &[String] {
-        &self.events
-    }
-
     fn log(&mut self, e: String) {
         self.events.push(e);
     }
@@ -456,47 +462,30 @@ impl RackModel {
     /// The currently enabled scheduler choices, in a fixed deterministic
     /// order (node-index, flight-id, link-key ascending).
     pub fn enabled_actions(&self) -> Vec<Action> {
-        let mut out = Vec::new();
-        for n in 0..self.nodes.len() {
-            if self.issue_enabled(n) {
-                out.push(Action::Issue(n));
-            }
-        }
-        for n in 0..self.nodes.len() {
-            if self.reprobe_enabled(n) {
-                out.push(Action::Reprobe(n));
-            }
-        }
+        let (mut out, nodes) = (Vec::new(), 0..self.nodes.len());
+        let each = |on: &dyn Fn(usize) -> bool, act: fn(usize) -> Action| {
+            nodes
+                .clone()
+                .filter(|&n| on(n))
+                .map(act)
+                .collect::<Vec<_>>()
+        };
+        out.extend(each(&|n| self.issue_enabled(n), Action::Issue));
+        out.extend(each(&|n| self.reprobe_enabled(n), Action::Reprobe));
         let flights: Vec<u64> = self.flights.keys().copied().collect();
-        for &f in &flights {
-            out.push(Action::Deliver(f));
-        }
+        out.extend(flights.iter().map(|&f| Action::Deliver(f)));
         if self.drops_left > 0 {
-            for &f in &flights {
-                out.push(Action::Drop(f));
-            }
+            out.extend(flights.iter().map(|&f| Action::Drop(f)));
         }
         if self.dups_left > 0 {
-            for &f in &flights {
-                out.push(Action::Dup(f));
-            }
+            out.extend(flights.iter().map(|&f| Action::Dup(f)));
         }
-        for &(i, j) in self.peers.keys() {
-            if self.retransmit_enabled(i, j) {
-                out.push(Action::Retransmit(i, j));
-            }
-        }
+        let lost = (self.peers.keys()).filter(|&&(i, j)| self.retransmit_enabled(i, j));
+        out.extend(lost.map(|&(i, j)| Action::Retransmit(i, j)));
         out.extend(self.ticks.iter().map(|&(i, j)| Action::CreditTick(i, j)));
-        for n in 0..self.nodes.len() {
-            if self.can_crash(n) {
-                out.push(Action::Crash(n));
-            }
-        }
-        for n in 0..self.nodes.len() {
-            if !self.nodes[n].up {
-                out.push(Action::Restart(n));
-            }
-        }
+        out.extend(each(&|n| self.expire_enabled(n), Action::Expire));
+        out.extend(each(&|n| self.can_crash(n), Action::Crash));
+        out.extend(each(&|n| !self.nodes[n].up, Action::Restart));
         if self.heal_enabled() {
             out.push(Action::Heal);
         }
@@ -504,6 +493,12 @@ impl RackModel {
             out.push(Action::Admin);
         }
         out
+    }
+
+    /// An RPC of node `n` is pending and the expiry budget is not spent.
+    fn expire_enabled(&self, n: usize) -> bool {
+        let s = &self.nodes[n];
+        self.expires_left > 0 && s.up && s.rpcs.next_deadline().is_some()
     }
 
     fn retransmit_enabled(&self, i: usize, j: usize) -> bool {
@@ -516,7 +511,8 @@ impl RackModel {
         (self.peers[&(i, j)].outbox.retained()).filter(move |(seq, _)| *seq >= delivered)
     }
 
-    /// Crash gating. Ungated when the scenario sets `unsafe_crashes`;
+    /// Crash gating. Ungated in a scenario that plants
+    /// [`Hole::UnsafeCrashes`];
     /// otherwise a crash is only offered where the production system
     /// survives it:
     ///
@@ -528,6 +524,9 @@ impl RackModel {
     ///   or queued somewhere (the acked value would exist only in the dead
     ///   cache);
     /// * not during admin transitions, and one node down at a time.
+    ///
+    /// The `ack-then-die` scenario turns the gates off and asserts that the
+    /// checker flags the resulting histories, so the exclusions stay honest.
     fn can_crash(&self, n: usize) -> bool {
         if self.crashes_left == 0 || !self.nodes[n].up {
             return false;
@@ -542,7 +541,7 @@ impl RackModel {
             self.undelivered(n, j).any(|(_, r)| is_update(&r.frame))
                 || unsent.any(|r| is_update(&r.frame))
         });
-        if self.spec.unsafe_crashes {
+        if self.spec.hole == Some(Hole::UnsafeCrashes) {
             // The negative scenario crashes only *inside* the windows that
             // lose acknowledged data — a committed-but-unpropagated update
             // (ack-then-die) or an in-memory shard holding acked cold
@@ -584,7 +583,10 @@ impl RackModel {
     pub fn apply(&mut self, action: Action) {
         self.clock += 1;
         let lap = match action {
-            Action::Issue(n) | Action::Reprobe(n) | Action::CreditTick(n, _) => Some(n),
+            Action::Issue(n)
+            | Action::Reprobe(n)
+            | Action::CreditTick(n, _)
+            | Action::Expire(n) => Some(n),
             Action::Deliver(f) => Some(self.flights[&f].j),
             Action::Admin => self.flips.front().and_then(Flip::next).map(|(n, _)| n),
             _ => None,
@@ -616,6 +618,7 @@ impl RackModel {
                 self.log(format!("tick n{i} credit to n{j}"));
                 self.peers.get_mut(&(i, j)).expect("link").tick();
             }
+            Action::Expire(n) => self.expire(n),
             Action::Crash(n) => self.crash(n),
             Action::Restart(n) => self.restart(n),
             Action::Heal => self.heal(),
@@ -634,74 +637,52 @@ impl RackModel {
         self.flights.insert(self.launched, flight);
     }
 
-    /// Ships protocol messages produced by a node: resolves destinations
-    /// (broadcast = every other replica) and queues each on the
-    /// corresponding link.
+    /// Ships protocol messages produced by node `n` through the shipped
+    /// destination rule, each onto its link.
     fn ship(&mut self, n: usize, outgoing: Vec<Outgoing>) {
-        for out in outgoing {
-            let targets: Vec<usize> = match out.dest {
-                Destination::To(id) => vec![id.0 as usize],
-                Destination::Broadcast => (0..self.nodes.len()).filter(|&t| t != n).collect(),
-            };
-            let frame = Frame::Protocol {
-                msg: out.msg,
-                bytes: out.bytes.as_ref().map(|b| b.to_vec()),
-            };
-            for t in targets {
-                self.send_frame(n, t, frame.clone());
-            }
-        }
+        let peers = &mut self.peers;
+        node_ops::ship(&self.nodes[n].cc, outgoing, |t, msg, bytes| {
+            let (end, bytes) = (peers.get_mut(&(n, t)), bytes.map(|b| b.to_vec()));
+            (end.expect("link").outbox).push(Frame::Protocol { msg, bytes }.into());
+        });
     }
 
     /// Queues one frame on node `i`'s end of its link with `j`; the lap
     /// under way pumps it (a frame for a down peer stays queued, and the
     /// restart pumps it).
     fn send_frame(&mut self, i: usize, j: usize, frame: Frame) {
-        self.enqueued += 1;
-        let ordinal = self.enqueued;
         let end = self.peers.get_mut(&(i, j)).expect("link");
-        end.outbox.push(LinkFrame { frame, ordinal });
+        end.outbox.push(frame.into());
     }
 
-    /// The end of a reactor lap at node `n`: each of its link ends whose
-    /// peer is up packs, one flight per pack, until its queue is empty or
-    /// its window closed; a credit debt left behind arms the end's tick,
-    /// and a window holding anything back logs a `stall`.
+    /// The end of a reactor lap at node `i`: the shipped pump of each of
+    /// its link ends whose peer is up, one flight per pack; a credit debt
+    /// left behind arms the end's tick, and a window holding anything back
+    /// logs a `stall`.
     fn end_lap(&mut self, i: usize) {
         let (window, cap) = (self.spec.credit_window, PEER_BATCH_MAX_BYTES);
         for j in (0..self.nodes.len()).filter(|&j| j != i) {
             if !(self.nodes[i].up && self.nodes[j].up) {
                 continue;
             }
-            let (mut builder, mut packs) = (BatchBuilder::new(), Vec::new());
             let end = self.peers.get_mut(&(i, j)).expect("link");
             let rpcs = &mut self.nodes[i].rpcs;
-            let mut numbered = |seq, f: &LinkFrame| {
-                if let Frame::RpcReq { corr, .. } = f.frame {
-                    rpcs.packed(corr, seq);
+            let (flights, launched) = (&mut self.flights, &mut self.launched);
+            let packed = |corr, seq| rpcs.packed(corr, seq);
+            let launch = |pack, bytes: &mut Vec<u8>| {
+                if !bytes.is_empty() {
+                    let bytes = std::mem::take(bytes);
+                    *launched += 1;
+                    flights.insert(*launched, Flight { i, j, pack, bytes });
                 }
+                true
             };
-            loop {
-                let mut datagram = vec![0; 8];
-                let pack = end.pack(window, cap, &mut builder, &mut datagram, &mut numbered);
-                if datagram.len() > 8 {
-                    datagram[..8].copy_from_slice(&pack.first.to_le_bytes());
-                    packs.push(Flight {
-                        i,
-                        j,
-                        pack,
-                        datagram,
-                    });
-                }
-                if pack.items == 0 || end.outbox.queued().len() == 0 {
-                    break;
-                }
-            }
-            if end.arm() {
+            let (mut builder, mut out) = (BatchBuilder::new(), Vec::new());
+            let arm = node_ops::pump(end, window, cap, &mut builder, &mut out, packed, launch);
+            let queued = end.outbox.queued().len();
+            if arm {
                 self.ticks.insert((i, j));
             }
-            let queued = end.outbox.queued().len();
-            packs.into_iter().for_each(|flight| self.launch(flight));
             if queued > 0 {
                 self.log(format!("stall {i}->{j} x{queued}"));
             }
@@ -711,16 +692,15 @@ impl RackModel {
     // ----- delivery and frame processing ------------------------------
 
     /// Lands flight `f` at node `j`: its credits go straight to `j`'s end
-    /// of the link, its items, numbered from the header, into link
+    /// of the link, its items, numbered from the pack's first, into link
     /// `i → j`'s receive half, and every item that became deliverable is
     /// taken in and served.
     fn deliver_flight(&mut self, f: u64) {
         let flight = self.flights.remove(&f).expect("live flight");
         self.log(format!("deliver {}", flight.brief()));
-        let Flight { i, j, datagram, .. } = flight;
-        let mut seq = u64::from_le_bytes(datagram[..8].try_into().expect("8 bytes"));
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&datagram[8..]);
+        let Flight { i, j, pack, bytes } = flight;
+        let (mut seq, mut decoder) = (pack.first, FrameDecoder::new());
+        decoder.feed(&bytes);
         while let Some(message) = decoder.next_frame().expect("packs decode") {
             let frames = match message {
                 Frame::Batch { frames } => frames,
@@ -753,10 +733,10 @@ impl RackModel {
                 ));
             };
             let last = self.processed_ordinal.insert((i, j), ordinal);
-            if let Some(last) = last.filter(|&last| last >= ordinal) {
+            if last.is_some_and(|last| last >= ordinal) {
                 return self.fail(format!(
-                    "link {i}->{j} processed #{seq} (enqueued {ordinal}) after one \
-                     enqueued later ({last}): wire order is not enqueue order"
+                    "link {i}->{j} processed #{seq} after an item enqueued later: \
+                     wire order is not enqueue order"
                 ));
             }
             self.nodes[j].deliveries += 1;
@@ -802,46 +782,69 @@ impl RackModel {
         let home = &self.nodes[h].cc;
         let (_, stored) = home.kvs_get_versioned(key);
         let resp = serve_home_frame(home, req).expect("a home-shard frame");
-        match &resp {
-            Frame::MissRetry => self.log(format!("n{h} rpc#{corr} from n{o} {what} bounced")),
+        let outcome = match &resp {
+            Frame::MissRetry => "bounced".to_string(),
             Frame::MissGetResp { .. } => {
                 self.served.insert((o, corr), (key, stored));
-                self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{stored}"));
+                format!("cold ts{stored}")
             }
-            Frame::MissPutResp { ts } => {
-                self.nodes[h].kvs_dirty = true;
-                self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{ts}"));
+            Frame::MissPutResp { ts } => format!("cold ts{ts}"),
+            Frame::WriteBackResp { applied } => format!("applied={applied}"),
+            other => {
+                self.fail(format!("home n{h} answered rpc#{corr} with {other:?}"));
+                return resp;
             }
-            Frame::WriteBackResp { applied } => {
-                self.nodes[h].kvs_dirty = true;
-                self.log(format!(
-                    "n{h} rpc#{corr} from n{o} {what} applied={applied}"
-                ));
-            }
-            other => self.fail(format!("home n{h} answered rpc#{corr} with {other:?}")),
-        }
+        };
+        self.nodes[h].kvs_dirty |= matches!(
+            resp,
+            Frame::MissPutResp { .. } | Frame::WriteBackResp { .. }
+        );
+        self.log(format!("n{h} rpc#{corr} from n{o} {what} {outcome}"));
         resp
     }
 
     /// Resolves an RPC response arriving back at origin node `o`. An id
-    /// the process's table does not hold — a duplicate, or an answer to a
-    /// dead generation — is dropped.
+    /// the process's table does not hold — a duplicate, a late answer the
+    /// sweep gave up on, or an answer to a dead generation — is dropped.
     fn resolve_rpc(&mut self, o: usize, corr: u64, response: Frame) {
-        let Some(()) = self.nodes[o].rpcs.resolve(corr) else {
-            self.log(format!(
-                "n{o} rpc#{corr} response without a waiter; dropped"
-            ));
-            return;
+        let Some(admin) = self.nodes[o].rpcs.resolve(corr) else {
+            let dropped = format!("n{o} rpc#{corr} response without a waiter; dropped");
+            return self.log(dropped);
         };
         let served = self.served.remove(&(o, corr));
-        // The admin connection's only RPC is an eviction's write-back.
-        if !matches!(self.nodes[o].admin.wait(), Some(Wait::Rpc { corr: c }) if *c == corr) {
+        if !admin {
             return self.rpc_answered(o, corr, response, served);
         }
         self.log(format!("n{o} rpc#{corr} writeback resolved"));
         let admin = &mut self.nodes[o].admin;
         admin.resume(ResumeEvent::Rpc { corr, response });
         self.run_admin(o);
+    }
+
+    /// [`Action::Expire`]: node `n`'s clock reaches its earliest RPC
+    /// deadline, and the shipped sweep ([`node_ops::expire`]) fails every
+    /// request due; the connection waiting on each resumes with the
+    /// failure, and its late answer will find no waiter.
+    fn expire(&mut self, n: usize) {
+        self.expires_left -= 1;
+        let rpcs = &mut self.nodes[n].rpcs;
+        let now = rpcs
+            .next_deadline()
+            .expect("Expire is offered for a pending rpc");
+        for (admin, event) in node_ops::expire(rpcs, now).0 {
+            let ResumeEvent::RpcFailed { corr, .. } = event else {
+                unreachable!("the sweep fails what it expires")
+            };
+            self.log(format!("n{n} rpc#{corr} expired"));
+            self.served.remove(&(n, corr));
+            if admin {
+                self.nodes[n].admin.resume(event);
+                self.run_admin(n);
+            } else {
+                self.nodes[n].ops.resume(event);
+                self.run_session(n);
+            }
+        }
     }
 
     // ----- crash, restart, heal ---------------------------------------
@@ -864,10 +867,10 @@ impl RackModel {
     /// way the supervisor starts one — cold-version counter raised to the
     /// dead process's (a perfectly current `VersionFloor` poll; production
     /// adds `--cold-floor` slack instead) and the hot keys it homes fenced
-    /// until [`Action::Heal`] — then fresh link ends, and — per survivor —
-    /// the retained replay (receiver resumes at the survivor's confirmed
-    /// sequence), reissued invalidations for acks the survivor never
-    /// counted, and the survivor's in-doubt miss RPCs asked again. Every
+    /// until [`Action::Heal`] — then fresh link ends. Each survivor runs
+    /// its side of the shipped handshake with a process that processed
+    /// nothing ([`node_ops::handshake`]: replay, restart rule), and the
+    /// fresh receiver resumes where the replay starts (`PeerResume`). Every
     /// node then pumps its links.
     fn restart(&mut self, n: usize) {
         let nodes = self.spec.nodes;
@@ -888,49 +891,31 @@ impl RackModel {
         self.heal_needed = true;
         self.world_version += 1;
         self.log(format!("restart n{n} gen{}", self.nodes[n].gen));
-        let gen = self.nodes[n].gen;
-        for j in 0..nodes {
-            if j == n {
-                continue;
-            }
+        let gen = self.nodes[n].gen + 1;
+        for j in (0..nodes).filter(|&j| j != n) {
             self.recv.insert((n, j), RecvHalf::default());
             self.processed_ordinal.remove(&(n, j));
             self.processed_ordinal.remove(&(j, n));
-            // Survivor → restarted: the fresh process reports nothing
-            // processed, so the survivor requeues its tail from its last
-            // confirmed count, ahead of what it queued while the peer was
-            // down, and the receiver resumes there (PeerResume); frames
-            // the dead process handled beyond it are re-handled vacuously
-            // by the fresh cache. The new process's stream starts a fresh
-            // numbering.
             let survivor = self.peers.get_mut(&(j, n)).expect("link");
-            let confirmed = survivor.outbox.requeue_unprocessed(0, |_| {});
-            let confirmed = confirmed.expect("zero is never beyond sent");
-            survivor.resume(gen, 0);
-            let queued = survivor.outbox.queued().len() as u64;
-            let replayed = queued.min(self.spec.credit_window);
-            self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
+            let s = &mut self.nodes[j];
+            let shake = node_ops::handshake(survivor, &mut s.rpcs, &s.cc, n, gen, 0);
+            let shake = shake.expect("a new process, and zero is never beyond sent");
+            let queued = survivor.outbox.queued().len() - shake.reissued - shake.asked_again.len();
+            let replayed = (queued as u64).min(self.spec.credit_window);
+            let recv = self.recv.get_mut(&(j, n)).expect("link");
+            recv.resume(shake.confirmed);
             let mut fresh = Peer::new(gen, self.spec.credit_window);
-            fresh.resume(self.nodes[j].gen, confirmed);
+            fresh.resume(s.gen + 1, shake.confirmed);
             self.peers.insert((n, j), fresh);
             if replayed > 0 {
-                let last = confirmed + replayed - 1;
-                self.log(format!("replay {j}->{n} #{confirmed}..#{last}"));
+                let (first, last) = (shake.confirmed, shake.confirmed + replayed - 1);
+                self.log(format!("replay {j}->{n} #{first}..#{last}"));
             }
-            // Invalidations whose acks were never counted: reissued toward
-            // the fresh process, which acknowledges vacuously.
-            let reissued = self.nodes[j].cc.reissue_invalidations(NodeId(n as u8));
-            if !reissued.is_empty() {
-                self.log(format!("reissue n{j} -> n{n} x{}", reissued.len()));
-                self.ship(j, reissued);
+            if shake.reissued > 0 {
+                self.log(format!("reissue n{j} -> n{n} x{}", shake.reissued));
             }
-            // Requests the dead process confirmed and never answered: the
-            // replay above cannot carry them (confirmation trimmed them).
-            if !self.spec.skip_rpc_reissue {
-                for (corr, frame) in self.nodes[j].rpcs.in_doubt(n, confirmed) {
-                    self.log(format!("in-doubt n{j} rpc#{corr} -> home n{n}"));
-                    self.send_frame(j, n, frame);
-                }
+            for corr in shake.asked_again {
+                self.log(format!("in-doubt n{j} rpc#{corr} -> home n{n}"));
             }
         }
         for j in 0..nodes {
@@ -972,7 +957,7 @@ impl RackModel {
         };
         for call in calls {
             if let Frame::InstallHot { warm, .. } = call {
-                *warm &= !self.spec.unwarmed_install;
+                *warm &= self.spec.hole != Some(Hole::UnwarmedInstall);
             }
         }
         self.log(format!("admin n{n} <- {frame:?}"));
@@ -1032,40 +1017,29 @@ impl RackModel {
                 return;
             }
             let Some(action) = self.drain_action() else {
-                let stuck: Vec<String> = self
-                    .nodes
-                    .iter()
-                    .enumerate()
+                let stuck = (self.nodes.iter().enumerate())
                     .filter(|(_, s)| !s.client.is_idle() || !s.program.is_empty())
                     .map(|(n, s)| {
-                        format!(
-                            "n{n}: {} queued, current {}",
-                            s.program.len(),
-                            match self.current_op(n) {
-                                None => "none".to_string(),
-                                Some(op) => format!(
-                                    "k{} ({})",
-                                    op.key(),
-                                    match s.ops.wait() {
-                                        Some(Wait::LinCommit { .. }) => "awaiting commit",
-                                        Some(Wait::Rpc { .. }) => "awaiting rpc",
-                                        _ => "parked",
-                                    }
-                                ),
-                            }
-                        )
-                    })
-                    .collect();
+                        let current = self.current_op(n).map_or("none".to_string(), |op| {
+                            let why = match s.ops.wait() {
+                                Some(Wait::LinCommit { .. }) => "awaiting commit",
+                                Some(Wait::Rpc { .. }) => "awaiting rpc",
+                                _ => "parked",
+                            };
+                            format!("k{} ({why})", op.key())
+                        });
+                        format!("n{n}: {} queued, current {current}", s.program.len())
+                    });
                 let unconfirmed = (self.peers.iter())
                     .filter(|(_, end)| end.outbox.outstanding() > 0)
                     .map(|((i, j), end)| format!("{i}->{j} x{}", end.outbox.outstanding()));
-                let unconfirmed: Vec<String> = unconfirmed.collect();
-                self.fail(format!(
+                let (stuck, unconfirmed) =
+                    (stuck.collect::<Vec<_>>(), unconfirmed.collect::<Vec<_>>());
+                return self.fail(format!(
                     "deadlock: rack cannot quiesce [{}] unconfirmed [{}]",
                     stuck.join("; "),
                     unconfirmed.join(", ")
                 ));
-                return;
             };
             self.apply(action);
         }
@@ -1142,7 +1116,8 @@ impl RackModel {
             if self.hot_now.contains(&key) {
                 for n in 0..self.nodes.len() {
                     match self.nodes[n].cc.try_cache_get(key) {
-                        Some(CacheGet::Hit { value: v, ts: t }) if holds(key, (value, ts), &v, t) => {}
+                        Some(CacheGet::Hit { value: v, ts: t })
+                            if holds(key, (value, ts), &v, t) => {}
                         got => {
                             return self.fail(format!(
                                 "lost acked write: k{key}={value} ts{ts} missing from \

@@ -14,22 +14,24 @@
 //! read's answer carries no version, so the harness notes one, god's-eye,
 //! as each sub-request finishes: the local shard's, or the one the remote
 //! home served the newest `MissGetResp` for that key at. A crash is the
-//! client's lost connection: its unanswered puts are indeterminate, its
-//! unanswered gets fail, and the program moves on.
+//! client's lost connection, and a miss RPC the sweep expired answers its
+//! op with an error: either way a put is indeterminate, a get fails, and
+//! the program moves on.
 
 use std::sync::Arc;
 
 use cckvs::node::{CacheGet, CcNode, Outgoing};
 use cckvs_net::churn::Flip;
 use cckvs_net::client_ops::{BatchOutcome, ClientHost, Op};
+use cckvs_net::node_ops::RPC_EXPIRED;
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
-use cckvs_net::rpc::serve_home_frame;
+use cckvs_net::rpc::serve_admin_frame;
 use cckvs_net::wire::Frame;
 use consistency::history::{OpRecord, RecordKind};
 use consistency::{ConsistencyModel, Timestamp};
 
 use super::{decode_value, RackModel};
-use crate::scenario::{ProgOp, ProgStep};
+use crate::scenario::{Hole, ProgOp, ProgStep};
 
 /// The program op a client op is (values are their own tags).
 fn prog_op(op: &Op<()>) -> ProgOp {
@@ -40,7 +42,7 @@ fn prog_op(op: &Op<()>) -> ProgOp {
 }
 
 /// What settled in one call of a session's client machine, in order: the
-/// ops answered, and the puts whose answer died with a crash.
+/// ops answered, and the puts that failed and may have run.
 #[derive(Default)]
 struct Settled {
     done: Vec<(Op<()>, BatchOutcome, Timestamp)>,
@@ -119,7 +121,7 @@ impl RackModel {
 
     /// Runs session `n`'s op machine — a frame was pushed, an event queued,
     /// or its retry tick fired — and takes in what comes out.
-    fn run_session(&mut self, n: usize) {
+    pub(super) fn run_session(&mut self, n: usize) {
         let mut ops = std::mem::take(&mut self.nodes[n].ops);
         // A bounce that ends the wait for a miss RPC is that RPC's.
         let awaited_rpc = matches!(ops.wait(), Some(Wait::Rpc { .. }));
@@ -192,26 +194,24 @@ impl RackModel {
 
     /// Takes in one response frame of session `n`.
     fn answer(&mut self, n: usize, frame: Frame) {
+        let sub_requests = match &frame {
+            Frame::Batch { frames } => frames.len(),
+            _ => 1,
+        };
         let mut settled = Settled::default();
         let client = &mut self.nodes[n].client;
         let answered = client.answer(&mut settled, n, frame, (), &mut Vec::new());
+        let failed = sub_requests - settled.done.len();
         let lin = self.spec.model == ConsistencyModel::Lin;
         let corr = self.nodes[n].resolved;
         for (op, outcome, ts) in settled.done {
             let (key, local) = (op.key, self.home_of(op.key) == n);
             let noted = self.nodes[n].noted.pop_front();
             let noted = noted.expect("noted as its sub-request finished");
-            let (what, kind, cached, ts) = match outcome {
+            let (what, kind, cached) = match outcome {
                 BatchOutcome::Get { value, cached } => {
-                    let kind = RecordKind::Get {
-                        value: decode_value(&value),
-                    };
-                    (
-                        format!("get k{key}"),
-                        kind,
-                        cached,
-                        if cached { ts } else { noted },
-                    )
+                    let value = decode_value(&value);
+                    (format!("get k{key}"), RecordKind::Get { value }, cached)
                 }
                 BatchOutcome::Put { cached, .. } => {
                     let value = op.put.expect("a put settles as a put");
@@ -220,9 +220,14 @@ impl RackModel {
                         format!("put k{key}={value}"),
                         RecordKind::Put { value },
                         cached,
-                        ts,
                     )
                 }
+            };
+            // A cold read's answer carries no version: the noted one.
+            let ts = if op.put.is_none() && !cached {
+                noted
+            } else {
+                ts
             };
             // A hot Lin put is answered by its commit, a cold op at a
             // remote home by the miss RPC answered last.
@@ -248,8 +253,22 @@ impl RackModel {
                 session_seq: op.seq,
             });
         }
-        if let Err(refusal) = answered {
-            self.fail(format!("n{n}'s answer was refused: {refusal:?}"));
+        // What the answer failed reached the node all the same.
+        let noted = &mut self.nodes[n].noted;
+        noted.drain(..failed.min(noted.len()));
+        for op in settled.unsure {
+            let value = op.put.expect("only puts are indeterminate");
+            self.log(format!("n{n} put k{}={value} indeterminate", op.key));
+            (self.history).record_indeterminate_put(op.key, value, op.invoked_at);
+        }
+        // A miss RPC the sweep expired fails its op, and the client says
+        // so; any other refusal is a fault.
+        match answered {
+            Err(refusal) if refusal.to_string() == RPC_EXPIRED => {
+                self.log(format!("n{n} answered: {refusal}"));
+            }
+            Err(refusal) => self.fail(format!("n{n}'s answer was refused: {refusal:?}")),
+            Ok(()) => {}
         }
     }
 
@@ -303,7 +322,7 @@ impl RackModel {
     /// Node `n` crashed: its session's connection died with the process,
     /// and with it every request unanswered on it. The client reports the
     /// puts among them indeterminate and fails the gets; the program moves
-    /// on. (A scenario that sets `resend_lost` instead sends them again
+    /// on. (A scenario that plants `Hole::ResendLost` instead sends them again
     /// after the restart and records only the answers.)
     pub(super) fn session_lost(&mut self, n: usize) {
         let s = &mut self.nodes[n];
@@ -318,7 +337,7 @@ impl RackModel {
                 ProgOp::Get { key } => format!("n{n} lost get k{key}"),
             });
         }
-        if self.spec.resend_lost {
+        if self.spec.hole == Some(Hole::ResendLost) {
             if !lost.is_empty() {
                 self.nodes[n].program.push_front(ProgStep::Batch(lost));
             }
@@ -359,7 +378,8 @@ impl OpsHost for SimHost<'_> {
             unreachable!("ops issue only miss-path reads, writes and write-backs");
         };
         let who = if self.admin { "admin" } else { "issue" };
-        let (corr, frame) = self.m.nodes[n].rpcs.issue(home, request, (), ());
+        let rpcs = &mut self.m.nodes[n].rpcs;
+        let (corr, frame) = rpcs.issue(home, request, self.admin, self.m.clock);
         self.m
             .log(format!("{who} n{n} rpc#{corr} k{key} -> home n{home}"));
         self.m.send_frame(n, home, frame);
@@ -386,31 +406,8 @@ impl OpsHost for SimHost<'_> {
     /// sends the churn frames, served as the reactor serves them.
     fn serve(&mut self, frame: Frame) -> Served {
         let node = &self.m.nodes[self.n].cc;
-        Served::Now(match frame {
-            _ if !self.admin => return Served::Close,
-            Frame::InstallHot {
-                key,
-                value,
-                ts,
-                warm,
-            } => {
-                let install = if warm {
-                    CcNode::install_hot_warm
-                } else {
-                    CcNode::install_hot
-                };
-                let ok = install(node, key, &value, ts);
-                Frame::InstallHotResp { ok }
-            }
-            Frame::ActivateHot { key } => {
-                let ok = node.activate_hot(key);
-                Frame::ActivateHotResp { ok }
-            }
-            frame => match serve_home_frame(node, frame) {
-                Ok(response) => response,
-                Err(_) => return Served::Close,
-            },
-        })
+        let served = self.admin.then(|| serve_admin_frame(node, frame).ok());
+        served.flatten().map_or(Served::Close, Served::Now)
     }
 
     /// A dirty copy an eviction wrote back into this home's own shard is

@@ -3,18 +3,19 @@
 //! This crate drives **real** [`cckvs::node::CcNode`] instances — the same
 //! per-key SC/Lin coherence engine, symmetric cache, and home-shard rules
 //! the production server runs — plus the production reliable link
-//! ([`cckvs_net::link`]), miss-path RPC table ([`cckvs_net::rpc`]),
-//! per-connection op machine ([`cckvs_net::ops`]) and client machine
-//! ([`cckvs_net::client_ops`]), over a network that is the harness's own
-//! table of datagrams in flight, and hands every source of nondeterminism
-//! to a seeded scheduler:
+//! ([`cckvs_net::link`]), node machine ([`cckvs_net::node_ops`]), miss-path
+//! RPC table ([`cckvs_net::rpc`]), per-connection op machine
+//! ([`cckvs_net::ops`]) and client machine ([`cckvs_net::client_ops`]),
+//! over a network that is the harness's own table of datagrams in flight,
+//! and hands every source of nondeterminism to a seeded scheduler:
 //!
 //! * which in-flight datagram (invalidation, ack, update broadcast, miss
 //!   RPC, write-back) is delivered next, dropped, or duplicated;
-//! * when link-level retransmits and credit confirmations fire;
-//! * when nodes crash, when they restart (new generation, retained-frame
-//!   replay, reissued invalidations — the PR 5 reconnect contract), and
-//!   when the post-restart heal runs;
+//! * when link-level retransmits and credit confirmations fire, and when
+//!   a miss-path RPC's deadline comes;
+//! * when nodes crash, when they restart (new generation, the shipped
+//!   handshake's replay and restart rule), and when the post-restart heal
+//!   runs;
 //! * when each client session issues or retries its next operation, and
 //!   when each call of a hot-set transition ([`cckvs_net::churn`]: the
 //!   admin script's installs and evictions, the heal's evictions) is made.
@@ -32,43 +33,32 @@
 //! few deliberate simplifications, each on the *stronger-adversary* or
 //! *documented-assumption* side:
 //!
-//! * **In-order per-link processing.** Every directed node pair is a
-//!   production [`cckvs_net::link`] (not a model of one): frames queue in
-//!   its outbox and leave in that order under the scenario's credit
-//!   window, datagrams carry its numbers, the sender retains until
-//!   confirmed, the receiver hands frames up exactly once in order. A
-//!   datagram carries one frame where the reactor packs a batch; a batch
-//!   on a byte stream is its frames in order, so no order the checker can
-//!   see changes. UDP-level reorder/dup/loss still
-//!   happens *under* that layer (the scheduler delivers flights in any
-//!   order, drops and duplicates them) — exactly the adversary the link
-//!   exists to tame.
+//! * **Flights under the link.** Every directed node pair is a production
+//!   [`cckvs_net::link`] end, pumped by the shipped [`cckvs_net::node_ops`]:
+//!   a pack is one flight, and the scheduler delivers flights in any order,
+//!   drops and duplicates them — the adversary the link exists to tame.
 //! * **Versioned cold reads.** A home answers a miss-path GET exactly as
 //!   in production (`MissGetResp`, value only); the harness notes the
 //!   shard version it was served at on the side, so the checker can
-//!   attribute every read. *Stronger* instrumentation, same semantics.
+//!   attribute every read.
 //! * **Supervisor floor assumed current.** A restarted home's cold-version
 //!   counter is raised to its dead predecessor's, modeling a perfectly
 //!   synchronised supervisor `VersionFloor`. Production bounds the gap
-//!   with `--cold-floor` slack; schedules that would need a stale floor to
-//!   misbehave are out of this model's scope.
+//!   with `--cold-floor` slack.
 //! * **Churn calls never fail.** An admin connection's call is always
 //!   answered, so no schedule ends a transition `Abandoned`; that arm is
 //!   `churn.rs`'s property tests'.
 //! * **Gated crashes.** Default scenarios only crash nodes where the
-//!   production system survives: not while a home shard holds observable
-//!   in-memory cold data (durable shards are an open ROADMAP item), not
-//!   with an uncommitted Lin write pending (peers would wedge invalid),
-//!   not while a committed update sits undelivered in the dead node's
-//!   links. The `ack-then-die` scenario disables the gates and *expects*
-//!   the checker to object — keeping the exclusions honest.
-//! * **No time.** A miss-path RPC never expires, and a session's op
-//!   machine and client machine run on `()` for a clock, so a bounced op
-//!   never gives up and no deadline doorbell rings; one
-//!   that can never be answered surfaces as a deadlock at the drain, which
-//!   is what the `miss-rpc-no-reissue` negative scenario is flagged by.
-//!   The retry tick is a scheduler choice, offered once the node has seen
-//!   progress since the bounce.
+//!   production system survives (no observable in-memory cold data, no
+//!   pending Lin write, no committed update undelivered); `ack-then-die`
+//!   disables the gates and *expects* the checker to object.
+//! * **Time is a scheduler choice.** A miss-path RPC's deadline comes when
+//!   the scheduler spends the expiry budget on it (`Action::Expire`), and
+//!   the shipped sweep fails it. The op and client machines run on `()` for
+//!   a clock, so a bounced op never gives up and no deadline doorbell
+//!   rings; the retry tick is offered once the node has seen progress since
+//!   the bounce. An op that can never be answered surfaces as a deadlock at
+//!   the drain, which is what `miss-rpc-no-reissue` is flagged by.
 //!
 //! # Entry points
 //!
@@ -83,5 +73,5 @@ pub mod sched;
 
 pub use explore::{explore, replay, ExploreReport};
 pub use harness::{run_schedule, Action, RackModel, RunOutcome};
-pub use scenario::{AdminStep, ProgOp, ProgStep, ScenarioSpec};
+pub use scenario::{AdminStep, Hole, ProgOp, ProgStep, ScenarioSpec};
 pub use sched::{Seed, SplitMix64};

@@ -11,6 +11,7 @@
 //! all depend on where a key's home is relative to its writers.
 
 use cckvs::{CcNode, NodeConfig};
+use cckvs_net::rpc::Mutant;
 use cckvs_net::server::FlowConfig;
 use consistency::ConsistencyModel::{self, Lin, Sc};
 
@@ -104,34 +105,39 @@ pub struct ScenarioSpec {
     pub dup_budget: u32,
     /// How many node crashes the scheduler may inject.
     pub crash_budget: u32,
+    /// How many times the scheduler may advance a node's clock to its
+    /// earliest miss-path RPC deadline, so that the sweep fails it.
+    pub expire_budget: u32,
     /// How many frames each directed link may have on the wire
     /// unconfirmed: the production default unless the scenario narrows it.
     pub credit_window: u64,
-    /// Disables the crash-safety gates (see `harness::RackModel::can_crash`)
-    /// so crashes may land inside the protocol windows the production
-    /// system does **not** survive (ack-then-die, committed-value-only-in-
-    /// cache, in-memory cold data). Used by the negative scenario to prove
-    /// the checker detects the resulting violations.
-    pub unsafe_crashes: bool,
-    /// Skips the survivors' in-doubt miss-RPC reissue on a peer's restart
-    /// (see `harness::RackModel::restart`). Test-only, like
-    /// `unsafe_crashes`: the negative twin of `miss-rpc-crash` sets it to
-    /// prove the checker sees the op that never completes.
-    pub skip_rpc_reissue: bool,
-    /// Sends a crashed node's unanswered requests again after the restart
-    /// and records only their answers, instead of the client's rule (puts
-    /// indeterminate, never re-sent). Test-only, like `unsafe_crashes`: the
-    /// negative twin of `client-crash-mid-batch` sets it.
-    pub resend_lost: bool,
     /// A node whose cache holds one key: a second install there is full.
     pub tiny_cache: Option<usize>,
-    /// Fills every install's replicas active, not warm. Test-only, like
-    /// `unsafe_crashes`: the `install-unwarmed` negative scenario sets it.
-    pub unwarmed_install: bool,
-    /// Whether the scenario is *expected* to produce violations (negative
-    /// scenarios assert the checker's discrimination; the CI gate inverts
-    /// for them).
-    pub expect_violation: bool,
+    /// The hole a negative scenario plants: the checker must find
+    /// violations in it (the CI gate inverts), or it is blind to that hole.
+    pub hole: Option<Hole>,
+}
+
+/// A known hole a negative scenario plants in the rack under test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hole {
+    /// No crash-safety gates (`harness::RackModel::can_crash`): crashes land
+    /// in the windows the production system does not survive.
+    UnsafeCrashes,
+    /// A rule of every process's shipped RPC table broken.
+    Mutant(Mutant),
+    /// A crashed node's unanswered requests are sent again after the
+    /// restart and only their answers recorded, against the client's rule.
+    ResendLost,
+    /// Every install fills its replicas active, not warm.
+    UnwarmedInstall,
+}
+
+impl ScenarioSpec {
+    /// Whether the scenario is a negative one: it plants a [`Hole`].
+    pub fn expect_violation(&self) -> bool {
+        self.hole.is_some()
+    }
 }
 
 /// Finds a key `>= salt` homed at `home` under an `nodes`-node shard map.
@@ -159,10 +165,12 @@ pub fn all() -> Vec<ScenarioSpec> {
         install_rollback(),
         flip_two_keys(),
         client_crash_mid_batch(),
+        rpc_deadline_races_answer(),
         ack_then_die(),
         miss_rpc_no_reissue(),
         install_unwarmed(),
         client_resend_lost(),
+        rpc_deadline_recycles_id(),
     ]
 }
 
@@ -194,13 +202,10 @@ impl ScenarioSpec {
             drop_budget: 0,
             dup_budget: 0,
             crash_budget: 0,
+            expire_budget: 0,
             credit_window: FlowConfig::default().credit_window,
-            unsafe_crashes: false,
-            skip_rpc_reissue: false,
-            resend_lost: false,
             tiny_cache: None,
-            unwarmed_install: false,
-            expect_violation: false,
+            hole: None,
         }
     }
 }
@@ -303,8 +308,7 @@ pub fn install_unwarmed() -> ScenarioSpec {
             each([get(c), get(c)]),
         ],
         admin_script: vec![AdminStep::Install(vec![c])],
-        unwarmed_install: true,
-        expect_violation: true,
+        hole: Some(Hole::UnwarmedInstall),
         ..ScenarioSpec::new("install-unwarmed", about, Lin, 3)
     }
 }
@@ -380,8 +384,7 @@ pub fn ack_then_die() -> ScenarioSpec {
             each([get(h), put(h, 1121)]),
         ],
         crash_budget: 1,
-        unsafe_crashes: true,
-        expect_violation: true,
+        hole: Some(Hole::UnsafeCrashes),
         ..ScenarioSpec::new("ack-then-die", about, Lin, 3)
     }
 }
@@ -410,6 +413,37 @@ pub fn miss_rpc_crash() -> ScenarioSpec {
     }
 }
 
+/// Node 0's cold reads and writes of keys homed at node 1 may outlive
+/// their deadlines: the scheduler advances node 0's clock to the earliest
+/// one, and the shipped sweep fails the op while its request or its answer
+/// is still on the link. The late answer finds no waiter and is dropped;
+/// the read fails, the write is indeterminate (its home may have run it),
+/// and the session moves on. Node 1 writes and reads the same keys, and
+/// every read must be explained by a write that ran.
+pub fn rpc_deadline_races_answer() -> ScenarioSpec {
+    let [a, b] = [2700, 2750].map(|salt| key_homed_at(2, 1, salt));
+    let about = "miss RPCs expire while their answers are in flight; late answers are dropped";
+    ScenarioSpec {
+        programs: vec![
+            each([get(a), put(b, 2701), get(b), get(a)]),
+            each([put(a, 2711), get(b)]),
+        ],
+        expire_budget: 2,
+        ..ScenarioSpec::new("rpc-deadline-races-answer", about, Lin, 2)
+    }
+}
+
+/// Negative twin of [`rpc_deadline_races_answer`]: an id the sweep expired
+/// is issued again, so a late answer reaches the next request's waiter.
+pub fn rpc_deadline_recycles_id() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "rpc-deadline-recycles-id",
+        about: "expired ids recycled (negative): a late answer reaches the wrong op",
+        hole: Some(Hole::Mutant(Mutant::RecycleIds)),
+        ..rpc_deadline_races_answer()
+    }
+}
+
 /// Negative twin of [`miss_rpc_crash`]: the same rack with the in-doubt
 /// reissue skipped. Some schedule must strand an op forever (reported as a
 /// deadlock) — a clean pass would mean the positive scenario never reaches
@@ -418,8 +452,7 @@ pub fn miss_rpc_no_reissue() -> ScenarioSpec {
     ScenarioSpec {
         name: "miss-rpc-no-reissue",
         about: "in-doubt reissue skipped (negative): the checker must catch the stranded op",
-        skip_rpc_reissue: true,
-        expect_violation: true,
+        hole: Some(Hole::Mutant(Mutant::NoReissue)),
         ..miss_rpc_crash()
     }
 }
@@ -500,8 +533,7 @@ pub fn client_resend_lost() -> ScenarioSpec {
         name: "client-resend-lost",
         about:
             "lost requests re-sent blindly (negative): the checker must catch the twice-run write",
-        resend_lost: true,
-        expect_violation: true,
+        hole: Some(Hole::ResendLost),
         ..client_crash_mid_batch()
     }
 }

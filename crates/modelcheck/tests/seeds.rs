@@ -50,10 +50,17 @@
 //! crash of a node with a request in flight is another walk.
 //! `credit-window-crash`'s pinned window moved to another seed, found again
 //! by the property its test names.
+//!
+//! Left as they were when the restart rule, the lap's pump, shipping and
+//! the RPC deadline sweep became the shipped `node_ops` machine: every
+//! scenario that existed then replays byte-identically. Two scenarios
+//! joined, `rpc-deadline-races-answer` and its negative twin.
 
 use cckvs_modelcheck::explore::{explore, replay};
 use cckvs_modelcheck::scenario::by_name;
 use cckvs_modelcheck::sched::Seed;
+use cckvs_modelcheck::Hole;
+use cckvs_net::rpc::Mutant;
 
 const DEPTH: usize = 400;
 
@@ -234,7 +241,7 @@ fn install_rollback_seed_evicts_the_node_that_took_the_key() {
 #[test]
 fn unwarmed_installs_are_caught_by_the_checker() {
     let spec = by_name("install-unwarmed").expect("scenario exists");
-    assert!(spec.expect_violation && spec.unwarmed_install);
+    assert_eq!(spec.hole, Some(Hole::UnwarmedInstall));
     let report = explore(&spec, 1, 200, 400);
     assert!(
         !report.violations.is_empty(),
@@ -257,7 +264,7 @@ fn has(outcome: &cckvs_modelcheck::RunOutcome, event: &str) -> bool {
 #[test]
 fn skipped_in_doubt_reissue_seed_is_flagged() {
     let spec = by_name("miss-rpc-no-reissue").expect("scenario exists");
-    assert!(spec.expect_violation && spec.skip_rpc_reissue);
+    assert_eq!(spec.hole, Some(Hole::Mutant(Mutant::NoReissue)));
     let outcome = replay_seed("miss-rpc-no-reissue:0000000000000024");
     let why = outcome.violation.expect("the stranded op is a violation");
     assert!(
@@ -301,7 +308,7 @@ fn a_batch_lost_mid_flight_is_indeterminate_and_never_resent() {
     let why = twin.violation.expect("the twice-run write is a violation");
     assert!(why.contains("returned timestamp (1, n0) that no recorded put produced"));
     let spec = by_name("client-resend-lost").expect("scenario exists");
-    assert!(spec.expect_violation && spec.resend_lost);
+    assert_eq!(spec.hole, Some(Hole::ResendLost));
     let report = explore(&spec, 1, 200, 400);
     assert!(
         !report.violations.is_empty(),
@@ -310,6 +317,49 @@ fn a_batch_lost_mid_flight_is_indeterminate_and_never_resent() {
     for (seed, why) in &report.violations {
         assert!(why.contains("history check failed"), "{seed}: {why}");
     }
+}
+
+/// `rpc-deadline-races-answer`'s window: n0's cold put and then its cold
+/// get reach their home and are answered, and the sweep expires each while
+/// its answer is on the link. The put is indeterminate, the get fails, the
+/// session accepts both errors and moves on, and each late answer finds no
+/// waiter. The negative twin recycles an expired id: a late answer reaches
+/// the next op, and the checker flags what it returned.
+#[test]
+fn an_rpc_expired_with_its_answer_in_flight_settles_once() {
+    let outcome = replay_seed("rpc-deadline-races-answer:0000000000000001");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    let events = &outcome.events;
+    let at = |m: &str| {
+        let found = events.iter().position(|e| e.starts_with(m));
+        found.unwrap_or_else(|| panic!("no {m:?} in {events:#?}"))
+    };
+    for (corr, what) in [(2, "put"), (3, "get")] {
+        let served = at(&format!("n1 rpc#{corr} from n0 {what} k2750 cold"));
+        let expired = at(&format!("n0 rpc#{corr} expired"));
+        let dropped = at(&format!("n0 rpc#{corr} response without a waiter; dropped"));
+        assert!(served < expired && expired < dropped);
+    }
+    assert!(at("n0 rpc#2 expired") < at("n0 put k2750=2701 indeterminate"));
+    let failed = |e: &&String| *e == "n0 answered: miss-path rpc exceeded its redial budget";
+    assert_eq!(
+        events.iter().filter(failed).count(),
+        2,
+        "each op settles once"
+    );
+
+    let twin = replay_seed("rpc-deadline-recycles-id:0000000000000002");
+    let at = |m: &str| twin.events.iter().position(|e| e.starts_with(m)).expect(m);
+    assert!(at("n0 rpc#1 expired") < at("n0 rpc#1 get resolved"));
+    let why = twin.violation.expect("a late answer reached the wrong op");
+    assert!(why.contains("get of key 2750"), "{why}");
+    let spec = by_name("rpc-deadline-recycles-id").expect("scenario exists");
+    assert_eq!(spec.hole, Some(Hole::Mutant(Mutant::RecycleIds)));
+    let report = explore(&spec, 1, 60, 400);
+    assert!(
+        !report.violations.is_empty(),
+        "60 schedules never handed a late answer to a recycled id"
+    );
 }
 
 /// Per scenario, the fingerprints of seeds 1..=10 at depth 400, folded in
@@ -331,10 +381,12 @@ const LOG_DIGESTS: &[(&str, u64)] = &[
     ("install-rollback", 0xd4bd23939005e129),
     ("flip-two-keys", 0x0543e5830df25473),
     ("client-crash-mid-batch", 0x1dfe8683688af24d),
+    ("rpc-deadline-races-answer", 0xac38821dabf57894),
     ("ack-then-die", 0x90fc1b36a7ae093a),
     ("miss-rpc-no-reissue", 0x7906612d5009c2cf),
     ("install-unwarmed", 0x470630172190d4c8),
     ("client-resend-lost", 0x279a857664231666),
+    ("rpc-deadline-recycles-id", 0xed769538eae09bc4),
 ];
 
 #[test]
@@ -390,7 +442,7 @@ fn exploration_is_deterministic_per_seed() {
 #[test]
 fn unsafe_crashes_are_caught_by_the_checker() {
     let spec = by_name("ack-then-die").expect("scenario exists");
-    assert!(spec.expect_violation);
+    assert_eq!(spec.hole, Some(Hole::UnsafeCrashes));
     let report = explore(&spec, 1, 30, 300);
     assert!(
         !report.violations.is_empty(),

@@ -1,16 +1,16 @@
-//! What a node does with what a peer sends, each written once: the link
-//! items a [`crate::link::Peer`] receives ([`serve_peer`]), what a home
-//! shard answers to a miss-path frame ([`serve_home_frame`]), and what a
-//! requester remembers about a correlated miss-path RPC until it resolves
-//! ([`RpcTable`]).
+//! What a node does with what a peer or an admin caller sends, each
+//! written once: the link items a [`crate::link::Peer`] receives
+//! ([`serve_peer`]), what a home shard answers to a miss-path frame
+//! ([`serve_home_frame`]) and a node to an admin frame
+//! ([`serve_admin_frame`]), and what a requester remembers about a
+//! correlated miss-path RPC until it resolves ([`RpcTable`]).
 //!
 //! Like [`crate::link`], nothing here owns a socket, a thread, a lock or a
-//! clock. The reactor server serves peer items through its [`PeerHost`],
-//! wraps one table in a mutex, feeds it [`std::time::Instant`]s and turns
-//! its outputs into link traffic and resumed connections;
-//! `cckvs-modelcheck`'s `RackModel` is the other [`PeerHost`], holds one
-//! table per simulated process and lets its scheduler pick every delivery,
-//! crash and restart.
+//! clock. The reactor server serves peer items through its [`PeerHost`]
+//! and wraps one table in a mutex; `cckvs-modelcheck`'s `RackModel` is the
+//! other [`PeerHost`] and holds one table per simulated process. Both run
+//! the table's restart rule and deadline sweep through
+//! [`crate::node_ops`].
 //!
 //! A request travels as [`Frame::RpcReq`] over the crash-surviving peer
 //! link and is answered by a [`Frame::RpcResp`] carrying the same
@@ -121,6 +121,33 @@ pub fn serve_home_frame(node: &CcNode, frame: Frame) -> io::Result<Frame> {
     })
 }
 
+/// Serves one frame an admin caller (the epoch coordinator, the
+/// supervisor's heal) sends a node: a cache fill ([`Frame::InstallHot`],
+/// [`Frame::ActivateHot`]) or a home-shard frame ([`serve_home_frame`]).
+pub fn serve_admin_frame(node: &CcNode, frame: Frame) -> io::Result<Frame> {
+    Ok(match frame {
+        Frame::InstallHot {
+            key,
+            value,
+            ts,
+            warm,
+        } => {
+            let install = if warm {
+                CcNode::install_hot_warm
+            } else {
+                CcNode::install_hot
+            };
+            Frame::InstallHotResp {
+                ok: install(node, key, &value, ts),
+            }
+        }
+        Frame::ActivateHot { key } => Frame::ActivateHotResp {
+            ok: node.activate_hot(key),
+        },
+        frame => return serve_home_frame(node, frame),
+    })
+}
+
 /// One miss-path request in flight toward `peer`.
 #[derive(Debug)]
 struct Pending<W, T> {
@@ -144,6 +171,20 @@ struct Pending<W, T> {
 pub struct RpcTable<W, T = Instant> {
     next_corr: u64,
     pending: BTreeMap<u64, Pending<W, T>>,
+    /// A rule broken on purpose (negative model-check scenarios only).
+    #[doc(hidden)]
+    pub mutant: Option<Mutant>,
+}
+
+/// A rule of the [`RpcTable`] broken on purpose: the model checker's
+/// negative scenarios must flag the result. The server plants none.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutant {
+    /// [`RpcTable::in_doubt`] names nothing.
+    NoReissue,
+    /// An issue after an expiry reuses the expired id.
+    RecycleIds,
 }
 
 impl<W, T: Copy + Ord> RpcTable<W, T> {
@@ -155,6 +196,7 @@ impl<W, T: Copy + Ord> RpcTable<W, T> {
         RpcTable {
             next_corr: first_corr,
             pending: BTreeMap::new(),
+            mutant: None,
         }
     }
 
@@ -209,6 +251,9 @@ impl<W, T: Copy + Ord> RpcTable<W, T> {
     /// under their old ids, each at most once per restart. Requests at or
     /// past `confirmed`, or not yet packed, ride the link's own replay.
     pub fn in_doubt(&mut self, peer: usize, confirmed: u64) -> Vec<(u64, Frame)> {
+        if self.mutant == Some(Mutant::NoReissue) {
+            return Vec::new();
+        }
         self.pending
             .iter_mut()
             .filter(|(_, e)| e.peer == peer && e.seq.is_some_and(|seq| seq < confirmed))
@@ -226,14 +271,18 @@ impl<W, T: Copy + Ord> RpcTable<W, T> {
     /// Removes and returns every request whose deadline is at or before
     /// `now`.
     pub fn expired(&mut self, now: T) -> Vec<(u64, W)> {
-        self.pending
+        let expired: Vec<(u64, W)> = (self.pending)
             .extract_if(.., |_, e| now >= e.deadline)
             .map(|(corr, entry)| (corr, entry.waiter))
-            .collect()
+            .collect();
+        if let (Some(Mutant::RecycleIds), Some(&(corr, _))) = (self.mutant, expired.first()) {
+            self.next_corr = corr;
+        }
+        expired
     }
 
     /// The nearest deadline of a request in flight.
-    pub(crate) fn next_deadline(&self) -> Option<T> {
+    pub fn next_deadline(&self) -> Option<T> {
         self.pending.values().map(|e| e.deadline).min()
     }
 

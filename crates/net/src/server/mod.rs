@@ -58,37 +58,33 @@
 //! with the window wide open: nothing reads the peer's credits any more.
 //!
 //! Crash recovery (peers are separate OS processes that die and come
-//! back): every peer link is a `PeerLink` that survives its
-//! connection. Messages are retained until the peer confirms
-//! *processing* them through cumulative [`Frame::Credit`] acknowledgements
-//! (TCP-ack style: idempotent, loss-proof), so when a link dies the
-//! unconfirmed tail is replayed after the redial handshake — exactly once,
-//! in order. The handshake ([`Frame::PeerHello`] →
-//! [`Frame::PeerHelloAck`] → [`Frame::PeerResume`]) carries *process
-//! generations* and reconciles both directions: a restarted peer is
-//! detected on either side, its stale connections and confirmations are
-//! rejected,
-//! and every local pending Lin write reissues its invalidation toward the
-//! restarted (now empty, vacuously acknowledging) peer — per-node ack
-//! bitmasks in the protocol engine make duplicate acknowledgements
-//! harmless. While a peer is down, outbound coherence traffic parks in the
-//! link's outbox (bounded by `PARK_MAX`) and, on the lower-id side of
-//! the pair, a redial thread retries with exponential backoff (the higher
-//! side waits to be dialed); miss-path RPCs ride it out within
+//! back): every peer link is a `PeerLink` that survives its connection.
+//! Messages are retained until the peer confirms *processing* them through
+//! cumulative [`Frame::Credit`] acknowledgements, so when a link dies the
+//! unconfirmed tail is replayed after the redial handshake
+//! ([`Frame::PeerHello`] → [`Frame::PeerHelloAck`] → [`Frame::PeerResume`]),
+//! exactly once, in order. The handshake carries *process generations*:
+//! a restarted peer is detected on either side, its stale connections and
+//! confirmations are rejected, and [`node_ops::handshake`]'s restart rule
+//! reissues invalidations and in-doubt miss-path RPCs toward it. While a
+//! peer is down, outbound coherence traffic parks in the link's outbox
+//! (bounded by `PARK_MAX`) and, on the lower-id side of the pair, a redial
+//! thread retries with exponential backoff (the higher side waits to be
+//! dialed); miss-path RPCs ride it out within
 //! [`NodeServerConfig::rpc_retry`]. The serving node keeps answering for
 //! every key the dead peer does not home.
 
 use crate::client::Conn;
-use crate::link::{Item, Peer, PEER_BATCH_MAX_BYTES};
+use crate::link::{Item, Pack, Peer, PEER_BATCH_MAX_BYTES};
 use crate::metrics::{Metrics, MetricsServer};
+use crate::node_ops::{self, NodeItem};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
-use crate::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
+use crate::rpc::{serve_admin_frame, serve_home_frame, serve_peer, PeerHost, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{encode_frame_into, write_frame, BatchBuilder, Frame, FrameDecoder};
 use cckvs::node::{CcNode, NodeConfig, Outgoing};
 use cckvs_trace::{Event as TraceEvent, EventKind, TraceSink, NO_PEER, SHARED_LANE};
-use consistency::engine::Destination;
-use consistency::lamport::{NodeId, Timestamp};
+use consistency::lamport::Timestamp;
 use consistency::messages::ProtocolMsg;
 use parking_lot::{Condvar, Mutex};
 use reactor::{Events, Interest, Poller, Token, Waker, WriteBuf};
@@ -169,6 +165,26 @@ impl LinkItem {
     }
 }
 
+/// What the node machine queues itself: a reissued invalidation, an
+/// in-doubt request asked again.
+impl From<Frame> for LinkItem {
+    fn from(frame: Frame) -> Self {
+        match frame {
+            Frame::Protocol { msg, bytes } => LinkItem::Protocol(msg, bytes.map(Arc::from), None),
+            frame => LinkItem::Rpc(frame),
+        }
+    }
+}
+
+impl NodeItem for LinkItem {
+    fn request(&self) -> Option<u64> {
+        match self {
+            LinkItem::Rpc(Frame::RpcReq { corr, .. }) => Some(*corr),
+            _ => None,
+        }
+    }
+}
+
 impl Item for LinkItem {
     fn payload_len(&self) -> usize {
         match self {
@@ -193,17 +209,9 @@ impl Item for LinkItem {
 /// connection comes and goes (adopted by the owning shard while up; while
 /// down the lower node id redials from a background thread, the higher
 /// waits); the link — queued traffic, the sent-but-unconfirmed tail, and
-/// both directions' sequence counters — persists across reconnects.
-///
-/// Queueing, sequencing, packing and taking in are [`crate::link`]'s
-/// [`Peer`]: items leave in the order they were queued, so one key's
-/// messages keep theirs, and each is numbered for the life of this process
-/// and retained until the peer's cumulative [`Frame::Credit`]
-/// confirmations cover it. On redial the handshake tells each side how far
-/// the other really processed; each requeues its unprocessed tail at the
-/// front of its outbox — the repack assigns the same numbers, so the peer
-/// (aligned by the resume sequence, [`Peer::resume`]) sees every message
-/// exactly once, in order.
+/// both directions' sequence counters — persists across reconnects, in a
+/// [`crate::link`] [`Peer`] that [`node_ops`] runs the handshake and the
+/// pump over.
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`
     /// — so frame processing, credit returns, replay and pumping never race
@@ -281,14 +289,11 @@ struct ServerInner {
     /// Peer listen addresses (redials and the coordinator's admin conns);
     /// empty until [`NodeServer::connect_peers`] supplies them.
     peer_addrs: Mutex<Vec<SocketAddr>>,
-    /// Pending correlated miss-path RPCs ([`crate::rpc`]). An arriving
-    /// [`Frame::RpcResp`] takes its entry out and resumes the waiter; a
-    /// response whose id is absent (duplicate after a restart reissue, a
-    /// late answer after the deadline sweep gave up, an answer addressed
-    /// to this node's dead predecessor) is dropped. Deadlines are
-    /// transport deadlines: past one the RPC fails with a timeout (the
-    /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]), on
-    /// the sweep tick of the shard that issued it ([`Shard::sweep_rpcs`]).
+    /// Pending correlated miss-path RPCs ([`crate::rpc`]): an arriving
+    /// [`Frame::RpcResp`] takes its entry out and resumes the waiter, and
+    /// one whose id is absent is dropped. Past [`NodeServerConfig::rpc_retry`]
+    /// the sweep tick of the shard that issued it fails it
+    /// ([`Shard::sweep_rpcs`]).
     rpcs: Mutex<RpcTable<RpcWaiter>>,
     /// Batching / flow-control knobs.
     flow: FlowConfig,
@@ -349,7 +354,7 @@ impl ServerInner {
     /// causally linked across nodes. Per-peer send events are recorded
     /// here — the enqueue is the fan-out point.
     fn ship(&self, outgoing: Vec<Outgoing>, trace: Option<u64>) {
-        let push = |peer: usize, msg: ProtocolMsg, bytes: Option<Arc<[u8]>>| {
+        node_ops::ship(&self.node, outgoing, |peer, msg, bytes| {
             let kind = match msg {
                 ProtocolMsg::Invalidation { .. } => Some(EventKind::InvSend),
                 ProtocolMsg::Update { .. } => Some(EventKind::UpdateSend),
@@ -365,19 +370,7 @@ impl ServerInner {
             if self.enqueue(peer, LinkItem::Protocol(msg, bytes, trace)) {
                 self.metrics.record_protocol_out(1);
             }
-        };
-        for Outgoing { dest, msg, bytes } in outgoing {
-            match dest {
-                Destination::Broadcast => {
-                    for peer in 0..self.node.config().nodes {
-                        if peer != self.node.node() {
-                            push(peer, msg, bytes.clone());
-                        }
-                    }
-                }
-                Destination::To(node) => push(node.0 as usize, msg, bytes),
-            }
-        }
+        });
     }
 
     /// Queues `item` on the crash-surviving link to `peer` and wakes the
@@ -422,24 +415,17 @@ impl ServerInner {
         out
     }
 
-    /// Takes `corr` out of the pending-RPC table and hands `result` to its
-    /// waiter; late and duplicate responses find nothing and are dropped.
-    fn resolve_rpc(&self, corr: u64, result: io::Result<Frame>) {
+    /// Takes `corr` out of the pending-RPC table and hands `response` to
+    /// its waiter; late and duplicate responses find nothing and are
+    /// dropped.
+    fn resolve_rpc(&self, corr: u64, response: Frame) {
         if let Some(waiter) = self.with_rpcs(|table| table.resolve(corr)) {
-            self.wake_rpc(corr, waiter, result);
+            self.wake_rpc(waiter, ResumeEvent::Rpc { corr, response });
         }
     }
 
-    /// Hands the outcome of RPC `corr`, already out of the table, to its
-    /// waiter.
-    fn wake_rpc(&self, corr: u64, waiter: RpcWaiter, result: io::Result<Frame>) {
-        let event = match result {
-            Ok(response) => ResumeEvent::Rpc { corr, response },
-            Err(e) => ResumeEvent::RpcFailed {
-                corr,
-                message: e.to_string(),
-            },
-        };
+    /// Hands the outcome of an RPC already out of the table to its waiter.
+    fn wake_rpc(&self, waiter: RpcWaiter, event: ResumeEvent) {
         self.shard(waiter.shard).send(ShardMsg::Resume {
             token: waiter.token,
             sent_at: Instant::now(),
@@ -458,39 +444,6 @@ impl ServerInner {
             .map(|link| link.peer.lock().outbox.queued().len() as u64)
             .sum();
         self.metrics.set_parked(total);
-    }
-
-    /// A peer's process died and a new one took its place (detected by a
-    /// generation change on either link direction). Reissue the
-    /// invalidation of every local pending Lin write the dead process
-    /// never acknowledged: the original invalidation or its ack died with
-    /// the old process, and the blocked writer would otherwise wait
-    /// forever. The restarted peer acknowledges vacuously (its cache is
-    /// empty); per-node ack bitmasks dedupe the cases where the old
-    /// process *had* acknowledged.
-    fn peer_restarted(&self, peer: usize) {
-        let reissue = self.node.reissue_invalidations(NodeId(peer as u8));
-        if !reissue.is_empty() {
-            self.metrics.record_reissued(reissue.len() as u64);
-            self.ship(reissue, None);
-        }
-        // In-doubt miss-path RPCs: the dead process confirmed the request
-        // but its answer died with it. Ask again under the SAME correlation
-        // id — if the old answer somehow raced out first, the entry is
-        // already gone and the duplicate response is dropped.
-        let confirmed = self.link(peer).peer.lock().outbox.confirmed();
-        let in_doubt = self.rpcs.lock().in_doubt(peer, confirmed);
-        for (corr, frame) in in_doubt {
-            if !self.enqueue(peer, LinkItem::Rpc(frame)) {
-                self.resolve_rpc(
-                    corr,
-                    Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "peer link overflowed while reissuing rpc",
-                    )),
-                );
-            }
-        }
     }
 
     /// The owning shard pumps a handshaken connection of the link to
@@ -542,34 +495,37 @@ impl ServerInner {
             });
     }
 
-    /// One direction of the reconnect handshake: `peer` has processed the
-    /// first `processed` messages of this node's stream. Requeues the rest
-    /// for replay under their original numbers and returns the (1-based)
-    /// wire sequence the replay starts at. A count beyond what was sent is
+    /// This node's side of a handshake with `peer`'s process `gen`, which
+    /// processed the first `processed` items of this node's stream
+    /// ([`node_ops::handshake`]: the replay, and the restart rule when the
+    /// process is new). Returns the (1-based) wire sequence the replay
+    /// starts at. A stale generation or a count beyond what was sent is
     /// rejected and changes nothing.
-    fn requeue_unprocessed(&self, peer: usize, processed: u64) -> io::Result<u64> {
-        let mut replayed = 0;
-        let confirmed = (self.link(peer).peer.lock())
-            .outbox
-            .requeue_unprocessed(processed, |item| {
-                replayed += 1;
-                // A sampled op's message keeps its original trace id across
-                // the replay (exactly once — the requeued item IS the
-                // retained original); the Replay event marks the detour on
-                // the timeline.
-                let (trace, key) = (item.trace(), item.key());
-                self.trace_event(trace, SHARED_LANE, EventKind::Replay, key, peer as u8);
-            })
-            .map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("peer {peer} claims {e} (confirmation from a different generation?)"),
-                )
-            })?;
-        if replayed > 0 {
-            self.metrics.record_peer_replayed(replayed);
+    fn handshake(&self, peer: usize, gen: u64, processed: u64) -> io::Result<u64> {
+        let mut end = self.link(peer).peer.lock();
+        let reconnect = end.peer_gen() != 0;
+        let (node, rpcs) = (&self.node, &mut *self.rpcs.lock());
+        let shake = node_ops::handshake(&mut end, rpcs, node, peer, gen, processed);
+        let shake = shake.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // A sampled op's message keeps its original trace id across the
+        // replay (exactly once — the requeued item IS the retained
+        // original); the Replay event marks the detour on the timeline.
+        for item in end.outbox.queued().take(shake.replayed as usize) {
+            let (trace, key) = (item.trace(), item.key());
+            self.trace_event(trace, SHARED_LANE, EventKind::Replay, key, peer as u8);
         }
-        Ok(confirmed + 1)
+        drop(end);
+        if shake.replayed > 0 {
+            self.metrics.record_peer_replayed(shake.replayed);
+        }
+        if reconnect {
+            self.metrics.record_peer_reconnect();
+        }
+        if shake.reissued > 0 {
+            self.metrics.record_reissued(shake.reissued as u64);
+            self.metrics.record_protocol_out(shake.reissued as u64);
+        }
+        Ok(shake.confirmed + 1)
     }
 
     /// Dials the link to `peer` (a higher node id) and runs the blocking
@@ -601,7 +557,7 @@ impl ServerInner {
                 processed,
                 gen,
                 start_seq,
-            }) if gen >= prev_gen.max(1) && start_seq > 0 => (processed, gen, start_seq),
+            }) if start_seq > 0 => (processed, gen, start_seq),
             Some(other) => {
                 let message = format!("unexpected peer-hello response {other:?}");
                 return Err(io::Error::new(io::ErrorKind::InvalidData, message));
@@ -615,20 +571,11 @@ impl ServerInner {
         };
         // Reconcile before anything else is touched: an ack claiming more
         // than was sent fails here and has changed nothing.
-        let start_seq = self.requeue_unprocessed(peer, processed)?;
+        let start_seq = self.handshake(peer, peer_gen, processed)?;
         link.peer.lock().resume(peer_gen, peer_start - 1);
         write_frame(&mut stream, &Frame::PeerResume { start_seq })?;
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
-        if prev_gen != 0 {
-            self.metrics.record_peer_reconnect();
-            // A different generation than last time means the old peer
-            // process is gone: reissue invalidations its death may have
-            // stranded.
-            if prev_gen != peer_gen {
-                self.peer_restarted(peer);
-            }
-        }
         let role = Role::peer(peer, link, true);
         self.shard(link.shard)
             .send(ShardMsg::Adopt(Box::new(ConnState::new(stream, role))));
@@ -662,14 +609,8 @@ impl ServerInner {
             // Fail every pending RPC so no continuation is stranded
             // waiting on a response that will never be read.
             for (corr, waiter) in self.with_rpcs(RpcTable::drain) {
-                self.wake_rpc(
-                    corr,
-                    waiter,
-                    Err(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        "node shutting down",
-                    )),
-                );
+                let message = "node shutting down".to_string();
+                self.wake_rpc(waiter, ResumeEvent::RpcFailed { corr, message });
             }
             let mut stopped = self.stopped.lock();
             *stopped = true;
@@ -1016,26 +957,20 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Fra
             dropped: inner.sink.dropped(),
             events: inner.sink.dump(),
         },
-        Frame::InstallHot {
-            key,
-            value,
-            ts,
-            warm,
-        } => {
-            let ok = if warm {
-                inner.node.install_hot_warm(key, &value, ts)
-            } else {
-                inner.node.install_hot(key, &value, ts)
+        fill @ (Frame::InstallHot { .. } | Frame::ActivateHot { .. }) => {
+            let install = match &fill {
+                Frame::InstallHot { key, .. } => Some(*key),
+                _ => None,
             };
+            let response = serve_admin_frame(&inner.node, fill).ok()?;
             // Coordinator bookkeeping: the key joined the hot set.
-            if let (true, Some(churn)) = (ok, &inner.churn) {
+            if let (Some(key), Frame::InstallHotResp { ok: true }, Some(churn)) =
+                (install, &response, &inner.churn)
+            {
                 churn.installed.lock().insert(key);
             }
-            Frame::InstallHotResp { ok }
+            response
         }
-        Frame::ActivateHot { key } => Frame::ActivateHotResp {
-            ok: inner.node.activate_hot(key),
-        },
         Frame::Ping => Frame::Pong,
         Frame::VersionFloor => Frame::VersionFloorResp {
             clock: inner.node.cold_version(),

@@ -276,7 +276,7 @@ impl PeerHost for PeerServe<'_> {
     }
 
     fn resolve(&mut self, corr: u64, response: Frame) {
-        self.inner.resolve_rpc(corr, Ok(response));
+        self.inner.resolve_rpc(corr, response);
     }
 }
 
@@ -488,20 +488,14 @@ impl Shard {
     }
 
     /// The deadline tick fired: fails every pending RPC past its deadline
-    /// (whichever shard issued it) and, while any is left, arms again at
-    /// the nearest. An empty table arms nothing.
+    /// (whichever shard issued it; [`node_ops::expire`]) and, while any is
+    /// left, arms again at the nearest. An empty table arms nothing.
     fn sweep_rpcs(&mut self) {
         self.rpc_sweep_armed = false;
         let now = Instant::now();
-        let (expired, next) = self
-            .inner
-            .with_rpcs(|table| (table.expired(now), table.next_deadline()));
-        for (corr, waiter) in expired {
-            let budget = io::Error::new(
-                io::ErrorKind::TimedOut,
-                "miss-path rpc exceeded its redial budget",
-            );
-            self.inner.wake_rpc(corr, waiter, Err(budget));
+        let (expired, next) = self.inner.with_rpcs(|table| node_ops::expire(table, now));
+        for (waiter, event) in expired {
+            self.inner.wake_rpc(waiter, event);
         }
         if let Some(next) = next {
             self.arm_rpc_sweep(next.saturating_duration_since(now));
@@ -725,11 +719,11 @@ impl Shard {
     }
 
     /// Serves a [`Frame::PeerHello`] on the shard that owns the link to
-    /// its sender: rejects stale generations and impossible counts without
-    /// touching anything, closes the link's older connection (its buffered
-    /// frames must not advance the processed counter after it is
-    /// reported), detects a restarted peer, reconciles this node's stream
-    /// against the dialer's report and answers with its own.
+    /// its sender: runs this node's side of the handshake (which rejects
+    /// stale generations and impossible counts without touching anything,
+    /// and runs the restart rule for a new peer process), closes the link's
+    /// older connection (its buffered frames must not advance the processed
+    /// counter after it is reported) and answers with this node's report.
     fn accept_peer_hello(&mut self, token: u64, conn: &mut ConnState, hello: Frame) -> bool {
         let Frame::PeerHello {
             from,
@@ -743,14 +737,10 @@ impl Shard {
         let from = usize::from(from);
         let inner = Arc::clone(&self.inner);
         let link = inner.link(from);
-        let cur = link.peer.lock().peer_gen();
-        if gen < cur {
-            return false; // A connection from the peer's dead predecessor.
-        }
         // A count in another generation's numbering says nothing about
         // this process's stream: the peer has seen none of it.
         let processed = if peer_gen == inner.gen { processed } else { 0 };
-        let Ok(start_seq) = inner.requeue_unprocessed(from, processed) else {
+        let Ok(start_seq) = inner.handshake(from, gen, processed) else {
             return false;
         };
         let stale = (self.conns.iter())
@@ -758,17 +748,6 @@ impl Shard {
             .map(|(stale, _)| *stale);
         if let Some((stale, old)) = stale.and_then(|stale| self.conns.remove_entry(&stale)) {
             self.close(stale, *old);
-        }
-        if cur != 0 {
-            inner.metrics.record_peer_reconnect();
-        }
-        if gen > cur {
-            link.peer.lock().resume(gen, 0);
-            if cur != 0 {
-                // A new process took the peer's place mid-flight: writes
-                // pending on the dead process's acks must reissue.
-                inner.peer_restarted(from);
-            }
         }
         encode_frame_into(
             conn.writebuf.writer(),
@@ -885,18 +864,13 @@ impl Shard {
         conn.eof
     }
 
-    /// The outbound half of one peer link: its end packs what is queued
-    /// ([`Peer::pack`]: batches of §6.3's amortisation under §6.4's credit
-    /// window, the processed count riding them) until the queue is empty,
-    /// the window closes or the socket is behind. Driven by readiness: a
-    /// credit stall arms nothing, the lap that reads the peer's `Credit`
-    /// pumps the link again; a debt left unannounced arms the link's
+    /// The outbound half of one peer link: [`node_ops::pump`] packs what is
+    /// queued (batches of §6.3's amortisation under §6.4's credit window,
+    /// the processed count riding them) until the queue is empty, the
+    /// window closes or the socket is behind. Driven by readiness: a credit
+    /// stall arms nothing, the lap that reads the peer's `Credit` pumps the
+    /// link again; a debt left unannounced arms the link's
     /// [`CREDIT_RETURN_TICK`].
-    ///
-    /// Every item moves from the outbox's queue into its retained tail as
-    /// it is packed: the socket may lose it (severed link, crashed peer),
-    /// the link does not — the redial handshake replays whatever the peer
-    /// did not confirm processing.
     fn pump_peer(&mut self, token: u64, conn: &mut ConnState) -> bool {
         // On a datagram fabric one pack should ride one datagram: cap the
         // byte budget at the transport's datagram payload size.
@@ -928,34 +902,19 @@ impl Shard {
         } else {
             u64::MAX
         };
-        // Backpressure: stop packing while the socket is behind; the
-        // writability event resumes the pump.
-        while conn.writebuf.pending() <= HIGH_WATER {
-            let mut end = link.peer.lock();
-            if let Some(head) = end.outbox.sendable(window) {
-                if let Some(started) = stall_started.take() {
-                    let stalled_ns = started.elapsed().as_nanos() as u64;
-                    inner.metrics.record_credit_stall_ns(stalled_ns);
-                    // If the message that waited out the stall at the queue
-                    // front is traced, pin the stall onto its timeline (the
-                    // `key` field carries the ns).
-                    let (trace, lane) = (head.trace(), self.id as u8);
-                    let kind = EventKind::CreditStall;
-                    inner.trace_event(trace, lane, kind, stalled_ns, peer as u8);
-                }
-            } else if end.outbox.queued().len() > 0 {
-                stall_started.get_or_insert_with(Instant::now);
-            }
-            let out = conn.writebuf.writer();
-            let pack = end.pack(window, byte_cap, builder, out, |seq, item| {
-                // A restarted peer that confirmed past this number owes the
-                // answer: `peer_restarted` asks those again.
-                if let LinkItem::Rpc(Frame::RpcReq { corr, .. }) = item {
-                    inner.rpcs.lock().packed(*corr, seq);
-                }
-            });
-            let drained = end.outbox.queued().len() == 0;
-            drop(end);
+        let mut end = link.peer.lock();
+        if let (Some(head), Some(started)) = (end.outbox.sendable(window), *stall_started) {
+            let stalled_ns = started.elapsed().as_nanos() as u64;
+            inner.metrics.record_credit_stall_ns(stalled_ns);
+            // If the message that waited out the stall at the queue front
+            // is traced, pin the stall onto its timeline (the `key` field
+            // carries the ns).
+            let (trace, lane) = (head.trace(), self.id as u8);
+            inner.trace_event(trace, lane, EventKind::CreditStall, stalled_ns, peer as u8);
+            *stall_started = None;
+        }
+        let packed = |corr, seq| inner.rpcs.lock().packed(corr, seq);
+        let sent = |pack: Pack, out: &mut Vec<u8>| {
             if pack.items > 0 {
                 inner.metrics.record_adaptive_batch(pack.items);
             }
@@ -967,14 +926,20 @@ impl Shard {
             if pack.batched {
                 inner.metrics.record_batch(pack.items);
             }
-            if pack.items == 0 || drained {
-                break;
-            }
+            // Backpressure: stop packing once the socket is behind; the
+            // writability event resumes the pump.
+            out.len() <= HIGH_WATER
+        };
+        let out = conn.writebuf.writer();
+        let arm = node_ops::pump(&mut end, window, byte_cap, builder, out, packed, sent);
+        if end.outbox.sendable(window).is_none() && end.outbox.queued().len() > 0 {
+            stall_started.get_or_insert_with(Instant::now);
         }
+        drop(end);
         if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return true;
         }
-        if link.peer.lock().arm() {
+        if arm {
             self.wheel.schedule(Token(token), CREDIT_RETURN_TICK);
         }
         false
