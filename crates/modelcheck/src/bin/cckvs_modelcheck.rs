@@ -118,7 +118,7 @@ fn main() -> ExitCode {
             };
             let (name, nodes, model) = (spec.name, spec.nodes, spec.model);
             println!(
-                "{name:<24} {nodes} nodes, {model:?}, {}{negative}",
+                "{name:<25} {nodes} nodes, {model:?}, {}{negative}",
                 spec.about
             );
         }
@@ -192,7 +192,7 @@ fn main() -> ExitCode {
             "FAIL"
         };
         println!(
-            "{:<24} {:>5} runs, {:>5} distinct schedules, {:>3} violations  {}",
+            "{:<25} {:>5} runs, {:>5} distinct schedules, {:>3} violations  {}",
             report.scenario,
             report.runs,
             report.distinct,

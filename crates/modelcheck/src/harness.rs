@@ -140,8 +140,6 @@ pub struct RunOutcome {
     pub violation: Option<String>,
     /// The deterministic event log (identical across replays of a seed).
     pub events: Vec<String>,
-    /// Scheduler choices made in the exploration phase.
-    pub steps: usize,
     /// FNV-1a fingerprint of the event log — the identity by which
     /// distinct schedules are counted.
     pub fingerprint: u64,
@@ -172,7 +170,6 @@ pub fn run_schedule(spec: &ScenarioSpec, seed: u64, depth: usize) -> RunOutcome 
     RunOutcome {
         violation: m.violation,
         events: m.events,
-        steps,
         fingerprint,
     }
 }
@@ -801,24 +798,6 @@ impl RackModel {
         );
         self.log(format!("n{h} rpc#{corr} from n{o} {what} {outcome}"));
         resp
-    }
-
-    /// Resolves an RPC response arriving back at origin node `o`. An id
-    /// the process's table does not hold — a duplicate, a late answer the
-    /// sweep gave up on, or an answer to a dead generation — is dropped.
-    fn resolve_rpc(&mut self, o: usize, corr: u64, response: Frame) {
-        let Some(admin) = self.nodes[o].rpcs.resolve(corr) else {
-            let dropped = format!("n{o} rpc#{corr} response without a waiter; dropped");
-            return self.log(dropped);
-        };
-        let served = self.served.remove(&(o, corr));
-        if !admin {
-            return self.rpc_answered(o, corr, response, served);
-        }
-        self.log(format!("n{o} rpc#{corr} writeback resolved"));
-        let admin = &mut self.nodes[o].admin;
-        admin.resume(ResumeEvent::Rpc { corr, response });
-        self.run_admin(o);
     }
 
     /// [`Action::Expire`]: node `n`'s clock reaches its earliest RPC

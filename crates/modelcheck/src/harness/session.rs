@@ -272,19 +272,28 @@ impl RackModel {
         }
     }
 
-    /// Miss RPC `corr` of session `o` was answered with `resp`, which the
-    /// home served at `served` (key and version).
-    pub(super) fn rpc_answered(
-        &mut self,
-        o: usize,
-        corr: u64,
-        resp: Frame,
-        served: Option<(u64, Timestamp)>,
-    ) {
+    /// Resolves an RPC response arriving back at origin node `o`: an
+    /// eviction's write-back resumes the admin connection, anything else the
+    /// session. An id the process's table does not hold — a duplicate, a
+    /// late answer the sweep gave up on, or an answer to a dead generation
+    /// — is dropped.
+    pub(super) fn resolve_rpc(&mut self, o: usize, corr: u64, response: Frame) {
+        let Some(admin) = self.nodes[o].rpcs.resolve(corr) else {
+            let dropped = format!("n{o} rpc#{corr} response without a waiter; dropped");
+            return self.log(dropped);
+        };
+        let served = self.served.remove(&(o, corr));
+        if admin {
+            self.log(format!("n{o} rpc#{corr} writeback resolved"));
+            self.nodes[o]
+                .admin
+                .resume(ResumeEvent::Rpc { corr, response });
+            return self.run_admin(o);
+        }
         let session = &mut self.nodes[o];
         let awaited = matches!(session.ops.wait(), Some(Wait::Rpc { corr: c }) if *c == corr);
         session.resolved = corr;
-        match (&resp, served) {
+        match (&response, served) {
             (Frame::MissRetry, _) if awaited => {
                 self.log(format!("n{o} rpc#{corr} bounced; parking for retry"));
             }
@@ -295,11 +304,9 @@ impl RackModel {
             }
             _ => {}
         }
-        let event = ResumeEvent::Rpc {
-            corr,
-            response: resp,
-        };
-        self.nodes[o].ops.resume(event);
+        self.nodes[o]
+            .ops
+            .resume(ResumeEvent::Rpc { corr, response });
         self.run_session(o);
     }
 

@@ -193,6 +193,7 @@ mod tests {
         let mut wheel = TimerWheel::new();
         assert_eq!(wheel.next_timeout(), None);
         // Armed later-deadline first: the timeout follows the nearest one.
+        let armed = Instant::now();
         wheel.schedule(Token(2), Duration::from_millis(40));
         let timeout = wheel.next_timeout().expect("armed");
         assert!(timeout > Duration::from_millis(30), "{timeout:?}");
@@ -200,15 +201,22 @@ mod tests {
         assert!(wheel.armed() == 2);
         let timeout = wheel.next_timeout().expect("armed");
         assert!(timeout <= Duration::from_millis(6), "{timeout:?}");
+        let slept = Instant::now();
         std::thread::sleep(Duration::from_millis(10));
+        let slept = slept.elapsed();
         let due = wheel.expired();
         assert_eq!(due, vec![Token(1)]);
         assert_eq!(wheel.armed(), 1);
-        // ... and falls back to the one still armed.
+        // ... and falls back to the one still armed: 40 ms less the time
+        // measured since it was armed, whatever the host held this thread
+        // for, and less the measured sleep at most, each within the 1 ms
+        // slot the wheel rounds the deadline to.
         let timeout = wheel.next_timeout().expect("armed");
+        let (since, slot) = (armed.elapsed(), Duration::from_millis(1));
         assert!(
-            timeout > Duration::from_millis(15) && timeout <= Duration::from_millis(31),
-            "{timeout:?}"
+            timeout + since + slot >= Duration::from_millis(40)
+                && timeout + slept <= Duration::from_millis(40) + slot,
+            "{timeout:?} left, {since:?} since armed, slept {slept:?}"
         );
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(wheel.expired(), vec![Token(2)]);
