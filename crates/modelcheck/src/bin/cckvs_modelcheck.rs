@@ -19,7 +19,6 @@
 //! **no** violation, or when the total distinct-schedule count falls short
 //! of `--min-distinct`.
 
-use std::num::ParseIntError;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Instant;
@@ -53,16 +52,32 @@ impl Args {
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--scenario" => args.scenario = value()?,
-                "--schedules" => args.schedules = number(&flag, value()?)?,
-                "--depth" => args.depth = number(&flag, value()?)?,
-                "--seed" => args.seed = number(&flag, value()?)?,
-                "--replay" => args.replay = Some(Seed::from_str(&value()?)?),
+                "--scenario" => args.scenario = value("--scenario")?,
+                "--schedules" => {
+                    args.schedules = value("--schedules")?
+                        .parse()
+                        .map_err(|e| format!("--schedules: {e}"))?;
+                }
+                "--depth" => {
+                    args.depth = value("--depth")?
+                        .parse()
+                        .map_err(|e| format!("--depth: {e}"))?;
+                }
+                "--seed" => {
+                    args.seed = value("--seed")?
+                        .parse()
+                        .map_err(|e| format!("--seed: {e}"))?;
+                }
+                "--replay" => args.replay = Some(Seed::from_str(&value("--replay")?)?),
                 "--list" => args.list = true,
-                "--min-distinct" => args.min_distinct = number(&flag, value()?)?,
-                "--fail-seed-file" => args.fail_seed_file = Some(value()?),
+                "--min-distinct" => {
+                    args.min_distinct = value("--min-distinct")?
+                        .parse()
+                        .map_err(|e| format!("--min-distinct: {e}"))?;
+                }
+                "--fail-seed-file" => args.fail_seed_file = Some(value("--fail-seed-file")?),
                 "--help" | "-h" => {
                     print_help();
                     std::process::exit(0);
@@ -72,11 +87,6 @@ impl Args {
         }
         Ok(args)
     }
-}
-
-/// `flag`'s value as a number.
-fn number<T: FromStr<Err = ParseIntError>>(flag: &str, value: String) -> Result<T, String> {
-    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn print_help() {
@@ -112,14 +122,17 @@ fn main() -> ExitCode {
 
     if args.list {
         for spec in all() {
-            let negative = match spec.expect_violation() {
-                true => " [negative: a violation is the pass condition]",
-                false => "",
-            };
-            let (name, nodes, model) = (spec.name, spec.nodes, spec.model);
             println!(
-                "{name:<25} {nodes} nodes, {model:?}, {}{negative}",
-                spec.about
+                "{:<25} {} nodes, {:?}, {}{}",
+                spec.name,
+                spec.nodes,
+                spec.model,
+                spec.about,
+                if spec.hole.is_some() {
+                    " [negative: a violation is the pass condition]"
+                } else {
+                    ""
+                }
             );
         }
         return ExitCode::SUCCESS;
@@ -141,7 +154,7 @@ fn main() -> ExitCode {
             outcome.fingerprint
         );
         return match outcome.violation {
-            Some(v) if spec.expect_violation() => {
+            Some(v) if spec.hole.is_some() => {
                 println!("violation (expected for this scenario): {v}");
                 ExitCode::SUCCESS
             }
@@ -178,7 +191,7 @@ fn main() -> ExitCode {
     for spec in &specs {
         let report = explore(spec, args.seed, args.schedules, args.depth);
         total_distinct += report.distinct;
-        let verdict = if spec.expect_violation() {
+        let verdict = if spec.hole.is_some() {
             if report.violations.is_empty() {
                 failed = true;
                 "FAIL (negative scenario found no violation — the checker is blind)"
@@ -199,7 +212,7 @@ fn main() -> ExitCode {
             report.violations.len(),
             verdict
         );
-        if !spec.expect_violation() {
+        if spec.hole.is_none() {
             for (seed, why) in &report.violations {
                 println!("    failing seed {seed}: {why}");
                 failing_seeds.push(seed.to_string());

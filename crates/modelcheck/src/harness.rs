@@ -43,15 +43,17 @@
 //! ## The miss path
 //!
 //! Both ends are the production code ([`cckvs_net::rpc`]). A home answers
-//! through [`serve_home_frame`] on its real `CcNode`, whose fence set and
-//! cold-version counter decide bounces and versions. Each simulated process
-//! owns one [`RpcTable`], replaced with the process, so an answer addressed
-//! to a dead generation finds no waiter; the restart rule asks the
-//! survivors' `in_doubt` requests again, and [`Action::Expire`] runs the
-//! shipped deadline sweep ([`node_ops::expire`]) on a logical clock, so a
-//! late answer finds no waiter either. Beside them the harness keeps only a
-//! god's-eye note of the version each read was served at — the history
-//! needs a timestamp for a cold read, and `MissGetResp` carries none.
+//! `MissGet`/`MissPut`/`WriteBack` through [`serve_home_frame`] on its real
+//! `CcNode`, whose fence set and cold-version counter decide bounces and
+//! versions; a restart's fences are `hot_mark` calls on that node. Each
+//! simulated process owns one [`RpcTable`], replaced with the process, so
+//! an answer addressed to a dead generation finds no waiter; the restart
+//! rule asks the survivors' `in_doubt` requests again, and
+//! [`Action::Expire`] runs the shipped deadline sweep
+//! ([`node_ops::expire`]) on a logical clock, so a late answer finds no
+//! waiter either. Beside them the harness keeps only a god's-eye note of
+//! the version each read was served at — the history needs a timestamp for
+//! a cold read, and `MissGetResp` carries none.
 //!
 //! ## The sessions
 //!
@@ -69,6 +71,17 @@
 //! which [`Flip`]s make their calls, one per [`Action::Admin`]: the admin
 //! script's, as the epoch coordinator runs them, and a heal's evictions,
 //! as the supervisor runs them.
+//!
+//! ## Crash gating
+//!
+//! Gated (default) crashes avoid the windows the production system is
+//! *known* not to survive — in-memory cold data dies with its home
+//! (ROADMAP: durable home shards), a committed value living only in the
+//! dead writer's cache and its in-flight updates, and a dead writer
+//! leaving peers wedged-invalid. [`RackModel`] blocks those crashes via
+//! `can_crash` and documents each exclusion; the `ack-then-die` negative
+//! scenario turns the gates off and asserts the checker *does* flag the
+//! resulting histories, so the exclusions stay honest.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +93,7 @@ use cckvs_net::client::LoadBalancePolicy;
 use cckvs_net::client_ops::{BatchConfig, ClientOps};
 use cckvs_net::link::{Accept, Item, Pack, Peer, RecvHalf, PEER_BATCH_MAX_BYTES};
 use cckvs_net::node_ops::{self, NodeItem};
-use cckvs_net::ops::{ConnOps, ResumeEvent, Wait};
+use cckvs_net::ops::{ConnOps, Wait};
 use cckvs_net::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
 use cckvs_net::wire::{BatchBuilder, Frame, FrameDecoder};
 use consistency::history::{History, RecordKind};
@@ -140,6 +153,8 @@ pub struct RunOutcome {
     pub violation: Option<String>,
     /// The deterministic event log (identical across replays of a seed).
     pub events: Vec<String>,
+    /// Scheduler choices made in the exploration phase.
+    pub steps: usize,
     /// FNV-1a fingerprint of the event log — the identity by which
     /// distinct schedules are counted.
     pub fingerprint: u64,
@@ -170,6 +185,7 @@ pub fn run_schedule(spec: &ScenarioSpec, seed: u64, depth: usize) -> RunOutcome 
     RunOutcome {
         violation: m.violation,
         events: m.events,
+        steps,
         fingerprint,
     }
 }
@@ -443,6 +459,16 @@ impl RackModel {
         m
     }
 
+    /// The violation found so far, if any.
+    pub fn violation(&self) -> Option<&str> {
+        self.violation.as_deref()
+    }
+
+    /// The event log so far.
+    pub fn events(&self) -> &[String] {
+        &self.events
+    }
+
     fn log(&mut self, e: String) {
         self.events.push(e);
     }
@@ -459,30 +485,52 @@ impl RackModel {
     /// The currently enabled scheduler choices, in a fixed deterministic
     /// order (node-index, flight-id, link-key ascending).
     pub fn enabled_actions(&self) -> Vec<Action> {
-        let (mut out, nodes) = (Vec::new(), 0..self.nodes.len());
-        let each = |on: &dyn Fn(usize) -> bool, act: fn(usize) -> Action| {
-            nodes
-                .clone()
-                .filter(|&n| on(n))
-                .map(act)
-                .collect::<Vec<_>>()
-        };
-        out.extend(each(&|n| self.issue_enabled(n), Action::Issue));
-        out.extend(each(&|n| self.reprobe_enabled(n), Action::Reprobe));
+        let mut out = Vec::new();
+        for n in 0..self.nodes.len() {
+            if self.issue_enabled(n) {
+                out.push(Action::Issue(n));
+            }
+        }
+        for n in 0..self.nodes.len() {
+            if self.reprobe_enabled(n) {
+                out.push(Action::Reprobe(n));
+            }
+        }
         let flights: Vec<u64> = self.flights.keys().copied().collect();
-        out.extend(flights.iter().map(|&f| Action::Deliver(f)));
+        for &f in &flights {
+            out.push(Action::Deliver(f));
+        }
         if self.drops_left > 0 {
-            out.extend(flights.iter().map(|&f| Action::Drop(f)));
+            for &f in &flights {
+                out.push(Action::Drop(f));
+            }
         }
         if self.dups_left > 0 {
-            out.extend(flights.iter().map(|&f| Action::Dup(f)));
+            for &f in &flights {
+                out.push(Action::Dup(f));
+            }
         }
-        let lost = (self.peers.keys()).filter(|&&(i, j)| self.retransmit_enabled(i, j));
-        out.extend(lost.map(|&(i, j)| Action::Retransmit(i, j)));
+        for &(i, j) in self.peers.keys() {
+            if self.retransmit_enabled(i, j) {
+                out.push(Action::Retransmit(i, j));
+            }
+        }
         out.extend(self.ticks.iter().map(|&(i, j)| Action::CreditTick(i, j)));
-        out.extend(each(&|n| self.expire_enabled(n), Action::Expire));
-        out.extend(each(&|n| self.can_crash(n), Action::Crash));
-        out.extend(each(&|n| !self.nodes[n].up, Action::Restart));
+        for n in 0..self.nodes.len() {
+            if self.expire_enabled(n) {
+                out.push(Action::Expire(n));
+            }
+        }
+        for n in 0..self.nodes.len() {
+            if self.can_crash(n) {
+                out.push(Action::Crash(n));
+            }
+        }
+        for n in 0..self.nodes.len() {
+            if !self.nodes[n].up {
+                out.push(Action::Restart(n));
+            }
+        }
         if self.heal_enabled() {
             out.push(Action::Heal);
         }
@@ -521,9 +569,7 @@ impl RackModel {
     ///   or queued somewhere (the acked value would exist only in the dead
     ///   cache);
     /// * not during admin transitions, and one node down at a time.
-    ///
-    /// The `ack-then-die` scenario turns the gates off and asserts that the
-    /// checker flags the resulting histories, so the exclusions stay honest.
+
     fn can_crash(&self, n: usize) -> bool {
         if self.crashes_left == 0 || !self.nodes[n].up {
             return false;
@@ -580,10 +626,8 @@ impl RackModel {
     pub fn apply(&mut self, action: Action) {
         self.clock += 1;
         let lap = match action {
-            Action::Issue(n)
-            | Action::Reprobe(n)
-            | Action::CreditTick(n, _)
-            | Action::Expire(n) => Some(n),
+            Action::Issue(n) | Action::Reprobe(n) | Action::Expire(n) => Some(n),
+            Action::CreditTick(n, _) => Some(n),
             Action::Deliver(f) => Some(self.flights[&f].j),
             Action::Admin => self.flips.front().and_then(Flip::next).map(|(n, _)| n),
             _ => None,
@@ -779,51 +823,25 @@ impl RackModel {
         let home = &self.nodes[h].cc;
         let (_, stored) = home.kvs_get_versioned(key);
         let resp = serve_home_frame(home, req).expect("a home-shard frame");
-        let outcome = match &resp {
-            Frame::MissRetry => "bounced".to_string(),
+        match &resp {
+            Frame::MissRetry => self.log(format!("n{h} rpc#{corr} from n{o} {what} bounced")),
             Frame::MissGetResp { .. } => {
                 self.served.insert((o, corr), (key, stored));
-                format!("cold ts{stored}")
+                self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{stored}"));
             }
-            Frame::MissPutResp { ts } => format!("cold ts{ts}"),
-            Frame::WriteBackResp { applied } => format!("applied={applied}"),
-            other => {
-                self.fail(format!("home n{h} answered rpc#{corr} with {other:?}"));
-                return resp;
+            Frame::MissPutResp { ts } => {
+                self.nodes[h].kvs_dirty = true;
+                self.log(format!("n{h} rpc#{corr} from n{o} {what} cold ts{ts}"));
             }
-        };
-        self.nodes[h].kvs_dirty |= matches!(
-            resp,
-            Frame::MissPutResp { .. } | Frame::WriteBackResp { .. }
-        );
-        self.log(format!("n{h} rpc#{corr} from n{o} {what} {outcome}"));
-        resp
-    }
-
-    /// [`Action::Expire`]: node `n`'s clock reaches its earliest RPC
-    /// deadline, and the shipped sweep ([`node_ops::expire`]) fails every
-    /// request due; the connection waiting on each resumes with the
-    /// failure, and its late answer will find no waiter.
-    fn expire(&mut self, n: usize) {
-        self.expires_left -= 1;
-        let rpcs = &mut self.nodes[n].rpcs;
-        let now = rpcs
-            .next_deadline()
-            .expect("Expire is offered for a pending rpc");
-        for (admin, event) in node_ops::expire(rpcs, now).0 {
-            let ResumeEvent::RpcFailed { corr, .. } = event else {
-                unreachable!("the sweep fails what it expires")
-            };
-            self.log(format!("n{n} rpc#{corr} expired"));
-            self.served.remove(&(n, corr));
-            if admin {
-                self.nodes[n].admin.resume(event);
-                self.run_admin(n);
-            } else {
-                self.nodes[n].ops.resume(event);
-                self.run_session(n);
+            Frame::WriteBackResp { applied } => {
+                self.nodes[h].kvs_dirty = true;
+                self.log(format!(
+                    "n{h} rpc#{corr} from n{o} {what} applied={applied}"
+                ));
             }
+            other => self.fail(format!("home n{h} answered rpc#{corr} with {other:?}")),
         }
+        resp
     }
 
     // ----- crash, restart, heal ---------------------------------------
@@ -996,29 +1014,40 @@ impl RackModel {
                 return;
             }
             let Some(action) = self.drain_action() else {
-                let stuck = (self.nodes.iter().enumerate())
+                let stuck: Vec<String> = self
+                    .nodes
+                    .iter()
+                    .enumerate()
                     .filter(|(_, s)| !s.client.is_idle() || !s.program.is_empty())
                     .map(|(n, s)| {
-                        let current = self.current_op(n).map_or("none".to_string(), |op| {
-                            let why = match s.ops.wait() {
-                                Some(Wait::LinCommit { .. }) => "awaiting commit",
-                                Some(Wait::Rpc { .. }) => "awaiting rpc",
-                                _ => "parked",
-                            };
-                            format!("k{} ({why})", op.key())
-                        });
-                        format!("n{n}: {} queued, current {current}", s.program.len())
-                    });
+                        format!(
+                            "n{n}: {} queued, current {}",
+                            s.program.len(),
+                            match self.current_op(n) {
+                                None => "none".to_string(),
+                                Some(op) => format!(
+                                    "k{} ({})",
+                                    op.key(),
+                                    match s.ops.wait() {
+                                        Some(Wait::LinCommit { .. }) => "awaiting commit",
+                                        Some(Wait::Rpc { .. }) => "awaiting rpc",
+                                        _ => "parked",
+                                    }
+                                ),
+                            }
+                        )
+                    })
+                    .collect();
                 let unconfirmed = (self.peers.iter())
                     .filter(|(_, end)| end.outbox.outstanding() > 0)
                     .map(|((i, j), end)| format!("{i}->{j} x{}", end.outbox.outstanding()));
-                let (stuck, unconfirmed) =
-                    (stuck.collect::<Vec<_>>(), unconfirmed.collect::<Vec<_>>());
-                return self.fail(format!(
+                let unconfirmed: Vec<String> = unconfirmed.collect();
+                self.fail(format!(
                     "deadlock: rack cannot quiesce [{}] unconfirmed [{}]",
                     stuck.join("; "),
                     unconfirmed.join(", ")
                 ));
+                return;
             };
             self.apply(action);
         }
@@ -1092,29 +1121,22 @@ impl RackModel {
                 || (t.is_newer_than(ts) && unsure.iter().any(|u| (u.0, u.1) == (key, v)))
         };
         for (key, (value, ts)) in newest {
-            if self.hot_now.contains(&key) {
-                for n in 0..self.nodes.len() {
-                    match self.nodes[n].cc.try_cache_get(key) {
-                        Some(CacheGet::Hit { value: v, ts: t })
-                            if holds(key, (value, ts), &v, t) => {}
-                        got => {
-                            return self.fail(format!(
-                                "lost acked write: k{key}={value} ts{ts} missing from \
-                                 n{n}'s cache (found {got:?})"
-                            ));
-                        }
+            let lost = if self.hot_now.contains(&key) {
+                let cache = |n: usize| match self.nodes[n].cc.try_cache_get(key) {
+                    Some(CacheGet::Hit { value: v, ts: t }) if holds(key, (value, ts), &v, t) => {
+                        None
                     }
-                }
+                    got => Some(format!("missing from n{n}'s cache (found {got:?})")),
+                };
+                (0..self.nodes.len()).find_map(cache)
             } else {
                 let home = self.home_of(key);
                 let (v, t) = self.nodes[home].cc.kvs_get_versioned(key);
-                if !holds(key, (value, ts), &v, t) {
-                    return self.fail(format!(
-                        "lost acked write: k{key}={value} ts{ts} not at home n{home} \
-                         (shard holds value {} ts{t})",
-                        decode_value(&v)
-                    ));
-                }
+                let held = format!("(shard holds value {} ts{t})", decode_value(&v));
+                (!holds(key, (value, ts), &v, t)).then(|| format!("not at home n{home} {held}"))
+            };
+            if let Some(why) = lost {
+                return self.fail(format!("lost acked write: k{key}={value} ts{ts} {why}"));
             }
         }
         // Symmetric caches: every node caches exactly the keys that ended hot.

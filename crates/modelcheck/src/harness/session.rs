@@ -23,7 +23,7 @@ use std::sync::Arc;
 use cckvs::node::{CacheGet, CcNode, Outgoing};
 use cckvs_net::churn::Flip;
 use cckvs_net::client_ops::{BatchOutcome, ClientHost, Op};
-use cckvs_net::node_ops::RPC_EXPIRED;
+use cckvs_net::node_ops::{self, RPC_EXPIRED};
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
 use cckvs_net::rpc::serve_admin_frame;
 use cckvs_net::wire::Frame;
@@ -208,26 +208,18 @@ impl RackModel {
             let (key, local) = (op.key, self.home_of(op.key) == n);
             let noted = self.nodes[n].noted.pop_front();
             let noted = noted.expect("noted as its sub-request finished");
-            let (what, kind, cached) = match outcome {
+            let (what, kind, cached, ts) = match outcome {
                 BatchOutcome::Get { value, cached } => {
-                    let value = decode_value(&value);
-                    (format!("get k{key}"), RecordKind::Get { value }, cached)
+                    let (what, value) = (format!("get k{key}"), decode_value(&value));
+                    let ts = if cached { ts } else { noted };
+                    (what, RecordKind::Get { value }, cached, ts)
                 }
                 BatchOutcome::Put { cached, .. } => {
                     let value = op.put.expect("a put settles as a put");
                     self.nodes[n].kvs_dirty |= !cached && local;
-                    (
-                        format!("put k{key}={value}"),
-                        RecordKind::Put { value },
-                        cached,
-                    )
+                    let what = format!("put k{key}={value}");
+                    (what, RecordKind::Put { value }, cached, ts)
                 }
-            };
-            // A cold read's answer carries no version: the noted one.
-            let ts = if op.put.is_none() && !cached {
-                noted
-            } else {
-                ts
             };
             // A hot Lin put is answered by its commit, a cold op at a
             // remote home by the miss RPC answered last.
@@ -308,6 +300,30 @@ impl RackModel {
             .ops
             .resume(ResumeEvent::Rpc { corr, response });
         self.run_session(o);
+    }
+
+    /// [`Action::Expire`]: node `n`'s clock reaches its earliest RPC
+    /// deadline, and the shipped sweep ([`node_ops::expire`]) fails every
+    /// request due; the connection waiting on each resumes with the
+    /// failure, and its late answer will find no waiter.
+    pub(super) fn expire(&mut self, n: usize) {
+        self.expires_left -= 1;
+        let rpcs = &mut self.nodes[n].rpcs;
+        let now = rpcs.next_deadline().expect("an rpc is pending");
+        for (admin, event) in node_ops::expire(rpcs, now).0 {
+            let ResumeEvent::RpcFailed { corr, .. } = event else {
+                unreachable!("the sweep fails what it expires")
+            };
+            self.log(format!("n{n} rpc#{corr} expired"));
+            self.served.remove(&(n, corr));
+            if admin {
+                self.nodes[n].admin.resume(event);
+                self.run_admin(n);
+            } else {
+                self.nodes[n].ops.resume(event);
+                self.run_session(n);
+            }
+        }
     }
 
     /// Resumes the sessions whose Lin commit hooks fired during a delivery

@@ -115,6 +115,7 @@ pub struct ScenarioSpec {
     pub tiny_cache: Option<usize>,
     /// The hole a negative scenario plants: the checker must find
     /// violations in it (the CI gate inverts), or it is blind to that hole.
+    /// A scenario with none is a positive one.
     pub hole: Option<Hole>,
 }
 
@@ -131,13 +132,6 @@ pub enum Hole {
     ResendLost,
     /// Every install fills its replicas active, not warm.
     UnwarmedInstall,
-}
-
-impl ScenarioSpec {
-    /// Whether the scenario is a negative one: it plants a [`Hole`].
-    pub fn expect_violation(&self) -> bool {
-        self.hole.is_some()
-    }
 }
 
 /// Finds a key `>= salt` homed at `home` under an `nodes`-node shard map.

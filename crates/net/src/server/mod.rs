@@ -504,8 +504,8 @@ impl ServerInner {
     fn handshake(&self, peer: usize, gen: u64, processed: u64) -> io::Result<u64> {
         let mut end = self.link(peer).peer.lock();
         let reconnect = end.peer_gen() != 0;
-        let (node, rpcs) = (&self.node, &mut *self.rpcs.lock());
-        let shake = node_ops::handshake(&mut end, rpcs, node, peer, gen, processed);
+        let (node, rpcs) = (&self.node, &self.rpcs);
+        let shake = node_ops::handshake(&mut end, &mut rpcs.lock(), node, peer, gen, processed);
         let shake = shake.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         // A sampled op's message keeps its original trace id across the
         // replay (exactly once — the requeued item IS the retained
