@@ -557,9 +557,8 @@ impl RackModel {
     }
 
     /// Crash gating. Ungated in a scenario that plants
-    /// [`Hole::UnsafeCrashes`];
-    /// otherwise a crash is only offered where the production system
-    /// survives it:
+    /// [`Hole::UnsafeCrashes`]; otherwise a crash is only offered where the
+    /// production system survives it:
     ///
     /// * not while the node's shard holds observable cold data (in-memory
     ///   shards lose it; durable homes are an open ROADMAP item);
@@ -569,7 +568,6 @@ impl RackModel {
     ///   or queued somewhere (the acked value would exist only in the dead
     ///   cache);
     /// * not during admin transitions, and one node down at a time.
-
     fn can_crash(&self, n: usize) -> bool {
         if self.crashes_left == 0 || !self.nodes[n].up {
             return false;
@@ -683,8 +681,9 @@ impl RackModel {
     fn ship(&mut self, n: usize, outgoing: Vec<Outgoing>) {
         let peers = &mut self.peers;
         node_ops::ship(&self.nodes[n].cc, outgoing, |t, msg, bytes| {
-            let (end, bytes) = (peers.get_mut(&(n, t)), bytes.map(|b| b.to_vec()));
-            (end.expect("link").outbox).push(Frame::Protocol { msg, bytes }.into());
+            let bytes = bytes.map(|b| b.to_vec());
+            let end = peers.get_mut(&(n, t)).expect("link");
+            end.outbox.push(Frame::Protocol { msg, bytes }.into());
         });
     }
 
@@ -893,20 +892,22 @@ impl RackModel {
             self.recv.insert((n, j), RecvHalf::default());
             self.processed_ordinal.remove(&(n, j));
             self.processed_ordinal.remove(&(j, n));
+            // Frames the dead process handled beyond the survivor's
+            // confirmed count are re-handled vacuously by the fresh cache.
             let survivor = self.peers.get_mut(&(j, n)).expect("link");
             let s = &mut self.nodes[j];
             let shake = node_ops::handshake(survivor, &mut s.rpcs, &s.cc, n, gen, 0);
             let shake = shake.expect("a new process, and zero is never beyond sent");
+            let confirmed = shake.confirmed;
             let queued = survivor.outbox.queued().len() - shake.reissued - shake.asked_again.len();
             let replayed = (queued as u64).min(self.spec.credit_window);
-            let recv = self.recv.get_mut(&(j, n)).expect("link");
-            recv.resume(shake.confirmed);
+            self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
             let mut fresh = Peer::new(gen, self.spec.credit_window);
-            fresh.resume(s.gen + 1, shake.confirmed);
+            fresh.resume(s.gen + 1, confirmed);
             self.peers.insert((n, j), fresh);
             if replayed > 0 {
-                let (first, last) = (shake.confirmed, shake.confirmed + replayed - 1);
-                self.log(format!("replay {j}->{n} #{first}..#{last}"));
+                let last = confirmed + replayed - 1;
+                self.log(format!("replay {j}->{n} #{confirmed}..#{last}"));
             }
             if shake.reissued > 0 {
                 self.log(format!("reissue n{j} -> n{n} x{}", shake.reissued));
@@ -1121,22 +1122,29 @@ impl RackModel {
                 || (t.is_newer_than(ts) && unsure.iter().any(|u| (u.0, u.1) == (key, v)))
         };
         for (key, (value, ts)) in newest {
-            let lost = if self.hot_now.contains(&key) {
-                let cache = |n: usize| match self.nodes[n].cc.try_cache_get(key) {
-                    Some(CacheGet::Hit { value: v, ts: t }) if holds(key, (value, ts), &v, t) => {
-                        None
+            if self.hot_now.contains(&key) {
+                for n in 0..self.nodes.len() {
+                    match self.nodes[n].cc.try_cache_get(key) {
+                        Some(CacheGet::Hit { value: v, ts: t })
+                            if holds(key, (value, ts), &v, t) => {}
+                        got => {
+                            return self.fail(format!(
+                                "lost acked write: k{key}={value} ts{ts} missing from \
+                                 n{n}'s cache (found {got:?})"
+                            ));
+                        }
                     }
-                    got => Some(format!("missing from n{n}'s cache (found {got:?})")),
-                };
-                (0..self.nodes.len()).find_map(cache)
+                }
             } else {
                 let home = self.home_of(key);
                 let (v, t) = self.nodes[home].cc.kvs_get_versioned(key);
-                let held = format!("(shard holds value {} ts{t})", decode_value(&v));
-                (!holds(key, (value, ts), &v, t)).then(|| format!("not at home n{home} {held}"))
-            };
-            if let Some(why) = lost {
-                return self.fail(format!("lost acked write: k{key}={value} ts{ts} {why}"));
+                if !holds(key, (value, ts), &v, t) {
+                    return self.fail(format!(
+                        "lost acked write: k{key}={value} ts{ts} not at home n{home} \
+                         (shard holds value {} ts{t})",
+                        decode_value(&v)
+                    ));
+                }
             }
         }
         // Symmetric caches: every node caches exactly the keys that ended hot.

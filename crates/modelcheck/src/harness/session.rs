@@ -210,15 +210,25 @@ impl RackModel {
             let noted = noted.expect("noted as its sub-request finished");
             let (what, kind, cached, ts) = match outcome {
                 BatchOutcome::Get { value, cached } => {
-                    let (what, value) = (format!("get k{key}"), decode_value(&value));
-                    let ts = if cached { ts } else { noted };
-                    (what, RecordKind::Get { value }, cached, ts)
+                    let kind = RecordKind::Get {
+                        value: decode_value(&value),
+                    };
+                    (
+                        format!("get k{key}"),
+                        kind,
+                        cached,
+                        if cached { ts } else { noted },
+                    )
                 }
                 BatchOutcome::Put { cached, .. } => {
                     let value = op.put.expect("a put settles as a put");
                     self.nodes[n].kvs_dirty |= !cached && local;
-                    let what = format!("put k{key}={value}");
-                    (what, RecordKind::Put { value }, cached, ts)
+                    (
+                        format!("put k{key}={value}"),
+                        RecordKind::Put { value },
+                        cached,
+                        ts,
+                    )
                 }
             };
             // A hot Lin put is answered by its commit, a cold op at a
@@ -302,10 +312,11 @@ impl RackModel {
         self.run_session(o);
     }
 
-    /// [`Action::Expire`]: node `n`'s clock reaches its earliest RPC
-    /// deadline, and the shipped sweep ([`node_ops::expire`]) fails every
-    /// request due; the connection waiting on each resumes with the
-    /// failure, and its late answer will find no waiter.
+    /// [`Action::Expire`](super::Action::Expire): node `n`'s clock reaches
+    /// its earliest RPC deadline, and the shipped sweep
+    /// ([`node_ops::expire`]) fails every request due; the connection
+    /// waiting on each resumes with the failure, and its late answer will
+    /// find no waiter.
     pub(super) fn expire(&mut self, n: usize) {
         self.expires_left -= 1;
         let rpcs = &mut self.nodes[n].rpcs;

@@ -143,14 +143,15 @@ pub fn ship(
     outgoing: Vec<Outgoing>,
     mut push: impl FnMut(usize, ProtocolMsg, Option<Arc<[u8]>>),
 ) {
-    let (me, nodes) = (node.node(), node.config().nodes);
     for Outgoing { dest, msg, bytes } in outgoing {
-        let to = match dest {
-            Destination::To(peer) => peer.0 as usize..peer.0 as usize + 1,
-            Destination::Broadcast => 0..nodes,
-        };
-        to.filter(|&peer| peer != me)
-            .for_each(|peer| push(peer, msg, bytes.clone()));
+        match dest {
+            Destination::To(peer) => push(peer.0 as usize, msg, bytes),
+            Destination::Broadcast => {
+                for peer in (0..node.config().nodes).filter(|&p| p != node.node()) {
+                    push(peer, msg, bytes.clone());
+                }
+            }
+        }
     }
 }
 
