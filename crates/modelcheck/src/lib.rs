@@ -33,32 +33,43 @@
 //! few deliberate simplifications, each on the *stronger-adversary* or
 //! *documented-assumption* side:
 //!
-//! * **Flights under the link.** Every directed node pair is a production
-//!   [`cckvs_net::link`] end, pumped by the shipped [`cckvs_net::node_ops`]:
-//!   a pack is one flight, and the scheduler delivers flights in any order,
-//!   drops and duplicates them — the adversary the link exists to tame.
+//! * **In-order per-link processing.** Every directed node pair is a
+//!   production [`cckvs_net::link`] (not a model of one): frames queue in
+//!   its outbox and leave in that order under the scenario's credit
+//!   window, datagrams carry its numbers, the sender retains until
+//!   confirmed, the receiver hands frames up exactly once in order, and
+//!   the shipped [`cckvs_net::node_ops`] pumps it: a flight is one pack,
+//!   as on the reactor's wire. UDP-level reorder/dup/loss still
+//!   happens *under* that layer (the scheduler delivers flights in any
+//!   order, drops and duplicates them) — exactly the adversary the link
+//!   exists to tame.
 //! * **Versioned cold reads.** A home answers a miss-path GET exactly as
 //!   in production (`MissGetResp`, value only); the harness notes the
 //!   shard version it was served at on the side, so the checker can
-//!   attribute every read.
+//!   attribute every read. *Stronger* instrumentation, same semantics.
 //! * **Supervisor floor assumed current.** A restarted home's cold-version
 //!   counter is raised to its dead predecessor's, modeling a perfectly
 //!   synchronised supervisor `VersionFloor`. Production bounds the gap
-//!   with `--cold-floor` slack.
+//!   with `--cold-floor` slack; schedules that would need a stale floor to
+//!   misbehave are out of this model's scope.
 //! * **Churn calls never fail.** An admin connection's call is always
 //!   answered, so no schedule ends a transition `Abandoned`; that arm is
 //!   `churn.rs`'s property tests'.
 //! * **Gated crashes.** Default scenarios only crash nodes where the
-//!   production system survives (no observable in-memory cold data, no
-//!   pending Lin write, no committed update undelivered); `ack-then-die`
-//!   disables the gates and *expects* the checker to object.
+//!   production system survives: not while a home shard holds observable
+//!   in-memory cold data (durable shards are an open ROADMAP item), not
+//!   with an uncommitted Lin write pending (peers would wedge invalid),
+//!   not while a committed update sits undelivered in the dead node's
+//!   links. The `ack-then-die` scenario disables the gates and *expects*
+//!   the checker to object — keeping the exclusions honest.
 //! * **Time is a scheduler choice.** A miss-path RPC's deadline comes when
-//!   the scheduler spends the expiry budget on it (`Action::Expire`), and
-//!   the shipped sweep fails it. The op and client machines run on `()` for
-//!   a clock, so a bounced op never gives up and no deadline doorbell
-//!   rings; the retry tick is offered once the node has seen progress since
-//!   the bounce. An op that can never be answered surfaces as a deadlock at
-//!   the drain, which is what `miss-rpc-no-reissue` is flagged by.
+//!   the scheduler spends the scenario's expiry budget on it
+//!   (`Action::Expire`), and the shipped sweep fails it. The op and client
+//!   machines run on `()` for a clock, so a bounced op never gives up and
+//!   no deadline doorbell rings; one that can never be answered surfaces
+//!   as a deadlock at the drain, which is what the `miss-rpc-no-reissue`
+//!   negative scenario is flagged by. The retry tick is a scheduler choice,
+//!   offered once the node has seen progress since the bounce.
 //!
 //! # Entry points
 //!

@@ -6,11 +6,13 @@
 //! correlated miss-path RPC until it resolves ([`RpcTable`]).
 //!
 //! Like [`crate::link`], nothing here owns a socket, a thread, a lock or a
-//! clock. The reactor server serves peer items through its [`PeerHost`]
-//! and wraps one table in a mutex; `cckvs-modelcheck`'s `RackModel` is the
-//! other [`PeerHost`] and holds one table per simulated process. Both run
-//! the table's restart rule and deadline sweep through
-//! [`crate::node_ops`].
+//! clock. The reactor server serves peer items through its [`PeerHost`],
+//! wraps one table in a mutex, feeds it [`std::time::Instant`]s and turns
+//! its outputs into link traffic and resumed connections;
+//! `cckvs-modelcheck`'s `RackModel` is the other [`PeerHost`], holds one
+//! table per simulated process and lets its scheduler pick every delivery,
+//! crash, restart and deadline. Both run the table's restart rule and
+//! deadline sweep through [`crate::node_ops`].
 //!
 //! A request travels as [`Frame::RpcReq`] over the crash-surviving peer
 //! link and is answered by a [`Frame::RpcResp`] carrying the same

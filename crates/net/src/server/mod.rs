@@ -57,20 +57,24 @@
 //! thread-per-peer implementation did. Teardown drains every peer link
 //! with the window wide open: nothing reads the peer's credits any more.
 //!
-//! Crash recovery (peers are separate OS processes that die and come
-//! back): every peer link is a `PeerLink` that survives its connection.
-//! Messages are retained until the peer confirms *processing* them through
-//! cumulative [`Frame::Credit`] acknowledgements, so when a link dies the
-//! unconfirmed tail is replayed after the redial handshake
-//! ([`Frame::PeerHello`] → [`Frame::PeerHelloAck`] → [`Frame::PeerResume`]),
-//! exactly once, in order. The handshake carries *process generations*:
-//! a restarted peer is detected on either side, its stale connections and
-//! confirmations are rejected, and [`node_ops::handshake`]'s restart rule
-//! reissues invalidations and in-doubt miss-path RPCs toward it. While a
-//! peer is down, outbound coherence traffic parks in the link's outbox
-//! (bounded by `PARK_MAX`) and, on the lower-id side of the pair, a redial
-//! thread retries with exponential backoff (the higher side waits to be
-//! dialed); miss-path RPCs ride it out within
+//! Crash recovery (peers are separate OS processes that die and come back):
+//! every peer link is a `PeerLink` that survives its connection. Messages
+//! are retained until the peer confirms *processing* them through
+//! cumulative [`Frame::Credit`] acknowledgements (TCP-ack style:
+//! idempotent, loss-proof), so when a link dies the unconfirmed tail is
+//! replayed after the redial handshake — exactly once, in order. The
+//! handshake ([`Frame::PeerHello`] → [`Frame::PeerHelloAck`] →
+//! [`Frame::PeerResume`]) carries *process generations* and reconciles both
+//! directions: a restarted peer is detected on either side, its stale
+//! connections and confirmations are rejected, and the restart rule
+//! ([`node_ops::handshake`]) reissues every local pending Lin write's
+//! invalidation toward the restarted (now empty, vacuously acknowledging)
+//! peer — per-node ack bitmasks in the protocol engine make duplicate
+//! acknowledgements harmless — and asks its in-doubt miss-path RPCs again.
+//! While a peer is down, outbound coherence traffic parks in the link's
+//! outbox (bounded by `PARK_MAX`) and, on the lower-id side of the pair, a
+//! redial thread retries with exponential backoff (the higher side waits to
+//! be dialed); miss-path RPCs ride it out within
 //! [`NodeServerConfig::rpc_retry`]. The serving node keeps answering for
 //! every key the dead peer does not home.
 
@@ -205,13 +209,22 @@ impl Item for LinkItem {
     }
 }
 
-/// The crash-surviving state of the duplex link to one peer. The
-/// connection comes and goes (adopted by the owning shard while up; while
-/// down the lower node id redials from a background thread, the higher
-/// waits); the link — queued traffic, the sent-but-unconfirmed tail, and
-/// both directions' sequence counters — persists across reconnects, in a
-/// [`crate::link`] [`Peer`] that [`node_ops`] runs the handshake and the
-/// pump over.
+/// The crash-surviving state of the duplex link to one peer. The connection
+/// comes and goes (adopted by the owning shard while up; while down the
+/// lower node id redials from a background thread, the higher waits); the
+/// link — queued traffic, the sent-but-unconfirmed tail, and both
+/// directions' sequence counters — persists across reconnects.
+///
+/// Queueing, sequencing, packing and taking in are [`crate::link`]'s
+/// [`Peer`]: items leave in the order they were queued, so one key's
+/// messages keep theirs, and each is numbered for the life of this process
+/// and retained until the peer's cumulative [`Frame::Credit`]
+/// confirmations cover it. On redial the handshake
+/// ([`node_ops::handshake`]) tells each side how far the other really
+/// processed; each requeues its unprocessed tail at the front of its
+/// outbox — the repack assigns the same numbers, so the peer (aligned by
+/// the resume sequence, [`Peer::resume`]) sees every message exactly once,
+/// in order.
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`
     /// — so frame processing, credit returns, replay and pumping never race
@@ -289,11 +302,14 @@ struct ServerInner {
     /// Peer listen addresses (redials and the coordinator's admin conns);
     /// empty until [`NodeServer::connect_peers`] supplies them.
     peer_addrs: Mutex<Vec<SocketAddr>>,
-    /// Pending correlated miss-path RPCs ([`crate::rpc`]): an arriving
-    /// [`Frame::RpcResp`] takes its entry out and resumes the waiter, and
-    /// one whose id is absent is dropped. Past [`NodeServerConfig::rpc_retry`]
-    /// the sweep tick of the shard that issued it fails it
-    /// ([`Shard::sweep_rpcs`]).
+    /// Pending correlated miss-path RPCs ([`crate::rpc`]). An arriving
+    /// [`Frame::RpcResp`] takes its entry out and resumes the waiter; a
+    /// response whose id is absent (duplicate after a restart reissue, a
+    /// late answer after the deadline sweep gave up, an answer addressed
+    /// to this node's dead predecessor) is dropped. Deadlines are
+    /// transport deadlines: past one the RPC fails with a timeout (the
+    /// peer stayed dead longer than [`NodeServerConfig::rpc_retry`]), on
+    /// the sweep tick of the shard that issued it ([`Shard::sweep_rpcs`]).
     rpcs: Mutex<RpcTable<RpcWaiter>>,
     /// Batching / flow-control knobs.
     flow: FlowConfig,

@@ -871,6 +871,11 @@ impl Shard {
     /// stall arms nothing, the lap that reads the peer's `Credit` pumps the
     /// link again; a debt left unannounced arms the link's
     /// [`CREDIT_RETURN_TICK`].
+    ///
+    /// Every item moves from the outbox's queue into its retained tail as
+    /// it is packed: the socket may lose it (severed link, crashed peer),
+    /// the link does not — the redial handshake replays whatever the peer
+    /// did not confirm processing.
     fn pump_peer(&mut self, token: u64, conn: &mut ConnState) -> bool {
         // On a datagram fabric one pack should ride one datagram: cap the
         // byte budget at the transport's datagram payload size.
