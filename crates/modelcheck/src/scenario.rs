@@ -122,8 +122,10 @@ pub struct ScenarioSpec {
 /// A known hole a negative scenario plants in the rack under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hole {
-    /// No crash-safety gates (`harness::RackModel::can_crash`): crashes land
-    /// in the windows the production system does not survive.
+    /// No crash-safety gates (`harness::RackModel::can_crash`): crashes may
+    /// land inside the windows the production system does not survive
+    /// (ack-then-die, a committed value only in the dead cache, in-memory
+    /// cold data).
     UnsafeCrashes,
     /// A rule of every process's shipped RPC table broken.
     Mutant(Mutant),
