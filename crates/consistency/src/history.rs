@@ -90,7 +90,7 @@ impl std::error::Error for Violation {}
 pub struct History {
     ops: Vec<OpRecord>,
     /// Puts whose call failed, as `(key, value, invoked_at)`.
-    indeterminate: Vec<(u64, Value, u64)>,
+    pub indeterminate: Vec<(u64, Value, u64)>,
 }
 
 impl History {
@@ -116,11 +116,6 @@ impl History {
     /// The recorded operations.
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops
-    }
-
-    /// The puts recorded indeterminate, as `(key, value, invoked_at)`.
-    pub fn indeterminate(&self) -> &[(u64, Value, u64)] {
-        &self.indeterminate
     }
 
     /// Number of recorded operations.

@@ -19,6 +19,7 @@
 //! **no** violation, or when the total distinct-schedule count falls short
 //! of `--min-distinct`.
 
+use std::num::ParseIntError;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Instant;
@@ -55,27 +56,13 @@ impl Args {
             let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
                 "--scenario" => args.scenario = value("--scenario")?,
-                "--schedules" => {
-                    args.schedules = value("--schedules")?
-                        .parse()
-                        .map_err(|e| format!("--schedules: {e}"))?;
-                }
-                "--depth" => {
-                    args.depth = value("--depth")?
-                        .parse()
-                        .map_err(|e| format!("--depth: {e}"))?;
-                }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
+                "--schedules" => args.schedules = num("--schedules", value("--schedules")?)?,
+                "--depth" => args.depth = num("--depth", value("--depth")?)?,
+                "--seed" => args.seed = num("--seed", value("--seed")?)?,
                 "--replay" => args.replay = Some(Seed::from_str(&value("--replay")?)?),
                 "--list" => args.list = true,
                 "--min-distinct" => {
-                    args.min_distinct = value("--min-distinct")?
-                        .parse()
-                        .map_err(|e| format!("--min-distinct: {e}"))?;
+                    args.min_distinct = num("--min-distinct", value("--min-distinct")?)?
                 }
                 "--fail-seed-file" => args.fail_seed_file = Some(value("--fail-seed-file")?),
                 "--help" | "-h" => {
@@ -87,6 +74,11 @@ impl Args {
         }
         Ok(args)
     }
+}
+
+/// The value of numeric flag `flag`.
+fn num<T: FromStr<Err = ParseIntError>>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn print_help() {

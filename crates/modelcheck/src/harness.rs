@@ -14,9 +14,9 @@
 //!
 //! * the recorded history is per-key linearizable (or per-key SC,
 //!   matching the scenario's model), with unique write timestamps;
-//! * **zero lost acknowledged writes**: the newest acknowledged value of
-//!   every key is present at the key's final location — in every replica's
-//!   cache if the key ended hot, in the home shard if it ended cold.
+//! * **zero lost acknowledged writes**: every key's final copy — in every
+//!   replica's cache if it ended hot, in the home shard if cold — is its
+//!   newest acknowledged put, or a newer put among its indeterminate ones.
 //!
 //! ## The link
 //!
@@ -84,7 +84,6 @@
 //! resulting histories, so the exclusions stay honest.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cckvs::node::{CacheGet, CcNode, NodeConfig, Outgoing};
@@ -211,17 +210,6 @@ struct LinkFrame {
     ordinal: u64,
 }
 
-/// Frames made into link items so far, by any rack on any thread: one
-/// rack's are numbered in the order it pushed them.
-static ORDINALS: AtomicU64 = AtomicU64::new(0);
-
-impl From<Frame> for LinkFrame {
-    fn from(frame: Frame) -> Self {
-        let ordinal = ORDINALS.fetch_add(1, Ordering::Relaxed) + 1;
-        LinkFrame { frame, ordinal }
-    }
-}
-
 impl NodeItem for LinkFrame {
     fn request(&self) -> Option<u64> {
         self.frame.request()
@@ -321,6 +309,14 @@ fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<b
     (CcNode::new(cfg), rpcs)
 }
 
+/// A link end stamped `gen`, resumed after the first `processed` items of
+/// the peer process stamped `peer_gen`.
+fn link_end(gen: u64, spec: &ScenarioSpec, peer_gen: u64, processed: u64) -> Peer<LinkFrame> {
+    let mut end = Peer::new(gen, spec.credit_window);
+    end.resume(peer_gen, processed);
+    end
+}
+
 /// The rack under test. See the module docs for the model.
 pub struct RackModel {
     spec: ScenarioSpec,
@@ -337,6 +333,8 @@ pub struct RackModel {
     recv: BTreeMap<(usize, usize), RecvHalf<Frame>>,
     /// Ends whose credit tick is armed.
     ticks: BTreeSet<(usize, usize)>,
+    /// Frames pushed so far, on any link: the next frame's ordinal.
+    enqueued: u64,
     /// Per link, the ordinal of the frame its receiver processed last
     /// (forgotten when either end restarts).
     processed_ordinal: BTreeMap<(usize, usize), u64>,
@@ -412,15 +410,10 @@ impl RackModel {
             flights: BTreeMap::new(),
             launched: 0,
             lost: Vec::new(),
-            peers: (links())
-                .map(|l| {
-                    let mut end = Peer::new(1, spec.credit_window);
-                    end.resume(1, 0);
-                    (l, end)
-                })
-                .collect(),
+            peers: links().map(|l| (l, link_end(1, &spec, 1, 0))).collect(),
             recv: links().map(|l| (l, RecvHalf::default())).collect(),
             ticks: BTreeSet::new(),
+            enqueued: 0,
             processed_ordinal: BTreeMap::new(),
             served: BTreeMap::new(),
             commits: Arc::new(Mutex::new(Vec::new())),
@@ -485,58 +478,26 @@ impl RackModel {
     /// The currently enabled scheduler choices, in a fixed deterministic
     /// order (node-index, flight-id, link-key ascending).
     pub fn enabled_actions(&self) -> Vec<Action> {
-        let mut out = Vec::new();
-        for n in 0..self.nodes.len() {
-            if self.issue_enabled(n) {
-                out.push(Action::Issue(n));
-            }
-        }
-        for n in 0..self.nodes.len() {
-            if self.reprobe_enabled(n) {
-                out.push(Action::Reprobe(n));
-            }
-        }
-        let flights: Vec<u64> = self.flights.keys().copied().collect();
-        for &f in &flights {
-            out.push(Action::Deliver(f));
-        }
-        if self.drops_left > 0 {
-            for &f in &flights {
-                out.push(Action::Drop(f));
-            }
-        }
-        if self.dups_left > 0 {
-            for &f in &flights {
-                out.push(Action::Dup(f));
-            }
-        }
-        for &(i, j) in self.peers.keys() {
-            if self.retransmit_enabled(i, j) {
-                out.push(Action::Retransmit(i, j));
-            }
-        }
+        let each = |on: fn(&Self, usize) -> bool, act: fn(usize) -> Action| {
+            (0..self.nodes.len()).filter(move |&n| on(self, n)).map(act)
+        };
+        let flights = || self.flights.keys().copied();
+        let mut out: Vec<Action> = each(Self::issue_enabled, Action::Issue).collect();
+        out.extend(each(Self::reprobe_enabled, Action::Reprobe));
+        out.extend(flights().map(Action::Deliver));
+        out.extend(flights().filter(|_| self.drops_left > 0).map(Action::Drop));
+        out.extend(flights().filter(|_| self.dups_left > 0).map(Action::Dup));
+        let lost = self
+            .peers
+            .keys()
+            .filter(|&&(i, j)| self.retransmit_enabled(i, j));
+        out.extend(lost.map(|&(i, j)| Action::Retransmit(i, j)));
         out.extend(self.ticks.iter().map(|&(i, j)| Action::CreditTick(i, j)));
-        for n in 0..self.nodes.len() {
-            if self.expire_enabled(n) {
-                out.push(Action::Expire(n));
-            }
-        }
-        for n in 0..self.nodes.len() {
-            if self.can_crash(n) {
-                out.push(Action::Crash(n));
-            }
-        }
-        for n in 0..self.nodes.len() {
-            if !self.nodes[n].up {
-                out.push(Action::Restart(n));
-            }
-        }
-        if self.heal_enabled() {
-            out.push(Action::Heal);
-        }
-        if self.admin_enabled() {
-            out.push(Action::Admin);
-        }
+        out.extend(each(Self::expire_enabled, Action::Expire));
+        out.extend(each(Self::can_crash, Action::Crash));
+        out.extend(each(|m, n| !m.nodes[n].up, Action::Restart));
+        out.extend(self.heal_enabled().then_some(Action::Heal));
+        out.extend(self.admin_enabled().then_some(Action::Admin));
         out
     }
 
@@ -679,20 +640,24 @@ impl RackModel {
     /// Ships protocol messages produced by node `n` through the shipped
     /// destination rule, each onto its link.
     fn ship(&mut self, n: usize, outgoing: Vec<Outgoing>) {
-        let peers = &mut self.peers;
+        let mut frames = Vec::new();
         node_ops::ship(&self.nodes[n].cc, outgoing, |t, msg, bytes| {
             let bytes = bytes.map(|b| b.to_vec());
-            let end = peers.get_mut(&(n, t)).expect("link");
-            end.outbox.push(Frame::Protocol { msg, bytes }.into());
+            frames.push((t, Frame::Protocol { msg, bytes }));
         });
+        for (t, frame) in frames {
+            self.send_frame(n, t, frame);
+        }
     }
 
     /// Queues one frame on node `i`'s end of its link with `j`; the lap
     /// under way pumps it (a frame for a down peer stays queued, and the
     /// restart pumps it).
     fn send_frame(&mut self, i: usize, j: usize, frame: Frame) {
+        self.enqueued += 1;
+        let ordinal = self.enqueued;
         let end = self.peers.get_mut(&(i, j)).expect("link");
-        end.outbox.push(frame.into());
+        end.outbox.push(LinkFrame { frame, ordinal });
     }
 
     /// The end of a reactor lap at node `i`: the shipped pump of each of
@@ -715,16 +680,14 @@ impl RackModel {
                     *launched += 1;
                     flights.insert(*launched, Flight { i, j, pack, bytes });
                 }
-                true
             };
-            let (mut builder, mut out) = (BatchBuilder::new(), Vec::new());
-            let arm = node_ops::pump(end, window, cap, &mut builder, &mut out, packed, launch);
-            let queued = end.outbox.queued().len();
+            let out = &mut Vec::new();
+            let (arm, held) = node_ops::pump(end, window, cap, usize::MAX, out, packed, launch);
             if arm {
                 self.ticks.insert((i, j));
             }
-            if queued > 0 {
-                self.log(format!("stall {i}->{j} x{queued}"));
+            if held > 0 {
+                self.log(format!("stall {i}->{j} x{held}"));
             }
         }
     }
@@ -773,10 +736,10 @@ impl RackModel {
                 ));
             };
             let last = self.processed_ordinal.insert((i, j), ordinal);
-            if last.is_some_and(|last| last >= ordinal) {
+            if let Some(last) = last.filter(|&last| last >= ordinal) {
                 return self.fail(format!(
-                    "link {i}->{j} processed #{seq} after an item enqueued later: \
-                     wire order is not enqueue order"
+                    "link {i}->{j} processed #{seq} (enqueued {ordinal}) after one \
+                     enqueued later ({last}): wire order is not enqueue order"
                 ));
             }
             self.nodes[j].deliveries += 1;
@@ -899,21 +862,22 @@ impl RackModel {
             let shake = node_ops::handshake(survivor, &mut s.rpcs, &s.cc, n, gen, 0);
             let shake = shake.expect("a new process, and zero is never beyond sent");
             let confirmed = shake.confirmed;
-            let queued = survivor.outbox.queued().len() - shake.reissued - shake.asked_again.len();
-            let replayed = (queued as u64).min(self.spec.credit_window);
+            let queued = survivor.outbox.queued().len() as u64;
+            let replayed = queued.min(self.spec.credit_window);
             self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
-            let mut fresh = Peer::new(gen, self.spec.credit_window);
-            fresh.resume(s.gen + 1, confirmed);
+            let fresh = link_end(gen, &self.spec, s.gen + 1, confirmed);
             self.peers.insert((n, j), fresh);
             if replayed > 0 {
                 let last = confirmed + replayed - 1;
                 self.log(format!("replay {j}->{n} #{confirmed}..#{last}"));
             }
-            if shake.reissued > 0 {
-                self.log(format!("reissue n{j} -> n{n} x{}", shake.reissued));
+            if !shake.reissue.is_empty() {
+                self.log(format!("reissue n{j} -> n{n} x{}", shake.reissue.len()));
+                self.ship(j, shake.reissue);
             }
-            for corr in shake.asked_again {
+            for (corr, request) in shake.asked_again {
                 self.log(format!("in-doubt n{j} rpc#{corr} -> home n{n}"));
+                self.send_frame(j, n, request);
             }
         }
         for j in 0..nodes {
@@ -1015,40 +979,28 @@ impl RackModel {
                 return;
             }
             let Some(action) = self.drain_action() else {
-                let stuck: Vec<String> = self
-                    .nodes
-                    .iter()
-                    .enumerate()
+                let stuck = (self.nodes.iter().enumerate())
                     .filter(|(_, s)| !s.client.is_idle() || !s.program.is_empty())
                     .map(|(n, s)| {
-                        format!(
-                            "n{n}: {} queued, current {}",
-                            s.program.len(),
-                            match self.current_op(n) {
-                                None => "none".to_string(),
-                                Some(op) => format!(
-                                    "k{} ({})",
-                                    op.key(),
-                                    match s.ops.wait() {
-                                        Some(Wait::LinCommit { .. }) => "awaiting commit",
-                                        Some(Wait::Rpc { .. }) => "awaiting rpc",
-                                        _ => "parked",
-                                    }
-                                ),
-                            }
-                        )
-                    })
-                    .collect();
-                let unconfirmed = (self.peers.iter())
+                        let wait = match s.ops.wait() {
+                            Some(Wait::LinCommit { .. }) => "awaiting commit",
+                            Some(Wait::Rpc { .. }) => "awaiting rpc",
+                            _ => "parked",
+                        };
+                        let current = self.current_op(n);
+                        let current =
+                            current.map_or("none".into(), |op| format!("k{} ({wait})", op.key()));
+                        format!("n{n}: {} queued, current {current}", s.program.len())
+                    });
+                let stuck: Vec<String> = stuck.collect();
+                let unconfirmed: Vec<String> = (self.peers.iter())
                     .filter(|(_, end)| end.outbox.outstanding() > 0)
-                    .map(|((i, j), end)| format!("{i}->{j} x{}", end.outbox.outstanding()));
-                let unconfirmed: Vec<String> = unconfirmed.collect();
-                self.fail(format!(
-                    "deadlock: rack cannot quiesce [{}] unconfirmed [{}]",
-                    stuck.join("; "),
-                    unconfirmed.join(", ")
+                    .map(|((i, j), end)| format!("{i}->{j} x{}", end.outbox.outstanding()))
+                    .collect();
+                let (stuck, unconfirmed) = (stuck.join("; "), unconfirmed.join(", "));
+                return self.fail(format!(
+                    "deadlock: rack cannot quiesce [{stuck}] unconfirmed [{unconfirmed}]"
                 ));
-                return;
             };
             self.apply(action);
         }
@@ -1056,18 +1008,18 @@ impl RackModel {
     }
 
     fn drain_action(&self) -> Option<Action> {
-        for n in 0..self.nodes.len() {
-            if !self.nodes[n].up {
-                return Some(Action::Restart(n));
-            }
+        if let Some(n) = (0..self.nodes.len()).find(|&n| !self.nodes[n].up) {
+            return Some(Action::Restart(n));
         }
         if let Some(&f) = self.flights.keys().next() {
             return Some(Action::Deliver(f));
         }
-        for &(i, j) in self.peers.keys() {
-            if self.retransmit_enabled(i, j) {
-                return Some(Action::Retransmit(i, j));
-            }
+        let lost = self
+            .peers
+            .keys()
+            .find(|&&(i, j)| self.retransmit_enabled(i, j));
+        if let Some(&(i, j)) = lost {
+            return Some(Action::Retransmit(i, j));
         }
         if let Some(&(i, j)) = self.ticks.first() {
             return Some(Action::CreditTick(i, j));
@@ -1115,7 +1067,7 @@ impl RackModel {
                 }
             }
         }
-        let unsure = self.history.indeterminate();
+        let unsure = &self.history.indeterminate;
         let holds = |key: u64, (value, ts): (u64, Timestamp), v: &[u8], t: Timestamp| {
             let v = decode_value(v);
             (t == ts && v == value)
@@ -1207,18 +1159,10 @@ impl PeerHost for LinkHost<'_> {
 }
 
 fn protocol_brief(msg: &ProtocolMsg) -> String {
+    let (key, from) = (msg.key(), msg.from().0);
     match msg {
-        ProtocolMsg::Invalidation { key, ts, from } => {
-            format!("inv k{key} ts{ts} from n{}", from.0)
-        }
-        ProtocolMsg::Ack { key, ts, from } => format!("ack k{key} ts{ts} from n{}", from.0),
-        ProtocolMsg::Update {
-            key,
-            value,
-            ts,
-            from,
-        } => {
-            format!("upd k{key}={value} ts{ts} from n{}", from.0)
-        }
+        ProtocolMsg::Invalidation { ts, .. } => format!("inv k{key} ts{ts} from n{from}"),
+        ProtocolMsg::Ack { ts, .. } => format!("ack k{key} ts{ts} from n{from}"),
+        ProtocolMsg::Update { value, ts, .. } => format!("upd k{key}={value} ts{ts} from n{from}"),
     }
 }

@@ -25,7 +25,7 @@ use cckvs_net::churn::Flip;
 use cckvs_net::client_ops::{BatchOutcome, ClientHost, Op};
 use cckvs_net::node_ops::{self, RPC_EXPIRED};
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
-use cckvs_net::rpc::serve_admin_frame;
+use cckvs_net::rpc::serve_home_frame;
 use cckvs_net::wire::Frame;
 use consistency::history::{OpRecord, RecordKind};
 use consistency::{ConsistencyModel, Timestamp};
@@ -210,15 +210,8 @@ impl RackModel {
             let noted = noted.expect("noted as its sub-request finished");
             let (what, kind, cached, ts) = match outcome {
                 BatchOutcome::Get { value, cached } => {
-                    let kind = RecordKind::Get {
-                        value: decode_value(&value),
-                    };
-                    (
-                        format!("get k{key}"),
-                        kind,
-                        cached,
-                        if cached { ts } else { noted },
-                    )
+                    let (value, ts) = (decode_value(&value), if cached { ts } else { noted });
+                    (format!("get k{key}"), RecordKind::Get { value }, cached, ts)
                 }
                 BatchOutcome::Put { cached, .. } => {
                     let value = op.put.expect("a put settles as a put");
@@ -405,12 +398,7 @@ impl OpsHost for SimHost<'_> {
     }
 
     fn issue_rpc(&mut self, home: usize, request: Frame) -> Option<u64> {
-        let n = self.n;
-        let (Frame::MissGet { key } | Frame::MissPut { key, .. } | Frame::WriteBack { key, .. }) =
-            request
-        else {
-            unreachable!("ops issue only miss-path reads, writes and write-backs");
-        };
+        let (n, key) = (self.n, request.key());
         let who = if self.admin { "admin" } else { "issue" };
         let rpcs = &mut self.m.nodes[n].rpcs;
         let (corr, frame) = rpcs.issue(home, request, self.admin, self.m.clock);
@@ -440,8 +428,31 @@ impl OpsHost for SimHost<'_> {
     /// sends the churn frames, served as the reactor serves them.
     fn serve(&mut self, frame: Frame) -> Served {
         let node = &self.m.nodes[self.n].cc;
-        let served = self.admin.then(|| serve_admin_frame(node, frame).ok());
-        served.flatten().map_or(Served::Close, Served::Now)
+        Served::Now(match frame {
+            _ if !self.admin => return Served::Close,
+            Frame::InstallHot {
+                key,
+                value,
+                ts,
+                warm,
+            } => {
+                let install = if warm {
+                    CcNode::install_hot_warm
+                } else {
+                    CcNode::install_hot
+                };
+                let ok = install(node, key, &value, ts);
+                Frame::InstallHotResp { ok }
+            }
+            Frame::ActivateHot { key } => {
+                let ok = node.activate_hot(key);
+                Frame::ActivateHotResp { ok }
+            }
+            frame => match serve_home_frame(node, frame) {
+                Ok(response) => response,
+                Err(_) => return Served::Close,
+            },
+        })
     }
 
     /// A dirty copy an eviction wrote back into this home's own shard is

@@ -21,10 +21,9 @@
 //!   — the sans-IO cores the server, the model checker, the supervisor and
 //!   the client drive: the reliable link, the home shard's answers to
 //!   miss-path frames, the pending-RPC table, what a node does between
-//!   frames (the peer handshake and restart rule, the lap's pump, shipping,
-//!   the RPC deadline sweep), one client connection's op machine, the
-//!   hot-set transitions of one key and of many keys in batches, and one
-//!   client session's queue, batches and lost-connection rule.
+//!   frames, one client connection's op machine, the hot-set transitions of
+//!   one key and of many keys in batches, and one client session's queue,
+//!   batches and lost-connection rule.
 //! * [`rack`] — [`rack::Rack`]: boots an N-node deployment, wires the peer
 //!   mesh and installs the coordinator's hot set over the wire.
 //! * [`client`] — [`client::Client`]: a load-balancing client session that

@@ -434,6 +434,8 @@ pub struct Peer<T> {
     gen: u64,
     /// The peer process's generation, stamped on the credits going back.
     peer_gen: u64,
+    /// Scratch of [`Peer::pack`], kept for its capacity.
+    builder: BatchBuilder,
 }
 
 impl<T: Item> Peer<T> {
@@ -446,6 +448,7 @@ impl<T: Item> Peer<T> {
             credit: CreditReturn::new(window),
             gen,
             peer_gen: 0,
+            builder: BatchBuilder::new(),
         }
     }
 
@@ -485,10 +488,10 @@ impl<T: Item> Peer<T> {
         &mut self,
         window: u64,
         byte_cap: usize,
-        builder: &mut BatchBuilder,
         out: &mut Vec<u8>,
         mut numbered: impl FnMut(u64, &T),
     ) -> Pack {
+        let builder = &mut self.builder;
         let first = self.outbox.send.next_seq();
         let mut items = 0;
         while items < PEER_BATCH_OPS {
@@ -658,22 +661,16 @@ mod tests {
     /// One [`Peer::pack`] and the wire messages it emitted.
     fn pack_once(end: &mut Peer<Frame>, window: u64, cap: usize) -> (Pack, Vec<Frame>) {
         let mut out = Vec::new();
-        let pack = end.pack(window, cap, &mut BatchBuilder::new(), &mut out, |_, _| {});
+        let pack = end.pack(window, cap, &mut out, |_, _| {});
         (pack, messages(&out))
     }
 
     /// Pumps `end` as a reactor lap's end does — packs until the queue is
     /// empty or the window closed — onto `wire`, and returns the packs.
     fn pump(end: &mut Peer<Frame>, window: u64, wire: &mut VecDeque<Frame>) -> Vec<Pack> {
-        let (mut builder, mut out, mut packs) = (BatchBuilder::new(), Vec::new(), Vec::new());
+        let (mut out, mut packs) = (Vec::new(), Vec::new());
         loop {
-            let pack = end.pack(
-                window,
-                PEER_BATCH_MAX_BYTES,
-                &mut builder,
-                &mut out,
-                |_, _| {},
-            );
+            let pack = end.pack(window, PEER_BATCH_MAX_BYTES, &mut out, |_, _| {});
             packs.push(pack);
             if pack.items == 0 || end.outbox.queued().len() == 0 {
                 break;

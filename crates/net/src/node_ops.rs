@@ -5,16 +5,14 @@
 //!
 //! Like [`crate::link`] and [`crate::rpc`], nothing here owns a socket, a
 //! thread, a lock or a clock: each rule takes the link end ([`Peer`]), the
-//! pending-RPC table ([`RpcTable`]) and the [`CcNode`] it touches. The
-//! reactor server takes each where it always has and passes it in;
-//! `cckvs-modelcheck`'s `RackModel` passes its own per simulated process,
-//! and sweeps on a logical clock whose deadlines come when its scheduler
-//! says.
+//! pending-RPC table ([`RpcTable`]) and the [`CcNode`] it touches, from the
+//! reactor server or from `cckvs-modelcheck`'s `RackModel`, which sweeps
+//! on a logical clock its scheduler advances.
 
 use crate::link::{Item, Pack, Peer};
 use crate::ops::ResumeEvent;
 use crate::rpc::RpcTable;
-use crate::wire::{BatchBuilder, Frame};
+use crate::wire::Frame;
 use cckvs::node::{CcNode, Outgoing};
 use consistency::engine::Destination;
 use consistency::lamport::NodeId;
@@ -24,8 +22,8 @@ use std::sync::Arc;
 /// What an expired miss-path RPC fails with.
 pub const RPC_EXPIRED: &str = "miss-path rpc exceeded its redial budget";
 
-/// A link item the node machine makes (from a [`Frame`]) and reads.
-pub trait NodeItem: Item + From<Frame> {
+/// A link item whose miss-path requests the pump books as they are packed.
+pub trait NodeItem: Item {
     /// The correlation id of a miss-path request; `None` for anything else.
     fn request(&self) -> Option<u64>;
 }
@@ -39,34 +37,47 @@ impl NodeItem for Frame {
     }
 }
 
-/// What one side of a handshake queued on its link end, front first.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A link end as its driver holds it: bare, or behind the lock the pump
+/// takes once per pack.
+pub trait LinkEnd<I> {
+    /// Runs `f` on the end.
+    fn with<R>(&mut self, f: impl FnOnce(&mut Peer<I>) -> R) -> R;
+}
+
+impl<I> LinkEnd<I> for Peer<I> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Peer<I>) -> R) -> R {
+        f(self)
+    }
+}
+
+/// One side of a handshake: the replay, and what the restart rule hands
+/// the driver to queue behind it.
+#[derive(Debug, PartialEq)]
 pub struct Handshake {
     /// Items of the stream the peer processed: the replay's first number.
     pub confirmed: u64,
     /// Items requeued for the replay.
     pub replayed: u64,
-    /// Invalidations reissued toward a restarted peer.
-    pub reissued: usize,
-    /// In-doubt miss-path requests asked again, by correlation id.
-    pub asked_again: Vec<u64>,
+    /// Invalidations to reissue toward a restarted peer.
+    pub reissue: Vec<Outgoing>,
+    /// In-doubt miss-path requests to ask again, under their old ids.
+    pub asked_again: Vec<(u64, Frame)>,
 }
 
 /// This node's side of a handshake with `peer`'s process `peer_gen`, which
 /// processed the first `processed` items of `end`'s stream. A generation
-/// older than the one `end` last resumed (or 0), or a count beyond what
-/// was sent, is rejected and changes nothing. Otherwise the rest of the
-/// stream is requeued for replay under its old numbers, and a new peer
-/// generation restarts the peer's stream at 0 (the driver resumes it where
-/// the peer's replay starts, [`Peer::resume`]).
+/// of 0 or older than `end`'s, or a count beyond what was sent, is rejected
+/// and changes nothing. Otherwise the rest of the stream is requeued for
+/// replay under its old numbers, and a new peer generation restarts the
+/// peer's stream at 0 (the driver resumes it, [`Peer::resume`]).
 ///
 /// The restart rule: if `end` knew an earlier generation, a new process
-/// took the dead one's place, and the link's replay cannot repair what died
-/// with it. Every local pending Lin write it never acknowledged reissues
-/// its invalidation (the fresh process acknowledges vacuously), and every
-/// miss-path request it confirmed and never answered
-/// ([`RpcTable::in_doubt`]) is asked again under its old correlation id.
-pub fn handshake<I: NodeItem, W, T: Copy + Ord>(
+/// took the dead one's place, and the replay cannot repair what died with
+/// it: every local pending Lin write it never acknowledged reissues its
+/// invalidation (the fresh process acknowledges vacuously), and every
+/// request it confirmed and never answered ([`RpcTable::in_doubt`]) is
+/// asked again under its old correlation id.
+pub fn handshake<I: Item, W, T: Copy + Ord>(
     end: &mut Peer<I>,
     rpcs: &mut RpcTable<W, T>,
     node: &CcNode,
@@ -84,56 +95,57 @@ pub fn handshake<I: NodeItem, W, T: Copy + Ord>(
     let confirmed = (end.outbox)
         .requeue_unprocessed(processed, |_| replayed += 1)
         .map_err(|e| format!("peer {peer} claims {e} (a count from another generation?)"))?;
-    let mut shake = Handshake {
+    if peer_gen != prev {
+        end.resume(peer_gen, 0);
+    }
+    let (reissue, asked_again) = if prev != 0 && peer_gen != prev {
+        let reissue = node.reissue_invalidations(NodeId(peer as u8));
+        (reissue, rpcs.in_doubt(peer, confirmed))
+    } else {
+        Default::default()
+    };
+    Ok(Handshake {
         confirmed,
         replayed,
-        reissued: 0,
-        asked_again: Vec::new(),
-    };
-    if peer_gen == prev {
-        return Ok(shake);
-    }
-    end.resume(peer_gen, 0);
-    if prev != 0 {
-        let reissue = node.reissue_invalidations(NodeId(peer as u8));
-        shake.reissued = reissue.len();
-        for Outgoing { msg, bytes, .. } in reissue {
-            let bytes = bytes.map(|b| b.to_vec());
-            end.outbox.push(Frame::Protocol { msg, bytes }.into());
-        }
-        for (corr, request) in rpcs.in_doubt(peer, confirmed) {
-            end.outbox.push(request.into());
-            shake.asked_again.push(corr);
-        }
-    }
-    Ok(shake)
+        reissue,
+        asked_again,
+    })
 }
 
-/// The end of a lap at one link end: packs what is queued ([`Peer::pack`])
-/// into `out` until the queue is empty, the credit `window` holds the rest
-/// back, or `sent`, handed each pack and `out`, says the wire is full.
-/// `packed` books each miss-path request's number ([`RpcTable::packed`]).
-/// Returns whether the driver must arm the credit tick ([`Peer::arm`]).
+/// The end of a lap at one link end: packs what is queued ([`Peer::pack`],
+/// one turn of `end` per pack) into `out` while it holds at most
+/// `high_water` bytes, until the queue is empty or the credit `window`
+/// holds the rest back. `packed` books each miss-path request's number
+/// ([`RpcTable::packed`]); `sent` sees each pack. Returns whether the
+/// driver must arm the credit tick ([`Peer::arm`]), and how many items the
+/// window holds back.
 pub fn pump<I: NodeItem>(
-    end: &mut Peer<I>,
+    end: &mut impl LinkEnd<I>,
     window: u64,
     byte_cap: usize,
-    builder: &mut BatchBuilder,
+    high_water: usize,
     out: &mut Vec<u8>,
     mut packed: impl FnMut(u64, u64),
-    mut sent: impl FnMut(Pack, &mut Vec<u8>) -> bool,
-) -> bool {
-    loop {
-        let pack = end.pack(window, byte_cap, builder, out, |seq, item| {
-            if let Some(corr) = item.request() {
-                packed(corr, seq);
-            }
+    mut sent: impl FnMut(Pack, &mut Vec<u8>),
+) -> (bool, usize) {
+    while out.len() <= high_water {
+        let (pack, more) = end.with(|end| {
+            let pack = end.pack(window, byte_cap, out, |seq, item| {
+                if let Some(corr) = item.request() {
+                    packed(corr, seq);
+                }
+            });
+            (pack, pack.items > 0 && end.outbox.queued().len() > 0)
         });
-        let more = pack.items > 0 && end.outbox.queued().len() > 0;
-        if !sent(pack, out) || !more {
-            return end.arm();
+        sent(pack, out);
+        if !more {
+            break;
         }
     }
+    end.with(|end| {
+        let held = end.outbox.sendable(window).is_none();
+        (end.arm(), if held { end.outbox.queued().len() } else { 0 })
+    })
 }
 
 /// Where the protocol messages `node` produced go: each to its one peer, a
@@ -200,19 +212,9 @@ mod tests {
         (2..5).for_each(|_| end.outbox.push(Frame::Ping));
         let mut out = Vec::new();
         let packed = |corr, seq| rpcs.packed(corr, seq);
-        pump(
-            &mut end,
-            4,
-            PEER_BATCH_MAX_BYTES,
-            &mut BatchBuilder::new(),
-            &mut out,
-            packed,
-            |_, _| true,
-        );
-        assert_eq!(
-            (end.outbox.outstanding(), end.outbox.queued().len()),
-            (4, 1)
-        );
+        let cap = PEER_BATCH_MAX_BYTES;
+        let (_, held) = pump(&mut end, 4, cap, usize::MAX, &mut out, packed, |_, _| {});
+        assert_eq!((end.outbox.outstanding(), held), (4, 1));
         (end, rpcs)
     }
 
@@ -244,31 +246,24 @@ mod tests {
         let (node, (mut end, mut rpcs)) = (writer(), connected());
         // The replacement processed nothing of this end's stream.
         let shake = handshake(&mut end, &mut rpcs, &node, 1, 6, 2).expect("honest");
-        assert_eq!(shake.confirmed, 2);
-        assert_eq!(shake.replayed, 2);
-        assert_eq!(
-            (shake.reissued, shake.asked_again.as_slice()),
-            (1, &[100][..])
-        );
-        let queue = queued(&end);
-        assert_eq!(
-            queue.len(),
-            2 + 1 + 1 + 1,
-            "replay, queued, reissue, request"
-        );
+        assert_eq!((shake.confirmed, shake.replayed), (2, 2));
         assert!(matches!(
-            queue[3],
-            Frame::Protocol {
+            shake.reissue[..],
+            [Outgoing {
+                dest: Destination::To(NodeId(1)),
                 msg: ProtocolMsg::Invalidation { key: 7, .. },
                 ..
-            }
+            }]
         ));
-        assert!(matches!(queue[4], Frame::RpcReq { corr: 100, .. }));
+        assert!(matches!(
+            shake.asked_again[..],
+            [(100, Frame::RpcReq { corr: 100, .. })]
+        ));
+        assert_eq!(queued(&end).len(), 2 + 1, "the replay, then the queued");
         assert_eq!((end.peer_gen(), end.processed()), (6, 0));
         // The same generation again: a reconnect, no restart.
         let again = handshake(&mut end, &mut rpcs, &node, 1, 6, 2).expect("honest");
-        assert_eq!((again.reissued, again.asked_again.len()), (0, 0));
-        assert_eq!(queued(&end).len(), 5);
+        assert!(again.reissue.is_empty() && again.asked_again.is_empty());
     }
 
     #[test]
@@ -280,7 +275,7 @@ mod tests {
             Handshake {
                 confirmed: 4,
                 replayed: 0,
-                reissued: 0,
+                reissue: vec![],
                 asked_again: vec![],
             }
         );
@@ -288,7 +283,22 @@ mod tests {
         // A first connection is no restart either.
         let (mut fresh, mut none) = (Peer::<Frame>::new(1, 8), RpcTable::<(), u64>::new(1));
         let first = handshake(&mut fresh, &mut none, &node, 1, 5, 0).expect("honest");
-        assert!(first.reissued == 0 && fresh.peer_gen() == 5);
+        assert!(first.reissue.is_empty() && fresh.peer_gen() == 5);
+    }
+
+    #[test]
+    fn the_pump_packs_only_below_the_high_water_mark() {
+        let mut end = Peer::<Frame>::new(1, 64);
+        end.resume(5, 0);
+        (0..40).for_each(|_| end.outbox.push(Frame::Ping));
+        let (cap, mut packs) = (PEER_BATCH_MAX_BYTES, Vec::new());
+        let mut out = vec![0; 10];
+        let full = pump(&mut end, 64, cap, 9, &mut out, |_, _| {}, |_, _| {});
+        assert_eq!((full, end.outbox.queued().len()), ((false, 0), 40));
+        // At the mark it packs once, and the pack takes it past.
+        let sent = |pack: Pack, _: &mut Vec<u8>| packs.push(pack.items);
+        pump(&mut end, 64, cap, 10, &mut out, |_, _| {}, sent);
+        assert_eq!((packs, end.outbox.queued().len()), (vec![32], 8));
     }
 
     #[test]

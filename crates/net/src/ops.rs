@@ -313,14 +313,6 @@ pub(crate) fn peel_trace(frame: Frame) -> (Option<u64>, Frame) {
     }
 }
 
-/// The key a client frame refers to, for trace event annotation.
-fn frame_key(frame: &Frame) -> u64 {
-    match frame {
-        Frame::Get { key } | Frame::Put { key, .. } => *key,
-        _ => 0,
-    }
-}
-
 /// Re-wraps a peeled frame in its trace envelope for a path that carries
 /// frames, not `(trace, frame)` pairs.
 pub(crate) fn rewrap_trace(trace: Option<u64>, frame: Frame) -> Frame {
@@ -431,7 +423,7 @@ impl<T: Time> ConnOps<T> {
                     return Step::Wait;
                 };
                 let (trace, frame) = peel_trace(frame);
-                host.trace(trace, EventKind::Decode, frame_key(&frame), NO_PEER);
+                host.trace(trace, EventKind::Decode, frame.key(), NO_PEER);
                 let s = slot.get_or_insert_with(|| {
                     Box::new(Suspended {
                         done: Vec::new(),
@@ -527,7 +519,7 @@ impl<T: Time> Suspended<T> {
         // Sub-frames carry their own trace envelopes: a sampled op stays
         // causally linked through the client-side coalescing.
         let (trace, sub) = peel_trace(sub);
-        host.trace(trace, EventKind::Decode, frame_key(&sub), NO_PEER);
+        host.trace(trace, EventKind::Decode, sub.key(), NO_PEER);
         self.start_op(now, trace, sub);
         true
     }

@@ -1,9 +1,8 @@
-//! What a node does with what a peer or an admin caller sends, each
-//! written once: the link items a [`crate::link::Peer`] receives
-//! ([`serve_peer`]), what a home shard answers to a miss-path frame
-//! ([`serve_home_frame`]) and a node to an admin frame
-//! ([`serve_admin_frame`]), and what a requester remembers about a
-//! correlated miss-path RPC until it resolves ([`RpcTable`]).
+//! What a node does with what a peer sends, each written once: the link
+//! items a [`crate::link::Peer`] receives ([`serve_peer`]), what a home
+//! shard answers to a miss-path frame ([`serve_home_frame`]), and what a
+//! requester remembers about a correlated miss-path RPC until it resolves
+//! ([`RpcTable`]).
 //!
 //! Like [`crate::link`], nothing here owns a socket, a thread, a lock or a
 //! clock. The reactor server serves peer items through its [`PeerHost`],
@@ -120,33 +119,6 @@ pub fn serve_home_frame(node: &CcNode, frame: Frame) -> io::Result<Frame> {
                 format!("unexpected rpc frame {other:?}"),
             ))
         }
-    })
-}
-
-/// Serves one frame an admin caller (the epoch coordinator, the
-/// supervisor's heal) sends a node: a cache fill ([`Frame::InstallHot`],
-/// [`Frame::ActivateHot`]) or a home-shard frame ([`serve_home_frame`]).
-pub fn serve_admin_frame(node: &CcNode, frame: Frame) -> io::Result<Frame> {
-    Ok(match frame {
-        Frame::InstallHot {
-            key,
-            value,
-            ts,
-            warm,
-        } => {
-            let install = if warm {
-                CcNode::install_hot_warm
-            } else {
-                CcNode::install_hot
-            };
-            Frame::InstallHotResp {
-                ok: install(node, key, &value, ts),
-            }
-        }
-        Frame::ActivateHot { key } => Frame::ActivateHotResp {
-            ok: node.activate_hot(key),
-        },
-        frame => return serve_home_frame(node, frame),
     })
 }
 

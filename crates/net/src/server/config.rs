@@ -114,113 +114,6 @@ impl NodeServerConfig {
             transport: TransportConfig::tcp(),
         }
     }
-
-    /// Starts a [`NodeServerBuilder`] — the preferred way to assemble a
-    /// node configuration (the knobs above accreted over several
-    /// iterations; the builder names each one once and defaults the
-    /// rest).
-    pub fn builder(node: NodeConfig) -> NodeServerBuilder {
-        NodeServerBuilder {
-            cfg: Self::loopback(node),
-        }
-    }
-}
-
-/// Builder for [`NodeServerConfig`]: starts from the loopback defaults
-/// (ephemeral listen port, metrics on, TCP) and overrides per knob.
-///
-/// ```
-/// use cckvs::node::{NodeConfig, DEFAULT_KVS_THREADS};
-/// use cckvs_net::server::NodeServerConfig;
-/// use cckvs_net::transport::TransportKind;
-/// use consistency::messages::ConsistencyModel;
-///
-/// let node = NodeConfig {
-///     model: ConsistencyModel::Lin,
-///     node: 0,
-///     nodes: 1,
-///     cache_capacity: 64,
-///     kvs_capacity: 1024,
-///     value_capacity: 64,
-///     kvs_threads: DEFAULT_KVS_THREADS,
-/// };
-/// let cfg = NodeServerConfig::builder(node)
-///     .transport_kind(TransportKind::Udp)
-///     .metrics(None)
-///     .shards(1)
-///     .build();
-/// assert_eq!(cfg.transport.kind, TransportKind::Udp);
-/// ```
-#[derive(Debug, Clone)]
-pub struct NodeServerBuilder {
-    cfg: NodeServerConfig,
-}
-
-impl NodeServerBuilder {
-    /// Listen address (`127.0.0.1:0` picks an ephemeral port).
-    pub fn listen(mut self, addr: SocketAddr) -> Self {
-        self.cfg.listen = addr;
-        self
-    }
-
-    /// Metrics HTTP endpoint address, or `None` to disable it.
-    pub fn metrics(mut self, addr: Option<SocketAddr>) -> Self {
-        self.cfg.metrics_listen = addr;
-        self
-    }
-
-    /// Makes this node the deployment's epoch coordinator.
-    pub fn epochs(mut self, epochs: Option<EpochConfig>) -> Self {
-        self.cfg.epochs = epochs;
-        self
-    }
-
-    /// Peer-mesh credit flow control.
-    pub fn flow(mut self, flow: FlowConfig) -> Self {
-        self.cfg.flow = flow;
-        self
-    }
-
-    /// Reactor shard event-loop threads.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.reactor = ReactorConfig { shards };
-        self
-    }
-
-    /// Miss-path RPC redial budget.
-    pub fn rpc_retry(mut self, budget: Duration) -> Self {
-        self.cfg.rpc_retry = budget;
-        self
-    }
-
-    /// Cold-version floor seed (supervised restarts).
-    pub fn cold_version_floor(mut self, floor: u32) -> Self {
-        self.cfg.cold_version_floor = floor;
-        self
-    }
-
-    /// Keys fenced at the home shard from boot (supervised restarts).
-    pub fn hot_fence(mut self, keys: Vec<u64>) -> Self {
-        self.cfg.hot_fence = keys;
-        self
-    }
-
-    /// Full transport selection, including fault injection.
-    pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.cfg.transport = transport;
-        self
-    }
-
-    /// Transport selection by kind, with no injected faults.
-    pub fn transport_kind(mut self, kind: crate::transport::TransportKind) -> Self {
-        self.cfg.transport = TransportConfig { kind, faults: None };
-        self
-    }
-
-    /// The assembled configuration.
-    pub fn build(self) -> NodeServerConfig {
-        self.cfg
-    }
 }
 
 /// The [`CreditReturn`](crate::link::CreditReturn) tick: a processed count

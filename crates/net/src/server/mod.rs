@@ -81,9 +81,9 @@
 use crate::client::Conn;
 use crate::link::{Item, Pack, Peer, PEER_BATCH_MAX_BYTES};
 use crate::metrics::{Metrics, MetricsServer};
-use crate::node_ops::{self, NodeItem};
+use crate::node_ops::{self, LinkEnd, NodeItem};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
-use crate::rpc::{serve_admin_frame, serve_home_frame, serve_peer, PeerHost, RpcTable};
+use crate::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{encode_frame_into, write_frame, BatchBuilder, Frame, FrameDecoder};
 use cckvs::node::{CcNode, NodeConfig, Outgoing};
@@ -108,8 +108,8 @@ mod shard;
 
 use self::admin::{epoch_applier_loop, Churn, FlipJob};
 pub use self::config::{
-    FlowConfig, NodeServerBuilder, NodeServerConfig, ReactorConfig, CREDIT_RETURN_TICK,
-    DEFAULT_RPC_RETRY, REDIAL_BACKOFF_MAX, REDIAL_BACKOFF_START,
+    FlowConfig, NodeServerConfig, ReactorConfig, CREDIT_RETURN_TICK, DEFAULT_RPC_RETRY,
+    REDIAL_BACKOFF_MAX, REDIAL_BACKOFF_START,
 };
 use self::shard::{ConnState, Role, Shard, TOKEN_LISTENER, TOKEN_WAKER};
 
@@ -169,17 +169,6 @@ impl LinkItem {
     }
 }
 
-/// What the node machine queues itself: a reissued invalidation, an
-/// in-doubt request asked again.
-impl From<Frame> for LinkItem {
-    fn from(frame: Frame) -> Self {
-        match frame {
-            Frame::Protocol { msg, bytes } => LinkItem::Protocol(msg, bytes.map(Arc::from), None),
-            frame => LinkItem::Rpc(frame),
-        }
-    }
-}
-
 impl NodeItem for LinkItem {
     fn request(&self) -> Option<u64> {
         match self {
@@ -206,6 +195,14 @@ impl Item for LinkItem {
             }
             LinkItem::Rpc(frame) => batch.push(frame),
         }
+    }
+}
+
+/// The pump takes a link's lock once per pack: the shards that enqueue on
+/// it wait for one pack at most.
+impl LinkEnd<LinkItem> for &Mutex<Peer<LinkItem>> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Peer<LinkItem>) -> R) -> R {
+        f(&mut self.lock())
     }
 }
 
@@ -330,14 +327,10 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    fn shard(&self, id: usize) -> &ShardShared {
+    /// Shard `id`'s cross-thread face (cloned by commit hooks that outlive
+    /// the borrow).
+    fn shard(&self, id: usize) -> &Arc<ShardShared> {
         &self.shards.get().expect("shards wired at startup")[id]
-    }
-
-    /// An owning handle to shard `id`'s cross-thread face, for commit
-    /// hooks that outlive the borrow.
-    fn shard_arc(&self, id: usize) -> Arc<ShardShared> {
-        Arc::clone(&self.shards.get().expect("shards wired at startup")[id])
     }
 
     fn link(&self, peer: usize) -> &Arc<PeerLink> {
@@ -511,18 +504,15 @@ impl ServerInner {
             });
     }
 
-    /// This node's side of a handshake with `peer`'s process `gen`, which
-    /// processed the first `processed` items of this node's stream
-    /// ([`node_ops::handshake`]: the replay, and the restart rule when the
-    /// process is new). Returns the (1-based) wire sequence the replay
-    /// starts at. A stale generation or a count beyond what was sent is
-    /// rejected and changes nothing.
+    /// [`node_ops::handshake`] with `peer`'s process `gen`, its metrics and
+    /// trace events, and the restart rule's traffic queued. Returns the
+    /// (1-based) wire sequence the replay starts at.
     fn handshake(&self, peer: usize, gen: u64, processed: u64) -> io::Result<u64> {
         let mut end = self.link(peer).peer.lock();
         let reconnect = end.peer_gen() != 0;
         let (node, rpcs) = (&self.node, &self.rpcs);
-        let shake = node_ops::handshake(&mut end, &mut rpcs.lock(), node, peer, gen, processed);
-        let shake = shake.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let shake = node_ops::handshake(&mut end, &mut rpcs.lock(), node, peer, gen, processed)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         // A sampled op's message keeps its original trace id across the
         // replay (exactly once — the requeued item IS the retained
         // original); the Replay event marks the detour on the timeline.
@@ -531,15 +521,15 @@ impl ServerInner {
             self.trace_event(trace, SHARED_LANE, EventKind::Replay, key, peer as u8);
         }
         drop(end);
-        if shake.replayed > 0 {
-            self.metrics.record_peer_replayed(shake.replayed);
-        }
+        self.metrics.record_peer_replayed(shake.replayed);
         if reconnect {
             self.metrics.record_peer_reconnect();
         }
-        if shake.reissued > 0 {
-            self.metrics.record_reissued(shake.reissued as u64);
-            self.metrics.record_protocol_out(shake.reissued as u64);
+        self.metrics.record_reissued(shake.reissue.len() as u64);
+        self.ship(shake.reissue, None);
+        // One the full park drops is failed by the deadline sweep.
+        for (_, request) in shake.asked_again {
+            self.enqueue(peer, LinkItem::Rpc(request));
         }
         Ok(shake.confirmed + 1)
     }
@@ -738,26 +728,17 @@ impl NodeServer {
             sink: Arc::clone(&sink),
             transport,
         });
-        let metrics_server = match cfg.metrics_listen {
-            Some(addr) => Some(crate::metrics::serve_http_traced(
-                addr,
-                format!("n{}", cfg.node.node),
-                metrics,
-                Some(sink),
-            )?),
-            None => None,
-        };
-        let applier_handle = match flip_rx {
-            Some(rx) => {
-                let applier_inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("cckvs-epochs-n{}", cfg.node.node))
-                        .spawn(move || epoch_applier_loop(applier_inner, rx))?,
-                )
-            }
-            None => None,
-        };
+        let label = format!("n{}", cfg.node.node);
+        let metrics_server = (cfg.metrics_listen)
+            .map(|addr| crate::metrics::serve_http_traced(addr, label, metrics, Some(sink)))
+            .transpose()?;
+        let applier_handle = flip_rx.map(|rx| {
+            let applier_inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name(format!("cckvs-epochs-n{}", cfg.node.node))
+                .spawn(move || epoch_applier_loop(applier_inner, rx))
+        });
+        let applier_handle = applier_handle.transpose()?;
         // Build every shard's poller+waker before spawning any shard, so
         // the shard list is complete (and published) before the first
         // event fires.
@@ -857,11 +838,6 @@ impl NodeServer {
         Ok(())
     }
 
-    /// Asks the server to stop accepting connections and shut down.
-    pub fn initiate_shutdown(&self) {
-        self.inner.initiate_shutdown();
-    }
-
     /// A cheap handle for out-of-band shutdown paths (signal watchers):
     /// lets a thread that does not own the server drain write-backs and
     /// initiate shutdown while the owning thread blocks in
@@ -872,14 +848,8 @@ impl NodeServer {
         }
     }
 
-    /// Graceful-exit drain (the SIGTERM path): see
-    /// [`ShutdownHandle::drain_dirty_writebacks`].
-    pub fn drain_dirty_writebacks(&self, budget: Duration) -> u64 {
-        self.inner.drain_dirty_writebacks(budget)
-    }
-
     /// Blocks until the server shuts down (via [`Frame::Shutdown`] from a
-    /// client or [`NodeServer::initiate_shutdown`]), then tears down the
+    /// client or [`ShutdownHandle::initiate_shutdown`]), then tears down the
     /// reactor.
     pub fn wait(mut self) {
         {
@@ -893,7 +863,6 @@ impl NodeServer {
 
     /// Shuts the server down and joins the reactor threads.
     pub fn shutdown(mut self) {
-        self.inner.initiate_shutdown();
         self.teardown();
     }
 
@@ -973,20 +942,26 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Fra
             dropped: inner.sink.dropped(),
             events: inner.sink.dump(),
         },
-        fill @ (Frame::InstallHot { .. } | Frame::ActivateHot { .. }) => {
-            let install = match &fill {
-                Frame::InstallHot { key, .. } => Some(*key),
-                _ => None,
+        Frame::InstallHot {
+            key,
+            value,
+            ts,
+            warm,
+        } => {
+            let ok = if warm {
+                inner.node.install_hot_warm(key, &value, ts)
+            } else {
+                inner.node.install_hot(key, &value, ts)
             };
-            let response = serve_admin_frame(&inner.node, fill).ok()?;
             // Coordinator bookkeeping: the key joined the hot set.
-            if let (Some(key), Frame::InstallHotResp { ok: true }, Some(churn)) =
-                (install, &response, &inner.churn)
-            {
+            if let (true, Some(churn)) = (ok, &inner.churn) {
                 churn.installed.lock().insert(key);
             }
-            response
+            Frame::InstallHotResp { ok }
         }
+        Frame::ActivateHot { key } => Frame::ActivateHotResp {
+            ok: inner.node.activate_hot(key),
+        },
         Frame::Ping => Frame::Pong,
         Frame::VersionFloor => Frame::VersionFloorResp {
             clock: inner.node.cold_version(),
@@ -1009,16 +984,6 @@ fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Fra
 /// inline on a reactor shard.
 fn serve_rpc_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<Frame> {
     let (trace, frame) = peel_trace(frame);
-    if trace.is_some() {
-        let key_hint = match &frame {
-            Frame::MissGet { key }
-            | Frame::MissPut { key, .. }
-            | Frame::WriteBack { key, .. }
-            | Frame::HotMark { key }
-            | Frame::HotUnmark { key } => *key,
-            _ => 0,
-        };
-        inner.trace_event(trace, lane, EventKind::ProtocolRecv, key_hint, NO_PEER);
-    }
+    inner.trace_event(trace, lane, EventKind::ProtocolRecv, frame.key(), NO_PEER);
     serve_home_frame(&inner.node, frame)
 }

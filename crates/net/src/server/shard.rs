@@ -44,7 +44,6 @@ pub(super) enum Role {
         /// The handshake is complete: false while an accepted connection
         /// awaits the dialer's [`Frame::PeerResume`], and nothing is pumped.
         resumed: bool,
-        builder: BatchBuilder,
         /// When the current credit stall began (metrics).
         stall_started: Option<Instant>,
         /// [`Connection::tcp_segments`] `(data, pure ACK)` as last booked.
@@ -58,7 +57,6 @@ impl Role {
             peer,
             link: Arc::clone(link),
             resumed,
-            builder: BatchBuilder::new(),
             stall_started: None,
             segments: (0, 0),
         }
@@ -159,7 +157,7 @@ impl OpsHost for ShardHost<'_> {
     }
 
     fn on_commit(&mut self, key: u64, ts: Timestamp) {
-        let owner = self.inner.shard_arc(self.shard);
+        let owner = Arc::clone(self.inner.shard(self.shard));
         let token = self.token;
         self.inner.node.on_committed(
             key,
@@ -719,11 +717,9 @@ impl Shard {
     }
 
     /// Serves a [`Frame::PeerHello`] on the shard that owns the link to
-    /// its sender: runs this node's side of the handshake (which rejects
-    /// stale generations and impossible counts without touching anything,
-    /// and runs the restart rule for a new peer process), closes the link's
-    /// older connection (its buffered frames must not advance the processed
-    /// counter after it is reported) and answers with this node's report.
+    /// its sender: runs this node's side of the handshake, closes the
+    /// link's older connection (its buffered frames must not advance the
+    /// processed counter after it is reported) and answers with its report.
     fn accept_peer_hello(&mut self, token: u64, conn: &mut ConnState, hello: Frame) -> bool {
         let Frame::PeerHello {
             from,
@@ -885,7 +881,6 @@ impl Shard {
             peer,
             link,
             resumed,
-            builder,
             stall_started,
             ..
         } = &mut conn.role
@@ -907,19 +902,20 @@ impl Shard {
         } else {
             u64::MAX
         };
-        let mut end = link.peer.lock();
-        if let (Some(head), Some(started)) = (end.outbox.sendable(window), *stall_started) {
-            let stalled_ns = started.elapsed().as_nanos() as u64;
-            inner.metrics.record_credit_stall_ns(stalled_ns);
-            // If the message that waited out the stall at the queue front
-            // is traced, pin the stall onto its timeline (the `key` field
-            // carries the ns).
-            let (trace, lane) = (head.trace(), self.id as u8);
-            inner.trace_event(trace, lane, EventKind::CreditStall, stalled_ns, peer as u8);
-            *stall_started = None;
+        if let Some(started) = *stall_started {
+            if let Some(head) = link.peer.lock().outbox.sendable(window) {
+                let stalled_ns = started.elapsed().as_nanos() as u64;
+                inner.metrics.record_credit_stall_ns(stalled_ns);
+                // If the message that waited out the stall at the queue
+                // front is traced, pin the stall onto its timeline (the
+                // `key` field carries the ns).
+                let (trace, lane) = (head.trace(), self.id as u8);
+                inner.trace_event(trace, lane, EventKind::CreditStall, stalled_ns, peer as u8);
+                *stall_started = None;
+            }
         }
         let packed = |corr, seq| inner.rpcs.lock().packed(corr, seq);
-        let sent = |pack: Pack, out: &mut Vec<u8>| {
+        let sent = |pack: Pack, _: &mut Vec<u8>| {
             if pack.items > 0 {
                 inner.metrics.record_adaptive_batch(pack.items);
             }
@@ -931,16 +927,14 @@ impl Shard {
             if pack.batched {
                 inner.metrics.record_batch(pack.items);
             }
-            // Backpressure: stop packing once the socket is behind; the
-            // writability event resumes the pump.
-            out.len() <= HIGH_WATER
         };
-        let out = conn.writebuf.writer();
-        let arm = node_ops::pump(&mut end, window, byte_cap, builder, out, packed, sent);
-        if end.outbox.sendable(window).is_none() && end.outbox.queued().len() > 0 {
+        // Backpressure: no pack while the socket is behind; the
+        // writability event resumes the pump.
+        let (out, end) = (conn.writebuf.writer(), &mut &link.peer);
+        let (arm, held) = node_ops::pump(end, window, byte_cap, HIGH_WATER, out, packed, sent);
+        if held > 0 {
             stall_started.get_or_insert_with(Instant::now);
         }
-        drop(end);
         if !conn.writebuf.is_empty() && conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return true;
         }

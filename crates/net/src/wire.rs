@@ -959,6 +959,26 @@ impl BatchBuilder {
     }
 }
 
+impl Frame {
+    /// The key a request names (trace annotation; 0 for a frame that names
+    /// none).
+    pub fn key(&self) -> u64 {
+        match self {
+            Frame::Get { key }
+            | Frame::Put { key, .. }
+            | Frame::MissGet { key }
+            | Frame::MissPut { key, .. }
+            | Frame::WriteBack { key, .. }
+            | Frame::HotMark { key }
+            | Frame::HotUnmark { key }
+            | Frame::InstallHot { key, .. }
+            | Frame::Evict { key }
+            | Frame::ActivateHot { key } => *key,
+            _ => 0,
+        }
+    }
+}
+
 /// A streaming, resumable frame decoder for nonblocking connections.
 ///
 /// Bytes arrive in whatever chunks the socket delivers — a frame may be

@@ -347,6 +347,7 @@ fn the_shutdown_drain_writes_a_dirty_non_home_value_back() {
     assert_ne!(at_home().1, ts, "the write is only in the caches");
     let drained = rack
         .server(writer)
+        .shutdown_handle()
         .drain_dirty_writebacks(Duration::from_secs(5));
     assert_eq!(drained, 1);
     assert_eq!(at_home(), (b"drained".to_vec(), ts));

@@ -638,12 +638,12 @@ fn idle_connections_cost_no_laps() {
 
 /// One node of a two-node Lin deployment, one shard, no metrics endpoint.
 fn lone_node(node: usize) -> NodeServerConfig {
-    let mut cfg = NodeServerConfig::builder(NodeConfig::small(ConsistencyModel::Lin, node, 2))
-        .metrics(None)
-        .shards(1)
-        .build();
-    cfg.rpc_retry = HALF_CLOSED_RPC_RETRY;
-    cfg
+    NodeServerConfig {
+        metrics_listen: None,
+        reactor: ReactorConfig { shards: 1 },
+        rpc_retry: HALF_CLOSED_RPC_RETRY,
+        ..NodeServerConfig::loopback(NodeConfig::small(ConsistencyModel::Lin, node, 2))
+    }
 }
 
 /// How long a miss RPC to a stopped home stays suspended below.
