@@ -591,6 +591,14 @@ impl CcNode {
             .collect()
     }
 
+    /// Asks for the index lines an op on `key` reads: the cache's and the home shard's.
+    pub fn prefetch(&self, key: u64) {
+        self.cache.prefetch(key);
+        if self.is_home(key) {
+            self.kvs.prefetch(key);
+        }
+    }
+
     /// Serves a cache-missing read against the local KVS shard (the caller
     /// routed the request here because this node is the key's home).
     pub fn kvs_get(&self, key: u64) -> Vec<u8> {

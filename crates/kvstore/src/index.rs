@@ -4,13 +4,15 @@
 //! compare-and-swap that makes it odd is the bucket's writer lock), a spill
 //! count, and four full-key entries inline. A lookup is one
 //! version-validated read of that line: no lock, no atomic read-modify-write,
-//! no pointer followed. MICA's *cache mode* evicts on a full bucket (lossy);
-//! this index is MICA's *store mode* only — it must not lose keys, so a full
-//! bucket spills into one ordered side map, which a lookup consults only when
-//! its bucket's spill count is non-zero. The back-end KVS and the symmetric
-//! cache both sit on it: a hot key dropped by the index would break the
-//! caches' symmetry.
+//! no pointer followed. The lines, exactly as many as asked for, are one
+//! zero-filled mapping; a key's is picked by a multiply-shift of its mixed
+//! hash. MICA's *cache mode* evicts on a full bucket (lossy); this index is
+//! MICA's *store mode* only — it must not lose keys, so a full bucket spills
+//! into one ordered side map, which a lookup consults only when its bucket's
+//! spill count is non-zero. The back-end KVS and the symmetric cache both
+//! sit on it: a hot key dropped by the index would break their symmetry.
 
+use crate::mapping::{prefetch, Mapping};
 use crate::seqlock::{read_validated, reader_step, write_locked};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -21,7 +23,7 @@ const ENTRIES: usize = 4;
 
 /// One cache line: version, spill count, and `ENTRIES` entries of a full
 /// key and its slab slot plus one (0: the entry is free).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 #[repr(C, align(64))]
 struct Bucket {
     version: AtomicU64,
@@ -53,6 +55,19 @@ impl Bucket {
     }
 }
 
+/// SplitMix64's finalizer: adjacent keys land far apart.
+pub(crate) fn mix(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `hash`, uniform over `u64`, scaled to `0..n` by one multiply and shift.
+fn scale(hash: u64, n: usize) -> usize {
+    ((u128::from(hash) * n as u128) >> 64) as usize
+}
+
 /// Outcome of an index insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -68,34 +83,33 @@ pub enum InsertOutcome {
 /// A concurrent bucketized hash index from `u64` keys to slab slots.
 #[derive(Debug)]
 pub struct BucketIndex {
-    mask: u64,
-    buckets: Box<[Bucket]>,
+    buckets: Mapping<Bucket>,
     /// Entries of full buckets, in key order.
     spill: Mutex<BTreeMap<u64, usize>>,
 }
 
 impl BucketIndex {
-    /// An index of `buckets` lines (rounded up to a power of two).
+    /// An index of exactly `buckets` lines.
     ///
     /// # Panics
     ///
     /// Panics if `buckets` is zero.
     pub fn new(buckets: usize) -> Self {
         assert!(buckets > 0, "an index needs a bucket");
-        let buckets = buckets.next_power_of_two();
         Self {
-            mask: buckets as u64 - 1,
-            buckets: (0..buckets).map(|_| Bucket::default()).collect(),
+            // SAFETY: a bucket's fields are atomic integers: zero is valid.
+            buckets: unsafe { Mapping::zeroed(buckets) },
             spill: Mutex::new(BTreeMap::new()),
         }
     }
 
     fn bucket(&self, key: u64) -> &Bucket {
-        // SplitMix64 finalizer to decorrelate adjacent keys.
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        &self.buckets[((z ^ (z >> 31)) & self.mask) as usize]
+        &self.buckets[scale(mix(key), self.buckets.len())]
+    }
+
+    /// Asks for `key`'s bucket line ahead of a lookup or an insert.
+    pub fn prefetch(&self, key: u64) {
+        prefetch(self.bucket(key));
     }
 
     /// Looks up the slab slot of `key`.
@@ -165,7 +179,7 @@ impl BucketIndex {
     /// in key order.
     pub fn keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        for bucket in &self.buckets {
+        for bucket in self.buckets.iter() {
             let (entries, _) = read_validated(&bucket.version, || {
                 std::array::from_fn::<_, ENTRIES, _>(|i| {
                     (bucket.slots[i].load(Relaxed) != 0).then(|| bucket.keys[i].load(Relaxed))
@@ -260,6 +274,45 @@ mod tests {
         assert_eq!(keys, (0..50u64).collect::<Vec<_>>());
     }
 
+    /// Bucket counts that are no power of two: one line (everything past
+    /// its four entries spills), three, and the 100 000-capacity store's
+    /// 50 000. Every key goes in, is found, leaves, and is listed once.
+    #[test]
+    fn any_bucket_count_round_trips_through_full_buckets_and_the_spill_map() {
+        for buckets in [1, 3, 50_000] {
+            let idx = BucketIndex::new(buckets);
+            assert_eq!(idx.buckets.len(), buckets);
+            let n = (4 * buckets as u64 + 40).max(200);
+            for k in 0..n {
+                assert_eq!(idx.insert(k, k as usize), InsertOutcome::Inserted);
+            }
+            assert!(
+                !idx.spill.lock().is_empty(),
+                "{buckets} buckets: some spill"
+            );
+            let mut keys = idx.keys();
+            keys.sort_unstable();
+            assert_eq!(keys, (0..n).collect::<Vec<_>>(), "{buckets} buckets");
+            for k in 0..n {
+                assert_eq!(
+                    idx.lookup(k),
+                    Some(k as usize),
+                    "{buckets} buckets: key {k}"
+                );
+            }
+            for k in (0..n).step_by(2) {
+                assert_eq!(idx.remove(k), Some(k as usize));
+            }
+            for k in 0..n {
+                let want = (k % 2 == 1).then_some(k as usize);
+                assert_eq!(idx.lookup(k), want, "{buckets} buckets: key {k}");
+            }
+            let mut keys = idx.keys();
+            keys.sort_unstable();
+            assert_eq!(keys, (1..n).step_by(2).collect::<Vec<_>>());
+        }
+    }
+
     /// Two spill-heavy indexes built by the same inserts and removes list
     /// their keys in the same order.
     #[test]
@@ -335,6 +388,19 @@ mod tests {
     /// Keys of the scripted race: key `k` only ever holds slots
     /// `100 * k ..`, so a slot names the key it belongs to.
     const RACED: u64 = 1;
+
+    proptest! {
+        /// The multiply-shift puts every hash in range for every bucket
+        /// count, the extremes of both included.
+        #[test]
+        fn every_hash_scales_into_range(hash in any::<u64>(), n in 1..usize::MAX) {
+            for hash in [0, hash, u64::MAX] {
+                for n in [1, n, usize::MAX] {
+                    prop_assert!(scale(hash, n) < n, "hash {} of {} buckets", hash, n);
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]

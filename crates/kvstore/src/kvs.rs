@@ -9,6 +9,7 @@
 //!   the node to spread hot-key work over all of its cores and—critically for
 //!   ccKVS—reducing the number of RDMA connections required (§6.4).
 
+use crate::index::mix;
 use crate::object::{ObjectHeader, ObjectSnapshot};
 use crate::partition::{Partition, PartitionError};
 use crate::seqlock::Payload;
@@ -153,10 +154,7 @@ impl NodeKvs {
     /// because the baselines use it for request steering).
     pub fn owner_thread(&self, key: u64) -> usize {
         // Mix then map to the thread count (same mix as the index).
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % self.threads as u64) as usize
+        (mix(key) % self.threads as u64) as usize
     }
 
     fn partition_for(&self, thread: usize, key: u64) -> Result<&Partition, KvError> {
@@ -247,23 +245,28 @@ impl NodeKvs {
         Ok(true)
     }
 
-    /// Convenience read that routes to the owning thread automatically.
-    pub fn get(&self, key: u64) -> Option<VersionedValue> {
-        let thread = match self.model {
+    /// The thread a routed access of `key` goes through (its partition's).
+    fn route(&self, key: u64) -> usize {
+        match self.model {
             ConcurrencyModel::Crcw => 0,
             ConcurrencyModel::Erew => self.owner_thread(key),
-        };
-        self.get_from_thread(thread, key)
+        }
+    }
+
+    /// Asks for `key`'s index line ahead of an access.
+    pub fn prefetch(&self, key: u64) {
+        self.partitions[self.route(key)].prefetch(key);
+    }
+
+    /// Convenience read that routes to the owning thread automatically.
+    pub fn get(&self, key: u64) -> Option<VersionedValue> {
+        self.get_from_thread(self.route(key), key)
             .expect("routed access cannot fail")
     }
 
     /// Convenience write that routes to the owning thread automatically.
     pub fn put(&self, key: u64, value: &[u8], version: u32) -> Result<(), KvError> {
-        let thread = match self.model {
-            ConcurrencyModel::Crcw => 0,
-            ConcurrencyModel::Erew => self.owner_thread(key),
-        };
-        self.put_from_thread(thread, key, value, version)
+        self.put_from_thread(self.route(key), key, value, version)
     }
 
     /// Total number of objects stored on this node.

@@ -33,6 +33,7 @@
 
 pub mod index;
 pub mod kvs;
+mod mapping;
 pub mod object;
 pub mod partition;
 pub mod seqlock;

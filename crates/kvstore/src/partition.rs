@@ -2,13 +2,15 @@
 //!
 //! A partition is the unit of EREW ownership (one partition per KVS thread)
 //! and, in CRCW mode, the single structure shared by all threads of a node.
-//! Objects live inline in one pre-allocated slab of words, a fixed stride
-//! apart (mirroring MICA's circular log / pre-registered memory; RDMA NICs
-//! need registered buffers), and are reached through the [`BucketIndex`].
+//! Objects live inline in a slab of words, a fixed stride apart (mirroring
+//! MICA's circular log / pre-registered memory; RDMA NICs need registered
+//! buffers), and are reached through the [`BucketIndex`]. Slab and index are
+//! zero-filled mappings: a new partition has touched none of their pages.
 
 use crate::index::{BucketIndex, InsertOutcome};
+use crate::mapping::Mapping;
 use crate::object::{ObjectHeader, ObjectSnapshot, StoredObject};
-use crate::seqlock::{zeroed_words, Payload};
+use crate::seqlock::Payload;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
@@ -48,7 +50,7 @@ impl std::error::Error for PartitionError {}
 pub struct Partition {
     index: BucketIndex,
     /// Every object, `stride` words each.
-    slab: Box<[AtomicU64]>,
+    slab: Mapping<AtomicU64>,
     stride: usize,
     /// Free slots: those from `fresh` on, never handed out, and those
     /// `remove` recycled.
@@ -68,7 +70,8 @@ impl Partition {
         Self {
             // Two keys a line on average when full: few buckets spill.
             index: BucketIndex::new(capacity.div_ceil(2)),
-            slab: zeroed_words(capacity * stride),
+            // SAFETY: zero is a valid `AtomicU64`.
+            slab: unsafe { Mapping::zeroed(capacity * stride) },
             stride,
             fresh: AtomicUsize::new(0),
             recycled: Mutex::new(Vec::new()),
@@ -99,6 +102,11 @@ impl Partition {
 
     fn slot(&self, slot: usize) -> &StoredObject {
         StoredObject::from_words(&self.slab[slot * self.stride..][..self.stride])
+    }
+
+    /// Asks for `key`'s index line ahead of an access.
+    pub fn prefetch(&self, key: u64) {
+        self.index.prefetch(key);
     }
 
     /// The object the index maps `key` to. Its slot may be recycled for

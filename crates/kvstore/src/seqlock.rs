@@ -38,10 +38,11 @@ impl SeqLock {
 
     /// An owned seqlock able to hold payloads of up to `capacity` bytes.
     pub fn with_capacity(capacity: usize) -> Box<Self> {
-        let words = zeroed_words(Self::words_for(capacity));
-        // SAFETY: `SeqLock` is `repr(transparent)` over `[AtomicU64]`: same
-        // layout and slice-length metadata, so the box frees what it got.
-        unsafe { Box::from_raw(Box::into_raw(words) as *mut Self) }
+        let words = Box::<[AtomicU64]>::new_zeroed_slice(Self::words_for(capacity));
+        // SAFETY: zeroes are `AtomicU64`s, and `SeqLock` is `repr(transparent)`
+        // over `[AtomicU64]`: same layout and slice-length metadata, so the
+        // box frees what it got.
+        unsafe { Box::from_raw(Box::into_raw(words.assume_init()) as *mut Self) }
     }
 
     /// The seqlock laid out in `words` (see [`SeqLock::words_for`]).
@@ -175,13 +176,6 @@ impl Payload<'_> {
             self.0 .0[LEN].store((self.1 + len) as u64, Relaxed);
         }
     }
-}
-
-/// `n` zeroed words in one allocation: pages the caller never writes are
-/// never touched.
-pub(crate) fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    // SAFETY: all-zero bytes are a valid `AtomicU64`.
-    unsafe { Box::new_zeroed_slice(n).assume_init() }
 }
 
 /// Runs `section` as a writer of the seqlock whose version is `version`:

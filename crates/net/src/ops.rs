@@ -441,6 +441,9 @@ impl<T: Time> ConnOps<T> {
                 s.prefetch.clear();
                 match frame {
                     Frame::Batch { frames } => {
+                        for sub in &frames {
+                            host.node().prefetch(sub.key()); // Index lines ahead of the first sub-op.
+                        }
                         host.note(Note::Batch(frames.len()));
                         s.batch = true;
                         s.done.reserve(frames.len());

@@ -960,10 +960,11 @@ impl BatchBuilder {
 }
 
 impl Frame {
-    /// The key a request names (trace annotation; 0 for a frame that names
-    /// none).
+    /// The key a request names, inside a trace envelope too (trace
+    /// annotation, prefetch; 0 for a frame that names none).
     pub fn key(&self) -> u64 {
         match self {
+            Frame::Traced { inner, .. } => inner.key(),
             Frame::Get { key }
             | Frame::Put { key, .. }
             | Frame::MissGet { key }

@@ -163,9 +163,9 @@ fn a_partition_is_built_in_a_few_allocations() {
     let (allocs, partition) = allocations_of(|| Partition::new(100_000, 64));
     assert_eq!(partition.capacity(), 100_000);
     report("partition_new_allocs", allocs as f64);
-    assert!(
-        allocs <= 4,
-        "the slab and the index, in one allocation each"
+    assert_eq!(
+        allocs, 0,
+        "the slab and the index are mappings, not allocations"
     );
 }
 

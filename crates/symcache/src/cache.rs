@@ -313,6 +313,11 @@ impl SymmetricCache {
         self.store.contains(key)
     }
 
+    /// Asks for `key`'s index line ahead of a probe, a read or a write.
+    pub fn prefetch(&self, key: u64) {
+        self.store.prefetch(key);
+    }
+
     /// Installs a hot key with its current value (cache fill at epoch start).
     ///
     /// Returns `false` if the cache is full and the key could not be added.
