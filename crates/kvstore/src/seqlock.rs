@@ -91,11 +91,6 @@ impl SeqLock {
     pub fn read_with<T>(&self, mut pass: impl FnMut(&Payload<'_>) -> T) -> (T, u64) {
         read_validated(&self.0[VERSION], || pass(&Payload(self, 0)))
     }
-
-    /// Lock-free read of the whole payload and the version it was read at.
-    pub fn read(&self) -> (Vec<u8>, u64) {
-        self.read_with(|payload| payload.to_vec(0))
-    }
 }
 
 /// A seqlock's payload from a byte offset on. Shared (`&`), it is a
@@ -375,7 +370,7 @@ mod tests {
         ) {
             let lock = SeqLock::with_capacity(96);
             lock.write(&payload);
-            let (whole, _) = lock.read();
+            let (whole, _) = lock.read_with(|p| p.to_vec(0));
             prop_assert_eq!(&whole, &payload);
             let mut buf = vec![0xEE; size];
             prop_assert_eq!(lock.read_with(|p| window(p, offset, &mut buf, None)).0, payload.len());
@@ -398,7 +393,7 @@ mod tests {
             let mut want = before.clone();
             want.resize(want.len().max(at + src.len()), 0);
             want[at..at + src.len()].copy_from_slice(&src);
-            let (got, _) = lock.read();
+            let (got, _) = lock.read_with(|p| p.to_vec(0));
             // Bytes between the old end and `at` are whatever was there.
             prop_assert_eq!(got.len(), want.len());
             prop_assert_eq!(&got[..before.len().min(at)], &want[..before.len().min(at)]);
@@ -440,7 +435,7 @@ mod tests {
             );
         };
         while Instant::now() < deadline {
-            let (bytes, _) = lock.read();
+            let (bytes, _) = lock.read_with(|p| p.to_vec(0));
             whole(&bytes, bytes.len(), 0);
             for offset in [0, 8, 43] {
                 let mut buf = [0u8; 43];
@@ -455,7 +450,7 @@ mod tests {
     fn roundtrip_small_payloads() {
         let lock = SeqLock::with_capacity(64);
         lock.write(b"hello world");
-        let (bytes, version) = lock.read();
+        let (bytes, version) = lock.read_with(|p| p.to_vec(0));
         assert_eq!(bytes, b"hello world");
         assert_eq!(version, 2);
         assert_eq!(lock.write_count(), 1);
@@ -497,7 +492,7 @@ mod tests {
             prev
         });
         assert_eq!(prev, 5);
-        let (bytes, _) = lock.read();
+        let (bytes, _) = lock.read_with(|p| p.to_vec(0));
         assert_eq!(u64::from_le_bytes(bytes[..8].try_into().unwrap()), 6);
     }
 
@@ -505,7 +500,7 @@ mod tests {
     fn empty_payload_is_fine() {
         let lock = SeqLock::with_capacity(8);
         lock.write(b"");
-        let (bytes, v) = lock.read();
+        let (bytes, v) = lock.read_with(|p| p.to_vec(0));
         assert!(bytes.is_empty());
         assert_eq!(v, 2);
     }
@@ -549,7 +544,7 @@ mod tests {
                 let b = pattern_b.clone();
                 std::thread::spawn(move || {
                     for _ in 0..20_000 {
-                        let (bytes, version) = lock.read();
+                        let (bytes, version) = lock.read_with(|p| p.to_vec(0));
                         assert!(version % 2 == 0);
                         assert!(
                             bytes == a || bytes == b,

@@ -33,12 +33,13 @@
 //! in order ([`Peer::receive`]) for `rpc.rs`'s [`serve_peer`]. Credits are
 //! the only confirmation; the scheduler picks when an armed credit tick
 //! fires ([`Action`]`::CreditTick`) and when a lost flight is
-//! retransmitted, as the UDP envelope does. A restart runs each survivor's
-//! side of the shipped handshake ([`node_ops::handshake`]): the replay of
-//! its unprocessed tail ahead of what it queued meanwhile, and the restart
-//! rule. Every link must process frames in the order they were pushed —
-//! wire order is enqueue order — which a god's-eye ordinal per frame
-//! checks.
+//! retransmitted, as the UDP envelope does. A link is connected, at the
+//! start and after a restart, by the shipped handshake in its three frames
+//! ([`node_ops::hello`] and the steps beside it): a survivor replays its
+//! unprocessed tail ahead of what it queued meanwhile, and runs the
+//! restart rule. Every link must process frames in the order they were
+//! pushed — wire order is enqueue order — which a god's-eye ordinal per
+//! frame checks.
 //!
 //! ## The miss path
 //!
@@ -91,7 +92,7 @@ use cckvs_net::churn::{Flip, Outcome, Transition};
 use cckvs_net::client::LoadBalancePolicy;
 use cckvs_net::client_ops::{BatchConfig, ClientOps};
 use cckvs_net::link::{Accept, Item, Pack, Peer, RecvHalf, PEER_BATCH_MAX_BYTES};
-use cckvs_net::node_ops::{self, NodeItem};
+use cckvs_net::node_ops::{self, Handshake, NodeItem};
 use cckvs_net::ops::{ConnOps, Wait};
 use cckvs_net::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
 use cckvs_net::wire::{BatchBuilder, Frame, FrameDecoder};
@@ -309,14 +310,6 @@ fn spawn_process(spec: &ScenarioSpec, n: usize, gen: u64) -> (CcNode, RpcTable<b
     (CcNode::new(cfg), rpcs)
 }
 
-/// A link end stamped `gen`, resumed after the first `processed` items of
-/// the peer process stamped `peer_gen`.
-fn link_end(gen: u64, spec: &ScenarioSpec, peer_gen: u64, processed: u64) -> Peer<LinkFrame> {
-    let mut end = Peer::new(gen, spec.credit_window);
-    end.resume(peer_gen, processed);
-    end
-}
-
 /// The rack under test. See the module docs for the model.
 pub struct RackModel {
     spec: ScenarioSpec,
@@ -410,7 +403,9 @@ impl RackModel {
             flights: BTreeMap::new(),
             launched: 0,
             lost: Vec::new(),
-            peers: links().map(|l| (l, link_end(1, &spec, 1, 0))).collect(),
+            peers: links()
+                .map(|l| (l, Peer::new(1, spec.credit_window)))
+                .collect(),
             recv: links().map(|l| (l, RecvHalf::default())).collect(),
             ticks: BTreeSet::new(),
             enqueued: 0,
@@ -448,6 +443,10 @@ impl RackModel {
                 );
             }
             m.hot_now.insert(k);
+        }
+        let nodes = m.spec.nodes;
+        for (i, j) in (0..nodes).flat_map(|i| (i + 1..nodes).map(move |j| (i, j))) {
+            m.connect(i, j).expect("two new processes");
         }
         m
     }
@@ -656,8 +655,7 @@ impl RackModel {
     fn send_frame(&mut self, i: usize, j: usize, frame: Frame) {
         self.enqueued += 1;
         let ordinal = self.enqueued;
-        let end = self.peers.get_mut(&(i, j)).expect("link");
-        end.outbox.push(LinkFrame { frame, ordinal });
+        self.end(i, j).0.outbox.push(LinkFrame { frame, ordinal });
     }
 
     /// The end of a reactor lap at node `i`: the shipped pump of each of
@@ -826,11 +824,10 @@ impl RackModel {
     /// way the supervisor starts one — cold-version counter raised to the
     /// dead process's (a perfectly current `VersionFloor` poll; production
     /// adds `--cold-floor` slack instead) and the hot keys it homes fenced
-    /// until [`Action::Heal`] — then fresh link ends. Each survivor runs
-    /// its side of the shipped handshake with a process that processed
-    /// nothing ([`node_ops::handshake`]: replay, restart rule), and the
-    /// fresh receiver resumes where the replay starts (`PeerResume`). Every
-    /// node then pumps its links.
+    /// until [`Action::Heal`] — then fresh link ends, each connected to its
+    /// survivor ([`RackModel::connect`]): the survivor's side replays its
+    /// unprocessed tail and runs the restart rule, the fresh side resumes
+    /// where that replay starts. Every node then pumps its links.
     fn restart(&mut self, n: usize) {
         let nodes = self.spec.nodes;
         let slot = &mut self.nodes[n];
@@ -857,16 +854,13 @@ impl RackModel {
             self.processed_ordinal.remove(&(j, n));
             // Frames the dead process handled beyond the survivor's
             // confirmed count are re-handled vacuously by the fresh cache.
-            let survivor = self.peers.get_mut(&(j, n)).expect("link");
-            let s = &mut self.nodes[j];
-            let shake = node_ops::handshake(survivor, &mut s.rpcs, &s.cc, n, gen, 0);
-            let shake = shake.expect("a new process, and zero is never beyond sent");
+            self.peers
+                .insert((n, j), Peer::new(gen, self.spec.credit_window));
+            let shake = self.connect(j, n).expect("a survivor and a new process");
             let confirmed = shake.confirmed;
-            let queued = survivor.outbox.queued().len() as u64;
+            let queued = self.peers[&(j, n)].outbox.queued().len() as u64;
             let replayed = queued.min(self.spec.credit_window);
             self.recv.get_mut(&(j, n)).expect("link").resume(confirmed);
-            let fresh = link_end(gen, &self.spec, s.gen + 1, confirmed);
-            self.peers.insert((n, j), fresh);
             if replayed > 0 {
                 let last = confirmed + replayed - 1;
                 self.log(format!("replay {j}->{n} #{confirmed}..#{last}"));
@@ -883,6 +877,27 @@ impl RackModel {
         for j in 0..nodes {
             self.end_lap(j);
         }
+    }
+
+    /// Connects nodes `i` and `j` as two reactors do, through the shipped
+    /// handshake's three frames: the lower id dials. Returns `i`'s side.
+    fn connect(&mut self, i: usize, j: usize) -> Result<Handshake, String> {
+        let (d, a) = (i.min(j), i.max(j));
+        let hello = node_ops::hello(&self.peers[&(d, a)], d, self.nodes[d].gen + 1);
+        let (end, s) = self.end(a, d);
+        let (ack, answered) = node_ops::answer(end, &mut s.rpcs, &s.cc, s.gen + 1, hello)?;
+        let (end, s) = self.end(d, a);
+        let (resume, dialed) = node_ops::take_ack(end, &mut s.rpcs, &s.cc, a, ack)?;
+        node_ops::take_resume(self.end(a, d).0, resume)?;
+        Ok(if i == d { dialed } else { answered })
+    }
+
+    /// Node `i`'s end of its link with `j`, and its process.
+    fn end(&mut self, i: usize, j: usize) -> (&mut Peer<LinkFrame>, &mut NodeSlot) {
+        (
+            self.peers.get_mut(&(i, j)).expect("link"),
+            &mut self.nodes[i],
+        )
     }
 
     /// Post-restart recovery of symmetric caching, as the supervisor runs

@@ -25,7 +25,7 @@ use cckvs_net::churn::Flip;
 use cckvs_net::client_ops::{BatchOutcome, ClientHost, Op};
 use cckvs_net::node_ops::{self, RPC_EXPIRED};
 use cckvs_net::ops::{EventKind, Note, OpsHost, ResumeEvent, Served, Step, Wait};
-use cckvs_net::rpc::serve_home_frame;
+use cckvs_net::rpc::serve_node_frame;
 use cckvs_net::wire::Frame;
 use consistency::history::{OpRecord, RecordKind};
 use consistency::{ConsistencyModel, Timestamp};
@@ -307,14 +307,23 @@ impl RackModel {
 
     /// [`Action::Expire`](super::Action::Expire): node `n`'s clock reaches
     /// its earliest RPC deadline, and the shipped sweep
-    /// ([`node_ops::expire`]) fails every request due; the connection
-    /// waiting on each resumes with the failure, and its late answer will
-    /// find no waiter.
+    /// ([`node_ops::expire`]) fails every request due and withdraws those
+    /// no pack took ([`node_ops::withdraw`]); the connection waiting on
+    /// each resumes with the failure, and its late answer will find no
+    /// waiter.
     pub(super) fn expire(&mut self, n: usize) {
         self.expires_left -= 1;
         let rpcs = &mut self.nodes[n].rpcs;
         let now = rpcs.next_deadline().expect("an rpc is pending");
-        for (admin, event) in node_ops::expire(rpcs, now).0 {
+        let (failed, queued, _) = node_ops::expire(rpcs, now);
+        for (peer, corr) in queued {
+            if node_ops::withdraw(self.end(n, peer).0, corr) {
+                self.log(format!(
+                    "n{n} rpc#{corr} withdrawn from the link to n{peer}"
+                ));
+            }
+        }
+        for (admin, event) in failed {
             let ResumeEvent::RpcFailed { corr, .. } = event else {
                 unreachable!("the sweep fails what it expires")
             };
@@ -425,34 +434,13 @@ impl OpsHost for SimHost<'_> {
     }
 
     /// Sessions send reads and writes only; an admin connection also
-    /// sends the churn frames, served as the reactor serves them.
+    /// sends the churn frames, served as the reactor serves them
+    /// ([`serve_node_frame`]).
     fn serve(&mut self, frame: Frame) -> Served {
-        let node = &self.m.nodes[self.n].cc;
-        Served::Now(match frame {
-            _ if !self.admin => return Served::Close,
-            Frame::InstallHot {
-                key,
-                value,
-                ts,
-                warm,
-            } => {
-                let install = if warm {
-                    CcNode::install_hot_warm
-                } else {
-                    CcNode::install_hot
-                };
-                let ok = install(node, key, &value, ts);
-                Frame::InstallHotResp { ok }
-            }
-            Frame::ActivateHot { key } => {
-                let ok = node.activate_hot(key);
-                Frame::ActivateHotResp { ok }
-            }
-            frame => match serve_home_frame(node, frame) {
-                Ok(response) => response,
-                Err(_) => return Served::Close,
-            },
-        })
+        if !self.admin {
+            return Served::Close;
+        }
+        serve_node_frame(&self.m.nodes[self.n].cc, frame).map_or(Served::Close, Served::Now)
     }
 
     /// A dirty copy an eviction wrote back into this home's own shard is

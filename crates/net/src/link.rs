@@ -213,6 +213,14 @@ impl<T> Outbox<T> {
     pub fn retained(&self) -> impl Iterator<Item = (u64, &T)> {
         self.send.iter()
     }
+
+    /// Takes every queued item `unwanted` picks out of the queue and
+    /// returns how many; what is on the wire stays retained.
+    pub fn withdraw(&mut self, mut unwanted: impl FnMut(&T) -> bool) -> usize {
+        let queued = self.queue.len();
+        self.queue.retain(|item| !unwanted(item));
+        queued - self.queue.len()
+    }
 }
 
 /// What [`RecvHalf::accept`] did with an arriving item.

@@ -1,8 +1,9 @@
-//! What a node does with what a peer sends, each written once: the link
-//! items a [`crate::link::Peer`] receives ([`serve_peer`]), what a home
-//! shard answers to a miss-path frame ([`serve_home_frame`]), and what a
-//! requester remembers about a correlated miss-path RPC until it resolves
-//! ([`RpcTable`]).
+//! What a node does with what a peer or an admin caller sends, each
+//! written once: the link items a [`crate::link::Peer`] receives
+//! ([`serve_peer`]), what a home shard answers to a miss-path frame
+//! ([`serve_home_frame`]), what the node answers to an admin frame
+//! ([`serve_node_frame`]), and what a requester remembers about a
+//! correlated miss-path RPC until it resolves ([`RpcTable`]).
 //!
 //! Like [`crate::link`], nothing here owns a socket, a thread, a lock or a
 //! clock. The reactor server serves peer items through its [`PeerHost`],
@@ -74,6 +75,39 @@ pub fn serve_peer(host: &mut impl PeerHost, frame: Frame) {
         Frame::RpcResp { corr, inner } => host.resolve(corr, *inner),
         other => unreachable!("Peer::receive hands over link items only, not {other:?}"),
     }
+}
+
+/// Serves one frame an admin caller (the epoch coordinator, the
+/// supervisor, a churn [`crate::churn::Flip`]) sends `node` on a client
+/// connection: the cache-fill frames [`Frame::InstallHot`] (warm or not)
+/// and [`Frame::ActivateHot`], the diagnostics [`Frame::VersionFloor`] and
+/// [`Frame::CacheKeys`], and any home-shard frame ([`serve_home_frame`]).
+/// A peer's [`Frame::RpcReq`] reaches [`serve_home_frame`] alone: a peer
+/// cannot reconfigure the cache.
+pub fn serve_node_frame(node: &CcNode, frame: Frame) -> io::Result<Frame> {
+    Ok(match frame {
+        Frame::InstallHot {
+            key,
+            value,
+            ts,
+            warm: true,
+        } => Frame::InstallHotResp {
+            ok: node.install_hot_warm(key, &value, ts),
+        },
+        Frame::InstallHot { key, value, ts, .. } => Frame::InstallHotResp {
+            ok: node.install_hot(key, &value, ts),
+        },
+        Frame::ActivateHot { key } => Frame::ActivateHotResp {
+            ok: node.activate_hot(key),
+        },
+        Frame::VersionFloor => Frame::VersionFloorResp {
+            clock: node.cold_version(),
+        },
+        Frame::CacheKeys => Frame::CacheKeysResp {
+            keys: node.cache().keys(),
+        },
+        other => return serve_home_frame(node, other),
+    })
 }
 
 /// Serves one home-shard frame against `node`, the key's home: the only
@@ -243,13 +277,14 @@ impl<W, T: Copy + Ord> RpcTable<W, T> {
     }
 
     /// Removes and returns every request whose deadline is at or before
-    /// `now`.
-    pub fn expired(&mut self, now: T) -> Vec<(u64, W)> {
-        let expired: Vec<(u64, W)> = (self.pending)
+    /// `now`, each with its peer if no pack took it since it was issued or
+    /// last asked again: its link still queues it.
+    pub fn expired(&mut self, now: T) -> Vec<(u64, W, Option<usize>)> {
+        let expired: Vec<(u64, W, Option<usize>)> = (self.pending)
             .extract_if(.., |_, e| now >= e.deadline)
-            .map(|(corr, entry)| (corr, entry.waiter))
+            .map(|(corr, e)| (corr, e.waiter, e.seq.is_none().then_some(e.peer)))
             .collect();
-        if let (Some(Mutant::RecycleIds), Some(&(corr, _))) = (self.mutant, expired.first()) {
+        if let (Some(Mutant::RecycleIds), Some(&(corr, ..))) = (self.mutant, expired.first()) {
             self.next_corr = corr;
         }
         expired
@@ -274,6 +309,54 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
+
+    #[test]
+    fn admin_frames_install_warm_and_cold_but_never_from_a_peer() {
+        use cckvs::node::{CacheGet, NodeConfig};
+        use consistency::lamport::Timestamp;
+        use consistency::messages::ConsistencyModel;
+        let node = CcNode::new(NodeConfig::small(ConsistencyModel::Lin, 0, 2));
+        let install = |key, warm| Frame::InstallHot {
+            key,
+            value: b"v".to_vec(),
+            ts: Timestamp::ZERO,
+            warm,
+        };
+        let serve = |frame| serve_node_frame(&node, frame).expect("an admin frame");
+        let hit = |key| matches!(node.try_cache_get(key), Some(CacheGet::Hit { .. }));
+        // A peer's `RpcReq` reaches the home-shard frames alone.
+        assert!(serve_home_frame(&node, install(5, false)).is_err());
+        assert_eq!(
+            serve(Frame::CacheKeys),
+            Frame::CacheKeysResp { keys: vec![] }
+        );
+        assert_eq!(serve(install(1, false)), Frame::InstallHotResp { ok: true });
+        assert_eq!(serve(install(2, true)), Frame::InstallHotResp { ok: true });
+        assert!(
+            hit(1) && !hit(2),
+            "a warm entry serves no read until activated"
+        );
+        let activated = serve(Frame::ActivateHot { key: 2 });
+        assert_eq!(activated, Frame::ActivateHotResp { ok: true });
+        assert!(hit(2));
+        let Frame::CacheKeysResp { mut keys } = serve(Frame::CacheKeys) else {
+            panic!("CacheKeys answers its keys");
+        };
+        keys.sort_unstable();
+        assert_eq!(keys, [1, 2]);
+        let floor = serve(Frame::VersionFloor);
+        assert_eq!(
+            floor,
+            Frame::VersionFloorResp {
+                clock: node.cold_version()
+            }
+        );
+        // A home-shard frame falls through.
+        assert!(matches!(
+            serve(Frame::MissGet { key: 9 }),
+            Frame::MissGetResp { .. }
+        ));
+    }
 
     #[test]
     fn ids_of_two_generations_do_not_meet() {
@@ -374,14 +457,15 @@ mod tests {
                     }
                     6 => {
                         now += r % 20;
-                        let got: Vec<u64> = table.expired(now).into_iter().map(|(c, _)| c).collect();
-                        let want: Vec<u64> = live
+                        let got: Vec<(u64, Option<usize>)> =
+                            table.expired(now).into_iter().map(|(c, _, queued)| (c, queued)).collect();
+                        let want: Vec<(u64, Option<usize>)> = live
                             .iter()
                             .filter(|(_, s)| now >= s.deadline)
-                            .map(|(&corr, _)| corr)
+                            .map(|(&corr, s)| (corr, s.seq.is_none().then_some(s.peer)))
                             .collect();
                         prop_assert_eq!(&got, &want);
-                        for corr in got {
+                        for (corr, _) in got {
                             prop_assert!(handed_out.insert(corr), "handed out twice");
                             live.remove(&corr);
                         }

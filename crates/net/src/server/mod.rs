@@ -63,11 +63,14 @@
 //! cumulative [`Frame::Credit`] acknowledgements (TCP-ack style:
 //! idempotent, loss-proof), so when a link dies the unconfirmed tail is
 //! replayed after the redial handshake — exactly once, in order. The
-//! handshake ([`Frame::PeerHello`] → [`Frame::PeerHelloAck`] →
-//! [`Frame::PeerResume`]) carries *process generations* and reconciles both
-//! directions: a restarted peer is detected on either side, its stale
-//! connections and confirmations are rejected, and the restart rule
-//! ([`node_ops::handshake`]) reissues every local pending Lin write's
+//! handshake's three frames ([`Frame::PeerHello`] → [`Frame::PeerHelloAck`]
+//! → [`Frame::PeerResume`]) are built and taken in by [`node_ops`]'s steps
+//! ([`node_ops::hello`], [`node_ops::answer`], [`node_ops::take_ack`],
+//! [`node_ops::take_resume`]), which the model checker exchanges too; this
+//! module only moves them over the socket. They carry *process
+//! generations* and reconcile both directions: a restarted peer is
+//! detected on either side, its stale connections and confirmations are
+//! rejected, and the restart rule reissues every local pending Lin write's
 //! invalidation toward the restarted (now empty, vacuously acknowledging)
 //! peer — per-node ack bitmasks in the protocol engine make duplicate
 //! acknowledgements harmless — and asks its in-doubt miss-path RPCs again.
@@ -81,9 +84,9 @@
 use crate::client::Conn;
 use crate::link::{Item, Pack, Peer, PEER_BATCH_MAX_BYTES};
 use crate::metrics::{Metrics, MetricsServer};
-use crate::node_ops::{self, LinkEnd, NodeItem};
+use crate::node_ops::{self, Handshake, LinkEnd, NodeItem};
 use crate::ops::{peel_trace, ConnOps, Note, OpsHost, ResumeEvent, Served, Step};
-use crate::rpc::{serve_home_frame, serve_peer, PeerHost, RpcTable};
+use crate::rpc::{serve_home_frame, serve_node_frame, serve_peer, PeerHost, RpcTable};
 use crate::transport::{Connection, Transport, TransportConfig, TransportListener};
 use crate::wire::{encode_frame_into, write_frame, BatchBuilder, Frame, FrameDecoder};
 use cckvs::node::{CcNode, NodeConfig, Outgoing};
@@ -216,12 +219,11 @@ impl LinkEnd<LinkItem> for &Mutex<Peer<LinkItem>> {
 /// [`Peer`]: items leave in the order they were queued, so one key's
 /// messages keep theirs, and each is numbered for the life of this process
 /// and retained until the peer's cumulative [`Frame::Credit`]
-/// confirmations cover it. On redial the handshake
-/// ([`node_ops::handshake`]) tells each side how far the other really
+/// confirmations cover it. On redial the handshake ([`node_ops::answer`],
+/// [`node_ops::take_ack`]) tells each side how far the other really
 /// processed; each requeues its unprocessed tail at the front of its
 /// outbox — the repack assigns the same numbers, so the peer (aligned by
-/// the resume sequence, [`Peer::resume`]) sees every message exactly once,
-/// in order.
+/// the resume sequence) sees every message exactly once, in order.
 struct PeerLink {
     /// Which reactor shard owns the link's socket (fixed: `peer % shards`
     /// — so frame processing, credit returns, replay and pumping never race
@@ -504,14 +506,22 @@ impl ServerInner {
             });
     }
 
-    /// [`node_ops::handshake`] with `peer`'s process `gen`, its metrics and
-    /// trace events, and the restart rule's traffic queued. Returns the
-    /// (1-based) wire sequence the replay starts at.
-    fn handshake(&self, peer: usize, gen: u64, processed: u64) -> io::Result<u64> {
+    /// This node's side of the handshake with `peer`, taken by `step`
+    /// ([`node_ops::answer`] or [`node_ops::take_ack`]) on the link's end
+    /// and the pending-RPC table; then its metrics and trace events, and
+    /// the restart rule's traffic queued. Returns the frame `step` answers
+    /// with.
+    fn handshake(
+        &self,
+        peer: usize,
+        step: impl FnOnce(
+            &mut Peer<LinkItem>,
+            &mut RpcTable<RpcWaiter>,
+        ) -> Result<(Frame, Handshake), String>,
+    ) -> io::Result<Frame> {
         let mut end = self.link(peer).peer.lock();
         let reconnect = end.peer_gen() != 0;
-        let (node, rpcs) = (&self.node, &self.rpcs);
-        let shake = node_ops::handshake(&mut end, &mut rpcs.lock(), node, peer, gen, processed)
+        let (reply, shake) = step(&mut end, &mut self.rpcs.lock())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         // A sampled op's message keeps its original trace id across the
         // replay (exactly once — the requeued item IS the retained
@@ -531,7 +541,7 @@ impl ServerInner {
         for (_, request) in shake.asked_again {
             self.enqueue(peer, LinkItem::Rpc(request));
         }
-        Ok(shake.confirmed + 1)
+        Ok(reply)
     }
 
     /// Dials the link to `peer` (a higher node id) and runs the blocking
@@ -544,42 +554,19 @@ impl ServerInner {
     fn dial_peer(&self, peer: usize, addr: SocketAddr) -> io::Result<()> {
         let mut stream = self.transport.dial(addr, HANDSHAKE_TIMEOUT)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let link = self.link(peer);
-        let (processed, prev_gen) = {
-            let end = link.peer.lock();
-            (end.processed(), end.peer_gen())
-        };
-        write_frame(
-            &mut stream,
-            &Frame::PeerHello {
-                from: self.node.node() as u8,
-                gen: self.gen,
-                processed,
-                peer_gen: prev_gen,
-            },
-        )?;
-        let (processed, peer_gen, peer_start) = match crate::wire::read_frame(&mut stream)? {
-            Some(Frame::PeerHelloAck {
-                processed,
-                gen,
-                start_seq,
-            }) if start_seq > 0 => (processed, gen, start_seq),
-            Some(other) => {
-                let message = format!("unexpected peer-hello response {other:?}");
-                return Err(io::Error::new(io::ErrorKind::InvalidData, message));
-            }
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed during handshake",
-                ))
-            }
+        let (link, node) = (self.link(peer), &self.node);
+        let hello = node_ops::hello(&link.peer.lock(), node.node(), self.gen);
+        write_frame(&mut stream, &hello)?;
+        let Some(ack) = crate::wire::read_frame(&mut stream)? else {
+            let eof = "peer closed during handshake";
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof));
         };
         // Reconcile before anything else is touched: an ack claiming more
         // than was sent fails here and has changed nothing.
-        let start_seq = self.handshake(peer, peer_gen, processed)?;
-        link.peer.lock().resume(peer_gen, peer_start - 1);
-        write_frame(&mut stream, &Frame::PeerResume { start_seq })?;
+        let resume = self.handshake(peer, |end, rpcs| {
+            node_ops::take_ack(end, rpcs, node, peer, ack)
+        })?;
+        write_frame(&mut stream, &resume)?;
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
         let role = Role::peer(peer, link, true);
@@ -929,61 +916,47 @@ fn process_generation() -> u64 {
         .max(1)
 }
 
-/// Serves one *never-blocking* client frame: liveness, diagnostics, the
-/// lock-protected cache-fill admin, and the home-shard frames an admin
-/// caller (the supervisor's heal, the epoch applier) sends without being a
-/// peer. Get, Put and Evict are [`crate::ops`]'s and FlipEpoch the epoch
-/// applier's — nothing here may wait on another message. `None` ends the
-/// connection: the client asked the node to shut down, or sent a frame no
-/// client may send.
+/// Serves one *never-blocking* client frame: liveness, the trace dump, and
+/// what an admin caller (the supervisor's heal, the epoch applier) sends
+/// without being a peer ([`serve_node_frame`]). Get, Put and Evict are
+/// [`crate::ops`]'s and FlipEpoch the epoch applier's — nothing here may
+/// wait on another message. `None` ends the connection: the client asked
+/// the node to shut down, or sent a frame no client may send.
 fn serve_inline_frame(inner: &ServerInner, lane: u8, frame: Frame) -> Option<Frame> {
     Some(match frame {
         Frame::TraceDump => Frame::TraceDumpResp {
             dropped: inner.sink.dropped(),
             events: inner.sink.dump(),
         },
-        Frame::InstallHot {
-            key,
-            value,
-            ts,
-            warm,
-        } => {
-            let ok = if warm {
-                inner.node.install_hot_warm(key, &value, ts)
-            } else {
-                inner.node.install_hot(key, &value, ts)
-            };
-            // Coordinator bookkeeping: the key joined the hot set.
-            if let (true, Some(churn)) = (ok, &inner.churn) {
-                churn.installed.lock().insert(key);
-            }
-            Frame::InstallHotResp { ok }
-        }
-        Frame::ActivateHot { key } => Frame::ActivateHotResp {
-            ok: inner.node.activate_hot(key),
-        },
         Frame::Ping => Frame::Pong,
-        Frame::VersionFloor => Frame::VersionFloorResp {
-            clock: inner.node.cold_version(),
-        },
-        Frame::CacheKeys => Frame::CacheKeysResp {
-            keys: inner.node.cache().keys(),
-        },
         Frame::Shutdown => {
             inner.initiate_shutdown();
             return None;
         }
-        other => serve_rpc_frame(inner, lane, other).ok()?,
+        other => {
+            let key = other.key();
+            let response = serve_rpc_frame(inner, lane, other, serve_node_frame).ok()?;
+            // Coordinator bookkeeping: the key joined the hot set.
+            if let (Frame::InstallHotResp { ok: true }, Some(churn)) = (&response, &inner.churn) {
+                churn.installed.lock().insert(key);
+            }
+            response
+        }
     })
 }
 
-/// Serves one home-shard frame — the inner frame of a peer's
-/// [`Frame::RpcReq`], or the same frame sent bare on a client connection
-/// by an admin caller. Every arm is a lock-protected state update that
-/// never waits on another message, which is what allows it to be served
-/// inline on a reactor shard.
-fn serve_rpc_frame(inner: &ServerInner, lane: u8, frame: Frame) -> io::Result<Frame> {
+/// Serves one frame through `serve` — [`serve_home_frame`] for the inner
+/// frame of a peer's [`Frame::RpcReq`], [`serve_node_frame`] for one an
+/// admin caller sends bare on a client connection. Every arm of either is
+/// a lock-protected state update that never waits on another message,
+/// which is what allows it to be served inline on a reactor shard.
+fn serve_rpc_frame(
+    inner: &ServerInner,
+    lane: u8,
+    frame: Frame,
+    serve: fn(&CcNode, Frame) -> io::Result<Frame>,
+) -> io::Result<Frame> {
     let (trace, frame) = peel_trace(frame);
     inner.trace_event(trace, lane, EventKind::ProtocolRecv, frame.key(), NO_PEER);
-    serve_home_frame(&inner.node, frame)
+    serve(&inner.node, frame)
 }

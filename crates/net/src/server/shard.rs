@@ -262,7 +262,8 @@ impl PeerHost for PeerServe<'_> {
     /// A malformed inner frame answers `Error` instead of erroring the
     /// whole link: the link carries unrelated traffic.
     fn serve_home(&mut self, _corr: u64, request: Frame) -> Frame {
-        serve_rpc_frame(self.inner, self.lane, request).unwrap_or_else(|e| Frame::Error {
+        let served = serve_rpc_frame(self.inner, self.lane, request, serve_home_frame);
+        served.unwrap_or_else(|e| Frame::Error {
             message: e.to_string(),
         })
     }
@@ -486,12 +487,22 @@ impl Shard {
     }
 
     /// The deadline tick fired: fails every pending RPC past its deadline
-    /// (whichever shard issued it; [`node_ops::expire`]) and, while any is
-    /// left, arms again at the nearest. An empty table arms nothing.
+    /// (whichever shard issued it; [`node_ops::expire`]), withdraws those
+    /// still queued on their links, and, while any is left, arms again at
+    /// the nearest. An empty table arms nothing.
     fn sweep_rpcs(&mut self) {
         self.rpc_sweep_armed = false;
         let now = Instant::now();
-        let (expired, next) = self.inner.with_rpcs(|table| node_ops::expire(table, now));
+        let inner = &self.inner;
+        let (expired, queued, next) = inner.with_rpcs(|table| node_ops::expire(table, now));
+        // The table's lock is let go: the handshake and the pump take a
+        // link's lock first, then the table's.
+        let withdraw = |&(peer, corr): &(usize, u64)| {
+            node_ops::withdraw(&mut inner.link(peer).peer.lock(), corr)
+        };
+        if queued.iter().filter(|queued| withdraw(queued)).count() > 0 {
+            inner.refresh_parked();
+        }
         for (waiter, event) in expired {
             self.inner.wake_rpc(waiter, event);
         }
@@ -668,12 +679,10 @@ impl Shard {
                     );
                     conn.role = Role::Client(ConnOps::default());
                 }
-                Ok(Some(hello @ Frame::PeerHello { from, gen, .. })) => {
-                    // The lower node id of a pair dials, never the higher.
-                    let from = usize::from(from);
-                    if from >= self.inner.node.node() || gen == 0 {
+                Ok(Some(hello)) => {
+                    let Some(from) = node_ops::hello_from(&hello) else {
                         return StepOutcome::Close;
-                    }
+                    };
                     // Hello processing must run on the shard that owns the
                     // link to this peer (`from % shards`): processed-count
                     // reporting and stale-connection teardown are then
@@ -684,11 +693,11 @@ impl Shard {
                         conn.role = Role::Handshake(Some(hello));
                         return StepOutcome::Migrate { target: owner };
                     }
-                    if !self.accept_peer_hello(token, conn, hello) {
+                    if !self.accept_peer_hello(token, conn, from, hello) {
                         return StepOutcome::Close;
                     }
                 }
-                Ok(Some(_)) | Err(_) => return StepOutcome::Close,
+                Err(_) => return StepOutcome::Close,
                 Ok(None) => {
                     return if conn.eof {
                         StepOutcome::Close
@@ -716,27 +725,28 @@ impl Shard {
         }
     }
 
-    /// Serves a [`Frame::PeerHello`] on the shard that owns the link to
-    /// its sender: runs this node's side of the handshake, closes the
-    /// link's older connection (its buffered frames must not advance the
-    /// processed counter after it is reported) and answers with its report.
-    fn accept_peer_hello(&mut self, token: u64, conn: &mut ConnState, hello: Frame) -> bool {
-        let Frame::PeerHello {
-            from,
-            gen,
-            processed,
-            peer_gen,
-        } = hello
-        else {
-            unreachable!("checked by caller");
-        };
-        let from = usize::from(from);
+    /// Serves node `from`'s [`Frame::PeerHello`] on the shard that owns the
+    /// link to it: runs this node's side of the handshake
+    /// ([`node_ops::answer`]), closes the link's older connection (its
+    /// buffered frames must not advance the processed counter after it is
+    /// reported) and answers with its report.
+    fn accept_peer_hello(
+        &mut self,
+        token: u64,
+        conn: &mut ConnState,
+        from: usize,
+        hello: Frame,
+    ) -> bool {
         let inner = Arc::clone(&self.inner);
-        let link = inner.link(from);
-        // A count in another generation's numbering says nothing about
-        // this process's stream: the peer has seen none of it.
-        let processed = if peer_gen == inner.gen { processed } else { 0 };
-        let Ok(start_seq) = inner.handshake(from, gen, processed) else {
+        // A hello from this node itself, or from no node at all.
+        let Some(link) = inner.peer_links.get(from).and_then(Option::as_ref) else {
+            return false;
+        };
+        let (node, gen) = (&inner.node, inner.gen);
+        let answered = inner.handshake(from, |end, rpcs| {
+            node_ops::answer(end, rpcs, node, gen, hello)
+        });
+        let Ok(ack) = answered else {
             return false;
         };
         let stale = (self.conns.iter())
@@ -745,14 +755,7 @@ impl Shard {
         if let Some((stale, old)) = stale.and_then(|stale| self.conns.remove_entry(&stale)) {
             self.close(stale, *old);
         }
-        encode_frame_into(
-            conn.writebuf.writer(),
-            &Frame::PeerHelloAck {
-                processed: link.peer.lock().processed(),
-                gen: inner.gen,
-                start_seq,
-            },
-        );
+        encode_frame_into(conn.writebuf.writer(), &ack);
         if conn.writebuf.flush_to(&mut conn.stream).is_err() {
             return false;
         }
@@ -835,16 +838,11 @@ impl Shard {
                 Err(_) => return true,
             };
             if !*resumed {
-                match frame {
-                    Frame::PeerResume { start_seq } if start_seq > 0 => {
-                        let mut end = link.peer.lock();
-                        let gen = end.peer_gen();
-                        end.resume(gen, start_seq - 1);
-                        *resumed = true;
-                        continue;
-                    }
-                    _ => return true,
+                if node_ops::take_resume(&mut link.peer.lock(), frame).is_err() {
+                    return true;
                 }
+                *resumed = true;
+                continue;
             }
             // Serving enqueues on links, this one included: the lock is
             // let go first.

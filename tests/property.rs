@@ -16,7 +16,7 @@ proptest! {
         let lock = SeqLock::with_capacity(64);
         for payload in &payloads {
             lock.write(payload);
-            let (read, version) = lock.read();
+            let (read, version) = lock.read_with(|p| p.to_vec(0));
             prop_assert_eq!(&read, payload);
             prop_assert_eq!(version % 2, 0);
         }
