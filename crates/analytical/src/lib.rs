@@ -117,6 +117,41 @@ mod tests {
     }
 
     #[test]
+    fn the_model_orders_sc_over_lin_over_uniform() {
+        // §8.7.1's 9-node rack at 1 % writes: the cheaper consistency
+        // action wins, and both cached designs beat the cache-less bound.
+        let p = paper(9, 0.01);
+        let (sc, lin) = (throughput_sc_mrps(&p), throughput_lin_mrps(&p));
+        let uniform = throughput_uniform_mrps(&p);
+        assert!(
+            sc > lin && lin > uniform,
+            "SC {sc}, Lin {lin}, Uniform {uniform}"
+        );
+    }
+
+    #[test]
+    fn larger_objects_shrink_the_lin_penalty() {
+        // Fig. 12: a Lin action adds a header-only invalidation and ack to
+        // the update SC sends, so once the value dominates the bytes of
+        // every message the SC/Lin gap nearly vanishes. The headers are
+        // the paper's 40-byte-object bytes less the value.
+        let with_value = |value: f64| ModelParams {
+            b_rr: 73.0 + value,
+            b_sc: 43.0 + value,
+            b_lin: 143.0 + value,
+            ..paper(9, 0.01)
+        };
+        assert_eq!(with_value(40.0), paper(9, 0.01));
+        let gap = |value: f64| {
+            let p = with_value(value);
+            let sc = throughput_sc_mrps(&p);
+            (sc - throughput_lin_mrps(&p)) / sc
+        };
+        let (small, large) = (gap(40.0), gap(1024.0));
+        assert!(large < small / 2.0, "40 B: {small:.3}, 1 KB: {large:.3}");
+    }
+
+    #[test]
     fn uniform_is_insensitive_to_write_ratio() {
         let read_only = throughput_uniform_mrps(&paper(9, 0.0));
         let writes = throughput_uniform_mrps(&paper(9, 0.05));

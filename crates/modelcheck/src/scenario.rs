@@ -162,6 +162,7 @@ pub fn all() -> Vec<ScenarioSpec> {
         flip_two_keys(),
         client_crash_mid_batch(),
         rpc_deadline_races_answer(),
+        rpc_deadline_window_1(),
         ack_then_die(),
         miss_rpc_no_reissue(),
         install_unwarmed(),
@@ -426,6 +427,19 @@ pub fn rpc_deadline_races_answer() -> ScenarioSpec {
         ],
         expire_budget: 2,
         ..ScenarioSpec::new("rpc-deadline-races-answer", about, Lin, 2)
+    }
+}
+
+/// [`rpc_deadline_races_answer`] with one frame per link on the wire: an
+/// expired request stays retained, unconfirmed, so the next op's request
+/// queues behind it unpacked, and when that one expires too the sweep must
+/// withdraw it from the link (`node_ops::withdraw`) so its home never runs it.
+pub fn rpc_deadline_window_1() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "rpc-deadline-window-1",
+        about: "window of 1: a request expires while still queued and is withdrawn from its link",
+        credit_window: 1,
+        ..rpc_deadline_races_answer()
     }
 }
 

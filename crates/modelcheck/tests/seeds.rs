@@ -54,7 +54,8 @@
 //! Left as they were when the restart rule, the lap's pump, shipping and
 //! the RPC deadline sweep became the shipped `node_ops` machine: every
 //! scenario that existed then replays byte-identically. Two scenarios
-//! joined, `rpc-deadline-races-answer` and its negative twin.
+//! joined, `rpc-deadline-races-answer` and its negative twin, and later
+//! `rpc-deadline-window-1`, the first of them with a window of one.
 
 use cckvs_modelcheck::explore::{explore, replay};
 use cckvs_modelcheck::scenario::by_name;
@@ -382,12 +383,30 @@ const LOG_DIGESTS: &[(&str, u64)] = &[
     ("flip-two-keys", 0x0543e5830df25473),
     ("client-crash-mid-batch", 0x1dfe8683688af24d),
     ("rpc-deadline-races-answer", 0xac38821dabf57894),
+    ("rpc-deadline-window-1", 0xad0ab3fcdcc79f8d),
     ("ack-then-die", 0x90fc1b36a7ae093a),
     ("miss-rpc-no-reissue", 0x7906612d5009c2cf),
     ("install-unwarmed", 0x470630172190d4c8),
     ("client-resend-lost", 0x279a857664231666),
     ("rpc-deadline-recycles-id", 0xed769538eae09bc4),
 ];
+
+/// `rpc-deadline-window-1`'s window: n0's cold put is packed and expires
+/// unconfirmed, so with one frame on the wire its cold get queues behind
+/// it, expires there, and is withdrawn from the link: its home runs the
+/// put late and never runs the get.
+#[test]
+fn an_rpc_expired_while_queued_is_withdrawn_and_never_runs() {
+    let outcome = replay_seed("rpc-deadline-window-1:0000000000000001");
+    assert_eq!(outcome.violation, None, "events: {:#?}", outcome.events);
+    let has = |m: &str| outcome.events.iter().any(|e| e.contains(m));
+    assert!(has("n0 rpc#3 withdrawn from the link to n1"));
+    assert!(
+        has("n1 rpc#2 from n0 put k2750"),
+        "the packed put runs late"
+    );
+    assert!(!has("rpc#3 from n0"), "the withdrawn get never runs");
+}
 
 #[test]
 fn event_logs_match_the_committed_digests() {

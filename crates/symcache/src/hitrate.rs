@@ -27,20 +27,6 @@ pub fn expected_hit_rate(dataset_keys: u64, cache_entries: u64, alpha: f64) -> f
     zipf_cdf(dataset_keys, cache_entries, alpha)
 }
 
-/// Produces the (cache-fraction, hit-rate) series of Fig. 3 for a given skew.
-///
-/// `fractions` are cache sizes as a fraction of the dataset (e.g. 0.001 for
-/// the paper's default 0.1 % cache).
-pub fn hit_rate_curve(dataset_keys: u64, alpha: f64, fractions: &[f64]) -> Vec<(f64, f64)> {
-    fractions
-        .iter()
-        .map(|&f| {
-            let entries = ((dataset_keys as f64) * f).round() as u64;
-            (f, expected_hit_rate(dataset_keys, entries, alpha))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,15 +49,6 @@ mod tests {
         assert!((0.35..=0.60).contains(&h90), "α=0.90: {h90}");
         assert!((0.58..=0.75).contains(&h99), "α=0.99: {h99}");
         assert!((0.62..=0.80).contains(&h101), "α=1.01: {h101}");
-    }
-
-    #[test]
-    fn curve_is_monotone_in_cache_size() {
-        let curve = hit_rate_curve(1_000_000, 0.99, &[0.0002, 0.0005, 0.001, 0.002]);
-        assert_eq!(curve.len(), 4);
-        for pair in curve.windows(2) {
-            assert!(pair[1].1 >= pair[0].1, "hit rate must grow with cache size");
-        }
     }
 
     #[test]

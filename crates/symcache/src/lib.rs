@@ -29,6 +29,6 @@ pub mod topk;
 pub use cache::{
     DeliverOutcome, EvictOutcome, ReadOutcome, ReadProbe, SymmetricCache, WriteOutcome,
 };
-pub use hitrate::{expected_hit_rate, hit_rate_curve};
+pub use hitrate::expected_hit_rate;
 pub use popularity::{CacheCoordinator, EpochConfig, HotSet};
 pub use topk::SpaceSaving;

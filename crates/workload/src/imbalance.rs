@@ -4,8 +4,8 @@
 //! holding the hottest keys receives a disproportionate share of requests.
 //! The paper's Fig. 1 shows that in a 128-server deployment with α = 0.99 the
 //! most loaded server receives over 7× the average load. This module computes
-//! that distribution either analytically (from the Zipfian pmf) or from a
-//! sampled access trace.
+//! that distribution analytically, from the Zipfian pmf, with or without a
+//! symmetric cache serving the hottest keys (Fig. 8's flattened load).
 
 use crate::keyspace::{Dataset, ShardMap};
 use crate::zipf::ZipfGenerator;
@@ -18,24 +18,17 @@ pub struct ImbalanceReport {
 }
 
 impl ImbalanceReport {
-    /// Load of the most loaded server relative to the average.
+    /// Load of the most loaded server relative to the average (the "7×"
+    /// of Fig. 1).
     pub fn max_load(&self) -> f64 {
         self.normalized_load.first().copied().unwrap_or(0.0)
-    }
-
-    /// Load of the least loaded server relative to the average.
-    pub fn min_load(&self) -> f64 {
-        self.normalized_load.last().copied().unwrap_or(0.0)
-    }
-
-    /// Ratio between the hottest and the average server (the "7×" of Fig. 1).
-    pub fn hotspot_factor(&self) -> f64 {
-        self.max_load()
     }
 }
 
 /// Computes the analytic normalised per-server load for a Zipfian workload
-/// over a sharded dataset (Fig. 1).
+/// over a sharded dataset (Fig. 1), with the `cached` hottest keys served
+/// by whichever server the client picked, i.e. spread evenly, as symmetric
+/// caches serve them (0 for the cache-less baseline of Fig. 1).
 ///
 /// The load of a server is the sum of the pmf of the keys homed on it. To
 /// keep the computation tractable for very large datasets, only the hottest
@@ -46,6 +39,7 @@ pub fn normalized_server_load(
     dataset: &Dataset,
     shards: &ShardMap,
     zipf_exponent: f64,
+    cached: u64,
     hot_keys_exact: u64,
 ) -> ImbalanceReport {
     let zipf = ZipfGenerator::new(dataset.keys, zipf_exponent);
@@ -54,13 +48,13 @@ pub fn normalized_server_load(
 
     let exact = hot_keys_exact.min(dataset.keys);
     let mut exact_mass = 0.0;
-    for rank in 0..exact {
+    for rank in cached.min(exact)..exact {
         let p = zipf.pmf(rank);
         exact_mass += p;
         let node = shards.home_node(dataset.key_of_rank(rank));
         load[node] += p;
     }
-    // Spread the remaining tail mass uniformly.
+    // Spread the cached head and the remaining tail mass uniformly.
     let tail = (1.0 - exact_mass).max(0.0) / servers as f64;
     for l in load.iter_mut() {
         *l += tail;
@@ -74,28 +68,9 @@ pub fn normalized_server_load(
     }
 }
 
-/// Computes the empirical normalised per-server load from a sampled trace of
-/// key ranks (useful to validate the analytic computation).
-pub fn sampled_server_load(dataset: &Dataset, shards: &ShardMap, ranks: &[u64]) -> ImbalanceReport {
-    let servers = shards.nodes;
-    let mut counts = vec![0u64; servers];
-    for &rank in ranks {
-        let node = shards.home_node(dataset.key_of_rank(rank));
-        counts[node] += 1;
-    }
-    let avg = ranks.len() as f64 / servers as f64;
-    let mut normalized: Vec<f64> = counts.into_iter().map(|c| c as f64 / avg).collect();
-    normalized.sort_by(|a, b| b.partial_cmp(a).expect("loads are finite"));
-    ImbalanceReport {
-        normalized_load: normalized,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn fig1_hotspot_factor_128_servers() {
@@ -111,13 +86,14 @@ mod tests {
             40,
         );
         let shards = ShardMap::new(128, 1);
-        let report = normalized_server_load(&dataset, &shards, 0.99, 100_000);
+        let report = normalized_server_load(&dataset, &shards, 0.99, 0, 100_000);
         assert!(
-            report.hotspot_factor() > 5.0,
+            report.max_load() > 5.0,
             "expected a pronounced hotspot, got {}",
-            report.hotspot_factor()
+            report.max_load()
         );
-        assert!(report.min_load() > 0.5 && report.min_load() <= 1.05);
+        let least = report.normalized_load[127];
+        assert!(least > 0.5 && least <= 1.05, "{least}");
         // Total normalised load must equal the number of servers.
         let total: f64 = report.normalized_load.iter().sum();
         assert!((total - 128.0).abs() < 1e-6);
@@ -128,30 +104,22 @@ mod tests {
         let dataset = Dataset::new(1_000_000, 40);
         let shards = ShardMap::new(16, 1);
         // Attributing zero keys exactly spreads everything evenly.
-        let report = normalized_server_load(&dataset, &shards, 0.99, 0);
+        let report = normalized_server_load(&dataset, &shards, 0.99, 0, 0);
         for l in &report.normalized_load {
             assert!((l - 1.0).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn sampled_load_matches_analytic_shape() {
-        let dataset = Dataset::new(100_000, 40);
-        let shards = ShardMap::new(8, 1);
-        let zipf = ZipfGenerator::new(dataset.keys, 0.99);
-        let mut rng = StdRng::seed_from_u64(5);
-        let ranks: Vec<u64> = (0..200_000).map(|_| zipf.sample(&mut rng)).collect();
-        let sampled = sampled_server_load(&dataset, &shards, &ranks);
-        let analytic = normalized_server_load(&dataset, &shards, 0.99, 10_000);
-        // Hotspot factors should agree within 15%.
-        let rel = (sampled.hotspot_factor() - analytic.hotspot_factor()).abs()
-            / analytic.hotspot_factor();
-        assert!(
-            rel < 0.15,
-            "sampled {} vs analytic {}",
-            sampled.hotspot_factor(),
-            analytic.hotspot_factor()
-        );
+    fn caching_the_head_flattens_the_hotspot() {
+        let dataset = Dataset::new(1_000_000, 40);
+        let shards = ShardMap::new(16, 1);
+        let bare = normalized_server_load(&dataset, &shards, 0.99, 0, 50_000);
+        let cached = normalized_server_load(&dataset, &shards, 0.99, 1_000, 50_000);
+        assert!(bare.max_load() > 2.0, "{}", bare.max_load());
+        assert!(cached.max_load() < 1.05, "{}", cached.max_load());
+        let total: f64 = cached.normalized_load.iter().sum();
+        assert!((total - 16.0).abs() < 1e-6);
     }
 
     #[test]
@@ -160,8 +128,8 @@ mod tests {
         // servers because the average shrinks while the hottest key's share
         // does not.
         let dataset = Dataset::new(1_000_000, 40);
-        let small = normalized_server_load(&dataset, &ShardMap::new(8, 1), 0.99, 50_000);
-        let large = normalized_server_load(&dataset, &ShardMap::new(64, 1), 0.99, 50_000);
-        assert!(large.hotspot_factor() > small.hotspot_factor());
+        let small = normalized_server_load(&dataset, &ShardMap::new(8, 1), 0.99, 0, 50_000);
+        let large = normalized_server_load(&dataset, &ShardMap::new(64, 1), 0.99, 0, 50_000);
+        assert!(large.max_load() > small.max_load());
     }
 }

@@ -12,7 +12,8 @@
 //! * [`mix`] — read/write operation mixes and operation generation.
 //! * [`client`] — client sessions that load-balance requests over the
 //!   deployment (random or round-robin), as described in §6.
-//! * [`imbalance`] — per-server load statistics under skew (Fig. 1).
+//! * [`imbalance`] — the analytic per-server load under skew, with and
+//!   without a symmetric cache (Figs. 1 and 8).
 //! * [`churn`] — a shifting-hotspot Zipfian workload for exercising live
 //!   hot-set churn (epoch installs/evictions while traffic runs).
 //!

@@ -1,7 +1,7 @@
 //! Consistency models in action: per-key SC vs per-key linearizability.
 //!
 //! Demonstrates the semantic difference the paper's §5.1 illustrates with
-//! Figures 5 and 6, exercises the verified protocol state machines through
+//! Figures 5 and 6: exercises the verified protocol state machines through
 //! the explicit-state model checker, and shows a loopback rack enforcing
 //! each model under concurrent writers.
 //!
@@ -68,18 +68,4 @@ fn main() {
         );
         rack.shutdown();
     }
-
-    // 3. The performance cost of the stronger model on the simulated rack.
-    let mut sc = SystemConfig::paper_default(SystemKind::CcKvs(ConsistencyModel::Sc));
-    sc.dataset_keys = 1_000_000;
-    sc.cache_entries = 1_000;
-    sc.write_ratio = 0.01;
-    let mut lin = sc;
-    lin.kind = SystemKind::CcKvs(ConsistencyModel::Lin);
-    let sc_result = run_experiment(&PerfConfig::paper_default(sc));
-    let lin_result = run_experiment(&PerfConfig::paper_default(lin));
-    println!(
-        "1% writes on the simulated rack: {} = {:.0} MRPS, {} = {:.0} MRPS",
-        sc_result.label, sc_result.throughput_mrps, lin_result.label, lin_result.throughput_mrps
-    );
 }

@@ -5,18 +5,16 @@
 //! This facade crate re-exports the workspace members so examples, tests and
 //! downstream users can depend on a single crate:
 //!
-//! * [`workload`] — Zipfian/uniform workload generation, clients, load
-//!   imbalance analysis.
+//! * [`workload`] — Zipfian/uniform workload generation, clients, the
+//!   analytic per-server load under skew.
 //! * [`kvstore`] — the MICA-style seqlock-protected key-value store
 //!   substrate (EREW/CRCW).
 //! * [`symcache`] — the symmetric cache, top-k popularity tracking and the
 //!   epoch coordinator.
 //! * [`consistency`] — the per-key SC and per-key Lin protocols, history
 //!   checkers and the explicit-state model checker.
-//! * [`simnet`] — the discrete-event simulated RDMA rack fabric.
 //! * [`analytical`] — the §8.7 throughput model and break-even solver.
-//! * [`cckvs`] — the ccKVS system itself: the transport-agnostic `CcNode`
-//!   and the calibrated performance simulator with all baselines.
+//! * [`cckvs`] — the ccKVS system itself: the transport-agnostic `CcNode`.
 //! * [`cckvs_net`] — the networked serving layer: TCP node servers speaking
 //!   a compact binary wire protocol, a rack launcher, a load-balancing
 //!   client library and per-node metrics endpoints.
@@ -40,7 +38,6 @@ pub use cckvs;
 pub use cckvs_net;
 pub use consistency;
 pub use kvstore;
-pub use simnet;
 pub use symcache;
 pub use workload;
 
@@ -66,9 +63,8 @@ mod tests {
         let _ = workload::Dataset::new(10, 8);
         let _ = kvstore::ConcurrencyModel::Crcw;
         let _ = consistency::messages::ConsistencyModel::Lin;
-        let _ = simnet::MessageSizes::for_value_size(40);
         let _ = symcache::SpaceSaving::new(4);
-        let _ = cckvs::SystemKind::Base;
+        let _ = cckvs::NodeConfig::small(consistency::messages::ConsistencyModel::Sc, 0, 3);
         let _ = cckvs_net::Frame::Ping;
     }
 }
