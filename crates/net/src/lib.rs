@@ -17,13 +17,14 @@
 //!   confirmations, redial dead peers with backoff, replay exactly the
 //!   unprocessed tail, and reissue invalidations a restarted peer's dead
 //!   predecessor never acknowledged.
-//! * [`link`], [`rpc`], [`node_ops`], [`ops`], [`churn`] and [`client_ops`]
-//!   — the sans-IO cores the server, the model checker, the supervisor and
-//!   the client drive: the reliable link, the home shard's answers to
-//!   miss-path frames, the pending-RPC table, what a node does between
-//!   frames, one client connection's op machine, the hot-set transitions of
-//!   one key and of many keys in batches, and one client session's queue,
-//!   batches and lost-connection rule.
+//! * [`link`], [`rpc`], [`node_ops`], [`ops`], [`churn`], [`client_ops`]
+//!   and [`envelope`] — the sans-IO cores the server, the model checker,
+//!   the supervisor, the client and the UDP transport drive: the reliable
+//!   link, the home shard's answers to miss-path frames, the pending-RPC
+//!   table, what a node does between frames, one client connection's op
+//!   machine, the hot-set transitions of one key and of many keys in
+//!   batches, one client session's queue, batches and lost-connection
+//!   rule, and one UDP connection's datagram reliability.
 //! * [`rack`] — [`rack::Rack`]: boots an N-node deployment, wires the peer
 //!   mesh and installs the coordinator's hot set over the wire.
 //! * [`client`] — [`client::Client`]: a load-balancing client session that
@@ -59,6 +60,7 @@
 pub mod churn;
 pub mod client;
 pub mod client_ops;
+pub mod envelope;
 pub mod link;
 pub mod metrics;
 pub mod node_ops;

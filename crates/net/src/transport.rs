@@ -16,42 +16,20 @@
 //! * [`TcpTransport`] — the original path, byte-for-byte: `SO_REUSEADDR`
 //!   listener, `TCP_NODELAY` connections.
 //! * [`UdpTransport`] — the paper-shaped fabric: every connection is a
-//!   connected UDP socket pair carrying sequence-numbered datagrams with
-//!   cumulative acks, retransmission, reorder buffering and duplicate
-//!   suppression — the same [`crate::link`] state machine the `PeerLink`
-//!   replay layer drives at frame granularity, here driven at datagram
-//!   granularity so *every* connection (client, peer, RPC) survives
-//!   loss. A [`FaultPlan`] injects deterministic drop/duplicate/reorder
-//!   faults for the lossy-rack e2es.
+//!   connected UDP socket pair whose datagrams carry the
+//!   [`crate::envelope`] machine's sequence numbers and cumulative acks,
+//!   so *every* connection (client, peer, RPC) survives loss. A
+//!   [`FaultPlan`] injects deterministic drop/duplicate/reorder faults for
+//!   the lossy-rack e2es.
 //!
-//! # UDP framing and recovery
+//! # UDP handshake and pacing
 //!
-//! Datagrams are typed: `SYN`/`SYN-ACK` (connection handshake, nonce
-//! matched), `DATA {seq, cum, payload}`, `ACK {cum}`, `FIN {seq, cum}`
-//! (byte layouts: `docs/WIRE.md`, "UDP datagram envelope"). Payloads
-//! are capped at [`MAX_DATAGRAM_BYTES`]; the serving layer's peer pump
-//! reads [`Connection::datagram_cap`] and sizes coherence sub-batches to
-//! fit, so one batch normally rides one datagram. Sequence numbers count
-//! datagrams; the receiver delivers the contiguous prefix, parks
-//! out-of-order arrivals in a bounded reorder buffer and drops
-//! duplicates. Senders retain every datagram until its sequence number
-//! is covered by a cumulative ack — retained traffic is retransmitted on
-//! an exponential timer by one process-wide pacer thread (spawned lazily
-//! on first UDP use: the TCP path keeps its exact thread census). A
-//! connection with no ack progress for [`UDP_DEAD_AFTER`] is marked
-//! broken and surfaces an error on its next use, which feeds the
-//! existing redial/generation machinery unchanged.
-//!
-//! Acks are bookkeeping (the paper's fabric has no per-message transport
-//! ack at all, §6.4): every `DATA`/`FIN` carries the cumulative ack of the
-//! reverse direction, and a stand-alone `ACK` leaves only when nothing
-//! else will carry it — at once on a gap, a duplicate or a `FIN` (the
-//! sender's timer is waiting on exactly that answer), otherwise after
-//! [`UDP_ACK_EVERY`] unacknowledged in-order datagrams or with the
-//! pacer's next pass (`UDP_PACER_TICK` = 5 ms, far inside `UDP_RTO_MIN` =
-//! 20 ms: a clean link never retransmits). Request/response connections
-//! (client sessions, peer links) send none in steady state, a stream
-//! nobody answers one per [`UDP_ACK_EVERY`] datagrams. [`UdpStats`] counts all of it.
+//! A connection starts with a nonce-matched `SYN`/`SYN-ACK` (byte layouts:
+//! `docs/WIRE.md`, "UDP datagram envelope"). Payloads are capped at
+//! [`MAX_DATAGRAM_BYTES`], which [`Connection::datagram_cap`] reports so
+//! one peer batch rides one datagram. The socket paths feed each
+//! connection's envelope under one lock beside its fault plan, and one
+//! process-wide pacer thread, spawned on first UDP use, ticks them all.
 //!
 //! Accepting is connection-per-socket: the listener socket only ever
 //! sees `SYN`s; each accepted connection gets a fresh connected socket
@@ -59,11 +37,11 @@
 //! like TCP fds), and the `SYN-ACK` is sent *from* that socket so the
 //! dialer learns the connection address from its source.
 
-use crate::link::{Accept, RecvHalf, SendHalf};
+use crate::envelope::{le_u64, Envelope, Sent, Sink, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_FIN};
 use crate::wire::MAX_DATAGRAM_BYTES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
@@ -369,51 +347,22 @@ impl Connection for TcpConnection {
 }
 
 // ---------------------------------------------------------------------------
-// UDP: sequence numbers + cumulative acks + retransmission over datagrams.
+// UDP: the envelope machine behind a connected socket, ticked by a pacer.
 // ---------------------------------------------------------------------------
 
 /// Datagram type tags (first byte of every datagram).
 pub const DG_SYN: u8 = 1;
 /// Handshake answer, sent from the accepted connection's own socket.
 pub const DG_SYNACK: u8 = 2;
-/// One sequence-numbered chunk of the byte stream.
-pub const DG_DATA: u8 = 3;
-/// Stand-alone cumulative ack.
-pub const DG_ACK: u8 = 4;
-/// Sequence-numbered end of stream.
-pub const DG_FIN: u8 = 5;
 
-/// Size of a `SYN`/`SYN-ACK`/`ACK`: type byte + u64 (nonce or cumulative
-/// ack).
-pub const DG_CTRL_LEN: usize = 1 + 8;
-/// `DATA`/`FIN` header: type byte + u64 sequence number + u64 cumulative
-/// ack of the reverse direction.
-pub const DG_DATA_HDR: usize = 1 + 8 + 8;
-
-/// Initial retransmission timeout (doubles per retry, capped).
-const UDP_RTO_MIN: Duration = Duration::from_millis(20);
-/// In-order datagrams a receiver lets pile up unacknowledged before it
-/// sends a stand-alone `ACK` (reverse `DATA` or the pacer may get there first).
-pub const UDP_ACK_EVERY: u32 = 16;
 /// Longest the pacer thread sleeps between passes, and so the longest an
-/// owed ack waits for one. The actual sleep is deadline-driven — it
-/// wakes at the nearest retained datagram's RTO, floored at the
-/// reactor's fine timer resolution — so an idle fabric ticks at this
-/// cadence while a loss burst retransmits on time.
+/// owed ack waits for one: a pass wakes sooner for a retransmission due.
 const UDP_PACER_TICK: Duration = Duration::from_millis(5);
-/// Retransmission timeout cap.
-const UDP_RTO_MAX: Duration = Duration::from_millis(500);
-/// A connection with retained traffic and no cumulative-ack progress for
-/// this long is broken: the peer is gone. Mirrors a TCP RST feeding the
-/// redial machinery.
-pub const UDP_DEAD_AFTER: Duration = Duration::from_secs(10);
 /// How long a dropped connection lingers to retransmit its `FIN` and ack
 /// the peer's.
 const UDP_LINGER: Duration = Duration::from_secs(2);
 /// Dialer SYN retry cadence.
 const UDP_DIAL_RETRY: Duration = Duration::from_millis(100);
-/// Retransmissions per connection per pacer tick (burst cap).
-const UDP_RETX_BURST: usize = 64;
 /// How long the listener remembers a handshake so duplicate `SYN`s get
 /// the same `SYN-ACK` instead of a second connection.
 const UDP_HANDSHAKE_MEMORY: Duration = Duration::from_secs(10);
@@ -443,6 +392,21 @@ impl UdpStats {
             ("retransmit", &self.retransmits),
         ]
         .map(|(kind, counter)| (kind, counter.load(Ordering::Relaxed)))
+    }
+
+    /// Books one datagram the envelope hands to the socket.
+    pub(crate) fn count(&self, sent: Sent) {
+        let counter = match sent {
+            Sent::Data(ack_rode) => {
+                if ack_rode {
+                    self.acks_piggybacked.fetch_add(1, Ordering::Relaxed);
+                }
+                &self.data_sent
+            }
+            Sent::Ack => &self.acks_sent,
+            Sent::Retransmit => &self.retransmits,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -544,6 +508,7 @@ fn conn_faults(plan: Option<FaultPlan>, nonce: u64) -> Option<Faults> {
     plan.filter(|p| !p.is_noop()).map(|plan| Faults {
         rng: StdRng::seed_from_u64(plan.seed ^ nonce),
         plan,
+        holdback: None,
     })
 }
 
@@ -611,6 +576,9 @@ impl TransportListener for UdpListener {
 struct Faults {
     plan: FaultPlan,
     rng: StdRng,
+    /// Reorder holdback slot: one datagram waiting to be released after
+    /// the next send (or by the pacer when idle).
+    holdback: Option<Vec<u8>>,
 }
 
 impl Faults {
@@ -619,52 +587,12 @@ impl Faults {
     }
 }
 
-/// One retained (unacknowledged) outbound datagram's retransmit state.
-struct Retained {
-    bytes: Vec<u8>,
-    sent_at: Instant,
-    tries: u32,
-}
-
-/// Mutable reliability state of one UDP connection.
-struct UdpState {
-    /// Outbound `DATA`/`FIN` numbering, retained until cumulatively acked.
-    send: SendHalf<Retained>,
-    /// Inbound in-order delivery of `(is_fin, payload)`.
-    recv: RecvHalf<(bool, Vec<u8>)>,
-    /// In-order payloads ready for `read` (front chunk partially
-    /// consumed up to `delivery_off`).
-    delivery: VecDeque<Vec<u8>>,
-    delivery_off: usize,
-    /// The peer's `FIN` was delivered in order: reads return EOF once
-    /// `delivery` drains.
-    eof: bool,
-    fin_sent: bool,
-    /// Terminal failure (`TimedOut` for retransmit exhaustion,
-    /// `ConnectionRefused`/`ConnectionReset` for ICMP errors).
-    broken: Option<io::ErrorKind>,
-    /// In-order `DATA` accepted since an ack last left (stand-alone or
-    /// riding a `DATA`/`FIN`); a gap, a duplicate or a `FIN` jumps it
-    /// straight to [`UDP_ACK_EVERY`], the stand-alone threshold.
-    ack_owed: u32,
-    /// A pacer pass found `ack_owed` above zero and left it for reverse
-    /// data to carry: the next pass acknowledges alone. Cleared wherever
-    /// `ack_owed` is zeroed.
-    ack_aged: bool,
-    faults: Option<Faults>,
-    /// Reorder-fault holdback slot: one datagram waiting to be released
-    /// after the next send (or by the pacer when idle).
-    holdback: Option<Vec<u8>>,
-    /// Last time the cumulative ack advanced (or the retained queue was
-    /// empty); staleness beyond [`UDP_DEAD_AFTER`] breaks the connection.
-    last_progress: Instant,
-}
-
-/// The shared core of one UDP connection: the connected socket plus
-/// reliability state. Handles (`UdpConnection`) and the pacer share it.
+/// The shared core of one UDP connection: the connected socket, and under
+/// one lock the envelope machine and the fault plan it sends through.
+/// Handles (`UdpConnection`) and the pacer share it.
 struct UdpIo {
     sock: UdpSocket,
-    state: Mutex<UdpState>,
+    state: Mutex<(Envelope, Option<Faults>)>,
     /// The minting transport's census.
     stats: Arc<UdpStats>,
     /// Live [`UdpConnection`] handles. Not `Arc::strong_count`: the pacer
@@ -673,219 +601,71 @@ struct UdpIo {
     handles: AtomicUsize,
 }
 
-impl fmt::Debug for UdpIo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpIo").field("sock", &self.sock).finish()
-    }
-}
-
 fn send_raw(sock: &UdpSocket, bytes: &[u8]) {
     // Best-effort: a full socket buffer loses the datagram exactly like
     // the network would, and the retransmission timer recovers it.
     let _ = sock.send(bytes);
 }
 
-/// Sends one datagram through the connection's fault plan (drop,
-/// duplicate, pairwise reorder via the holdback slot).
-fn send_datagram(sock: &UdpSocket, st: &mut UdpState, bytes: &[u8]) {
-    let Some(faults) = st.faults.as_mut() else {
-        send_raw(sock, bytes);
-        return;
-    };
-    if faults.roll(faults.plan.drop_pct) {
-        return;
-    }
-    if faults.roll(faults.plan.reorder_pct) && st.holdback.is_none() {
-        st.holdback = Some(bytes.to_vec());
-        return;
-    }
-    let dup = faults.roll(faults.plan.dup_pct);
-    send_raw(sock, bytes);
-    if dup {
-        send_raw(sock, bytes);
-    }
-    if let Some(held) = st.holdback.take() {
-        send_raw(sock, &held);
-    }
-}
-
-/// The little-endian u64 at the front of `bytes`.
-fn le_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().expect("caller checked the length"))
-}
-
-/// Retransmission timeout for the `tries`-th retry.
-fn rto(tries: u32) -> Duration {
-    UDP_RTO_MIN
-        .saturating_mul(1u32 << tries.min(8))
-        .min(UDP_RTO_MAX)
-}
-
 impl UdpIo {
-    /// Applies one inbound datagram to the reliability state.
-    fn process_datagram(&self, st: &mut UdpState, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        let confirm = |st: &mut UdpState, cum: u64| {
-            if st.send.confirm(cum).is_ok_and(|newly| newly > 0) {
-                st.last_progress = Instant::now();
-            }
-        };
-        match bytes[0] {
-            DG_DATA | DG_FIN if bytes.len() >= DG_DATA_HDR => {
-                let payload = &bytes[DG_DATA_HDR..];
-                if payload.len() > MAX_DATAGRAM_BYTES {
-                    return; // oversized: not ours, drop
-                }
-                confirm(st, le_u64(&bytes[1 + 8..]));
-                let is_fin = bytes[0] == DG_FIN;
-                let accept = st
-                    .recv
-                    .accept(le_u64(&bytes[1..]), (is_fin, payload.to_vec()));
-                // Deliver the newly contiguous prefix.
-                let mut delivered = 0;
-                while let Some((is_fin, payload)) = st.recv.pop_ready() {
-                    delivered += 1;
-                    if is_fin {
-                        st.eof = true;
-                    } else if !payload.is_empty() {
-                        st.delivery.push_back(payload);
-                    }
-                }
-                // Plain in-order data may wait for a free ride; a duplicate,
-                // a gap opened or filled, or a FIN is answered at once.
-                st.ack_owed = if accept == Accept::Ready && delivered == 1 && !is_fin {
-                    st.ack_owed + 1
-                } else {
-                    UDP_ACK_EVERY
-                };
-            }
-            DG_ACK if bytes.len() >= DG_CTRL_LEN => confirm(st, le_u64(&bytes[1..])),
-            // Duplicate handshake datagrams straggling in, and `DATA`/`FIN`
-            // too short for their header: ignore.
-            _ => {}
-        }
-    }
-
-    /// Sends the stand-alone cumulative ack.
-    fn send_ack(&self, st: &mut UdpState) {
-        st.ack_owed = 0;
-        st.ack_aged = false;
-        let mut ack = [0u8; DG_CTRL_LEN];
-        ack[0] = DG_ACK;
-        ack[1..].copy_from_slice(&st.recv.delivered().to_le_bytes());
-        self.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
-        send_datagram(&self.sock, st, &ack);
-    }
-
-    /// Numbers, sends and retains one `DATA`/`FIN` datagram; its header
-    /// carries whatever ack is owed.
-    fn send_numbered(&self, st: &mut UdpState, tag: u8, payload: &[u8]) {
-        let mut dgram = Vec::with_capacity(DG_DATA_HDR + payload.len());
-        dgram.push(tag);
-        dgram.extend_from_slice(&st.send.next_seq().to_le_bytes());
-        dgram.extend_from_slice(&st.recv.delivered().to_le_bytes());
-        dgram.extend_from_slice(payload);
-        st.ack_aged = false;
-        if std::mem::take(&mut st.ack_owed) > 0 {
-            self.stats.acks_piggybacked.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats.data_sent.fetch_add(1, Ordering::Relaxed);
-        send_datagram(&self.sock, st, &dgram);
-        st.send.push(Retained {
-            bytes: dgram,
-            sent_at: Instant::now(),
-            tries: 0,
-        });
-    }
-
-    /// One pacer pass: release a stale holdback, send an owed ack nothing
-    /// carried since the previous pass, retransmit overdue retained
-    /// datagrams, detect a dead peer.
-    fn pacer_tick(&self, now: Instant) {
-        let Ok(mut st) = self.state.lock() else {
+    /// The envelope's sink: counts one datagram, then sends it through the
+    /// connection's fault plan (drop, duplicate, pairwise reorder via the
+    /// holdback slot).
+    fn emit(&self, faults: &mut Option<Faults>, sent: Sent, bytes: &[u8]) {
+        self.stats.count(sent);
+        let Some(faults) = faults else {
+            send_raw(&self.sock, bytes);
             return;
         };
-        if st.broken.is_some() {
+        if faults.roll(faults.plan.drop_pct) {
             return;
         }
-        self.pacer_tick_locked(&mut st, now);
-    }
-
-    /// Drains inbound datagrams the connection socket has pending while a
-    /// dropped connection lingers, so the peer's `FIN` still gets acked.
-    fn linger_tick(&self, now: Instant) -> bool {
-        let Ok(mut st) = self.state.lock() else {
-            return true;
-        };
-        if st.broken.is_some() {
-            return true;
+        if faults.roll(faults.plan.reorder_pct) && faults.holdback.is_none() {
+            faults.holdback = Some(bytes.to_vec());
+            return;
         }
-        let mut buf = vec![0u8; MAX_DATAGRAM_BYTES + DG_DATA_HDR];
-        while let Ok(n) = self.sock.recv(&mut buf) {
-            self.process_datagram(&mut st, &buf[..n]);
+        let dup = faults.roll(faults.plan.dup_pct);
+        send_raw(&self.sock, bytes);
+        if dup {
+            send_raw(&self.sock, bytes);
         }
-        self.pacer_tick_locked(&mut st, now);
-        st.send.outstanding() == 0
-    }
-
-    /// Like [`UdpIo::pacer_tick`] with the state already locked.
-    fn pacer_tick_locked(&self, st: &mut UdpState, now: Instant) {
-        if let Some(held) = st.holdback.take() {
+        if let Some(held) = faults.holdback.take() {
             send_raw(&self.sock, &held);
         }
-        // An ack owed since the previous pass found nothing to ride; a
-        // younger one waits a pass for the reply that is likely coming (the
-        // `CreditReturn` arm/tick rule). An idle tail is still acknowledged
-        // within two passes, well inside the sender's first RTO.
-        if st.ack_owed >= UDP_ACK_EVERY || st.ack_aged {
-            self.send_ack(st);
-        } else {
-            st.ack_aged = st.ack_owed > 0;
-        }
-        if st.send.outstanding() == 0 {
-            st.last_progress = now;
-            return;
-        }
-        if now.duration_since(st.last_progress) > UDP_DEAD_AFTER {
-            st.broken = Some(io::ErrorKind::TimedOut);
-            return;
-        }
-        let mut resend = Vec::new();
-        for (_, r) in st.send.iter_mut() {
-            if resend.len() >= UDP_RETX_BURST {
-                break;
-            }
-            if now.duration_since(r.sent_at) >= rto(r.tries) {
-                r.sent_at = now;
-                r.tries += 1;
-                resend.push(r.bytes.clone());
-            }
-        }
-        self.stats
-            .retransmits
-            .fetch_add(resend.len() as u64, Ordering::Relaxed);
-        for bytes in resend {
-            send_datagram(&self.sock, st, &bytes);
-        }
     }
 
-    /// Time until this connection's earliest retransmission deadline
-    /// (zero when one is already overdue); `None` when nothing is
-    /// retained, held back, or the connection is broken.
-    fn next_due(&self, now: Instant) -> Option<Duration> {
-        let st = self.state.lock().ok()?;
-        if st.broken.is_some() {
+    /// Runs `f` on the envelope under the lock, with [`UdpIo::emit`] as
+    /// its sink.
+    fn with_env<R>(&self, f: impl FnOnce(&mut Envelope, &mut Sink<'_>) -> R) -> R {
+        let mut st = self.state.lock().expect("udp state");
+        let (env, faults) = &mut *st;
+        f(env, &mut |sent, bytes| self.emit(faults, sent, bytes))
+    }
+
+    /// One pacer pass, under one lock: release a stale holdback, take in
+    /// what a lingering connection's socket holds (into `linger`), tick.
+    /// The next deadline: `now` while a datagram is held back, `None` once
+    /// nothing is retained or the connection is broken.
+    fn tick(&self, now: Instant, linger: Option<&mut [u8]>) -> Option<Instant> {
+        let mut st = self.state.lock().ok()?;
+        let (env, faults) = &mut *st;
+        if env.broken.is_some() {
             return None;
         }
-        if st.holdback.is_some() {
-            return Some(Duration::ZERO);
+        if let Some(held) = faults.as_mut().and_then(|f| f.holdback.take()) {
+            send_raw(&self.sock, &held);
         }
-        st.send
-            .iter()
-            .map(|(_, r)| (r.sent_at + rto(r.tries)).saturating_duration_since(now))
-            .min()
+        let mut out = |sent, bytes: &[u8]| self.emit(faults, sent, bytes);
+        if let Some(buf) = linger {
+            while let Ok(n) = self.sock.recv(buf) {
+                env.take_in(&buf[..n], now, &mut out);
+            }
+        }
+        let due = env.tick(now, &mut out);
+        if faults.as_ref().is_some_and(|f| f.holdback.is_some()) {
+            return Some(now);
+        }
+        due
     }
 }
 
@@ -894,7 +674,36 @@ impl UdpIo {
 /// it, keeping their exact thread census.
 struct Pacer {
     conns: Mutex<Vec<Weak<UdpIo>>>,
+    /// Dropped connections lingering until their `FIN` is acked or the
+    /// deadline passes.
     closing: Mutex<Vec<(Arc<UdpIo>, Instant)>>,
+}
+
+impl Pacer {
+    /// One pass: each open connection ticks, each lingering one drains its
+    /// socket into `buf` and ticks. Returns the earliest deadline.
+    fn pass(&self, now: Instant, buf: &mut [u8]) -> Option<Instant> {
+        let open: Vec<Arc<UdpIo>> = {
+            let mut conns = self.conns.lock().expect("pacer registry");
+            conns.retain(|w| w.strong_count() > 0);
+            conns.iter().filter_map(Weak::upgrade).collect()
+        };
+        let mut next = open
+            .iter()
+            .filter(|io| io.handles.load(Ordering::Acquire) > 0)
+            .filter_map(|io| io.tick(now, None))
+            .min();
+        let mut closing = std::mem::take(&mut *self.closing.lock().expect("pacer closing"));
+        closing.retain(|(io, until)| {
+            let due = (now < *until)
+                .then(|| io.tick(now, Some(&mut *buf)))
+                .flatten();
+            next = next.into_iter().chain(due).min();
+            due.is_some()
+        });
+        self.closing.lock().expect("pacer closing").extend(closing);
+        next
+    }
 }
 
 fn pacer() -> &'static Pacer {
@@ -907,40 +716,17 @@ fn pacer() -> &'static Pacer {
         std::thread::Builder::new()
             .name("cckvs-udp-pacer".to_string())
             .spawn(move || {
+                let mut buf = vec![0u8; MAX_DATAGRAM_BYTES + DG_DATA_HDR];
                 let mut sleep_for = UDP_PACER_TICK;
                 loop {
                     std::thread::sleep(sleep_for);
-                    let now = Instant::now();
-                    let live: Vec<Arc<UdpIo>> = {
-                        let mut conns = pacer.conns.lock().expect("pacer registry");
-                        conns.retain(|w| w.strong_count() > 0);
-                        conns.iter().filter_map(Weak::upgrade).collect()
-                    };
-                    for io in &live {
-                        io.pacer_tick(now);
-                    }
-                    let lingering: Vec<(Arc<UdpIo>, Instant)> = {
-                        let mut closing = pacer.closing.lock().expect("pacer closing");
-                        std::mem::take(&mut *closing)
-                    };
-                    let mut keep = Vec::new();
-                    for (io, deadline) in lingering {
-                        if now < deadline && !io.linger_tick(now) {
-                            keep.push((io, deadline));
-                        }
-                    }
-                    pacer.closing.lock().expect("pacer closing").extend(keep);
-                    // Deadline-driven cadence: wake at the nearest retained
-                    // datagram's RTO instead of a fixed tick, floored at the
-                    // reactor fine-timer resolution (sleeping shorter than
-                    // the clock can honour just spins) and capped at the
-                    // idle tick so new registrations are picked up promptly.
-                    let now = Instant::now();
-                    sleep_for = live
-                        .iter()
-                        .filter_map(|io| io.next_due(now))
-                        .min()
-                        .unwrap_or(UDP_PACER_TICK)
+                    // Sleeping shorter than the reactor's fine timer
+                    // resolution would only spin.
+                    sleep_for = pacer
+                        .pass(Instant::now(), &mut buf)
+                        .map_or(UDP_PACER_TICK, |due| {
+                            due.saturating_duration_since(Instant::now())
+                        })
                         .clamp(reactor::FINE_RESOLUTION, UDP_PACER_TICK);
                 }
             })
@@ -960,9 +746,8 @@ pub struct UdpConnection {
 
 impl fmt::Debug for UdpConnection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpConnection")
-            .field("io", &self.io)
-            .finish()
+        let sock = &self.io.sock;
+        f.debug_struct("UdpConnection").field("sock", sock).finish()
     }
 }
 
@@ -971,52 +756,15 @@ impl UdpConnection {
         let io = Arc::new(UdpIo {
             sock,
             stats,
-            state: Mutex::new(UdpState {
-                send: SendHalf::default(),
-                recv: RecvHalf::default(),
-                delivery: VecDeque::new(),
-                delivery_off: 0,
-                eof: false,
-                fin_sent: false,
-                broken: None,
-                ack_owed: 0,
-                ack_aged: false,
-                faults,
-                holdback: None,
-                last_progress: Instant::now(),
-            }),
+            state: Mutex::new((Envelope::new(Instant::now()), faults)),
             handles: AtomicUsize::new(1),
         });
-        pacer()
-            .conns
-            .lock()
-            .expect("pacer registry")
-            .push(Arc::downgrade(&io));
+        let mut conns = pacer().conns.lock().expect("pacer registry");
+        conns.push(Arc::downgrade(&io));
         UdpConnection {
             io,
             scratch: vec![0u8; MAX_DATAGRAM_BYTES + DG_DATA_HDR],
         }
-    }
-
-    /// Copies delivered in-order bytes into `buf`; `None` when starved.
-    fn take_delivered(st: &mut UdpState, buf: &mut [u8]) -> Option<usize> {
-        let mut copied = 0;
-        while copied < buf.len() {
-            let Some(front) = st.delivery.front() else {
-                break;
-            };
-            let avail = &front[st.delivery_off..];
-            let n = avail.len().min(buf.len() - copied);
-            buf[copied..copied + n].copy_from_slice(&avail[..n]);
-            copied += n;
-            if n == avail.len() {
-                st.delivery.pop_front();
-                st.delivery_off = 0;
-            } else {
-                st.delivery_off += n;
-            }
-        }
-        (copied > 0).then_some(copied)
     }
 }
 
@@ -1026,37 +774,16 @@ impl Read for UdpConnection {
             return Ok(0);
         }
         loop {
-            {
-                let mut st = self.io.state.lock().expect("udp state");
-                if let Some(kind) = st.broken {
-                    return Err(io::Error::new(kind, "udp connection broken"));
-                }
-                if let Some(n) = Self::take_delivered(&mut st, buf) {
-                    return Ok(n);
-                }
-                if st.eof {
-                    return Ok(0);
-                }
+            if let Some(done) = self.io.state.lock().expect("udp state").0.read(buf) {
+                return done;
             }
             // Not holding the state lock across the (possibly blocking)
             // recv: the pacer must stay free to retransmit meanwhile.
             match self.io.sock.recv(&mut self.scratch) {
                 Ok(n) => {
-                    let mut st = self.io.state.lock().expect("udp state");
-                    // Borrow juggling: process_datagram needs &mut state
-                    // while the bytes live in self.scratch.
-                    let bytes = std::mem::take(&mut self.scratch);
-                    self.io.process_datagram(&mut st, &bytes[..n]);
-                    self.scratch = bytes;
-                    if st.ack_owed >= UDP_ACK_EVERY {
-                        self.io.send_ack(&mut st);
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Err(e);
+                    let now = Instant::now();
+                    let bytes = &self.scratch[..n];
+                    self.io.with_env(|env, out| env.take_in(bytes, now, out));
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::ConnectionRefused
@@ -1064,10 +791,10 @@ impl Read for UdpConnection {
                 {
                     // ICMP unreachable: the peer process is gone. Mark
                     // broken so writes fail too, then surface it.
-                    let mut st = self.io.state.lock().expect("udp state");
-                    st.broken = Some(e.kind());
+                    self.io.state.lock().expect("udp state").0.broken = Some(e.kind());
                     return Err(e);
                 }
+                // `WouldBlock`/`TimedOut` (starved) and anything else.
                 Err(e) => return Err(e),
             }
         }
@@ -1076,27 +803,16 @@ impl Read for UdpConnection {
 
 impl Write for UdpConnection {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut st = self.io.state.lock().expect("udp state");
-        if let Some(kind) = st.broken {
-            return Err(io::Error::new(kind, "udp connection broken"));
-        }
-        if st.fin_sent {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "udp connection closed",
-            ));
-        }
+        let now = Instant::now();
         // Unbounded send-side retention: the write always succeeds and the
         // datagrams stay retained until cumulatively acked. Backpressure is
         // the serving layer's job (credit windows, request/response
         // pacing); a datagram socket is "always writable", so refusing
         // bytes here would only buy an EPOLLOUT busy-spin.
-        for chunk in buf.chunks(MAX_DATAGRAM_BYTES) {
-            self.io.send_numbered(&mut st, DG_DATA, chunk);
-        }
+        self.io.with_env(|env, out| {
+            let mut chunks = buf.chunks(MAX_DATAGRAM_BYTES);
+            chunks.try_for_each(|chunk| env.send(DG_DATA, chunk, now, out))
+        })?;
         Ok(buf.len())
     }
 
@@ -1142,140 +858,26 @@ impl Drop for UdpConnection {
         if self.io.handles.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
-        let mut st = self.io.state.lock().expect("udp state");
-        if st.broken.is_some() || st.fin_sent {
+        let now = Instant::now();
+        // Broken or closed already: nothing to linger for.
+        if self
+            .io
+            .with_env(|env, out| env.send(DG_FIN, &[], now, out))
+            .is_err()
+        {
             return;
         }
-        st.fin_sent = true;
-        self.io.send_numbered(&mut st, DG_FIN, &[]);
-        drop(st);
         // Linger nonblocking so the pacer can retransmit the FIN and ack
         // the peer's without ever blocking its tick.
         let _ = self.io.sock.set_nonblocking(true);
-        pacer()
-            .closing
-            .lock()
-            .expect("pacer closing")
-            .push((Arc::clone(&self.io), Instant::now() + UDP_LINGER));
+        let mut closing = pacer().closing.lock().expect("pacer closing");
+        closing.push((Arc::clone(&self.io), now + UDP_LINGER));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Two established connections over a connected socket pair and the
-    /// census they share: no handshake datagrams in its counts, and no
-    /// other test's traffic either.
-    fn established_pair() -> (UdpConnection, UdpConnection, Arc<UdpStats>) {
-        let a = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let b = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        a.connect(b.local_addr().expect("addr")).expect("connect");
-        b.connect(a.local_addr().expect("addr")).expect("connect");
-        for sock in [&a, &b] {
-            sock.set_read_timeout(Some(Duration::from_secs(5)))
-                .expect("timeout");
-        }
-        let stats = Arc::new(UdpStats::default());
-        (
-            UdpConnection::establish(a, None, Arc::clone(&stats)),
-            UdpConnection::establish(b, None, Arc::clone(&stats)),
-            stats,
-        )
-    }
-
-    /// `[data_sent, acks_sent, acks_piggybacked, retransmits]`.
-    fn counts(stats: &UdpStats) -> [u64; 4] {
-        stats.snapshot().map(|(_, n)| n)
-    }
-
-    fn outstanding(conn: &UdpConnection) -> u64 {
-        conn.io.state.lock().expect("udp state").send.outstanding()
-    }
-
-    /// Reads whatever `conn`'s socket holds (processing acks on the way).
-    fn drain_nonblocking(conn: &mut UdpConnection) -> usize {
-        let mut buf = [0u8; 256];
-        let mut total = 0;
-        loop {
-            match conn.read(&mut buf) {
-                Ok(n) => total += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return total,
-                Err(e) => panic!("read failed: {e}"),
-            }
-        }
-    }
-
-    /// Pacer passes that can have happened since `started`, at most.
-    fn pacer_passes_since(started: Instant) -> u64 {
-        (started.elapsed().as_micros() / UDP_PACER_TICK.as_micros()) as u64 + 1
-    }
-
-    /// Polls `sender` until everything it sent is acknowledged.
-    fn await_all_acked(sender: &mut UdpConnection) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while outstanding(sender) > 0 {
-            assert!(Instant::now() < deadline, "tail was never acknowledged");
-            drain_nonblocking(sender);
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    #[test]
-    fn request_response_acks_ride_the_data() {
-        let (mut client, mut server, stats) = established_pair();
-        let started = Instant::now();
-        let mut buf = [0u8; 4];
-        for _ in 0..1_000 {
-            client.write_all(b"ping").expect("write");
-            server.read_exact(&mut buf).expect("read");
-            server.write_all(b"pong").expect("write");
-            client.read_exact(&mut buf).expect("read");
-        }
-        let [data, acks, piggybacked, retransmits] = counts(&stats);
-        assert_eq!((data, retransmits), (2_000, 0));
-        // Only a pacer pass landing between a read and the write that
-        // answers it finds an ack owed: at most one per side per pass.
-        let per_side = pacer_passes_since(started).max(4);
-        assert!(acks <= 2 * per_side, "{acks} stand-alone acks");
-        assert!(piggybacked + acks >= 1_999, "{piggybacked} + {acks}");
-    }
-
-    #[test]
-    fn one_way_stream_is_acked_every_sixteenth_datagram() {
-        const N: u64 = 10_000;
-        let (mut tx, mut rx, stats) = established_pair();
-        tx.set_nonblocking(true).expect("nonblocking");
-        rx.set_nonblocking(true).expect("nonblocking");
-        let started = Instant::now();
-        for _ in 0..N {
-            // Lock step keeps the socket buffers shallow: nothing is lost,
-            // so any retransmission would be a spurious one.
-            tx.write_all(b"x").expect("write");
-            assert_eq!(drain_nonblocking(&mut rx), 1);
-            drain_nonblocking(&mut tx);
-        }
-        await_all_acked(&mut tx);
-        let [data, acks, piggybacked, retransmits] = counts(&stats);
-        assert_eq!((data, piggybacked, retransmits), (N, 0, 0));
-        let bound = N / u64::from(UDP_ACK_EVERY) + pacer_passes_since(started);
-        assert!(
-            acks <= bound,
-            "{acks} acks for {N} datagrams, bound {bound}"
-        );
-    }
-
-    #[test]
-    fn idle_tail_is_acked_by_the_pacer_before_its_first_rto() {
-        let (mut tx, mut rx, stats) = established_pair();
-        tx.set_nonblocking(true).expect("nonblocking");
-        rx.set_nonblocking(true).expect("nonblocking");
-        tx.write_all(b"tail").expect("write");
-        assert_eq!(drain_nonblocking(&mut rx), 4);
-        // Then silence: no reverse data, no sixteenth datagram.
-        await_all_acked(&mut tx);
-        assert_eq!(counts(&stats), [1, 1, 0, 0], "one ack, no retransmit");
-    }
 
     fn pair(transport: &dyn Transport) -> (Box<dyn Connection>, Box<dyn Connection>) {
         let mut listener = transport
@@ -1289,14 +891,15 @@ mod tests {
             };
             move || transport.build().dial(addr, Duration::from_secs(5))
         });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let accepted = loop {
-            if let Some(conn) = listener.accept().expect("accept") {
-                break conn;
-            }
-            assert!(Instant::now() < deadline, "accept timed out");
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let accepted = (0..5_000)
+            .find_map(|_| {
+                let conn = listener.accept().expect("accept");
+                if conn.is_none() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                conn
+            })
+            .expect("accept timed out");
         (dialer.join().expect("dial thread").expect("dial"), accepted)
     }
 

@@ -19,7 +19,7 @@
 //! Each count is printed as `ack_budget <name> <value>` before anything is
 //! asserted, so a run against another commit reports its numbers too.
 
-use cckvs_net::transport::UDP_ACK_EVERY;
+use cckvs_net::envelope::UDP_ACK_EVERY;
 use cckvs_net::{LoadBalancePolicy, Rack, RackConfig, ReactorConfig, TransportKind};
 use consistency::messages::ConsistencyModel;
 

@@ -4,14 +4,14 @@
 //! from its table the same `name: type` fields in the same (wire) order.
 //! Renumbering, adding, or removing an opcode, or reordering a frame's
 //! fields, without updating the doc fails here. Likewise the "UDP datagram
-//! envelope" table against `transport.rs`'s tag and header-size constants,
+//! envelope" table against the tag and header-size constants of
+//! `transport.rs` (handshake) and `envelope.rs` (the rest),
 //! the credit-return policy's two constants and the redial backoff's.
 
+use cckvs_net::envelope::{DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_FIN, UDP_ACK_EVERY};
 use cckvs_net::link::CREDIT_RETURN_DIVISOR;
 use cckvs_net::server::{CREDIT_RETURN_TICK, REDIAL_BACKOFF_MAX, REDIAL_BACKOFF_START};
-use cckvs_net::transport::{
-    DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_FIN, DG_SYN, DG_SYNACK, UDP_ACK_EVERY,
-};
+use cckvs_net::transport::{DG_SYN, DG_SYNACK};
 use cckvs_net::wire::opcode_table;
 use std::path::Path;
 
@@ -163,7 +163,7 @@ fn wire_doc_datagram_envelope_matches_the_code() {
     .map(|(name, tag, header)| (name.to_string(), tag, header));
     assert_eq!(
         documented, actual,
-        "docs/WIRE.md's datagram table and transport.rs's DG_* constants disagree"
+        "docs/WIRE.md's datagram table and the DG_* constants disagree"
     );
     assert!(
         envelope.contains(&format!("`UDP_ACK_EVERY` = {UDP_ACK_EVERY} in-order")),

@@ -11,9 +11,8 @@
 //! duplicate/reorder fault plans — frames must come out exactly once, in
 //! order, or not at all.
 
-use cckvs_net::transport::{
-    Connection, FaultPlan, TransportConfig, DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR, DG_SYN,
-};
+use cckvs_net::envelope::{DG_ACK, DG_CTRL_LEN, DG_DATA, DG_DATA_HDR};
+use cckvs_net::transport::{Connection, FaultPlan, TransportConfig, DG_SYN};
 use cckvs_net::wire::{
     encode_frame_into, opcode_table, read_frame, write_frame, BatchBuilder, Frame, WireError,
     MAX_DATAGRAM_BYTES,
